@@ -98,14 +98,16 @@ bench-gate:
 		| $(GO) run ./cmd/ddexp -bench-compare remote benchjson
 
 # Short fuzz pass over the hardened decoders (trace, framing, server), the
-# dependence-set fast-update API the instance cache relies on, and the
-# backend spec parser every -backend flag and DDT1 handshake goes through.
+# slab trace encoder against its reference, the dependence-set fast-update
+# API the instance cache relies on, and the backend spec parser every
+# -backend flag and DDT1 handshake goes through.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzBackendSpec -fuzztime=10s ./internal/sig/
 	$(GO) test -run=^$$ -fuzz=FuzzReplay -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzRangeFrame -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzFrames -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzNextBatch -fuzztime=10s ./internal/trace/
+	$(GO) test -run=^$$ -fuzz=FuzzWriterEquivalence -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzDeltaFrame -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzHandshake -fuzztime=10s ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzFastUpdate -fuzztime=10s ./internal/dep/

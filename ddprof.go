@@ -307,8 +307,10 @@ func ProfileUnion(builds []func() *Program, cfg Config) (*Result, error) {
 
 // RecordTrace executes the program once, writing its full access stream to
 // w in the compact trace format. The trace can be profiled offline many
-// times with ProfileTrace — run once, analyze often. The recording hook is
-// wrapped in a trace.SyncWriter, so multi-threaded targets record safely.
+// times with ProfileTrace — run once, analyze often. The recording hook is a
+// trace.SyncWriter — a mutex around a trace.Writer, so multi-threaded targets
+// record safely — and w receives whole records, in Writes of at most 64KiB,
+// each time the Writer's slab fills and once more at the end.
 func RecordTrace(p *Program, w io.Writer) (events uint64, err error) {
 	tw, err := trace.NewWriter(w)
 	if err != nil {

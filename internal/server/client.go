@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"ddprof/internal/dep"
+	"ddprof/internal/event"
 	"ddprof/internal/interp"
 	"ddprof/internal/loc"
 	"ddprof/internal/minilang"
@@ -34,11 +36,12 @@ type ClientOptions struct {
 	// Interp records the trace with the reference tree-walking interpreter
 	// instead of the default bytecode VM.
 	Interp bool
-	// FrameBytes sizes the trace writer's serialization buffer — and since
-	// every buffer flush becomes one wire frame, the frame size the daemon
-	// decodes in one batch. Larger frames amortize framing and decode
+	// FrameBytes sizes the trace writer's slab — and since every full slab
+	// goes out as one record-aligned wire frame, it bounds the frame the
+	// daemon decodes in one batch. Larger frames amortize framing and decode
 	// overhead; they must stay within the daemon's frame cap (1MiB by
-	// default). 0 selects the 64KiB default.
+	// default). 0 selects the 64KiB default; values under 107 bytes (room
+	// for one maximal record) are raised to that.
 	FrameBytes int
 	// Timeout bounds every socket read and write. Default 60s.
 	Timeout time.Duration
@@ -95,10 +98,21 @@ func (d *deadlineConn) Write(p []byte) (int, error) {
 	return d.Conn.Write(p)
 }
 
+// WriteBuffers sends v as one vectored write under one deadline; it is how a
+// trace.FrameWriter puts a frame's header and payload on the socket.
+func (d *deadlineConn) WriteBuffers(v *net.Buffers) (int64, error) {
+	if err := d.Conn.SetWriteDeadline(time.Now().Add(d.timeout)); err != nil {
+		return 0, err
+	}
+	return v.WriteTo(d.Conn)
+}
+
 // ProfileRemote executes p locally while streaming its access trace to a
 // ddprofd daemon over conn, then returns the dependence set the daemon
-// profiled. The recording hook is a trace.SyncWriter, so multi-threaded
-// targets stream safely. The connection is not closed.
+// profiled. The recording hook is a trace.Compactor writing frame-sized slabs
+// straight to the connection (see streamTrace); it takes its mutex per event
+// only when p can spawn threads, so multi-threaded targets stream safely and
+// sequential ones pay no lock. The connection is not closed.
 //
 // The daemon receives the target's variable table and loop metadata in the
 // handshake, so the returned dependence set — carried flags, distances,
@@ -109,17 +123,27 @@ func ProfileRemote(conn net.Conn, p *minilang.Program, opt ClientOptions) (*Remo
 		opt.Timeout = 60 * time.Second
 	}
 	dc := &deadlineConn{Conn: conn, timeout: opt.Timeout}
-	bw := bufio.NewWriterSize(dc, 1<<16)
 
-	if err := writeHandshake(bw, clientHandshake(p, opt)); err != nil {
+	var hs bytes.Buffer
+	if err := writeHandshake(&hs, clientHandshake(p, opt)); err != nil {
 		return nil, fmt.Errorf("server: sending handshake: %w", err)
 	}
-	records, events, err := streamTrace(bw, p, opt)
-	if err != nil {
-		return nil, err
+	if _, err := dc.Write(hs.Bytes()); err != nil {
+		return nil, fmt.Errorf("server: sending handshake: %w", err)
 	}
-	if err := bw.Flush(); err != nil {
-		return nil, fmt.Errorf("server: finishing stream: %w", err)
+	records, events, err := streamTrace(dc, p, opt)
+	if err != nil {
+		// A daemon that refuses or evicts a session answers and hangs up
+		// without reading on, which fails a later frame write; its verdict
+		// says why, the failed write only that. (A write that timed out met
+		// a daemon that is not answering either.)
+		var nerr net.Error
+		if errors.As(err, &nerr) && !nerr.Timeout() {
+			if st, msg, rerr := readResponse(bufio.NewReader(dc)); rerr == nil && st != statusOK {
+				return nil, fmt.Errorf("server: remote error: %s", msg)
+			}
+		}
+		return nil, err
 	}
 
 	status, payload, err := readResponse(bufio.NewReader(dc))
@@ -231,11 +255,26 @@ func Watch(conn net.Conn, opt WatchOptions, fn func(trace.DeltaFrame) error) err
 	}
 }
 
+// hookFor picks the recording hook p needs: the Compactor itself, which
+// serializes callers, when p can run target threads, and its unlocked twin
+// when p provably calls the hook from one thread only — no function of it,
+// reachable or not, holds a spawn statement, the proof the VM takes its
+// non-atomic arena path on.
+func hookFor(cw *trace.Compactor, p *minilang.Program) event.Hook {
+	if len(minilang.Resolve(p).Spawns) == 0 {
+		return cw.Unlocked()
+	}
+	return cw
+}
+
 // streamTrace executes p, streaming its framed DDT1 trace to w, and
-// terminates the stream. The recording hook is a trace.Compactor, which
-// serializes concurrent callers (so multi-threaded targets stream safely)
-// and folds consecutive strided runs into range records, shrinking the trace
-// on the wire and letting the daemon ingest whole runs in one dispatch.
+// terminates the stream. The recording hook is a trace.Compactor, which folds
+// consecutive strided runs into range records — shrinking the trace on the
+// wire and letting the daemon ingest whole runs in one dispatch — over a
+// trace.Writer whose slab is the frame: each full slab reaches w as one
+// length-prefixed, record-aligned frame of at most opt.FrameBytes, with no
+// buffering in between. A program that can spawn gets the Compactor's locked
+// hook, which serializes the target's threads; a spawn-free one the unlocked.
 func streamTrace(w io.Writer, p *minilang.Program, opt ClientOptions) ([]dep.LoopRecord, uint64, error) {
 	fw := trace.NewFrameWriter(w)
 	tw, err := trace.NewWriterSize(fw, opt.FrameBytes)
@@ -243,7 +282,7 @@ func streamTrace(w io.Writer, p *minilang.Program, opt ClientOptions) ([]dep.Loo
 		return nil, 0, fmt.Errorf("server: opening trace stream: %w", err)
 	}
 	cw := trace.NewCompactor(tw)
-	info, err := opt.executor().Run(p, cw, interp.Options{Timestamps: opt.MT, YieldEvery: opt.SchedulerFuzz})
+	info, err := opt.executor().Run(p, hookFor(cw, p), interp.Options{Timestamps: opt.MT, YieldEvery: opt.SchedulerFuzz})
 	if err != nil {
 		return nil, 0, fmt.Errorf("server: target run: %w", err)
 	}

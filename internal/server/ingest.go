@@ -201,8 +201,8 @@ func (ing *ingest) decode() {
 	}
 }
 
-// frameStream adapts the pooled frame ring to trace.ByteScanner plus the
-// decoder's windowed fast path: NextBatch peeks each frame's payload as one
+// frameStream adapts the pooled frame ring to trace.ByteScanner, byte reads
+// and window alike: NextBatch peeks each frame's payload as one
 // contiguous window and decodes records flat out of the pooled buffer — zero
 // copies between the socket read and the decoded event fields. Exhausted
 // buffers go straight back to the pool.

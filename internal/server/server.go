@@ -193,8 +193,12 @@ type Server struct {
 	pipe *telemetry.Pipeline
 	snap *telemetry.Snapshotter
 
-	mu        sync.Mutex
-	sessions  map[uint64]*session
+	mu       sync.Mutex
+	sessions map[uint64]*session
+	// conns holds every admitted connection until its handler returns — a
+	// little longer than its session, which leaves the table before the
+	// verdict is written — so Shutdown can force-close all of them.
+	conns     map[net.Conn]struct{}
 	listeners map[net.Listener]struct{}
 	nextID    uint64
 	budget    int
@@ -230,6 +234,7 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		pipe:       reg.Pipeline("pipeline"),
 		sessions:   make(map[uint64]*session),
+		conns:      make(map[net.Conn]struct{}),
 		listeners:  make(map[net.Listener]struct{}),
 		obs:        make(map[uint64]*observatory),
 		budget:     cfg.WorkerBudget,
@@ -289,7 +294,12 @@ func (s *Server) Serve(ln net.Listener) error {
 // errRefused marks connects rejected before a session started.
 var errRefused = errors.New("refused")
 
-// handleConn runs one connection to completion.
+// handleConn runs one connection to completion. The verdict is the last
+// thing a session does: by the time runSession returns, the pipeline, its
+// store and the session's metric series are released; the session then leaves
+// the table, and only then is the response written — so a client that has
+// its answer never finds its session still listed (ActiveSessions, /sessions,
+// server_sessions_active) or its counters (completed, evicted) not yet bumped.
 func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	sess, err := s.register(conn)
@@ -300,12 +310,19 @@ func (s *Server) handleConn(conn net.Conn) {
 		writeResponse(conn, statusErr, []byte(err.Error()))
 		return
 	}
-	defer s.unregister(sess)
 	defer s.sessWG.Done()
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+	}()
 
-	if err := s.runSession(sess); err != nil {
+	tc := &timedConn{Conn: conn, idle: s.cfg.IdleTimeout, sess: sess, srv: s}
+	payload, err := s.runSession(sess, tc)
+	if err != nil {
 		sess.state.Store(stateEvicted)
 		s.cEvicted.Inc()
+		s.unregister(sess)
 		s.cfg.Logf("ddprofd: session %d (%s): evicted: %v", sess.id, sess.remote, err)
 		conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
 		writeResponse(conn, statusErr, []byte(err.Error()))
@@ -313,6 +330,18 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	sess.state.Store(stateDone)
 	s.cCompleted.Inc()
+	s.unregister(sess)
+	if payload != nil { // a watch subscription has streamed its answer already
+		bw := bufio.NewWriterSize(tc, 1<<16)
+		err = writeResponse(bw, statusOK, payload)
+		if err == nil {
+			err = bw.Flush()
+		}
+		if err != nil {
+			s.cfg.Logf("ddprofd: session %d (%s): completed, response not delivered: %v", sess.id, sess.remote, err)
+			return
+		}
+	}
 	s.cfg.Logf("ddprofd: session %d (%s): completed, %d events, %d bytes in, %d bytes out",
 		sess.id, sess.remote, sess.events.Load(), sess.bytesIn.Load(), sess.bytesOut.Load())
 }
@@ -336,6 +365,7 @@ func (s *Server) register(conn net.Conn) (*session, error) {
 		started: time.Now(),
 	}
 	s.sessions[sess.id] = sess
+	s.conns[conn] = struct{}{}
 	s.gActive.Set(int64(len(s.sessions)))
 	s.cAccepted.Inc()
 	s.sessWG.Add(1)
@@ -582,11 +612,12 @@ func (t *timedConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// runSession executes the protocol over one admitted connection. Any error
-// evicts the session; the pipeline is always flushed so no worker goroutine
-// outlives its session.
-func (s *Server) runSession(sess *session) error {
-	tc := &timedConn{Conn: sess.conn, idle: s.cfg.IdleTimeout, sess: sess, srv: s}
+// runSession executes the protocol over one admitted connection up to, but
+// not including, the response: it returns the encoded profile for handleConn
+// to send once the session is torn down (nil for a watch subscription, which
+// streams its own answer). Any error evicts the session; the pipeline is
+// always flushed so no worker goroutine outlives its session.
+func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 	if rb, ok := sess.conn.(interface{ SetReadBuffer(int) error }); ok {
 		// Best effort: TCP and Unix sockets support it, a test pipe may not.
 		rb.SetReadBuffer(s.cfg.ReadBuf)
@@ -595,10 +626,10 @@ func (s *Server) runSession(sess *session) error {
 
 	h, err := readHandshake(br)
 	if err != nil {
-		return fmt.Errorf("handshake: %w", err)
+		return nil, fmt.Errorf("handshake: %w", err)
 	}
 	if h.Watch {
-		return s.runWatch(sess, h, tc)
+		return nil, s.runWatch(sess, h, tc)
 	}
 
 	workers := s.acquireWorkers(h.Workers)
@@ -639,13 +670,13 @@ func (s *Server) runSession(sess *session) error {
 	}
 	ccfg.Backend, err = s.cfg.resolveBackend(h, max(workers, 1), ccfg.SlotsPerWorker)
 	if err != nil {
-		return fmt.Errorf("session store: %w", err)
+		return nil, fmt.Errorf("session store: %w", err)
 	}
 	prof, err := core.New(ccfg)
 	if err != nil {
 		// A rejected Config here means the daemon's own limits are broken
 		// (handshake values are already clamped); surface it, don't panic.
-		return fmt.Errorf("session pipeline: %w", err)
+		return nil, fmt.Errorf("session pipeline: %w", err)
 	}
 	flushed := false
 	var res *core.Result
@@ -661,7 +692,7 @@ func (s *Server) runSession(sess *session) error {
 		// The daemon lives through thousands of sessions: hand the merged
 		// set's slab pages back to the shared pool so the next session's
 		// workers fill recycled pages instead of re-growing from zero. The
-		// response bytes (if any) were already copied out of the set.
+		// response bytes (if any) were already encoded out of the set.
 		if res != nil && res.Deps != nil {
 			res.Deps.Release()
 		}
@@ -722,11 +753,11 @@ func (s *Server) runSession(sess *session) error {
 		}
 		ing.free <- ib.c
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if err := ing.err(); err != nil {
-		return fmt.Errorf("trace stream: %w", err)
+		return nil, fmt.Errorf("trace stream: %w", err)
 	}
 
 	sess.state.Store(stateProfiling)
@@ -762,13 +793,9 @@ func (s *Server) runSession(sess *session) error {
 	}
 	var buf bytes.Buffer
 	if err := dep.Encode(&buf, res.Deps, tab, nil); err != nil {
-		return fmt.Errorf("encoding profile: %w", err)
+		return nil, fmt.Errorf("encoding profile: %w", err)
 	}
-	bw := bufio.NewWriterSize(tc, 1<<16)
-	if err := writeResponse(bw, statusOK, buf.Bytes()); err != nil {
-		return fmt.Errorf("writing response: %w", err)
-	}
-	return bw.Flush()
+	return buf.Bytes(), nil
 }
 
 // feedBatch validates one decoded batch and feeds it to the pipeline's bulk
@@ -1077,8 +1104,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 		s.mu.Lock()
-		for _, sess := range s.sessions {
-			sess.conn.Close() // unblocks session reads/writes
+		for conn := range s.conns {
+			conn.Close() // unblocks session reads/writes
 		}
 		s.mu.Unlock()
 		<-done

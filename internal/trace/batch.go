@@ -7,14 +7,14 @@ package trace
 // batches to a pipeline's bulk-ingest seam with no per-record interface
 // dispatch and no intermediate copies.
 //
-// The decoder has two gears. When the input exposes its buffered bytes as a
-// contiguous window (bufio, or the daemon's pooled frame stream), whole
-// records are decoded flat out of the window slice with an inlined varint
-// fast path. Records that cross a window edge — and any byte sequence that
-// fails validation — fall back to the byte-at-a-time NextRecord decoder,
-// which already handles blocking, stitching across frames, and error
-// reporting; the windowed path commits only fully valid records, so every
-// error NextBatch can return is byte-for-byte a NextRecord error.
+// The decoder has two gears. Whole records inside the input's buffered window
+// (bufio's, or the daemon's pooled frame) are decoded flat out of the window
+// slice with an inlined varint fast path. Records that cross a window edge —
+// and any byte sequence that fails validation — fall back to the
+// byte-at-a-time NextRecord decoder, which already handles blocking,
+// stitching across frames, and error reporting; the windowed path commits
+// only fully valid records, so every error NextBatch can return is
+// byte-for-byte a NextRecord error.
 
 import (
 	"encoding/binary"
@@ -24,18 +24,15 @@ import (
 	"ddprof/internal/loc"
 )
 
-// ByteScanner is the input surface Reader decodes from. *bufio.Reader
-// implements it; NewReader wraps any other io.Reader in one.
+// ByteScanner is the input surface Reader decodes from: byte reads for the
+// record-at-a-time decoder, plus a window over the already-buffered bytes
+// (and a way to discard a decoded prefix of it) so NextBatch can decode whole
+// records without per-byte dispatch. *bufio.Reader implements it, as does the
+// daemon's pooled frame stream; NewReader wraps any other io.Reader in a
+// *bufio.Reader.
 type ByteScanner interface {
 	io.Reader
 	io.ByteReader
-}
-
-// batchScanner is the optional fast-path surface of NextBatch: inputs that
-// can expose already-buffered bytes as one contiguous window, and discard a
-// decoded prefix of it, let records be decoded without per-byte dispatch.
-// *bufio.Reader satisfies it, as does the daemon's pooled frame stream.
-type batchScanner interface {
 	Buffered() int
 	Peek(n int) ([]byte, error)
 	Discard(n int) (int, error)
@@ -56,29 +53,26 @@ type batchScanner interface {
 func (r *Reader) NextBatch(c *event.Chunk) (int, error) {
 	appended := 0
 	r.batchCtl = false
-	bs, windowed := r.br.(batchScanner)
 	for {
 		if c.Full() || c.RangesFull() {
 			return appended, nil
 		}
-		if windowed {
-			k := bs.Buffered()
-			if k == 0 && appended > 0 {
-				return appended, nil
+		k := r.br.Buffered()
+		if k == 0 && appended > 0 {
+			return appended, nil
+		}
+		if k > 0 {
+			win, _ := r.br.Peek(k)
+			m, used := r.decodeWindow(win, c, appended > 0)
+			if used > 0 {
+				r.br.Discard(used)
 			}
-			if k > 0 {
-				win, _ := bs.Peek(k)
-				m, used := r.decodeWindow(win, c, appended > 0)
-				if used > 0 {
-					bs.Discard(used)
-				}
-				appended += m
-				if m > 0 {
-					continue
-				}
-				// The leading record crosses the window edge or fails to
-				// validate: resolve it byte-at-a-time below.
+			appended += m
+			if m > 0 {
+				continue
 			}
+			// The leading record crosses the window edge or fails to
+			// validate: resolve it byte-at-a-time below.
 		}
 		rec, err := r.NextRecord()
 		if err != nil {

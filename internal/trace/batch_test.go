@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"testing"
+	"testing/iotest"
 
 	"ddprof/internal/event"
 	"ddprof/internal/loc"
@@ -37,8 +38,9 @@ func batchAll(tr *Reader, err error) ([]Record, uint64, error) {
 		return nil, 0, err
 	}
 	var recs []Record
+	c := event.NewChunk()
 	for {
-		c := event.NewChunk()
+		c.Reset()
 		_, err := tr.NextBatch(c)
 		for _, a := range c.Events {
 			if a.Kind == event.RangeRef {
@@ -60,18 +62,20 @@ func batchAll(tr *Reader, err error) ([]Record, uint64, error) {
 	}
 }
 
-// checkBatchMatchesRecord decodes data both ways across three scanner shapes
-// (full window, 16-byte windows that split records, and no window at all) and
-// requires identical records, counts, and end-of-stream errors.
+// checkBatchMatchesRecord decodes data both ways across four scanner shapes
+// (full window, 16-byte windows that split records, an in-memory reader, and
+// no window at all) and requires identical records, counts, and end-of-stream
+// errors.
 func checkBatchMatchesRecord(t *testing.T, data []byte) {
 	t.Helper()
 	want, wantN, wantErr := recordAll(data)
 	scanners := map[string]func() (*Reader, error){
-		// bytes.Reader implements ByteScanner itself, so NewReader adds no
-		// bufio window: that shape exercises the pure byte-at-a-time path.
+		// A source that trickles one byte per Read never has a whole record
+		// buffered: that shape exercises the pure byte-at-a-time path.
 		"window":      func() (*Reader, error) { return NewReader(bufio.NewReader(bytes.NewReader(data))) },
 		"tiny-window": func() (*Reader, error) { return NewReader(bufio.NewReaderSize(bytes.NewReader(data), 16)) },
-		"no-window":   func() (*Reader, error) { return NewReader(bytes.NewReader(data)) },
+		"in-memory":   func() (*Reader, error) { return NewReader(bytes.NewReader(data)) },
+		"no-window":   func() (*Reader, error) { return NewReader(iotest.OneByteReader(bytes.NewReader(data))) },
 	}
 	for name, mk := range scanners {
 		got, gotN, gotErr := batchAll(mk())
@@ -152,6 +156,47 @@ func TestNextBatchTruncated(t *testing.T) {
 	// And every offset near the tail, where the last record is clipped.
 	for cut := len(data) - 20; cut < len(data); cut++ {
 		checkBatchMatchesRecord(t, data[:cut])
+	}
+}
+
+// TestInMemoryReaderWindowed: a trace held in memory (a *bytes.Reader offers
+// bytes one at a time but no window over them) must still batch-decode in the
+// windowed gear — whole-chunk batches with duplicate reads folded into Rep,
+// which only the windowed decoder does — and report truncation exactly like
+// NextRecord.
+func TestInMemoryReaderWindowed(t *testing.T) {
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf)
+	const records = 3 * event.ChunkSize
+	for i := 0; i < records; i++ {
+		w.Access(event.Access{Addr: 0x1000 + uint64(i/2)*8, Kind: event.Read, Loc: loc.Pack(1, 5)})
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := event.NewChunk()
+	n, err := tr.NextBatch(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != event.ChunkSize {
+		t.Fatalf("first batch holds %d slots, want a full chunk of %d", n, event.ChunkSize)
+	}
+	// (The last slot's twin is still on the wire: the chunk filled first.)
+	for i, a := range c.Events[:n-1] {
+		if a.Rep != 1 {
+			t.Fatalf("slot %d: Rep %d, want the duplicate read folded in (windowed decode)", i, a.Rep)
+		}
+	}
+	if tr.Count() != 2*event.ChunkSize-1 {
+		t.Fatalf("first batch consumed %d records, want %d", tr.Count(), 2*event.ChunkSize-1)
+	}
+	for cut := buf.Len() - 12; cut < buf.Len(); cut++ {
+		checkBatchMatchesRecord(t, buf.Bytes()[:cut])
 	}
 }
 
@@ -443,14 +488,18 @@ func FuzzNextBatch(f *testing.F) {
 		want, wantN, wantErr := recordAll(data)
 		var tr *Reader
 		var err error
-		switch shape % 3 {
+		switch shape % 4 {
 		case 0:
 			tr, err = NewReader(bufio.NewReader(bytes.NewReader(data)))
 		case 1:
 			tr, err = NewReader(bufio.NewReaderSize(bytes.NewReader(data), 16))
-		default:
-			// bytes.Reader is a ByteScanner without a window: pure slow path.
+		case 2:
+			// In memory: NewReader supplies the window.
 			tr, err = NewReader(bytes.NewReader(data))
+		default:
+			// One byte per Read leaves no record whole in the window: pure
+			// slow path.
+			tr, err = NewReader(iotest.OneByteReader(bytes.NewReader(data)))
 		}
 		got, gotN, gotErr := batchAll(tr, err)
 		if !sameEnd(wantErr, gotErr) {

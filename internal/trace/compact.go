@@ -19,7 +19,8 @@ package trace
 // Compactor serializes its callers the way SyncWriter does, so it can be
 // installed directly as the hook of a multi-threaded recording run (where
 // distinct timestamps keep runs from forming, and events simply pass
-// through).
+// through). A target proven single-threaded takes the Unlocked hook instead
+// and skips the mutex.
 
 import (
 	"sync"
@@ -36,74 +37,87 @@ const compactMin = 3
 // way into w. The wrapped Writer must not be used directly while the
 // Compactor is live.
 type Compactor struct {
-	mu  sync.Mutex
-	w   *Writer
-	run event.Range // open candidate; Count==0 none, Count==1 bare point
+	mu sync.Mutex
+	w  *Writer
+	// The open candidate run: its first access as it arrived, then the
+	// per-element address and iteration-vector deltas (set by the second
+	// element) and the element count (0 none, 1 a bare point).
+	head              event.Access
+	stride, iterDelta uint64
+	count             uint32
 }
 
 // NewCompactor wraps w.
 func NewCompactor(w *Writer) *Compactor { return &Compactor{w: w} }
 
-// sameRunMeta reports whether a could belong to the open run: every field a
-// Range shares across its elements must match exactly.
-func (c *Compactor) sameRunMeta(a *event.Access) bool {
-	r := &c.run
-	return a.Loc == r.Loc && a.Var == r.Var && a.CtxID == r.CtxID &&
-		a.Thread == r.Thread && a.Kind == r.Kind && a.Flags == r.Flags &&
-		a.TS == r.TS
-}
-
-// Access implements the hook: extend the open run or flush and restart it.
+// Access implements the hook under the Compactor's mutex.
 func (c *Compactor) Access(a event.Access) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.access(&a)
+	c.mu.Unlock()
+}
+
+// Unlocked returns the same Compactor as a hook that does not take the mutex
+// per event — for recording runs whose target provably calls the hook from
+// one thread only. Count, Flush, Close and Err stay on the Compactor.
+func (c *Compactor) Unlocked() event.Hook { return (*unlockedCompactor)(c) }
+
+type unlockedCompactor Compactor
+
+func (u *unlockedCompactor) Access(a event.Access) { (*Compactor)(u).access(&a) }
+
+// access extends the open run or flushes and restarts it.
+func (c *Compactor) access(a *event.Access) {
 	if a.Rep != 0 || (a.Kind != event.Read && a.Kind != event.Write) {
 		c.flushLocked()
-		c.w.Access(a)
+		c.w.point(a)
 		return
 	}
-	switch {
-	case c.run.Count == 0:
-		// Fall through to restart below.
-	case c.run.Count == 1:
-		if c.sameRunMeta(&a) {
-			c.run.Stride = a.Addr - c.run.Base
-			c.run.IterDelta = a.IterVec - c.run.IterVec
-			c.run.Count = 2
+	// Every field a Range shares across its elements must match exactly.
+	if h := &c.head; c.count > 0 && a.Loc == h.Loc && a.Var == h.Var && a.CtxID == h.CtxID &&
+		a.Thread == h.Thread && a.Kind == h.Kind && a.Flags == h.Flags && a.TS == h.TS {
+		if c.count == 1 {
+			c.stride = a.Addr - h.Addr
+			c.iterDelta = a.IterVec - h.IterVec
+			c.count = 2
 			return
 		}
-		c.flushLocked()
-	default:
-		if c.sameRunMeta(&a) && c.run.Count < maxWireRangeCount &&
-			a.Addr == c.run.Base+uint64(c.run.Count)*c.run.Stride &&
-			a.IterVec == c.run.IterVec+uint64(c.run.Count)*c.run.IterDelta {
-			c.run.Count++
+		if c.count < maxWireRangeCount &&
+			a.Addr == h.Addr+uint64(c.count)*c.stride &&
+			a.IterVec == h.IterVec+uint64(c.count)*c.iterDelta {
+			c.count++
 			return
 		}
-		c.flushLocked()
 	}
-	c.run = event.Range{
-		Base: a.Addr, TS: a.TS, IterVec: a.IterVec,
-		Loc: a.Loc, Var: a.Var, CtxID: a.CtxID,
-		Thread: a.Thread, Kind: a.Kind, Flags: a.Flags,
-		Count: 1,
-	}
+	c.flushLocked()
+	c.head = *a
+	c.count = 1
 }
 
 // flushLocked drains the open run: long enough and wire-expressible runs go
 // out as one range record, everything else as points.
 func (c *Compactor) flushLocked() {
-	r := c.run
-	c.run.Count = 0
-	if r.Count == 0 {
+	n := c.count
+	c.count = 0
+	if n == 0 {
 		return
 	}
-	if r.Count >= compactMin && wireRangeOK(&r) {
-		c.w.Range(r)
-		return
+	h := &c.head
+	if n >= compactMin {
+		r := event.Range{
+			Base: h.Addr, Stride: c.stride, TS: h.TS, IterVec: h.IterVec, IterDelta: c.iterDelta,
+			Loc: h.Loc, Var: h.Var, CtxID: h.CtxID, Count: n,
+			Thread: h.Thread, Kind: h.Kind, Flags: h.Flags,
+		}
+		if wireRangeOK(&r) {
+			c.w.Range(r)
+			return
+		}
 	}
-	for j := uint32(0); j < r.Count; j++ {
-		c.w.Access(r.At(j))
+	for c.w.point(h); n > 1; n-- {
+		h.Addr += c.stride
+		h.IterVec += c.iterDelta
+		c.w.point(h)
 	}
 }
 
@@ -118,7 +132,7 @@ func (c *Compactor) Flush() {
 func (c *Compactor) Count() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.w.Count() + uint64(c.run.Count)
+	return c.w.Count() + uint64(c.count)
 }
 
 // Close drains the open run and flushes the trace.

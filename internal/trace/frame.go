@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 )
 
 // Length-prefixed framing for trace streams in transit.
@@ -36,8 +37,18 @@ type FrameWriter struct {
 // NewFrameWriter returns a FrameWriter emitting frames to w.
 func NewFrameWriter(w io.Writer) *FrameWriter { return &FrameWriter{w: w} }
 
-// Write implements io.Writer: one call, one frame. Empty writes are
-// suppressed (a zero-length frame is the terminator, written by Close).
+// buffersWriter is implemented by destinations that take a frame's header
+// and payload as one vectored write of their own (the ddprofd client's
+// connection wrapper: one deadline, one writev). Everything else gets
+// net.Buffers.WriteTo, which is vectored on a bare net.Conn and sequential
+// Writes otherwise.
+type buffersWriter interface {
+	WriteBuffers(v *net.Buffers) (int64, error)
+}
+
+// Write implements io.Writer: one call, one frame, sent as a single vectored
+// write of header and payload — p is not copied. Empty writes are suppressed
+// (a zero-length frame is the terminator, written by Close).
 func (f *FrameWriter) Write(p []byte) (int, error) {
 	if f.closed {
 		return 0, errors.New("trace: write on closed FrameWriter")
@@ -46,11 +57,17 @@ func (f *FrameWriter) Write(p []byte) (int, error) {
 		return 0, nil
 	}
 	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(p)))
-	if _, err := f.w.Write(hdr[:n]); err != nil {
+	bufs := net.Buffers{hdr[:binary.PutUvarint(hdr[:], uint64(len(p)))], p}
+	var err error
+	if bw, ok := f.w.(buffersWriter); ok {
+		_, err = bw.WriteBuffers(&bufs)
+	} else {
+		_, err = bufs.WriteTo(f.w)
+	}
+	if err != nil {
 		return 0, err
 	}
-	return f.w.Write(p)
+	return len(p), nil
 }
 
 // Close writes the end-of-stream frame. It does not close the underlying

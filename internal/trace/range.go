@@ -19,7 +19,6 @@ package trace
 // decoder never expands an address the encoder did not see.
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"ddprof/internal/event"
@@ -64,36 +63,22 @@ func (w *Writer) Range(r event.Range) {
 			r.Kind, r.Count, r.Base, int64(r.Stride))
 		return
 	}
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		if w.err != nil {
-			return
-		}
-		n := binary.PutUvarint(buf[:], v)
-		_, w.err = w.bw.Write(buf[:n])
-	}
-	putZig := func(v int64) {
-		put(uint64((v << 1) ^ (v >> 63)))
-	}
-	w.err = w.bw.WriteByte(byte(event.RangeRef))
-	if w.err == nil {
-		w.err = w.bw.WriteByte(byte(r.Kind))
-	}
-	putZig(int64(r.Base) - int64(w.prev.Addr))
-	putZig(int64(r.Stride))
-	put(uint64(r.Count))
-	putZig(int64(r.TS) - int64(w.prev.TS))
-	put(uint64(r.Loc))
-	put(uint64(r.Var))
-	put(uint64(r.CtxID))
-	put(r.IterVec)
-	put(r.IterDelta)
-	put(uint64(r.Thread))
-	if w.err == nil {
-		w.err = w.bw.WriteByte(byte(r.Flags))
-	}
-	w.prev.Addr = r.Last()
-	w.prev.TS = r.TS
+	b, n := w.room(maxRangeLen)
+	b[n] = byte(event.RangeRef)
+	b[n+1] = byte(r.Kind)
+	n = putZigzag(b, n+2, int64(r.Base-w.prevAddr))
+	n = putZigzag(b, n, int64(r.Stride))
+	n = putUvarint(b, n, uint64(r.Count))
+	n = putZigzag(b, n, int64(r.TS-w.prevTS))
+	n = putUvarint(b, n, uint64(r.Loc))
+	n = putUvarint(b, n, uint64(r.Var))
+	n = putUvarint(b, n, uint64(r.CtxID))
+	n = putUvarint(b, n, r.IterVec)
+	n = putUvarint(b, n, r.IterDelta)
+	n = putUvarint(b, n, uint64(r.Thread))
+	b[n] = byte(r.Flags)
+	w.buf = b[:n+1]
+	w.prevAddr, w.prevTS = r.Last(), r.TS
 	w.count += uint64(r.Count)
 }
 

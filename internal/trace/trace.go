@@ -27,68 +27,103 @@ import (
 
 const magic = "DDT1"
 
+// Record size bounds: the kind byte(s), every varint field at its maximal
+// width, and the flags byte.
+const (
+	maxPointLen = 1 + 7*binary.MaxVarintLen64 + 1
+	maxRangeLen = 2 + 10*binary.MaxVarintLen64 + 1
+	// minSlab is the floor NewWriterSize clamps to: the magic plus one
+	// maximal range record, so every record fits a fresh slab.
+	minSlab = len(magic) + maxRangeLen
+)
+
 // Writer streams accesses to an io.Writer. It implements the interpreter's
 // Hook interface, so it can be installed directly as the "profiler" of a
-// recording run. Writers are not safe for concurrent use; record
-// multi-threaded targets through SyncWriter (the serializing wrapper) or
-// per-thread writers.
+// recording run. Records are encoded straight into a byte slab the Writer
+// owns; a slab that cannot take another maximal record goes out in one Write,
+// so every Write carries whole records. Writers are not safe for concurrent
+// use; record multi-threaded targets through SyncWriter or Compactor (the
+// serializing wrappers) or per-thread writers.
 type Writer struct {
-	bw    *bufio.Writer
-	prev  event.Access
-	count uint64
-	err   error
+	out              io.Writer
+	buf              []byte // the slab: len is the bytes pending, cap the Write size limit
+	prevAddr, prevTS uint64 // delta context: the previous record's final address and TS
+	count            uint64
+	err              error
 }
 
-// NewWriter starts a trace with the default 64KiB serialization buffer.
+// NewWriter starts a trace with the default 64KiB slab.
 func NewWriter(w io.Writer) (*Writer, error) {
 	return NewWriterSize(w, 0)
 }
 
-// NewWriterSize starts a trace with a size-byte serialization buffer. When w
-// is a FrameWriter the buffer size is also the wire frame size — every buffer
-// flush becomes exactly one frame — so it must stay within the receiving
-// daemon's frame cap (DefaultMaxFrame unless configured otherwise). size <= 0
-// selects the 64KiB default.
+// NewWriterSize starts a trace whose slab holds size bytes: w receives Writes
+// of at most size bytes, each ending on a record boundary, the first one led
+// by the stream magic. When w is a FrameWriter every Write is one wire frame,
+// so size must stay within the receiving daemon's frame cap (DefaultMaxFrame
+// unless configured otherwise). size <= 0 selects the 64KiB default; sizes
+// below 107 bytes (the magic plus one maximal range record) are raised to
+// that floor.
 func NewWriterSize(w io.Writer, size int) (*Writer, error) {
 	if size <= 0 {
 		size = 1 << 16
 	}
-	bw := bufio.NewWriterSize(w, size)
-	if _, err := bw.WriteString(magic); err != nil {
-		return nil, err
+	size = max(size, minSlab)
+	return &Writer{out: w, buf: append(make([]byte, 0, size), magic...)}, nil
+}
+
+// putUvarint writes v at b[n:] and returns the offset past it.
+func putUvarint(b []byte, n int, v uint64) int {
+	for v >= 0x80 {
+		b[n] = byte(v) | 0x80
+		v >>= 7
+		n++
 	}
-	return &Writer{bw: bw}, nil
+	b[n] = byte(v)
+	return n + 1
+}
+
+func putZigzag(b []byte, n int, v int64) int {
+	return putUvarint(b, n, uint64((v<<1)^(v>>63)))
+}
+
+// room returns the slab extended by need bytes past the pending ones, and the
+// offset of the first free byte; a slab too full for that goes out first.
+func (w *Writer) room(need int) ([]byte, int) {
+	if cap(w.buf)-len(w.buf) < need {
+		w.flush()
+	}
+	n := len(w.buf)
+	return w.buf[:n+need], n
+}
+
+// flush hands the pending bytes to the destination in one Write. After an
+// error nothing is written again: records keep landing in the slab (the hook
+// has no way to stop the target) and are dropped here.
+func (w *Writer) flush() {
+	if w.err == nil && len(w.buf) > 0 {
+		_, w.err = w.out.Write(w.buf)
+	}
+	w.buf = w.buf[:0]
 }
 
 // Access implements the hook: serialize one event.
-func (w *Writer) Access(a event.Access) {
-	if w.err != nil {
-		return
-	}
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		if w.err != nil {
-			return
-		}
-		n := binary.PutUvarint(buf[:], v)
-		_, w.err = w.bw.Write(buf[:n])
-	}
-	putZig := func(v int64) {
-		put(uint64((v << 1) ^ (v >> 63)))
-	}
-	w.err = w.bw.WriteByte(byte(a.Kind))
+func (w *Writer) Access(a event.Access) { w.point(&a) }
+
+func (w *Writer) point(a *event.Access) {
+	b, n := w.room(maxPointLen)
+	b[n] = byte(a.Kind)
 	// Addresses and timestamps are hot and local; delta-encode them.
-	putZig(int64(a.Addr) - int64(w.prev.Addr))
-	putZig(int64(a.TS) - int64(w.prev.TS))
-	put(uint64(a.Loc))
-	put(uint64(a.Var))
-	put(uint64(a.CtxID))
-	put(a.IterVec)
-	put(uint64(a.Thread))
-	if w.err == nil {
-		w.err = w.bw.WriteByte(byte(a.Flags))
-	}
-	w.prev = a
+	n = putZigzag(b, n+1, int64(a.Addr-w.prevAddr))
+	n = putZigzag(b, n, int64(a.TS-w.prevTS))
+	n = putUvarint(b, n, uint64(a.Loc))
+	n = putUvarint(b, n, uint64(a.Var))
+	n = putUvarint(b, n, uint64(a.CtxID))
+	n = putUvarint(b, n, a.IterVec)
+	n = putUvarint(b, n, uint64(a.Thread))
+	b[n] = byte(a.Flags)
+	w.buf = b[:n+1]
+	w.prevAddr, w.prevTS = a.Addr, a.TS
 	w.count++
 }
 
@@ -97,10 +132,8 @@ func (w *Writer) Count() uint64 { return w.count }
 
 // Close flushes the trace; the Writer must not be used afterwards.
 func (w *Writer) Close() error {
-	if w.err != nil {
-		return w.err
-	}
-	return w.bw.Flush()
+	w.flush()
+	return w.err
 }
 
 // Err returns the first serialization error, if any.
@@ -173,7 +206,9 @@ type Reader struct {
 // NewReader checks the stream magic and returns a Reader positioned at the
 // first event. Inputs that already implement ByteScanner (a *bufio.Reader,
 // the daemon's pooled frame stream) are decoded from directly; anything else
-// is wrapped in a 64KiB bufio layer.
+// — an in-memory *bytes.Reader included, which offers bytes but no window
+// over them — is wrapped in a 64KiB bufio layer, so every Reader batch-decodes
+// in the windowed gear.
 func NewReader(r io.Reader) (*Reader, error) {
 	br, ok := r.(ByteScanner)
 	if !ok {
