@@ -11,6 +11,7 @@ import (
 
 	"ddprof/internal/dep"
 	"ddprof/internal/event"
+	"ddprof/internal/loc"
 	"ddprof/internal/prog"
 	"ddprof/internal/sig"
 )
@@ -40,6 +41,12 @@ type LoopDeps struct {
 // its own Engine over a disjoint address subset.
 type Engine struct {
 	store sig.Store
+	// sg is the store itself when it is a plain signature (no accuracy
+	// tracking): Process then goes through its fused pair probe instead of
+	// the interface. rv is the store's bulk run visitor, if it has one. Both
+	// are fixed at construction.
+	sg    *sig.Signature
+	rv    sig.RunVisitor
 	meta  *prog.Meta
 	deps  *dep.Set
 	loops map[prog.LoopID]*loopAgg
@@ -77,27 +84,55 @@ const (
 	depCacheMask = depCacheSize - 1
 )
 
+// pkey is a dependence identity packed for the hot path: the five fields of
+// a dep.Key in two words plus the type. A dep.Key built field by field is 17
+// bytes of narrow stores that every later compare, hash and copy re-reads as
+// wide loads; a pkey is built with shifts in registers, compared with three
+// compares and hashed with one multiply. PROMPT keeps its dependence identity
+// in one machine word for the same reason. A dep.Key is materialised (key)
+// only where a dep.Set is consulted: on an instance-cache miss.
+type pkey struct {
+	a uint64 // sink | src<<32
+	b uint64 // var | uint16(sinkThread)<<32 | uint16(srcThread)<<48
+	t dep.Type
+}
+
+func packKey(t dep.Type, sink, src loc.SourceLoc, v loc.VarID, sinkThread, srcThread int16) pkey {
+	return pkey{
+		a: uint64(sink) | uint64(src)<<32,
+		b: uint64(v) | uint64(uint16(sinkThread))<<32 | uint64(uint16(srcThread))<<48,
+		t: t,
+	}
+}
+
+// key unpacks the identity into the dependence set's key type.
+func (k pkey) key() dep.Key {
+	return dep.Key{
+		Type: k.t,
+		Sink: loc.SourceLoc(uint32(k.a)), Src: loc.SourceLoc(k.a >> 32),
+		Var:        loc.VarID(uint32(k.b)),
+		SinkThread: int16(k.b >> 32), SrcThread: int16(k.b >> 48),
+	}
+}
+
+// hash mixes the identity into an instance-cache index. One multiply over
+// both words keeps the hit path short; XORing b rotated by 32 puts Var
+// against Src and the thread/type bits against Sink, so keys differing in
+// any single field land on distinct inputs to the multiplier.
+func (k pkey) hash() uint32 {
+	h := (k.a ^ bits.RotateLeft64(k.b|uint64(k.t)<<40, 32)) * 0x9E3779B97F4A7C15
+	return uint32(h >> 32)
+}
+
 // depCacheEntry memoizes the merged-set entry for one dependence key and,
 // when the key's last instance was loop-carried, the per-loop aggregate
 // record, so a repeat instance updates both without any map operation.
 type depCacheEntry struct {
-	key  dep.Key
+	key  pkey
 	st   *dep.Stats
 	agg  *loopAgg    // aggregate of `loop` (nil until a carried instance)
 	ck   *dep.Stats  // this key's record within agg.keys (Reduction = allRed)
 	loop prog.LoopID // loop of the last carried instance (NoLoop if none)
-}
-
-// keyHash mixes a dependence key into an instance-cache index. One multiply
-// over both packed words keeps the hit path short; XORing y rotated by 32
-// puts Var against Src and the thread/type bits against Sink, so keys
-// differing in any single field land on distinct inputs to the multiplier.
-func keyHash(k dep.Key) uint32 {
-	x := uint64(k.Sink) | uint64(k.Src)<<32
-	y := uint64(k.Var) | uint64(uint16(k.SinkThread))<<32 |
-		uint64(uint16(k.SrcThread))<<48 | uint64(k.Type)<<40
-	h := (x ^ bits.RotateLeft64(y, 32)) * 0x9E3779B97F4A7C15
-	return uint32(h >> 32)
 }
 
 // loopAgg tracks distinct carried dependence keys per loop so LoopDeps can
@@ -120,14 +155,26 @@ func newLoopAgg() *loopAgg {
 
 // NewEngine returns an engine writing to a fresh dependence set. meta may be
 // nil when loop-carried classification is not needed.
+//
+// The engine has two store arms, chosen here once by the store's type: a
+// plain *sig.Signature is driven through its fused pair probe (sig.At: one
+// hash and one pair per access); every other store — the exact ones, the
+// hybrid, a signature with accuracy tracking, which must see each probe —
+// through the sig.Store interface. Both arms feed the same Algorithm 1
+// (write, read below), and FuzzEngineArms holds them to each other.
 func NewEngine(store sig.Store, meta *prog.Meta, raceCheck bool) *Engine {
-	return &Engine{
+	e := &Engine{
 		store:     store,
 		meta:      meta,
 		deps:      dep.NewSet(),
 		loops:     make(map[prog.LoopID]*loopAgg),
 		raceCheck: raceCheck,
 	}
+	if g, ok := store.(*sig.Signature); ok && !g.Tracking() {
+		e.sg = g
+	}
+	e.rv, _ = store.(sig.RunVisitor)
+	return e
 }
 
 // DisableCache switches the engine to the slow (map-per-instance) path.
@@ -144,6 +191,45 @@ func (e *Engine) Deps() *dep.Set { return e.deps }
 func (e *Engine) Store() sig.Store { return e.store }
 
 // Process runs one access through Algorithm 1.
+func (e *Engine) Process(a event.Access) {
+	switch a.Kind {
+	case event.Write:
+		if e.trackBounds {
+			e.noteBounds(a.Var, a.Addr)
+		}
+		if e.sg != nil {
+			p := e.sg.At(a.Addr)
+			p.W = e.write(p.W, p.R, &a)
+			return
+		}
+		w, _ := e.store.LookupWrite(a.Addr)
+		r, _ := e.store.LookupRead(a.Addr)
+		e.store.SetWrite(a.Addr, e.write(w, r, &a))
+	case event.Read:
+		if e.trackBounds {
+			e.noteBounds(a.Var, a.Addr)
+		}
+		// A collapsed event stands for 1+Rep identical reads against the
+		// same (unchanged) write slot: 1+Rep instances of the same RAW.
+		n := 1 + uint64(a.Rep)
+		if e.sg != nil {
+			p := e.sg.At(a.Addr)
+			p.R = e.read(p.W, &a, n)
+			return
+		}
+		w, _ := e.store.LookupWrite(a.Addr)
+		e.store.SetRead(a.Addr, e.read(w, &a, n))
+	case event.Remove:
+		// Variable-lifetime analysis: deallocated storage is forgotten so a
+		// later reuse of the address cannot fabricate a dependence.
+		e.store.Remove(a.Addr)
+	}
+}
+
+// write is the write half of Algorithm 1: given the slots resident for the
+// address, it records the dependences the write closes and returns the slot
+// to install as the address's last write. An empty slot means "never
+// accessed", for every store.
 //
 // The paper's pseudocode nests the WAR check inside the "write slot
 // non-empty" branch, which would miss a WAR whose address was only read so
@@ -152,42 +238,31 @@ func (e *Engine) Store() sig.Store { return e.store }
 // paper's prose ("we run the membership check to see if x exists in the
 // signatures") and with its own Figure 1, and the INIT/WAW logic is
 // unchanged.
-func (e *Engine) Process(a event.Access) {
-	switch a.Kind {
-	case event.Write:
-		if e.trackBounds {
-			e.noteBounds(a.Var, a.Addr)
-		}
-		wslot, wok := e.store.LookupWrite(a.Addr)
-		if !wok {
-			// First write to this address: INIT (paper §III-A).
-			e.record(dep.Key{
-				Type: dep.INIT,
-				Sink: a.Loc, SinkThread: int16(a.Thread),
-				Var: a.Var,
-			}, dep.INIT, prog.NoLoop, false, false, 0, 1)
-		} else {
-			e.build(dep.WAW, wslot, &a, 1)
-		}
-		if rslot, rok := e.store.LookupRead(a.Addr); rok {
-			e.build(dep.WAR, rslot, &a, 1)
-		}
-		e.store.SetWrite(a.Addr, e.slotFor(&a))
-	case event.Read:
-		if e.trackBounds {
-			e.noteBounds(a.Var, a.Addr)
-		}
-		if wslot, wok := e.store.LookupWrite(a.Addr); wok {
-			// A collapsed event stands for 1+Rep identical reads against the
-			// same (unchanged) write slot: 1+Rep instances of the same RAW.
-			e.build(dep.RAW, wslot, &a, 1+uint64(a.Rep))
-		}
-		e.store.SetRead(a.Addr, e.slotFor(&a))
-	case event.Remove:
-		// Variable-lifetime analysis: deallocated storage is forgotten so a
-		// later reuse of the address cannot fabricate a dependence.
-		e.store.Remove(a.Addr)
+func (e *Engine) write(w, r sig.Slot, a *event.Access) sig.Slot {
+	if w.Empty() {
+		// First write to this address: INIT (paper §III-A).
+		e.record(initKey(a.Loc, a.Var, a.Thread), prog.NoLoop, false, false, 0, 1)
+	} else {
+		e.build(dep.WAW, w, a, 1)
 	}
+	if !r.Empty() {
+		e.build(dep.WAR, r, a, 1)
+	}
+	return e.slotFor(a)
+}
+
+// read is the read half: a RAW against the resident write, and the slot to
+// install as the address's last read.
+func (e *Engine) read(w sig.Slot, a *event.Access, n uint64) sig.Slot {
+	if !w.Empty() {
+		e.build(dep.RAW, w, a, n)
+	}
+	return e.slotFor(a)
+}
+
+// initKey is the identity of a first write: a sink and nothing else.
+func initKey(l loc.SourceLoc, v loc.VarID, thread int32) pkey {
+	return packKey(dep.INIT, l, 0, v, int16(thread), 0)
 }
 
 // slotFor packs the access into a store slot. Pointer arg: callers pass the
@@ -207,7 +282,7 @@ func (e *Engine) slotFor(a *event.Access) sig.Slot {
 // the carried/reduction/reversed classification — from the stored source slot
 // and the sink access. Factored out of build so the range path can batch
 // instances whose classification repeats.
-func (e *Engine) classify(t dep.Type, src sig.Slot, snk *event.Access) (k dep.Key, carriedAt prog.LoopID, reduction, reversed bool, dist uint32) {
+func (e *Engine) classify(t dep.Type, src sig.Slot, snk *event.Access) (k pkey, carriedAt prog.LoopID, reduction, reversed bool, dist uint32) {
 	carriedAt = prog.NoLoop
 	if e.meta != nil {
 		carriedAt, dist = e.meta.CarriedLoopDist(src.Ctx(), snk.CtxID, src.Iter, snk.IterVec)
@@ -224,13 +299,7 @@ func (e *Engine) classify(t dep.Type, src sig.Slot, snk *event.Access) (k dep.Ke
 	reduction = src.Reduction() && snk.Flags&event.FlagReduction != 0 &&
 		src.Loc() == snk.Loc
 	reversed = e.raceCheck && snk.TS < src.TS()
-
-	k = dep.Key{
-		Type: t,
-		Sink: snk.Loc, SinkThread: int16(snk.Thread),
-		Src: src.Loc(), SrcThread: int16(src.Thread()),
-		Var: snk.Var,
-	}
+	k = packKey(t, snk.Loc, src.Loc(), snk.Var, int16(snk.Thread), int16(src.Thread()))
 	return
 }
 
@@ -238,24 +307,24 @@ func (e *Engine) classify(t dep.Type, src sig.Slot, snk *event.Access) (k dep.Ke
 // the sink access (passed by pointer for the same reason as slotFor).
 func (e *Engine) build(t dep.Type, src sig.Slot, snk *event.Access, n uint64) {
 	k, carriedAt, reduction, reversed, dist := e.classify(t, src, snk)
-	e.record(k, t, carriedAt, reduction, reversed, dist, n)
+	e.record(k, carriedAt, reduction, reversed, dist, n)
 }
 
 // record merges n identical instances of dependence k into the set and the
 // per-loop aggregates, going through the instance cache unless disabled.
-func (e *Engine) record(k dep.Key, t dep.Type, carriedAt prog.LoopID, reduction, reversed bool, dist uint32, n uint64) {
+func (e *Engine) record(k pkey, carriedAt prog.LoopID, reduction, reversed bool, dist uint32, n uint64) {
 	var ent *depCacheEntry
 	var st *dep.Stats
 	if e.noCache {
-		st = e.deps.Ref(k)
+		st = e.deps.Ref(k.key())
 	} else {
 		e.cacheProbes++
-		ent = &e.cache[keyHash(k)&depCacheMask]
+		ent = &e.cache[k.hash()&depCacheMask]
 		if ent.st != nil && ent.key == k {
 			st = ent.st
 			e.cacheHits++
 		} else {
-			st = e.deps.Ref(k)
+			st = e.deps.Ref(k.key())
 			*ent = depCacheEntry{key: k, st: st, loop: prog.NoLoop}
 		}
 	}
@@ -271,7 +340,7 @@ func (e *Engine) record(k dep.Key, t dep.Type, carriedAt prog.LoopID, reduction,
 		// carried-key tables extractable like the dependence sets.
 		ent.ck.Count += n
 		ent.ck.Reduction = ent.ck.Reduction && reduction
-		if t == dep.RAW {
+		if k.t == dep.RAW {
 			if ent.agg.minRAWDist == 0 || dist < ent.agg.minRAWDist {
 				ent.agg.minRAWDist = dist
 			}
@@ -284,10 +353,10 @@ func (e *Engine) record(k dep.Key, t dep.Type, carriedAt prog.LoopID, reduction,
 		agg.keys.SetEpoch(e.epoch)
 		e.loops[carriedAt] = agg
 	}
-	ck := agg.keys.Ref(k) // fresh records start Reduction (= allRed) true
+	ck := agg.keys.Ref(k.key()) // fresh records start Reduction (= allRed) true
 	ck.Count += n
 	ck.Reduction = ck.Reduction && reduction
-	if t == dep.RAW {
+	if k.t == dep.RAW {
 		if agg.minRAWDist == 0 || dist < agg.minRAWDist {
 			agg.minRAWDist = dist
 		}

@@ -20,7 +20,7 @@ import (
 // pendObs is one batched dependence-observation lane: n pending instances of
 // an identical classification, flushed when the classification changes.
 type pendObs struct {
-	key     dep.Key
+	key     pkey
 	n       uint64
 	carried prog.LoopID
 	dist    uint32
@@ -37,14 +37,14 @@ type rangeObs struct {
 	pend [4]pendObs
 }
 
-func (o *rangeObs) observe(t dep.Type, k dep.Key, carried prog.LoopID, red, rev bool, dist uint32) {
-	p := &o.pend[t]
+func (o *rangeObs) observe(k pkey, carried prog.LoopID, red, rev bool, dist uint32) {
+	p := &o.pend[k.t]
 	if p.n > 0 && p.key == k && p.carried == carried && p.red == red && p.rev == rev && p.dist == dist {
 		p.n++
 		return
 	}
 	if p.n > 0 {
-		o.e.record(p.key, t, p.carried, p.red, p.rev, p.dist, p.n)
+		o.e.record(p.key, p.carried, p.red, p.rev, p.dist, p.n)
 	}
 	*p = pendObs{key: k, n: 1, carried: carried, dist: dist, red: red, rev: rev}
 }
@@ -52,7 +52,7 @@ func (o *rangeObs) observe(t dep.Type, k dep.Key, carried prog.LoopID, red, rev 
 func (o *rangeObs) flush() {
 	for t := range o.pend {
 		if p := &o.pend[t]; p.n > 0 {
-			o.e.record(p.key, dep.Type(t), p.carried, p.red, p.rev, p.dist, p.n)
+			o.e.record(p.key, p.carried, p.red, p.rev, p.dist, p.n)
 			p.n = 0
 		}
 	}
@@ -92,31 +92,26 @@ func (e *Engine) ProcessRange(r *event.Range) {
 	}
 	tmpl := e.slotFor(&snk)
 	obs := rangeObs{e: e}
-	rv, bulk := e.store.(sig.RunVisitor)
 
 	if r.Kind == event.Write {
-		initKey := dep.Key{
-			Type: dep.INIT,
-			Sink: r.Loc, SinkThread: int16(r.Thread),
-			Var: r.Var,
-		}
+		first := initKey(r.Loc, r.Var, r.Thread)
 		elem := func(j uint32, wslot, rslot sig.Slot) sig.Slot {
 			snk.IterVec = r.IterVec + uint64(j)*r.IterDelta
 			if wslot.Empty() {
-				obs.observe(dep.INIT, initKey, prog.NoLoop, false, false, 0)
+				obs.observe(first, prog.NoLoop, false, false, 0)
 			} else {
 				k, ca, red, rev, d := e.classify(dep.WAW, wslot, &snk)
-				obs.observe(dep.WAW, k, ca, red, rev, d)
+				obs.observe(k, ca, red, rev, d)
 			}
 			if !rslot.Empty() {
 				k, ca, red, rev, d := e.classify(dep.WAR, rslot, &snk)
-				obs.observe(dep.WAR, k, ca, red, rev, d)
+				obs.observe(k, ca, red, rev, d)
 			}
 			s := tmpl
 			s.Iter = snk.IterVec
 			return s
 		}
-		if !bulk || !rv.VisitWriteRun(r.Base, r.Stride, r.Count, elem) {
+		if e.rv == nil || !e.rv.VisitWriteRun(r.Base, r.Stride, r.Count, elem) {
 			addr := r.Base
 			for j := uint32(0); j < r.Count; j++ {
 				wslot, _ := e.store.LookupWrite(addr)
@@ -130,13 +125,13 @@ func (e *Engine) ProcessRange(r *event.Range) {
 			snk.IterVec = r.IterVec + uint64(j)*r.IterDelta
 			if !wslot.Empty() {
 				k, ca, red, rev, d := e.classify(dep.RAW, wslot, &snk)
-				obs.observe(dep.RAW, k, ca, red, rev, d)
+				obs.observe(k, ca, red, rev, d)
 			}
 			s := tmpl
 			s.Iter = snk.IterVec
 			return s
 		}
-		if !bulk || !rv.VisitReadRun(r.Base, r.Stride, r.Count, elem) {
+		if e.rv == nil || !e.rv.VisitReadRun(r.Base, r.Stride, r.Count, elem) {
 			addr := r.Base
 			for j := uint32(0); j < r.Count; j++ {
 				wslot, _ := e.store.LookupWrite(addr)

@@ -39,21 +39,43 @@ type MT struct {
 
 	// rt is the routing table, non-nil only when redistribution is on.
 	// Producers read it lock-free; the rebalancer replaces it copy-on-write.
-	rt atomic.Pointer[routeTable]
-	// inflight counts producers between routing-table load and queue push.
-	// The rebalancer waits for it to drain after publishing a new table, so
-	// every access routed by the old table is already in the old owner's
-	// queue before the MIGRATE control event is pushed behind them.
-	inflight  atomic.Int64
-	sampleCtr atomic.Uint64
-	heavyMu   sync.Mutex
-	heavy     *heavySketch
-	// kick nudges the rebalancer every kickEvery accesses; stop ends it.
+	rt      atomic.Pointer[routeTable]
+	heavyMu sync.Mutex
+	heavy   *heavySketch
+	// kick nudges the rebalancer every kickEvery accesses of a lane; stop
+	// ends it.
 	kick       chan struct{}
 	stop       chan struct{}
 	kickEvery  uint64
 	rebalWG    sync.WaitGroup
 	rebalStats RunStats
+
+	// lanes stripes the producers' per-access counters by target thread, so
+	// that concurrent producers do not bounce one cache line between cores on
+	// every access — nor the line rt is loaded from, hence the pad.
+	_     [64]byte
+	lanes [mtLanes]mtLane
+}
+
+// mtLanes is the number of producer lanes; a target thread uses lane
+// Thread & (mtLanes-1). Threads that share a lane stay correct (the
+// counters are atomic), they just share a line again.
+const mtLanes = 16
+
+// mtLane is one producer lane's counters, alone on their cache lines (128
+// bytes: no two lanes' counters share a line at any 8-byte alignment, and
+// the adjacent-line prefetcher pairs lines).
+type mtLane struct {
+	// inflight counts the lane's producers between routing-table load and
+	// queue push. The rebalancer waits for every lane to drain after
+	// publishing a new table, so every access routed by the old table is
+	// already in the old owner's queue before the MIGRATE control event is
+	// pushed behind them.
+	inflight atomic.Int64
+	// sampled counts the lane's data accesses: the heavy-hitter sampling and
+	// rebalancer kick cadences.
+	sampled atomic.Uint64
+	_       [112]byte
 }
 
 // routeTable maps addresses to owning workers: the Equation 1 modulo rule,
@@ -145,10 +167,11 @@ func (m *MT) Access(a event.Access) {
 		m.pl.workers[ownerOf(a.Addr, m.w, m.wMask)].tr.pushAccess(a)
 		return
 	}
+	lane := &m.lanes[a.Thread&(mtLanes-1)]
 	if isData {
 		// Feed the heavy-hitter sketch on a sampled subset; TryLock keeps
 		// producers from serializing on the sketch — a lost sample is noise.
-		c := m.sampleCtr.Add(1)
+		c := lane.sampled.Add(1)
 		if c&15 == 0 && m.heavyMu.TryLock() {
 			m.heavy.Offer(a.Addr)
 			m.heavyMu.Unlock()
@@ -160,13 +183,13 @@ func (m *MT) Access(a event.Access) {
 			}
 		}
 	}
-	// The quiescence protocol: raise inflight BEFORE loading the table, so
-	// the rebalancer observing inflight == 0 after publishing a new table
-	// knows every push routed by the old table has completed.
-	m.inflight.Add(1)
+	// The quiescence protocol: raise the lane's inflight BEFORE loading the
+	// table, so the rebalancer observing the lane at 0 after publishing a new
+	// table knows every push the lane routed by the old table has completed.
+	lane.inflight.Add(1)
 	rt := m.rt.Load()
 	m.pl.workers[rt.owner(a.Addr)].tr.pushAccess(a)
-	m.inflight.Add(-1)
+	lane.inflight.Add(-1)
 }
 
 // AccessBatch implements Profiler. MT's transport is per-access (each record
@@ -255,9 +278,13 @@ func (m *MT) migrate(addr uint64, from, to int) {
 	redirect[addr] = to
 	m.rt.Store(&routeTable{w: old.w, wMask: old.wMask, redirect: redirect})
 
-	// Step 3: quiesce producers still holding the old table.
-	for i := 0; m.inflight.Load() != 0; i++ {
-		queue.Backoff(i)
+	// Step 3: quiesce producers still holding the old table. Lane by lane is
+	// enough: a lane read at 0 after the publication has no producer left
+	// that loaded the old table, and any that enters later loads the new one.
+	for l := range m.lanes {
+		for i := 0; m.lanes[l].inflight.Load() != 0; i++ {
+			queue.Backoff(i)
+		}
 	}
 
 	// Step 4: extract the state from the old owner.

@@ -1,0 +1,184 @@
+package sig
+
+import (
+	"math/rand"
+	"testing"
+
+	"ddprof/internal/loc"
+)
+
+// committed counts the pages a signature has committed and the pairs they
+// hold.
+func committed(g *Signature) (pages, pairs int) {
+	for _, pg := range g.pages {
+		if pg != nil {
+			pages++
+			pairs += len(pg)
+		}
+	}
+	return
+}
+
+// TestSignatureCommitsOnWriteOnly: the table is paged in by recorded
+// accesses alone. Probes, removals and the whole-table scans see empty slots
+// on an uncommitted page and leave it uncommitted.
+func TestSignatureCommitsOnWriteOnly(t *testing.T) {
+	g := NewSignature(1 << 21)
+	if pages, _ := committed(g); pages != 0 {
+		t.Fatalf("fresh signature has %d committed pages", pages)
+	}
+	other := NewSignature(1 << 21)
+	for i := uint64(0); i < 1<<21; i += 1000 {
+		addr := 0x7000 + 8*i
+		if _, ok := g.LookupWrite(addr); ok {
+			t.Fatalf("fresh signature has a write at %#x", addr)
+		}
+		if _, ok := g.LookupRead(addr); ok {
+			t.Fatalf("fresh signature has a read at %#x", addr)
+		}
+		g.Remove(addr)
+	}
+	if g.Occupancy() != 0 || g.Intersect(other) != 0 {
+		t.Fatal("fresh signature is not empty")
+	}
+	if pages, _ := committed(g); pages != 0 {
+		t.Fatalf("Lookup/Remove/Occupancy/Intersect committed %d pages", pages)
+	}
+
+	// seq-serial's footprint: 34 k contiguous words, half through the Store
+	// methods and half through the fused probe.
+	s := PackSlot(loc.Pack(1, 1), 0, 0, 0, 0, 0)
+	const words = 34000
+	for i := uint64(0); i < words; i++ {
+		addr := 0x7008 + 8*i
+		switch i % 3 {
+		case 0:
+			g.SetWrite(addr, s)
+		case 1:
+			g.SetRead(addr, s)
+		default:
+			g.At(addr).W = s
+		}
+	}
+	pages, _ := committed(g)
+	if pages == 0 || pages > 10 {
+		t.Fatalf("%d contiguous words committed %d pages, want 1..10", words, pages)
+	}
+	if g.Bytes() != 2*(1<<21)*24 {
+		t.Fatalf("Bytes() = %d: must stay the configured budget", g.Bytes())
+	}
+	g.Remove(0x7008)
+	g.Remove(0x7008 + 8*(1<<20))
+	if g.Intersect(other) != 0 || g.Occupancy() == 0 {
+		t.Fatal("scan results wrong after fill")
+	}
+	if after, _ := committed(g); after != pages {
+		t.Fatalf("probes after the fill moved committed pages %d -> %d", pages, after)
+	}
+	if op, _ := committed(other); op != 0 {
+		t.Fatalf("Intersect committed %d pages in its argument", op)
+	}
+}
+
+// TestSignatureNeverExceedsSlots: the last page is cut to the configured
+// slot count, so a fully touched signature holds exactly its slots.
+func TestSignatureNeverExceedsSlots(t *testing.T) {
+	for _, slots := range []int{1, 2, 1000, 4096, 4097, 10000} {
+		g := NewSignature(slots)
+		s := PackSlot(loc.Pack(1, 1), 0, 0, 0, 0, 0)
+		for i := uint64(0); i < uint64(3*slots); i++ {
+			g.SetWrite(8*i, s)
+			g.At(8 * i).R = s
+		}
+		if _, pairs := committed(g); pairs != slots {
+			t.Errorf("%d slots: %d pairs committed after touching every index", slots, pairs)
+		}
+		if g.Occupancy() != 1 {
+			t.Errorf("%d slots: occupancy %v after touching every index", slots, g.Occupancy())
+		}
+	}
+}
+
+// flatSig is the reference the paged table is held to: the two flat slot
+// arrays of the original signature, indexed by the word address modulo the
+// slot count.
+type flatSig struct {
+	w, r []Slot
+}
+
+func (f *flatSig) idx(addr uint64) uint64 { return (addr >> 3) % uint64(len(f.w)) }
+
+// TestSignatureMatchesFlatReference: on random fills and removals the paged,
+// masked table answers every probe, Occupancy and Intersect exactly as the
+// flat modulo-indexed arrays do — at power-of-two counts (mask), others
+// (modulo), and both sides of the page size.
+func TestSignatureMatchesFlatReference(t *testing.T) {
+	for _, slots := range []int{1, 2, 1000, 4096, 4097, 1 << 14} {
+		rng := rand.New(rand.NewSource(int64(slots)))
+		sigs := [2]*Signature{NewSignature(slots), NewSignature(slots)}
+		flats := [2]*flatSig{{make([]Slot, slots), make([]Slot, slots)}, {make([]Slot, slots), make([]Slot, slots)}}
+		addrs := make([]uint64, 0, 4096)
+		for n := 0; n < 4096; n++ {
+			// Mostly a dense window a few times the table, some far outliers,
+			// some unaligned.
+			addr := 8 * uint64(rng.Intn(3*slots+64))
+			if n%16 == 0 {
+				addr = rng.Uint64()
+			}
+			addrs = append(addrs, addr)
+			which := rng.Intn(2)
+			g, f := sigs[which], flats[which]
+			s := PackSlot(loc.Pack(1, 1+n%100), loc.VarID(n), 0, 0, uint64(n), 0)
+			if i := f.idx(addr); g.hash(addr) != i {
+				t.Fatalf("%d slots: hash(%#x) = %d, modulo says %d", slots, addr, g.hash(addr), i)
+			}
+			switch rng.Intn(5) {
+			case 0:
+				g.SetWrite(addr, s)
+				f.w[f.idx(addr)] = s
+			case 1:
+				g.SetRead(addr, s)
+				f.r[f.idx(addr)] = s
+			case 2:
+				g.At(addr).W = s
+				f.w[f.idx(addr)] = s
+			case 3:
+				g.At(addr).R = s
+				f.r[f.idx(addr)] = s
+			default:
+				g.Remove(addr)
+				f.w[f.idx(addr)], f.r[f.idx(addr)] = Slot{}, Slot{}
+			}
+		}
+		both := 0
+		for which, g := range sigs {
+			f := flats[which]
+			used := 0
+			for i := range f.w {
+				if !f.w[i].Empty() {
+					used++
+					if which == 0 && !flats[1].w[i].Empty() {
+						both++
+					}
+				}
+			}
+			if got, want := g.Occupancy(), float64(used)/float64(slots); got != want {
+				t.Errorf("%d slots: Occupancy = %v, flat reference %v", slots, got, want)
+			}
+			for _, addr := range addrs {
+				w, wok := g.LookupWrite(addr)
+				r, rok := g.LookupRead(addr)
+				fw, fr := f.w[f.idx(addr)], f.r[f.idx(addr)]
+				if w != fw || wok == fw.Empty() || r != fr || rok == fr.Empty() {
+					t.Fatalf("%d slots: probe of %#x differs from the flat reference", slots, addr)
+				}
+			}
+		}
+		if got := sigs[0].Intersect(sigs[1]); got != both {
+			t.Errorf("%d slots: Intersect = %d, flat reference %d", slots, got, both)
+		}
+		if got := sigs[1].Intersect(sigs[0]); got != both {
+			t.Errorf("%d slots: Intersect (reversed) = %d, flat reference %d", slots, got, both)
+		}
+	}
+}

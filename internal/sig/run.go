@@ -2,8 +2,9 @@ package sig
 
 // Bulk signature access for range-compressed ingestion (internal/core's
 // SD3 stride path). Walking a strided run through the per-address Store
-// methods pays a hardware divide and two bounds-checked array probes per
-// element; the run visitors below hoist the hashing out of the element loop
+// methods pays a hash (a hardware divide, unless the slot count is a power of
+// two) and an interface call per probe; the run visitors below hoist the
+// hashing out of the element loop
 // entirely — the slot index of element j+1 is the index of element j plus a
 // constant word step, reduced mod m by one compare-and-subtract. The visitor
 // callback sees exactly what the per-address path would: the current write
@@ -44,7 +45,7 @@ func (g *Signature) runStep(base, stride uint64, count uint32) (i, step uint64, 
 			}
 		}
 	}
-	i = (base >> 3) % g.m
+	i = g.hash(base)
 	if s := int64(stride); s >= 0 {
 		step = (uint64(s) >> 3) % g.m
 	} else {
@@ -63,15 +64,15 @@ func (g *Signature) VisitWriteRun(base, stride uint64, count uint32, visit func(
 	}
 	addr := base
 	for j := uint32(0); j < count; j++ {
-		w := g.writes[i]
+		p := g.pair(i)
 		if g.trk != nil {
-			g.trk.noteLookup(i, (addr>>3)+1, !w.Empty())
+			g.trk.noteLookup(i, (addr>>3)+1, !p.W.Empty())
 		}
-		ns := visit(j, w, g.reads[i])
+		ns := visit(j, p.W, p.R)
 		if g.trk != nil {
 			g.trk.noteInsert(i, (addr>>3)+1)
 		}
-		g.writes[i] = ns
+		p.W = ns
 		addr += stride
 		if i += step; i >= g.m {
 			i -= g.m
@@ -88,11 +89,11 @@ func (g *Signature) VisitReadRun(base, stride uint64, count uint32, visit func(j
 	}
 	addr := base
 	for j := uint32(0); j < count; j++ {
-		w := g.writes[i]
+		p := g.pair(i)
 		if g.trk != nil {
-			g.trk.noteLookup(i, (addr>>3)+1, !w.Empty())
+			g.trk.noteLookup(i, (addr>>3)+1, !p.W.Empty())
 		}
-		g.reads[i] = visit(j, w)
+		p.R = visit(j, p.W)
 		addr += stride
 		if i += step; i >= g.m {
 			i -= g.m

@@ -111,30 +111,58 @@ type Store interface {
 	ModeledBytes() uint64
 }
 
-// Signature is the approximate Store: two fixed slot arrays (reads, writes)
-// indexed by one multiplicative hash of the address. On collision the newer
-// access simply replaces the older one — no chaining, no allocation — which
-// is what makes it fast and bounded, at the price of Table I's FPR/FNR.
+// Pair is the access history of one signature index: the last write and the
+// last read that hashed there. The two live side by side because Algorithm 1
+// consults both for every write and one, then updates the other, for every
+// read: one 48-byte pair is one hash and at most one cache-line crossing
+// per access, where a write array and a read array would be two probes
+// megabytes apart.
+type Pair struct {
+	W, R Slot
+}
+
+// The pair table is committed in fixed pages on first write, the way the
+// paper's calloc'd array is by the kernel: a profile whose footprint covers
+// half a percent of its slot budget zeroes and keeps resident half a percent
+// of the table, not all of it.
+const (
+	pageShift = 12
+	pagePairs = 1 << pageShift // 4096 pairs = 192 KiB
+	pageMask  = pagePairs - 1
+)
+
+// Signature is the approximate Store: one fixed table of slot pairs indexed
+// by one hash of the address. On collision the newer access simply replaces
+// the older one — no chaining, no growth — which is what makes it fast and
+// bounded, at the price of Table I's FPR/FNR.
 type Signature struct {
-	writes []Slot
-	reads  []Slot
-	m      uint64
+	// pages[i>>pageShift] holds indices i&^pageMask .. ; nil until an access
+	// is first recorded there. Every page is pagePairs long except the last,
+	// which is cut to the configured slot count.
+	pages [][]Pair
+	m     uint64
+	// mask is m-1 when m is a power of two, else 0; see hash.
+	mask uint64
 	// trk, when non-nil, maintains live accuracy statistics (occupancy,
 	// distinct-address estimate, slot conflicts) for Eq. (2) telemetry; see
 	// accuracy.go. Off by default: one nil check per operation.
 	trk *sigTrack
 }
 
-// NewSignature returns a signature with the given number of slots per array.
+// NewSignature returns a signature with the given number of slots per side.
+// No slot memory is committed until the first access is recorded.
 func NewSignature(slots int) *Signature {
 	if slots < 1 {
 		slots = 1
 	}
-	return &Signature{
-		writes: make([]Slot, slots),
-		reads:  make([]Slot, slots),
-		m:      uint64(slots),
+	g := &Signature{
+		pages: make([][]Pair, (slots+pageMask)>>pageShift),
+		m:     uint64(slots),
 	}
+	if slots&(slots-1) == 0 {
+		g.mask = g.m - 1
+	}
+	return g
 }
 
 // hash maps an address to a slot index: the word address modulo the slot
@@ -147,17 +175,62 @@ func NewSignature(slots int) *Signature {
 // than the slot count, wraparound produces the systematic collisions the
 // smaller Table I columns quantify, and Equation (2) models the uniform
 // case.
+//
+// For a power-of-two slot count x mod m = x AND (m-1) exactly, so the mask
+// yields the same index as the modulo, bit for bit, without the hardware
+// divide; every other count keeps the modulo.
 func (g *Signature) hash(addr uint64) uint64 {
+	if g.mask != 0 {
+		return (addr >> 3) & g.mask
+	}
 	return (addr >> 3) % g.m
 }
 
-// Slots returns the configured number of slots per array.
+// Slots returns the configured number of slots per side.
 func (g *Signature) Slots() int { return int(g.m) }
+
+// At returns the pair addr hashes to, committing its page if this is the
+// first access recorded there. It is the whole store side of one access for
+// a caller that will record the access (the engine's fused arm); probes that
+// must not commit go through Lookup*. The pointer stays valid for the life
+// of the signature. At bypasses accuracy tracking.
+func (g *Signature) At(addr uint64) *Pair {
+	return g.pair(g.hash(addr))
+}
+
+// pair returns the pair at index i, committing its page on first use.
+func (g *Signature) pair(i uint64) *Pair {
+	if pg := g.pages[i>>pageShift]; pg != nil {
+		return &pg[i&pageMask]
+	}
+	return g.commit(i)
+}
+
+// commit allocates the page holding index i and returns i's pair.
+func (g *Signature) commit(i uint64) *Pair {
+	pi := i >> pageShift
+	n := g.m - pi<<pageShift
+	if n > pagePairs {
+		n = pagePairs
+	}
+	pg := make([]Pair, n)
+	g.pages[pi] = pg
+	return &pg[i&pageMask]
+}
+
+// peek returns the pair at index i without committing: an uncommitted page
+// reads as empty slots.
+func (g *Signature) peek(i uint64) Pair {
+	if pg := g.pages[i>>pageShift]; pg != nil {
+		return pg[i&pageMask]
+	}
+	return Pair{}
+}
 
 // LookupWrite implements Store.
 func (g *Signature) LookupWrite(addr uint64) (Slot, bool) {
 	i := g.hash(addr)
-	s := g.writes[i]
+	s := g.peek(i).W
 	if g.trk != nil {
 		g.trk.noteLookup(i, (addr>>3)+1, !s.Empty())
 	}
@@ -166,7 +239,7 @@ func (g *Signature) LookupWrite(addr uint64) (Slot, bool) {
 
 // LookupRead implements Store.
 func (g *Signature) LookupRead(addr uint64) (Slot, bool) {
-	s := g.reads[g.hash(addr)]
+	s := g.peek(g.hash(addr)).R
 	return s, !s.Empty()
 }
 
@@ -176,11 +249,11 @@ func (g *Signature) SetWrite(addr uint64, s Slot) {
 	if g.trk != nil {
 		g.trk.noteInsert(i, (addr>>3)+1)
 	}
-	g.writes[i] = s
+	g.pair(i).W = s
 }
 
 // SetRead implements Store.
-func (g *Signature) SetRead(addr uint64, s Slot) { g.reads[g.hash(addr)] = s }
+func (g *Signature) SetRead(addr uint64, s Slot) { g.pair(g.hash(addr)).R = s }
 
 // Remove implements Store: both slots the address hashes to are cleared.
 // Collided residents are cleared too — an accepted approximation, the same
@@ -190,12 +263,16 @@ func (g *Signature) Remove(addr uint64) {
 	if g.trk != nil {
 		g.trk.noteRemove(i)
 	}
-	g.writes[i] = Slot{}
-	g.reads[i] = Slot{}
+	if pg := g.pages[i>>pageShift]; pg != nil {
+		pg[i&pageMask] = Pair{}
+	}
 }
 
-// Bytes implements Store: actual size of the two slot arrays.
-func (g *Signature) Bytes() uint64 { return 2 * g.m * 24 }
+// Bytes implements Store: the configured size of the pair table — the budget
+// daemon admission and the Fig. 7/8 memory metrics are defined on, and the
+// most the signature can ever hold. What is resident is the pages accesses
+// have touched.
+func (g *Signature) Bytes() uint64 { return 2 * g.m * slotBytes }
 
 // ModeledBytes implements Store: the paper's 4 bytes/slot model (§VI-A:
 // "each slot is four bytes. Thus 1.0E+8 slots consume only 382 MB").
@@ -204,17 +281,19 @@ func (g *Signature) ModeledBytes() uint64 { return g.m * 4 }
 // Occupancy returns the fraction of non-empty write slots; used to validate
 // the paper's Eq. (2) collision-probability prediction. With accuracy
 // tracking enabled the incrementally maintained slot count answers in O(1);
-// the untracked path scans the slot array, which the end-of-run occupancy
-// publication would otherwise pay O(m) per worker inside the merge stage.
-// The accuracy suite pins the two paths equal.
+// the untracked path scans the committed pages, which the end-of-run
+// occupancy publication would otherwise pay O(m) per worker inside the merge
+// stage. The accuracy suite pins the two paths equal.
 func (g *Signature) Occupancy() float64 {
 	if g.trk != nil {
 		return float64(g.trk.occupied) / float64(g.m)
 	}
 	used := 0
-	for i := range g.writes {
-		if !g.writes[i].Empty() {
-			used++
+	for _, pg := range g.pages {
+		for i := range pg {
+			if !pg[i].W.Empty() {
+				used++
+			}
 		}
 	}
 	return float64(used) / float64(g.m)
@@ -230,9 +309,15 @@ func (g *Signature) Intersect(o *Signature) int {
 		return 0
 	}
 	n := 0
-	for i := range g.writes {
-		if !g.writes[i].Empty() && !o.writes[i].Empty() {
-			n++
+	for pi, pg := range g.pages {
+		opg := o.pages[pi]
+		if opg == nil {
+			continue
+		}
+		for i := range pg {
+			if !pg[i].W.Empty() && !opg[i].W.Empty() {
+				n++
+			}
 		}
 	}
 	return n
