@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check fmt-check fuzz smoke bench bench-producer bench-merge bench-store bench-remote bench-gate
+.PHONY: all build vet test race check fmt-check fuzz smoke bench bench-producer bench-merge bench-store bench-remote bench-queue bench-gate
 
 all: build
 
@@ -15,12 +15,14 @@ test:
 
 # Race pass over the concurrent subsystems. The full suite under -race is
 # slow; the data races live in the pipelines, the queues, the daemon's
-# session handling, the VM's spawned target threads, and the parallel tree
-# merge over the dependence slabs, so that is where the detector earns its
-# keep. internal/sig is on the list because its stores are handed between
-# goroutines (worker start, address migration, the post-flush merge).
+# session handling, both executors' spawned target threads and the event
+# buffers they hand over, the facade's concurrent Profile calls (the root
+# package), and the parallel tree merge over the dependence slabs, so that is
+# where the detector earns its keep. internal/sig is on the list because its
+# stores are handed between goroutines (worker start, address migration, the
+# post-flush merge).
 race:
-	$(GO) test -race -count=1 ./internal/core/ ./internal/dep/ ./internal/hashtab/ ./internal/queue/ ./internal/server/ ./internal/shadow/ ./internal/sig/ ./internal/stride/ ./internal/trace/ ./internal/vm/
+	$(GO) test -race -count=1 . ./internal/core/ ./internal/dep/ ./internal/event/ ./internal/hashtab/ ./internal/interp/ ./internal/queue/ ./internal/server/ ./internal/shadow/ ./internal/sig/ ./internal/stride/ ./internal/trace/ ./internal/vm/
 
 # Formatting gate: fail with the offending diff if any file is not gofmt'd.
 fmt-check:
@@ -85,6 +87,12 @@ bench-remote:
 	$(GO) test -run=^$$ -bench=BenchmarkRemoteIngest -benchtime=2s -count=3 ./internal/server/ \
 		| $(GO) run ./cmd/ddexp -bench-label remote benchjson
 
+# MPSC ring cost per element by claim length (1 = Push, 512 = an executor
+# batch landing in one ring), recorded under the "mpsc-claim" label.
+bench-queue:
+	$(GO) test -run=^$$ -bench=BenchmarkMPSCClaim -benchtime=2s -count=3 ./internal/queue/ \
+		| $(GO) run ./cmd/ddexp -bench-label mpsc-claim benchjson
+
 BENCH_BASELINE ?= hotpath
 bench-gate:
 	$(GO) test -run=^$$ -bench=BenchmarkHotPath -benchtime=2s -count=3 . \
@@ -101,10 +109,11 @@ bench-gate:
 # Short fuzz pass over the hardened decoders (trace, framing, server), the
 # slab trace encoder against its reference, the dependence-set fast-update
 # API the instance cache relies on, the engine's two store arms against each
-# other, and the backend spec parser every -backend flag and DDT1 handshake
-# goes through.
+# other, the MT pipeline's batch seam against its per-event one, and the
+# backend spec parser every -backend flag and DDT1 handshake goes through.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzEngineArms -fuzztime=10s ./internal/core/
+	$(GO) test -run=^$$ -fuzz=FuzzMTBatchEquivalence -fuzztime=10s ./internal/core/
 	$(GO) test -run=^$$ -fuzz=FuzzBackendSpec -fuzztime=10s ./internal/sig/
 	$(GO) test -run=^$$ -fuzz=FuzzReplay -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzRangeFrame -fuzztime=10s ./internal/trace/

@@ -118,8 +118,9 @@ const (
 	// ModeParallelLockBased is ModeParallel with mutex-protected queues —
 	// the paper's Figure 5 ablation baseline.
 	ModeParallelLockBased
-	// ModeMT profiles multi-threaded targets: per-access pushes inside the
-	// target's lock regions, timestamps, and data-race flagging (paper §V).
+	// ModeMT profiles multi-threaded targets: thread-private event batches
+	// handed over before every release operation, sync-epoch timestamps,
+	// and data-race flagging (paper §V).
 	ModeMT
 )
 
@@ -145,10 +146,11 @@ type Config struct {
 	// (paper §IV-A: every 50,000 chunks, the default when 0); -1 disables
 	// redistribution entirely.
 	Redistribute int
-	// SchedulerFuzz, when positive, makes the interpreter yield roughly
-	// every N accesses per target thread (ModeMT only). On machines with
-	// fewer cores than target threads this restores the interleavings real
-	// parallel hardware exhibits, which the race-flagging experiment needs.
+	// SchedulerFuzz, when positive, makes the executor yield roughly every
+	// N accesses per target thread (ModeMT only). On machines with fewer
+	// cores than target threads this restores the interleavings real
+	// parallel hardware exhibits. Race flagging does not need it: an
+	// unsynchronized pair is flagged whatever the schedule.
 	SchedulerFuzz int
 	// Interp executes the target with the reference tree-walking
 	// interpreter instead of the default bytecode VM. Both producers emit

@@ -50,7 +50,7 @@ type Engine struct {
 	meta  *prog.Meta
 	deps  *dep.Set
 	loops map[prog.LoopID]*loopAgg
-	// raceCheck enables timestamp-reversal detection (MT-target mode).
+	// raceCheck enables the epoch race rule of classify (MT-target mode).
 	raceCheck bool
 	// noCache disables the instance cache (A/B measurement and the
 	// fast-vs-slow equivalence suite; output is identical either way).
@@ -298,7 +298,11 @@ func (e *Engine) classify(t dep.Type, src sig.Slot, snk *event.Access) (k pkey, 
 	}
 	reduction = src.Reduction() && snk.Flags&event.FlagReduction != 0 &&
 		src.Loc() == snk.Loc
-	reversed = e.raceCheck && snk.TS < src.TS()
+	// §V-B over sync epochs (event.Batcher): happens-before across threads
+	// implies a larger stamp, so a smaller one, or an equal one from another
+	// thread (compared at the slot's 9-bit width), proves the pair unordered.
+	reversed = e.raceCheck && (snk.TS < src.TS() ||
+		snk.TS == src.TS() && snk.TS != 0 && snk.Thread&sig.ThreadMask != src.Thread())
 	k = packKey(t, snk.Loc, src.Loc(), snk.Var, int16(snk.Thread), int16(src.Thread()))
 	return
 }
@@ -363,18 +367,6 @@ func (e *Engine) record(k pkey, carriedAt prog.LoopID, reduction, reversed bool,
 	}
 	if ent != nil {
 		ent.loop, ent.agg, ent.ck = carriedAt, agg, ck
-	}
-}
-
-// ProcessChunk runs every event of a chunk through the engine, expanding
-// RangeRef slots through the bulk range path at their position.
-func (e *Engine) ProcessChunk(c *event.Chunk) {
-	for i := range c.Events {
-		if c.Events[i].Kind == event.RangeRef {
-			e.ProcessRange(&c.Ranges[c.Events[i].Addr])
-			continue
-		}
-		e.Process(c.Events[i])
 	}
 }
 

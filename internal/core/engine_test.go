@@ -235,15 +235,6 @@ func TestThreadIDsInDeps(t *testing.T) {
 	}
 }
 
-func TestProcessChunk(t *testing.T) {
-	e := NewEngine(sig.NewPerfectSignature(), nil, false)
-	c := event.NewChunk()
-	c.Append(wr(0x100, 1))
-	c.Append(rd(0x100, 2))
-	e.ProcessChunk(c)
-	lookup(t, e.Deps(), dep.RAW, 2, 1)
-}
-
 func TestDependenceDistance(t *testing.T) {
 	m := prog.NewMeta()
 	l := m.AddLoop(prog.Loop{Name: "L"})

@@ -98,12 +98,19 @@ func NewExistence(cfg Config) *Existence {
 }
 
 // Access implements the producer side; single-threaded like Parallel.
-// Lifetime and control events are dropped: line sets never shrink.
-func (e *Existence) Access(a event.Access) {
-	if a.Kind != event.Read && a.Kind != event.Write {
-		return
+func (e *Existence) Access(a event.Access) { e.AccessBatch([]event.Access{a}, nil) }
+
+// AccessBatch is the bulk seam. Lifetime and control events are dropped (line
+// sets never shrink); the runs between them go to the producer as they are.
+func (e *Existence) AccessBatch(accesses []event.Access, _ []event.Range) {
+	lo := 0
+	for i := range accesses {
+		if k := accesses[i].Kind; k != event.Read && k != event.Write {
+			e.pr.putBatch(accesses[lo:i], nil)
+			lo = i + 1
+		}
 	}
-	e.pr.access(a)
+	e.pr.putBatch(accesses[lo:], nil)
 }
 
 // Flush drains the pipeline and merges the per-worker line sets.

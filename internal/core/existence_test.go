@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"ddprof/internal/dep"
@@ -64,6 +65,31 @@ func TestExistenceCoversTypedDeps(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestExistenceBatchMatchesAccess: a stream with lifetime events in it, cut
+// into batches, gives the pairs, balance and counts of the per-event calls.
+func TestExistenceBatchMatchesAccess(t *testing.T) {
+	evs := synthStream(50000, 300, 7)
+	for i := 5; i < len(evs); i += 97 {
+		evs[i].Kind = event.Remove
+	}
+	evs[len(evs)-1].Kind = event.Remove
+	one := NewExistence(Config{Workers: 3})
+	for _, a := range evs {
+		one.Access(a)
+	}
+	want := one.Flush()
+	bulk := NewExistence(Config{Workers: 3})
+	for lo := 0; lo < len(evs); lo += 700 {
+		bulk.AccessBatch(evs[lo:min(lo+700, len(evs))], nil)
+	}
+	got := bulk.Flush()
+	if !reflect.DeepEqual(want.Pairs, got.Pairs) || !reflect.DeepEqual(want.WorkerEvents, got.WorkerEvents) ||
+		want.Stats.Accesses != got.Stats.Accesses {
+		t.Errorf("batched: %d pairs, events %v, %d accesses; per event: %d pairs, events %v, %d accesses",
+			len(got.Pairs), got.WorkerEvents, got.Stats.Accesses, len(want.Pairs), want.WorkerEvents, want.Stats.Accesses)
+	}
 }
 
 // TestRoundRobinBalancesSkewedStreams is the §VI-B claim: under a heavily

@@ -11,18 +11,19 @@ import (
 
 // MT is the profiler of §V for multi-threaded target programs.
 //
-// Every target thread calls Access concurrently; to keep the per-address
-// order observable, the target must hold its own lock around conflicting
-// accesses and the instrumentation calls Access *inside the same lock
-// region* (paper Figure 4) — the interpreter substrate guarantees this.
-// Each access is pushed individually (not chunked) into the owning worker's
-// lock-free MPSC queue; per-access pushes plus producer contention are the
-// reason MT profiling is slower (Figure 6) and hungrier (Figure 8) than
-// sequential-target profiling.
+// Every target thread hands its events over concurrently, in thread-private
+// batches (event.Batcher): when its buffer fills and before every release
+// operation of the target — unlock, barrier arrive, spawn, thread exit. A
+// batch goes into the owning workers' lock-free MPSC rings with one claim per
+// ring (route), not the paper's push per access from inside the target's lock
+// region (Figure 4) that made its MT profiling slow (Figure 6).
 //
-// Accesses carry global timestamps; a worker observing a timestamp reversal
-// for an address has proven the two accesses were not mutually exclusive and
-// flags the dependence as a potential data race (§V-B).
+// Ordering invariant: if access a happens-before access b on the same
+// address, a's cells are claimed in the owner's ring before b's — a's thread
+// flushed before the release that orders the two, and ring claims are FIFO —
+// and within one thread claims follow program order. Only unordered pairs can
+// arrive either way; those the sync-epoch stamps expose (Engine.classify). A
+// freed address changes threads at a join only (interp.FreeList), an edge too.
 //
 // As a pipeline composition, MT is per-access transports into the same
 // engine workers as Parallel. The transports' consumer side supplies the
@@ -33,13 +34,13 @@ import (
 // sequential-target producer does.
 type MT struct {
 	pl    pipeline
-	w     int
-	wMask uint64 // w-1 when w is a power of two, else 0 (see ownerOf)
+	rings []*queue.MPSC[event.Access] // rings[i] is worker i's transport
 	m     *telemetry.Pipeline
 
-	// rt is the routing table, non-nil only when redistribution is on.
-	// Producers read it lock-free; the rebalancer replaces it copy-on-write.
+	// rt is the routing table, non-nil only when redistribution is on (else:
+	// static). Producers read it lock-free; the rebalancer replaces it copy-on-write.
 	rt      atomic.Pointer[routeTable]
+	static  routeTable
 	heavyMu sync.Mutex
 	heavy   *heavySketch
 	// kick nudges the rebalancer every kickEvery accesses of a lane; stop
@@ -50,9 +51,9 @@ type MT struct {
 	rebalWG    sync.WaitGroup
 	rebalStats RunStats
 
-	// lanes stripes the producers' per-access counters by target thread, so
-	// that concurrent producers do not bounce one cache line between cores on
-	// every access — nor the line rt is loaded from, hence the pad.
+	// lanes stripes the producers' counters by target thread: the rebalancer
+	// sees each lane quiescent in turn, where one counter might never read 0
+	// under load. Lanes keep off each other's lines and rt's, hence the pad.
 	_     [64]byte
 	lanes [mtLanes]mtLane
 }
@@ -66,14 +67,12 @@ const mtLanes = 16
 // bytes: no two lanes' counters share a line at any 8-byte alignment, and
 // the adjacent-line prefetcher pairs lines).
 type mtLane struct {
-	// inflight counts the lane's producers between routing-table load and
-	// queue push. The rebalancer waits for every lane to drain after
-	// publishing a new table, so every access routed by the old table is
-	// already in the old owner's queue before the MIGRATE control event is
-	// pushed behind them.
+	// inflight counts the lane's producers between routing-table load and the
+	// last Fill of the batch routed by it. The rebalancer waits for every lane
+	// to drain after publishing a new table, so every access routed by the old
+	// one is in the old owner's queue before MIGRATE is pushed behind them.
 	inflight atomic.Int64
-	// sampled counts the lane's data accesses: the heavy-hitter sampling and
-	// rebalancer kick cadences.
+	// sampled counts the lane's events: the sampling and kick cadences.
 	sampled atomic.Uint64
 	_       [112]byte
 }
@@ -117,7 +116,8 @@ func newMT(cfg Config) (*MT, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &MT{w: cfg.Workers, wMask: powerOfTwoMask(cfg.Workers), m: cfg.Metrics}
+	m := &MT{m: cfg.Metrics}
+	m.static = routeTable{w: cfg.Workers, wMask: powerOfTwoMask(cfg.Workers)}
 	m.pl.m = cfg.Metrics
 	for i := 0; i < cfg.Workers; i++ {
 		eng := NewEngine(stores[i], cfg.Meta, true)
@@ -127,9 +127,11 @@ func newMT(cfg Config) (*MT, error) {
 		if cfg.TrackBounds {
 			eng.EnableBoundsTracking()
 		}
+		tr := newAccessTransport(cfg.QueueCap, !cfg.NoFastPath)
+		m.rings = append(m.rings, tr.in)
 		m.pl.workers = append(m.pl.workers, &worker{
 			id:          i,
-			tr:          newAccessTransport(cfg.QueueCap, !cfg.NoFastPath),
+			tr:          tr,
 			eng:         eng,
 			m:           cfg.Metrics,
 			sampleEvery: uint64(cfg.SampleEvery),
@@ -149,65 +151,99 @@ func newMT(cfg Config) (*MT, error) {
 		m.heavy = newHeavySketch(64)
 		m.kick = make(chan struct{}, 1)
 		m.stop = make(chan struct{})
-		m.rt.Store(&routeTable{w: m.w, wMask: m.wMask})
+		m.rt.Store(&m.static)
 		m.rebalWG.Add(1)
 		go m.rebalancer()
 	}
 	return m, nil
 }
 
-// Access implements Profiler; safe for concurrent use by target threads.
-// events_total accounting happens on the consumer side (see newMT), so this
-// path touches no shared telemetry state.
-func (m *MT) Access(a event.Access) {
-	isData := a.Kind == event.Read || a.Kind == event.Write
+// Access implements Profiler: the one-event batch, safe for concurrent use.
+func (m *MT) Access(a event.Access) { m.route([]event.Access{a}) }
+
+// AccessBatch implements Profiler; safe for concurrent use, one caller per
+// target thread. RangeRef slots expand element by element at their position.
+func (m *MT) AccessBatch(accesses []event.Access, ranges []event.Range) {
+	for len(accesses) > 0 {
+		n := 0
+		for n < len(accesses) && n < event.BatchSize && accesses[n].Kind != event.RangeRef {
+			n++
+		}
+		if n > 0 {
+			m.route(accesses[:n])
+		} else {
+			for r, j := &ranges[accesses[0].Addr], uint32(0); j < r.Count; j++ {
+				m.Access(r.At(j))
+			}
+			n = 1
+		}
+		accesses = accesses[n:]
+	}
+}
+
+// route pushes up to BatchSize events of one thread, in order, into their
+// owners' rings — with redistribution on, under the quiescence protocol: the
+// lane's inflight is raised BEFORE the table is loaded, so the rebalancer seeing
+// it at 0 after publishing a table knows every cell claimed by the old one is filled.
+func (m *MT) route(seg []event.Access) {
 	if m.rt.Load() == nil {
-		// Redistribution off (the default): route by the static modulo rule,
-		// no inflight accounting on the hot path.
-		m.pl.workers[ownerOf(a.Addr, m.w, m.wMask)].tr.pushAccess(a)
+		m.spread(seg, &m.static) // redistribution off: nothing in flight
 		return
 	}
-	lane := &m.lanes[a.Thread&(mtLanes-1)]
-	if isData {
-		// Feed the heavy-hitter sketch on a sampled subset; TryLock keeps
-		// producers from serializing on the sketch — a lost sample is noise.
-		c := lane.sampled.Add(1)
-		if c&15 == 0 && m.heavyMu.TryLock() {
-			m.heavy.Offer(a.Addr)
-			m.heavyMu.Unlock()
+	// Every 16th event of the lane is sampled (TryLock: a lost one is noise).
+	lane := &m.lanes[seg[0].Thread&(mtLanes-1)]
+	end := lane.sampled.Add(uint64(len(seg)))
+	start := end - uint64(len(seg))
+	if i := int(15 - start&15); i < len(seg) && m.heavyMu.TryLock() {
+		for ; i < len(seg); i += 16 {
+			m.heavy.Offer(seg[i].Addr)
 		}
-		if c%m.kickEvery == 0 {
-			select {
-			case m.kick <- struct{}{}:
-			default:
-			}
+		m.heavyMu.Unlock()
+	}
+	if start/m.kickEvery != end/m.kickEvery {
+		select {
+		case m.kick <- struct{}{}:
+		default:
 		}
 	}
-	// The quiescence protocol: raise the lane's inflight BEFORE loading the
-	// table, so the rebalancer observing the lane at 0 after publishing a new
-	// table knows every push the lane routed by the old table has completed.
 	lane.inflight.Add(1)
-	rt := m.rt.Load()
-	m.pl.workers[rt.owner(a.Addr)].tr.pushAccess(a)
+	m.spread(seg, m.rt.Load())
 	lane.inflight.Add(-1)
 }
 
-// AccessBatch implements Profiler. MT's transport is per-access (each record
-// is pushed into a per-worker MPSC ring), so there is no bulk fast path to
-// exploit: the batch expands through Access, RangeRef slots element by
-// element — exactly what a local multi-threaded target would have produced.
-// Safe for concurrent use, like Access.
-func (m *MT) AccessBatch(accesses []event.Access, ranges []event.Range) {
-	for i := range accesses {
-		a := accesses[i]
-		if a.Kind == event.RangeRef {
-			r := &ranges[a.Addr]
-			for j := uint32(0); j < r.Count; j++ {
-				m.Access(r.At(j))
+// spread is route's transport half: a stable counting sort of the events by
+// owner, then ring by ring one Claim for all of the ring's events and a Fill
+// for each in event order. One ring at a time: see MPSC.Claim.
+func (m *MT) spread(seg []event.Access, rt *routeTable) {
+	if len(seg) == 1 {
+		m.rings[rt.owner(seg[0].Addr)].Push(seg[0])
+		return
+	}
+	var own [event.BatchSize]int32
+	var order [event.BatchSize]uint16
+	end := make([]uint16, len(m.rings)) // end[w]: where ring w's events end in order
+	for i := range seg {
+		own[i] = int32(rt.owner(seg[i].Addr))
+		end[own[i]]++
+	}
+	sum := uint16(0)
+	for w := range m.rings {
+		sum, end[w] = sum+end[w], sum
+	}
+	for i := range seg {
+		order[end[own[i]]] = uint16(i)
+		end[own[i]]++
+	}
+	lo := uint16(0)
+	for w, q := range m.rings {
+		if hi := end[w]; hi > lo {
+			pos := q.Claim(int(hi - lo))
+			for _, i := range order[lo:hi] {
+				q.Fill(pos, &seg[i])
+				pos++
 			}
-			continue
+			lo = hi
 		}
-		m.Access(a)
 	}
 }
 
@@ -233,7 +269,7 @@ func (m *MT) rebalanceRound() {
 	top := m.heavy.Top(10)
 	m.heavyMu.Unlock()
 	rt := m.rt.Load()
-	moves := planRebalance(top, m.w, rt.owner)
+	moves := planRebalance(top, rt.w, rt.owner)
 	if len(moves) == 0 {
 		return
 	}

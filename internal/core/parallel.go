@@ -63,8 +63,8 @@ func newParallel(cfg Config) (*Parallel, error) {
 	return p, nil
 }
 
-// Access implements Profiler.
-func (p *Parallel) Access(a event.Access) { p.pr.access(a) }
+// Access implements Profiler: the one-event batch.
+func (p *Parallel) Access(a event.Access) { p.pr.putBatch([]event.Access{a}, nil) }
 
 // AccessRange feeds a pre-compressed strided run (a DDT1 range record) into
 // the pipeline. The producer splits it along the owner mask so per-address

@@ -4,7 +4,7 @@ package core
 // pipeline with pluggable pieces, and this file is that decomposition:
 //
 //	target thread(s)
-//	      │ Access()
+//	      │ AccessBatch() (Access() is the one-event case)
 //	┌─────▼──────┐  routing (owner mask / redirect map / round-robin),
 //	│  producer  │  duplicate-read collapse, Misra–Gries sketch,
 //	└─────┬──────┘  migrate/install rebalance protocol
@@ -50,7 +50,8 @@ const (
 	// ModeParallel is the chunked lock-free pipeline of §IV for sequential
 	// targets (Config.LockBased selects the Figure 5 ablation queues).
 	ModeParallel
-	// ModeMT is the per-access pipeline of §V for multi-threaded targets.
+	// ModeMT is the pipeline of §V for multi-threaded targets: thread-private
+	// batches into per-access rings, sync-epoch stamps, the race rule.
 	ModeMT
 	// ModeExistence is the untyped line-pair pipeline of §VI-B. Its result
 	// type differs, so it is built with NewExistence rather than New.
@@ -121,7 +122,8 @@ func (c Config) normalize(mode Mode) (Config, error) {
 			// also trims the MT queue memory the paper calls out in Figure 8.
 			c.QueueCap = 1 << 12
 		} else {
-			c.QueueCap = 64
+			// Same events/s from 4 to 64 (ddbench); the chunks held grow with it.
+			c.QueueCap = 8
 		}
 	}
 	if c.SlotsPerWorker < 0 {
@@ -293,10 +295,10 @@ func (t *accessTransport) pop() ([]event.Access, []event.Range, *event.Chunk, bo
 		}
 		if t.collapse && a.Kind == event.Read && len(b) > 0 {
 			// Collapse a read identical to the previous batched event into
-			// its repetition count. Equality covers the timestamp, so with
-			// real MT timestamps the filter never merges distinct accesses;
-			// on untimestamped streams it recovers the chunked producer's
-			// exact collapse (the engine replays the multiplicity).
+			// its repetition count (the engine replays the multiplicity) —
+			// the chunked producer's exact collapse. Equality covers the
+			// stamp, and a thread's reads within one sync epoch carry the
+			// same one, so timestamped MT streams collapse too.
 			last := &b[len(b)-1]
 			if last.Kind == event.Read && uint32(last.Rep)+1+uint32(a.Rep) <= uint32(event.MaxRep) {
 				cmp, prev := a, *last
@@ -931,25 +933,6 @@ func (pr *producer) init(pl *pipeline, cfg *Config, rr bool) {
 	}
 }
 
-// access is the per-event hot path: count, sample, then route/collapse/append
-// via put.
-func (pr *producer) access(a event.Access) {
-	if a.Kind == event.Read || a.Kind == event.Write {
-		pr.stats.Accesses++
-		// Sample the access statistics: every 16th access keeps producer
-		// overhead bounded while heavily accessed addresses still dominate
-		// the sketch. The sketch is consumed by rebalance() and by Promote
-		// seeding; when neither is on (the default) sampling is skipped
-		// entirely.
-		if pr.checkEvery > 0 {
-			if pr.sample++; pr.sample&15 == 0 {
-				pr.heavy.Offer(a.Addr)
-			}
-		}
-	}
-	pr.put(a)
-}
-
 // putBatch is the bulk-ingest seam: one decoded chunk's worth of slots, with
 // the per-event access counting hoisted to a single update per batch. Every
 // slot still flows through the same put/accessRange paths as the per-event
@@ -987,8 +970,8 @@ func (pr *producer) putBatch(accesses []event.Access, ranges []event.Range) {
 	pr.stats.Accesses += data
 }
 
-// put routes, maybe collapses, appends, and pushes when full — access minus
-// the counting prologue, shared between the per-event and batch seams.
+// put routes, maybe collapses, appends, and pushes when full — putBatch minus
+// the counting.
 func (pr *producer) put(a event.Access) {
 	w := 0
 	if !pr.rr {

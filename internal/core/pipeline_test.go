@@ -166,8 +166,9 @@ func TestMTDupCollapse(t *testing.T) {
 		t.Error("no duplicate reads collapsed on an all-duplicate stream")
 	}
 
-	// With distinct timestamps (real MT streams) nothing may collapse:
-	// the equality covers TS, so distinct accesses stay distinct.
+	// With distinct stamps nothing may collapse: the equality covers TS, so
+	// reads from different sync epochs stay distinct. (Equal stamps do
+	// collapse: TestMTCollapsesStampedReads.)
 	m2 := NewMT(Config{Workers: 2, Backend: "perfect"})
 	var ts uint64
 	for _, a := range evs {

@@ -14,10 +14,10 @@ import (
 	_ "ddprof/internal/shadow"
 )
 
-// Profiler is the uniform surface of all profiler variants. Access is the
-// instrumentation entry point called once per memory access of the target;
-// AccessBatch is the bulk-ingest seam remote sessions feed decoded trace
-// batches through; Flush drains the pipeline and returns the merged result.
+// Profiler is the uniform surface of all profiler variants. AccessBatch is
+// the ingest seam: the executors hand over each target thread's private
+// batches, remote sessions their decoded trace batches; Access is its
+// one-event form. Flush drains the pipeline and returns the merged result.
 // For the serial and parallel (sequential-target) profilers Access and
 // AccessBatch must be called from a single goroutine; the multi-threaded-
 // target profiler accepts concurrent callers.
@@ -120,7 +120,7 @@ type Config struct {
 	// RaceCheck enables timestamp-reversal detection (§V-B).
 	RaceCheck bool
 	// QueueCap is the per-worker queue capacity in chunks (sequential-target
-	// mode) or accesses (MT mode). Defaults to 64 chunks / 4Ki accesses.
+	// mode) or accesses (MT mode). Defaults to 8 chunks / 4Ki accesses.
 	QueueCap int
 	// RedistributeEvery triggers a load-balance check every N chunks
 	// (paper: 50,000); in MT mode, every N×ChunkSize accesses, keeping the
@@ -239,41 +239,14 @@ func newSerial(cfg Config) (*Serial, error) {
 	return s, nil
 }
 
-// Access implements Profiler.
-func (s *Serial) Access(a event.Access) {
-	if a.Kind == event.Read || a.Kind == event.Write {
-		s.stats.Accesses++
-		// Publish to telemetry in batches so the per-access cost stays one
-		// local increment.
-		if s.m != nil && s.stats.Accesses-s.published >= 1024 {
-			s.m.Events.Add(s.stats.Accesses - s.published)
-			s.published = s.stats.Accesses
-		}
-	}
-	s.eng.Process(a)
-}
+// Access implements Profiler: the one-event batch.
+func (s *Serial) Access(a event.Access) { s.AccessBatch([]event.Access{a}, nil) }
 
 // AccessRange feeds a pre-compressed strided run (a DDT1 range record)
 // through the serial engine: one bulk dispatch instead of Count Access
 // calls. The profile is identical to feeding r.At(0..Count-1) in order.
 func (s *Serial) AccessRange(r event.Range) {
-	if r.Count == 0 {
-		return
-	}
-	if r.Kind == event.Read || r.Kind == event.Write {
-		s.stats.Accesses += uint64(r.Count)
-		s.stats.Ranges++
-		s.stats.RangeElements += uint64(r.Count)
-		if s.m != nil {
-			s.m.Ranges.Inc()
-			s.m.RangeElements.Add(uint64(r.Count))
-			if s.stats.Accesses-s.published >= 1024 {
-				s.m.Events.Add(s.stats.Accesses - s.published)
-				s.published = s.stats.Accesses
-			}
-		}
-	}
-	s.eng.ProcessRange(&r)
+	s.AccessBatch([]event.Access{{Kind: event.RangeRef}}, []event.Range{r})
 }
 
 // AccessBatch implements Profiler: the whole batch drives the engine in one

@@ -263,7 +263,7 @@ func (pr *producer) accessRange(r *event.Range) {
 	}
 	if !split {
 		for j := uint32(0); j < r.Count; j++ {
-			pr.access(r.At(j))
+			pr.putBatch([]event.Access{r.At(j)}, nil)
 		}
 		return
 	}

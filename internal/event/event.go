@@ -1,7 +1,7 @@
 // Package event defines the memory-access event stream the profiler consumes.
 //
-// The instrumentation substrate (internal/interp) calls the profiler once per
-// memory access; the profiler's parallel pipeline groups accesses into fixed
+// The executors (internal/interp, internal/vm) report every memory access
+// through a per-thread Batcher; the parallel pipeline groups accesses into fixed
 // size Chunks (paper §IV: "the main thread ... collects memory accesses in
 // chunks, whose size can be configured"), pushes full chunks to per-worker
 // queues, and recycles empty chunks through a pool.
@@ -96,7 +96,7 @@ func (k Kind) String() string {
 // profiling multi-threaded targets (paper §V-B).
 type Access struct {
 	Addr    uint64        // simulated memory address
-	TS      uint64        // global timestamp (MT-target mode only)
+	TS      uint64        // the thread's sync epoch (MT-target mode only; see Batcher)
 	IterVec uint64        // packed iteration vector of enclosing loops
 	Loc     loc.SourceLoc // source location of the access
 	Var     loc.VarID     // variable accessed

@@ -2,9 +2,9 @@ package event
 
 // Hook receives one event per instrumented memory access. It is the single
 // contract between the instrumentation producers (the tree-walking
-// interpreter and the bytecode VM) and every consumer: core.Serial,
-// core.Parallel and core.MT implement it directly, as do the trace writer
-// and the experiment capture buffers.
+// interpreter and the bytecode VM) and every consumer: the trace writer and
+// the experiment capture buffers implement it, and core.Serial, core.Parallel
+// and core.MT its bulk form, BatchHook, which the producers prefer.
 type Hook interface {
 	Access(a Access)
 }

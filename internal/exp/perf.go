@@ -173,8 +173,8 @@ func Fig6(opt Options) (*report.Table, []Fig6Row, error) {
 	}
 	tab.AddRow("average", "—", a8/float64(len(rows)), a16/float64(len(rows)))
 	tab.Notes = append(tab.Notes,
-		"MT-target profiling pushes per access (inside the target's lock regions) instead of",
-		"per chunk, so slowdowns exceed the sequential-target ones — the paper's 346x/261x effect")
+		"the paper pushes per access inside the target's lock regions (346x/261x, above Figure 5);",
+		"here target threads hand over private batches, and the gap to Figure 5 closes (EXPERIMENTS.md)")
 	return tab, rows, nil
 }
 
@@ -277,8 +277,8 @@ func Fig8(opt Options) (*report.Table, []Fig7Row, error) {
 	n := float64(len(rows))
 	tab.AddRow("average", report.MB(uint64(a8/n)), report.MB(uint64(a16/n)))
 	tab.Notes = append(tab.Notes,
-		"MT mode uses per-access MPSC rings and extended (thread+timestamp) dependence records,",
-		"so consumption exceeds Figure 7 — the paper's 995/1920 MB vs 505/1390 MB effect")
+		"MT mode uses fixed per-access MPSC rings (4Ki cells per worker) and extended (thread+timestamp)",
+		"dependence records; the paper's queues made it exceed Figure 7 (995/1920 MB vs 505/1390 MB)")
 	return tab, rows, nil
 }
 

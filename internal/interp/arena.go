@@ -8,7 +8,7 @@ import (
 
 // Arena is the simulated address space. Every minilang scalar and array
 // element occupies one 8-byte word; word w lives at byte address
-// baseAddr + w*8. Freed ranges are recycled (exact-size free lists), so
+// baseAddr + w*8. Freed ranges are recycled (exact-size FreeLists), so
 // address reuse after deallocation — the case variable-lifetime analysis
 // exists for — actually happens.
 //
@@ -23,9 +23,13 @@ import (
 type Arena struct {
 	mu    sync.Mutex
 	pages [maxPages]*arenaPage
-	free  map[int][]uint64 // words -> free base word indices
-	next  uint64           // next unallocated word index
+	next  uint64 // next unallocated word index
 }
+
+// FreeList is one target thread's freed runs (words -> base word indices),
+// its own to reuse. A run changes threads only at a join (Adopt): the old
+// owner's events, buffered in its event.Batcher, are handed over by then.
+type FreeList map[int][]uint64
 
 const (
 	pageWordsBits = 16
@@ -44,7 +48,7 @@ var pagePool = sync.Pool{New: func() any { return new(arenaPage) }}
 
 // NewArena returns an empty simulated address space.
 func NewArena() *Arena {
-	return &Arena{free: make(map[int][]uint64)}
+	return &Arena{}
 }
 
 // Recycle returns the arena's pages to the process-wide pool and leaves the
@@ -67,21 +71,20 @@ func (a *Arena) Recycle() {
 		pagePool.Put(p)
 	}
 	a.next = 0
-	a.free = make(map[int][]uint64)
 }
 
-// Alloc reserves a run of words and returns its base word index.
-func (a *Arena) Alloc(words int) uint64 {
+// Alloc reserves a run of words — the thread's last freed of that size, if
+// any — and returns its base word index.
+func (a *Arena) Alloc(free FreeList, words int) uint64 {
 	if words <= 0 {
 		words = 1
 	}
+	if lst := free[words]; len(lst) > 0 {
+		free[words] = lst[:len(lst)-1]
+		return lst[len(lst)-1]
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if lst := a.free[words]; len(lst) > 0 {
-		base := lst[len(lst)-1]
-		a.free[words] = lst[:len(lst)-1]
-		return base
-	}
 	base := a.next
 	a.next += uint64(words)
 	lastPage := (a.next - 1) >> pageWordsBits
@@ -96,11 +99,16 @@ func (a *Arena) Alloc(words int) uint64 {
 	return base
 }
 
-// Release recycles a run for future allocations of the same size.
-func (a *Arena) Release(base uint64, words int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.free[words] = append(a.free[words], base)
+// Release recycles a run for the thread's future allocations of the same size.
+func (f FreeList) Release(base uint64, words int) { f[words] = append(f[words], base) }
+
+// Adopt moves the runs of joined threads to f, the joining thread's.
+func (f FreeList) Adopt(joined ...FreeList) {
+	for _, j := range joined {
+		for words, lst := range j {
+			f[words] = append(f[words], lst...)
+		}
+	}
 }
 
 // PlainLoad and PlainStore are non-atomic variants of Load/Store for

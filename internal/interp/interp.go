@@ -4,7 +4,7 @@
 // The interpreter assigns each scalar and array element a simulated byte
 // address and, when a Hook is installed, reports every read and write with
 // its address, source location, variable, thread ID, static loop context,
-// packed iteration vector and (optionally) a global timestamp. With a nil
+// packed iteration vector and (optionally) a sync-epoch timestamp. With a nil
 // Hook it performs the same computation without event construction — the
 // "native" baseline the slowdown experiments divide by.
 package interp
@@ -30,19 +30,16 @@ type Hook = event.Hook
 
 // Options configure a run.
 type Options struct {
-	// Timestamps stamps every access from a global atomic counter —
-	// required when profiling multi-threaded targets (§V-B). The stamp is
-	// taken together with the hook call, inside whatever lock region the
-	// target holds, reproducing the paper's Figure 4 atomicity.
+	// Timestamps stamps every access with its thread's sync epoch
+	// (event.Batcher) — required when profiling multi-threaded targets (§V-B):
+	// happens-before across threads implies a strictly larger stamp.
 	Timestamps bool
 	// YieldEvery, when positive, yields the processor roughly every N
-	// accesses per thread, between taking the timestamp and pushing the
-	// event. On machines with few cores the Go scheduler otherwise runs
-	// short thread bodies to completion, hiding the interleavings that
-	// multi-threaded targets exhibit on real parallel hardware; the fuzz
-	// restores them. Accesses inside a target lock region stay atomic with
-	// their push (other threads block on the mutex), so properly
-	// synchronized programs show no timestamp reversals even under fuzzing.
+	// accesses per thread, before the access is reported. On machines with
+	// few cores the Go scheduler otherwise runs short thread bodies to
+	// completion, hiding the interleavings that multi-threaded targets
+	// exhibit on real parallel hardware; the fuzz restores them. Race flags
+	// do not depend on it: stamps follow synchronisation, not the schedule.
 	YieldEvery int
 }
 
@@ -89,7 +86,7 @@ func Run(p *minilang.Program, hook Hook, opt Options) (info *RunInfo, err error)
 	}
 	root := &frame{vars: make(map[string]*binding)}
 	in.root = root
-	t := &tstate{in: in, frame: root, fnStack: []string{"main"}}
+	t := &tstate{in: in, out: event.NewBatcher(hook, opt.Timestamps), free: FreeList{}, frame: root, fnStack: []string{"main"}}
 	in.recordCall("", "main", 1)
 
 	defer func() {
@@ -101,6 +98,7 @@ func Run(p *minilang.Program, hook Hook, opt Options) (info *RunInfo, err error)
 			panic(r)
 		}
 	}()
+	defer t.out.Flush() // on the error unwind too
 	t.exec(main.Body)
 	if e := in.threadErr.Load(); e != nil {
 		return nil, *e
@@ -151,7 +149,6 @@ type interp struct {
 	callEdges map[CallEdge]uint64
 	maxDepth  int
 
-	ts        atomic.Uint64
 	accesses  atomic.Uint64 // accesses of joined threads
 	loopIters []atomic.Uint64
 	root      *frame
@@ -210,6 +207,8 @@ func (f *frame) lookup(name string) (*frame, *binding) {
 type tstate struct {
 	in       *interp
 	id       int32
+	out      event.Batcher // the thread's events on their way to in.hook
+	free     FreeList
 	frame    *frame
 	bar      *Barrier
 	iters    []uint32
@@ -231,8 +230,12 @@ func (t *tstate) emit(kind event.Kind, w uint64, ln loc.SourceLoc, v loc.VarID, 
 	if t.in.hook == nil {
 		return
 	}
-	a := event.Access{
+	if y := t.in.opt.YieldEvery; y > 0 && t.accesses%uint64(y) == uint64(t.id)%uint64(y) {
+		runtime.Gosched()
+	}
+	*t.out.Next() = event.Access{
 		Addr:    AddrOf(w),
+		TS:      t.out.TS,
 		IterVec: t.vec,
 		Loc:     ln,
 		Var:     v,
@@ -241,13 +244,7 @@ func (t *tstate) emit(kind event.Kind, w uint64, ln loc.SourceLoc, v loc.VarID, 
 		Kind:    kind,
 		Flags:   fl,
 	}
-	if t.in.opt.Timestamps {
-		a.TS = t.in.ts.Add(1)
-	}
-	if y := t.in.opt.YieldEvery; y > 0 && t.accesses%uint64(y) == uint64(t.id)%uint64(y) {
-		runtime.Gosched()
-	}
-	t.in.hook.Access(a)
+	t.out.Done()
 }
 
 // loadWord reads a word and reports the access.
@@ -284,7 +281,7 @@ func (t *tstate) declScalar(name string) *binding {
 	if b, ok := t.frame.vars[name]; ok && !b.isArr {
 		return b
 	}
-	b := &binding{base: t.in.ar.Alloc(1), words: 1, varID: t.in.p.Tab.Var(name)}
+	b := &binding{base: t.in.ar.Alloc(t.free, 1), words: 1, varID: t.in.p.Tab.Var(name)}
 	t.frame.vars[name] = b
 	return b
 }
@@ -339,7 +336,7 @@ func (t *tstate) execStmt(s minilang.Stmt) bool {
 		if b, ok := t.frame.vars[st.Name]; ok && b.isArr && b.words == size {
 			return false // reuse the existing allocation
 		}
-		b := &binding{base: t.in.ar.Alloc(size), words: size, varID: t.in.p.Tab.Var(st.Name), isArr: true}
+		b := &binding{base: t.in.ar.Alloc(t.free, size), words: size, varID: t.in.p.Tab.Var(st.Name), isArr: true}
 		t.frame.vars[st.Name] = b
 
 	case *minilang.AssignStmt:
@@ -394,7 +391,7 @@ func (t *tstate) execStmt(s minilang.Stmt) bool {
 		for w := 0; w < b.words; w++ {
 			t.emit(event.Remove, b.base+uint64(w), ln, b.varID, ctx, 0)
 		}
-		t.in.ar.Release(b.base, b.words)
+		t.free.Release(b.base, b.words)
 		delete(f.vars, st.Name)
 
 	case *minilang.SpawnStmt:
@@ -403,7 +400,9 @@ func (t *tstate) execStmt(s minilang.Stmt) bool {
 	case *minilang.LockStmt:
 		mu := t.in.mutex(st.Mutex)
 		mu.Lock()
+		t.out.Acquire(event.SyncLock, mu)
 		r := t.exec(st.Body)
+		t.out.Release(event.SyncUnlock, mu)
 		mu.Unlock()
 		return r
 
@@ -411,7 +410,9 @@ func (t *tstate) execStmt(s minilang.Stmt) bool {
 		if t.bar == nil {
 			t.fail("barrier outside spawn")
 		}
+		t.out.Release(event.SyncArrive, nil)
 		t.bar.Wait()
+		t.out.Acquire(event.SyncPass, nil)
 
 	default:
 		t.fail("unknown statement %T", s)
@@ -497,7 +498,9 @@ func (t *tstate) execSpawn(st *minilang.SpawnStmt) {
 		t.fail("nested spawn")
 	}
 	bar := NewBarrier(st.Threads)
+	frees := make([]FreeList, st.Threads)
 	var wg sync.WaitGroup
+	t.out.Release(event.SyncFork, nil)
 	for tid := 0; tid < st.Threads; tid++ {
 		wg.Add(1)
 		go func(tid int32) {
@@ -505,6 +508,8 @@ func (t *tstate) execSpawn(st *minilang.SpawnStmt) {
 			ts := &tstate{
 				in:      t.in,
 				id:      tid,
+				out:     t.out.Child(tid),
+				free:    FreeList{},
 				frame:   &frame{parent: t.frame, vars: make(map[string]*binding)},
 				bar:     bar,
 				iters:   append([]uint32(nil), t.iters...),
@@ -512,6 +517,8 @@ func (t *tstate) execSpawn(st *minilang.SpawnStmt) {
 				fnStack: append([]string(nil), t.fnStack...),
 			}
 			defer func() {
+				ts.out.Release(event.SyncExit, nil) // on the error unwind too
+				frees[tid] = ts.free
 				t.in.accesses.Add(ts.accesses)
 				if r := recover(); r != nil {
 					if re, ok := r.(RuntimeError); ok {
@@ -527,6 +534,8 @@ func (t *tstate) execSpawn(st *minilang.SpawnStmt) {
 		}(int32(tid))
 	}
 	wg.Wait()
+	t.out.Acquire(event.SyncJoin, nil)
+	t.free.Adopt(frees...)
 	if e := t.in.threadErr.Load(); e != nil {
 		panic(RuntimeError{(*e).Error()})
 	}
@@ -559,7 +568,7 @@ func (t *tstate) call(fn string, args []minilang.Expr, ln loc.SourceLoc, ctx uin
 			}
 		}
 		v := t.eval(args[i], ln, ctx)
-		b := &binding{base: t.in.ar.Alloc(1), words: 1, varID: t.in.p.Tab.Var(prm)}
+		b := &binding{base: t.in.ar.Alloc(t.free, 1), words: 1, varID: t.in.p.Tab.Var(prm)}
 		nf.vars[prm] = b
 		t.storeWord(b.base, v, ln, b.varID, ctx, 0)
 	}
@@ -595,7 +604,7 @@ func (t *tstate) call(fn string, args []minilang.Expr, ln loc.SourceLoc, ctx uin
 			}
 		}
 		if !aliased {
-			t.in.ar.Release(b.base, b.words)
+			t.free.Release(b.base, b.words)
 		}
 	}
 	t.frame = saved

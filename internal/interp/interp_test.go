@@ -565,3 +565,28 @@ func main() {
 		t.Errorf("counter = %v, want 400", info.Vars["counter"])
 	}
 }
+
+// TestFreeListsArePerThread: a freed run goes back to the thread that freed
+// it, most recent first, by exact size; another thread draws fresh words until
+// it adopts the list at a join.
+func TestFreeListsArePerThread(t *testing.T) {
+	ar := NewArena()
+	defer ar.Recycle()
+	a, b := FreeList{}, FreeList{}
+	x, y := ar.Alloc(a, 4), ar.Alloc(a, 4)
+	a.Release(x, 4)
+	a.Release(y, 4)
+	if got := ar.Alloc(b, 4); got == x || got == y {
+		t.Fatalf("thread b was handed word %d, freed by thread a", got)
+	}
+	if got := ar.Alloc(a, 2); got == x || got == y {
+		t.Fatalf("a 2-word allocation reused the 4-word run at %d", got)
+	}
+	if got := ar.Alloc(a, 4); got != y {
+		t.Fatalf("thread a reused %d, want its last freed run %d", got, y)
+	}
+	b.Adopt(a, nil)
+	if got := ar.Alloc(b, 4); got != x {
+		t.Fatalf("after the join b allocated %d, want the adopted run %d", got, x)
+	}
+}

@@ -181,9 +181,8 @@ func (q *MPSC[T]) TryPush(v T) bool {
 // head is a plain field: only the consumer touches it, and the cell seq
 // store below already publishes the slot back to producers with the needed
 // ordering, so an atomic head would buy nothing but a second full barrier on
-// every pop — measurable on the MT pipeline's one-push-per-access regime.
-// Consequently Len is only meaningful from the consumer goroutine or after
-// the queue has quiesced.
+// every pop. Consequently Len is only meaningful from the consumer goroutine
+// or after the queue has quiesced.
 func (q *MPSC[T]) TryPop() (T, bool) {
 	h := q.head
 	cell := &q.cells[h&q.mask]
@@ -201,22 +200,27 @@ func (q *MPSC[T]) TryPop() (T, bool) {
 	return v, true
 }
 
-// Push spins until v is accepted. Unlike TryPush it claims a slot
-// unconditionally with one fetch-add — the cheapest possible producer path,
-// and the one the MT pipeline takes for every single access — then waits for
-// the cell to come free if the ring is full. Claimed cells are filled
-// independently, so a stalled producer never blocks another's cell, and the
-// scheme interoperates with TryPush: both serialize on the tail RMW and fill
-// only the cell they claimed.
-func (q *MPSC[T]) Push(v T) {
-	t := q.tail.Add(1) - 1
-	cell := &q.cells[t&q.mask]
-	for i := 0; cell.seq.Load() != t; i++ {
+// Claim reserves n consecutive positions with one fetch-add and returns the
+// first; the caller owes a Fill for each, in increasing order. Claims are FIFO,
+// whoever fills first. Cells are filled independently, so a stalled producer
+// never blocks another's cell, and a run longer than the ring makes progress:
+// its early cells are popped while its late ones wait. Hold unfilled claims in
+// one ring at a time: waiting on ring A while owing cells to ring B can
+// deadlock with the reverse. Interoperates with TryPush (same tail RMW).
+func (q *MPSC[T]) Claim(n int) uint64 { return q.tail.Add(uint64(n)) - uint64(n) }
+
+// Fill writes v into claimed position pos, waiting while the ring is full.
+func (q *MPSC[T]) Fill(pos uint64, v *T) {
+	cell := &q.cells[pos&q.mask]
+	for i := 0; cell.seq.Load() != pos; i++ {
 		backoff(i) // ring full (or an earlier claimant lagging): wait it out
 	}
-	cell.val = v
-	cell.seq.Store(t + 1)
+	cell.val = *v
+	cell.seq.Store(pos + 1)
 }
+
+// Push spins until v is accepted: a one-cell claim, filled at once.
+func (q *MPSC[T]) Push(v T) { q.Fill(q.Claim(1), &v) }
 
 // Len returns the approximate number of queued elements. Valid only from the
 // consumer goroutine or while the queue is quiescent (head is consumer-local).

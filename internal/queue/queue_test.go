@@ -1,6 +1,8 @@
 package queue
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -197,5 +199,125 @@ func TestPointerReleaseForGC(t *testing.T) {
 	l.TryPop()
 	if l.buf[0] != nil {
 		t.Error("Locked retains popped pointer")
+	}
+}
+
+// claimItem is one element of a bulk-claim stress run.
+type claimItem struct{ producer, run, idx, n int }
+
+// TestMPSCBulkClaimStress: N producers push runs of random length — longer
+// than the ring included — through Claim/Fill, interleaved with single Push
+// and TryPush. Every run must arrive contiguous and in order, and each
+// producer's runs in the order it claimed them.
+func TestMPSCBulkClaimStress(t *testing.T) {
+	const producers, runsEach, capacity = 6, 400, 64
+	q := NewMPSC[claimItem](capacity)
+	var wg sync.WaitGroup
+	total := make([]int, producers)
+	for p := 0; p < producers; p++ {
+		rng := rand.New(rand.NewSource(int64(p) + 1))
+		lens := make([]int, runsEach)
+		for r := range lens {
+			switch rng.Intn(4) {
+			case 0:
+				lens[r] = 1
+			case 1:
+				lens[r] = capacity + 1 + rng.Intn(2*capacity) // longer than the ring
+			default:
+				lens[r] = 2 + rng.Intn(capacity/2)
+			}
+			total[p] += lens[r]
+		}
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for r, n := range lens {
+				first := claimItem{producer: p, run: r, n: n}
+				switch {
+				case n == 1 && r%2 == 0:
+					q.Push(first)
+				case n == 1:
+					for i := 0; !q.TryPush(first); i++ {
+						Backoff(i)
+					}
+				default:
+					pos := q.Claim(n)
+					for i := 0; i < n; i++ {
+						it := claimItem{producer: p, run: r, idx: i, n: n}
+						q.Fill(pos+uint64(i), &it)
+					}
+				}
+			}
+		}(p)
+	}
+	want := 0
+	for _, n := range total {
+		want += n
+	}
+	var open *claimItem // the run being received
+	lastRun := make([]int, producers)
+	for i := range lastRun {
+		lastRun[i] = -1
+	}
+	for got, idle := 0, 0; got < want; {
+		it, ok := q.TryPop()
+		if !ok {
+			idle++
+			Backoff(idle)
+			continue
+		}
+		idle = 0
+		got++
+		if open == nil {
+			if it.idx != 0 || it.run <= lastRun[it.producer] {
+				t.Fatalf("run start out of order: %+v after run %d", it, lastRun[it.producer])
+			}
+			lastRun[it.producer] = it.run
+			open = &claimItem{producer: it.producer, run: it.run, n: it.n}
+		} else if it.producer != open.producer || it.run != open.run || it.idx != open.idx {
+			t.Fatalf("run %+v interrupted by %+v", *open, it)
+		}
+		if open.idx++; open.idx == open.n {
+			open = nil
+		}
+	}
+	wg.Wait()
+	if _, ok := q.TryPop(); ok || open != nil {
+		t.Fatalf("leftovers: open run %v, queue non-empty %v", open, ok)
+	}
+}
+
+// BenchmarkMPSCClaim prices one element through the ring at the MT
+// pipeline's depth, by run length: 1 is Push, 512 an executor batch landing
+// in one ring. Recorded by `make bench-queue`.
+func BenchmarkMPSCClaim(b *testing.B) {
+	for _, run := range []int{1, 64, 512} {
+		b.Run(fmt.Sprintf("run%d", run), func(b *testing.B) {
+			q := NewMPSC[[6]uint64](1 << 12) // 48-byte elements, like event.Access
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for got, idle := 0, 0; got < b.N; {
+					if _, ok := q.TryPop(); ok {
+						got, idle = got+1, 0
+					} else {
+						idle++
+						Backoff(idle)
+					}
+				}
+			}()
+			var v [6]uint64
+			b.ResetTimer()
+			for left := b.N; left > 0; {
+				n := min(run, left)
+				pos := q.Claim(n)
+				for i := 0; i < n; i++ {
+					q.Fill(pos+uint64(i), &v)
+				}
+				left -= n
+			}
+			<-done
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+		})
 	}
 }

@@ -35,10 +35,13 @@ const (
 	inductionBit = uint64(1) << 61
 )
 
+// ThreadMask is the width a slot keeps of a thread ID.
+const ThreadMask = 0x1FF
+
 // PackSlot builds a populated slot.
 func PackSlot(l loc.SourceLoc, v loc.VarID, thread int32, ctx uint32, iterVec, ts uint64) Slot {
 	meta := presentBit |
-		(uint64(thread)&0x1FF)<<52 |
+		(uint64(thread)&ThreadMask)<<52 |
 		(uint64(v)&0xFFFFF)<<32 |
 		uint64(l)
 	return Slot{
@@ -81,7 +84,7 @@ func (s Slot) Loc() loc.SourceLoc { return loc.SourceLoc(uint32(s.Meta)) }
 func (s Slot) Var() loc.VarID { return loc.VarID((s.Meta >> 32) & 0xFFFFF) }
 
 // Thread returns the recorded target-program thread ID.
-func (s Slot) Thread() int32 { return int32((s.Meta >> 52) & 0x1FF) }
+func (s Slot) Thread() int32 { return int32((s.Meta >> 52) & ThreadMask) }
 
 // Ctx returns the recorded static loop-context ID.
 func (s Slot) Ctx() uint32 { return uint32(s.CtxTS >> 48) }

@@ -75,7 +75,6 @@ type machine struct {
 	callEdges map[interp.CallEdge]uint64
 	maxDepth  int
 
-	ts        atomic.Uint64
 	accesses  atomic.Uint64 // accesses of joined threads
 	loopIters []atomic.Uint64
 	root      []slotEntry
@@ -110,6 +109,8 @@ type callRec struct {
 type thread struct {
 	m        *machine
 	id       int32
+	out      event.Batcher // the thread's events on their way to m.hook
+	free     interp.FreeList
 	cur      *fcode
 	chain    [][]slotEntry
 	bar      *interp.Barrier
@@ -179,6 +180,8 @@ func (prg *Program) Run(hook event.Hook, opt interp.Options) (info *interp.RunIn
 	}
 	t := &thread{
 		m:       m,
+		out:     event.NewBatcher(hook, opt.Timestamps),
+		free:    interp.FreeList{},
 		cur:     prg.main,
 		chain:   [][]slotEntry{m.root},
 		stack:   make([]float64, prg.main.maxStack+1),
@@ -196,6 +199,7 @@ func (prg *Program) Run(hook event.Hook, opt interp.Options) (info *interp.RunIn
 			panic(r)
 		}
 	}()
+	defer t.out.Flush() // on the error unwind too
 	t.exec(prg.main)
 	if e := m.threadErr.Load(); e != nil {
 		return nil, *e
@@ -255,30 +259,28 @@ func (t *thread) ensure(maxStack int) {
 	}
 }
 
-// emitHook builds and delivers one access to the hook — the slow half of
+// emitHook builds one access in the thread's event buffer — the slow half of
 // interp.tstate.emit, including the yield decision's position. The caller
 // has already counted the access (Reads/Writes only) and checked the hook
 // is non-nil, so the nil-hook path costs one increment inline in the
 // dispatch loop instead of a call. The event template fields (location,
 // context, flags) come straight off the emitting instruction.
 func (t *thread) emitHook(kind event.Kind, w uint64, vid loc.VarID, fl event.Flags, i *instr) {
-	a := event.Access{
-		Addr:    interp.AddrOf(w),
-		IterVec: t.vec,
-		Loc:     i.ln,
-		Var:     vid,
-		CtxID:   i.ctx,
-		Thread:  t.id,
-		Kind:    kind,
-		Flags:   fl,
-	}
-	if t.m.opt.Timestamps {
-		a.TS = t.m.ts.Add(1)
-	}
 	if y := t.m.opt.YieldEvery; y > 0 && t.accesses%uint64(y) == uint64(t.id)%uint64(y) {
 		runtime.Gosched()
 	}
-	t.m.hook.Access(a)
+	a := t.out.Next()
+	a.Addr = interp.AddrOf(w)
+	a.TS = t.out.TS
+	a.IterVec = t.vec
+	a.Loc = i.ln
+	a.Var = vid
+	a.CtxID = i.ctx
+	a.Thread = t.id
+	a.Kind = kind
+	a.Flags = fl
+	a.Rep = 0
+	t.out.Done()
 }
 
 // resolve returns the first live binding for a compiled reference — interp's
@@ -385,6 +387,7 @@ func (t *thread) unwindLocks(depth int) {
 	for len(t.locks) > depth {
 		mu := t.locks[len(t.locks)-1]
 		t.locks = t.locks[:len(t.locks)-1]
+		t.out.Release(event.SyncUnlock, mu)
 		mu.Unlock()
 	}
 }
@@ -409,7 +412,7 @@ func (t *thread) doReturn() ([]instr, int) {
 			resolveIn(rec.chain, &t.m.prg.refs[e.aliasRef]) == e.b {
 			continue
 		}
-		t.m.ar.Release(e.b.base, e.b.words)
+		t.free.Release(e.b.base, e.b.words)
 	}
 	// The frame is dead once unwound (by-reference aliases point at caller
 	// bindings; spawn blocks join before any enclosing function returns), so
@@ -1070,7 +1073,7 @@ func (t *thread) exec(fc *fcode) {
 		case opDecl:
 			e := &t.chain[0][i.a]
 			if e.b == nil || e.b.isArr {
-				e.b = t.newBind(m.ar.Alloc(1), 1, i.vid, false)
+				e.b = t.newBind(m.ar.Alloc(t.free, 1), 1, i.vid, false)
 				e.aliasRef = -1
 			}
 			stack[sp] = float64(e.b.base)
@@ -1080,7 +1083,7 @@ func (t *thread) exec(fc *fcode) {
 		case opDeclC:
 			e := &t.chain[0][i.a]
 			if e.b == nil || e.b.isArr {
-				e.b = t.newBind(m.ar.Alloc(1), 1, i.vid, false)
+				e.b = t.newBind(m.ar.Alloc(t.free, 1), 1, i.vid, false)
 				e.aliasRef = -1
 			}
 			t.store(e.b.base, i.f)
@@ -1099,7 +1102,7 @@ func (t *thread) exec(fc *fcode) {
 			if e.b != nil && e.b.isArr && e.b.words == size {
 				break // reuse the existing allocation
 			}
-			e.b = t.newBind(m.ar.Alloc(size), size, i.vid, true)
+			e.b = t.newBind(m.ar.Alloc(t.free, size), size, i.vid, true)
 			e.aliasRef = -1
 
 		case opFree:
@@ -1127,7 +1130,7 @@ func (t *thread) exec(fc *fcode) {
 					t.emitHook(event.Remove, b.base+uint64(w), b.varID, i.fl, i)
 				}
 			}
-			m.ar.Release(b.base, b.words)
+			t.free.Release(b.base, b.words)
 			e.b = nil
 			e.aliasRef = -1
 
@@ -1188,7 +1191,7 @@ func (t *thread) exec(fc *fcode) {
 		case opArgScalar:
 			sp--
 			v := stack[sp]
-			b := t.newBind(m.ar.Alloc(1), 1, i.vid, false)
+			b := t.newBind(m.ar.Alloc(t.free, 1), 1, i.vid, false)
 			t.pend[len(t.pend)-1][i.b] = slotEntry{b: b, aliasRef: -1}
 			t.store(b.base, v)
 			t.accesses++
@@ -1210,7 +1213,7 @@ func (t *thread) exec(fc *fcode) {
 			if m.hook != nil {
 				t.emitHook(event.Read, b.base, b.varID, i.fl, i)
 			}
-			nb := t.newBind(m.ar.Alloc(1), 1, i.vid, false)
+			nb := t.newBind(m.ar.Alloc(t.free, 1), 1, i.vid, false)
 			t.pend[len(t.pend)-1][i.b] = slotEntry{b: nb, aliasRef: -1}
 			t.store(nb.base, v)
 			t.accesses++
@@ -1260,18 +1263,19 @@ func (t *thread) exec(fc *fcode) {
 		case opLock:
 			mu := m.mus[i.a]
 			mu.Lock()
+			t.out.Acquire(event.SyncLock, mu)
 			t.locks = append(t.locks, mu)
 
 		case opUnlock:
-			mu := t.locks[len(t.locks)-1]
-			t.locks = t.locks[:len(t.locks)-1]
-			mu.Unlock()
+			t.unwindLocks(len(t.locks) - 1)
 
 		case opBarrier:
 			if t.bar == nil {
 				t.fail("barrier outside spawn")
 			}
+			t.out.Release(event.SyncArrive, nil)
 			t.bar.Wait()
+			t.out.Acquire(event.SyncPass, nil)
 
 		case opFail:
 			panic(interp.RuntimeError{Msg: prg.strs[i.a]})
@@ -1289,7 +1293,9 @@ func (t *thread) spawn(sc *scode) {
 		t.fail("nested spawn")
 	}
 	bar := interp.NewBarrier(sc.threads)
+	frees := make([]interp.FreeList, sc.threads)
 	var wg sync.WaitGroup
+	t.out.Release(event.SyncFork, nil)
 	for tid := 0; tid < sc.threads; tid++ {
 		wg.Add(1)
 		go func(tid int32) {
@@ -1301,6 +1307,8 @@ func (t *thread) spawn(sc *scode) {
 			ts := &thread{
 				m:        t.m,
 				id:       tid,
+				out:      t.out.Child(tid),
+				free:     interp.FreeList{},
 				cur:      sc.fc,
 				chain:    append([][]slotEntry{fr}, t.chain...),
 				bar:      bar,
@@ -1312,6 +1320,8 @@ func (t *thread) spawn(sc *scode) {
 				fnStack:  append([]string(nil), t.fnStack...),
 			}
 			defer func() {
+				ts.out.Release(event.SyncExit, nil) // on the error unwind too
+				frees[tid] = ts.free
 				t.m.accesses.Add(ts.accesses)
 				if r := recover(); r != nil {
 					if re, ok := r.(interp.RuntimeError); ok {
@@ -1327,6 +1337,8 @@ func (t *thread) spawn(sc *scode) {
 		}(int32(tid))
 	}
 	wg.Wait()
+	t.out.Acquire(event.SyncJoin, nil)
+	t.free.Adopt(frees...)
 	if e := t.m.threadErr.Load(); e != nil {
 		panic(interp.RuntimeError{Msg: (*e).Error()})
 	}

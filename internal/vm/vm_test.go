@@ -554,8 +554,8 @@ func TestZeroTripLoopContext(t *testing.T) {
 // (global stamp order is scheduling-dependent) and canonicalizes addresses
 // to per-thread first-occurrence indices: per-thread locals allocate from
 // the shared arena, so their raw addresses depend on thread interleaving in
-// BOTH executors, but the per-thread address *pattern* is deterministic as
-// long as the program does not recycle storage across threads.
+// BOTH executors, but the per-thread address *pattern* is deterministic:
+// freed storage is recycled within its thread only (interp.FreeList).
 func threadStreams(evs []event.Access) map[int32][]event.Access {
 	m := make(map[int32][]event.Access)
 	canon := make(map[int32]map[uint64]uint64)
