@@ -109,8 +109,9 @@ bench-gate:
 # Short fuzz pass over the hardened decoders (trace, framing, server), the
 # slab trace encoder against its reference, the dependence-set fast-update
 # API the instance cache relies on, the engine's two store arms against each
-# other, the MT pipeline's batch seam against its per-event one, and the
-# backend spec parser every -backend flag and DDT1 handshake goes through.
+# other on point streams, the MT pipeline's batch seam against its per-event
+# one, and the backend spec parser every -backend flag and DDT1 handshake goes
+# through.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzEngineArms -fuzztime=10s ./internal/core/
 	$(GO) test -run=^$$ -fuzz=FuzzMTBatchEquivalence -fuzztime=10s ./internal/core/

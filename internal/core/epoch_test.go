@@ -43,6 +43,18 @@ func (l *deltaLog) fold() (*dep.Set, map[prog.LoopID]*dep.Set) {
 	return deps, loops
 }
 
+// encoded renders every logged delta's dependence set, keyed by epoch and
+// worker (workers deliver concurrently, so log order means nothing).
+func (l *deltaLog) encoded(t *testing.T) map[[2]int]string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make(map[[2]int]string, len(l.deltas))
+	for _, d := range l.deltas {
+		out[[2]int{int(d.Epoch), d.Worker}] = string(encodeSet(t, d.Deps))
+	}
+	return out
+}
+
 // encodeSet renders a set with a fixed table so results byte-compare.
 func encodeSet(t *testing.T, s *dep.Set) []byte {
 	t.Helper()

@@ -86,7 +86,7 @@ func NewExistence(cfg Config) *Existence {
 	for i := 0; i < cfg.Workers; i++ {
 		e.pl.workers = append(e.pl.workers, &worker{
 			id:          i,
-			tr:          newChunkTransport(cfg.LockBased, cfg.QueueCap),
+			tr:          newChunkTransport(cfg.LockBased, cfg.QueueCap, cfg.Workers),
 			ex:          &existSink{lines: make(map[uint64]*lineSets)},
 			m:           cfg.Metrics,
 			sampleEvery: uint64(cfg.SampleEvery),

@@ -174,38 +174,15 @@ func goldenModes() []struct {
 	mkSerial := func(cfg Config) Profiler { return NewSerial(cfg) }
 	mkPar := func(cfg Config) Profiler { return NewParallel(cfg) }
 	mkMT := func(cfg Config) Profiler { return NewMT(cfg) }
-	// typedPar pins parallel modes both ways across the stride-compression
-	// A/B switch. The fixtures were captured without compression, whose
-	// chunk/dup accounting they embed, so the fixture comparison runs with
-	// NoStrideCompression; a second run with compression on (the default)
-	// must produce the byte-identical profile — if it doesn't, the returned
-	// digest is marked so the fixture mismatch names the real culprit (the
-	// equivalence suite prints the offending dependence).
-	typedPar := func(cfg Config, withMig bool) func(*prog.Meta, []event.Access) string {
-		return func(meta *prog.Meta, evs []event.Access) string {
-			off := cfg
-			off.Backend = "perfect"
-			off.Meta = meta
-			off.NoStrideCompression = true
-			resOff := feed(mkPar(off), evs)
-			on := off
-			on.NoStrideCompression = false
-			resOn := feed(mkPar(on), evs)
-			if a, b := digestResult(resOff, false, false), digestResult(resOn, false, false); a != b {
-				return "STRIDE-COMPRESSION-CHANGED-PROFILE:" + b
-			}
-			return digestResult(resOff, true, withMig)
-		}
-	}
 	return []struct {
 		name string
 		run  func(meta *prog.Meta, evs []event.Access) string
 	}{
 		{"serial", typed(Config{}, mkSerial, false, false)},
-		{"par8", typedPar(Config{Workers: 8}, false)},
-		{"par8-lock", typedPar(Config{Workers: 8, LockBased: true}, false)},
-		{"par3", typedPar(Config{Workers: 3, QueueCap: 8}, false)},
-		{"par4-redist", typedPar(Config{Workers: 4, RedistributeEvery: 4}, true)},
+		{"par8", typed(Config{Workers: 8}, mkPar, true, false)},
+		{"par8-lock", typed(Config{Workers: 8, LockBased: true}, mkPar, true, false)},
+		{"par3", typed(Config{Workers: 3, QueueCap: 8}, mkPar, true, false)},
+		{"par4-redist", typed(Config{Workers: 4, RedistributeEvery: 4}, mkPar, true, true)},
 		{"mt4", typed(Config{Workers: 4}, mkMT, false, false)},
 		{"exist4", func(meta *prog.Meta, evs []event.Access) string {
 			e := NewExistence(Config{Workers: 4})

@@ -22,7 +22,7 @@ import (
 // address, a's cells are claimed in the owner's ring before b's — a's thread
 // flushed before the release that orders the two, and ring claims are FIFO —
 // and within one thread claims follow program order. Only unordered pairs can
-// arrive either way; those the sync-epoch stamps expose (Engine.classify). A
+// arrive either way; those the sync-epoch stamps expose (Engine.build). A
 // freed address changes threads at a join only (interp.FreeList), an edge too.
 //
 // As a pipeline composition, MT is per-access transports into the same

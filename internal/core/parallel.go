@@ -51,7 +51,7 @@ func newParallel(cfg Config) (*Parallel, error) {
 		}
 		p.pl.workers = append(p.pl.workers, &worker{
 			id:          i,
-			tr:          newChunkTransport(cfg.LockBased, cfg.QueueCap),
+			tr:          newChunkTransport(cfg.LockBased, cfg.QueueCap, cfg.Workers),
 			eng:         eng,
 			m:           cfg.Metrics,
 			sampleEvery: uint64(cfg.SampleEvery),
@@ -66,18 +66,14 @@ func newParallel(cfg Config) (*Parallel, error) {
 // Access implements Profiler: the one-event batch.
 func (p *Parallel) Access(a event.Access) { p.pr.putBatch([]event.Access{a}, nil) }
 
-// AccessRange feeds a pre-compressed strided run (a DDT1 range record) into
-// the pipeline. The producer splits it along the owner mask so per-address
-// routing — and therefore the profile — is exactly what Count Access calls
-// would produce; when splitting doesn't apply the run is expanded through
-// the point path. Single-goroutine, like Access.
-func (p *Parallel) AccessRange(r event.Range) { p.pr.accessRange(&r) }
+// AccessRange feeds a pre-compressed strided run (a DDT1 range record): the
+// one-slot batch. Single-goroutine, like Access.
+func (p *Parallel) AccessRange(r event.Range) {
+	p.pr.putBatch([]event.Access{{Kind: event.RangeRef}}, []event.Range{r})
+}
 
-// AccessBatch implements Profiler: one decoded batch through the producer
-// with the per-event counting and sketch bookkeeping amortized per batch.
-// Every slot takes the same routing/dup-collapse/re-compression paths as
-// Access and AccessRange, so the profile is byte-identical. Single-goroutine,
-// like Access.
+// AccessBatch implements Profiler: the producer routes the caller's buffer in
+// place (producer.putBatch). Single-goroutine, like Access.
 func (p *Parallel) AccessBatch(accesses []event.Access, ranges []event.Range) {
 	p.pr.putBatch(accesses, ranges)
 }

@@ -32,6 +32,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"ddprof/internal/dep"
 	"ddprof/internal/event"
@@ -160,13 +161,27 @@ func makeStores(cfg *Config, n int) ([]sig.Store, error) {
 // errDoubleFlush is the one message every mode's second Flush panics with.
 const errDoubleFlush = "core: Flush called twice (a pipeline drains and joins its workers exactly once)"
 
+// chunk is the carrier of the chunked transports: up to ChunkSize events
+// bound for one worker, filled in place by the producer ("the main thread ...
+// collects memory accesses in chunks", §IV). event.Chunk is the decoder's
+// carrier and also holds a range side table; ranges never enter a pipeline
+// (they expand at the AccessBatch seam), so chunks here are events only.
+type chunk struct {
+	n   int
+	buf [event.ChunkSize]event.Access
+}
+
+// chunkBytes is the memory footprint of one chunk, for the Figure 7/8
+// queue-memory accounting.
+const chunkBytes = uint64(unsafe.Sizeof(chunk{}))
+
 // chunkQueue is the queue surface chunked transports need; satisfied by both
 // the lock-free queue.SPSC and the lock-based queue.Locked, which is how the
 // Figure 5 lock-based/lock-free ablation swaps implementations.
 type chunkQueue interface {
-	TryPush(*event.Chunk) bool
-	TryPop() (*event.Chunk, bool)
-	Push(*event.Chunk)
+	TryPush(*chunk) bool
+	TryPop() (*chunk, bool)
+	Push(*chunk)
 	Len() int
 	Cap() int
 }
@@ -175,20 +190,18 @@ type chunkQueue interface {
 // granularities exist behind the one contract: chunked (sequential targets,
 // existence mode) and per-access (multi-threaded targets).
 type transport interface {
-	// pushChunk enqueues a full chunk (chunked transports only).
-	pushChunk(c *event.Chunk)
+	// pushChunk enqueues a chunk (chunked transports only).
+	pushChunk(c *chunk)
 	// pushAccess enqueues one access; safe for concurrent producers on
 	// per-access transports.
 	pushAccess(a event.Access)
 	// takeChunk returns a recycled chunk if one is available.
-	takeChunk() (*event.Chunk, bool)
-	// pop returns the next batch of events to process, the range side table
-	// RangeRef slots in the batch index into (nil for per-access transports,
-	// which never carry ranges), and the chunk to recycle after processing
-	// (nil for per-access transports).
-	pop() ([]event.Access, []event.Range, *event.Chunk, bool)
+	takeChunk() (*chunk, bool)
+	// pop returns the next batch of events to process and the chunk to
+	// recycle after processing (nil for per-access transports).
+	pop() ([]event.Access, *chunk, bool)
 	// recycle returns a drained chunk to the producer.
-	recycle(c *event.Chunk)
+	recycle(c *chunk)
 	// depth is the producer-observable queue depth, in push units.
 	depth() int
 	// memBytes is the fixed ring memory, for Figure 8 accounting. Chunk
@@ -202,38 +215,44 @@ type transport interface {
 // chunkTransport pairs a worker's inbound chunk queue with its recycle ring.
 type chunkTransport struct {
 	in  chunkQueue
-	rec *queue.SPSC[*event.Chunk]
+	rec *queue.SPSC[*chunk]
 }
 
-func newChunkTransport(lockBased bool, qcap int) *chunkTransport {
+// newChunkTransport sizes the recycle ring for the whole pool (see
+// producer.newChunk: at most one open chunk, one in processing and a full
+// inbound queue per worker): a chunk can come back through any worker's ring,
+// and recycle must never have to drop one.
+func newChunkTransport(lockBased bool, qcap, workers int) *chunkTransport {
 	var in chunkQueue
 	if lockBased {
-		in = queue.NewLocked[*event.Chunk](qcap)
+		in = queue.NewLocked[*chunk](qcap)
 	} else {
-		in = queue.NewSPSC[*event.Chunk](qcap)
+		in = queue.NewSPSC[*chunk](qcap)
 	}
-	return &chunkTransport{in: in, rec: queue.NewSPSC[*event.Chunk](qcap)}
+	return &chunkTransport{in: in, rec: queue.NewSPSC[*chunk](workers * (in.Cap() + 2))}
 }
 
-func (t *chunkTransport) pushChunk(c *event.Chunk) { t.in.Push(c) }
+func (t *chunkTransport) pushChunk(c *chunk) { t.in.Push(c) }
 
 func (t *chunkTransport) pushAccess(event.Access) {
 	panic("core: chunked transport cannot push single accesses")
 }
 
-func (t *chunkTransport) takeChunk() (*event.Chunk, bool) { return t.rec.TryPop() }
+func (t *chunkTransport) takeChunk() (*chunk, bool) { return t.rec.TryPop() }
 
-func (t *chunkTransport) pop() ([]event.Access, []event.Range, *event.Chunk, bool) {
+func (t *chunkTransport) pop() ([]event.Access, *chunk, bool) {
 	c, ok := t.in.TryPop()
 	if !ok {
-		return nil, nil, nil, false
+		return nil, nil, false
 	}
-	return c.Events, c.Ranges, c, true
+	return c.buf[:c.n], c, true
 }
 
-func (t *chunkTransport) recycle(c *event.Chunk) {
-	c.Reset()
-	t.rec.TryPush(c) // if the recycle ring is full, let GC take it
+func (t *chunkTransport) recycle(c *chunk) {
+	c.n = 0
+	if !t.rec.TryPush(c) {
+		panic("core: recycle ring full (the chunk pool outgrew its bound)")
+	}
 }
 
 func (t *chunkTransport) depth() int { return t.in.Len() }
@@ -278,15 +297,15 @@ func newAccessTransport(qcap int, collapse bool) *accessTransport {
 	}
 }
 
-func (t *accessTransport) pushChunk(*event.Chunk) {
+func (t *accessTransport) pushChunk(*chunk) {
 	panic("core: per-access transport cannot push chunks")
 }
 
 func (t *accessTransport) pushAccess(a event.Access) { t.in.Push(a) }
 
-func (t *accessTransport) takeChunk() (*event.Chunk, bool) { return nil, false }
+func (t *accessTransport) takeChunk() (*chunk, bool) { return nil, false }
 
-func (t *accessTransport) pop() ([]event.Access, []event.Range, *event.Chunk, bool) {
+func (t *accessTransport) pop() ([]event.Access, *chunk, bool) {
 	b := t.batch[:0]
 	for len(b) < accessBatch {
 		a, ok := t.in.TryPop()
@@ -314,17 +333,17 @@ func (t *accessTransport) pop() ([]event.Access, []event.Range, *event.Chunk, bo
 	}
 	t.batch = b
 	if len(b) == 0 {
-		return nil, nil, nil, false
+		return nil, nil, false
 	}
 	// Depth observation for the merge stage's queue-depth gauges: what was
 	// drained plus what is still queued (Len is consumer-safe on MPSC).
 	if d := int64(len(b)) + int64(t.in.Len()); d > t.maxDepth {
 		t.maxDepth = d
 	}
-	return b, nil, nil, true
+	return b, nil, true
 }
 
-func (t *accessTransport) recycle(*event.Chunk) {}
+func (t *accessTransport) recycle(*chunk) {}
 
 func (t *accessTransport) depth() int              { return t.in.Len() }
 func (t *accessTransport) memBytes() uint64        { return uint64(mpscCellBytes * t.in.Cap()) }
@@ -446,7 +465,7 @@ func (w *worker) run() {
 	var waitT0 time.Time
 	waiting := false
 	for idle := 0; ; {
-		evs, rngs, c, ok := w.tr.pop()
+		evs, c, ok := w.tr.pop()
 		if !ok {
 			if idle == 0 && w.m != nil {
 				if w.waits++; w.waits%w.sampleEvery == 0 {
@@ -467,10 +486,10 @@ func (w *worker) run() {
 		w.batches++
 		if w.m != nil && w.batches%w.sampleEvery == 0 {
 			t0 := time.Now()
-			done = w.process(evs, rngs)
+			done = w.process(evs)
 			w.m.StageWorkerNs.Observe(time.Since(t0).Nanoseconds())
 		} else {
-			done = w.process(evs, rngs)
+			done = w.process(evs)
 		}
 		if c != nil {
 			w.tr.recycle(c)
@@ -494,20 +513,12 @@ func (w *worker) run() {
 
 // process applies one event batch, handling the control kinds uniformly for
 // every mode.
-func (w *worker) process(evs []event.Access, rngs []event.Range) (done bool) {
+func (w *worker) process(evs []event.Access) (done bool) {
 	for i := range evs {
 		ev := &evs[i]
 		switch ev.Kind {
 		case event.Flush:
 			done = true
-		case event.RangeRef:
-			// A compressed strided run: one dispatch, then the engine's tight
-			// element loop. Ranges only travel chunked transports of the
-			// parallel (sequential-target) mode, which never holds addresses,
-			// so the held-map probe of the point path does not apply.
-			r := &rngs[ev.Addr]
-			w.events += uint64(r.Count)
-			w.eng.ProcessRange(r)
 		case event.Migrate:
 			st := &migState{addr: ev.Addr}
 			st.write, st.wok = w.eng.Store().LookupWrite(ev.Addr)
@@ -614,10 +625,6 @@ func (p *pipeline) beginFlush() {
 	}
 	p.flushed = true
 }
-
-// chunkBytes is the memory footprint of one chunk (events + range side table
-// + header), used for the Figure 7/8 queue-memory accounting.
-const chunkBytes = event.ChunkSize*48 + event.MaxRangesPerChunk*64 + 64
 
 // merge assembles the uniform Result for every typed mode. It must run after
 // the workers have joined (the flush barrier makes all worker-local state
@@ -835,12 +842,10 @@ type producer struct {
 	// mode needs no per-address ordering, so any worker can take any chunk.
 	rr   bool
 	next int // next round-robin target
-	open []*event.Chunk
-	// lastIdx[w] is the index in open[w] of the last appended event, or -1
-	// when the last slot is not mergeable (fresh chunk, post-control push).
-	// The duplicate filter collapses a read identical to that event into its
-	// Rep count instead of appending a copy.
-	lastIdx []int
+	// open[slot] is the chunk being filled for a worker (slot 0 for every
+	// worker under rr). It always has room for one more event: a chunk is
+	// pushed the moment it fills.
+	open []*chunk
 	// redirect overrides the modulo rule for migrated addresses
 	// ("redistribution rules are stored in a map and have higher priority
 	// than the modulo function", §IV-A).
@@ -848,29 +853,21 @@ type producer struct {
 	heavy    *heavySketch
 	sample   uint64
 
-	// comp enables SD3 range compression (rangecomp.go): non-round-robin
-	// chunked routing only, off under Config.NoStrideCompression. instr is
-	// the direct-mapped per-instruction detector table; own the per-owner
-	// last-touch state. Both are nil when comp is false.
-	comp  bool
-	instr []instrEntry
-	own   []ownerState
-
 	noFast            bool
 	redistributeEvery int
 	// seedPromote is set when the worker stores have an exact heavy-hitter
 	// tier (sig.Promoter): the producer then keeps its sketch warm and seeds
 	// the owners with Promote events every checkEvery chunks, sharing the
 	// rebalance cadence when redistribution is on.
-	seedPromote         bool
-	checkEvery          int
-	chunksSinceCheck    int
-	allocatedChunks     uint64
-	stats               RunStats
-	dupPublished        uint64
-	rangesPublished     uint64
-	rangeElemsPublished uint64
-	m                   *telemetry.Pipeline
+	seedPromote      bool
+	checkEvery       int
+	chunksSinceCheck int
+	// allocatedChunks is the live chunk pool: chunks are never dropped, so
+	// every one allocated is open, queued, in processing or in a recycle ring.
+	allocatedChunks uint64
+	stats           RunStats
+	dupPublished    uint64
+	m               *telemetry.Pipeline
 	// sampleEvery / pushCtr: one in sampleEvery chunk pushes is timed into
 	// StageProduceNs (push incl. backpressure, depth gauge, chunk refill).
 	sampleEvery uint64
@@ -914,42 +911,54 @@ func (pr *producer) init(pl *pipeline, cfg *Config, rr bool) {
 	if rr {
 		slots = 1
 	}
-	pr.open = make([]*event.Chunk, slots)
-	pr.lastIdx = make([]int, slots)
+	pr.open = make([]*chunk, slots)
 	for i := range pr.open {
-		pr.open[i] = pr.newChunk(pl.workers[i].tr)
-		pr.lastIdx[i] = -1
-	}
-	pr.comp = !rr && !cfg.NoStrideCompression
-	if pr.comp {
-		pr.instr = make([]instrEntry, instrSlots)
-		pr.own = make([]ownerState, slots)
-		for i := range pr.own {
-			// Epoch 1 so zero-valued touch cells read as stale; floor -1 so
-			// no conservative touch floor applies to a fresh chunk.
-			pr.own[i].epoch = 1
-			pr.own[i].floor = -1
-		}
+		pr.open[i] = pr.newChunk(i)
 	}
 }
 
-// putBatch is the bulk-ingest seam: one decoded chunk's worth of slots, with
-// the per-event access counting hoisted to a single update per batch. Every
-// slot still flows through the same put/accessRange paths as the per-event
-// calls — routing, dup-collapse and stride re-compression behave identically,
-// so the profile is byte-identical to per-event ingestion. RangeRef slots
-// index into ranges; control slots (EpochMark and above) must not appear —
-// the caller splits batches at epoch marks.
+// putBatch is the ingest seam and the producer's one routing loop: it walks
+// the caller's buffer in place and, per event, picks the owner, collapses an
+// exact duplicate read, stores the event into the owner's open chunk and
+// pushes the chunk when that filled it. Every kind a caller may hand over
+// takes this loop — data, Remove, and RangeRef slots, which index into ranges
+// and expand here, element by element in order, so a range is by construction
+// its points. Control kinds (EpochMark and above) must not appear: the caller
+// splits batches at epoch marks.
 func (pr *producer) putBatch(accesses []event.Access, ranges []event.Range) {
 	sketch := pr.checkEvery > 0
 	var data uint64
 	for i := range accesses {
-		a := accesses[i]
+		a := &accesses[i]
 		if a.Kind == event.RangeRef {
-			pr.accessRange(&ranges[a.Addr])
+			r := &ranges[a.Addr]
+			if r.Count > 0 && (r.Kind == event.Read || r.Kind == event.Write) {
+				pr.stats.Ranges++
+				pr.stats.RangeElements += uint64(r.Count)
+				if pr.m != nil {
+					pr.m.Ranges.Inc()
+					pr.m.RangeElements.Add(uint64(r.Count))
+				}
+			}
+			for j := uint32(0); j < r.Count; j++ {
+				pr.putBatch([]event.Access{r.At(j)}, nil)
+			}
 			continue
 		}
-		if a.Kind == event.Read || a.Kind == event.Write {
+		slot := 0
+		if !pr.rr {
+			// The redirect map is only populated once a rebalance has migrated
+			// an address (redistribution is off by default), so the common
+			// case pays no map probe at all.
+			slot = ownerOf(a.Addr, pr.w, pr.wMask)
+			if len(pr.redirect) != 0 {
+				if r, ok := pr.redirect[a.Addr]; ok {
+					slot = r
+				}
+			}
+		}
+		c := pr.open[slot]
+		if a.Kind <= event.Write {
 			// A collapsed read (Rep > 0) stands for 1+Rep accesses; the
 			// sketch sampling cadence advances by the same amount so the
 			// heavy-hitter stream matches an uncollapsed feed (the extra
@@ -964,89 +973,42 @@ func (pr *producer) putBatch(accesses []event.Access, ranges []event.Range) {
 					pr.heavy.Offer(a.Addr)
 				}
 			}
-		}
-		pr.put(a)
-	}
-	pr.stats.Accesses += data
-}
-
-// put routes, maybe collapses, appends, and pushes when full — putBatch minus
-// the counting.
-func (pr *producer) put(a event.Access) {
-	w := 0
-	if !pr.rr {
-		// Owner computation is inlined on the hot path: the redirect map is
-		// only populated once a rebalance has migrated an address
-		// (redistribution is off by default), so the common case pays no map
-		// probe at all.
-		w = ownerOf(a.Addr, pr.w, pr.wMask)
-		if len(pr.redirect) != 0 {
-			if r, ok := pr.redirect[a.Addr]; ok {
-				w = r
-			}
-		}
-	}
-	c := pr.open[w]
-	if a.Kind == event.Read && !pr.noFast {
-		// Duplicate filter: a read identical to the slot's previous event
-		// (same statement re-reading the same word within one iteration) is
-		// collapsed into that event's repetition count. Any intervening
-		// access to the same address routes to the same slot and resets the
-		// match, so the collapse is exact: the engine replays the
-		// multiplicity and the profile is byte-identical.
-		if li := pr.lastIdx[w]; li >= 0 {
-			last := &c.Events[li]
-			if last.Kind == event.Read && last.Rep != event.MaxRep {
-				cmp := *last
-				cmp.Rep = 0
-				if cmp == a {
+			// Duplicate filter: a read identical to the chunk's previous event
+			// (same statement re-reading the same word within one iteration) is
+			// collapsed into that event's repetition count. Any intervening
+			// access to the same address routes to the same chunk and resets
+			// the match, so the collapse is exact: the engine replays the
+			// multiplicity and the profile is byte-identical. Addr leads the
+			// comparison because it is what differs between neighbours.
+			if a.Kind == event.Read && c.n > 0 && !pr.noFast {
+				if last := &c.buf[c.n-1]; last.Addr == a.Addr && last.IterVec == a.IterVec &&
+					last.Loc == a.Loc && last.TS == a.TS && last.Var == a.Var &&
+					last.CtxID == a.CtxID && last.Thread == a.Thread && last.Flags == a.Flags &&
+					last.Kind == event.Read && a.Rep == 0 && last.Rep != event.MaxRep {
 					last.Rep++
 					pr.stats.DupCollapsed++
-					return
+					continue
+				}
+			}
+		}
+		c.buf[c.n] = *a
+		if c.n++; c.n == len(c.buf) {
+			pr.pushOpen(slot)
+			if pr.checkEvery > 0 {
+				pr.chunksSinceCheck++
+				if pr.chunksSinceCheck >= pr.checkEvery {
+					pr.chunksSinceCheck = 0
+					if pr.seedPromote {
+						pr.seedPromotions()
+					}
+					if pr.redistributeEvery > 0 {
+						pr.rebalance()
+					}
 				}
 			}
 		}
 	}
-	if pr.comp && (a.Kind == event.Read || a.Kind == event.Write) && a.Rep == 0 {
-		// Stride compression (rangecomp.go): absorb a into an open range of
-		// its instruction, or convert the instruction's previous point plus a
-		// into one. On the miss path the appended point's slot is recorded in
-		// the instruction entry — the conversion candidate for the next access.
-		ent, absorbed := pr.compressAppend(&a, w)
-		if absorbed {
-			return
-		}
-		c.Append(a)
-		slot := int32(c.Len() - 1)
-		pr.lastIdx[w] = int(slot)
-		pr.own[w].noteTouch(a.Addr, slot)
-		pr.own[w].pending++
-		ent.lastSlot = slot
-	} else {
-		c.Append(a)
-		pr.lastIdx[w] = c.Len() - 1
-		if pr.comp {
-			// Removes (and any Rep-carrying event) still update the touch
-			// table: nothing before them may be reordered across them.
-			pr.own[w].noteTouch(a.Addr, int32(c.Len()-1))
-			pr.own[w].pending++
-		}
-	}
-	if c.Full() {
-		pr.pushOpen(w)
-		if pr.checkEvery > 0 && !pr.rr {
-			pr.chunksSinceCheck++
-			if pr.chunksSinceCheck >= pr.checkEvery {
-				pr.chunksSinceCheck = 0
-				if pr.seedPromote {
-					pr.seedPromotions()
-				}
-				if pr.redistributeEvery > 0 {
-					pr.rebalance()
-				}
-			}
-		}
-	}
+	pr.stats.Accesses += data
 }
 
 // promoteSeedEvery is the chunk cadence of heavy-hitter Promote seeding when
@@ -1063,31 +1025,22 @@ func (pr *producer) seedPromotions() {
 	for _, addr := range pr.heavy.Top(10) {
 		w := pr.owner(addr)
 		c := pr.open[w]
-		c.Append(event.Access{Addr: addr, Kind: event.Promote})
-		pr.lastIdx[w] = c.Len() - 1
-		if c.Full() {
+		c.buf[c.n] = event.Access{Addr: addr, Kind: event.Promote}
+		if c.n++; c.n == len(c.buf) {
 			pr.pushOpen(w)
 		}
 	}
 }
 
-// newChunk takes a recycled chunk from a worker's return ring if available,
-// else allocates.
-func (pr *producer) newChunk(tr transport) *event.Chunk {
-	if c, ok := tr.takeChunk(); ok {
-		if pr.m != nil {
-			pr.m.ChunksRecycled.Inc()
-		}
-		return c
-	}
-	return pr.allocChunk()
-}
-
-// newChunkRR is the round-robin variant: any worker can return a chunk (they
-// are dealt everywhere), so probe every recycle ring before allocating.
-func (pr *producer) newChunkRR() *event.Chunk {
-	for i := 0; i < len(pr.pl.workers); i++ {
-		w := (pr.next + i) % len(pr.pl.workers)
+// newChunk takes a recycled chunk, else allocates. A chunk comes back through
+// the ring of whichever worker processed it, not the one it is needed for
+// next, so every ring is probed (from's first) before the pool grows. That
+// bounds the pool: the rings only gain chunks during a probe, so a probe that
+// found them all empty started with every chunk open, queued or in processing
+// — at most one, a full inbound queue and one per worker.
+func (pr *producer) newChunk(from int) *chunk {
+	for i := range pr.pl.workers {
+		w := (from + i) % len(pr.pl.workers)
 		if c, ok := pr.pl.workers[w].tr.takeChunk(); ok {
 			if pr.m != nil {
 				pr.m.ChunksRecycled.Inc()
@@ -1095,25 +1048,46 @@ func (pr *producer) newChunkRR() *event.Chunk {
 			return c
 		}
 	}
-	return pr.allocChunk()
-}
-
-func (pr *producer) allocChunk() *event.Chunk {
 	pr.allocatedChunks++
 	if pr.m != nil {
 		pr.m.ChunksAllocated.Inc()
 	}
-	return event.NewChunk()
+	return new(chunk)
 }
 
-// pushOpen sends slot w's open chunk to its worker — the address owner, or
-// the next round-robin target — and opens a fresh one.
-func (pr *producer) pushOpen(w int) {
-	c := pr.open[w]
-	pr.lastIdx[w] = -1
-	if c.Len() == 0 {
+// pushOpen sends slot's open chunk, if it holds anything, to its worker — the
+// address owner, or the next round-robin target — and opens a fresh one.
+func (pr *producer) pushOpen(slot int) {
+	c := pr.open[slot]
+	if c.n == 0 {
 		return
 	}
+	tgt := slot
+	if pr.rr {
+		tgt = pr.next
+		pr.next = (pr.next + 1) % len(pr.pl.workers)
+	}
+	pr.push(slot, tgt, c.n, true)
+}
+
+// pushControl sends a control event to worker tgt behind everything routed to
+// it so far: the event rides slot's open chunk, so it costs no chunk of its
+// own. The push counts as a control chunk, and as a data chunk too when the
+// chunk carried data — what a data push followed by a dedicated control chunk
+// used to count. refill is false only for the last chunk a slot will send.
+func (pr *producer) pushControl(slot, tgt int, ev event.Access, refill bool) {
+	c := pr.open[slot]
+	data := c.n
+	c.buf[c.n] = ev
+	c.n++
+	pr.push(slot, tgt, data, refill)
+	pr.stats.ControlChunks++
+}
+
+// push hands slot's open chunk to worker tgt and, if refill, opens the slot's
+// next one. data is the number of target events in the chunk (it may end in a
+// control event); every push publishes the counters accrued since the last.
+func (pr *producer) push(slot, tgt, data int, refill bool) {
 	// Sampled producer-stage span: the push (including any backpressure wait
 	// inside pushChunk), the depth observation, and the chunk refill — the
 	// full per-chunk routing cost the §IV producer pays.
@@ -1125,34 +1099,20 @@ func (pr *producer) pushOpen(w int) {
 			produceT0 = time.Now()
 		}
 	}
-	tgt := w
-	if pr.rr {
-		tgt = pr.next
-		pr.next = (pr.next + 1) % len(pr.pl.workers)
-	}
-	n := uint64(c.Len())
-	if pr.comp {
-		// Ranges make slot count ≠ event count: publish the logical access
-		// tally instead, and open a fresh touch-table generation — pushed
-		// chunks are immutable, so nothing in them may be merged into again.
-		os := &pr.own[w]
-		n = os.pending
-		os.pending = 0
-		os.epoch++
-		os.floor = -1
-	}
 	tw := pr.pl.workers[tgt]
-	tw.tr.pushChunk(c)
-	pr.stats.Chunks++
+	tw.tr.pushChunk(pr.open[slot])
+	pr.open[slot] = nil
+	if data > 0 {
+		pr.stats.Chunks++
+	}
 	if pr.m != nil {
-		pr.m.Events.Add(n)
-		pr.m.Chunks.Inc()
+		pr.m.Events.Add(uint64(data))
+		if data > 0 {
+			pr.m.Chunks.Inc()
+		}
 		if d := pr.stats.DupCollapsed - pr.dupPublished; d > 0 {
 			pr.m.DupCollapsed.Add(d)
 			pr.dupPublished = pr.stats.DupCollapsed
-		}
-		if pr.comp {
-			pr.publishRangeTelemetry()
 		}
 		// Depth right after the push; the pushed chunk may already have been
 		// consumed, so count it in to keep the gauge a lower bound of the
@@ -1163,10 +1123,8 @@ func (pr *producer) pushOpen(w int) {
 		}
 		pr.m.ObserveQueueDepth(tgt, d)
 	}
-	if pr.rr {
-		pr.open[w] = pr.newChunkRR()
-	} else {
-		pr.open[w] = pr.newChunk(tw.tr)
+	if refill {
+		pr.open[slot] = pr.newChunk(tgt)
 	}
 	if timed {
 		pr.m.StageProduceNs.Observe(time.Since(produceT0).Nanoseconds())
@@ -1200,9 +1158,9 @@ func (pr *producer) owner(addr uint64) int {
 // migrate moves one address and its signature state from worker `from` to
 // worker `to`. The protocol preserves the per-address total order:
 //
-//  1. All accesses routed so far are in from's queue; a MIGRATE control
-//     event is pushed behind them, so `from` processes it only after every
-//     earlier access.
+//  1. All accesses routed so far are in from's queue or open chunk; a MIGRATE
+//     control event is pushed behind them, so `from` processes it only after
+//     every earlier access.
 //  2. `from` publishes the address's slot state in its mailbox and forgets
 //     the address; the producer spins for the mailbox.
 //  3. The producer hands the state to `to` via its install mailbox and
@@ -1211,14 +1169,8 @@ func (pr *producer) owner(addr uint64) int {
 func (pr *producer) migrate(addr uint64, from, to int) {
 	fw, tw := pr.pl.workers[from], pr.pl.workers[to]
 
-	// Step 1: flush pending accesses, then MIGRATE. Control chunks count as
-	// ControlChunks, not Chunks: they carry no accesses, so folding them
-	// into the data-chunk count would skew events-per-chunk throughput math.
-	pr.pushOpen(from)
-	mc := pr.newChunk(fw.tr)
-	mc.Append(event.Access{Addr: addr, Kind: event.Migrate})
-	fw.tr.pushChunk(mc)
-	pr.stats.ControlChunks++
+	// Step 1: pending accesses, then MIGRATE.
+	pr.pushControl(from, from, event.Access{Addr: addr, Kind: event.Migrate}, true)
 
 	// Step 2: wait for the state.
 	var st *migState
@@ -1234,11 +1186,7 @@ func (pr *producer) migrate(addr uint64, from, to int) {
 	for i := 0; !tw.installIn.CompareAndSwap(nil, st); i++ {
 		queue.Backoff(i)
 	}
-	pr.pushOpen(to)
-	ic := pr.newChunk(tw.tr)
-	ic.Append(event.Access{Addr: addr, Kind: event.Install})
-	tw.tr.pushChunk(ic)
-	pr.stats.ControlChunks++
+	pr.pushControl(to, to, event.Access{Addr: addr, Kind: event.Install}, true)
 
 	pr.redirect[addr] = to
 	pr.stats.Migrations++
@@ -1247,29 +1195,20 @@ func (pr *producer) migrate(addr uint64, from, to int) {
 	}
 }
 
-// drainFlush pushes the remaining open chunks and one flush sentinel per
-// worker; the caller then waits on the pipeline's flush barrier.
+// drainFlush pushes every worker its remaining events and a flush sentinel
+// behind them; the caller then waits on the pipeline's flush barrier. The
+// sentinel rides the owner's last open chunk, so the end of the stream grows
+// the pool by nothing; round-robin dealing has one open chunk for all workers
+// and refills it between sentinels.
 func (pr *producer) drainFlush() {
 	if pr.rr {
 		pr.pushOpen(0)
 	}
-	for i, w := range pr.pl.workers {
-		if !pr.rr {
-			pr.pushOpen(i)
+	for i := range pr.pl.workers {
+		slot, more := i, false
+		if pr.rr {
+			slot, more = 0, i+1 < len(pr.pl.workers)
 		}
-		fc := pr.newChunk(w.tr)
-		fc.Append(event.Access{Kind: event.Flush})
-		w.tr.pushChunk(fc)
-		pr.stats.ControlChunks++
+		pr.pushControl(slot, i, event.Access{Kind: event.Flush}, more)
 	}
-	if pr.m != nil {
-		if d := pr.stats.DupCollapsed - pr.dupPublished; d > 0 {
-			pr.m.DupCollapsed.Add(d)
-			pr.dupPublished = pr.stats.DupCollapsed
-		}
-		if pr.comp {
-			pr.publishRangeTelemetry()
-		}
-	}
-	pr.publishCompressionState()
 }

@@ -295,3 +295,46 @@ func TestExistenceRecyclesChunks(t *testing.T) {
 		t.Error("no chunks recycled in existence mode")
 	}
 }
+
+// TestChunkPoolBounded: the pool holds at most an open chunk, a chunk in
+// processing and a full inbound queue per worker, whichever workers the
+// chunks were allocated for — a stream that feeds worker 0 alone and then
+// worker 1 alone reuses the first phase's chunks in the second. The end of
+// the stream allocates nothing (the flush sentinels ride the open chunks),
+// and no chunk is ever dropped, so QueueBytes is the live pool.
+func TestChunkPoolBounded(t *testing.T) {
+	const workers, qcap, perPhase = 2, 8, 40 * event.ChunkSize
+	p := NewParallel(Config{Workers: workers, QueueCap: qcap, Backend: "perfect"})
+	batch := make([]event.Access, event.BatchSize)
+	for phase := uint64(0); phase < workers; phase++ {
+		for n := 0; n < perPhase; n += len(batch) {
+			for i := range batch {
+				word := uint64(n+i) % 1024 * workers // owner 0; +phase: owner phase
+				batch[i] = event.Access{Addr: 0x10000 + 8*(word+phase), Kind: event.Write, Loc: loc.Pack(1, 1)}
+			}
+			p.AccessBatch(batch, nil)
+		}
+	}
+	before := p.pr.allocatedChunks
+	res := p.Flush()
+	if p.pr.allocatedChunks != before {
+		t.Errorf("Flush grew the pool from %d to %d chunks", before, p.pr.allocatedChunks)
+	}
+	if max := uint64(workers * (qcap + 2)); before > max {
+		t.Errorf("%d chunks allocated, bound %d", before, max)
+	}
+	var rings uint64
+	for _, w := range p.pl.workers {
+		rings += w.tr.memBytes()
+	}
+	if want := before*chunkBytes + rings; res.Stats.QueueBytes != want {
+		t.Errorf("QueueBytes = %d, want %d (%d chunks + ring cells)", res.Stats.QueueBytes, want, before)
+	}
+	if res.WorkerEvents[0] != perPhase || res.WorkerEvents[1] != perPhase {
+		t.Errorf("worker events %v, want %d each", res.WorkerEvents, perPhase)
+	}
+	// 2×40 full chunks; the sentinels rode two empty ones.
+	if res.Stats.Chunks != 80 || res.Stats.ControlChunks != workers {
+		t.Errorf("chunks %d control %d, want 80 and %d", res.Stats.Chunks, res.Stats.ControlChunks, workers)
+	}
+}

@@ -25,10 +25,12 @@ type Profiler interface {
 	Access(a event.Access)
 	// AccessBatch ingests one decoded batch: accesses holds point events plus
 	// RangeRef slots whose Addr indexes into ranges — the event.Chunk layout.
-	// Only data and Remove point kinds (plus RangeRef) may appear; control
-	// kinds, EpochMark included, are the caller's to handle between batches.
-	// The resulting profile is byte-identical to the equivalent sequence of
-	// Access/AccessRange calls.
+	// A RangeRef slot expands at its position, element by element in order
+	// (Range.At), into the point path, so on every store a range is its
+	// points. Only data and Remove point kinds (plus RangeRef) may appear;
+	// control kinds, EpochMark included, are the caller's to handle between
+	// batches. The resulting profile is byte-identical to the equivalent
+	// sequence of Access calls.
 	AccessBatch(accesses []event.Access, ranges []event.Range)
 	Flush() *Result
 }
@@ -77,11 +79,10 @@ type RunStats struct {
 	// Redistributions is the number of rebalance rounds that moved at
 	// least one address.
 	Redistributions uint64
-	// Ranges is the number of compressed strided runs emitted by the
-	// producer's SD3 stride detection (or ingested pre-compressed from a
-	// trace); RangeElements the accesses they stand for. Both are zero with
-	// Config.NoStrideCompression set. Range elements still count in Accesses
-	// and in every dependence count.
+	// Ranges is the number of compressed strided data runs ingested (DDT1
+	// wire ranges, AccessRange calls); RangeElements the accesses they
+	// expanded into. Range elements count in Accesses and in every dependence
+	// count like any other access.
 	Ranges        uint64
 	RangeElements uint64
 	// StoreBytes is the actual memory held by all access-history stores.
@@ -142,15 +143,6 @@ type Config struct {
 	// timing every chunk) is what keeps the flight recorder inside the
 	// bench-gate's throughput budget.
 	SampleEvery int
-	// NoStrideCompression disables SD3 range compression in the chunked
-	// parallel producer (rangecomp.go) — the A/B switch of the stride
-	// ingestion work. Profiles are byte-identical either way over exact
-	// stores (the golden fixtures and the equivalence suite hold both paths
-	// to that); over the approximate Signature the two paths may resolve
-	// hash-slot collisions between distinct addresses differently, the error
-	// class Eq. (2) already models. No effect on serial/MT/existence modes,
-	// which never compress.
-	NoStrideCompression bool
 	// TrackAccuracy enables live Eq. (2) accuracy telemetry on workers whose
 	// store is a sig.Signature: slot-conflict counters plus measured vs
 	// predicted false-positive gauges per worker (sig_fpr_measured_ppm /
@@ -242,9 +234,8 @@ func newSerial(cfg Config) (*Serial, error) {
 // Access implements Profiler: the one-event batch.
 func (s *Serial) Access(a event.Access) { s.AccessBatch([]event.Access{a}, nil) }
 
-// AccessRange feeds a pre-compressed strided run (a DDT1 range record)
-// through the serial engine: one bulk dispatch instead of Count Access
-// calls. The profile is identical to feeding r.At(0..Count-1) in order.
+// AccessRange feeds a pre-compressed strided run (a DDT1 range record): the
+// one-slot batch.
 func (s *Serial) AccessRange(r event.Range) {
 	s.AccessBatch([]event.Access{{Kind: event.RangeRef}}, []event.Range{r})
 }
@@ -258,15 +249,14 @@ func (s *Serial) AccessBatch(accesses []event.Access, ranges []event.Range) {
 		a := &accesses[i]
 		if a.Kind == event.RangeRef {
 			r := &ranges[a.Addr]
-			if r.Count == 0 {
-				continue
-			}
-			if r.Kind == event.Read || r.Kind == event.Write {
+			if r.Count > 0 && (r.Kind == event.Read || r.Kind == event.Write) {
 				data += uint64(r.Count)
 				rngs++
 				relems += uint64(r.Count)
 			}
-			s.eng.ProcessRange(r)
+			for j := uint32(0); j < r.Count; j++ {
+				s.eng.Process(r.At(j))
+			}
 			continue
 		}
 		if a.Kind == event.Read || a.Kind == event.Write {

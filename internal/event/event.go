@@ -1,10 +1,9 @@
 // Package event defines the memory-access event stream the profiler consumes.
 //
 // The executors (internal/interp, internal/vm) report every memory access
-// through a per-thread Batcher; the parallel pipeline groups accesses into fixed
-// size Chunks (paper §IV: "the main thread ... collects memory accesses in
-// chunks, whose size can be configured"), pushes full chunks to per-worker
-// queues, and recycles empty chunks through a pool.
+// through a per-thread Batcher; the trace decoder hands a remote session's
+// accesses over in fixed size Chunks. Both reach a profiler through
+// BatchHook.AccessBatch.
 package event
 
 import "ddprof/internal/loc"
@@ -38,12 +37,11 @@ const (
 	// the sequential-target protocol needs no hold because its single
 	// producer reroutes synchronously.
 	Hold
-	// RangeRef marks a chunk slot standing for a strided run (SD3-style
+	// RangeRef marks a batch slot standing for a strided run (SD3-style
 	// stride compression, §II related work). The slot's Addr field is the
-	// index into the carrying Chunk's Ranges table; every other field is
-	// unused. The run expands, in element order, at the slot's position, so
-	// per-address processing order is exactly what the producer verified
-	// when it built the range.
+	// index into the range table handed over with the batch (a Chunk's
+	// Ranges); every other field is unused. The run expands, in element
+	// order, at the slot's position.
 	RangeRef
 	// Promote hints to the owning worker that Addr is a heavy hitter worth
 	// exact treatment: stores with an exact tier (sig.Promoter, the hybrid
@@ -141,10 +139,9 @@ const (
 //
 // with every other field (TS included) shared by all elements and Rep = 0.
 // Stride is a wrapping delta, so descending runs are Stride = -8 cast to
-// uint64; Stride = 0 encodes repeated accesses to one address. Ranges are
-// produced only where the producer has verified that expanding the run in
-// element order at the range's chunk position reproduces the per-address
-// processing order of the uncompressed stream.
+// uint64; Stride = 0 encodes repeated accesses to one address. A range is
+// shorthand for its elements in order at its position in the stream, and the
+// profilers treat it as exactly that.
 type Range struct {
 	Base      uint64
 	Stride    uint64 // wrapping per-element address delta
@@ -183,19 +180,19 @@ func (r *Range) Last() uint64 {
 	return r.Base + uint64(r.Count-1)*r.Stride
 }
 
-// ChunkSize is the default number of accesses per chunk. 4096 events keeps
-// the per-push synchronization cost negligible while bounding the reordering
-// window.
+// ChunkSize is the number of accesses per chunk, here and in the parallel
+// pipeline (paper §IV: "the main thread ... collects memory accesses in
+// chunks, whose size can be configured"). 4096 events keeps the per-push
+// synchronization cost negligible.
 const ChunkSize = 4096
 
-// MaxRangesPerChunk bounds the per-chunk range table. One range stands for at
-// least two accesses, so 256 ranges can only be exhausted by a chunk already
-// compressing well; once the table is full further runs fall back to points.
+// MaxRangesPerChunk bounds the per-chunk range table: a decoded batch ends
+// when either table is full.
 const MaxRangesPerChunk = 256
 
-// Chunk is a fixed-capacity batch of accesses bound for one worker. A slot in
-// Events holds either a point access or — when Kind is RangeRef — a reference
-// (by Addr) into the Ranges side table.
+// Chunk is a fixed-capacity batch of decoded accesses. A slot in Events holds
+// either a point access or — when Kind is RangeRef — a reference (by Addr)
+// into the Ranges side table.
 type Chunk struct {
 	Events []Access
 	Ranges []Range

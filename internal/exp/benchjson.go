@@ -14,8 +14,8 @@ import (
 // BenchEntry is one parsed `go test -bench` result line that reported a
 // custom events/s metric (BenchmarkHotPath does via b.ReportMetric).
 // Workload/Pattern are attached from the sub-benchmark's recorded metadata
-// (benchMeta); CompRatio is the stride-compression ratio the run reported
-// (observed accesses per stored record, 1 = nothing compressed).
+// (benchMeta). CompRatio is no longer reported; the field keeps the rows of
+// runs recorded while the producer compressed strides readable.
 type BenchEntry struct {
 	Name         string  `json:"name"` // sub-benchmark name, e.g. "serial"
 	NsPerOp      float64 `json:"ns_per_op"`
@@ -29,14 +29,12 @@ type BenchEntry struct {
 // replay and its access pattern, so BENCH_pipeline.json rows carry enough
 // context to read without the benchmark source at hand.
 var benchMeta = map[string]struct{ Workload, Pattern string }{
-	"serial":            {"hotpath", "dependence-dense"},
-	"parallel4":         {"hotpath", "dependence-dense"},
-	"mt4":               {"hotpath", "dependence-dense"},
-	"strided4":          {"strided-sweep", "strided"},
-	"strided4-nostride": {"strided-sweep", "strided"},
-	"mixed4":            {"mixed-sweep", "strided+random"},
-	"mixed4-nostride":   {"mixed-sweep", "strided+random"},
-	"ptrchase4":         {"pointer-chase", "random"},
+	"serial":    {"hotpath", "dependence-dense"},
+	"parallel4": {"hotpath", "dependence-dense"},
+	"mt4":       {"hotpath", "dependence-dense"},
+	"strided4":  {"strided-sweep", "strided"},
+	"mixed4":    {"mixed-sweep", "strided+random"},
+	"ptrchase4": {"pointer-chase", "random"},
 
 	// BenchmarkHotPath's producer pair and BenchmarkProducer's family ×
 	// executor matrix ("scalar/vm" is raw production, "scalar-sink/vm" adds
@@ -87,10 +85,22 @@ var benchMeta = map[string]struct{ Workload, Pattern string }{
 }
 
 // BenchRun is one labelled benchmark invocation (e.g. "baseline" before a
-// change, "hotpath" after).
+// change, "hotpath" after). Stamp is absent on runs recorded before it
+// existed.
 type BenchRun struct {
 	Label   string       `json:"label"`
+	Stamp   *BenchStamp  `json:"stamp,omitempty"`
 	Entries []BenchEntry `json:"entries"`
+}
+
+// BenchStamp says where a run's numbers come from: events/s floors are
+// machine-relative, so a baseline is only comparable on the host, core count
+// and toolchain that recorded it.
+type BenchStamp struct {
+	Host   string `json:"host"`
+	Cores  int    `json:"cores"`
+	Go     string `json:"go"`
+	Commit string `json:"commit"`
 }
 
 // BenchFile is the BENCH_pipeline.json schema: an append-only log of
@@ -128,8 +138,6 @@ func ParseBench(r io.Reader) ([]BenchEntry, error) {
 			case "events/s":
 				e.EventsPerSec = v
 				found = true
-			case "comp-ratio":
-				e.CompRatio = v
 			}
 		}
 		if found {
@@ -233,53 +241,10 @@ func CompareBench(path, baseLabel string, entries []BenchEntry, tolerance float6
 	return out, nil
 }
 
-// StrideGate is one stride-compression A/B pair: the events/s of a strided
-// sub-benchmark with compression on against its "-nostride" twin.
-type StrideGate struct {
-	Name          string
-	With, Without float64 // events/s, best repeat per side
-	Ratio         float64 // With / Without
-	Pass          bool
-}
-
-// GateStrideTwins evaluates the stride-compression speedup gate over fresh
-// benchmark entries: every sub-benchmark named "strided..." that has a
-// "-nostride" twin must beat it by at least minRatio (both sides collapse
-// repeats to the best observed events/s, like CompareBench). Pairs for other
-// patterns (mixed twins) are reported but always pass — the gate guards the
-// workload compression targets, interference on mixed streams is
-// informational.
-func GateStrideTwins(entries []BenchEntry, minRatio float64) []StrideGate {
-	best := make(map[string]float64, len(entries))
-	var order []string
-	for _, e := range entries {
-		if _, seen := best[e.Name]; !seen {
-			order = append(order, e.Name)
-		}
-		if e.EventsPerSec > best[e.Name] {
-			best[e.Name] = e.EventsPerSec
-		}
-	}
-	var out []StrideGate
-	for _, name := range order {
-		if strings.HasSuffix(name, "-nostride") {
-			continue
-		}
-		without, ok := best[name+"-nostride"]
-		if !ok || without <= 0 {
-			continue
-		}
-		g := StrideGate{Name: name, With: best[name], Without: without, Ratio: best[name] / without}
-		g.Pass = g.Ratio >= minRatio || !strings.HasPrefix(name, "strided")
-		out = append(out, g)
-	}
-	return out
-}
-
 // AppendBenchRun loads path (if it exists), appends a labelled run and writes
 // the file back. A run with the same label is replaced in place, so re-runs
 // update their row instead of growing the log.
-func AppendBenchRun(path, label string, entries []BenchEntry) (*BenchFile, error) {
+func AppendBenchRun(path, label string, stamp *BenchStamp, entries []BenchEntry) (*BenchFile, error) {
 	bf := &BenchFile{Benchmark: "BenchmarkHotPath"}
 	if data, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(data, bf); err != nil {
@@ -288,7 +253,7 @@ func AppendBenchRun(path, label string, entries []BenchEntry) (*BenchFile, error
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
-	run := BenchRun{Label: label, Entries: entries}
+	run := BenchRun{Label: label, Stamp: stamp, Entries: entries}
 	replaced := false
 	for i := range bf.Runs {
 		if bf.Runs[i].Label == label {

@@ -37,23 +37,28 @@ ok  	ddprof	12.3s
 
 func TestAppendBenchRun(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if _, err := AppendBenchRun(path, "baseline", []BenchEntry{{Name: "serial", EventsPerSec: 1e6}}); err != nil {
+	if _, err := AppendBenchRun(path, "baseline", nil, []BenchEntry{{Name: "serial", EventsPerSec: 1e6}}); err != nil {
 		t.Fatal(err)
 	}
-	bf, err := AppendBenchRun(path, "after", []BenchEntry{{Name: "serial", EventsPerSec: 2e6}})
+	bf, err := AppendBenchRun(path, "after", nil, []BenchEntry{{Name: "serial", EventsPerSec: 2e6}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(bf.Runs) != 2 || bf.Runs[0].Label != "baseline" || bf.Runs[1].Label != "after" {
 		t.Fatalf("runs = %+v", bf.Runs)
 	}
-	// Re-recording a label replaces the run instead of appending.
-	bf, err = AppendBenchRun(path, "after", []BenchEntry{{Name: "serial", EventsPerSec: 3e6}})
+	// Re-recording a label replaces the run, stamp included, instead of
+	// appending.
+	stamp := &BenchStamp{Host: "h", Cores: 2, Go: "go1.24.0", Commit: "abc"}
+	bf, err = AppendBenchRun(path, "after", stamp, []BenchEntry{{Name: "serial", EventsPerSec: 3e6}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(bf.Runs) != 2 || bf.Runs[1].Entries[0].EventsPerSec != 3e6 {
 		t.Fatalf("after replace: %+v", bf.Runs)
+	}
+	if bf.Runs[0].Stamp != nil || bf.Runs[1].Stamp == nil || *bf.Runs[1].Stamp != *stamp {
+		t.Fatalf("stamps: %+v, %+v", bf.Runs[0].Stamp, bf.Runs[1].Stamp)
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatal(err)
@@ -62,7 +67,7 @@ func TestAppendBenchRun(t *testing.T) {
 
 func TestCompareBench(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if _, err := AppendBenchRun(path, "hotpath", []BenchEntry{
+	if _, err := AppendBenchRun(path, "hotpath", nil, []BenchEntry{
 		{Name: "serial", EventsPerSec: 1e6},
 		{Name: "parallel4", EventsPerSec: 2e6},
 		{Name: "mt4", EventsPerSec: 3e6},

@@ -14,14 +14,13 @@ import (
 // whole workload suite with the hot path (instance cache + producer fast
 // path) disabled and enabled.
 type ThroughputRow struct {
-	Pipeline  string
-	Events    uint64  // read/write accesses profiled per replay
-	SlowEPS   float64 // events/s, NoFastPath
-	FastEPS   float64 // events/s, hot path enabled
-	Speedup   float64 // FastEPS / SlowEPS
-	CacheHit  float64 // instance-cache hit rate of the fast run, percent
-	DupPct    float64 // producer duplicate reads collapsed, percent of events
-	CompRatio float64 // accesses per stored record (stride compression), 1 = none
+	Pipeline string
+	Events   uint64  // read/write accesses profiled per replay
+	SlowEPS  float64 // events/s, NoFastPath
+	FastEPS  float64 // events/s, hot path enabled
+	Speedup  float64 // FastEPS / SlowEPS
+	CacheHit float64 // instance-cache hit rate of the fast run, percent
+	DupPct   float64 // producer duplicate reads collapsed, percent of events
 }
 
 // Throughput measures raw profiling throughput (events/s) of the serial,
@@ -89,19 +88,17 @@ func Throughput(opt Options) (*report.Table, []ThroughputRow, error) {
 	var rows []ThroughputRow
 	for _, pipe := range pipes {
 		row := ThroughputRow{Pipeline: pipe.name}
-		var hits, probes, dups, ranges, rangeElems uint64
+		var hits, probes, dups uint64
 		for _, noFast := range []bool{true, false} {
 			var events uint64
 			d, err := timeRun(opt.Reps, func() error {
-				events, hits, probes, dups, ranges, rangeElems = 0, 0, 0, 0, 0, 0
+				events, hits, probes, dups = 0, 0, 0, 0
 				for _, s := range streams {
 					res := replay(s.cap, pipe.mk(s.meta, noFast))
 					events += res.Stats.Accesses
 					hits += res.Stats.DepCacheHits
 					probes += res.Stats.DepCacheProbes
 					dups += res.Stats.DupCollapsed
-					ranges += res.Stats.Ranges
-					rangeElems += res.Stats.RangeElements
 				}
 				return nil
 			})
@@ -124,23 +121,19 @@ func Throughput(opt Options) (*report.Table, []ThroughputRow, error) {
 		}
 		if row.Events > 0 {
 			row.DupPct = 100 * float64(dups) / float64(row.Events)
-			if stored := row.Events - rangeElems + ranges; stored > 0 {
-				row.CompRatio = float64(row.Events) / float64(stored)
-			}
 		}
 		rows = append(rows, row)
 	}
 
 	tab := &report.Table{
 		Title:   "Throughput: profiling events/s over the workload suite, hot path off vs on",
-		Headers: []string{"Pipeline", "events", "slow ev/s", "fast ev/s", "speedup", "cache hit", "dups collapsed", "comp ratio"},
+		Headers: []string{"Pipeline", "events", "slow ev/s", "fast ev/s", "speedup", "cache hit", "dups collapsed"},
 	}
 	for _, r := range rows {
 		tab.AddRow(r.Pipeline, r.Events,
 			fmt.Sprintf("%.0f", r.SlowEPS), fmt.Sprintf("%.0f", r.FastEPS),
 			fmt.Sprintf("%.2fx", r.Speedup),
-			fmt.Sprintf("%.1f%%", r.CacheHit), fmt.Sprintf("%.1f%%", r.DupPct),
-			fmt.Sprintf("%.2fx", r.CompRatio))
+			fmt.Sprintf("%.1f%%", r.CacheHit), fmt.Sprintf("%.1f%%", r.DupPct))
 	}
 	tab.Notes = append(tab.Notes,
 		"slow = NoFastPath (instance cache and producer duplicate filter disabled);",

@@ -129,29 +129,3 @@ func (t *Table) ModeledBytes() uint64 { return t.Bytes() }
 
 // Entries returns the number of distinct addresses stored.
 func (t *Table) Entries() int { return int(t.entries) }
-
-// VisitWriteRun implements sig.RunVisitor: one chain walk per element
-// instead of the elementwise fallback's three (LookupWrite + LookupRead +
-// SetWrite each re-hash and re-search the bucket). Every geometry is
-// accepted; entry slots are zero-valued when absent, exactly what the
-// per-address path reports.
-func (t *Table) VisitWriteRun(base, stride uint64, count uint32, visit func(j uint32, write, read sig.Slot) sig.Slot) bool {
-	addr := base
-	for j := uint32(0); j < count; j++ {
-		e := t.find(addr, true)
-		e.write = visit(j, e.write, e.read)
-		addr += stride
-	}
-	return true
-}
-
-// VisitReadRun implements sig.RunVisitor.
-func (t *Table) VisitReadRun(base, stride uint64, count uint32, visit func(j uint32, write sig.Slot) sig.Slot) bool {
-	addr := base
-	for j := uint32(0); j < count; j++ {
-		e := t.find(addr, true)
-		e.read = visit(j, e.write)
-		addr += stride
-	}
-	return true
-}

@@ -14,6 +14,7 @@ import (
 	"ddprof/internal/interp"
 	"ddprof/internal/loc"
 	"ddprof/internal/minilang"
+	"ddprof/internal/prog"
 	"ddprof/internal/telemetry"
 	"ddprof/internal/trace"
 )
@@ -233,6 +234,106 @@ func TestRemoteLocalGoldenMatrix(t *testing.T) {
 				}
 				if rr.Deps.Unique() == 0 {
 					t.Fatal("matrix cell produced an empty dependence set")
+				}
+			})
+		}
+	}
+}
+
+// TestRemoteRangesAreTheirPoints: a session fed a hand-built DDT1 stream
+// with range records profiles byte-identically to a local twin of the
+// session's pipeline fed the expanded stream one Access at a time — over a
+// signature small enough for the stream's addresses to collide — and counts
+// the ranges it ingested.
+func TestRemoteRangesAreTheirPoints(t *testing.T) {
+	const slots = 1 << 10
+	p := testProgram("ranges", 4) // only its metadata and tables are used
+	ctx := p.Meta.PushCtx(0, p.Meta.AddLoop(prog.Loop{Name: "ranges"}))
+
+	var buf bytes.Buffer
+	fw := trace.NewFrameWriter(&buf)
+	tw, err := trace.NewWriter(fw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evs []event.Access
+	point := func(a event.Access) {
+		tw.Access(a)
+		evs = append(evs, a)
+	}
+	for i, r := range []event.Range{
+		{Base: 0x1000, Stride: 8, Count: 3000, Kind: event.Write, IterDelta: 1},
+		{Base: 0x1000, Stride: 8, Count: 3000, Kind: event.Read, IterDelta: 1},
+		{Base: 0x9000, Stride: 24, Count: 777, Kind: event.Write, IterVec: 5, IterDelta: 1},
+		{Base: 0x9000 + 24*776, Stride: ^uint64(23), Count: 777, Kind: event.Read, IterVec: 9},
+		{Base: 0x44440, Stride: 0, Count: 200, Kind: event.Read},
+		{Base: 0x51234, Stride: 12, Count: 400, Kind: event.Write, IterDelta: 1, Flags: event.FlagReduction},
+	} {
+		r.Loc, r.Var, r.CtxID = loc.Pack(7, 70+i), loc.VarID(i%p.Tab.NumVars()), ctx
+		tw.Range(r)
+		for j := uint32(0); j < r.Count; j++ {
+			evs = append(evs, r.At(j))
+		}
+		rd := event.Access{Addr: r.Last(), Kind: event.Read, Loc: loc.Pack(7, 80), CtxID: ctx}
+		point(rd)
+		point(rd)
+		point(event.Access{Addr: r.Last(), Kind: event.Remove})
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := telemetry.NewRegistry()
+	pipe := reg.Pipeline("pipeline")
+	srv := New(Config{WorkerBudget: 8, WorkersPerSession: 1, SessionSlots: slots, Registry: reg})
+	ln := listenTCP(t)
+	go srv.Serve(ln)
+	defer srv.Shutdown(context.Background())
+
+	for _, workers := range []int{1, 2, 3, 4} {
+		for _, backend := range []string{fmt.Sprintf("signature:slots=%d", slots), "perfect"} {
+			t.Run(fmt.Sprintf("%dw/%s", workers, backend), func(t *testing.T) {
+				ccfg := core.Config{Mode: core.ModeSerial, SlotsPerWorker: slots, Meta: p.Meta, Backend: backend}
+				if workers >= 2 {
+					ccfg.Mode, ccfg.Workers = core.ModeParallel, workers
+					ccfg.SlotsPerWorker = slots / workers
+					ccfg.RedistributeEvery = 50000
+				}
+				prof, err := core.New(ccfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, a := range evs {
+					prof.Access(a)
+				}
+				res := prof.Flush()
+
+				ranges0, elems0 := pipe.Ranges.Load(), pipe.RangeElements.Load()
+				rr := rawRemoteProfile(t, ln.Addr().String(),
+					clientHandshake(p, ClientOptions{Workers: workers, Backend: backend}), buf.Bytes())
+
+				var local, remote bytes.Buffer
+				if err := dep.Encode(&local, res.Deps, rr.Tab, nil); err != nil {
+					t.Fatal(err)
+				}
+				if err := dep.Encode(&remote, rr.Deps, rr.Tab, nil); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(local.Bytes(), remote.Bytes()) {
+					t.Errorf("remote profile diverges from the expanded stream's: %d vs %d deps",
+						rr.Deps.Unique(), res.Deps.Unique())
+				}
+				if rr.Deps.Unique() == 0 {
+					t.Error("empty dependence set")
+				}
+				if got := pipe.Ranges.Load() - ranges0; got != 6 {
+					t.Errorf("pipeline_ranges_total moved by %d, want 6", got)
+				}
+				if got := pipe.RangeElements.Load() - elems0; got != 3000+3000+777+777+200+400 {
+					t.Errorf("pipeline_range_elements_total moved by %d", got)
 				}
 			})
 		}

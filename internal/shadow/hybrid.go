@@ -319,81 +319,6 @@ func (h *Hybrid) Remove(addr uint64) {
 	h.tail.Remove(addr)
 }
 
-// VisitWriteRun implements sig.RunVisitor. In unbounded mode the walk
-// resolves the exact page once per crossing, like shadow.Memory; in bounded
-// mode each element routes by residency, so the walk composes the
-// per-address operations (still one bulk dispatch for the engine, with the
-// range path's batched dependence observation).
-func (h *Hybrid) VisitWriteRun(base, stride uint64, count uint32, visit func(j uint32, write, read sig.Slot) sig.Slot) bool {
-	addr := base
-	if h.budget == 0 {
-		var (
-			p   *hpage
-			key uint64
-		)
-		for j := uint32(0); j < count; j++ {
-			if k := addr >> hpageBits; p == nil || k != key {
-				key = k
-				if p = h.pages[k]; p == nil {
-					p = new(hpage)
-					h.pages[k] = p
-					h.allocated++
-				}
-			}
-			off := addr & hpageMask
-			if p.resident&(1<<off) == 0 {
-				p.resident |= 1 << off
-				h.resident++
-			}
-			p.writes[off] = visit(j, p.writes[off], p.reads[off])
-			addr += stride
-		}
-		return true
-	}
-	for j := uint32(0); j < count; j++ {
-		w, _ := h.LookupWrite(addr)
-		r, _ := h.LookupRead(addr)
-		h.SetWrite(addr, visit(j, w, r))
-		addr += stride
-	}
-	return true
-}
-
-// VisitReadRun implements sig.RunVisitor.
-func (h *Hybrid) VisitReadRun(base, stride uint64, count uint32, visit func(j uint32, write sig.Slot) sig.Slot) bool {
-	addr := base
-	if h.budget == 0 {
-		var (
-			p   *hpage
-			key uint64
-		)
-		for j := uint32(0); j < count; j++ {
-			if k := addr >> hpageBits; p == nil || k != key {
-				key = k
-				if p = h.pages[k]; p == nil {
-					p = new(hpage)
-					h.pages[k] = p
-					h.allocated++
-				}
-			}
-			off := addr & hpageMask
-			if p.resident&(1<<off) == 0 {
-				p.resident |= 1 << off
-				h.resident++
-			}
-			p.reads[off] = visit(j, p.writes[off])
-			addr += stride
-		}
-		return true
-	}
-	for j := uint32(0); j < count; j++ {
-		w, _ := h.LookupWrite(addr)
-		h.SetRead(addr, visit(j, w))
-		addr += stride
-	}
-	return true
-}
-
 // TierBytes implements sig.Tiered.
 func (h *Hybrid) TierBytes() (exact, tail uint64) {
 	exact = h.allocated * hpageBytes

@@ -203,7 +203,4 @@ func TestHybridTieredInterface(t *testing.T) {
 	if _, ok := st.(sig.Tracker); !ok {
 		t.Error("Hybrid does not implement sig.Tracker")
 	}
-	if _, ok := st.(sig.RunVisitor); !ok {
-		t.Error("Hybrid does not implement sig.RunVisitor")
-	}
 }

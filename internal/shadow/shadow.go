@@ -98,54 +98,3 @@ func (m *Memory) ModeledBytes() uint64 { return m.Bytes() }
 
 // Pages returns the number of shadow pages allocated so far.
 func (m *Memory) Pages() int { return int(m.allocated) }
-
-// VisitWriteRun implements sig.RunVisitor. Shadow memory has no hash to
-// hoist, but a strided run crosses a 64Ki-slot page only every
-// pageSize/stride elements, so resolving the page pointer once per crossing
-// (instead of one map probe per element, three on the elementwise fallback)
-// keeps SD3 ranges cheap here too. Every geometry is accepted: page indexing
-// is plain address arithmetic and wraps with the addresses.
-func (m *Memory) VisitWriteRun(base, stride uint64, count uint32, visit func(j uint32, write, read sig.Slot) sig.Slot) bool {
-	var (
-		p   *page
-		key uint64
-	)
-	addr := base
-	for j := uint32(0); j < count; j++ {
-		if k := addr >> pageBits; p == nil || k != key {
-			key = k
-			if p = m.pages[k]; p == nil {
-				p = new(page)
-				m.pages[k] = p
-				m.allocated++
-			}
-		}
-		off := addr & pageMask
-		p.writes[off] = visit(j, p.writes[off], p.reads[off])
-		addr += stride
-	}
-	return true
-}
-
-// VisitReadRun implements sig.RunVisitor.
-func (m *Memory) VisitReadRun(base, stride uint64, count uint32, visit func(j uint32, write sig.Slot) sig.Slot) bool {
-	var (
-		p   *page
-		key uint64
-	)
-	addr := base
-	for j := uint32(0); j < count; j++ {
-		if k := addr >> pageBits; p == nil || k != key {
-			key = k
-			if p = m.pages[k]; p == nil {
-				p = new(page)
-				m.pages[k] = p
-				m.allocated++
-			}
-		}
-		off := addr & pageMask
-		p.reads[off] = visit(j, p.writes[off])
-		addr += stride
-	}
-	return true
-}

@@ -324,21 +324,12 @@ type Pipeline struct {
 	// into repetition counts before chunking; events_total + dup_collapsed
 	// equals the logical access count.
 	DupCollapsed *Counter
-	// Ranges counts compressed strided runs emitted (by the producer's SD3
-	// stride detection or ingested pre-compressed from traces);
-	// RangeElements the accesses those runs stand for. Range elements are
-	// already included in Events — these counters measure compression, not
-	// extra traffic.
+	// Ranges counts ingested wire ranges (DDT1 range records, AccessRange
+	// calls); RangeElements the accesses they expanded into at the ingest
+	// seam. Range elements are already included in Events — these counters
+	// measure what the client compressed, not extra traffic.
 	Ranges        *Counter
 	RangeElements *Counter
-	// CompressionRatioPermille is the flush-time stride-compression ratio of
-	// the last pipeline: observed accesses per stored record (points +
-	// ranges), ×1000 — 1000 means no compression.
-	CompressionRatioPermille *Gauge
-	// StrideDetectors is the flush-time census of the producer's
-	// per-instruction stride FSMs, indexed by stride.State
-	// (start/first/learned/weak/random).
-	StrideDetectors [5]*Gauge
 	// QueueDepth[i] is the last queue depth observed for worker i at chunk
 	// push time (including the chunk just pushed); QueueDepthMax is the
 	// high-water mark across all workers.
@@ -417,33 +408,29 @@ func (r *Registry) Pipeline(prefix string) *Pipeline {
 		return p
 	}
 	p = &Pipeline{
-		Events:                   r.Counter(prefix + "_events_total"),
-		Chunks:                   r.Counter(prefix + "_chunks_total"),
-		ChunksRecycled:           r.Counter(prefix + "_chunks_recycled_total"),
-		ChunksAllocated:          r.Counter(prefix + "_chunks_allocated_total"),
-		Migrations:               r.Counter(prefix + "_migrations_total"),
-		Redistributions:          r.Counter(prefix + "_redistributions_total"),
-		DepCacheHits:             r.Counter(prefix + "_dep_cache_hits_total"),
-		DepCacheProbes:           r.Counter(prefix + "_dep_cache_probes_total"),
-		DupCollapsed:             r.Counter(prefix + "_dup_collapsed_total"),
-		Ranges:                   r.Counter(prefix + "_ranges_total"),
-		RangeElements:            r.Counter(prefix + "_range_elements_total"),
-		CompressionRatioPermille: r.Gauge(prefix + "_compression_ratio_permille"),
-		QueueDepthMax:            r.Gauge(prefix + "_queue_depth_max"),
-		SigOccupancyPermille:     r.Gauge(prefix + "_sig_occupancy_permille"),
-		StageProduceNs:           r.Histogram(prefix + "_stage_produce_ns"),
-		StageTransportWaitNs:     r.Histogram(prefix + "_stage_transport_wait_ns"),
-		StageWorkerNs:            r.Histogram(prefix + "_stage_worker_ns"),
-		StageMergeNs:             r.Histogram(prefix + "_stage_merge_ns"),
-		SigInsertConflicts:       r.Counter(prefix + "_sig_insert_conflicts_total"),
-		SigLookupConflicts:       r.Counter(prefix + "_sig_lookup_conflicts_total"),
-		StoreBytes:               r.Gauge(prefix + "_store_bytes"),
-		StoreExactBytes:          r.Gauge(prefix + "_store_exact_bytes"),
-		StoreTailBytes:           r.Gauge(prefix + "_store_tail_bytes"),
-		StoreExactResident:       r.Gauge(prefix + "_store_exact_resident"),
-	}
-	for s, name := range [5]string{"start", "first", "learned", "weak", "random"} {
-		p.StrideDetectors[s] = r.Gauge(fmt.Sprintf("%s_stride_detectors{state=%q}", prefix, name))
+		Events:               r.Counter(prefix + "_events_total"),
+		Chunks:               r.Counter(prefix + "_chunks_total"),
+		ChunksRecycled:       r.Counter(prefix + "_chunks_recycled_total"),
+		ChunksAllocated:      r.Counter(prefix + "_chunks_allocated_total"),
+		Migrations:           r.Counter(prefix + "_migrations_total"),
+		Redistributions:      r.Counter(prefix + "_redistributions_total"),
+		DepCacheHits:         r.Counter(prefix + "_dep_cache_hits_total"),
+		DepCacheProbes:       r.Counter(prefix + "_dep_cache_probes_total"),
+		DupCollapsed:         r.Counter(prefix + "_dup_collapsed_total"),
+		Ranges:               r.Counter(prefix + "_ranges_total"),
+		RangeElements:        r.Counter(prefix + "_range_elements_total"),
+		QueueDepthMax:        r.Gauge(prefix + "_queue_depth_max"),
+		SigOccupancyPermille: r.Gauge(prefix + "_sig_occupancy_permille"),
+		StageProduceNs:       r.Histogram(prefix + "_stage_produce_ns"),
+		StageTransportWaitNs: r.Histogram(prefix + "_stage_transport_wait_ns"),
+		StageWorkerNs:        r.Histogram(prefix + "_stage_worker_ns"),
+		StageMergeNs:         r.Histogram(prefix + "_stage_merge_ns"),
+		SigInsertConflicts:   r.Counter(prefix + "_sig_insert_conflicts_total"),
+		SigLookupConflicts:   r.Counter(prefix + "_sig_lookup_conflicts_total"),
+		StoreBytes:           r.Gauge(prefix + "_store_bytes"),
+		StoreExactBytes:      r.Gauge(prefix + "_store_exact_bytes"),
+		StoreTailBytes:       r.Gauge(prefix + "_store_tail_bytes"),
+		StoreExactResident:   r.Gauge(prefix + "_store_exact_resident"),
 	}
 	for i := range p.QueueDepth {
 		p.QueueDepth[i] = r.Gauge(fmt.Sprintf("%s_queue_depth{worker=\"%d\"}", prefix, i))
