@@ -397,7 +397,8 @@ func ptrChaseStream(events int) ([]event.Access, *prog.Meta) {
 
 // BenchmarkHotPath is the per-event cost gate of the profiling pipelines:
 // events/s through the serial engine, the lock-free parallel pipeline and
-// the MT pipeline on a dependence-dense stream, plus the parallel pipeline on
+// the MT pipeline on a dependence-dense stream handed over in executor-sized
+// batches (mt4-access: one event at a time), plus the parallel pipeline on
 // a strided sweep, a mixed sweep and a pointer chase (no duplicate reads to
 // collapse, cold stores). `make bench` records the trajectory in
 // BENCH_pipeline.json; regressions show up as a drop in the events/s metric
@@ -410,14 +411,27 @@ func ptrChaseStream(events int) ([]event.Access, *prog.Meta) {
 func BenchmarkHotPath(b *testing.B) {
 	stream, meta := hotPathStream(1 << 16)
 	pipe := telemetry.NewRegistry().Pipeline("pipeline")
-	run := func(b *testing.B, stream []event.Access, mk func() core.Profiler) {
+	// batched hands over n events the way both executors do: AccessBatch, in
+	// event.BatchSize segments.
+	batched := func(prof core.Profiler, stream []event.Access, n int) {
+		for i := 0; i < n; {
+			off := i % len(stream)
+			seg := min(event.BatchSize, n-i, len(stream)-off)
+			prof.AccessBatch(stream[off:off+seg], nil)
+			i += seg
+		}
+	}
+	perEvent := func(prof core.Profiler, stream []event.Access, n int) {
+		for i := 0; i < n; i++ {
+			prof.Access(stream[i%len(stream)])
+		}
+	}
+	run := func(b *testing.B, stream []event.Access, mk func() core.Profiler, feed func(core.Profiler, []event.Access, int)) {
 		b.ReportAllocs()
 		prof := mk()
 		start := time.Now()
 		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			prof.Access(stream[i%len(stream)])
-		}
+		feed(prof, stream, b.N)
 		prof.Flush()
 		b.StopTimer()
 		b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "events/s")
@@ -428,20 +442,22 @@ func BenchmarkHotPath(b *testing.B) {
 				return core.NewParallel(core.Config{
 					Workers: 4, SlotsPerWorker: 1 << 18, Meta: meta, Metrics: pipe,
 				})
-			})
+			}, batched)
 		}
 	}
 	b.Run("serial", func(b *testing.B) {
 		run(b, stream, func() core.Profiler {
 			return core.NewSerial(core.Config{SlotsPerWorker: 1 << 20, Meta: meta, Metrics: pipe})
-		})
+		}, batched)
 	})
 	b.Run("parallel4", par4(stream, meta))
-	b.Run("mt4", func(b *testing.B) {
-		run(b, stream, func() core.Profiler {
-			return core.NewMT(core.Config{Workers: 4, SlotsPerWorker: 1 << 18, Meta: meta, Metrics: pipe})
-		})
-	})
+	mt4 := func() core.Profiler {
+		return core.NewMT(core.Config{Workers: 4, SlotsPerWorker: 1 << 18, Meta: meta, Metrics: pipe})
+	}
+	b.Run("mt4", func(b *testing.B) { run(b, stream, mt4, batched) })
+	// The per-event adapter (tests, library callers): a run of one per event
+	// and nothing collapsed on the way, so its price stays visible.
+	b.Run("mt4-access", func(b *testing.B) { run(b, stream, mt4, perEvent) })
 	strided, stridedMeta := stridedStream(1 << 16)
 	mixed, mixedMeta := mixedStream(1 << 16)
 	chase, chaseMeta := ptrChaseStream(1 << 16)

@@ -69,27 +69,38 @@ func TestParallelStageHistograms(t *testing.T) {
 
 // TestMTConsumerSideEventCount: events_total is counted by the consumers at
 // batch granularity, and a collapsed read still counts its full multiplicity
-// — the logical access count, same as Stats.Accesses.
+// — the logical access count, same as Stats.Accesses — whether the events
+// arrive in batches (duplicate reads collapsed) or one by one (none are).
 func TestMTConsumerSideEventCount(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	pipe := reg.Pipeline("t")
 	const reads = 10000
-	m := NewMT(Config{Workers: 2, SlotsPerWorker: 1 << 10, Metrics: pipe})
-	m.Access(event.Access{Addr: 0x800, Kind: event.Write, Loc: loc.Pack(1, 1)})
+	evs := []event.Access{{Addr: 0x800, Kind: event.Write, Loc: loc.Pack(1, 1)}}
 	for i := 0; i < reads; i++ {
-		// Identical untimestamped reads: the consumer collapses them, but the
-		// logical count must be preserved.
-		m.Access(event.Access{Addr: 0x800, Kind: event.Read, Loc: loc.Pack(1, 2)})
+		evs = append(evs, event.Access{Addr: 0x800, Kind: event.Read, Loc: loc.Pack(1, 2)})
 	}
-	res := m.Flush()
-	if got := pipe.Events.Load(); got != reads+1 {
-		t.Errorf("events_total = %d, want %d", got, reads+1)
-	}
-	if res.Stats.Accesses != reads+1 {
-		t.Errorf("Stats.Accesses = %d, want %d", res.Stats.Accesses, reads+1)
-	}
-	if res.Stats.DupCollapsed == 0 {
-		t.Error("expected consumer-side collapse on an all-duplicate stream")
+	for _, batch := range []bool{true, false} {
+		reg := telemetry.NewRegistry()
+		pipe := reg.Pipeline("t")
+		m := NewMT(Config{Workers: 2, SlotsPerWorker: 1 << 10, Metrics: pipe})
+		if batch {
+			m.AccessBatch(evs, nil)
+		} else {
+			for _, a := range evs {
+				m.Access(a)
+			}
+		}
+		res := m.Flush()
+		if got := pipe.Events.Load(); got != reads+1 {
+			t.Errorf("batch=%v: events_total = %d, want %d", batch, got, reads+1)
+		}
+		if res.Stats.Accesses != reads+1 {
+			t.Errorf("batch=%v: Stats.Accesses = %d, want %d", batch, res.Stats.Accesses, reads+1)
+		}
+		if collapsed := res.Stats.DupCollapsed > 0; collapsed != batch {
+			t.Errorf("batch=%v: DupCollapsed = %d", batch, res.Stats.DupCollapsed)
+		}
+		if got := pipe.DupCollapsed.Load(); got != res.Stats.DupCollapsed {
+			t.Errorf("batch=%v: dup_collapsed counter = %d, Stats.DupCollapsed = %d", batch, got, res.Stats.DupCollapsed)
+		}
 	}
 }
 

@@ -14,28 +14,30 @@ import (
 // Every target thread hands its events over concurrently, in thread-private
 // batches (event.Batcher): when its buffer fills and before every release
 // operation of the target — unlock, barrier arrive, spawn, thread exit. A
-// batch goes into the owning workers' lock-free MPSC rings with one claim per
-// ring (route), not the paper's push per access from inside the target's lock
-// region (Figure 4) that made its MT profiling slow (Figure 6).
+// batch goes into the owning workers' lock-free MPSC rings as one run per ring
+// — one claim, one publication (route) — not the paper's push per access from
+// inside the target's lock region (Figure 4) that made its MT profiling slow
+// (Figure 6).
 //
 // Ordering invariant: if access a happens-before access b on the same
-// address, a's cells are claimed in the owner's ring before b's — a's thread
+// address, a's positions are claimed in the owner's ring before b's — a's thread
 // flushed before the release that orders the two, and ring claims are FIFO —
 // and within one thread claims follow program order. Only unordered pairs can
 // arrive either way; those the sync-epoch stamps expose (Engine.build). A
 // freed address changes threads at a join only (interp.FreeList), an edge too.
 //
-// As a pipeline composition, MT is per-access transports into the same
-// engine workers as Parallel. The transports' consumer side supplies the
-// duplicate-read collapse (the producers are the target's own threads and
-// must stay filter-free), and a dedicated rebalancer goroutine runs the
-// §IV-A heavy-hitter redistribution with a copy-on-write routing table,
-// since the concurrent producers cannot reroute synchronously the way the
-// sequential-target producer does.
+// As a pipeline composition, MT is run rings into the same engine workers as
+// Parallel, which read the runs in place. The target's threads collapse
+// duplicate reads as they copy a batch in (the §IV producer's filter, per
+// batch), and a dedicated rebalancer goroutine runs the §IV-A heavy-hitter
+// redistribution with a copy-on-write routing table, since the concurrent
+// producers cannot reroute synchronously the way the sequential-target
+// producer does.
 type MT struct {
-	pl    pipeline
-	rings []*queue.MPSC[event.Access] // rings[i] is worker i's transport
-	m     *telemetry.Pipeline
+	pl       pipeline
+	rings    []*queue.MPSC[event.Access] // rings[i] is worker i's transport
+	m        *telemetry.Pipeline
+	collapse bool
 
 	// rt is the routing table, non-nil only when redistribution is on (else:
 	// static). Producers read it lock-free; the rebalancer replaces it copy-on-write.
@@ -68,13 +70,16 @@ const mtLanes = 16
 // the adjacent-line prefetcher pairs lines).
 type mtLane struct {
 	// inflight counts the lane's producers between routing-table load and the
-	// last Fill of the batch routed by it. The rebalancer waits for every lane
+	// last publication of the batch routed by it. The rebalancer waits for every lane
 	// to drain after publishing a new table, so every access routed by the old
 	// one is in the old owner's queue before MIGRATE is pushed behind them.
 	inflight atomic.Int64
 	// sampled counts the lane's events: the sampling and kick cadences.
 	sampled atomic.Uint64
-	_       [112]byte
+	// collapsed counts the duplicate reads the lane's producers folded away,
+	// added once per batch.
+	collapsed atomic.Uint64
+	_         [104]byte
 }
 
 // routeTable maps addresses to owning workers: the Equation 1 modulo rule,
@@ -116,7 +121,7 @@ func newMT(cfg Config) (*MT, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &MT{m: cfg.Metrics}
+	m := &MT{m: cfg.Metrics, collapse: !cfg.NoFastPath}
 	m.static = routeTable{w: cfg.Workers, wMask: powerOfTwoMask(cfg.Workers)}
 	m.pl.m = cfg.Metrics
 	for i := 0; i < cfg.Workers; i++ {
@@ -127,7 +132,7 @@ func newMT(cfg Config) (*MT, error) {
 		if cfg.TrackBounds {
 			eng.EnableBoundsTracking()
 		}
-		tr := newAccessTransport(cfg.QueueCap, !cfg.NoFastPath)
+		tr := &ringTransport{in: queue.NewMPSC[event.Access](cfg.QueueCap)}
 		m.rings = append(m.rings, tr.in)
 		m.pl.workers = append(m.pl.workers, &worker{
 			id:          i,
@@ -162,7 +167,7 @@ func newMT(cfg Config) (*MT, error) {
 func (m *MT) Access(a event.Access) { m.route([]event.Access{a}) }
 
 // AccessBatch implements Profiler; safe for concurrent use, one caller per
-// target thread. RangeRef slots expand element by element at their position.
+// target thread. RangeRef slots expand at their position (routeRange).
 func (m *MT) AccessBatch(accesses []event.Access, ranges []event.Range) {
 	for len(accesses) > 0 {
 		n := 0
@@ -172,26 +177,37 @@ func (m *MT) AccessBatch(accesses []event.Access, ranges []event.Range) {
 		if n > 0 {
 			m.route(accesses[:n])
 		} else {
-			for r, j := &ranges[accesses[0].Addr], uint32(0); j < r.Count; j++ {
-				m.Access(r.At(j))
-			}
+			m.routeRange(&ranges[accesses[0].Addr])
 			n = 1
 		}
 		accesses = accesses[n:]
 	}
 }
 
+// routeRange expands r's elements, in order, into BatchSize segments and
+// routes those: a range costs what its points in a batch would.
+func (m *MT) routeRange(r *event.Range) {
+	var buf [event.BatchSize]event.Access
+	for j := uint32(0); j < r.Count; {
+		n := 0
+		for ; n < len(buf) && j < r.Count; n, j = n+1, j+1 {
+			buf[n] = r.At(j)
+		}
+		m.route(buf[:n])
+	}
+}
+
 // route pushes up to BatchSize events of one thread, in order, into their
 // owners' rings — with redistribution on, under the quiescence protocol: the
 // lane's inflight is raised BEFORE the table is loaded, so the rebalancer seeing
-// it at 0 after publishing a table knows every cell claimed by the old one is filled.
+// it at 0 after publishing a table knows every run claimed by the old one is published.
 func (m *MT) route(seg []event.Access) {
+	lane := &m.lanes[seg[0].Thread&(mtLanes-1)]
 	if m.rt.Load() == nil {
-		m.spread(seg, &m.static) // redistribution off: nothing in flight
+		m.spread(seg, &m.static, lane) // redistribution off: nothing in flight
 		return
 	}
 	// Every 16th event of the lane is sampled (TryLock: a lost one is noise).
-	lane := &m.lanes[seg[0].Thread&(mtLanes-1)]
 	end := lane.sampled.Add(uint64(len(seg)))
 	start := end - uint64(len(seg))
 	if i := int(15 - start&15); i < len(seg) && m.heavyMu.TryLock() {
@@ -207,21 +223,27 @@ func (m *MT) route(seg []event.Access) {
 		}
 	}
 	lane.inflight.Add(1)
-	m.spread(seg, m.rt.Load())
+	m.spread(seg, m.rt.Load(), lane)
 	lane.inflight.Add(-1)
 }
 
 // spread is route's transport half: a stable counting sort of the events by
-// owner, then ring by ring one Claim for all of the ring's events and a Fill
-// for each in event order. One ring at a time: see MPSC.Claim.
-func (m *MT) spread(seg []event.Access, rt *routeTable) {
+// owner, then ring by ring one Claim for all of the ring's events, which are
+// copied into the ring in event order — an exact duplicate read folding into
+// the copy before it (dupRead) — and published part by part: one part unless
+// the run wraps or outgrows the ring. One ring at a time: see MPSC.Claim.
+func (m *MT) spread(seg []event.Access, rt *routeTable, lane *mtLane) {
 	if len(seg) == 1 {
 		m.rings[rt.owner(seg[0].Addr)].Push(seg[0])
 		return
 	}
 	var own [event.BatchSize]int32
 	var order [event.BatchSize]uint16
-	end := make([]uint16, len(m.rings)) // end[w]: where ring w's events end in order
+	var few [16]uint16
+	end := few[:min(len(few), len(m.rings))] // end[w]: where ring w's events end in order
+	if len(m.rings) > len(few) {
+		end = make([]uint16, len(m.rings))
+	}
 	for i := range seg {
 		own[i] = int32(rt.owner(seg[i].Addr))
 		end[own[i]]++
@@ -234,16 +256,31 @@ func (m *MT) spread(seg []event.Access, rt *routeTable) {
 		order[end[own[i]]] = uint16(i)
 		end[own[i]]++
 	}
-	lo := uint16(0)
+	lo, dups := uint16(0), uint64(0)
 	for w, q := range m.rings {
-		if hi := end[w]; hi > lo {
-			pos := q.Claim(int(hi - lo))
-			for _, i := range order[lo:hi] {
-				q.Fill(pos, &seg[i])
-				pos++
-			}
-			lo = hi
+		idx := order[lo:end[w]]
+		if lo = end[w]; len(idx) == 0 {
+			continue
 		}
+		for pos := q.Claim(len(idx)); len(idx) > 0; {
+			part := q.Part(pos, len(idx))
+			n := 0
+			for _, i := range idx[:len(part)] {
+				a := &seg[i]
+				if n > 0 && a.Kind == event.Read && m.collapse && dupRead(&part[n-1], a) {
+					part[n-1].Rep++
+					dups++
+					continue
+				}
+				part[n] = *a
+				n++
+			}
+			q.Publish(pos, len(part), n)
+			pos, idx = pos+uint64(len(part)), idx[len(part):]
+		}
+	}
+	if dups > 0 {
+		lane.collapsed.Add(dups)
 	}
 }
 
@@ -360,8 +397,8 @@ func (m *MT) Flush() *Result {
 	m.pl.wg.Wait()
 
 	stats := m.rebalStats
-	for _, w := range m.pl.workers {
-		stats.DupCollapsed += w.tr.(*accessTransport).collapsed
+	for l := range m.lanes {
+		stats.DupCollapsed += m.lanes[l].collapsed.Load()
 	}
 	if m.m != nil && stats.DupCollapsed > 0 {
 		m.m.DupCollapsed.Add(stats.DupCollapsed)

@@ -236,3 +236,64 @@ func TestAccessCountsRep(t *testing.T) {
 		}
 	}
 }
+
+// TestMTRunsLongerThanRing: three threads hand 512-event batches to three
+// workers whose rings hold 64 events, so every run is published in parts and
+// producers wait on one another's space. It must terminate (`-race -count=10`
+// in the verify notes) with every access counted, and the ring memory must be
+// the same fixed function of Config on every run.
+func TestMTRunsLongerThanRing(t *testing.T) {
+	const threads, batches = 3, 40
+	run := func() *Result {
+		m := NewMT(Config{Workers: 3, QueueCap: 64, Backend: "perfect"})
+		var wg sync.WaitGroup
+		for th := int32(0); th < threads; th++ {
+			wg.Add(1)
+			go func(th int32) {
+				defer wg.Done()
+				batch := make([]event.Access, event.BatchSize)
+				for b := 0; b < batches; b++ {
+					for i := range batch {
+						batch[i] = event.Access{Addr: 0x1000*uint64(th+1) + 8*uint64(i%97), TS: 1,
+							Loc: loc.Pack(4, 1+i%5), Thread: th, Kind: event.Kind(i % 2)}
+					}
+					m.AccessBatch(batch, nil)
+				}
+			}(th)
+		}
+		wg.Wait()
+		return m.Flush()
+	}
+	first, second := run(), run()
+	for _, res := range []*Result{first, second} {
+		if want := uint64(threads * batches * event.BatchSize); res.Stats.Accesses != want {
+			t.Errorf("%d accesses profiled, want %d", res.Stats.Accesses, want)
+		}
+		if want := uint64(3 * 64 * 64); res.Stats.QueueBytes != want {
+			t.Errorf("QueueBytes = %d, want workers x QueueCap x 64 = %d", res.Stats.QueueBytes, want)
+		}
+	}
+	requireSameProfile(t, "mt-long-runs", first, second)
+}
+
+// TestMTBatchAllocFree: a steady-state executor batch through MT.AccessBatch —
+// counting sort, claims, copies into the rings, the workers reading them in
+// place — allocates nothing.
+func TestMTBatchAllocFree(t *testing.T) {
+	m := NewMT(Config{Workers: 2, SlotsPerWorker: 1 << 16})
+	batch := make([]event.Access, 0, event.BatchSize)
+	for i := uint64(0); len(batch)+3 <= cap(batch); i++ {
+		w := event.Access{Addr: 0x1000 + 8*i, Kind: event.Write, Loc: loc.Pack(1, 1), TS: 1}
+		r := event.Access{Addr: 0x1000 + 8*i, Kind: event.Read, Loc: loc.Pack(1, 2), TS: 1}
+		batch = append(batch, w, r, r) // the second read collapses
+	}
+	for i := 0; i < 400; i++ {
+		m.AccessBatch(batch, nil)
+	}
+	if n := testing.AllocsPerRun(400, func() { m.AccessBatch(batch, nil) }); n != 0 {
+		t.Errorf("MT.AccessBatch allocates %.1f times per %d-event batch, want 0", n, len(batch))
+	}
+	if res := m.Flush(); res.Stats.DupCollapsed == 0 {
+		t.Error("no duplicate read collapsed")
+	}
+}

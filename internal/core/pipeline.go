@@ -8,7 +8,7 @@ package core
 //	┌─────▼──────┐  routing (owner mask / redirect map / round-robin),
 //	│  producer  │  duplicate-read collapse, Misra–Gries sketch,
 //	└─────┬──────┘  migrate/install rebalance protocol
-//	      │ chunks (SPSC / Locked) or single accesses (MPSC)
+//	      │ chunks (SPSC / Locked) or runs copied into the ring (MPSC)
 //	┌─────▼──────┐
 //	│ transport  │  one push/pop/recycle contract over all queue kinds
 //	└─────┬──────┘
@@ -52,7 +52,7 @@ const (
 	// targets (Config.LockBased selects the Figure 5 ablation queues).
 	ModeParallel
 	// ModeMT is the pipeline of §V for multi-threaded targets: thread-private
-	// batches into per-access rings, sync-epoch stamps, the race rule.
+	// batches into per-worker run rings, sync-epoch stamps, the race rule.
 	ModeMT
 	// ModeExistence is the untyped line-pair pipeline of §VI-B. Its result
 	// type differs, so it is built with NewExistence rather than New.
@@ -116,11 +116,11 @@ func (c Config) normalize(mode Mode) (Config, error) {
 	}
 	if c.QueueCap == 0 {
 		if mode == ModeMT {
-			// Default ring depth: 4Ki events (256KiB of cells) per worker.
-			// Deeper rings only add slack the consumer never catches up on,
-			// and at 64Ki cells the ring outgrows the cache entirely; keeping
-			// the cells cache-resident is worth more than extra buffering. It
-			// also trims the MT queue memory the paper calls out in Figure 8.
+			// Default ring depth: 4Ki events (256KiB) per worker, whatever the
+			// run lengths. Deeper rings only add slack the consumer never
+			// catches up on, and at 64Ki events the ring outgrows the cache
+			// entirely; keeping it cache-resident is worth more than extra
+			// buffering. It also trims the MT queue memory of Figure 8.
 			c.QueueCap = 1 << 12
 		} else {
 			// Same events/s from 4 to 64 (ddbench); the chunks held grow with it.
@@ -188,17 +188,18 @@ type chunkQueue interface {
 
 // transport carries events from the producer stage to one worker. Two
 // granularities exist behind the one contract: chunked (sequential targets,
-// existence mode) and per-access (multi-threaded targets).
+// existence mode) and runs in a ring (multi-threaded targets).
 type transport interface {
 	// pushChunk enqueues a chunk (chunked transports only).
 	pushChunk(c *chunk)
-	// pushAccess enqueues one access; safe for concurrent producers on
-	// per-access transports.
+	// pushAccess enqueues one access, a run of one; safe for concurrent
+	// producers (ring transports only).
 	pushAccess(a event.Access)
 	// takeChunk returns a recycled chunk if one is available.
 	takeChunk() (*chunk, bool)
 	// pop returns the next batch of events to process and the chunk to
-	// recycle after processing (nil for per-access transports).
+	// recycle after processing (nil for ring transports, whose batch is the
+	// ring's own memory until the next pop).
 	pop() ([]event.Access, *chunk, bool)
 	// recycle returns a drained chunk to the producer.
 	recycle(c *chunk)
@@ -267,87 +268,44 @@ func (t *chunkTransport) memBytes() uint64 {
 
 func (t *chunkTransport) observedMaxDepth() int64 { return -1 }
 
-// accessBatch is how many events one accessTransport.pop drains at most:
-// large enough to amortize the per-batch bookkeeping, small enough to keep
-// control events (flush, migrate) responsive.
-const accessBatch = 256
-
-// mpscCellBytes is the per-element ring cost used for Figure 8 accounting:
-// a 48-byte access padded with its sequence word to one cache line.
+// mpscCellBytes is the per-event ring cost used for Figure 8 accounting: a
+// 48-byte access and the 16-byte run header of its position.
 const mpscCellBytes = 64
 
-// accessTransport is the per-access MPSC transport of MT mode. The consumer
-// side drains into a reusable batch buffer and — because only the consumer
-// touches the batch — can collapse consecutive identical reads there, giving
-// MT mode the duplicate filter the chunked producer applies at append time.
-type accessTransport struct {
-	in *queue.MPSC[event.Access]
-	// consumer-owned; read by the merge stage after the flush barrier.
-	batch     []event.Access
-	collapse  bool
-	collapsed uint64
-	maxDepth  int64
+// ringTransport is MT mode's transport: the worker's run ring. The target's
+// threads copy their batches into it (MT.spread), collapsing duplicate reads as
+// they copy; pop hands the worker the runs at the head where they lie.
+type ringTransport struct {
+	in       *queue.MPSC[event.Access]
+	maxDepth int64 // consumer-owned; read by the merge stage after the flush barrier
 }
 
-func newAccessTransport(qcap int, collapse bool) *accessTransport {
-	return &accessTransport{
-		in:       queue.NewMPSC[event.Access](qcap),
-		batch:    make([]event.Access, 0, accessBatch),
-		collapse: collapse,
-	}
+func (t *ringTransport) pushChunk(*chunk) {
+	panic("core: ring transport cannot push chunks")
 }
 
-func (t *accessTransport) pushChunk(*chunk) {
-	panic("core: per-access transport cannot push chunks")
-}
+func (t *ringTransport) pushAccess(a event.Access) { t.in.Push(a) }
 
-func (t *accessTransport) pushAccess(a event.Access) { t.in.Push(a) }
+func (t *ringTransport) takeChunk() (*chunk, bool) { return nil, false }
 
-func (t *accessTransport) takeChunk() (*chunk, bool) { return nil, false }
-
-func (t *accessTransport) pop() ([]event.Access, *chunk, bool) {
-	b := t.batch[:0]
-	for len(b) < accessBatch {
-		a, ok := t.in.TryPop()
-		if !ok {
-			break
-		}
-		if t.collapse && a.Kind == event.Read && len(b) > 0 {
-			// Collapse a read identical to the previous batched event into
-			// its repetition count (the engine replays the multiplicity) —
-			// the chunked producer's exact collapse. Equality covers the
-			// stamp, and a thread's reads within one sync epoch carry the
-			// same one, so timestamped MT streams collapse too.
-			last := &b[len(b)-1]
-			if last.Kind == event.Read && uint32(last.Rep)+1+uint32(a.Rep) <= uint32(event.MaxRep) {
-				cmp, prev := a, *last
-				cmp.Rep, prev.Rep = 0, 0
-				if cmp == prev {
-					last.Rep += 1 + a.Rep
-					t.collapsed++
-					continue
-				}
-			}
-		}
-		b = append(b, a)
-	}
-	t.batch = b
-	if len(b) == 0 {
+func (t *ringTransport) pop() ([]event.Access, *chunk, bool) {
+	evs := t.in.Peek()
+	if len(evs) == 0 {
 		return nil, nil, false
 	}
-	// Depth observation for the merge stage's queue-depth gauges: what was
-	// drained plus what is still queued (Len is consumer-safe on MPSC).
-	if d := int64(len(b)) + int64(t.in.Len()); d > t.maxDepth {
+	// Depth observation for the merge stage's queue-depth gauges: the run in
+	// hand (not freed before the next Peek) plus what is queued behind it.
+	if d := int64(t.in.Len()); d > t.maxDepth {
 		t.maxDepth = d
 	}
-	return b, nil, true
+	return evs, nil, true
 }
 
-func (t *accessTransport) recycle(*chunk) {}
+func (t *ringTransport) recycle(*chunk) {}
 
-func (t *accessTransport) depth() int              { return t.in.Len() }
-func (t *accessTransport) memBytes() uint64        { return uint64(mpscCellBytes * t.in.Cap()) }
-func (t *accessTransport) observedMaxDepth() int64 { return t.maxDepth }
+func (t *ringTransport) depth() int              { return t.in.Len() }
+func (t *ringTransport) memBytes() uint64        { return uint64(mpscCellBytes * t.in.Cap()) }
+func (t *ringTransport) observedMaxDepth() int64 { return t.maxDepth }
 
 // migState is the signature state of one address in flight between workers
 // during redistribution.
@@ -768,6 +726,17 @@ func mergePairNodes(a, b *mergeNode) *mergeNode {
 	return a
 }
 
+// dupRead reports whether read a, uncollapsed itself, repeats last exactly and
+// last's repetition count has room for it — the one duplicate-read test of
+// both producers (putBatch, MT.spread). Addr leads the comparison because it is
+// what differs between neighbours.
+func dupRead(last, a *event.Access) bool {
+	return last.Addr == a.Addr && last.IterVec == a.IterVec &&
+		last.Loc == a.Loc && last.TS == a.TS && last.Var == a.Var &&
+		last.CtxID == a.CtxID && last.Thread == a.Thread && last.Flags == a.Flags &&
+		last.Kind == event.Read && a.Rep == 0 && last.Rep != event.MaxRep
+}
+
 // ownerOf is the modulo rule of Equation 1. The paper uses `address % W` on
 // byte addresses; our substrate allocates 8-byte words, so the three
 // alignment bits are shifted out first to keep the distribution even. Worker
@@ -978,17 +947,11 @@ func (pr *producer) putBatch(accesses []event.Access, ranges []event.Range) {
 			// collapsed into that event's repetition count. Any intervening
 			// access to the same address routes to the same chunk and resets
 			// the match, so the collapse is exact: the engine replays the
-			// multiplicity and the profile is byte-identical. Addr leads the
-			// comparison because it is what differs between neighbours.
-			if a.Kind == event.Read && c.n > 0 && !pr.noFast {
-				if last := &c.buf[c.n-1]; last.Addr == a.Addr && last.IterVec == a.IterVec &&
-					last.Loc == a.Loc && last.TS == a.TS && last.Var == a.Var &&
-					last.CtxID == a.CtxID && last.Thread == a.Thread && last.Flags == a.Flags &&
-					last.Kind == event.Read && a.Rep == 0 && last.Rep != event.MaxRep {
-					last.Rep++
-					pr.stats.DupCollapsed++
-					continue
-				}
+			// multiplicity and the profile is byte-identical.
+			if a.Kind == event.Read && c.n > 0 && !pr.noFast && dupRead(&c.buf[c.n-1], a) {
+				c.buf[c.n-1].Rep++
+				pr.stats.DupCollapsed++
+				continue
 			}
 		}
 		c.buf[c.n] = *a

@@ -139,10 +139,10 @@ func TestMTPublishesTelemetry(t *testing.T) {
 	}
 }
 
-// TestMTDupCollapse: the MT transports collapse consecutive identical reads
-// on the consumer side (the producers are target threads and must stay
-// filter-free). The profile is byte-identical — the engine replays the
-// multiplicity.
+// TestMTDupCollapse: the target's threads collapse consecutive identical
+// reads as they copy a batch into the rings (the §IV producer's filter). The
+// profile is byte-identical — the engine replays the multiplicity — and the
+// per-event adapter, a batch of one with nothing to collapse, gives the same.
 func TestMTDupCollapse(t *testing.T) {
 	const reads = 5000
 	evs := make([]event.Access, 0, reads+1)
@@ -154,28 +154,31 @@ func TestMTDupCollapse(t *testing.T) {
 	want := runSerial(evs)
 
 	m := NewMT(Config{Workers: 2, Backend: "perfect"})
-	for _, a := range evs {
-		m.Access(a)
-	}
+	m.AccessBatch(evs, nil)
 	got := m.Flush()
 	depsEqual(t, want.Deps, got.Deps, "mt-collapsed")
 	if got.Stats.Accesses != reads+1 {
 		t.Errorf("accesses = %d, want %d (collapse must preserve logical counts)", got.Stats.Accesses, reads+1)
 	}
-	if got.Stats.DupCollapsed == 0 {
-		t.Error("no duplicate reads collapsed on an all-duplicate stream")
+	// One read survives per BatchSize segment of the batch.
+	if segs := uint64((len(evs) + event.BatchSize - 1) / event.BatchSize); got.Stats.DupCollapsed != reads-segs {
+		t.Errorf("DupCollapsed = %d on an all-duplicate stream of %d segments, want %d", got.Stats.DupCollapsed, segs, reads-segs)
+	}
+
+	perEvent := feed(NewMT(Config{Workers: 2, Backend: "perfect"}), evs)
+	depsEqual(t, want.Deps, perEvent.Deps, "mt-per-event")
+	if perEvent.Stats.Accesses != reads+1 {
+		t.Errorf("per-event accesses = %d, want %d", perEvent.Stats.Accesses, reads+1)
 	}
 
 	// With distinct stamps nothing may collapse: the equality covers TS, so
 	// reads from different sync epochs stay distinct. (Equal stamps do
 	// collapse: TestMTCollapsesStampedReads.)
 	m2 := NewMT(Config{Workers: 2, Backend: "perfect"})
-	var ts uint64
-	for _, a := range evs {
-		ts++
-		a.TS = ts
-		m2.Access(a)
+	for i := range evs {
+		evs[i].TS = uint64(i + 1)
 	}
+	m2.AccessBatch(evs, nil)
 	if got2 := m2.Flush(); got2.Stats.DupCollapsed != 0 {
 		t.Errorf("collapsed %d timestamped accesses", got2.Stats.DupCollapsed)
 	}

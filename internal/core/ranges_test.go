@@ -123,7 +123,7 @@ func rangeEdges() (*rangedStream, *prog.Meta) {
 
 // TestAccessRangeEquivalence holds ranges to being their points: over every
 // registered backend (the signature also at a size where the stream's
-// addresses collide) and the serial and parallel profilers, a stream handed
+// addresses collide) and the serial, parallel and MT profilers, a stream handed
 // over with its ranges — one AccessRange call each, or as RangeRef slots of
 // one AccessBatch — leaves the profile, and the producer's chunk, duplicate
 // and migration accounting, of the expanded stream through Access.
@@ -183,6 +183,22 @@ func TestAccessRangeEquivalence(t *testing.T) {
 			}, workers > 1)
 		})
 	}
+	// MT counts neither chunks nor ranges and collapses per batch, so its row
+	// compares the profile. Redistribution stays off: its rebalancer is
+	// asynchronous, and where an address lives decides what it collides with
+	// (FuzzMTBatchEquivalence sweeps ranges across redirects on exact stores).
+	// The rings are shorter than a long range's share of a segment.
+	t.Run("mt", func(t *testing.T) {
+		for _, backend := range backends {
+			cfg := Config{Workers: 3, QueueCap: 64, Backend: backend, Meta: m}
+			want := digestResult(feed(NewMT(cfg), evs), false, false)
+			p := NewMT(cfg)
+			p.AccessBatch(s.slots, s.rngs)
+			if digestResult(p.Flush(), false, false) != want {
+				t.Errorf("%s: AccessBatch profile differs from the expanded stream's", backend)
+			}
+		}
+	})
 }
 
 // producerEdges is a stream of routing sharp edges — interleaved strided

@@ -277,7 +277,7 @@ func Fig8(opt Options) (*report.Table, []Fig7Row, error) {
 	n := float64(len(rows))
 	tab.AddRow("average", report.MB(uint64(a8/n)), report.MB(uint64(a16/n)))
 	tab.Notes = append(tab.Notes,
-		"MT mode uses fixed per-access MPSC rings (4Ki cells per worker) and extended (thread+timestamp)",
+		"MT mode uses fixed MPSC run rings (4Ki events per worker) and extended (thread+timestamp)",
 		"dependence records; the paper's queues made it exceed Figure 7 (995/1920 MB vs 505/1390 MB)")
 	return tab, rows, nil
 }

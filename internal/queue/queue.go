@@ -8,11 +8,11 @@
 //     worker the only consumer of its queue, so SPSC suffices; this is the
 //     "lock-free" design responsible for the paper's 1.3–1.6× speedup over
 //     the lock-based profiler.
-//   - MPSC: a lock-free multi-producer/single-consumer ring (Vyukov bounded
-//     queue). Multi-threaded targets push from every target thread inside
-//     its lock region (paper §V-A), so the worker's queue needs multiple
-//     producers — "the different implementation of lock-free queues" the
-//     paper cites as one source of the higher MT memory consumption.
+//   - MPSC: a lock-free multi-producer/single-consumer ring of runs.
+//     Multi-threaded targets push from every target thread (paper §V-A), so
+//     the worker's queue needs multiple producers — "the different
+//     implementation of lock-free queues" the paper cites as one source of
+//     the higher MT memory consumption.
 //   - Locked: a mutex-protected ring, kept as the ablation baseline for the
 //     lock-based series in Figure 5.
 //
@@ -88,30 +88,37 @@ func (q *SPSC[T]) Len() int { return int(q.tail.Load() - q.head.Load()) }
 // Cap returns the ring capacity.
 func (q *SPSC[T]) Cap() int { return len(q.buf) }
 
-// mpscCell pairs an element with its sequence number (Vyukov scheme). The
-// cell is padded to a cache line: producers write cell i while the consumer
-// polls cell i+1's seq, and without padding the two land on the same line
-// and ping-pong it between cores on every push/pop pair.
-type mpscCell[T any] struct {
-	seq atomic.Uint64
-	val T
-	_   [cellPad]byte
+// runHdr describes the run published at one ring position: seq is position+1
+// once the run is there (never the value a later lap waits for, so headers need
+// no reset), covered the positions it spans, filled how many of them, from the
+// first, hold elements.
+type runHdr struct {
+	seq             atomic.Uint64
+	covered, filled uint32
 }
 
-// cellPad rounds mpscCell's seq+val up to 64 bytes for the element shape the
-// profiler pushes (48-byte accesses). Other shapes still work, just without
-// the exact-line guarantee.
-const cellPad = 8
+// peekMax is how many positions Peek coalesces behind the head run: enough to
+// amortize the release over runs of one, small enough to free space steadily.
+const peekMax = 256
 
-// MPSC is a lock-free multi-producer/single-consumer bounded ring.
+// MPSC is a lock-free multi-producer/single-consumer bounded ring whose unit
+// of publication is a run: a producer claims positions with one fetch-add,
+// copies its elements into the ring and publishes them with one store; the
+// consumer reads a run where it lies and frees it with one store. The 16-byte
+// header per position keeps a ring of 48-byte elements at 64 bytes each,
+// whatever the run lengths.
 type MPSC[T any] struct {
-	cells []mpscCell[T]
+	buf   []T
+	hdr   []runHdr
 	mask  uint64
-	clear bool // T contains pointers: zero cells on pop for GC
+	clear bool // T contains pointers: zero released slots for GC
 	_     pad
-	head  uint64 // consumer position; plain — see TryPop
+	head  atomic.Uint64 // every position before it is free; consumer-published
+	next  uint64        // consumer-local: the position after the runs handed out
+	out   []T           // consumer-local: the elements the last Peek handed out
+	cur   []T           // consumer-local: what TryPop has left of them
 	_     pad
-	tail  atomic.Uint64 // producers CAS here
+	tail  atomic.Uint64 // next unclaimed position
 	_     pad
 }
 
@@ -121,18 +128,14 @@ func NewMPSC[T any](capacity int) *MPSC[T] {
 	for n < capacity {
 		n <<= 1
 	}
-	q := &MPSC[T]{cells: make([]mpscCell[T], n), mask: uint64(n - 1)}
 	var zero T
-	q.clear = hasPointers(reflect.TypeOf(&zero).Elem())
-	for i := range q.cells {
-		q.cells[i].seq.Store(uint64(i))
-	}
-	return q
+	return &MPSC[T]{buf: make([]T, n), hdr: make([]runHdr, n), mask: uint64(n - 1),
+		clear: hasPointers(reflect.TypeOf(&zero).Elem())}
 }
 
-// hasPointers reports whether values of t keep heap objects reachable. Popped
-// cells of such types must be zeroed; plain-data payloads (the profiler's
-// access records) skip the per-pop clear.
+// hasPointers reports whether values of t keep heap objects reachable.
+// Released slots of such types must be zeroed; plain-data payloads (the
+// profiler's access records) skip the clear.
 func hasPointers(t reflect.Type) bool {
 	switch t.Kind() {
 	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32,
@@ -154,80 +157,99 @@ func hasPointers(t reflect.Type) bool {
 	}
 }
 
-// TryPush appends v; it fails if the ring is full. Safe for any number of
-// concurrent producers.
-func (q *MPSC[T]) TryPush(v T) bool {
-	for {
-		t := q.tail.Load()
-		cell := &q.cells[t&q.mask]
-		seq := cell.seq.Load()
-		switch {
-		case seq == t:
-			if q.tail.CompareAndSwap(t, t+1) {
-				cell.val = v
-				cell.seq.Store(t + 1)
-				return true
-			}
-		case seq < t:
-			return false // cell not yet consumed: full
-		default:
-			// Another producer claimed t; retry with a fresh tail.
+// Claim reserves n consecutive positions with one fetch-add and returns the
+// first; the caller owes them to the ring in order, as one or more parts (Part,
+// then Publish). Claims are FIFO, whoever publishes first, and a run longer
+// than the ring makes progress: its early parts are consumed while its late
+// ones wait. Hold unpublished claims in one ring at a time: waiting on ring A
+// while owing positions to ring B can deadlock with the reverse.
+func (q *MPSC[T]) Claim(n int) uint64 { return q.tail.Add(uint64(n)) - uint64(n) }
+
+// Part returns the slots of the next part of a claimed run — pos is the part's
+// first position, n the positions the run has left — once they are free: one
+// head load when the ring has room. A part ends with the run or at the end of
+// the array, so len(part) <= n.
+func (q *MPSC[T]) Part(pos uint64, n int) []T {
+	i := int(pos & q.mask)
+	n = min(n, len(q.buf)-i)
+	for k := 0; pos+uint64(n)-q.head.Load() > uint64(len(q.buf)); k++ {
+		backoff(k) // ring full (or an earlier claimant lagging): wait it out
+	}
+	return q.buf[i : i+n]
+}
+
+// Publish hands the part at pos to the consumer with one store: it covers
+// len(part) positions, and the first filled >= 1 of them hold elements (fewer
+// than covered when the producer merged elements as it copied).
+func (q *MPSC[T]) Publish(pos uint64, covered, filled int) {
+	h := &q.hdr[pos&q.mask]
+	h.covered, h.filled = uint32(covered), uint32(filled)
+	h.seq.Store(pos + 1)
+}
+
+// Push spins until v is accepted: a run of one.
+func (q *MPSC[T]) Push(v T) {
+	pos := q.Claim(1)
+	q.Part(pos, 1)[0] = v
+	q.Publish(pos, 1, 1)
+}
+
+// release frees everything handed out so far with one head store.
+func (q *MPSC[T]) release() {
+	if q.next != q.head.Load() {
+		if q.clear {
+			clear(q.out) // release references for GC
 		}
+		q.out, q.cur = nil, nil
+		q.head.Store(q.next)
 	}
 }
 
-// TryPop removes the oldest element; single consumer only.
-//
-// head is a plain field: only the consumer touches it, and the cell seq
-// store below already publishes the slot back to producers with the needed
-// ordering, so an atomic head would buy nothing but a second full barrier on
-// every pop. Consequently Len is only meaningful from the consumer goroutine
-// or after the queue has quiesced.
+// Peek frees what the previous Peek handed out and returns, as a slice of the
+// ring, the published run at the head plus the gapless published runs directly
+// behind it (peekMax positions at most, never past the end of the array); empty
+// if the head run is not published. The slice is the caller's until its next
+// Peek or TryPop. Single consumer only.
+func (q *MPSC[T]) Peek() []T {
+	q.release()
+	h := q.next
+	lo := h & q.mask
+	hi := lo
+	for hd := &q.hdr[lo]; hd.seq.Load() == h+1; hd = &q.hdr[h&q.mask] {
+		h += uint64(hd.covered)
+		hi += uint64(hd.filled)
+		if hd.filled != hd.covered || h&q.mask == 0 || h-q.next >= peekMax {
+			break
+		}
+	}
+	q.next, q.out = h, q.buf[lo:hi]
+	return q.out
+}
+
+// TryPop removes the oldest element: it Peeks when it has used up the last
+// Peek's elements and frees them as it takes the last; single consumer only.
 func (q *MPSC[T]) TryPop() (T, bool) {
-	h := q.head
-	cell := &q.cells[h&q.mask]
-	if cell.seq.Load() != h+1 {
-		var zero T
-		return zero, false
+	if len(q.cur) == 0 {
+		if q.cur = q.Peek(); len(q.cur) == 0 {
+			var zero T
+			return zero, false
+		}
 	}
-	v := cell.val
-	if q.clear {
-		var zero T
-		cell.val = zero // release references for GC
+	v := q.cur[0]
+	if q.cur = q.cur[1:]; len(q.cur) == 0 {
+		q.release()
 	}
-	cell.seq.Store(h + uint64(len(q.cells)))
-	q.head = h + 1
 	return v, true
 }
 
-// Claim reserves n consecutive positions with one fetch-add and returns the
-// first; the caller owes a Fill for each, in increasing order. Claims are FIFO,
-// whoever fills first. Cells are filled independently, so a stalled producer
-// never blocks another's cell, and a run longer than the ring makes progress:
-// its early cells are popped while its late ones wait. Hold unfilled claims in
-// one ring at a time: waiting on ring A while owing cells to ring B can
-// deadlock with the reverse. Interoperates with TryPush (same tail RMW).
-func (q *MPSC[T]) Claim(n int) uint64 { return q.tail.Add(uint64(n)) - uint64(n) }
-
-// Fill writes v into claimed position pos, waiting while the ring is full.
-func (q *MPSC[T]) Fill(pos uint64, v *T) {
-	cell := &q.cells[pos&q.mask]
-	for i := 0; cell.seq.Load() != pos; i++ {
-		backoff(i) // ring full (or an earlier claimant lagging): wait it out
-	}
-	cell.val = *v
-	cell.seq.Store(pos + 1)
+// Len returns the approximate number of claimed positions not yet freed.
+func (q *MPSC[T]) Len() int {
+	h := q.head.Load() // before tail: head never passes a tail read after it
+	return int(q.tail.Load() - h)
 }
 
-// Push spins until v is accepted: a one-cell claim, filled at once.
-func (q *MPSC[T]) Push(v T) { q.Fill(q.Claim(1), &v) }
-
-// Len returns the approximate number of queued elements. Valid only from the
-// consumer goroutine or while the queue is quiescent (head is consumer-local).
-func (q *MPSC[T]) Len() int { return int(q.tail.Load() - q.head) }
-
 // Cap returns the ring capacity.
-func (q *MPSC[T]) Cap() int { return len(q.cells) }
+func (q *MPSC[T]) Cap() int { return len(q.buf) }
 
 // Locked is the lock-based ring used as the Figure 5 ablation baseline.
 // "The major synchronization overhead comes from locking and unlocking the

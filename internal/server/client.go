@@ -109,10 +109,10 @@ func (d *deadlineConn) WriteBuffers(v *net.Buffers) (int64, error) {
 
 // ProfileRemote executes p locally while streaming its access trace to a
 // ddprofd daemon over conn, then returns the dependence set the daemon
-// profiled. The recording hook is a trace.Compactor writing frame-sized slabs
-// straight to the connection (see streamTrace); it takes its mutex per event
-// only when p can spawn threads, so multi-threaded targets stream safely and
-// sequential ones pay no lock. The connection is not closed.
+// profiled. The recording hook is a trace.Writer writing frame-sized slabs
+// straight to the connection (see streamTrace), behind a mutex taken once per
+// batch only when p can spawn threads, so multi-threaded targets stream safely
+// and sequential ones pay no lock. The connection is not closed.
 //
 // The daemon receives the target's variable table and loop metadata in the
 // handshake, so the returned dependence set — carried flags, distances,
@@ -255,39 +255,34 @@ func Watch(conn net.Conn, opt WatchOptions, fn func(trace.DeltaFrame) error) err
 	}
 }
 
-// hookFor picks the recording hook p needs: the Compactor itself, which
-// serializes callers, when p can run target threads, and its unlocked twin
-// when p provably calls the hook from one thread only — no function of it,
-// reachable or not, holds a spawn statement, the proof the VM takes its
-// non-atomic arena path on.
-func hookFor(cw *trace.Compactor, p *minilang.Program) event.Hook {
-	if len(minilang.Resolve(p).Spawns) == 0 {
-		return cw.Unlocked()
-	}
-	return cw
-}
+// spawnFree reports whether p provably calls its hook from one thread only: no
+// function of it, reachable or not, holds a spawn statement — the proof the VM
+// takes its non-atomic arena path on.
+func spawnFree(p *minilang.Program) bool { return len(minilang.Resolve(p).Spawns) == 0 }
 
 // streamTrace executes p, streaming its framed DDT1 trace to w, and
-// terminates the stream. The recording hook is a trace.Compactor, which folds
-// consecutive strided runs into range records — shrinking the trace on the
-// wire and letting the daemon ingest whole runs in one dispatch — over a
-// trace.Writer whose slab is the frame: each full slab reaches w as one
-// length-prefixed, record-aligned frame of at most opt.FrameBytes, with no
-// buffering in between. A program that can spawn gets the Compactor's locked
-// hook, which serializes the target's threads; a spawn-free one the unlocked.
+// terminates the stream. The recording hook is the trace.Writer itself, whose
+// slab is the frame: the executor hands it thread-private batches
+// (AccessBatch), and each full slab reaches w as one length-prefixed,
+// record-aligned frame of at most opt.FrameBytes, with no buffering in
+// between. A program that can spawn gets the SyncWriter around it — one lock
+// per batch serializes the target's threads; a spawn-free one pays no lock.
 func streamTrace(w io.Writer, p *minilang.Program, opt ClientOptions) ([]dep.LoopRecord, uint64, error) {
 	fw := trace.NewFrameWriter(w)
 	tw, err := trace.NewWriterSize(fw, opt.FrameBytes)
 	if err != nil {
 		return nil, 0, fmt.Errorf("server: opening trace stream: %w", err)
 	}
-	cw := trace.NewCompactor(tw)
-	info, err := opt.executor().Run(p, hookFor(cw, p), interp.Options{Timestamps: opt.MT, YieldEvery: opt.SchedulerFuzz})
+	var hook event.Hook = tw
+	if !spawnFree(p) {
+		hook = trace.NewSyncWriter(tw)
+	}
+	info, err := opt.executor().Run(p, hook, interp.Options{Timestamps: opt.MT, YieldEvery: opt.SchedulerFuzz})
 	if err != nil {
 		return nil, 0, fmt.Errorf("server: target run: %w", err)
 	}
-	events := cw.Count()
-	if err := cw.Close(); err != nil {
+	events := tw.Count()
+	if err := tw.Close(); err != nil {
 		return nil, 0, fmt.Errorf("server: streaming trace: %w", err)
 	}
 	if err := fw.Close(); err != nil {

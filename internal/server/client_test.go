@@ -16,7 +16,7 @@ import (
 	"ddprof/internal/workloads"
 )
 
-// TestHookForSpawnProof: the unlocked recording hook goes only to programs
+// TestHookForSpawnProof: the bare, unlocked trace.Writer goes only to programs
 // that cannot spawn. The proof is over every function of the program — a
 // spawn behind a call (or in a function nothing calls) still counts — and
 // does not look at ClientOptions.
@@ -49,24 +49,18 @@ func TestHookForSpawnProof(t *testing.T) {
 	for _, tc := range cases {
 		p := minilang.New(tc.name)
 		tc.build(p)
-		tw, _ := trace.NewWriter(new(bytes.Buffer))
-		cw := trace.NewCompactor(tw)
-		if _, locked := hookFor(cw, p).(*trace.Compactor); locked != tc.locked {
+		if locked := !spawnFree(p); locked != tc.locked {
 			t.Errorf("%s: locked hook = %v, want %v", tc.name, locked, tc.locked)
 		}
 	}
 	// The sequential builds ddbench streams take the unlocked hook; the
 	// threaded builds the locked one.
 	for _, wl := range workloads.All() {
-		tw, _ := trace.NewWriter(new(bytes.Buffer))
-		cw := trace.NewCompactor(tw)
-		if _, locked := hookFor(cw, wl.Build(workloads.Config{})).(*trace.Compactor); locked {
+		if !spawnFree(wl.Build(workloads.Config{})) {
 			t.Errorf("%s: sequential build got the locked hook", wl.Name)
 		}
-		if wl.BuildParallel != nil {
-			if _, locked := hookFor(cw, wl.BuildParallel(workloads.Config{})).(*trace.Compactor); !locked {
-				t.Errorf("%s: threaded build got the unlocked hook", wl.Name)
-			}
+		if wl.BuildParallel != nil && spawnFree(wl.BuildParallel(workloads.Config{})) {
+			t.Errorf("%s: threaded build got the unlocked hook", wl.Name)
 		}
 	}
 }

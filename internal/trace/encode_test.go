@@ -216,8 +216,8 @@ func fuzzStream(data []byte) []fuzzRec {
 
 // FuzzWriterEquivalence is the differential fuzzer of the slab encoder: for
 // any record stream the new Writer must emit the oracle's bytes exactly —
-// directly and through the Compactor, locked and unlocked, at the default
-// slab and at the floor (where every record straddles a flush) — and Reader
+// directly, through AccessBatch, and through the Compactor, locked and
+// unlocked, at the default slab and at the floor (where every record straddles a flush) — and Reader
 // must decode them back to the stream that went in.
 func FuzzWriterEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 8, 2, 5 | 5<<3, 16, 3, 7, 4, 9, 7 | 3<<3, 8})
@@ -288,6 +288,51 @@ func checkWriterEquivalence(t *testing.T, data []byte) {
 	}
 	if _, err := tr.NextRecord(); err != io.EOF {
 		t.Fatalf("after the last record: %v, want io.EOF", err)
+	}
+
+	// AccessBatch ≡ the oracle fed every collapsed read 1+Rep times, whatever
+	// the cuts, bare and under the SyncWriter's lock.
+	want.Reset()
+	ow = newOracleWriter(&want)
+	var slots []event.Access
+	var rngs []event.Range
+	var events uint64
+	for _, rc := range recs {
+		if rc.isRange {
+			ow.Range(rc.r)
+			slots = append(slots, event.Access{Kind: event.RangeRef, Addr: uint64(len(rngs))})
+			rngs = append(rngs, rc.r)
+			events += uint64(rc.r.Count)
+			continue
+		}
+		for k := 0; k <= int(rc.a.Rep); k++ {
+			ow.Access(rc.a)
+		}
+		slots = append(slots, rc.a)
+		events += 1 + uint64(rc.a.Rep)
+	}
+	ow.bw.Flush()
+	for _, locked := range []bool{false, true} {
+		var got bytes.Buffer
+		w, _ := NewWriterSize(&got, len(data)%2)
+		var hook event.BatchHook = w
+		if locked {
+			hook = NewSyncWriter(w)
+		}
+		for rest, cut := slots, 1; len(rest) > 0; cut = cut*3%11 + 1 {
+			n := min(cut, len(rest))
+			hook.AccessBatch(rest[:n], rngs)
+			rest = rest[n:]
+		}
+		if w.Count() != events {
+			t.Fatalf("AccessBatch counts %d events, fed %d", w.Count(), events)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("locked=%v: AccessBatch bytes differ from the oracle's (%d vs %d bytes)", locked, got.Len(), want.Len())
+		}
 	}
 
 	// Compactor ≡ oracle compactor over the point records, both hooks.
@@ -524,6 +569,8 @@ func BenchmarkEncode(b *testing.B) {
 		mk   func(*Writer) (event.Hook, func() error)
 	}{
 		{"writer", func(w *Writer) (event.Hook, func() error) { return w, w.Close }},
+		{"writer-batch", func(w *Writer) (event.Hook, func() error) { return batchFeed{w}, w.Close }},
+		{"syncwriter-batch", func(w *Writer) (event.Hook, func() error) { s := NewSyncWriter(w); return batchFeed{s}, s.Close }},
 		{"compactor-locked", func(w *Writer) (event.Hook, func() error) { c := NewCompactor(w); return c, c.Close }},
 		{"compactor-unlocked", func(w *Writer) (event.Hook, func() error) {
 			c := NewCompactor(w)
@@ -537,8 +584,14 @@ func BenchmarkEncode(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				w, _ := NewWriter(&sink)
 				hook, done := h.mk(w)
-				for j := range evs {
-					hook.Access(evs[j])
+				if bf, ok := hook.(batchFeed); ok {
+					for rest := evs; len(rest) > 0; rest = rest[min(event.BatchSize, len(rest)):] {
+						bf.AccessBatch(rest[:min(event.BatchSize, len(rest))], nil)
+					}
+				} else {
+					for j := range evs {
+						hook.Access(evs[j])
+					}
 				}
 				if err := done(); err != nil {
 					b.Fatal(err)
@@ -550,6 +603,10 @@ func BenchmarkEncode(b *testing.B) {
 		})
 	}
 }
+
+// batchFeed marks a hook the benchmark feeds the way the executors do: through
+// AccessBatch, event.BatchSize events at a time.
+type batchFeed struct{ event.BatchHook }
 
 type countWriter int64
 

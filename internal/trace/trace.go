@@ -37,8 +37,8 @@ const (
 	minSlab = len(magic) + maxRangeLen
 )
 
-// Writer streams accesses to an io.Writer. It implements the interpreter's
-// Hook interface, so it can be installed directly as the "profiler" of a
+// Writer streams accesses to an io.Writer. It implements the executors'
+// BatchHook interface, so it can be installed directly as the "profiler" of a
 // recording run. Records are encoded straight into a byte slab the Writer
 // owns; a slab that cannot take another maximal record goes out in one Write,
 // so every Write carries whole records. Writers are not safe for concurrent
@@ -127,6 +127,44 @@ func (w *Writer) point(a *event.Access) {
 	w.count++
 }
 
+// AccessBatch implements event.BatchHook, what the executors hand over: the
+// batch's records in order, slab cursor and delta context held in locals
+// throughout. A collapsed read goes out 1+Rep times (the wire has no
+// repetition count); a RangeRef slot as the range record of ranges[Addr].
+func (w *Writer) AccessBatch(accesses []event.Access, ranges []event.Range) {
+	b, n := w.buf[:cap(w.buf)], len(w.buf)
+	prevAddr, prevTS := w.prevAddr, w.prevTS
+	for i := range accesses {
+		a := &accesses[i]
+		if a.Kind == event.RangeRef {
+			w.buf, w.prevAddr, w.prevTS = b[:n], prevAddr, prevTS
+			w.Range(ranges[a.Addr])
+			n, prevAddr, prevTS = len(w.buf), w.prevAddr, w.prevTS
+			continue
+		}
+		for rep := int(a.Rep); rep >= 0; rep-- {
+			if len(b)-n < maxPointLen {
+				w.buf = b[:n]
+				w.flush()
+				n = 0
+			}
+			b[n] = byte(a.Kind) // point's record, cursor and context in registers
+			n = putZigzag(b, n+1, int64(a.Addr-prevAddr))
+			n = putZigzag(b, n, int64(a.TS-prevTS))
+			n = putUvarint(b, n, uint64(a.Loc))
+			n = putUvarint(b, n, uint64(a.Var))
+			n = putUvarint(b, n, uint64(a.CtxID))
+			n = putUvarint(b, n, a.IterVec)
+			n = putUvarint(b, n, uint64(a.Thread))
+			b[n] = byte(a.Flags)
+			n++
+			prevAddr, prevTS = a.Addr, a.TS
+		}
+		w.count += 1 + uint64(a.Rep)
+	}
+	w.buf, w.prevAddr, w.prevTS = b[:n], prevAddr, prevTS
+}
+
 // Count returns the number of events recorded so far.
 func (w *Writer) Count() uint64 { return w.count }
 
@@ -141,10 +179,10 @@ func (w *Writer) Err() error { return w.err }
 
 // SyncWriter is the serializing wrapper around Writer: a mutex-protected
 // hook safe to install when the target program runs multiple threads, each
-// of which calls the hook concurrently. The interleaving recorded is the one
-// the run exhibited (per-address order is preserved because targets hold
-// their own locks around conflicting accesses and the interpreter calls the
-// hook inside the same lock region).
+// of which calls the hook concurrently. Threads' batches are recorded in the
+// order they arrive (order along the target's happens-before edges is
+// preserved because an executor thread hands its batch over before every
+// release operation; see event.Batcher).
 type SyncWriter struct {
 	mu sync.Mutex
 	w  *Writer
@@ -158,6 +196,13 @@ func NewSyncWriter(w *Writer) *SyncWriter { return &SyncWriter{w: w} }
 func (s *SyncWriter) Access(a event.Access) {
 	s.mu.Lock()
 	s.w.Access(a)
+	s.mu.Unlock()
+}
+
+// AccessBatch implements event.BatchHook: one lock per batch.
+func (s *SyncWriter) AccessBatch(accesses []event.Access, ranges []event.Range) {
+	s.mu.Lock()
+	s.w.AccessBatch(accesses, ranges)
 	s.mu.Unlock()
 }
 
