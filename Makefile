@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check fmt-check fuzz smoke bench bench-producer bench-merge bench-store bench-remote bench-queue bench-gate
+.PHONY: all build vet test race check fmt-check fuzz smoke bench
 
 all: build
 
@@ -13,16 +13,9 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race pass over the concurrent subsystems. The full suite under -race is
-# slow; the data races live in the pipelines, the queues, the daemon's
-# session handling, both executors' spawned target threads and the event
-# buffers they hand over, the facade's concurrent Profile calls (the root
-# package), and the parallel tree merge over the dependence slabs, so that is
-# where the detector earns its keep. internal/sig is on the list because its
-# stores are handed between goroutines (worker start, address migration, the
-# post-flush merge).
+# The whole tree under the race detector (internal/core is most of the time).
 race:
-	$(GO) test -race -count=1 . ./internal/core/ ./internal/dep/ ./internal/event/ ./internal/hashtab/ ./internal/interp/ ./internal/queue/ ./internal/server/ ./internal/shadow/ ./internal/sig/ ./internal/stride/ ./internal/trace/ ./internal/vm/
+	$(GO) test -race -count=1 ./...
 
 # Formatting gate: fail with the offending diff if any file is not gofmt'd.
 fmt-check:
@@ -39,72 +32,12 @@ smoke:
 # The full gate: what CI and pre-commit should run.
 check: build vet fmt-check test race smoke
 
-# Hot-path throughput gate: run BenchmarkHotPath and append the events/s
-# numbers to BENCH_pipeline.json under BENCH_LABEL, so regressions are
-# visible against every recorded run (the committed baseline included).
-BENCH_LABEL ?= local
+# The benchmark of record: every ddbench workload, each repetition verified
+# (bench/README.md). Compare two commits as alternating pairs from two
+# checkouts; the Go micro-benchmarks are developer tools, run them with plain
+# `go test -bench`.
 bench:
-	$(GO) test -run=^$$ -bench=BenchmarkHotPath -benchtime=2s -count=3 . \
-		| $(GO) run ./cmd/ddexp -bench-label $(BENCH_LABEL) benchjson
-
-# Regression gate: fail if events/s drops more than 10% below the committed
-# "hotpath" baseline run in BENCH_pipeline.json. -count=3 because the gate
-# compares the best repeat per pipeline: the first iteration of a fresh
-# process is routinely depressed by warm-up and frequency scaling. The
-# baseline is machine-relative — a floor of attainable throughput on the
-# machine that recorded it — so on new hardware re-record it first with
-# `make bench BENCH_LABEL=hotpath`.
-# Producer throughput: interpreter-vs-VM events/s across the three event-
-# source families (raw production and no-op-sink delivery for each),
-# recorded under the "producer" label. Re-record with this target after an
-# intentional producer change, like `make bench BENCH_LABEL=hotpath` for
-# the consumer side.
-bench-producer:
-	$(GO) test -run=^$$ -bench=BenchmarkProducer -benchtime=2s -count=3 . \
-		| $(GO) run ./cmd/ddexp -bench-label producer benchjson
-
-# Merge-stage throughput: serial fold vs parallel tree reduction across the
-# workers × distinct-deps × overlap matrix, recorded under the "merge"
-# label. Re-record with this target after an intentional merge change.
-bench-merge:
-	$(GO) test -run=^$$ '-bench=^BenchmarkMerge$$/' -benchtime=1s -count=3 . \
-		| $(GO) run ./cmd/ddexp -bench-label merge benchjson
-
-# Store-layer throughput: the same dense stream through a serial pipeline
-# under every access-history backend, recorded under the "store" label.
-# Re-record with this target after an intentional store/backend change.
-bench-store:
-	$(GO) test -run=^$$ '-bench=^BenchmarkStore$$/' -benchtime=2s -count=3 . \
-		| $(GO) run ./cmd/ddexp -bench-label store benchjson
-
-# Remote-ingest throughput: the daemon session path (loopback socket, framed
-# DDT1, batched decode, bulk ingest) against the in-process twin, recorded
-# under the "remote" label. Re-record with this target after an intentional
-# ingest change. On a single-core machine the remote pairs carry the full
-# client + socket + decode cost serialized onto one CPU; with spare cores the
-# pipeline stages overlap and the remote/inproc gap shrinks.
-bench-remote:
-	$(GO) test -run=^$$ -bench=BenchmarkRemoteIngest -benchtime=2s -count=3 ./internal/server/ \
-		| $(GO) run ./cmd/ddexp -bench-label remote benchjson
-
-# MPSC ring cost per element by claim length (1 = Push, 512 = an executor
-# batch landing in one ring), recorded under the "mpsc-claim" label.
-bench-queue:
-	$(GO) test -run=^$$ -bench=BenchmarkMPSCClaim -benchtime=2s -count=3 ./internal/queue/ \
-		| $(GO) run ./cmd/ddexp -bench-label mpsc-claim benchjson
-
-BENCH_BASELINE ?= hotpath
-bench-gate:
-	$(GO) test -run=^$$ -bench=BenchmarkHotPath -benchtime=2s -count=3 . \
-		| $(GO) run ./cmd/ddexp -bench-compare $(BENCH_BASELINE) benchjson
-	$(GO) test -run=^$$ '-bench=BenchmarkProducer/.*/vm' -benchtime=2s -count=3 . \
-		| $(GO) run ./cmd/ddexp -bench-compare producer benchjson
-	$(GO) test -run=^$$ '-bench=^BenchmarkMerge$$/.*/tree' -benchtime=1s -count=3 . \
-		| $(GO) run ./cmd/ddexp -bench-compare merge benchjson
-	$(GO) test -run=^$$ '-bench=^BenchmarkStore$$/' -benchtime=2s -count=3 . \
-		| $(GO) run ./cmd/ddexp -bench-compare store benchjson
-	$(GO) test -run=^$$ -bench=BenchmarkRemoteIngest -benchtime=2s -count=3 ./internal/server/ \
-		| $(GO) run ./cmd/ddexp -bench-compare remote benchjson
+	$(GO) run ./bench/ddbench all
 
 # Short fuzz pass over the hardened decoders (trace, framing, server), the
 # slab trace encoder against its reference, the dependence-set fast-update

@@ -400,14 +400,12 @@ func ptrChaseStream(events int) ([]event.Access, *prog.Meta) {
 // the MT pipeline on a dependence-dense stream handed over in executor-sized
 // batches (mt4-access: one event at a time), plus the parallel pipeline on
 // a strided sweep, a mixed sweep and a pointer chase (no duplicate reads to
-// collapse, cold stores). `make bench` records the trajectory in
-// BENCH_pipeline.json; regressions show up as a drop in the events/s metric
-// against the baseline stored there.
+// collapse, cold stores). A developer tool: `go test -run '^$' -bench
+// BenchmarkHotPath .` on both commits; the numbers of record are ddbench's.
 //
-// All pipelines run with telemetry attached at the default sampling rate,
-// so the gate prices the flight-recorder instrumentation too: if the stage
-// histograms or publication watermarks ever leak into the per-event path,
-// the events/s floor catches it.
+// All pipelines run with telemetry attached, so the benchmark prices the
+// flight-recorder instrumentation too: stage histograms or publication
+// watermarks leaking into the per-event path show up in events/s.
 func BenchmarkHotPath(b *testing.B) {
 	stream, meta := hotPathStream(1 << 16)
 	pipe := telemetry.NewRegistry().Pipeline("pipeline")
@@ -492,10 +490,9 @@ func BenchmarkHotPath(b *testing.B) {
 // serial pipeline under each registered access-history backend and reports
 // events/s, so backend implementations are directly comparable at the store
 // layer. The stream is the dense hotPathStream on purpose: sparse random
-// streams measure shadow's page-fill pathology, not store dispatch. `make
-// bench-store` records the matrix under the "store" label in
-// BENCH_pipeline.json; `make bench-gate` fails if the default signature
-// backend drops more than 10% below the committed baseline.
+// streams measure shadow's page-fill pathology, not store dispatch. Run with
+// `go test -run '^$' -bench '^BenchmarkStore$' .`; ddbench's sig.store rows
+// are the numbers of record.
 func BenchmarkStore(b *testing.B) {
 	stream, meta := hotPathStream(1 << 16)
 	for _, backend := range []string{
@@ -564,10 +561,9 @@ func buildMergeShards(workers, distinct, overlapPct int) []*dep.Set {
 // against the parallel tree reduction (dep.MergeShards) now on that path.
 // The matrix spans worker count, distinct-dependence population and the
 // overlap ratio between shards; events/s counts merged source entries, so
-// the two modes are directly comparable per configuration. `make
-// bench-merge` records the matrix under the "merge" label in
-// BENCH_pipeline.json; `make bench-gate` fails if the tree side drops more
-// than 10% below that committed baseline.
+// the two modes are directly comparable per configuration. Run with
+// `go test -run '^$' -bench '^BenchmarkMerge$' .`; ddbench's core.flush_ms is
+// the number of record.
 func BenchmarkMerge(b *testing.B) {
 	cfgs := []struct {
 		name                       string
@@ -712,10 +708,9 @@ func producerTargets() []struct {
 // every instrumentation point reached and counted but no event
 // materialized), and delivery into a no-op sink (the per-event
 // Access-construction and hook-dispatch cost added on top, which is the
-// same for both executors and so compresses their ratio). `make
-// bench-producer` records the raw numbers in BENCH_pipeline.json; `make
-// bench-gate` fails if the VM's throughput drops more than 10% below the
-// committed "producer" baseline.
+// same for both executors and so compresses their ratio). Run with
+// `go test -run '^$' -bench BenchmarkProducer .`; ddbench's vm.raw and
+// event.hook rows are the numbers of record.
 func BenchmarkProducer(b *testing.B) {
 	sink := event.HookFunc(func(event.Access) {})
 	hooks := []struct {

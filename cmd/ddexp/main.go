@@ -14,7 +14,6 @@
 //	ddexp stores            # signature vs hash table vs shadow memory (§III-B)
 //	ddexp balance           # worker load balance: modulo vs redistribution vs round-robin
 //	ddexp sweep             # full FPR/FNR-vs-signature-size curve (rotate)
-//	ddexp throughput        # events/s per pipeline, hot path off vs on
 //	ddexp all               # everything above
 //
 //	ddexp -trace-out run.json all
@@ -22,21 +21,12 @@
 //	                        # Chrome trace-event file (load in Perfetto /
 //	                        # chrome://tracing); each experiment is a span
 //
-//	go test -bench BenchmarkHotPath . | ddexp -bench-label after benchjson
-//	                        # parse benchmark output from stdin and append a
-//	                        # labelled run to BENCH_pipeline.json (make bench)
-//	go test -bench BenchmarkHotPath . | ddexp -bench-compare hotpath benchjson
-//	                        # compare stdin against the recorded "hotpath" run
-//	                        # and exit 1 on a >10% events/s regression
-//	                        # (make bench-gate)
-//
 // Flags: -scale N (problem size multiplier), -paper (paper-scale signature
 // sizes and repetitions), -only a,b,c (restrict to named workloads),
 // -reps N (timing repetitions), -metrics addr (serve live pipeline counters
 // plus /debug/pprof over HTTP while the experiments run), -trace-out path
 // and -trace-interval d (flight-recorder capture), -log-level
-// (debug|info|warn|error), -bench-json path and -bench-label name
-// (destination file and run label for the benchjson subcommand).
+// (debug|info|warn|error).
 package main
 
 import (
@@ -47,8 +37,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/exec"
-	"runtime"
 	"strings"
 	"time"
 
@@ -57,18 +45,6 @@ import (
 	"ddprof/internal/report"
 	"ddprof/internal/telemetry"
 )
-
-// benchStamp describes this machine and checkout for a recorded benchmark
-// run. `go run` builds carry no VCS stamp, so the commit is asked of git: the
-// benchmark ran from the same working tree.
-func benchStamp() *exp.BenchStamp {
-	host, _ := os.Hostname() // a run without a host name is still a run
-	commit := "unknown"
-	if out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=12").Output(); err == nil {
-		commit = strings.TrimSpace(string(out))
-	}
-	return &exp.BenchStamp{Host: host, Cores: runtime.GOMAXPROCS(0), Go: runtime.Version(), Commit: commit}
-}
 
 func main() {
 	var (
@@ -81,11 +57,6 @@ func main() {
 		traceInt = flag.Duration("trace-interval", 50*time.Millisecond, "flight-recorder sampling interval for -trace-out")
 		logLevel = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		useTW    = flag.Bool("interp", false, "execute targets with the reference tree-walking interpreter instead of the bytecode VM")
-
-		benchJSON    = flag.String("bench-json", "BENCH_pipeline.json", "destination file for the benchjson subcommand")
-		benchLabel   = flag.String("bench-label", "run", "run label for the benchjson subcommand")
-		benchCompare = flag.String("bench-compare", "", "compare stdin against this recorded run label instead of appending; exit 1 on regression")
-		benchTol     = flag.Float64("bench-tolerance", 0.10, "events/s fraction a sub-benchmark may fall below the baseline before -bench-compare fails")
 	)
 	flag.Parse()
 
@@ -98,53 +69,8 @@ func main() {
 	slog.SetDefault(logger)
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: ddexp [flags] table1|table2|fig5|fig6|fig7|fig8|fig9|eq2|merge|stores|balance|sweep|throughput|benchjson|all")
+		fmt.Fprintln(os.Stderr, "usage: ddexp [flags] table1|table2|fig5|fig6|fig7|fig8|fig9|eq2|merge|stores|balance|sweep|all")
 		os.Exit(2)
-	}
-
-	if flag.Arg(0) == "benchjson" {
-		// Not an experiment: filter `go test -bench` output from stdin into
-		// the append-only benchmark log the `make bench` gate reads.
-		entries, err := exp.ParseBench(os.Stdin)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ddexp benchjson:", err)
-			os.Exit(1)
-		}
-		if *benchCompare != "" {
-			// Gate mode (make bench-gate): compare against a recorded run,
-			// fail loudly on regression, record nothing.
-			deltas, err := exp.CompareBench(*benchJSON, *benchCompare, entries, *benchTol)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ddexp benchjson:", err)
-				os.Exit(1)
-			}
-			regressed := false
-			for _, d := range deltas {
-				verdict := "ok"
-				if d.Regressed {
-					verdict = "REGRESSED"
-					regressed = true
-				}
-				fmt.Printf("%-12s %14.0f events/s vs %14.0f baseline (%5.1f%%)  %s\n",
-					d.Name, d.Now, d.Base, 100*d.Ratio, verdict)
-			}
-			if regressed {
-				fmt.Fprintf(os.Stderr, "ddexp benchjson: events/s regressed more than %.0f%% below run %q\n",
-					100**benchTol, *benchCompare)
-				os.Exit(1)
-			}
-			return
-		}
-		bf, err := exp.AppendBenchRun(*benchJSON, *benchLabel, benchStamp(), entries)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ddexp benchjson:", err)
-			os.Exit(1)
-		}
-		for _, e := range entries {
-			fmt.Printf("%s: recorded %-12s %14.0f events/s\n", *benchJSON, e.Name, e.EventsPerSec)
-		}
-		fmt.Printf("%s: %d run(s) on record\n", *benchJSON, len(bf.Runs))
-		return
 	}
 
 	// Observability for the experiment run: live counters on the shared
@@ -252,11 +178,10 @@ func main() {
 			}
 			return render(exp.StoreAccuracy(o))
 		},
-		"balance":    func(o exp.Options) error { return render(exp.Balance(o)) },
-		"sweep":      func(o exp.Options) error { return render(exp.Sweep(o, "rotate")) },
-		"throughput": func(o exp.Options) error { return render(exp.Throughput(o)) },
+		"balance": func(o exp.Options) error { return render(exp.Balance(o)) },
+		"sweep":   func(o exp.Options) error { return render(exp.Sweep(o, "rotate")) },
 	}
-	order := []string{"table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "eq2", "merge", "stores", "balance", "sweep", "throughput"}
+	order := []string{"table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "eq2", "merge", "stores", "balance", "sweep"}
 
 	// runOne wraps a runner in a flight-recorder span so each experiment
 	// shows up as a named slice on the trace timeline.

@@ -50,9 +50,6 @@ type Engine struct {
 	loops map[prog.LoopID]*loopAgg
 	// raceCheck enables the epoch race rule of build (MT-target mode).
 	raceCheck bool
-	// noCache disables the instance cache (A/B measurement and the
-	// fast-vs-slow equivalence suite; output is identical either way).
-	noCache bool
 	// epoch is the current epoch-clock reading, stamped onto per-loop
 	// aggregate tables created from now on (the dependence set carries its
 	// own copy); advanced by ExtractEpochDelta.
@@ -173,10 +170,6 @@ func NewEngine(store sig.Store, meta *prog.Meta, raceCheck bool) *Engine {
 	}
 	return e
 }
-
-// DisableCache switches the engine to the slow (map-per-instance) path.
-// Must be called before the first Process.
-func (e *Engine) DisableCache() { e.noCache = true }
 
 // CacheStats reports instance-cache probes and hits since construction.
 func (e *Engine) CacheStats() (hits, probes uint64) { return e.cacheHits, e.cacheProbes }
@@ -304,58 +297,42 @@ func (e *Engine) build(t dep.Type, src sig.Slot, snk *event.Access, n uint64) {
 }
 
 // record merges n identical instances of dependence k into the set and the
-// per-loop aggregates, going through the instance cache unless disabled.
+// per-loop aggregates through the instance cache: only a miss consults the
+// maps.
 func (e *Engine) record(k pkey, carriedAt prog.LoopID, reduction, reversed bool, dist uint32, n uint64) {
-	var ent *depCacheEntry
-	var st *dep.Stats
-	if e.noCache {
-		st = e.deps.Ref(k.key())
+	e.cacheProbes++
+	ent := &e.cache[k.hash()&depCacheMask]
+	st := ent.st
+	if st != nil && ent.key == k {
+		e.cacheHits++
 	} else {
-		e.cacheProbes++
-		ent = &e.cache[k.hash()&depCacheMask]
-		if ent.st != nil && ent.key == k {
-			st = ent.st
-			e.cacheHits++
-		} else {
-			st = e.deps.Ref(k.key())
-			*ent = depCacheEntry{key: k, st: st, loop: prog.NoLoop}
-		}
+		st = e.deps.Ref(k.key())
+		*ent = depCacheEntry{key: k, st: st, loop: prog.NoLoop}
 	}
 	e.deps.ObserveVia(st, n, carriedAt != prog.NoLoop, reduction, reversed, dist)
 	if carriedAt == prog.NoLoop {
 		return
 	}
 
-	if ent != nil && ent.loop == carriedAt {
-		// Repeat carried instance: update the memoized aggregate directly.
-		// Count advances too — summaries never read it, but the epoch-delta
-		// extractor detects change by Count-vs-watermark, and this keeps the
-		// carried-key tables extractable like the dependence sets.
-		ent.ck.Count += n
-		ent.ck.Reduction = ent.ck.Reduction && reduction
-		if k.t == dep.RAW {
-			if ent.agg.minRAWDist == 0 || dist < ent.agg.minRAWDist {
-				ent.agg.minRAWDist = dist
-			}
+	if ent.loop != carriedAt {
+		// First carried instance since the entry was filled (or the key is
+		// carried by another loop now): memoize the loop's aggregate record.
+		agg := e.loops[carriedAt]
+		if agg == nil {
+			agg = newLoopAgg()
+			agg.keys.SetEpoch(e.epoch)
+			e.loops[carriedAt] = agg
 		}
-		return
+		// Fresh records start Reduction (= allRed) true.
+		ent.loop, ent.agg, ent.ck = carriedAt, agg, agg.keys.Ref(k.key())
 	}
-	agg := e.loops[carriedAt]
-	if agg == nil {
-		agg = newLoopAgg()
-		agg.keys.SetEpoch(e.epoch)
-		e.loops[carriedAt] = agg
-	}
-	ck := agg.keys.Ref(k.key()) // fresh records start Reduction (= allRed) true
-	ck.Count += n
-	ck.Reduction = ck.Reduction && reduction
-	if k.t == dep.RAW {
-		if agg.minRAWDist == 0 || dist < agg.minRAWDist {
-			agg.minRAWDist = dist
-		}
-	}
-	if ent != nil {
-		ent.loop, ent.agg, ent.ck = carriedAt, agg, ck
+	// Count advances too — summaries never read it, but the epoch-delta
+	// extractor detects change by Count-vs-watermark, and this keeps the
+	// carried-key tables extractable like the dependence sets.
+	ent.ck.Count += n
+	ent.ck.Reduction = ent.ck.Reduction && reduction
+	if k.t == dep.RAW && (ent.agg.minRAWDist == 0 || dist < ent.agg.minRAWDist) {
+		ent.agg.minRAWDist = dist
 	}
 }
 

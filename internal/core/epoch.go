@@ -148,8 +148,8 @@ func (p *Parallel) EpochMark(mark uint32) {
 // their current drain position; instances pushed concurrently land on one
 // side or the other, which the delta-union guarantee is indifferent to.
 func (m *MT) EpochMark(mark uint32) {
-	for _, w := range m.pl.workers {
-		w.tr.pushAccess(event.Access{Addr: uint64(mark), Kind: event.EpochMark})
+	for _, q := range m.rings {
+		q.Push(event.Access{Addr: uint64(mark), Kind: event.EpochMark})
 	}
 }
 

@@ -6,8 +6,10 @@ import (
 
 	"ddprof/internal/dep"
 	"ddprof/internal/event"
+	"ddprof/internal/interp"
 	"ddprof/internal/loc"
 	"ddprof/internal/prog"
+	"ddprof/internal/sig"
 )
 
 // equivStream is one workload of the fast-vs-slow equivalence suite: a
@@ -169,43 +171,63 @@ func requireSameProfile(t *testing.T, label string, want, got *Result) {
 	}
 }
 
-// TestFastSlowEquivalence holds the hot path to the ISSUE's bar: dependence
-// sets and LoopDeps must be byte-identical with the instance cache and
-// producer fast path enabled vs disabled, on every pipeline.
+// bareEngine is the reference every shortcut is held to: the stream through
+// one Engine over an exact store, with nothing in front of it — no producer,
+// so no duplicate-read filter and no collapse. With emptied set, the instance
+// cache is cleared before every event, so every record misses and goes through
+// the dependence set's and the per-loop aggregates' Ref: Algorithm 1 with a
+// map operation per instance.
+func bareEngine(s equivStream, raceCheck, emptied bool) *Result {
+	eng := NewEngine(sig.NewPerfectSignature(), s.meta, raceCheck)
+	res := &Result{}
+	for _, a := range s.evs {
+		if emptied {
+			eng.cache = [depCacheSize]depCacheEntry{}
+		}
+		eng.Process(a)
+		if a.Kind <= event.Write {
+			res.Stats.Accesses += 1 + uint64(a.Rep)
+		}
+	}
+	res.Deps, res.Loops = eng.Deps(), eng.LoopDeps()
+	res.Stats.DepCacheHits, res.Stats.DepCacheProbes = eng.CacheStats()
+	return res
+}
+
+// TestInstanceCacheExact holds the instance cache to the engine without one,
+// on the equivalence suite and every bundled workload's captured stream.
+func TestInstanceCacheExact(t *testing.T) {
+	for _, s := range goldenStreams(t, interp.TreeWalker{}) {
+		want, got := bareEngine(s, true, true), bareEngine(s, true, false)
+		if want.Stats.DepCacheHits != 0 || want.Stats.DepCacheProbes == 0 {
+			t.Errorf("%s: emptied cache hit %d of %d probes, want 0 of > 0",
+				s.name, want.Stats.DepCacheHits, want.Stats.DepCacheProbes)
+		}
+		if got.Stats.DepCacheHits == 0 {
+			t.Errorf("%s: the cache never hit", s.name)
+		}
+		requireSameProfile(t, s.name, want, got)
+	}
+}
+
+// TestFastSlowEquivalence holds every pipeline — instance cache, duplicate-read
+// filter, MT collapse and merge included — to the engine with none of them.
 func TestFastSlowEquivalence(t *testing.T) {
 	for _, s := range equivSuite() {
 		s := s
 		t.Run(s.name, func(t *testing.T) {
-			mk := func(kind string, noFast bool) Profiler {
-				cfg := Config{
-					Backend:    "perfect",
-					Meta:       s.meta,
-					NoFastPath: noFast,
+			for _, cfg := range []Config{
+				{Mode: ModeSerial},
+				{Mode: ModeParallel, Workers: 3, QueueCap: 4}, // non-power-of-two: the modulo owner path
+				{Mode: ModeMT, Workers: 2, QueueCap: 256},
+			} {
+				cfg.Backend, cfg.Meta = "perfect", s.meta
+				p, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				switch kind {
-				case "serial":
-					return NewSerial(cfg)
-				case "parallel":
-					cfg.Workers = 3 // non-power-of-two: exercises the modulo owner path
-					cfg.QueueCap = 4
-					return NewParallel(cfg)
-				case "mt":
-					cfg.Workers = 2
-					cfg.QueueCap = 256
-					return NewMT(cfg)
-				}
-				panic(kind)
-			}
-			for _, kind := range []string{"serial", "parallel", "mt"} {
-				slow := feed(mk(kind, true), s.evs)
-				fast := feed(mk(kind, false), s.evs)
-				if fast.Stats.DepCacheProbes == 0 {
-					t.Errorf("%s: fast path recorded no cache probes", kind)
-				}
-				if slow.Stats.DepCacheProbes != 0 {
-					t.Errorf("%s: slow path unexpectedly probed the cache", kind)
-				}
-				requireSameProfile(t, fmt.Sprintf("%s/%s", s.name, kind), slow, fast)
+				slow := bareEngine(s, cfg.Mode == ModeMT, true) // MT engines always run the race rule
+				requireSameProfile(t, fmt.Sprintf("%s/%v", s.name, cfg.Mode), slow, feed(p, s.evs))
 			}
 		})
 	}

@@ -83,17 +83,18 @@ func NewExistence(cfg Config) *Existence {
 	}
 	e := &Existence{}
 	e.pl.m = cfg.Metrics
-	for i := 0; i < cfg.Workers; i++ {
+	trs := make([]*chunkTransport, cfg.Workers)
+	for i := range trs {
+		trs[i] = newChunkTransport(cfg.LockBased, cfg.QueueCap, cfg.Workers)
 		e.pl.workers = append(e.pl.workers, &worker{
-			id:          i,
-			tr:          newChunkTransport(cfg.LockBased, cfg.QueueCap, cfg.Workers),
-			ex:          &existSink{lines: make(map[uint64]*lineSets)},
-			m:           cfg.Metrics,
-			sampleEvery: uint64(cfg.SampleEvery),
+			id: i,
+			tr: trs[i],
+			ex: &existSink{lines: make(map[uint64]*lineSets)},
+			m:  cfg.Metrics,
 		})
 	}
 	e.pl.startAll()
-	e.pr.init(&e.pl, &cfg, true)
+	e.pr.init(&e.pl, trs, &cfg, true)
 	return e
 }
 

@@ -13,29 +13,13 @@ import (
 	"ddprof/internal/telemetry"
 )
 
-func TestSampleEveryValidation(t *testing.T) {
-	if _, err := New(Config{Mode: ModeParallel, SampleEvery: -1, Backend: "perfect"}); err == nil {
-		t.Fatal("negative SampleEvery accepted")
-	}
-	cfg, err := Config{}.normalize(ModeParallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.SampleEvery != 32 {
-		t.Fatalf("default SampleEvery = %d, want 32", cfg.SampleEvery)
-	}
-}
-
 func TestParallelStageHistograms(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	pipe := reg.Pipeline("t")
-	p := NewParallel(Config{
-		Workers:     2,
-		Backend:     "perfect",
-		Metrics:     pipe,
-		SampleEvery: 1, // time every chunk so a small stream populates all stages
-	})
-	for _, a := range synthStream(100000, 500, 7) {
+	p := NewParallel(Config{Workers: 2, Backend: "perfect", Metrics: pipe})
+	// One chunk push and one worker batch in sampleEvery is timed: fill twice
+	// that many chunks per worker so every stage is sampled.
+	for _, a := range synthStream(2*2*sampleEvery*event.ChunkSize, 500, 7) {
 		p.Access(a)
 	}
 	p.Flush()

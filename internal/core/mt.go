@@ -34,10 +34,9 @@ import (
 // producers cannot reroute synchronously the way the sequential-target
 // producer does.
 type MT struct {
-	pl       pipeline
-	rings    []*queue.MPSC[event.Access] // rings[i] is worker i's transport
-	m        *telemetry.Pipeline
-	collapse bool
+	pl    pipeline
+	rings []*queue.MPSC[event.Access] // rings[i] is worker i's transport
+	m     *telemetry.Pipeline
 
 	// rt is the routing table, non-nil only when redistribution is on (else:
 	// static). Producers read it lock-free; the rebalancer replaces it copy-on-write.
@@ -121,26 +120,22 @@ func newMT(cfg Config) (*MT, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &MT{m: cfg.Metrics, collapse: !cfg.NoFastPath}
+	m := &MT{m: cfg.Metrics}
 	m.static = routeTable{w: cfg.Workers, wMask: powerOfTwoMask(cfg.Workers)}
 	m.pl.m = cfg.Metrics
 	for i := 0; i < cfg.Workers; i++ {
 		eng := NewEngine(stores[i], cfg.Meta, true)
-		if cfg.NoFastPath {
-			eng.DisableCache()
-		}
 		if cfg.TrackBounds {
 			eng.EnableBoundsTracking()
 		}
 		tr := &ringTransport{in: queue.NewMPSC[event.Access](cfg.QueueCap)}
 		m.rings = append(m.rings, tr.in)
 		m.pl.workers = append(m.pl.workers, &worker{
-			id:          i,
-			tr:          tr,
-			eng:         eng,
-			m:           cfg.Metrics,
-			sampleEvery: uint64(cfg.SampleEvery),
-			onDelta:     cfg.OnEpochDelta,
+			id:      i,
+			tr:      tr,
+			eng:     eng,
+			m:       cfg.Metrics,
+			onDelta: cfg.OnEpochDelta,
 			// events_total is counted here on the consumer side, one batched
 			// Add per drain: the concurrent producers of §V must not pay a
 			// shared atomic per access.
@@ -267,7 +262,7 @@ func (m *MT) spread(seg []event.Access, rt *routeTable, lane *mtLane) {
 			n := 0
 			for _, i := range idx[:len(part)] {
 				a := &seg[i]
-				if n > 0 && a.Kind == event.Read && m.collapse && dupRead(&part[n-1], a) {
+				if n > 0 && a.Kind == event.Read && dupRead(&part[n-1], a) {
 					part[n-1].Rep++
 					dups++
 					continue
@@ -340,7 +335,7 @@ func (m *MT) migrate(addr uint64, from, to int) {
 	fw, tw := m.pl.workers[from], m.pl.workers[to]
 
 	// Step 1: hold at the destination.
-	tw.tr.pushAccess(event.Access{Addr: addr, Kind: event.Hold})
+	m.rings[to].Push(event.Access{Addr: addr, Kind: event.Hold})
 
 	// Step 2: publish the rerouted table (copy-on-write).
 	old := m.rt.Load()
@@ -361,7 +356,7 @@ func (m *MT) migrate(addr uint64, from, to int) {
 	}
 
 	// Step 4: extract the state from the old owner.
-	fw.tr.pushAccess(event.Access{Addr: addr, Kind: event.Migrate})
+	m.rings[from].Push(event.Access{Addr: addr, Kind: event.Migrate})
 	var st *migState
 	for i := 0; ; i++ {
 		if st = fw.migOut.Swap(nil); st != nil {
@@ -374,7 +369,7 @@ func (m *MT) migrate(addr uint64, from, to int) {
 	for i := 0; !tw.installIn.CompareAndSwap(nil, st); i++ {
 		queue.Backoff(i)
 	}
-	tw.tr.pushAccess(event.Access{Addr: addr, Kind: event.Install})
+	m.rings[to].Push(event.Access{Addr: addr, Kind: event.Install})
 
 	m.rebalStats.Migrations++
 	if m.m != nil {
@@ -391,8 +386,8 @@ func (m *MT) Flush() *Result {
 		close(m.stop)
 		m.rebalWG.Wait()
 	}
-	for _, w := range m.pl.workers {
-		w.tr.pushAccess(event.Access{Kind: event.Flush})
+	for _, q := range m.rings {
+		q.Push(event.Access{Kind: event.Flush})
 	}
 	m.pl.wg.Wait()
 

@@ -190,15 +190,19 @@ func TestMTOrderingInvariant(t *testing.T) {
 }
 
 // TestMTCollapsesStampedReads: with sync-epoch stamps a thread's identical
-// reads carry identical stamps, so the consumer-side filter collapses them
-// in a real timestamped run — and the profile stays byte-identical to the
-// unfiltered NoFastPath one.
+// reads carry identical stamps, so spread collapses them in a real timestamped
+// run — and the profile stays byte-identical to the same run delivered one
+// event at a time, runs of one in which nothing can collapse.
 func TestMTCollapsesStampedReads(t *testing.T) {
 	w, _ := workloads.ByName("rgbyuv")
 	p := w.Build(workloads.Config{Scale: 0.1})
-	run := func(noFast bool) *Result {
-		m := NewMT(Config{Workers: 2, Backend: "perfect", Meta: p.Meta, NoFastPath: noFast})
-		if _, err := vm.Run(p, m, interp.Options{Timestamps: true}); err != nil {
+	run := func(perEvent bool) *Result {
+		m := NewMT(Config{Workers: 2, Backend: "perfect", Meta: p.Meta})
+		var hook event.Hook = m
+		if perEvent {
+			hook = event.HookFunc(m.Access)
+		}
+		if _, err := vm.Run(p, hook, interp.Options{Timestamps: true}); err != nil {
 			t.Fatal(err)
 		}
 		return m.Flush()
@@ -206,7 +210,7 @@ func TestMTCollapsesStampedReads(t *testing.T) {
 	want, got := run(true), run(false)
 	requireSameProfile(t, "mt-stamped-collapse", want, got)
 	if want.Stats.DupCollapsed != 0 || got.Stats.DupCollapsed == 0 {
-		t.Errorf("DupCollapsed = %d with the filter, %d without; want > 0 and 0",
+		t.Errorf("DupCollapsed = %d in batches, %d per event; want > 0 and 0",
 			got.Stats.DupCollapsed, want.Stats.DupCollapsed)
 	}
 }

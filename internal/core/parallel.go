@@ -41,36 +41,28 @@ func newParallel(cfg Config) (*Parallel, error) {
 	}
 	p := &Parallel{}
 	p.pl.m = cfg.Metrics
-	for i := 0; i < cfg.Workers; i++ {
+	trs := make([]*chunkTransport, cfg.Workers)
+	for i := range trs {
 		eng := NewEngine(stores[i], cfg.Meta, cfg.RaceCheck)
-		if cfg.NoFastPath {
-			eng.DisableCache()
-		}
 		if cfg.TrackBounds {
 			eng.EnableBoundsTracking()
 		}
+		trs[i] = newChunkTransport(cfg.LockBased, cfg.QueueCap, cfg.Workers)
 		p.pl.workers = append(p.pl.workers, &worker{
-			id:          i,
-			tr:          newChunkTransport(cfg.LockBased, cfg.QueueCap, cfg.Workers),
-			eng:         eng,
-			m:           cfg.Metrics,
-			sampleEvery: uint64(cfg.SampleEvery),
-			onDelta:     cfg.OnEpochDelta,
+			id:      i,
+			tr:      trs[i],
+			eng:     eng,
+			m:       cfg.Metrics,
+			onDelta: cfg.OnEpochDelta,
 		})
 	}
 	p.pl.startAll()
-	p.pr.init(&p.pl, &cfg, false)
+	p.pr.init(&p.pl, trs, &cfg, false)
 	return p, nil
 }
 
 // Access implements Profiler: the one-event batch.
 func (p *Parallel) Access(a event.Access) { p.pr.putBatch([]event.Access{a}, nil) }
-
-// AccessRange feeds a pre-compressed strided run (a DDT1 range record): the
-// one-slot batch. Single-goroutine, like Access.
-func (p *Parallel) AccessRange(r event.Range) {
-	p.pr.putBatch([]event.Access{{Kind: event.RangeRef}}, []event.Range{r})
-}
 
 // AccessBatch implements Profiler: the producer routes the caller's buffer in
 // place (producer.putBatch). Single-goroutine, like Access.

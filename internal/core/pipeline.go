@@ -8,9 +8,9 @@ package core
 //	┌─────▼──────┐  routing (owner mask / redirect map / round-robin),
 //	│  producer  │  duplicate-read collapse, Misra–Gries sketch,
 //	└─────┬──────┘  migrate/install rebalance protocol
-//	      │ chunks (SPSC / Locked) or runs copied into the ring (MPSC)
+//	      │ chunks pushed (SPSC / Locked) or runs copied into the ring (MPSC)
 //	┌─────▼──────┐
-//	│ transport  │  one push/pop/recycle contract over all queue kinds
+//	│ transport  │  the worker's side: one pop/recycle contract over both
 //	└─────┬──────┘
 //	      │ event batches
 //	┌─────▼──────┐  uniform control handling (flush/migrate/install/hold),
@@ -133,12 +133,6 @@ func (c Config) normalize(mode Mode) (Config, error) {
 	if c.RedistributeEvery < 0 {
 		return c, fmt.Errorf("core: RedistributeEvery = %d; want >= 1 chunks, or 0 to disable redistribution", c.RedistributeEvery)
 	}
-	if c.SampleEvery < 0 {
-		return c, fmt.Errorf("core: SampleEvery = %d; want >= 1, or 0 for the default", c.SampleEvery)
-	}
-	if c.SampleEvery == 0 {
-		c.SampleEvery = 32
-	}
 	return c, nil
 }
 
@@ -179,32 +173,25 @@ const chunkBytes = uint64(unsafe.Sizeof(chunk{}))
 // the lock-free queue.SPSC and the lock-based queue.Locked, which is how the
 // Figure 5 lock-based/lock-free ablation swaps implementations.
 type chunkQueue interface {
-	TryPush(*chunk) bool
 	TryPop() (*chunk, bool)
 	Push(*chunk)
 	Len() int
 	Cap() int
 }
 
-// transport carries events from the producer stage to one worker. Two
-// granularities exist behind the one contract: chunked (sequential targets,
-// existence mode) and runs in a ring (multi-threaded targets).
+// transport is the worker's and the merge stage's side of what carries events
+// from the producer stage to one worker. Two granularities exist behind it:
+// chunked (sequential targets, existence mode) and runs in a ring
+// (multi-threaded targets). The pushing side differs in kind, not just in
+// granularity, so each producer holds its concrete type: the §IV producer its
+// chunkTransports, MT its rings.
 type transport interface {
-	// pushChunk enqueues a chunk (chunked transports only).
-	pushChunk(c *chunk)
-	// pushAccess enqueues one access, a run of one; safe for concurrent
-	// producers (ring transports only).
-	pushAccess(a event.Access)
-	// takeChunk returns a recycled chunk if one is available.
-	takeChunk() (*chunk, bool)
 	// pop returns the next batch of events to process and the chunk to
 	// recycle after processing (nil for ring transports, whose batch is the
 	// ring's own memory until the next pop).
 	pop() ([]event.Access, *chunk, bool)
 	// recycle returns a drained chunk to the producer.
 	recycle(c *chunk)
-	// depth is the producer-observable queue depth, in push units.
-	depth() int
 	// memBytes is the fixed ring memory, for Figure 8 accounting. Chunk
 	// memory is accounted by the producer (chunks travel between rings).
 	memBytes() uint64
@@ -233,14 +220,6 @@ func newChunkTransport(lockBased bool, qcap, workers int) *chunkTransport {
 	return &chunkTransport{in: in, rec: queue.NewSPSC[*chunk](workers * (in.Cap() + 2))}
 }
 
-func (t *chunkTransport) pushChunk(c *chunk) { t.in.Push(c) }
-
-func (t *chunkTransport) pushAccess(event.Access) {
-	panic("core: chunked transport cannot push single accesses")
-}
-
-func (t *chunkTransport) takeChunk() (*chunk, bool) { return t.rec.TryPop() }
-
 func (t *chunkTransport) pop() ([]event.Access, *chunk, bool) {
 	c, ok := t.in.TryPop()
 	if !ok {
@@ -255,8 +234,6 @@ func (t *chunkTransport) recycle(c *chunk) {
 		panic("core: recycle ring full (the chunk pool outgrew its bound)")
 	}
 }
-
-func (t *chunkTransport) depth() int { return t.in.Len() }
 
 // memBytes reports the pointer cells of the inbound and recycle rings. The
 // chunks themselves are excluded on purpose: they travel between the rings
@@ -280,14 +257,6 @@ type ringTransport struct {
 	maxDepth int64 // consumer-owned; read by the merge stage after the flush barrier
 }
 
-func (t *ringTransport) pushChunk(*chunk) {
-	panic("core: ring transport cannot push chunks")
-}
-
-func (t *ringTransport) pushAccess(a event.Access) { t.in.Push(a) }
-
-func (t *ringTransport) takeChunk() (*chunk, bool) { return nil, false }
-
 func (t *ringTransport) pop() ([]event.Access, *chunk, bool) {
 	evs := t.in.Peek()
 	if len(evs) == 0 {
@@ -303,7 +272,6 @@ func (t *ringTransport) pop() ([]event.Access, *chunk, bool) {
 
 func (t *ringTransport) recycle(*chunk) {}
 
-func (t *ringTransport) depth() int              { return t.in.Len() }
 func (t *ringTransport) memBytes() uint64        { return uint64(mpscCellBytes * t.in.Cap()) }
 func (t *ringTransport) observedMaxDepth() int64 { return t.maxDepth }
 
@@ -338,16 +306,15 @@ type worker struct {
 	installIn atomic.Pointer[migState] // state published to worker
 
 	// flight-recorder state, all worker-local. m is the telemetry sink (nil
-	// disables everything); sampleEvery the 1/N stage-timing rate. One in
-	// sampleEvery batches is timed (StageWorkerNs), as is the wait of one in
-	// sampleEvery idle episodes (StageTransportWaitNs). countEvents selects
+	// disables everything). One in sampleEvery batches is timed
+	// (StageWorkerNs), as is the wait of one in sampleEvery idle episodes
+	// (StageTransportWaitNs). countEvents selects
 	// consumer-side events_total accounting (MT mode, whose concurrent
 	// producers must not share an atomic counter): one Add per drained batch
 	// instead of one per access. The pub* fields are publication watermarks so
 	// periodic in-flight publication and the final merge-time publication add
 	// disjoint deltas to the same counters.
 	m           *telemetry.Pipeline
-	sampleEvery uint64
 	countEvents bool
 	batches     uint64
 	waits       uint64
@@ -363,6 +330,12 @@ type worker struct {
 type accuracyStore interface {
 	Accuracy() (sig.AccuracyStats, bool)
 }
+
+// sampleEvery is the stage-latency sampling rate: one in sampleEvery chunk
+// pushes / worker batches / idle episodes is timed into the telemetry
+// histograms. Sampling rather than timing every chunk keeps clock reads off
+// the throughput path.
+const sampleEvery = 32
 
 // telemetryPublishEvery is the worker-batch cadence of in-flight telemetry
 // publication (dep-cache counters, live accuracy): frequent enough that
@@ -426,7 +399,7 @@ func (w *worker) run() {
 		evs, c, ok := w.tr.pop()
 		if !ok {
 			if idle == 0 && w.m != nil {
-				if w.waits++; w.waits%w.sampleEvery == 0 {
+				if w.waits++; w.waits%sampleEvery == 0 {
 					waiting = true
 					waitT0 = time.Now()
 				}
@@ -442,7 +415,7 @@ func (w *worker) run() {
 		idle = 0
 		var done bool
 		w.batches++
-		if w.m != nil && w.batches%w.sampleEvery == 0 {
+		if w.m != nil && w.batches%sampleEvery == 0 {
 			t0 := time.Now()
 			done = w.process(evs)
 			w.m.StageWorkerNs.Observe(time.Since(t0).Nanoseconds())
@@ -804,7 +777,10 @@ func planRebalance(top []uint64, w int, owner func(uint64) int) []migration {
 // round-robin dealing for existence mode), the duplicate-read filter, the
 // heavy-hitter sketch, and the migrate/install rebalance protocol.
 type producer struct {
-	pl    *pipeline
+	pl *pipeline
+	// trs[i] is worker i's transport, by its concrete type: the producer is
+	// the one pushing chunks in and taking recycled ones back.
+	trs   []*chunkTransport
 	w     int
 	wMask uint64 // w-1 when w is a power of two, else 0 (see ownerOf)
 	// rr deals chunks round-robin instead of by address owner: existence
@@ -822,7 +798,6 @@ type producer struct {
 	heavy    *heavySketch
 	sample   uint64
 
-	noFast            bool
 	redistributeEvery int
 	// seedPromote is set when the worker stores have an exact heavy-hitter
 	// tier (sig.Promoter): the producer then keeps its sketch warm and seeds
@@ -837,30 +812,26 @@ type producer struct {
 	stats           RunStats
 	dupPublished    uint64
 	m               *telemetry.Pipeline
-	// sampleEvery / pushCtr: one in sampleEvery chunk pushes is timed into
-	// StageProduceNs (push incl. backpressure, depth gauge, chunk refill).
-	sampleEvery uint64
-	pushCtr     uint64
+	// pushCtr: one in sampleEvery chunk pushes is timed into StageProduceNs
+	// (push incl. backpressure, depth gauge, chunk refill).
+	pushCtr uint64
 }
 
-// init wires the producer to its pipeline. rr selects round-robin dealing
-// (one shared open chunk) over per-owner open chunks.
-func (pr *producer) init(pl *pipeline, cfg *Config, rr bool) {
+// init wires the producer to its pipeline, whose workers pop from trs. rr
+// selects round-robin dealing (one shared open chunk) over per-owner open
+// chunks.
+func (pr *producer) init(pl *pipeline, trs []*chunkTransport, cfg *Config, rr bool) {
 	pr.pl = pl
+	pr.trs = trs
 	pr.w = cfg.Workers
 	pr.wMask = powerOfTwoMask(cfg.Workers)
 	pr.rr = rr
-	pr.noFast = cfg.NoFastPath
 	if !rr {
 		// Round-robin dealing is already perfectly balanced; redistribution
 		// only applies to address-owned routing.
 		pr.redistributeEvery = cfg.RedistributeEvery
 	}
 	pr.m = cfg.Metrics
-	pr.sampleEvery = uint64(cfg.SampleEvery)
-	if pr.sampleEvery == 0 {
-		pr.sampleEvery = 32 // init called with an unnormalized Config in tests
-	}
 	pr.redirect = make(map[uint64]int)
 	if !rr {
 		pr.heavy = newHeavySketch(64)
@@ -948,7 +919,7 @@ func (pr *producer) putBatch(accesses []event.Access, ranges []event.Range) {
 			// access to the same address routes to the same chunk and resets
 			// the match, so the collapse is exact: the engine replays the
 			// multiplicity and the profile is byte-identical.
-			if a.Kind == event.Read && c.n > 0 && !pr.noFast && dupRead(&c.buf[c.n-1], a) {
+			if a.Kind == event.Read && c.n > 0 && dupRead(&c.buf[c.n-1], a) {
 				c.buf[c.n-1].Rep++
 				pr.stats.DupCollapsed++
 				continue
@@ -1002,9 +973,8 @@ func (pr *producer) seedPromotions() {
 // found them all empty started with every chunk open, queued or in processing
 // — at most one, a full inbound queue and one per worker.
 func (pr *producer) newChunk(from int) *chunk {
-	for i := range pr.pl.workers {
-		w := (from + i) % len(pr.pl.workers)
-		if c, ok := pr.pl.workers[w].tr.takeChunk(); ok {
+	for i := range pr.trs {
+		if c, ok := pr.trs[(from+i)%len(pr.trs)].rec.TryPop(); ok {
 			if pr.m != nil {
 				pr.m.ChunksRecycled.Inc()
 			}
@@ -1028,7 +998,7 @@ func (pr *producer) pushOpen(slot int) {
 	tgt := slot
 	if pr.rr {
 		tgt = pr.next
-		pr.next = (pr.next + 1) % len(pr.pl.workers)
+		pr.next = (pr.next + 1) % len(pr.trs)
 	}
 	pr.push(slot, tgt, c.n, true)
 }
@@ -1052,18 +1022,18 @@ func (pr *producer) pushControl(slot, tgt int, ev event.Access, refill bool) {
 // control event); every push publishes the counters accrued since the last.
 func (pr *producer) push(slot, tgt, data int, refill bool) {
 	// Sampled producer-stage span: the push (including any backpressure wait
-	// inside pushChunk), the depth observation, and the chunk refill — the
+	// inside it), the depth observation, and the chunk refill — the
 	// full per-chunk routing cost the §IV producer pays.
 	var produceT0 time.Time
 	timed := false
 	if pr.m != nil {
-		if pr.pushCtr++; pr.pushCtr%pr.sampleEvery == 0 {
+		if pr.pushCtr++; pr.pushCtr%sampleEvery == 0 {
 			timed = true
 			produceT0 = time.Now()
 		}
 	}
-	tw := pr.pl.workers[tgt]
-	tw.tr.pushChunk(pr.open[slot])
+	in := pr.trs[tgt].in
+	in.Push(pr.open[slot])
 	pr.open[slot] = nil
 	if data > 0 {
 		pr.stats.Chunks++
@@ -1080,7 +1050,7 @@ func (pr *producer) push(slot, tgt, data int, refill bool) {
 		// Depth right after the push; the pushed chunk may already have been
 		// consumed, so count it in to keep the gauge a lower bound of the
 		// burst the worker saw.
-		d := int64(tw.tr.depth())
+		d := int64(in.Len())
 		if d == 0 {
 			d = 1
 		}
@@ -1167,10 +1137,10 @@ func (pr *producer) drainFlush() {
 	if pr.rr {
 		pr.pushOpen(0)
 	}
-	for i := range pr.pl.workers {
+	for i := range pr.trs {
 		slot, more := i, false
 		if pr.rr {
-			slot, more = 0, i+1 < len(pr.pl.workers)
+			slot, more = 0, i+1 < len(pr.trs)
 		}
 		pr.pushControl(slot, i, event.Access{Kind: event.Flush}, more)
 	}

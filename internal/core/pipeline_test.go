@@ -11,6 +11,12 @@ import (
 	"ddprof/internal/telemetry"
 )
 
+// Both carriers answer the whole worker-side contract.
+var (
+	_ transport = (*chunkTransport)(nil)
+	_ transport = (*ringTransport)(nil)
+)
+
 // TestConfigValidation exercises the centralized Config checks: every
 // constructor path funnels through normalize/makeStores, so a bad
 // configuration fails with the same descriptive error everywhere.

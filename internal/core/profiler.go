@@ -80,7 +80,7 @@ type RunStats struct {
 	// least one address.
 	Redistributions uint64
 	// Ranges is the number of compressed strided data runs ingested (DDT1
-	// wire ranges, AccessRange calls); RangeElements the accesses they
+	// wire ranges); RangeElements the accesses they
 	// expanded into. Range elements count in Accesses and in every dependence
 	// count like any other access.
 	Ranges        uint64
@@ -127,22 +127,12 @@ type Config struct {
 	// (paper: 50,000); in MT mode, every N×ChunkSize accesses, keeping the
 	// cadence comparable across modes. 0 disables redistribution.
 	RedistributeEvery int
-	// NoFastPath disables the hot-path optimizations — the engines' instance
-	// cache and the duplicate-read filter. The profile is byte-identical
-	// either way (the equivalence suite holds both paths to that); the flag
-	// exists for A/B measurement (exp.Throughput) and tests.
-	NoFastPath bool
 	// Metrics, when non-nil, receives live pipeline telemetry (events in,
 	// queue depths, chunk recycling, redistributions, signature occupancy,
-	// stage latency histograms). Counters are bumped at chunk granularity so
-	// the hot path stays cheap; nil costs nothing.
+	// stage latency histograms). Counters are bumped at chunk granularity and
+	// stage latencies sampled (one in 32 chunk pushes / worker batches) so the
+	// hot path stays cheap; nil costs nothing.
 	Metrics *telemetry.Pipeline
-	// SampleEvery is the stage-latency sampling rate: one in SampleEvery
-	// chunk pushes / worker batches is timed into the Metrics histograms.
-	// Defaults to 32; irrelevant when Metrics is nil. Sampling (rather than
-	// timing every chunk) is what keeps the flight recorder inside the
-	// bench-gate's throughput budget.
-	SampleEvery int
 	// TrackAccuracy enables live Eq. (2) accuracy telemetry on workers whose
 	// store is a sig.Signature: slot-conflict counters plus measured vs
 	// predicted false-positive gauges per worker (sig_fpr_measured_ppm /
@@ -219,9 +209,6 @@ func newSerial(cfg Config) (*Serial, error) {
 		return nil, err
 	}
 	eng := NewEngine(stores[0], cfg.Meta, cfg.RaceCheck)
-	if cfg.NoFastPath {
-		eng.DisableCache()
-	}
 	if cfg.TrackBounds {
 		eng.EnableBoundsTracking()
 	}
@@ -233,12 +220,6 @@ func newSerial(cfg Config) (*Serial, error) {
 
 // Access implements Profiler: the one-event batch.
 func (s *Serial) Access(a event.Access) { s.AccessBatch([]event.Access{a}, nil) }
-
-// AccessRange feeds a pre-compressed strided run (a DDT1 range record): the
-// one-slot batch.
-func (s *Serial) AccessRange(r event.Range) {
-	s.AccessBatch([]event.Access{{Kind: event.RangeRef}}, []event.Range{r})
-}
 
 // AccessBatch implements Profiler: the whole batch drives the engine in one
 // tight loop — no per-event interface dispatch — with access counting and

@@ -34,6 +34,11 @@ func (s *rangedStream) points() []event.Access {
 	return evs
 }
 
+// accessRange hands p one range on its own: the one-slot batch.
+func accessRange(p Profiler, r event.Range) {
+	p.AccessBatch([]event.Access{{Kind: event.RangeRef}}, []event.Range{r})
+}
+
 func (s *rangedStream) point(a event.Access) { s.slots = append(s.slots, a) }
 
 func (s *rangedStream) rng(r event.Range) {
@@ -124,8 +129,8 @@ func rangeEdges() (*rangedStream, *prog.Meta) {
 // TestAccessRangeEquivalence holds ranges to being their points: over every
 // registered backend (the signature also at a size where the stream's
 // addresses collide) and the serial, parallel and MT profilers, a stream handed
-// over with its ranges — one AccessRange call each, or as RangeRef slots of
-// one AccessBatch — leaves the profile, and the producer's chunk, duplicate
+// over with its ranges — one one-slot batch each (accessRange), or as RangeRef
+// slots of one AccessBatch — leaves the profile, and the producer's chunk, duplicate
 // and migration accounting, of the expanded stream through Access.
 func TestAccessRangeEquivalence(t *testing.T) {
 	s, m := rangeEdges()
@@ -136,11 +141,7 @@ func TestAccessRangeEquivalence(t *testing.T) {
 	}
 	backends = append(backends, "signature:slots=64", "hybrid:slots=256,exact=8,promote=4")
 
-	type ranged interface {
-		Profiler
-		AccessRange(event.Range)
-	}
-	run := func(t *testing.T, mk func(backend string) ranged, wantMigrations bool) {
+	run := func(t *testing.T, mk func(backend string) Profiler, wantMigrations bool) {
 		for _, backend := range backends {
 			want := feed(mk(backend), evs)
 			if wantMigrations && want.Stats.Migrations == 0 {
@@ -151,13 +152,13 @@ func TestAccessRangeEquivalence(t *testing.T) {
 			p := mk(backend)
 			for _, a := range s.slots {
 				if a.Kind == event.RangeRef {
-					p.AccessRange(s.rngs[a.Addr])
+					accessRange(p, s.rngs[a.Addr])
 				} else {
 					p.Access(a)
 				}
 			}
 			if got := digestResult(p.Flush(), true, true); got != wantDigest {
-				t.Errorf("%s: AccessRange profile differs from the expanded stream's", backend)
+				t.Errorf("%s: one-range-batch profile differs from the expanded stream's", backend)
 			}
 
 			p = mk(backend)
@@ -173,12 +174,12 @@ func TestAccessRangeEquivalence(t *testing.T) {
 		}
 	}
 	t.Run("serial", func(t *testing.T) {
-		run(t, func(b string) ranged { return NewSerial(Config{Backend: b, Meta: m}) }, false)
+		run(t, func(b string) Profiler { return NewSerial(Config{Backend: b, Meta: m}) }, false)
 	})
 	for _, workers := range []int{1, 2, 4, 8, 3} {
 		workers := workers
 		t.Run(fmt.Sprintf("parallel-%dw", workers), func(t *testing.T) {
-			run(t, func(b string) ranged {
+			run(t, func(b string) Profiler {
 				return NewParallel(Config{Workers: workers, QueueCap: 8, RedistributeEvery: 1, Backend: b, Meta: m})
 			}, workers > 1)
 		})

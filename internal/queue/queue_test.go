@@ -388,8 +388,7 @@ func TestMPSCBulkClaimStress(t *testing.T) {
 
 // BenchmarkMPSCClaim prices one element through the ring at the MT
 // pipeline's depth — claim, copy in, publish; Peek on the other side — by run
-// length: 1 is Push, 512 an executor batch landing in one ring. Recorded by
-// `make bench-queue`.
+// length: 1 is Push, 512 an executor batch landing in one ring.
 func BenchmarkMPSCClaim(b *testing.B) {
 	for _, run := range []int{1, 64, 512} {
 		b.Run(fmt.Sprintf("run%d", run), func(b *testing.B) {

@@ -95,9 +95,8 @@ func streamIngestFrames(fw *trace.FrameWriter, p []byte) error {
 // BenchmarkRemoteIngest measures the daemon's ingest path end to end —
 // handshake, framed DDT1 stream, profiling, response — against an in-process
 // twin running the identical event stream through the same pipeline
-// configuration. The remote/inproc ratio is the cost of the wire; `make
-// bench-remote` records both under the "remote" label so the gate catches
-// ingest regressions.
+// configuration. The remote/inproc ratio is the cost of the wire; ddbench's
+// remote-session workload is the number of record.
 func BenchmarkRemoteIngest(b *testing.B) {
 	stream, meta := benchIngestStream(1 << 16)
 	full, body, err := encodeIngestPass(stream)

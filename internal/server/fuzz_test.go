@@ -17,6 +17,7 @@ func FuzzHandshake(f *testing.F) {
 	writeHandshake(&good, clientHandshake(testProgram("seed", 32), ClientOptions{Workers: 2, Backend: "perfect"}))
 	f.Add(good.Bytes())
 	f.Add([]byte("DDRP\x01\x00\x00\x00\x00"))
+	f.Add([]byte("DDRP\x01\x02\x00\x00\x00")) // flag bit 1, retired: refused
 	f.Add([]byte("DDRP\x01\x00\x00\x02\x01a\x01b\x01"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

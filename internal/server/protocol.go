@@ -68,10 +68,9 @@ const (
 
 	// Handshake flag bits.
 	flagRaceCheck   = 1 << 0
-	flagExact       = 1 << 1 // legacy shorthand for the "perfect" backend
 	flagBackendSpec = 1 << 2 // a length-prefixed store spec string follows
 	flagWatch       = 1 << 3 // watch subscription, not a profiling session
-	flagsKnown      = flagRaceCheck | flagExact | flagBackendSpec | flagWatch
+	flagsKnown      = flagRaceCheck | flagBackendSpec | flagWatch
 
 	statusOK  = 0
 	statusErr = 1
@@ -89,7 +88,7 @@ const (
 // handshake is the decoded session preamble.
 type handshake struct {
 	Flags    byte
-	Backend  string // store spec; "" = none requested (flags may still carry flagExact)
+	Backend  string // store spec; "" = none requested
 	Workers  int
 	VarNames []string
 	Meta     *prog.Meta // nil when the client sent no loop metadata

@@ -46,7 +46,7 @@ type Config struct {
 	// DefaultBackend is the store spec of sessions that request none
 	// (resolved against the sig backend registry); empty selects the
 	// default signature sized from SessionSlots. A handshake backend spec
-	// overrides it; the legacy exact flag maps to "perfect".
+	// overrides it.
 	DefaultBackend string
 	// MaxStoreBytes, when positive, is the daemon's per-session store
 	// admission budget: a session whose backend's estimated footprint
@@ -379,14 +379,11 @@ func (s *Server) unregister(sess *session) {
 	s.mu.Unlock()
 }
 
-// resolveBackend picks a session's store spec — handshake spec first, then
-// the legacy exact flag ("perfect"), then the daemon default — and enforces
-// the daemon's store admission budget over the session's store count.
+// resolveBackend picks a session's store spec — the handshake's, else the
+// daemon default — and enforces the daemon's store admission budget over the
+// session's store count.
 func (c Config) resolveBackend(h *handshake, stores, slotsPerStore int) (string, error) {
 	spec := h.Backend
-	if spec == "" && h.Flags&flagExact != 0 {
-		spec = "perfect"
-	}
 	if spec == "" {
 		spec = c.DefaultBackend
 	}

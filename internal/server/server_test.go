@@ -451,16 +451,23 @@ func TestHandshakeRoundTrip(t *testing.T) {
 }
 
 func TestHandshakeRejects(t *testing.T) {
-	cases := map[string][]byte{
-		"empty":        {},
-		"bad magic":    []byte("NOPE\x01"),
-		"bad version":  []byte("DDRP\x09"),
-		"bad flags":    []byte("DDRP\x01\xff"),
-		"cut mid-vars": {'D', 'D', 'R', 'P', 1, 0, 0, 5},
+	cases := map[string]struct {
+		data []byte
+		want string // in the error text
+	}{
+		"empty":        {nil, ""},
+		"bad magic":    {[]byte("NOPE\x01"), "magic"},
+		"bad version":  {[]byte("DDRP\x09"), "version"},
+		"bad flags":    {[]byte("DDRP\x01\xff"), "unknown handshake flags 0xff"},
+		"retired flag": {[]byte("DDRP\x01\x02\x00\x00\x00"), "unknown handshake flags 0x2"}, // bit 1 once meant an exact store
+		"cut mid-vars": {[]byte{'D', 'D', 'R', 'P', 1, 0, 0, 5}, ""},
 	}
-	for name, data := range cases {
-		if _, err := readHandshake(bufio.NewReader(bytes.NewReader(data))); err == nil {
+	for name, c := range cases {
+		_, err := readHandshake(bufio.NewReader(bytes.NewReader(c.data)))
+		if err == nil {
 			t.Errorf("%s: accepted", name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: refused with %q, want it to mention %q", name, err, c.want)
 		}
 	}
 }

@@ -324,9 +324,8 @@ type Pipeline struct {
 	// into repetition counts before chunking; events_total + dup_collapsed
 	// equals the logical access count.
 	DupCollapsed *Counter
-	// Ranges counts ingested wire ranges (DDT1 range records, AccessRange
-	// calls); RangeElements the accesses they expanded into at the ingest
-	// seam. Range elements are already included in Events — these counters
+	// Ranges counts ingested wire ranges (DDT1 range records); RangeElements
+	// the accesses they expanded into at the ingest seam. Range elements are already included in Events — these counters
 	// measure what the client compressed, not extra traffic.
 	Ranges        *Counter
 	RangeElements *Counter
@@ -340,8 +339,8 @@ type Pipeline struct {
 	SigOccupancyPermille *Gauge
 
 	// Stage latency histograms (nanoseconds), the flight recorder's span
-	// layer. All are recorded at sampled chunk/batch granularity (one in
-	// Config.SampleEvery) so the hot path stays inside the bench gate:
+	// layer. All are recorded at sampled chunk/batch granularity (one in 32)
+	// so clock reads stay off the hot path:
 	//
 	//	StageProduceNs       per-chunk producer routing: push (including any
 	//	                     backpressure wait), depth observation, refill
