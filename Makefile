@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check fmt-check fuzz smoke bench
+.PHONY: all build vet test race check fmt-check fuzz smoke bench loc
 
 all: build
 
@@ -39,12 +39,22 @@ check: build vet fmt-check test race smoke
 bench:
 	$(GO) run ./bench/ddbench all
 
+# Non-test Go lines per top-level package (. is the ddprof facade) and in all:
+# the number a simplicity PR reports, before and after.
+loc:
+	@for d in . bench cmd examples internal; do \
+		depth=; [ $$d = . ] && depth='-maxdepth 1'; \
+		printf '%-9s %6d\n' $$d $$(find $$d $$depth -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -1 | awk '{print $$1}'); \
+	done
+	@printf '%-9s %6d\n' total $$(find . -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -1 | awk '{print $$1}')
+
 # Short fuzz pass over the hardened decoders (trace, framing, server), the
 # slab trace encoder against its reference, the dependence-set fast-update
-# API the instance cache relies on, the engine's two store arms against each
-# other on point streams, the MT pipeline's batch seam against its per-event
-# one, and the backend spec parser every -backend flag and DDT1 handshake goes
-# through.
+# API the instance cache relies on and the shard merge the pipelines' merge
+# stage runs (FuzzSetMergeEquivalence guards production: core's merge is
+# dep.MergeShards), the engine's two store arms against each other on point
+# streams, the MT pipeline's batch seam against its per-event one, and the
+# backend spec parser every -backend flag and DDT1 handshake goes through.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzEngineArms -fuzztime=10s ./internal/core/
 	$(GO) test -run=^$$ -fuzz=FuzzMTBatchEquivalence -fuzztime=10s ./internal/core/

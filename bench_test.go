@@ -424,9 +424,13 @@ func BenchmarkHotPath(b *testing.B) {
 			prof.Access(stream[i%len(stream)])
 		}
 	}
-	run := func(b *testing.B, stream []event.Access, mk func() core.Profiler, feed func(core.Profiler, []event.Access, int)) {
+	run := func(b *testing.B, stream []event.Access, cfg core.Config, feed func(core.Profiler, []event.Access, int)) {
 		b.ReportAllocs()
-		prof := mk()
+		cfg.Metrics = pipe
+		prof, err := core.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		start := time.Now()
 		b.ResetTimer()
 		feed(prof, stream, b.N)
@@ -436,22 +440,14 @@ func BenchmarkHotPath(b *testing.B) {
 	}
 	par4 := func(stream []event.Access, meta *prog.Meta) func(*testing.B) {
 		return func(b *testing.B) {
-			run(b, stream, func() core.Profiler {
-				return core.NewParallel(core.Config{
-					Workers: 4, SlotsPerWorker: 1 << 18, Meta: meta, Metrics: pipe,
-				})
-			}, batched)
+			run(b, stream, core.Config{Mode: core.ModeParallel, Workers: 4, SlotsPerWorker: 1 << 18, Meta: meta}, batched)
 		}
 	}
 	b.Run("serial", func(b *testing.B) {
-		run(b, stream, func() core.Profiler {
-			return core.NewSerial(core.Config{SlotsPerWorker: 1 << 20, Meta: meta, Metrics: pipe})
-		}, batched)
+		run(b, stream, core.Config{SlotsPerWorker: 1 << 20, Meta: meta}, batched)
 	})
 	b.Run("parallel4", par4(stream, meta))
-	mt4 := func() core.Profiler {
-		return core.NewMT(core.Config{Workers: 4, SlotsPerWorker: 1 << 18, Meta: meta, Metrics: pipe})
-	}
+	mt4 := core.Config{Mode: core.ModeMT, Workers: 4, SlotsPerWorker: 1 << 18, Meta: meta}
 	b.Run("mt4", func(b *testing.B) { run(b, stream, mt4, batched) })
 	// The per-event adapter (tests, library callers): a run of one per event
 	// and nothing collapsed on the way, so its price stays visible.
@@ -506,7 +502,10 @@ func BenchmarkStore(b *testing.B) {
 		name := strings.NewReplacer(":", "_", ",", "_", "=", "-").Replace(backend)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			prof := core.NewSerial(core.Config{Backend: backend, Meta: meta})
+			prof, err := core.New(core.Config{Backend: backend, Meta: meta})
+			if err != nil {
+				b.Fatal(err)
+			}
 			start := time.Now()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

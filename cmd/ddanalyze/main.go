@@ -1,5 +1,5 @@
 // Command ddanalyze runs the integrated program-analysis framework (paper
-// §VIII) over one profiled workload: every registered plugin — parallelism
+// §VIII) over one profiled workload: every built-in plugin — parallelism
 // discovery, hot dependences, communication matrix, race summary, dynamic
 // call graph — reports against a single profiling run.
 //
@@ -17,6 +17,7 @@ import (
 	"ddprof/internal/core"
 	"ddprof/internal/framework"
 	"ddprof/internal/interp"
+	"ddprof/internal/minilang"
 	"ddprof/internal/vm"
 	"ddprof/internal/workloads"
 )
@@ -34,9 +35,10 @@ func main() {
 
 	cfg := workloads.Config{Scale: *scale, Threads: *threads}
 	w, ok := workloads.ByName(*name)
-	var prog = workloads.WaterSpatial(cfg)
+	var prog *minilang.Program
 	switch {
 	case *name == "water-spatial":
+		prog = workloads.WaterSpatial(cfg)
 		*mt = true
 	case !ok:
 		fmt.Fprintf(os.Stderr, "ddanalyze: unknown workload %q\n", *name)
@@ -73,8 +75,7 @@ func main() {
 	}
 	data := framework.New(prog, prof.Flush(), info)
 
-	reg := framework.DefaultRegistry(*threads)
-	out, err := reg.RunAll(data)
+	out, err := framework.RunAll(data, framework.Builtins(*threads))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ddanalyze:", err)
 		os.Exit(1)

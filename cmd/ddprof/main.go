@@ -49,7 +49,7 @@ func run() int {
 		out     = flag.String("o", "", "write the dependence dump to a file instead of stdout")
 		format  = flag.String("format", "text", "dump format: text (Figure 1/3) | binary")
 		remote  = flag.String("remote", "", "profile on a ddprofd daemon: host:port or unix:/path.sock")
-		frameKB = flag.Int("framebytes", 0, "with -remote: wire frame size in bytes (one trace-buffer flush = one frame; 0 = 64KiB default, capped by the daemon's -max-frame)")
+		frameKB = flag.Int("framebytes", 0, "with -remote: wire frame size in bytes (one trace-buffer flush = one frame; 0 = 64KiB default, capped by the daemon's 1MiB frame limit)")
 		watch   = flag.Bool("watch", false, "with -remote: subscribe to a session's live epoch-delta stream instead of profiling")
 		watchID = flag.Uint64("watch-session", 0, "with -watch: daemon session to observe (0 = newest active, waiting for the next when none is)")
 		watchAt = flag.Uint64("watch-since", 0, "with -watch: catch up from this epoch (0 = the full profile so far)")
@@ -58,6 +58,14 @@ func run() int {
 		memProf = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
 	flag.Parse()
+
+	// Bad -mode and -format values fail here, before any work is done.
+	pmode, err := checkFlags(*mode, *format)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ddprof:", err)
+		return 2
+	}
+	binary := *format == "binary"
 
 	if *watch {
 		if *remote == "" {
@@ -74,7 +82,7 @@ func run() int {
 			defer f.Close()
 			w = f
 		}
-		return runWatch(*remote, *watchID, uint32(*watchAt), w, *summary, *format)
+		return runWatch(*remote, *watchID, uint32(*watchAt), w, *summary, binary)
 	}
 
 	if *list {
@@ -120,7 +128,6 @@ func run() int {
 
 	var prog *ddprof.Program
 	var isMT bool
-	var err error
 	if *file != "" {
 		src, rerr := os.ReadFile(*file)
 		if rerr != nil {
@@ -148,23 +155,10 @@ func run() int {
 	}
 
 	if *remote != "" {
-		return runRemote(prog, isMT || *mode == "mt", w, *remote, *workers, *backend, *useTW, *summary, *format, *frameKB)
+		return runRemote(prog, isMT || pmode == ddprof.ModeMT, w, *remote, *workers, *backend, *useTW, *summary, binary, *frameKB)
 	}
 
-	cfg := ddprof.Config{Workers: *workers, Slots: *slots, Backend: *backend, Interp: *useTW}
-	switch *mode {
-	case "serial":
-		cfg.Mode = ddprof.ModeSerial
-	case "parallel":
-		cfg.Mode = ddprof.ModeParallel
-	case "lockbased":
-		cfg.Mode = ddprof.ModeParallelLockBased
-	case "mt":
-		cfg.Mode = ddprof.ModeMT
-	default:
-		fmt.Fprintf(os.Stderr, "ddprof: unknown mode %q\n", *mode)
-		return 2
-	}
+	cfg := ddprof.Config{Mode: pmode, Workers: *workers, Slots: *slots, Backend: *backend, Interp: *useTW}
 	if isMT && cfg.Mode != ddprof.ModeMT {
 		fmt.Fprintln(os.Stderr, "ddprof: note: profiling a multi-threaded target; forcing -mode mt")
 		cfg.Mode = ddprof.ModeMT
@@ -175,19 +169,8 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "ddprof:", err)
 		return 1
 	}
-	if !*summary {
-		switch *format {
-		case "text":
-			err = res.WriteDeps(w)
-		case "binary":
-			err = res.SaveBinary(w)
-		default:
-			err = fmt.Errorf("unknown format %q", *format)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ddprof:", err)
-			return 1
-		}
+	if !dump(w, *summary, binary, res.WriteDeps, res.SaveBinary) {
+		return 1
 	}
 	fmt.Printf("\n# %s: %d accesses, %d dependences (%d dynamic instances merged)\n",
 		prog.Name, res.Accesses, res.Deps.Unique(), res.Deps.Instances())
@@ -204,7 +187,7 @@ func run() int {
 
 // runRemote executes the target locally while streaming its trace to a
 // ddprofd daemon, then renders the dependence set the daemon returned.
-func runRemote(prog *ddprof.Program, mt bool, w io.Writer, addr string, workers int, backend string, useTW, summary bool, format string, frameBytes int) int {
+func runRemote(prog *ddprof.Program, mt bool, w io.Writer, addr string, workers int, backend string, useTW, summary, binary bool, frameBytes int) int {
 	conn, err := server.Dial(addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ddprof:", err)
@@ -222,20 +205,12 @@ func runRemote(prog *ddprof.Program, mt bool, w io.Writer, addr string, workers 
 		fmt.Fprintln(os.Stderr, "ddprof:", err)
 		return 1
 	}
-	if !summary {
-		switch format {
-		case "text":
-			err = dep.Write(w, rr.Deps, prog.Tab, rr.LoopRecords,
-				dep.WriterOptions{Threads: mt, MarkRaces: mt})
-		case "binary":
-			err = dep.Encode(w, rr.Deps, prog.Tab, rr.LoopRecords)
-		default:
-			err = fmt.Errorf("unknown format %q", format)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ddprof:", err)
-			return 1
-		}
+	if !dump(w, summary, binary, func(w io.Writer) error {
+		return dep.Write(w, rr.Deps, prog.Tab, rr.LoopRecords, dep.WriterOptions{Threads: mt, MarkRaces: mt})
+	}, func(w io.Writer) error {
+		return dep.Encode(w, rr.Deps, prog.Tab, rr.LoopRecords)
+	}) {
+		return 1
 	}
 	fmt.Printf("\n# %s: %d accesses streamed to %s, %d dependences (%d dynamic instances merged)\n",
 		prog.Name, rr.Events, addr, rr.Deps.Unique(), rr.Deps.Instances())
@@ -246,7 +221,7 @@ func runRemote(prog *ddprof.Program, mt bool, w io.Writer, addr string, workers 
 // epoch-delta stream: one status line per frame, and — because the folded
 // frames reconstruct the session's exact final profile — the full dependence
 // dump once the final frame lands.
-func runWatch(addr string, session uint64, since uint32, w io.Writer, summary bool, format string) int {
+func runWatch(addr string, session uint64, since uint32, w io.Writer, summary, binary bool) int {
 	conn, err := server.Dial(addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ddprof:", err)
@@ -280,23 +255,51 @@ func runWatch(addr string, session uint64, since uint32, w io.Writer, summary bo
 		fmt.Fprintln(os.Stderr, "ddprof:", err)
 		return 1
 	}
-	if !summary {
-		switch format {
-		case "text":
-			err = dep.Write(w, folded, tab, nil, dep.WriterOptions{})
-		case "binary":
-			err = dep.Encode(w, folded, tab, nil)
-		default:
-			err = fmt.Errorf("unknown format %q", format)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ddprof:", err)
-			return 1
-		}
+	if !dump(w, summary, binary, func(w io.Writer) error {
+		return dep.Write(w, folded, tab, nil, dep.WriterOptions{})
+	}, func(w io.Writer) error {
+		return dep.Encode(w, folded, tab, nil)
+	}) {
+		return 1
 	}
 	fmt.Printf("\n# watch: %d delta frames from %s, %d dependences (%d dynamic instances merged)\n",
 		frames, addr, folded.Unique(), folded.Instances())
 	return 0
+}
+
+// checkFlags validates -mode and -format and resolves the mode.
+func checkFlags(mode, format string) (ddprof.Mode, error) {
+	if format != "text" && format != "binary" {
+		return 0, fmt.Errorf("unknown format %q (text | binary)", format)
+	}
+	switch mode {
+	case "serial":
+		return ddprof.ModeSerial, nil
+	case "parallel":
+		return ddprof.ModeParallel, nil
+	case "lockbased":
+		return ddprof.ModeParallelLockBased, nil
+	case "mt":
+		return ddprof.ModeMT, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q (serial | parallel | lockbased | mt)", mode)
+}
+
+// dump writes the dependence dump, in the text or the binary format, unless
+// -summary suppresses it; a failure is reported on stderr.
+func dump(w io.Writer, summary, binary bool, text, bin func(io.Writer) error) bool {
+	if summary {
+		return true
+	}
+	write := text
+	if binary {
+		write = bin
+	}
+	if err := write(w); err != nil {
+		fmt.Fprintln(os.Stderr, "ddprof:", err)
+		return false
+	}
+	return true
 }
 
 // buildTarget resolves a workload name to a program.

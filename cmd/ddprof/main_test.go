@@ -36,6 +36,18 @@ func TestBuildTargetMT(t *testing.T) {
 	}
 }
 
+// TestCheckFlags: bad -mode and -format values are refused up front.
+func TestCheckFlags(t *testing.T) {
+	if m, err := checkFlags("lockbased", "binary"); err != nil || m != ddprof.ModeParallelLockBased {
+		t.Errorf("lockbased/binary: mode %v, %v", m, err)
+	}
+	for _, bad := range [][2]string{{"serial", "json"}, {"turbo", "text"}, {"", "text"}, {"mt", ""}} {
+		if _, err := checkFlags(bad[0], bad[1]); err == nil {
+			t.Errorf("-mode %q -format %q accepted", bad[0], bad[1])
+		}
+	}
+}
+
 func TestBuildTargetErrors(t *testing.T) {
 	if _, _, err := buildTarget("no-such-workload", 1, 4, "serial"); err == nil {
 		t.Error("unknown workload accepted")

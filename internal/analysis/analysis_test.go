@@ -14,10 +14,13 @@ import (
 // profileProgram runs p under a perfect-signature serial profiler.
 func profileProgram(t *testing.T, p *Program) (*interp.RunInfo, *core.Result) {
 	t.Helper()
-	prof := core.NewSerial(core.Config{
+	prof, err := core.New(core.Config{
 		Backend: "perfect",
 		Meta:    p.Meta,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	info, err := interp.Run(p, prof, interp.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +137,10 @@ func TestCommunicationEndToEnd(t *testing.T) {
 			})
 		})
 	})
-	prof := core.NewMT(core.Config{Workers: 2, Backend: "perfect"})
+	prof, err := core.New(core.Config{Mode: core.ModeMT, Workers: 2, Backend: "perfect"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := interp.Run(p, prof, interp.Options{Timestamps: true}); err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func TestStoreTelemetryPublished(t *testing.T) {
 	drive := func(backend string) *telemetry.Pipeline {
 		reg := telemetry.NewRegistry()
 		pipe := reg.Pipeline("t")
-		p := NewParallel(Config{Workers: 2, Backend: backend, Metrics: pipe})
+		p := mustNew(t, Config{Mode: ModeParallel, Workers: 2, Backend: backend, Metrics: pipe})
 		var ts uint64
 		for i := 0; i < 20000; i++ {
 			ts++
@@ -72,13 +72,13 @@ func TestBackendEquivalence(t *testing.T) {
 		mk   func(backend string, meta *prog.Meta) Profiler
 	}{
 		{"serial", func(b string, meta *prog.Meta) Profiler {
-			return NewSerial(Config{Backend: b, Meta: meta})
+			return mustNew(t, Config{Backend: b, Meta: meta})
 		}},
 		{"par3", func(b string, meta *prog.Meta) Profiler {
-			return NewParallel(Config{Workers: 3, QueueCap: 8, Backend: b, Meta: meta})
+			return mustNew(t, Config{Mode: ModeParallel, Workers: 3, QueueCap: 8, Backend: b, Meta: meta})
 		}},
 		{"par4-redist", func(b string, meta *prog.Meta) Profiler {
-			return NewParallel(Config{Workers: 4, RedistributeEvery: 4, Backend: b, Meta: meta})
+			return mustNew(t, Config{Mode: ModeParallel, Workers: 4, RedistributeEvery: 4, Backend: b, Meta: meta})
 		}},
 	}
 	for _, s := range streams {
@@ -123,10 +123,10 @@ func TestHybridBoundedHeavyHitters(t *testing.T) {
 		evs = append(evs, a)
 	}
 
-	want := runSerial(evs)
+	want := runSerial(t, evs)
 
 	spec := fmt.Sprintf("hybrid:slots=4096,exact=%d,promote=4", 64)
-	p := NewParallel(Config{Workers: 2, Backend: spec})
+	p := mustNew(t, Config{Mode: ModeParallel, Workers: 2, Backend: spec})
 	for _, a := range evs {
 		p.Access(a)
 	}

@@ -14,7 +14,7 @@ import (
 func feedCut(p Profiler, evs []event.Access, cut int) *Result {
 	for i, a := range evs {
 		if cut > 0 && i > 0 && i%cut == 0 {
-			p.(EpochMarker).EpochMark(uint32(i / cut))
+			p.EpochMark(uint32(i / cut))
 		}
 		p.Access(a)
 	}
@@ -37,7 +37,7 @@ func feedBatched(p Profiler, evs []event.Access, batch int, collapse bool, cut i
 	for i, a := range evs {
 		if cut > 0 && i > 0 && i%cut == 0 {
 			flush()
-			p.(EpochMarker).EpochMark(uint32(i / cut))
+			p.EpochMark(uint32(i / cut))
 		}
 		if collapse && len(pending) > 0 {
 			if last := &pending[len(pending)-1]; a.Kind == event.Read &&
@@ -73,18 +73,12 @@ func TestAccessBatchEquivalence(t *testing.T) {
 				log = &deltaLog{}
 				cfg := Config{Backend: "perfect", Meta: s.meta, OnEpochDelta: log.add}
 				switch kind {
-				case "serial":
-					return NewSerial(cfg)
 				case "parallel":
-					cfg.Workers = 3
-					cfg.QueueCap = 4
-					return NewParallel(cfg)
+					cfg.Mode, cfg.Workers, cfg.QueueCap = ModeParallel, 3, 4
 				case "mt":
-					cfg.Workers = 2
-					cfg.QueueCap = 256
-					return NewMT(cfg)
+					cfg.Mode, cfg.Workers, cfg.QueueCap = ModeMT, 2, 256
 				}
-				panic(kind)
+				return mustNew(t, cfg)
 			}
 			for _, kind := range []string{"serial", "parallel", "mt"} {
 				for _, cut := range []int{0, 3} {
@@ -136,11 +130,9 @@ func TestAccessBatchRanges(t *testing.T) {
 		mk := func() Profiler {
 			cfg := Config{Backend: "perfect", Meta: m}
 			if kind == "parallel" {
-				cfg.Workers = 3
-				cfg.QueueCap = 4
-				return NewParallel(cfg)
+				cfg.Mode, cfg.Workers, cfg.QueueCap = ModeParallel, 3, 4
 			}
-			return NewSerial(cfg)
+			return mustNew(t, cfg)
 		}
 		ref := mk()
 		ri := 0

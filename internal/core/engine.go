@@ -389,8 +389,8 @@ func carriedKeysOf(aggs map[prog.LoopID]*loopAgg) map[prog.LoopID]*dep.Set {
 // flags combine with AND — which is exactly Set.Merge's Reduction fold.
 // mergeLoopAggs consumes src: a loop seen only there moves into dst whole,
 // a shared loop's key slabs are folded and released. Both folds are
-// commutative and associative, so the merge stage's tree reduction applies
-// it in any pairing order.
+// commutative and associative, so the order the merge stage visits the
+// workers in does not matter.
 func mergeLoopAggs(dst, src map[prog.LoopID]*loopAgg) {
 	for id, s := range src {
 		d := dst[id]

@@ -242,7 +242,7 @@ func TestProcessAllocFree(t *testing.T) {
 		t.Errorf("Engine.Process allocates %.1f times per write+read, want 0", n)
 	}
 
-	p := NewParallel(Config{Workers: 2, QueueCap: 1, SlotsPerWorker: 1 << 16, Meta: armsMeta()})
+	p := mustNew(t, Config{Mode: ModeParallel, Workers: 2, QueueCap: 1, SlotsPerWorker: 1 << 16, Meta: armsMeta()})
 	batch := make([]event.Access, 0, event.BatchSize)
 	for i := uint64(0); len(batch)+3 <= cap(batch); i++ {
 		w.Addr, r.Addr = 0x1000+8*i, 0x1000+8*i

@@ -114,17 +114,7 @@ func (e *Engine) ExtractEpochDelta(mark uint32) *EpochDelta {
 	return d
 }
 
-// EpochMarker is implemented by profiler variants that support live
-// epoch-delta extraction. EpochMark cuts an epoch at the current stream
-// position: each worker extracts its delta and delivers it to the
-// Config.OnEpochDelta callback. Marks must be monotone; EpochMark must be
-// called from the Access caller's goroutine for serial and parallel mode
-// (MT mode accepts any goroutine, like its Access).
-type EpochMarker interface {
-	EpochMark(mark uint32)
-}
-
-// EpochMark implements EpochMarker for the serial profiler: extraction is
+// EpochMark implements Profiler for the serial profiler: extraction is
 // inline, like everything else in serial mode.
 func (s *Serial) EpochMark(mark uint32) {
 	if s.onDelta == nil {
@@ -133,7 +123,7 @@ func (s *Serial) EpochMark(mark uint32) {
 	s.onDelta(s.eng.ExtractEpochDelta(mark))
 }
 
-// EpochMark implements EpochMarker for the parallel (sequential-target)
+// EpochMark implements Profiler for the parallel (sequential-target)
 // profiler: an EpochMark control record is pushed behind every worker's
 // pending accesses — the same pattern as migrate — so each worker cuts its
 // delta at exactly the stream position the producer had reached. Extraction
@@ -142,7 +132,7 @@ func (p *Parallel) EpochMark(mark uint32) {
 	p.pr.epochMark(mark)
 }
 
-// EpochMark implements EpochMarker for the MT profiler: the mark is pushed
+// EpochMark implements Profiler for the MT profiler: the mark is pushed
 // through each worker's MPSC ring (multi-producer safe, so a ticker goroutine
 // may call it concurrently with target threads). Workers cut their deltas at
 // their current drain position; instances pushed concurrently land on one
@@ -157,6 +147,6 @@ func (m *MT) EpochMark(mark uint32) {
 // each worker's pending accesses.
 func (pr *producer) epochMark(mark uint32) {
 	for w := range pr.open {
-		pr.pushControl(w, w, event.Access{Addr: uint64(mark), Kind: event.EpochMark}, true)
+		pr.pushControl(w, event.Access{Addr: uint64(mark), Kind: event.EpochMark}, true)
 	}
 }

@@ -84,33 +84,23 @@ func TestEpochDeltaEquivalence(t *testing.T) {
 						OnEpochDelta: log.add,
 						TrackBounds:  true,
 					}
-					var p Profiler
 					switch kind {
-					case "serial":
-						p = NewSerial(cfg)
 					case "parallel":
-						cfg.Workers = 3
-						cfg.QueueCap = 4
-						p = NewParallel(cfg)
+						cfg.Mode, cfg.Workers, cfg.QueueCap = ModeParallel, 3, 4
 					case "mt":
-						cfg.Workers = 2
-						cfg.QueueCap = 256
-						p = NewMT(cfg)
+						cfg.Mode, cfg.Workers, cfg.QueueCap = ModeMT, 2, 256
 					}
-					marker, ok := p.(EpochMarker)
-					if !ok {
-						t.Fatalf("%s: pipeline does not implement EpochMarker", label)
-					}
+					p := mustNew(t, cfg)
 					var epoch uint32
 					for i, a := range s.evs {
 						if i > 0 && i%300 == 0 {
 							epoch++
-							marker.EpochMark(epoch)
+							p.EpochMark(epoch)
 						}
 						p.Access(a)
 					}
 					epoch++
-					marker.EpochMark(epoch)
+					p.EpochMark(epoch)
 					res := p.Flush()
 
 					folded, foldedLoops := log.fold()
@@ -160,12 +150,11 @@ func TestEpochDeltaEquivalence(t *testing.T) {
 func TestEpochDeltaBounds(t *testing.T) {
 	s := equivSuite()[0] // carried-raw: addresses 0x1000..0x1000+63*8
 	log := &deltaLog{}
-	var p Profiler = NewSerial(Config{Backend: "perfect", Meta: s.meta, OnEpochDelta: log.add, TrackBounds: true})
-	marker := p.(EpochMarker)
+	p := mustNew(t, Config{Backend: "perfect", Meta: s.meta, OnEpochDelta: log.add, TrackBounds: true})
 	for _, a := range s.evs {
 		p.Access(a)
 	}
-	marker.EpochMark(1)
+	p.EpochMark(1)
 	p.Flush()
 
 	log.mu.Lock()
@@ -197,21 +186,16 @@ func TestEpochMarkWithoutCallback(t *testing.T) {
 	s := equivSuite()[0]
 	for _, kind := range []string{"serial", "parallel", "mt"} {
 		cfg := Config{Backend: "perfect", Meta: s.meta}
-		var p Profiler
 		switch kind {
-		case "serial":
-			p = NewSerial(cfg)
 		case "parallel":
-			cfg.Workers = 2
-			p = NewParallel(cfg)
+			cfg.Mode, cfg.Workers = ModeParallel, 2
 		case "mt":
-			cfg.Workers = 2
-			p = NewMT(cfg)
+			cfg.Mode, cfg.Workers = ModeMT, 2
 		}
-		marker := p.(EpochMarker)
+		p := mustNew(t, cfg)
 		for i, a := range s.evs {
 			if i%100 == 0 {
-				marker.EpochMark(uint32(i/100) + 1)
+				p.EpochMark(uint32(i/100) + 1)
 			}
 			p.Access(a)
 		}

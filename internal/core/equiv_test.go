@@ -128,6 +128,16 @@ func equivSuite() []equivStream {
 }
 
 // feed pushes a stream through a profiler and flushes.
+// mustNew is New for tests: a Config New refuses fails the test.
+func mustNew(t testing.TB, cfg Config) Profiler {
+	t.Helper()
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func feed(p Profiler, evs []event.Access) *Result {
 	for _, a := range evs {
 		p.Access(a)
@@ -241,12 +251,13 @@ func TestSerialParallelLoopDepsEquivalence(t *testing.T) {
 	for _, s := range equivSuite() {
 		s := s
 		t.Run(s.name, func(t *testing.T) {
-			serial := feed(NewSerial(Config{
+			serial := feed(mustNew(t, Config{
 				Backend: "perfect",
 				Meta:    s.meta,
 			}), s.evs)
 			for _, workers := range []int{2, 3, 4} {
-				par := feed(NewParallel(Config{
+				par := feed(mustNew(t, Config{
+					Mode:     ModeParallel,
 					Workers:  workers,
 					QueueCap: 4,
 					Backend:  "perfect",
@@ -278,7 +289,8 @@ func TestLoopDepsNoDoubleCountAcrossWorkers(t *testing.T) {
 	evs = append([]event.Access{{Addr: 0x9000, Kind: event.Write, Loc: loc.Pack(6, 61), CtxID: ctx, IterVec: event.PackIterVec([]uint32{0})}}, evs...)
 
 	for _, workers := range []int{1, 2, 4, 8} {
-		res := feed(NewParallel(Config{
+		res := feed(mustNew(t, Config{
+			Mode:    ModeParallel,
 			Workers: workers,
 			Backend: "perfect",
 			Meta:    m,
@@ -299,7 +311,8 @@ func TestLoopDepsNoDoubleCountAcrossWorkers(t *testing.T) {
 // TestControlChunksNotCountedAsData pins the pushOpen metrics fix: flush and
 // migration control pushes must land in ControlChunks, never in Chunks.
 func TestControlChunksNotCountedAsData(t *testing.T) {
-	p := NewParallel(Config{
+	p := mustNew(t, Config{
+		Mode:    ModeParallel,
 		Workers: 2,
 		Backend: "perfect",
 	})

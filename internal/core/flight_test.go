@@ -16,7 +16,7 @@ import (
 func TestParallelStageHistograms(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	pipe := reg.Pipeline("t")
-	p := NewParallel(Config{Workers: 2, Backend: "perfect", Metrics: pipe})
+	p := mustNew(t, Config{Mode: ModeParallel, Workers: 2, Backend: "perfect", Metrics: pipe})
 	// One chunk push and one worker batch in sampleEvery is timed: fill twice
 	// that many chunks per worker so every stage is sampled.
 	for _, a := range synthStream(2*2*sampleEvery*event.ChunkSize, 500, 7) {
@@ -64,7 +64,7 @@ func TestMTConsumerSideEventCount(t *testing.T) {
 	for _, batch := range []bool{true, false} {
 		reg := telemetry.NewRegistry()
 		pipe := reg.Pipeline("t")
-		m := NewMT(Config{Workers: 2, SlotsPerWorker: 1 << 10, Metrics: pipe})
+		m := mustNew(t, Config{Mode: ModeMT, Workers: 2, SlotsPerWorker: 1 << 10, Metrics: pipe})
 		if batch {
 			m.AccessBatch(evs, nil)
 		} else {
@@ -94,7 +94,7 @@ func TestMTConsumerSideEventCount(t *testing.T) {
 func TestDepCacheNoDoubleCount(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	pipe := reg.Pipeline("t")
-	p := NewParallel(Config{Workers: 2, SlotsPerWorker: 1 << 12, Metrics: pipe})
+	p := mustNew(t, Config{Mode: ModeParallel, Workers: 2, SlotsPerWorker: 1 << 12, Metrics: pipe})
 	for _, a := range synthStream(400000, 50, 11) {
 		p.Access(a)
 	}
@@ -116,7 +116,7 @@ func TestDepCacheNoDoubleCount(t *testing.T) {
 func TestTrackAccuracyTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	pipe := reg.Pipeline("t")
-	s := NewSerial(Config{SlotsPerWorker: 1 << 12, TrackAccuracy: true, Metrics: pipe})
+	s := mustNew(t, Config{SlotsPerWorker: 1 << 12, TrackAccuracy: true, Metrics: pipe})
 	for i := 0; i < 600; i++ {
 		s.Access(event.Access{Addr: uint64(0x1000 + 8*i), Kind: event.Write, Loc: loc.Pack(1, 1)})
 	}
@@ -142,7 +142,7 @@ func TestTrackAccuracyTelemetry(t *testing.T) {
 func TestTrackAccuracyConflicts(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	pipe := reg.Pipeline("t")
-	s := NewSerial(Config{SlotsPerWorker: 64, TrackAccuracy: true, Metrics: pipe})
+	s := mustNew(t, Config{SlotsPerWorker: 64, TrackAccuracy: true, Metrics: pipe})
 	for i := 0; i < 1000; i++ {
 		s.Access(event.Access{Addr: uint64(0x1000 + 8*i), Kind: event.Write, Loc: loc.Pack(1, 1)})
 	}
@@ -157,7 +157,7 @@ func TestTrackAccuracyConflicts(t *testing.T) {
 func TestTrackAccuracyExactStoreUnaffected(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	pipe := reg.Pipeline("t")
-	s := NewSerial(Config{Backend: "perfect", TrackAccuracy: true, Metrics: pipe})
+	s := mustNew(t, Config{Backend: "perfect", TrackAccuracy: true, Metrics: pipe})
 	s.Access(event.Access{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 1)})
 	s.Flush()
 	if pipe.SigFPRMeasuredPPM[0].Load() != 0 {

@@ -145,52 +145,26 @@ func digestResult(res *Result, withChunks, withMigrations bool) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// digestExistence canonicalizes an untyped line-pair profile.
-func digestExistence(res *ExistenceResult) string {
-	h := sha256.New()
-	for _, p := range res.SortedPairs() {
-		fmt.Fprintf(h, "pair %d %d\n", p.A, p.B)
-	}
-	fmt.Fprintf(h, "accesses %d\n", res.Stats.Accesses)
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
 // goldenModes enumerates every pipeline composition the fixtures pin:
 // serial, 8-worker lock-free, the lock-based ablation, a non-power-of-two
-// worker count (modulo owner path), redistribution enabled, MT with 4
-// workers, and the untyped existence mode.
+// worker count (modulo owner path), redistribution enabled, and MT with 4
+// workers. withChunks and withMig are digestResult's.
 func goldenModes() []struct {
-	name string
-	run  func(meta *prog.Meta, evs []event.Access) string
+	name                string
+	cfg                 Config
+	withChunks, withMig bool
 } {
-	typed := func(cfg Config, mk func(Config) Profiler, withChunks, withMig bool) func(*prog.Meta, []event.Access) string {
-		return func(meta *prog.Meta, evs []event.Access) string {
-			cfg := cfg
-			cfg.Backend = "perfect"
-			cfg.Meta = meta
-			return digestResult(feed(mk(cfg), evs), withChunks, withMig)
-		}
-	}
-	mkSerial := func(cfg Config) Profiler { return NewSerial(cfg) }
-	mkPar := func(cfg Config) Profiler { return NewParallel(cfg) }
-	mkMT := func(cfg Config) Profiler { return NewMT(cfg) }
 	return []struct {
-		name string
-		run  func(meta *prog.Meta, evs []event.Access) string
+		name                string
+		cfg                 Config
+		withChunks, withMig bool
 	}{
-		{"serial", typed(Config{}, mkSerial, false, false)},
-		{"par8", typed(Config{Workers: 8}, mkPar, true, false)},
-		{"par8-lock", typed(Config{Workers: 8, LockBased: true}, mkPar, true, false)},
-		{"par3", typed(Config{Workers: 3, QueueCap: 8}, mkPar, true, false)},
-		{"par4-redist", typed(Config{Workers: 4, RedistributeEvery: 4}, mkPar, true, true)},
-		{"mt4", typed(Config{Workers: 4}, mkMT, false, false)},
-		{"exist4", func(meta *prog.Meta, evs []event.Access) string {
-			e := NewExistence(Config{Workers: 4})
-			for _, a := range evs {
-				e.Access(a)
-			}
-			return digestExistence(e.Flush())
-		}},
+		{"serial", Config{}, false, false},
+		{"par8", Config{Mode: ModeParallel, Workers: 8}, true, false},
+		{"par8-lock", Config{Mode: ModeParallel, Workers: 8, LockBased: true}, true, false},
+		{"par3", Config{Mode: ModeParallel, Workers: 3, QueueCap: 8}, true, false},
+		{"par4-redist", Config{Mode: ModeParallel, Workers: 4, RedistributeEvery: 4}, true, true},
+		{"mt4", Config{Mode: ModeMT, Workers: 4}, false, false},
 	}
 }
 
@@ -202,7 +176,9 @@ func computeGoldens(t *testing.T, exec interp.Executor) map[string]string {
 	got := make(map[string]string)
 	for _, s := range streams {
 		for _, m := range modes {
-			got[s.name+"/"+m.name] = m.run(s.meta, s.evs)
+			cfg := m.cfg
+			cfg.Backend, cfg.Meta = "perfect", s.meta
+			got[s.name+"/"+m.name] = digestResult(feed(mustNew(t, cfg), s.evs), m.withChunks, m.withMig)
 		}
 	}
 	return got
@@ -259,7 +235,7 @@ func TestGoldenProfiles(t *testing.T) {
 // TestGoldenProfilesVM re-runs the full fixture comparison with the bytecode
 // VM as the event producer. The fixtures were captured from the tree-walking
 // interpreter, so a pass here proves every workload's access stream — and
-// therefore every one of the 182 pinned profiles — is byte-identical under
+// therefore every one of the 156 pinned profiles — is byte-identical under
 // the compiled producer.
 func TestGoldenProfilesVM(t *testing.T) {
 	if testing.Short() {

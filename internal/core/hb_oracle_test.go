@@ -227,7 +227,7 @@ func (o *hbOracle) unordered() map[dep.Key]bool {
 // racy is how many reported dependences the oracle calls unordered.
 func hbCheck(t *testing.T, ex interp.Executor, p *minilang.Program) (flagged, racy int) {
 	t.Helper()
-	o := newHBOracle(NewMT(Config{Workers: 2, Backend: "perfect", Meta: p.Meta}))
+	o := newHBOracle(mustNew(t, Config{Mode: ModeMT, Workers: 2, Backend: "perfect", Meta: p.Meta}))
 	_, err := ex.Run(p, o, interp.Options{Timestamps: true})
 	res := o.Flush()
 	if err != nil {
@@ -365,7 +365,7 @@ func main() {
 		}
 		for _, ex := range []interp.Executor{vm.New(), interp.TreeWalker{}} {
 			run := func(perEvent bool) *Result {
-				m := NewMT(Config{Workers: 2, Backend: "perfect", Meta: p.Meta})
+				m := mustNew(t, Config{Mode: ModeMT, Workers: 2, Backend: "perfect", Meta: p.Meta})
 				var hook event.Hook = m
 				if perEvent {
 					hook = event.HookFunc(m.Access)

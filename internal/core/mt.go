@@ -100,19 +100,10 @@ func (rt *routeTable) owner(addr uint64) int {
 	return ownerOf(addr, rt.w, rt.wMask)
 }
 
-// NewMT builds the MT pipeline and starts the workers; it panics on an
-// invalid Config (use New for an error return). RaceCheck defaults on
-// because timestamps are already being collected.
-func NewMT(cfg Config) *MT {
-	m, err := newMT(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
+// newMT builds the MT pipeline and starts the workers. RaceCheck is always on:
+// the stamps it needs are already being collected.
 func newMT(cfg Config) (*MT, error) {
-	cfg, err := cfg.normalize(ModeMT)
+	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}

@@ -69,16 +69,16 @@ func checkMTBatchEquivalence(t *testing.T, seed int64, redistribute bool) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	slots, rngs, points := mtBatchStream(r, 12000+r.Intn(12000))
-	cfg := Config{Workers: 2 + r.Intn(3), QueueCap: 64 << r.Intn(4), Backend: "perfect"}
+	cfg := Config{Mode: ModeMT, Workers: 2 + r.Intn(3), QueueCap: 64 << r.Intn(4), Backend: "perfect"}
 	if seed%5 == 4 {
 		cfg.Workers = 70 // more rings than spread counts on its stack
 	}
 	if redistribute {
 		cfg.RedistributeEvery = 1 // a kick every 4096 accesses of a lane, and the final round
 	}
-	want := feed(NewMT(cfg), points)
+	want := feed(mustNew(t, cfg), points)
 
-	m := NewMT(cfg)
+	m := mustNew(t, cfg)
 	for rest := slots; len(rest) > 0; {
 		n := 1 + r.Intn(16)
 		if r.Intn(3) == 0 {
@@ -130,10 +130,10 @@ func FuzzMTBatchEquivalence(f *testing.F) {
 func TestMTOrderingInvariant(t *testing.T) {
 	const threads, turns = 4, 3000
 	for _, cfg := range []Config{
-		{Workers: 2, Backend: "perfect", QueueCap: 256},
-		{Workers: 3, Backend: "perfect", QueueCap: 4096, RedistributeEvery: 1},
+		{Mode: ModeMT, Workers: 2, Backend: "perfect", QueueCap: 256},
+		{Mode: ModeMT, Workers: 3, Backend: "perfect", QueueCap: 4096, RedistributeEvery: 1},
 	} {
-		m := NewMT(cfg)
+		m := mustNew(t, cfg)
 		main := event.NewBatcher(m, true)
 		put := func(b *event.Batcher, addr uint64, line int, th int32) {
 			*b.Next() = event.Access{Addr: addr, TS: b.TS, Loc: loc.Pack(3, line), Thread: th, Kind: event.Write}
@@ -197,7 +197,7 @@ func TestMTCollapsesStampedReads(t *testing.T) {
 	w, _ := workloads.ByName("rgbyuv")
 	p := w.Build(workloads.Config{Scale: 0.1})
 	run := func(perEvent bool) *Result {
-		m := NewMT(Config{Workers: 2, Backend: "perfect", Meta: p.Meta})
+		m := mustNew(t, Config{Mode: ModeMT, Workers: 2, Backend: "perfect", Meta: p.Meta})
 		var hook event.Hook = m
 		if perEvent {
 			hook = event.HookFunc(m.Access)
@@ -249,7 +249,7 @@ func TestAccessCountsRep(t *testing.T) {
 func TestMTRunsLongerThanRing(t *testing.T) {
 	const threads, batches = 3, 40
 	run := func() *Result {
-		m := NewMT(Config{Workers: 3, QueueCap: 64, Backend: "perfect"})
+		m := mustNew(t, Config{Mode: ModeMT, Workers: 3, QueueCap: 64, Backend: "perfect"})
 		var wg sync.WaitGroup
 		for th := int32(0); th < threads; th++ {
 			wg.Add(1)
@@ -284,7 +284,7 @@ func TestMTRunsLongerThanRing(t *testing.T) {
 // counting sort, claims, copies into the rings, the workers reading them in
 // place — allocates nothing.
 func TestMTBatchAllocFree(t *testing.T) {
-	m := NewMT(Config{Workers: 2, SlotsPerWorker: 1 << 16})
+	m := mustNew(t, Config{Mode: ModeMT, Workers: 2, SlotsPerWorker: 1 << 16})
 	batch := make([]event.Access, 0, event.BatchSize)
 	for i := uint64(0); len(batch)+3 <= cap(batch); i++ {
 		w := event.Access{Addr: 0x1000 + 8*i, Kind: event.Write, Loc: loc.Pack(1, 1), TS: 1}

@@ -20,18 +20,9 @@ type Parallel struct {
 	pr producer
 }
 
-// NewParallel builds the pipeline and starts the workers; it panics on an
-// invalid Config (use New for an error return).
-func NewParallel(cfg Config) *Parallel {
-	p, err := newParallel(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
+// newParallel builds the pipeline and starts the workers.
 func newParallel(cfg Config) (*Parallel, error) {
-	cfg, err := cfg.normalize(ModeParallel)
+	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +48,7 @@ func newParallel(cfg Config) (*Parallel, error) {
 		})
 	}
 	p.pl.startAll()
-	p.pr.init(&p.pl, trs, &cfg, false)
+	p.pr.init(&p.pl, trs, &cfg)
 	return p, nil
 }
 

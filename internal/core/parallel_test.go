@@ -58,12 +58,8 @@ func depsEqual(t *testing.T, want, got *dep.Set, label string) {
 	})
 }
 
-func runSerial(evs []event.Access) *Result {
-	s := NewSerial(Config{Backend: "perfect"})
-	for _, a := range evs {
-		s.Access(a)
-	}
-	return s.Flush()
+func runSerial(t testing.TB, evs []event.Access) *Result {
+	return feed(mustNew(t, Config{Backend: "perfect"}), evs)
 }
 
 // TestParallelMatchesSerial is the core §IV correctness claim: "we can
@@ -71,10 +67,11 @@ func runSerial(evs []event.Access) *Result {
 // dependences as the serial version."
 func TestParallelMatchesSerial(t *testing.T) {
 	evs := synthStream(200000, 500, 1)
-	want := runSerial(evs)
+	want := runSerial(t, evs)
 
 	for _, workers := range []int{1, 2, 4, 8} {
-		p := NewParallel(Config{
+		p := mustNew(t, Config{
+			Mode:    ModeParallel,
 			Workers: workers,
 			Backend: "perfect",
 		})
@@ -94,8 +91,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 func TestLockBasedMatchesLockFree(t *testing.T) {
 	evs := synthStream(100000, 300, 2)
-	want := runSerial(evs)
-	p := NewParallel(Config{
+	want := runSerial(t, evs)
+	p := mustNew(t, Config{
+		Mode:      ModeParallel,
 		Workers:   4,
 		LockBased: true,
 		Backend:   "perfect",
@@ -112,8 +110,9 @@ func TestLockBasedMatchesLockFree(t *testing.T) {
 // to be moved as well", §IV-A).
 func TestRedistributionPreservesResults(t *testing.T) {
 	evs := synthStream(300000, 200, 3)
-	want := runSerial(evs)
-	p := NewParallel(Config{
+	want := runSerial(t, evs)
+	p := mustNew(t, Config{
+		Mode:              ModeParallel,
 		Workers:           4,
 		Backend:           "perfect",
 		RedistributeEvery: 8, // check aggressively to force migrations
@@ -134,7 +133,8 @@ func TestRedistributionPreservesResults(t *testing.T) {
 
 func TestRedistributionDisabledByDefault(t *testing.T) {
 	evs := synthStream(50000, 100, 4)
-	p := NewParallel(Config{
+	p := mustNew(t, Config{
+		Mode:    ModeParallel,
 		Workers: 2,
 		Backend: "perfect",
 	})
@@ -149,8 +149,8 @@ func TestRedistributionDisabledByDefault(t *testing.T) {
 func TestParallelWithRealSignatures(t *testing.T) {
 	// Large per-worker signatures: results must equal perfect.
 	evs := synthStream(100000, 400, 5)
-	want := runSerial(evs)
-	p := NewParallel(Config{Workers: 4, SlotsPerWorker: 1 << 18})
+	want := runSerial(t, evs)
+	p := mustNew(t, Config{Mode: ModeParallel, Workers: 4, SlotsPerWorker: 1 << 18})
 	for _, a := range evs {
 		p.Access(a)
 	}
@@ -172,8 +172,8 @@ func TestMTMatchesSerialForSequentialPushes(t *testing.T) {
 	for i := range evs {
 		evs[i].TS = uint64(i + 1)
 	}
-	want := runSerial(evs)
-	m := NewMT(Config{Workers: 4, Backend: "perfect"})
+	want := runSerial(t, evs)
+	m := mustNew(t, Config{Mode: ModeMT, Workers: 4, Backend: "perfect"})
 	for _, a := range evs {
 		m.Access(a)
 	}
@@ -195,7 +195,7 @@ func TestMTConcurrentProducers(t *testing.T) {
 	// 4 target threads hammer disjoint addresses plus one shared (locked)
 	// address; the pipeline must not lose or duplicate per-thread accesses.
 	const perThread = 20000
-	m := NewMT(Config{Workers: 4, Backend: "perfect"})
+	m := mustNew(t, Config{Mode: ModeMT, Workers: 4, Backend: "perfect"})
 	var ts struct {
 		sync.Mutex
 		n uint64
@@ -264,7 +264,7 @@ func TestHeavySketch(t *testing.T) {
 }
 
 func TestFlushTwicePanics(t *testing.T) {
-	p := NewParallel(Config{Workers: 1, Backend: "perfect"})
+	p := mustNew(t, Config{Mode: ModeParallel, Workers: 1, Backend: "perfect"})
 	p.Flush()
 	defer func() {
 		if recover() == nil {

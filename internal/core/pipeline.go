@@ -5,7 +5,7 @@ package core
 //
 //	target thread(s)
 //	      │ AccessBatch() (Access() is the one-event case)
-//	┌─────▼──────┐  routing (owner mask / redirect map / round-robin),
+//	┌─────▼──────┐  routing (owner mask / redirect map),
 //	│  producer  │  duplicate-read collapse, Misra–Gries sketch,
 //	└─────┬──────┘  migrate/install rebalance protocol
 //	      │ chunks pushed (SPSC / Locked) or runs copied into the ring (MPSC)
@@ -14,19 +14,17 @@ package core
 //	└─────┬──────┘
 //	      │ event batches
 //	┌─────▼──────┐  uniform control handling (flush/migrate/install/hold),
-//	│   worker   │  shared backoff policy, Engine or line-pair sink
+//	│   worker   │  shared backoff policy, one Engine each
 //	└─────┬──────┘
 //	      │ engines, counters
 //	┌─────▼──────┐  dep-set merge, loop-agg union, store/queue/cache
 //	│   merge    │  accounting, occupancy + queue-depth publication
 //	└────────────┘
 //
-// Serial, Parallel, MT and Existence are thin compositions of these stages;
-// their profiles are byte-identical to the pre-refactor implementations
-// (held to that by the golden fixtures in testdata/goldens.json).
+// Serial, Parallel and MT are thin compositions of these stages, built by New;
+// the golden fixtures in testdata/goldens.json pin their profiles.
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -36,7 +34,6 @@ import (
 
 	"ddprof/internal/dep"
 	"ddprof/internal/event"
-	"ddprof/internal/prog"
 	"ddprof/internal/queue"
 	"ddprof/internal/sig"
 	"ddprof/internal/telemetry"
@@ -54,9 +51,6 @@ const (
 	// ModeMT is the pipeline of §V for multi-threaded targets: thread-private
 	// batches into per-worker run rings, sync-epoch stamps, the race rule.
 	ModeMT
-	// ModeExistence is the untyped line-pair pipeline of §VI-B. Its result
-	// type differs, so it is built with NewExistence rather than New.
-	ModeExistence
 )
 
 func (m Mode) String() string {
@@ -67,17 +61,12 @@ func (m Mode) String() string {
 		return "parallel"
 	case ModeMT:
 		return "mt"
-	case ModeExistence:
-		return "existence"
 	}
 	return "invalid"
 }
 
-// New builds the profiler variant selected by cfg.Mode and validates the
-// configuration in one place. Every embedder — the ddprof facade, ddprofd
-// sessions, the experiment drivers — can construct through here; the typed
-// constructors (NewSerial, NewParallel, NewMT) wrap it and panic on the same
-// descriptive errors for callers that treat a bad Config as a bug.
+// New builds the profiler variant selected by cfg.Mode — the one constructor
+// every embedder goes through — and validates the configuration in one place.
 func New(cfg Config) (Profiler, error) {
 	switch cfg.Mode {
 	case ModeSerial:
@@ -86,28 +75,20 @@ func New(cfg Config) (Profiler, error) {
 		return newParallel(cfg)
 	case ModeMT:
 		return newMT(cfg)
-	case ModeExistence:
-		return nil, errors.New("core: existence mode produces untyped line pairs, not a *Result; build it with NewExistence")
 	default:
 		return nil, fmt.Errorf("core: unknown Mode %d", cfg.Mode)
 	}
 }
 
-// normalize validates a Config and fills in the mode's defaults. All
-// constructor paths funnel through here, so a bad configuration fails the
-// same way everywhere.
-func (c Config) normalize(mode Mode) (Config, error) {
-	c.Mode = mode
+// normalize validates a Config and fills in its mode's defaults.
+func (c Config) normalize() (Config, error) {
+	mode := c.Mode
 	if c.Workers < 0 {
 		return c, fmt.Errorf("core: Workers = %d; want >= 1, or 0 for the default", c.Workers)
 	}
 	if c.Workers == 0 {
-		switch mode {
-		case ModeSerial:
-			c.Workers = 1
-		case ModeExistence:
-			c.Workers = 8
-		default:
+		c.Workers = 1
+		if mode != ModeSerial {
 			c.Workers = runtime.GOMAXPROCS(0)
 		}
 	}
@@ -181,7 +162,7 @@ type chunkQueue interface {
 
 // transport is the worker's and the merge stage's side of what carries events
 // from the producer stage to one worker. Two granularities exist behind it:
-// chunked (sequential targets, existence mode) and runs in a ring
+// chunked (sequential targets) and runs in a ring
 // (multi-threaded targets). The pushing side differs in kind, not just in
 // granularity, so each producer holds its concrete type: the §IV producer its
 // chunkTransports, MT its rings.
@@ -283,13 +264,12 @@ type migState struct {
 	wok, rok    bool
 }
 
-// worker is one consumer of the pipeline: a transport feeding either a
-// detection Engine (typed modes) or an existence line-pair sink.
+// worker is one consumer of the pipeline: a transport feeding a detection
+// Engine.
 type worker struct {
 	id  int
 	tr  transport
-	eng *Engine    // typed modes
-	ex  *existSink // existence mode (eng == nil)
+	eng *Engine
 	// events counts the logical read/write accesses processed (a collapsed
 	// read stands for 1+Rep of them) — the §IV-A load-balance quantity.
 	events uint64
@@ -355,9 +335,6 @@ func (w *worker) publishTelemetry() {
 			w.m.Events.Add(d)
 			w.pubEvents = w.events
 		}
-	}
-	if w.eng == nil {
-		return
 	}
 	hits, probes := w.eng.CacheStats()
 	if d := hits - w.pubHits; d > 0 {
@@ -488,16 +465,14 @@ func (w *worker) process(evs []event.Access) (done bool) {
 		case event.Promote:
 			// Heavy-hitter hint from the producer's sketch: stores with an
 			// exact tier adopt the address, everything else ignores it.
-			if w.eng != nil {
-				if p, ok := w.eng.Store().(sig.Promoter); ok {
-					p.Promote(ev.Addr)
-				}
+			if p, ok := w.eng.Store().(sig.Promoter); ok {
+				p.Promote(ev.Addr)
 			}
 		case event.EpochMark:
 			// Epoch boundary: extract the delta on this goroutine — the
 			// producer never waits, and accesses already queued behind the
 			// mark simply land in the next epoch.
-			if w.eng != nil && w.onDelta != nil {
+			if w.onDelta != nil {
 				d := w.eng.ExtractEpochDelta(uint32(ev.Addr))
 				d.Worker = w.id
 				w.onDelta(d)
@@ -521,11 +496,7 @@ func (w *worker) data(ev *event.Access) {
 		// A collapsed read stands for 1+Rep target accesses; count them all.
 		w.events += 1 + uint64(ev.Rep)
 	}
-	if w.eng != nil {
-		w.eng.Process(*ev)
-	} else {
-		w.ex.process(ev)
-	}
+	w.eng.Process(*ev)
 }
 
 // pipeline is the shared chassis of every profiler variant: the worker set,
@@ -557,19 +528,19 @@ func (p *pipeline) beginFlush() {
 	p.flushed = true
 }
 
-// merge assembles the uniform Result for every typed mode. It must run after
-// the workers have joined (the flush barrier makes all worker-local state
-// safe to read). stats carries the producer-side counters; queueBytes the
-// chunk memory; sumAccesses selects consumer-side access counting (MT mode,
-// where concurrent producers keep no shared counter).
+// merge assembles the uniform Result of every mode. It must run after the
+// workers have joined (the flush barrier makes all worker-local state safe to
+// read). stats carries the producer-side counters; queueBytes the chunk
+// memory; sumAccesses selects consumer-side access counting (MT mode, where
+// concurrent producers keep no shared counter).
 //
 // "This step incurs only minor overhead since the local maps are free of
 // duplicates" (§IV) — true for one process, not for a daemon draining
 // sessions with millions of distinct dependences across many workers, so the
-// fold is a parallel tree reduction (see mergeTree) instead of a serial
-// loop. Loop aggregates merge at key-set granularity: the same carried key
-// may surface on several workers (same source lines, different addresses)
-// and must not be double-counted.
+// dependence sets union by dep.MergeShards' parallel tree reduction. Loop
+// aggregates (tens of keys) fold in a plain loop, at key-set granularity: the
+// same carried key may surface on several workers (same source lines,
+// different addresses) and must not be double-counted.
 func (p *pipeline) merge(stats RunStats, queueBytes uint64, sumAccesses bool) *Result {
 	var mergeT0 time.Time
 	if p.m != nil {
@@ -577,8 +548,12 @@ func (p *pipeline) merge(stats RunStats, queueBytes uint64, sumAccesses bool) *R
 	}
 	res := &Result{Stats: stats}
 	stores := make([]sig.Store, 0, len(p.workers))
-	nodes := make([]*mergeNode, 0, len(p.workers))
-	for _, w := range p.workers {
+	// The workers' sets and loop tables are stolen, not copied: the pipeline
+	// is past its flush barrier and the engines are done, so the reduction
+	// may consume them in place.
+	sets := make([]*dep.Set, 0, len(p.workers))
+	aggs := p.workers[0].eng.loops
+	for i, w := range p.workers {
 		if sumAccesses {
 			res.Stats.Accesses += w.events
 		}
@@ -586,10 +561,10 @@ func (p *pipeline) merge(stats RunStats, queueBytes uint64, sumAccesses bool) *R
 			res.WorkerEvents = append(res.WorkerEvents, w.events)
 			res.Stats.QueueBytes += w.tr.memBytes()
 		}
-		// The worker's set and loop table are stolen, not copied: the
-		// pipeline is past its flush barrier and the engines are done, so
-		// the reduction may consume them in place.
-		nodes = append(nodes, &mergeNode{deps: w.eng.Deps(), aggs: w.eng.loops})
+		sets = append(sets, w.eng.Deps())
+		if i > 0 {
+			mergeLoopAggs(aggs, w.eng.loops)
+		}
 		res.Stats.StoreBytes += w.eng.Store().Bytes()
 		res.Stats.StoreModeledBytes += w.eng.Store().ModeledBytes()
 		hits, probes := w.eng.CacheStats()
@@ -615,88 +590,13 @@ func (p *pipeline) merge(stats RunStats, queueBytes uint64, sumAccesses bool) *R
 		}
 		publishStoreTelemetry(p.m, stores...)
 	}
-	root := mergeTree(nodes)
-	res.Deps = root.deps
-	res.Loops = loopDepsOf(root.aggs)
-	res.Carried = carriedKeysOf(root.aggs)
+	res.Deps = dep.MergeShards(sets)
+	res.Loops = loopDepsOf(aggs)
+	res.Carried = carriedKeysOf(aggs)
 	if p.m != nil {
 		p.m.StageMergeNs.Observe(time.Since(mergeT0).Nanoseconds())
 	}
 	return res
-}
-
-// mergeNode pairs one reduction operand's dependence set with its loop
-// aggregates so both fold at the same tree level.
-type mergeNode struct {
-	deps *dep.Set
-	aggs map[prog.LoopID]*loopAgg
-}
-
-// mergeTree unions the worker results by parallel tree reduction: each round
-// merges adjacent pairs concurrently, halving the live set, so end-of-run
-// latency is O(log W) rounds instead of the serial fold's O(W) — and each
-// round's pair merges run on their own goroutines, putting the idle cores
-// that just finished consuming events back to work. Rounds write into a
-// fresh slice (never in place) so no goroutine reads a slot another is
-// writing. The per-dependence and per-loop-key folds are commutative and
-// associative, so the tree's result is exactly the serial fold's; the core
-// equivalence tests and the dep package's merge fuzzer pin that.
-func mergeTree(nodes []*mergeNode) *mergeNode {
-	if len(nodes) == 0 {
-		return &mergeNode{deps: dep.NewSet(), aggs: make(map[prog.LoopID]*loopAgg)}
-	}
-	// On a single processor the rounds cannot overlap and the tree re-folds
-	// a pair's entries at every level it survives; a flat fold into the
-	// largest worker's set does strictly less work, so take that path.
-	if runtime.GOMAXPROCS(0) == 1 {
-		big := 0
-		for i, n := range nodes {
-			if n.deps.Unique() > nodes[big].deps.Unique() {
-				big = i
-			}
-		}
-		acc := nodes[big]
-		for i, n := range nodes {
-			if i != big {
-				acc.deps.Merge(n.deps)
-				n.deps.Release()
-				mergeLoopAggs(acc.aggs, n.aggs)
-			}
-		}
-		return acc
-	}
-	for len(nodes) > 1 {
-		half := len(nodes) / 2
-		next := make([]*mergeNode, half, half+1)
-		var wg sync.WaitGroup
-		for i := 0; i < half; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				next[i] = mergePairNodes(nodes[2*i], nodes[2*i+1])
-			}(i)
-		}
-		wg.Wait()
-		if len(nodes)%2 == 1 {
-			next = append(next, nodes[len(nodes)-1])
-		}
-		nodes = next
-	}
-	return nodes[0]
-}
-
-// mergePairNodes folds the smaller dependence set into the larger (stealing
-// the big one as accumulator minimizes Ref misses and index regrows) and
-// releases the consumed set's slab pages for reuse. Loop aggregates fold the
-// same direction; both folds are order-insensitive.
-func mergePairNodes(a, b *mergeNode) *mergeNode {
-	if b.deps.Unique() > a.deps.Unique() {
-		a, b = b, a
-	}
-	a.deps.Merge(b.deps)
-	b.deps.Release()
-	mergeLoopAggs(a.aggs, b.aggs)
-	return a
 }
 
 // dupRead reports whether read a, uncollapsed itself, repeats last exactly and
@@ -773,9 +673,9 @@ func planRebalance(top []uint64, w int, owner func(uint64) int) []migration {
 }
 
 // producer is the single-threaded distribution stage of §IV: it owns the
-// open chunks, the routing decision (owner mask + redirect map, or
-// round-robin dealing for existence mode), the duplicate-read filter, the
-// heavy-hitter sketch, and the migrate/install rebalance protocol.
+// open chunks, the routing decision (owner mask + redirect map), the
+// duplicate-read filter, the heavy-hitter sketch, and the migrate/install
+// rebalance protocol.
 type producer struct {
 	pl *pipeline
 	// trs[i] is worker i's transport, by its concrete type: the producer is
@@ -783,13 +683,8 @@ type producer struct {
 	trs   []*chunkTransport
 	w     int
 	wMask uint64 // w-1 when w is a power of two, else 0 (see ownerOf)
-	// rr deals chunks round-robin instead of by address owner: existence
-	// mode needs no per-address ordering, so any worker can take any chunk.
-	rr   bool
-	next int // next round-robin target
-	// open[slot] is the chunk being filled for a worker (slot 0 for every
-	// worker under rr). It always has room for one more event: a chunk is
-	// pushed the moment it fills.
+	// open[i] is the chunk being filled for worker i. It always has room for
+	// one more event: a chunk is pushed the moment it fills.
 	open []*chunk
 	// redirect overrides the modulo rule for migrated addresses
 	// ("redistribution rules are stored in a map and have higher priority
@@ -817,41 +712,24 @@ type producer struct {
 	pushCtr uint64
 }
 
-// init wires the producer to its pipeline, whose workers pop from trs. rr
-// selects round-robin dealing (one shared open chunk) over per-owner open
-// chunks.
-func (pr *producer) init(pl *pipeline, trs []*chunkTransport, cfg *Config, rr bool) {
+// init wires the producer to its pipeline, whose workers pop from trs.
+func (pr *producer) init(pl *pipeline, trs []*chunkTransport, cfg *Config) {
 	pr.pl = pl
 	pr.trs = trs
 	pr.w = cfg.Workers
 	pr.wMask = powerOfTwoMask(cfg.Workers)
-	pr.rr = rr
-	if !rr {
-		// Round-robin dealing is already perfectly balanced; redistribution
-		// only applies to address-owned routing.
-		pr.redistributeEvery = cfg.RedistributeEvery
-	}
+	pr.redistributeEvery = cfg.RedistributeEvery
 	pr.m = cfg.Metrics
 	pr.redirect = make(map[uint64]int)
-	if !rr {
-		pr.heavy = newHeavySketch(64)
-		// Promoter stores get heavy-hitter seeding even without
-		// redistribution; with it, both ride the same cadence.
-		if w0 := pl.workers[0]; w0.eng != nil {
-			if _, ok := w0.eng.Store().(sig.Promoter); ok {
-				pr.seedPromote = true
-			}
-		}
-		pr.checkEvery = pr.redistributeEvery
-		if pr.checkEvery == 0 && pr.seedPromote {
-			pr.checkEvery = promoteSeedEvery
-		}
+	pr.heavy = newHeavySketch(64)
+	// Promoter stores get heavy-hitter seeding even without redistribution;
+	// with it, both ride the same cadence.
+	_, pr.seedPromote = pl.workers[0].eng.Store().(sig.Promoter)
+	pr.checkEvery = pr.redistributeEvery
+	if pr.checkEvery == 0 && pr.seedPromote {
+		pr.checkEvery = promoteSeedEvery
 	}
-	slots := cfg.Workers
-	if rr {
-		slots = 1
-	}
-	pr.open = make([]*chunk, slots)
+	pr.open = make([]*chunk, cfg.Workers)
 	for i := range pr.open {
 		pr.open[i] = pr.newChunk(i)
 	}
@@ -885,16 +763,13 @@ func (pr *producer) putBatch(accesses []event.Access, ranges []event.Range) {
 			}
 			continue
 		}
-		slot := 0
-		if !pr.rr {
-			// The redirect map is only populated once a rebalance has migrated
-			// an address (redistribution is off by default), so the common
-			// case pays no map probe at all.
-			slot = ownerOf(a.Addr, pr.w, pr.wMask)
-			if len(pr.redirect) != 0 {
-				if r, ok := pr.redirect[a.Addr]; ok {
-					slot = r
-				}
+		// The redirect map is only populated once a rebalance has migrated an
+		// address (redistribution is off by default), so the common case pays
+		// no map probe at all.
+		slot := ownerOf(a.Addr, pr.w, pr.wMask)
+		if len(pr.redirect) != 0 {
+			if r, ok := pr.redirect[a.Addr]; ok {
+				slot = r
 			}
 		}
 		c := pr.open[slot]
@@ -927,7 +802,7 @@ func (pr *producer) putBatch(accesses []event.Access, ranges []event.Range) {
 		}
 		c.buf[c.n] = *a
 		if c.n++; c.n == len(c.buf) {
-			pr.pushOpen(slot)
+			pr.push(slot, c.n, true)
 			if pr.checkEvery > 0 {
 				pr.chunksSinceCheck++
 				if pr.chunksSinceCheck >= pr.checkEvery {
@@ -961,7 +836,7 @@ func (pr *producer) seedPromotions() {
 		c := pr.open[w]
 		c.buf[c.n] = event.Access{Addr: addr, Kind: event.Promote}
 		if c.n++; c.n == len(c.buf) {
-			pr.pushOpen(w)
+			pr.push(w, c.n, true)
 		}
 	}
 }
@@ -988,39 +863,24 @@ func (pr *producer) newChunk(from int) *chunk {
 	return new(chunk)
 }
 
-// pushOpen sends slot's open chunk, if it holds anything, to its worker — the
-// address owner, or the next round-robin target — and opens a fresh one.
-func (pr *producer) pushOpen(slot int) {
-	c := pr.open[slot]
-	if c.n == 0 {
-		return
-	}
-	tgt := slot
-	if pr.rr {
-		tgt = pr.next
-		pr.next = (pr.next + 1) % len(pr.trs)
-	}
-	pr.push(slot, tgt, c.n, true)
-}
-
-// pushControl sends a control event to worker tgt behind everything routed to
-// it so far: the event rides slot's open chunk, so it costs no chunk of its
-// own. The push counts as a control chunk, and as a data chunk too when the
-// chunk carried data — what a data push followed by a dedicated control chunk
-// used to count. refill is false only for the last chunk a slot will send.
-func (pr *producer) pushControl(slot, tgt int, ev event.Access, refill bool) {
-	c := pr.open[slot]
+// pushControl sends a control event to worker w behind everything routed to
+// it so far: the event rides w's open chunk, so it costs no chunk of its own.
+// The push counts as a control chunk, and as a data chunk too when the chunk
+// carried data — what a data push followed by a dedicated control chunk used
+// to count. refill is false only for the last chunk a worker is sent.
+func (pr *producer) pushControl(w int, ev event.Access, refill bool) {
+	c := pr.open[w]
 	data := c.n
 	c.buf[c.n] = ev
 	c.n++
-	pr.push(slot, tgt, data, refill)
+	pr.push(w, data, refill)
 	pr.stats.ControlChunks++
 }
 
-// push hands slot's open chunk to worker tgt and, if refill, opens the slot's
-// next one. data is the number of target events in the chunk (it may end in a
-// control event); every push publishes the counters accrued since the last.
-func (pr *producer) push(slot, tgt, data int, refill bool) {
+// push hands worker w its open chunk and, if refill, opens its next one. data
+// is the number of target events in the chunk (it may end in a control event);
+// every push publishes the counters accrued since the last.
+func (pr *producer) push(w, data int, refill bool) {
 	// Sampled producer-stage span: the push (including any backpressure wait
 	// inside it), the depth observation, and the chunk refill — the
 	// full per-chunk routing cost the §IV producer pays.
@@ -1032,9 +892,9 @@ func (pr *producer) push(slot, tgt, data int, refill bool) {
 			produceT0 = time.Now()
 		}
 	}
-	in := pr.trs[tgt].in
-	in.Push(pr.open[slot])
-	pr.open[slot] = nil
+	in := pr.trs[w].in
+	in.Push(pr.open[w])
+	pr.open[w] = nil
 	if data > 0 {
 		pr.stats.Chunks++
 	}
@@ -1054,10 +914,10 @@ func (pr *producer) push(slot, tgt, data int, refill bool) {
 		if d == 0 {
 			d = 1
 		}
-		pr.m.ObserveQueueDepth(tgt, d)
+		pr.m.ObserveQueueDepth(w, d)
 	}
 	if refill {
-		pr.open[slot] = pr.newChunk(tgt)
+		pr.open[w] = pr.newChunk(w)
 	}
 	if timed {
 		pr.m.StageProduceNs.Observe(time.Since(produceT0).Nanoseconds())
@@ -1103,7 +963,7 @@ func (pr *producer) migrate(addr uint64, from, to int) {
 	fw, tw := pr.pl.workers[from], pr.pl.workers[to]
 
 	// Step 1: pending accesses, then MIGRATE.
-	pr.pushControl(from, from, event.Access{Addr: addr, Kind: event.Migrate}, true)
+	pr.pushControl(from, event.Access{Addr: addr, Kind: event.Migrate}, true)
 
 	// Step 2: wait for the state.
 	var st *migState
@@ -1119,7 +979,7 @@ func (pr *producer) migrate(addr uint64, from, to int) {
 	for i := 0; !tw.installIn.CompareAndSwap(nil, st); i++ {
 		queue.Backoff(i)
 	}
-	pr.pushControl(to, to, event.Access{Addr: addr, Kind: event.Install}, true)
+	pr.pushControl(to, event.Access{Addr: addr, Kind: event.Install}, true)
 
 	pr.redirect[addr] = to
 	pr.stats.Migrations++
@@ -1131,17 +991,9 @@ func (pr *producer) migrate(addr uint64, from, to int) {
 // drainFlush pushes every worker its remaining events and a flush sentinel
 // behind them; the caller then waits on the pipeline's flush barrier. The
 // sentinel rides the owner's last open chunk, so the end of the stream grows
-// the pool by nothing; round-robin dealing has one open chunk for all workers
-// and refills it between sentinels.
+// the pool by nothing.
 func (pr *producer) drainFlush() {
-	if pr.rr {
-		pr.pushOpen(0)
-	}
-	for i := range pr.trs {
-		slot, more := i, false
-		if pr.rr {
-			slot, more = 0, i+1 < len(pr.trs)
-		}
-		pr.pushControl(slot, i, event.Access{Kind: event.Flush}, more)
+	for w := range pr.trs {
+		pr.pushControl(w, event.Access{Kind: event.Flush}, false)
 	}
 }

@@ -17,9 +17,10 @@ var (
 	_ transport = (*ringTransport)(nil)
 )
 
-// TestConfigValidation exercises the centralized Config checks: every
-// constructor path funnels through normalize/makeStores, so a bad
-// configuration fails with the same descriptive error everywhere.
+// TestConfigValidation exercises the centralized Config checks: New funnels
+// every mode through normalize/makeStores, so a bad configuration fails with
+// the same descriptive error everywhere. Mode 3 was the existence pipeline; it
+// is refused like any other unknown mode.
 func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -31,7 +32,7 @@ func TestConfigValidation(t *testing.T) {
 		{"negative slots", Config{Mode: ModeSerial, SlotsPerWorker: -5}, "SlotsPerWorker"},
 		{"negative redistribute", Config{Mode: ModeParallel, RedistributeEvery: -1}, "RedistributeEvery"},
 		{"bad backend spec", Config{Mode: ModeParallel, Workers: 1, Backend: "no-such-backend"}, "Config.Backend"},
-		{"existence through New", Config{Mode: ModeExistence}, "NewExistence"},
+		{"retired mode", Config{Mode: 3}, "unknown Mode"},
 		{"unknown mode", Config{Mode: Mode(42)}, "unknown Mode"},
 	}
 	for _, tc := range cases {
@@ -45,16 +46,6 @@ func TestConfigValidation(t *testing.T) {
 			}
 		})
 	}
-
-	// The typed constructors surface the same validation as panics.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("NewParallel with negative Workers did not panic")
-			}
-		}()
-		NewParallel(Config{Workers: -1})
-	}()
 }
 
 // TestNewDispatch drives each mode end-to-end through the unified
@@ -80,7 +71,7 @@ func TestNewDispatch(t *testing.T) {
 }
 
 // TestDoubleFlushPanicsEveryMode: the pipeline chassis centralizes the
-// double-flush guard, so all four variants fail identically.
+// double-flush guard, so all three variants fail identically.
 func TestDoubleFlushPanicsEveryMode(t *testing.T) {
 	expectPanic := func(name string, f func()) {
 		defer func() {
@@ -95,18 +86,15 @@ func TestDoubleFlushPanicsEveryMode(t *testing.T) {
 		}()
 		f()
 	}
-	s := NewSerial(Config{Backend: "perfect"})
+	s := mustNew(t, Config{Backend: "perfect"})
 	s.Flush()
 	expectPanic("serial", func() { s.Flush() })
-	p := NewParallel(Config{Workers: 2, Backend: "perfect"})
+	p := mustNew(t, Config{Mode: ModeParallel, Workers: 2, Backend: "perfect"})
 	p.Flush()
 	expectPanic("parallel", func() { p.Flush() })
-	m := NewMT(Config{Workers: 2, Backend: "perfect"})
+	m := mustNew(t, Config{Mode: ModeMT, Workers: 2, Backend: "perfect"})
 	m.Flush()
 	expectPanic("mt", func() { m.Flush() })
-	e := NewExistence(Config{Workers: 2})
-	e.Flush()
-	expectPanic("existence", func() { e.Flush() })
 }
 
 // TestMTPublishesTelemetry closes the MT observability gap: before the
@@ -115,7 +103,7 @@ func TestDoubleFlushPanicsEveryMode(t *testing.T) {
 func TestMTPublishesTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	pipe := reg.Pipeline("t")
-	m := NewMT(Config{Workers: 2, SlotsPerWorker: 1 << 10, Metrics: pipe})
+	m := mustNew(t, Config{Mode: ModeMT, Workers: 2, SlotsPerWorker: 1 << 10, Metrics: pipe})
 	var ts uint64
 	for i := 0; i < 4096; i++ {
 		ts++
@@ -157,9 +145,9 @@ func TestMTDupCollapse(t *testing.T) {
 		// Untimestamped identical reads, as a sequential replay would push.
 		evs = append(evs, event.Access{Addr: 0x800, Kind: event.Read, Loc: loc.Pack(1, 2)})
 	}
-	want := runSerial(evs)
+	want := runSerial(t, evs)
 
-	m := NewMT(Config{Workers: 2, Backend: "perfect"})
+	m := mustNew(t, Config{Mode: ModeMT, Workers: 2, Backend: "perfect"})
 	m.AccessBatch(evs, nil)
 	got := m.Flush()
 	depsEqual(t, want.Deps, got.Deps, "mt-collapsed")
@@ -171,7 +159,7 @@ func TestMTDupCollapse(t *testing.T) {
 		t.Errorf("DupCollapsed = %d on an all-duplicate stream of %d segments, want %d", got.Stats.DupCollapsed, segs, reads-segs)
 	}
 
-	perEvent := feed(NewMT(Config{Workers: 2, Backend: "perfect"}), evs)
+	perEvent := feed(mustNew(t, Config{Mode: ModeMT, Workers: 2, Backend: "perfect"}), evs)
 	depsEqual(t, want.Deps, perEvent.Deps, "mt-per-event")
 	if perEvent.Stats.Accesses != reads+1 {
 		t.Errorf("per-event accesses = %d, want %d", perEvent.Stats.Accesses, reads+1)
@@ -180,7 +168,7 @@ func TestMTDupCollapse(t *testing.T) {
 	// With distinct stamps nothing may collapse: the equality covers TS, so
 	// reads from different sync epochs stay distinct. (Equal stamps do
 	// collapse: TestMTCollapsesStampedReads.)
-	m2 := NewMT(Config{Workers: 2, Backend: "perfect"})
+	m2 := mustNew(t, Config{Mode: ModeMT, Workers: 2, Backend: "perfect"})
 	for i := range evs {
 		evs[i].TS = uint64(i + 1)
 	}
@@ -196,8 +184,9 @@ func TestMTDupCollapse(t *testing.T) {
 // still reproduce the serial dependences exactly.
 func TestMTRedistributionPreservesResults(t *testing.T) {
 	evs := synthStream(300000, 200, 3)
-	want := runSerial(evs)
-	m := NewMT(Config{
+	want := runSerial(t, evs)
+	m := mustNew(t, Config{
+		Mode:              ModeMT,
 		Workers:           4,
 		Backend:           "perfect",
 		RedistributeEvery: 8, // kick every 8×ChunkSize accesses
@@ -224,7 +213,8 @@ func TestMTRedistributionPreservesResults(t *testing.T) {
 // mid-stream.
 func TestMTRedistributionConcurrentProducers(t *testing.T) {
 	const perThread = 20000
-	m := NewMT(Config{
+	m := mustNew(t, Config{
+		Mode:              ModeMT,
 		Workers:           4,
 		Backend:           "perfect",
 		RedistributeEvery: 1, // rebalance as often as possible
@@ -279,32 +269,6 @@ func TestMTRedistributionConcurrentProducers(t *testing.T) {
 	}
 }
 
-// TestExistenceRecyclesChunks: existence mode now rides the shared producer
-// and gets chunk recycling; a long stream must not allocate one chunk per
-// push.
-func TestExistenceRecyclesChunks(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	pipe := reg.Pipeline("t")
-	// A shallow queue forces backpressure: the producer outruns the map-bound
-	// workers, stalls on the full ring, and by the time it resumes the drained
-	// chunks are waiting in the recycle rings.
-	e := NewExistence(Config{Workers: 2, QueueCap: 4, Metrics: pipe})
-	for i := 0; i < 64*event.ChunkSize; i++ {
-		k := event.Read
-		if i%3 == 0 {
-			k = event.Write
-		}
-		e.Access(event.Access{Addr: uint64(0x1000 + 8*(i%512)), Kind: k, Loc: loc.Pack(1, 1+i%10)})
-	}
-	res := e.Flush()
-	if res.Stats.Chunks < 32 {
-		t.Fatalf("chunks = %d, want a long chunk stream", res.Stats.Chunks)
-	}
-	if pipe.ChunksRecycled.Load() == 0 {
-		t.Error("no chunks recycled in existence mode")
-	}
-}
-
 // TestChunkPoolBounded: the pool holds at most an open chunk, a chunk in
 // processing and a full inbound queue per worker, whichever workers the
 // chunks were allocated for — a stream that feeds worker 0 alone and then
@@ -313,7 +277,7 @@ func TestExistenceRecyclesChunks(t *testing.T) {
 // and no chunk is ever dropped, so QueueBytes is the live pool.
 func TestChunkPoolBounded(t *testing.T) {
 	const workers, qcap, perPhase = 2, 8, 40 * event.ChunkSize
-	p := NewParallel(Config{Workers: workers, QueueCap: qcap, Backend: "perfect"})
+	p := mustNew(t, Config{Mode: ModeParallel, Workers: workers, QueueCap: qcap, Backend: "perfect"}).(*Parallel)
 	batch := make([]event.Access, event.BatchSize)
 	for phase := uint64(0); phase < workers; phase++ {
 		for n := 0; n < perPhase; n += len(batch) {
@@ -345,5 +309,20 @@ func TestChunkPoolBounded(t *testing.T) {
 	// 2×40 full chunks; the sentinels rode two empty ones.
 	if res.Stats.Chunks != 80 || res.Stats.ControlChunks != workers {
 		t.Errorf("chunks %d control %d, want 80 and %d", res.Stats.Chunks, res.Stats.ControlChunks, workers)
+	}
+}
+
+func TestImbalance(t *testing.T) {
+	if got := Imbalance(nil); got != 1 {
+		t.Errorf("empty = %v", got)
+	}
+	if got := Imbalance([]uint64{5, 5, 5, 5}); got != 1 {
+		t.Errorf("even = %v", got)
+	}
+	if got := Imbalance([]uint64{30, 0, 0, 0, 0, 0}); got != 6 {
+		t.Errorf("skewed = %v, want 6", got)
+	}
+	if got := Imbalance([]uint64{0, 0}); got != 1 {
+		t.Errorf("all-zero = %v", got)
 	}
 }

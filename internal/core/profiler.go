@@ -32,6 +32,11 @@ type Profiler interface {
 	// batches. The resulting profile is byte-identical to the equivalent
 	// sequence of Access calls.
 	AccessBatch(accesses []event.Access, ranges []event.Range)
+	// EpochMark cuts an epoch at the current stream position: each worker
+	// extracts its delta and delivers it to Config.OnEpochDelta (a no-op when
+	// that is nil). Marks must be monotone and, for the serial and parallel
+	// profilers, come from the AccessBatch goroutine; MT takes them from any.
+	EpochMark(mark uint32)
 	Flush() *Result
 }
 
@@ -51,6 +56,26 @@ type Result struct {
 	// WorkerEvents lists per-worker processed access counts (parallel
 	// modes), the quantity the §IV-A load-balancing discussion is about.
 	WorkerEvents []uint64
+}
+
+// Imbalance summarizes a worker-event distribution as max/mean; 1.0 is a
+// perfect balance.
+func Imbalance(events []uint64) float64 {
+	if len(events) == 0 {
+		return 1
+	}
+	var max, sum uint64
+	for _, e := range events {
+		sum += e
+		if e > max {
+			max = e
+		}
+	}
+	if sum == 0 {
+		return 1
+	}
+	mean := float64(sum) / float64(len(events))
+	return float64(max) / mean
 }
 
 // RunStats reports pipeline counters and memory accounting.
@@ -94,12 +119,10 @@ type RunStats struct {
 }
 
 // Config configures a profiler. The zero value describes a serial profiler
-// with default store sizing; Mode (or a typed constructor) selects the
-// variant and the remaining fields compose the pipeline stages.
+// with default store sizing; Mode selects the variant and the remaining
+// fields compose the pipeline stages.
 type Config struct {
-	// Mode selects the profiler variant when constructing through New.
-	// The typed constructors (NewSerial, NewParallel, NewMT, NewExistence)
-	// set it themselves.
+	// Mode selects the profiler variant New builds.
 	Mode Mode
 	// Workers is the number of profiling worker threads (parallel modes).
 	Workers int
@@ -140,7 +163,7 @@ type Config struct {
 	// branch per store operation; off by default.
 	TrackAccuracy bool
 	// OnEpochDelta receives each worker's epoch-delta extraction when the
-	// profiler's EpochMark is driven (see EpochMarker). Callbacks arrive on
+	// profiler's EpochMark is driven. Callbacks arrive on
 	// worker goroutines — concurrently in parallel modes — and own the
 	// delta's sets. Nil disables extraction: EpochMark becomes a no-op and
 	// the epoch machinery costs nothing.
@@ -181,20 +204,11 @@ type Serial struct {
 	onDelta   func(*EpochDelta)
 }
 
-// NewSerial returns a serial profiler; it panics on an invalid Config (use
-// New for an error return). In serial mode the whole signature budget
-// (Workers×SlotsPerWorker if both set, else SlotsPerWorker) backs a single
+// newSerial builds the serial profiler. The whole signature budget
+// (Workers×SlotsPerWorker if both set, else SlotsPerWorker) backs its single
 // store.
-func NewSerial(cfg Config) *Serial {
-	s, err := newSerial(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 func newSerial(cfg Config) (*Serial, error) {
-	cfg, err := cfg.normalize(ModeSerial)
+	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}

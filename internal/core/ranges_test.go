@@ -174,13 +174,13 @@ func TestAccessRangeEquivalence(t *testing.T) {
 		}
 	}
 	t.Run("serial", func(t *testing.T) {
-		run(t, func(b string) Profiler { return NewSerial(Config{Backend: b, Meta: m}) }, false)
+		run(t, func(b string) Profiler { return mustNew(t, Config{Backend: b, Meta: m}) }, false)
 	})
 	for _, workers := range []int{1, 2, 4, 8, 3} {
 		workers := workers
 		t.Run(fmt.Sprintf("parallel-%dw", workers), func(t *testing.T) {
 			run(t, func(b string) Profiler {
-				return NewParallel(Config{Workers: workers, QueueCap: 8, RedistributeEvery: 1, Backend: b, Meta: m})
+				return mustNew(t, Config{Mode: ModeParallel, Workers: workers, QueueCap: 8, RedistributeEvery: 1, Backend: b, Meta: m})
 			}, workers > 1)
 		})
 	}
@@ -191,9 +191,9 @@ func TestAccessRangeEquivalence(t *testing.T) {
 	// The rings are shorter than a long range's share of a segment.
 	t.Run("mt", func(t *testing.T) {
 		for _, backend := range backends {
-			cfg := Config{Workers: 3, QueueCap: 64, Backend: backend, Meta: m}
-			want := digestResult(feed(NewMT(cfg), evs), false, false)
-			p := NewMT(cfg)
+			cfg := Config{Mode: ModeMT, Workers: 3, QueueCap: 64, Backend: backend, Meta: m}
+			want := digestResult(feed(mustNew(t, cfg), evs), false, false)
+			p := mustNew(t, cfg)
 			p.AccessBatch(s.slots, s.rngs)
 			if digestResult(p.Flush(), false, false) != want {
 				t.Errorf("%s: AccessBatch profile differs from the expanded stream's", backend)
@@ -284,18 +284,12 @@ func TestStrideCompressionEquivalence(t *testing.T) {
 	mk := func(kind string, meta *prog.Meta) Profiler {
 		cfg := Config{Backend: "perfect", Meta: meta}
 		switch kind {
-		case "serial":
-			return NewSerial(cfg)
 		case "parallel":
-			cfg.Workers = 4
-			cfg.QueueCap = 8
-			return NewParallel(cfg)
+			cfg.Mode, cfg.Workers, cfg.QueueCap = ModeParallel, 4, 8
 		case "mt":
-			cfg.Workers = 2
-			cfg.QueueCap = 256
-			return NewMT(cfg)
+			cfg.Mode, cfg.Workers, cfg.QueueCap = ModeMT, 2, 256
 		}
-		panic(kind)
+		return mustNew(t, cfg)
 	}
 
 	rangesSeen := 0

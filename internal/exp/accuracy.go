@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"ddprof/internal/interp"
 	"ddprof/internal/report"
 	"ddprof/internal/sig"
 	"ddprof/internal/stats"
@@ -35,7 +36,10 @@ func Table1(opt Options) (*report.Table, []Table1Row, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
 		}
-		truth := replay(cap, perfectSerial(w.Build(opt.wcfg())))
+		truth, err := replay(cap, perfectSerial(w.Build(opt.wcfg())))
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
+		}
 		row := Table1Row{
 			Program:   w.Name,
 			LOC:       w.LOC,
@@ -44,7 +48,10 @@ func Table1(opt Options) (*report.Table, []Table1Row, error) {
 			Deps:      truth.Deps.Unique(),
 		}
 		for _, slots := range opt.Slots {
-			got := replay(cap, sigSerial(w.Build(opt.wcfg()), slots))
+			got, err := replay(cap, sigSerial(w.Build(opt.wcfg()), slots))
+			if err != nil {
+				return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
+			}
 			row.Rates = append(row.Rates, stats.Compare(truth.Deps, got.Deps))
 		}
 		rows = append(rows, row)
@@ -151,11 +158,10 @@ func MergeAblation(opt Options) (*report.Table, []MergeRow, error) {
 			continue
 		}
 		p := w.Build(opt.wcfg())
-		prof := perfectSerial(p)
-		if _, err := captureAndReplayDirect(opt, p, prof); err != nil {
+		res, _, err := opt.profile(p, perfectSerial(p), interp.Options{})
+		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
 		}
-		res := prof.Flush()
 		r := MergeRow{Program: w.Name, Instances: res.Deps.Instances(), Unique: res.Deps.Unique()}
 		if r.Unique > 0 {
 			r.Factor = float64(r.Instances) / float64(r.Unique)

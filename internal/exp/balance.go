@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ddprof/internal/core"
+	"ddprof/internal/event"
 	"ddprof/internal/interp"
 	"ddprof/internal/report"
 	"ddprof/internal/workloads"
@@ -18,9 +19,23 @@ type BalanceRow struct {
 	// Redistributed adds the §IV-A heavy-hitter migration.
 	Redistributed float64
 	Migrations    uint64
-	// RoundRobin is the untyped existence profiler's dealing (§VI-B future
-	// work: no per-address ownership needed).
+	// RoundRobin deals the stream's chunks to the workers in turn (§VI-B
+	// future work: untyped profiling needs no per-address ownership).
 	RoundRobin float64
+}
+
+// dealRoundRobin deals evs' data accesses, a chunk at a time, to w workers in
+// turn and returns what each received: the balance of order-free dealing.
+func dealRoundRobin(evs []event.Access, w int) []uint64 {
+	counts := make([]uint64, w)
+	n := 0
+	for i := range evs {
+		if evs[i].Kind <= event.Write {
+			counts[n/event.ChunkSize%w] += 1 + uint64(evs[i].Rep)
+			n++
+		}
+	}
+	return counts
 }
 
 // Balance quantifies the load-balancing discussion of §IV-A and §VI-B:
@@ -46,17 +61,13 @@ func Balance(opt Options) (*report.Table, []BalanceRow, error) {
 		row := BalanceRow{Program: name}
 
 		run := func(redistribute int) (*core.Result, error) {
-			p := w.Build(opt.wcfg())
-			prof := core.NewParallel(core.Config{
+			res, _, err := opt.profile(w.Build(opt.wcfg()), core.Config{
+				Mode:              core.ModeParallel,
 				Workers:           workers,
 				Backend:           "perfect",
 				RedistributeEvery: redistribute,
-				Metrics:           Telemetry,
-			})
-			if _, err := opt.run(p, prof, interp.Options{}); err != nil {
-				return nil, err
-			}
-			return prof.Flush(), nil
+			}, interp.Options{})
+			return res, err
 		}
 		res, err := run(0)
 		if err != nil {
@@ -71,11 +82,11 @@ func Balance(opt Options) (*report.Table, []BalanceRow, error) {
 		row.Redistributed = core.Imbalance(res.WorkerEvents)
 		row.Migrations = res.Stats.Migrations
 
-		ex := core.NewExistence(core.Config{Workers: workers})
-		if _, err := opt.run(w.Build(opt.wcfg()), ex, interp.Options{}); err != nil {
-			return nil, nil, fmt.Errorf("%s existence: %w", name, err)
+		cap, _, err := captureRun(opt, w.Build(opt.wcfg()))
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s round-robin: %w", name, err)
 		}
-		row.RoundRobin = core.Imbalance(ex.Flush().WorkerEvents)
+		row.RoundRobin = core.Imbalance(dealRoundRobin(cap.Events(), workers))
 		rows = append(rows, row)
 	}
 
@@ -89,7 +100,7 @@ func Balance(opt Options) (*report.Table, []BalanceRow, error) {
 			fmt.Sprintf("%.2f", r.RoundRobin))
 	}
 	tab.Notes = append(tab.Notes,
-		"1.00 = perfect balance; the round-robin column is only available because untyped",
-		"existence profiling does not need per-address ordering (the paper's §VI-B future work)")
+		"1.00 = perfect balance; the round-robin column is dealing arithmetic over the captured",
+		"stream: untyped profiling would not need per-address ordering (the paper's §VI-B future work)")
 	return tab, rows, nil
 }

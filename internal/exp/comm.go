@@ -28,11 +28,10 @@ func Fig9(opt Options) (*report.Table, *Fig9Result, error) {
 	opt = opt.norm()
 	threads := 8
 	p := workloads.WaterSpatial(workloads.Config{Scale: opt.Scale, Threads: threads})
-	prof := core.NewMT(core.Config{Workers: 8, SlotsPerWorker: opt.SlotsPerWorker, Meta: p.Meta, Metrics: Telemetry})
-	if _, err := opt.run(p, prof, interp.Options{Timestamps: true}); err != nil {
+	res, _, err := opt.profile(p, core.Config{Mode: core.ModeMT, Workers: 8, SlotsPerWorker: opt.SlotsPerWorker}, interp.Options{Timestamps: true})
+	if err != nil {
 		return nil, nil, err
 	}
-	res := prof.Flush()
 	m := analysis.Communication(res.Deps, threads)
 
 	races := countReversed(res)

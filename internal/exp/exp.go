@@ -120,12 +120,31 @@ func (o Options) wcfg() workloads.Config {
 	return workloads.Config{Scale: o.Scale, Threads: o.TargetThreads}
 }
 
-// replay feeds a recorded stream into a profiler and flushes it.
-func replay(c *event.Recorder, p core.Profiler) *core.Result {
-	for _, a := range c.Events() {
-		p.Access(a)
+// replay feeds a recorded stream into the profiler cfg describes and flushes
+// it.
+func replay(c *event.Recorder, cfg core.Config) (*core.Result, error) {
+	prof, err := core.New(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return p.Flush()
+	prof.AccessBatch(c.Events(), nil)
+	return prof.Flush(), nil
+}
+
+// profile runs p under the profiler cfg describes, with p's loop metadata and
+// the package's telemetry attached, and flushes it.
+func (o Options) profile(p *minilang.Program, cfg core.Config, iopt interp.Options) (*core.Result, *interp.RunInfo, error) {
+	cfg.Meta, cfg.Metrics = p.Meta, Telemetry
+	prof, err := core.New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	info, err := o.run(p, prof, iopt)
+	res := prof.Flush()
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, info, nil
 }
 
 // captureRun executes a program once under a recording hook.
@@ -136,12 +155,6 @@ func captureRun(opt Options, p *minilang.Program) (*event.Recorder, *interp.RunI
 		return nil, nil, err
 	}
 	return c, info, nil
-}
-
-// captureAndReplayDirect runs a program directly under a profiler hook
-// (no intermediate capture).
-func captureAndReplayDirect(opt Options, p *minilang.Program, prof core.Profiler) (*interp.RunInfo, error) {
-	return opt.run(p, prof, interp.Options{})
 }
 
 // timeRun measures the wall time of fn averaged over reps runs.
@@ -157,23 +170,23 @@ func timeRun(reps int, fn func() error) (time.Duration, error) {
 	return total / time.Duration(reps), nil
 }
 
-// backendSerial builds a serial profiler over any backend spec.
-func backendSerial(p *minilang.Program, backend string, slots int) *core.Serial {
-	return core.NewSerial(core.Config{
+// backendSerial describes a serial profiler over any backend spec.
+func backendSerial(p *minilang.Program, backend string, slots int) core.Config {
+	return core.Config{
 		Backend:        backend,
 		SlotsPerWorker: slots,
 		Meta:           p.Meta,
 		Metrics:        Telemetry,
-	})
+	}
 }
 
-// perfectSerial builds a serial profiler with an exact store.
-func perfectSerial(p *minilang.Program) *core.Serial {
+// perfectSerial describes a serial profiler with an exact store.
+func perfectSerial(p *minilang.Program) core.Config {
 	return backendSerial(p, "perfect", 0)
 }
 
-// sigSerial builds a serial profiler with a real signature.
-func sigSerial(p *minilang.Program, slots int) *core.Serial {
+// sigSerial describes a serial profiler with a real signature.
+func sigSerial(p *minilang.Program, slots int) core.Config {
 	return backendSerial(p, "signature", slots)
 }
 

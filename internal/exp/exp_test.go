@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"ddprof/internal/core"
+	"ddprof/internal/event"
+	"ddprof/internal/loc"
 	"ddprof/internal/workloads"
 )
 
@@ -317,6 +320,43 @@ func TestBalanceOrdering(t *testing.T) {
 	}
 	if r.RoundRobin > r.Modulo {
 		t.Errorf("round-robin (%.2f) should not be worse than modulo (%.2f)", r.RoundRobin, r.Modulo)
+	}
+}
+
+// TestRoundRobinBalancesSkewedStreams is the §VI-B claim: under a heavily
+// skewed address distribution, dealing chunks round-robin stays balanced
+// while the address-partitioned profiler is imbalanced.
+func TestRoundRobinBalancesSkewedStreams(t *testing.T) {
+	// 80% of traffic on ONE address.
+	rec := event.NewRecorder()
+	for i := 0; i < 200000; i++ {
+		a := uint64(0x9000)
+		if i%5 == 4 {
+			a = uint64(0x10000 + 8*(i%1000))
+		}
+		k := event.Read
+		if i%3 == 0 {
+			k = event.Write
+		}
+		rec.Access(event.Access{Addr: a, Kind: k, Loc: loc.Pack(1, 1+i%20)})
+	}
+	typed, err := replay(rec, core.Config{Mode: core.ModeParallel, Workers: 4, Backend: "perfect"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dealt := dealRoundRobin(rec.Events(), 4)
+	if imb := core.Imbalance(typed.WorkerEvents); imb < 2.0 {
+		t.Errorf("address partitioning should be imbalanced on this stream: %.2f (events %v)", imb, typed.WorkerEvents)
+	}
+	if imb := core.Imbalance(dealt); imb > 1.1 {
+		t.Errorf("round-robin should be near-perfectly balanced: %.2f (events %v)", imb, dealt)
+	}
+	var sum uint64
+	for _, n := range dealt {
+		sum += n
+	}
+	if sum != typed.Stats.Accesses {
+		t.Errorf("dealt %d accesses, the profiler counted %d", sum, typed.Stats.Accesses)
 	}
 }
 

@@ -33,13 +33,14 @@ func TestRotateMeasuredFPRMatchesEq2(t *testing.T) {
 	slots := 4 * cap.Addresses()
 	reg := telemetry.NewRegistry()
 	pipe := reg.Pipeline("t")
-	prof := core.NewSerial(core.Config{
+	if _, err := replay(cap, core.Config{
 		SlotsPerWorker: slots,
 		Meta:           p.Meta,
 		Metrics:        pipe,
 		TrackAccuracy:  true,
-	})
-	replay(cap, prof)
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	meas := float64(pipe.SigFPRMeasuredPPM[0].Load()) / 1e6
 	pred := float64(pipe.SigFPRPredictedPPM[0].Load()) / 1e6

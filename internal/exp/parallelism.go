@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ddprof/internal/analysis"
+	"ddprof/internal/interp"
 	"ddprof/internal/report"
 	"ddprof/internal/workloads"
 )
@@ -35,22 +36,20 @@ func Table2(opt Options) (*report.Table, []Table2Row, error) {
 		}
 		// Perfect (DP-grade) run.
 		p1 := w.Build(opt.wcfg())
-		dpProf := perfectSerial(p1)
-		info, err := captureAndReplayDirect(opt, p1, dpProf)
+		dpRes, info, err := opt.profile(p1, perfectSerial(p1), interp.Options{})
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
 		}
-		dpReports := analysis.DiscoverParallelism(p1.Meta, dpProf.Flush(), info.LoopIters)
+		dpReports := analysis.DiscoverParallelism(p1.Meta, dpRes, info.LoopIters)
 		omp, identDP := analysis.CountIdentified(dpReports)
 
 		// Signature run.
 		p2 := w.Build(opt.wcfg())
-		sigProf := sigSerial(p2, slots)
-		info2, err := captureAndReplayDirect(opt, p2, sigProf)
+		sigRes, info2, err := opt.profile(p2, sigSerial(p2, slots), interp.Options{})
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s(sig): %w", w.Name, err)
 		}
-		sigReports := analysis.DiscoverParallelism(p2.Meta, sigProf.Flush(), info2.LoopIters)
+		sigReports := analysis.DiscoverParallelism(p2.Meta, sigRes, info2.LoopIters)
 		_, identSig := analysis.CountIdentified(sigReports)
 
 		dpSet := analysis.IdentifiedSet(dpReports)

@@ -6,7 +6,6 @@ import (
 
 	"ddprof/internal/core"
 	"ddprof/internal/interp"
-	"ddprof/internal/minilang"
 	"ddprof/internal/report"
 	"ddprof/internal/sig"
 	"ddprof/internal/workloads"
@@ -43,37 +42,24 @@ func Fig5(opt Options) (*report.Table, []Fig5Row, error) {
 		}
 		row.Native = native
 
-		run := func(mk func(p *minilang.Program) core.Profiler) (float64, error) {
+		run := func(cfg core.Config) (float64, error) {
 			d, err := timeRun(opt.Reps, func() error {
-				p := w.Build(opt.wcfg())
-				prof := mk(p)
-				if _, err := opt.run(p, prof, interp.Options{}); err != nil {
-					return err
-				}
-				prof.Flush()
-				return nil
+				_, _, err := opt.profile(w.Build(opt.wcfg()), cfg, interp.Options{})
+				return err
 			})
 			return slowdown(d, native), err
 		}
 
-		if row.Serial, err = run(func(p *minilang.Program) core.Profiler {
-			return core.NewSerial(core.Config{Workers: 16, SlotsPerWorker: opt.SlotsPerWorker, Meta: p.Meta, Metrics: Telemetry})
-		}); err != nil {
+		if row.Serial, err = run(core.Config{Workers: 16, SlotsPerWorker: opt.SlotsPerWorker}); err != nil {
 			return nil, nil, fmt.Errorf("%s serial: %w", w.Name, err)
 		}
-		if row.LockBased8T, err = run(func(p *minilang.Program) core.Profiler {
-			return core.NewParallel(core.Config{Workers: 8, SlotsPerWorker: 2 * opt.SlotsPerWorker, LockBased: true, Meta: p.Meta, Metrics: Telemetry})
-		}); err != nil {
+		if row.LockBased8T, err = run(core.Config{Mode: core.ModeParallel, Workers: 8, SlotsPerWorker: 2 * opt.SlotsPerWorker, LockBased: true}); err != nil {
 			return nil, nil, fmt.Errorf("%s lock-based: %w", w.Name, err)
 		}
-		if row.LockFree8T, err = run(func(p *minilang.Program) core.Profiler {
-			return core.NewParallel(core.Config{Workers: 8, SlotsPerWorker: 2 * opt.SlotsPerWorker, Meta: p.Meta, Metrics: Telemetry})
-		}); err != nil {
+		if row.LockFree8T, err = run(core.Config{Mode: core.ModeParallel, Workers: 8, SlotsPerWorker: 2 * opt.SlotsPerWorker}); err != nil {
 			return nil, nil, fmt.Errorf("%s lock-free 8T: %w", w.Name, err)
 		}
-		if row.LockFree16T, err = run(func(p *minilang.Program) core.Profiler {
-			return core.NewParallel(core.Config{Workers: 16, SlotsPerWorker: opt.SlotsPerWorker, Meta: p.Meta, Metrics: Telemetry})
-		}); err != nil {
+		if row.LockFree16T, err = run(core.Config{Mode: core.ModeParallel, Workers: 16, SlotsPerWorker: opt.SlotsPerWorker}); err != nil {
 			return nil, nil, fmt.Errorf("%s lock-free 16T: %w", w.Name, err)
 		}
 		rows = append(rows, row)
@@ -143,12 +129,8 @@ func Fig6(opt Options) (*report.Table, []Fig6Row, error) {
 		for _, workers := range []int{8, 16} {
 			d, err := timeRun(opt.Reps, func() error {
 				p := w.BuildParallel(opt.wcfg())
-				prof := core.NewMT(core.Config{Workers: workers, SlotsPerWorker: opt.SlotsPerWorker, Meta: p.Meta, Metrics: Telemetry})
-				if _, err := opt.run(p, prof, interp.Options{Timestamps: true}); err != nil {
-					return err
-				}
-				prof.Flush()
-				return nil
+				_, _, err := opt.profile(p, core.Config{Mode: core.ModeMT, Workers: workers, SlotsPerWorker: opt.SlotsPerWorker}, interp.Options{Timestamps: true})
+				return err
 			})
 			if err != nil {
 				return nil, nil, fmt.Errorf("%s %dT: %w", w.Name, workers, err)
@@ -209,11 +191,10 @@ func Fig7(opt Options) (*report.Table, []Fig7Row, error) {
 			// Keep the total slot budget constant across worker counts,
 			// like the paper (6.25e6 x 16 = 1e8 total).
 			perWorker := opt.SlotsPerWorker * 16 / workers
-			prof := core.NewParallel(core.Config{Workers: workers, SlotsPerWorker: perWorker, Meta: p.Meta, Metrics: Telemetry})
-			if _, err := opt.run(p, prof, interp.Options{}); err != nil {
+			res, _, err := opt.profile(p, core.Config{Mode: core.ModeParallel, Workers: workers, SlotsPerWorker: perWorker}, interp.Options{})
+			if err != nil {
 				return nil, nil, fmt.Errorf("%s %dT: %w", w.Name, workers, err)
 			}
-			res := prof.Flush()
 			if workers == 8 {
 				row.T8 = memBytes(res)
 			} else {
@@ -251,11 +232,10 @@ func Fig8(opt Options) (*report.Table, []Fig7Row, error) {
 		for _, workers := range []int{8, 16} {
 			p := w.BuildParallel(opt.wcfg())
 			perWorker := opt.SlotsPerWorker * 16 / workers
-			prof := core.NewMT(core.Config{Workers: workers, SlotsPerWorker: perWorker, Meta: p.Meta, Metrics: Telemetry})
-			if _, err := opt.run(p, prof, interp.Options{Timestamps: true}); err != nil {
+			res, _, err := opt.profile(p, core.Config{Mode: core.ModeMT, Workers: workers, SlotsPerWorker: perWorker}, interp.Options{Timestamps: true})
+			if err != nil {
 				return nil, nil, fmt.Errorf("%s %dT: %w", w.Name, workers, err)
 			}
-			res := prof.Flush()
 			if workers == 8 {
 				row.T8 = memBytes(res)
 			} else {

@@ -23,14 +23,19 @@ func TestHotPathByteIdenticalOnSuite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := core.Config{Backend: "perfect", Meta: p.Meta}
-			serial := replay(cap, core.NewSerial(cfg))
-			cfg.Workers = 4
+			run := func(mode core.Mode, workers int) *core.Result {
+				res, err := replay(cap, core.Config{Mode: mode, Workers: workers, Backend: "perfect", Meta: p.Meta})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			serial := run(core.ModeSerial, 0)
 			// The capture carries no timestamps, so MT's race rule flags nothing
 			// and its profile is the serial one.
 			for name, fast := range map[string]*core.Result{
-				"parallel": replay(cap, core.NewParallel(cfg)),
-				"mt":       replay(cap, core.NewMT(cfg)),
+				"parallel": run(core.ModeParallel, 4),
+				"mt":       run(core.ModeMT, 4),
 			} {
 				if fast.Deps.Unique() != serial.Deps.Unique() {
 					t.Fatalf("%s: unique deps %d, serial %d", name, fast.Deps.Unique(), serial.Deps.Unique())

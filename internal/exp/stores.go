@@ -49,11 +49,17 @@ func StoreAccuracy(opt Options) (*report.Table, []StoreAccuracyRow, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", name, err)
 		}
-		truth := replay(cap, perfectSerial(w.Build(opt.wcfg())))
+		truth, err := replay(cap, perfectSerial(w.Build(opt.wcfg())))
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", name, err)
+		}
 		n := cap.Addresses()
 
-		measure := func(spec string, slots int) {
-			got := replay(cap, backendSerial(w.Build(opt.wcfg()), spec, 0))
+		measure := func(spec string, slots int) error {
+			got, err := replay(cap, backendSerial(w.Build(opt.wcfg()), spec, 0))
+			if err != nil {
+				return fmt.Errorf("%s %s: %w", name, spec, err)
+			}
 			row := StoreAccuracyRow{
 				Family:    w.Suite,
 				Program:   name,
@@ -66,12 +72,18 @@ func StoreAccuracy(opt Options) (*report.Table, []StoreAccuracyRow, error) {
 				row.Predicted = 100 * stats.PredictedFP(float64(slots), float64(n))
 			}
 			rows = append(rows, row)
+			return nil
 		}
 
-		measure("shadow", 0)
+		if err := measure("shadow", 0); err != nil {
+			return nil, nil, err
+		}
 		for _, m := range opt.Slots {
-			measure(fmt.Sprintf("signature:slots=%d", m), m)
-			measure(fmt.Sprintf("hybrid:slots=%d,exact=4096", m), m)
+			for _, spec := range []string{"signature:slots=%d", "hybrid:slots=%d,exact=4096"} {
+				if err := measure(fmt.Sprintf(spec, m), m); err != nil {
+					return nil, nil, err
+				}
+			}
 		}
 	}
 

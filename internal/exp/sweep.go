@@ -30,7 +30,10 @@ func Sweep(opt Options, workload string) (*report.Table, []SweepRow, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	truth := replay(cap, perfectSerial(w.Build(opt.wcfg())))
+	truth, err := replay(cap, perfectSerial(w.Build(opt.wcfg())))
+	if err != nil {
+		return nil, nil, err
+	}
 	n := cap.Addresses()
 
 	var rows []SweepRow
@@ -39,7 +42,10 @@ func Sweep(opt Options, workload string) (*report.Table, []SweepRow, error) {
 		if m < 4 {
 			m = 4
 		}
-		got := replay(cap, sigSerial(w.Build(opt.wcfg()), m))
+		got, err := replay(cap, sigSerial(w.Build(opt.wcfg()), m))
+		if err != nil {
+			return nil, nil, err
+		}
 		r := stats.Compare(truth.Deps, got.Deps)
 		rows = append(rows, SweepRow{
 			Slots:     m,

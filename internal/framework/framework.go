@@ -160,35 +160,10 @@ type Analysis interface {
 	Run(d *Data) (string, error)
 }
 
-// Registry holds plugins and runs them over a Data bundle.
-type Registry struct {
-	plugins []Analysis
-}
-
-// Register appends a plugin; duplicate names are rejected.
-func (r *Registry) Register(a Analysis) error {
-	for _, p := range r.plugins {
-		if p.Name() == a.Name() {
-			return fmt.Errorf("framework: plugin %q already registered", a.Name())
-		}
-	}
-	r.plugins = append(r.plugins, a)
-	return nil
-}
-
-// Plugins lists registered plugin names in order.
-func (r *Registry) Plugins() []string {
-	out := make([]string, len(r.plugins))
-	for i, p := range r.plugins {
-		out[i] = p.Name()
-	}
-	return out
-}
-
-// RunAll executes every plugin and concatenates their reports.
-func (r *Registry) RunAll(d *Data) (string, error) {
+// RunAll executes the plugins in order and concatenates their reports.
+func RunAll(d *Data, plugins []Analysis) (string, error) {
 	var b strings.Builder
-	for _, p := range r.plugins {
+	for _, p := range plugins {
 		rep, err := p.Run(d)
 		if err != nil {
 			return "", fmt.Errorf("plugin %s: %w", p.Name(), err)
@@ -198,16 +173,16 @@ func (r *Registry) RunAll(d *Data) (string, error) {
 	return b.String(), nil
 }
 
-// DefaultRegistry returns a registry with the built-in plugins.
-func DefaultRegistry(targetThreads int) *Registry {
-	r := &Registry{}
-	_ = r.Register(Parallelism{})
-	_ = r.Register(HotDeps{Top: 5})
-	_ = r.Register(Communication{Threads: targetThreads})
-	_ = r.Register(Races{})
-	_ = r.Register(CallGraph{})
-	_ = r.Register(SectionsPlugin{})
-	return r
+// Builtins returns the built-in plugins.
+func Builtins(targetThreads int) []Analysis {
+	return []Analysis{
+		Parallelism{},
+		HotDeps{Top: 5},
+		Communication{Threads: targetThreads},
+		Races{},
+		CallGraph{},
+		SectionsPlugin{},
+	}
 }
 
 // Parallelism is the §VII-A plugin: loop parallelism verdicts.

@@ -16,10 +16,13 @@ import (
 func bundle(t *testing.T) *Data {
 	t.Helper()
 	p := testProgram()
-	prof := core.NewSerial(core.Config{
+	prof, err := core.New(core.Config{
 		Backend: "perfect",
 		Meta:    p.Meta,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	info, err := interp.Run(p, prof, interp.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -109,15 +112,9 @@ func TestLoopTable(t *testing.T) {
 	}
 }
 
+// TestRegistry: the built-in plugin list runs end to end.
 func TestRegistry(t *testing.T) {
-	r := DefaultRegistry(1)
-	if got := r.Plugins(); len(got) != 6 {
-		t.Fatalf("plugins = %v", got)
-	}
-	if err := r.Register(Parallelism{}); err == nil {
-		t.Error("duplicate registration accepted")
-	}
-	out, err := r.RunAll(bundle(t))
+	out, err := RunAll(bundle(t), Builtins(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +132,7 @@ func (failing) Name() string              { return "failing" }
 func (failing) Run(*Data) (string, error) { return "", errors.New("boom") }
 
 func TestRunAllPropagatesErrors(t *testing.T) {
-	r := &Registry{}
-	if err := r.Register(failing{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.RunAll(bundle(t)); err == nil || !strings.Contains(err.Error(), "boom") {
+	if _, err := RunAll(bundle(t), []Analysis{failing{}}); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("error not propagated: %v", err)
 	}
 }

@@ -25,10 +25,13 @@ func runNative(t *testing.T, p *Program) *RunInfo {
 // runProfiled executes under a serial perfect-signature profiler.
 func runProfiled(t *testing.T, p *Program) (*RunInfo, *core.Result) {
 	t.Helper()
-	prof := core.NewSerial(core.Config{
+	prof, err := core.New(core.Config{
 		Backend: "perfect",
 		Meta:    p.Meta,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	info, err := Run(p, prof, Options{})
 	if err != nil {
 		t.Fatalf("run %s: %v", p.Name, err)
@@ -195,7 +198,10 @@ func TestProfiledOutputFormat(t *testing.T) {
 			l.Assign("x", Add(V("x"), Ci(1)))
 		})
 	})
-	prof := core.NewSerial(core.Config{Backend: "perfect", Meta: p.Meta})
+	prof, err := core.New(core.Config{Backend: "perfect", Meta: p.Meta})
+	if err != nil {
+		t.Fatal(err)
+	}
 	info, err := Run(p, prof, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +251,10 @@ func TestSpawnThreadsComputeAndTagIDs(t *testing.T) {
 		})
 		b.Decl("check", Idx("out", Ci(63)))
 	})
-	mt := core.NewMT(core.Config{Workers: 2, Backend: "perfect"})
+	mt, err := core.New(core.Config{Mode: core.ModeMT, Workers: 2, Backend: "perfect"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	info, err := Run(p, mt, Options{Timestamps: true})
 	if err != nil {
 		t.Fatal(err)
@@ -518,7 +527,10 @@ func main() {
 		t.Errorf("collatz steps = %v, want 111", got)
 	}
 	// Loop metadata flows through: the fill loop is OMP and parallelizable.
-	prof := core.NewSerial(core.Config{Backend: "perfect", Meta: p.Meta})
+	prof, err := core.New(core.Config{Backend: "perfect", Meta: p.Meta})
+	if err != nil {
+		t.Fatal(err)
+	}
 	p2, _ := ParseProgram("exec.ml", src)
 	info2, err := Run(p2, prof, Options{})
 	if err != nil {

@@ -64,7 +64,10 @@ func TestRemoteHybridSession(t *testing.T) {
 	p := hotProgram(3000)
 
 	// Exact reference, profiled in-process.
-	ref := core.NewSerial(core.Config{Backend: "perfect", Meta: p.Meta})
+	ref, err := core.New(core.Config{Backend: "perfect", Meta: p.Meta})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := interp.Run(p, ref, interp.Options{}); err != nil {
 		t.Fatal(err)
 	}

@@ -168,16 +168,19 @@ func BenchmarkRemoteIngest(b *testing.B) {
 
 	inproc := func(workers int) func(*testing.B) {
 		return func(b *testing.B) {
-			var prof core.Profiler
+			cfg := core.Config{SlotsPerWorker: 1 << 20, Meta: meta}
 			if workers >= 2 {
-				prof = core.NewParallel(core.Config{
+				cfg = core.Config{
+					Mode:              core.ModeParallel,
 					Workers:           workers,
 					SlotsPerWorker:    (1 << 20) / workers,
 					RedistributeEvery: 50000,
 					Meta:              meta,
-				})
-			} else {
-				prof = core.NewSerial(core.Config{SlotsPerWorker: 1 << 20, Meta: meta})
+				}
+			}
+			prof, err := core.New(cfg)
+			if err != nil {
+				b.Fatal(err)
 			}
 			passes := (b.N + len(stream) - 1) / len(stream)
 			events := passes * len(stream)

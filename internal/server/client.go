@@ -191,8 +191,6 @@ type WatchOptions struct {
 	// Timeout bounds every socket read and write; 0 means no deadline —
 	// watch streams are long-lived and quiet between epochs.
 	Timeout time.Duration
-	// MaxFrame caps one delta frame; <= 0 selects trace.DefaultMaxFrame.
-	MaxFrame int
 }
 
 // Watch subscribes to a ddprofd session's live observatory over conn and
@@ -233,7 +231,7 @@ func Watch(conn net.Conn, opt WatchOptions, fn func(trace.DeltaFrame) error) err
 		}
 		return fmt.Errorf("server: watch refused: %s", msg)
 	}
-	dr := trace.NewDeltaReader(br, opt.MaxFrame)
+	dr := trace.NewDeltaReader(br, trace.DefaultMaxFrame)
 	sawFinal := false
 	for {
 		f, err := dr.Next()

@@ -86,7 +86,7 @@ type ingest struct {
 
 // startIngest launches the two stages. br must be positioned just past the
 // handshake; depth bounds both inter-stage rings.
-func startIngest(conn net.Conn, br *bufio.Reader, maxFrame, depth int) *ingest {
+func startIngest(conn net.Conn, br *bufio.Reader, depth int) *ingest {
 	ing := &ingest{
 		frames: make(chan []byte, depth),
 		out:    make(chan ingestBatch, depth),
@@ -98,7 +98,7 @@ func startIngest(conn net.Conn, br *bufio.Reader, maxFrame, depth int) *ingest {
 		ing.free <- event.NewChunk()
 	}
 	ing.wg.Add(2)
-	go ing.readFrames(br, maxFrame)
+	go ing.readFrames(br)
 	go ing.decode()
 	return ing
 }
@@ -125,7 +125,7 @@ func (ing *ingest) err() error {
 // readFrames is stage 1: length-prefixed frames off the socket into pooled
 // buffers. It replaces trace.FrameReader on the ingest path and mirrors its
 // validation and error text exactly.
-func (ing *ingest) readFrames(br *bufio.Reader, maxFrame int) {
+func (ing *ingest) readFrames(br *bufio.Reader) {
 	defer ing.wg.Done()
 	defer close(ing.frames)
 	for {
@@ -137,7 +137,7 @@ func (ing *ingest) readFrames(br *bufio.Reader, maxFrame int) {
 		if ln == 0 {
 			return // clean stream terminator
 		}
-		if ln > uint64(maxFrame) {
+		if ln > trace.DefaultMaxFrame {
 			ing.readErr = fmt.Errorf("trace: frame of %d bytes: %w", ln, trace.ErrFrameTooLarge)
 			return
 		}

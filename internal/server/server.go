@@ -60,9 +60,6 @@ type Config struct {
 	// IdleTimeout is the slow-client deadline: a session that neither
 	// delivers nor accepts a byte for this long is evicted. Default 30s.
 	IdleTimeout time.Duration
-	// MaxFrame caps one ingest frame; larger frames mark the session
-	// corrupt. Default trace.DefaultMaxFrame.
-	MaxFrame int
 	// ReadBuf sizes a session's socket read path: the kernel receive buffer
 	// (SetReadBuffer, where the transport supports it) and the bufio layer
 	// the frame reader pulls from. Default 64KiB.
@@ -119,9 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 30 * time.Second
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = trace.DefaultMaxFrame
 	}
 	if c.ReadBuf <= 0 {
 		c.ReadBuf = 1 << 16
@@ -701,10 +695,9 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 	// no matter how the two interleave. The ticker only raises a flag; the
 	// mark itself is cut on the ingest goroutine between records, which the
 	// sequential-target producer requires.
-	marker, _ := prof.(core.EpochMarker)
 	var epoch uint32
 	var tickPending atomic.Bool
-	if s.cfg.EpochInterval > 0 && marker != nil {
+	if s.cfg.EpochInterval > 0 {
 		tk := time.NewTicker(s.cfg.EpochInterval)
 		tickStop := make(chan struct{})
 		go func() {
@@ -732,15 +725,15 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 	// here, on the Access-calling goroutine, at exactly their stream
 	// positions: the decoder carries explicit marks as chunk slots and
 	// feedBatch splits batches around them.
-	ing := startIngest(sess.conn, br, s.cfg.MaxFrame, s.cfg.DecodeDepth)
+	ing := startIngest(sess.conn, br, s.cfg.DecodeDepth)
 	defer ing.stop()
 	for ib := range ing.out {
-		if tickPending.Load() && marker != nil {
+		if tickPending.Load() {
 			tickPending.Store(false)
 			epoch++
-			marker.EpochMark(epoch)
+			prof.EpochMark(epoch)
 		}
-		n, err := feedBatch(prof, marker, ib, &epoch)
+		n, err := feedBatch(prof, ib, &epoch)
 		sess.events.Add(n)
 		series.events.Add(n)
 		series.batch.Observe(int64(len(ib.c.Events)))
@@ -762,10 +755,8 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 	// and its bounds snapshot — before the merge; the post-merge remainder
 	// below is then normally empty, but extracting it keeps the "union of
 	// deltas equals the final profile" guarantee unconditional.
-	if marker != nil {
-		epoch++
-		marker.EpochMark(epoch)
-	}
+	epoch++
+	prof.EpochMark(epoch)
 	res = flush()
 	fin := &core.EpochDelta{Epoch: epoch + 1, Deps: dep.NewSet()}
 	res.Deps.ExtractDelta(fin.Deps)
@@ -801,7 +792,7 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 // weighted by element count). Pipeline control kinds beyond Remove are
 // daemon-internal; a stream carrying them is corrupt (a hostile one could
 // hijack the migration mailboxes).
-func feedBatch(prof core.Profiler, marker core.EpochMarker, b ingestBatch, epoch *uint32) (uint64, error) {
+func feedBatch(prof core.Profiler, b ingestBatch, epoch *uint32) (uint64, error) {
 	evs, rngs := b.c.Events, b.c.Ranges
 	if !b.ctl {
 		// Pure data batch: no epoch marks to cut, no control kinds to
@@ -824,10 +815,8 @@ func feedBatch(prof core.Profiler, marker core.EpochMarker, b ingestBatch, epoch
 			}
 			seg = i + 1
 			weight++
-			if marker != nil {
-				*epoch++
-				marker.EpochMark(*epoch)
-			}
+			*epoch++
+			prof.EpochMark(*epoch)
 		case a.Kind > event.Remove:
 			if i > seg {
 				prof.AccessBatch(evs[seg:i], rngs)

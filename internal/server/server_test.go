@@ -51,10 +51,13 @@ func testProgram(name string, n int) *minilang.Program {
 // so the result is byte-comparable with a remote session's response.
 func localProfileBytes(t *testing.T, p *minilang.Program) []byte {
 	t.Helper()
-	prof := core.NewSerial(core.Config{
+	prof, err := core.New(core.Config{
 		Backend: "perfect",
 		Meta:    p.Meta,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := interp.Run(p, prof, interp.Options{}); err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,10 @@ func TestRecordReplayProfileEquivalence(t *testing.T) {
 	}
 
 	// Live profile.
-	live := core.NewSerial(core.Config{Backend: "perfect"})
+	live, err := core.New(core.Config{Backend: "perfect"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := interp.Run(build(), live, interp.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +136,10 @@ func TestRecordReplayProfileEquivalence(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	replayed := core.NewSerial(core.Config{Backend: "perfect"})
+	replayed, err := core.New(core.Config{Backend: "perfect"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	n, err := Replay(&buf, replayed.Access)
 	if err != nil {
 		t.Fatal(err)

@@ -193,10 +193,13 @@ func TestNASNamedLoopVerdicts(t *testing.T) {
 			t.Fatalf("workload %s missing", name)
 		}
 		p := w.Build(Config{Scale: 0.5})
-		prof := core.NewSerial(core.Config{
+		prof, err := core.New(core.Config{
 			Backend: "perfect",
 			Meta:    p.Meta,
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		info, err := interp.Run(p, prof, interp.Options{})
 		if err != nil {
 			t.Fatal(err)
