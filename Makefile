@@ -22,10 +22,11 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; gofmt -d .; exit 1; fi
 
-# End-to-end daemon smoke: daemon up on a unix socket, one remote profiling
-# session with a live -watch subscriber folding its epoch-delta stream, and a
-# live HTTP diff against the retained session. Exercises the whole wire path
-# the in-process tests cannot: real binaries, real sockets, real HTTP.
+# End-to-end smoke over the three binaries it builds (ddprof, ddprofd, ddiff):
+# a -race ddprof on a sample that spawns threads, then the daemon up on a unix
+# socket, one remote profiling session with a live -watch subscriber folding
+# its epoch-delta stream, and a live HTTP diff against the retained session.
+# Exercises what the in-process tests cannot: real binaries, sockets, HTTP.
 smoke:
 	./scripts/smoke_ddprofd.sh
 

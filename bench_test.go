@@ -22,6 +22,7 @@ import (
 	"ddprof/internal/exp"
 	"ddprof/internal/interp"
 	"ddprof/internal/loc"
+	"ddprof/internal/minilang"
 	"ddprof/internal/prog"
 	"ddprof/internal/queue"
 	"ddprof/internal/sig"
@@ -465,13 +466,13 @@ func BenchmarkHotPath(b *testing.B) {
 	// pipelines it feeds. BenchmarkProducer has the full family × hook
 	// matrix.
 	prod := producerTargets()[0]
-	for _, ex := range []interp.Executor{interp.TreeWalker{}, vm.New()} {
-		b.Run("producer-"+ex.Name(), func(b *testing.B) {
+	for _, ex := range executors {
+		b.Run("producer-"+ex.name, func(b *testing.B) {
 			var events uint64
 			start := time.Now()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				info, err := ex.Run(prod.prog, nil, prod.opt)
+				info, err := ex.run(prod.prog, nil, prod.opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -701,6 +702,13 @@ func producerTargets() []struct {
 	}
 }
 
+// executors are the two event producers by name: the reference interpreter
+// and the VM production runs.
+var executors = []struct {
+	name string
+	run  func(*minilang.Program, event.Hook, interp.Options) (*interp.RunInfo, error)
+}{{"interp", interp.Run}, {"vm", vm.Run}}
+
 // BenchmarkProducer measures the two event producers — the tree-walking
 // interpreter and the bytecode VM — and reports events/s. Each family runs
 // twice per executor: raw production (nil hook — the producer's capacity,
@@ -718,17 +726,17 @@ func BenchmarkProducer(b *testing.B) {
 	}{{"raw", nil}, {"sink", sink}}
 	for _, tgt := range producerTargets() {
 		for _, hk := range hooks {
-			for _, ex := range []interp.Executor{interp.TreeWalker{}, vm.New()} {
-				name := tgt.name + "/" + ex.Name()
+			for _, ex := range executors {
+				name := tgt.name + "/" + ex.name
 				if hk.name == "sink" {
-					name = tgt.name + "-sink/" + ex.Name()
+					name = tgt.name + "-sink/" + ex.name
 				}
 				b.Run(name, func(b *testing.B) {
 					var events uint64
 					b.ResetTimer()
 					start := time.Now()
 					for i := 0; i < b.N; i++ {
-						info, err := ex.Run(tgt.prog, hk.h, tgt.opt)
+						info, err := ex.run(tgt.prog, hk.h, tgt.opt)
 						if err != nil {
 							b.Fatal(err)
 						}

@@ -41,9 +41,9 @@ import (
 	"time"
 
 	"ddprof/internal/exp"
-	"ddprof/internal/interp"
 	"ddprof/internal/report"
 	"ddprof/internal/telemetry"
+	"ddprof/internal/workloads"
 )
 
 func main() {
@@ -56,7 +56,6 @@ func main() {
 		traceOut = flag.String("trace-out", "", "write a Chrome trace-event JSON timeline of the run to this file (Perfetto-loadable)")
 		traceInt = flag.Duration("trace-interval", 50*time.Millisecond, "flight-recorder sampling interval for -trace-out")
 		logLevel = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		useTW    = flag.Bool("interp", false, "execute targets with the reference tree-walking interpreter instead of the bytecode VM")
 	)
 	flag.Parse()
 
@@ -70,6 +69,14 @@ func main() {
 
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: ddexp [flags] table1|table2|fig5|fig6|fig7|fig8|fig9|eq2|merge|stores|balance|sweep|all")
+		os.Exit(2)
+	}
+	var onlyNames []string
+	if *only != "" {
+		onlyNames = strings.Split(*only, ",")
+	}
+	if err := checkOnly(onlyNames); err != nil {
+		fmt.Fprintln(os.Stderr, "ddexp:", err)
 		os.Exit(2)
 	}
 
@@ -146,12 +153,7 @@ func main() {
 	if *reps > 0 {
 		opt.Reps = *reps
 	}
-	if *only != "" {
-		opt.Only = strings.Split(*only, ",")
-	}
-	if *useTW {
-		opt.Producer = interp.TreeWalker{}
-	}
+	opt.Only = onlyNames
 
 	runners := map[string]func(exp.Options) error{
 		"table1": func(o exp.Options) error { return render(exp.Table1(o)) },
@@ -215,6 +217,17 @@ func main() {
 		fail("ddexp: %v\n", err)
 	}
 	shutdownObservability()
+}
+
+// checkOnly refuses -only names no workload answers to: an experiment
+// filtered down to nothing prints an empty table and exits 0.
+func checkOnly(names []string) error {
+	for _, n := range names {
+		if _, ok := workloads.ByName(n); !ok {
+			return fmt.Errorf("-only: unknown workload %q (ddprof -list shows the names)", n)
+		}
+	}
+	return nil
 }
 
 // render prints a (table, rows, err) experiment result, discarding rows.

@@ -38,6 +38,7 @@ import (
 	"ddprof/internal/analysis"
 	"ddprof/internal/core"
 	"ddprof/internal/dep"
+	"ddprof/internal/event"
 	"ddprof/internal/interp"
 	"ddprof/internal/minilang"
 	"ddprof/internal/trace"
@@ -115,18 +116,18 @@ const (
 	// ModeParallel uses the lock-free chunked pipeline for sequential
 	// targets (paper §IV).
 	ModeParallel
-	// ModeParallelLockBased is ModeParallel with mutex-protected queues —
-	// the paper's Figure 5 ablation baseline.
-	ModeParallelLockBased
 	// ModeMT profiles multi-threaded targets: thread-private event batches
 	// handed over before every release operation, sync-epoch timestamps,
-	// and data-race flagging (paper §V).
+	// and data-race flagging (paper §V). A target that spawns threads runs
+	// under ModeMT whatever mode was asked for (see Result.Mode): the other
+	// two take their events from one thread only.
 	ModeMT
 )
 
 // Config configures a profiling run.
 type Config struct {
-	// Mode defaults to ModeSerial.
+	// Mode defaults to ModeSerial; Profile overrides it with ModeMT for a
+	// target that spawns threads.
 	Mode Mode
 	// Workers is the number of profiling threads (parallel modes;
 	// default 8).
@@ -152,19 +153,6 @@ type Config struct {
 	// parallel hardware exhibits. Race flagging does not need it: an
 	// unsynchronized pair is flagged whatever the schedule.
 	SchedulerFuzz int
-	// Interp executes the target with the reference tree-walking
-	// interpreter instead of the default bytecode VM. Both producers emit
-	// byte-identical event streams; the interpreter is slower but is the
-	// semantics of record, kept selectable for differential debugging.
-	Interp bool
-}
-
-// executor selects the event producer for cfg.
-func (cfg Config) executor() interp.Executor {
-	if cfg.Interp {
-		return interp.TreeWalker{}
-	}
-	return vm.New()
 }
 
 // Result is a completed profile.
@@ -181,15 +169,25 @@ type Result struct {
 	Races int
 	// Stats exposes pipeline counters (chunks, migrations, store bytes).
 	Stats core.RunStats
+	// Mode is the mode the run used: Config.Mode, or ModeMT because the
+	// target spawns threads.
+	Mode Mode
 
-	prog        *minilang.Program
-	loopRecords []dep.LoopRecord
-	threads     bool
+	data analysis.Data
 }
 
 // Profile executes the program under the configured profiler and returns
 // the merged result.
 func Profile(p *Program, cfg Config) (*Result, error) {
+	mode := cfg.Mode
+	if mode < ModeSerial || mode > ModeMT {
+		return nil, fmt.Errorf("ddprof: unknown mode %d", cfg.Mode)
+	}
+	// The serial and parallel profilers take events from one goroutine only,
+	// so whether the target spawns threads decides the mode, not the caller.
+	if len(minilang.Resolve(p).Spawns) > 0 {
+		mode = ModeMT
+	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = 8
@@ -213,48 +211,36 @@ func Profile(p *Program, cfg Config) (*Result, error) {
 		RedistributeEvery: redistribute,
 	}
 	iopt := interp.Options{}
-	switch cfg.Mode {
+	switch mode {
 	case ModeSerial:
 		ccfg.Mode = core.ModeSerial
 		ccfg.Workers = 1
 		ccfg.SlotsPerWorker = slots
 	case ModeParallel:
 		ccfg.Mode = core.ModeParallel
-	case ModeParallelLockBased:
-		ccfg.Mode = core.ModeParallel
-		ccfg.LockBased = true
 	case ModeMT:
 		ccfg.Mode = core.ModeMT
 		iopt.Timestamps = true
 		iopt.YieldEvery = cfg.SchedulerFuzz
-	default:
-		return nil, fmt.Errorf("ddprof: unknown mode %d", cfg.Mode)
 	}
 	prof, err := core.New(ccfg)
 	if err != nil {
 		return nil, fmt.Errorf("ddprof: %w", err)
 	}
-	info, err := cfg.executor().Run(p, prof, iopt)
+	info, err := vm.Run(p, prof, iopt)
 	if err != nil {
 		return nil, err
 	}
 	res := prof.Flush()
-	out := &Result{
-		Deps:        res.Deps,
-		Loops:       analysis.DiscoverParallelism(p.Meta, res, info.LoopIters),
-		Accesses:    info.Accesses,
-		Stats:       res.Stats,
-		prog:        p,
-		loopRecords: info.LoopRecords,
-		threads:     cfg.Mode == ModeMT,
-	}
-	res.Deps.Range(func(_ dep.Key, st dep.Stats) bool {
-		if st.Reversed {
-			out.Races++
-		}
-		return true
-	})
-	return out, nil
+	return &Result{
+		Deps:     res.Deps,
+		Loops:    analysis.DiscoverParallelism(p.Meta, res, info.LoopIters),
+		Accesses: info.Accesses,
+		Races:    analysis.CountRaces(res.Deps),
+		Stats:    res.Stats,
+		Mode:     mode,
+		data:     analysis.Data{Program: p, Result: res, Info: info},
+	}, nil
 }
 
 // ProfileUnion profiles several variants of a target (typically the same
@@ -319,7 +305,7 @@ func RecordTrace(p *Program, w io.Writer) (events uint64, err error) {
 		return 0, err
 	}
 	sw := trace.NewSyncWriter(tw)
-	if _, err := vm.New().Run(p, sw, interp.Options{}); err != nil {
+	if _, err := vm.Run(p, sw, interp.Options{}); err != nil {
 		return 0, err
 	}
 	if err := sw.Close(); err != nil {
@@ -347,16 +333,26 @@ func ProfileTrace(r io.Reader, cfg Config) (*dep.Set, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ddprof: %w", err)
 	}
-	if _, err := trace.Replay(r, prof.Access); err != nil {
+	tr, err := trace.NewReader(r)
+	if err != nil {
 		return nil, err
 	}
-	return prof.Flush().Deps, nil
+	for c := event.NewChunk(); ; c.Reset() {
+		_, err := tr.NextBatch(c)
+		prof.AccessBatch(c.Events, c.Ranges)
+		if err == io.EOF {
+			return prof.Flush().Deps, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // Run executes the program natively (uninstrumented) and returns its final
 // scalar variables — useful to check what the target computed.
 func Run(p *Program) (map[string]float64, error) {
-	info, err := vm.New().Run(p, nil, interp.Options{})
+	info, err := vm.Run(p, nil, interp.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -367,15 +363,16 @@ func Run(p *Program) (map[string]float64, error) {
 // for sequential targets, Figure 3 with thread IDs for ModeMT), including
 // BGN/END control-flow records.
 func (r *Result) WriteDeps(w io.Writer) error {
-	return dep.Write(w, r.Deps, r.prog.Tab, r.loopRecords,
-		dep.WriterOptions{Threads: r.threads, MarkRaces: r.threads})
+	mt := r.Mode == ModeMT
+	return dep.Write(w, r.Deps, r.data.Program.Tab, r.data.Info.LoopRecords,
+		dep.WriterOptions{Threads: mt, MarkRaces: mt})
 }
 
 // SaveBinary writes the profile (dependences, loop records, variable
 // names) in the compact deterministic binary format; LoadProfile reads it
 // back.
 func (r *Result) SaveBinary(w io.Writer) error {
-	return dep.Encode(w, r.Deps, r.prog.Tab, r.loopRecords)
+	return dep.Encode(w, r.Deps, r.data.Program.Tab, r.data.Info.LoopRecords)
 }
 
 // LoadProfile reads a binary profile written by Result.SaveBinary.
@@ -390,6 +387,10 @@ func ParseProfile(rd io.Reader) (*dep.Set, []dep.LoopRecord, error) {
 	set, loops, _, err := dep.Parse(rd)
 	return set, loops, err
 }
+
+// Data bundles the run for analysis plug-ins (analysis.Analysis, paper
+// §VIII): the program, the profiler's result and the executor's run record.
+func (r *Result) Data() *analysis.Data { return &r.data }
 
 // Communication returns the producer/consumer communication matrix over
 // the given number of target threads (paper §VII-B).

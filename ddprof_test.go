@@ -1,10 +1,18 @@
 package ddprof_test
 
 import (
+	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"ddprof"
+	"ddprof/internal/core"
+	"ddprof/internal/dep"
+	"ddprof/internal/event"
+	"ddprof/internal/loc"
+	"ddprof/internal/trace"
 )
 
 // buildDemo constructs a program with one clean loop, one reduction and one
@@ -29,7 +37,7 @@ func buildDemo() *ddprof.Program {
 
 func TestProfileModes(t *testing.T) {
 	for _, mode := range []ddprof.Mode{
-		ddprof.ModeSerial, ddprof.ModeParallel, ddprof.ModeParallelLockBased,
+		ddprof.ModeSerial, ddprof.ModeParallel, ddprof.ModeMT,
 	} {
 		res, err := ddprof.Profile(buildDemo(), ddprof.Config{Mode: mode, Workers: 4})
 		if err != nil {
@@ -38,9 +46,66 @@ func TestProfileModes(t *testing.T) {
 		if res.Deps.Unique() == 0 || res.Accesses == 0 {
 			t.Fatalf("mode %d: empty result", mode)
 		}
+		if res.Mode != mode {
+			t.Errorf("mode %d: a spawn-free target ran under mode %d", mode, res.Mode)
+		}
 		par := res.ParallelizableLoops()
 		if len(par) != 1 || par[0] != "fill" {
 			t.Errorf("mode %d: parallelizable = %v, want [fill]", mode, par)
+		}
+	}
+}
+
+// TestProfileSpawningTargetAnyMode: the serial and parallel profilers take
+// events from one goroutine only, so a target that spawns threads runs under
+// ModeMT whatever mode the caller asked for — Profile derives it from the
+// program. (Asking for ModeSerial used to put four target threads inside one
+// serial engine: a data race, which -race reports at the parent commit.) The
+// digest leaves out thread IDs and counts, which follow lock-acquisition
+// order; everything else about a properly locked counter is fixed.
+func TestProfileSpawningTargetAnyMode(t *testing.T) {
+	build := func() *ddprof.Program {
+		p := ddprof.NewProgram("locked-counter")
+		p.MainFunc(func(b *ddprof.Block) {
+			b.Decl("counter", ddprof.Ci(0))
+			b.Spawn(4, func(s *ddprof.Block) {
+				s.For("i", ddprof.Ci(0), ddprof.Ci(400), ddprof.Ci(1),
+					ddprof.LoopOpt{Name: "inc"}, func(l *ddprof.Block) {
+						l.Lock("m", func(cr *ddprof.Block) {
+							cr.Reduce("counter", ddprof.OpAdd, ddprof.Ci(1))
+						})
+					})
+			})
+		})
+		return p
+	}
+	digest := func(set *dep.Set) string {
+		var keys []string
+		set.Range(func(k dep.Key, _ dep.Stats) bool {
+			keys = append(keys, fmt.Sprintf("%v %v<-%v var%d", k.Type, k.Sink, k.Src, k.Var))
+			return true
+		})
+		slices.Sort(keys)
+		return strings.Join(slices.Compact(keys), "\n")
+	}
+	var want string
+	for _, mode := range []ddprof.Mode{ddprof.ModeSerial, ddprof.ModeParallel, ddprof.ModeMT} {
+		res, err := ddprof.Profile(build(), ddprof.Config{Mode: mode, Workers: 4, Backend: "perfect"})
+		if err != nil {
+			t.Fatalf("mode %d: %v", mode, err)
+		}
+		if res.Mode != ddprof.ModeMT {
+			t.Errorf("mode %d: ran under mode %d, want ModeMT", mode, res.Mode)
+		}
+		if res.Races != 0 {
+			t.Errorf("mode %d: %d races flagged on a locked counter", mode, res.Races)
+		}
+		got := digest(res.Deps)
+		if want == "" {
+			want = got
+		}
+		if got == "" || got != want {
+			t.Errorf("mode %d: dependences differ from ModeSerial's:\n%s\nwant:\n%s", mode, got, want)
 		}
 	}
 }
@@ -266,5 +331,59 @@ func TestRecordAndProfileTrace(t *testing.T) {
 	}
 	if set.Instances() != live.Deps.Instances() {
 		t.Errorf("trace instances %d vs live %d", set.Instances(), live.Deps.Instances())
+	}
+
+	// A trace written through trace.Compactor carries range records: two
+	// strided sweeps over one array, a write run then a read run. ProfileTrace
+	// must profile them as their points.
+	var evs []event.Access
+	for pass, kind := range []event.Kind{event.Write, event.Read} {
+		for i := uint64(0); i < 64; i++ {
+			evs = append(evs, event.Access{Addr: 0x1000 + 8*i, Kind: kind, Loc: loc.Pack(1, 10+pass), Var: 1})
+		}
+	}
+	var rbuf bytes.Buffer
+	tw, err := trace.NewWriter(&rbuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp := trace.NewCompactor(tw)
+	for _, a := range evs {
+		comp.Access(a)
+	}
+	if err := comp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.NewReader(bytes.NewReader(rbuf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := event.NewChunk()
+	if _, err := tr.NextBatch(c); len(c.Ranges) != 2 {
+		t.Fatalf("compacted trace decodes to %d range records (%v), want 2", len(c.Ranges), err)
+	}
+	ref, err := core.New(core.Config{Backend: "perfect"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range evs {
+		ref.Access(a)
+	}
+	wantDeps := ref.Flush().Deps
+	got, err := ddprof.ProfileTrace(bytes.NewReader(rbuf.Bytes()), ddprof.Config{Backend: "perfect"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantBin, gotBin bytes.Buffer
+	tab := loc.NewTable()
+	if err := dep.Encode(&wantBin, wantDeps, tab, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := dep.Encode(&gotBin, got, tab, nil); err != nil {
+		t.Fatal(err)
+	}
+	if wantDeps.Unique() == 0 || !bytes.Equal(wantBin.Bytes(), gotBin.Bytes()) {
+		t.Errorf("ranged trace: %d deps (%d instances), want the %d (%d) of its points",
+			got.Unique(), got.Instances(), wantDeps.Unique(), wantDeps.Instances())
 	}
 }

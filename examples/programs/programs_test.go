@@ -5,7 +5,6 @@ package programs_test
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"ddprof"
@@ -31,11 +30,7 @@ func TestSamplesParseAndProfile(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
-			mode := ddprof.ModeParallel
-			if strings.Contains(string(src), "spawn") {
-				mode = ddprof.ModeMT
-			}
-			res, err := ddprof.Profile(p, ddprof.Config{Mode: mode, Workers: 4, Backend: "perfect"})
+			res, err := ddprof.Profile(p, ddprof.Config{Mode: ddprof.ModeParallel, Workers: 4, Backend: "perfect"})
 			if err != nil {
 				t.Fatalf("profile: %v", err)
 			}

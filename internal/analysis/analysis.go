@@ -1,7 +1,9 @@
-// Package analysis implements the two dependence-based program analyses the
-// paper demonstrates on top of the profiler (§VII): discovery of potential
-// loop parallelism (the DiscoPoP use case) and detection of communication
-// patterns in multi-threaded code.
+// Package analysis is the post-pass layer over a finished profile: the two
+// dependence-based analyses the paper demonstrates (§VII) — discovery of
+// potential loop parallelism (the DiscoPoP use case) and detection of
+// communication patterns in multi-threaded code — the §VI-B section view, and
+// the §VIII plug-in contract (Analysis, RunAll, Builtins) they are served
+// through.
 package analysis
 
 import (
@@ -92,6 +94,19 @@ func IdentifiedSet(reports []LoopReport) map[string]bool {
 		}
 	}
 	return out
+}
+
+// CountRaces returns the number of dependences with at least one instance
+// whose timestamps reversed — the §V-B potential data races.
+func CountRaces(deps *dep.Set) int {
+	n := 0
+	deps.Range(func(_ dep.Key, st dep.Stats) bool {
+		if st.Reversed {
+			n++
+		}
+		return true
+	})
+	return n
 }
 
 // CommMatrix is the producer/consumer communication matrix of §VII-B:

@@ -1,14 +1,10 @@
-package framework
+package analysis
 
 import (
 	"errors"
 	"strings"
 	"testing"
 
-	"ddprof/internal/core"
-	"ddprof/internal/dep"
-	"ddprof/internal/interp"
-	"ddprof/internal/loc"
 	ml "ddprof/internal/minilang"
 )
 
@@ -16,18 +12,8 @@ import (
 func bundle(t *testing.T) *Data {
 	t.Helper()
 	p := testProgram()
-	prof, err := core.New(core.Config{
-		Backend: "perfect",
-		Meta:    p.Meta,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := interp.Run(p, prof, interp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return New(p, prof.Flush(), info)
+	info, res := profileProgram(t, p)
+	return &Data{Program: p, Result: res, Info: info}
 }
 
 // testProgram builds:
@@ -51,53 +37,6 @@ func testProgram() *ml.Program {
 	return p
 }
 
-func TestGraphEdges(t *testing.T) {
-	d := bundle(t)
-	g := d.Graph()
-	l1, l2 := loc.Pack(1, 1), loc.Pack(1, 2)
-	// x written at 1, read at 2: RAW edge 1 -> 2.
-	found := false
-	for _, e := range g.From(l1) {
-		if e.Type == dep.RAW && e.To == l2 {
-			found = true
-			if e.Count == 0 {
-				t.Error("edge has zero count")
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("missing RAW edge 1->2; edges: %+v", g.From(l1))
-	}
-	// Reverse index agrees.
-	found = false
-	for _, e := range g.To(l2) {
-		if e.Type == dep.RAW && e.From == l1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("reverse index missing the edge")
-	}
-	if len(g.Lines()) == 0 {
-		t.Error("no lines in graph")
-	}
-}
-
-func TestGraphReachable(t *testing.T) {
-	d := bundle(t)
-	g := d.Graph()
-	// Dataflow from line 1 (x) flows through y (2), z (3) into the loop
-	// accumulation (6).
-	reach := g.Reachable(loc.Pack(1, 1))
-	for _, want := range []int{2, 3} {
-		if !reach[loc.Pack(1, want)] {
-			t.Errorf("line %d not reachable from line 1: %v", want, reach)
-		}
-	}
-	// Self-cycles (the accumulator) must not loop forever — reaching here
-	// is the assertion.
-}
-
 func TestLoopTable(t *testing.T) {
 	d := bundle(t)
 	rows := d.LoopTable()
@@ -107,8 +46,8 @@ func TestLoopTable(t *testing.T) {
 	if rows[0].Loop.Name != "acc" || rows[0].Iterations != 10 {
 		t.Errorf("row = %+v", rows[0])
 	}
-	if rows[0].Report.Parallelizable || !rows[0].Report.Reduction {
-		t.Errorf("accumulator verdict wrong: %+v", rows[0].Report)
+	if rows[0].Parallelizable || !rows[0].Reduction {
+		t.Errorf("accumulator verdict wrong: %+v", rows[0])
 	}
 }
 
@@ -118,7 +57,7 @@ func TestRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"== parallelism ==", "== hot-deps ==", "== communication ==", "== races ==", "== callgraph ==", "== sections ==", "acc", "reduction", "max call depth"} {
+	for _, want := range []string{"== parallelism ==", "== hot-deps ==", "== communication ==", "== races ==", "== callgraph ==", "== sections ==", "acc", "parallelizable with reduction", "cross-thread RAW volume: 0", "max call depth"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}

@@ -29,7 +29,7 @@ func recordWorkload(tb testing.TB, name string, scale float64) equivStream {
 	}
 	p := w.Build(workloads.Config{Scale: scale})
 	var c goldenCap
-	if _, err := (interp.TreeWalker{}).Run(p, &c, interp.Options{}); err != nil {
+	if _, err := interp.Run(p, &c, interp.Options{}); err != nil {
 		tb.Fatal(err)
 	}
 	return equivStream{name, p.Meta, c.evs}

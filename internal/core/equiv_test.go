@@ -207,7 +207,7 @@ func bareEngine(s equivStream, raceCheck, emptied bool) *Result {
 // TestInstanceCacheExact holds the instance cache to the engine without one,
 // on the equivalence suite and every bundled workload's captured stream.
 func TestInstanceCacheExact(t *testing.T) {
-	for _, s := range goldenStreams(t, interp.TreeWalker{}) {
+	for _, s := range goldenStreams(t, interp.Run) {
 		want, got := bareEngine(s, true, true), bareEngine(s, true, false)
 		if want.Stats.DepCacheHits != 0 || want.Stats.DepCacheProbes == 0 {
 			t.Errorf("%s: emptied cache hit %d of %d probes, want 0 of > 0",

@@ -13,6 +13,7 @@ import (
 	"ddprof/internal/event"
 	"ddprof/internal/interp"
 	"ddprof/internal/loc"
+	"ddprof/internal/minilang"
 	"ddprof/internal/prog"
 	"ddprof/internal/vm"
 	"ddprof/internal/workloads"
@@ -67,13 +68,17 @@ func mtThreadStream(threads, n int) []event.Access {
 	return evs
 }
 
+// runFunc is the signature interp.Run (the reference) and vm.Run (production)
+// share; the tests that hold one to the other take either.
+type runFunc = func(*minilang.Program, event.Hook, interp.Options) (*interp.RunInfo, error)
+
 // goldenStreams is the fixture corpus: the equivalence suite's special-case
 // streams, a large synthetic stream, a deterministic 4-thread target stream,
 // and the captured access streams of the full workload suite. The workload
 // streams are produced by exec, so the same fixture file pins both the
 // tree-walking interpreter and the bytecode VM: any producer divergence
 // surfaces as a digest mismatch.
-func goldenStreams(t testing.TB, exec interp.Executor) []equivStream {
+func goldenStreams(t testing.TB, exec runFunc) []equivStream {
 	streams := equivSuite()
 	streams = append(streams,
 		equivStream{"synth", prog.NewMeta(), synthStream(1<<16, 512, 7)},
@@ -82,8 +87,8 @@ func goldenStreams(t testing.TB, exec interp.Executor) []equivStream {
 	for _, w := range workloads.All() {
 		p := w.Build(workloads.Config{Scale: goldenWorkloadScale, Threads: 4})
 		var c goldenCap
-		if _, err := exec.Run(p, &c, interp.Options{}); err != nil {
-			t.Fatalf("capture %s under %s: %v", w.Name, exec.Name(), err)
+		if _, err := exec(p, &c, interp.Options{}); err != nil {
+			t.Fatalf("capture %s: %v", w.Name, err)
 		}
 		streams = append(streams, equivStream{"wl-" + w.Name, p.Meta, c.evs})
 	}
@@ -170,7 +175,7 @@ func goldenModes() []struct {
 
 // computeGoldens digests every (stream, mode) pair with workload streams
 // produced by exec.
-func computeGoldens(t *testing.T, exec interp.Executor) map[string]string {
+func computeGoldens(t *testing.T, exec runFunc) map[string]string {
 	streams := goldenStreams(t, exec)
 	modes := goldenModes()
 	got := make(map[string]string)
@@ -212,7 +217,7 @@ func TestGoldenProfiles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden suite replays the full workload corpus")
 	}
-	got := computeGoldens(t, interp.TreeWalker{})
+	got := computeGoldens(t, interp.Run)
 
 	if *updateGoldens {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -244,5 +249,5 @@ func TestGoldenProfilesVM(t *testing.T) {
 	if *updateGoldens {
 		t.Skip("goldens are always regenerated from the reference interpreter")
 	}
-	compareGoldens(t, computeGoldens(t, vm.New()))
+	compareGoldens(t, computeGoldens(t, vm.Run))
 }

@@ -223,12 +223,18 @@ func (o *hbOracle) unordered() map[dep.Key]bool {
 	return out
 }
 
+// executors are the two event producers, named for failure messages.
+var executors = []struct {
+	name string
+	run  runFunc
+}{{"vm", vm.Run}, {"interp", interp.Run}}
+
 // hbCheck profiles p under the oracle and requires flagged ⊆ oracle-unordered.
 // racy is how many reported dependences the oracle calls unordered.
-func hbCheck(t *testing.T, ex interp.Executor, p *minilang.Program) (flagged, racy int) {
+func hbCheck(t *testing.T, exName string, run runFunc, p *minilang.Program) (flagged, racy int) {
 	t.Helper()
 	o := newHBOracle(mustNew(t, Config{Mode: ModeMT, Workers: 2, Backend: "perfect", Meta: p.Meta}))
-	_, err := ex.Run(p, o, interp.Options{Timestamps: true})
+	_, err := run(p, o, interp.Options{Timestamps: true})
 	res := o.Flush()
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +248,7 @@ func hbCheck(t *testing.T, ex interp.Executor, p *minilang.Program) (flagged, ra
 			flagged++
 			if !unordered[k] {
 				t.Errorf("%s/%s: %+v flagged as a race, but the target's synchronisation orders every such pair",
-					p.Name, ex.Name(), k)
+					p.Name, exName, k)
 			}
 		}
 		return true
@@ -263,10 +269,10 @@ func TestRaceFlagsWithinHBOracle(t *testing.T) {
 		if w.BuildParallel == nil {
 			continue
 		}
-		for _, ex := range []interp.Executor{vm.New(), interp.TreeWalker{}} {
+		for _, ex := range executors {
 			p := w.BuildParallel(workloads.Config{Scale: scale, Threads: 3})
-			flagged, racy := hbCheck(t, ex, p)
-			t.Logf("%-14s %-6s flagged %3d of %3d oracle-unordered dependences", w.Name, ex.Name(), flagged, racy)
+			flagged, racy := hbCheck(t, ex.name, ex.run, p)
+			t.Logf("%-14s %-6s flagged %3d of %3d oracle-unordered dependences", w.Name, ex.name, flagged, racy)
 		}
 	}
 }
@@ -304,12 +310,12 @@ func TestRaceFlagsDeterministic(t *testing.T) {
 		}), false},
 		{program("spawn-join-separated", loop(func(b block) { b.Decl("seen", minilang.V("counter")) })), false},
 	} {
-		for _, ex := range []interp.Executor{vm.New(), interp.TreeWalker{}} {
+		for _, ex := range executors {
 			for run := 0; run < 20; run++ {
-				flagged, racy := hbCheck(t, ex, c.p)
+				flagged, racy := hbCheck(t, ex.name, ex.run, c.p)
 				if (flagged > 0) != c.races || (racy > 0) != c.races {
 					t.Fatalf("%s/%s run %d: %d dependences flagged, %d unordered by the oracle; races expected: %v",
-						c.p.Name, ex.Name(), run, flagged, racy, c.races)
+						c.p.Name, ex.name, run, flagged, racy, c.races)
 				}
 			}
 		}
@@ -363,28 +369,28 @@ func main() {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ex := range []interp.Executor{vm.New(), interp.TreeWalker{}} {
+		for _, ex := range executors {
 			run := func(perEvent bool) *Result {
 				m := mustNew(t, Config{Mode: ModeMT, Workers: 2, Backend: "perfect", Meta: p.Meta})
 				var hook event.Hook = m
 				if perEvent {
 					hook = event.HookFunc(m.Access)
 				}
-				if _, err := ex.Run(p, hook, interp.Options{Timestamps: true}); err != nil {
+				if _, err := ex.run(p, hook, interp.Options{Timestamps: true}); err != nil {
 					t.Fatal(err)
 				}
 				return m.Flush()
 			}
 			want := run(true)
 			if c.unique != 0 && want.Deps.Unique() != c.unique {
-				t.Errorf("%s/%s: %d dependences, want %d", c.name, ex.Name(), want.Deps.Unique(), c.unique)
+				t.Errorf("%s/%s: %d dependences, want %d", c.name, ex.name, want.Deps.Unique(), c.unique)
 			}
 			for i := 0; i < 5; i++ {
 				got := run(false)
-				requireSameProfile(t, c.name+"/"+ex.Name(), want, got)
+				requireSameProfile(t, c.name+"/"+ex.name, want, got)
 				got.Deps.Range(func(k dep.Key, st dep.Stats) bool {
 					if st.Reversed || (k.Type != dep.INIT && k.SinkThread != k.SrcThread) {
-						t.Errorf("%s/%s: %+v (%+v) joins two threads' private storage", c.name, ex.Name(), k, st)
+						t.Errorf("%s/%s: %+v (%+v) joins two threads' private storage", c.name, ex.name, k, st)
 					}
 					return !t.Failed()
 				})

@@ -32,7 +32,7 @@ func Table1(opt Options) (*report.Table, []Table1Row, error) {
 			continue
 		}
 		p := w.Build(opt.wcfg())
-		cap, info, err := captureRun(opt, p)
+		cap, info, err := captureRun(p)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
 		}
@@ -158,7 +158,7 @@ func MergeAblation(opt Options) (*report.Table, []MergeRow, error) {
 			continue
 		}
 		p := w.Build(opt.wcfg())
-		res, _, err := opt.profile(p, perfectSerial(p), interp.Options{})
+		res, _, err := profile(p, perfectSerial(p), interp.Options{})
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
 		}

@@ -61,7 +61,7 @@ func Balance(opt Options) (*report.Table, []BalanceRow, error) {
 		row := BalanceRow{Program: name}
 
 		run := func(redistribute int) (*core.Result, error) {
-			res, _, err := opt.profile(w.Build(opt.wcfg()), core.Config{
+			res, _, err := profile(w.Build(opt.wcfg()), core.Config{
 				Mode:              core.ModeParallel,
 				Workers:           workers,
 				Backend:           "perfect",
@@ -82,7 +82,7 @@ func Balance(opt Options) (*report.Table, []BalanceRow, error) {
 		row.Redistributed = core.Imbalance(res.WorkerEvents)
 		row.Migrations = res.Stats.Migrations
 
-		cap, _, err := captureRun(opt, w.Build(opt.wcfg()))
+		cap, _, err := captureRun(w.Build(opt.wcfg()))
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s round-robin: %w", name, err)
 		}

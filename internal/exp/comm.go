@@ -5,7 +5,6 @@ import (
 
 	"ddprof/internal/analysis"
 	"ddprof/internal/core"
-	"ddprof/internal/dep"
 	"ddprof/internal/interp"
 	"ddprof/internal/report"
 	"ddprof/internal/workloads"
@@ -28,13 +27,13 @@ func Fig9(opt Options) (*report.Table, *Fig9Result, error) {
 	opt = opt.norm()
 	threads := 8
 	p := workloads.WaterSpatial(workloads.Config{Scale: opt.Scale, Threads: threads})
-	res, _, err := opt.profile(p, core.Config{Mode: core.ModeMT, Workers: 8, SlotsPerWorker: opt.SlotsPerWorker}, interp.Options{Timestamps: true})
+	res, _, err := profile(p, core.Config{Mode: core.ModeMT, Workers: 8, SlotsPerWorker: opt.SlotsPerWorker}, interp.Options{Timestamps: true})
 	if err != nil {
 		return nil, nil, err
 	}
 	m := analysis.Communication(res.Deps, threads)
 
-	races := countReversed(res)
+	races := analysis.CountRaces(res.Deps)
 
 	out := &Fig9Result{Matrix: m, Heatmap: m.Heatmap(), RacesFlagged: races}
 	tab := &report.Table{
@@ -56,16 +55,4 @@ func Fig9(opt Options) (*report.Table, *Fig9Result, error) {
 		fmt.Sprintf("cross-thread RAW volume: %d instances; dependences flagged as potential races: %d",
 			m.CrossThread(), races))
 	return tab, out, nil
-}
-
-// countReversed tallies dependences with at least one reversed instance.
-func countReversed(res *core.Result) int {
-	n := 0
-	res.Deps.Range(func(_ dep.Key, st dep.Stats) bool {
-		if st.Reversed {
-			n++
-		}
-		return true
-	})
-	return n
 }

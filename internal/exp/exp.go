@@ -41,24 +41,6 @@ type Options struct {
 	Reps int
 	// Only restricts an experiment to the named workloads (empty = all).
 	Only []string
-	// Producer executes the target programs and emits the access events.
-	// nil selects the bytecode VM; cmd/ddexp -interp substitutes the
-	// reference tree-walking interpreter. Both emit byte-identical
-	// streams, so results differ only in producer-side wall time.
-	Producer interp.Executor
-}
-
-// exec returns the configured producer, defaulting to the bytecode VM.
-func (o Options) exec() interp.Executor {
-	if o.Producer != nil {
-		return o.Producer
-	}
-	return vm.New()
-}
-
-// run executes p under the configured producer.
-func (o Options) run(p *minilang.Program, hook event.Hook, iopt interp.Options) (*interp.RunInfo, error) {
-	return o.exec().Run(p, hook, iopt)
 }
 
 // want reports whether a workload participates under the Only filter.
@@ -133,13 +115,13 @@ func replay(c *event.Recorder, cfg core.Config) (*core.Result, error) {
 
 // profile runs p under the profiler cfg describes, with p's loop metadata and
 // the package's telemetry attached, and flushes it.
-func (o Options) profile(p *minilang.Program, cfg core.Config, iopt interp.Options) (*core.Result, *interp.RunInfo, error) {
+func profile(p *minilang.Program, cfg core.Config, iopt interp.Options) (*core.Result, *interp.RunInfo, error) {
 	cfg.Meta, cfg.Metrics = p.Meta, Telemetry
 	prof, err := core.New(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	info, err := o.run(p, prof, iopt)
+	info, err := vm.Run(p, prof, iopt)
 	res := prof.Flush()
 	if err != nil {
 		return nil, nil, err
@@ -148,9 +130,9 @@ func (o Options) profile(p *minilang.Program, cfg core.Config, iopt interp.Optio
 }
 
 // captureRun executes a program once under a recording hook.
-func captureRun(opt Options, p *minilang.Program) (*event.Recorder, *interp.RunInfo, error) {
+func captureRun(p *minilang.Program) (*event.Recorder, *interp.RunInfo, error) {
 	c := event.NewRecorder()
-	info, err := opt.run(p, c, interp.Options{})
+	info, err := vm.Run(p, c, interp.Options{})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -20,7 +20,7 @@ func TestRotateMeasuredFPRMatchesEq2(t *testing.T) {
 	}
 	opt := Defaults().norm()
 	p := w.Build(opt.wcfg())
-	cap, _, err := captureRun(Options{}, p)
+	cap, _, err := captureRun(p)
 	if err != nil {
 		t.Fatal(err)
 	}

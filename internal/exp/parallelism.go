@@ -36,7 +36,7 @@ func Table2(opt Options) (*report.Table, []Table2Row, error) {
 		}
 		// Perfect (DP-grade) run.
 		p1 := w.Build(opt.wcfg())
-		dpRes, info, err := opt.profile(p1, perfectSerial(p1), interp.Options{})
+		dpRes, info, err := profile(p1, perfectSerial(p1), interp.Options{})
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
 		}
@@ -45,7 +45,7 @@ func Table2(opt Options) (*report.Table, []Table2Row, error) {
 
 		// Signature run.
 		p2 := w.Build(opt.wcfg())
-		sigRes, info2, err := opt.profile(p2, sigSerial(p2, slots), interp.Options{})
+		sigRes, info2, err := profile(p2, sigSerial(p2, slots), interp.Options{})
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s(sig): %w", w.Name, err)
 		}

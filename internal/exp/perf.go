@@ -8,6 +8,7 @@ import (
 	"ddprof/internal/interp"
 	"ddprof/internal/report"
 	"ddprof/internal/sig"
+	"ddprof/internal/vm"
 	"ddprof/internal/workloads"
 )
 
@@ -34,7 +35,7 @@ func Fig5(opt Options) (*report.Table, []Fig5Row, error) {
 		}
 		row := Fig5Row{Program: w.Name, Suite: w.Suite}
 		native, err := timeRun(opt.Reps, func() error {
-			_, err := opt.run(w.Build(opt.wcfg()), nil, interp.Options{})
+			_, err := vm.Run(w.Build(opt.wcfg()), nil, interp.Options{})
 			return err
 		})
 		if err != nil {
@@ -44,7 +45,7 @@ func Fig5(opt Options) (*report.Table, []Fig5Row, error) {
 
 		run := func(cfg core.Config) (float64, error) {
 			d, err := timeRun(opt.Reps, func() error {
-				_, _, err := opt.profile(w.Build(opt.wcfg()), cfg, interp.Options{})
+				_, _, err := profile(w.Build(opt.wcfg()), cfg, interp.Options{})
 				return err
 			})
 			return slowdown(d, native), err
@@ -119,7 +120,7 @@ func Fig6(opt Options) (*report.Table, []Fig6Row, error) {
 			continue
 		}
 		native, err := timeRun(opt.Reps, func() error {
-			_, err := opt.run(w.BuildParallel(opt.wcfg()), nil, interp.Options{})
+			_, err := vm.Run(w.BuildParallel(opt.wcfg()), nil, interp.Options{})
 			return err
 		})
 		if err != nil {
@@ -129,7 +130,7 @@ func Fig6(opt Options) (*report.Table, []Fig6Row, error) {
 		for _, workers := range []int{8, 16} {
 			d, err := timeRun(opt.Reps, func() error {
 				p := w.BuildParallel(opt.wcfg())
-				_, _, err := opt.profile(p, core.Config{Mode: core.ModeMT, Workers: workers, SlotsPerWorker: opt.SlotsPerWorker}, interp.Options{Timestamps: true})
+				_, _, err := profile(p, core.Config{Mode: core.ModeMT, Workers: workers, SlotsPerWorker: opt.SlotsPerWorker}, interp.Options{Timestamps: true})
 				return err
 			})
 			if err != nil {
@@ -191,7 +192,7 @@ func Fig7(opt Options) (*report.Table, []Fig7Row, error) {
 			// Keep the total slot budget constant across worker counts,
 			// like the paper (6.25e6 x 16 = 1e8 total).
 			perWorker := opt.SlotsPerWorker * 16 / workers
-			res, _, err := opt.profile(p, core.Config{Mode: core.ModeParallel, Workers: workers, SlotsPerWorker: perWorker}, interp.Options{})
+			res, _, err := profile(p, core.Config{Mode: core.ModeParallel, Workers: workers, SlotsPerWorker: perWorker}, interp.Options{})
 			if err != nil {
 				return nil, nil, fmt.Errorf("%s %dT: %w", w.Name, workers, err)
 			}
@@ -232,7 +233,7 @@ func Fig8(opt Options) (*report.Table, []Fig7Row, error) {
 		for _, workers := range []int{8, 16} {
 			p := w.BuildParallel(opt.wcfg())
 			perWorker := opt.SlotsPerWorker * 16 / workers
-			res, _, err := opt.profile(p, core.Config{Mode: core.ModeMT, Workers: workers, SlotsPerWorker: perWorker}, interp.Options{Timestamps: true})
+			res, _, err := profile(p, core.Config{Mode: core.ModeMT, Workers: workers, SlotsPerWorker: perWorker}, interp.Options{Timestamps: true})
 			if err != nil {
 				return nil, nil, fmt.Errorf("%s %dT: %w", w.Name, workers, err)
 			}
@@ -284,7 +285,7 @@ type StoreRow struct {
 func StoreAblation(opt Options) (*report.Table, []StoreRow, error) {
 	opt = opt.norm()
 	w, _ := workloads.ByName("rgbyuv")
-	cap, _, err := captureRun(opt, w.Build(opt.wcfg()))
+	cap, _, err := captureRun(w.Build(opt.wcfg()))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,35 +1,6 @@
 package interp
 
-import (
-	"sync"
-
-	"ddprof/internal/event"
-	"ddprof/internal/minilang"
-)
-
-// Executor is the contract both instrumentation producers implement: the
-// tree-walking interpreter in this package (the reference semantics) and the
-// bytecode VM in internal/vm (the fast path). Given the same program, hook
-// and options, conforming executors must emit byte-identical event streams —
-// pinned by the golden-profile suite and the differential fuzzer.
-type Executor interface {
-	// Name identifies the executor in flags and benchmark labels.
-	Name() string
-	// Run executes p's main function, reporting every memory access to hook
-	// (nil for a native, uninstrumented run).
-	Run(p *minilang.Program, hook event.Hook, opt Options) (*RunInfo, error)
-}
-
-// TreeWalker is the reference Executor: the direct AST interpreter.
-type TreeWalker struct{}
-
-// Name implements Executor.
-func (TreeWalker) Name() string { return "interp" }
-
-// Run implements Executor.
-func (TreeWalker) Run(p *minilang.Program, hook event.Hook, opt Options) (*RunInfo, error) {
-	return Run(p, hook, opt)
-}
+import "sync"
 
 // Barrier is a reusable (cyclic) barrier for Spawn bodies. It is shared by
 // both executors so thread scheduling (arrival order, abort-on-error) stays

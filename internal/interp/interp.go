@@ -7,6 +7,10 @@
 // packed iteration vector and (optionally) a sync-epoch timestamp. With a nil
 // Hook it performs the same computation without event construction — the
 // "native" baseline the slowdown experiments divide by.
+//
+// Run is the semantics of record: production executes with vm.Run, which has
+// the same signature and must emit the same event stream byte for byte, and
+// tests, fuzzers and ddbench's ground truth call this one as the reference.
 package interp
 
 import (

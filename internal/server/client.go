@@ -28,14 +28,9 @@ type ClientOptions struct {
 	// "hybrid:exact=4096", ...), resolved against the daemon's backend
 	// registry and memory budget; empty accepts the daemon's default.
 	Backend string
-	// MT records timestamps and requests race checking — set when the
-	// target program is multi-threaded.
-	MT bool
-	// SchedulerFuzz is passed to the interpreter (ModeMT visibility fuzz).
+	// SchedulerFuzz is passed to the executor (visibility fuzz for targets
+	// that spawn threads).
 	SchedulerFuzz int
-	// Interp records the trace with the reference tree-walking interpreter
-	// instead of the default bytecode VM.
-	Interp bool
 	// FrameBytes sizes the trace writer's slab — and since every full slab
 	// goes out as one record-aligned wire frame, it bounds the frame the
 	// daemon decodes in one batch. Larger frames amortize framing and decode
@@ -45,14 +40,6 @@ type ClientOptions struct {
 	FrameBytes int
 	// Timeout bounds every socket read and write. Default 60s.
 	Timeout time.Duration
-}
-
-// executor selects the event producer for the local recording run.
-func (opt ClientOptions) executor() interp.Executor {
-	if opt.Interp {
-		return interp.TreeWalker{}
-	}
-	return vm.New()
 }
 
 // RemoteResult is the outcome of a remote profiling session.
@@ -67,6 +54,9 @@ type RemoteResult struct {
 	LoopRecords []dep.LoopRecord
 	// Events is the number of accesses recorded and streamed.
 	Events uint64
+	// MT reports that the target can spawn threads: its trace carried
+	// timestamps, the session checked races, and the dependences name threads.
+	MT bool
 }
 
 // Dial connects to a ddprofd daemon. addr is either "unix:/path/to.sock" or
@@ -114,10 +104,11 @@ func (d *deadlineConn) WriteBuffers(v *net.Buffers) (int64, error) {
 // batch only when p can spawn threads, so multi-threaded targets stream safely
 // and sequential ones pay no lock. The connection is not closed.
 //
-// The daemon receives the target's variable table and loop metadata in the
-// handshake, so the returned dependence set — carried flags, distances,
-// counts — is byte-for-byte what an in-process run with the same store
-// configuration produces.
+// A target that can spawn is recorded with timestamps and asks the daemon for
+// race checking. The daemon receives the target's variable table and loop
+// metadata in the handshake, so the returned dependence set — carried flags,
+// distances, counts — is byte-for-byte what an in-process run with the same
+// store configuration produces.
 func ProfileRemote(conn net.Conn, p *minilang.Program, opt ClientOptions) (*RemoteResult, error) {
 	if opt.Timeout <= 0 {
 		opt.Timeout = 60 * time.Second
@@ -162,13 +153,14 @@ func ProfileRemote(conn net.Conn, p *minilang.Program, opt ClientOptions) (*Remo
 		Tab:         tab,
 		LoopRecords: records,
 		Events:      events,
+		MT:          !spawnFree(p),
 	}, nil
 }
 
 // clientHandshake builds the session preamble for p.
 func clientHandshake(p *minilang.Program, opt ClientOptions) *handshake {
 	var flags byte
-	if opt.MT {
+	if !spawnFree(p) {
 		flags |= flagRaceCheck
 	}
 	names := make([]string, p.Tab.NumVars())
@@ -264,7 +256,8 @@ func spawnFree(p *minilang.Program) bool { return len(minilang.Resolve(p).Spawns
 // (AccessBatch), and each full slab reaches w as one length-prefixed,
 // record-aligned frame of at most opt.FrameBytes, with no buffering in
 // between. A program that can spawn gets the SyncWriter around it — one lock
-// per batch serializes the target's threads; a spawn-free one pays no lock.
+// per batch serializes the target's threads — and sync-epoch timestamps; a
+// spawn-free one pays for neither.
 func streamTrace(w io.Writer, p *minilang.Program, opt ClientOptions) ([]dep.LoopRecord, uint64, error) {
 	fw := trace.NewFrameWriter(w)
 	tw, err := trace.NewWriterSize(fw, opt.FrameBytes)
@@ -272,10 +265,11 @@ func streamTrace(w io.Writer, p *minilang.Program, opt ClientOptions) ([]dep.Loo
 		return nil, 0, fmt.Errorf("server: opening trace stream: %w", err)
 	}
 	var hook event.Hook = tw
-	if !spawnFree(p) {
+	mt := !spawnFree(p)
+	if mt {
 		hook = trace.NewSyncWriter(tw)
 	}
-	info, err := opt.executor().Run(p, hook, interp.Options{Timestamps: opt.MT, YieldEvery: opt.SchedulerFuzz})
+	info, err := vm.Run(p, hook, interp.Options{Timestamps: mt, YieldEvery: opt.SchedulerFuzz})
 	if err != nil {
 		return nil, 0, fmt.Errorf("server: target run: %w", err)
 	}

@@ -78,7 +78,7 @@ func TestThreadedTargetRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := vm.New().Run(p, prof, interp.Options{Timestamps: true})
+	info, err := vm.Run(p, prof, interp.Options{Timestamps: true})
 	local := prof.Flush()
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestThreadedTargetRemote(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	rr, err := ProfileRemote(conn, p, ClientOptions{Backend: "perfect", MT: true})
+	rr, err := ProfileRemote(conn, p, ClientOptions{Backend: "perfect"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,7 +193,6 @@ func TestRemoteLocalGoldenMatrix(t *testing.T) {
 					rr = rawRemoteProfile(t, ln.Addr().String(), clientHandshake(p, ClientOptions{
 						Workers: mode.workers,
 						Backend: backend,
-						MT:      mode.mt,
 					}), raw)
 					replayTrace(t, prof, raw)
 					res = prof.Flush()

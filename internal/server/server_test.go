@@ -296,7 +296,7 @@ func TestMTRemoteSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	rr, err := ProfileRemote(conn, p, ClientOptions{Backend: "perfect", MT: true})
+	rr, err := ProfileRemote(conn, p, ClientOptions{Backend: "perfect"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,8 +407,11 @@ func waitFor(t *testing.T, cond func() bool) {
 // TestHandshakeRoundTrip covers the preamble codec, including the loop
 // metadata tables.
 func TestHandshakeRoundTrip(t *testing.T) {
-	p := testProgram("codec", 64)
-	in := clientHandshake(p, ClientOptions{Workers: 3, Backend: "perfect", MT: true})
+	p := mtProgram()
+	in := clientHandshake(p, ClientOptions{Workers: 3, Backend: "perfect"})
+	if in.Flags&flagRaceCheck == 0 || clientHandshake(testProgram("codec", 64), ClientOptions{}).Flags&flagRaceCheck != 0 {
+		t.Fatal("race checking must be requested for exactly the targets that spawn")
+	}
 	var buf bytes.Buffer
 	if err := writeHandshake(&buf, in); err != nil {
 		t.Fatal(err)

@@ -549,7 +549,7 @@ func recordedStream(tb testing.TB) []event.Access {
 		rec := event.NewRecorder()
 		for _, name := range []string{"MG", "BT", "kmeans"} {
 			wl, _ := workloads.ByName(name)
-			if _, err := vm.New().Run(wl.Build(workloads.Config{}), rec, interp.Options{}); err != nil {
+			if _, err := vm.Run(wl.Build(workloads.Config{}), rec, interp.Options{}); err != nil {
 				tb.Fatal(err)
 			}
 		}

@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"ddprof/internal/event"
 	"ddprof/internal/interp"
+	"ddprof/internal/minilang"
 	"ddprof/internal/testgen"
 	"ddprof/internal/vm"
 )
@@ -48,15 +50,18 @@ func FuzzVMEquivalence(f *testing.F) {
 
 // BenchmarkProducer measures raw event production (null hook) of both
 // executors over the same random program, reporting events/s. This is the
-// per-package twin of the exp.Producer benchmark family.
+// per-package twin of the root package's BenchmarkProducer family.
 func BenchmarkProducer(b *testing.B) {
 	p := testgen.Program(rand.New(rand.NewSource(1)))
-	for _, ex := range []interp.Executor{interp.TreeWalker{}, vm.New()} {
-		b.Run(ex.Name(), func(b *testing.B) {
+	for _, ex := range []struct {
+		name string
+		run  func(*minilang.Program, event.Hook, interp.Options) (*interp.RunInfo, error)
+	}{{"interp", interp.Run}, {"vm", vm.Run}} {
+		b.Run(ex.name, func(b *testing.B) {
 			var events uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				info, err := ex.Run(p, nil, interp.Options{})
+				info, err := ex.run(p, nil, interp.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -16,21 +16,6 @@ import (
 	"ddprof/internal/prog"
 )
 
-// New returns the bytecode Executor.
-func New() interp.Executor { return Engine{} }
-
-// Engine is the bytecode Executor: it compiles the program once per run and
-// drives the dispatch loop.
-type Engine struct{}
-
-// Name implements interp.Executor.
-func (Engine) Name() string { return "vm" }
-
-// Run implements interp.Executor.
-func (Engine) Run(p *minilang.Program, hook event.Hook, opt interp.Options) (*interp.RunInfo, error) {
-	return Run(p, hook, opt)
-}
-
 // Run compiles and executes p's main function, emitting the same event
 // stream the tree-walking interpreter would.
 func Run(p *minilang.Program, hook event.Hook, opt interp.Options) (*interp.RunInfo, error) {

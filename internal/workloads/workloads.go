@@ -50,7 +50,7 @@ func (c Config) n(base, lo int) int {
 // Workload describes one benchmark.
 type Workload struct {
 	Name  string
-	Suite string // "nas" or "starbench"
+	Suite string // "nas", "starbench" or "splash"
 	// LOC is the paper's Table I LOC column (Starbench) for display.
 	LOC int
 	// OMPLoops and Identified are the Table II ground truth (NAS): how many
@@ -58,7 +58,8 @@ type Workload struct {
 	// dependences show as parallelizable.
 	OMPLoops   int
 	Identified int
-	// Build returns the sequential program.
+	// Build returns the sequential program, nil for a workload that exists
+	// only as a pthread program (water-spatial).
 	Build func(Config) *Program
 	// BuildParallel returns the pthread-style program, nil if the paper did
 	// not evaluate one.
@@ -97,14 +98,20 @@ func NAS() []Workload {
 	}
 }
 
-// All returns every registered workload (NAS then Starbench).
+// All returns every workload with a sequential build (NAS then Starbench).
 func All() []Workload {
 	return append(NAS(), Starbench()...)
 }
 
-// ByName finds a workload.
+// Catalog returns every workload a name can resolve to: All plus
+// water-spatial, the one parallel-only entry (Build == nil).
+func Catalog() []Workload {
+	return append(All(), Workload{Name: "water-spatial", Suite: "splash", BuildParallel: WaterSpatial})
+}
+
+// ByName finds a workload in the catalog.
 func ByName(name string) (Workload, bool) {
-	for _, w := range All() {
+	for _, w := range Catalog() {
 		if w.Name == name {
 			return w, true
 		}

@@ -120,6 +120,14 @@ func TestRegistry(t *testing.T) {
 	if _, ok := ByName("nope"); ok {
 		t.Error("ByName(nope) succeeded")
 	}
+	if w, ok := ByName("water-spatial"); !ok || w.Build != nil || w.BuildParallel == nil {
+		t.Errorf("ByName(water-spatial) = %+v, %v; want a parallel-only entry", w, ok)
+	}
+	for _, w := range All() {
+		if w.Build == nil {
+			t.Errorf("%s: All() entry without a sequential build", w.Name)
+		}
+	}
 	for _, w := range Starbench() {
 		if w.BuildParallel == nil {
 			t.Errorf("%s: missing parallel variant", w.Name)

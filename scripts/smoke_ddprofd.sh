@@ -1,8 +1,9 @@
 #!/bin/sh
-# End-to-end smoke for the ddprofd live observatory: boot the daemon over a
-# unix socket, profile a workload remotely while a -watch subscriber streams
-# its epoch deltas, then hit the HTTP query API with a live diff. Run by
-# `make smoke` (and `make check`).
+# End-to-end smoke with real binaries: a race-detector build of ddprof on a
+# sample that spawns threads, then the ddprofd live observatory — boot the
+# daemon over a unix socket, profile a workload remotely while a -watch
+# subscriber streams its epoch deltas, and hit the HTTP query API with a live
+# diff. Run by `make smoke` (and `make check`).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -17,6 +18,22 @@ trap cleanup EXIT INT TERM
 go build -o "$dir/ddprofd" ./cmd/ddprofd
 go build -o "$dir/ddprof" ./cmd/ddprof
 go build -o "$dir/ddiff" ./cmd/ddiff
+
+# A target that spawns threads under the default -mode serial: ddprof must
+# derive -mode mt (the serial engine takes one goroutine's events only), and
+# the race detector must stay silent.
+go build -race -o "$dir/ddprof-race" ./cmd/ddprof
+"$dir/ddprof-race" -file examples/programs/pipeline.ml -summary \
+	>"$dir/race.out" 2>"$dir/race.err" || {
+	echo "ddprof smoke: -race run of pipeline.ml failed:"
+	cat "$dir/race.err"
+	exit 1
+}
+grep -q "forcing -mode mt" "$dir/race.err" || {
+	echo "ddprof smoke: pipeline.ml did not run under -mode mt:"
+	cat "$dir/race.err"
+	exit 1
+}
 
 sock="$dir/dd.sock"
 port=$((20000 + $$ % 20000))
