@@ -56,6 +56,8 @@ loc:
 # dep.MergeShards), the engine's two store arms against each other on point
 # streams, the MT pipeline's batch seam against its per-event one, and the
 # backend spec parser every -backend flag and DDT1 handshake goes through.
+# Plain `go test` already replays each fuzzer's f.Add seeds and the corpora
+# committed under testdata/fuzz/ (the wire-facing decoders, minilang, vm).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzEngineArms -fuzztime=10s ./internal/core/
 	$(GO) test -run=^$$ -fuzz=FuzzMTBatchEquivalence -fuzztime=10s ./internal/core/

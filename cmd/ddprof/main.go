@@ -238,10 +238,6 @@ func runLocal(prog *ddprof.Program, cfg ddprof.Config, plugins []analysis.Analys
 	if res.Mode == ddprof.ModeMT {
 		fmt.Fprintf(stdout, "# dependences flagged as potential races: %d\n", res.Races)
 	}
-	if res.Stats.Migrations > 0 {
-		fmt.Fprintf(stdout, "# load balancing: %d migrations in %d redistribution rounds\n",
-			res.Stats.Migrations, res.Stats.Redistributions)
-	}
 	return nil
 }
 

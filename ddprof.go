@@ -143,10 +143,6 @@ type Config struct {
 	// for zero false positives; the hybrid keeps heavy-hitter addresses
 	// exact and the long tail in signatures.
 	Backend string
-	// Redistribute checks heavy-hitter load balance every N chunks
-	// (paper §IV-A: every 50,000 chunks, the default when 0); -1 disables
-	// redistribution entirely.
-	Redistribute int
 	// SchedulerFuzz, when positive, makes the executor yield roughly every
 	// N accesses per target thread (ModeMT only). On machines with fewer
 	// cores than target threads this restores the interleavings real
@@ -167,7 +163,7 @@ type Result struct {
 	// Races is the number of dependences flagged as potential data races
 	// (ModeMT only).
 	Races int
-	// Stats exposes pipeline counters (chunks, migrations, store bytes).
+	// Stats exposes pipeline counters (chunks, collapsed reads, store bytes).
 	Stats core.RunStats
 	// Mode is the mode the run used: Config.Mode, or ModeMT because the
 	// target spawns threads.
@@ -196,19 +192,11 @@ func Profile(p *Program, cfg Config) (*Result, error) {
 	if slots <= 0 {
 		slots = 1 << 21
 	}
-	redistribute := cfg.Redistribute
-	switch {
-	case redistribute == 0:
-		redistribute = 50000 // the paper's interval
-	case redistribute < 0:
-		redistribute = 0 // disabled
-	}
 	ccfg := core.Config{
-		Workers:           workers,
-		SlotsPerWorker:    slots / workers,
-		Backend:           cfg.Backend,
-		Meta:              p.Meta,
-		RedistributeEvery: redistribute,
+		Workers:        workers,
+		SlotsPerWorker: slots / workers,
+		Backend:        cfg.Backend,
+		Meta:           p.Meta,
 	}
 	iopt := interp.Options{}
 	switch mode {

@@ -77,15 +77,15 @@ func TestBackendEquivalence(t *testing.T) {
 		{"par3", func(b string, meta *prog.Meta) Profiler {
 			return mustNew(t, Config{Mode: ModeParallel, Workers: 3, QueueCap: 8, Backend: b, Meta: meta})
 		}},
-		{"par4-redist", func(b string, meta *prog.Meta) Profiler {
-			return mustNew(t, Config{Mode: ModeParallel, Workers: 4, RedistributeEvery: 4, Backend: b, Meta: meta})
+		{"par4", func(b string, meta *prog.Meta) Profiler {
+			return mustNew(t, Config{Mode: ModeParallel, Workers: 4, Backend: b, Meta: meta})
 		}},
 	}
 	for _, s := range streams {
 		for _, m := range modes {
 			want := ""
 			for _, b := range exactBackends {
-				got := digestResult(feed(m.mk(b, s.meta), s.evs), false, false)
+				got := digestResult(feed(m.mk(b, s.meta), s.evs), false)
 				if want == "" {
 					want = got
 					continue

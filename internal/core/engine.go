@@ -1,9 +1,8 @@
 // Package core implements the paper's primary contribution: the generic
 // data-dependence profiler. It contains the signature-based detection engine
 // (Algorithm 1), the serial profiler (§III), the lock-free parallel profiler
-// for sequential targets (§IV) with heavy-hitter load balancing (§IV-A), and
-// the multi-threaded-target profiler with timestamp-based data-race flagging
-// (§V).
+// for sequential targets (§IV), and the multi-threaded-target profiler with
+// sync-epoch data-race flagging (§V).
 package core
 
 import (

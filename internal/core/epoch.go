@@ -125,8 +125,8 @@ func (s *Serial) EpochMark(mark uint32) {
 
 // EpochMark implements Profiler for the parallel (sequential-target)
 // profiler: an EpochMark control record is pushed behind every worker's
-// pending accesses — the same pattern as migrate — so each worker cuts its
-// delta at exactly the stream position the producer had reached. Extraction
+// pending accesses — the same pattern as the flush sentinel — so each worker
+// cuts its delta at exactly the stream position the producer had reached. Extraction
 // then runs on the worker goroutines; the producer does not wait.
 func (p *Parallel) EpochMark(mark uint32) {
 	p.pr.epochMark(mark)

@@ -309,7 +309,7 @@ func TestLoopDepsNoDoubleCountAcrossWorkers(t *testing.T) {
 }
 
 // TestControlChunksNotCountedAsData pins the pushOpen metrics fix: flush and
-// migration control pushes must land in ControlChunks, never in Chunks.
+// epoch-mark control pushes must land in ControlChunks, never in Chunks.
 func TestControlChunksNotCountedAsData(t *testing.T) {
 	p := mustNew(t, Config{
 		Mode:    ModeParallel,

@@ -96,10 +96,9 @@ func goldenStreams(t testing.TB, exec runFunc) []equivStream {
 }
 
 // digestResult canonicalizes a typed profile into a hash. withChunks adds the
-// deterministic producer counters (chunk/dup accounting); withMigrations adds
-// the redistribution counters. Timing-dependent fields (QueueBytes, recycle
-// counts) are excluded on purpose.
-func digestResult(res *Result, withChunks, withMigrations bool) string {
+// deterministic producer counters (chunk/dup accounting). Timing-dependent
+// fields (QueueBytes, recycle counts) are excluded on purpose.
+func digestResult(res *Result, withChunks bool) string {
 	h := sha256.New()
 	type kv struct {
 		k  dep.Key
@@ -143,33 +142,28 @@ func digestResult(res *Result, withChunks, withMigrations bool) string {
 		fmt.Fprintf(h, "chunks %d control %d dup %d\n",
 			res.Stats.Chunks, res.Stats.ControlChunks, res.Stats.DupCollapsed)
 	}
-	if withMigrations {
-		fmt.Fprintf(h, "migrations %d redistributions %d\n",
-			res.Stats.Migrations, res.Stats.Redistributions)
-	}
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // goldenModes enumerates every pipeline composition the fixtures pin:
 // serial, 8-worker lock-free, the lock-based ablation, a non-power-of-two
-// worker count (modulo owner path), redistribution enabled, and MT with 4
-// workers. withChunks and withMig are digestResult's.
+// worker count (modulo owner path), and MT with 4 workers. withChunks is
+// digestResult's.
 func goldenModes() []struct {
-	name                string
-	cfg                 Config
-	withChunks, withMig bool
+	name       string
+	cfg        Config
+	withChunks bool
 } {
 	return []struct {
-		name                string
-		cfg                 Config
-		withChunks, withMig bool
+		name       string
+		cfg        Config
+		withChunks bool
 	}{
-		{"serial", Config{}, false, false},
-		{"par8", Config{Mode: ModeParallel, Workers: 8}, true, false},
-		{"par8-lock", Config{Mode: ModeParallel, Workers: 8, LockBased: true}, true, false},
-		{"par3", Config{Mode: ModeParallel, Workers: 3, QueueCap: 8}, true, false},
-		{"par4-redist", Config{Mode: ModeParallel, Workers: 4, RedistributeEvery: 4}, true, true},
-		{"mt4", Config{Mode: ModeMT, Workers: 4}, false, false},
+		{"serial", Config{}, false},
+		{"par8", Config{Mode: ModeParallel, Workers: 8}, true},
+		{"par8-lock", Config{Mode: ModeParallel, Workers: 8, LockBased: true}, true},
+		{"par3", Config{Mode: ModeParallel, Workers: 3, QueueCap: 8}, true},
+		{"mt4", Config{Mode: ModeMT, Workers: 4}, false},
 	}
 }
 
@@ -183,7 +177,7 @@ func computeGoldens(t *testing.T, exec runFunc) map[string]string {
 		for _, m := range modes {
 			cfg := m.cfg
 			cfg.Backend, cfg.Meta = "perfect", s.meta
-			got[s.name+"/"+m.name] = digestResult(feed(mustNew(t, cfg), s.evs), m.withChunks, m.withMig)
+			got[s.name+"/"+m.name] = digestResult(feed(mustNew(t, cfg), s.evs), m.withChunks)
 		}
 	}
 	return got
@@ -240,7 +234,7 @@ func TestGoldenProfiles(t *testing.T) {
 // TestGoldenProfilesVM re-runs the full fixture comparison with the bytecode
 // VM as the event producer. The fixtures were captured from the tree-walking
 // interpreter, so a pass here proves every workload's access stream — and
-// therefore every one of the 156 pinned profiles — is byte-identical under
+// therefore every one of the 130 pinned profiles — is byte-identical under
 // the compiled producer.
 func TestGoldenProfilesVM(t *testing.T) {
 	if testing.Short() {

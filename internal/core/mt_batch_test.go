@@ -16,7 +16,7 @@ import (
 // mtBatchStream is a random 4-thread stream in the shape the executors emit:
 // per-thread non-decreasing epochs that collide across threads (so the race
 // rule's equal-epoch arm fires), half the traffic on four addresses of one
-// owner (so redistribution has something to move), reads that repeat (so the
+// owner (so one ring runs hot), reads that repeat (so the
 // consumer-side collapse fires), collapsed reads, removes, and strided runs.
 // It returns the AccessBatch form — points plus RangeRef slots into rngs —
 // and the same stream as points only.
@@ -65,16 +65,13 @@ func mtBatchStream(r *rand.Rand, n int) (slots []event.Access, rngs []event.Rang
 
 // checkMTBatchEquivalence: the stream cut at random batch boundaries through
 // AccessBatch must profile exactly like the same stream through Access.
-func checkMTBatchEquivalence(t *testing.T, seed int64, redistribute bool) {
+func checkMTBatchEquivalence(t *testing.T, seed int64) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	slots, rngs, points := mtBatchStream(r, 12000+r.Intn(12000))
 	cfg := Config{Mode: ModeMT, Workers: 2 + r.Intn(3), QueueCap: 64 << r.Intn(4), Backend: "perfect"}
 	if seed%5 == 4 {
 		cfg.Workers = 70 // more rings than spread counts on its stack
-	}
-	if redistribute {
-		cfg.RedistributeEvery = 1 // a kick every 4096 accesses of a lane, and the final round
 	}
 	want := feed(mustNew(t, cfg), points)
 
@@ -107,15 +104,15 @@ func countReversed(s *dep.Set) (n int) {
 
 func TestMTBatchEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
-		checkMTBatchEquivalence(t, seed, seed%2 == 0)
+		checkMTBatchEquivalence(t, seed)
 	}
 }
 
 // FuzzMTBatchEquivalence lets the fuzz engine pick the stream, the cuts and
 // the pipeline shape (in `make fuzz`).
 func FuzzMTBatchEquivalence(f *testing.F) {
-	f.Add(int64(1), true)
-	f.Add(int64(2), false)
+	f.Add(int64(1))
+	f.Add(int64(2))
 	f.Fuzz(checkMTBatchEquivalence)
 }
 
@@ -131,7 +128,7 @@ func TestMTOrderingInvariant(t *testing.T) {
 	const threads, turns = 4, 3000
 	for _, cfg := range []Config{
 		{Mode: ModeMT, Workers: 2, Backend: "perfect", QueueCap: 256},
-		{Mode: ModeMT, Workers: 3, Backend: "perfect", QueueCap: 4096, RedistributeEvery: 1},
+		{Mode: ModeMT, Workers: 3, Backend: "perfect", QueueCap: 4096},
 	} {
 		m := mustNew(t, cfg)
 		main := event.NewBatcher(m, true)

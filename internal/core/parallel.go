@@ -10,8 +10,8 @@ import (
 // using worker-local signatures and dependence maps.
 //
 // It is the canonical pipeline composition: the shared producer stage
-// (address routing, duplicate filter, heavy-hitter redistribution) over
-// chunked transports into engine workers, merged by the shared merge stage.
+// (address routing, duplicate filter) over chunked transports into engine
+// workers, merged by the shared merge stage.
 //
 // Access must be called from a single goroutine (the target is sequential);
 // Flush drains the pipeline, joins the workers and merges their results.

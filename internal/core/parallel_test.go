@@ -8,6 +8,7 @@ import (
 	"ddprof/internal/dep"
 	"ddprof/internal/event"
 	"ddprof/internal/loc"
+	"ddprof/internal/sig"
 )
 
 // synthStream builds a deterministic pseudo-random access stream over n
@@ -104,45 +105,30 @@ func TestLockBasedMatchesLockFree(t *testing.T) {
 	depsEqual(t, want.Deps, p.Flush().Deps, "lock-based")
 }
 
-// TestRedistributionPreservesResults exercises the migration protocol under
-// a skewed stream and verifies the dependences are still exactly the serial
-// ones ("if an address is moved to another thread, its signature state has
-// to be moved as well", §IV-A).
-func TestRedistributionPreservesResults(t *testing.T) {
+// TestPromoteSeedingPreservesResults: over hybrid stores the producer feeds
+// its sketch and seeds the owners' exact tiers with Promote events — every
+// promoteSeedEvery chunks; here by hand, mid-stream. The hot addresses must
+// become exact residents (at this threshold the store never promotes by
+// itself) and the dependences stay exactly the serial ones.
+func TestPromoteSeedingPreservesResults(t *testing.T) {
 	evs := synthStream(300000, 200, 3)
 	want := runSerial(t, evs)
 	p := mustNew(t, Config{
-		Mode:              ModeParallel,
-		Workers:           4,
-		Backend:           "perfect",
-		RedistributeEvery: 8, // check aggressively to force migrations
-		QueueCap:          8,
-	})
-	for _, a := range evs {
-		p.Access(a)
-	}
-	got := p.Flush()
-	depsEqual(t, want.Deps, got.Deps, "redistributed")
-	if got.Stats.Migrations == 0 {
-		t.Error("skewed stream with aggressive checks performed no migration")
-	}
-	if got.Stats.Redistributions == 0 {
-		t.Error("no redistribution rounds recorded")
-	}
-}
-
-func TestRedistributionDisabledByDefault(t *testing.T) {
-	evs := synthStream(50000, 100, 4)
-	p := mustNew(t, Config{
 		Mode:    ModeParallel,
-		Workers: 2,
-		Backend: "perfect",
-	})
-	for _, a := range evs {
-		p.Access(a)
+		Workers: 4,
+		Backend: "hybrid:slots=65536,exact=64,promote=1000000000",
+	}).(*Parallel)
+	p.AccessBatch(evs[:len(evs)/2], nil)
+	p.pr.seedPromotions()
+	p.AccessBatch(evs[len(evs)/2:], nil)
+	got := p.Flush()
+	depsEqual(t, want.Deps, got.Deps, "promote-seeded")
+	resident := 0
+	for _, w := range p.pl.workers {
+		resident += w.eng.Store().(sig.Tiered).ExactResident()
 	}
-	if got := p.Flush().Stats.Migrations; got != 0 {
-		t.Errorf("migrations = %d with redistribution disabled", got)
+	if resident == 0 {
+		t.Error("seeded Promote events promoted no address")
 	}
 }
 
@@ -242,7 +228,7 @@ func TestMTConcurrentProducers(t *testing.T) {
 }
 
 func TestHeavySketch(t *testing.T) {
-	h := newHeavySketch(16)
+	h := sig.NewHeavySketch(16)
 	for i := 0; i < 1000; i++ {
 		h.Offer(0xAA) // dominant
 		if i%10 == 0 {
@@ -257,7 +243,7 @@ func TestHeavySketch(t *testing.T) {
 	if got := h.Top(1000); len(got) > 16 {
 		t.Errorf("Top returned more than capacity: %d", len(got))
 	}
-	empty := newHeavySketch(4)
+	empty := sig.NewHeavySketch(4)
 	if len(empty.Top(10)) != 0 {
 		t.Error("empty sketch Top should be empty")
 	}

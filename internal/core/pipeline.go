@@ -5,15 +5,15 @@ package core
 //
 //	target thread(s)
 //	      │ AccessBatch() (Access() is the one-event case)
-//	┌─────▼──────┐  routing (owner mask / redirect map),
-//	│  producer  │  duplicate-read collapse, Misra–Gries sketch,
-//	└─────┬──────┘  migrate/install rebalance protocol
+//	┌─────▼──────┐  routing (owner mask), duplicate-read collapse,
+//	│  producer  │  heavy-hitter Promote seeding (hybrid stores)
+//	└─────┬──────┘
 //	      │ chunks pushed (SPSC / Locked) or runs copied into the ring (MPSC)
 //	┌─────▼──────┐
 //	│ transport  │  the worker's side: one pop/recycle contract over both
 //	└─────┬──────┘
 //	      │ event batches
-//	┌─────▼──────┐  uniform control handling (flush/migrate/install/hold),
+//	┌─────▼──────┐  uniform control handling (flush/promote/epoch mark),
 //	│   worker   │  shared backoff policy, one Engine each
 //	└─────┬──────┘
 //	      │ engines, counters
@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -110,9 +109,6 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.SlotsPerWorker < 0 {
 		return c, fmt.Errorf("core: SlotsPerWorker = %d; want >= 1 signature slots, or 0 for the default", c.SlotsPerWorker)
-	}
-	if c.RedistributeEvery < 0 {
-		return c, fmt.Errorf("core: RedistributeEvery = %d; want >= 1 chunks, or 0 to disable redistribution", c.RedistributeEvery)
 	}
 	return c, nil
 }
@@ -256,14 +252,6 @@ func (t *ringTransport) recycle(*chunk) {}
 func (t *ringTransport) memBytes() uint64        { return uint64(mpscCellBytes * t.in.Cap()) }
 func (t *ringTransport) observedMaxDepth() int64 { return t.maxDepth }
 
-// migState is the signature state of one address in flight between workers
-// during redistribution.
-type migState struct {
-	addr        uint64
-	write, read sig.Slot
-	wok, rok    bool
-}
-
 // worker is one consumer of the pipeline: a transport feeding a detection
 // Engine.
 type worker struct {
@@ -273,17 +261,10 @@ type worker struct {
 	// events counts the logical read/write accesses processed (a collapsed
 	// read stands for 1+Rep of them) — the §IV-A load-balance quantity.
 	events uint64
-	// held buffers accesses to addresses whose signature state is in flight
-	// to this worker (MT redistribution; see event.Hold).
-	held map[uint64][]event.Access
 	// onDelta receives this worker's epoch-delta extraction at each
 	// EpochMark; nil disables extraction entirely (the mark is then a no-op).
 	// Called on the worker goroutine at a batch boundary.
 	onDelta func(*EpochDelta)
-
-	// migration mailboxes (producer/rebalancer <-> this worker)
-	migOut    atomic.Pointer[migState] // worker publishes state out
-	installIn atomic.Pointer[migState] // state published to worker
 
 	// flight-recorder state, all worker-local. m is the telemetry sink (nil
 	// disables everything). One in sampleEvery batches is timed
@@ -427,41 +408,6 @@ func (w *worker) process(evs []event.Access) (done bool) {
 		switch ev.Kind {
 		case event.Flush:
 			done = true
-		case event.Migrate:
-			st := &migState{addr: ev.Addr}
-			st.write, st.wok = w.eng.Store().LookupWrite(ev.Addr)
-			st.read, st.rok = w.eng.Store().LookupRead(ev.Addr)
-			w.eng.Store().Remove(ev.Addr)
-			w.migOut.Store(st)
-		case event.Install:
-			var st *migState
-			for i := 0; ; i++ {
-				if st = w.installIn.Swap(nil); st != nil {
-					break
-				}
-				queue.Backoff(i)
-			}
-			if st.wok {
-				w.eng.Store().SetWrite(st.addr, st.write)
-			}
-			if st.rok {
-				w.eng.Store().SetRead(st.addr, st.read)
-			}
-			// Replay accesses buffered while the address was in flight, in
-			// arrival order, now that its history is local.
-			if buf, ok := w.held[st.addr]; ok {
-				delete(w.held, st.addr)
-				for i := range buf {
-					w.data(&buf[i])
-				}
-			}
-		case event.Hold:
-			if w.held == nil {
-				w.held = make(map[uint64][]event.Access)
-			}
-			if _, ok := w.held[ev.Addr]; !ok {
-				w.held[ev.Addr] = nil
-			}
 		case event.Promote:
 			// Heavy-hitter hint from the producer's sketch: stores with an
 			// exact tier adopt the address, everything else ignores it.
@@ -478,25 +424,14 @@ func (w *worker) process(evs []event.Access) (done bool) {
 				w.onDelta(d)
 			}
 		default:
-			if len(w.held) != 0 {
-				if buf, ok := w.held[ev.Addr]; ok {
-					w.held[ev.Addr] = append(buf, *ev)
-					continue
-				}
+			if ev.Kind != event.Remove {
+				// A collapsed read stands for 1+Rep target accesses; count them all.
+				w.events += 1 + uint64(ev.Rep)
 			}
-			w.data(ev)
+			w.eng.Process(*ev)
 		}
 	}
 	return done
-}
-
-// data processes one read/write/remove event.
-func (w *worker) data(ev *event.Access) {
-	if ev.Kind != event.Remove {
-		// A collapsed read stands for 1+Rep target accesses; count them all.
-		w.events += 1 + uint64(ev.Rep)
-	}
-	w.eng.Process(*ev)
 }
 
 // pipeline is the shared chassis of every profiler variant: the worker set,
@@ -633,51 +568,10 @@ func powerOfTwoMask(w int) uint64 {
 	return 0
 }
 
-// migration is one planned address move.
-type migration struct {
-	addr     uint64
-	from, to int
-}
-
-// planRebalance decides which of the top heavy hitters to migrate so they
-// spread round-robin over the workers (§IV-A); nil when the current owners
-// are already within one address of even.
-func planRebalance(top []uint64, w int, owner func(uint64) int) []migration {
-	if len(top) == 0 {
-		return nil
-	}
-	counts := make([]int, w)
-	for _, a := range top {
-		counts[owner(a)]++
-	}
-	min, max := counts[0], counts[0]
-	for _, c := range counts {
-		if c < min {
-			min = c
-		}
-		if c > max {
-			max = c
-		}
-	}
-	if max-min <= 1 {
-		return nil // already even
-	}
-	var moves []migration
-	for rank, addr := range top {
-		want := rank % w
-		if cur := owner(addr); cur != want {
-			moves = append(moves, migration{addr: addr, from: cur, to: want})
-		}
-	}
-	return moves
-}
-
 // producer is the single-threaded distribution stage of §IV: it owns the
-// open chunks, the routing decision (owner mask + redirect map), the
-// duplicate-read filter, the heavy-hitter sketch, and the migrate/install
-// rebalance protocol.
+// open chunks, the routing decision (ownerOf), the duplicate-read filter and,
+// over hybrid stores, the heavy-hitter sketch that seeds their exact tier.
 type producer struct {
-	pl *pipeline
 	// trs[i] is worker i's transport, by its concrete type: the producer is
 	// the one pushing chunks in and taking recycled ones back.
 	trs   []*chunkTransport
@@ -686,21 +580,13 @@ type producer struct {
 	// open[i] is the chunk being filled for worker i. It always has room for
 	// one more event: a chunk is pushed the moment it fills.
 	open []*chunk
-	// redirect overrides the modulo rule for migrated addresses
-	// ("redistribution rules are stored in a map and have higher priority
-	// than the modulo function", §IV-A).
-	redirect map[uint64]int
-	heavy    *heavySketch
-	sample   uint64
-
-	redistributeEvery int
-	// seedPromote is set when the worker stores have an exact heavy-hitter
-	// tier (sig.Promoter): the producer then keeps its sketch warm and seeds
-	// the owners with Promote events every checkEvery chunks, sharing the
-	// rebalance cadence when redistribution is on.
-	seedPromote      bool
-	checkEvery       int
-	chunksSinceCheck int
+	// heavy is non-nil when the worker stores have an exact heavy-hitter tier
+	// (sig.Promoter): the producer then feeds the sketch every 16th access
+	// (sample counts them) and seeds the owners with Promote events every
+	// promoteSeedEvery chunks (chunksSinceSeed counts those).
+	heavy           *sig.HeavySketch
+	sample          uint64
+	chunksSinceSeed int
 	// allocatedChunks is the live chunk pool: chunks are never dropped, so
 	// every one allocated is open, queued, in processing or in a recycle ring.
 	allocatedChunks uint64
@@ -714,20 +600,12 @@ type producer struct {
 
 // init wires the producer to its pipeline, whose workers pop from trs.
 func (pr *producer) init(pl *pipeline, trs []*chunkTransport, cfg *Config) {
-	pr.pl = pl
 	pr.trs = trs
 	pr.w = cfg.Workers
 	pr.wMask = powerOfTwoMask(cfg.Workers)
-	pr.redistributeEvery = cfg.RedistributeEvery
 	pr.m = cfg.Metrics
-	pr.redirect = make(map[uint64]int)
-	pr.heavy = newHeavySketch(64)
-	// Promoter stores get heavy-hitter seeding even without redistribution;
-	// with it, both ride the same cadence.
-	_, pr.seedPromote = pl.workers[0].eng.Store().(sig.Promoter)
-	pr.checkEvery = pr.redistributeEvery
-	if pr.checkEvery == 0 && pr.seedPromote {
-		pr.checkEvery = promoteSeedEvery
+	if _, ok := pl.workers[0].eng.Store().(sig.Promoter); ok {
+		pr.heavy = sig.NewHeavySketch(64)
 	}
 	pr.open = make([]*chunk, cfg.Workers)
 	for i := range pr.open {
@@ -744,7 +622,6 @@ func (pr *producer) init(pl *pipeline, trs []*chunkTransport, cfg *Config) {
 // its points. Control kinds (EpochMark and above) must not appear: the caller
 // splits batches at epoch marks.
 func (pr *producer) putBatch(accesses []event.Access, ranges []event.Range) {
-	sketch := pr.checkEvery > 0
 	var data uint64
 	for i := range accesses {
 		a := &accesses[i]
@@ -763,15 +640,7 @@ func (pr *producer) putBatch(accesses []event.Access, ranges []event.Range) {
 			}
 			continue
 		}
-		// The redirect map is only populated once a rebalance has migrated an
-		// address (redistribution is off by default), so the common case pays
-		// no map probe at all.
 		slot := ownerOf(a.Addr, pr.w, pr.wMask)
-		if len(pr.redirect) != 0 {
-			if r, ok := pr.redirect[a.Addr]; ok {
-				slot = r
-			}
-		}
 		c := pr.open[slot]
 		if a.Kind <= event.Write {
 			// A collapsed read (Rep > 0) stands for 1+Rep accesses; the
@@ -781,7 +650,7 @@ func (pr *producer) putBatch(accesses []event.Access, ranges []event.Range) {
 			// themselves would have).
 			n := uint64(1 + a.Rep)
 			data += n
-			if sketch {
+			if pr.heavy != nil {
 				prev := pr.sample
 				pr.sample += n
 				for k := pr.sample>>4 - prev>>4; k > 0; k-- {
@@ -803,16 +672,10 @@ func (pr *producer) putBatch(accesses []event.Access, ranges []event.Range) {
 		c.buf[c.n] = *a
 		if c.n++; c.n == len(c.buf) {
 			pr.push(slot, c.n, true)
-			if pr.checkEvery > 0 {
-				pr.chunksSinceCheck++
-				if pr.chunksSinceCheck >= pr.checkEvery {
-					pr.chunksSinceCheck = 0
-					if pr.seedPromote {
-						pr.seedPromotions()
-					}
-					if pr.redistributeEvery > 0 {
-						pr.rebalance()
-					}
+			if pr.heavy != nil {
+				if pr.chunksSinceSeed++; pr.chunksSinceSeed == promoteSeedEvery {
+					pr.chunksSinceSeed = 0
+					pr.seedPromotions()
 				}
 			}
 		}
@@ -820,19 +683,17 @@ func (pr *producer) putBatch(accesses []event.Access, ranges []event.Range) {
 	pr.stats.Accesses += data
 }
 
-// promoteSeedEvery is the chunk cadence of heavy-hitter Promote seeding when
-// redistribution is off (with it on, seeding shares RedistributeEvery).
+// promoteSeedEvery is the chunk cadence of heavy-hitter Promote seeding.
 const promoteSeedEvery = 1024
 
 // seedPromotions pushes the sketch's current top heavy hitters to their
 // owners as Promote control events, riding the open chunks: a hybrid store
 // adopts the address into its exact tier, any other store ignores the hint.
-// Unlike rebalance this moves no state through mailboxes — the receiving
-// store carries its own tail history across — so seeding is safe at any
-// point in the stream.
+// The receiving store carries its own tail history across, so seeding is safe
+// at any point in the stream.
 func (pr *producer) seedPromotions() {
 	for _, addr := range pr.heavy.Top(10) {
-		w := pr.owner(addr)
+		w := ownerOf(addr, pr.w, pr.wMask)
 		c := pr.open[w]
 		c.buf[c.n] = event.Access{Addr: addr, Kind: event.Promote}
 		if c.n++; c.n == len(c.buf) {
@@ -921,70 +782,6 @@ func (pr *producer) push(w, data int, refill bool) {
 	}
 	if timed {
 		pr.m.StageProduceNs.Observe(time.Since(produceT0).Nanoseconds())
-	}
-}
-
-// rebalance checks whether the top heavy hitters are spread evenly over the
-// workers and migrates them if not (§IV-A).
-func (pr *producer) rebalance() {
-	moves := planRebalance(pr.heavy.Top(10), pr.w, pr.owner)
-	if len(moves) == 0 {
-		return
-	}
-	for _, mv := range moves {
-		pr.migrate(mv.addr, mv.from, mv.to)
-	}
-	pr.stats.Redistributions++
-	if pr.m != nil {
-		pr.m.Redistributions.Inc()
-	}
-}
-
-// owner maps an address to its worker, redirects first.
-func (pr *producer) owner(addr uint64) int {
-	if w, ok := pr.redirect[addr]; ok {
-		return w
-	}
-	return ownerOf(addr, pr.w, pr.wMask)
-}
-
-// migrate moves one address and its signature state from worker `from` to
-// worker `to`. The protocol preserves the per-address total order:
-//
-//  1. All accesses routed so far are in from's queue or open chunk; a MIGRATE
-//     control event is pushed behind them, so `from` processes it only after
-//     every earlier access.
-//  2. `from` publishes the address's slot state in its mailbox and forgets
-//     the address; the producer spins for the mailbox.
-//  3. The producer hands the state to `to` via its install mailbox and
-//     pushes an INSTALL control event; accesses routed after the redirect
-//     update follow INSTALL in `to`'s queue, preserving order.
-func (pr *producer) migrate(addr uint64, from, to int) {
-	fw, tw := pr.pl.workers[from], pr.pl.workers[to]
-
-	// Step 1: pending accesses, then MIGRATE.
-	pr.pushControl(from, event.Access{Addr: addr, Kind: event.Migrate}, true)
-
-	// Step 2: wait for the state.
-	var st *migState
-	for i := 0; ; i++ {
-		if st = fw.migOut.Swap(nil); st != nil {
-			break
-		}
-		queue.Backoff(i)
-	}
-
-	// Step 3: install at the destination. The install mailbox must be free:
-	// wait until the previous installation (if any) was consumed.
-	for i := 0; !tw.installIn.CompareAndSwap(nil, st); i++ {
-		queue.Backoff(i)
-	}
-	pr.pushControl(to, event.Access{Addr: addr, Kind: event.Install}, true)
-
-	pr.redirect[addr] = to
-	pr.stats.Migrations++
-	if pr.m != nil {
-		pr.m.Migrations.Inc()
 	}
 }
 

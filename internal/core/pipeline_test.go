@@ -2,10 +2,8 @@ package core
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
-	"ddprof/internal/dep"
 	"ddprof/internal/event"
 	"ddprof/internal/loc"
 	"ddprof/internal/telemetry"
@@ -30,7 +28,6 @@ func TestConfigValidation(t *testing.T) {
 		{"negative workers", Config{Mode: ModeParallel, Workers: -1}, "Workers"},
 		{"negative queue cap", Config{Mode: ModeMT, QueueCap: -3}, "QueueCap"},
 		{"negative slots", Config{Mode: ModeSerial, SlotsPerWorker: -5}, "SlotsPerWorker"},
-		{"negative redistribute", Config{Mode: ModeParallel, RedistributeEvery: -1}, "RedistributeEvery"},
 		{"bad backend spec", Config{Mode: ModeParallel, Workers: 1, Backend: "no-such-backend"}, "Config.Backend"},
 		{"retired mode", Config{Mode: 3}, "unknown Mode"},
 		{"unknown mode", Config{Mode: Mode(42)}, "unknown Mode"},
@@ -175,97 +172,6 @@ func TestMTDupCollapse(t *testing.T) {
 	m2.AccessBatch(evs, nil)
 	if got2 := m2.Flush(); got2.Stats.DupCollapsed != 0 {
 		t.Errorf("collapsed %d timestamped accesses", got2.Stats.DupCollapsed)
-	}
-}
-
-// TestMTRedistributionPreservesResults: MT gains the §IV-A heavy-hitter
-// redistribution. A skewed single-producer stream must migrate at least one
-// address (the rebalancer runs a final deterministic round at flush) and
-// still reproduce the serial dependences exactly.
-func TestMTRedistributionPreservesResults(t *testing.T) {
-	evs := synthStream(300000, 200, 3)
-	want := runSerial(t, evs)
-	m := mustNew(t, Config{
-		Mode:              ModeMT,
-		Workers:           4,
-		Backend:           "perfect",
-		RedistributeEvery: 8, // kick every 8×ChunkSize accesses
-	})
-	for _, a := range evs {
-		m.Access(a)
-	}
-	got := m.Flush()
-	depsEqual(t, want.Deps, got.Deps, "mt-redistributed")
-	if got.Stats.Accesses != uint64(len(evs)) {
-		t.Errorf("accesses = %d, want %d", got.Stats.Accesses, len(evs))
-	}
-	if got.Stats.Migrations == 0 {
-		t.Error("skewed stream performed no migration")
-	}
-	if got.Stats.Redistributions == 0 {
-		t.Error("no redistribution rounds recorded")
-	}
-}
-
-// TestMTRedistributionConcurrentProducers hammers the hold-and-replay
-// migration protocol while four producers keep pushing: per-thread private
-// dependences must keep exact counts even as their hot addresses migrate
-// mid-stream.
-func TestMTRedistributionConcurrentProducers(t *testing.T) {
-	const perThread = 20000
-	m := mustNew(t, Config{
-		Mode:              ModeMT,
-		Workers:           4,
-		Backend:           "perfect",
-		RedistributeEvery: 1, // rebalance as often as possible
-	})
-	var ts struct {
-		sync.Mutex
-		n uint64
-	}
-	stamp := func() uint64 {
-		ts.Lock()
-		defer ts.Unlock()
-		ts.n++
-		return ts.n
-	}
-	var wg sync.WaitGroup
-	for thr := int32(0); thr < 4; thr++ {
-		wg.Add(1)
-		go func(thr int32) {
-			defer wg.Done()
-			// One hot address per thread (a heavy hitter the sketch will
-			// see) plus a spread of cold ones. The ranges are disjoint
-			// across threads so every dependence below is thread-private.
-			hot := uint64(0x900000 + 8*int(thr))
-			base := uint64(0x100000 * (int(thr) + 1))
-			for i := 0; i < perThread; i++ {
-				a := base + uint64(8*(i%64))
-				if i%2 == 0 {
-					a = hot
-				}
-				m.Access(event.Access{Addr: a, Kind: event.Write, Loc: loc.Pack(1, int(thr)+1), Thread: thr, TS: stamp()})
-				m.Access(event.Access{Addr: a, Kind: event.Read, Loc: loc.Pack(1, 10+int(thr)), Thread: thr, TS: stamp()})
-			}
-		}(thr)
-	}
-	wg.Wait()
-	got := m.Flush()
-	if got.Stats.Accesses != 4*2*perThread {
-		t.Errorf("accesses = %d, want %d", got.Stats.Accesses, 4*2*perThread)
-	}
-	for thr := int32(0); thr < 4; thr++ {
-		k := dep.Key{Type: dep.RAW, Sink: loc.Pack(1, 10+int(thr)), SinkThread: int16(thr), Src: loc.Pack(1, int(thr)+1), SrcThread: int16(thr)}
-		st, ok := got.Deps.Lookup(k)
-		if !ok {
-			t.Fatalf("thread %d RAW missing", thr)
-		}
-		if st.Count != perThread {
-			t.Errorf("thread %d RAW count = %d, want %d (lost or duplicated during migration)", thr, st.Count, perThread)
-		}
-		if st.Reversed {
-			t.Errorf("thread %d private dep flagged as race", thr)
-		}
 	}
 }
 

@@ -84,8 +84,8 @@ type RunStats struct {
 	Accesses uint64
 	// Chunks is the number of data chunks pushed to workers (0 for serial).
 	Chunks uint64
-	// ControlChunks is the number of control-only chunk pushes
-	// (migrate/install/flush sentinels); kept apart from Chunks so
+	// ControlChunks is the number of chunk pushes forced by a control event
+	// (flush sentinels, epoch marks); kept apart from Chunks so
 	// events-per-chunk throughput math stays honest.
 	ControlChunks uint64
 	// DupCollapsed is the number of consecutive duplicate reads collapsed
@@ -99,11 +99,10 @@ type RunStats struct {
 	// operation.
 	DepCacheHits   uint64
 	DepCacheProbes uint64
-	// Migrations is the number of address redistributions performed.
+	// Migrations is always 0: run-time redistribution is gone (EXPERIMENTS.md
+	// decision record). The field stays only because the frozen bench/
+	// harness reads it; it goes with ROADMAP item 2.
 	Migrations uint64
-	// Redistributions is the number of rebalance rounds that moved at
-	// least one address.
-	Redistributions uint64
 	// Ranges is the number of compressed strided data runs ingested (DDT1
 	// wire ranges); RangeElements the accesses they
 	// expanded into. Range elements count in Accesses and in every dependence
@@ -146,12 +145,12 @@ type Config struct {
 	// QueueCap is the per-worker queue capacity in chunks (sequential-target
 	// mode) or accesses (MT mode). Defaults to 8 chunks / 4Ki accesses.
 	QueueCap int
-	// RedistributeEvery triggers a load-balance check every N chunks
-	// (paper: 50,000); in MT mode, every N×ChunkSize accesses, keeping the
-	// cadence comparable across modes. 0 disables redistribution.
+	// Ignored: run-time redistribution is gone (EXPERIMENTS.md decision
+	// record). The field stays only because the frozen bench/ harness sets
+	// it; it goes with ROADMAP item 2.
 	RedistributeEvery int
 	// Metrics, when non-nil, receives live pipeline telemetry (events in,
-	// queue depths, chunk recycling, redistributions, signature occupancy,
+	// queue depths, chunk recycling, signature occupancy,
 	// stage latency histograms). Counters are bumped at chunk granularity and
 	// stage latencies sampled (one in 32 chunk pushes / worker batches) so the
 	// hot path stays cheap; nil costs nothing.

@@ -76,8 +76,8 @@ func compressRuns(evs []event.Access) *rangedStream {
 }
 
 // rangeEdges is the hand-built stream of TestAccessRangeEquivalence: ranges
-// of every geometry, points between them, and a hot phase that makes the
-// §IV-A rebalancer migrate addresses which later ranges then sweep across.
+// of every geometry, points between them, and a hot phase on ten addresses of
+// one owner which later ranges then sweep across.
 func rangeEdges() (*rangedStream, *prog.Meta) {
 	m := prog.NewMeta()
 	l := m.AddLoop(prog.Loop{Name: "ranges"})
@@ -114,7 +114,7 @@ func rangeEdges() (*rangedStream, *prog.Meta) {
 		s.point(event.Access{Addr: r.Last(), Kind: event.Remove})
 	}
 	// The hot phase: ten addresses with one owner at every tested worker
-	// count (word indices 24 apart), heavy enough to be the sketch's top ten.
+	// count (word indices 24 apart), a dense run of repeats on one chunk.
 	hot := func(k int) uint64 { return 0x70000 + uint64(k)*192 }
 	for k := 0; k < 10; k++ {
 		s.rng(mkr(hot(k), 0, 1500, 81, event.Write, 0))
@@ -130,8 +130,8 @@ func rangeEdges() (*rangedStream, *prog.Meta) {
 // registered backend (the signature also at a size where the stream's
 // addresses collide) and the serial, parallel and MT profilers, a stream handed
 // over with its ranges — one one-slot batch each (accessRange), or as RangeRef
-// slots of one AccessBatch — leaves the profile, and the producer's chunk, duplicate
-// and migration accounting, of the expanded stream through Access.
+// slots of one AccessBatch — leaves the profile, and the producer's chunk and
+// duplicate accounting, of the expanded stream through Access.
 func TestAccessRangeEquivalence(t *testing.T) {
 	s, m := rangeEdges()
 	evs := s.points()
@@ -141,13 +141,9 @@ func TestAccessRangeEquivalence(t *testing.T) {
 	}
 	backends = append(backends, "signature:slots=64", "hybrid:slots=256,exact=8,promote=4")
 
-	run := func(t *testing.T, mk func(backend string) Profiler, wantMigrations bool) {
+	run := func(t *testing.T, mk func(backend string) Profiler) {
 		for _, backend := range backends {
-			want := feed(mk(backend), evs)
-			if wantMigrations && want.Stats.Migrations == 0 {
-				t.Errorf("%s: no address migrated: ranges never met a redirect", backend)
-			}
-			wantDigest := digestResult(want, true, true)
+			wantDigest := digestResult(feed(mk(backend), evs), true)
 
 			p := mk(backend)
 			for _, a := range s.slots {
@@ -157,14 +153,14 @@ func TestAccessRangeEquivalence(t *testing.T) {
 					p.Access(a)
 				}
 			}
-			if got := digestResult(p.Flush(), true, true); got != wantDigest {
+			if got := digestResult(p.Flush(), true); got != wantDigest {
 				t.Errorf("%s: one-range-batch profile differs from the expanded stream's", backend)
 			}
 
 			p = mk(backend)
 			p.AccessBatch(s.slots, s.rngs)
 			got := p.Flush()
-			if digestResult(got, true, true) != wantDigest {
+			if digestResult(got, true) != wantDigest {
 				t.Errorf("%s: AccessBatch profile differs from the expanded stream's", backend)
 			}
 			if got.Stats.Ranges == 0 || got.Stats.RangeElements < 2*got.Stats.Ranges {
@@ -174,28 +170,26 @@ func TestAccessRangeEquivalence(t *testing.T) {
 		}
 	}
 	t.Run("serial", func(t *testing.T) {
-		run(t, func(b string) Profiler { return mustNew(t, Config{Backend: b, Meta: m}) }, false)
+		run(t, func(b string) Profiler { return mustNew(t, Config{Backend: b, Meta: m}) })
 	})
 	for _, workers := range []int{1, 2, 4, 8, 3} {
 		workers := workers
 		t.Run(fmt.Sprintf("parallel-%dw", workers), func(t *testing.T) {
 			run(t, func(b string) Profiler {
-				return mustNew(t, Config{Mode: ModeParallel, Workers: workers, QueueCap: 8, RedistributeEvery: 1, Backend: b, Meta: m})
-			}, workers > 1)
+				return mustNew(t, Config{Mode: ModeParallel, Workers: workers, QueueCap: 8, Backend: b, Meta: m})
+			})
 		})
 	}
 	// MT counts neither chunks nor ranges and collapses per batch, so its row
-	// compares the profile. Redistribution stays off: its rebalancer is
-	// asynchronous, and where an address lives decides what it collides with
-	// (FuzzMTBatchEquivalence sweeps ranges across redirects on exact stores).
-	// The rings are shorter than a long range's share of a segment.
+	// compares the profile. The rings are shorter than a long range's share of
+	// a segment.
 	t.Run("mt", func(t *testing.T) {
 		for _, backend := range backends {
 			cfg := Config{Mode: ModeMT, Workers: 3, QueueCap: 64, Backend: backend, Meta: m}
-			want := digestResult(feed(mustNew(t, cfg), evs), false, false)
+			want := digestResult(feed(mustNew(t, cfg), evs), false)
 			p := mustNew(t, cfg)
 			p.AccessBatch(s.slots, s.rngs)
-			if digestResult(p.Flush(), false, false) != want {
+			if digestResult(p.Flush(), false) != want {
 				t.Errorf("%s: AccessBatch profile differs from the expanded stream's", backend)
 			}
 		}

@@ -11,44 +11,34 @@ import "ddprof/internal/loc"
 // Kind classifies a memory-access event.
 type Kind uint8
 
+// The numeric values are pinned: Read through Remove, RangeRef and EpochMark
+// are DDT1 wire bytes. 3, 4 and 6 were the kinds of the retired run-time
+// redistribution protocol and stay reserved; the decoders refuse them.
 const (
 	// Read is a load from memory.
-	Read Kind = iota
+	Read Kind = 0
 	// Write is a store to memory.
-	Write
+	Write Kind = 1
 	// Remove instructs the owning worker to forget an address. Emitted by
 	// variable-lifetime analysis when storage is deallocated (paper §III-B:
 	// "addresses that become obsolete after deallocating the corresponding
 	// variable are removed from signatures").
-	Remove
-	// Migrate instructs the owning worker to publish its signature state for
-	// an address into the migration mailbox (load-balancing, paper §IV-A).
-	Migrate
-	// Install instructs the new owner to adopt the migrated signature state
-	// currently published in the migration mailbox.
-	Install
+	Remove Kind = 2
 	// Flush instructs a worker to finish processing and acknowledge; used at
 	// end-of-stream.
-	Flush
-	// Hold instructs a worker to buffer further accesses to an address until
-	// the address's migrated signature state is installed. Used only by the
-	// multi-threaded-target redistribution protocol, where producers keep
-	// pushing concurrently while an address is in flight between workers;
-	// the sequential-target protocol needs no hold because its single
-	// producer reroutes synchronously.
-	Hold
+	Flush Kind = 5
 	// RangeRef marks a batch slot standing for a strided run (SD3-style
 	// stride compression, §II related work). The slot's Addr field is the
 	// index into the range table handed over with the batch (a Chunk's
 	// Ranges); every other field is unused. The run expands, in element
 	// order, at the slot's position.
-	RangeRef
+	RangeRef Kind = 7
 	// Promote hints to the owning worker that Addr is a heavy hitter worth
 	// exact treatment: stores with an exact tier (sig.Promoter, the hybrid
 	// backend) adopt the address, every other store ignores the event. Only
-	// the producer's rebalance cadence emits it (seeded from the Misra–Gries
-	// sketch); like the other control kinds it never crosses the wire.
-	Promote
+	// the producer emits it (seeded from its Misra–Gries sketch); like Flush
+	// it never crosses the wire.
+	Promote Kind = 8
 	// EpochMark advances the session's epoch clock: the Addr field carries
 	// the new epoch number, and each worker that processes the mark extracts
 	// an epoch-delta (dependences whose aggregates advanced since the last
@@ -56,7 +46,7 @@ const (
 	// other control kinds, EpochMark is wire-legal in DDT1 traces so clients
 	// can cut epochs at workload-meaningful boundaries; the daemon's ticker
 	// injects the same record server-side.
-	EpochMark
+	EpochMark Kind = 9
 )
 
 func (k Kind) String() string {
@@ -67,14 +57,8 @@ func (k Kind) String() string {
 		return "write"
 	case Remove:
 		return "remove"
-	case Migrate:
-		return "migrate"
-	case Install:
-		return "install"
 	case Flush:
 		return "flush"
-	case Hold:
-		return "hold"
 	case RangeRef:
 		return "range"
 	case Promote:

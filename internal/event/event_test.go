@@ -9,13 +9,25 @@ import (
 
 func TestKindString(t *testing.T) {
 	want := map[Kind]string{
-		Read: "read", Write: "write", Remove: "remove",
-		Migrate: "migrate", Install: "install", Flush: "flush",
-		Kind(99): "invalid",
+		Read: "read", Write: "write", Remove: "remove", Flush: "flush",
+		RangeRef: "range", Promote: "promote", EpochMark: "epoch",
+		Kind(3): "invalid", Kind(4): "invalid", Kind(6): "invalid", Kind(99): "invalid",
 	}
 	for k, s := range want {
 		if k.String() != s {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, k.String(), s)
+		}
+	}
+}
+
+// TestWireKindValues pins the numeric kinds: Read, Write, Remove, RangeRef and
+// EpochMark are DDT1 record bytes, so a trace recorded before the
+// redistribution kinds (3, 4, 6) were retired must decode to the same events.
+func TestWireKindValues(t *testing.T) {
+	want := map[Kind]uint8{Read: 0, Write: 1, Remove: 2, Flush: 5, RangeRef: 7, Promote: 8, EpochMark: 9}
+	for k, v := range want {
+		if uint8(k) != v {
+			t.Errorf("%v = %d, want %d", k, uint8(k), v)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -323,11 +324,8 @@ func TestBalanceOrdering(t *testing.T) {
 	}
 }
 
-// TestRoundRobinBalancesSkewedStreams is the §VI-B claim: under a heavily
-// skewed address distribution, dealing chunks round-robin stays balanced
-// while the address-partitioned profiler is imbalanced.
-func TestRoundRobinBalancesSkewedStreams(t *testing.T) {
-	// 80% of traffic on ONE address.
+// skewedStream records 200,000 accesses with 80 % of the traffic on ONE address.
+func skewedStream() *event.Recorder {
 	rec := event.NewRecorder()
 	for i := 0; i < 200000; i++ {
 		a := uint64(0x9000)
@@ -340,6 +338,14 @@ func TestRoundRobinBalancesSkewedStreams(t *testing.T) {
 		}
 		rec.Access(event.Access{Addr: a, Kind: k, Loc: loc.Pack(1, 1+i%20)})
 	}
+	return rec
+}
+
+// TestRoundRobinBalancesSkewedStreams is the §VI-B claim: under a heavily
+// skewed address distribution, dealing chunks round-robin stays balanced
+// while the address-partitioned profiler is imbalanced.
+func TestRoundRobinBalancesSkewedStreams(t *testing.T) {
+	rec := skewedStream()
 	typed, err := replay(rec, core.Config{Mode: core.ModeParallel, Workers: 4, Backend: "perfect"})
 	if err != nil {
 		t.Fatal(err)
@@ -357,6 +363,34 @@ func TestRoundRobinBalancesSkewedStreams(t *testing.T) {
 	}
 	if sum != typed.Stats.Accesses {
 		t.Errorf("dealt %d accesses, the profiler counted %d", sum, typed.Stats.Accesses)
+	}
+}
+
+// TestDealRedistributed holds the §IV-A ablation to what it claims on the same
+// skewed stream: the modulo deal is imbalanced, redistribution moves at least
+// one address and does not lose, and with no checks it is the modulo deal —
+// the profiler's own ownership.
+func TestDealRedistributed(t *testing.T) {
+	rec := skewedStream()
+	typed, err := replay(rec, core.Config{Mode: core.ModeParallel, Workers: 4, Backend: "perfect"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	modulo, moved := dealRedistributed(rec.Events(), 4, 0)
+	if moved != 0 || !reflect.DeepEqual(modulo, typed.WorkerEvents) {
+		t.Errorf("every = 0 dealt %v with %d migrations, the profiler's workers saw %v", modulo, moved, typed.WorkerEvents)
+	}
+	if imb := core.Imbalance(modulo); imb < 2.0 {
+		t.Errorf("modulo should be imbalanced on this stream: %.2f (events %v)", imb, modulo)
+	}
+	dealt, moved := dealRedistributed(rec.Events(), 4, 4)
+	if moved == 0 {
+		t.Error("no address migrated")
+	}
+	// One address carries 80 %, so there is nothing to win here; re-dealing
+	// the light ones must not lose either (TestBalanceOrdering's tolerance).
+	if core.Imbalance(dealt) > core.Imbalance(modulo)*1.05 {
+		t.Errorf("redistribution worsened balance: %v -> %v", modulo, dealt)
 	}
 }
 

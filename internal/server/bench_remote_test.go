@@ -171,11 +171,10 @@ func BenchmarkRemoteIngest(b *testing.B) {
 			cfg := core.Config{SlotsPerWorker: 1 << 20, Meta: meta}
 			if workers >= 2 {
 				cfg = core.Config{
-					Mode:              core.ModeParallel,
-					Workers:           workers,
-					SlotsPerWorker:    (1 << 20) / workers,
-					RedistributeEvery: 50000,
-					Meta:              meta,
+					Mode:           core.ModeParallel,
+					Workers:        workers,
+					SlotsPerWorker: (1 << 20) / workers,
+					Meta:           meta,
 				}
 			}
 			prof, err := core.New(cfg)

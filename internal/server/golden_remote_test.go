@@ -161,8 +161,8 @@ func TestRemoteLocalGoldenMatrix(t *testing.T) {
 
 				// The local twin mirrors the session pipeline the daemon
 				// builds from this handshake: mode and worker split from the
-				// worker count, the same store spec, the same rebalance
-				// cadence, race checking iff the trace is timestamped.
+				// worker count, the same store spec, race checking iff the
+				// trace is timestamped.
 				ccfg := core.Config{
 					Meta:      p.Meta,
 					Backend:   backend,
@@ -172,7 +172,6 @@ func TestRemoteLocalGoldenMatrix(t *testing.T) {
 					ccfg.Mode = core.ModeParallel
 					ccfg.Workers = mode.workers
 					ccfg.SlotsPerWorker = slots / mode.workers
-					ccfg.RedistributeEvery = 50000
 				} else {
 					ccfg.Mode = core.ModeSerial
 					ccfg.SlotsPerWorker = slots
@@ -298,7 +297,6 @@ func TestRemoteRangesAreTheirPoints(t *testing.T) {
 				if workers >= 2 {
 					ccfg.Mode, ccfg.Workers = core.ModeParallel, workers
 					ccfg.SlotsPerWorker = slots / workers
-					ccfg.RedistributeEvery = 50000
 				}
 				prof, err := core.New(ccfg)
 				if err != nil {

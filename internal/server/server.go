@@ -654,7 +654,6 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 		ccfg.Mode = core.ModeParallel
 		ccfg.Workers = workers
 		ccfg.SlotsPerWorker = s.cfg.SessionSlots / workers
-		ccfg.RedistributeEvery = 50000
 	} else {
 		ccfg.Mode = core.ModeSerial
 		ccfg.SlotsPerWorker = s.cfg.SessionSlots
@@ -790,8 +789,8 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 // seam, splitting at EpochMark slots so explicit epoch cuts land at exactly
 // their record position. It returns the number of target events fed (ranges
 // weighted by element count). Pipeline control kinds beyond Remove are
-// daemon-internal; a stream carrying them is corrupt (a hostile one could
-// hijack the migration mailboxes).
+// daemon-internal; a stream carrying them is corrupt (a Flush would end a
+// worker under its producer).
 func feedBatch(prof core.Profiler, b ingestBatch, epoch *uint32) (uint64, error) {
 	evs, rngs := b.c.Events, b.c.Ranges
 	if !b.ctl {

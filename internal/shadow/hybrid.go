@@ -1,6 +1,6 @@
 // The hybrid access-history store: heavy-hitter addresses live in an exact
 // paged shadow map, the long tail in the paper's approximate signature. The
-// motivating observation is the same one behind the §IV-A load balancer — a
+// motivating observation is the same one behind the paper's §IV-A — a
 // handful of addresses dominate real access streams — so giving just those
 // addresses exact history removes most collision-induced false positives
 // and negatives while the signature keeps the footprint bounded for the

@@ -5,10 +5,9 @@ import "sort"
 // HeavySketch tracks approximately the most frequently accessed addresses
 // (paper §IV-A: "we also monitor how many times an address is accessed
 // dynamically ... to ensure that the top ten most heavily accessed addresses
-// are always evenly distributed among worker threads"). Two consumers share
-// it: the pipeline producer's load balancer (internal/core) and the hybrid
-// store's worker-local promotion of heavy hitters into its exact tier
-// (internal/shadow).
+// are always evenly distributed among worker threads"). It feeds hybrid
+// promotion — the producer's Promote seeding (internal/core) and the store's
+// own (internal/shadow) — and the §IV-A ablation (internal/exp).
 //
 // The paper keeps exact counts in a map; we use the SpaceSaving algorithm
 // with a small capacity instead, which bounds the cost per access regardless

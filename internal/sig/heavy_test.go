@@ -87,8 +87,8 @@ func TestHeavySketchEvictionInheritsMinCount(t *testing.T) {
 	}
 }
 
-// TestHeavySketchHeavyHitterProperty checks the SpaceSaving guarantee the
-// rebalancer relies on: an address taking a large fraction of the stream
+// TestHeavySketchHeavyHitterProperty checks the SpaceSaving guarantee
+// promotion and the §IV-A ablation rely on: an address taking a large fraction of the stream
 // (far above 1/capacity) always surfaces in Top(k), regardless of how much
 // singleton noise surrounds it.
 func TestHeavySketchHeavyHitterProperty(t *testing.T) {

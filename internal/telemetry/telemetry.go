@@ -5,8 +5,8 @@
 // Prometheus-style) over HTTP.
 //
 // The pipeline metrics (events in, queue depth per worker, chunk-pool
-// recycling, signature occupancy, stage latencies, heavy-hitter
-// redistributions, live Eq. (2) accuracy) are grouped in a Pipeline so
+// recycling, signature occupancy, stage latencies, live Eq. (2) accuracy)
+// are grouped in a Pipeline so
 // internal/core can bump typed fields without map lookups on the hot path.
 // The ddprofd daemon serves a Registry per process; `ddexp -metrics addr`
 // serves the same page for local experiment runs. The Snapshotter
@@ -310,10 +310,6 @@ type Pipeline struct {
 	// recycled from a worker's return ring vs freshly allocated.
 	ChunksRecycled  *Counter
 	ChunksAllocated *Counter
-	// Migrations counts addresses moved by heavy-hitter redistribution;
-	// Redistributions counts rebalance rounds that moved at least one.
-	Migrations      *Counter
-	Redistributions *Counter
 	// DepCacheHits / DepCacheProbes report the detection engines' instance
 	// cache: a hit records a dependence instance with zero map operations.
 	// Published at sampled-batch granularity while the run is live, with the
@@ -411,8 +407,6 @@ func (r *Registry) Pipeline(prefix string) *Pipeline {
 		Chunks:               r.Counter(prefix + "_chunks_total"),
 		ChunksRecycled:       r.Counter(prefix + "_chunks_recycled_total"),
 		ChunksAllocated:      r.Counter(prefix + "_chunks_allocated_total"),
-		Migrations:           r.Counter(prefix + "_migrations_total"),
-		Redistributions:      r.Counter(prefix + "_redistributions_total"),
 		DepCacheHits:         r.Counter(prefix + "_dep_cache_hits_total"),
 		DepCacheProbes:       r.Counter(prefix + "_dep_cache_probes_total"),
 		DupCollapsed:         r.Counter(prefix + "_dup_collapsed_total"),

@@ -148,7 +148,7 @@ func (r *Reader) decodeWindow(win []byte, c *event.Chunk, contd bool) (slots, us
 			slots++
 			continue
 		}
-		if k > event.Flush && k != event.EpochMark {
+		if !pointKind(k) {
 			break
 		}
 		// Field order: zigzag dAddr, zigzag dTS, then uvarint Loc, Var,

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"testing/iotest"
@@ -217,6 +218,21 @@ func TestNextBatchCorrupt(t *testing.T) {
 			tc.mutate(mut)
 			checkBatchMatchesRecord(t, mut)
 		})
+	}
+}
+
+// TestRetiredKindsRefused: kind bytes 3, 4 and 6 (the retired redistribution
+// kinds, event.Kind) head no record: both decoder gears refuse them with the
+// same error, so none can reach a worker as a data access.
+func TestRetiredKindsRefused(t *testing.T) {
+	for _, k := range []byte{3, 4, 6} {
+		data := mixedTrace(t)
+		data[len(magic)] = k // the first record's kind byte
+		_, _, err := recordAll(data)
+		if want := fmt.Sprintf("trace: event 0: invalid kind %d", k); err == nil || err.Error() != want {
+			t.Errorf("kind %d: NextRecord error %v, want %q", k, err, want)
+		}
+		checkBatchMatchesRecord(t, data)
 	}
 }
 

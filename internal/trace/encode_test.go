@@ -174,7 +174,7 @@ func fuzzStream(data []byte) []fuzzRec {
 		switch op % 8 {
 		case 0, 1: // a point near the previous one
 			addr += uint64(int64(int8(sel))) * 8
-			a.Addr, a.TS, a.Kind = addr, ts, event.Kind(op>>3)%(event.Flush+1)
+			a.Addr, a.TS, a.Kind = addr, ts, [...]event.Kind{event.Read, event.Write, event.Remove, event.Flush}[op>>3&3]
 			out = append(out, fuzzRec{a: a})
 		case 2: // a point anywhere, time moving either way
 			addr, ts = u64(), u64()

@@ -329,15 +329,20 @@ func (r *Reader) NextRecord() (Record, error) {
 		rec.IsRange = true
 		return rec, err
 	}
-	if event.Kind(kb) > event.Flush && event.Kind(kb) != event.EpochMark {
-		// Rebalance control kinds (Migrate/Install/Hold/Promote) are
-		// pipeline-internal and never wire-legal; EpochMark is the one
-		// control record clients may embed to cut epochs at workload
-		// boundaries.
+	if !pointKind(event.Kind(kb)) {
 		return rec, fmt.Errorf("trace: event %d: invalid kind %d", r.n, kb)
 	}
 	rec.Access, err = r.readPoint(kb)
 	return rec, err
+}
+
+// pointKind reports whether k may head a DDT1 point record: the data kinds,
+// Flush (decodable; the daemon refuses it, an engine ignores it) and
+// EpochMark, the one control record clients may embed to cut epochs at
+// workload boundaries. Promote is pipeline-internal, and 3, 4 and 6 are
+// retired values (event.Kind) that must never reach a worker as data.
+func pointKind(k event.Kind) bool {
+	return k <= event.Remove || k == event.Flush || k == event.EpochMark
 }
 
 func (r *Reader) get() (uint64, error) {
