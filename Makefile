@@ -55,9 +55,11 @@ loc:
 # stage runs (FuzzSetMergeEquivalence guards production: core's merge is
 # dep.MergeShards), the engine's two store arms against each other on point
 # streams, the MT pipeline's batch seam against its per-event one, and the
-# backend spec parser every -backend flag and DDT1 handshake goes through.
+# backend spec parser every -backend flag and session handshake goes through.
 # Plain `go test` already replays each fuzzer's f.Add seeds and the corpora
-# committed under testdata/fuzz/ (the wire-facing decoders, minilang, vm).
+# committed under testdata/fuzz/ (the wire-facing decoders, minilang, vm). The
+# trace corpora are generated: after a wire change,
+# `go test ./internal/trace -run TestSeedCorpus -update` rewrites them.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzEngineArms -fuzztime=10s ./internal/core/
 	$(GO) test -run=^$$ -fuzz=FuzzMTBatchEquivalence -fuzztime=10s ./internal/core/

@@ -282,11 +282,12 @@ func ProfileUnion(builds []func() *Program, cfg Config) (*Result, error) {
 }
 
 // RecordTrace executes the program once, writing its full access stream to
-// w in the compact trace format. The trace can be profiled offline many
-// times with ProfileTrace — run once, analyze often. The recording hook is a
-// trace.SyncWriter — a mutex around a trace.Writer, so multi-threaded targets
-// record safely — and w receives whole records, in Writes of at most 64KiB,
-// each time the Writer's slab fills and once more at the end.
+// w in the DDT2 trace format (internal/trace: about four bytes an access).
+// The trace can be profiled offline many times with ProfileTrace — run once,
+// analyze often. The recording hook is a trace.SyncWriter — a mutex around a
+// trace.Writer, so multi-threaded targets record safely — and w receives
+// whole records, in Writes of at most 64KiB, each time the Writer's slab
+// fills and once more at the end.
 func RecordTrace(p *Program, w io.Writer) (events uint64, err error) {
 	tw, err := trace.NewWriter(w)
 	if err != nil {
@@ -302,11 +303,12 @@ func RecordTrace(p *Program, w io.Writer) (events uint64, err error) {
 	return sw.Count(), nil
 }
 
-// ProfileTrace replays a recorded trace through a serial profiler with the
-// configured store and returns the dependence set. Loop-carried
+// ProfileTrace replays a recorded DDT2 trace through a serial profiler with
+// the configured store and returns the dependence set. Loop-carried
 // classification needs the original program's loop table and is therefore
 // not available from a bare trace; all dependences, counts, thread IDs and
-// race flags are reproduced exactly.
+// race flags are reproduced exactly. A trace in the older DDT1 format is
+// refused with trace.ErrDDT1: record it again.
 func ProfileTrace(r io.Reader, cfg Config) (*dep.Set, error) {
 	slots := cfg.Slots
 	if slots <= 0 {

@@ -1,5 +1,5 @@
 // Trace record/replay: execute the target once while recording its memory
-// access stream, then profile the trace offline at several signature sizes
+// access stream (a DDT2 trace), then profile it offline at several signature sizes
 // — the run-once/analyze-often workflow behind the paper's Table I
 // methodology, without re-running the target.
 package main

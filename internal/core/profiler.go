@@ -103,7 +103,7 @@ type RunStats struct {
 	// decision record). The field stays only because the frozen bench/
 	// harness reads it; it goes with ROADMAP item 2.
 	Migrations uint64
-	// Ranges is the number of compressed strided data runs ingested (DDT1
+	// Ranges is the number of compressed strided data runs ingested (DDT2
 	// wire ranges); RangeElements the accesses they
 	// expanded into. Range elements count in Accesses and in every dependence
 	// count like any other access.

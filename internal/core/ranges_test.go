@@ -48,7 +48,7 @@ func (s *rangedStream) rng(r event.Range) {
 
 // compressRuns rewrites every maximal run of consecutive events that is a
 // Range — one instruction, constant address and iteration strides — as one:
-// the stride compression a DDT1 client may apply to what it sends.
+// the stride compression a DDT2 client may apply to what it sends.
 func compressRuns(evs []event.Access) *rangedStream {
 	s := &rangedStream{}
 	for i := 0; i < len(evs); {

@@ -11,8 +11,8 @@ import "ddprof/internal/loc"
 // Kind classifies a memory-access event.
 type Kind uint8
 
-// The numeric values are pinned: Read through Remove, RangeRef and EpochMark
-// are DDT1 wire bytes. 3, 4 and 6 were the kinds of the retired run-time
+// The numeric values are pinned: they are the kind bytes of DDT2 define,
+// control and range records. 3, 4 and 6 were the kinds of the retired run-time
 // redistribution protocol and stay reserved; the decoders refuse them.
 const (
 	// Read is a load from memory.
@@ -43,7 +43,7 @@ const (
 	// the new epoch number, and each worker that processes the mark extracts
 	// an epoch-delta (dependences whose aggregates advanced since the last
 	// mark) from its dependence set without pausing the pipeline. Unlike the
-	// other control kinds, EpochMark is wire-legal in DDT1 traces so clients
+	// other control kinds, EpochMark is wire-legal in DDT2 traces so clients
 	// can cut epochs at workload-meaningful boundaries; the daemon's ticker
 	// injects the same record server-side.
 	EpochMark Kind = 9
@@ -222,9 +222,11 @@ func (c *Chunk) Reset() {
 
 // PackIterVec packs the iteration counters of the enclosing loops, deepest
 // last in iters, into a 64-bit vector: the deepest loop occupies bits 0–15,
-// its parent bits 16–31, and so on. Only the four innermost loops are kept;
+// its parent bits 16–31, and so on. Only the four innermost loops are kept and
 // counters are truncated to 16 bits, which is exact for the workloads in this
-// repository and degrades to a conservative hash beyond that.
+// repository. Beyond that it is wrong, not conservative: iterations i and
+// i+65,536 compare equal, so a dependence carried across them is reported as
+// not carried, and a fifth enclosing loop is not seen at all (ROADMAP 7b).
 func PackIterVec(iters []uint32) uint64 {
 	var v uint64
 	n := len(iters)

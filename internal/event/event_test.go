@@ -20,9 +20,8 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// TestWireKindValues pins the numeric kinds: Read, Write, Remove, RangeRef and
-// EpochMark are DDT1 record bytes, so a trace recorded before the
-// redistribution kinds (3, 4, 6) were retired must decode to the same events.
+// TestWireKindValues pins the numeric kinds: they are DDT2 kind bytes, and 3,
+// 4 and 6, the retired redistribution kinds, must stay unassigned.
 func TestWireKindValues(t *testing.T) {
 	want := map[Kind]uint8{Read: 0, Write: 1, Remove: 2, Flush: 5, RangeRef: 7, Promote: 8, EpochMark: 9}
 	for k, v := range want {

@@ -45,7 +45,7 @@ func varID(t *testing.T, p *minilang.Program, name string) loc.VarID {
 }
 
 // TestRemoteHybridSession is the end-to-end acceptance check for the
-// backend layer: a remote session selecting the hybrid store over the DDT1
+// backend layer: a remote session selecting the hybrid store over the DDT2
 // handshake must pass daemon admission, produce a profile whose heavy-hitter
 // (reduction-variable) dependences exactly match the exact backend's, and
 // keep the session's total store bytes under the daemon budget.

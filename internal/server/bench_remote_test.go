@@ -20,11 +20,12 @@ import (
 // benchIngestStream synthesizes the dependence-dense hot-loop shape the
 // pipeline benchmarks use (a carried RAW chain, an in-iteration duplicate
 // read, a reduction RAW), with one extra property: the final record lands on
-// address 0 with timestamp 0, which is exactly the delta-encoder's initial
-// state. One encoded pass of the stream therefore replays byte-identically
-// any number of times — the benchmark repeats the same body bytes without
-// address drift, so the profile (and the per-event cost) reaches a steady
-// state instead of growing with b.N.
+// address 0 with iteration vector 0, which is exactly the encoder's initial
+// stream context, and every site's define record is in the pass, restarting
+// its address from that context. One encoded pass of the stream therefore
+// replays byte-identically any number of times — the benchmark repeats the
+// same body bytes without address drift, so the profile (and the per-event
+// cost) reaches a steady state instead of growing with b.N.
 func benchIngestStream(events int) ([]event.Access, *prog.Meta) {
 	m := prog.NewMeta()
 	l := m.AddLoop(prog.Loop{Name: "hot"})
@@ -50,13 +51,13 @@ func benchIngestStream(events int) ([]event.Access, *prog.Meta) {
 		)
 	}
 	evs = evs[:events]
-	// Reset record: returns the delta coder to its initial (addr 0, ts 0)
-	// state so the encoded pass is replayable.
+	// Reset record: returns the stream context to its initial (addr 0,
+	// iteration vector 0) state so the encoded pass is replayable.
 	evs = append(evs, event.Access{Addr: 0, Kind: event.Read, Loc: loc.Pack(1, 15), CtxID: ctx})
 	return evs, m
 }
 
-// encodeIngestPass serializes one pass of the stream as DDT1 bytes and
+// encodeIngestPass serializes one pass of the stream as DDT2 bytes and
 // returns (full, body): full includes the 4-byte magic, body is the record
 // bytes alone, suitable for appending to an already-open stream.
 func encodeIngestPass(stream []event.Access) (full, body []byte, err error) {
@@ -93,7 +94,7 @@ func streamIngestFrames(fw *trace.FrameWriter, p []byte) error {
 }
 
 // BenchmarkRemoteIngest measures the daemon's ingest path end to end —
-// handshake, framed DDT1 stream, profiling, response — against an in-process
+// handshake, framed DDT2 stream, profiling, response — against an in-process
 // twin running the identical event stream through the same pipeline
 // configuration. The remote/inproc ratio is the cost of the wire; ddbench's
 // remote-session workload is the number of record.

@@ -57,6 +57,12 @@ type RemoteResult struct {
 	// MT reports that the target can spawn threads: its trace carried
 	// timestamps, the session checked races, and the dependences name threads.
 	MT bool
+	// SiteDefines is the number of define records the trace carried, and
+	// SiteRedefines how many of them evicted another site from its slot
+	// (trace.Writer.SiteDefines): a trace near one define per event has hot
+	// sites colliding in the encoder's table. The daemon counts the same pair
+	// on its side of the wire (<pipeline>_trace_site_defines_total).
+	SiteDefines, SiteRedefines uint64
 }
 
 // Dial connects to a ddprofd daemon. addr is either "unix:/path/to.sock" or
@@ -122,7 +128,7 @@ func ProfileRemote(conn net.Conn, p *minilang.Program, opt ClientOptions) (*Remo
 	if _, err := dc.Write(hs.Bytes()); err != nil {
 		return nil, fmt.Errorf("server: sending handshake: %w", err)
 	}
-	records, events, err := streamTrace(dc, p, opt)
+	res, err := streamTrace(dc, p, opt)
 	if err != nil {
 		// A daemon that refuses or evicts a session answers and hangs up
 		// without reading on, which fails a later frame write; its verdict
@@ -148,13 +154,8 @@ func ProfileRemote(conn net.Conn, p *minilang.Program, opt ClientOptions) (*Remo
 	if err != nil {
 		return nil, fmt.Errorf("server: decoding profile: %w", err)
 	}
-	return &RemoteResult{
-		Deps:        set,
-		Tab:         tab,
-		LoopRecords: records,
-		Events:      events,
-		MT:          !spawnFree(p),
-	}, nil
+	res.Deps, res.Tab = set, tab
+	return res, nil
 }
 
 // clientHandshake builds the session preamble for p.
@@ -250,19 +251,20 @@ func Watch(conn net.Conn, opt WatchOptions, fn func(trace.DeltaFrame) error) err
 // takes its non-atomic arena path on.
 func spawnFree(p *minilang.Program) bool { return len(minilang.Resolve(p).Spawns) == 0 }
 
-// streamTrace executes p, streaming its framed DDT1 trace to w, and
-// terminates the stream. The recording hook is the trace.Writer itself, whose
-// slab is the frame: the executor hands it thread-private batches
+// streamTrace executes p, streaming its framed DDT2 trace to w, and
+// terminates the stream; it returns the client's half of the result. The
+// recording hook is the trace.Writer itself, whose slab is the frame: the
+// executor hands it thread-private batches
 // (AccessBatch), and each full slab reaches w as one length-prefixed,
 // record-aligned frame of at most opt.FrameBytes, with no buffering in
 // between. A program that can spawn gets the SyncWriter around it — one lock
 // per batch serializes the target's threads — and sync-epoch timestamps; a
 // spawn-free one pays for neither.
-func streamTrace(w io.Writer, p *minilang.Program, opt ClientOptions) ([]dep.LoopRecord, uint64, error) {
+func streamTrace(w io.Writer, p *minilang.Program, opt ClientOptions) (*RemoteResult, error) {
 	fw := trace.NewFrameWriter(w)
 	tw, err := trace.NewWriterSize(fw, opt.FrameBytes)
 	if err != nil {
-		return nil, 0, fmt.Errorf("server: opening trace stream: %w", err)
+		return nil, fmt.Errorf("server: opening trace stream: %w", err)
 	}
 	var hook event.Hook = tw
 	mt := !spawnFree(p)
@@ -271,14 +273,15 @@ func streamTrace(w io.Writer, p *minilang.Program, opt ClientOptions) ([]dep.Loo
 	}
 	info, err := vm.Run(p, hook, interp.Options{Timestamps: mt, YieldEvery: opt.SchedulerFuzz})
 	if err != nil {
-		return nil, 0, fmt.Errorf("server: target run: %w", err)
+		return nil, fmt.Errorf("server: target run: %w", err)
 	}
-	events := tw.Count()
+	res := &RemoteResult{LoopRecords: info.LoopRecords, Events: tw.Count(), MT: mt}
+	res.SiteDefines, res.SiteRedefines = tw.SiteDefines()
 	if err := tw.Close(); err != nil {
-		return nil, 0, fmt.Errorf("server: streaming trace: %w", err)
+		return nil, fmt.Errorf("server: streaming trace: %w", err)
 	}
 	if err := fw.Close(); err != nil {
-		return nil, 0, fmt.Errorf("server: finishing stream: %w", err)
+		return nil, fmt.Errorf("server: finishing stream: %w", err)
 	}
-	return info.LoopRecords, events, nil
+	return res, nil
 }

@@ -40,13 +40,19 @@ func FuzzSession(f *testing.F) {
 	// Handshake, then a frame claiming more bytes than follow.
 	var trunc bytes.Buffer
 	writeHandshake(&trunc, clientHandshake(p, ClientOptions{}))
-	trunc.Write([]byte{0x80, 0x02, 'D', 'D', 'T', '1'})
+	trunc.Write([]byte{0x80, 0x02, 'D', 'D', 'T', '2'})
 	f.Add(trunc.Bytes())
-	// Handshake, then a trace carrying a pipeline control kind.
+	// Handshake, then a trace carrying a pipeline control kind: a Flush as a
+	// DDT2 control record.
 	var ctrl bytes.Buffer
 	writeHandshake(&ctrl, clientHandshake(p, ClientOptions{}))
-	ctrl.Write([]byte{14, 'D', 'D', 'T', '1', 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	ctrl.Write([]byte{14, 'D', 'D', 'T', '2', 5, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(ctrl.Bytes())
+	// Handshake, then a trace in the retired format.
+	var ddt1 bytes.Buffer
+	writeHandshake(&ddt1, clientHandshake(p, ClientOptions{}))
+	ddt1.Write([]byte{4, 'D', 'D', 'T', '1', 0})
+	f.Add(ddt1.Bytes())
 	f.Add([]byte("DDRPxxxx"))
 	f.Add([]byte{})
 

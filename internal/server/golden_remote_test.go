@@ -37,7 +37,7 @@ func mtProgram() *minilang.Program {
 	return p
 }
 
-// captureTrace executes p once and returns its framed DDT1 trace — the exact
+// captureTrace executes p once and returns its framed DDT2 trace — the exact
 // bytes a ProfileRemote client would put on the wire, compaction included.
 func captureTrace(t *testing.T, p *minilang.Program) []byte {
 	t.Helper()
@@ -122,7 +122,7 @@ func replayTrace(t *testing.T, prof core.Profiler, raw []byte) {
 // {serial, parallel, MT-timestamped} sessions × {signature, hybrid} stores,
 // a remote session's dependence set must encode byte-identically to an
 // in-process profiler mirroring the session's exact pipeline config. This
-// pins the whole ingest path — client compaction, DDT1 framing, the batched
+// pins the whole ingest path — client compaction, DDT2 framing, the batched
 // decoder with its duplicate collapse, and the bulk-ingest seam — to the
 // local semantics.
 func TestRemoteLocalGoldenMatrix(t *testing.T) {
@@ -237,7 +237,7 @@ func TestRemoteLocalGoldenMatrix(t *testing.T) {
 	}
 }
 
-// TestRemoteRangesAreTheirPoints: a session fed a hand-built DDT1 stream
+// TestRemoteRangesAreTheirPoints: a session fed a hand-built DDT2 stream
 // with range records profiles byte-identically to a local twin of the
 // session's pipeline fed the expanded stream one Access at a time — over a
 // signature small enough for the stream's addresses to collide — and counts

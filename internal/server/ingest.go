@@ -1,7 +1,7 @@
 package server
 
 // The two-stage session ingest pipeline. Stage 1 (the socket goroutine)
-// reads length-prefixed DDT1 frames into pooled payload buffers; stage 2
+// reads length-prefixed DDT2 frames into pooled payload buffers; stage 2
 // (the decode goroutine) batch-decodes them into event chunks via
 // trace.Reader.NextBatch, reading straight out of the pooled buffers; the
 // session goroutine validates each batch and feeds it to the pipeline's
@@ -79,6 +79,9 @@ type ingest struct {
 
 	readErr   error // stage-1 terminal error; written before frames closes
 	decodeErr error // stage-2 terminal error; written before out closes
+	// The decoder's define-record counts (trace.Reader.SiteDefines), written
+	// before out closes.
+	defines, redefines uint64
 
 	reused atomic.Uint64
 	fresh  atomic.Uint64
@@ -196,6 +199,7 @@ func (ing *ingest) decode() {
 		}
 		if err != nil {
 			ing.decodeErr = err // io.EOF for a clean stream
+			ing.defines, ing.redefines = tr.SiteDefines()
 			return
 		}
 	}

@@ -1,5 +1,5 @@
 // Package server implements ddprofd, the concurrent data-dependence
-// profiling service: a long-lived daemon that accepts recorded DDT1 trace
+// profiling service: a long-lived daemon that accepts recorded DDT2 trace
 // streams over TCP or Unix sockets, runs one profiling pipeline
 // (internal/core) per client session, and returns the merged dependence set
 // in the compact DDP1 binary profile codec (internal/dep).
@@ -21,7 +21,7 @@
 //	  meta    (1 byte present flag; when 1, the loop table and loop-context
 //	          registry of the target — see writeMeta)
 //	  frames  (uvarint length + payload, repeated; zero length terminates)
-//	          — the concatenated payloads form one DDT1 trace stream
+//	          — the concatenated payloads form one DDT2 trace stream
 //
 //	server → client:
 //	  status  (1 byte): 0 ok, 1 error

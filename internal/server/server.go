@@ -745,6 +745,8 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 			return nil, err
 		}
 	}
+	s.pipe.TraceSiteDefines.Add(ing.defines)
+	s.pipe.TraceSiteRedefines.Add(ing.redefines)
 	if err := ing.err(); err != nil {
 		return nil, fmt.Errorf("trace stream: %w", err)
 	}

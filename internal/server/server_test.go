@@ -374,7 +374,7 @@ func TestShutdownDrain(t *testing.T) {
 	if err := writeHandshake(bw, clientHandshake(p, ClientOptions{Backend: "perfect"})); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := streamTrace(bw, p, ClientOptions{}); err != nil {
+	if _, err := streamTrace(bw, p, ClientOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {

@@ -320,11 +320,17 @@ type Pipeline struct {
 	// into repetition counts before chunking; events_total + dup_collapsed
 	// equals the logical access count.
 	DupCollapsed *Counter
-	// Ranges counts ingested wire ranges (DDT1 range records); RangeElements
+	// Ranges counts ingested wire ranges (trace range records); RangeElements
 	// the accesses they expanded into at the ingest seam. Range elements are already included in Events — these counters
 	// measure what the client compressed, not extra traffic.
 	Ranges        *Counter
 	RangeElements *Counter
+	// TraceSiteDefines counts the define records remote sessions decoded
+	// (trace.Reader.SiteDefines), TraceSiteRedefines those that evicted another
+	// site from its slot; a session publishes its pair at flush. Redefines
+	// near events_total mean clients' hot sites collide in the wire's table.
+	TraceSiteDefines   *Counter
+	TraceSiteRedefines *Counter
 	// QueueDepth[i] is the last queue depth observed for worker i at chunk
 	// push time (including the chunk just pushed); QueueDepthMax is the
 	// high-water mark across all workers.
@@ -412,6 +418,8 @@ func (r *Registry) Pipeline(prefix string) *Pipeline {
 		DupCollapsed:         r.Counter(prefix + "_dup_collapsed_total"),
 		Ranges:               r.Counter(prefix + "_ranges_total"),
 		RangeElements:        r.Counter(prefix + "_range_elements_total"),
+		TraceSiteDefines:     r.Counter(prefix + "_trace_site_defines_total"),
+		TraceSiteRedefines:   r.Counter(prefix + "_trace_site_redefines_total"),
 		QueueDepthMax:        r.Gauge(prefix + "_queue_depth_max"),
 		SigOccupancyPermille: r.Gauge(prefix + "_sig_occupancy_permille"),
 		StageProduceNs:       r.Histogram(prefix + "_stage_produce_ns"),

@@ -1,27 +1,27 @@
 package trace
 
-// Batched decode: NextBatch turns a stretch of DDT1 bytes into one
+// Batched decode: NextBatch turns a stretch of DDT2 bytes into one
 // event.Chunk — point records as chunk slots, range records in the chunk's
 // side table behind RangeRef slots — which is exactly the layout the pipeline
 // producers build in memory. A remote session can therefore hand decoded
 // batches to a pipeline's bulk-ingest seam with no per-record interface
 // dispatch and no intermediate copies.
 //
-// The decoder has two gears. Whole records inside the input's buffered window
-// (bufio's, or the daemon's pooled frame) are decoded flat out of the window
-// slice with an inlined varint fast path. Records that cross a window edge —
-// and any byte sequence that fails validation — fall back to the
-// byte-at-a-time NextRecord decoder, which already handles blocking,
-// stitching across frames, and error reporting; the windowed path commits
-// only fully valid records, so every error NextBatch can return is
-// byte-for-byte a NextRecord error.
+// The decoder has two gears. Data records — the bulk of every trace — that lie
+// whole inside the input's buffered window (bufio's, or the daemon's pooled
+// frame) are decoded flat out of the window slice with an inlined varint fast
+// path. Every other record type is read by the byte-at-a-time decoder (step),
+// from the window when it is whole there; records that cross a window edge —
+// and any byte sequence that fails validation — go to the same decoder on the
+// stream itself, which already handles blocking, stitching across frames, and
+// error reporting. Both gears commit only fully valid records, so every error
+// NextBatch can return is byte-for-byte a NextRecord error.
 
 import (
 	"encoding/binary"
 	"io"
 
 	"ddprof/internal/event"
-	"ddprof/internal/loc"
 )
 
 // ByteScanner is the input surface Reader decodes from: byte reads for the
@@ -68,8 +68,8 @@ func (r *Reader) NextBatch(c *event.Chunk) (int, error) {
 				r.br.Discard(used)
 			}
 			appended += m
-			if m > 0 {
-				continue
+			if used > 0 {
+				continue // define and stamp records alone are progress too
 			}
 			// The leading record crosses the window edge or fails to
 			// validate: resolve it byte-at-a-time below.
@@ -78,17 +78,34 @@ func (r *Reader) NextBatch(c *event.Chunk) (int, error) {
 		if err != nil {
 			return appended, err
 		}
-		if rec.IsRange {
-			idx := c.AppendRange(rec.Range)
-			c.Append(event.Access{Addr: uint64(idx), Kind: event.RangeRef})
-		} else {
-			if rec.Access.Kind > event.Remove {
-				r.batchCtl = true
-			}
-			c.Append(rec.Access)
-		}
+		r.emit(c, &rec)
 		appended++
 	}
+}
+
+// emit appends rec to c the way NextBatch lays a chunk out.
+func (r *Reader) emit(c *event.Chunk, rec *Record) {
+	if rec.IsRange {
+		c.Append(event.Access{Addr: uint64(c.AppendRange(rec.Range)), Kind: event.RangeRef})
+		return
+	}
+	r.batchCtl = r.batchCtl || rec.Access.Kind > event.Remove
+	c.Append(rec.Access)
+}
+
+// window is the io.ByteReader step reads a record from when decodeWindow
+// meets one that is not a data record.
+type window struct {
+	b   []byte
+	pos int
+}
+
+func (w *window) ReadByte() (byte, error) {
+	if w.pos >= len(w.b) {
+		return 0, io.EOF
+	}
+	w.pos++
+	return w.b[w.pos-1], nil
 }
 
 // BatchControl reports whether the batch decoded by the most recent NextBatch
@@ -100,15 +117,16 @@ func (r *Reader) BatchControl() bool { return r.batchCtl }
 
 // decodeWindow decodes whole records from win into c until the window or the
 // chunk runs out, or a record cannot be decoded from the bytes in hand. It
-// returns the slots appended and the bytes consumed.
+// returns the slots appended and the bytes consumed; define and stamp records
+// are consumed without a slot.
 //
-// Point records — the bulk of every trace — are decoded by the fused loop
-// body itself: the chunk cursor and the delta-decode context live in locals,
-// each field takes one compare on the single-byte-varint fast path, and the
-// record is written straight into its chunk slot. Only range records
-// (sliceRange) call out. Like the helpers the loop commits only fully valid
-// records, so the byte-at-a-time decoder remains the single source of
-// blocking and error text.
+// Data records are decoded by the loop body itself: the chunk cursor and the
+// stream context live in locals, the site is one table load, each delta takes
+// one compare on the single-byte-varint fast path, and the event is written
+// straight into its chunk slot; a stamp record is one varint more. The other
+// record types are rare and go through step, with the context synced around
+// the call; what step cannot finish inside the window is left for NextRecord
+// to finish on the stream.
 //
 // contd reports whether the calling NextBatch has already appended to c: the
 // duplicate filter may then fold a leading duplicate read into the chunk's
@@ -117,235 +135,113 @@ func (r *Reader) BatchControl() bool { return r.batchCtl }
 func (r *Reader) decodeWindow(win []byte, c *event.Chunk, contd bool) (slots, used int) {
 	evs := c.Events[:cap(c.Events)]
 	ne := len(c.Events)
-	prevAddr, prevTS := r.prev.Addr, r.prev.TS
-	lastPoint := -1 // chunk index of the newest fast-path point record
-	lastSlot := -1  // chunk index of the newest slot appended this batch
+	prevAddr, prevIter, ts := r.prevAddr, r.prevIter, r.ts
+	lastSlot := -1 // chunk index of the newest slot appended this batch
 	if contd {
 		lastSlot = ne - 1
 	}
-	points := uint64(0) // record count to fold into r.n on exit
+	points := uint64(0) // data records to fold into r.n on exit
 	for used < len(win) && ne < len(evs) {
 		b := win[used:]
-		k := event.Kind(b[0])
-		if k == event.RangeRef {
-			// Ranges decode against Reader state, so sync the local
-			// cursor and delta context around the call.
-			c.Events = evs[:ne]
-			r.prev.Addr, r.prev.TS = prevAddr, prevTS
-			r.n += points
-			points = 0
-			if c.RangesFull() {
-				break
-			}
-			n := r.sliceRange(b, c)
-			ne = len(c.Events)
-			prevAddr, prevTS = r.prev.Addr, r.prev.TS
-			if n == 0 {
-				break
-			}
-			lastSlot = ne - 1
-			used += n
-			slots++
-			continue
-		}
-		if !pointKind(k) {
-			break
-		}
-		// Field order: zigzag dAddr, zigzag dTS, then uvarint Loc, Var,
-		// CtxID, IterVec, Thread, then the flags byte. Continuation bytes
-		// decode inline too — multi-byte Loc and address jumps are routine —
-		// with binary.Uvarint's exact overflow rules, so the fast path never
-		// accepts bytes the slow path would reject.
-		var fv [7]uint64
-		pos := 1
-		for f := 0; f < 7; f++ {
-			if pos >= len(b) {
-				pos = 0
-				break
-			}
-			v := uint64(b[pos])
-			pos++
-			if v >= 0x80 {
-				v &= 0x7f
-				shift := 7
-				for {
-					if pos >= len(b) || shift > 63 {
-						pos = 0
-						break
-					}
-					cb := b[pos]
-					pos++
-					if cb < 0x80 {
-						if shift == 63 && cb > 1 {
-							pos = 0 // overflows 64 bits
-							break
-						}
-						v |= uint64(cb) << shift
-						break
-					}
-					v |= uint64(cb&0x7f) << shift
-					shift += 7
-				}
-				if pos == 0 {
+		if b[0]&1 != 0 {
+			if b[0] == recStamp { // as often as a threaded target synchronises
+				d, n := binary.Uvarint(b[1:])
+				if n <= 0 {
 					break
 				}
+				ts += uint64(unzig(d))
+				used += 1 + n
+				continue
 			}
-			fv[f] = v
+			if b[0] == recRange && c.RangesFull() {
+				break
+			}
+			r.prevAddr, r.prevIter, r.ts = prevAddr, prevIter, ts
+			r.win = window{b: b}
+			rec, events, err := r.step(&r.win)
+			prevAddr, prevIter, ts = r.prevAddr, r.prevIter, r.ts
+			if err != nil {
+				break
+			}
+			used += r.win.pos
+			if events {
+				c.Events = evs[:ne]
+				r.emit(c, &rec)
+				lastSlot = ne
+				ne++
+				slots++
+			}
+			continue
 		}
-		if pos == 0 || pos >= len(b) {
+		// A data record: two header bytes and two zigzag deltas, decoded with
+		// binary.Uvarint's exact overflow rules, so the fast path never
+		// accepts bytes the slow path would reject.
+		if len(b) < 4 {
 			break
 		}
-		fb := b[pos]
+		slot := uint(b[0])>>1 | uint(b[1])<<7
+		if slot >= siteSlots {
+			break
+		}
+		s := &r.sites[slot]
+		if !s.live {
+			break
+		}
+		dAddr, pos := uint64(b[2]), 3
+		if dAddr >= 0x80 {
+			var n int
+			if dAddr, n = binary.Uvarint(b[2:]); n <= 0 {
+				break
+			}
+			pos = 2 + n
+		}
+		if pos >= len(b) {
+			break
+		}
+		dIter := uint64(b[pos])
 		pos++
-		if event.Flags(fb)&^(event.FlagReduction|event.FlagInduction) != 0 {
-			break
+		if dIter >= 0x80 {
+			var n int
+			if dIter, n = binary.Uvarint(b[pos-1:]); n <= 0 {
+				break
+			}
+			pos += n - 1
 		}
-		prevAddr = uint64(int64(prevAddr) + (int64(fv[0]>>1) ^ -int64(fv[0]&1)))
-		prevTS = uint64(int64(prevTS) + (int64(fv[1]>>1) ^ -int64(fv[1]&1)))
-		if k == event.Read && lastSlot >= 0 {
+		if dAddr|dIter == 0 && s.kind == event.Read && lastSlot >= 0 {
 			// Duplicate filter, mirroring the producer's: a read identical
 			// to the chunk's previous slot folds into that slot's repetition
 			// count instead of occupying a slot and an engine dispatch of
 			// its own. The engine replays the multiplicity, so the profile
 			// stays byte-identical to the uncollapsed stream; an EpochMark
 			// or range slot in between blocks the merge, which keeps epoch
-			// attribution and ordering exact.
-			if last := &evs[lastSlot]; last.Kind == event.Read && last.Rep != event.MaxRep &&
-				last.Addr == prevAddr && last.TS == prevTS &&
-				last.Loc == loc.SourceLoc(fv[2]) && last.Var == loc.VarID(fv[3]) &&
-				last.CtxID == uint32(fv[4]) && last.IterVec == fv[5] &&
-				last.Thread == int32(fv[6]) && last.Flags == event.Flags(fb) {
+			// attribution and ordering exact. (Two zero deltas are what a
+			// repeat looks like on the wire; the compare decides.)
+			if last := &evs[lastSlot]; last.Addr == s.last && last.TS == ts && last.IterVec == prevIter &&
+				last.Rep != event.MaxRep && s.holds(last) {
 				last.Rep++
+				prevAddr = s.last
 				points++
 				used += pos
 				continue
 			}
 		}
-		evs[ne] = event.Access{
-			Addr:    prevAddr,
-			TS:      prevTS,
-			Loc:     loc.SourceLoc(fv[2]),
-			Var:     loc.VarID(fv[3]),
-			CtxID:   uint32(fv[4]),
-			IterVec: fv[5],
-			Thread:  int32(fv[6]),
-			Kind:    k,
-			Flags:   event.Flags(fb),
-		}
-		if k > event.Remove {
-			r.batchCtl = true
-		}
-		lastPoint = ne
+		s.last += uint64(unzig(dAddr))
+		prevAddr = s.last
+		prevIter += uint64(unzig(dIter))
+		// Field by field: a composite literal is built on the stack and
+		// copied out in 16-byte moves that wait on its narrower stores.
+		e := &evs[ne]
+		e.Addr, e.TS, e.IterVec = prevAddr, ts, prevIter
+		e.Loc, e.Var, e.CtxID, e.Thread = s.loc, s.vr, s.ctx, s.thread
+		e.Kind, e.Flags, e.Rep = s.kind, s.flags, 0
 		lastSlot = ne
 		ne++
 		points++
 		used += pos
 		slots++
 	}
-	// Commit the local decode context. NextRecord keeps the whole previous
-	// point record in r.prev (though only Addr and TS feed the deltas), so
-	// restore that exact state: the newest point record wholesale, then the
-	// final delta context on top (a trailing range only advances Addr/TS).
-	if lastPoint >= 0 {
-		r.prev = evs[lastPoint]
-	}
-	r.prev.Addr, r.prev.TS = prevAddr, prevTS
+	r.prevAddr, r.prevIter, r.ts = prevAddr, prevIter, ts
 	r.n += points
 	c.Events = evs[:ne]
 	return slots, used
-}
-
-// sliceUvarint is binary.Uvarint with a fast path for the single-byte
-// varints that dominate DDT1 records. n == 0 covers both truncation and
-// overflow; the caller defers either to the byte-at-a-time decoder.
-func sliceUvarint(b []byte) (uint64, int) {
-	if len(b) > 0 && b[0] < 0x80 {
-		return uint64(b[0]), 1
-	}
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, 0
-	}
-	return v, n
-}
-
-func sliceZigzag(b []byte) (int64, int) {
-	u, n := sliceUvarint(b)
-	return int64(u>>1) ^ -int64(u&1), n
-}
-
-// sliceRange decodes one range record (RangeRef kind byte included) from the
-// head of b, installing it in the chunk's side table behind a RangeRef slot.
-// Like slicePoint it commits only fully valid records and returns 0 for
-// anything else.
-func (r *Reader) sliceRange(b []byte, c *event.Chunk) int {
-	if len(b) < 2 {
-		return 0
-	}
-	var rg event.Range
-	if k := event.Kind(b[1]); k != event.Read && k != event.Write {
-		return 0
-	}
-	rg.Kind = event.Kind(b[1])
-	pos := 2
-	dBase, n := sliceZigzag(b[pos:])
-	if n == 0 {
-		return 0
-	}
-	pos += n
-	stride, n := sliceZigzag(b[pos:])
-	if n == 0 {
-		return 0
-	}
-	pos += n
-	cnt, n := sliceUvarint(b[pos:])
-	if n == 0 {
-		return 0
-	}
-	pos += n
-	if cnt < 2 || cnt > maxWireRangeCount {
-		return 0
-	}
-	rg.Base = uint64(int64(r.prev.Addr) + dBase)
-	rg.Stride = uint64(stride)
-	rg.Count = uint32(cnt)
-	if rangeWraps(rg.Base, stride, rg.Count) {
-		return 0
-	}
-	dTS, n := sliceZigzag(b[pos:])
-	if n == 0 {
-		return 0
-	}
-	pos += n
-	rg.TS = uint64(int64(r.prev.TS) + dTS)
-	var vals [6]uint64
-	for i := range vals {
-		v, vn := sliceUvarint(b[pos:])
-		if vn == 0 {
-			return 0
-		}
-		vals[i] = v
-		pos += vn
-	}
-	if pos >= len(b) {
-		return 0
-	}
-	fb := b[pos]
-	pos++
-	if event.Flags(fb)&^(event.FlagReduction|event.FlagInduction) != 0 {
-		return 0
-	}
-	rg.Loc = loc.SourceLoc(vals[0])
-	rg.Var = loc.VarID(vals[1])
-	rg.CtxID = uint32(vals[2])
-	rg.IterVec = vals[3]
-	rg.IterDelta = vals[4]
-	rg.Thread = int32(vals[5])
-	rg.Flags = event.Flags(fb)
-	idx := c.AppendRange(rg)
-	c.Append(event.Access{Addr: uint64(idx), Kind: event.RangeRef})
-	r.prev.Addr = rg.Last()
-	r.prev.TS = rg.TS
-	r.n += uint64(rg.Count)
-	return pos
 }

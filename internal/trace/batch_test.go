@@ -34,7 +34,9 @@ func recordAll(data []byte) ([]Record, uint64, error) {
 // flattens the chunks back to records: RangeRef slots pull their range from
 // the side table, and collapsed reads (Rep > 0) expand to 1+Rep identical
 // records, so the result is comparable record-for-record with recordAll.
-func batchAll(tr *Reader, err error) ([]Record, uint64, error) {
+// Along the way it holds BatchControl to its contract: true exactly for a
+// batch that holds a control record.
+func batchAll(t *testing.T, tr *Reader, err error) ([]Record, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
@@ -43,11 +45,13 @@ func batchAll(tr *Reader, err error) ([]Record, uint64, error) {
 	for {
 		c.Reset()
 		_, err := tr.NextBatch(c)
+		ctl := false
 		for _, a := range c.Events {
 			if a.Kind == event.RangeRef {
 				recs = append(recs, Record{Range: c.Ranges[a.Addr], IsRange: true})
 				continue
 			}
+			ctl = ctl || a.Kind > event.Remove
 			rep := a.Rep
 			a.Rep = 0
 			for j := uint16(0); ; j++ {
@@ -57,29 +61,91 @@ func batchAll(tr *Reader, err error) ([]Record, uint64, error) {
 				}
 			}
 		}
+		if tr.BatchControl() != ctl {
+			t.Fatalf("BatchControl() = %v for a batch whose slots say %v", tr.BatchControl(), ctl)
+		}
 		if err != nil {
 			return recs, tr.Count(), err
 		}
 	}
 }
 
-// checkBatchMatchesRecord decodes data both ways across four scanner shapes
-// (full window, 16-byte windows that split records, an in-memory reader, and
-// no window at all) and requires identical records, counts, and end-of-stream
-// errors.
-func checkBatchMatchesRecord(t *testing.T, data []byte) {
-	t.Helper()
-	want, wantN, wantErr := recordAll(data)
-	scanners := map[string]func() (*Reader, error){
-		// A source that trickles one byte per Read never has a whole record
-		// buffered: that shape exercises the pure byte-at-a-time path.
+// frames is a ByteScanner over a stream that arrives in pieces, the shape of
+// the daemon's pooled frame ring: the window never reaches past the current
+// piece, and a byte read at its end moves on to the next.
+type frames struct {
+	rest [][]byte
+	cur  []byte
+}
+
+func (f *frames) fill() bool {
+	for len(f.cur) == 0 {
+		if len(f.rest) == 0 {
+			return false
+		}
+		f.cur, f.rest = f.rest[0], f.rest[1:]
+	}
+	return true
+}
+
+func (f *frames) ReadByte() (byte, error) {
+	if !f.fill() {
+		return 0, io.EOF
+	}
+	b := f.cur[0]
+	f.cur = f.cur[1:]
+	return b, nil
+}
+
+func (f *frames) Read(p []byte) (int, error) {
+	if !f.fill() {
+		return 0, io.EOF
+	}
+	n := copy(p, f.cur)
+	f.cur = f.cur[n:]
+	return n, nil
+}
+
+func (f *frames) Buffered() int { return len(f.cur) }
+
+func (f *frames) Peek(n int) ([]byte, error) { return f.cur[:min(n, len(f.cur))], nil }
+
+func (f *frames) Discard(n int) (int, error) {
+	n = min(n, len(f.cur))
+	f.cur = f.cur[n:]
+	return n, nil
+}
+
+// scannerShapes are the inputs NextBatch is held to NextRecord through: a
+// full window, 16-byte windows that split records, an in-memory reader
+// (NewReader supplies the window), no window at all (a source that trickles
+// one byte per Read never has a whole record buffered: the pure
+// byte-at-a-time path), and two frames meeting at edge.
+func scannerShapes(data []byte, edge int) map[string]func() (*Reader, error) {
+	edge = min(max(edge, 0), len(data))
+	return map[string]func() (*Reader, error){
 		"window":      func() (*Reader, error) { return NewReader(bufio.NewReader(bytes.NewReader(data))) },
 		"tiny-window": func() (*Reader, error) { return NewReader(bufio.NewReaderSize(bytes.NewReader(data), 16)) },
 		"in-memory":   func() (*Reader, error) { return NewReader(bytes.NewReader(data)) },
 		"no-window":   func() (*Reader, error) { return NewReader(iotest.OneByteReader(bytes.NewReader(data))) },
+		"two-frames":  func() (*Reader, error) { return NewReader(&frames{rest: [][]byte{data[:edge], data[edge:]}}) },
 	}
-	for name, mk := range scanners {
-		got, gotN, gotErr := batchAll(mk())
+}
+
+// checkBatchMatchesRecord decodes data both ways across the scanner shapes,
+// the frame edge in the middle, and requires identical records, counts, and
+// end-of-stream errors.
+func checkBatchMatchesRecord(t *testing.T, data []byte) {
+	t.Helper()
+	checkBatchShapes(t, data, scannerShapes(data, len(data)/2))
+}
+
+func checkBatchShapes(t *testing.T, data []byte, shapes map[string]func() (*Reader, error)) {
+	t.Helper()
+	want, wantN, wantErr := recordAll(data)
+	for name, mk := range shapes {
+		tr, err := mk()
+		got, gotN, gotErr := batchAll(t, tr, err)
 		if !sameEnd(wantErr, gotErr) {
 			t.Fatalf("%s: end-of-stream mismatch: NextRecord %v, NextBatch %v", name, wantErr, gotErr)
 		}
@@ -160,6 +226,19 @@ func TestNextBatchTruncated(t *testing.T) {
 	}
 }
 
+// TestNextBatchEveryOffset takes a short stream holding every record type —
+// defines and stamps ahead of the points that need them, a redefine, a
+// control record, a range — and puts a cut, then a frame edge, at every byte
+// offset: between a define or stamp record and its point included. Both
+// decoder gears must agree on events, Count, BatchControl and error text.
+func TestNextBatchEveryOffset(t *testing.T) {
+	data := seedStream()
+	for off := 0; off <= len(data); off++ {
+		checkBatchMatchesRecord(t, data[:off])
+		checkBatchShapes(t, data, scannerShapes(data, off))
+	}
+}
+
 // TestInMemoryReaderWindowed: a trace held in memory (a *bytes.Reader offers
 // bytes one at a time but no window over them) must still batch-decode in the
 // windowed gear — whole-chunk batches with duplicate reads folded into Rep,
@@ -222,17 +301,29 @@ func TestNextBatchCorrupt(t *testing.T) {
 }
 
 // TestRetiredKindsRefused: kind bytes 3, 4 and 6 (the retired redistribution
-// kinds, event.Kind) head no record: both decoder gears refuse them with the
-// same error, so none can reach a worker as a data access.
+// kinds, event.Kind) are no site's kind and head no control record: both
+// decoder gears refuse them with the same error, so none can reach a worker
+// as a data access.
 func TestRetiredKindsRefused(t *testing.T) {
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf)
+	w.Access(event.Access{Kind: event.EpochMark, Addr: 1})
+	_ = w.Close()
 	for _, k := range []byte{3, 4, 6} {
-		data := mixedTrace(t)
-		data[len(magic)] = k // the first record's kind byte
-		_, _, err := recordAll(data)
-		if want := fmt.Sprintf("trace: event 0: invalid kind %d", k); err == nil || err.Error() != want {
-			t.Errorf("kind %d: NextRecord error %v, want %q", k, err, want)
+		control := bytes.Clone(buf.Bytes())
+		control[len(magic)+1] = k // the control record's kind byte
+		for _, tc := range []struct {
+			data []byte
+			want string
+		}{
+			{retiredKindSeed(k), fmt.Sprintf("trace: event 0: invalid site kind %d", k)},
+			{control, fmt.Sprintf("trace: event 0: invalid kind %d", k)},
+		} {
+			if _, _, err := recordAll(tc.data); err == nil || err.Error() != tc.want {
+				t.Errorf("kind %d: NextRecord error %v, want %q", k, err, tc.want)
+			}
+			checkBatchMatchesRecord(t, tc.data)
 		}
-		checkBatchMatchesRecord(t, data)
 	}
 }
 
@@ -377,7 +468,9 @@ func TestNextBatchChunkCapacity(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewReader(bufio.NewReader(bytes.NewReader(buf.Bytes())))
+	// The window must hold more than a chunk's worth of records for the first
+	// batch to end on the chunk and not on the window: size it to the stream.
+	tr, err := NewReader(bufio.NewReaderSize(bytes.NewReader(buf.Bytes()), buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,57 +573,23 @@ func TestNextBatchDupCollapse(t *testing.T) {
 }
 
 // FuzzNextBatch is the differential fuzzer: for arbitrary bytes, the batched
-// decoder — across every scanner shape — must yield exactly the records and
-// the end-of-stream error of the byte-at-a-time reference decoder, and never
-// panic.
+// decoder — through the scanner shape the second argument picks, a frame edge
+// at an offset it also picks included — must yield exactly the records, the
+// count and the end-of-stream error of the byte-at-a-time reference decoder,
+// and never panic.
 func FuzzNextBatch(f *testing.F) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Access(event.Access{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 7), TS: 1})
-	w.Access(event.Access{Addr: 0x1008, Kind: event.Read, Loc: loc.Pack(1, 8), TS: 2, Thread: 3})
-	w.Access(event.Access{Addr: 0x1008, Kind: event.Read, Loc: loc.Pack(1, 8), TS: 2, Thread: 3})
-	w.Access(event.Access{Kind: event.EpochMark, Addr: 1})
-	w.Range(event.Range{Base: 0x4000, Stride: 16, Count: 32, TS: 3, Loc: loc.Pack(2, 1), Kind: event.Write})
-	w.Access(event.Access{Addr: 0x1010, Kind: event.Remove, TS: 4})
-	_ = w.Close()
-	f.Add(buf.Bytes(), uint8(0))
-	f.Add(buf.Bytes()[:len(buf.Bytes())-3], uint8(1))
-	corrupt := append([]byte(nil), buf.Bytes()...)
+	data := seedStream()
+	f.Add(data, uint8(0))
+	f.Add(data[:len(data)-3], uint8(1))
+	corrupt := bytes.Clone(data)
 	corrupt[len(corrupt)/2] ^= 0xff
 	f.Add(corrupt, uint8(2))
-	f.Add([]byte("DDT1"), uint8(0))
+	f.Add([]byte(magic), uint8(0))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, uint8(1))
+	f.Add(data, uint8(4+5*9))
 	f.Fuzz(func(t *testing.T, data []byte, shape uint8) {
-		want, wantN, wantErr := recordAll(data)
-		var tr *Reader
-		var err error
-		switch shape % 4 {
-		case 0:
-			tr, err = NewReader(bufio.NewReader(bytes.NewReader(data)))
-		case 1:
-			tr, err = NewReader(bufio.NewReaderSize(bytes.NewReader(data), 16))
-		case 2:
-			// In memory: NewReader supplies the window.
-			tr, err = NewReader(bytes.NewReader(data))
-		default:
-			// One byte per Read leaves no record whole in the window: pure
-			// slow path.
-			tr, err = NewReader(iotest.OneByteReader(bytes.NewReader(data)))
-		}
-		got, gotN, gotErr := batchAll(tr, err)
-		if !sameEnd(wantErr, gotErr) {
-			t.Fatalf("end-of-stream mismatch: NextRecord %v, NextBatch %v", wantErr, gotErr)
-		}
-		if gotN != wantN {
-			t.Fatalf("Count mismatch: NextRecord %d, NextBatch %d", wantN, gotN)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("record count mismatch: NextRecord %d, NextBatch %d", len(want), len(got))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("record %d mismatch:\nNextRecord %+v\nNextBatch  %+v", i, want[i], got[i])
-			}
-		}
+		shapes := scannerShapes(data, int(shape/5)*len(data)/51)
+		name := [...]string{"window", "tiny-window", "in-memory", "no-window", "two-frames"}[shape%5]
+		checkBatchShapes(t, data, map[string]func() (*Reader, error){name: shapes[name]})
 	})
 }

@@ -5,7 +5,7 @@ package trace
 // Writer. It folds a run of accesses that are literally adjacent in the
 // stream — same instruction metadata, addresses advancing by a fixed stride,
 // iteration vectors advancing by a fixed delta, equal timestamps — into one
-// DDT1 range record; anything else (including the first non-extending event)
+// DDT2 range record; anything else (including the first non-extending event)
 // flushes the open run and passes through as points, so replaying the trace
 // reproduces the recorded stream event-for-event in order.
 //
@@ -28,10 +28,10 @@ import (
 	"ddprof/internal/event"
 )
 
-// compactMin is the run length worth a range record: a 2-element range record
-// is larger than two delta-encoded points, so runs shorter than 3 flush as
-// points.
-const compactMin = 3
+// compactMin is the run length worth a range record: a site's points cost
+// four bytes each and a range record, which names no site and spells its
+// fields out, fifteen to twenty, so runs shorter than 5 flush as points.
+const compactMin = 5
 
 // Compactor folds consecutive strided accesses into range records on their
 // way into w. The wrapped Writer must not be used directly while the

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -16,18 +17,29 @@ import (
 	"ddprof/internal/workloads"
 )
 
-// oracleWriter is the encoder Writer replaced, kept as the reference the slab
-// encoder is fuzzed against: one closure-captured scratch array, one bufio
-// call per field. It must not change; DDT1 record bytes are defined by it.
+// oracleWriter is the DDT2 reference encoder the slab encoder is held to byte
+// for byte: one event at a time, a Go map for the site table, one
+// binary.PutUvarint per field. Record bytes are defined by it and by the
+// grammar in DESIGN.md; it shares only siteSlot with Writer, since which slot
+// a template lands in is the encoder's choice and not part of the format.
 type oracleWriter struct {
-	bw   *bufio.Writer
-	prev event.Access
+	bw                     *bufio.Writer
+	sites                  map[uint]*oracleSite
+	prevAddr, prevIter, ts uint64
+	defines, redefines     uint64
+}
+
+// oracleSite is a bound slot: the template (an Access with only the site
+// fields set) and the address of the site's previous execution.
+type oracleSite struct {
+	tmpl event.Access
+	last uint64
 }
 
 func newOracleWriter(w io.Writer) *oracleWriter {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	bw.WriteString(magic)
-	return &oracleWriter{bw: bw}
+	return &oracleWriter{bw: bw, sites: make(map[uint]*oracleSite)}
 }
 
 func (w *oracleWriter) put(v uint64) {
@@ -37,39 +49,64 @@ func (w *oracleWriter) put(v uint64) {
 
 func (w *oracleWriter) putZig(v int64) { w.put(uint64((v << 1) ^ (v >> 63))) }
 
+func (w *oracleWriter) put16(v uint) {
+	w.bw.Write(binary.LittleEndian.AppendUint16(nil, uint16(v)))
+}
+
 func (w *oracleWriter) Access(a event.Access) {
-	w.bw.WriteByte(byte(a.Kind))
-	w.putZig(int64(a.Addr) - int64(w.prev.Addr))
-	w.putZig(int64(a.TS) - int64(w.prev.TS))
-	w.put(uint64(a.Loc))
-	w.put(uint64(a.Var))
-	w.put(uint64(a.CtxID))
-	w.put(a.IterVec)
-	w.put(uint64(a.Thread))
-	w.bw.WriteByte(byte(a.Flags))
-	w.prev = a
+	if a.Kind > event.Remove {
+		w.bw.Write([]byte{recControl, byte(a.Kind)})
+		for _, v := range []uint64{a.Addr, a.TS, uint64(a.Loc), uint64(a.Var), uint64(a.CtxID), a.IterVec, uint64(a.Thread)} {
+			w.put(v)
+		}
+		w.bw.WriteByte(byte(a.Flags))
+		return
+	}
+	slot := siteSlot(&a)
+	tmpl := event.Access{Loc: a.Loc, Var: a.Var, CtxID: a.CtxID, Thread: a.Thread, Kind: a.Kind, Flags: a.Flags}
+	s := w.sites[slot]
+	if s == nil || s.tmpl != tmpl {
+		w.defines++
+		if s != nil {
+			w.redefines++
+		}
+		s = &oracleSite{tmpl: tmpl, last: w.prevAddr}
+		w.sites[slot] = s
+		w.bw.WriteByte(recDefine)
+		w.put16(slot)
+		w.bw.WriteByte(byte(a.Kind))
+		for _, v := range []uint64{uint64(a.Loc), uint64(a.Var), uint64(a.CtxID), uint64(a.Thread)} {
+			w.put(v)
+		}
+		w.bw.WriteByte(byte(a.Flags))
+	}
+	if a.TS != w.ts {
+		w.bw.WriteByte(recStamp)
+		w.putZig(int64(a.TS - w.ts))
+		w.ts = a.TS
+	}
+	w.put16(slot << 1)
+	w.putZig(int64(a.Addr - s.last))
+	w.putZig(int64(a.IterVec - w.prevIter))
+	s.last, w.prevAddr, w.prevIter = a.Addr, a.Addr, a.IterVec
 }
 
 func (w *oracleWriter) Range(r event.Range) {
-	w.bw.WriteByte(byte(event.RangeRef))
-	w.bw.WriteByte(byte(r.Kind))
-	w.putZig(int64(r.Base) - int64(w.prev.Addr))
+	w.bw.Write([]byte{recRange, byte(r.Kind)})
+	w.putZig(int64(r.Base - w.prevAddr))
 	w.putZig(int64(r.Stride))
 	w.put(uint64(r.Count))
-	w.putZig(int64(r.TS) - int64(w.prev.TS))
-	w.put(uint64(r.Loc))
-	w.put(uint64(r.Var))
-	w.put(uint64(r.CtxID))
-	w.put(r.IterVec)
-	w.put(r.IterDelta)
-	w.put(uint64(r.Thread))
+	w.putZig(int64(r.TS - w.ts))
+	for _, v := range []uint64{uint64(r.Loc), uint64(r.Var), uint64(r.CtxID), r.IterVec, r.IterDelta, uint64(r.Thread)} {
+		w.put(v)
+	}
 	w.bw.WriteByte(byte(r.Flags))
-	w.prev.Addr = r.Last()
-	w.prev.TS = r.TS
+	last := r.At(r.Count - 1)
+	w.prevAddr, w.prevIter, w.ts = last.Addr, last.IterVec, last.TS
 }
 
-// oracleCompactor is the Compactor that was replaced along with it: the open
-// run lives in an event.Range and leaves through At().
+// oracleCompactor is the Compactor's reference: the open run lives in an
+// event.Range and leaves through At().
 type oracleCompactor struct {
 	w   *oracleWriter
 	run event.Range
@@ -215,10 +252,11 @@ func fuzzStream(data []byte) []fuzzRec {
 }
 
 // FuzzWriterEquivalence is the differential fuzzer of the slab encoder: for
-// any record stream the new Writer must emit the oracle's bytes exactly —
-// directly, through AccessBatch, and through the Compactor, locked and
-// unlocked, at the default slab and at the floor (where every record straddles a flush) — and Reader
-// must decode them back to the stream that went in.
+// any record stream Writer must emit the oracle's bytes exactly — directly,
+// through AccessBatch, and through the Compactor, locked and unlocked, at the
+// default slab and at the floor (where every record straddles a flush) — and
+// Reader must decode them back to the stream that went in, counting the
+// define records the oracle wrote.
 func FuzzWriterEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 8, 2, 5 | 5<<3, 16, 3, 7, 4, 9, 7 | 3<<3, 8})
 	f.Add([]byte{2, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0x80})
@@ -268,6 +306,9 @@ func checkWriterEquivalence(t *testing.T, data []byte) {
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("slab %d: Writer bytes differ from the oracle's (%d vs %d bytes)", size, got.Len(), want.Len())
 		}
+		if d, rd := w.SiteDefines(); d != ow.defines || rd != ow.redefines {
+			t.Fatalf("slab %d: Writer counts %d defines, %d redefines; the oracle wrote %d, %d", size, d, rd, ow.defines, ow.redefines)
+		}
 	}
 
 	// Reader round-trips them: records back out as they went in (Rep is
@@ -288,6 +329,9 @@ func checkWriterEquivalence(t *testing.T, data []byte) {
 	}
 	if _, err := tr.NextRecord(); err != io.EOF {
 		t.Fatalf("after the last record: %v, want io.EOF", err)
+	}
+	if d, rd := tr.SiteDefines(); d != ow.defines || rd != ow.redefines {
+		t.Fatalf("Reader counts %d defines, %d redefines; the oracle wrote %d, %d", d, rd, ow.defines, ow.redefines)
 	}
 
 	// AccessBatch ≡ the oracle fed every collapsed read 1+Rep times, whatever
@@ -345,9 +389,9 @@ func checkWriterEquivalence(t *testing.T, data []byte) {
 	}
 	oc.flush()
 	oc.w.bw.Flush()
-	for _, unlocked := range []bool{false, true} {
+	for i, unlocked := range []bool{false, true, false, true} {
 		var got bytes.Buffer
-		w, _ := NewWriterSize(&got, 1)
+		w, _ := NewWriterSize(&got, i/2) // the default slab, then the floor
 		c := NewCompactor(w)
 		var hook event.Hook = c
 		if unlocked {
@@ -370,6 +414,79 @@ func checkWriterEquivalence(t *testing.T, data []byte) {
 			t.Fatalf("unlocked=%v: Compactor bytes differ from the oracle's (%d vs %d bytes)", unlocked, got.Len(), want.Len())
 		}
 	}
+}
+
+// rawDefine hand-encodes a define record for an otherwise empty template, so
+// hostile-input tests can say what Writer never would.
+func rawDefine(slot uint, kind, flags byte) []byte {
+	return []byte{recDefine, byte(slot), byte(slot >> 8), kind, 0, 0, 0, 0, flags}
+}
+
+// TestHostileDDT2: what the grammar forbids is refused by name, identically by
+// both decoder gears; and the one legal stream built to hurt — two hot sites on
+// one slot — round-trips exactly, at a define per event, counted on both ends.
+func TestHostileDDT2(t *testing.T) {
+	stream := func(recs ...[]byte) []byte { return append([]byte(magic), bytes.Join(recs, nil)...) }
+	data := func(slot uint) []byte { return []byte{byte(slot << 1), byte(slot >> 7), 0, 0} }
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"undefined-slot", stream(rawDefine(4, 0, 0), data(5)), "trace: event 0: undefined site slot 5"},
+		{"data-slot-out-of-range", stream(data(siteSlots)), fmt.Sprintf("trace: event 0: site slot %d out of range", siteSlots)},
+		{"define-slot-out-of-range", stream(rawDefine(0xffff, 0, 0)), "trace: event 0: site slot 65535 out of range"},
+		{"define-kind-flush", stream(rawDefine(1, byte(event.Flush), 0)), "trace: event 0: invalid site kind 5"},
+		{"define-kind-retired", stream(rawDefine(1, 3, 0)), "trace: event 0: invalid site kind 3"},
+		{"define-flags", stream(rawDefine(1, 1, 0x04)), "trace: event 0: undefined flag bits 0x4"},
+		{"stamp-cut", stream(rawDefine(1, 1, 0), data(1), []byte{recStamp, 0x80}), "trace: event 1 truncated: unexpected EOF"},
+		{"stamp-overflow", stream([]byte{recStamp}, bytes.Repeat([]byte{0xff}, 10)), "trace: event 0 truncated: binary: varint overflows a 64-bit integer"},
+		{"record-type", stream([]byte{11}), "trace: event 0: invalid record type 11"},
+		{"control-kind-data", stream([]byte{recControl, byte(event.Write)}), "trace: event 0: invalid kind 1"},
+		{"control-kind-promote", stream([]byte{recControl, byte(event.Promote)}), "trace: event 0: invalid kind 8"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, _, err := recordAll(tc.data); err == nil || err.Error() != tc.want {
+				t.Errorf("NextRecord error %v, want %q", err, tc.want)
+			}
+			checkBatchMatchesRecord(t, tc.data)
+		})
+	}
+
+	t.Run("thrash", func(t *testing.T) {
+		a := event.Access{Addr: 0x1000, Kind: event.Read, Loc: loc.Pack(1, 7)}
+		b := sameSlot(a)
+		b.Addr = 0x8000
+		const n = 1000
+		var buf bytes.Buffer
+		w, _ := NewWriter(&buf)
+		var evs []event.Access
+		for i := 0; i < n; i++ {
+			a.Addr, a.IterVec = a.Addr+8, uint64(i)
+			b.Addr, b.IterVec = b.Addr+8, uint64(i)
+			evs = append(evs, a, b)
+		}
+		w.AccessBatch(evs, nil)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if d, rd := w.SiteDefines(); d != 2*n || rd != 2*n-1 {
+			t.Errorf("Writer counts %d defines, %d redefines for %d alternating events on one slot", d, rd, 2*n)
+		}
+		tr, err := NewReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range evs {
+			if got, err := tr.Next(); err != nil || got != want {
+				t.Fatalf("event %d: got %+v, %v; want %+v", i, got, err, want)
+			}
+		}
+		if d, rd := tr.SiteDefines(); d != 2*n || rd != 2*n-1 {
+			t.Errorf("Reader counts %d defines, %d redefines", d, rd)
+		}
+		checkBatchMatchesRecord(t, buf.Bytes())
+	})
 }
 
 // maximalRange is a range record of the full 103 bytes.
@@ -602,6 +719,32 @@ func BenchmarkEncode(b *testing.B) {
 			b.ReportMetric(float64(sink)/total, "bytes/event")
 		})
 	}
+}
+
+// BenchmarkDecode is the twin for the ledger's trace.decode row: NextBatch over
+// the same stream as Writer.AccessBatch encodes it, through a window of one
+// default frame, chunks reused.
+func BenchmarkDecode(b *testing.B) {
+	evs := recordedStream(b)
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf)
+	w.AccessBatch(evs, nil)
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	c := event.NewChunk()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr, err := NewReader(bufio.NewReaderSize(bytes.NewReader(buf.Bytes()), 1<<16))
+		for err == nil {
+			c.Reset()
+			_, err = tr.NextBatch(c)
+		}
+		if err != io.EOF || tr.Count() != uint64(len(evs)) {
+			b.Fatalf("decoded %d of %d events: %v", tr.Count(), len(evs), err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(len(evs))), "ns/event")
 }
 
 // batchFeed marks a hook the benchmark feeds the way the executors do: through

@@ -11,12 +11,12 @@ import (
 
 // Length-prefixed framing for trace streams in transit.
 //
-// The ddprofd wire protocol carries a DDT1 trace as a sequence of frames:
+// The ddprofd wire protocol carries a DDT2 trace as a sequence of frames:
 // a uvarint payload length followed by that many bytes, terminated by a
 // zero-length frame. Framing gives the server a bounded ingest unit (frames
 // larger than a configured cap are rejected before allocation) and gives the
 // client an explicit end-of-stream marker that is distinguishable from a
-// dropped connection — a plain DDT1 stream ends only by EOF, which over a
+// dropped connection — a plain DDT2 stream ends only by EOF, which over a
 // socket is indistinguishable from a crash mid-record.
 
 // DefaultMaxFrame caps the payload size FrameReader accepts unless

@@ -2,12 +2,112 @@ package trace
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"ddprof/internal/event"
 	"ddprof/internal/loc"
 )
+
+// seedStream is the stream the fuzzers start from and the committed corpora
+// are cut from: every record type, with a define and a stamp ahead of the
+// first point, a duplicate read, a site used twice and a slot redefined.
+func seedStream() []byte {
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf)
+	wr := event.Access{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 7), TS: 1}
+	rd := event.Access{Addr: 0x1008, Kind: event.Read, Loc: loc.Pack(1, 8), TS: 2, Thread: 3, IterVec: 1}
+	w.Access(wr)
+	w.Access(rd)
+	w.Access(rd)
+	w.Access(event.Access{Kind: event.EpochMark, Addr: 1})
+	w.Range(event.Range{Base: 0x4000, Stride: 16, Count: 32, TS: 3, Loc: loc.Pack(2, 1), Kind: event.Write, IterDelta: 1})
+	wr.Addr, wr.TS, wr.IterVec = 0x1010, 3, 1<<16
+	w.Access(wr)
+	w.Access(event.Access{Addr: 0x1010, Kind: event.Remove, TS: 4})
+	twin := sameSlot(wr)
+	twin.Addr, twin.TS = 0x2000, 4
+	w.Access(twin) // takes wr's slot
+	_ = w.Close()
+	return buf.Bytes()
+}
+
+// sameSlot returns an access by another site that siteSlot sends to a's slot.
+func sameSlot(a event.Access) event.Access {
+	for b := a; ; {
+		if b.Loc++; siteSlot(&b) == siteSlot(&a) {
+			return b
+		}
+	}
+}
+
+// retiredKindSeed is seedStream with its first define record naming kind k.
+func retiredKindSeed(k byte) []byte {
+	data := seedStream()
+	data[len(magic)+3] = k
+	return data
+}
+
+// framed wraps a stream in one length-prefixed frame and the terminator.
+func framed(stream []byte) []byte {
+	var buf bytes.Buffer
+	fw := NewFrameWriter(&buf)
+	fw.Write(stream)
+	fw.Close()
+	return buf.Bytes()
+}
+
+var update = flag.Bool("update", false, "rewrite the committed seed corpora under testdata/fuzz")
+
+// TestSeedCorpus keeps the committed corpora of the wire-facing fuzzers what
+// this generator makes of the current format: a wire change regenerates them
+// with `go test ./internal/trace -run TestSeedCorpus -update`, and until then
+// this test fails rather than let plain `go test` replay seeds the decoders
+// refuse at the magic.
+func TestSeedCorpus(t *testing.T) {
+	ddt1, err := os.ReadFile("testdata/retired.ddt1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := seedStream()
+	seeds := map[string][]byte{
+		"valid":          stream,
+		"cut-mid-record": stream, // less its last four bytes, in whatever wrapping
+		"retired-kind-3": retiredKindSeed(3),
+		"retired-kind-4": retiredKindSeed(4),
+		"retired-kind-6": retiredKindSeed(6),
+		"retired-ddt1":   ddt1,
+	}
+	plain := func(b []byte) []byte { return b }
+	for _, fz := range []struct {
+		name string
+		wrap func([]byte) []byte
+		args string // the fuzz function's arguments after the bytes
+	}{
+		{"FuzzFrames", framed, ""},
+		{"FuzzNextBatch", plain, "uint8(1)\n"},
+		{"FuzzRangeFrame", plain, ""},
+	} {
+		for name, b := range seeds {
+			if b = fz.wrap(b); name == "cut-mid-record" {
+				b = b[:len(b)-4]
+			}
+			path := filepath.Join("testdata", "fuzz", fz.name, name)
+			want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n%s", b, fz.args)
+			if *update {
+				if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			} else if got, _ := os.ReadFile(path); string(got) != want {
+				t.Errorf("%s is stale: regenerate with -run TestSeedCorpus -update", path)
+			}
+		}
+	}
+}
 
 // FuzzReplay hardens the trace reader: arbitrary bytes must either replay
 // or error, never panic, and whatever replays must re-encode.
@@ -16,15 +116,9 @@ import (
 // must error or replay, never panic, and a frame round trip of whatever was
 // read back must be lossless.
 func FuzzFrames(f *testing.F) {
-	var framed bytes.Buffer
-	fw := NewFrameWriter(&framed)
-	w, _ := NewWriter(fw)
-	w.Access(event.Access{Addr: 0x2000, Kind: event.Read, Loc: loc.Pack(2, 3)})
-	_ = w.Close()
-	_ = fw.Close()
-	f.Add(framed.Bytes())
+	f.Add(framed(seedStream()))
 	f.Add([]byte{0})
-	f.Add([]byte{4, 'D', 'D', 'T', '1', 0})
+	f.Add(framed([]byte(magic)))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := NewFrameReader(bytes.NewReader(data), 1<<16)
@@ -52,15 +146,10 @@ func FuzzFrames(f *testing.F) {
 }
 
 func FuzzReplay(f *testing.F) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Access(event.Access{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 7), TS: 1})
-	w.Access(event.Access{Addr: 0x1008, Kind: event.Read, Loc: loc.Pack(1, 8), TS: 2, Thread: 3})
-	_ = w.Close()
-	f.Add(buf.Bytes())
-	f.Add([]byte("DDT1"))
+	f.Add(seedStream())
+	f.Add([]byte(magic))
 	f.Add([]byte{})
-	f.Add([]byte("DDT1\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
+	f.Add([]byte(magic + "\x03\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01")) // a stamp delta of the full width
 	f.Fuzz(func(t *testing.T, data []byte) {
 		evs, err := ReadAll(bytes.NewReader(data))
 		if err != nil {
@@ -100,10 +189,10 @@ func FuzzRangeFrame(f *testing.F) {
 	w.Access(event.Access{Addr: 0x2008, Kind: event.Read, Loc: loc.Pack(1, 10)})
 	_ = w.Close()
 	f.Add(buf.Bytes())
-	f.Add([]byte("DDT1"))
-	f.Add([]byte{'D', 'D', 'T', '1', 7, 1, 0, 16, 64, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte(magic))
+	f.Add(append([]byte(magic), 7, 1, 0, 16, 64, 0, 0, 0, 0, 0, 0, 0, 0))
 	// Claims count 2^30 — must be rejected before distorting accounting.
-	f.Add([]byte{'D', 'D', 'T', '1', 7, 0, 0, 16, 0x80, 0x80, 0x80, 0x80, 0x04, 0})
+	f.Add(append([]byte(magic), 7, 0, 0, 16, 0x80, 0x80, 0x80, 0x80, 0x04, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := NewReader(bytes.NewReader(data))
 		if err != nil {

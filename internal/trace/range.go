@@ -1,25 +1,27 @@
 package trace
 
-// DDT1 range records: the wire form of event.Range. A range record starts
-// with the RangeRef kind byte, then
+// DDT2 range records: the wire form of event.Range. A range record starts
+// with the record type byte (7, event.RangeRef), then
 //
 //	elem kind (1 byte, Read or Write)
-//	zigzag delta Base   (from the previous record's final address)
+//	zigzag delta Base   (from the stream's previous address)
 //	zigzag Stride       (signed per-element address delta)
 //	uvarint Count       (2 .. maxWireRangeCount)
-//	zigzag delta TS     (from the previous record's TS)
+//	zigzag delta TS     (from the stamp in force)
 //	uvarint Loc, Var, CtxID, IterVec, IterDelta, Thread
 //	flags (1 byte)
 //
-// After a range record the decoder's address/timestamp context is the run's
-// last element, so a following point access in the same sweep delta-encodes
-// small. Unlike the in-memory Range (whose arithmetic wraps by definition),
-// wire ranges must not wrap: a frame whose Base + Stride*(Count-1) leaves the
-// address space is rejected as corrupt rather than silently aliasing — the
-// decoder never expands an address the encoder did not see.
+// A range names no site and touches none. After it the stream context —
+// address, iteration vector, stamp — is that of the run's last element, as if
+// its points had been sent. Unlike the in-memory Range (whose arithmetic wraps
+// by definition), wire ranges must not wrap: a frame whose
+// Base + Stride*(Count-1) leaves the address space is rejected as corrupt
+// rather than silently aliasing — the decoder never expands an address the
+// encoder did not see.
 
 import (
 	"fmt"
+	"io"
 
 	"ddprof/internal/event"
 	"ddprof/internal/loc"
@@ -43,7 +45,7 @@ func rangeWraps(base uint64, stride int64, count uint32) bool {
 	return span > base/uint64(-stride)
 }
 
-// wireRangeOK reports whether r is expressible as a DDT1 range record.
+// wireRangeOK reports whether r is expressible as a range record.
 func wireRangeOK(r *event.Range) bool {
 	return (r.Kind == event.Read || r.Kind == event.Write) &&
 		r.Count >= 2 && r.Count <= maxWireRangeCount &&
@@ -64,12 +66,11 @@ func (w *Writer) Range(r event.Range) {
 		return
 	}
 	b, n := w.room(maxRangeLen)
-	b[n] = byte(event.RangeRef)
-	b[n+1] = byte(r.Kind)
+	b[n], b[n+1] = recRange, byte(r.Kind)
 	n = putZigzag(b, n+2, int64(r.Base-w.prevAddr))
 	n = putZigzag(b, n, int64(r.Stride))
 	n = putUvarint(b, n, uint64(r.Count))
-	n = putZigzag(b, n, int64(r.TS-w.prevTS))
+	n = putZigzag(b, n, int64(r.TS-w.ts))
 	n = putUvarint(b, n, uint64(r.Loc))
 	n = putUvarint(b, n, uint64(r.Var))
 	n = putUvarint(b, n, uint64(r.CtxID))
@@ -78,35 +79,38 @@ func (w *Writer) Range(r event.Range) {
 	n = putUvarint(b, n, uint64(r.Thread))
 	b[n] = byte(r.Flags)
 	w.buf = b[:n+1]
-	w.prevAddr, w.prevTS = r.Last(), r.TS
+	w.prevAddr, w.prevIter, w.ts = r.Last(), lastIter(&r), r.TS
 	w.count += uint64(r.Count)
 }
 
-// readRange decodes the body of a range record whose RangeRef kind byte has
-// been consumed. It validates every field a hostile stream could abuse —
-// element kind, count bounds, address-space wrap, undefined flag bits —
-// before committing the run to the decode context.
-func (r *Reader) readRange() (event.Range, error) {
+// lastIter returns the iteration vector of r's final element.
+func lastIter(r *event.Range) uint64 { return r.IterVec + uint64(r.Count-1)*r.IterDelta }
+
+// readRange decodes the body of a range record whose type byte has been
+// consumed. It validates every field a hostile stream could abuse — element
+// kind, count bounds, address-space wrap, undefined flag bits — before
+// committing the run to the stream context.
+func (r *Reader) readRange(br io.ByteReader) (event.Range, error) {
 	var rg event.Range
-	kb, err := r.br.ReadByte()
+	kb, err := r.getByte(br)
 	if err != nil {
-		return rg, fmt.Errorf("trace: event %d truncated: %w", r.n, noEOF(err))
+		return rg, err
 	}
 	if k := event.Kind(kb); k != event.Read && k != event.Write {
 		return rg, fmt.Errorf("trace: event %d: invalid range element kind %d", r.n, kb)
 	}
 	rg.Kind = event.Kind(kb)
-	dBase, err := r.getZig()
+	dBase, err := r.getZig(br)
 	if err != nil {
 		return rg, err
 	}
-	rg.Base = uint64(int64(r.prev.Addr) + dBase)
-	stride, err := r.getZig()
+	rg.Base = r.prevAddr + uint64(dBase)
+	stride, err := r.getZig(br)
 	if err != nil {
 		return rg, err
 	}
 	rg.Stride = uint64(stride)
-	cnt, err := r.get()
+	cnt, err := r.get(br)
 	if err != nil {
 		return rg, err
 	}
@@ -118,16 +122,14 @@ func (r *Reader) readRange() (event.Range, error) {
 		return rg, fmt.Errorf("trace: event %d: range %#x + %d*%d overflows the address space",
 			r.n, rg.Base, stride, rg.Count-1)
 	}
-	dTS, err := r.getZig()
+	dTS, err := r.getZig(br)
 	if err != nil {
 		return rg, err
 	}
-	rg.TS = uint64(int64(r.prev.TS) + dTS)
+	rg.TS = r.ts + uint64(dTS)
 	var vals [6]uint64
-	for i := range vals {
-		if vals[i], err = r.get(); err != nil {
-			return rg, err
-		}
+	if rg.Flags, err = r.getFields(br, vals[:]); err != nil {
+		return rg, err
 	}
 	rg.Loc = loc.SourceLoc(vals[0])
 	rg.Var = loc.VarID(vals[1])
@@ -135,16 +137,7 @@ func (r *Reader) readRange() (event.Range, error) {
 	rg.IterVec = vals[3]
 	rg.IterDelta = vals[4]
 	rg.Thread = int32(vals[5])
-	fb, err := r.br.ReadByte()
-	if err != nil {
-		return rg, fmt.Errorf("trace: event %d truncated: %w", r.n, noEOF(err))
-	}
-	if event.Flags(fb)&^(event.FlagReduction|event.FlagInduction) != 0 {
-		return rg, fmt.Errorf("trace: event %d: undefined flag bits %#x", r.n, fb)
-	}
-	rg.Flags = event.Flags(fb)
-	r.prev.Addr = rg.Last()
-	r.prev.TS = rg.TS
+	r.prevAddr, r.prevIter, r.ts = rg.Last(), lastIter(&rg), rg.TS
 	r.n += uint64(rg.Count)
 	return rg, nil
 }

@@ -156,26 +156,31 @@ func TestReaderTruncation(t *testing.T) {
 	}
 }
 
-// TestReaderRejectsCorruptBytes checks the two validation paths: unknown event
-// kinds and undefined flag bits.
+// TestReaderRejectsCorruptBytes flips one byte at a time in a define record
+// and the data record using it: every validation path must refuse.
 func TestReaderRejectsCorruptBytes(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Access(event.Access{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 1)})
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	define := rawDefine(5, byte(event.Write), 0)
+	good := append(append([]byte(magic), define...), 5<<1, 0, 16, 0)
+	if evs, err := ReadAll(bytes.NewReader(good)); err != nil || len(evs) != 1 || evs[0].Addr != 8 {
+		t.Fatalf("the uncorrupted stream: %+v, %v", evs, err)
 	}
-	good := buf.Bytes()
-
-	bad := bytes.Clone(good)
-	bad[4] = 0xff // event kind
-	if _, err := ReadAll(bytes.NewReader(bad)); err == nil {
-		t.Error("invalid event kind accepted")
-	}
-	bad = bytes.Clone(good)
-	bad[len(bad)-1] = 0xf0 // flags byte
-	if _, err := ReadAll(bytes.NewReader(bad)); err == nil {
-		t.Error("undefined flag bits accepted")
+	for name, at := range map[string]struct {
+		off int
+		b   byte
+	}{
+		"record type":          {len(magic), 0xff},
+		"site kind":            {len(magic) + 3, byte(event.Flush)},
+		"undefined flag bits":  {len(magic) + len(define) - 1, 0xf0},
+		"undefined site slot":  {len(magic) + len(define), 6 << 1},
+		"slot out of range":    {len(magic) + len(define) + 1, 0xff},
+		"address delta cut":    {len(good) - 2, 0x80},
+		"iteration vector cut": {len(good) - 1, 0x80},
+	} {
+		bad := bytes.Clone(good)
+		bad[at.off] = at.b
+		if _, err := ReadAll(bytes.NewReader(bad)); err == nil {
+			t.Errorf("%s: corrupt byte %#x at %d accepted", name, at.b, at.off)
+		}
 	}
 }
 
@@ -246,7 +251,7 @@ func TestFrameTooLarge(t *testing.T) {
 	}
 }
 
-// TestFramedTrace runs a whole DDT1 trace through the framing layer, the way
+// TestFramedTrace runs a whole trace through the framing layer, the way
 // the ddprofd session path does.
 func TestFramedTrace(t *testing.T) {
 	evs := randomEvents(3000, 99)

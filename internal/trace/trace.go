@@ -17,6 +17,7 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -25,17 +26,107 @@ import (
 	"ddprof/internal/loc"
 )
 
-const magic = "DDT1"
-
-// Record size bounds: the kind byte(s), every varint field at its maximal
-// width, and the flags byte.
+// DDT2, the wire format. A stream is the magic then records. The first byte
+// of a record says what it is: even, a data access (Read, Write, Remove) by a
+// known site; odd, one of four record types.
+//
+//	data     slot<<1 as 2 bytes little-endian, zigzag dAddr, zigzag dIterVec
+//	define   1, slot as 2 bytes little-endian, kind, uvarint Loc, Var, CtxID,
+//	         Thread, flags
+//	stamp    3, zigzag dTS
+//	control  5, kind (Flush or EpochMark), uvarint Addr, TS, Loc, Var, CtxID,
+//	         IterVec, Thread, flags
+//	range    7, see range.go
+//
+// Writer and Reader each hold siteSlots site templates — everything about an
+// access but its address, iteration vector and stamp — and a define record
+// binds a slot to one; the Writer sends it when the slot it hashes an access
+// to holds another template (or none), so an instruction's fields cross the
+// wire once and each of its executions costs four bytes. dAddr is taken from
+// the site's previous address, which a define sets to the stream's (the final
+// address of the previous data or range record); dIterVec from the stream's
+// previous iteration vector; dTS moves the stamp every later data record
+// carries. A control record is self-contained and leaves all of that alone.
 const (
-	maxPointLen = 1 + 7*binary.MaxVarintLen64 + 1
-	maxRangeLen = 2 + 10*binary.MaxVarintLen64 + 1
+	magic        = "DDT2"
+	retiredMagic = "DDT1"
+
+	recDefine  = 1
+	recStamp   = 3
+	recControl = 5
+	recRange   = byte(event.RangeRef)
+
+	siteBits  = 12
+	siteSlots = 1 << siteBits
+)
+
+// ErrDDT1 is what NewReader answers the retired DDT1 magic with.
+var ErrDDT1 = errors.New("trace: DDT1 stream: the format is retired and has no decoder left; re-record the trace (this version writes DDT2)")
+
+// Record size bounds: type and header bytes, every varint field at its
+// maximal width, and the flags byte. A point is a control record, or a data
+// record with the define and stamp records it may need ahead of it.
+const (
+	maxDefineLen  = 4 + 4*binary.MaxVarintLen64 + 1
+	maxStampLen   = 1 + binary.MaxVarintLen64
+	maxDataLen    = 2 + 2*binary.MaxVarintLen64
+	maxControlLen = 2 + 7*binary.MaxVarintLen64 + 1
+	maxPointLen   = max(maxDefineLen+maxStampLen+maxDataLen, maxControlLen)
+	maxRangeLen   = 2 + 10*binary.MaxVarintLen64 + 1
 	// minSlab is the floor NewWriterSize clamps to: the magic plus one
 	// maximal range record, so every record fits a fresh slab.
 	minSlab = len(magic) + maxRangeLen
 )
+
+// site is one slot of the table: a template and the address its previous
+// execution touched.
+type site struct {
+	last   uint64
+	loc    loc.SourceLoc
+	vr     loc.VarID
+	ctx    uint32
+	thread int32
+	kind   event.Kind
+	flags  event.Flags
+	live   bool
+}
+
+// siteTable is the state a Writer and the Reader of its stream keep in step:
+// fixed in size, so nothing a peer sends can grow it.
+type siteTable struct {
+	sites              [siteSlots]site
+	defines, redefines uint64
+}
+
+// bind points slot at a template whose address context starts at last.
+func (t *siteTable) bind(slot uint, a *event.Access, last uint64) {
+	s := &t.sites[slot]
+	t.defines++
+	if s.live {
+		t.redefines++
+	}
+	*s = site{last: last, loc: a.Loc, vr: a.Var, ctx: a.CtxID, thread: a.Thread, kind: a.Kind, flags: a.Flags, live: true}
+}
+
+// SiteDefines returns how many define records the stream has carried so far,
+// and how many of them took a slot from another template: two hot sites
+// sharing a slot pay a define per access, and this is where it shows.
+func (t *siteTable) SiteDefines() (defines, redefines uint64) { return t.defines, t.redefines }
+
+// holds reports whether s is the template of a.
+func (s *site) holds(a *event.Access) bool {
+	return s.loc == a.Loc && s.vr == a.Var && s.ctx == a.CtxID && s.thread == a.Thread &&
+		s.kind == a.Kind && s.flags == a.Flags && s.live
+}
+
+// siteSlot is the Writer's choice of slot for a's template. The stream names
+// the slot in every record, so no Reader depends on the function.
+func siteSlot(a *event.Access) uint {
+	x := uint64(a.Loc) | uint64(a.Var)<<32
+	y := uint64(a.CtxID) | uint64(uint32(a.Thread))<<32
+	y ^= uint64(a.Kind)<<28 ^ uint64(a.Flags)<<30
+	return uint((x*0x9e3779b97f4a7c15 ^ y*0xc2b2ae3d27d4eb4f) >> (64 - siteBits))
+}
 
 // Writer streams accesses to an io.Writer. It implements the executors'
 // BatchHook interface, so it can be installed directly as the "profiler" of a
@@ -45,11 +136,14 @@ const (
 // use; record multi-threaded targets through SyncWriter or Compactor (the
 // serializing wrappers) or per-thread writers.
 type Writer struct {
-	out              io.Writer
-	buf              []byte // the slab: len is the bytes pending, cap the Write size limit
-	prevAddr, prevTS uint64 // delta context: the previous record's final address and TS
-	count            uint64
-	err              error
+	out io.Writer
+	buf []byte // the slab: len is the bytes pending, cap the Write size limit
+	// The stream context: the previous data or range record's final address
+	// and iteration vector, and the stamp in force.
+	prevAddr, prevIter, ts uint64
+	count                  uint64
+	err                    error
+	siteTable
 }
 
 // NewWriter starts a trace with the default 64KiB slab.
@@ -112,57 +206,100 @@ func (w *Writer) Access(a event.Access) { w.point(&a) }
 
 func (w *Writer) point(a *event.Access) {
 	b, n := w.room(maxPointLen)
-	b[n] = byte(a.Kind)
-	// Addresses and timestamps are hot and local; delta-encode them.
-	n = putZigzag(b, n+1, int64(a.Addr-w.prevAddr))
-	n = putZigzag(b, n, int64(a.TS-w.prevTS))
+	w.count++
+	if a.Kind > event.Remove {
+		w.buf = b[:putControl(b, n, a)]
+		return
+	}
+	slot := siteSlot(a)
+	s := &w.sites[slot]
+	if !s.holds(a) {
+		n = w.define(b, n, slot, a, w.prevAddr)
+	}
+	if a.TS != w.ts {
+		b[n] = recStamp
+		n = putZigzag(b, n+1, int64(a.TS-w.ts))
+		w.ts = a.TS
+	}
+	b[n], b[n+1] = byte(slot<<1), byte(slot>>7)
+	n = putZigzag(b, n+2, int64(a.Addr-s.last))
+	w.buf = b[:putZigzag(b, n, int64(a.IterVec-w.prevIter))]
+	s.last, w.prevAddr, w.prevIter = a.Addr, a.Addr, a.IterVec
+}
+
+// define binds slot to a's template on this side and writes the record that
+// does so on the other.
+func (w *Writer) define(b []byte, n int, slot uint, a *event.Access, prevAddr uint64) int {
+	w.bind(slot, a, prevAddr)
+	b[n], b[n+1], b[n+2], b[n+3] = recDefine, byte(slot), byte(slot>>8), byte(a.Kind)
+	n = putUvarint(b, n+4, uint64(a.Loc))
+	n = putUvarint(b, n, uint64(a.Var))
+	n = putUvarint(b, n, uint64(a.CtxID))
+	n = putUvarint(b, n, uint64(a.Thread))
+	b[n] = byte(a.Flags)
+	return n + 1
+}
+
+// putControl writes a as a control record: every field, as it is.
+func putControl(b []byte, n int, a *event.Access) int {
+	b[n], b[n+1] = recControl, byte(a.Kind)
+	n = putUvarint(b, n+2, a.Addr)
+	n = putUvarint(b, n, a.TS)
 	n = putUvarint(b, n, uint64(a.Loc))
 	n = putUvarint(b, n, uint64(a.Var))
 	n = putUvarint(b, n, uint64(a.CtxID))
 	n = putUvarint(b, n, a.IterVec)
 	n = putUvarint(b, n, uint64(a.Thread))
 	b[n] = byte(a.Flags)
-	w.buf = b[:n+1]
-	w.prevAddr, w.prevTS = a.Addr, a.TS
-	w.count++
+	return n + 1
 }
 
 // AccessBatch implements event.BatchHook, what the executors hand over: the
-// batch's records in order, slab cursor and delta context held in locals
+// batch's records in order, slab cursor and stream context held in locals
 // throughout. A collapsed read goes out 1+Rep times (the wire has no
 // repetition count); a RangeRef slot as the range record of ranges[Addr].
 func (w *Writer) AccessBatch(accesses []event.Access, ranges []event.Range) {
 	b, n := w.buf[:cap(w.buf)], len(w.buf)
-	prevAddr, prevTS := w.prevAddr, w.prevTS
+	prevAddr, prevIter, ts := w.prevAddr, w.prevIter, w.ts
+	plain := len(accesses) // slots the loop encodes itself, an event each
 	for i := range accesses {
 		a := &accesses[i]
-		if a.Kind == event.RangeRef {
-			w.buf, w.prevAddr, w.prevTS = b[:n], prevAddr, prevTS
-			w.Range(ranges[a.Addr])
-			n, prevAddr, prevTS = len(w.buf), w.prevAddr, w.prevTS
+		if a.Kind > event.Remove || a.Rep != 0 {
+			// Not what an executor sends: through the per-record encoders.
+			plain--
+			w.buf, w.prevAddr, w.prevIter, w.ts = b[:n], prevAddr, prevIter, ts
+			if a.Kind == event.RangeRef {
+				w.Range(ranges[a.Addr])
+			} else {
+				for rep := int(a.Rep); rep >= 0; rep-- {
+					w.point(a)
+				}
+			}
+			n, prevAddr, prevIter, ts = len(w.buf), w.prevAddr, w.prevIter, w.ts
 			continue
 		}
-		for rep := int(a.Rep); rep >= 0; rep-- {
-			if len(b)-n < maxPointLen {
-				w.buf = b[:n]
-				w.flush()
-				n = 0
-			}
-			b[n] = byte(a.Kind) // point's record, cursor and context in registers
-			n = putZigzag(b, n+1, int64(a.Addr-prevAddr))
-			n = putZigzag(b, n, int64(a.TS-prevTS))
-			n = putUvarint(b, n, uint64(a.Loc))
-			n = putUvarint(b, n, uint64(a.Var))
-			n = putUvarint(b, n, uint64(a.CtxID))
-			n = putUvarint(b, n, a.IterVec)
-			n = putUvarint(b, n, uint64(a.Thread))
-			b[n] = byte(a.Flags)
-			n++
-			prevAddr, prevTS = a.Addr, a.TS
+		if len(b)-n < maxPointLen {
+			w.buf = b[:n]
+			w.flush()
+			n = 0
 		}
-		w.count += 1 + uint64(a.Rep)
+		slot := siteSlot(a) // point's record, cursor and context in registers
+		s := &w.sites[slot]
+		if !s.holds(a) {
+			n = w.define(b, n, slot, a, prevAddr)
+		}
+		if a.TS != ts {
+			b[n] = recStamp
+			n = putZigzag(b, n+1, int64(a.TS-ts))
+			ts = a.TS
+		}
+		b[n], b[n+1] = byte(slot<<1), byte(slot>>7)
+		n = putZigzag(b, n+2, int64(a.Addr-s.last))
+		n = putZigzag(b, n, int64(a.IterVec-prevIter))
+		s.last, prevAddr, prevIter = a.Addr, a.Addr, a.IterVec
 	}
-	w.buf, w.prevAddr, w.prevTS = b[:n], prevAddr, prevTS
+	w.count += uint64(plain)
+	w.buf, w.prevAddr, w.prevIter, w.ts = b[:n], prevAddr, prevIter, ts
 }
 
 // Count returns the number of events recorded so far.
@@ -232,13 +369,15 @@ func (s *SyncWriter) Err() error {
 // into a pipeline without buffering the whole trace.
 //
 // Reader is hardened against hostile input: a stream cut mid-record returns
-// an error wrapping io.ErrUnexpectedEOF, and corrupt bytes (unknown event
-// kinds, undefined flag bits, varint overflows) return descriptive errors.
-// It never panics.
+// an error wrapping io.ErrUnexpectedEOF, and corrupt bytes (unknown record
+// types and kinds, slots out of range or never defined, undefined flag bits,
+// varint overflows) return descriptive errors. It never panics, and its state
+// is the fixed site table: no input grows it.
 type Reader struct {
-	br   ByteScanner
-	prev event.Access
-	n    uint64
+	br ByteScanner
+	// The stream context, as in Writer.
+	prevAddr, prevIter, ts uint64
+	n                      uint64
 	// Pending expansion of a decoded range record: Next hands out
 	// pendRange.At(pendNext) until the run is drained.
 	pendRange event.Range
@@ -246,14 +385,16 @@ type Reader struct {
 	// batchCtl records whether the most recent NextBatch decoded any
 	// control record; see BatchControl.
 	batchCtl bool
+	win      window // decodeWindow's view of the bytes in hand, for step
+	siteTable
 }
 
 // NewReader checks the stream magic and returns a Reader positioned at the
-// first event. Inputs that already implement ByteScanner (a *bufio.Reader,
-// the daemon's pooled frame stream) are decoded from directly; anything else
-// — an in-memory *bytes.Reader included, which offers bytes but no window
-// over them — is wrapped in a 64KiB bufio layer, so every Reader batch-decodes
-// in the windowed gear.
+// first event; a DDT1 stream is refused with ErrDDT1. Inputs that already
+// implement ByteScanner (a *bufio.Reader, the daemon's pooled frame stream)
+// are decoded from directly; anything else — an in-memory *bytes.Reader
+// included, which offers bytes but no window over them — is wrapped in a 64KiB
+// bufio layer, so every Reader batch-decodes in the windowed gear.
 func NewReader(r io.Reader) (*Reader, error) {
 	br, ok := r.(ByteScanner)
 	if !ok {
@@ -263,10 +404,13 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if _, err := io.ReadFull(br, m); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", noEOF(err))
 	}
-	if string(m) != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", m)
+	switch string(m) {
+	case magic:
+		return &Reader{br: br}, nil
+	case retiredMagic:
+		return nil, ErrDDT1
 	}
-	return &Reader{br: br}, nil
+	return nil, fmt.Errorf("trace: bad magic %q", m)
 }
 
 // Count returns the number of events decoded so far.
@@ -311,92 +455,183 @@ type Record struct {
 	IsRange bool
 }
 
-// NextRecord decodes one record without expanding ranges — the bulk-ingest
-// counterpart of Next, used by ddprofd to feed compressed runs straight into
-// a pipeline's range path. Count() advances by the element count of each
-// record (a range counts as Count events).
+// NextRecord decodes up to and including the next record that carries events,
+// without expanding ranges — the bulk-ingest counterpart of Next. Define and
+// stamp records on the way there take effect and are not returned. Count()
+// advances by the element count of each record (a range counts as Count
+// events).
 func (r *Reader) NextRecord() (Record, error) {
-	var rec Record
-	kb, err := r.br.ReadByte()
-	if err == io.EOF {
-		return rec, io.EOF
+	for {
+		rec, events, err := r.step(r.br)
+		if events || err != nil {
+			return rec, err
+		}
 	}
+}
+
+// step decodes one record of any type from br, a byte at a time, and reports
+// whether it carries events. It changes the Reader's state only once the
+// whole record has been read and found valid; io.EOF in place of a record's
+// first byte is a clean end, returned bare.
+func (r *Reader) step(br io.ByteReader) (rec Record, events bool, err error) {
+	b0, err := br.ReadByte()
 	if err != nil {
-		return rec, err
+		return rec, false, err
 	}
-	if event.Kind(kb) == event.RangeRef {
-		rec.Range, err = r.readRange()
+	switch {
+	case b0&1 == 0:
+		rec.Access, err = r.readData(br, b0)
+	case b0 == recDefine:
+		return rec, false, r.readDefine(br)
+	case b0 == recStamp:
+		d, err := r.getZig(br)
+		if err == nil {
+			r.ts += uint64(d)
+		}
+		return rec, false, err
+	case b0 == recControl:
+		rec.Access, err = r.readControl(br)
+	case b0 == recRange:
+		rec.Range, err = r.readRange(br)
 		rec.IsRange = true
-		return rec, err
+	default:
+		err = fmt.Errorf("trace: event %d: invalid record type %d", r.n, b0)
 	}
-	if !pointKind(event.Kind(kb)) {
-		return rec, fmt.Errorf("trace: event %d: invalid kind %d", r.n, kb)
-	}
-	rec.Access, err = r.readPoint(kb)
-	return rec, err
+	return rec, err == nil, err
 }
 
-// pointKind reports whether k may head a DDT1 point record: the data kinds,
-// Flush (decodable; the daemon refuses it, an engine ignores it) and
-// EpochMark, the one control record clients may embed to cut epochs at
-// workload boundaries. Promote is pipeline-internal, and 3, 4 and 6 are
-// retired values (event.Kind) that must never reach a worker as data.
-func pointKind(k event.Kind) bool {
-	return k <= event.Remove || k == event.Flush || k == event.EpochMark
+// dataKind reports whether k may be a site's kind; controlKind whether it may
+// head a control record: Flush (decodable; the daemon refuses it, an engine
+// ignores it) and EpochMark, the one control record clients may embed to cut
+// epochs at workload boundaries. Promote is pipeline-internal, and 3, 4 and 6
+// are retired values (event.Kind) that must never reach a worker as data.
+func dataKind(k event.Kind) bool    { return k <= event.Remove }
+func controlKind(k event.Kind) bool { return k == event.Flush || k == event.EpochMark }
+
+func (r *Reader) truncated(err error) error {
+	return fmt.Errorf("trace: event %d truncated: %w", r.n, noEOF(err))
 }
 
-func (r *Reader) get() (uint64, error) {
-	v, err := binary.ReadUvarint(r.br)
+func (r *Reader) getByte(br io.ByteReader) (byte, error) {
+	b, err := br.ReadByte()
 	if err != nil {
-		return 0, fmt.Errorf("trace: event %d truncated: %w", r.n, noEOF(err))
+		return 0, r.truncated(err)
+	}
+	return b, nil
+}
+
+func (r *Reader) get(br io.ByteReader) (uint64, error) {
+	v, err := binary.ReadUvarint(br)
+	if err != nil {
+		return 0, r.truncated(err)
 	}
 	return v, nil
 }
 
-func (r *Reader) getZig() (int64, error) {
-	u, err := r.get()
-	return int64(u>>1) ^ -int64(u&1), err
+func (r *Reader) getZig(br io.ByteReader) (int64, error) {
+	u, err := r.get(br)
+	return unzig(u), err
 }
 
-// readPoint decodes the body of a point record whose kind byte kb has been
-// consumed and validated.
-func (r *Reader) readPoint(kb byte) (event.Access, error) {
-	var a event.Access
-	get := r.get
-	getZig := r.getZig
-	a.Kind = event.Kind(kb)
-	dAddr, err := getZig()
-	if err != nil {
-		return a, err
-	}
-	a.Addr = uint64(int64(r.prev.Addr) + dAddr)
-	dTS, err := getZig()
-	if err != nil {
-		return a, err
-	}
-	a.TS = uint64(int64(r.prev.TS) + dTS)
-	var vals [5]uint64
+func unzig(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// getFields reads the uvarint fields of a record into vals and the flags byte
+// that follows them, refusing undefined bits.
+func (r *Reader) getFields(br io.ByteReader, vals []uint64) (event.Flags, error) {
 	for i := range vals {
-		if vals[i], err = get(); err != nil {
-			return a, err
+		v, err := r.get(br)
+		if err != nil {
+			return 0, err
 		}
+		vals[i] = v
 	}
-	a.Loc = loc.SourceLoc(vals[0])
-	a.Var = loc.VarID(vals[1])
-	a.CtxID = uint32(vals[2])
-	a.IterVec = vals[3]
-	a.Thread = int32(vals[4])
-	fb, err := r.br.ReadByte()
+	fb, err := r.getByte(br)
+	if err == nil && event.Flags(fb)&^(event.FlagReduction|event.FlagInduction) != 0 {
+		err = fmt.Errorf("trace: event %d: undefined flag bits %#x", r.n, fb)
+	}
+	return event.Flags(fb), err
+}
+
+// readData decodes the rest of a data record whose first header byte is b0.
+func (r *Reader) readData(br io.ByteReader, b0 byte) (a event.Access, err error) {
+	b1, err := r.getByte(br)
 	if err != nil {
-		return a, fmt.Errorf("trace: event %d truncated: %w", r.n, noEOF(err))
+		return a, err
 	}
-	if event.Flags(fb)&^(event.FlagReduction|event.FlagInduction) != 0 {
-		return a, fmt.Errorf("trace: event %d: undefined flag bits %#x", r.n, fb)
+	slot := uint(b0)>>1 | uint(b1)<<7
+	if slot >= siteSlots {
+		return a, fmt.Errorf("trace: event %d: site slot %d out of range", r.n, slot)
 	}
-	a.Flags = event.Flags(fb)
-	r.prev = a
+	s := &r.sites[slot]
+	if !s.live {
+		return a, fmt.Errorf("trace: event %d: undefined site slot %d", r.n, slot)
+	}
+	dAddr, err := r.getZig(br)
+	if err != nil {
+		return a, err
+	}
+	dIter, err := r.getZig(br)
+	if err != nil {
+		return a, err
+	}
+	s.last += uint64(dAddr)
+	r.prevAddr = s.last
+	r.prevIter += uint64(dIter)
 	r.n++
-	return a, nil
+	return event.Access{
+		Addr: s.last, TS: r.ts, IterVec: r.prevIter,
+		Loc: s.loc, Var: s.vr, CtxID: s.ctx, Thread: s.thread, Kind: s.kind, Flags: s.flags,
+	}, nil
+}
+
+// readDefine decodes the body of a define record and binds its slot.
+func (r *Reader) readDefine(br io.ByteReader) error {
+	var hdr [3]byte
+	for i := range hdr {
+		b, err := r.getByte(br)
+		if err != nil {
+			return err
+		}
+		hdr[i] = b
+	}
+	slot := uint(hdr[0]) | uint(hdr[1])<<8
+	if slot >= siteSlots {
+		return fmt.Errorf("trace: event %d: site slot %d out of range", r.n, slot)
+	}
+	if !dataKind(event.Kind(hdr[2])) {
+		return fmt.Errorf("trace: event %d: invalid site kind %d", r.n, hdr[2])
+	}
+	var vals [4]uint64
+	flags, err := r.getFields(br, vals[:])
+	if err != nil {
+		return err
+	}
+	r.bind(slot, &event.Access{
+		Loc: loc.SourceLoc(vals[0]), Var: loc.VarID(vals[1]), CtxID: uint32(vals[2]), Thread: int32(vals[3]),
+		Kind: event.Kind(hdr[2]), Flags: flags,
+	}, r.prevAddr)
+	return nil
+}
+
+// readControl decodes the body of a control record.
+func (r *Reader) readControl(br io.ByteReader) (a event.Access, err error) {
+	kb, err := r.getByte(br)
+	if err != nil {
+		return a, err
+	}
+	if !controlKind(event.Kind(kb)) {
+		return a, fmt.Errorf("trace: event %d: invalid kind %d", r.n, kb)
+	}
+	var vals [7]uint64
+	flags, err := r.getFields(br, vals[:])
+	if err != nil {
+		return a, err
+	}
+	r.n++
+	return event.Access{
+		Addr: vals[0], TS: vals[1], Loc: loc.SourceLoc(vals[2]), Var: loc.VarID(vals[3]), CtxID: uint32(vals[4]),
+		IterVec: vals[5], Thread: int32(vals[6]), Kind: event.Kind(kb), Flags: flags,
+	}, nil
 }
 
 // Replay streams a recorded trace into sink, returning the number of events

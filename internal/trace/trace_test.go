@@ -163,8 +163,10 @@ func TestRecordReplayProfileEquivalence(t *testing.T) {
 }
 
 func TestCompression(t *testing.T) {
-	// A sequential sweep (small deltas) must encode far below the naive
-	// ~45 bytes/event struct size.
+	// A sequential sweep by one instruction must cost the define once and
+	// then the two header bytes and two deltas, with a stamp record ahead of
+	// every point here because every point has its own TS: far below the
+	// 48-byte struct.
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf)
 	const n = 10000
@@ -177,8 +179,11 @@ func TestCompression(t *testing.T) {
 		})
 	}
 	_ = w.Close()
+	if d, rd := w.SiteDefines(); d != 1 || rd != 0 {
+		t.Errorf("one site took %d defines, %d redefines", d, rd)
+	}
 	perEvent := float64(buf.Len()) / n
-	if perEvent > 16 {
-		t.Errorf("sweep trace uses %.1f bytes/event, want <16 (naive struct is ~45)", perEvent)
+	if perEvent > 6.1 {
+		t.Errorf("sweep trace uses %.1f bytes/event, want 6 (stamp 2, header 2, deltas 2)", perEvent)
 	}
 }
