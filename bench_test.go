@@ -497,8 +497,6 @@ func BenchmarkStore(b *testing.B) {
 		"perfect",
 		"shadow",
 		"hashtab",
-		"hybrid:slots=256k,exact=4096",
-		"hybrid:exact=0",
 	} {
 		name := strings.NewReplacer(":", "_", ",", "_", "=", "-").Replace(backend)
 		b.Run(name, func(b *testing.B) {

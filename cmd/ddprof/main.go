@@ -35,6 +35,7 @@ import (
 	"ddprof/internal/dep"
 	"ddprof/internal/loc"
 	"ddprof/internal/server"
+	"ddprof/internal/sig"
 	"ddprof/internal/trace"
 	"ddprof/internal/workloads"
 )
@@ -59,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mode    = fs.String("mode", "serial", "profiler mode: serial | parallel | mt (a target that spawns threads always runs under mt)")
 		workers = fs.Int("workers", 8, "profiling worker threads (parallel modes)")
 		slots   = fs.Int("slots", 1<<21, "total signature slots")
-		backend = fs.String("backend", "", "store backend spec: signature | perfect | shadow | hashtab | hybrid[:key=val,...] (default signature sized by -slots)")
+		backend = fs.String("backend", "", "store backend spec: "+strings.Join(sig.BackendNames(), " | ")+", each name[:key=val,...] (default signature sized by -slots)")
 		scale   = fs.Float64("scale", 1, "workload problem-size multiplier")
 		threads = fs.Int("threads", 4, "target threads of pthread variants (-mode mt, water-spatial) and of the communication report")
 		list    = fs.Bool("list", false, "list available workloads and exit")
@@ -92,8 +93,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, fmt.Errorf("report %q needs a local run: a daemon returns dependences, not the run a plug-in reads", report))
 	}
 
-	// Bad -mode and -format values fail here, before any work is done.
-	pmode, err := checkFlags(*mode, *format)
+	// Bad -mode, -format, -backend, -slots and -workers values fail here,
+	// before any work is done and before a daemon is dialed.
+	pmode, err := checkFlags(*mode, *format, *backend, *slots, *workers)
 	if err != nil {
 		return fail(2, err)
 	}
@@ -313,10 +315,20 @@ func runWatch(addr string, session uint64, since uint32, w, stdout, stderr io.Wr
 	return nil
 }
 
-// checkFlags validates -mode and -format and resolves the mode.
-func checkFlags(mode, format string) (ddprof.Mode, error) {
+// checkFlags validates -mode, -format, -backend, -slots and -workers and
+// resolves the mode. The backend spec is resolved the way the run will
+// resolve it — syntax, registered name, the constructor's own parameter
+// check — on a store that is dropped: none commits memory before its first
+// access.
+func checkFlags(mode, format, backend string, slots, workers int) (ddprof.Mode, error) {
 	if format != "text" && format != "binary" {
 		return 0, fmt.Errorf("unknown format %q (text | binary)", format)
+	}
+	if slots < 0 || workers < 0 {
+		return 0, fmt.Errorf("-slots %d, -workers %d: want >= 0 (0 selects the default)", slots, workers)
+	}
+	if _, err := sig.OpenStore(backend, slots); err != nil {
+		return 0, fmt.Errorf("-backend: %w", err)
 	}
 	switch mode {
 	case "serial":

@@ -45,11 +45,11 @@ func TestBuildTargetMT(t *testing.T) {
 
 // TestCheckFlags: bad -mode and -format values are refused up front.
 func TestCheckFlags(t *testing.T) {
-	if m, err := checkFlags("mt", "binary"); err != nil || m != ddprof.ModeMT {
+	if m, err := checkFlags("mt", "binary", "", 0, 0); err != nil || m != ddprof.ModeMT {
 		t.Errorf("mt/binary: mode %v, %v", m, err)
 	}
 	for _, bad := range [][2]string{{"serial", "json"}, {"turbo", "text"}, {"lockbased", "text"}, {"", "text"}, {"mt", ""}} {
-		if _, err := checkFlags(bad[0], bad[1]); err == nil {
+		if _, err := checkFlags(bad[0], bad[1], "", 0, 0); err == nil {
 			t.Errorf("-mode %q -format %q accepted", bad[0], bad[1])
 		}
 	}
@@ -94,6 +94,13 @@ func TestRun(t *testing.T) {
 		{args: []string{"all", "-remote", "unix:/nonexistent.sock", "-watch"}, code: 2, stderr: "needs a local run"},
 		{args: []string{"-mode", "lockbased"}, code: 2, stderr: `unknown mode "lockbased"`},
 		{args: []string{"-interp"}, code: 2, stderr: "not defined: -interp"},
+		{args: []string{"-backend", "nosuch"}, code: 2, stderr: `ddprof: -backend: sig: unknown store backend "nosuch"`},
+		{args: []string{"-backend", "hybrid:exact=4096"}, code: 2, stderr: `unknown store backend "hybrid" (registered: hashtab, perfect, shadow, signature)`},
+		{args: []string{"-backend", "signature:bogus=1"}, code: 2, stderr: `does not take parameter "bogus"`},
+		{args: []string{"-backend", "signature:slots=0"}, code: 2, stderr: "slots = 0; want >= 1"},
+		{args: []string{"-backend", "nosuch", "-remote", "unix:/nonexistent.sock"}, code: 2, stderr: `unknown store backend "nosuch"`},
+		{args: []string{"-slots", "-5"}, code: 2, stderr: "-slots -5"},
+		{args: []string{"-workers", "-2"}, code: 2, stderr: "-workers -2"},
 		{args: []string{"-watch"}, code: 2, stderr: "-watch needs -remote"},
 		{args: []string{"-workload", "CG", "-mode", "mt"}, code: 1, stderr: `workload "CG" has no multi-threaded variant`},
 	} {

@@ -33,10 +33,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"ddprof/internal/server"
+	"ddprof/internal/sig"
 )
 
 // parseLevel maps the -log-level flag to a slog level.
@@ -63,7 +65,7 @@ func main() {
 		perSess  = flag.Int("session-workers", 4, "pipeline workers per session (cap; shrinks when the budget runs low)")
 		maxSess  = flag.Int("max-sessions", 64, "maximum concurrent sessions")
 		slots    = flag.Int("slots", 1<<20, "signature slots per session")
-		backend  = flag.String("backend", "", "default store backend spec for sessions that request none: signature | perfect | shadow | hashtab | hybrid[:key=val,...]")
+		backend  = flag.String("backend", "", "default store backend spec for sessions that request none: "+strings.Join(sig.BackendNames(), " | ")+", each name[:key=val,...]")
 		storeMax = flag.Uint64("store-budget", 0, "per-session store admission budget in bytes; unbounded or oversized backends are refused (0 = no limit)")
 		idle     = flag.Duration("idle", 30*time.Second, "slow-client deadline: sessions silent this long are evicted")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful drain window on SIGTERM")

@@ -138,10 +138,9 @@ type Config struct {
 	Slots int
 	// Backend selects the access-history store by spec string, resolved
 	// through the sig backend registry: "signature" (the default when
-	// empty), "perfect", "shadow", "hashtab", or
-	// "hybrid:slots=1m,exact=4096". Exact backends trade unbounded memory
-	// for zero false positives; the hybrid keeps heavy-hitter addresses
-	// exact and the long tail in signatures.
+	// empty; "signature:slots=1m" sizes it), "perfect", "shadow" or
+	// "hashtab". The exact backends trade unbounded memory for zero false
+	// positives.
 	Backend string
 	// SchedulerFuzz, when positive, makes the executor yield roughly every
 	// N accesses per target thread (ModeMT only). On machines with fewer

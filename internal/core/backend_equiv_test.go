@@ -4,57 +4,52 @@ import (
 	"fmt"
 	"testing"
 
-	"ddprof/internal/dep"
 	"ddprof/internal/event"
 	"ddprof/internal/loc"
 	"ddprof/internal/prog"
+	"ddprof/internal/sig"
 	"ddprof/internal/telemetry"
 )
 
-// TestStoreTelemetryPublished: Flush publishes the store gauges for every
-// backend — the summed actual footprint always, and the per-tier split plus
-// exact residency when the store is tiered (the hybrid).
+// TestStoreTelemetryPublished: Flush publishes the summed actual store
+// footprint for every backend, page-accounted and slot-array alike.
 func TestStoreTelemetryPublished(t *testing.T) {
-	drive := func(backend string) *telemetry.Pipeline {
-		reg := telemetry.NewRegistry()
-		pipe := reg.Pipeline("t")
+	for _, backend := range []string{"shadow", "signature:slots=1024"} {
+		pipe := telemetry.NewRegistry().Pipeline("t")
 		p := mustNew(t, Config{Mode: ModeParallel, Workers: 2, Backend: backend, Metrics: pipe})
-		var ts uint64
 		for i := 0; i < 20000; i++ {
-			ts++
-			addr := uint64(0x1000 + 8*(i%16)) // tight hot set: promotions fire
 			k := event.Write
 			if i%2 == 1 {
 				k = event.Read
 			}
-			p.Access(event.Access{Addr: addr, Kind: k, Loc: loc.Pack(1, 1+i%4), TS: ts})
+			p.Access(event.Access{Addr: uint64(0x1000 + 8*(i%16)), Kind: k, Loc: loc.Pack(1, 1+i%4), TS: uint64(i + 1)})
 		}
 		p.Flush()
-		return pipe
+		if pipe.StoreBytes.Load() == 0 {
+			t.Errorf("%s: store_bytes gauge not published at Flush", backend)
+		}
 	}
+}
 
-	// Shadow memory: page-granular Bytes() accounting reaches the gauge.
-	if pipe := drive("shadow"); pipe.StoreBytes.Load() == 0 {
-		t.Error("shadow: store_bytes gauge not published at Flush")
+// TestRegisteredBackends pins the store layer to the paper's four, as every
+// binary sees it (core links shadow and hashtab in), and the retired hybrid
+// tier (EXPERIMENTS.md decision record) to the unknown-name error that lists
+// them.
+func TestRegisteredBackends(t *testing.T) {
+	if got := fmt.Sprint(sig.BackendNames()); got != "[hashtab perfect shadow signature]" {
+		t.Errorf("registered backends = %s", got)
 	}
-	// Hybrid: total plus tier split and residency.
-	pipe := drive("hybrid:slots=1024,exact=8,promote=4")
-	if pipe.StoreBytes.Load() == 0 {
-		t.Error("hybrid: store_bytes gauge not published")
-	}
-	if pipe.StoreExactBytes.Load() == 0 || pipe.StoreTailBytes.Load() == 0 {
-		t.Errorf("hybrid: tier gauges exact=%d tail=%d, want both positive",
-			pipe.StoreExactBytes.Load(), pipe.StoreTailBytes.Load())
-	}
-	if pipe.StoreExactResident.Load() == 0 {
-		t.Error("hybrid: no exact residents on an all-hot stream")
+	_, err := sig.OpenStore("hybrid:slots=1m,exact=4096", 0)
+	const want = `sig: unknown store backend "hybrid" (registered: hashtab, perfect, shadow, signature)`
+	if err == nil || err.Error() != want {
+		t.Errorf("retired backend: err = %v, want %q", err, want)
 	}
 }
 
 // exactBackends enumerates every registered backend that promises exact
-// results, plus the hybrid with an unbounded exact tier — all of them must
-// produce byte-identical profiles. "perfect" is the reference.
-var exactBackends = []string{"perfect", "shadow", "hashtab", "hybrid:exact=0"}
+// results — all of them must produce byte-identical profiles. "perfect" is
+// the reference.
+var exactBackends = []string{"perfect", "shadow", "hashtab"}
 
 // TestBackendEquivalence is the cross-backend golden suite: the same access
 // streams driven through serial and parallel pipelines under each exact
@@ -95,62 +90,5 @@ func TestBackendEquivalence(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestHybridBoundedHeavyHitters is the local half of the hybrid acceptance
-// check: under a tight exactness budget the hybrid must still recover every
-// dependence among the heavy-hitter addresses the promotion machinery is
-// meant to protect, and remain near-complete overall. Hot accesses carry
-// file ID 2 so their dependence keys are separable from the cold tail's.
-func TestHybridBoundedHeavyHitters(t *testing.T) {
-	var evs []event.Access
-	var ts uint64
-	hot := []uint64{0x5000, 0x5008, 0x5010, 0x5018}
-	for i := 0; i < 60000; i++ {
-		ts++
-		a := event.Access{TS: ts, Kind: event.Write}
-		if i%2 == 1 {
-			a.Kind = event.Read
-		}
-		if i%4 != 3 {
-			a.Addr = hot[i%len(hot)]
-			a.Loc = loc.Pack(2, 1+i%6)
-		} else {
-			a.Addr = uint64(0x100000 + 8*(i%4096))
-			a.Loc = loc.Pack(1, 1+i%6)
-		}
-		evs = append(evs, a)
-	}
-
-	want := runSerial(t, evs)
-
-	spec := fmt.Sprintf("hybrid:slots=4096,exact=%d,promote=4", 64)
-	p := mustNew(t, Config{Mode: ModeParallel, Workers: 2, Backend: spec})
-	for _, a := range evs {
-		p.Access(a)
-	}
-	got := p.Flush()
-
-	hotMissing, tailMissing, total := 0, 0, 0
-	want.Deps.Range(func(k dep.Key, st dep.Stats) bool {
-		total++
-		if _, ok := got.Deps.Lookup(k); !ok {
-			if k.Src.File() == 2 && k.Sink.File() == 2 {
-				hotMissing++
-			} else {
-				tailMissing++
-			}
-		}
-		return true
-	})
-	if hotMissing != 0 {
-		t.Errorf("hybrid missed %d heavy-hitter dependences", hotMissing)
-	}
-	// The cold tail runs under signature semantics with a deliberately tight
-	// store, so a handful of tail dependences may be perturbed — but the
-	// profile must stay near-complete.
-	if tailMissing > total/20 {
-		t.Errorf("hybrid missed %d/%d tail dependences", tailMissing, total)
 	}
 }

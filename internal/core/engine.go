@@ -152,9 +152,9 @@ func newLoopAgg() *loopAgg {
 //
 // The engine has two store arms, chosen here once by the store's type: a
 // plain *sig.Signature is driven through its fused pair probe (sig.At: one
-// hash and one pair per access); every other store — the exact ones, the
-// hybrid, a signature with accuracy tracking, which must see each probe —
-// through the sig.Store interface. Both arms feed the same Algorithm 1
+// hash and one pair per access); every other store — the exact ones, and a
+// signature with accuracy tracking, which must see each probe — through the
+// sig.Store interface. Both arms feed the same Algorithm 1
 // (write, read below), and FuzzEngineArms holds them to each other.
 func NewEngine(store sig.Store, meta *prog.Meta, raceCheck bool) *Engine {
 	e := &Engine{

@@ -48,7 +48,7 @@ func newParallel(cfg Config) (*Parallel, error) {
 		})
 	}
 	p.pl.startAll()
-	p.pr.init(&p.pl, trs, &cfg)
+	p.pr.init(trs, &cfg)
 	return p, nil
 }
 

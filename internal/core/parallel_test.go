@@ -8,7 +8,6 @@ import (
 	"ddprof/internal/dep"
 	"ddprof/internal/event"
 	"ddprof/internal/loc"
-	"ddprof/internal/sig"
 )
 
 // synthStream builds a deterministic pseudo-random access stream over n
@@ -105,33 +104,6 @@ func TestLockBasedMatchesLockFree(t *testing.T) {
 	depsEqual(t, want.Deps, p.Flush().Deps, "lock-based")
 }
 
-// TestPromoteSeedingPreservesResults: over hybrid stores the producer feeds
-// its sketch and seeds the owners' exact tiers with Promote events — every
-// promoteSeedEvery chunks; here by hand, mid-stream. The hot addresses must
-// become exact residents (at this threshold the store never promotes by
-// itself) and the dependences stay exactly the serial ones.
-func TestPromoteSeedingPreservesResults(t *testing.T) {
-	evs := synthStream(300000, 200, 3)
-	want := runSerial(t, evs)
-	p := mustNew(t, Config{
-		Mode:    ModeParallel,
-		Workers: 4,
-		Backend: "hybrid:slots=65536,exact=64,promote=1000000000",
-	}).(*Parallel)
-	p.AccessBatch(evs[:len(evs)/2], nil)
-	p.pr.seedPromotions()
-	p.AccessBatch(evs[len(evs)/2:], nil)
-	got := p.Flush()
-	depsEqual(t, want.Deps, got.Deps, "promote-seeded")
-	resident := 0
-	for _, w := range p.pl.workers {
-		resident += w.eng.Store().(sig.Tiered).ExactResident()
-	}
-	if resident == 0 {
-		t.Error("seeded Promote events promoted no address")
-	}
-}
-
 func TestParallelWithRealSignatures(t *testing.T) {
 	// Large per-worker signatures: results must equal perfect.
 	evs := synthStream(100000, 400, 5)
@@ -224,28 +196,6 @@ func TestMTConcurrentProducers(t *testing.T) {
 		if st.Reversed {
 			t.Errorf("thread %d private dep flagged as race", thr)
 		}
-	}
-}
-
-func TestHeavySketch(t *testing.T) {
-	h := sig.NewHeavySketch(16)
-	for i := 0; i < 1000; i++ {
-		h.Offer(0xAA) // dominant
-		if i%10 == 0 {
-			h.Offer(0xBB)
-		}
-		h.Offer(uint64(i) * 7919) // noise
-	}
-	top := h.Top(2)
-	if len(top) != 2 || top[0] != 0xAA {
-		t.Errorf("Top = %v, want 0xAA first", top)
-	}
-	if got := h.Top(1000); len(got) > 16 {
-		t.Errorf("Top returned more than capacity: %d", len(got))
-	}
-	empty := sig.NewHeavySketch(4)
-	if len(empty.Top(10)) != 0 {
-		t.Error("empty sketch Top should be empty")
 	}
 }
 

@@ -5,15 +5,15 @@ package core
 //
 //	target thread(s)
 //	      │ AccessBatch() (Access() is the one-event case)
-//	┌─────▼──────┐  routing (owner mask), duplicate-read collapse,
-//	│  producer  │  heavy-hitter Promote seeding (hybrid stores)
+//	┌─────▼──────┐
+//	│  producer  │  routing (owner mask), duplicate-read collapse
 //	└─────┬──────┘
 //	      │ chunks pushed (SPSC / Locked) or runs copied into the ring (MPSC)
 //	┌─────▼──────┐
 //	│ transport  │  the worker's side: one pop/recycle contract over both
 //	└─────┬──────┘
 //	      │ event batches
-//	┌─────▼──────┐  uniform control handling (flush/promote/epoch mark),
+//	┌─────▼──────┐  uniform control handling (flush/epoch mark),
 //	│   worker   │  shared backoff policy, one Engine each
 //	└─────┬──────┘
 //	      │ engines, counters
@@ -286,12 +286,6 @@ type worker struct {
 	pubFalse    uint64
 }
 
-// accuracyStore is implemented by stores that track live Eq. (2) accuracy
-// (sig.Signature with tracking enabled).
-type accuracyStore interface {
-	Accuracy() (sig.AccuracyStats, bool)
-}
-
 // sampleEvery is the stage-latency sampling rate: one in sampleEvery chunk
 // pushes / worker batches / idle episodes is timed into the telemetry
 // histograms. Sampling rather than timing every chunk keeps clock reads off
@@ -325,8 +319,8 @@ func (w *worker) publishTelemetry() {
 		w.m.DepCacheProbes.Add(d)
 	}
 	w.pubHits, w.pubProbes = hits, probes
-	if acc, ok := w.eng.Store().(accuracyStore); ok {
-		if st, on := acc.Accuracy(); on {
+	if g, ok := w.eng.Store().(*sig.Signature); ok {
+		if st, on := g.Accuracy(); on {
 			w.m.ObserveSigFPR(w.id, st.MeasuredFPR(), st.PredictedFPR())
 			if d := st.Evictions - w.pubEvict; d > 0 {
 				w.m.SigInsertConflicts.Add(d)
@@ -408,12 +402,6 @@ func (w *worker) process(evs []event.Access) (done bool) {
 		switch ev.Kind {
 		case event.Flush:
 			done = true
-		case event.Promote:
-			// Heavy-hitter hint from the producer's sketch: stores with an
-			// exact tier adopt the address, everything else ignores it.
-			if p, ok := w.eng.Store().(sig.Promoter); ok {
-				p.Promote(ev.Addr)
-			}
 		case event.EpochMark:
 			// Epoch boundary: extract the delta on this goroutine — the
 			// producer never waits, and accesses already queued behind the
@@ -569,8 +557,7 @@ func powerOfTwoMask(w int) uint64 {
 }
 
 // producer is the single-threaded distribution stage of §IV: it owns the
-// open chunks, the routing decision (ownerOf), the duplicate-read filter and,
-// over hybrid stores, the heavy-hitter sketch that seeds their exact tier.
+// open chunks, the routing decision (ownerOf) and the duplicate-read filter.
 type producer struct {
 	// trs[i] is worker i's transport, by its concrete type: the producer is
 	// the one pushing chunks in and taking recycled ones back.
@@ -580,13 +567,6 @@ type producer struct {
 	// open[i] is the chunk being filled for worker i. It always has room for
 	// one more event: a chunk is pushed the moment it fills.
 	open []*chunk
-	// heavy is non-nil when the worker stores have an exact heavy-hitter tier
-	// (sig.Promoter): the producer then feeds the sketch every 16th access
-	// (sample counts them) and seeds the owners with Promote events every
-	// promoteSeedEvery chunks (chunksSinceSeed counts those).
-	heavy           *sig.HeavySketch
-	sample          uint64
-	chunksSinceSeed int
 	// allocatedChunks is the live chunk pool: chunks are never dropped, so
 	// every one allocated is open, queued, in processing or in a recycle ring.
 	allocatedChunks uint64
@@ -598,15 +578,12 @@ type producer struct {
 	pushCtr uint64
 }
 
-// init wires the producer to its pipeline, whose workers pop from trs.
-func (pr *producer) init(pl *pipeline, trs []*chunkTransport, cfg *Config) {
+// init wires the producer to trs, which the pipeline's workers pop from.
+func (pr *producer) init(trs []*chunkTransport, cfg *Config) {
 	pr.trs = trs
 	pr.w = cfg.Workers
 	pr.wMask = powerOfTwoMask(cfg.Workers)
 	pr.m = cfg.Metrics
-	if _, ok := pl.workers[0].eng.Store().(sig.Promoter); ok {
-		pr.heavy = sig.NewHeavySketch(64)
-	}
 	pr.open = make([]*chunk, cfg.Workers)
 	for i := range pr.open {
 		pr.open[i] = pr.newChunk(i)
@@ -643,20 +620,8 @@ func (pr *producer) putBatch(accesses []event.Access, ranges []event.Range) {
 		slot := ownerOf(a.Addr, pr.w, pr.wMask)
 		c := pr.open[slot]
 		if a.Kind <= event.Write {
-			// A collapsed read (Rep > 0) stands for 1+Rep accesses; the
-			// sketch sampling cadence advances by the same amount so the
-			// heavy-hitter stream matches an uncollapsed feed (the extra
-			// offers repeat the same address, exactly as the duplicates
-			// themselves would have).
-			n := uint64(1 + a.Rep)
-			data += n
-			if pr.heavy != nil {
-				prev := pr.sample
-				pr.sample += n
-				for k := pr.sample>>4 - prev>>4; k > 0; k-- {
-					pr.heavy.Offer(a.Addr)
-				}
-			}
+			// A collapsed read (Rep > 0) stands for 1+Rep accesses.
+			data += uint64(1 + a.Rep)
 			// Duplicate filter: a read identical to the chunk's previous event
 			// (same statement re-reading the same word within one iteration) is
 			// collapsed into that event's repetition count. Any intervening
@@ -672,34 +637,9 @@ func (pr *producer) putBatch(accesses []event.Access, ranges []event.Range) {
 		c.buf[c.n] = *a
 		if c.n++; c.n == len(c.buf) {
 			pr.push(slot, c.n, true)
-			if pr.heavy != nil {
-				if pr.chunksSinceSeed++; pr.chunksSinceSeed == promoteSeedEvery {
-					pr.chunksSinceSeed = 0
-					pr.seedPromotions()
-				}
-			}
 		}
 	}
 	pr.stats.Accesses += data
-}
-
-// promoteSeedEvery is the chunk cadence of heavy-hitter Promote seeding.
-const promoteSeedEvery = 1024
-
-// seedPromotions pushes the sketch's current top heavy hitters to their
-// owners as Promote control events, riding the open chunks: a hybrid store
-// adopts the address into its exact tier, any other store ignores the hint.
-// The receiving store carries its own tail history across, so seeding is safe
-// at any point in the stream.
-func (pr *producer) seedPromotions() {
-	for _, addr := range pr.heavy.Top(10) {
-		w := ownerOf(addr, pr.w, pr.wMask)
-		c := pr.open[w]
-		c.buf[c.n] = event.Access{Addr: addr, Kind: event.Promote}
-		if c.n++; c.n == len(c.buf) {
-			pr.push(w, c.n, true)
-		}
-	}
 }
 
 // newChunk takes a recycled chunk, else allocates. A chunk comes back through

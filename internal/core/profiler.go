@@ -131,9 +131,9 @@ type Config struct {
 	SlotsPerWorker int
 	// Backend selects the access-history store by spec string, resolved
 	// through the sig backend registry: "signature", "perfect", "shadow",
-	// "hashtab", "hybrid:slots=1m,exact=4096", ... Empty selects the default
-	// signature backend; SlotsPerWorker sizes slot parameters the spec
-	// leaves out. A bad spec fails construction with a descriptive error.
+	// "hashtab:buckets=64k". Empty selects the default signature backend;
+	// SlotsPerWorker sizes slot parameters the spec leaves out. A bad spec
+	// fails construction with a descriptive error.
 	Backend string
 	// Meta enables loop-carried classification when non-nil.
 	Meta *prog.Meta
@@ -180,11 +180,10 @@ func (c *Config) store() (sig.Store, error) {
 		return nil, err
 	}
 	if c.TrackAccuracy {
-		// Only stores with an approximate component have an accuracy question
-		// to answer (the signature, the hybrid via its tail); exact stores
+		// Only the signature has an accuracy question to answer; exact stores
 		// pass through.
-		if t, ok := st.(sig.Tracker); ok {
-			t.EnableTracking()
+		if g, ok := st.(*sig.Signature); ok {
+			g.EnableTracking()
 		}
 	}
 	return st, nil
@@ -285,36 +284,21 @@ func (s *Serial) Flush() *Result {
 }
 
 // publishStoreTelemetry records the flush-time store gauges: the mean
-// write-slot occupancy of stores that can report one (the signature, the
-// hybrid's tail), the summed actual footprint of every store regardless of
-// backend (satisfying /metrics for shadow page accounting as much as for
-// slot arrays), and — for two-tier stores — the per-tier split plus the
-// exact-resident census.
+// write-slot occupancy of the signatures among stores, and the summed actual
+// footprint of every store regardless of backend (satisfying /metrics for
+// shadow page accounting as much as for slot arrays).
 func publishStoreTelemetry(m *telemetry.Pipeline, stores ...sig.Store) {
 	sum, n := 0.0, 0
-	var bytes, exactBytes, tailBytes uint64
-	resident, tiered := 0, false
+	var bytes uint64
 	for _, st := range stores {
-		if o, ok := st.(interface{ Occupancy() float64 }); ok {
-			sum += o.Occupancy()
+		if g, ok := st.(*sig.Signature); ok {
+			sum += g.Occupancy()
 			n++
 		}
 		bytes += st.Bytes()
-		if t, ok := st.(sig.Tiered); ok {
-			e, tl := t.TierBytes()
-			exactBytes += e
-			tailBytes += tl
-			resident += t.ExactResident()
-			tiered = true
-		}
 	}
 	if n > 0 {
 		m.SigOccupancyPermille.Set(int64(sum / float64(n) * 1000))
 	}
 	m.StoreBytes.Set(int64(bytes))
-	if tiered {
-		m.StoreExactBytes.Set(int64(exactBytes))
-		m.StoreTailBytes.Set(int64(tailBytes))
-		m.StoreExactResident.Set(int64(resident))
-	}
 }

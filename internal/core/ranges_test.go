@@ -135,11 +135,7 @@ func rangeEdges() (*rangedStream, *prog.Meta) {
 func TestAccessRangeEquivalence(t *testing.T) {
 	s, m := rangeEdges()
 	evs := s.points()
-	var backends []string
-	for _, b := range sig.Backends() {
-		backends = append(backends, b.Name)
-	}
-	backends = append(backends, "signature:slots=64", "hybrid:slots=256,exact=8,promote=4")
+	backends := append(sig.BackendNames(), "signature:slots=64")
 
 	run := func(t *testing.T, mk func(backend string) Profiler) {
 		for _, backend := range backends {

@@ -13,7 +13,8 @@ type Kind uint8
 
 // The numeric values are pinned: they are the kind bytes of DDT2 define,
 // control and range records. 3, 4 and 6 were the kinds of the retired run-time
-// redistribution protocol and stay reserved; the decoders refuse them.
+// redistribution protocol and 8 the retired heavy-hitter promotion hint; they
+// stay reserved and the decoders refuse them.
 const (
 	// Read is a load from memory.
 	Read Kind = 0
@@ -33,12 +34,6 @@ const (
 	// Ranges); every other field is unused. The run expands, in element
 	// order, at the slot's position.
 	RangeRef Kind = 7
-	// Promote hints to the owning worker that Addr is a heavy hitter worth
-	// exact treatment: stores with an exact tier (sig.Promoter, the hybrid
-	// backend) adopt the address, every other store ignores the event. Only
-	// the producer emits it (seeded from its Misra–Gries sketch); like Flush
-	// it never crosses the wire.
-	Promote Kind = 8
 	// EpochMark advances the session's epoch clock: the Addr field carries
 	// the new epoch number, and each worker that processes the mark extracts
 	// an epoch-delta (dependences whose aggregates advanced since the last
@@ -61,8 +56,6 @@ func (k Kind) String() string {
 		return "flush"
 	case RangeRef:
 		return "range"
-	case Promote:
-		return "promote"
 	case EpochMark:
 		return "epoch"
 	}

@@ -10,8 +10,8 @@ import (
 func TestKindString(t *testing.T) {
 	want := map[Kind]string{
 		Read: "read", Write: "write", Remove: "remove", Flush: "flush",
-		RangeRef: "range", Promote: "promote", EpochMark: "epoch",
-		Kind(3): "invalid", Kind(4): "invalid", Kind(6): "invalid", Kind(99): "invalid",
+		RangeRef: "range", EpochMark: "epoch",
+		Kind(3): "invalid", Kind(4): "invalid", Kind(6): "invalid", Kind(8): "invalid", Kind(99): "invalid",
 	}
 	for k, s := range want {
 		if k.String() != s {
@@ -21,9 +21,10 @@ func TestKindString(t *testing.T) {
 }
 
 // TestWireKindValues pins the numeric kinds: they are DDT2 kind bytes, and 3,
-// 4 and 6, the retired redistribution kinds, must stay unassigned.
+// 4, 6 (the retired redistribution kinds) and 8 (the retired promotion hint)
+// must stay unassigned.
 func TestWireKindValues(t *testing.T) {
-	want := map[Kind]uint8{Read: 0, Write: 1, Remove: 2, Flush: 5, RangeRef: 7, Promote: 8, EpochMark: 9}
+	want := map[Kind]uint8{Read: 0, Write: 1, Remove: 2, Flush: 5, RangeRef: 7, EpochMark: 9}
 	for k, v := range want {
 		if uint8(k) != v {
 			t.Errorf("%v = %d, want %d", k, uint8(k), v)

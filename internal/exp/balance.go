@@ -7,7 +7,6 @@ import (
 	"ddprof/internal/event"
 	"ddprof/internal/interp"
 	"ddprof/internal/report"
-	"ddprof/internal/sig"
 	"ddprof/internal/workloads"
 )
 
@@ -97,7 +96,7 @@ func dealRedistributed(evs []event.Access, w, every int) (counts []uint64, migra
 		}
 		return int((addr >> 3) % uint64(w))
 	}
-	heavy := sig.NewHeavySketch(64)
+	heavy := newHeavySketch(64)
 	var sampled uint64
 	chunks := 0
 	for i := range evs {

@@ -1,13 +1,12 @@
-package sig
+package exp
 
 import "sort"
 
-// HeavySketch tracks approximately the most frequently accessed addresses
+// heavySketch tracks approximately the most frequently accessed addresses
 // (paper §IV-A: "we also monitor how many times an address is accessed
 // dynamically ... to ensure that the top ten most heavily accessed addresses
-// are always evenly distributed among worker threads"). It feeds hybrid
-// promotion — the producer's Promote seeding (internal/core) and the store's
-// own (internal/shadow) — and the §IV-A ablation (internal/exp).
+// are always evenly distributed among worker threads"). It feeds the §IV-A
+// ablation (dealRedistributed).
 //
 // The paper keeps exact counts in a map; we use the SpaceSaving algorithm
 // with a small capacity instead, which bounds the cost per access regardless
@@ -15,23 +14,21 @@ import "sort"
 // heavy hitters whose frequency exceeds 1/capacity of the stream — far
 // coarser than the top-10 needs. Entries live in flat slices with a map only
 // as the address index: the eviction scan for the minimum count walks a
-// contiguous uint64 slice (~capacity loads) instead of iterating map
-// buckets, which profiling showed dominating the producer thread on streams
-// whose sampled addresses mostly miss the sketch.
-type HeavySketch struct {
+// contiguous uint64 slice (~capacity loads) instead of iterating map buckets.
+type heavySketch struct {
 	idx    map[uint64]int // address -> slot in addrs/counts
 	addrs  []uint64
 	counts []uint64
 	cap    int
 }
 
-// NewHeavySketch returns a sketch tracking up to capacity addresses
+// newHeavySketch returns a sketch tracking up to capacity addresses
 // (minimum 16).
-func NewHeavySketch(capacity int) *HeavySketch {
+func newHeavySketch(capacity int) *heavySketch {
 	if capacity < 16 {
 		capacity = 16
 	}
-	return &HeavySketch{
+	return &heavySketch{
 		idx:    make(map[uint64]int, capacity+1),
 		addrs:  make([]uint64, 0, capacity),
 		counts: make([]uint64, 0, capacity),
@@ -40,7 +37,7 @@ func NewHeavySketch(capacity int) *HeavySketch {
 }
 
 // Offer counts one access to addr.
-func (h *HeavySketch) Offer(addr uint64) {
+func (h *heavySketch) Offer(addr uint64) {
 	if i, ok := h.idx[addr]; ok {
 		h.counts[i]++
 		return
@@ -64,41 +61,9 @@ func (h *HeavySketch) Offer(addr uint64) {
 	h.counts[min]++
 }
 
-// Count returns the estimated access count of addr (0 if untracked). The
-// SpaceSaving estimate never undercounts a tracked address.
-func (h *HeavySketch) Count(addr uint64) uint64 {
-	if i, ok := h.idx[addr]; ok {
-		return h.counts[i]
-	}
-	return 0
-}
-
-// Forget drops addr from the sketch, freeing its slot. The hybrid store
-// calls it after promoting an address to the exact tier: a promoted address
-// is no longer offered, so keeping its (high) count would only crowd out the
-// next generation of candidates.
-func (h *HeavySketch) Forget(addr uint64) {
-	i, ok := h.idx[addr]
-	if !ok {
-		return
-	}
-	last := len(h.addrs) - 1
-	delete(h.idx, addr)
-	if i != last {
-		h.addrs[i] = h.addrs[last]
-		h.counts[i] = h.counts[last]
-		h.idx[h.addrs[i]] = i
-	}
-	h.addrs = h.addrs[:last]
-	h.counts = h.counts[:last]
-}
-
-// Len reports the number of tracked addresses.
-func (h *HeavySketch) Len() int { return len(h.addrs) }
-
 // Top returns up to n addresses ordered by descending estimated count.
 // Ties break by address for determinism.
-func (h *HeavySketch) Top(n int) []uint64 {
+func (h *heavySketch) Top(n int) []uint64 {
 	ord := make([]int, len(h.addrs))
 	for i := range ord {
 		ord[i] = i

@@ -301,7 +301,6 @@ func StoreAblation(opt Options) (*report.Table, []StoreRow, error) {
 		fmt.Sprintf("hashtab:buckets=%d", buckets),
 		"shadow",
 		"perfect",
-		fmt.Sprintf("hybrid:slots=%d,exact=4096", slots),
 	}
 	var rows []StoreRow
 	for _, spec := range specs {

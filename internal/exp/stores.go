@@ -30,9 +30,7 @@ type StoreAccuracyRow struct {
 // short: CG for the NAS solvers, rgbyuv for the address-heavy Starbench
 // kernels. Exact backends must measure 0/0; the signature's measured FPR
 // tracks (and stays under) the Eq. (2) slot-collision bound, since a slot
-// collision is necessary but not sufficient for a spurious dependence; the
-// hybrid's FPR can only improve on the signature's because its heavy
-// hitters are exact.
+// collision is necessary but not sufficient for a spurious dependence.
 func StoreAccuracy(opt Options) (*report.Table, []StoreAccuracyRow, error) {
 	opt = opt.norm()
 	var rows []StoreAccuracyRow
@@ -79,10 +77,8 @@ func StoreAccuracy(opt Options) (*report.Table, []StoreAccuracyRow, error) {
 			return nil, nil, err
 		}
 		for _, m := range opt.Slots {
-			for _, spec := range []string{"signature:slots=%d", "hybrid:slots=%d,exact=4096"} {
-				if err := measure(fmt.Sprintf(spec, m), m); err != nil {
-					return nil, nil, err
-				}
+			if err := measure(fmt.Sprintf("signature:slots=%d", m), m); err != nil {
+				return nil, nil, err
 			}
 		}
 	}

@@ -15,9 +15,7 @@ import (
 
 func init() {
 	sig.Register(sig.Backend{
-		Name:  "hashtab",
-		Exact: true,
-		Doc:   "chained hash table (§III-B middle ground); exact, bounded directory via buckets, entries grow with the footprint",
+		Name: "hashtab",
 		New: func(sp sig.Spec) (sig.Store, error) {
 			if err := sp.Only("buckets"); err != nil {
 				return nil, err

@@ -44,12 +44,12 @@ func varID(t *testing.T, p *minilang.Program, name string) loc.VarID {
 	return 0
 }
 
-// TestRemoteHybridSession is the end-to-end acceptance check for the
-// backend layer: a remote session selecting the hybrid store over the DDT2
+// TestRemoteBackendSession is the end-to-end acceptance check for the
+// backend layer: a remote session selecting a sized store over the DDT2
 // handshake must pass daemon admission, produce a profile whose heavy-hitter
 // (reduction-variable) dependences exactly match the exact backend's, and
 // keep the session's total store bytes under the daemon budget.
-func TestRemoteHybridSession(t *testing.T) {
+func TestRemoteBackendSession(t *testing.T) {
 	const budget = 4 << 20
 	reg := telemetry.NewRegistry()
 	srv := New(Config{
@@ -80,7 +80,7 @@ func TestRemoteHybridSession(t *testing.T) {
 	defer conn.Close()
 	rr, err := ProfileRemote(conn, hotProgram(3000), ClientOptions{
 		Workers: 2,
-		Backend: "hybrid:slots=4096,exact=64,promote=4",
+		Backend: "signature:slots=4096",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestRemoteHybridSession(t *testing.T) {
 		checked++
 		got, ok := rr.Deps.Lookup(k)
 		if !ok {
-			t.Errorf("heavy-hitter dependence %+v missing from hybrid profile", k)
+			t.Errorf("heavy-hitter dependence %+v missing from the remote profile", k)
 			return true
 		}
 		if got.Count != st.Count {
@@ -135,6 +135,7 @@ func TestBackendAdmission(t *testing.T) {
 		{"perfect", "no memory bound"},
 		{"signature:slots=16m", "store budget"},
 		{"no-such-backend", "no-such-backend"},
+		{"hybrid:slots=1m,exact=4096", `unknown store backend "hybrid" (registered: hashtab, perfect, shadow, signature)`},
 	} {
 		conn, err := Dial(ln.Addr().String())
 		if err != nil {

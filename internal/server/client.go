@@ -25,7 +25,7 @@ type ClientOptions struct {
 	// server's default.
 	Workers int
 	// Backend requests a store spec for the session ("perfect",
-	// "hybrid:exact=4096", ...), resolved against the daemon's backend
+	// "signature:slots=1m", ...), resolved against the daemon's backend
 	// registry and memory budget; empty accepts the daemon's default.
 	Backend string
 	// SchedulerFuzz is passed to the executor (visibility fuzz for targets

@@ -119,7 +119,8 @@ func replayTrace(t *testing.T, prof core.Profiler, raw []byte) {
 }
 
 // TestRemoteLocalGoldenMatrix is the batched-ingest acceptance matrix: over
-// {serial, parallel, MT-timestamped} sessions × {signature, hybrid} stores,
+// {serial, parallel, MT-timestamped} sessions × {signature, shadow} stores
+// (the engine's fused arm and its interface arm),
 // a remote session's dependence set must encode byte-identically to an
 // in-process profiler mirroring the session's exact pipeline config. This
 // pins the whole ingest path — client compaction, DDT2 framing, the batched
@@ -129,7 +130,7 @@ func TestRemoteLocalGoldenMatrix(t *testing.T) {
 	const slots = 1 << 16
 	backends := []string{
 		fmt.Sprintf("signature:slots=%d", slots),
-		fmt.Sprintf("hybrid:slots=%d,exact=1024", slots),
+		"shadow",
 	}
 	modes := []struct {
 		name    string

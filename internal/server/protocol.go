@@ -11,11 +11,12 @@
 //
 //	client → server:
 //	  magic   "DDRP" (4 bytes), version (1 byte, currently 1)
-//	  flags   (1 byte): bit 0 race-check, bit 1 exact store (legacy; the
-//	          spec "perfect"), bit 2 backend spec follows
+//	  flags   (1 byte): bit 0 race-check, bit 2 backend spec follows, bit 3
+//	          watch (below); any other bit — bit 1, the retired exact-store
+//	          flag, included: send the spec "perfect" — is refused as unknown
 //	  backend (only when flags bit 2 is set: a length-prefixed store spec
-//	          string, e.g. "hybrid:slots=1m,exact=4096", resolved against
-//	          the server's sig backend registry)
+//	          string, e.g. "signature:slots=1m", resolved against the
+//	          server's sig backend registry)
 //	  workers (uvarint): per-session pipeline worker hint, 0 = server default
 //	  vars    (uvarint n, then n × length-prefixed names, in VarID order)
 //	  meta    (1 byte present flag; when 1, the loop table and loop-context

@@ -2,12 +2,12 @@ package sig
 
 // The access-history backend layer. Every profiler variant, experiment
 // driver and ddprofd session selects its store through one registry keyed by
-// a spec string ("signature:slots=1m", "hybrid:slots=1m,exact=4096"), so the
+// a spec string ("signature:slots=1m", "hashtab:buckets=64k"), so the
 // precision/memory trade-off of §III-B is a first-class knob instead of
 // scattered constructor closures. Backends register themselves at init time:
-// signature and perfect live here; shadow, hashtab and hybrid register from
-// their own packages (internal/shadow, internal/hashtab), which already
-// depend on sig for the Store contract.
+// signature and perfect live here; shadow and hashtab register from their
+// own packages (internal/shadow, internal/hashtab), which already depend on
+// sig for the Store contract.
 
 import (
 	"fmt"
@@ -188,12 +188,6 @@ func parseSize(s string) (int, error) {
 type Backend struct {
 	// Name is the registry key and the spec's leading token.
 	Name string
-	// Exact reports whether the store is collision-free: no false positives
-	// or negatives in the profile (perfect, shadow, hashtab; hybrid only on
-	// its exact tier).
-	Exact bool
-	// Doc is a one-line description for flag help and the README matrix.
-	Doc string
 	// New builds a store from a parsed spec, rejecting parameters the
 	// backend does not understand.
 	New func(Spec) (Store, error)
@@ -275,7 +269,7 @@ func OpenStore(spec string, defaultSlots int) (Store, error) {
 
 // EstimateStoreBytes predicts one store's footprint under a spec for
 // admission control. bounded is false when the backend cannot bound its
-// growth (perfect, shadow, unbounded-tier hybrid).
+// growth (perfect, shadow).
 func EstimateStoreBytes(spec string, defaultSlots int) (bytes uint64, bounded bool, err error) {
 	if spec == "" {
 		spec = DefaultBackend
@@ -297,37 +291,11 @@ func EstimateStoreBytes(spec string, defaultSlots int) (bytes uint64, bounded bo
 	return n, n > 0, nil
 }
 
-// Promoter is implemented by stores with an exact heavy-hitter tier that can
-// adopt an address on demand (the hybrid store). The producer seeds it with
-// its Misra–Gries heavy hitters; the store also promotes worker-locally.
-type Promoter interface {
-	Promote(addr uint64)
-}
-
-// Tiered is implemented by stores that split state across an exact tier and
-// an approximate tail, for per-tier telemetry and memory accounting.
-type Tiered interface {
-	// TierBytes returns the footprint of the exact tier and the signature
-	// tail separately; their sum is Bytes().
-	TierBytes() (exact, tail uint64)
-	// ExactResident returns the number of addresses currently held exactly.
-	ExactResident() int
-}
-
-// Tracker is implemented by stores that can maintain live Eq. (2) accuracy
-// statistics (the Signature, and the hybrid store via its tail).
-type Tracker interface {
-	EnableTracking()
-	Accuracy() (AccuracyStats, bool)
-}
-
 const slotBytes = 24 // three 64-bit words per Slot
 
 func init() {
 	Register(Backend{
-		Name:  "signature",
-		Exact: false,
-		Doc:   "fixed slot arrays, one locality-preserving hash (§III-B); bounded memory, Eq. (2) collision rate",
+		Name: "signature",
 		New: func(sp Spec) (Store, error) {
 			if err := sp.Only("slots"); err != nil {
 				return nil, err
@@ -350,9 +318,7 @@ func init() {
 		},
 	})
 	Register(Backend{
-		Name:  "perfect",
-		Exact: true,
-		Doc:   "per-address map, the §VI-A ground truth; unbounded memory",
+		Name: "perfect",
 		New: func(sp Spec) (Store, error) {
 			if err := sp.Only(); err != nil {
 				return nil, err

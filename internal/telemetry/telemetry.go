@@ -368,16 +368,10 @@ type Pipeline struct {
 	SigInsertConflicts *Counter
 	SigLookupConflicts *Counter
 
-	// Store footprint gauges, published at Flush for every backend:
-	// StoreBytes is the summed actual footprint of all worker stores (shadow
-	// page accounting, hash-table entries, signature slot arrays alike).
-	// Two-tier stores (the hybrid backend) additionally split the footprint
-	// into StoreExactBytes + StoreTailBytes and report the number of
-	// addresses currently held exactly in StoreExactResident.
-	StoreBytes         *Gauge
-	StoreExactBytes    *Gauge
-	StoreTailBytes     *Gauge
-	StoreExactResident *Gauge
+	// StoreBytes, published at Flush for every backend, is the summed actual
+	// footprint of all worker stores (shadow page accounting, hash-table
+	// entries, signature slot arrays alike).
+	StoreBytes *Gauge
 }
 
 // ObserveQueueDepth records a queue-depth observation for one worker: the
@@ -429,9 +423,6 @@ func (r *Registry) Pipeline(prefix string) *Pipeline {
 		SigInsertConflicts:   r.Counter(prefix + "_sig_insert_conflicts_total"),
 		SigLookupConflicts:   r.Counter(prefix + "_sig_lookup_conflicts_total"),
 		StoreBytes:           r.Gauge(prefix + "_store_bytes"),
-		StoreExactBytes:      r.Gauge(prefix + "_store_exact_bytes"),
-		StoreTailBytes:       r.Gauge(prefix + "_store_tail_bytes"),
-		StoreExactResident:   r.Gauge(prefix + "_store_exact_resident"),
 	}
 	for i := range p.QueueDepth {
 		p.QueueDepth[i] = r.Gauge(fmt.Sprintf("%s_queue_depth{worker=\"%d\"}", prefix, i))

@@ -300,16 +300,16 @@ func TestNextBatchCorrupt(t *testing.T) {
 	}
 }
 
-// TestRetiredKindsRefused: kind bytes 3, 4 and 6 (the retired redistribution
-// kinds, event.Kind) are no site's kind and head no control record: both
-// decoder gears refuse them with the same error, so none can reach a worker
-// as a data access.
+// TestRetiredKindsRefused: kind bytes 3, 4, 6 (the retired redistribution
+// kinds, event.Kind) and 8 (the retired promotion hint) are no site's kind and
+// head no control record: both decoder gears refuse them with the same error,
+// so none can reach a worker as a data access.
 func TestRetiredKindsRefused(t *testing.T) {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf)
 	w.Access(event.Access{Kind: event.EpochMark, Addr: 1})
 	_ = w.Close()
-	for _, k := range []byte{3, 4, 6} {
+	for _, k := range []byte{3, 4, 6, 8} {
 		control := bytes.Clone(buf.Bytes())
 		control[len(magic)+1] = k // the control record's kind byte
 		for _, tc := range []struct {

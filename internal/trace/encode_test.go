@@ -443,7 +443,7 @@ func TestHostileDDT2(t *testing.T) {
 		{"stamp-overflow", stream([]byte{recStamp}, bytes.Repeat([]byte{0xff}, 10)), "trace: event 0 truncated: binary: varint overflows a 64-bit integer"},
 		{"record-type", stream([]byte{11}), "trace: event 0: invalid record type 11"},
 		{"control-kind-data", stream([]byte{recControl, byte(event.Write)}), "trace: event 0: invalid kind 1"},
-		{"control-kind-promote", stream([]byte{recControl, byte(event.Promote)}), "trace: event 0: invalid kind 8"},
+		{"control-kind-promote", stream([]byte{recControl, 8}), "trace: event 0: invalid kind 8"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, _, err := recordAll(tc.data); err == nil || err.Error() != tc.want {

@@ -503,8 +503,8 @@ func (r *Reader) step(br io.ByteReader) (rec Record, events bool, err error) {
 // dataKind reports whether k may be a site's kind; controlKind whether it may
 // head a control record: Flush (decodable; the daemon refuses it, an engine
 // ignores it) and EpochMark, the one control record clients may embed to cut
-// epochs at workload boundaries. Promote is pipeline-internal, and 3, 4 and 6
-// are retired values (event.Kind) that must never reach a worker as data.
+// epochs at workload boundaries. 3, 4, 6 and 8 are retired values
+// (event.Kind) that must never reach a worker as data.
 func dataKind(k event.Kind) bool    { return k <= event.Remove }
 func controlKind(k event.Kind) bool { return k == event.Flush || k == event.EpochMark }
 

@@ -1,9 +1,9 @@
 #!/bin/sh
 # End-to-end smoke with real binaries: a race-detector build of ddprof on a
-# sample that spawns threads, then the ddprofd live observatory — boot the
-# daemon over a unix socket, profile a workload remotely while a -watch
-# subscriber streams its epoch deltas, and hit the HTTP query API with a live
-# diff. Run by `make smoke` (and `make check`).
+# sample that spawns threads, the -backend flag check, then the ddprofd live
+# observatory — boot the daemon over a unix socket, profile a workload
+# remotely while a -watch subscriber streams its epoch deltas, and hit the
+# HTTP query API with a live diff. Run by `make smoke` (and `make check`).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -34,6 +34,17 @@ grep -q "forcing -mode mt" "$dir/race.err" || {
 	cat "$dir/race.err"
 	exit 1
 }
+
+# A retired backend is refused by flag validation (exit 2, naming the four
+# registered ones) before any work and without a daemon.
+code=0
+"$dir/ddprof" -workload kmeans -backend hybrid >"$dir/retired.out" 2>"$dir/retired.err" || code=$?
+if [ "$code" -ne 2 ] || [ -s "$dir/retired.out" ] ||
+	! grep -q '(registered: hashtab, perfect, shadow, signature)' "$dir/retired.err"; then
+	echo "ddprof smoke: -backend hybrid: exit $code, want 2 naming the registered backends:"
+	cat "$dir/retired.err"
+	exit 1
+fi
 
 sock="$dir/dd.sock"
 port=$((20000 + $$ % 20000))
