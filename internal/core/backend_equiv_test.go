@@ -80,7 +80,7 @@ func TestBackendEquivalence(t *testing.T) {
 		for _, m := range modes {
 			want := ""
 			for _, b := range exactBackends {
-				got := digestResult(feed(m.mk(b, s.meta), s.evs), false)
+				got := digestResult(feed(m.mk(b, s.meta), s.evs))
 				if want == "" {
 					want = got
 					continue

@@ -225,7 +225,8 @@ func TestPackedKeyRoundTrip(t *testing.T) {
 // TestProcessAllocFree pins the fused arm's steady state at zero allocations
 // per access once the address's page is committed and its dependences are in
 // the set — and the same for a whole executor batch through the parallel
-// pipeline (routing loop, chunk pool, workers) once the pool has filled.
+// pipeline (routing loop, chunk ring, workers): the ring is allocated by New,
+// so the warm-up is the stores' alone.
 func TestProcessAllocFree(t *testing.T) {
 	e := NewEngine(sig.NewSignature(1<<21), armsMeta(), false)
 	w := event.Access{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 1), CtxID: 2}

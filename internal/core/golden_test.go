@@ -22,17 +22,24 @@ import (
 // The golden suite pins the profiles of every pipeline mode to fixtures
 // captured before the pipeline-core refactor. Each (stream, mode) pair hashes
 // the full user-visible profile — the dependence set with all per-key stats,
-// the loop aggregates, and the deterministic pipeline counters — so any
-// behavioral drift in the producer, transport, worker loop, or merge stage
-// fails the comparison byte-for-byte.
+// the loop aggregates, and the access count — so any behavioral drift in the
+// producer, transport, worker loop, or merge stage fails the comparison
+// byte-for-byte. goldens.json stores the serial and MT digests; a §IV mode's
+// profile must be its stream's serial one, so it stores none, and what is its
+// own — the producer's chunk and duplicate accounting, which moves with the
+// transport's geometry while the profile does not — is pinned in
+// transport_counters.json.
 //
-// Regenerate (only when an intentional profile change is made) with:
+// Regenerate (only when an intentional change is made) with:
 //
 //	go test ./internal/core/ -run TestGoldenProfiles -update-goldens
 
-var updateGoldens = flag.Bool("update-goldens", false, "rewrite testdata/goldens.json from the current build")
+var updateGoldens = flag.Bool("update-goldens", false, "rewrite testdata/goldens.json and transport_counters.json from the current build")
 
-const goldenPath = "testdata/goldens.json"
+const (
+	goldenPath   = "testdata/goldens.json"
+	countersPath = "testdata/transport_counters.json"
+)
 
 // goldenWorkloadScale keeps the full-suite capture fast while still pushing
 // hundreds of thousands of events through every mode.
@@ -95,10 +102,10 @@ func goldenStreams(t testing.TB, exec runFunc) []equivStream {
 	return streams
 }
 
-// digestResult canonicalizes a typed profile into a hash. withChunks adds the
-// deterministic producer counters (chunk/dup accounting). Timing-dependent
-// fields (QueueBytes, recycle counts) are excluded on purpose.
-func digestResult(res *Result, withChunks bool) string {
+// digestResult canonicalizes a typed profile into a hash. What describes the
+// run, not the profile, is excluded: timing-dependent fields (QueueBytes) and
+// the producer's counters (transportCounters).
+func digestResult(res *Result) string {
 	h := sha256.New()
 	type kv struct {
 		k  dep.Key
@@ -138,28 +145,31 @@ func digestResult(res *Result, withChunks bool) string {
 		fmt.Fprintf(h, "loop %d %+v\n", id, *res.Loops[id])
 	}
 	fmt.Fprintf(h, "accesses %d\n", res.Stats.Accesses)
-	if withChunks {
-		fmt.Fprintf(h, "chunks %d control %d dup %d\n",
-			res.Stats.Chunks, res.Stats.ControlChunks, res.Stats.DupCollapsed)
-	}
 	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// transportCounters renders the §IV producer's deterministic counters: chunks
+// pushed, control chunks, duplicate reads collapsed.
+func transportCounters(res *Result) string {
+	return fmt.Sprintf("chunks %d control %d dup %d",
+		res.Stats.Chunks, res.Stats.ControlChunks, res.Stats.DupCollapsed)
 }
 
 // goldenModes enumerates every pipeline composition the fixtures pin:
 // serial, 8-worker lock-free, the lock-based ablation, a non-power-of-two
-// worker count (modulo owner path), and MT with 4 workers. withChunks is
-// digestResult's.
+// worker count (modulo owner path), and MT with 4 workers. A chunked (§IV)
+// mode is held to its stream's serial digest and pins its transport counters.
 func goldenModes() []struct {
-	name       string
-	cfg        Config
-	withChunks bool
+	name    string
+	cfg     Config
+	chunked bool
 } {
 	return []struct {
-		name       string
-		cfg        Config
-		withChunks bool
+		name    string
+		cfg     Config
+		chunked bool
 	}{
-		{"serial", Config{}, false},
+		{"serial", Config{}, false}, // first: the chunked modes compare against it
 		{"par8", Config{Mode: ModeParallel, Workers: 8}, true},
 		{"par8-lock", Config{Mode: ModeParallel, Workers: 8, LockBased: true}, true},
 		{"par3", Config{Mode: ModeParallel, Workers: 3, QueueCap: 8}, true},
@@ -167,75 +177,90 @@ func goldenModes() []struct {
 	}
 }
 
-// computeGoldens digests every (stream, mode) pair with workload streams
-// produced by exec.
-func computeGoldens(t *testing.T, exec runFunc) map[string]string {
-	streams := goldenStreams(t, exec)
-	modes := goldenModes()
-	got := make(map[string]string)
-	for _, s := range streams {
-		for _, m := range modes {
+// computeGoldens runs every (stream, mode) pair with workload streams
+// produced by exec: the profile digests of the stored modes, and the
+// transport counters of the chunked ones, whose profiles it holds to serial's.
+func computeGoldens(t *testing.T, exec runFunc) (digests, counters map[string]string) {
+	digests, counters = make(map[string]string), make(map[string]string)
+	for _, s := range goldenStreams(t, exec) {
+		for _, m := range goldenModes() {
 			cfg := m.cfg
 			cfg.Backend, cfg.Meta = "perfect", s.meta
-			got[s.name+"/"+m.name] = digestResult(feed(mustNew(t, cfg), s.evs), m.withChunks)
+			res := feed(mustNew(t, cfg), s.evs)
+			key, d := s.name+"/"+m.name, digestResult(res)
+			if !m.chunked {
+				digests[key] = d
+				continue
+			}
+			counters[key] = transportCounters(res)
+			if serial := digests[s.name+"/serial"]; d != serial {
+				t.Errorf("%s: profile differs from the stream's serial profile\n serial %s\n got    %s", key, serial, d)
+			}
 		}
 	}
-	return got
+	return digests, counters
 }
 
-// compareGoldens checks a digest map against the committed fixture file.
-func compareGoldens(t *testing.T, got map[string]string) {
-	data, err := os.ReadFile(goldenPath)
+// compareGoldens checks a fixture map against its committed file.
+func compareGoldens(t *testing.T, path string, got map[string]string) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing goldens (%v); regenerate with -update-goldens on a known-good build", err)
 	}
 	want := make(map[string]string)
 	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("%s: %v", goldenPath, err)
+		t.Fatalf("%s: %v", path, err)
 	}
 	for key, w := range want {
 		if g, ok := got[key]; !ok {
-			t.Errorf("%s: fixture present but mode/stream no longer produced", key)
+			t.Errorf("%s: %s: fixture present but mode/stream no longer produced", path, key)
 		} else if g != w {
-			t.Errorf("%s: profile digest drifted\n want %s\n got  %s", key, w, g)
+			t.Errorf("%s: %s drifted\n want %s\n got  %s", path, key, w, g)
 		}
 	}
 	for key := range got {
 		if _, ok := want[key]; !ok {
-			t.Errorf("%s: produced but missing from goldens; regenerate with -update-goldens", key)
+			t.Errorf("%s: %s: produced but missing from the fixture; regenerate with -update-goldens", path, key)
 		}
 	}
+}
+
+// writeGoldens rewrites a fixture file from the current build.
+func writeGoldens(t *testing.T, path string, got map[string]string) {
+	data, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %d entries to %s", len(got), path)
 }
 
 func TestGoldenProfiles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden suite replays the full workload corpus")
 	}
-	got := computeGoldens(t, interp.Run)
+	digests, counters := computeGoldens(t, interp.Run)
 
 	if *updateGoldens {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d golden digests to %s", len(got), goldenPath)
+		writeGoldens(t, goldenPath, digests)
+		writeGoldens(t, countersPath, counters)
 		return
 	}
 
-	compareGoldens(t, got)
+	compareGoldens(t, goldenPath, digests)
+	compareGoldens(t, countersPath, counters)
 }
 
 // TestGoldenProfilesVM re-runs the full fixture comparison with the bytecode
 // VM as the event producer. The fixtures were captured from the tree-walking
 // interpreter, so a pass here proves every workload's access stream — and
-// therefore every one of the 130 pinned profiles — is byte-identical under
-// the compiled producer.
+// therefore every pinned profile and counter — is byte-identical under the
+// compiled producer.
 func TestGoldenProfilesVM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden suite replays the full workload corpus")
@@ -243,5 +268,7 @@ func TestGoldenProfilesVM(t *testing.T) {
 	if *updateGoldens {
 		t.Skip("goldens are always regenerated from the reference interpreter")
 	}
-	compareGoldens(t, computeGoldens(t, vm.Run))
+	digests, counters := computeGoldens(t, vm.Run)
+	compareGoldens(t, goldenPath, digests)
+	compareGoldens(t, countersPath, counters)
 }

@@ -206,5 +206,5 @@ func (m *MT) Flush() *Result {
 	// sumAccesses: counting on the consumer side keeps the concurrent
 	// producers free of a shared atomic counter; the flush barrier makes the
 	// per-worker sums safe to read.
-	return m.pl.merge(stats, 0, true)
+	return m.pl.merge(stats, true)
 }

@@ -38,7 +38,7 @@ func newParallel(cfg Config) (*Parallel, error) {
 		if cfg.TrackBounds {
 			eng.EnableBoundsTracking()
 		}
-		trs[i] = newChunkTransport(cfg.LockBased, cfg.QueueCap, cfg.Workers)
+		trs[i] = newChunkTransport(cfg.LockBased, cfg.QueueCap)
 		p.pl.workers = append(p.pl.workers, &worker{
 			id:      i,
 			tr:      trs[i],
@@ -66,5 +66,5 @@ func (p *Parallel) Flush() *Result {
 	p.pl.beginFlush()
 	p.pr.drainFlush()
 	p.pl.wg.Wait()
-	return p.pl.merge(p.pr.stats, p.pr.allocatedChunks*chunkBytes, false)
+	return p.pl.merge(p.pr.stats, false)
 }

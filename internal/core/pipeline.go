@@ -10,7 +10,7 @@ package core
 //	└─────┬──────┘
 //	      │ chunks pushed (SPSC / Locked) or runs copied into the ring (MPSC)
 //	┌─────▼──────┐
-//	│ transport  │  the worker's side: one pop/recycle contract over both
+//	│ transport  │  the worker's side: one pop contract over both
 //	└─────┬──────┘
 //	      │ event batches
 //	┌─────▼──────┐  uniform control handling (flush/epoch mark),
@@ -103,7 +103,8 @@ func (c Config) normalize() (Config, error) {
 			// buffering. It also trims the MT queue memory of Figure 8.
 			c.QueueCap = 1 << 12
 		} else {
-			// Same events/s from 4 to 64 (ddbench); the chunks held grow with it.
+			// Same events/s from 4 to 64 (ddbench); the chunk ring grows with
+			// it. 8 chunks are the 4Ki events of depth MT's ring has.
 			c.QueueCap = 8
 		}
 	}
@@ -132,14 +133,19 @@ func makeStores(cfg *Config, n int) ([]sig.Store, error) {
 // errDoubleFlush is the one message every mode's second Flush panics with.
 const errDoubleFlush = "core: Flush called twice (a pipeline drains and joins its workers exactly once)"
 
-// chunk is the carrier of the chunked transports: up to ChunkSize events
+// chunkEvents is the capacity of a chunk: one executor batch
+// (event.BatchSize), 24 KB, so a worker's whole ring stays cache-resident.
+// Measured against 256 and 1024 (EXPERIMENTS.md, "The chunk ring").
+const chunkEvents = 512
+
+// chunk is the carrier of the chunked transports: up to chunkEvents events
 // bound for one worker, filled in place by the producer ("the main thread ...
 // collects memory accesses in chunks", §IV). event.Chunk is the decoder's
 // carrier and also holds a range side table; ranges never enter a pipeline
 // (they expand at the AccessBatch seam), so chunks here are events only.
 type chunk struct {
 	n   int
-	buf [event.ChunkSize]event.Access
+	buf [chunkEvents]event.Access
 }
 
 // chunkBytes is the memory footprint of one chunk, for the Figure 7/8
@@ -163,61 +169,62 @@ type chunkQueue interface {
 // granularity, so each producer holds its concrete type: the §IV producer its
 // chunkTransports, MT its rings.
 type transport interface {
-	// pop returns the next batch of events to process and the chunk to
-	// recycle after processing (nil for ring transports, whose batch is the
-	// ring's own memory until the next pop).
-	pop() ([]event.Access, *chunk, bool)
-	// recycle returns a drained chunk to the producer.
-	recycle(c *chunk)
-	// memBytes is the fixed ring memory, for Figure 8 accounting. Chunk
-	// memory is accounted by the producer (chunks travel between rings).
+	// pop returns the next batch of events to process; the batch is the
+	// transport's own memory, the worker's until its next pop.
+	pop() ([]event.Access, bool)
+	// memBytes is the transport's fixed memory, for Figure 7/8 accounting.
 	memBytes() uint64
 	// observedMaxDepth is the consumer-side depth high-water mark, or -1
 	// when the producer already reports depths at push time.
 	observedMaxDepth() int64
 }
 
-// chunkTransport pairs a worker's inbound chunk queue with its recycle ring.
+// chunkTransport is a worker's inbound chunk queue over the fixed ring of
+// chunks it carries: in.Cap()+2 slots (one open, a full queue, one in
+// processing), opened round-robin by the producer and never handed back.
+// Chunk s+1 reuses the slot of chunk s-cap-1, which is free by the time it is
+// opened: Push(s) returning means the worker has popped chunk s-cap, and
+// worker.run pops only after it has finished the chunk before. The queue's
+// own backpressure is the free list, for SPSC and Locked alike.
 type chunkTransport struct {
-	in  chunkQueue
-	rec *queue.SPSC[*chunk]
+	in   chunkQueue
+	ring []chunk
+	next int // producer-owned: the slot open hands out next
 }
 
-// newChunkTransport sizes the recycle ring for the whole pool (see
-// producer.newChunk: at most one open chunk, one in processing and a full
-// inbound queue per worker): a chunk can come back through any worker's ring,
-// and recycle must never have to drop one.
-func newChunkTransport(lockBased bool, qcap, workers int) *chunkTransport {
+func newChunkTransport(lockBased bool, qcap int) *chunkTransport {
 	var in chunkQueue
 	if lockBased {
 		in = queue.NewLocked[*chunk](qcap)
 	} else {
 		in = queue.NewSPSC[*chunk](qcap)
 	}
-	return &chunkTransport{in: in, rec: queue.NewSPSC[*chunk](workers * (in.Cap() + 2))}
+	return &chunkTransport{in: in, ring: make([]chunk, in.Cap()+2)}
 }
 
-func (t *chunkTransport) pop() ([]event.Access, *chunk, bool) {
+// open returns the next chunk of the ring, empty. Producer-side; the previous
+// open chunk must have been pushed.
+func (t *chunkTransport) open() *chunk {
+	c := &t.ring[t.next]
+	if t.next++; t.next == len(t.ring) {
+		t.next = 0
+	}
+	c.n = 0
+	return c
+}
+
+func (t *chunkTransport) pop() ([]event.Access, bool) {
 	c, ok := t.in.TryPop()
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
-	return c.buf[:c.n], c, true
+	return c.buf[:c.n], true
 }
 
-func (t *chunkTransport) recycle(c *chunk) {
-	c.n = 0
-	if !t.rec.TryPush(c) {
-		panic("core: recycle ring full (the chunk pool outgrew its bound)")
-	}
-}
-
-// memBytes reports the pointer cells of the inbound and recycle rings. The
-// chunks themselves are excluded on purpose: they travel between the rings
-// and the producer's open set, and the producer already accounts them as
-// allocatedChunks × chunkBytes — counting them here would double-book them.
+// memBytes is the queue's pointer cells plus the chunk ring: a constant of
+// QueueCap, whatever the schedule.
 func (t *chunkTransport) memBytes() uint64 {
-	return uint64(t.in.Cap()+t.rec.Cap()) * 8
+	return uint64(t.in.Cap())*8 + uint64(len(t.ring))*chunkBytes
 }
 
 func (t *chunkTransport) observedMaxDepth() int64 { return -1 }
@@ -234,20 +241,18 @@ type ringTransport struct {
 	maxDepth int64 // consumer-owned; read by the merge stage after the flush barrier
 }
 
-func (t *ringTransport) pop() ([]event.Access, *chunk, bool) {
+func (t *ringTransport) pop() ([]event.Access, bool) {
 	evs := t.in.Peek()
 	if len(evs) == 0 {
-		return nil, nil, false
+		return nil, false
 	}
 	// Depth observation for the merge stage's queue-depth gauges: the run in
 	// hand (not freed before the next Peek) plus what is queued behind it.
 	if d := int64(t.in.Len()); d > t.maxDepth {
 		t.maxDepth = d
 	}
-	return evs, nil, true
+	return evs, true
 }
-
-func (t *ringTransport) recycle(*chunk) {}
 
 func (t *ringTransport) memBytes() uint64        { return uint64(mpscCellBytes * t.in.Cap()) }
 func (t *ringTransport) observedMaxDepth() int64 { return t.maxDepth }
@@ -333,10 +338,11 @@ func (w *worker) publishTelemetry() {
 	}
 }
 
-// run is the worker loop: fetch a batch, process it, recycle the carrier
-// ("worker threads consume chunks from their queues, analyze them, and store
-// detected data dependences in thread-local maps. Empty chunks are
-// recycled", §IV). The wait policy is the pipeline-wide queue.Backoff.
+// run is the worker loop: fetch a batch, process it ("worker threads consume
+// chunks from their queues, analyze them, and store detected data dependences
+// in thread-local maps. Empty chunks are recycled", §IV). A batch is finished
+// before the next pop: chunkTransport's slot reuse depends on that order. The
+// wait policy is the pipeline-wide queue.Backoff.
 //
 // Flight recording rides along at sampled granularity: one in sampleEvery
 // idle episodes times the wait for the next batch (transport wait — the
@@ -348,7 +354,7 @@ func (w *worker) run() {
 	var waitT0 time.Time
 	waiting := false
 	for idle := 0; ; {
-		evs, c, ok := w.tr.pop()
+		evs, ok := w.tr.pop()
 		if !ok {
 			if idle == 0 && w.m != nil {
 				if w.waits++; w.waits%sampleEvery == 0 {
@@ -373,9 +379,6 @@ func (w *worker) run() {
 			w.m.StageWorkerNs.Observe(time.Since(t0).Nanoseconds())
 		} else {
 			done = w.process(evs)
-		}
-		if c != nil {
-			w.tr.recycle(c)
 		}
 		if w.m != nil {
 			if w.countEvents {
@@ -453,9 +456,9 @@ func (p *pipeline) beginFlush() {
 
 // merge assembles the uniform Result of every mode. It must run after the
 // workers have joined (the flush barrier makes all worker-local state safe to
-// read). stats carries the producer-side counters; queueBytes the chunk
-// memory; sumAccesses selects consumer-side access counting (MT mode, where
-// concurrent producers keep no shared counter).
+// read). stats carries the producer-side counters; sumAccesses selects
+// consumer-side access counting (MT mode, where concurrent producers keep no
+// shared counter).
 //
 // "This step incurs only minor overhead since the local maps are free of
 // duplicates" (§IV) — true for one process, not for a daemon draining
@@ -464,7 +467,7 @@ func (p *pipeline) beginFlush() {
 // aggregates (tens of keys) fold in a plain loop, at key-set granularity: the
 // same carried key may surface on several workers (same source lines,
 // different addresses) and must not be double-counted.
-func (p *pipeline) merge(stats RunStats, queueBytes uint64, sumAccesses bool) *Result {
+func (p *pipeline) merge(stats RunStats, sumAccesses bool) *Result {
 	var mergeT0 time.Time
 	if p.m != nil {
 		mergeT0 = time.Now()
@@ -495,7 +498,6 @@ func (p *pipeline) merge(stats RunStats, queueBytes uint64, sumAccesses bool) *R
 		res.Stats.DepCacheProbes += probes
 		stores = append(stores, w.eng.Store())
 	}
-	res.Stats.QueueBytes += queueBytes
 	if p.m != nil {
 		// Final telemetry publication: each worker adds only the delta beyond
 		// what it already published in flight (the workers have joined, so
@@ -560,21 +562,18 @@ func powerOfTwoMask(w int) uint64 {
 // open chunks, the routing decision (ownerOf) and the duplicate-read filter.
 type producer struct {
 	// trs[i] is worker i's transport, by its concrete type: the producer is
-	// the one pushing chunks in and taking recycled ones back.
+	// the one opening its chunks and pushing them in.
 	trs   []*chunkTransport
 	w     int
 	wMask uint64 // w-1 when w is a power of two, else 0 (see ownerOf)
 	// open[i] is the chunk being filled for worker i. It always has room for
 	// one more event: a chunk is pushed the moment it fills.
-	open []*chunk
-	// allocatedChunks is the live chunk pool: chunks are never dropped, so
-	// every one allocated is open, queued, in processing or in a recycle ring.
-	allocatedChunks uint64
-	stats           RunStats
-	dupPublished    uint64
-	m               *telemetry.Pipeline
+	open         []*chunk
+	stats        RunStats
+	dupPublished uint64
+	m            *telemetry.Pipeline
 	// pushCtr: one in sampleEvery chunk pushes is timed into StageProduceNs
-	// (push incl. backpressure, depth gauge, chunk refill).
+	// (push incl. backpressure, depth gauge).
 	pushCtr uint64
 }
 
@@ -586,7 +585,7 @@ func (pr *producer) init(trs []*chunkTransport, cfg *Config) {
 	pr.m = cfg.Metrics
 	pr.open = make([]*chunk, cfg.Workers)
 	for i := range pr.open {
-		pr.open[i] = pr.newChunk(i)
+		pr.open[i] = trs[i].open()
 	}
 }
 
@@ -642,28 +641,6 @@ func (pr *producer) putBatch(accesses []event.Access, ranges []event.Range) {
 	pr.stats.Accesses += data
 }
 
-// newChunk takes a recycled chunk, else allocates. A chunk comes back through
-// the ring of whichever worker processed it, not the one it is needed for
-// next, so every ring is probed (from's first) before the pool grows. That
-// bounds the pool: the rings only gain chunks during a probe, so a probe that
-// found them all empty started with every chunk open, queued or in processing
-// — at most one, a full inbound queue and one per worker.
-func (pr *producer) newChunk(from int) *chunk {
-	for i := range pr.trs {
-		if c, ok := pr.trs[(from+i)%len(pr.trs)].rec.TryPop(); ok {
-			if pr.m != nil {
-				pr.m.ChunksRecycled.Inc()
-			}
-			return c
-		}
-	}
-	pr.allocatedChunks++
-	if pr.m != nil {
-		pr.m.ChunksAllocated.Inc()
-	}
-	return new(chunk)
-}
-
 // pushControl sends a control event to worker w behind everything routed to
 // it so far: the event rides w's open chunk, so it costs no chunk of its own.
 // The push counts as a control chunk, and as a data chunk too when the chunk
@@ -683,8 +660,8 @@ func (pr *producer) pushControl(w int, ev event.Access, refill bool) {
 // every push publishes the counters accrued since the last.
 func (pr *producer) push(w, data int, refill bool) {
 	// Sampled producer-stage span: the push (including any backpressure wait
-	// inside it), the depth observation, and the chunk refill — the
-	// full per-chunk routing cost the §IV producer pays.
+	// inside it) and the depth observation — the per-chunk routing cost the
+	// §IV producer pays.
 	var produceT0 time.Time
 	timed := false
 	if pr.m != nil {
@@ -693,8 +670,9 @@ func (pr *producer) push(w, data int, refill bool) {
 			produceT0 = time.Now()
 		}
 	}
-	in := pr.trs[w].in
-	in.Push(pr.open[w])
+	tr := pr.trs[w]
+	in := tr.in
+	in.Push(pr.open[w]) // returning is what frees the slot tr.open reuses below
 	pr.open[w] = nil
 	if data > 0 {
 		pr.stats.Chunks++
@@ -718,7 +696,7 @@ func (pr *producer) push(w, data int, refill bool) {
 		pr.m.ObserveQueueDepth(w, d)
 	}
 	if refill {
-		pr.open[w] = pr.newChunk(w)
+		pr.open[w] = tr.open()
 	}
 	if timed {
 		pr.m.StageProduceNs.Observe(time.Since(produceT0).Nanoseconds())
@@ -727,8 +705,7 @@ func (pr *producer) push(w, data int, refill bool) {
 
 // drainFlush pushes every worker its remaining events and a flush sentinel
 // behind them; the caller then waits on the pipeline's flush barrier. The
-// sentinel rides the owner's last open chunk, so the end of the stream grows
-// the pool by nothing.
+// sentinel rides the owner's last open chunk.
 func (pr *producer) drainFlush() {
 	for w := range pr.trs {
 		pr.pushControl(w, event.Access{Kind: event.Flush}, false)

@@ -280,7 +280,7 @@ func (s *Serial) Flush() *Result {
 		s.m.Events.Add(s.stats.Accesses - s.published)
 		s.published = s.stats.Accesses
 	}
-	return s.pl.merge(s.stats, 0, false)
+	return s.pl.merge(s.stats, false)
 }
 
 // publishStoreTelemetry records the flush-time store gauges: the mean

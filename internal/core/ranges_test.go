@@ -137,9 +137,10 @@ func TestAccessRangeEquivalence(t *testing.T) {
 	evs := s.points()
 	backends := append(sig.BackendNames(), "signature:slots=64")
 
+	digest := func(res *Result) string { return digestResult(res) + " " + transportCounters(res) }
 	run := func(t *testing.T, mk func(backend string) Profiler) {
 		for _, backend := range backends {
-			wantDigest := digestResult(feed(mk(backend), evs), true)
+			wantDigest := digest(feed(mk(backend), evs))
 
 			p := mk(backend)
 			for _, a := range s.slots {
@@ -149,14 +150,14 @@ func TestAccessRangeEquivalence(t *testing.T) {
 					p.Access(a)
 				}
 			}
-			if got := digestResult(p.Flush(), true); got != wantDigest {
+			if got := digest(p.Flush()); got != wantDigest {
 				t.Errorf("%s: one-range-batch profile differs from the expanded stream's", backend)
 			}
 
 			p = mk(backend)
 			p.AccessBatch(s.slots, s.rngs)
 			got := p.Flush()
-			if digestResult(got, true) != wantDigest {
+			if digest(got) != wantDigest {
 				t.Errorf("%s: AccessBatch profile differs from the expanded stream's", backend)
 			}
 			if got.Stats.Ranges == 0 || got.Stats.RangeElements < 2*got.Stats.Ranges {
@@ -182,10 +183,10 @@ func TestAccessRangeEquivalence(t *testing.T) {
 	t.Run("mt", func(t *testing.T) {
 		for _, backend := range backends {
 			cfg := Config{Mode: ModeMT, Workers: 3, QueueCap: 64, Backend: backend, Meta: m}
-			want := digestResult(feed(mustNew(t, cfg), evs), false)
+			want := digestResult(feed(mustNew(t, cfg), evs))
 			p := mustNew(t, cfg)
 			p.AccessBatch(s.slots, s.rngs)
-			if digestResult(p.Flush(), false) != want {
+			if digestResult(p.Flush()) != want {
 				t.Errorf("%s: AccessBatch profile differs from the expanded stream's", backend)
 			}
 		}

@@ -25,7 +25,10 @@ type BalanceRow struct {
 }
 
 // dealRoundRobin deals evs' data accesses, a chunk at a time, to w workers in
-// turn and returns what each received: the balance of order-free dealing.
+// turn and returns what each received: the balance of order-free dealing. The
+// chunk here and in dealRedistributed stays event.ChunkSize, the decoder's
+// 4096-event carrier the table was measured with, not the pipeline's own
+// 512-event chunk.
 func dealRoundRobin(evs []event.Access, w int) []uint64 {
 	counts := make([]uint64, w)
 	n := 0

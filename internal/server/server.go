@@ -55,7 +55,7 @@ type Config struct {
 	// 0 admits everything.
 	MaxStoreBytes uint64
 	// QueueCap is the per-worker queue capacity in chunks; small values make
-	// pipeline backpressure reach the socket sooner. Default 32.
+	// pipeline backpressure reach the socket sooner. Default: core's.
 	QueueCap int
 	// IdleTimeout is the slow-client deadline: a session that neither
 	// delivers nor accepts a byte for this long is evicted. Default 30s.
@@ -110,9 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SessionSlots <= 0 {
 		c.SessionSlots = 1 << 20
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 32
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 30 * time.Second
@@ -645,7 +642,7 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 		Meta:          h.Meta,
 		RaceCheck:     h.Flags&flagRaceCheck != 0,
 		Metrics:       s.pipe,
-		QueueCap:      s.cfg.QueueCap,
+		QueueCap:      max(s.cfg.QueueCap, 0), // 0: core's default
 		TrackAccuracy: s.cfg.TrackAccuracy,
 		OnEpochDelta:  obs.offer,
 		TrackBounds:   true,

@@ -306,10 +306,6 @@ type Pipeline struct {
 	Events *Counter
 	// Chunks counts chunks pushed to workers.
 	Chunks *Counter
-	// ChunksRecycled / ChunksAllocated split chunk acquisition by source:
-	// recycled from a worker's return ring vs freshly allocated.
-	ChunksRecycled  *Counter
-	ChunksAllocated *Counter
 	// DepCacheHits / DepCacheProbes report the detection engines' instance
 	// cache: a hit records a dependence instance with zero map operations.
 	// Published at sampled-batch granularity while the run is live, with the
@@ -405,8 +401,6 @@ func (r *Registry) Pipeline(prefix string) *Pipeline {
 	p = &Pipeline{
 		Events:               r.Counter(prefix + "_events_total"),
 		Chunks:               r.Counter(prefix + "_chunks_total"),
-		ChunksRecycled:       r.Counter(prefix + "_chunks_recycled_total"),
-		ChunksAllocated:      r.Counter(prefix + "_chunks_allocated_total"),
 		DepCacheHits:         r.Counter(prefix + "_dep_cache_hits_total"),
 		DepCacheProbes:       r.Counter(prefix + "_dep_cache_probes_total"),
 		DupCollapsed:         r.Counter(prefix + "_dup_collapsed_total"),
