@@ -36,8 +36,9 @@ check: build vet fmt-check test race smoke
 
 # The benchmark of record: every ddbench workload, each repetition verified
 # (bench/README.md). Compare two commits as alternating pairs from two
-# checkouts; the Go micro-benchmarks are developer tools, run them with plain
-# `go test -bench`.
+# checkouts — `scripts/bench_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD SEED0
+# PAIRS SECONDS` prints every run, medians, quartiles and wins; the Go
+# micro-benchmarks are developer tools, run them with plain `go test -bench`.
 bench:
 	$(GO) run ./bench/ddbench all
 

@@ -156,6 +156,10 @@ func newLoopAgg() *loopAgg {
 // signature with accuracy tracking, which must see each probe — through the
 // sig.Store interface. Both arms feed the same Algorithm 1
 // (write, read below), and FuzzEngineArms holds them to each other.
+//
+// Only the race check reads a resident slot's stamp, so only a race-checking
+// engine makes a signature keep them — here, before the first access, whoever
+// built the store.
 func NewEngine(store sig.Store, meta *prog.Meta, raceCheck bool) *Engine {
 	e := &Engine{
 		store:     store,
@@ -164,8 +168,13 @@ func NewEngine(store sig.Store, meta *prog.Meta, raceCheck bool) *Engine {
 		loops:     make(map[prog.LoopID]*loopAgg),
 		raceCheck: raceCheck,
 	}
-	if g, ok := store.(*sig.Signature); ok && !g.Tracking() {
-		e.sg = g
+	if g, ok := store.(*sig.Signature); ok {
+		if raceCheck {
+			g.KeepStamps()
+		}
+		if !g.Tracking() {
+			e.sg = g
+		}
 	}
 	return e
 }
@@ -187,8 +196,8 @@ func (e *Engine) Process(a event.Access) {
 			e.noteBounds(a.Var, a.Addr)
 		}
 		if e.sg != nil {
-			p := e.sg.At(a.Addr)
-			p.W = e.write(p.W, p.R, &a)
+			c := e.sg.At(a.Addr)
+			c.SetW(e.write(c.W(), c.R(), &a))
 			return
 		}
 		w, _ := e.store.LookupWrite(a.Addr)
@@ -202,8 +211,8 @@ func (e *Engine) Process(a event.Access) {
 		// same (unchanged) write slot: 1+Rep instances of the same RAW.
 		n := 1 + uint64(a.Rep)
 		if e.sg != nil {
-			p := e.sg.At(a.Addr)
-			p.R = e.read(p.W, &a, n)
+			c := e.sg.At(a.Addr)
+			c.SetR(e.read(c.W(), &a, n))
 			return
 		}
 		w, _ := e.store.LookupWrite(a.Addr)
@@ -289,8 +298,8 @@ func (e *Engine) build(t dep.Type, src sig.Slot, snk *event.Access, n uint64) {
 	// §V-B over sync epochs (event.Batcher): happens-before across threads
 	// implies a larger stamp, so a smaller one, or an equal one from another
 	// thread (compared at the slot's 9-bit width), proves the pair unordered.
-	reversed := e.raceCheck && (snk.TS < src.TS() ||
-		snk.TS == src.TS() && snk.TS != 0 && snk.Thread&sig.ThreadMask != src.Thread())
+	reversed := e.raceCheck && (snk.TS < src.TS ||
+		snk.TS == src.TS && snk.TS != 0 && snk.Thread&sig.ThreadMask != src.Thread())
 	k := packKey(t, snk.Loc, src.Loc(), snk.Var, int16(snk.Thread), int16(src.Thread()))
 	e.record(k, carriedAt, reduction, reversed, dist, n)
 }

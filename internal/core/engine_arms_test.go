@@ -55,6 +55,9 @@ func armsOp(b []byte, ts *uint64) event.Access {
 	if b[7]&0x80 != 0 && stamp > 8 {
 		stamp -= 8 // reaches behind earlier accesses: a reversal under raceCheck
 	}
+	if b[7]&0x40 != 0 {
+		stamp += 1 << 48 // beyond what a slot once kept of a stamp
+	}
 	a := event.Access{
 		Addr: addr, TS: stamp,
 		IterVec: event.PackIterVec([]uint32{uint32(b[6] & 7), uint32(b[5] & 15)}),
@@ -92,6 +95,8 @@ func FuzzEngineArms(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{3, 1, 0, 9, 0x15, 3, 2, 1, 0, 1, 0, 9, 0x15, 3, 2, 1}, 8))
 	f.Add(bytes.Repeat([]byte{0x83, 0, 0, 1, 0x21, 0x07, 40, 5, 0x80, 0, 0, 2, 0x21, 0x07, 40, 5}, 4))
 	f.Add(bytes.Repeat([]byte{0xA4, 0xFF, 0xFF, 3, 0x2E, 0x21, 47, 0x83, 0x46, 0xFF, 0xFF, 3, 0x2E, 0x21, 200, 0x81, 6, 0xFF, 0xFF, 0, 0, 0, 0, 0}, 4))
+	// Race check on; stamps step across 2^48 both ways between two threads.
+	f.Add(bytes.Repeat([]byte{0x14, 7, 0, 1, 0, 0, 0, 0x41, 0x10, 7, 0, 2, 1, 0, 0, 0x01, 0x13, 7, 0, 3, 1, 0, 0, 0x42, 0x14, 7, 0, 1, 0, 0, 0, 0x81}, 3))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, slots := range []int{1, 2, 1000, 4096, 4097, 1 << 14} {
 			checkArms(t, slots, data)
@@ -104,6 +109,10 @@ func checkArms(t *testing.T, slots int, data []byte) {
 	race := len(data) > 0 && data[0]&0x10 != 0
 	fusedSig, plainSig := sig.NewSignature(slots), sig.NewSignature(slots)
 	fused := NewEngine(fusedSig, meta, race)
+	if race {
+		// NewEngine cannot see the signature behind the wrapper to ask.
+		plainSig.KeepStamps()
+	}
 	plain := NewEngine(plainStore{plainSig}, meta, race)
 	if fused.sg == nil || plain.sg != nil {
 		t.Fatal("arm selection: want the fused arm over *sig.Signature, the interface arm over the wrapper")
@@ -228,19 +237,23 @@ func TestPackedKeyRoundTrip(t *testing.T) {
 // pipeline (routing loop, chunk ring, workers): the ring is allocated by New,
 // so the warm-up is the stores' alone.
 func TestProcessAllocFree(t *testing.T) {
-	e := NewEngine(sig.NewSignature(1<<21), armsMeta(), false)
 	w := event.Access{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 1), CtxID: 2}
 	r := event.Access{Addr: 0x1000, Kind: event.Read, Loc: loc.Pack(1, 2), CtxID: 2}
-	step := func() {
-		w.IterVec++
-		r.IterVec++
-		e.Process(w)
-		e.Process(r)
-	}
-	step()
-	step()
-	if n := testing.AllocsPerRun(1000, step); n != 0 {
-		t.Errorf("Engine.Process allocates %.1f times per write+read, want 0", n)
+	for _, race := range []bool{false, true} { // 32-byte records, then 48 with stamps
+		e := NewEngine(sig.NewSignature(1<<21), armsMeta(), race)
+		step := func() {
+			w.IterVec++
+			r.IterVec++
+			w.TS++
+			r.TS++
+			e.Process(w)
+			e.Process(r)
+		}
+		step()
+		step()
+		if n := testing.AllocsPerRun(1000, step); n != 0 {
+			t.Errorf("Engine.Process (race check %v) allocates %.1f times per write+read, want 0", race, n)
+		}
 	}
 
 	p := mustNew(t, Config{Mode: ModeParallel, Workers: 2, QueueCap: 1, SlotsPerWorker: 1 << 16, Meta: armsMeta()})

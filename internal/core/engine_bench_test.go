@@ -23,15 +23,18 @@ func BenchmarkEngineProcess(b *testing.B) {
 	for _, arm := range []struct {
 		name string
 		wrap func(*sig.Signature) sig.Store
+		race bool
 	}{
-		{"fused", func(g *sig.Signature) sig.Store { return g }},
-		{"interface", func(g *sig.Signature) sig.Store { return plainStore{g} }},
+		{"fused", func(g *sig.Signature) sig.Store { return g }, false},
+		{"interface", func(g *sig.Signature) sig.Store { return plainStore{g} }, false},
+		// The fused arm over 48-byte records: the signature keeps stamps.
+		{"racecheck", func(g *sig.Signature) sig.Store { return g }, true},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, s := range streams {
-					e := NewEngine(arm.wrap(sig.NewSignature(1<<21)), s.meta, false)
+					e := NewEngine(arm.wrap(sig.NewSignature(1<<21)), s.meta, arm.race)
 					for j := range s.evs {
 						e.Process(s.evs[j])
 					}

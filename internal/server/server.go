@@ -372,13 +372,15 @@ func (s *Server) unregister(sess *session) {
 
 // resolveBackend picks a session's store spec — the handshake's, else the
 // daemon default — and enforces the daemon's store admission budget over the
-// session's store count.
+// session's store count. The charge is what the stores core.New builds for
+// this handshake will report: a race-checking session's signatures keep
+// stamps.
 func (c Config) resolveBackend(h *handshake, stores, slotsPerStore int) (string, error) {
 	spec := h.Backend
 	if spec == "" {
 		spec = c.DefaultBackend
 	}
-	bytes, bounded, err := sig.EstimateStoreBytes(spec, slotsPerStore)
+	bytes, bounded, err := sig.EstimateStoreBytes(spec, slotsPerStore, h.Flags&flagRaceCheck != 0)
 	if err != nil {
 		return "", err
 	}

@@ -192,9 +192,11 @@ type Backend struct {
 	// backend does not understand.
 	New func(Spec) (Store, error)
 	// EstimateBytes predicts the store's steady-state footprint for
-	// admission control. Zero means unbounded: the footprint grows with the
-	// target's address footprint and cannot be promised up front.
-	EstimateBytes func(Spec) uint64
+	// admission control: Bytes() of the store New builds from the spec, once
+	// a race-checking engine (stamps) or any other has taken it. Zero means
+	// unbounded: the footprint grows with the target's address footprint and
+	// cannot be promised up front.
+	EstimateBytes func(sp Spec, stamps bool) uint64
 }
 
 var (
@@ -268,9 +270,10 @@ func OpenStore(spec string, defaultSlots int) (Store, error) {
 }
 
 // EstimateStoreBytes predicts one store's footprint under a spec for
-// admission control. bounded is false when the backend cannot bound its
-// growth (perfect, shadow).
-func EstimateStoreBytes(spec string, defaultSlots int) (bytes uint64, bounded bool, err error) {
+// admission control; stamps says whether the store will serve a race-checking
+// engine, which makes a signature keep them. bounded is false when the
+// backend cannot bound its growth (perfect, shadow).
+func EstimateStoreBytes(spec string, defaultSlots int, stamps bool) (bytes uint64, bounded bool, err error) {
 	if spec == "" {
 		spec = DefaultBackend
 	}
@@ -287,11 +290,9 @@ func EstimateStoreBytes(spec string, defaultSlots int) (bytes uint64, bounded bo
 	if b.EstimateBytes == nil {
 		return 0, false, nil
 	}
-	n := b.EstimateBytes(sp)
+	n := b.EstimateBytes(sp, stamps)
 	return n, n > 0, nil
 }
-
-const slotBytes = 24 // three 64-bit words per Slot
 
 func init() {
 	Register(Backend{
@@ -309,12 +310,12 @@ func init() {
 			}
 			return NewSignature(slots), nil
 		},
-		EstimateBytes: func(sp Spec) uint64 {
+		EstimateBytes: func(sp Spec, stamps bool) uint64 {
 			slots, err := sp.Int("slots", sp.SlotsDefault(1<<20))
 			if err != nil || slots < 1 {
 				return 0
 			}
-			return 2 * uint64(slots) * slotBytes
+			return tableBytes(uint64(slots), stamps)
 		},
 	})
 	Register(Backend{

@@ -71,14 +71,33 @@ func TestOpenStore(t *testing.T) {
 }
 
 func TestEstimateStoreBytes(t *testing.T) {
-	b, bounded, err := EstimateStoreBytes("signature:slots=1024", 0)
-	if err != nil || !bounded {
-		t.Fatalf("signature estimate: %d, %v, %v", b, bounded, err)
+	// The estimate is Bytes() of the store the same spec opens, in the mode
+	// its engine will put it in.
+	for _, stamps := range []bool{false, true} {
+		for _, tc := range []struct {
+			spec  string
+			slots int
+		}{{"signature:slots=1024", 0}, {"signature", 4097}, {"", 1 << 21}} {
+			b, bounded, err := EstimateStoreBytes(tc.spec, tc.slots, stamps)
+			if err != nil || !bounded {
+				t.Fatalf("%q estimate: %d, %v, %v", tc.spec, b, bounded, err)
+			}
+			st, err := OpenStore(tc.spec, tc.slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stamps {
+				st.(*Signature).KeepStamps()
+			}
+			if b != st.Bytes() {
+				t.Errorf("%q/%d stamps=%v: estimate %d, store reports %d", tc.spec, tc.slots, stamps, b, st.Bytes())
+			}
+		}
 	}
-	if want := uint64(2 * 1024 * slotBytes); b != want {
-		t.Errorf("signature bytes = %d, want %d", b, want)
+	if b, _, _ := EstimateStoreBytes("signature:slots=1024", 0, false); b != 1024*pairBytes {
+		t.Errorf("signature bytes = %d, want %d", b, 1024*pairBytes)
 	}
-	if _, bounded, err := EstimateStoreBytes("perfect", 0); err != nil || bounded {
+	if _, bounded, err := EstimateStoreBytes("perfect", 0, true); err != nil || bounded {
 		t.Errorf("perfect must be unbounded, got bounded=%v err=%v", bounded, err)
 	}
 }

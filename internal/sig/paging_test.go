@@ -3,6 +3,7 @@ package sig
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"ddprof/internal/loc"
 )
@@ -13,7 +14,7 @@ func committed(g *Signature) (pages, pairs int) {
 	for _, pg := range g.pages {
 		if pg != nil {
 			pages++
-			pairs += len(pg)
+			pairs += int(g.indices(pg))
 		}
 	}
 	return
@@ -57,14 +58,14 @@ func TestSignatureCommitsOnWriteOnly(t *testing.T) {
 		case 1:
 			g.SetRead(addr, s)
 		default:
-			g.At(addr).W = s
+			g.At(addr).SetW(s)
 		}
 	}
 	pages, _ := committed(g)
 	if pages == 0 || pages > 10 {
 		t.Fatalf("%d contiguous words committed %d pages, want 1..10", words, pages)
 	}
-	if g.Bytes() != 2*(1<<21)*24 {
+	if g.Bytes() != (1<<21)*pairBytes {
 		t.Fatalf("Bytes() = %d: must stay the configured budget", g.Bytes())
 	}
 	g.Remove(0x7008)
@@ -81,20 +82,65 @@ func TestSignatureCommitsOnWriteOnly(t *testing.T) {
 }
 
 // TestSignatureNeverExceedsSlots: the last page is cut to the configured
-// slot count, so a fully touched signature holds exactly its slots.
+// slot count, so a fully touched signature holds exactly its slots — and
+// exactly Bytes() of memory, with stamps or without.
 func TestSignatureNeverExceedsSlots(t *testing.T) {
-	for _, slots := range []int{1, 2, 1000, 4096, 4097, 10000} {
+	for _, stamps := range []bool{false, true} {
+		for _, slots := range []int{1, 2, 1000, 4096, 4097, 10000} {
+			g := NewSignature(slots)
+			if stamps {
+				g.KeepStamps()
+			}
+			s := PackSlot(loc.Pack(1, 1), 0, 0, 0, 0, 0)
+			for i := uint64(0); i < uint64(3*slots); i++ {
+				g.SetWrite(8*i, s)
+				g.At(8 * i).SetR(s)
+			}
+			if _, pairs := committed(g); pairs != slots {
+				t.Errorf("%d slots: %d pairs committed after touching every index", slots, pairs)
+			}
+			var held uint64
+			for _, pg := range g.pages {
+				held += uint64(len(pg)) * uint64(unsafe.Sizeof(pg[0]))
+			}
+			if held != g.Bytes() {
+				t.Errorf("%d slots, stamps %v: pages hold %d bytes, Bytes() = %d", slots, stamps, held, g.Bytes())
+			}
+			if g.Occupancy() != 1 {
+				t.Errorf("%d slots: occupancy %v after touching every index", slots, g.Occupancy())
+			}
+		}
+	}
+}
+
+// TestPairNeverStraddlesALine: a 32-byte pair on a 32-byte-aligned page is
+// half a cache line, so one access touches one line. The alignment is the
+// allocator's (size classes that are multiples of 32, page-aligned large
+// objects), not the language's: this is where a runtime that changed it
+// would show.
+func TestPairNeverStraddlesALine(t *testing.T) {
+	for _, slots := range []int{1, 2, 3, 5, 33, 1000, 4096, 4097, 10000} {
 		g := NewSignature(slots)
-		s := PackSlot(loc.Pack(1, 1), 0, 0, 0, 0, 0)
-		for i := uint64(0); i < uint64(3*slots); i++ {
-			g.SetWrite(8*i, s)
-			g.At(8 * i).R = s
+		for i := uint64(0); i < uint64(slots); i++ {
+			c := g.At(8 * i)
+			if c.ts != nil {
+				t.Fatal("a signature nobody asked keeps stamps")
+			}
+			if off := uintptr(unsafe.Pointer(c.p)) % 64; off+unsafe.Sizeof(*c.p) > 64 {
+				t.Fatalf("%d slots: pair %d sits at line offset %d", slots, i, off)
+			}
 		}
-		if _, pairs := committed(g); pairs != slots {
-			t.Errorf("%d slots: %d pairs committed after touching every index", slots, pairs)
+		if base := uintptr(unsafe.Pointer(&g.pages[0][0])); len(g.pages) > 1 && base%64 != 0 {
+			t.Errorf("%d slots: full page based at %#x, not line-aligned", slots, base)
 		}
-		if g.Occupancy() != 1 {
-			t.Errorf("%d slots: occupancy %v after touching every index", slots, g.Occupancy())
+	}
+	// With stamps the record is 48 bytes: pair and stamps stay contiguous.
+	g := NewSignature(100)
+	g.KeepStamps()
+	for i := uint64(0); i < 100; i++ {
+		c := g.At(8 * i)
+		if uintptr(unsafe.Pointer(c.ts)) != uintptr(unsafe.Pointer(c.p))+unsafe.Sizeof(*c.p) {
+			t.Fatalf("index %d: stamps are not behind their pair", i)
 		}
 	}
 }
@@ -115,7 +161,11 @@ func (f *flatSig) idx(addr uint64) uint64 { return (addr >> 3) % uint64(len(f.w)
 func TestSignatureMatchesFlatReference(t *testing.T) {
 	for _, slots := range []int{1, 2, 1000, 4096, 4097, 1 << 14} {
 		rng := rand.New(rand.NewSource(int64(slots)))
+		// The first keeps stamps and the second does not: probes of the one
+		// return them at full width, of the other as 0, and Intersect spans
+		// the two layouts.
 		sigs := [2]*Signature{NewSignature(slots), NewSignature(slots)}
+		sigs[0].KeepStamps()
 		flats := [2]*flatSig{{make([]Slot, slots), make([]Slot, slots)}, {make([]Slot, slots), make([]Slot, slots)}}
 		addrs := make([]uint64, 0, 4096)
 		for n := 0; n < 4096; n++ {
@@ -128,23 +178,27 @@ func TestSignatureMatchesFlatReference(t *testing.T) {
 			addrs = append(addrs, addr)
 			which := rng.Intn(2)
 			g, f := sigs[which], flats[which]
-			s := PackSlot(loc.Pack(1, 1+n%100), loc.VarID(n), 0, 0, uint64(n), 0)
+			s := PackSlot(loc.Pack(1, 1+n%100), loc.VarID(n), int32(n), uint32(n), uint64(n), rng.Uint64())
+			kept := s
+			if which == 1 {
+				kept.TS = 0
+			}
 			if i := f.idx(addr); g.hash(addr) != i {
 				t.Fatalf("%d slots: hash(%#x) = %d, modulo says %d", slots, addr, g.hash(addr), i)
 			}
 			switch rng.Intn(5) {
 			case 0:
 				g.SetWrite(addr, s)
-				f.w[f.idx(addr)] = s
+				f.w[f.idx(addr)] = kept
 			case 1:
 				g.SetRead(addr, s)
-				f.r[f.idx(addr)] = s
+				f.r[f.idx(addr)] = kept
 			case 2:
-				g.At(addr).W = s
-				f.w[f.idx(addr)] = s
+				g.At(addr).SetW(s)
+				f.w[f.idx(addr)] = kept
 			case 3:
-				g.At(addr).R = s
-				f.r[f.idx(addr)] = s
+				g.At(addr).SetR(s)
+				f.r[f.idx(addr)] = kept
 			default:
 				g.Remove(addr)
 				f.w[f.idx(addr)], f.r[f.idx(addr)] = Slot{}, Slot{}
@@ -171,6 +225,9 @@ func TestSignatureMatchesFlatReference(t *testing.T) {
 				fw, fr := f.w[f.idx(addr)], f.r[f.idx(addr)]
 				if w != fw || wok == fw.Empty() || r != fr || rok == fr.Empty() {
 					t.Fatalf("%d slots: probe of %#x differs from the flat reference", slots, addr)
+				}
+				if c := g.At(addr); c.W() != fw || c.R() != fr {
+					t.Fatalf("%d slots: cell of %#x differs from the flat reference", slots, addr)
 				}
 			}
 		}

@@ -10,44 +10,59 @@
 // hashed there; hash collisions therefore produce both false positives and
 // false negatives in the profiled dependences, quantified in Table I.
 //
-// The paper's slots are 4 bytes (a source line). Our slots carry additional
-// metadata (variable, thread, loop-iteration context, timestamp) needed for
-// the Table II and §V experiments, so a slot is three 64-bit words. Memory
-// experiments report both actual and paper-modeled (4 B/slot) sizes.
+// The paper's slots are 4 bytes (a source line). Ours hold what Algorithm 1
+// reads back — location, thread, loop context and iteration vector, for the
+// Table II and §V experiments — in two 64-bit words: 16 bytes a slot, 32 a
+// write/read pair, 64 MB at the default 2 M slots. A race-checking profiler
+// also keeps each access's §V stamp beside its pair (48 bytes, 96 MB); one
+// that never compares stamps does not store them. Memory experiments report
+// both actual and paper-modeled (4 B/slot) sizes.
 package sig
 
 import (
+	"unsafe"
+
 	"ddprof/internal/loc"
 )
 
-// Slot is the access record stored per signature slot. The zero Slot means
-// "empty". A populated slot always has the presence bit set in Meta, so a
-// genuine access can never be mistaken for an empty slot.
+// Slot is the access record a Store is handed and hands back. The zero Slot
+// means "empty". A populated slot always has the presence bit set in Meta,
+// so a genuine access can never be mistaken for an empty slot. The exact
+// stores keep all three words; the signature keeps Meta and Iter, and TS only
+// when asked to (KeepStamps).
 type Slot struct {
-	Meta  uint64 // present(1) | reduction(1) | induction(1) | thread(9) | var(20) | loc(32)
-	Iter  uint64 // packed iteration vector of the enclosing loops
-	CtxTS uint64 // ctxID(16) | timestamp(48)
+	Meta uint64 // present(1) | reduction(1) | induction(1) | unused(4) | thread(9) | ctx(16) | loc(32)
+	Iter uint64 // packed iteration vector of the enclosing loops
+	TS   uint64 // §V sync-epoch stamp, full width; 0 for sequential targets
 }
 
 const (
 	presentBit   = uint64(1) << 63
 	reductionBit = uint64(1) << 62
 	inductionBit = uint64(1) << 61
+
+	threadShift = 48
+	ctxShift    = 32
 )
 
-// ThreadMask is the width a slot keeps of a thread ID.
-const ThreadMask = 0x1FF
+// The widths a slot keeps of a thread ID and of a static loop-context ID;
+// wider values wrap (ROADMAP item 4).
+const (
+	ThreadMask = 0x1FF
+	CtxMask    = 0xFFFF
+)
 
-// PackSlot builds a populated slot.
+// PackSlot builds a populated slot. v is unused: Algorithm 1 keys a
+// dependence on the sink's variable and never reads the source's, so a slot
+// does not hold one. The parameter stays because bench/ calls this signature.
 func PackSlot(l loc.SourceLoc, v loc.VarID, thread int32, ctx uint32, iterVec, ts uint64) Slot {
-	meta := presentBit |
-		(uint64(thread)&ThreadMask)<<52 |
-		(uint64(v)&0xFFFFF)<<32 |
-		uint64(l)
 	return Slot{
-		Meta:  meta,
-		Iter:  iterVec,
-		CtxTS: (uint64(ctx)&0xFFFF)<<48 | (ts & 0xFFFFFFFFFFFF),
+		Meta: presentBit |
+			(uint64(thread)&ThreadMask)<<threadShift |
+			(uint64(ctx)&CtxMask)<<ctxShift |
+			uint64(l),
+		Iter: iterVec,
+		TS:   ts,
 	}
 }
 
@@ -80,17 +95,11 @@ func (s Slot) Induction() bool { return s.Meta&inductionBit != 0 }
 // Loc returns the recorded source location.
 func (s Slot) Loc() loc.SourceLoc { return loc.SourceLoc(uint32(s.Meta)) }
 
-// Var returns the recorded variable.
-func (s Slot) Var() loc.VarID { return loc.VarID((s.Meta >> 32) & 0xFFFFF) }
-
 // Thread returns the recorded target-program thread ID.
-func (s Slot) Thread() int32 { return int32((s.Meta >> 52) & ThreadMask) }
+func (s Slot) Thread() int32 { return int32((s.Meta >> threadShift) & ThreadMask) }
 
 // Ctx returns the recorded static loop-context ID.
-func (s Slot) Ctx() uint32 { return uint32(s.CtxTS >> 48) }
-
-// TS returns the recorded timestamp (48 bits).
-func (s Slot) TS() uint64 { return s.CtxTS & 0xFFFFFFFFFFFF }
+func (s Slot) Ctx() uint32 { return uint32((s.Meta >> ctxShift) & CtxMask) }
 
 // Store abstracts how per-address access history is kept. The profiler's
 // detection engine (Algorithm 1) runs against any Store; implementations are
@@ -114,23 +123,69 @@ type Store interface {
 	ModeledBytes() uint64
 }
 
-// Pair is the access history of one signature index: the last write and the
-// last read that hashed there. The two live side by side because Algorithm 1
-// consults both for every write and one, then updates the other, for every
-// read: one 48-byte pair is one hash and at most one cache-line crossing
-// per access, where a write array and a read array would be two probes
-// megabytes apart.
-type Pair struct {
-	W, R Slot
+// Pair is the access history resident at one signature index: the last write
+// (Meta, Iter) and then the last read that hashed there. The two live side by
+// side because Algorithm 1 consults both for every write and one, then
+// updates the other, for every read: one 32-byte pair is one hash and half a
+// cache line per access, never two lines, where a write array and a read
+// array would be two probes megabytes apart.
+type Pair [pairWords]uint64
+
+const (
+	pairWords    = 4
+	stampWords   = 2 // last write's stamp, last read's; follow the pair when kept
+	stampedWords = pairWords + stampWords
+)
+
+// Cell is the handle to one signature index: its pair and, in a signature
+// that keeps stamps, the two stamps behind it. It stays valid for the life
+// of the signature.
+type Cell struct {
+	p  *Pair
+	ts *[stampWords]uint64
 }
 
-// The pair table is committed in fixed pages on first write, the way the
-// paper's calloc'd array is by the kernel: a profile whose footprint covers
-// half a percent of its slot budget zeroes and keeps resident half a percent
-// of the table, not all of it.
+// W returns the resident last write.
+func (c Cell) W() Slot {
+	s := Slot{Meta: c.p[0], Iter: c.p[1]}
+	if c.ts != nil {
+		s.TS = c.ts[0]
+	}
+	return s
+}
+
+// R returns the resident last read.
+func (c Cell) R() Slot {
+	s := Slot{Meta: c.p[2], Iter: c.p[3]}
+	if c.ts != nil {
+		s.TS = c.ts[1]
+	}
+	return s
+}
+
+// SetW installs s as the last write.
+func (c Cell) SetW(s Slot) {
+	c.p[0], c.p[1] = s.Meta, s.Iter
+	if c.ts != nil {
+		c.ts[0] = s.TS
+	}
+}
+
+// SetR installs s as the last read.
+func (c Cell) SetR(s Slot) {
+	c.p[2], c.p[3] = s.Meta, s.Iter
+	if c.ts != nil {
+		c.ts[1] = s.TS
+	}
+}
+
+// The table is committed in fixed pages on first write, the way the paper's
+// calloc'd array is by the kernel: a profile whose footprint covers half a
+// percent of its slot budget zeroes and keeps resident half a percent of the
+// table, not all of it.
 const (
 	pageShift = 12
-	pagePairs = 1 << pageShift // 4096 pairs = 192 KiB
+	pagePairs = 1 << pageShift // 4096 pairs = 128 KiB, 192 with stamps
 	pageMask  = pagePairs - 1
 )
 
@@ -139,11 +194,14 @@ const (
 // the older one — no chaining, no growth — which is what makes it fast and
 // bounded, at the price of Table I's FPR/FNR.
 type Signature struct {
-	// pages[i>>pageShift] holds indices i&^pageMask .. ; nil until an access
-	// is first recorded there. Every page is pagePairs long except the last,
-	// which is cut to the configured slot count.
-	pages [][]Pair
-	m     uint64
+	// pages[i>>pageShift] holds indices i&^pageMask .. , stride words each: a
+	// pair, then its stamps if they are kept, so one index is one contiguous
+	// record either way. A page is nil until an access is first recorded
+	// there. Every page holds pagePairs indices except the last, which is cut
+	// to the configured slot count.
+	pages  [][]uint64
+	stride uint64
+	m      uint64
 	// mask is m-1 when m is a power of two, else 0; see hash.
 	mask uint64
 	// trk, when non-nil, maintains live accuracy statistics (occupancy,
@@ -159,13 +217,31 @@ func NewSignature(slots int) *Signature {
 		slots = 1
 	}
 	g := &Signature{
-		pages: make([][]Pair, (slots+pageMask)>>pageShift),
-		m:     uint64(slots),
+		pages:  make([][]uint64, (slots+pageMask)>>pageShift),
+		stride: pairWords,
+		m:      uint64(slots),
 	}
 	if slots&(slots-1) == 0 {
 		g.mask = g.m - 1
 	}
 	return g
+}
+
+// KeepStamps makes the signature store each access's §V stamp, at full width,
+// beside its pair: 48 bytes an index instead of 32. Only an engine that
+// compares stamps (the race check) has a use for them, and core.NewEngine
+// asks on its behalf; every other signature drops Slot.TS and reads it back
+// as 0. It must be called before the first access is recorded.
+func (g *Signature) KeepStamps() {
+	if g.stride == stampedWords {
+		return
+	}
+	for _, pg := range g.pages {
+		if pg != nil {
+			panic("sig: KeepStamps after an access was recorded")
+		}
+	}
+	g.stride = stampedWords
 }
 
 // hash maps an address to a slot index: the word address modulo the slot
@@ -192,48 +268,54 @@ func (g *Signature) hash(addr uint64) uint64 {
 // Slots returns the configured number of slots per side.
 func (g *Signature) Slots() int { return int(g.m) }
 
-// At returns the pair addr hashes to, committing its page if this is the
+// At returns the cell addr hashes to, committing its page if this is the
 // first access recorded there. It is the whole store side of one access for
 // a caller that will record the access (the engine's fused arm); probes that
-// must not commit go through Lookup*. The pointer stays valid for the life
-// of the signature. At bypasses accuracy tracking.
-func (g *Signature) At(addr uint64) *Pair {
-	return g.pair(g.hash(addr))
+// must not commit go through Lookup*. At bypasses accuracy tracking.
+func (g *Signature) At(addr uint64) Cell {
+	i := g.hash(addr)
+	return g.view(g.page(i), i)
 }
 
-// pair returns the pair at index i, committing its page on first use.
-func (g *Signature) pair(i uint64) *Pair {
+// page returns the page holding index i, committing it on first use.
+func (g *Signature) page(i uint64) []uint64 {
 	if pg := g.pages[i>>pageShift]; pg != nil {
-		return &pg[i&pageMask]
+		return pg
 	}
-	return g.commit(i)
+	return g.commit(i >> pageShift)
 }
 
-// commit allocates the page holding index i and returns i's pair.
-func (g *Signature) commit(i uint64) *Pair {
-	pi := i >> pageShift
+// view is the cell of index i within its committed page. A page holds whole
+// records, so the bounds check on a record's first word covers the rest of
+// it; the casts spare Process the two slice conversions that would check it
+// again.
+func (g *Signature) view(pg []uint64, i uint64) Cell {
+	rec := unsafe.Pointer(&pg[(i&pageMask)*g.stride])
+	c := Cell{p: (*Pair)(rec)}
+	if g.stride == stampedWords {
+		c.ts = (*[stampWords]uint64)(unsafe.Add(rec, unsafe.Sizeof(Pair{})))
+	}
+	return c
+}
+
+// commit allocates page pi.
+func (g *Signature) commit(pi uint64) []uint64 {
 	n := g.m - pi<<pageShift
 	if n > pagePairs {
 		n = pagePairs
 	}
-	pg := make([]Pair, n)
+	pg := make([]uint64, n*g.stride)
 	g.pages[pi] = pg
-	return &pg[i&pageMask]
+	return pg
 }
 
-// peek returns the pair at index i without committing: an uncommitted page
-// reads as empty slots.
-func (g *Signature) peek(i uint64) Pair {
-	if pg := g.pages[i>>pageShift]; pg != nil {
-		return pg[i&pageMask]
-	}
-	return Pair{}
-}
-
-// LookupWrite implements Store.
-func (g *Signature) LookupWrite(addr uint64) (Slot, bool) {
+// LookupWrite implements Store. An uncommitted page reads as empty slots and
+// stays uncommitted.
+func (g *Signature) LookupWrite(addr uint64) (s Slot, ok bool) {
 	i := g.hash(addr)
-	s := g.peek(i).W
+	if pg := g.pages[i>>pageShift]; pg != nil {
+		s = g.view(pg, i).W()
+	}
 	if g.trk != nil {
 		g.trk.noteLookup(i, (addr>>3)+1, !s.Empty())
 	}
@@ -241,8 +323,11 @@ func (g *Signature) LookupWrite(addr uint64) (Slot, bool) {
 }
 
 // LookupRead implements Store.
-func (g *Signature) LookupRead(addr uint64) (Slot, bool) {
-	s := g.peek(g.hash(addr)).R
+func (g *Signature) LookupRead(addr uint64) (s Slot, ok bool) {
+	i := g.hash(addr)
+	if pg := g.pages[i>>pageShift]; pg != nil {
+		s = g.view(pg, i).R()
+	}
 	return s, !s.Empty()
 }
 
@@ -252,11 +337,14 @@ func (g *Signature) SetWrite(addr uint64, s Slot) {
 	if g.trk != nil {
 		g.trk.noteInsert(i, (addr>>3)+1)
 	}
-	g.pair(i).W = s
+	g.view(g.page(i), i).SetW(s)
 }
 
 // SetRead implements Store.
-func (g *Signature) SetRead(addr uint64, s Slot) { g.pair(g.hash(addr)).R = s }
+func (g *Signature) SetRead(addr uint64, s Slot) {
+	i := g.hash(addr)
+	g.view(g.page(i), i).SetR(s)
+}
 
 // Remove implements Store: both slots the address hashes to are cleared.
 // Collided residents are cleared too — an accepted approximation, the same
@@ -267,19 +355,36 @@ func (g *Signature) Remove(addr uint64) {
 		g.trk.noteRemove(i)
 	}
 	if pg := g.pages[i>>pageShift]; pg != nil {
-		pg[i&pageMask] = Pair{}
+		o := (i & pageMask) * g.stride
+		clear(pg[o : o+g.stride])
 	}
 }
 
-// Bytes implements Store: the configured size of the pair table — the budget
+// Bytes implements Store: the configured size of the table — the budget
 // daemon admission and the Fig. 7/8 memory metrics are defined on, and the
 // most the signature can ever hold. What is resident is the pages accesses
 // have touched.
-func (g *Signature) Bytes() uint64 { return 2 * g.m * slotBytes }
+func (g *Signature) Bytes() uint64 { return g.m * g.stride * 8 }
+
+// tableBytes is Bytes() of a table of m indices, with or without stamps.
+func tableBytes(m uint64, stamps bool) uint64 {
+	if stamps {
+		return m * stampedWords * 8
+	}
+	return m * pairWords * 8
+}
 
 // ModeledBytes implements Store: the paper's 4 bytes/slot model (§VI-A:
 // "each slot is four bytes. Thus 1.0E+8 slots consume only 382 MB").
 func (g *Signature) ModeledBytes() uint64 { return g.m * 4 }
+
+// indices is how many indices a committed page holds; written reports
+// whether its k-th holds a write.
+func (g *Signature) indices(pg []uint64) uint64 { return uint64(len(pg)) / g.stride }
+
+func (g *Signature) written(pg []uint64, k uint64) bool {
+	return pg[k*g.stride]&presentBit != 0
+}
 
 // Occupancy returns the fraction of non-empty write slots; used to validate
 // the paper's Eq. (2) collision-probability prediction. With accuracy
@@ -293,8 +398,8 @@ func (g *Signature) Occupancy() float64 {
 	}
 	used := 0
 	for _, pg := range g.pages {
-		for i := range pg {
-			if !pg[i].W.Empty() {
+		for k, end := uint64(0), g.indices(pg); k < end; k++ {
+			if g.written(pg, k) {
 				used++
 			}
 		}
@@ -317,8 +422,8 @@ func (g *Signature) Intersect(o *Signature) int {
 		if opg == nil {
 			continue
 		}
-		for i := range pg {
-			if !pg[i].W.Empty() && !opg[i].W.Empty() {
+		for k, end := uint64(0), g.indices(pg); k < end; k++ {
+			if g.written(pg, k) && o.written(opg, k) {
 				n++
 			}
 		}
@@ -366,8 +471,8 @@ func (p *PerfectSignature) Remove(addr uint64) {
 	delete(p.reads, addr)
 }
 
-// Bytes implements Store: an estimate of the map footprint (key + slot +
-// bucket overhead per entry).
+// Bytes implements Store: an estimate of the map footprint (key + three-word
+// slot + bucket overhead per entry).
 func (p *PerfectSignature) Bytes() uint64 {
 	const perEntry = 8 + 24 + 16
 	return uint64(len(p.writes)+len(p.reads)) * perEntry

@@ -3,6 +3,7 @@ package sig
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ddprof/internal/loc"
 )
@@ -16,9 +17,6 @@ func TestSlotPackUnpack(t *testing.T) {
 	if s.Loc() != l {
 		t.Errorf("Loc = %v, want %v", s.Loc(), l)
 	}
-	if s.Var() != 17 {
-		t.Errorf("Var = %d", s.Var())
-	}
 	if s.Thread() != 3 {
 		t.Errorf("Thread = %d", s.Thread())
 	}
@@ -28,8 +26,8 @@ func TestSlotPackUnpack(t *testing.T) {
 	if s.Iter != 0xDEADBEEF {
 		t.Errorf("Iter = %#x", s.Iter)
 	}
-	if s.TS() != 123456 {
-		t.Errorf("TS = %d", s.TS())
+	if s.TS != 123456 {
+		t.Errorf("TS = %d", s.TS)
 	}
 }
 
@@ -45,20 +43,36 @@ func TestSlotZeroIsEmpty(t *testing.T) {
 	}
 }
 
+// TestSlotPackProperty: every field comes back — the location, the iteration
+// vector and the stamp at full width, thread and context at the slot's named
+// widths — whatever the neighbouring fields hold, and the variable leaves no
+// trace. The marks do not disturb the fields.
 func TestSlotPackProperty(t *testing.T) {
-	f := func(line uint16, v uint16, thr uint8, ctx uint16, iter uint64, ts uint32) bool {
-		l := loc.Pack(1, int(line))
-		s := PackSlot(l, loc.VarID(v), int32(thr), uint32(ctx), iter, uint64(ts))
-		return s.Loc() == l &&
-			s.Var() == loc.VarID(v) &&
-			s.Thread() == int32(thr) &&
-			s.Ctx() == uint32(ctx) &&
+	f := func(l uint32, v uint32, thr int32, ctx uint32, iter, ts uint64, red, ind bool) bool {
+		s := PackSlot(loc.SourceLoc(l), loc.VarID(v), thr, ctx, iter, ts)
+		if s != PackSlot(loc.SourceLoc(l), 0, thr, ctx, iter, ts) {
+			return false
+		}
+		if red {
+			s = s.WithReduction()
+		}
+		if ind {
+			s = s.WithInduction()
+		}
+		return s.Loc() == loc.SourceLoc(l) &&
+			s.Thread() == thr&ThreadMask &&
+			s.Ctx() == ctx&CtxMask &&
 			s.Iter == iter &&
-			s.TS() == uint64(ts) &&
+			s.TS == ts &&
+			s.Reduction() == red && s.Induction() == ind &&
 			!s.Empty()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+	s := PackSlot(^loc.SourceLoc(0), 0, ThreadMask, CtxMask, ^uint64(0), ^uint64(0))
+	if s.Thread() != ThreadMask || s.Ctx() != CtxMask || s.Loc() != ^loc.SourceLoc(0) || s.TS != ^uint64(0) {
+		t.Errorf("all-ones fields come back as thread %d ctx %d loc %#x ts %#x", s.Thread(), s.Ctx(), s.Loc(), s.TS)
 	}
 }
 
@@ -178,10 +192,25 @@ func TestSignatureMinimumSlots(t *testing.T) {
 	}
 }
 
+// pairBytes and stampedBytes are what one index costs, from the types: a
+// Pair, and a Pair with its two stamps.
+const (
+	pairBytes    = uint64(unsafe.Sizeof(Pair{}))
+	stampedBytes = pairBytes + uint64(unsafe.Sizeof([stampWords]uint64{}))
+)
+
 func TestSignatureBytes(t *testing.T) {
+	if pairBytes != 32 || stampedBytes != 48 {
+		t.Fatalf("a pair is %d bytes, %d with stamps; want 32 and 48", pairBytes, stampedBytes)
+	}
 	g := NewSignature(1000)
-	if g.Bytes() != 2*1000*24 {
+	if g.Bytes() != 1000*pairBytes {
 		t.Errorf("Bytes = %d", g.Bytes())
+	}
+	g.KeepStamps()
+	g.KeepStamps() // idempotent
+	if g.Bytes() != 1000*stampedBytes {
+		t.Errorf("Bytes with stamps = %d", g.Bytes())
 	}
 	if g.ModeledBytes() != 4000 {
 		t.Errorf("ModeledBytes = %d, want paper's 4 B/slot", g.ModeledBytes())
