@@ -56,16 +56,19 @@ loc:
 # API the instance cache relies on and the shard merge the pipelines' merge
 # stage runs (FuzzSetMergeEquivalence guards production: core's merge is
 # dep.MergeShards), the engine's two store arms against each other on point
-# streams, the MT pipeline's batch seam against its per-event one, and the
-# backend spec parser every -backend flag and session handshake goes through.
+# streams, the MT pipeline's batch seam against its per-event one, the
+# backend spec parser every -backend flag and session handshake goes through,
+# and a worker's sharded signature against the unsharded one it stands for.
 # Plain `go test` already replays each fuzzer's f.Add seeds and the corpora
-# committed under testdata/fuzz/ (the wire-facing decoders, minilang, vm). The
+# committed under testdata/fuzz/ (the wire-facing decoders, minilang, vm, the
+# sharded signature). The
 # trace corpora are generated: after a wire change,
 # `go test ./internal/trace -run TestSeedCorpus -update` rewrites them.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzEngineArms -fuzztime=10s ./internal/core/
 	$(GO) test -run=^$$ -fuzz=FuzzMTBatchEquivalence -fuzztime=10s ./internal/core/
 	$(GO) test -run=^$$ -fuzz=FuzzBackendSpec -fuzztime=10s ./internal/sig/
+	$(GO) test -run=^$$ -fuzz=FuzzShardedSignature -fuzztime=10s ./internal/sig/
 	$(GO) test -run=^$$ -fuzz=FuzzReplay -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzRangeFrame -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzFrames -fuzztime=10s ./internal/trace/

@@ -117,8 +117,10 @@ func TestParallelWithRealSignatures(t *testing.T) {
 	if got.Stats.StoreBytes == 0 || got.Stats.StoreModeledBytes == 0 {
 		t.Error("store byte accounting missing")
 	}
-	if got.Stats.StoreModeledBytes != uint64(4*4*(1<<18)) {
-		t.Errorf("modeled bytes = %d, want 4 workers * 4B * 2^18", got.Stats.StoreModeledBytes)
+	// Four workers hold the 2^18 slots between them (sig.Signature.Shard).
+	if got.Stats.StoreModeledBytes != 4*(1<<18) || got.Stats.StoreBytes != 32*(1<<18) {
+		t.Errorf("store bytes = %d (%d modeled), want 2^18 slots at 32 B (4 B) over all four workers",
+			got.Stats.StoreBytes, got.Stats.StoreModeledBytes)
 	}
 }
 

@@ -111,17 +111,22 @@ func (c Config) normalize() (Config, error) {
 	if c.SlotsPerWorker < 0 {
 		return c, fmt.Errorf("core: SlotsPerWorker = %d; want >= 1 signature slots, or 0 for the default", c.SlotsPerWorker)
 	}
+	if c.Meta != nil && c.Meta.NumCtxs() > sig.CtxMask+1 {
+		// A slot keeps CtxMask's bits of a context ID: one past them would be
+		// remembered as another context and its pairs misjudged carried.
+		return c, fmt.Errorf("core: Meta has %d loop contexts; a store slot tells %d apart", c.Meta.NumCtxs(), sig.CtxMask+1)
+	}
 	return c, nil
 }
 
-// makeStores builds one store per worker through the backend registry. The
-// stores are built here (not lazily) so a bad Config.Backend spec fails
-// construction with a descriptive error instead of a nil dereference on the
-// hot path.
+// makeStores builds the stores of n workers that share the addresses by
+// ownerOf, through the backend registry. The stores are built here (not
+// lazily) so a bad Config.Backend spec fails construction with a descriptive
+// error instead of a nil dereference on the hot path.
 func makeStores(cfg *Config, n int) ([]sig.Store, error) {
 	out := make([]sig.Store, n)
 	for i := range out {
-		st, err := cfg.store()
+		st, err := cfg.store(n)
 		if err != nil {
 			return nil, fmt.Errorf("core: Config.Backend: %w", err)
 		}
@@ -542,7 +547,9 @@ func dupRead(last, a *event.Access) bool {
 // benchmarks and deployments pin 2/4/8/16), and for those the modulo is a
 // mask — sparing the hot producer path a hardware divide per access, which
 // profiling showed as a measurable slice of the distribution cost. The
-// mapping is bit-identical to the modulo.
+// mapping is bit-identical to the modulo. The workers' signatures are told
+// this rule (sig.Signature.Shard, from Config.store) and index by what it
+// leaves of the word: the two change together.
 func ownerOf(addr uint64, w int, wMask uint64) int {
 	if wMask != 0 {
 		return int((addr >> 3) & wMask)

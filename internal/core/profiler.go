@@ -125,9 +125,13 @@ type Config struct {
 	Mode Mode
 	// Workers is the number of profiling worker threads (parallel modes).
 	Workers int
-	// SlotsPerWorker is the signature size each worker uses. The paper's
-	// reference configuration is 6.25e6 slots per worker × 16 workers =
-	// 1e8 slots total (§VI-B2).
+	// SlotsPerWorker is the size of the signature the profile is that of:
+	// each worker indexes its words as a signature of this many slots would
+	// and holds only the indices its share of the addresses reaches
+	// (sig.Signature.Shard), so W workers hold SlotsPerWorker slots between
+	// them when W divides it, and report what one serial signature of that
+	// size reports. The paper's reference configuration is 6.25e6 slots per
+	// worker × 16 workers = 1e8 slots total (§VI-B2).
 	SlotsPerWorker int
 	// Backend selects the access-history store by spec string, resolved
 	// through the sig backend registry: "signature", "perfect", "shadow",
@@ -173,16 +177,18 @@ type Config struct {
 	TrackBounds bool
 }
 
-// store builds one worker store from the Backend spec.
-func (c *Config) store() (sig.Store, error) {
+// store builds the store of one of workers workers from the Backend spec. A
+// signature learns the routing rule (ownerOf) before anything sizes itself
+// from its slot count; exact stores have no slots to share and no accuracy
+// question to answer.
+func (c *Config) store(workers int) (sig.Store, error) {
 	st, err := sig.OpenStore(c.Backend, c.SlotsPerWorker)
 	if err != nil {
 		return nil, err
 	}
-	if c.TrackAccuracy {
-		// Only the signature has an accuracy question to answer; exact stores
-		// pass through.
-		if g, ok := st.(*sig.Signature); ok {
+	if g, ok := st.(*sig.Signature); ok {
+		g.Shard(workers)
+		if c.TrackAccuracy {
 			g.EnableTracking()
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"ddprof/internal/dep"
 	"ddprof/internal/event"
 	"ddprof/internal/loc"
+	"ddprof/internal/prog"
 	"ddprof/internal/sig"
 )
 
@@ -16,7 +17,9 @@ import (
 // write left resident. The stamp is kept whole. Thread and context are not:
 // one past their width wraps, and nothing counts it (ROADMAP item 4) — the
 // rows marked "wraps" record today's wrong answer so that widening them, or
-// counting them, has a test to change.
+// counting them, has a test to change. A bare engine still gives the context
+// rows' answer; a profiler cannot be built that would (the last row: New
+// refuses the metadata).
 func TestSlotNarrowingIsPinned(t *testing.T) {
 	const addr = 0x1000
 	access := func(kind event.Kind, line int, thread int32, ctx uint32, iter, ts uint64) event.Access {
@@ -81,6 +84,23 @@ func TestSlotNarrowingIsPinned(t *testing.T) {
 				t.Errorf("%s/%s: resident write has ctx %d, stamp %#x, thread %d; want %d, %#x, %d",
 					tc.name, arm, w.Ctx(), w.TS, w.Thread(), tc.ctx, tc.w.TS, tc.srcThread)
 			}
+		}
+	}
+
+	// core.New: metadata with context 65,535 is taken, with 65,536 refused.
+	meta := prog.NewMeta()
+	for meta.NumCtxs() <= sig.CtxMask {
+		meta.PushCtx(0, meta.AddLoop(prog.Loop{}))
+	}
+	modes := []Mode{ModeSerial, ModeParallel, ModeMT}
+	for _, mode := range modes {
+		mustNew(t, Config{Mode: mode, Workers: 2, Meta: meta}).Flush()
+	}
+	meta.PushCtx(0, meta.AddLoop(prog.Loop{}))
+	const want = "core: Meta has 65537 loop contexts; a store slot tells 65536 apart"
+	for _, mode := range modes {
+		if _, err := New(Config{Mode: mode, Workers: 2, Meta: meta}); err == nil || err.Error() != want {
+			t.Errorf("%v, %d contexts: err = %v, want %q", mode, meta.NumCtxs(), err, want)
 		}
 	}
 }

@@ -42,11 +42,18 @@ type Meta struct {
 	// ctxs[id] is the loop stack of context id, outermost first. Context 0
 	// is the empty stack (code outside any loop).
 	ctxs [][]LoopID
+	// pushed interns contexts: the one formed by pushing a loop onto a parent.
+	pushed map[ctxPush]uint32
+}
+
+type ctxPush struct {
+	parent uint32
+	loop   LoopID
 }
 
 // NewMeta returns metadata with the empty context preallocated.
 func NewMeta() *Meta {
-	return &Meta{ctxs: [][]LoopID{nil}}
+	return &Meta{ctxs: [][]LoopID{nil}, pushed: make(map[ctxPush]uint32)}
 }
 
 // AddLoop registers a loop and returns its ID.
@@ -80,29 +87,21 @@ func (m *Meta) SetLoopEnd(id LoopID, end loc.SourceLoc) {
 // returns the same ID. Not safe for concurrent use; IR construction is
 // single-threaded.
 func (m *Meta) PushCtx(parent uint32, l LoopID) uint32 {
-	ps := m.Stack(parent)
-	// Linear scan over existing contexts; context creation happens once per
-	// static loop, so this is O(#loops²) at build time and free at run time.
-	for id, s := range m.ctxs {
-		if len(s) != len(ps)+1 {
-			continue
-		}
-		match := s[len(s)-1] == l
-		for i := range ps {
-			if s[i] != ps[i] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return uint32(id)
-		}
+	if int(parent) >= len(m.ctxs) {
+		parent = 0 // an unknown parent has the empty stack (Stack)
 	}
+	key := ctxPush{parent, l}
+	if id, ok := m.pushed[key]; ok {
+		return id
+	}
+	ps := m.ctxs[parent]
 	ns := make([]LoopID, len(ps)+1)
 	copy(ns, ps)
 	ns[len(ps)] = l
 	m.ctxs = append(m.ctxs, ns)
-	return uint32(len(m.ctxs) - 1)
+	id := uint32(len(m.ctxs) - 1)
+	m.pushed[key] = id
+	return id
 }
 
 // Stack returns the loop stack of a context, outermost first. The returned

@@ -165,12 +165,13 @@ func TestBackendAdmission(t *testing.T) {
 // TestAdmissionEqualsStoreBytes: what admission charges a session is what
 // that session's stores report at flush (pipeline_store_bytes), to the byte —
 // a race-checking session's signatures keep stamps, 48 bytes an index, any
-// other 32 — so a budget of exactly that figure admits it and one byte less
+// other 32, and W workers' signatures hold one signature's slots between
+// them — so a budget of exactly that figure admits it and one byte less
 // refuses it, naming both numbers.
 func TestAdmissionEqualsStoreBytes(t *testing.T) {
-	const workers = 2
 	pair := uint64(unsafe.Sizeof(sig.Pair{}))
 	stamped := pair + 2*uint64(unsafe.Sizeof(uint64(0)))
+	sequential := func() *minilang.Program { return testProgram("seq", 50) }
 	spawning := func() *minilang.Program {
 		p := minilang.New("racing")
 		p.MainFunc(func(b *minilang.Block) {
@@ -181,7 +182,7 @@ func TestAdmissionEqualsStoreBytes(t *testing.T) {
 	}
 	// session runs one profiling session on a daemon with the given budget
 	// and returns the store bytes its flush published.
-	session := func(budget uint64, prog *minilang.Program, backend string) (int64, error) {
+	session := func(workers int, budget uint64, prog *minilang.Program, backend string) (int64, error) {
 		reg := telemetry.NewRegistry()
 		srv := New(Config{WorkersPerSession: workers, MaxStoreBytes: budget, Registry: reg})
 		ln := listenTCP(t)
@@ -195,42 +196,48 @@ func TestAdmissionEqualsStoreBytes(t *testing.T) {
 		_, err = ProfileRemote(conn, prog, ClientOptions{Workers: workers, Backend: backend})
 		return reg.Gauge("pipeline_store_bytes").Load(), err
 	}
-	for _, tc := range []struct {
-		name    string
-		prog    func() *minilang.Program
-		backend string
-		want    uint64
-	}{
-		{"sequential, default slots", func() *minilang.Program { return testProgram("seq", 50) }, "", (1 << 20) * pair},
-		{"race check, default slots", spawning, "", (1 << 20) * stamped},
-		{"sequential, slots=64k", func() *minilang.Program { return testProgram("seq", 50) }, "signature:slots=64k", workers * (64 << 10) * pair},
-		{"race check, slots=64k", spawning, "signature:slots=64k", workers * (64 << 10) * stamped},
-	} {
-		got, err := session(0, tc.prog(), tc.backend)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if uint64(got) != tc.want {
-			t.Errorf("%s: stores report %d bytes, want %d", tc.name, got, tc.want)
-		}
-		if _, err := session(tc.want, tc.prog(), tc.backend); err != nil {
-			t.Errorf("%s: refused at a budget of exactly its %d bytes: %v", tc.name, tc.want, err)
-		}
-		msg := fmt.Sprintf("needs %d bytes over %d stores; daemon store budget is %d bytes", tc.want, workers, tc.want-1)
-		if _, err := session(tc.want-1, tc.prog(), tc.backend); err == nil || !strings.Contains(err.Error(), msg) {
-			t.Errorf("%s: one byte under budget: err = %v, want %q", tc.name, err, msg)
+	for _, workers := range []int{2, 4} {
+		// The default is the session's 2^20 slots split W ways, and each
+		// worker's signature holds a W-th of its split; an explicit slots= is
+		// every worker's signature, of which each holds a W-th.
+		for _, tc := range []struct {
+			name    string
+			prog    func() *minilang.Program
+			backend string
+			want    uint64
+		}{
+			{"sequential, default slots", sequential, "", (1 << 20) / uint64(workers) * pair},
+			{"race check, default slots", spawning, "", (1 << 20) / uint64(workers) * stamped},
+			{"sequential, slots=64k", sequential, "signature:slots=64k", (64 << 10) * pair},
+			{"race check, slots=64k", spawning, "signature:slots=64k", (64 << 10) * stamped},
+		} {
+			name := fmt.Sprintf("W=%d, %s", workers, tc.name)
+			got, err := session(workers, 0, tc.prog(), tc.backend)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if uint64(got) != tc.want {
+				t.Errorf("%s: stores report %d bytes, want %d", name, got, tc.want)
+			}
+			if _, err := session(workers, tc.want, tc.prog(), tc.backend); err != nil {
+				t.Errorf("%s: refused at a budget of exactly its %d bytes: %v", name, tc.want, err)
+			}
+			msg := fmt.Sprintf("needs %d bytes over %d stores; daemon store budget is %d bytes", tc.want, workers, tc.want-1)
+			if _, err := session(workers, tc.want-1, tc.prog(), tc.backend); err == nil || !strings.Contains(err.Error(), msg) {
+				t.Errorf("%s: one byte under budget: err = %v, want %q", name, err, msg)
+			}
 		}
 	}
 
 	// Between the two figures the same spec is admitted for a sequential
 	// target and refused for one that needs the race check.
-	between := workers * (64 << 10) * (pair + stamped) / 2
-	if _, err := session(between, testProgram("seq", 50), "signature:slots=64k"); err != nil {
+	between := (64 << 10) * (pair + stamped) / 2
+	if _, err := session(2, between, sequential(), "signature:slots=64k"); err != nil {
 		t.Errorf("sequential session refused at %d bytes: %v", between, err)
 	}
-	msg := fmt.Sprintf(`backend "signature:slots=64k" needs %d bytes over %d stores; daemon store budget is %d bytes`,
-		workers*(64<<10)*stamped, workers, between)
-	if _, err := session(between, spawning(), "signature:slots=64k"); err == nil || !strings.Contains(err.Error(), msg) {
+	msg := fmt.Sprintf(`backend "signature:slots=64k" needs %d bytes over 2 stores; daemon store budget is %d bytes`,
+		(64<<10)*stamped, between)
+	if _, err := session(2, between, spawning(), "signature:slots=64k"); err == nil || !strings.Contains(err.Error(), msg) {
 		t.Errorf("race-checking session at %d bytes: err = %v, want %q", between, err, msg)
 	}
 }

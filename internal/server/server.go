@@ -374,13 +374,14 @@ func (s *Server) unregister(sess *session) {
 // daemon default — and enforces the daemon's store admission budget over the
 // session's store count. The charge is what the stores core.New builds for
 // this handshake will report: a race-checking session's signatures keep
-// stamps.
+// stamps, and each of several workers' signatures holds its share of the
+// slots.
 func (c Config) resolveBackend(h *handshake, stores, slotsPerStore int) (string, error) {
 	spec := h.Backend
 	if spec == "" {
 		spec = c.DefaultBackend
 	}
-	bytes, bounded, err := sig.EstimateStoreBytes(spec, slotsPerStore, h.Flags&flagRaceCheck != 0)
+	bytes, bounded, err := sig.EstimateStoreBytes(spec, slotsPerStore, stores, h.Flags&flagRaceCheck != 0)
 	if err != nil {
 		return "", err
 	}

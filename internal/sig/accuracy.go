@@ -10,7 +10,7 @@ import "math"
 // measures against the paper's prediction, now available per worker while a
 // run is in flight.
 type AccuracyStats struct {
-	// Slots is the configured write-slot count m.
+	// Slots is the write-slot count m the signature holds (Signature.Slots).
 	Slots int
 	// Occupied is the number of non-empty write slots.
 	Occupied int

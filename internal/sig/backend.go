@@ -193,10 +193,11 @@ type Backend struct {
 	New func(Spec) (Store, error)
 	// EstimateBytes predicts the store's steady-state footprint for
 	// admission control: Bytes() of the store New builds from the spec, once
-	// a race-checking engine (stamps) or any other has taken it. Zero means
+	// a profiler of that many workers has taken it as one worker's store and
+	// a race-checking engine (stamps) or any other drives it. Zero means
 	// unbounded: the footprint grows with the target's address footprint and
 	// cannot be promised up front.
-	EstimateBytes func(sp Spec, stamps bool) uint64
+	EstimateBytes func(sp Spec, workers int, stamps bool) uint64
 }
 
 var (
@@ -270,10 +271,12 @@ func OpenStore(spec string, defaultSlots int) (Store, error) {
 }
 
 // EstimateStoreBytes predicts one store's footprint under a spec for
-// admission control; stamps says whether the store will serve a race-checking
+// admission control. workers is how many stores the profiler shares its
+// addresses between (a signature holds only the indices its share reaches,
+// Signature.Shard); stamps says whether the store will serve a race-checking
 // engine, which makes a signature keep them. bounded is false when the
 // backend cannot bound its growth (perfect, shadow).
-func EstimateStoreBytes(spec string, defaultSlots int, stamps bool) (bytes uint64, bounded bool, err error) {
+func EstimateStoreBytes(spec string, defaultSlots, workers int, stamps bool) (bytes uint64, bounded bool, err error) {
 	if spec == "" {
 		spec = DefaultBackend
 	}
@@ -290,7 +293,7 @@ func EstimateStoreBytes(spec string, defaultSlots int, stamps bool) (bytes uint6
 	if b.EstimateBytes == nil {
 		return 0, false, nil
 	}
-	n := b.EstimateBytes(sp, stamps)
+	n := b.EstimateBytes(sp, workers, stamps)
 	return n, n > 0, nil
 }
 
@@ -310,12 +313,12 @@ func init() {
 			}
 			return NewSignature(slots), nil
 		},
-		EstimateBytes: func(sp Spec, stamps bool) uint64 {
+		EstimateBytes: func(sp Spec, workers int, stamps bool) uint64 {
 			slots, err := sp.Int("slots", sp.SlotsDefault(1<<20))
 			if err != nil || slots < 1 {
 				return 0
 			}
-			return tableBytes(uint64(slots), stamps)
+			return tableBytes(reachable(uint64(slots), uint64(max(workers, 1))), stamps)
 		},
 	})
 	Register(Backend{

@@ -72,32 +72,38 @@ func TestOpenStore(t *testing.T) {
 
 func TestEstimateStoreBytes(t *testing.T) {
 	// The estimate is Bytes() of the store the same spec opens, in the mode
-	// its engine will put it in.
+	// its engine and its profiler's worker count will put it in.
 	for _, stamps := range []bool{false, true} {
-		for _, tc := range []struct {
-			spec  string
-			slots int
-		}{{"signature:slots=1024", 0}, {"signature", 4097}, {"", 1 << 21}} {
-			b, bounded, err := EstimateStoreBytes(tc.spec, tc.slots, stamps)
-			if err != nil || !bounded {
-				t.Fatalf("%q estimate: %d, %v, %v", tc.spec, b, bounded, err)
-			}
-			st, err := OpenStore(tc.spec, tc.slots)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stamps {
-				st.(*Signature).KeepStamps()
-			}
-			if b != st.Bytes() {
-				t.Errorf("%q/%d stamps=%v: estimate %d, store reports %d", tc.spec, tc.slots, stamps, b, st.Bytes())
+		for _, workers := range []int{0, 1, 2, 3, 4, 16} {
+			for _, tc := range []struct {
+				spec  string
+				slots int
+			}{{"signature:slots=1024", 0}, {"signature", 4097}, {"signature", 6_250_000}, {"", 1 << 21}} {
+				b, bounded, err := EstimateStoreBytes(tc.spec, tc.slots, workers, stamps)
+				if err != nil || !bounded {
+					t.Fatalf("%q estimate: %d, %v, %v", tc.spec, b, bounded, err)
+				}
+				st, err := OpenStore(tc.spec, tc.slots)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.(*Signature).Shard(workers)
+				if stamps {
+					st.(*Signature).KeepStamps()
+				}
+				if b != st.Bytes() {
+					t.Errorf("%q/%d workers=%d stamps=%v: estimate %d, store reports %d", tc.spec, tc.slots, workers, stamps, b, st.Bytes())
+				}
 			}
 		}
 	}
-	if b, _, _ := EstimateStoreBytes("signature:slots=1024", 0, false); b != 1024*pairBytes {
+	if b, _, _ := EstimateStoreBytes("signature:slots=1024", 0, 1, false); b != 1024*pairBytes {
 		t.Errorf("signature bytes = %d, want %d", b, 1024*pairBytes)
 	}
-	if _, bounded, err := EstimateStoreBytes("perfect", 0, true); err != nil || bounded {
+	if b, _, _ := EstimateStoreBytes("signature:slots=1024", 0, 4, true); b != 256*stampedBytes {
+		t.Errorf("one of four workers' signature bytes = %d, want %d", b, 256*stampedBytes)
+	}
+	if _, bounded, err := EstimateStoreBytes("perfect", 0, 1, true); err != nil || bounded {
 		t.Errorf("perfect must be unbounded, got bounded=%v err=%v", bounded, err)
 	}
 }

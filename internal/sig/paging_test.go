@@ -81,33 +81,40 @@ func TestSignatureCommitsOnWriteOnly(t *testing.T) {
 	}
 }
 
-// TestSignatureNeverExceedsSlots: the last page is cut to the configured
-// slot count, so a fully touched signature holds exactly its slots — and
-// exactly Bytes() of memory, with stamps or without.
+// TestSignatureNeverExceedsSlots: the last page is cut to the slot count held
+// — the configured one, or one of w workers' share of it — so a fully touched
+// signature holds exactly its slots and exactly Bytes() of memory, with
+// stamps or without.
 func TestSignatureNeverExceedsSlots(t *testing.T) {
 	for _, stamps := range []bool{false, true} {
-		for _, slots := range []int{1, 2, 1000, 4096, 4097, 10000} {
-			g := NewSignature(slots)
+		for _, tc := range []struct{ slots, w, held int }{
+			{1, 1, 1}, {2, 1, 2}, {1000, 1, 1000}, {4096, 1, 4096}, {4097, 1, 4097}, {10000, 1, 10000},
+			{2, 2, 1}, {8194, 2, 4097}, {10000, 16, 625}, {10000, 3, 10000}, {12291, 3, 4097},
+		} {
+			g := NewSignature(tc.slots)
+			g.Shard(tc.w)
 			if stamps {
 				g.KeepStamps()
 			}
 			s := PackSlot(loc.Pack(1, 1), 0, 0, 0, 0, 0)
-			for i := uint64(0); i < uint64(3*slots); i++ {
-				g.SetWrite(8*i, s)
-				g.At(8 * i).SetR(s)
+			// Every word of the last residue class, three times around.
+			for i := 0; i < 3*tc.slots; i++ {
+				addr := 8 * uint64(i*tc.w+tc.w-1)
+				g.SetWrite(addr, s)
+				g.At(addr).SetR(s)
 			}
-			if _, pairs := committed(g); pairs != slots {
-				t.Errorf("%d slots: %d pairs committed after touching every index", slots, pairs)
+			if _, pairs := committed(g); pairs != tc.held {
+				t.Errorf("%d slots, one of %d: %d pairs committed after touching every index, want %d", tc.slots, tc.w, pairs, tc.held)
 			}
 			var held uint64
 			for _, pg := range g.pages {
 				held += uint64(len(pg)) * uint64(unsafe.Sizeof(pg[0]))
 			}
 			if held != g.Bytes() {
-				t.Errorf("%d slots, stamps %v: pages hold %d bytes, Bytes() = %d", slots, stamps, held, g.Bytes())
+				t.Errorf("%d slots, one of %d, stamps %v: pages hold %d bytes, Bytes() = %d", tc.slots, tc.w, stamps, held, g.Bytes())
 			}
 			if g.Occupancy() != 1 {
-				t.Errorf("%d slots: occupancy %v after touching every index", slots, g.Occupancy())
+				t.Errorf("%d slots, one of %d: occupancy %v after touching every index", tc.slots, tc.w, g.Occupancy())
 			}
 		}
 	}

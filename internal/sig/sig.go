@@ -20,6 +20,7 @@
 package sig
 
 import (
+	"math/bits"
 	"unsafe"
 
 	"ddprof/internal/loc"
@@ -201,8 +202,14 @@ type Signature struct {
 	// to the configured slot count.
 	pages  [][]uint64
 	stride uint64
-	m      uint64
-	// mask is m-1 when m is a power of two, else 0; see hash.
+	// m is the number of indices the table holds: the configured slot count,
+	// or after Shard the part of it one residue class of addresses reaches.
+	m uint64
+	// shift and div take an address to the word number hash reduces: shift is
+	// 3, plus log2 of a power-of-two shard count; div is any other shard
+	// count, else 0. See Shard.
+	shift, div uint64
+	// mask is m-1 when m is a power of two and div is 0, else 0; see hash.
 	mask uint64
 	// trk, when non-nil, maintains live accuracy statistics (occupancy,
 	// distinct-address estimate, slot conflicts) for Eq. (2) telemetry; see
@@ -216,15 +223,63 @@ func NewSignature(slots int) *Signature {
 	if slots < 1 {
 		slots = 1
 	}
-	g := &Signature{
-		pages:  make([][]uint64, (slots+pageMask)>>pageShift),
-		stride: pairWords,
-		m:      uint64(slots),
-	}
-	if slots&(slots-1) == 0 {
-		g.mask = g.m - 1
-	}
+	g := &Signature{stride: pairWords, shift: 3}
+	g.size(uint64(slots))
 	return g
+}
+
+// size makes the (still empty) table hold m indices.
+func (g *Signature) size(m uint64) {
+	g.pages = make([][]uint64, (m+pageMask)>>pageShift)
+	g.m, g.mask = m, 0
+	if m&(m-1) == 0 && g.div == 0 {
+		g.mask = m - 1
+	}
+}
+
+// reachable is how many of m indices the words of one residue class modulo w
+// reach under word mod m: every gcd(m, w)-th.
+func reachable(m, w uint64) uint64 {
+	a, b := m, w
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return m / a
+}
+
+// Shard tells the signature the routing rule in front of it: it is one of w
+// stores, and every address it will see has the same word number modulo w
+// (core's ownerOf). Of the m indices word mod m then reaches only every
+// gcd(m, w)-th, so the signature holds just those — m/gcd(m, w) indices,
+// Bytes() and ModeledBytes() to match — and indexes them by (word / w) mod
+// that count. Two words of one residue class share an index under the new
+// rule exactly when they did under word mod m (both say "congruent modulo
+// lcm(m, w)"), so every lookup answers as the unsharded table would: w
+// workers hold one signature's worth of slots between them, and for w | m
+// they report what one serial m-slot signature reports. It must be called
+// once, before the first access is recorded and before EnableTracking, which
+// sizes its sidecar from the indices held; Shard(1) changes nothing.
+func (g *Signature) Shard(w int) {
+	if w <= 1 {
+		return
+	}
+	g.mustBeEmpty("Shard")
+	if w&(w-1) == 0 {
+		g.shift += uint64(bits.TrailingZeros(uint(w)))
+	} else {
+		g.div = uint64(w)
+	}
+	g.size(reachable(g.m, uint64(w)))
+}
+
+// mustBeEmpty panics if an access has been recorded: the table's geometry is
+// fixed from then on.
+func (g *Signature) mustBeEmpty(op string) {
+	for _, pg := range g.pages {
+		if pg != nil {
+			panic("sig: " + op + " after an access was recorded")
+		}
+	}
 }
 
 // KeepStamps makes the signature store each access's §V stamp, at full width,
@@ -236,11 +291,7 @@ func (g *Signature) KeepStamps() {
 	if g.stride == stampedWords {
 		return
 	}
-	for _, pg := range g.pages {
-		if pg != nil {
-			panic("sig: KeepStamps after an access was recorded")
-		}
-	}
+	g.mustBeEmpty("KeepStamps")
 	g.stride = stampedWords
 }
 
@@ -258,14 +309,25 @@ func (g *Signature) KeepStamps() {
 // For a power-of-two slot count x mod m = x AND (m-1) exactly, so the mask
 // yields the same index as the modulo, bit for bit, without the hardware
 // divide; every other count keeps the modulo.
+//
+// A sharded signature (Shard) reduces word / w instead of the word. A
+// power-of-two w is part of the shift; any other is a divide, as it is in the
+// router, on the path that divides anyway. The shift count is masked because
+// Go otherwise checks a variable count against the word size on every access;
+// it is always below 64.
 func (g *Signature) hash(addr uint64) uint64 {
+	x := addr >> (g.shift & 63)
 	if g.mask != 0 {
-		return (addr >> 3) & g.mask
+		return x & g.mask
 	}
-	return (addr >> 3) % g.m
+	if g.div != 0 {
+		x /= g.div
+	}
+	return x % g.m
 }
 
-// Slots returns the configured number of slots per side.
+// Slots returns the number of slots per side the table holds: the configured
+// count, or what Shard kept of it.
 func (g *Signature) Slots() int { return int(g.m) }
 
 // At returns the cell addr hashes to, committing its page if this is the
@@ -410,10 +472,10 @@ func (g *Signature) Occupancy() float64 {
 // Intersect returns the number of slot indices populated (write side) in both
 // signatures — the "disambiguation" operation of the transactional-memory
 // signature abstraction (§III-B). Both signatures must have equal slot
-// counts; if an element was inserted into both, its slot is guaranteed to be
-// counted.
+// counts and the same shard rule; if an element was inserted into both, its
+// slot is guaranteed to be counted.
 func (g *Signature) Intersect(o *Signature) int {
-	if o == nil || o.m != g.m {
+	if o == nil || o.m != g.m || o.shift != g.shift || o.div != g.div {
 		return 0
 	}
 	n := 0

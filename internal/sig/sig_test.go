@@ -215,6 +215,21 @@ func TestSignatureBytes(t *testing.T) {
 	if g.ModeledBytes() != 4000 {
 		t.Errorf("ModeledBytes = %d, want paper's 4 B/slot", g.ModeledBytes())
 	}
+	// One of w workers' signatures holds the indices its words reach, so w of
+	// them cost one signature when w divides the slot count.
+	for _, tc := range []struct{ slots, w, held uint64 }{
+		{1000, 2, 500}, {1000, 8, 125}, {1000, 3, 1000}, {1 << 20, 2, 1 << 19}, {6_250_000, 16, 390_625},
+	} {
+		g := NewSignature(int(tc.slots))
+		g.Shard(int(tc.w))
+		if g.Bytes() != tc.held*pairBytes || g.ModeledBytes() != tc.held*4 {
+			t.Errorf("%d slots, one of %d: Bytes %d, ModeledBytes %d; want %d indices' worth", tc.slots, tc.w, g.Bytes(), g.ModeledBytes(), tc.held)
+		}
+		g.KeepStamps()
+		if g.Bytes() != tc.held*stampedBytes {
+			t.Errorf("%d slots, one of %d, stamps: Bytes %d, want %d", tc.slots, tc.w, g.Bytes(), tc.held*stampedBytes)
+		}
+	}
 	// Paper's example: 1e8 slots -> 382 MB.
 	big := &Signature{m: 1e8}
 	if mb := float64(big.ModeledBytes()) / (1 << 20); mb < 381 || mb > 382 {
