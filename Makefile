@@ -13,7 +13,8 @@ vet:
 test:
 	$(GO) test ./...
 
-# The whole tree under the race detector (internal/core is most of the time).
+# The whole tree under the race detector (internal/core is most of the time;
+# internal/server's TestSessionFaults injects connection faults into sessions).
 race:
 	$(GO) test -race -count=1 ./...
 
@@ -23,10 +24,11 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; gofmt -d .; exit 1; fi
 
 # End-to-end smoke over the three binaries it builds (ddprof, ddprofd, ddiff):
-# a -race ddprof on a sample that spawns threads, a retired -backend refused
-# with exit 2 before any work, then the daemon up on a unix socket, one remote
-# profiling session with a live -watch subscriber folding its epoch-delta
-# stream, and a live HTTP diff against the retained session.
+# a -race ddprof on a sample that spawns threads, a retired -backend and the
+# retired ddprofd -readbuf/-decode-depth refused with exit 2 before any work,
+# then the daemon up on a unix socket, one remote profiling session with a
+# live -watch subscriber folding its (at least two) epoch-delta frames, and a
+# live HTTP diff against the retained session.
 # Exercises what the in-process tests cannot: real binaries, sockets, HTTP.
 smoke:
 	./scripts/smoke_ddprofd.sh

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"strings"
 	"time"
@@ -94,17 +93,7 @@ func main() {
 	}
 	var metricsSrv *http.Server
 	if *metrics != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", telemetry.Default().Handler())
-		if snap != nil {
-			mux.Handle("/debug/timeline", snap.TimelineHandler())
-		}
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		metricsSrv = &http.Server{Addr: *metrics, Handler: mux}
+		metricsSrv = &http.Server{Addr: *metrics, Handler: telemetry.DebugMux(telemetry.Default(), snap)}
 		go func() {
 			logger.Info("ddexp: metrics server up", "url", "http://"+*metrics+"/metrics")
 			if err := metricsSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {

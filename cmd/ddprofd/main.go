@@ -74,10 +74,8 @@ func main() {
 		snapInt  = flag.Duration("snapshot-interval", 250*time.Millisecond, "flight-recorder sampling interval for /debug/timeline")
 		snapN    = flag.Int("snapshot-samples", 1024, "flight-recorder ring size (most recent samples kept; negative disables)")
 		trackAcc = flag.Bool("track-accuracy", false, "live Eq. (2) accuracy telemetry: sig_fpr_measured_ppm vs sig_fpr_predicted_ppm per worker")
-		epochInt = flag.Duration("epoch-interval", 100*time.Millisecond, "live observatory epoch ticker: how often ingesting sessions cut an epoch-delta for watch subscribers (0 disables; explicit EpochMark records still cut)")
+		epochInt = flag.Duration("epoch-interval", 100*time.Millisecond, "live observatory epoch clock: an ingesting session cuts an epoch-delta for watch subscribers at the first batch this long after its last interval cut (0 disables; explicit EpochMark records still cut)")
 		seriesMx = flag.Int("session-series", 64, "cap on per-session labeled series on /metrics; sessions past it share the overflow series")
-		readBuf  = flag.Int("readbuf", 64<<10, "per-session socket/bufio read buffer in bytes")
-		decDepth = flag.Int("decode-depth", 4, "per-session decode-stage depth: frames (and decoded chunks) in flight between socket, decoder and pipeline")
 	)
 	flag.Parse()
 
@@ -115,8 +113,6 @@ func main() {
 		TrackAccuracy:     *trackAcc,
 		EpochInterval:     *epochInt,
 		SessionSeriesMax:  *seriesMx,
-		ReadBuf:           *readBuf,
-		DecodeDepth:       *decDepth,
 		Logf:              logf,
 	})
 

@@ -1,59 +1,25 @@
 package server
 
-// The two-stage session ingest pipeline. Stage 1 (the socket goroutine)
-// reads length-prefixed DDT2 frames into pooled payload buffers; stage 2
-// (the decode goroutine) batch-decodes them into event chunks via
-// trace.Reader.NextBatch, reading straight out of the pooled buffers; the
-// session goroutine validates each batch and feeds it to the pipeline's
-// bulk-ingest seam. Bounded channels between the stages let socket read,
-// decode, and profiling overlap while record order — and therefore
-// epoch-mark placement — is preserved end to end, and keep pipeline
-// backpressure intact: a stalled profiler fills the chunk ring, which stalls
-// the decoder, which fills the frame ring, which stops the socket reads.
+// Session ingest: one decode goroutine reads the session's frames through
+// trace.FrameReader and batch-decodes them straight out of the bufio window
+// into event chunks via trace.Reader.NextBatch; the session goroutine
+// validates each batch and feeds it to the pipeline's bulk-ingest seam. The
+// bounded chunk ring between the two lets decode and profiling overlap while
+// record order — and therefore epoch-mark placement — is preserved end to
+// end, and keeps pipeline backpressure intact: a stalled profiler fills the
+// ring, which stalls the decoder, which stops the socket reads.
 
 import (
 	"bufio"
-	"encoding/binary"
-	"fmt"
 	"io"
-	"net"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"ddprof/internal/event"
 	"ddprof/internal/trace"
 )
 
-// minFrameBuf is the minimum capacity of a pooled frame buffer — the
-// client's default flush granularity — so one buffer serves any default-
-// sized frame no matter which frame first allocated it.
-const minFrameBuf = 64 << 10
-
-// ingestFramePool recycles frame payload buffers across frames and sessions.
-var ingestFramePool sync.Pool
-
-// getFrameBuf returns an n-byte buffer, pooled when one large enough is
-// available; the bool reports whether the buffer was reused.
-func getFrameBuf(n int) ([]byte, bool) {
-	if v := ingestFramePool.Get(); v != nil {
-		if b := *(v.(*[]byte)); cap(b) >= n {
-			return b[:n], true
-		}
-		// Too small for this frame: drop it and size up, so a stream of
-		// large frames converges on buffers that fit.
-	}
-	c := n
-	if c < minFrameBuf {
-		c = minFrameBuf
-	}
-	return make([]byte, n, c), false
-}
-
-func putFrameBuf(b []byte) {
-	b = b[:0]
-	ingestFramePool.Put(&b)
-}
+// ingestDepth is how many decoded chunks may be in flight between the
+// decoder and the session loop.
+const ingestDepth = 4
 
 // ingestBatch is one decoded chunk plus the stream event index of its first
 // record (ranges weighted by element count), which keeps error reporting
@@ -67,110 +33,52 @@ type ingestBatch struct {
 	ctl    bool
 }
 
-// ingest owns a session's two ingest-stage goroutines and the rings between
-// them.
+// ingest owns a session's decode goroutine and the chunk ring it fills.
 type ingest struct {
-	frames chan []byte      // stage 1 → stage 2: pooled frame payloads
-	out    chan ingestBatch // stage 2 → session: decoded batches
-	free   chan *event.Chunk
-	done   chan struct{}
-	wg     sync.WaitGroup
-	conn   net.Conn
+	out  chan ingestBatch // decoder → session: decoded batches
+	free chan *event.Chunk
+	done chan struct{}
+	tc   *timedConn
 
-	readErr   error // stage-1 terminal error; written before frames closes
-	decodeErr error // stage-2 terminal error; written before out closes
+	decodeErr error // terminal error, io.EOF for a clean stream; written before out closes
 	// The decoder's define-record counts (trace.Reader.SiteDefines), written
 	// before out closes.
 	defines, redefines uint64
-
-	reused atomic.Uint64
-	fresh  atomic.Uint64
 }
 
-// startIngest launches the two stages. br must be positioned just past the
-// handshake; depth bounds both inter-stage rings.
-func startIngest(conn net.Conn, br *bufio.Reader, depth int) *ingest {
+// startIngest launches the decoder. br must be positioned just past the
+// handshake.
+func startIngest(tc *timedConn, br *bufio.Reader) *ingest {
 	ing := &ingest{
-		frames: make(chan []byte, depth),
-		out:    make(chan ingestBatch, depth),
-		free:   make(chan *event.Chunk, depth),
-		done:   make(chan struct{}),
-		conn:   conn,
+		out:  make(chan ingestBatch, ingestDepth),
+		free: make(chan *event.Chunk, ingestDepth),
+		done: make(chan struct{}),
+		tc:   tc,
 	}
-	for i := 0; i < depth; i++ {
+	for i := 0; i < ingestDepth; i++ {
 		ing.free <- event.NewChunk()
 	}
-	ing.wg.Add(2)
-	go ing.readFrames(br)
-	go ing.decode()
+	go ing.decode(br)
 	return ing
 }
 
-// stop tears the stages down from the session goroutine: wake anything
-// blocked on a ring, kick a blocked socket read off its wait with an
-// immediate deadline, and join. On a cleanly terminated stream both stages
-// have already exited and this is just the join.
+// stop tears the decoder down from the session goroutine: wake it if it is
+// blocked on the ring, kick a blocked socket read off its wait, and join (the
+// decoder closes out as it exits). On a cleanly terminated stream the decoder
+// has already exited and this is just the join.
 func (ing *ingest) stop() {
 	close(ing.done)
-	ing.conn.SetReadDeadline(time.Now())
-	ing.wg.Wait()
-}
-
-// err returns the ingest pipeline's terminal error, valid once out is
-// closed. A clean terminator yields nil.
-func (ing *ingest) err() error {
-	if ing.decodeErr == io.EOF {
-		return nil
-	}
-	return ing.decodeErr
-}
-
-// readFrames is stage 1: length-prefixed frames off the socket into pooled
-// buffers. It replaces trace.FrameReader on the ingest path and mirrors its
-// validation and error text exactly.
-func (ing *ingest) readFrames(br *bufio.Reader) {
-	defer ing.wg.Done()
-	defer close(ing.frames)
-	for {
-		ln, err := binary.ReadUvarint(br)
-		if err != nil {
-			ing.readErr = fmt.Errorf("trace: reading frame header: %w", noEOF(err))
-			return
-		}
-		if ln == 0 {
-			return // clean stream terminator
-		}
-		if ln > trace.DefaultMaxFrame {
-			ing.readErr = fmt.Errorf("trace: frame of %d bytes: %w", ln, trace.ErrFrameTooLarge)
-			return
-		}
-		buf, reused := getFrameBuf(int(ln))
-		if reused {
-			ing.reused.Add(1)
-		} else {
-			ing.fresh.Add(1)
-		}
-		if _, err := io.ReadFull(br, buf); err != nil {
-			ing.readErr = fmt.Errorf("trace: reading frame payload: %w", noEOF(err))
-			return
-		}
-		select {
-		case ing.frames <- buf:
-		case <-ing.done:
-			return
-		}
+	ing.tc.stop()
+	for range ing.out {
 	}
 }
 
-// decode is stage 2: frames → batched chunks. A batch naturally covers about
-// one frame (NextBatch yields as soon as nothing further is buffered), so
-// decoding overlaps both the socket reads behind it and the profiling ahead
-// of it.
-func (ing *ingest) decode() {
-	defer ing.wg.Done()
+// decode turns frames into batched chunks. A batch covers about one frame
+// (NextBatch yields once nothing further of the frame is buffered), so
+// decoding overlaps the profiling ahead of it.
+func (ing *ingest) decode(br *bufio.Reader) {
 	defer close(ing.out)
-	fs := &frameStream{ing: ing}
-	tr, err := trace.NewReader(fs)
+	tr, err := trace.NewReader(trace.NewFrameReader(br, 0))
 	if err != nil {
 		ing.decodeErr = err
 		return
@@ -198,84 +106,18 @@ func (ing *ingest) decode() {
 			ing.free <- c
 		}
 		if err != nil {
-			ing.decodeErr = err // io.EOF for a clean stream
+			ing.decodeErr = err
 			ing.defines, ing.redefines = tr.SiteDefines()
 			return
 		}
 	}
 }
 
-// frameStream adapts the pooled frame ring to trace.ByteScanner, byte reads
-// and window alike: NextBatch peeks each frame's payload as one
-// contiguous window and decodes records flat out of the pooled buffer — zero
-// copies between the socket read and the decoded event fields. Exhausted
-// buffers go straight back to the pool.
-type frameStream struct {
-	ing *ingest
-	cur []byte
-	pos int
-}
-
-// next recycles the current buffer and blocks for the next frame, reporting
-// false when the frame ring has closed.
-func (f *frameStream) next() bool {
-	if f.cur != nil {
-		putFrameBuf(f.cur)
-		f.cur = nil
-		f.pos = 0
+// err returns the decoder's terminal error, valid once out is closed. A
+// clean terminator yields nil.
+func (ing *ingest) err() error {
+	if ing.decodeErr == io.EOF {
+		return nil
 	}
-	b, ok := <-f.ing.frames
-	if !ok {
-		return false
-	}
-	f.cur, f.pos = b, 0
-	return true
-}
-
-// err is the terminal state once the frame ring has closed: the stage-1
-// error, or a clean io.EOF after the stream terminator.
-func (f *frameStream) err() error {
-	if e := f.ing.readErr; e != nil {
-		return e
-	}
-	return io.EOF
-}
-
-func (f *frameStream) ReadByte() (byte, error) {
-	for f.pos >= len(f.cur) {
-		if !f.next() {
-			return 0, f.err()
-		}
-	}
-	b := f.cur[f.pos]
-	f.pos++
-	return b, nil
-}
-
-func (f *frameStream) Read(p []byte) (int, error) {
-	for f.pos >= len(f.cur) {
-		if !f.next() {
-			return 0, f.err()
-		}
-	}
-	n := copy(p, f.cur[f.pos:])
-	f.pos += n
-	return n, nil
-}
-
-func (f *frameStream) Buffered() int { return len(f.cur) - f.pos }
-
-func (f *frameStream) Peek(n int) ([]byte, error) {
-	if rem := len(f.cur) - f.pos; n > rem {
-		n = rem
-	}
-	return f.cur[f.pos : f.pos+n], nil
-}
-
-func (f *frameStream) Discard(n int) (int, error) {
-	if rem := len(f.cur) - f.pos; n > rem {
-		n = rem
-	}
-	f.pos += n
-	return n, nil
+	return ing.decodeErr
 }

@@ -563,8 +563,8 @@ func TestSessionSeriesLifecycle(t *testing.T) {
 		t.Fatal("labeled series missing under the cap")
 	}
 	// The whole instrument bundle shares the one series slot.
-	if !has(`server_session_decode_depth{session="1"}`) {
-		t.Fatal("decode-depth gauge missing for session 1")
+	if !has(`server_session_batch_events{session="1"}_count`) {
+		t.Fatal("batch-size histogram missing for session 1")
 	}
 
 	s3 := srv.sessionSeries(3)
@@ -580,7 +580,7 @@ func TestSessionSeriesLifecycle(t *testing.T) {
 
 	rel1()
 	rel1() // idempotent
-	if has(name(1)) || has(`server_session_decode_depth{session="1"}`) {
+	if has(name(1)) || has(`server_session_batch_events{session="1"}_count`) {
 		t.Fatal("session 1 series survived its release")
 	}
 	// The freed slot goes to the next session.

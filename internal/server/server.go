@@ -10,7 +10,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"sort"
 	"strconv"
 	"sync"
@@ -60,16 +59,6 @@ type Config struct {
 	// IdleTimeout is the slow-client deadline: a session that neither
 	// delivers nor accepts a byte for this long is evicted. Default 30s.
 	IdleTimeout time.Duration
-	// ReadBuf sizes a session's socket read path: the kernel receive buffer
-	// (SetReadBuffer, where the transport supports it) and the bufio layer
-	// the frame reader pulls from. Default 64KiB.
-	ReadBuf int
-	// DecodeDepth bounds the per-session decode stage: how many pooled
-	// frames (and decoded chunks) may sit in flight between the socket
-	// goroutine, the decode goroutine, and the profiling loop. Smaller
-	// values push pipeline backpressure to the socket sooner; larger ones
-	// buy more overlap. Default 4.
-	DecodeDepth int
 	// Registry receives daemon and pipeline telemetry. Default
 	// telemetry.Default().
 	Registry *telemetry.Registry
@@ -84,10 +73,11 @@ type Config struct {
 	// pipelines backed by approximate signatures (sig_fpr_measured_ppm vs
 	// sig_fpr_predicted_ppm per worker on /metrics).
 	TrackAccuracy bool
-	// EpochInterval is the live observatory's epoch ticker: how often an
-	// ingesting session cuts an epoch and streams the delta to its watch
-	// subscribers. 0 disables the ticker; explicit EpochMark records in the
-	// trace stream cut epochs regardless.
+	// EpochInterval is the live observatory's epoch clock: an ingesting
+	// session cuts an epoch, and streams the delta to its watch subscribers,
+	// at the first batch boundary at least this long after its previous
+	// interval cut. 0 disables interval cuts; explicit EpochMark records in
+	// the trace stream cut epochs regardless.
 	EpochInterval time.Duration
 	// SessionSeriesMax caps the per-session labeled series on /metrics
 	// (server_session_events_total{session="..."}). Sessions beyond the cap
@@ -113,12 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 30 * time.Second
-	}
-	if c.ReadBuf <= 0 {
-		c.ReadBuf = 1 << 16
-	}
-	if c.DecodeDepth <= 0 {
-		c.DecodeDepth = 4
 	}
 	if c.Registry == nil {
 		c.Registry = telemetry.Default()
@@ -517,14 +501,11 @@ func (s *Server) findObservatory(id uint64, wait time.Duration) (*observatory, e
 	}
 }
 
-// sessionSeries is one session's labeled telemetry: the events counter plus
-// the ingest-stage instruments — decode-stage depth, pooled-frame reuse
-// ratio, batch-size histogram. They appear on /metrics (and therefore in the
-// flight-recorder timeline, which snapshots every registry metric).
+// sessionSeries is one session's labeled telemetry: the events counter and
+// the decoded batch-size histogram. They appear on /metrics (and therefore in
+// the flight-recorder timeline, which snapshots every registry metric).
 type sessionSeries struct {
 	events  *telemetry.Counter
-	depth   *telemetry.Gauge
-	reuse   *telemetry.Gauge
 	batch   *telemetry.Histogram
 	release func()
 }
@@ -543,24 +524,20 @@ func (s *Server) sessionSeries(id uint64) *sessionSeries {
 		s.sessSeries++
 		label = strconv.FormatUint(id, 10)
 	}
-	names := [4]string{
+	names := [2]string{
 		fmt.Sprintf("server_session_events_total{session=%q}", label),
-		fmt.Sprintf("server_session_decode_depth{session=%q}", label),
-		fmt.Sprintf("server_session_frame_reuse_permille{session=%q}", label),
 		fmt.Sprintf("server_session_batch_events{session=%q}", label),
 	}
 	ss := &sessionSeries{
 		events:  s.cfg.Registry.Counter(names[0]),
-		depth:   s.cfg.Registry.Gauge(names[1]),
-		reuse:   s.cfg.Registry.Gauge(names[2]),
-		batch:   s.cfg.Registry.Histogram(names[3]),
+		batch:   s.cfg.Registry.Histogram(names[1]),
 		release: func() {},
 	}
 	if !overflow {
 		var once sync.Once
 		ss.release = func() {
 			once.Do(func() {
-				s.cfg.Registry.Remove(names[0], names[1], names[2], names[3])
+				s.cfg.Registry.Remove(names[0], names[1])
 				s.mu.Lock()
 				s.sessSeries--
 				s.mu.Unlock()
@@ -574,14 +551,23 @@ func (s *Server) sessionSeries(id uint64) *sessionSeries {
 // feeds the per-session and daemon byte counters.
 type timedConn struct {
 	net.Conn
-	idle time.Duration
-	sess *session
-	srv  *Server
+	idle     time.Duration
+	sess     *session
+	srv      *Server
+	stopping atomic.Bool // set by stop: reads fail from then on
 }
+
+// errStopped is what a read returns once its session has stopped ingest.
+var errStopped = errors.New("session stopped")
 
 func (t *timedConn) Read(p []byte) (int, error) {
 	if err := t.Conn.SetReadDeadline(time.Now().Add(t.idle)); err != nil {
 		return 0, err
+	}
+	// Checked after re-arming: a stop that lands after this check moves the
+	// deadline to the past after the re-arm, so the read below fails at once.
+	if t.stopping.Load() {
+		return 0, errStopped
 	}
 	n, err := t.Conn.Read(p)
 	if n > 0 {
@@ -589,6 +575,13 @@ func (t *timedConn) Read(p []byte) (int, error) {
 		t.srv.cBytesIn.Add(uint64(n))
 	}
 	return n, err
+}
+
+// stop kicks a blocked read off its wait and fails every later one, so the
+// session's decoder exits at once whatever it was reading.
+func (t *timedConn) stop() {
+	t.stopping.Store(true)
+	t.Conn.SetReadDeadline(time.Now())
 }
 
 func (t *timedConn) Write(p []byte) (int, error) {
@@ -609,11 +602,7 @@ func (t *timedConn) Write(p []byte) (int, error) {
 // streams its own answer). Any error evicts the session; the pipeline is
 // always flushed so no worker goroutine outlives its session.
 func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
-	if rb, ok := sess.conn.(interface{ SetReadBuffer(int) error }); ok {
-		// Best effort: TCP and Unix sockets support it, a test pipe may not.
-		rb.SetReadBuffer(s.cfg.ReadBuf)
-	}
-	br := bufio.NewReaderSize(tc, s.cfg.ReadBuf)
+	br := bufio.NewReaderSize(tc, 1<<16)
 
 	h, err := readHandshake(br)
 	if err != nil {
@@ -688,47 +677,23 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 		}
 	}()
 
-	// The epoch clock. Marks come from two sources — explicit EpochMark
-	// records in the trace and the daemon's interval ticker — and both
-	// advance one server-side monotone counter, so frame epochs are ordered
-	// no matter how the two interleave. The ticker only raises a flag; the
-	// mark itself is cut on the ingest goroutine between records, which the
-	// sequential-target producer requires.
-	var epoch uint32
-	var tickPending atomic.Bool
-	if s.cfg.EpochInterval > 0 {
-		tk := time.NewTicker(s.cfg.EpochInterval)
-		tickStop := make(chan struct{})
-		go func() {
-			for {
-				select {
-				case <-tk.C:
-					tickPending.Store(true)
-				case <-tickStop:
-					return
-				}
-			}
-		}()
-		defer func() {
-			tk.Stop()
-			close(tickStop)
-		}()
-	}
-
 	sess.state.Store(stateReceiving)
-	// Two-stage ingest: the socket goroutine reads frames into pooled
-	// buffers, the decode goroutine batch-decodes them into chunks, and this
-	// goroutine feeds validated batches to the pipeline's bulk seam —
-	// overlapping socket read, decode, and profiling. Epoch marks (explicit
-	// EpochMark records and the interval ticker's pending flag) are still cut
-	// here, on the Access-calling goroutine, at exactly their stream
-	// positions: the decoder carries explicit marks as chunk slots and
-	// feedBatch splits batches around them.
-	ing := startIngest(sess.conn, br, s.cfg.DecodeDepth)
+	// The decode goroutine batch-decodes frames into chunks and this
+	// goroutine feeds validated batches to the pipeline's bulk seam,
+	// overlapping decode and profiling. Epoch marks come from two sources —
+	// explicit EpochMark records and the interval clock — and both advance
+	// one monotone counter, so frame epochs are ordered however the two
+	// interleave. Both are cut here, on the Access-calling goroutine between
+	// records, as the sequential-target producer requires: the decoder
+	// carries explicit marks as chunk slots and feedBatch splits batches
+	// around them; an interval cut lands at the next batch boundary.
+	var epoch uint32
+	lastCut := time.Now()
+	ing := startIngest(tc, br)
 	defer ing.stop()
 	for ib := range ing.out {
-		if tickPending.Load() {
-			tickPending.Store(false)
+		if s.cfg.EpochInterval > 0 && time.Since(lastCut) >= s.cfg.EpochInterval {
+			lastCut = time.Now()
 			epoch++
 			prof.EpochMark(epoch)
 		}
@@ -736,10 +701,6 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 		sess.events.Add(n)
 		series.events.Add(n)
 		series.batch.Observe(int64(len(ib.c.Events)))
-		series.depth.Set(int64(len(ing.frames)))
-		if r, fr := ing.reused.Load(), ing.fresh.Load(); r+fr > 0 {
-			series.reuse.Set(int64(r * 1000 / (r + fr)))
-		}
 		ing.free <- ib.c
 		if err != nil {
 			return nil, err
@@ -951,8 +912,7 @@ func (s *Server) ActiveSessions() int {
 //	                                          baseline (request body) against
 //	                                          the live profile
 func (s *Server) HTTPHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", s.cfg.Registry.Handler())
+	mux := telemetry.DebugMux(s.cfg.Registry, s.snap)
 	mux.HandleFunc("/sessions", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
@@ -1013,14 +973,6 @@ func (s *Server) HTTPHandler() http.Handler {
 		}
 		writeJSON(w, page)
 	})
-	if s.snap != nil {
-		mux.Handle("/debug/timeline", s.snap.TimelineHandler())
-	}
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

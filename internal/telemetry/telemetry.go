@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -289,6 +290,24 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		w.Write(buf)
 	})
+}
+
+// DebugMux returns a mux serving the debug endpoints ddprofd and
+// `ddexp -metrics` share: /metrics (reg's page), /debug/timeline (snap's
+// ring, when snap is non-nil) and the standard /debug/pprof routes. Callers
+// add their own routes to it.
+func DebugMux(reg *Registry, snap *Snapshotter) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", reg.Handler())
+	if snap != nil {
+		mux.Handle("/debug/timeline", snap.TimelineHandler())
+	}
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 // MaxWorkerSlots is the number of per-worker gauges a Pipeline carries.

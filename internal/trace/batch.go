@@ -8,8 +8,8 @@ package trace
 // dispatch and no intermediate copies.
 //
 // The decoder has two gears. Data records — the bulk of every trace — that lie
-// whole inside the input's buffered window (bufio's, or the daemon's pooled
-// frame) are decoded flat out of the window slice with an inlined varint fast
+// whole inside the input's buffered window (bufio's, clipped to the current
+// frame by a FrameReader) are decoded flat out of the window slice with an inlined varint fast
 // path. Every other record type is read by the byte-at-a-time decoder (step),
 // from the window when it is whole there; records that cross a window edge —
 // and any byte sequence that fails validation — go to the same decoder on the
@@ -27,9 +27,8 @@ import (
 // ByteScanner is the input surface Reader decodes from: byte reads for the
 // record-at-a-time decoder, plus a window over the already-buffered bytes
 // (and a way to discard a decoded prefix of it) so NextBatch can decode whole
-// records without per-byte dispatch. *bufio.Reader implements it, as does the
-// daemon's pooled frame stream; NewReader wraps any other io.Reader in a
-// *bufio.Reader.
+// records without per-byte dispatch. *bufio.Reader implements it, as does
+// FrameReader; NewReader wraps any other io.Reader in a *bufio.Reader.
 type ByteScanner interface {
 	io.Reader
 	io.ByteReader

@@ -16,7 +16,11 @@ import (
 // recordAll decodes data record-by-record with NextRecord — the reference
 // decoder every NextBatch result must match.
 func recordAll(data []byte) ([]Record, uint64, error) {
-	tr, err := NewReader(bytes.NewReader(data))
+	return recordsOf(NewReader(bytes.NewReader(data)))
+}
+
+// recordsOf drains tr with NextRecord.
+func recordsOf(tr *Reader, err error) ([]Record, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
@@ -70,9 +74,9 @@ func batchAll(t *testing.T, tr *Reader, err error) ([]Record, uint64, error) {
 	}
 }
 
-// frames is a ByteScanner over a stream that arrives in pieces, the shape of
-// the daemon's pooled frame ring: the window never reaches past the current
-// piece, and a byte read at its end moves on to the next.
+// frames is a ByteScanner over a stream that arrives in pieces: the window
+// never reaches past the current piece, and a byte read at its end moves on
+// to the next.
 type frames struct {
 	rest [][]byte
 	cur  []byte
@@ -146,21 +150,172 @@ func checkBatchShapes(t *testing.T, data []byte, shapes map[string]func() (*Read
 	for name, mk := range shapes {
 		tr, err := mk()
 		got, gotN, gotErr := batchAll(t, tr, err)
-		if !sameEnd(wantErr, gotErr) {
-			t.Fatalf("%s: end-of-stream mismatch: NextRecord %v, NextBatch %v", name, wantErr, gotErr)
-		}
-		if gotN != wantN {
-			t.Fatalf("%s: Count mismatch: NextRecord %d, NextBatch %d", name, wantN, gotN)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: record count mismatch: NextRecord %d, NextBatch %d", name, len(want), len(got))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: record %d mismatch:\nNextRecord %+v\nNextBatch  %+v", name, i, want[i], got[i])
-			}
+		sameDecode(t, name, want, wantN, wantErr, got, gotN, gotErr)
+	}
+}
+
+// sameDecode requires a NextBatch decode to match its NextRecord reference:
+// identical records, counts and end-of-stream errors.
+func sameDecode(t *testing.T, name string, want []Record, wantN uint64, wantErr error, got []Record, gotN uint64, gotErr error) {
+	t.Helper()
+	if !sameEnd(wantErr, gotErr) {
+		t.Fatalf("%s: end-of-stream mismatch: NextRecord %v, NextBatch %v", name, wantErr, gotErr)
+	}
+	if gotN != wantN {
+		t.Fatalf("%s: Count mismatch: NextRecord %d, NextBatch %d", name, wantN, gotN)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: record count mismatch: NextRecord %d, NextBatch %d", name, len(want), len(got))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: record %d mismatch:\nNextRecord %+v\nNextBatch  %+v", name, i, want[i], got[i])
 		}
 	}
+}
+
+// reframeMax is the frame cap the framed arm reads under: reframe's longest
+// frames exceed it, so oversized frames are part of the arm.
+const reframeMax = 256
+
+// reframe cuts data into frames whose lengths a generator seeded by seed
+// picks — mostly 1–16 bytes, so frames split records, and a quarter 120–269,
+// so two-byte headers and frames past reframeMax appear — then ends the
+// stream with the terminator, without it, or three bytes short of it.
+func reframe(data []byte, seed uint8) []byte {
+	var out bytes.Buffer
+	fw := NewFrameWriter(&out)
+	x := uint32(seed) | 0x100
+	for len(data) > 0 {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		n := 1 + int(x%16)
+		if x&0x300 == 0 {
+			n = 120 + int(x%150)
+		}
+		n = min(n, len(data))
+		fw.Write(data[:n])
+		data = data[n:]
+	}
+	fw.Close()
+	b := out.Bytes()
+	switch seed % 3 {
+	case 1:
+		b = b[:len(b)-1]
+	case 2:
+		b = b[:max(len(b)-3, 0)]
+	}
+	return b
+}
+
+// checkFramed holds the windowed FrameReader to the byte stream it carries:
+// data re-framed at seed's frame lengths must batch-decode through
+// NewReader(NewFrameReader(br)) — br a 16-byte bufio.Reader over the whole
+// stream, or over a source that delivers one byte per Read, so headers and
+// records split across refills — exactly as NextRecord decodes the same
+// frames read as a plain io.Reader: records, counts and errors.
+func checkFramed(t *testing.T, data []byte, seed uint8) {
+	t.Helper()
+	framedData := reframe(data, seed)
+	plain := struct{ io.Reader }{NewFrameReader(bytes.NewReader(framedData), reframeMax)}
+	want, wantN, wantErr := recordsOf(NewReader(plain))
+	var src io.Reader = bytes.NewReader(framedData)
+	if seed/3%2 == 0 {
+		src = iotest.OneByteReader(src)
+	}
+	tr, err := NewReader(NewFrameReader(bufio.NewReaderSize(src, 16), reframeMax))
+	got, gotN, gotErr := batchAll(t, tr, err)
+	sameDecode(t, fmt.Sprintf("framed/%d", seed), want, wantN, wantErr, got, gotN, gotErr)
+}
+
+// TestNextBatchFramed runs the framed arm over the mixed trace and the seed
+// stream at every frame-length seed.
+func TestNextBatchFramed(t *testing.T) {
+	for _, data := range [][]byte{mixedTrace(t), seedStream()} {
+		for seed := 0; seed <= 255/6; seed++ {
+			checkFramed(t, data, uint8(seed))
+		}
+	}
+}
+
+// TestFrameReaderWindow: a FrameReader's window is the current frame's
+// buffered payload. Buffered never counts past the frame and never reads the
+// source, Peek and Discard stay inside the frame, ReadByte steps over the
+// next header, and the terminator and broken frames end the stream with the
+// error text Read has always given.
+func TestFrameReaderWindow(t *testing.T) {
+	var framedBuf bytes.Buffer
+	fw := NewFrameWriter(&framedBuf)
+	fw.Write([]byte("abcde"))
+	fw.Write([]byte("fg"))
+	fw.Close()
+	src := &readCounter{r: bytes.NewReader(framedBuf.Bytes())}
+	fr := NewFrameReader(bufio.NewReaderSize(src, 16), 0)
+	if n := fr.Buffered(); n != 0 || src.reads != 0 {
+		t.Fatalf("before the first header: Buffered %d after %d source reads, want 0 and 0", n, src.reads)
+	}
+	if b, err := fr.ReadByte(); b != 'a' || err != nil {
+		t.Fatalf("ReadByte = %q, %v", b, err)
+	}
+	// The whole stream is in the bufio buffer now; the window is the rest of
+	// the first frame only.
+	reads := src.reads
+	if n := fr.Buffered(); n != 4 {
+		t.Fatalf("Buffered = %d inside a frame with 4 bytes left", n)
+	}
+	if win, _ := fr.Peek(100); string(win) != "bcde" {
+		t.Fatalf("Peek(100) = %q, want the frame's rest", win)
+	}
+	if n, _ := fr.Discard(100); n != 4 {
+		t.Fatalf("Discard(100) = %d, want 4", n)
+	}
+	if n := fr.Buffered(); n != 0 {
+		t.Fatalf("Buffered = %d at a frame edge with the next frame buffered, want 0", n)
+	}
+	if src.reads != reads {
+		t.Fatal("Buffered/Peek/Discard read the source")
+	}
+	for _, want := range "fg" {
+		if b, err := fr.ReadByte(); rune(b) != want || err != nil {
+			t.Fatalf("ReadByte = %q, %v, want %q", b, err, want)
+		}
+	}
+	if _, err := fr.ReadByte(); err != io.EOF || !fr.Terminated() {
+		t.Fatalf("after the terminator: %v (terminated %v), want io.EOF", err, fr.Terminated())
+	}
+	if n := fr.Buffered(); n != 0 {
+		t.Fatalf("Buffered = %d after the terminator", n)
+	}
+
+	for _, tc := range []struct {
+		name, stream, want string
+	}{
+		{"oversized", "\xac\x02", "trace: frame of 300 bytes: frame exceeds size limit"},
+		{"cut-header", "\x80", "trace: reading frame header: unexpected EOF"},
+		{"cut-payload", "\x05ab", "trace: reading frame payload: unexpected EOF"},
+	} {
+		_, readErr := io.ReadAll(NewFrameReader(bytes.NewReader([]byte(tc.stream)), reframeMax))
+		fr := NewFrameReader(bytes.NewReader([]byte(tc.stream)), reframeMax)
+		var byteErr error
+		for byteErr == nil {
+			_, byteErr = fr.ReadByte()
+		}
+		if readErr == nil || readErr.Error() != tc.want || byteErr.Error() != tc.want {
+			t.Errorf("%s: Read error %v, ReadByte error %v, want %q", tc.name, readErr, byteErr, tc.want)
+		}
+	}
+}
+
+// readCounter counts the Read calls that reach its source.
+type readCounter struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
 }
 
 // sameEnd reports whether two decode terminations are equivalent: both clean
@@ -576,7 +731,8 @@ func TestNextBatchDupCollapse(t *testing.T) {
 // decoder — through the scanner shape the second argument picks, a frame edge
 // at an offset it also picks included — must yield exactly the records, the
 // count and the end-of-stream error of the byte-at-a-time reference decoder,
-// and never panic.
+// and never panic. The sixth shape is the framed arm (checkFramed): the bytes
+// re-framed at lengths the argument seeds, read through a FrameReader.
 func FuzzNextBatch(f *testing.F) {
 	data := seedStream()
 	f.Add(data, uint8(0))
@@ -586,10 +742,16 @@ func FuzzNextBatch(f *testing.F) {
 	f.Add(corrupt, uint8(2))
 	f.Add([]byte(magic), uint8(0))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, uint8(1))
-	f.Add(data, uint8(4+5*9))
+	f.Add(data, uint8(4+6*8))
+	f.Add(data, uint8(5+6*3))
+	f.Add(corrupt, uint8(5+6*4))
 	f.Fuzz(func(t *testing.T, data []byte, shape uint8) {
-		shapes := scannerShapes(data, int(shape/5)*len(data)/51)
-		name := [...]string{"window", "tiny-window", "in-memory", "no-window", "two-frames"}[shape%5]
+		if shape%6 == 5 {
+			checkFramed(t, data, shape/6)
+			return
+		}
+		shapes := scannerShapes(data, int(shape/6)*len(data)/43)
+		name := [...]string{"window", "tiny-window", "in-memory", "no-window", "two-frames"}[shape%6]
 		checkBatchShapes(t, data, map[string]func() (*Reader, error){name: shapes[name]})
 	})
 }

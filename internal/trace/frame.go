@@ -85,6 +85,11 @@ func (f *FrameWriter) Close() error {
 // io.EOF after the zero-length terminator frame. A transport EOF before the
 // terminator surfaces as an error wrapping io.ErrUnexpectedEOF, so a peer
 // that dies mid-stream is never mistaken for a clean end.
+//
+// FrameReader is a ByteScanner: its window is the underlying bufio.Reader's,
+// clipped to the current frame's remaining payload, so NewReader decodes
+// straight out of the bufio buffer. Buffered, Peek and Discard never cross a
+// frame header; Read and ReadByte step over headers as they come.
 type FrameReader struct {
 	br        *bufio.Reader
 	max       int
@@ -106,29 +111,44 @@ func NewFrameReader(r io.Reader, maxFrame int) *FrameReader {
 	return &FrameReader{br: br, max: maxFrame}
 }
 
-// Read implements io.Reader over the concatenated frame payloads.
-func (f *FrameReader) Read(p []byte) (int, error) {
+// header reads frame headers until the current frame has payload left: nil
+// when it has, io.EOF after the terminator, the sticky error otherwise.
+func (f *FrameReader) header() error {
 	if f.err != nil {
-		return 0, f.err
+		return f.err
 	}
 	if f.done {
-		return 0, io.EOF
+		return io.EOF
 	}
 	for f.remaining == 0 {
 		ln, err := binary.ReadUvarint(f.br)
 		if err != nil {
 			f.err = fmt.Errorf("trace: reading frame header: %w", noEOF(err))
-			return 0, f.err
+			return f.err
 		}
 		if ln == 0 {
 			f.done = true
-			return 0, io.EOF
+			return io.EOF
 		}
 		if ln > uint64(f.max) {
 			f.err = fmt.Errorf("trace: frame of %d bytes: %w", ln, ErrFrameTooLarge)
-			return 0, f.err
+			return f.err
 		}
 		f.remaining = int(ln)
+	}
+	return nil
+}
+
+// payloadErr makes a transport error inside a frame's payload sticky.
+func (f *FrameReader) payloadErr(err error) error {
+	f.err = fmt.Errorf("trace: reading frame payload: %w", noEOF(err))
+	return f.err
+}
+
+// Read implements io.Reader over the concatenated frame payloads.
+func (f *FrameReader) Read(p []byte) (int, error) {
+	if err := f.header(); err != nil {
+		return 0, err
 	}
 	if len(p) > f.remaining {
 		p = p[:f.remaining]
@@ -136,13 +156,42 @@ func (f *FrameReader) Read(p []byte) (int, error) {
 	n, err := f.br.Read(p)
 	f.remaining -= n
 	if err != nil {
-		f.err = fmt.Errorf("trace: reading frame payload: %w", noEOF(err))
+		err = f.payloadErr(err)
 		if n > 0 {
 			return n, nil
 		}
-		return 0, f.err
+		return 0, err
 	}
 	return n, nil
+}
+
+// ReadByte implements io.ByteReader over the concatenated frame payloads.
+func (f *FrameReader) ReadByte() (byte, error) {
+	if err := f.header(); err != nil {
+		return 0, err
+	}
+	b, err := f.br.ReadByte()
+	if err != nil {
+		return 0, f.payloadErr(err)
+	}
+	f.remaining--
+	return b, nil
+}
+
+// Buffered returns the current frame's payload bytes already in the buffer:
+// it never blocks and never counts past the frame.
+func (f *FrameReader) Buffered() int { return min(f.br.Buffered(), f.remaining) }
+
+// Peek returns the next n payload bytes of the current frame, at most what
+// it has left, without advancing.
+func (f *FrameReader) Peek(n int) ([]byte, error) { return f.br.Peek(min(n, f.remaining)) }
+
+// Discard skips the next n payload bytes of the current frame, at most what
+// it has left.
+func (f *FrameReader) Discard(n int) (int, error) {
+	n, err := f.br.Discard(min(n, f.remaining))
+	f.remaining -= n
+	return n, err
 }
 
 // Terminated reports whether the end-of-stream frame was seen.

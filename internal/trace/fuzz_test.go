@@ -87,16 +87,19 @@ func TestSeedCorpus(t *testing.T) {
 		name string
 		wrap func([]byte) []byte
 		args string // the fuzz function's arguments after the bytes
+		tag  string // appended to the seed's file name
 	}{
-		{"FuzzFrames", framed, ""},
-		{"FuzzNextBatch", plain, "uint8(1)\n"},
-		{"FuzzRangeFrame", plain, ""},
+		{"FuzzFrames", framed, "", ""},
+		{"FuzzNextBatch", plain, "uint8(1)\n", ""},
+		// FuzzNextBatch's framed arm, over a 16-byte window (checkFramed).
+		{"FuzzNextBatch", plain, fmt.Sprintf("uint8(%d)\n", 5+6*3), "-framed"},
+		{"FuzzRangeFrame", plain, "", ""},
 	} {
 		for name, b := range seeds {
 			if b = fz.wrap(b); name == "cut-mid-record" {
 				b = b[:len(b)-4]
 			}
-			path := filepath.Join("testdata", "fuzz", fz.name, name)
+			path := filepath.Join("testdata", "fuzz", fz.name, name+fz.tag)
 			want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n%s", b, fz.args)
 			if *update {
 				if err := os.WriteFile(path, []byte(want), 0o644); err != nil {

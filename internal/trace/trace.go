@@ -391,10 +391,10 @@ type Reader struct {
 
 // NewReader checks the stream magic and returns a Reader positioned at the
 // first event; a DDT1 stream is refused with ErrDDT1. Inputs that already
-// implement ByteScanner (a *bufio.Reader, the daemon's pooled frame stream)
-// are decoded from directly; anything else — an in-memory *bytes.Reader
-// included, which offers bytes but no window over them — is wrapped in a 64KiB
-// bufio layer, so every Reader batch-decodes in the windowed gear.
+// implement ByteScanner (a *bufio.Reader, a FrameReader) are decoded from
+// directly; anything else — an in-memory *bytes.Reader included, which offers
+// bytes but no window over them — is wrapped in a 64KiB bufio layer, so every
+// Reader batch-decodes in the windowed gear.
 func NewReader(r io.Reader) (*Reader, error) {
 	br, ok := r.(ByteScanner)
 	if !ok {
