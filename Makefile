@@ -25,10 +25,10 @@ fmt-check:
 
 # End-to-end smoke over the three binaries it builds (ddprof, ddprofd, ddiff):
 # a -race ddprof on a sample that spawns threads, a retired -backend and the
-# retired ddprofd -readbuf/-decode-depth refused with exit 2 before any work,
-# then the daemon up on a unix socket, one remote profiling session with a
-# live -watch subscriber folding its (at least two) epoch-delta frames, and a
-# live HTTP diff against the retained session.
+# retired ddprofd -readbuf/-decode-depth/-track-accuracy refused with exit 2
+# before any work, then the daemon up on a unix socket, one remote profiling
+# session with a live -watch subscriber folding its (at least two) epoch-delta
+# frames, and a live HTTP diff against the retained session.
 # Exercises what the in-process tests cannot: real binaries, sockets, HTTP.
 smoke:
 	./scripts/smoke_ddprofd.sh

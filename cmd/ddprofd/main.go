@@ -73,7 +73,6 @@ func main() {
 		logLevel = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		snapInt  = flag.Duration("snapshot-interval", 250*time.Millisecond, "flight-recorder sampling interval for /debug/timeline")
 		snapN    = flag.Int("snapshot-samples", 1024, "flight-recorder ring size (most recent samples kept; negative disables)")
-		trackAcc = flag.Bool("track-accuracy", false, "live Eq. (2) accuracy telemetry: sig_fpr_measured_ppm vs sig_fpr_predicted_ppm per worker")
 		epochInt = flag.Duration("epoch-interval", 100*time.Millisecond, "live observatory epoch clock: an ingesting session cuts an epoch-delta for watch subscribers at the first batch this long after its last interval cut (0 disables; explicit EpochMark records still cut)")
 		seriesMx = flag.Int("session-series", 64, "cap on per-session labeled series on /metrics; sessions past it share the overflow series")
 	)
@@ -110,7 +109,6 @@ func main() {
 		IdleTimeout:       *idle,
 		SnapshotInterval:  *snapInt,
 		SnapshotSamples:   *snapN,
-		TrackAccuracy:     *trackAcc,
 		EpochInterval:     *epochInt,
 		SessionSeriesMax:  *seriesMx,
 		Logf:              logf,

@@ -40,9 +40,9 @@ type LoopDeps struct {
 // its own Engine over a disjoint address subset.
 type Engine struct {
 	store sig.Store
-	// sg is the store itself when it is a plain signature (no accuracy
-	// tracking): Process then goes through its fused pair probe instead of
-	// the interface. Fixed at construction.
+	// sg is the store itself when it is a *sig.Signature: Process then goes
+	// through its fused pair probe instead of the interface. Fixed at
+	// construction.
 	sg    *sig.Signature
 	meta  *prog.Meta
 	deps  *dep.Set
@@ -54,7 +54,8 @@ type Engine struct {
 	// own copy); advanced by ExtractEpochDelta.
 	epoch uint32
 	// trackBounds enables the per-variable address-interval index behind
-	// address-range provenance queries; bounds is that index, by VarID.
+	// address-range provenance queries (set by makeEngines when the pipeline
+	// has a delta sink); bounds is that index, by VarID.
 	trackBounds bool
 	bounds      []varBound
 
@@ -150,10 +151,9 @@ func newLoopAgg() *loopAgg {
 // NewEngine returns an engine writing to a fresh dependence set. meta may be
 // nil when loop-carried classification is not needed.
 //
-// The engine has two store arms, chosen here once by the store's type: a
-// plain *sig.Signature is driven through its fused pair probe (sig.At: one
-// hash and one pair per access); every other store — the exact ones, and a
-// signature with accuracy tracking, which must see each probe — through the
+// The engine has two store arms, chosen here once by the store's type alone:
+// a *sig.Signature is driven through its fused pair probe (sig.At: one hash
+// and one pair per access); every other store — the exact ones — through the
 // sig.Store interface. Both arms feed the same Algorithm 1
 // (write, read below), and FuzzEngineArms holds them to each other.
 //
@@ -172,9 +172,7 @@ func NewEngine(store sig.Store, meta *prog.Meta, raceCheck bool) *Engine {
 		if raceCheck {
 			g.KeepStamps()
 		}
-		if !g.Tracking() {
-			e.sg = g
-		}
+		e.sg = g
 	}
 	return e
 }

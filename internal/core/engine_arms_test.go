@@ -150,37 +150,6 @@ func checkArms(t *testing.T, slots int, data []byte) {
 	}
 }
 
-// TestTrackedSignatureTakesInterfaceArm: accuracy tracking counts every
-// probe inside the Store methods, so a tracked signature must stay on the
-// interface arm. The pinned statistics are the parent commit's on the same
-// stream (rotate at the golden scale): tracking sees exactly the probes it
-// always saw.
-func TestTrackedSignatureTakesInterfaceArm(t *testing.T) {
-	rotate := recordWorkload(t, "rotate", goldenWorkloadScale)
-	for _, want := range []sig.AccuracyStats{
-		{Slots: 1000, Occupied: 1000, Distinct: 4509.860006, Probes: 57868, FalseHits: 19509, Evictions: 4013},
-		{Slots: 4096, Occupied: 4096, Distinct: 5004.791585, Probes: 57868, FalseHits: 9839, Evictions: 910},
-	} {
-		g := sig.NewSignature(want.Slots)
-		g.EnableTracking()
-		e := NewEngine(g, rotate.meta, false)
-		if e.sg != nil {
-			t.Fatal("tracked signature selected the fused arm")
-		}
-		for _, a := range rotate.evs {
-			e.Process(a)
-		}
-		got, _ := g.Accuracy()
-		if math.Abs(got.Distinct-want.Distinct) > 1e-5 {
-			t.Errorf("slots %d: Distinct = %f, want %f", want.Slots, got.Distinct, want.Distinct)
-		}
-		got.Distinct = want.Distinct
-		if got != want {
-			t.Errorf("slots %d: Accuracy = %+v, want %+v", want.Slots, got, want)
-		}
-	}
-}
-
 // TestPackedKeyRoundTrip: packKey(...).key() returns every field at its
 // extremes, and two identities differing in exactly one field never compare
 // equal packed.

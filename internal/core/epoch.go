@@ -41,8 +41,8 @@ type EpochDelta struct {
 	// delta semantics over the per-loop aggregate tables). Nil when no loop
 	// aggregate moved.
 	Loops map[prog.LoopID]*dep.Set
-	// Bounds is a snapshot of the worker's per-variable address bounds; nil
-	// unless Config.TrackBounds is set.
+	// Bounds is a snapshot of the worker's per-variable address bounds, which
+	// an engine keeps whenever its pipeline has a delta sink (makeEngines).
 	Bounds []VarBounds
 }
 
@@ -51,10 +51,6 @@ type varBound struct {
 	lo, hi uint64
 	seen   bool
 }
-
-// EnableBoundsTracking turns on per-variable address-interval tracking —
-// two compares per data access. Must be called before the first Process.
-func (e *Engine) EnableBoundsTracking() { e.trackBounds = true }
 
 func (e *Engine) noteBounds(v loc.VarID, addr uint64) {
 	if int(v) >= len(e.bounds) {
@@ -108,9 +104,7 @@ func (e *Engine) ExtractEpochDelta(mark uint32) *EpochDelta {
 		}
 		agg.keys.SetEpoch(mark)
 	}
-	if e.trackBounds {
-		d.Bounds = e.VarBoundsSnapshot()
-	}
+	d.Bounds = e.VarBoundsSnapshot()
 	return d
 }
 

@@ -82,7 +82,6 @@ func TestEpochDeltaEquivalence(t *testing.T) {
 						Backend:      backend,
 						Meta:         s.meta,
 						OnEpochDelta: log.add,
-						TrackBounds:  true,
 					}
 					switch kind {
 					case "parallel":
@@ -144,13 +143,13 @@ func TestEpochDeltaEquivalence(t *testing.T) {
 	}
 }
 
-// TestEpochDeltaBounds: with TrackBounds on, epoch deltas carry each worker's
-// per-variable address interval, covering exactly the addresses the stream
-// touched.
+// TestEpochDeltaBounds: a pipeline with a delta sink keeps bounds, and its
+// epoch deltas carry each worker's per-variable address interval, covering
+// exactly the addresses the stream touched.
 func TestEpochDeltaBounds(t *testing.T) {
 	s := equivSuite()[0] // carried-raw: addresses 0x1000..0x1000+63*8
 	log := &deltaLog{}
-	p := mustNew(t, Config{Backend: "perfect", Meta: s.meta, OnEpochDelta: log.add, TrackBounds: true})
+	p := mustNew(t, Config{Backend: "perfect", Meta: s.meta, OnEpochDelta: log.add})
 	for _, a := range s.evs {
 		p.Access(a)
 	}
@@ -164,7 +163,7 @@ func TestEpochDeltaBounds(t *testing.T) {
 	}
 	bs := log.deltas[0].Bounds
 	if len(bs) == 0 {
-		t.Fatal("delta carries no bounds with TrackBounds on")
+		t.Fatal("delta carries no bounds")
 	}
 	var lo, hi uint64
 	for i, b := range bs {

@@ -2,7 +2,7 @@ package core
 
 // Flight-recorder coverage: stage latency histograms, consumer-side MT event
 // accounting, publication watermarks (no double counting between in-flight
-// and merge-time publication), and the live Eq. (2) accuracy path.
+// and merge-time publication).
 
 import (
 	"strings"
@@ -107,60 +107,5 @@ func TestDepCacheNoDoubleCount(t *testing.T) {
 	}
 	if got := pipe.DepCacheProbes.Load(); got != res.Stats.DepCacheProbes {
 		t.Errorf("dep_cache_probes_total = %d, want %d (Stats)", got, res.Stats.DepCacheProbes)
-	}
-}
-
-// TestTrackAccuracyTelemetry: with TrackAccuracy on, the default signature
-// store reports live measured/predicted FPR gauges and conflict counters
-// through the merge-time publication.
-func TestTrackAccuracyTelemetry(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	pipe := reg.Pipeline("t")
-	s := mustNew(t, Config{SlotsPerWorker: 1 << 12, TrackAccuracy: true, Metrics: pipe})
-	for i := 0; i < 600; i++ {
-		s.Access(event.Access{Addr: uint64(0x1000 + 8*i), Kind: event.Write, Loc: loc.Pack(1, 1)})
-	}
-	s.Flush()
-	meas := pipe.SigFPRMeasuredPPM[0].Load()
-	pred := pipe.SigFPRPredictedPPM[0].Load()
-	if meas == 0 || pred == 0 {
-		t.Fatalf("accuracy gauges not published: measured=%d predicted=%d", meas, pred)
-	}
-	// 600 distinct words into 4096 slots: measured occupancy ~146k ppm. At
-	// this load factor the collision-free modulo occupancy and the uniform-
-	// hash Eq. (2) prediction agree to ~1 point (they diverge as n/m grows).
-	if meas < 120000 || meas > 170000 {
-		t.Errorf("measured FPR = %d ppm, want ~146k", meas)
-	}
-	if diff := meas - pred; diff < -25000 || diff > 25000 {
-		t.Errorf("measured %d vs predicted %d ppm differ too much", meas, pred)
-	}
-}
-
-// TestTrackAccuracyConflicts: a store much smaller than the footprint must
-// surface insert conflicts (evictions) on the conflict counter.
-func TestTrackAccuracyConflicts(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	pipe := reg.Pipeline("t")
-	s := mustNew(t, Config{SlotsPerWorker: 64, TrackAccuracy: true, Metrics: pipe})
-	for i := 0; i < 1000; i++ {
-		s.Access(event.Access{Addr: uint64(0x1000 + 8*i), Kind: event.Write, Loc: loc.Pack(1, 1)})
-	}
-	s.Flush()
-	if pipe.SigInsertConflicts.Load() == 0 {
-		t.Error("no insert conflicts recorded on an overloaded signature")
-	}
-}
-
-// TestTrackAccuracyExactStoreUnaffected: exact stores have no FPR question;
-// TrackAccuracy must be a no-op for them.
-func TestTrackAccuracyExactStoreUnaffected(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	pipe := reg.Pipeline("t")
-	s := mustNew(t, Config{Backend: "perfect", TrackAccuracy: true, Metrics: pipe})
-	s.Access(event.Access{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 1)})
-	s.Flush()
-	if pipe.SigFPRMeasuredPPM[0].Load() != 0 {
-		t.Error("accuracy gauge published for an exact store")
 	}
 }

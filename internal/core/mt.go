@@ -64,17 +64,14 @@ func newMT(cfg Config) (*MT, error) {
 	if err != nil {
 		return nil, err
 	}
-	stores, err := makeStores(&cfg, cfg.Workers)
+	cfg.RaceCheck = true
+	engs, err := makeEngines(&cfg, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
 	m := &MT{m: cfg.Metrics, wMask: powerOfTwoMask(cfg.Workers)}
 	m.pl.m = cfg.Metrics
-	for i := 0; i < cfg.Workers; i++ {
-		eng := NewEngine(stores[i], cfg.Meta, true)
-		if cfg.TrackBounds {
-			eng.EnableBoundsTracking()
-		}
+	for i, eng := range engs {
 		tr := &ringTransport{in: queue.NewMPSC[event.Access](cfg.QueueCap)}
 		m.rings = append(m.rings, tr.in)
 		m.pl.workers = append(m.pl.workers, &worker{

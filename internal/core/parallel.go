@@ -26,7 +26,7 @@ func newParallel(cfg Config) (*Parallel, error) {
 	if err != nil {
 		return nil, err
 	}
-	stores, err := makeStores(&cfg, cfg.Workers)
+	engs, err := makeEngines(&cfg, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -34,15 +34,11 @@ func newParallel(cfg Config) (*Parallel, error) {
 	p.pl.m = cfg.Metrics
 	trs := make([]*chunkTransport, cfg.Workers)
 	for i := range trs {
-		eng := NewEngine(stores[i], cfg.Meta, cfg.RaceCheck)
-		if cfg.TrackBounds {
-			eng.EnableBoundsTracking()
-		}
 		trs[i] = newChunkTransport(cfg.LockBased, cfg.QueueCap)
 		p.pl.workers = append(p.pl.workers, &worker{
 			id:      i,
 			tr:      trs[i],
-			eng:     eng,
+			eng:     engs[i],
 			m:       cfg.Metrics,
 			onDelta: cfg.OnEpochDelta,
 		})

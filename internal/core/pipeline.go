@@ -119,18 +119,25 @@ func (c Config) normalize() (Config, error) {
 	return c, nil
 }
 
-// makeStores builds the stores of n workers that share the addresses by
-// ownerOf, through the backend registry. The stores are built here (not
-// lazily) so a bad Config.Backend spec fails construction with a descriptive
-// error instead of a nil dereference on the hot path.
-func makeStores(cfg *Config, n int) ([]sig.Store, error) {
-	out := make([]sig.Store, n)
+// makeEngines builds the engines of n workers that share the addresses by
+// ownerOf, each over its own store from the backend registry. The stores are
+// built here (not lazily) so a bad Config.Backend spec fails construction with
+// a descriptive error instead of a nil dereference on the hot path. A
+// signature learns the routing rule (Shard) before its first access; exact
+// stores have no slots to share. An engine keeps per-variable bounds exactly
+// when the pipeline has a delta sink to ship them in (EpochDelta.Bounds).
+func makeEngines(cfg *Config, n int) ([]*Engine, error) {
+	out := make([]*Engine, n)
 	for i := range out {
-		st, err := cfg.store(n)
+		st, err := sig.OpenStore(cfg.Backend, cfg.SlotsPerWorker)
 		if err != nil {
 			return nil, fmt.Errorf("core: Config.Backend: %w", err)
 		}
-		out[i] = st
+		if g, ok := st.(*sig.Signature); ok {
+			g.Shard(n)
+		}
+		out[i] = NewEngine(st, cfg.Meta, cfg.RaceCheck)
+		out[i].trackBounds = cfg.OnEpochDelta != nil
 	}
 	return out, nil
 }
@@ -292,8 +299,6 @@ type worker struct {
 	pubEvents   uint64
 	pubHits     uint64
 	pubProbes   uint64
-	pubEvict    uint64
-	pubFalse    uint64
 }
 
 // sampleEvery is the stage-latency sampling rate: one in sampleEvery chunk
@@ -303,14 +308,14 @@ type worker struct {
 const sampleEvery = 32
 
 // telemetryPublishEvery is the worker-batch cadence of in-flight telemetry
-// publication (dep-cache counters, live accuracy): frequent enough that
-// /metrics and the Snapshotter see a moving picture, rare enough to be free.
+// publication (events, dep-cache counters): frequent enough that /metrics
+// and the Snapshotter see a moving picture, rare enough to be free.
 const telemetryPublishEvery = 1024
 
-// publishTelemetry pushes this worker's counter deltas and accuracy gauges
-// to the telemetry sink. Called from the worker loop periodically and from
-// the merge stage after the flush barrier; the watermarks make the two
-// publication paths add up exactly once.
+// publishTelemetry pushes this worker's counter deltas to the telemetry
+// sink. Called from the worker loop periodically and from the merge stage
+// after the flush barrier; the watermarks make the two publication paths add
+// up exactly once.
 func (w *worker) publishTelemetry() {
 	if w.m == nil {
 		return
@@ -329,18 +334,6 @@ func (w *worker) publishTelemetry() {
 		w.m.DepCacheProbes.Add(d)
 	}
 	w.pubHits, w.pubProbes = hits, probes
-	if g, ok := w.eng.Store().(*sig.Signature); ok {
-		if st, on := g.Accuracy(); on {
-			w.m.ObserveSigFPR(w.id, st.MeasuredFPR(), st.PredictedFPR())
-			if d := st.Evictions - w.pubEvict; d > 0 {
-				w.m.SigInsertConflicts.Add(d)
-			}
-			if d := st.FalseHits - w.pubFalse; d > 0 {
-				w.m.SigLookupConflicts.Add(d)
-			}
-			w.pubEvict, w.pubFalse = st.Evictions, st.FalseHits
-		}
-	}
 }
 
 // run is the worker loop: fetch a batch, process it ("worker threads consume
@@ -548,7 +541,7 @@ func dupRead(last, a *event.Access) bool {
 // mask — sparing the hot producer path a hardware divide per access, which
 // profiling showed as a measurable slice of the distribution cost. The
 // mapping is bit-identical to the modulo. The workers' signatures are told
-// this rule (sig.Signature.Shard, from Config.store) and index by what it
+// this rule (sig.Signature.Shard, from makeEngines) and index by what it
 // leaves of the word: the two change together.
 func ownerOf(addr uint64, w int, wMask uint64) int {
 	if wMask != 0 {

@@ -159,40 +159,14 @@ type Config struct {
 	// stage latencies sampled (one in 32 chunk pushes / worker batches) so the
 	// hot path stays cheap; nil costs nothing.
 	Metrics *telemetry.Pipeline
-	// TrackAccuracy enables live Eq. (2) accuracy telemetry on workers whose
-	// store is a sig.Signature: slot-conflict counters plus measured vs
-	// predicted false-positive gauges per worker (sig_fpr_measured_ppm /
-	// sig_fpr_predicted_ppm). Costs ~8 bytes/slot of tracking state and one
-	// branch per store operation; off by default.
-	TrackAccuracy bool
 	// OnEpochDelta receives each worker's epoch-delta extraction when the
 	// profiler's EpochMark is driven. Callbacks arrive on
 	// worker goroutines — concurrently in parallel modes — and own the
 	// delta's sets. Nil disables extraction: EpochMark becomes a no-op and
-	// the epoch machinery costs nothing.
+	// the epoch machinery costs nothing. Set, it also makes every engine
+	// keep per-variable address bounds (two compares per data access) for
+	// EpochDelta.Bounds.
 	OnEpochDelta func(*EpochDelta)
-	// TrackBounds enables per-variable address-interval tracking in every
-	// engine (two compares per data access), feeding the address-range
-	// provenance query and EpochDelta.Bounds. Off by default.
-	TrackBounds bool
-}
-
-// store builds the store of one of workers workers from the Backend spec. A
-// signature learns the routing rule (ownerOf) before anything sizes itself
-// from its slot count; exact stores have no slots to share and no accuracy
-// question to answer.
-func (c *Config) store(workers int) (sig.Store, error) {
-	st, err := sig.OpenStore(c.Backend, c.SlotsPerWorker)
-	if err != nil {
-		return nil, err
-	}
-	if g, ok := st.(*sig.Signature); ok {
-		g.Shard(workers)
-		if c.TrackAccuracy {
-			g.EnableTracking()
-		}
-	}
-	return st, nil
 }
 
 // Serial is the single-threaded profiler of §III: the target program and
@@ -222,14 +196,11 @@ func newSerial(cfg Config) (*Serial, error) {
 		// parameters win over the SlotsPerWorker default.
 		cfg.SlotsPerWorker *= cfg.Workers
 	}
-	stores, err := makeStores(&cfg, 1)
+	engs, err := makeEngines(&cfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	eng := NewEngine(stores[0], cfg.Meta, cfg.RaceCheck)
-	if cfg.TrackBounds {
-		eng.EnableBoundsTracking()
-	}
+	eng := engs[0]
 	s := &Serial{eng: eng, m: cfg.Metrics, onDelta: cfg.OnEpochDelta}
 	s.pl.m = cfg.Metrics
 	s.pl.workers = []*worker{{eng: eng, m: cfg.Metrics}}

@@ -9,11 +9,13 @@ import (
 
 	"ddprof/internal/core"
 	"ddprof/internal/dep"
+	"ddprof/internal/event"
 	"ddprof/internal/interp"
 	"ddprof/internal/loc"
 	"ddprof/internal/minilang"
 	"ddprof/internal/sig"
 	"ddprof/internal/telemetry"
+	"ddprof/internal/vm"
 )
 
 // hotProgram builds a target with a small heavy-hitter working set — the
@@ -115,6 +117,59 @@ func TestRemoteBackendSession(t *testing.T) {
 	// The daemon's flush-time store gauge stays within the admitted budget.
 	if got := reg.Gauge("pipeline_store_bytes").Load(); got <= 0 || got > budget {
 		t.Errorf("pipeline_store_bytes = %d, want (0, %d]", got, budget)
+	}
+}
+
+// TestRemoteSigOccupancy: the signature's accuracy gauge reaches /metrics
+// from a remote session. The target writes every other word of an array
+// three times the slot count long, so the signature is smaller than its
+// footprint and only half full; a serial and a two-worker session each
+// publish pipeline_sig_occupancy_permille as ⌊1000 × Occupancy()⌋ of a local
+// signature of the same slots fed the same stream.
+func TestRemoteSigOccupancy(t *testing.T) {
+	const slots = 4096
+	strided := func() *minilang.Program {
+		p := minilang.New("strided")
+		p.MainFunc(func(b *minilang.Block) {
+			b.DeclArr("a", minilang.Ci(3*slots))
+			b.For("i", minilang.Ci(0), minilang.Ci(3*slots/2), minilang.Ci(1),
+				minilang.LoopOpt{Name: "evens"}, func(l *minilang.Block) {
+					l.Set("a", minilang.Mul(minilang.V("i"), minilang.Ci(2)), minilang.V("i"))
+				})
+		})
+		return p
+	}
+	p := strided()
+	g := sig.NewSignature(slots)
+	eng := core.NewEngine(g, p.Meta, false)
+	if _, err := vm.Run(p, event.HookFunc(eng.Process), interp.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	occ := g.Occupancy()
+	if occ <= 0.4 || occ >= 0.6 {
+		t.Fatalf("local occupancy %v: want a signature about half full", occ)
+	}
+	want := int64(1000 * occ)
+	t.Logf("local %d-slot signature: Occupancy %v", slots, occ)
+
+	for _, workers := range []int{1, 2} {
+		reg := telemetry.NewRegistry()
+		srv := New(Config{WorkersPerSession: workers, Registry: reg})
+		ln := listenTCP(t)
+		go srv.Serve(ln)
+		conn, err := Dial(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ProfileRemote(conn, strided(), ClientOptions{Workers: workers, Backend: fmt.Sprintf("signature:slots=%d", slots)})
+		conn.Close()
+		srv.Shutdown(context.Background())
+		if err != nil {
+			t.Fatalf("W=%d: %v", workers, err)
+		}
+		if got := reg.Gauge("pipeline_sig_occupancy_permille").Load(); got != want {
+			t.Errorf("W=%d: pipeline_sig_occupancy_permille = %d, want %d (local Occupancy %v)", workers, got, want, occ)
+		}
 	}
 }
 

@@ -475,8 +475,8 @@ type addrPage struct {
 // addrQuery answers "which dependences touch addresses in [lo, hi]": the
 // variables whose observed address interval intersects the query window, and
 // every live dependence on those variables. Bounds come from the workers'
-// per-variable interval tracking (core.Config.TrackBounds), delivered with
-// each epoch delta.
+// per-variable interval tracking (EpochDelta.Bounds, kept by every engine
+// whose pipeline has a delta sink), delivered with each epoch delta.
 func (o *observatory) addrQuery(lo, hi uint64) addrPage {
 	o.mu.RLock()
 	defer o.mu.RUnlock()

@@ -69,10 +69,6 @@ type Config struct {
 	// SnapshotSamples is the timeline ring size (most recent samples kept).
 	// Default 1024; negative disables the background snapshotter entirely.
 	SnapshotSamples int
-	// TrackAccuracy enables live Eq. (2) accuracy telemetry on session
-	// pipelines backed by approximate signatures (sig_fpr_measured_ppm vs
-	// sig_fpr_predicted_ppm per worker on /metrics).
-	TrackAccuracy bool
 	// EpochInterval is the live observatory's epoch clock: an ingesting
 	// session cuts an epoch, and streams the delta to its watch subscribers,
 	// at the first batch boundary at least this long after its previous
@@ -617,8 +613,9 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 	sess.workers.Store(int32(max(workers, 1)))
 
 	// The live observatory: workers deliver epoch-delta extractions here,
-	// watch subscribers and the HTTP query endpoints read from it. Bounds
-	// tracking feeds the address-range provenance query.
+	// watch subscribers and the HTTP query endpoints read from it. Having a
+	// delta sink makes the engines keep the per-variable bounds the
+	// address-range provenance query reads.
 	obs := s.attachObservatory(sess.id, max(workers, 1), h.VarNames)
 	obsOK := false
 	defer func() {
@@ -631,13 +628,11 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 	defer series.release()
 
 	ccfg := core.Config{
-		Meta:          h.Meta,
-		RaceCheck:     h.Flags&flagRaceCheck != 0,
-		Metrics:       s.pipe,
-		QueueCap:      max(s.cfg.QueueCap, 0), // 0: core's default
-		TrackAccuracy: s.cfg.TrackAccuracy,
-		OnEpochDelta:  obs.offer,
-		TrackBounds:   true,
+		Meta:         h.Meta,
+		RaceCheck:    h.Flags&flagRaceCheck != 0,
+		Metrics:      s.pipe,
+		QueueCap:     max(s.cfg.QueueCap, 0), // 0: core's default
+		OnEpochDelta: obs.offer,
 	}
 	if workers >= 2 {
 		ccfg.Mode = core.ModeParallel

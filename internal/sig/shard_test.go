@@ -11,14 +11,10 @@ import (
 func occupied(g *Signature) int { return int(math.Round(g.Occupancy() * float64(g.m))) }
 
 // shardedPair returns an m-slot signature and the same told it is one of w
-// stores; flags picks stamps (bit 0) and accuracy tracking (bit 1) on both.
+// stores; flags bit 0 makes both keep stamps, the other bits do nothing.
 func shardedPair(m, w int, flags byte) (ref, sh *Signature) {
 	ref, sh = NewSignature(m), NewSignature(m)
 	sh.Shard(w)
-	if flags&2 != 0 {
-		ref.EnableTracking()
-		sh.EnableTracking()
-	}
 	if flags&1 != 0 {
 		ref.KeepStamps()
 		sh.KeepStamps()
@@ -29,8 +25,8 @@ func shardedPair(m, w int, flags byte) (ref, sh *Signature) {
 // FuzzShardedSignature holds a sharded signature to the unsharded one of the
 // same slot count on streams from a single residue class, which is all the
 // router ever hands a worker: every lookup after every operation, and the
-// occupied count and the accuracy counters at the end, agree, while the
-// sharded table holds gcd(m, w) times fewer indices. ops is three bytes an operation: what
+// occupied count at the end, agree, while the sharded table holds gcd(m, w)
+// times fewer indices. ops is three bytes an operation: what
 // to do, and a 16-bit position within the class.
 func FuzzShardedSignature(f *testing.F) {
 	f.Add(uint16(1024), byte(2), byte(1), byte(0), []byte{0, 0, 1, 1, 0, 1, 0, 2, 1, 2, 0, 1, 4, 0, 1, 1, 0, 1})
@@ -66,11 +62,6 @@ func FuzzShardedSignature(f *testing.F) {
 			case 3:
 				ref.At(addr).SetW(s)
 				sh.At(addr).SetW(s)
-				if flags&2 != 0 {
-					// At bypasses tracking; bring the sidecars along.
-					ref.SetWrite(addr, s)
-					sh.SetWrite(addr, s)
-				}
 			}
 			rw, rok := ref.LookupWrite(addr)
 			sw, sok := sh.LookupWrite(addr)
@@ -84,16 +75,7 @@ func FuzzShardedSignature(f *testing.F) {
 		if a, b := occupied(ref), occupied(sh); a != b {
 			t.Fatalf("m=%d w=%d: %d write slots occupied sharded, %d unsharded", m, w, b, a)
 		}
-		ra, _ := ref.Accuracy()
-		sa, on := sh.Accuracy()
-		if on != (flags&2 != 0) || on && sa.Slots != int(sh.m) {
-			t.Fatalf("m=%d w=%d: tracking %v over %d slots; want %v over the %d held", m, w, on, sa.Slots, flags&2 != 0, sh.m)
-		}
-		ra.Slots, ra.Distinct, sa.Distinct = sa.Slots, 0, 0 // the estimate's bitmap is sized by the slots held
-		if ra != sa {
-			t.Fatalf("m=%d w=%d: sharded accuracy %+v, unsharded %+v", m, w, sa, ra)
-		}
-		// Tracked or not, Occupancy is a share of the indices held.
+		// Occupancy is a share of the indices held.
 		plain := 0
 		for _, pg := range sh.pages {
 			for k := uint64(0); k < sh.indices(pg); k++ {
@@ -117,26 +99,20 @@ func TestShardReachesEveryIndex(t *testing.T) {
 		{1024, 1, 1024}, {1024, 2, 512}, {1024, 16, 64}, {1000, 8, 125}, {96, 8, 12},
 		{96, 5, 96}, {1000, 6, 500}, {100_000, 16, 6250}, {8, 16, 1},
 	} {
-		for _, tracked := range []bool{false, true} {
-			var flags byte
-			if tracked {
-				flags = 2
-			}
-			ref, sh := shardedPair(tc.m, tc.w, flags)
-			if sh.Slots() != tc.held {
-				t.Fatalf("m=%d w=%d: %d indices held, want %d", tc.m, tc.w, sh.Slots(), tc.held)
-			}
-			for k := 0; k < 2*tc.m; k++ {
-				addr := uint64(k*tc.w+tc.w-1) << 3
-				ref.SetWrite(addr, s)
-				sh.SetWrite(addr, s)
-			}
-			if got, want := ref.Occupancy(), float64(tc.held)/float64(tc.m); got != want {
-				t.Errorf("m=%d w=%d tracked=%v: unsharded occupancy %v, want %v", tc.m, tc.w, tracked, got, want)
-			}
-			if got := sh.Occupancy(); got != 1 {
-				t.Errorf("m=%d w=%d tracked=%v: sharded occupancy %v, want 1", tc.m, tc.w, tracked, got)
-			}
+		ref, sh := shardedPair(tc.m, tc.w, 0)
+		if sh.Slots() != tc.held {
+			t.Fatalf("m=%d w=%d: %d indices held, want %d", tc.m, tc.w, sh.Slots(), tc.held)
+		}
+		for k := 0; k < 2*tc.m; k++ {
+			addr := uint64(k*tc.w+tc.w-1) << 3
+			ref.SetWrite(addr, s)
+			sh.SetWrite(addr, s)
+		}
+		if got, want := ref.Occupancy(), float64(tc.held)/float64(tc.m); got != want {
+			t.Errorf("m=%d w=%d: unsharded occupancy %v, want %v", tc.m, tc.w, got, want)
+		}
+		if got := sh.Occupancy(); got != 1 {
+			t.Errorf("m=%d w=%d: sharded occupancy %v, want 1", tc.m, tc.w, got)
 		}
 	}
 }

@@ -211,10 +211,6 @@ type Signature struct {
 	shift, div uint64
 	// mask is m-1 when m is a power of two and div is 0, else 0; see hash.
 	mask uint64
-	// trk, when non-nil, maintains live accuracy statistics (occupancy,
-	// distinct-address estimate, slot conflicts) for Eq. (2) telemetry; see
-	// accuracy.go. Off by default: one nil check per operation.
-	trk *sigTrack
 }
 
 // NewSignature returns a signature with the given number of slots per side.
@@ -257,8 +253,7 @@ func reachable(m, w uint64) uint64 {
 // lcm(m, w)"), so every lookup answers as the unsharded table would: w
 // workers hold one signature's worth of slots between them, and for w | m
 // they report what one serial m-slot signature reports. It must be called
-// once, before the first access is recorded and before EnableTracking, which
-// sizes its sidecar from the indices held; Shard(1) changes nothing.
+// once, before the first access is recorded; Shard(1) changes nothing.
 func (g *Signature) Shard(w int) {
 	if w <= 1 {
 		return
@@ -333,7 +328,7 @@ func (g *Signature) Slots() int { return int(g.m) }
 // At returns the cell addr hashes to, committing its page if this is the
 // first access recorded there. It is the whole store side of one access for
 // a caller that will record the access (the engine's fused arm); probes that
-// must not commit go through Lookup*. At bypasses accuracy tracking.
+// must not commit go through Lookup*.
 func (g *Signature) At(addr uint64) Cell {
 	i := g.hash(addr)
 	return g.view(g.page(i), i)
@@ -378,9 +373,6 @@ func (g *Signature) LookupWrite(addr uint64) (s Slot, ok bool) {
 	if pg := g.pages[i>>pageShift]; pg != nil {
 		s = g.view(pg, i).W()
 	}
-	if g.trk != nil {
-		g.trk.noteLookup(i, (addr>>3)+1, !s.Empty())
-	}
 	return s, !s.Empty()
 }
 
@@ -396,9 +388,6 @@ func (g *Signature) LookupRead(addr uint64) (s Slot, ok bool) {
 // SetWrite implements Store.
 func (g *Signature) SetWrite(addr uint64, s Slot) {
 	i := g.hash(addr)
-	if g.trk != nil {
-		g.trk.noteInsert(i, (addr>>3)+1)
-	}
 	g.view(g.page(i), i).SetW(s)
 }
 
@@ -413,9 +402,6 @@ func (g *Signature) SetRead(addr uint64, s Slot) {
 // one the paper's removal makes.
 func (g *Signature) Remove(addr uint64) {
 	i := g.hash(addr)
-	if g.trk != nil {
-		g.trk.noteRemove(i)
-	}
 	if pg := g.pages[i>>pageShift]; pg != nil {
 		o := (i & pageMask) * g.stride
 		clear(pg[o : o+g.stride])
@@ -448,16 +434,10 @@ func (g *Signature) written(pg []uint64, k uint64) bool {
 	return pg[k*g.stride]&presentBit != 0
 }
 
-// Occupancy returns the fraction of non-empty write slots; used to validate
-// the paper's Eq. (2) collision-probability prediction. With accuracy
-// tracking enabled the incrementally maintained slot count answers in O(1);
-// the untracked path scans the committed pages, which the end-of-run
-// occupancy publication would otherwise pay O(m) per worker inside the merge
-// stage. The accuracy suite pins the two paths equal.
+// Occupancy returns the fraction of non-empty write slots — the measured
+// Eq. (2) collision probability, published at every flush. It scans the
+// committed pages.
 func (g *Signature) Occupancy() float64 {
-	if g.trk != nil {
-		return float64(g.trk.occupied) / float64(g.m)
-	}
 	used := 0
 	for _, pg := range g.pages {
 		for k, end := uint64(0), g.indices(pg); k < end; k++ {

@@ -1,6 +1,7 @@
 package sig
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -251,6 +252,24 @@ func TestSignatureOccupancy(t *testing.T) {
 	want := float64(len(seen)) / 100
 	if got := g.Occupancy(); got != want {
 		t.Errorf("Occupancy = %v, want %v", got, want)
+	}
+}
+
+// TestMeasuredTracksEq2: 1000 contiguous words in 4096 slots never collide
+// under the modulo hash, so the measured occupancy is n/m, while Eq. (2)
+// models uniform hashing; at n/m ≈ 0.25 the two differ by < 0.03.
+func TestMeasuredTracksEq2(t *testing.T) {
+	const m, n = 4096, 1000
+	g := NewSignature(m)
+	for i := uint64(0); i < n; i++ {
+		g.SetWrite(8*i, PackSlot(1, 1, 0, 0, 0, 1))
+	}
+	meas, pred := g.Occupancy(), 1-math.Pow(1-1.0/m, n)
+	if meas != float64(n)/m {
+		t.Fatalf("occupancy %v, want %v", meas, float64(n)/m)
+	}
+	if d := math.Abs(meas - pred); d > 0.04 {
+		t.Fatalf("measured %v vs predicted %v differ by %v > 0.04", meas, pred, d)
 	}
 }
 

@@ -369,20 +369,6 @@ type Pipeline struct {
 	StageWorkerNs        *Histogram
 	StageMergeNs         *Histogram
 
-	// Live Eq. (2) accuracy telemetry, populated when the worker stores run
-	// with conflict tracking enabled (core.Config.TrackAccuracy):
-	// SigFPRMeasuredPPM is the measured write-slot occupancy — the chance a
-	// membership probe for a fresh address false-positives — and
-	// SigFPRPredictedPPM the Eq. (2) prediction from the same store's
-	// distinct-address estimate, both in parts per million, per worker.
-	SigFPRMeasuredPPM  [MaxWorkerSlots]*Gauge
-	SigFPRPredictedPPM [MaxWorkerSlots]*Gauge
-	// SigInsertConflicts counts write-slot installs that evicted a different
-	// address; SigLookupConflicts counts lookups answered by a slot a
-	// different address wrote — live false positives.
-	SigInsertConflicts *Counter
-	SigLookupConflicts *Counter
-
 	// StoreBytes, published at Flush for every backend, is the summed actual
 	// footprint of all worker stores (shadow page accounting, hash-table
 	// entries, signature slot arrays alike).
@@ -398,14 +384,6 @@ type Pipeline struct {
 func (p *Pipeline) ObserveQueueDepth(worker int, depth int64) {
 	p.QueueDepth[worker%MaxWorkerSlots].Set(depth)
 	p.QueueDepthMax.SetMax(depth)
-}
-
-// ObserveSigFPR records one worker's live signature accuracy: the measured
-// false-positive probability (write-slot occupancy) and the Eq. (2)
-// prediction for the same store, as parts-per-million gauges.
-func (p *Pipeline) ObserveSigFPR(worker int, measured, predicted float64) {
-	p.SigFPRMeasuredPPM[worker%MaxWorkerSlots].Set(int64(measured * 1e6))
-	p.SigFPRPredictedPPM[worker%MaxWorkerSlots].Set(int64(predicted * 1e6))
 }
 
 // Pipeline returns the pipeline metric group registered under prefix,
@@ -433,14 +411,10 @@ func (r *Registry) Pipeline(prefix string) *Pipeline {
 		StageTransportWaitNs: r.Histogram(prefix + "_stage_transport_wait_ns"),
 		StageWorkerNs:        r.Histogram(prefix + "_stage_worker_ns"),
 		StageMergeNs:         r.Histogram(prefix + "_stage_merge_ns"),
-		SigInsertConflicts:   r.Counter(prefix + "_sig_insert_conflicts_total"),
-		SigLookupConflicts:   r.Counter(prefix + "_sig_lookup_conflicts_total"),
 		StoreBytes:           r.Gauge(prefix + "_store_bytes"),
 	}
 	for i := range p.QueueDepth {
 		p.QueueDepth[i] = r.Gauge(fmt.Sprintf("%s_queue_depth{worker=\"%d\"}", prefix, i))
-		p.SigFPRMeasuredPPM[i] = r.Gauge(fmt.Sprintf("%s_sig_fpr_measured_ppm{worker=\"%d\"}", prefix, i))
-		p.SigFPRPredictedPPM[i] = r.Gauge(fmt.Sprintf("%s_sig_fpr_predicted_ppm{worker=\"%d\"}", prefix, i))
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

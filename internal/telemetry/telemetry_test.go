@@ -256,35 +256,6 @@ func TestRegistrySnapshot(t *testing.T) {
 	}
 }
 
-func TestObserveSigFPR(t *testing.T) {
-	r := NewRegistry()
-	p := r.Pipeline("pipeline")
-	p.ObserveSigFPR(2, 0.25, 0.2212)
-	if got := p.SigFPRMeasuredPPM[2].Load(); got != 250000 {
-		t.Fatalf("measured ppm = %d, want 250000", got)
-	}
-	if got := p.SigFPRPredictedPPM[2].Load(); got != 221200 {
-		t.Fatalf("predicted ppm = %d, want 221200", got)
-	}
-	// Worker indices beyond the slot count alias instead of panicking.
-	p.ObserveSigFPR(MaxWorkerSlots+2, 0.5, 0.5)
-	if got := p.SigFPRMeasuredPPM[2].Load(); got != 500000 {
-		t.Fatalf("aliased measured ppm = %d, want 500000", got)
-	}
-	var sb strings.Builder
-	r.WriteText(&sb)
-	for _, want := range []string{
-		`pipeline_sig_fpr_measured_ppm{worker="2"} 500000`,
-		`pipeline_sig_fpr_predicted_ppm{worker="2"} 500000`,
-		"pipeline_sig_insert_conflicts_total 0",
-		"pipeline_sig_lookup_conflicts_total 0",
-	} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("exposition missing %q", want)
-		}
-	}
-}
-
 func TestRegistryRemove(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("doomed_total")

@@ -48,7 +48,7 @@ fi
 
 # Retired daemon knobs are refused by the flag parser: exit 2, naming the flag.
 # (Both listeners empty: a daemon that accepted the flag exits without serving.)
-for f in readbuf decode-depth; do
+for f in readbuf decode-depth track-accuracy; do
 	code=0
 	"$dir/ddprofd" -listen "" -unix "" "-$f" 1 >"$dir/$f.out" 2>&1 || code=$?
 	if [ "$code" -ne 2 ] || ! grep -q -- "-$f" "$dir/$f.out"; then
