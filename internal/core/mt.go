@@ -133,6 +133,9 @@ func (m *MT) routeRange(r *event.Range) {
 func (m *MT) spread(seg []event.Access) {
 	nw := len(m.rings)
 	if len(seg) == 1 {
+		if seg[0].TS > event.MaxTS {
+			refuseStamps()
+		}
 		m.rings[ownerOf(seg[0].Addr, nw, m.wMask)].Push(seg[0])
 		return
 	}
@@ -143,9 +146,14 @@ func (m *MT) spread(seg []event.Access) {
 	if nw > len(few) {
 		end = make([]uint16, nw)
 	}
+	stamps := uint64(0)
 	for i := range seg {
 		own[i] = int32(ownerOf(seg[i].Addr, nw, m.wMask))
 		end[own[i]]++
+		stamps |= seg[i].TS
+	}
+	if stamps > event.MaxTS {
+		refuseStamps()
 	}
 	sum := uint16(0)
 	for w := range m.rings {

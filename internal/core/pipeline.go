@@ -142,6 +142,17 @@ func makeEngines(cfg *Config, n int) ([]*Engine, error) {
 	return out, nil
 }
 
+// refuseStamps is a race-checking profiler's answer to a batch carrying a
+// stamp past event.MaxTS: a signature keeps 32 bits of one, so the race check
+// would compare the low halves. The executors and the DDT2 decoder refuse such
+// a stamp first; this catches embedders that bypass both. Callers fold the
+// batch's stamps into one OR and check it once, after the loop they already
+// run; MT's is before the first event reaches a ring, the others' after the
+// batch was routed, so a refused batch leaves a profile that must be dropped.
+func refuseStamps() {
+	panic(fmt.Sprintf("core: AccessBatch: a stamp is past %d, the widest a store slot keeps (event.MaxTS)", uint64(event.MaxTS)))
+}
+
 // errDoubleFlush is the one message every mode's second Flush panics with.
 const errDoubleFlush = "core: Flush called twice (a pipeline drains and joins its workers exactly once)"
 
@@ -575,6 +586,8 @@ type producer struct {
 	// pushCtr: one in sampleEvery chunk pushes is timed into StageProduceNs
 	// (push incl. backpressure, depth gauge).
 	pushCtr uint64
+	// raceCheck refuses stamps past event.MaxTS (refuseStamps).
+	raceCheck bool
 }
 
 // init wires the producer to trs, which the pipeline's workers pop from.
@@ -583,6 +596,7 @@ func (pr *producer) init(trs []*chunkTransport, cfg *Config) {
 	pr.w = cfg.Workers
 	pr.wMask = powerOfTwoMask(cfg.Workers)
 	pr.m = cfg.Metrics
+	pr.raceCheck = cfg.RaceCheck
 	pr.open = make([]*chunk, cfg.Workers)
 	for i := range pr.open {
 		pr.open[i] = trs[i].open()
@@ -598,9 +612,10 @@ func (pr *producer) init(trs []*chunkTransport, cfg *Config) {
 // its points. Control kinds (EpochMark and above) must not appear: the caller
 // splits batches at epoch marks.
 func (pr *producer) putBatch(accesses []event.Access, ranges []event.Range) {
-	var data uint64
+	var data, stamps uint64
 	for i := range accesses {
 		a := &accesses[i]
+		stamps |= a.TS
 		if a.Kind == event.RangeRef {
 			r := &ranges[a.Addr]
 			if r.Count > 0 && (r.Kind == event.Read || r.Kind == event.Write) {
@@ -637,6 +652,9 @@ func (pr *producer) putBatch(accesses []event.Access, ranges []event.Range) {
 		if c.n++; c.n == len(c.buf) {
 			pr.push(slot, c.n, true)
 		}
+	}
+	if stamps > event.MaxTS && pr.raceCheck {
+		refuseStamps()
 	}
 	pr.stats.Accesses += data
 }

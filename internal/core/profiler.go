@@ -214,11 +214,13 @@ func (s *Serial) Access(a event.Access) { s.AccessBatch([]event.Access{a}, nil) 
 // tight loop — no per-event interface dispatch — with access counting and
 // telemetry publication amortized to one update per batch.
 func (s *Serial) AccessBatch(accesses []event.Access, ranges []event.Range) {
-	var data, rngs, relems uint64
+	var data, rngs, relems, stamps uint64
 	for i := range accesses {
 		a := &accesses[i]
+		stamps |= a.TS
 		if a.Kind == event.RangeRef {
 			r := &ranges[a.Addr]
+			stamps |= r.TS
 			if r.Count > 0 && (r.Kind == event.Read || r.Kind == event.Write) {
 				data += uint64(r.Count)
 				rngs++
@@ -234,6 +236,9 @@ func (s *Serial) AccessBatch(accesses []event.Access, ranges []event.Range) {
 			data += 1 + uint64(a.Rep)
 		}
 		s.eng.Process(*a)
+	}
+	if stamps > event.MaxTS && s.eng.raceCheck {
+		refuseStamps()
 	}
 	s.stats.Accesses += data
 	s.stats.Ranges += rngs

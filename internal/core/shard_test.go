@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"ddprof/internal/event"
 	"ddprof/internal/loc"
@@ -111,9 +112,9 @@ func TestShardedOccupancyReproducer(t *testing.T) {
 		if got := pipe.SigOccupancyPermille.Load(); got != 1000 {
 			t.Errorf("%v: sig_occupancy_permille = %d, want 1000", mode, got)
 		}
-		stride := uint64(32)
-		if mode == ModeMT {
-			stride = 48
+		stride := uint64(unsafe.Sizeof(sig.Pair{}))
+		if mode == ModeMT { // MT checks races: a stamp word behind each pair
+			stride += uint64(unsafe.Sizeof(sig.Stamps(0)))
 		}
 		if res.Stats.StoreBytes != 1024*stride {
 			t.Errorf("%v: stores hold %d bytes, want 1024 indices of %d", mode, res.Stats.StoreBytes, stride)

@@ -1,6 +1,9 @@
 package event
 
-import "sync/atomic"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // BatchHook is a Hook that also takes events in bulk (every core.Profiler).
 // The slices are the caller's and only valid for the call.
@@ -12,6 +15,23 @@ type BatchHook interface {
 // BatchSize is the capacity of an executor thread's private event buffer
 // (24 KB); ddbench mt-threads and seq-serial measure the same from 128 to 2048.
 const BatchSize = 512
+
+// The widest stamp and thread ID a run may hand a profiler: a signature slot
+// keeps 32 bits of a stamp and 9 of a thread (sig.ThreadMask). Anything wider
+// is refused where it is born — the executors (Release, Acquire, a spawn) —
+// or where it comes in off the wire (the DDT2 decoder), never narrowed.
+const (
+	MaxTS     = 1<<32 - 1
+	MaxThread = 511
+)
+
+// StampLimit is what Release and Acquire panic with when the run's clock has
+// passed MaxTS; the executors end the run with it as a runtime error.
+type StampLimit struct{ TS uint64 }
+
+func (e StampLimit) Error() string {
+	return fmt.Sprintf("sync-epoch stamp %d is past %d, the widest a store slot keeps (event.MaxTS)", e.TS, uint64(MaxTS))
+}
 
 // SyncOp names a synchronisation point of the target: a release — Fork is the
 // parent's, before its spawned threads start — or the acquire pairing with it.
@@ -104,7 +124,11 @@ func (b *Batcher) Flush() {
 	b.buf = b.buf[:0]
 }
 
-// Release is called immediately before op lets another thread proceed.
+// Release is called immediately before op lets another thread proceed. It
+// panics with StampLimit when the epoch it moves the thread to is past MaxTS,
+// except at SyncExit: an exiting thread stamps nothing more (its release runs
+// on the executors' error unwind, where it must not panic), and the joiner's
+// Acquire refuses the epoch instead.
 func (b *Batcher) Release(op SyncOp, obj any) {
 	b.Flush()
 	if b.tap != nil {
@@ -112,15 +136,21 @@ func (b *Batcher) Release(op SyncOp, obj any) {
 	}
 	if b.clock != nil {
 		b.TS = b.clock.Add(1)
+		if b.TS > MaxTS && op != SyncExit {
+			panic(StampLimit{b.TS})
+		}
 	}
 }
 
-// Acquire is called immediately after op let this thread proceed.
+// Acquire is called immediately after op let this thread proceed. It panics
+// with StampLimit when the epoch it catches up with is past MaxTS.
 func (b *Batcher) Acquire(op SyncOp, obj any) {
 	if b.tap != nil {
 		b.tap.Sync(b.thread, op, obj, len(b.buf))
 	}
 	if b.clock != nil {
-		b.TS = b.clock.Load()
+		if b.TS = b.clock.Load(); b.TS > MaxTS {
+			panic(StampLimit{b.TS})
+		}
 	}
 }

@@ -120,3 +120,31 @@ func TestBatcherEpochs(t *testing.T) {
 		t.Fatalf("b's event stamped %d, main after the join is at %d", got, main.TS)
 	}
 }
+
+// TestBatcherRefusesWideStamps: the shared clock hands out MaxTS, and the
+// release or acquire that would move a thread past it panics with StampLimit,
+// naming the limit — except the exiting thread's, which stamps nothing more.
+func TestBatcherRefusesWideStamps(t *testing.T) {
+	refused := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			r := recover()
+			want := "sync-epoch stamp 4294967296 is past 4294967295, the widest a store slot keeps (event.MaxTS)"
+			if e, ok := r.(StampLimit); !ok || e.Error() != want {
+				t.Errorf("%s: recovered %v, want StampLimit %q", name, r, want)
+			}
+		}()
+		f()
+	}
+	main := NewBatcher(&batchSink{}, true)
+	main.clock.Store(MaxTS - 1)
+	main.Release(SyncFork, nil)
+	if main.TS != MaxTS {
+		t.Fatalf("release to the last epoch: TS %d, want %d", main.TS, uint64(MaxTS))
+	}
+	a, b := main.Child(0), main.Child(1)
+	refused("release past MaxTS", func() { a.Release(SyncUnlock, nil) })
+	refused("acquire past MaxTS", func() { b.Acquire(SyncLock, nil) })
+	b.Release(SyncExit, nil) // on the error unwind: no panic
+}

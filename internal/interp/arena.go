@@ -1,9 +1,12 @@
 package interp
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
+
+	"ddprof/internal/event"
 )
 
 // Arena is the simulated address space. Every minilang scalar and array
@@ -148,3 +151,25 @@ func AddrOf(w uint64) uint64 { return baseAddr + w*8 }
 type RuntimeError struct{ Msg string }
 
 func (e RuntimeError) Error() string { return "minilang runtime error: " + e.Msg }
+
+// AsRuntimeError is the RuntimeError a recovered panic value ends a run with,
+// if it is one: an executor's own, or event.Batcher's refusal of a stamp past
+// event.MaxTS.
+func AsRuntimeError(r any) (RuntimeError, bool) {
+	switch e := r.(type) {
+	case RuntimeError:
+		return e, true
+	case event.StampLimit:
+		return RuntimeError{e.Error()}, true
+	}
+	return RuntimeError{}, false
+}
+
+// CheckSpawn panics with a RuntimeError before a spawn of threads starts a
+// thread whose ID a store slot cannot keep (past event.MaxThread).
+func CheckSpawn(threads int) {
+	if threads > event.MaxThread+1 {
+		panic(RuntimeError{fmt.Sprintf("spawn of %d threads: thread %d is past %d, the widest thread ID a store slot keeps (event.MaxThread)",
+			threads, event.MaxThread+1, event.MaxThread)})
+	}
+}

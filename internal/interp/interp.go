@@ -95,7 +95,7 @@ func Run(p *minilang.Program, hook Hook, opt Options) (info *RunInfo, err error)
 
 	defer func() {
 		if r := recover(); r != nil {
-			if re, ok := r.(RuntimeError); ok {
+			if re, ok := AsRuntimeError(r); ok {
 				err = re
 				return
 			}
@@ -501,6 +501,7 @@ func (t *tstate) execSpawn(st *minilang.SpawnStmt) {
 	if t.bar != nil {
 		t.fail("nested spawn")
 	}
+	CheckSpawn(st.Threads)
 	bar := NewBarrier(st.Threads)
 	frees := make([]FreeList, st.Threads)
 	var wg sync.WaitGroup
@@ -525,7 +526,7 @@ func (t *tstate) execSpawn(st *minilang.SpawnStmt) {
 				frees[tid] = ts.free
 				t.in.accesses.Add(ts.accesses)
 				if r := recover(); r != nil {
-					if re, ok := r.(RuntimeError); ok {
+					if re, ok := AsRuntimeError(r); ok {
 						e := error(re)
 						t.in.threadErr.CompareAndSwap(nil, &e)
 						bar.Abort()

@@ -602,3 +602,16 @@ func TestFreeListsArePerThread(t *testing.T) {
 		t.Fatalf("after the join b allocated %d, want the adopted run %d", got, x)
 	}
 }
+
+// TestStampLimitEndsTheRun: the Batcher's refusal of a stamp past
+// event.MaxTS ends a run as a runtime error naming the limit, as the
+// executors' own errors do; any other panic is not one.
+func TestStampLimitEndsTheRun(t *testing.T) {
+	const want = "minilang runtime error: sync-epoch stamp 4294967296 is past 4294967295, the widest a store slot keeps (event.MaxTS)"
+	if re, ok := AsRuntimeError(event.StampLimit{TS: event.MaxTS + 1}); !ok || re.Error() != want {
+		t.Errorf("StampLimit: %v, %v; want %q", re, ok, want)
+	}
+	if _, ok := AsRuntimeError("boom"); ok {
+		t.Error("a string panic taken as a runtime error")
+	}
+}

@@ -219,13 +219,13 @@ func TestBackendAdmission(t *testing.T) {
 
 // TestAdmissionEqualsStoreBytes: what admission charges a session is what
 // that session's stores report at flush (pipeline_store_bytes), to the byte —
-// a race-checking session's signatures keep stamps, 48 bytes an index, any
-// other 32, and W workers' signatures hold one signature's slots between
+// a race-checking session's signatures keep a stamp word behind each pair
+// (sig.Stamps), any other the bare pair, and W workers' signatures hold one signature's slots between
 // them — so a budget of exactly that figure admits it and one byte less
 // refuses it, naming both numbers.
 func TestAdmissionEqualsStoreBytes(t *testing.T) {
 	pair := uint64(unsafe.Sizeof(sig.Pair{}))
-	stamped := pair + 2*uint64(unsafe.Sizeof(uint64(0)))
+	stamped := pair + uint64(unsafe.Sizeof(sig.Stamps(0)))
 	sequential := func() *minilang.Program { return testProgram("seq", 50) }
 	spawning := func() *minilang.Program {
 		p := minilang.New("racing")

@@ -141,13 +141,13 @@ func TestPairNeverStraddlesALine(t *testing.T) {
 			t.Errorf("%d slots: full page based at %#x, not line-aligned", slots, base)
 		}
 	}
-	// With stamps the record is 48 bytes: pair and stamps stay contiguous.
+	// With stamps the record is 40 bytes: pair and stamp word stay contiguous.
 	g := NewSignature(100)
 	g.KeepStamps()
 	for i := uint64(0); i < 100; i++ {
 		c := g.At(8 * i)
 		if uintptr(unsafe.Pointer(c.ts)) != uintptr(unsafe.Pointer(c.p))+unsafe.Sizeof(*c.p) {
-			t.Fatalf("index %d: stamps are not behind their pair", i)
+			t.Fatalf("index %d: the stamp word is not behind its pair", i)
 		}
 	}
 }
@@ -169,8 +169,8 @@ func TestSignatureMatchesFlatReference(t *testing.T) {
 	for _, slots := range []int{1, 2, 1000, 4096, 4097, 1 << 14} {
 		rng := rand.New(rand.NewSource(int64(slots)))
 		// The first keeps stamps and the second does not: probes of the one
-		// return them at full width, of the other as 0, and Intersect spans
-		// the two layouts.
+		// return them whole (any 32-bit stamp, event.MaxTS), of the other as
+		// 0, and Intersect spans the two layouts.
 		sigs := [2]*Signature{NewSignature(slots), NewSignature(slots)}
 		sigs[0].KeepStamps()
 		flats := [2]*flatSig{{make([]Slot, slots), make([]Slot, slots)}, {make([]Slot, slots), make([]Slot, slots)}}
@@ -185,7 +185,7 @@ func TestSignatureMatchesFlatReference(t *testing.T) {
 			addrs = append(addrs, addr)
 			which := rng.Intn(2)
 			g, f := sigs[which], flats[which]
-			s := PackSlot(loc.Pack(1, 1+n%100), loc.VarID(n), int32(n), uint32(n), uint64(n), rng.Uint64())
+			s := PackSlot(loc.Pack(1, 1+n%100), loc.VarID(n), int32(n), uint32(n), uint64(n), uint64(rng.Uint32()))
 			kept := s
 			if which == 1 {
 				kept.TS = 0

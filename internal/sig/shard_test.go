@@ -48,7 +48,7 @@ func FuzzShardedSignature(f *testing.F) {
 			k := uint64(ops[1])<<8 | uint64(ops[2])
 			// The sub-word bits vary too: no index may depend on them.
 			addr := (k*uint64(w)+uint64(residue%w))<<3 | uint64(ops[0]>>5)
-			s := PackSlot(loc.Pack(1, n), 0, int32(n), uint32(n), uint64(n), uint64(n)<<40)
+			s := PackSlot(loc.Pack(1, n), 0, int32(n), uint32(n), uint64(n), uint64(uint32(n)*0x9E3779B1))
 			switch ops[0] % 5 {
 			case 0:
 				ref.SetWrite(addr, s)

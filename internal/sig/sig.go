@@ -14,15 +14,17 @@
 // reads back — location, thread, loop context and iteration vector, for the
 // Table II and §V experiments — in two 64-bit words: 16 bytes a slot, 32 a
 // write/read pair, 64 MB at the default 2 M slots. A race-checking profiler
-// also keeps each access's §V stamp beside its pair (48 bytes, 96 MB); one
-// that never compares stamps does not store them. Memory experiments report
-// both actual and paper-modeled (4 B/slot) sizes.
+// also keeps the two accesses' §V stamps, 32 bits each, in one word beside
+// their pair (40 bytes, 80 MB); one that never compares stamps does not store
+// them. Memory experiments report both actual and paper-modeled (4 B/slot)
+// sizes.
 package sig
 
 import (
 	"math/bits"
 	"unsafe"
 
+	"ddprof/internal/event"
 	"ddprof/internal/loc"
 )
 
@@ -34,7 +36,7 @@ import (
 type Slot struct {
 	Meta uint64 // present(1) | reduction(1) | induction(1) | unused(4) | thread(9) | ctx(16) | loc(32)
 	Iter uint64 // packed iteration vector of the enclosing loops
-	TS   uint64 // §V sync-epoch stamp, full width; 0 for sequential targets
+	TS   uint64 // §V sync-epoch stamp: 32 bits in a signature, refused beyond (event.MaxTS); 0 for sequential targets
 }
 
 const (
@@ -46,10 +48,11 @@ const (
 	ctxShift    = 32
 )
 
-// The widths a slot keeps of a thread ID and of a static loop-context ID;
-// wider values wrap (ROADMAP item 4).
+// The widths a slot keeps of a thread ID and of a static loop-context ID.
+// Wider threads are refused by the executors and the DDT2 decoder
+// (event.MaxThread), more contexts by core.New.
 const (
-	ThreadMask = 0x1FF
+	ThreadMask = event.MaxThread
 	CtxMask    = 0xFFFF
 )
 
@@ -132,25 +135,30 @@ type Store interface {
 // array would be two probes megabytes apart.
 type Pair [pairWords]uint64
 
+// Stamps is the word that follows a pair when stamps are kept: the last
+// write's stamp in the low 32 bits, the last read's in the high 32. No stamp
+// reaches a signature wider than that (event.MaxTS).
+type Stamps uint64
+
 const (
 	pairWords    = 4
-	stampWords   = 2 // last write's stamp, last read's; follow the pair when kept
+	stampWords   = 1 // a Stamps word follows the pair when kept
 	stampedWords = pairWords + stampWords
 )
 
 // Cell is the handle to one signature index: its pair and, in a signature
-// that keeps stamps, the two stamps behind it. It stays valid for the life
+// that keeps stamps, the stamp word behind it. It stays valid for the life
 // of the signature.
 type Cell struct {
 	p  *Pair
-	ts *[stampWords]uint64
+	ts *Stamps
 }
 
 // W returns the resident last write.
 func (c Cell) W() Slot {
 	s := Slot{Meta: c.p[0], Iter: c.p[1]}
 	if c.ts != nil {
-		s.TS = c.ts[0]
+		s.TS = uint64(uint32(*c.ts))
 	}
 	return s
 }
@@ -159,24 +167,26 @@ func (c Cell) W() Slot {
 func (c Cell) R() Slot {
 	s := Slot{Meta: c.p[2], Iter: c.p[3]}
 	if c.ts != nil {
-		s.TS = c.ts[1]
+		s.TS = uint64(*c.ts >> 32)
 	}
 	return s
 }
 
-// SetW installs s as the last write.
+// SetW installs s as the last write; of the stamp word it rewrites the write's
+// half only.
 func (c Cell) SetW(s Slot) {
 	c.p[0], c.p[1] = s.Meta, s.Iter
 	if c.ts != nil {
-		c.ts[0] = s.TS
+		*c.ts = *c.ts&^0xFFFFFFFF | Stamps(uint32(s.TS))
 	}
 }
 
-// SetR installs s as the last read.
+// SetR installs s as the last read; of the stamp word it rewrites the read's
+// half only.
 func (c Cell) SetR(s Slot) {
 	c.p[2], c.p[3] = s.Meta, s.Iter
 	if c.ts != nil {
-		c.ts[1] = s.TS
+		*c.ts = *c.ts&0xFFFFFFFF | Stamps(s.TS)<<32
 	}
 }
 
@@ -186,7 +196,7 @@ func (c Cell) SetR(s Slot) {
 // table, not all of it.
 const (
 	pageShift = 12
-	pagePairs = 1 << pageShift // 4096 pairs = 128 KiB, 192 with stamps
+	pagePairs = 1 << pageShift // 4096 pairs = 128 KiB, 160 with stamps
 	pageMask  = pagePairs - 1
 )
 
@@ -196,7 +206,7 @@ const (
 // bounded, at the price of Table I's FPR/FNR.
 type Signature struct {
 	// pages[i>>pageShift] holds indices i&^pageMask .. , stride words each: a
-	// pair, then its stamps if they are kept, so one index is one contiguous
+	// pair, then its stamp word if stamps are kept, so one index is one contiguous
 	// record either way. A page is nil until an access is first recorded
 	// there. Every page holds pagePairs indices except the last, which is cut
 	// to the configured slot count.
@@ -277,11 +287,14 @@ func (g *Signature) mustBeEmpty(op string) {
 	}
 }
 
-// KeepStamps makes the signature store each access's §V stamp, at full width,
-// beside its pair: 48 bytes an index instead of 32. Only an engine that
-// compares stamps (the race check) has a use for them, and core.NewEngine
-// asks on its behalf; every other signature drops Slot.TS and reads it back
-// as 0. It must be called before the first access is recorded.
+// KeepStamps makes the signature store each access's §V stamp beside its
+// pair, 32 bits of it in one shared word (Stamps): 40 bytes an index instead
+// of 32. A stamp is a Lamport epoch that moves only at release operations,
+// and none past event.MaxTS gets this far: the executors, the DDT2 decoder
+// and a race-checking core profiler refuse it. Only an engine that compares
+// stamps (the race check) has a use for them, and core.NewEngine asks on its
+// behalf; every other signature drops Slot.TS and reads it back as 0. It must
+// be called before the first access is recorded.
 func (g *Signature) KeepStamps() {
 	if g.stride == stampedWords {
 		return
@@ -350,7 +363,7 @@ func (g *Signature) view(pg []uint64, i uint64) Cell {
 	rec := unsafe.Pointer(&pg[(i&pageMask)*g.stride])
 	c := Cell{p: (*Pair)(rec)}
 	if g.stride == stampedWords {
-		c.ts = (*[stampWords]uint64)(unsafe.Add(rec, unsafe.Sizeof(Pair{})))
+		c.ts = (*Stamps)(unsafe.Add(rec, unsafe.Sizeof(Pair{})))
 	}
 	return c
 }

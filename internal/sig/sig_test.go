@@ -194,15 +194,18 @@ func TestSignatureMinimumSlots(t *testing.T) {
 }
 
 // pairBytes and stampedBytes are what one index costs, from the types: a
-// Pair, and a Pair with its two stamps.
+// Pair, and a Pair with the Stamps word behind it.
 const (
 	pairBytes    = uint64(unsafe.Sizeof(Pair{}))
-	stampedBytes = pairBytes + uint64(unsafe.Sizeof([stampWords]uint64{}))
+	stampedBytes = pairBytes + uint64(unsafe.Sizeof(Stamps(0)))
 )
 
 func TestSignatureBytes(t *testing.T) {
-	if pairBytes != 32 || stampedBytes != 48 {
-		t.Fatalf("a pair is %d bytes, %d with stamps; want 32 and 48", pairBytes, stampedBytes)
+	if pairBytes != 32 || stampedBytes != 40 {
+		t.Fatalf("a pair is %d bytes, %d with stamps; want 32 and 40", pairBytes, stampedBytes)
+	}
+	if stampedWords*8 != stampedBytes {
+		t.Fatalf("a stamped record is %d words, its types %d bytes", stampedWords, stampedBytes)
 	}
 	g := NewSignature(1000)
 	if g.Bytes() != 1000*pairBytes {

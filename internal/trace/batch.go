@@ -145,8 +145,8 @@ func (r *Reader) decodeWindow(win []byte, c *event.Chunk, contd bool) (slots, us
 		if b[0]&1 != 0 {
 			if b[0] == recStamp { // as often as a threaded target synchronises
 				d, n := binary.Uvarint(b[1:])
-				if n <= 0 {
-					break
+				if n <= 0 || ts+uint64(unzig(d)) > event.MaxTS {
+					break // step names the error
 				}
 				ts += uint64(unzig(d))
 				used += 1 + n

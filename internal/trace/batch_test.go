@@ -745,6 +745,8 @@ func FuzzNextBatch(f *testing.F) {
 	f.Add(data, uint8(4+6*8))
 	f.Add(data, uint8(5+6*3))
 	f.Add(corrupt, uint8(5+6*4))
+	f.Add(limitSeed(0, event.MaxTS+1), uint8(0))         // refused
+	f.Add(limitSeed(event.MaxThread+1, 1), uint8(5+6*3)) // refused
 	f.Fuzz(func(t *testing.T, data []byte, shape uint8) {
 		if shape%6 == 5 {
 			checkFramed(t, data, shape/6)

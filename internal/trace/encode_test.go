@@ -170,8 +170,9 @@ func (c *oracleCompactor) flush() {
 // fuzzStream turns fuzz bytes into a record stream that reaches every encoder
 // shape: points of all wire-legal kinds, EpochMarks, Rep-carrying reads,
 // strided runs (forward, backward, zero stride) for the Compactor to fold,
-// explicit ranges, maximal-width varints in every field, and address and
-// timestamp deltas of both signs and full magnitude.
+// explicit ranges, maximal-width varints in every field the decoder takes at
+// full width, threads up to event.MaxThread, and address and timestamp deltas
+// of both signs and full magnitude (stamps within event.MaxTS).
 type fuzzRec struct {
 	a       event.Access
 	r       event.Range
@@ -205,7 +206,7 @@ func fuzzStream(data []byte) []fuzzRec {
 			Var:     loc.VarID(wide(sel>>1, uint64(sel&15))),
 			CtxID:   uint32(wide(sel>>2, uint64(sel&3))),
 			IterVec: wide(sel>>3, uint64(sel>>4)),
-			Thread:  int32(wide(sel>>4, uint64(sel&1))),
+			Thread:  int32(wide(sel>>4, uint64(sel&1)) & event.MaxThread),
 			Flags:   event.Flags(sel & 3),
 		}
 		switch op % 8 {
@@ -214,7 +215,7 @@ func fuzzStream(data []byte) []fuzzRec {
 			a.Addr, a.TS, a.Kind = addr, ts, [...]event.Kind{event.Read, event.Write, event.Remove, event.Flush}[op>>3&3]
 			out = append(out, fuzzRec{a: a})
 		case 2: // a point anywhere, time moving either way
-			addr, ts = u64(), u64()
+			addr, ts = u64(), u64()&event.MaxTS
 			a.Addr, a.TS, a.Kind = addr, ts, event.Kind(op>>3&1)
 			out = append(out, fuzzRec{a: a})
 		case 3: // an epoch mark
@@ -422,6 +423,45 @@ func rawDefine(slot uint, kind, flags byte) []byte {
 	return []byte{recDefine, byte(slot), byte(slot >> 8), kind, 0, 0, 0, 0, flags}
 }
 
+// rawStamp hand-encodes a stamp record moving the stamp by d.
+func rawStamp(d int64) []byte {
+	return binary.AppendUvarint([]byte{recStamp}, uint64(d<<1^d>>63))
+}
+
+// rawThreadDefine hand-encodes a define record binding slot to a write by
+// thread and nothing else.
+func rawThreadDefine(slot uint, thread int32) []byte {
+	rec := binary.AppendUvarint([]byte{recDefine, byte(slot), byte(slot >> 8), byte(event.Write), 0, 0, 0}, uint64(uint32(thread)))
+	return append(rec, 0)
+}
+
+// TestWireLimitsKept: the widest stamp and thread a store slot keeps cross
+// the wire whole, by both decoder gears; one more is the refusal
+// TestHostileDDT2 names.
+func TestWireLimitsKept(t *testing.T) {
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf)
+	evs := []event.Access{
+		{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 1), Thread: event.MaxThread, TS: event.MaxTS},
+		{Addr: 0x1000, Kind: event.Read, Loc: loc.Pack(1, 2), TS: event.MaxTS - 1},
+		{Addr: 0x1000, Kind: event.Read, Loc: loc.Pack(1, 2), Thread: event.MaxThread, TS: event.MaxTS},
+	}
+	for _, a := range evs {
+		w.Access(a)
+	}
+	_ = w.Close()
+	got, err := ReadAll(bytes.NewReader(buf.Bytes()))
+	if err != nil || len(got) != len(evs) {
+		t.Fatalf("decoded %d events, %v; want %d", len(got), err, len(evs))
+	}
+	for i := range evs {
+		if got[i] != evs[i] {
+			t.Errorf("event %d: got %+v, want %+v", i, got[i], evs[i])
+		}
+	}
+	checkBatchMatchesRecord(t, buf.Bytes())
+}
+
 // TestHostileDDT2: what the grammar forbids is refused by name, identically by
 // both decoder gears; and the one legal stream built to hurt — two hot sites on
 // one slot — round-trips exactly, at a define per event, counted on both ends.
@@ -444,6 +484,17 @@ func TestHostileDDT2(t *testing.T) {
 		{"record-type", stream([]byte{11}), "trace: event 0: invalid record type 11"},
 		{"control-kind-data", stream([]byte{recControl, byte(event.Write)}), "trace: event 0: invalid kind 1"},
 		{"control-kind-promote", stream([]byte{recControl, 8}), "trace: event 0: invalid kind 8"},
+		// What a store slot cannot keep: a stamp past event.MaxTS, however
+		// the delta gets there, and a thread past event.MaxThread, by a
+		// stamp, define or range record.
+		{"stamp-2^32", stream(rawStamp(1 << 32)), "trace: event 0: stamp 4294967296 is past 4294967295, the widest a store slot keeps"},
+		{"stamp-2^32-in-two", stream(rawStamp(event.MaxTS), rawDefine(1, 1, 0), data(1), rawStamp(1)),
+			"trace: event 1: stamp 4294967296 is past 4294967295, the widest a store slot keeps"},
+		{"stamp-below-zero", stream(rawStamp(-1)), "trace: event 0: stamp 18446744073709551615 is past 4294967295, the widest a store slot keeps"},
+		{"define-thread-512", stream(rawThreadDefine(1, event.MaxThread+1)), "trace: event 0: thread 512 is past 511, the widest a store slot keeps"},
+		{"define-thread-negative", stream(rawThreadDefine(1, -1)), "trace: event 0: thread 4294967295 is past 511, the widest a store slot keeps"},
+		{"range-stamp-2^32", stream(rawRange(byte(event.Write), 0x1000, 8, 2, 0, 1<<32, 0)), "trace: event 0: stamp 4294967296 is past 4294967295, the widest a store slot keeps"},
+		{"range-thread-512", stream(rawRange(byte(event.Write), 0x1000, 8, 2, 0, 0, event.MaxThread+1)), "trace: event 0: thread 512 is past 511, the widest a store slot keeps"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, _, err := recordAll(tc.data); err == nil || err.Error() != tc.want {
@@ -489,7 +540,7 @@ func TestHostileDDT2(t *testing.T) {
 	})
 }
 
-// maximalRange is a range record of the full 103 bytes.
+// maximalRange is a range record with every field at its widest value.
 func maximalRange() event.Range {
 	return event.Range{
 		Base: 1 << 63, Stride: 1, Count: 2, TS: 1 << 63, IterVec: ^uint64(0), IterDelta: ^uint64(0),
@@ -514,12 +565,25 @@ func TestSlabFrames(t *testing.T) {
 	for _, tc := range []struct{ size, limit int }{
 		{1, minSlab}, {minSlab - 1, minSlab}, {0, 1 << 16}, {DefaultMaxFrame, DefaultMaxFrame},
 	} {
-		var log frameLog
-		w, err := NewWriterSize(&log, tc.size)
+		// The widest record the Writer emits must fit the smallest slab next
+		// to the magic. Its stamp and thread are past what a Reader takes
+		// (event.MaxTS, event.MaxThread), so it is framed on its own.
+		var widest frameLog
+		w, err := NewWriterSize(&widest, tc.size)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.Range(maximalRange()) // must fit the smallest slab next to the magic
+		w.Range(maximalRange())
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(widest.frames[0]); len(widest.frames) != 1 || n > tc.limit {
+			t.Fatalf("size %d: the widest range took %d frames, the first %d bytes; want one, limit %d", tc.size, len(widest.frames), n, tc.limit)
+		}
+		var log frameLog
+		if w, err = NewWriterSize(&log, tc.size); err != nil {
+			t.Fatal(err)
+		}
 		for i, a := range evs {
 			if i%1000 == 999 {
 				w.Range(event.Range{Base: a.Addr, Stride: 8, Count: 50, TS: a.TS, Loc: a.Loc, Kind: event.Read})
@@ -562,7 +626,7 @@ func TestSlabFrames(t *testing.T) {
 		if len(ends) != 0 {
 			t.Fatalf("size %d: %d frames end inside a record", tc.size, len(ends))
 		}
-		if want := uint64(len(evs)) + 2 + 50*uint64(len(evs)/1000); tr.Count() != want {
+		if want := uint64(len(evs)) + 50*uint64(len(evs)/1000); tr.Count() != want {
 			t.Fatalf("size %d: decoded %d events, want %d", tc.size, tr.Count(), want)
 		}
 		if tc.size == 0 && len(log.frames) < 10 {

@@ -52,6 +52,15 @@ func retiredKindSeed(k byte) []byte {
 	return data
 }
 
+// limitSeed is a stream whose one write is by thread at stamp ts.
+func limitSeed(thread int32, ts uint64) []byte {
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf)
+	w.Access(event.Access{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 7), Thread: thread, TS: ts})
+	_ = w.Close()
+	return buf.Bytes()
+}
+
 // framed wraps a stream in one length-prefixed frame and the terminator.
 func framed(stream []byte) []byte {
 	var buf bytes.Buffer
@@ -81,6 +90,8 @@ func TestSeedCorpus(t *testing.T) {
 		"retired-kind-4": retiredKindSeed(4),
 		"retired-kind-6": retiredKindSeed(6),
 		"retired-ddt1":   ddt1,
+		"stamp-2to32":    limitSeed(0, event.MaxTS+1),
+		"thread-512":     limitSeed(event.MaxThread+1, 1),
 	}
 	plain := func(b []byte) []byte { return b }
 	for _, fz := range []struct {
@@ -152,7 +163,9 @@ func FuzzReplay(f *testing.F) {
 	f.Add(seedStream())
 	f.Add([]byte(magic))
 	f.Add([]byte{})
-	f.Add([]byte(magic + "\x03\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01")) // a stamp delta of the full width
+	f.Add([]byte(magic + "\x03\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01")) // a stamp delta of the full width: refused
+	f.Add(limitSeed(0, event.MaxTS+1))                                    // refused
+	f.Add(limitSeed(event.MaxThread+1, 1))                                // refused
 	f.Fuzz(func(t *testing.T, data []byte) {
 		evs, err := ReadAll(bytes.NewReader(data))
 		if err != nil {

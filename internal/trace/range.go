@@ -17,7 +17,8 @@ package trace
 // by definition), wire ranges must not wrap: a frame whose
 // Base + Stride*(Count-1) leaves the address space is rejected as corrupt
 // rather than silently aliasing — the decoder never expands an address the
-// encoder did not see.
+// encoder did not see. Nor may a range carry a stamp or thread a store slot
+// cannot keep (Reader.tooWide).
 
 import (
 	"fmt"
@@ -136,6 +137,12 @@ func (r *Reader) readRange(br io.ByteReader) (event.Range, error) {
 	rg.CtxID = uint32(vals[2])
 	rg.IterVec = vals[3]
 	rg.IterDelta = vals[4]
+	if err := r.tooWide("stamp", rg.TS, event.MaxTS); err != nil {
+		return rg, err
+	}
+	if err := r.tooWide("thread", vals[5], event.MaxThread); err != nil {
+		return rg, err
+	}
 	rg.Thread = int32(vals[5])
 	r.prevAddr, r.prevIter, r.ts = rg.Last(), lastIter(&rg), rg.TS
 	r.n += uint64(rg.Count)

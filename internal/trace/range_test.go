@@ -92,8 +92,8 @@ func TestRangeRecordRoundTrip(t *testing.T) {
 }
 
 // rawRange hand-encodes a range record so rejection tests can produce frames
-// the Writer refuses to emit.
-func rawRange(elemKind byte, base, stride int64, count uint64, flags byte) []byte {
+// the Writer refuses to emit; it moves the stamp by ts, by thread.
+func rawRange(elemKind byte, base, stride int64, count uint64, flags byte, ts int64, thread uint64) []byte {
 	var out []byte
 	var buf [binary.MaxVarintLen64]byte
 	put := func(v uint64) { out = append(out, buf[:binary.PutUvarint(buf[:], v)]...) }
@@ -102,10 +102,11 @@ func rawRange(elemKind byte, base, stride int64, count uint64, flags byte) []byt
 	zig(base) // delta from prev.Addr == 0 at stream start
 	zig(stride)
 	put(count)
-	zig(0) // TS delta
-	for i := 0; i < 6; i++ {
-		put(0) // Loc, Var, CtxID, IterVec, IterDelta, Thread
+	zig(ts)
+	for i := 0; i < 5; i++ {
+		put(0) // Loc, Var, CtxID, IterVec, IterDelta
 	}
+	put(thread)
 	return append(out, flags)
 }
 
@@ -115,12 +116,12 @@ func TestRangeRecordRejection(t *testing.T) {
 		body []byte
 		want string
 	}{
-		{"count-1", rawRange(byte(event.Write), 0x1000, 8, 1, 0), "count 1 out of bounds"},
-		{"count-huge", rawRange(byte(event.Write), 0x1000, 8, 1<<30, 0), "out of bounds"},
-		{"overflow-up", rawRange(byte(event.Write), -8, 1<<62, 16, 0), "overflows"},
-		{"overflow-down", rawRange(byte(event.Write), 0x100, -256, 3, 0), "overflows"},
-		{"bad-elem-kind", rawRange(byte(event.Remove), 0x1000, 8, 4, 0), "element kind"},
-		{"bad-flags", rawRange(byte(event.Read), 0x1000, 8, 4, 0x80), "flag bits"},
+		{"count-1", rawRange(byte(event.Write), 0x1000, 8, 1, 0, 0, 0), "count 1 out of bounds"},
+		{"count-huge", rawRange(byte(event.Write), 0x1000, 8, 1<<30, 0, 0, 0), "out of bounds"},
+		{"overflow-up", rawRange(byte(event.Write), -8, 1<<62, 16, 0, 0, 0), "overflows"},
+		{"overflow-down", rawRange(byte(event.Write), 0x100, -256, 3, 0, 0, 0), "overflows"},
+		{"bad-elem-kind", rawRange(byte(event.Remove), 0x1000, 8, 4, 0, 0, 0), "element kind"},
+		{"bad-flags", rawRange(byte(event.Read), 0x1000, 8, 4, 0x80, 0, 0), "flag bits"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -136,7 +137,7 @@ func TestRangeRecordRejection(t *testing.T) {
 	}
 	// Every truncation of a valid range record must error (wrapping
 	// io.ErrUnexpectedEOF), never panic, never succeed.
-	full := rawRange(byte(event.Write), 0x1000, 8, 64, 0)
+	full := rawRange(byte(event.Write), 0x1000, 8, 64, 0, 0, 0)
 	for cut := 0; cut < len(full); cut++ {
 		data := append([]byte(magic), full[:cut]...)
 		tr, err := NewReader(bytes.NewReader(data))

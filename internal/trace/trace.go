@@ -38,6 +38,9 @@ import (
 //	         IterVec, Thread, flags
 //	range    7, see range.go
 //
+// A stamp or range record that moves the stamp past event.MaxTS, and a define
+// or range record whose thread is past event.MaxThread, are refused: a store
+// slot keeps no more of either.
 // Writer and Reader each hold siteSlots site templates — everything about an
 // access but its address, iteration vector and stamp — and a define record
 // binds a slot to one; the Writer sends it when the slot it hashes an access
@@ -485,10 +488,15 @@ func (r *Reader) step(br io.ByteReader) (rec Record, events bool, err error) {
 		return rec, false, r.readDefine(br)
 	case b0 == recStamp:
 		d, err := r.getZig(br)
-		if err == nil {
-			r.ts += uint64(d)
+		if err != nil {
+			return rec, false, err
 		}
-		return rec, false, err
+		ts := r.ts + uint64(d)
+		if err := r.tooWide("stamp", ts, event.MaxTS); err != nil {
+			return rec, false, err
+		}
+		r.ts = ts
+		return rec, false, nil
 	case b0 == recControl:
 		rec.Access, err = r.readControl(br)
 	case b0 == recRange:
@@ -507,6 +515,15 @@ func (r *Reader) step(br io.ByteReader) (rec Record, events bool, err error) {
 // (event.Kind) that must never reach a worker as data.
 func dataKind(k event.Kind) bool    { return k <= event.Remove }
 func controlKind(k event.Kind) bool { return k == event.Flush || k == event.EpochMark }
+
+// tooWide refuses a stamp or thread v past limit, the widest a store slot keeps
+// of it (event.MaxTS, event.MaxThread).
+func (r *Reader) tooWide(field string, v, limit uint64) error {
+	if v <= limit {
+		return nil
+	}
+	return fmt.Errorf("trace: event %d: %s %d is past %d, the widest a store slot keeps", r.n, field, v, limit)
+}
 
 func (r *Reader) truncated(err error) error {
 	return fmt.Errorf("trace: event %d truncated: %w", r.n, noEOF(err))
@@ -604,6 +621,9 @@ func (r *Reader) readDefine(br io.ByteReader) error {
 	var vals [4]uint64
 	flags, err := r.getFields(br, vals[:])
 	if err != nil {
+		return err
+	}
+	if err := r.tooWide("thread", vals[3], event.MaxThread); err != nil {
 		return err
 	}
 	r.bind(slot, &event.Access{

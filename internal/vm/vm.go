@@ -177,7 +177,7 @@ func (prg *Program) Run(hook event.Hook, opt interp.Options) (info *interp.RunIn
 
 	defer func() {
 		if r := recover(); r != nil {
-			if re, ok := r.(interp.RuntimeError); ok {
+			if re, ok := interp.AsRuntimeError(r); ok {
 				err = re
 				return
 			}
@@ -1277,6 +1277,7 @@ func (t *thread) spawn(sc *scode) {
 	if t.bar != nil {
 		t.fail("nested spawn")
 	}
+	interp.CheckSpawn(sc.threads)
 	bar := interp.NewBarrier(sc.threads)
 	frees := make([]interp.FreeList, sc.threads)
 	var wg sync.WaitGroup
@@ -1309,7 +1310,7 @@ func (t *thread) spawn(sc *scode) {
 				frees[tid] = ts.free
 				t.m.accesses.Add(ts.accesses)
 				if r := recover(); r != nil {
-					if re, ok := r.(interp.RuntimeError); ok {
+					if re, ok := interp.AsRuntimeError(r); ok {
 						e := error(re)
 						t.m.threadErr.CompareAndSwap(nil, &e)
 						bar.Abort()
