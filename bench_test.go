@@ -265,18 +265,6 @@ func BenchmarkQueueSPSC(b *testing.B) {
 	})
 }
 
-// BenchmarkQueueLocked measures the mutex queue baseline.
-func BenchmarkQueueLocked(b *testing.B) {
-	q := queue.NewLocked[int](1024)
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if !q.TryPush(1) {
-				q.TryPop()
-			}
-		}
-	})
-}
-
 // BenchmarkProfileEndToEnd measures the public API end to end on the
 // quickstart-sized program.
 func BenchmarkProfileEndToEnd(b *testing.B) {

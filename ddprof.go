@@ -113,8 +113,9 @@ type Mode int
 const (
 	// ModeSerial profiles on the target's own thread (paper §III).
 	ModeSerial Mode = iota
-	// ModeParallel uses the lock-free chunked pipeline for sequential
-	// targets (paper §IV).
+	// ModeParallel profiles sequential targets on worker threads that own
+	// the addresses by Equation 1 (paper §IV): ModeMT's lock-free pipeline,
+	// fed by the target's one thread, without the race check.
 	ModeParallel
 	// ModeMT profiles multi-threaded targets: thread-private event batches
 	// handed over before every release operation, sync-epoch timestamps,
@@ -162,7 +163,7 @@ type Result struct {
 	// Races is the number of dependences flagged as potential data races
 	// (ModeMT only).
 	Races int
-	// Stats exposes pipeline counters (chunks, collapsed reads, store bytes).
+	// Stats exposes pipeline counters (collapsed reads, store bytes).
 	Stats core.RunStats
 	// Mode is the mode the run used: Config.Mode, or ModeMT because the
 	// target spawns threads.

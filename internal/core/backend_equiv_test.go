@@ -70,7 +70,7 @@ func TestBackendEquivalence(t *testing.T) {
 			return mustNew(t, Config{Backend: b, Meta: meta})
 		}},
 		{"par3", func(b string, meta *prog.Meta) Profiler {
-			return mustNew(t, Config{Mode: ModeParallel, Workers: 3, QueueCap: 8, Backend: b, Meta: meta})
+			return mustNew(t, Config{Mode: ModeParallel, Workers: 3, QueueCap: 64, Backend: b, Meta: meta})
 		}},
 		{"par4", func(b string, meta *prog.Meta) Profiler {
 			return mustNew(t, Config{Mode: ModeParallel, Workers: 4, Backend: b, Meta: meta})

@@ -202,9 +202,7 @@ func TestPackedKeyRoundTrip(t *testing.T) {
 
 // TestProcessAllocFree pins the fused arm's steady state at zero allocations
 // per access once the address's page is committed and its dependences are in
-// the set — and the same for a whole executor batch through the parallel
-// pipeline (routing loop, chunk ring, workers): the ring is allocated by New,
-// so the warm-up is the stores' alone.
+// the set (TestMTBatchAllocFree does the same for a batch through a pipeline).
 func TestProcessAllocFree(t *testing.T) {
 	w := event.Access{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 1), CtxID: 2}
 	r := event.Access{Addr: 0x1000, Kind: event.Read, Loc: loc.Pack(1, 2), CtxID: 2}
@@ -224,18 +222,4 @@ func TestProcessAllocFree(t *testing.T) {
 			t.Errorf("Engine.Process (race check %v) allocates %.1f times per write+read, want 0", race, n)
 		}
 	}
-
-	p := mustNew(t, Config{Mode: ModeParallel, Workers: 2, QueueCap: 1, SlotsPerWorker: 1 << 16, Meta: armsMeta()})
-	batch := make([]event.Access, 0, event.BatchSize)
-	for i := uint64(0); len(batch)+3 <= cap(batch); i++ {
-		w.Addr, r.Addr = 0x1000+8*i, 0x1000+8*i
-		batch = append(batch, w, r, r) // the second read collapses
-	}
-	for i := 0; i < 400; i++ {
-		p.AccessBatch(batch, nil)
-	}
-	if n := testing.AllocsPerRun(400, func() { p.AccessBatch(batch, nil) }); n != 0 {
-		t.Errorf("Parallel.AccessBatch allocates %.1f times per %d-event batch, want 0", n, len(batch))
-	}
-	p.Flush()
 }

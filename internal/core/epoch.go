@@ -6,7 +6,7 @@ package core
 // every worker extracts an epoch-delta from its engine: the dependences whose
 // aggregates advanced since the previous mark, as a self-contained dep.Set
 // (delta counts, current flags and distance bounds). Extraction rides the
-// worker's own goroutine at a chunk boundary, so the pipeline never pauses;
+// worker's own goroutine at a batch boundary, so the pipeline never pauses;
 // the union of all deltas plus the final remainder folds back to the exact
 // end-of-run profile (dep.ExtractDelta's monotone-fold guarantee), which is
 // what lets a watch subscriber reconstruct the precise final profile from the
@@ -117,30 +117,16 @@ func (s *Serial) EpochMark(mark uint32) {
 	s.onDelta(s.eng.ExtractEpochDelta(mark))
 }
 
-// EpochMark implements Profiler for the parallel (sequential-target)
-// profiler: an EpochMark control record is pushed behind every worker's
-// pending accesses — the same pattern as the flush sentinel — so each worker
-// cuts its delta at exactly the stream position the producer had reached. Extraction
-// then runs on the worker goroutines; the producer does not wait.
-func (p *Parallel) EpochMark(mark uint32) {
-	p.pr.epochMark(mark)
-}
-
 // EpochMark implements Profiler for the MT profiler: the mark is pushed
-// through each worker's MPSC ring (multi-producer safe, so a ticker goroutine
-// may call it concurrently with target threads). Workers cut their deltas at
-// their current drain position; instances pushed concurrently land on one
-// side or the other, which the delta-union guarantee is indifferent to.
+// through each worker's MPSC ring behind everything routed to it so far
+// (multi-producer safe, so a ticker goroutine may call it concurrently with
+// target threads). Workers cut their deltas at their current drain position,
+// on their own goroutines; the caller does not wait. Instances pushed
+// concurrently land on one side or the other, which the delta-union guarantee
+// is indifferent to; a sequential target's single producer cuts every worker
+// at exactly the stream position it had reached.
 func (m *MT) EpochMark(mark uint32) {
-	for _, q := range m.rings {
-		q.Push(event.Access{Addr: uint64(mark), Kind: event.EpochMark})
-	}
-}
-
-// epochMark broadcasts an EpochMark control record to every worker, behind
-// each worker's pending accesses.
-func (pr *producer) epochMark(mark uint32) {
-	for w := range pr.open {
-		pr.pushControl(w, event.Access{Addr: uint64(mark), Kind: event.EpochMark}, true)
+	for _, r := range m.rings {
+		r.q.Push(event.Access{Addr: uint64(mark), Kind: event.EpochMark})
 	}
 }

@@ -85,7 +85,7 @@ func TestEpochDeltaEquivalence(t *testing.T) {
 					}
 					switch kind {
 					case "parallel":
-						cfg.Mode, cfg.Workers, cfg.QueueCap = ModeParallel, 3, 4
+						cfg.Mode, cfg.Workers, cfg.QueueCap = ModeParallel, 3, 64
 					case "mt":
 						cfg.Mode, cfg.Workers, cfg.QueueCap = ModeMT, 2, 256
 					}

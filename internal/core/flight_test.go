@@ -1,12 +1,13 @@
 package core
 
-// Flight-recorder coverage: stage latency histograms, consumer-side MT event
+// Flight-recorder coverage: stage latency histograms, consumer-side event
 // accounting, publication watermarks (no double counting between in-flight
 // and merge-time publication).
 
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"ddprof/internal/event"
 	"ddprof/internal/loc"
@@ -17,15 +18,15 @@ func TestParallelStageHistograms(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	pipe := reg.Pipeline("t")
 	p := mustNew(t, Config{Mode: ModeParallel, Workers: 2, Backend: "perfect", Metrics: pipe})
-	// One chunk push and one worker batch in sampleEvery is timed: fill twice
-	// that many chunks per worker so every stage is sampled.
-	for _, a := range synthStream(2*2*sampleEvery*event.ChunkSize, 500, 7) {
-		p.Access(a)
+	// One worker batch in sampleEvery is timed: hand over enough batches
+	// that every worker has many more than that.
+	evs := synthStream(2*2*sampleEvery*event.ChunkSize, 500, 7)
+	for len(evs) > 0 {
+		n := min(len(evs), event.BatchSize)
+		p.AccessBatch(evs[:n], nil)
+		evs = evs[n:]
 	}
 	p.Flush()
-	if pipe.StageProduceNs.Count() == 0 {
-		t.Error("no producer-stage samples recorded")
-	}
 	if pipe.StageWorkerNs.Count() == 0 {
 		t.Error("no worker-stage samples recorded")
 	}
@@ -40,7 +41,6 @@ func TestParallelStageHistograms(t *testing.T) {
 	var sb strings.Builder
 	reg.WriteText(&sb)
 	for _, want := range []string{
-		"t_stage_produce_ns_p99 ",
 		"t_stage_worker_ns_p50 ",
 		"t_stage_merge_ns_count 1",
 		"t_stage_transport_wait_ns_count ",
@@ -85,6 +85,35 @@ func TestMTConsumerSideEventCount(t *testing.T) {
 		if got := pipe.DupCollapsed.Load(); got != res.Stats.DupCollapsed {
 			t.Errorf("batch=%v: dup_collapsed counter = %d, Stats.DupCollapsed = %d", batch, got, res.Stats.DupCollapsed)
 		}
+	}
+}
+
+// TestDupCollapsedLive: the collapse count the producers keep reaches
+// dup_collapsed_total while the run is live (a daemon session's /metrics),
+// not only at Flush, and the final counter is Stats.DupCollapsed exactly.
+func TestDupCollapsedLive(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	pipe := reg.Pipeline("t")
+	m := mustNew(t, Config{Mode: ModeParallel, Workers: 2, SlotsPerWorker: 1 << 12, Metrics: pipe})
+	batch := make([]event.Access, 0, event.BatchSize)
+	for i := uint64(0); len(batch)+3 <= cap(batch); i++ {
+		w := event.Access{Addr: 0x1000 + 8*i, Kind: event.Write, Loc: loc.Pack(1, 1)}
+		r := event.Access{Addr: 0x1000 + 8*i, Kind: event.Read, Loc: loc.Pack(1, 2)}
+		batch = append(batch, w, r, r) // the second read collapses
+	}
+	// Feed until the first worker's periodic publication has happened.
+	deadline := time.Now().Add(20 * time.Second)
+	for pipe.DupCollapsed.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("dup_collapsed_total is still 0 before Flush")
+		}
+		for i := 0; i < 256; i++ {
+			m.AccessBatch(batch, nil)
+		}
+	}
+	res := m.Flush()
+	if got := pipe.DupCollapsed.Load(); got != res.Stats.DupCollapsed {
+		t.Errorf("dup_collapsed_total = %d after Flush, Stats.DupCollapsed = %d", got, res.Stats.DupCollapsed)
 	}
 }
 

@@ -23,12 +23,16 @@ import (
 // captured before the pipeline-core refactor. Each (stream, mode) pair hashes
 // the full user-visible profile — the dependence set with all per-key stats,
 // the loop aggregates, and the access count — so any behavioral drift in the
-// producer, transport, worker loop, or merge stage fails the comparison
+// routing, rings, worker loop, or merge stage fails the comparison
 // byte-for-byte. goldens.json stores the serial and MT digests; a §IV mode's
-// profile must be its stream's serial one, so it stores none, and what is its
-// own — the producer's chunk and duplicate accounting, which moves with the
-// transport's geometry while the profile does not — is pinned in
-// transport_counters.json.
+// profile must be its stream's serial one, so it stores none. What the
+// pipelined modes add of their own — the duplicate reads collapsed on the way
+// into the rings, which move with the ring geometry while the profile does
+// not — is pinned in transport_counters.json. Streams are handed over through
+// AccessBatch in per-thread batches (feedThreadBatches). For a sequential
+// stream those are the executors' batches, so its counters are production's;
+// a threaded target's executor batches also end at release operations, which
+// a recorded stream does not show.
 //
 // Regenerate (only when an intentional change is made) with:
 //
@@ -104,7 +108,7 @@ func goldenStreams(t testing.TB, exec runFunc) []equivStream {
 
 // digestResult canonicalizes a typed profile into a hash. What describes the
 // run, not the profile, is excluded: timing-dependent fields (QueueBytes) and
-// the producer's counters (transportCounters).
+// the pipeline's counters (transportCounters).
 func digestResult(res *Result) string {
 	h := sha256.New()
 	type kv struct {
@@ -148,57 +152,75 @@ func digestResult(res *Result) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// transportCounters renders the §IV producer's deterministic counters: chunks
-// pushed, control chunks, duplicate reads collapsed.
+// transportCounters renders a pipelined mode's deterministic counter: the
+// duplicate reads collapsed.
 func transportCounters(res *Result) string {
-	return fmt.Sprintf("chunks %d control %d dup %d",
-		res.Stats.Chunks, res.Stats.ControlChunks, res.Stats.DupCollapsed)
+	return fmt.Sprintf("dup %d", res.Stats.DupCollapsed)
 }
 
 // goldenModes enumerates every pipeline composition the fixtures pin:
 // serial, 8-worker lock-free, the lock-based ablation, a non-power-of-two
-// worker count (modulo owner path), and MT with 4 workers. A chunked (§IV)
-// mode is held to its stream's serial digest and pins its transport counters.
+// worker count (modulo owner path) over short rings, and MT with 4 workers.
+// A §IV mode is held to its stream's serial digest; every pipelined mode pins
+// its transport counters.
 func goldenModes() []struct {
-	name    string
-	cfg     Config
-	chunked bool
+	name     string
+	cfg      Config
+	asSerial bool
 } {
 	return []struct {
-		name    string
-		cfg     Config
-		chunked bool
+		name     string
+		cfg      Config
+		asSerial bool
 	}{
-		{"serial", Config{}, false}, // first: the chunked modes compare against it
+		{"serial", Config{}, false}, // first: the §IV modes compare against it
 		{"par8", Config{Mode: ModeParallel, Workers: 8}, true},
 		{"par8-lock", Config{Mode: ModeParallel, Workers: 8, LockBased: true}, true},
-		{"par3", Config{Mode: ModeParallel, Workers: 3, QueueCap: 8}, true},
+		{"par3", Config{Mode: ModeParallel, Workers: 3, QueueCap: 64}, true},
 		{"mt4", Config{Mode: ModeMT, Workers: 4}, false},
 	}
 }
 
 // computeGoldens runs every (stream, mode) pair with workload streams
-// produced by exec: the profile digests of the stored modes, and the
-// transport counters of the chunked ones, whose profiles it holds to serial's.
+// produced by exec: the profile digests of the stored modes, the transport
+// counters of the pipelined ones, and the §IV profiles held to serial's.
 func computeGoldens(t *testing.T, exec runFunc) (digests, counters map[string]string) {
 	digests, counters = make(map[string]string), make(map[string]string)
 	for _, s := range goldenStreams(t, exec) {
 		for _, m := range goldenModes() {
 			cfg := m.cfg
 			cfg.Backend, cfg.Meta = "perfect", s.meta
-			res := feed(mustNew(t, cfg), s.evs)
+			p := mustNew(t, cfg)
+			feedThreadBatches(p, s.evs)
+			res := p.Flush()
 			key, d := s.name+"/"+m.name, digestResult(res)
-			if !m.chunked {
+			if cfg.Mode != ModeSerial {
+				counters[key] = transportCounters(res)
+			}
+			if !m.asSerial {
 				digests[key] = d
 				continue
 			}
-			counters[key] = transportCounters(res)
 			if serial := digests[s.name+"/serial"]; d != serial {
 				t.Errorf("%s: profile differs from the stream's serial profile\n serial %s\n got    %s", key, serial, d)
 			}
 		}
 	}
 	return digests, counters
+}
+
+// feedThreadBatches hands evs over one thread's run at a time: a batch ends
+// where the stream changes threads, as a target thread's batch holds its own
+// events only (AccessBatch cuts it into BatchSize segments).
+func feedThreadBatches(p Profiler, evs []event.Access) {
+	for len(evs) > 0 {
+		n := 1
+		for n < len(evs) && evs[n].Thread == evs[0].Thread {
+			n++
+		}
+		p.AccessBatch(evs[:n], nil)
+		evs = evs[n:]
+	}
 }
 
 // compareGoldens checks a fixture map against its committed file.

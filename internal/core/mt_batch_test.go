@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"ddprof/internal/dep"
 	"ddprof/internal/event"
@@ -240,13 +242,14 @@ func TestAccessCountsRep(t *testing.T) {
 
 // TestMTRunsLongerThanRing: three threads hand 512-event batches to three
 // workers whose rings hold 64 events, so every run is published in parts and
-// producers wait on one another's space. It must terminate (`-race -count=10`
-// in the verify notes) with every access counted, and the ring memory must be
-// the same fixed function of Config on every run.
+// producers wait on one another's space — with and without the Figure 5
+// ablation's ring locks, which are never held across that wait. It must
+// terminate (`-race -count=10` in the verify notes) with every access counted,
+// and the ring memory must be the same fixed function of Config on every run.
 func TestMTRunsLongerThanRing(t *testing.T) {
 	const threads, batches = 3, 40
-	run := func() *Result {
-		m := mustNew(t, Config{Mode: ModeMT, Workers: 3, QueueCap: 64, Backend: "perfect"})
+	run := func(lockBased bool) *Result {
+		m := mustNew(t, Config{Mode: ModeMT, Workers: 3, QueueCap: 64, LockBased: lockBased, Backend: "perfect"})
 		var wg sync.WaitGroup
 		for th := int32(0); th < threads; th++ {
 			wg.Add(1)
@@ -265,8 +268,8 @@ func TestMTRunsLongerThanRing(t *testing.T) {
 		wg.Wait()
 		return m.Flush()
 	}
-	first, second := run(), run()
-	for _, res := range []*Result{first, second} {
+	first, second, locked := run(false), run(false), run(true)
+	for _, res := range []*Result{first, second, locked} {
 		if want := uint64(threads * batches * event.BatchSize); res.Stats.Accesses != want {
 			t.Errorf("%d accesses profiled, want %d", res.Stats.Accesses, want)
 		}
@@ -275,26 +278,57 @@ func TestMTRunsLongerThanRing(t *testing.T) {
 		}
 	}
 	requireSameProfile(t, "mt-long-runs", first, second)
+	requireSameProfile(t, "mt-long-runs-locked", first, locked)
 }
 
-// TestMTBatchAllocFree: a steady-state executor batch through MT.AccessBatch —
-// counting sort, claims, copies into the rings, the workers reading them in
-// place — allocates nothing.
+// TestMTBatchAllocFree: a steady-state executor batch through MT.AccessBatch in
+// either pipelined mode — owner pass, claims, copies into the rings, the
+// workers reading them in place — allocates nothing: the rings are allocated
+// by New, so the warm-up is the stores' alone.
 func TestMTBatchAllocFree(t *testing.T) {
-	m := mustNew(t, Config{Mode: ModeMT, Workers: 2, SlotsPerWorker: 1 << 16})
-	batch := make([]event.Access, 0, event.BatchSize)
-	for i := uint64(0); len(batch)+3 <= cap(batch); i++ {
-		w := event.Access{Addr: 0x1000 + 8*i, Kind: event.Write, Loc: loc.Pack(1, 1), TS: 1}
-		r := event.Access{Addr: 0x1000 + 8*i, Kind: event.Read, Loc: loc.Pack(1, 2), TS: 1}
-		batch = append(batch, w, r, r) // the second read collapses
+	for _, mode := range []Mode{ModeParallel, ModeMT} {
+		m := mustNew(t, Config{Mode: mode, Workers: 2, SlotsPerWorker: 1 << 16})
+		batch := make([]event.Access, 0, event.BatchSize)
+		for i := uint64(0); len(batch)+3 <= cap(batch); i++ {
+			w := event.Access{Addr: 0x1000 + 8*i, Kind: event.Write, Loc: loc.Pack(1, 1), TS: 1}
+			r := event.Access{Addr: 0x1000 + 8*i, Kind: event.Read, Loc: loc.Pack(1, 2), TS: 1}
+			batch = append(batch, w, r, r) // the second read collapses
+		}
+		for i := 0; i < 400; i++ {
+			m.AccessBatch(batch, nil)
+		}
+		if n := testing.AllocsPerRun(400, func() { m.AccessBatch(batch, nil) }); n != 0 {
+			t.Errorf("%v: AccessBatch allocates %.1f times per %d-event batch, want 0", mode, n, len(batch))
+		}
+		if res := m.Flush(); res.Stats.DupCollapsed == 0 {
+			t.Errorf("%v: no duplicate read collapsed", mode)
+		}
 	}
-	for i := 0; i < 400; i++ {
+}
+
+// TestMTFreedAfterFlush: once flushed and dropped, a profiler — rings, stores
+// and all — is garbage at the next collection. Scratch that spread keeps
+// between segments must not hold it longer (a sync.Pool inside MT did, for
+// two collections: the peak heap of back-to-back runs then held two
+// profilers).
+func TestMTFreedAfterFlush(t *testing.T) {
+	freed := make(chan struct{})
+	func() {
+		m := mustNew(t, Config{Mode: ModeParallel, Workers: 4, SlotsPerWorker: 1 << 12}).(*MT)
+		// On a ring, not on MT: MT reaches itself (its first worker points
+		// at its lanes), and such an object's finalizer never runs.
+		runtime.SetFinalizer(m.rings[0], func(*ring) { close(freed) })
+		batch := make([]event.Access, event.BatchSize)
+		for i := range batch {
+			batch[i] = event.Access{Addr: 0x1000 + 8*uint64(i), Kind: event.Write, Loc: loc.Pack(1, 1)}
+		}
 		m.AccessBatch(batch, nil)
-	}
-	if n := testing.AllocsPerRun(400, func() { m.AccessBatch(batch, nil) }); n != 0 {
-		t.Errorf("MT.AccessBatch allocates %.1f times per %d-event batch, want 0", n, len(batch))
-	}
-	if res := m.Flush(); res.Stats.DupCollapsed == 0 {
-		t.Error("no duplicate read collapsed")
+		m.Flush()
+	}()
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a flushed MT is still reachable after a collection")
 	}
 }

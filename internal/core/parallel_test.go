@@ -83,8 +83,18 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if got.Stats.Accesses != uint64(len(evs)) {
 			t.Errorf("accesses = %d, want %d", got.Stats.Accesses, len(evs))
 		}
-		if workers > 1 && got.Stats.Chunks == 0 {
-			t.Error("no chunks pushed")
+		if len(got.WorkerEvents) != workers {
+			t.Fatalf("WorkerEvents = %v, want one count per worker", got.WorkerEvents)
+		}
+		sum := uint64(0)
+		for _, n := range got.WorkerEvents {
+			if n == 0 {
+				t.Errorf("%d workers: WorkerEvents = %v, want every worker fed", workers, got.WorkerEvents)
+			}
+			sum += n
+		}
+		if sum != uint64(len(evs)) {
+			t.Errorf("%d workers: WorkerEvents sum to %d, want %d", workers, sum, len(evs))
 		}
 	}
 }

@@ -1,20 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"ddprof/internal/event"
 	"ddprof/internal/loc"
 	"ddprof/internal/telemetry"
-)
-
-// Both carriers answer the whole worker-side contract.
-var (
-	_ transport = (*chunkTransport)(nil)
-	_ transport = (*ringTransport)(nil)
 )
 
 // TestConfigValidation exercises the centralized Config checks: New funnels
@@ -133,7 +125,7 @@ func TestMTPublishesTelemetry(t *testing.T) {
 }
 
 // TestMTDupCollapse: the target's threads collapse consecutive identical
-// reads as they copy a batch into the rings (the §IV producer's filter). The
+// reads as they copy a batch into the rings (spread's filter). The
 // profile is byte-identical — the engine replays the multiplicity — and the
 // per-event adapter, a batch of one with nothing to collapse, gives the same.
 func TestMTDupCollapse(t *testing.T) {
@@ -177,97 +169,19 @@ func TestMTDupCollapse(t *testing.T) {
 	}
 }
 
-// TestChunkRingFixed: a §IV pipeline holds, per worker, a ring of QueueCap+2
-// chunks and its queue's pointer cells, from New to Flush, whatever the
-// schedule — here a stream that feeds worker 0 alone and then worker 1 alone,
-// each lapping its ring many times.
-func TestChunkRingFixed(t *testing.T) {
-	const workers, qcap, perPhase = 2, 8, 320 * chunkEvents
-	p := mustNew(t, Config{Mode: ModeParallel, Workers: workers, QueueCap: qcap, Backend: "perfect"}).(*Parallel)
-	const want = workers * ((qcap+2)*chunkBytes + qcap*8)
-	held := func(when string) {
-		var got uint64
-		for _, w := range p.pl.workers {
-			got += w.tr.memBytes()
-		}
-		if got != want {
-			t.Errorf("%s: transports hold %d bytes, want %d", when, got, want)
-		}
-	}
-	held("after New")
-	batch := make([]event.Access, event.BatchSize)
-	for phase := uint64(0); phase < workers; phase++ {
-		for n := 0; n < perPhase; n += len(batch) {
-			for i := range batch {
-				word := uint64(n+i) % 1024 * workers // owner 0; +phase: owner phase
-				batch[i] = event.Access{Addr: 0x10000 + 8*(word+phase), Kind: event.Write, Loc: loc.Pack(1, 1)}
-			}
-			p.AccessBatch(batch, nil)
-		}
-		held("mid-stream")
-	}
-	res := p.Flush()
-	held("after Flush")
-	if res.Stats.QueueBytes != want {
-		t.Errorf("QueueBytes = %d, want %d", res.Stats.QueueBytes, want)
-	}
-	if res.WorkerEvents[0] != perPhase || res.WorkerEvents[1] != perPhase {
-		t.Errorf("worker events %v, want %d each", res.WorkerEvents, perPhase)
-	}
-	// 2×320 full chunks; the sentinels rode two empty ones.
-	if res.Stats.Chunks != 640 || res.Stats.ControlChunks != workers {
-		t.Errorf("chunks %d control %d, want 640 and %d", res.Stats.Chunks, res.Stats.ControlChunks, workers)
-	}
-}
-
-// TestChunkRingWraps laps the smallest rings (3 and 4 slots) hundreds of
-// times ahead of workers that are slower than the producer (an exact store,
-// and epoch extractions riding control chunks mid-stream), over both queue
-// kinds: a slot reused before its worker was done with it would lose or
-// repeat events, and the profile must be serial's.
-func TestChunkRingWraps(t *testing.T) {
-	const workers, laps, marks = 2, 200, 7
-	// Enough for the 4-slot ring's laps, with 5 % over for routing skew.
-	evs := synthStream(workers*laps*4*chunkEvents*21/20, 500, 11)
-	want := runSerial(t, evs)
-	seg := len(evs) / (marks + 1)
-	for _, qcap := range []int{1, 2} {
-		for _, lockBased := range []bool{false, true} {
-			label := fmt.Sprintf("cap=%d/lock=%v", qcap, lockBased)
-			var deltas atomic.Int64
-			p := mustNew(t, Config{Mode: ModeParallel, Workers: workers, QueueCap: qcap, LockBased: lockBased,
-				Backend: "perfect", OnEpochDelta: func(*EpochDelta) { deltas.Add(1) }})
-			rest := evs
-			for m := uint32(1); m <= marks; m++ {
-				p.AccessBatch(rest[:seg], nil)
-				rest = rest[seg:]
-				p.EpochMark(m)
-			}
-			p.AccessBatch(rest, nil)
-			got := p.Flush()
-			requireSameProfile(t, label, want, got)
-			if min := uint64(workers * laps * (qcap + 2)); got.Stats.Chunks < min {
-				t.Errorf("%s: %d chunks pushed, want >= %d (%d laps of each ring)", label, got.Stats.Chunks, min, laps)
-			}
-			if deltas.Load() != workers*marks {
-				t.Errorf("%s: %d epoch deltas, want %d", label, deltas.Load(), workers*marks)
-			}
-		}
-	}
-}
-
 // TestDupReadAcrossChunks: the duplicate-read filter looks back within the
-// open chunk only. A repeat of the read that filled a chunk opens the next one
-// uncollapsed, and still counts; one event earlier in the stream, both repeats
-// collapse. The profile is serial's either way.
+// BatchSize chunk of the caller's batch that spread is routing. A repeat of
+// the read that ended a chunk opens the next one uncollapsed, and still
+// counts; one event earlier in the stream, both repeats collapse. The profile
+// is serial's either way.
 func TestDupReadAcrossChunks(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		fill          int // writes ahead of the three identical reads
 		dup, accesses uint64
 	}{
-		{"straddling", chunkEvents - 1, 1, chunkEvents + 2},
-		{"inside", chunkEvents - 2, 2, chunkEvents + 1},
+		{"straddling", event.BatchSize - 2, 1, event.BatchSize + 1},
+		{"inside", event.BatchSize - 3, 2, event.BatchSize},
 	} {
 		var evs []event.Access
 		for i := 0; i < tc.fill; i++ {

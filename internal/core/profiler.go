@@ -18,9 +18,9 @@ import (
 // the ingest seam: the executors hand over each target thread's private
 // batches, remote sessions their decoded trace batches; Access is its
 // one-event form. Flush drains the pipeline and returns the merged result.
-// For the serial and parallel (sequential-target) profilers Access and
-// AccessBatch must be called from a single goroutine; the multi-threaded-
-// target profiler accepts concurrent callers.
+// The serial profiler's Access and AccessBatch must be called from a single
+// goroutine; the parallel and multi-threaded-target profiler accepts
+// concurrent callers, one per target thread.
 type Profiler interface {
 	Access(a event.Access)
 	// AccessBatch ingests one decoded batch: accesses holds point events plus
@@ -34,8 +34,8 @@ type Profiler interface {
 	AccessBatch(accesses []event.Access, ranges []event.Range)
 	// EpochMark cuts an epoch at the current stream position: each worker
 	// extracts its delta and delivers it to Config.OnEpochDelta (a no-op when
-	// that is nil). Marks must be monotone and, for the serial and parallel
-	// profilers, come from the AccessBatch goroutine; MT takes them from any.
+	// that is nil). Marks must be monotone and, for the serial profiler, come
+	// from the AccessBatch goroutine; MT takes them from any.
 	EpochMark(mark uint32)
 	Flush() *Result
 }
@@ -82,17 +82,15 @@ func Imbalance(events []uint64) float64 {
 type RunStats struct {
 	// Accesses is the number of read/write events processed.
 	Accesses uint64
-	// Chunks is the number of data chunks pushed to workers (0 for serial).
-	Chunks uint64
-	// ControlChunks is the number of chunk pushes forced by a control event
-	// (flush sentinels, epoch marks); kept apart from Chunks so
-	// events-per-chunk throughput math stays honest.
+	// Chunks and ControlChunks are always 0: the chunk transport is gone
+	// (runs are copied into rings). The fields stay only because the frozen
+	// bench/ harness reads Chunks; they go with ROADMAP item 1(c).
+	Chunks        uint64
 	ControlChunks uint64
 	// DupCollapsed is the number of consecutive duplicate reads collapsed
-	// into repetition counts — by the producer before chunking (sequential
-	// targets) or by the consumer while draining its ring (MT targets). The
-	// collapsed accesses still count in Accesses and in every dependence
-	// count.
+	// into repetition counts by the target's threads as they copy a batch
+	// into the rings. The collapsed accesses still count in Accesses and in
+	// every dependence count.
 	DupCollapsed uint64
 	// DepCacheHits / DepCacheProbes report the engines' instance-cache
 	// performance: a hit records a dependence instance without any map
@@ -101,7 +99,7 @@ type RunStats struct {
 	DepCacheProbes uint64
 	// Migrations is always 0: run-time redistribution is gone (EXPERIMENTS.md
 	// decision record). The field stays only because the frozen bench/
-	// harness reads it; it goes with ROADMAP item 2.
+	// harness reads it; it goes with ROADMAP item 1(c).
 	Migrations uint64
 	// Ranges is the number of compressed strided data runs ingested (DDT2
 	// wire ranges); RangeElements the accesses they
@@ -113,7 +111,7 @@ type RunStats struct {
 	StoreBytes uint64
 	// StoreModeledBytes is the same under the paper's 4 B/slot model.
 	StoreModeledBytes uint64
-	// QueueBytes is the memory held by the pipeline queues and chunks.
+	// QueueBytes is the memory held by the workers' rings.
 	QueueBytes uint64
 }
 
@@ -141,23 +139,23 @@ type Config struct {
 	Backend string
 	// Meta enables loop-carried classification when non-nil.
 	Meta *prog.Meta
-	// LockBased selects mutex-protected queues instead of lock-free ones
-	// (the Figure 5 ablation baseline).
+	// LockBased puts a mutex around every copy into a worker's ring and
+	// every read of it (the Figure 5 ablation baseline).
 	LockBased bool
 	// RaceCheck enables timestamp-reversal detection (§V-B).
 	RaceCheck bool
-	// QueueCap is the per-worker queue capacity in chunks (sequential-target
-	// mode) or accesses (MT mode). Defaults to 8 chunks / 4Ki accesses.
+	// QueueCap is the per-worker ring capacity in accesses (ring positions),
+	// rounded up to a power of two. Defaults to 4Ki.
 	QueueCap int
 	// Ignored: run-time redistribution is gone (EXPERIMENTS.md decision
 	// record). The field stays only because the frozen bench/ harness sets
-	// it; it goes with ROADMAP item 2.
+	// it; it goes with ROADMAP item 1(c).
 	RedistributeEvery int
 	// Metrics, when non-nil, receives live pipeline telemetry (events in,
-	// queue depths, chunk recycling, signature occupancy,
-	// stage latency histograms). Counters are bumped at chunk granularity and
-	// stage latencies sampled (one in 32 chunk pushes / worker batches) so the
-	// hot path stays cheap; nil costs nothing.
+	// queue depths, signature occupancy, stage latency histograms). Counters
+	// are bumped at batch granularity and stage latencies sampled (one in 32
+	// worker batches / idle episodes) so the hot path stays cheap; nil costs
+	// nothing.
 	Metrics *telemetry.Pipeline
 	// OnEpochDelta receives each worker's epoch-delta extraction when the
 	// profiler's EpochMark is driven. Callbacks arrive on
@@ -262,7 +260,7 @@ func (s *Serial) Flush() *Result {
 		s.m.Events.Add(s.stats.Accesses - s.published)
 		s.published = s.stats.Accesses
 	}
-	return s.pl.merge(s.stats, false)
+	return s.pl.merge(s.stats)
 }
 
 // publishStoreTelemetry records the flush-time store gauges: the mean

@@ -130,17 +130,31 @@ func rangeEdges() (*rangedStream, *prog.Meta) {
 // registered backend (the signature also at a size where the stream's
 // addresses collide) and the serial, parallel and MT profilers, a stream handed
 // over with its ranges — one one-slot batch each (accessRange), or as RangeRef
-// slots of one AccessBatch — leaves the profile, and the producer's chunk and
-// duplicate accounting, of the expanded stream through Access.
+// slots of one AccessBatch — leaves the profile of the expanded stream through
+// Access, and counts every data range it ingested.
 func TestAccessRangeEquivalence(t *testing.T) {
 	s, m := rangeEdges()
 	evs := s.points()
 	backends := append(sig.BackendNames(), "signature:slots=64")
+	var wantRanges, wantElems uint64
+	for _, r := range s.rngs {
+		if r.Count > 0 && r.Kind <= event.Write {
+			wantRanges, wantElems = wantRanges+1, wantElems+uint64(r.Count)
+		}
+	}
 
-	digest := func(res *Result) string { return digestResult(res) + " " + transportCounters(res) }
 	run := func(t *testing.T, mk func(backend string) Profiler) {
 		for _, backend := range backends {
-			wantDigest := digest(feed(mk(backend), evs))
+			want := digestResult(feed(mk(backend), evs))
+			check := func(how string, got *Result) {
+				if digestResult(got) != want {
+					t.Errorf("%s: %s profile differs from the expanded stream's", backend, how)
+				}
+				if got.Stats.Ranges != wantRanges || got.Stats.RangeElements != wantElems {
+					t.Errorf("%s: %s counted %d ranges of %d elements, want %d of %d",
+						backend, how, got.Stats.Ranges, got.Stats.RangeElements, wantRanges, wantElems)
+				}
+			}
 
 			p := mk(backend)
 			for _, a := range s.slots {
@@ -150,20 +164,11 @@ func TestAccessRangeEquivalence(t *testing.T) {
 					p.Access(a)
 				}
 			}
-			if got := digest(p.Flush()); got != wantDigest {
-				t.Errorf("%s: one-range-batch profile differs from the expanded stream's", backend)
-			}
+			check("one-range-batch", p.Flush())
 
 			p = mk(backend)
 			p.AccessBatch(s.slots, s.rngs)
-			got := p.Flush()
-			if digest(got) != wantDigest {
-				t.Errorf("%s: AccessBatch profile differs from the expanded stream's", backend)
-			}
-			if got.Stats.Ranges == 0 || got.Stats.RangeElements < 2*got.Stats.Ranges {
-				t.Errorf("%s: ingested ranges not counted: %d ranges, %d elements",
-					backend, got.Stats.Ranges, got.Stats.RangeElements)
-			}
+			check("AccessBatch", p.Flush())
 		}
 	}
 	t.Run("serial", func(t *testing.T) {
@@ -173,24 +178,46 @@ func TestAccessRangeEquivalence(t *testing.T) {
 		workers := workers
 		t.Run(fmt.Sprintf("parallel-%dw", workers), func(t *testing.T) {
 			run(t, func(b string) Profiler {
-				return mustNew(t, Config{Mode: ModeParallel, Workers: workers, QueueCap: 8, Backend: b, Meta: m})
+				return mustNew(t, Config{Mode: ModeParallel, Workers: workers, QueueCap: 256, Backend: b, Meta: m})
 			})
 		})
 	}
-	// MT counts neither chunks nor ranges and collapses per batch, so its row
-	// compares the profile. The rings are shorter than a long range's share of
-	// a segment.
+	// The rings are shorter than a long range's share of a segment.
 	t.Run("mt", func(t *testing.T) {
-		for _, backend := range backends {
-			cfg := Config{Mode: ModeMT, Workers: 3, QueueCap: 64, Backend: backend, Meta: m}
-			want := digestResult(feed(mustNew(t, cfg), evs))
-			p := mustNew(t, cfg)
-			p.AccessBatch(s.slots, s.rngs)
-			if digestResult(p.Flush()) != want {
-				t.Errorf("%s: AccessBatch profile differs from the expanded stream's", backend)
+		run(t, func(b string) Profiler {
+			return mustNew(t, Config{Mode: ModeMT, Workers: 3, QueueCap: 64, Backend: b, Meta: m})
+		})
+	})
+}
+
+// TestRangeRefWithoutRanges: a RangeRef slot handed over without the ranges
+// it indexes is refused on the caller's goroutine, by every mode, and nothing
+// of its batch is profiled.
+func TestRangeRefWithoutRanges(t *testing.T) {
+	batch := []event.Access{
+		{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 1)},
+		{Kind: event.RangeRef},
+	}
+	for _, mode := range []Mode{ModeSerial, ModeParallel, ModeMT} {
+		for _, one := range []bool{false, true} {
+			p := mustNew(t, Config{Mode: mode, Workers: 2, Backend: "perfect"})
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%v one=%v: a RangeRef slot without ranges was taken", mode, one)
+					}
+				}()
+				if one {
+					p.Access(batch[1])
+				} else {
+					p.AccessBatch(batch, nil)
+				}
+			}()
+			if res := p.Flush(); mode != ModeSerial && res.Stats.Accesses != 0 {
+				t.Errorf("%v one=%v: %d accesses profiled from a refused batch", mode, one, res.Stats.Accesses)
 			}
 		}
-	})
+	}
 }
 
 // producerEdges is a stream of routing sharp edges — interleaved strided
@@ -276,7 +303,7 @@ func TestStrideCompressionEquivalence(t *testing.T) {
 		cfg := Config{Backend: "perfect", Meta: meta}
 		switch kind {
 		case "parallel":
-			cfg.Mode, cfg.Workers, cfg.QueueCap = ModeParallel, 4, 8
+			cfg.Mode, cfg.Workers, cfg.QueueCap = ModeParallel, 4, 256
 		case "mt":
 			cfg.Mode, cfg.Workers, cfg.QueueCap = ModeMT, 2, 256
 		}

@@ -29,7 +29,7 @@ func residueReference(s equivStream, m, w int, raceCheck bool) *Result {
 			stats.Accesses += 1 + uint64(a.Rep)
 		}
 	}
-	return pl.merge(stats, false)
+	return pl.merge(stats)
 }
 
 // TestTightParallelEqualsSerial: on signatures far smaller than the

@@ -160,8 +160,8 @@ func (r *Range) Last() uint64 {
 // ChunkSize is the number of accesses per decoded Chunk (paper §IV: "the main
 // thread ... collects memory accesses in chunks, whose size can be
 // configured"); 4096 events amortize the decoder's per-batch cost (512 here
-// cost remote-session ≈ 7 %). The §IV pipeline's own chunks are smaller:
-// core's chunkEvents.
+// cost remote-session ≈ 7 %). The pipelines route a batch in BatchSize
+// segments.
 const ChunkSize = 4096
 
 // MaxRangesPerChunk bounds the per-chunk range table: a decoded batch ends

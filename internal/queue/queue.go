@@ -1,28 +1,24 @@
 // Package queue provides the bounded queues of the profiler's parallel
 // pipeline (paper §IV).
 //
-// Three implementations with one shape:
+// Two implementations:
 //
-//   - SPSC: a lock-free single-producer/single-consumer ring. In
-//     sequential-target mode the main thread is the only producer and each
-//     worker the only consumer of its queue, so SPSC suffices; this is the
-//     "lock-free" design responsible for the paper's 1.3–1.6× speedup over
-//     the lock-based profiler.
-//   - MPSC: a lock-free multi-producer/single-consumer ring of runs.
-//     Multi-threaded targets push from every target thread (paper §V-A), so
-//     the worker's queue needs multiple producers — "the different
-//     implementation of lock-free queues" the paper cites as one source of
-//     the higher MT memory consumption.
-//   - Locked: a mutex-protected ring, kept as the ablation baseline for the
-//     lock-based series in Figure 5.
+//   - MPSC: a lock-free multi-producer/single-consumer ring of runs, every
+//     profiler worker's inbound queue. Multi-threaded targets push from every
+//     target thread (paper §V-A), so the worker's queue needs multiple
+//     producers — "the different implementation of lock-free queues" the
+//     paper cites as one source of the higher MT memory consumption; a
+//     sequential target is the one-producer case. The lock-based series of
+//     Figure 5 puts a mutex around it (core's Config.LockBased).
+//   - SPSC: a lock-free single-producer/single-consumer ring, the queue of
+//     the paper's §IV design; the benchmark ledger times it.
 //
-// All queues are bounded and allocation-free after construction.
+// Both are bounded and allocation-free after construction.
 package queue
 
 import (
 	"reflect"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -119,7 +115,8 @@ type MPSC[T any] struct {
 	cur   []T           // consumer-local: what TryPop has left of them
 	_     pad
 	tail  atomic.Uint64 // next unclaimed position
-	_     pad
+	seen  atomic.Uint64 // a head some producer loaded, <= head: Part's room check
+	_     [48]byte
 }
 
 // NewMPSC returns a ring with capacity rounded up to a power of two.
@@ -166,14 +163,25 @@ func hasPointers(t reflect.Type) bool {
 func (q *MPSC[T]) Claim(n int) uint64 { return q.tail.Add(uint64(n)) - uint64(n) }
 
 // Part returns the slots of the next part of a claimed run — pos is the part's
-// first position, n the positions the run has left — once they are free: one
-// head load when the ring has room. A part ends with the run or at the end of
-// the array, so len(part) <= n.
+// first position, n the positions the run has left — once they are free. A
+// part ends with the run or at the end of the array, so len(part) <= n.
+//
+// The room check reads seen, on the producers' own line, and loads head — the
+// consumer's line — only when seen shows no room: about once a lap of the
+// ring, not once a run, which matters when a batch splits into W short runs.
+// Any head once loaded is at most the current one, so a stale seen, whichever
+// producer stored it, only errs towards loading head again.
 func (q *MPSC[T]) Part(pos uint64, n int) []T {
 	i := int(pos & q.mask)
 	n = min(n, len(q.buf)-i)
-	for k := 0; pos+uint64(n)-q.head.Load() > uint64(len(q.buf)); k++ {
-		backoff(k) // ring full (or an earlier claimant lagging): wait it out
+	end := pos + uint64(n)
+	if end-q.seen.Load() > uint64(len(q.buf)) {
+		h := q.head.Load()
+		for k := 0; end-h > uint64(len(q.buf)); k++ {
+			backoff(k) // ring full (or an earlier claimant lagging): wait it out
+			h = q.head.Load()
+		}
+		q.seen.Store(h)
 	}
 	return q.buf[i : i+n]
 }
@@ -250,69 +258,6 @@ func (q *MPSC[T]) Len() int {
 
 // Cap returns the ring capacity.
 func (q *MPSC[T]) Cap() int { return len(q.buf) }
-
-// Locked is the lock-based ring used as the Figure 5 ablation baseline.
-// "The major synchronization overhead comes from locking and unlocking the
-// queues" (paper §IV) — this type is that overhead.
-type Locked[T any] struct {
-	mu   sync.Mutex
-	buf  []T
-	head uint64
-	tail uint64
-	mask uint64
-}
-
-// NewLocked returns a ring with capacity rounded up to a power of two.
-func NewLocked[T any](capacity int) *Locked[T] {
-	n := 1
-	for n < capacity {
-		n <<= 1
-	}
-	return &Locked[T]{buf: make([]T, n), mask: uint64(n - 1)}
-}
-
-// TryPush appends v; it fails if the ring is full.
-func (q *Locked[T]) TryPush(v T) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.tail-q.head >= uint64(len(q.buf)) {
-		return false
-	}
-	q.buf[q.tail&q.mask] = v
-	q.tail++
-	return true
-}
-
-// TryPop removes the oldest element; it fails if the ring is empty.
-func (q *Locked[T]) TryPop() (T, bool) {
-	var zero T
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.head == q.tail {
-		return zero, false
-	}
-	v := q.buf[q.head&q.mask]
-	q.buf[q.head&q.mask] = zero
-	q.head++
-	return v, true
-}
-
-// Push spins until v is accepted.
-func (q *Locked[T]) Push(v T) {
-	for i := 0; !q.TryPush(v); i++ {
-		backoff(i)
-	}
-}
-
-// Len returns the number of queued elements.
-func (q *Locked[T]) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return int(q.tail - q.head)
-}
-
-// Cap returns the ring capacity.
-func (q *Locked[T]) Cap() int { return len(q.buf) }
 
 // Backoff is the pipeline-wide wait policy, applied by queue push loops and
 // the profiler worker loops alike so that lock-free/lock-based mode

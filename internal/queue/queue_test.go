@@ -53,7 +53,6 @@ func runFIFO(t *testing.T, name string, q basicQueue[int], capacity int) {
 func TestFIFOSemantics(t *testing.T) {
 	runFIFO(t, "SPSC", NewSPSC[int](16), 16)
 	runFIFO(t, "MPSC", mpscTry{NewMPSC[int](16)}, 16)
-	runFIFO(t, "Locked", NewLocked[int](16), 16)
 }
 
 // mpscTry gives the run ring the TryPush the shared FIFO check wants; Len is
@@ -153,44 +152,6 @@ func TestMPSCConcurrentProducers(t *testing.T) {
 	}
 }
 
-func TestLockedConcurrent(t *testing.T) {
-	const producers = 4
-	const perProducer = 4000
-	q := NewLocked[int](128)
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				q.Push(p*perProducer + i)
-			}
-		}(p)
-	}
-	seen := make([]bool, producers*perProducer)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for total := 0; total < producers*perProducer; {
-			if v, ok := q.TryPop(); ok {
-				if seen[v] {
-					t.Errorf("duplicate %d", v)
-					return
-				}
-				seen[v] = true
-				total++
-			}
-		}
-	}()
-	wg.Wait()
-	<-done
-	for v, ok := range seen {
-		if !ok {
-			t.Fatalf("value %d lost", v)
-		}
-	}
-}
-
 func TestPointerReleaseForGC(t *testing.T) {
 	// After TryPop, the ring must not retain the popped pointer.
 	q := NewSPSC[*int](4)
@@ -205,12 +166,6 @@ func TestPointerReleaseForGC(t *testing.T) {
 	m.TryPop()
 	if m.buf[0] != nil {
 		t.Error("MPSC retains popped pointer")
-	}
-	l := NewLocked[*int](4)
-	l.Push(x)
-	l.TryPop()
-	if l.buf[0] != nil {
-		t.Error("Locked retains popped pointer")
 	}
 }
 

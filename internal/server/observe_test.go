@@ -96,7 +96,6 @@ func TestMetricsHistogramQuantiles(t *testing.T) {
 		"pipeline_stage_worker_ns_count 1",
 		"pipeline_stage_worker_ns_p50 ",
 		"pipeline_stage_worker_ns_p99 ",
-		"pipeline_stage_produce_ns_count 0",
 		"pipeline_stage_merge_ns_count 0",
 	} {
 		if !strings.Contains(body, want) {

@@ -53,7 +53,7 @@ type Config struct {
 	// unbounded, like "perfect" or "shadow" — is refused at handshake.
 	// 0 admits everything.
 	MaxStoreBytes uint64
-	// QueueCap is the per-worker queue capacity in chunks; small values make
+	// QueueCap is the per-worker ring capacity in accesses; small values make
 	// pipeline backpressure reach the socket sooner. Default: core's.
 	QueueCap int
 	// IdleTimeout is the slow-client deadline: a session that neither

@@ -317,23 +317,22 @@ const MaxWorkerSlots = 64
 
 // Pipeline groups the counters the profiling pipeline updates on its hot
 // paths. Fields are plain pointers so internal/core pays one atomic op per
-// chunk, not a registry lookup. A Pipeline may be shared by many concurrent
+// batch, not a registry lookup. A Pipeline may be shared by many concurrent
 // pipelines (the daemon aggregates all sessions into one); counters then
 // report totals and gauges last-observed values.
 type Pipeline struct {
-	// Events counts read/write accesses entering the pipeline.
+	// Events counts read/write accesses the pipeline processed.
 	Events *Counter
-	// Chunks counts chunks pushed to workers.
-	Chunks *Counter
 	// DepCacheHits / DepCacheProbes report the detection engines' instance
 	// cache: a hit records a dependence instance with zero map operations.
 	// Published at sampled-batch granularity while the run is live, with the
 	// remainder folded in at flush.
 	DepCacheHits   *Counter
 	DepCacheProbes *Counter
-	// DupCollapsed counts consecutive duplicate reads the producer collapsed
-	// into repetition counts before chunking; events_total + dup_collapsed
-	// equals the logical access count.
+	// DupCollapsed counts consecutive duplicate reads the target's threads
+	// collapsed into repetition counts as they copied their batches into the
+	// rings, published by the first worker while the run is live and in
+	// full at flush; the collapsed reads still count in events_total.
 	DupCollapsed *Counter
 	// Ranges counts ingested wire ranges (trace range records); RangeElements
 	// the accesses they expanded into at the ingest seam. Range elements are already included in Events — these counters
@@ -346,9 +345,9 @@ type Pipeline struct {
 	// near events_total mean clients' hot sites collide in the wire's table.
 	TraceSiteDefines   *Counter
 	TraceSiteRedefines *Counter
-	// QueueDepth[i] is the last queue depth observed for worker i at chunk
-	// push time (including the chunk just pushed); QueueDepthMax is the
-	// high-water mark across all workers.
+	// QueueDepth[i] is the deepest worker i has seen its ring at a pop so far
+	// (the batch in hand included); QueueDepthMax is the high-water mark
+	// across all workers.
 	QueueDepth    [MaxWorkerSlots]*Gauge
 	QueueDepthMax *Gauge
 	// SigOccupancyPermille is the mean signature write-slot occupancy of the
@@ -356,15 +355,12 @@ type Pipeline struct {
 	SigOccupancyPermille *Gauge
 
 	// Stage latency histograms (nanoseconds), the flight recorder's span
-	// layer. All are recorded at sampled chunk/batch granularity (one in 32)
-	// so clock reads stay off the hot path:
+	// layer. The first two are recorded at sampled batch granularity (one in
+	// 32) so clock reads stay off the hot path:
 	//
-	//	StageProduceNs       per-chunk producer routing: push (including any
-	//	                     backpressure wait), depth observation, refill
 	//	StageTransportWaitNs worker-side wait for the next non-empty batch
 	//	StageWorkerNs        one worker batch through the detection engine
 	//	StageMergeNs         the merge stage, once per flushed run
-	StageProduceNs       *Histogram
 	StageTransportWaitNs *Histogram
 	StageWorkerNs        *Histogram
 	StageMergeNs         *Histogram
@@ -377,10 +373,9 @@ type Pipeline struct {
 
 // ObserveQueueDepth records a queue-depth observation for one worker: the
 // per-worker gauge takes the latest value (aliased into MaxWorkerSlots
-// slots) and the pipeline-wide high-water mark rises monotonically. Both the
-// producer (at chunk push time) and the merge stage (consumer-observed
-// maxima) report through this one helper so every mode's gauges agree on
-// semantics.
+// slots) and the pipeline-wide high-water mark rises monotonically. The
+// workers report their rings' consumer-observed maxima through it, in flight
+// and at the merge.
 func (p *Pipeline) ObserveQueueDepth(worker int, depth int64) {
 	p.QueueDepth[worker%MaxWorkerSlots].Set(depth)
 	p.QueueDepthMax.SetMax(depth)
@@ -397,7 +392,6 @@ func (r *Registry) Pipeline(prefix string) *Pipeline {
 	}
 	p = &Pipeline{
 		Events:               r.Counter(prefix + "_events_total"),
-		Chunks:               r.Counter(prefix + "_chunks_total"),
 		DepCacheHits:         r.Counter(prefix + "_dep_cache_hits_total"),
 		DepCacheProbes:       r.Counter(prefix + "_dep_cache_probes_total"),
 		DupCollapsed:         r.Counter(prefix + "_dup_collapsed_total"),
@@ -407,7 +401,6 @@ func (r *Registry) Pipeline(prefix string) *Pipeline {
 		TraceSiteRedefines:   r.Counter(prefix + "_trace_site_redefines_total"),
 		QueueDepthMax:        r.Gauge(prefix + "_queue_depth_max"),
 		SigOccupancyPermille: r.Gauge(prefix + "_sig_occupancy_permille"),
-		StageProduceNs:       r.Histogram(prefix + "_stage_produce_ns"),
 		StageTransportWaitNs: r.Histogram(prefix + "_stage_transport_wait_ns"),
 		StageWorkerNs:        r.Histogram(prefix + "_stage_worker_ns"),
 		StageMergeNs:         r.Histogram(prefix + "_stage_merge_ns"),
