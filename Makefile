@@ -25,11 +25,11 @@ fmt-check:
 
 # End-to-end smoke over the three binaries it builds (ddprof, ddprofd, ddiff):
 # a -race ddprof on a sample that spawns threads, a retired -backend and the
-# retired ddprofd -readbuf/-decode-depth/-track-accuracy refused with exit 2
-# before any work, then the daemon up on a unix socket, one remote profiling
-# session with a live -watch subscriber folding its (at least two) epoch-delta
-# frames, and a live HTTP diff against the retained session.
-# Exercises what the in-process tests cannot: real binaries, sockets, HTTP.
+# retired ddprofd -readbuf/-decode-depth/-track-accuracy/-epoch-interval
+# refused with exit 2 before any work, then the daemon up on a unix socket and
+# one remote profiling session whose saved profile ddiff -binary finds
+# identical to the local run's (both -backend perfect).
+# Exercises what the in-process tests cannot: real binaries, sockets.
 smoke:
 	./scripts/smoke_ddprofd.sh
 
@@ -76,7 +76,6 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzFrames -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzNextBatch -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzWriterEquivalence -fuzztime=10s ./internal/trace/
-	$(GO) test -run=^$$ -fuzz=FuzzDeltaFrame -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzHandshake -fuzztime=10s ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzFastUpdate -fuzztime=10s ./internal/dep/
 	$(GO) test -run=^$$ -fuzz=FuzzSetMergeEquivalence -fuzztime=10s ./internal/dep/

@@ -7,43 +7,26 @@
 //
 //	ddiff a.txt b.txt             # text profiles (ddprof default output)
 //	ddiff -binary a.ddp b.ddp     # binary profiles (ddprof -format binary)
-//	ddiff -http http://localhost:7078/sessions/3 baseline.ddp
-//	                              # baseline vs a live ddprofd session
 //
 // Binary profiles are diffed as streams: DDP1 writes dependences in
 // canonical key order, so the two files merge-join record by record and
 // neither profile is ever materialized in memory — diffing two
-// million-dependence stored profiles costs two records of state.
-//
-// With -http the same merge-join runs inside the daemon (the live
-// observatory's POST /sessions/{id}/diff endpoint): the stored binary
-// baseline is uploaded and diffed against the session's live profile without
-// pausing its ingest — the session may still be running.
+// million-dependence stored profiles costs two records of state. A ddprofd
+// session's profile is one of these files: `ddprof -remote … -format binary
+// -o` saves it, byte-identical to the local run's.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"strings"
 
 	"ddprof/internal/dep"
 )
 
 func main() {
 	binary := flag.Bool("binary", false, "inputs are binary profiles (ddprof -format binary)")
-	httpURL := flag.String("http", "", "diff a binary baseline against a live ddprofd session: http://host:port/sessions/{id}")
 	flag.Parse()
-	if *httpURL != "" {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: ddiff -http <session-url> <baseline.ddp>")
-			os.Exit(2)
-		}
-		os.Exit(diffHTTP(*httpURL, flag.Arg(0)))
-	}
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: ddiff [-binary] <profile-a> <profile-b>")
 		os.Exit(2)
@@ -62,79 +45,6 @@ func main() {
 		return
 	}
 	os.Exit(1) // differences found: non-zero like diff(1)
-}
-
-// diffRow mirrors the daemon's JSON dependence row (the fields ddiff shows).
-type diffRow struct {
-	Sink       uint32 `json:"sink"`
-	Src        uint32 `json:"src"`
-	Type       string `json:"type"`
-	Var        string `json:"var"`
-	SinkThread int16  `json:"sink_thread"`
-	SrcThread  int16  `json:"src_thread"`
-}
-
-// diffReply mirrors the daemon's POST /sessions/{id}/diff JSON page.
-type diffReply struct {
-	Session      uint64    `json:"session"`
-	Epoch        uint32    `json:"epoch"`
-	Final        bool      `json:"final"`
-	Common       int       `json:"common"`
-	Identical    bool      `json:"identical"`
-	OnlyBaseline []diffRow `json:"only_baseline"`
-	OnlyLive     []diffRow `json:"only_live"`
-}
-
-// diffHTTP uploads a binary baseline to a daemon session's diff endpoint and
-// renders the reply like a local diff. Exit codes match the file modes: 0
-// identical, 1 differences, 2 usage/transport failure.
-func diffHTTP(sessionURL, baselinePath string) int {
-	baseline, err := os.ReadFile(baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ddiff:", err)
-		return 2
-	}
-	url := strings.TrimRight(sessionURL, "/") + "/diff"
-	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(baseline))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ddiff:", err)
-		return 2
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var msg bytes.Buffer
-		msg.ReadFrom(resp.Body)
-		fmt.Fprintf(os.Stderr, "ddiff: %s: %s: %s", url, resp.Status, msg.String())
-		return 2
-	}
-	var d diffReply
-	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
-		fmt.Fprintln(os.Stderr, "ddiff: decoding reply:", err)
-		return 2
-	}
-	state := "still profiling"
-	if d.Final {
-		state = "completed"
-	}
-	fmt.Printf("session %d at epoch %d (%s): %d common dependences\n", d.Session, d.Epoch, state, d.Common)
-	printHTTPSide(fmt.Sprintf("only in %s (%d)", baselinePath, len(d.OnlyBaseline)), d.OnlyBaseline)
-	printHTTPSide(fmt.Sprintf("only in live session (%d)", len(d.OnlyLive)), d.OnlyLive)
-	if d.Identical {
-		fmt.Println("profiles are identical")
-		return 0
-	}
-	return 1
-}
-
-func printHTTPSide(header string, rows []diffRow) {
-	fmt.Println(header)
-	for _, r := range rows {
-		if r.Type == "INIT" {
-			fmt.Printf("  %s %d|%d [%s] {INIT}\n", r.Type, r.Sink, r.SinkThread, r.Var)
-			continue
-		}
-		fmt.Printf("  %s %d|%d <- %d|%d [%s]\n", r.Type, r.Sink, r.SinkThread, r.Src, r.SrcThread, r.Var)
-	}
 }
 
 func diff(pathA, pathB string, binary bool) (dep.DiffResult, error) {

@@ -13,7 +13,6 @@
 //	ddprof communication -workload water-spatial -threads 8 # Figure 9 (§VII-B)
 //	ddprof all -workload CG                      # every built-in plug-in
 //	ddprof -workload kmeans -remote :7077        # profile on a ddprofd daemon
-//	ddprof -remote :7077 -watch                  # watch a live session's epoch deltas
 //	ddprof -workload kmeans -cpuprofile cpu.out  # profile the profiler
 //	ddprof -list                                 # show available workloads
 //
@@ -21,7 +20,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -33,10 +31,8 @@ import (
 	"ddprof"
 	"ddprof/internal/analysis"
 	"ddprof/internal/dep"
-	"ddprof/internal/loc"
 	"ddprof/internal/server"
 	"ddprof/internal/sig"
-	"ddprof/internal/trace"
 	"ddprof/internal/workloads"
 )
 
@@ -69,9 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		format  = fs.String("format", "text", "dump format: text (Figure 1/3) | binary")
 		remote  = fs.String("remote", "", "profile on a ddprofd daemon: host:port or unix:/path.sock")
 		frameKB = fs.Int("framebytes", 0, "with -remote: wire frame size in bytes (one trace-buffer flush = one frame; 0 = 64KiB default, capped by the daemon's 1MiB frame limit)")
-		watch   = fs.Bool("watch", false, "with -remote: subscribe to a session's live epoch-delta stream instead of profiling")
-		watchID = fs.Uint64("watch-session", 0, "with -watch: daemon session to observe (0 = newest active, waiting for the next when none is)")
-		watchAt = fs.Uint64("watch-since", 0, "with -watch: catch up from this epoch (0 = the full profile so far)")
 		cpuProf = fs.String("cpuprofile", "", "write a pprof CPU profile of the profiler to this file")
 		memProf = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
@@ -89,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(2, err)
 	}
-	if plugins != nil && (*remote != "" || *watch) {
+	if plugins != nil && *remote != "" {
 		return fail(2, fmt.Errorf("report %q needs a local run: a daemon returns dependences, not the run a plug-in reads", report))
 	}
 
@@ -100,9 +93,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, err)
 	}
 	binary := *format == "binary"
-	if *watch && *remote == "" {
-		return fail(2, fmt.Errorf("-watch needs -remote (a ddprofd daemon to subscribe to)"))
-	}
 
 	if *list {
 		fmt.Fprintln(stdout, "available workloads:")
@@ -147,7 +137,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var prog *ddprof.Program
 	switch {
-	case *watch:
 	case *file != "":
 		src, rerr := os.ReadFile(*file)
 		if rerr != nil {
@@ -172,8 +161,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	switch {
-	case *watch:
-		err = runWatch(*remote, *watchID, uint32(*watchAt), w, stdout, stderr, *summary, binary)
 	case *remote != "":
 		err = runRemote(prog, w, stdout, *remote, server.ClientOptions{Workers: *workers, Backend: *backend, FrameBytes: *frameKB}, *summary, binary)
 	default:
@@ -264,54 +251,6 @@ func runRemote(prog *ddprof.Program, w, stdout io.Writer, addr string, opt serve
 	}
 	fmt.Fprintf(stdout, "\n# %s: %d accesses streamed to %s, %d dependences (%d dynamic instances merged)\n",
 		prog.Name, rr.Events, addr, rr.Deps.Unique(), rr.Deps.Instances())
-	return nil
-}
-
-// runWatch subscribes to a daemon session's live observatory and renders the
-// epoch-delta stream: one status line per frame, and — because the folded
-// frames reconstruct the session's exact final profile — the full dependence
-// dump once the final frame lands.
-func runWatch(addr string, session uint64, since uint32, w, stdout, stderr io.Writer, summary, binary bool) error {
-	conn, err := server.Dial(addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-
-	folded := dep.NewSet()
-	var tab *loc.Table
-	frames := 0
-	err = server.Watch(conn, server.WatchOptions{Session: session, Since: since}, func(f trace.DeltaFrame) error {
-		set, _, t, err := dep.Decode(bytes.NewReader(f.Payload))
-		if err != nil {
-			return fmt.Errorf("frame for epoch %d: %w", f.Epoch, err)
-		}
-		if t != nil {
-			tab = t
-		}
-		folded.Merge(set)
-		frames++
-		tag := ""
-		if f.Final {
-			tag = " final:"
-		}
-		fmt.Fprintf(stderr, "# epoch %d:%s %d dependences advanced, %d distinct so far (%d instances)\n",
-			f.Epoch, tag, set.Unique(), folded.Unique(), folded.Instances())
-		set.Release()
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if err := dump(w, summary, binary, func(w io.Writer) error {
-		return dep.Write(w, folded, tab, nil, dep.WriterOptions{})
-	}, func(w io.Writer) error {
-		return dep.Encode(w, folded, tab, nil)
-	}); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "\n# watch: %d delta frames from %s, %d dependences (%d dynamic instances merged)\n",
-		frames, addr, folded.Unique(), folded.Instances())
 	return nil
 }
 

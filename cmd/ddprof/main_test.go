@@ -91,7 +91,7 @@ func TestRun(t *testing.T) {
 		{args: append(cg, "parallelism"), code: 2, stderr: "the report name comes first"},
 		{args: append([]string{"parfind"}, cg...), code: 2, stderr: "parallelism | hot-deps | communication | races | callgraph | sections | all"},
 		{args: []string{"parallelism", "-remote", "unix:/nonexistent.sock"}, code: 2, stderr: "needs a local run"},
-		{args: []string{"all", "-remote", "unix:/nonexistent.sock", "-watch"}, code: 2, stderr: "needs a local run"},
+		{args: []string{"all", "-remote", "unix:/nonexistent.sock"}, code: 2, stderr: "needs a local run"},
 		{args: []string{"-mode", "lockbased"}, code: 2, stderr: `unknown mode "lockbased"`},
 		{args: []string{"-interp"}, code: 2, stderr: "not defined: -interp"},
 		{args: []string{"-backend", "nosuch"}, code: 2, stderr: `ddprof: -backend: sig: unknown store backend "nosuch"`},
@@ -101,7 +101,8 @@ func TestRun(t *testing.T) {
 		{args: []string{"-backend", "nosuch", "-remote", "unix:/nonexistent.sock"}, code: 2, stderr: `unknown store backend "nosuch"`},
 		{args: []string{"-slots", "-5"}, code: 2, stderr: "-slots -5"},
 		{args: []string{"-workers", "-2"}, code: 2, stderr: "-workers -2"},
-		{args: []string{"-watch"}, code: 2, stderr: "-watch needs -remote"},
+		// The live watch stream is retired: a session returns one profile.
+		{args: []string{"-watch", "-remote", "unix:/nonexistent.sock"}, code: 2, stderr: "not defined: -watch"},
 		{args: []string{"-workload", "CG", "-mode", "mt"}, code: 1, stderr: `workload "CG" has no multi-threaded variant`},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -1,8 +1,11 @@
 // Command ddprofd is the data-dependence profiling daemon: a long-lived
-// service that accepts recorded trace streams from many concurrent clients
-// (ddprof -remote) over TCP and Unix sockets, profiles each session on its
-// own parallel pipeline, and returns the dependence set in the binary
-// profile format.
+// service that accepts recorded DDT2 trace streams from many concurrent
+// clients (ddprof -remote) over TCP and Unix sockets, profiles each session
+// on its own parallel pipeline, and returns the dependence set as one DDP1
+// binary profile when the stream ends. Questions about a session are asked of
+// that profile, offline: save it with `ddprof -remote … -format binary -o`,
+// compare two with `ddiff -binary`, and get loop verdicts from
+// `ddprof parallelism`.
 //
 // Usage:
 //
@@ -12,13 +15,8 @@
 //	ddprofd -log-level debug                 # structured logs, debug level
 //	curl localhost:7078/metrics              # live pipeline counters + quantiles
 //	curl localhost:7078/sessions             # live session table
-//	curl localhost:7078/sessions/3/deps      # live dependence profile (?since=E)
-//	curl localhost:7078/sessions/3/loop/0/carried   # what loop 0 carries now
-//	curl 'localhost:7078/sessions/3/addr?lo=0x100&hi=0x1ff'
-//	curl --data-binary @base.ddp localhost:7078/sessions/3/diff
 //	curl localhost:7078/debug/timeline       # flight-recorder time series
 //	go tool pprof localhost:7078/debug/pprof/profile
-//	ddprof -workload kmeans -remote :7077 -watch   # live epoch-delta stream
 //
 // SIGINT/SIGTERM drain gracefully: listeners close, in-flight sessions
 // finish (up to -drain), then the daemon exits.
@@ -73,7 +71,6 @@ func main() {
 		logLevel = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		snapInt  = flag.Duration("snapshot-interval", 250*time.Millisecond, "flight-recorder sampling interval for /debug/timeline")
 		snapN    = flag.Int("snapshot-samples", 1024, "flight-recorder ring size (most recent samples kept; negative disables)")
-		epochInt = flag.Duration("epoch-interval", 100*time.Millisecond, "live observatory epoch clock: an ingesting session cuts an epoch-delta for watch subscribers at the first batch this long after its last interval cut (0 disables; explicit EpochMark records still cut)")
 		seriesMx = flag.Int("session-series", 64, "cap on per-session labeled series on /metrics; sessions past it share the overflow series")
 	)
 	flag.Parse()
@@ -109,7 +106,6 @@ func main() {
 		IdleTimeout:       *idle,
 		SnapshotInterval:  *snapInt,
 		SnapshotSamples:   *snapN,
-		EpochInterval:     *epochInt,
 		SessionSeriesMax:  *seriesMx,
 		Logf:              logf,
 	})

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"ddprof/internal/event"
@@ -10,23 +9,12 @@ import (
 	"ddprof/internal/prog"
 )
 
-// feedCut is feed with an epoch cut before every cut-th event (0: none).
-func feedCut(p Profiler, evs []event.Access, cut int) *Result {
-	for i, a := range evs {
-		if cut > 0 && i > 0 && i%cut == 0 {
-			p.EpochMark(uint32(i / cut))
-		}
-		p.Access(a)
-	}
-	return p.Flush()
-}
-
 // feedBatched pushes a stream through the bulk-ingest seam in uneven batch
-// sizes, with feedCut's epoch cuts between batches. With collapse set it
+// sizes. With collapse set it
 // pre-folds consecutive duplicate reads into repetition counts first — the
 // shape the trace decoder's duplicate filter hands over — so the engines' Rep
 // replay gets exercised end to end.
-func feedBatched(p Profiler, evs []event.Access, batch int, collapse bool, cut int) *Result {
+func feedBatched(p Profiler, evs []event.Access, batch int, collapse bool) *Result {
 	var pending []event.Access
 	flush := func() {
 		if len(pending) > 0 {
@@ -34,11 +22,7 @@ func feedBatched(p Profiler, evs []event.Access, batch int, collapse bool, cut i
 			pending = pending[:0]
 		}
 	}
-	for i, a := range evs {
-		if cut > 0 && i > 0 && i%cut == 0 {
-			flush()
-			p.EpochMark(uint32(i / cut))
-		}
+	for _, a := range evs {
 		if collapse && len(pending) > 0 {
 			if last := &pending[len(pending)-1]; a.Kind == event.Read &&
 				last.Kind == event.Read && last.Rep != event.MaxRep {
@@ -61,17 +45,14 @@ func feedBatched(p Profiler, evs []event.Access, batch int, collapse bool, cut i
 
 // TestAccessBatchEquivalence holds AccessBatch to its contract: for every
 // pipeline, any batching of a stream — including pre-collapsed duplicate
-// reads, and with epochs cut between batches, next to the lifetime stream's
-// Remove events among others — must produce a profile, and epoch deltas,
-// byte-identical to per-event Access calls.
+// reads, next to the lifetime stream's Remove events among others — must
+// produce a profile byte-identical to per-event Access calls.
 func TestAccessBatchEquivalence(t *testing.T) {
 	for _, s := range equivSuite() {
 		s := s
 		t.Run(s.name, func(t *testing.T) {
-			var log *deltaLog
 			mk := func(kind string) Profiler {
-				log = &deltaLog{}
-				cfg := Config{Backend: "perfect", Meta: s.meta, OnEpochDelta: log.add}
+				cfg := Config{Backend: "perfect", Meta: s.meta}
 				switch kind {
 				case "parallel":
 					cfg.Mode, cfg.Workers, cfg.QueueCap = ModeParallel, 3, 64
@@ -81,18 +62,11 @@ func TestAccessBatchEquivalence(t *testing.T) {
 				return mustNew(t, cfg)
 			}
 			for _, kind := range []string{"serial", "parallel", "mt"} {
-				for _, cut := range []int{0, 3} {
-					want := feedCut(mk(kind), s.evs, cut)
-					wantDeltas := log.encoded(t)
-					for _, batch := range []int{1, 7, 1024} {
-						for _, collapse := range []bool{false, true} {
-							label := fmt.Sprintf("%s/%s/cut%d/batch%d/collapse=%v", s.name, kind, cut, batch, collapse)
-							got := feedBatched(mk(kind), s.evs, batch, collapse, cut)
-							requireSameProfile(t, label, want, got)
-							if gotDeltas := log.encoded(t); !reflect.DeepEqual(wantDeltas, gotDeltas) {
-								t.Errorf("%s: epoch deltas differ from per-event ingestion's", label)
-							}
-						}
+				want := feed(mk(kind), s.evs)
+				for _, batch := range []int{1, 7, 1024} {
+					for _, collapse := range []bool{false, true} {
+						label := fmt.Sprintf("%s/%s/batch%d/collapse=%v", s.name, kind, batch, collapse)
+						requireSameProfile(t, label, want, feedBatched(mk(kind), s.evs, batch, collapse))
 					}
 				}
 			}

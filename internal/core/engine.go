@@ -49,15 +49,6 @@ type Engine struct {
 	loops map[prog.LoopID]*loopAgg
 	// raceCheck enables the epoch race rule of build (MT-target mode).
 	raceCheck bool
-	// epoch is the current epoch-clock reading, stamped onto per-loop
-	// aggregate tables created from now on (the dependence set carries its
-	// own copy); advanced by ExtractEpochDelta.
-	epoch uint32
-	// trackBounds enables the per-variable address-interval index behind
-	// address-range provenance queries (set by makeEngines when the pipeline
-	// has a delta sink); bounds is that index, by VarID.
-	trackBounds bool
-	bounds      []varBound
 
 	// cache is a direct-mapped instance cache over dependence identity: the
 	// overwhelmingly common case is the same static dependence firing every
@@ -190,9 +181,6 @@ func (e *Engine) Store() sig.Store { return e.store }
 func (e *Engine) Process(a event.Access) {
 	switch a.Kind {
 	case event.Write:
-		if e.trackBounds {
-			e.noteBounds(a.Var, a.Addr)
-		}
 		if e.sg != nil {
 			c := e.sg.At(a.Addr)
 			c.SetW(e.write(c.W(), c.R(), &a))
@@ -202,9 +190,6 @@ func (e *Engine) Process(a event.Access) {
 		r, _ := e.store.LookupRead(a.Addr)
 		e.store.SetWrite(a.Addr, e.write(w, r, &a))
 	case event.Read:
-		if e.trackBounds {
-			e.noteBounds(a.Var, a.Addr)
-		}
 		// A collapsed event stands for 1+Rep identical reads against the
 		// same (unchanged) write slot: 1+Rep instances of the same RAW.
 		n := 1 + uint64(a.Rep)
@@ -326,16 +311,11 @@ func (e *Engine) record(k pkey, carriedAt prog.LoopID, reduction, reversed bool,
 		agg := e.loops[carriedAt]
 		if agg == nil {
 			agg = newLoopAgg()
-			agg.keys.SetEpoch(e.epoch)
 			e.loops[carriedAt] = agg
 		}
 		// Fresh records start Reduction (= allRed) true.
 		ent.loop, ent.agg, ent.ck = carriedAt, agg, agg.keys.Ref(k.key())
 	}
-	// Count advances too — summaries never read it, but the epoch-delta
-	// extractor detects change by Count-vs-watermark, and this keeps the
-	// carried-key tables extractable like the dependence sets.
-	ent.ck.Count += n
 	ent.ck.Reduction = ent.ck.Reduction && reduction
 	if k.t == dep.RAW && (ent.agg.minRAWDist == 0 || dist < ent.agg.minRAWDist) {
 		ent.agg.minRAWDist = dist
@@ -372,18 +352,6 @@ func loopDepsOf(aggs map[prog.LoopID]*loopAgg) map[prog.LoopID]*LoopDeps {
 	out := make(map[prog.LoopID]*LoopDeps, len(aggs))
 	for id, agg := range aggs {
 		out[id] = agg.summary()
-	}
-	return out
-}
-
-// carriedKeysOf exposes the merged per-loop carried-key tables themselves
-// (not copies): the provenance queries of the live observatory answer "what
-// does loop L carry" from these after the merge, and the final watch frame
-// extracts their unshipped remainder.
-func carriedKeysOf(aggs map[prog.LoopID]*loopAgg) map[prog.LoopID]*dep.Set {
-	out := make(map[prog.LoopID]*dep.Set, len(aggs))
-	for id, agg := range aggs {
-		out[id] = agg.keys
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -143,6 +144,16 @@ func feed(p Profiler, evs []event.Access) *Result {
 		p.Access(a)
 	}
 	return p.Flush()
+}
+
+// encodeSet renders a set with a fixed table so results byte-compare.
+func encodeSet(t *testing.T, s *dep.Set) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := dep.Encode(&buf, s, loc.NewTable(), nil); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // requireSameProfile asserts two results are byte-identical in everything

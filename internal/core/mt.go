@@ -107,13 +107,7 @@ func newMT(cfg Config) (*MT, error) {
 			r.mu = new(sync.Mutex)
 		}
 		m.rings = append(m.rings, r)
-		m.pl.workers = append(m.pl.workers, &worker{
-			id:      i,
-			in:      r,
-			eng:     eng,
-			m:       cfg.Metrics,
-			onDelta: cfg.OnEpochDelta,
-		})
+		m.pl.workers = append(m.pl.workers, &worker{id: i, in: r, eng: eng, m: cfg.Metrics})
 	}
 	// The first worker publishes the producers' collapse counts with its
 	// own counters, in flight and at the merge (publishTelemetry).

@@ -13,8 +13,8 @@ package core
 //	│    ring    │  mutex around every copy and every read (Figure 5)
 //	└─────┬──────┘
 //	      │ event batches
-//	┌─────▼──────┐  uniform control handling (flush/epoch mark),
-//	│   worker   │  shared backoff policy, one Engine each
+//	┌─────▼──────┐  the flush sentinel, shared backoff policy, one
+//	│   worker   │  Engine each
 //	└─────┬──────┘
 //	      │ engines, counters
 //	┌─────▼──────┐  dep-set merge, loop-agg union, store/queue/cache
@@ -118,8 +118,7 @@ func (c Config) normalize() (Config, error) {
 // built here (not lazily) so a bad Config.Backend spec fails construction with
 // a descriptive error instead of a nil dereference on the hot path. A
 // signature learns the routing rule (Shard) before its first access; exact
-// stores have no slots to share. An engine keeps per-variable bounds exactly
-// when the pipeline has a delta sink to ship them in (EpochDelta.Bounds).
+// stores have no slots to share.
 func makeEngines(cfg *Config, n int) ([]*Engine, error) {
 	out := make([]*Engine, n)
 	for i := range out {
@@ -131,7 +130,6 @@ func makeEngines(cfg *Config, n int) ([]*Engine, error) {
 			g.Shard(n)
 		}
 		out[i] = NewEngine(st, cfg.Meta, cfg.RaceCheck)
-		out[i].trackBounds = cfg.OnEpochDelta != nil
 	}
 	return out, nil
 }
@@ -236,10 +234,6 @@ type worker struct {
 	// events counts the logical read/write accesses processed (a collapsed
 	// read stands for 1+Rep of them) — the §IV-A load-balance quantity.
 	events uint64
-	// onDelta receives this worker's epoch-delta extraction at each
-	// EpochMark; nil disables extraction entirely (the mark is then a no-op).
-	// Called on the worker goroutine at a batch boundary.
-	onDelta func(*EpochDelta)
 
 	// flight-recorder state, all worker-local. m is the telemetry sink (nil
 	// disables everything). One in sampleEvery batches is timed
@@ -368,23 +362,13 @@ func (w *worker) run() {
 	}
 }
 
-// process applies one event batch, handling the control kinds uniformly for
-// every mode.
+// process applies one event batch; done reports the flush sentinel.
 func (w *worker) process(evs []event.Access) (done bool) {
 	for i := range evs {
 		ev := &evs[i]
 		switch ev.Kind {
 		case event.Flush:
 			done = true
-		case event.EpochMark:
-			// Epoch boundary: extract the delta on this goroutine — the
-			// producer never waits, and accesses already queued behind the
-			// mark simply land in the next epoch.
-			if w.onDelta != nil {
-				d := w.eng.ExtractEpochDelta(uint32(ev.Addr))
-				d.Worker = w.id
-				w.onDelta(d)
-			}
 		default:
 			if ev.Kind != event.Remove {
 				// A collapsed read stands for 1+Rep target accesses; count them all.
@@ -480,7 +464,6 @@ func (p *pipeline) merge(stats RunStats) *Result {
 	}
 	res.Deps = dep.MergeShards(sets)
 	res.Loops = loopDepsOf(aggs)
-	res.Carried = carriedKeysOf(aggs)
 	if p.m != nil {
 		p.m.StageMergeNs.Observe(time.Since(mergeT0).Nanoseconds())
 	}

@@ -28,15 +28,9 @@ type Profiler interface {
 	// A RangeRef slot expands at its position, element by element in order
 	// (Range.At), into the point path, so on every store a range is its
 	// points. Only data and Remove point kinds (plus RangeRef) may appear;
-	// control kinds, EpochMark included, are the caller's to handle between
-	// batches. The resulting profile is byte-identical to the equivalent
-	// sequence of Access calls.
+	// control kinds are the caller's to refuse. The resulting profile is
+	// byte-identical to the equivalent sequence of Access calls.
 	AccessBatch(accesses []event.Access, ranges []event.Range)
-	// EpochMark cuts an epoch at the current stream position: each worker
-	// extracts its delta and delivers it to Config.OnEpochDelta (a no-op when
-	// that is nil). Marks must be monotone and, for the serial profiler, come
-	// from the AccessBatch goroutine; MT takes them from any.
-	EpochMark(mark uint32)
 	Flush() *Result
 }
 
@@ -46,11 +40,6 @@ type Result struct {
 	Deps *dep.Set
 	// Loops maps static loops to their carried dependences.
 	Loops map[prog.LoopID]*LoopDeps
-	// Carried maps static loops to their merged carried-key tables — the
-	// sets Loops summarizes. Live-observatory consumers query them ("what
-	// does loop L carry") and extract the final unshipped delta remainder;
-	// they share the merged storage, so Release them with the Result.
-	Carried map[prog.LoopID]*dep.Set
 	// Stats describes the run itself.
 	Stats RunStats
 	// WorkerEvents lists per-worker processed access counts (parallel
@@ -157,14 +146,6 @@ type Config struct {
 	// worker batches / idle episodes) so the hot path stays cheap; nil costs
 	// nothing.
 	Metrics *telemetry.Pipeline
-	// OnEpochDelta receives each worker's epoch-delta extraction when the
-	// profiler's EpochMark is driven. Callbacks arrive on
-	// worker goroutines — concurrently in parallel modes — and own the
-	// delta's sets. Nil disables extraction: EpochMark becomes a no-op and
-	// the epoch machinery costs nothing. Set, it also makes every engine
-	// keep per-variable address bounds (two compares per data access) for
-	// EpochDelta.Bounds.
-	OnEpochDelta func(*EpochDelta)
 }
 
 // Serial is the single-threaded profiler of §III: the target program and
@@ -177,7 +158,6 @@ type Serial struct {
 	stats     RunStats
 	m         *telemetry.Pipeline
 	published uint64
-	onDelta   func(*EpochDelta)
 }
 
 // newSerial builds the serial profiler. The whole signature budget
@@ -199,7 +179,7 @@ func newSerial(cfg Config) (*Serial, error) {
 		return nil, err
 	}
 	eng := engs[0]
-	s := &Serial{eng: eng, m: cfg.Metrics, onDelta: cfg.OnEpochDelta}
+	s := &Serial{eng: eng, m: cfg.Metrics}
 	s.pl.m = cfg.Metrics
 	s.pl.workers = []*worker{{eng: eng, m: cfg.Metrics}}
 	return s, nil

@@ -115,17 +115,11 @@ const (
 )
 
 // entry is one dependence record: identity, its cached hash (so regrowing
-// the index never re-hashes keys), and the inline aggregate. epoch stamps the
-// set epoch at which the dependence was first observed, and reported is the
-// Count watermark as of the last ExtractDelta — together they make the set an
-// incremental source: "what is new since epoch E" and "what changed since the
-// last extraction" are both O(entries) slab walks with no auxiliary state.
+// the index never re-hashes keys), and the inline aggregate.
 type entry struct {
-	key      Key
-	hash     uint32
-	epoch    uint32
-	reported uint64
-	stats    Stats
+	key   Key
+	hash  uint32
+	stats Stats
 }
 
 type slabPage struct {
@@ -150,10 +144,6 @@ type Set struct {
 	// instances counts every dynamic dependence ever added, merged or not;
 	// the merging ablation reports Instances vs Unique.
 	instances uint64
-	// epoch is the stamp given to entries created from now on; SetEpoch
-	// advances it. Entries remember their first-observed epoch forever
-	// (Merge keeps the minimum across shards).
-	epoch uint32
 }
 
 // NewSet returns an empty dependence set.
@@ -210,13 +200,6 @@ func (s *Set) Ref(k Key) *Stats {
 // refHashed is Ref with the key's hash already computed — the merge fold
 // reuses the hash cached in the source entry instead of re-mixing the key.
 func (s *Set) refHashed(k Key, h uint32) *Stats {
-	return &s.entryHashed(k, h).stats
-}
-
-// entryHashed returns the entry for k, creating it (stamped with the set's
-// current epoch, watermark zero) if absent. Callers that need to know whether
-// the probe created the entry compare s.n before and after.
-func (s *Set) entryHashed(k Key, h uint32) *entry {
 	if s.index == nil {
 		s.init()
 	}
@@ -229,7 +212,7 @@ func (s *Set) entryHashed(k Key, h uint32) *entry {
 		}
 		if uint32(v>>32) == h {
 			if e := s.at(int(uint32(v)) - 1); e.key == k {
-				return e
+				return &e.stats
 			}
 		}
 		i = (i + 1) & mask
@@ -244,9 +227,8 @@ func (s *Set) entryHashed(k Key, h uint32) *entry {
 	}
 	e := s.alloc()
 	e.key, e.hash, e.stats = k, h, newStats()
-	e.epoch, e.reported = s.epoch, 0         // pages are pooled dirty: overwrite both
 	s.index[i] = uint64(h)<<32 | uint64(s.n) // s.n is ref+1 after alloc
-	return e
+	return &e.stats
 }
 
 func (s *Set) init() {
@@ -338,11 +320,7 @@ func (s *Set) ObserveVia(st *Stats, n uint64, carried, reduction, reversed bool,
 	}
 }
 
-// Merge folds other into s. Other's contents are not modified. Epoch stamps
-// survive the fold — a dependence's first-observed epoch is the minimum
-// across shards — and reported watermarks sum, so a merged set still knows
-// exactly how many instances its shards have already shipped as deltas:
-// ExtractDelta on the merge result yields precisely the unshipped remainder.
+// Merge folds other into s. Other's contents are not modified.
 func (s *Set) Merge(other *Set) {
 	if other == nil || other.n == 0 {
 		return
@@ -352,88 +330,9 @@ func (s *Set) Merge(other *Set) {
 	s.reserve(s.n + other.n)
 	for r := 0; r < other.n; r++ {
 		o := other.at(r)
-		before := s.n
-		e := s.entryHashed(o.key, o.hash)
-		if s.n != before {
-			// Created here: adopt the source's provenance wholesale.
-			e.epoch, e.reported = o.epoch, o.reported
-		} else {
-			if o.epoch < e.epoch {
-				e.epoch = o.epoch
-			}
-			e.reported += o.reported
-		}
-		e.stats.fold(&o.stats)
+		s.refHashed(o.key, o.hash).fold(&o.stats)
 	}
 	s.instances += other.instances
-}
-
-// SetEpoch advances the stamp given to dependences first observed from now
-// on. Epochs are monotone per set by convention (the profiler's epoch clock
-// only counts up); SetEpoch does not restamp existing entries.
-func (s *Set) SetEpoch(e uint32) { s.epoch = e }
-
-// Epoch returns the stamp currently given to newly observed dependences.
-func (s *Set) Epoch() uint32 { return s.epoch }
-
-// ExtractDelta drains every unreported instance into out and returns the
-// number of dependences that had advanced. For each entry whose Count has
-// moved past its reported watermark, a delta record with Count = advance and
-// the entry's current flags and distance bounds is folded into out — carrying
-// the entry's first-observed epoch — and the watermark moves up to Count.
-//
-// Because every Stats field is monotone under fold (counts add, Carried and
-// Reversed OR, Reduction ANDs, the distance bounds widen), the union of all
-// deltas ever extracted plus the remainder of one final extraction folds back
-// to the exact final set. Mutations that do not advance Count are invisible
-// to extraction; every recording path in this package advances it.
-func (s *Set) ExtractDelta(out *Set) int {
-	changed := 0
-	for r := 0; r < s.n; r++ {
-		e := s.at(r)
-		if e.stats.Count == e.reported {
-			continue
-		}
-		d := e.stats
-		d.Count -= e.reported
-		e.reported = e.stats.Count
-		before := out.n
-		oe := out.entryHashed(e.key, e.hash)
-		if out.n != before || e.epoch < oe.epoch {
-			oe.epoch = e.epoch
-		}
-		oe.stats.fold(&d)
-		out.instances += d.Count
-		changed++
-	}
-	return changed
-}
-
-// Unreported reports whether any dependence has instances not yet drained by
-// ExtractDelta — a cheap "is there a non-empty delta pending" probe.
-func (s *Set) Unreported() bool {
-	for r := 0; r < s.n; r++ {
-		if e := s.at(r); e.stats.Count != e.reported {
-			return true
-		}
-	}
-	return false
-}
-
-// RangeSince calls f for every dependence first observed at epoch since or
-// later, in insertion order, passing the first-observed epoch alongside the
-// aggregate. RangeSince(0, ...) visits everything. Returning false stops the
-// iteration.
-func (s *Set) RangeSince(since uint32, f func(Key, Stats, uint32) bool) {
-	for r := 0; r < s.n; r++ {
-		e := s.at(r)
-		if e.epoch < since {
-			continue
-		}
-		if !f(e.key, e.stats, e.epoch) {
-			return
-		}
-	}
 }
 
 // Reset empties the set while retaining its storage — the index at its grown
@@ -446,7 +345,6 @@ func (s *Set) Reset() {
 	}
 	s.n = 0
 	s.instances = 0
-	s.epoch = 0
 }
 
 // Release empties the set and returns its slab pages to the shared page
@@ -465,7 +363,6 @@ func (s *Set) Release() {
 	s.n = 0
 	s.growAt = 0
 	s.instances = 0
-	s.epoch = 0
 }
 
 // Unique returns the number of merged (distinct) dependences.

@@ -3,9 +3,18 @@ package dep
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 
 	"ddprof/internal/loc"
 )
+
+// TestEntrySize pins a slab entry at 48 bytes — key, cached hash and inline
+// aggregate, nothing else — so a 512-entry page is the 24 KiB pageShift says.
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 48 {
+		t.Errorf("entry is %d bytes, want 48", got)
+	}
+}
 
 // slabKey deterministically fabricates distinct keys for slab tests.
 func slabKey(i int) Key {

@@ -13,8 +13,8 @@ type Kind uint8
 
 // The numeric values are pinned: they are the kind bytes of DDT2 define,
 // control and range records. 3, 4 and 6 were the kinds of the retired run-time
-// redistribution protocol and 8 the retired heavy-hitter promotion hint; they
-// stay reserved and the decoders refuse them.
+// redistribution protocol, 8 the retired heavy-hitter promotion hint and 9 the
+// retired epoch mark; they stay reserved and the decoders refuse them.
 const (
 	// Read is a load from memory.
 	Read Kind = 0
@@ -34,14 +34,6 @@ const (
 	// Ranges); every other field is unused. The run expands, in element
 	// order, at the slot's position.
 	RangeRef Kind = 7
-	// EpochMark advances the session's epoch clock: the Addr field carries
-	// the new epoch number, and each worker that processes the mark extracts
-	// an epoch-delta (dependences whose aggregates advanced since the last
-	// mark) from its dependence set without pausing the pipeline. Unlike the
-	// other control kinds, EpochMark is wire-legal in DDT2 traces so clients
-	// can cut epochs at workload-meaningful boundaries; the daemon's ticker
-	// injects the same record server-side.
-	EpochMark Kind = 9
 )
 
 func (k Kind) String() string {
@@ -56,8 +48,6 @@ func (k Kind) String() string {
 		return "flush"
 	case RangeRef:
 		return "range"
-	case EpochMark:
-		return "epoch"
 	}
 	return "invalid"
 }

@@ -9,9 +9,8 @@ import (
 
 func TestKindString(t *testing.T) {
 	want := map[Kind]string{
-		Read: "read", Write: "write", Remove: "remove", Flush: "flush",
-		RangeRef: "range", EpochMark: "epoch",
-		Kind(3): "invalid", Kind(4): "invalid", Kind(6): "invalid", Kind(8): "invalid", Kind(99): "invalid",
+		Read: "read", Write: "write", Remove: "remove", Flush: "flush", RangeRef: "range",
+		Kind(3): "invalid", Kind(4): "invalid", Kind(6): "invalid", Kind(8): "invalid", Kind(9): "invalid", Kind(99): "invalid",
 	}
 	for k, s := range want {
 		if k.String() != s {
@@ -21,13 +20,20 @@ func TestKindString(t *testing.T) {
 }
 
 // TestWireKindValues pins the numeric kinds: they are DDT2 kind bytes, and 3,
-// 4, 6 (the retired redistribution kinds) and 8 (the retired promotion hint)
-// must stay unassigned.
+// 4, 6 (the retired redistribution kinds), 8 (the retired promotion hint) and
+// 9 (the retired epoch mark) must stay unassigned.
 func TestWireKindValues(t *testing.T) {
-	want := map[Kind]uint8{Read: 0, Write: 1, Remove: 2, Flush: 5, RangeRef: 7, EpochMark: 9}
+	want := map[Kind]uint8{Read: 0, Write: 1, Remove: 2, Flush: 5, RangeRef: 7}
 	for k, v := range want {
 		if uint8(k) != v {
 			t.Errorf("%v = %d, want %d", k, uint8(k), v)
+		}
+	}
+	for _, r := range []uint8{3, 4, 6, 8, 9} {
+		for k := range want {
+			if uint8(k) == r {
+				t.Errorf("%v takes the reserved kind byte %d", k, r)
+			}
 		}
 	}
 }

@@ -171,81 +171,6 @@ func clientHandshake(p *minilang.Program, opt ClientOptions) *handshake {
 	return &handshake{Flags: flags, Backend: opt.Backend, Workers: opt.Workers, VarNames: names, Meta: p.Meta}
 }
 
-// WatchOptions configure one live-observatory subscription.
-type WatchOptions struct {
-	// Session is the profiling session to observe; 0 subscribes to the
-	// newest active session, waiting for the next one to start when none is
-	// live.
-	Session uint64
-	// Since restricts the catch-up frame to dependences first observed at
-	// this epoch or later; 0 delivers the full profile-so-far, which is what
-	// makes the folded frame stream reconstruct the exact final profile.
-	Since uint32
-	// Timeout bounds every socket read and write; 0 means no deadline —
-	// watch streams are long-lived and quiet between epochs.
-	Timeout time.Duration
-}
-
-// Watch subscribes to a ddprofd session's live observatory over conn and
-// calls fn for every epoch-delta frame — each payload a complete DDP1
-// profile of the dependences whose aggregates advanced during one epoch —
-// until the frame marked final (the session's unshipped remainder), the end
-// of the stream, or a non-nil error from fn, which stops the watch and is
-// returned verbatim. A stream that terminates cleanly without a final frame
-// means the watched session died before completing; Watch reports that as an
-// error. The connection is not closed.
-//
-// Folding every received payload into one set with dep.DecodeMerge yields,
-// after the final frame, the session's exact end-of-run profile (for Since
-// 0): the deltas are extracted under the monotone-fold guarantee of
-// dep.(*Set).ExtractDelta.
-func Watch(conn net.Conn, opt WatchOptions, fn func(trace.DeltaFrame) error) error {
-	var rw io.ReadWriter = conn
-	if opt.Timeout > 0 {
-		rw = &deadlineConn{Conn: conn, timeout: opt.Timeout}
-	}
-	bw := bufio.NewWriterSize(rw, 1<<12)
-	h := &handshake{Watch: true, WatchSession: opt.Session, WatchSince: uint64(opt.Since)}
-	if err := writeHandshake(bw, h); err != nil {
-		return fmt.Errorf("server: sending watch handshake: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("server: sending watch handshake: %w", err)
-	}
-	br := bufio.NewReaderSize(rw, 1<<16)
-	st, err := br.ReadByte()
-	if err != nil {
-		return fmt.Errorf("server: reading watch status: %w", noEOF(err))
-	}
-	if st != statusOK {
-		msg, err := getString(br, maxRespPayload)
-		if err != nil {
-			return fmt.Errorf("server: reading watch error: %w", err)
-		}
-		return fmt.Errorf("server: watch refused: %s", msg)
-	}
-	dr := trace.NewDeltaReader(br, trace.DefaultMaxFrame)
-	sawFinal := false
-	for {
-		f, err := dr.Next()
-		if err == io.EOF {
-			if !sawFinal {
-				return fmt.Errorf("server: watched session ended without a final frame")
-			}
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("server: watch stream: %w", err)
-		}
-		if f.Final {
-			sawFinal = true
-		}
-		if err := fn(f); err != nil {
-			return err
-		}
-	}
-}
-
 // spawnFree reports whether p provably calls its hook from one thread only: no
 // function of it, reachable or not, holds a spawn statement — the proof the VM
 // takes its non-atomic arena path on.

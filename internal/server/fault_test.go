@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -44,9 +45,11 @@ func (f *faultConn) Read(p []byte) (int, error) {
 }
 
 // TestSessionFaults drives whole daemon sessions over a fault-injecting
-// connection. In every row the session must end well inside IdleTimeout — a
-// stopped session's decoder is never left waiting out a re-armed read
-// deadline — and leave no session and no goroutine behind.
+// connection. A row with its own stall timeout is a client that goes silent
+// at one protocol state: the idle deadline must evict it. Every other row must
+// end well inside IdleTimeout — a stopped session's decoder is never left
+// waiting out a re-armed read deadline. No row leaves a session or a
+// goroutine behind.
 func TestSessionFaults(t *testing.T) {
 	p := testProgram("faults", 200)
 	var hs, stream bytes.Buffer
@@ -68,16 +71,25 @@ func TestSessionFaults(t *testing.T) {
 		oneByte    bool
 		lag        time.Duration
 		resetAfter int
-		shutdown   bool // Shutdown with a short drain window mid-stream
+		shutdown   bool          // Shutdown with a short drain window mid-stream
+		stall      time.Duration // the row's IdleTimeout, which must evict it
 		wantOK     bool
 	}{
 		{name: "one-byte-reads", wire: good, oneByte: true, wantOK: true},
 		{name: "reset-mid-frame", wire: good, resetAfter: hs.Len() + 5},
 		{name: "stall-after-rejected-control", wire: control, oneByte: true, lag: 2 * time.Millisecond},
 		{name: "shutdown-mid-stream", wire: good[:hs.Len()+stream.Len()/2], shutdown: true},
+		// Magic, version and flags byte, then silence.
+		{name: "stall-mid-handshake", wire: hs.Bytes()[:len(protoMagic)+2], stall: 100 * time.Millisecond},
+		// The first frame's header and a few bytes of its (≥ 107-byte) payload.
+		{name: "stall-mid-payload", wire: good[:hs.Len()+8], stall: 100 * time.Millisecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := New(Config{Registry: telemetry.NewRegistry(), IdleTimeout: idle, SnapshotSamples: -1})
+			timeout := idle
+			if tc.stall > 0 {
+				timeout = tc.stall
+			}
+			srv := New(Config{Registry: telemetry.NewRegistry(), IdleTimeout: timeout, SnapshotSamples: -1})
 			base := runtime.NumGoroutine()
 			client, server := net.Pipe()
 			defer client.Close()
@@ -108,13 +120,16 @@ func TestSessionFaults(t *testing.T) {
 				if ok := status == statusOK; ok != tc.wantOK {
 					t.Fatalf("verdict ok=%v (%s), want ok=%v", ok, payload, tc.wantOK)
 				}
+				if tc.stall > 0 && !strings.Contains(string(payload), "i/o timeout") {
+					t.Fatalf("verdict %q, want an eviction by the idle deadline", payload)
+				}
 			}
 			select {
 			case <-done:
 			case <-time.After(idle / 2):
 				t.Fatal("session did not end")
 			}
-			if d := time.Since(start); d > idle/5 {
+			if d := time.Since(start); tc.stall == 0 && d > idle/5 {
 				t.Fatalf("session took %v to end; IdleTimeout is %v", d, idle)
 			}
 			if n := srv.ActiveSessions(); n != 0 {

@@ -20,6 +20,7 @@ func FuzzHandshake(f *testing.F) {
 	f.Add([]byte("DDRP\x01\x02\x00\x00\x00")) // flag bit 1, retired: refused
 	f.Add([]byte("DDRP\x01\x00\x00\x02\x01a\x01b\x01"))
 	f.Add([]byte{})
+	f.Add([]byte("DDRP\x01\x08\x00\x00")) // flag bit 3, the retired watch flag: refused
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := readHandshake(bufio.NewReader(bytes.NewReader(data)))
 		if err == nil && h == nil {

@@ -5,9 +5,9 @@ package server
 // into event chunks via trace.Reader.NextBatch; the session goroutine
 // validates each batch and feeds it to the pipeline's bulk-ingest seam. The
 // bounded chunk ring between the two lets decode and profiling overlap while
-// record order — and therefore epoch-mark placement — is preserved end to
-// end, and keeps pipeline backpressure intact: a stalled profiler fills the
-// ring, which stalls the decoder, which stops the socket reads.
+// record order is preserved end to end, and keeps pipeline backpressure
+// intact: a stalled profiler fills the ring, which stalls the decoder, which
+// stops the socket reads.
 
 import (
 	"bufio"

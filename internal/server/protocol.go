@@ -11,9 +11,10 @@
 //
 //	client → server:
 //	  magic   "DDRP" (4 bytes), version (1 byte, currently 1)
-//	  flags   (1 byte): bit 0 race-check, bit 2 backend spec follows, bit 3
-//	          watch (below); any other bit — bit 1, the retired exact-store
-//	          flag, included: send the spec "perfect" — is refused as unknown
+//	  flags   (1 byte): bit 0 race-check, bit 2 backend spec follows; bit 3,
+//	          the retired watch flag, is refused by name, and any other bit —
+//	          bit 1, the retired exact-store flag, included: send the spec
+//	          "perfect" — as unknown
 //	  backend (only when flags bit 2 is set: a length-prefixed store spec
 //	          string, e.g. "signature:slots=1m", resolved against the
 //	          server's sig backend registry)
@@ -32,30 +33,14 @@
 // Shipping the variable table and loop metadata in the handshake lets the
 // server run full loop-carried classification and name-preserving encoding,
 // so a remote profile is byte-identical to the profile an in-process run of
-// the same target produces.
-//
-// # Watch subscriptions
-//
-// A connection whose handshake flags carry bit 3 (watch) is a live
-// observatory subscription, not a profiling session. The preamble
-// short-circuits after the flags byte to:
-//
-//	session (uvarint): profiling session ID to observe; 0 = the newest
-//	        active session, waiting for the next one when none is live
-//	since   (uvarint): epoch the catch-up frame starts from; 0 = everything
-//
-// The server replies with a bare status byte. On error a length-prefixed
-// message follows (as in the session response); on success the connection
-// becomes a stream of epoch-delta frames (trace.DeltaReader/DeltaWriter),
-// each payload a complete DDP1 profile of the dependences whose aggregates
-// advanced during one epoch. The frame marked final carries the session's
-// unshipped remainder; folding every received payload with dep.DecodeMerge
-// reconstructs the session's exact end-of-run profile.
+// the same target produces. The response is the session's only answer: the
+// daemon keeps nothing of a session once it has replied.
 package server
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -70,8 +55,10 @@ const (
 	// Handshake flag bits.
 	flagRaceCheck   = 1 << 0
 	flagBackendSpec = 1 << 2 // a length-prefixed store spec string follows
-	flagWatch       = 1 << 3 // watch subscription, not a profiling session
-	flagsKnown      = flagRaceCheck | flagBackendSpec | flagWatch
+	flagsKnown      = flagRaceCheck | flagBackendSpec
+	// flagRetiredWatch was the live-observatory watch subscription; the
+	// daemon serves none, and refuses the bit by name.
+	flagRetiredWatch = 1 << 3
 
 	statusOK  = 0
 	statusErr = 1
@@ -93,15 +80,6 @@ type handshake struct {
 	Workers  int
 	VarNames []string
 	Meta     *prog.Meta // nil when the client sent no loop metadata
-
-	// Watch sessions (flagWatch) carry only the two fields below after the
-	// flags byte; everything above stays zero. WatchSession is the profiling
-	// session to observe (0 = the newest active session, waiting for the next
-	// one to start when none is live) and WatchSince the epoch the catch-up
-	// frame starts from (0 = everything).
-	Watch        bool
-	WatchSession uint64
-	WatchSince   uint64
 }
 
 func putUvarint(w io.Writer, v uint64) error {
@@ -160,17 +138,8 @@ func writeHandshake(w io.Writer, h *handshake) error {
 	if h.Backend != "" {
 		flags |= flagBackendSpec
 	}
-	if h.Watch {
-		flags |= flagWatch
-	}
 	if _, err := w.Write([]byte{protoVersion, flags}); err != nil {
 		return err
-	}
-	if h.Watch {
-		if err := putUvarint(w, h.WatchSession); err != nil {
-			return err
-		}
-		return putUvarint(w, h.WatchSince)
 	}
 	if h.Backend != "" {
 		if err := putString(w, h.Backend); err != nil {
@@ -214,20 +183,13 @@ func readHandshake(br *bufio.Reader) (*handshake, error) {
 	if err != nil {
 		return nil, noEOF(err)
 	}
-	if fl&^byte(flagsKnown) != 0 {
+	if fl&^byte(flagsKnown|flagRetiredWatch) != 0 {
 		return nil, fmt.Errorf("server: unknown handshake flags %#x", fl)
 	}
-	h := &handshake{Flags: fl}
-	if fl&flagWatch != 0 {
-		h.Watch = true
-		if h.WatchSession, err = getUvarint(br); err != nil {
-			return nil, fmt.Errorf("server: reading watch session: %w", err)
-		}
-		if h.WatchSince, err = getUvarint(br); err != nil {
-			return nil, fmt.Errorf("server: reading watch epoch: %w", err)
-		}
-		return h, nil
+	if fl&flagRetiredWatch != 0 {
+		return nil, errors.New("server: handshake flag bit 3 (watch) is retired: a session returns its profile at the end and nothing streams")
 	}
+	h := &handshake{Flags: fl}
 	if fl&flagBackendSpec != 0 {
 		if h.Backend, err = getString(br, maxBackendSpec); err != nil {
 			return nil, fmt.Errorf("server: reading backend spec: %w", err)

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"sort"
@@ -20,10 +19,8 @@ import (
 	"ddprof/internal/dep"
 	"ddprof/internal/event"
 	"ddprof/internal/loc"
-	"ddprof/internal/prog"
 	"ddprof/internal/sig"
 	"ddprof/internal/telemetry"
-	"ddprof/internal/trace"
 )
 
 // Config tunes the daemon. The zero value selects sensible defaults.
@@ -69,12 +66,6 @@ type Config struct {
 	// SnapshotSamples is the timeline ring size (most recent samples kept).
 	// Default 1024; negative disables the background snapshotter entirely.
 	SnapshotSamples int
-	// EpochInterval is the live observatory's epoch clock: an ingesting
-	// session cuts an epoch, and streams the delta to its watch subscribers,
-	// at the first batch boundary at least this long after its previous
-	// interval cut. 0 disables interval cuts; explicit EpochMark records in
-	// the trace stream cut epochs regardless.
-	EpochInterval time.Duration
 	// SessionSeriesMax caps the per-session labeled series on /metrics
 	// (server_session_events_total{session="..."}). Sessions beyond the cap
 	// account to the shared session="overflow" series; a session's own series
@@ -179,14 +170,6 @@ type Server struct {
 	// Config.SessionSeriesMax (guarded by mu like the session table).
 	sessSeries int
 
-	// The observatory table: one per profiling session, kept past completion
-	// for queries (obsDone is the FIFO retention order). obsWaiters are watch
-	// subscriptions for "the next session" (WatchSession 0 with none active).
-	obsMu      sync.Mutex
-	obs        map[uint64]*observatory
-	obsDone    []uint64
-	obsWaiters []chan *observatory
-
 	cAccepted  *telemetry.Counter
 	cRefused   *telemetry.Counter
 	cEvicted   *telemetry.Counter
@@ -207,7 +190,6 @@ func New(cfg Config) *Server {
 		sessions:   make(map[uint64]*session),
 		conns:      make(map[net.Conn]struct{}),
 		listeners:  make(map[net.Listener]struct{}),
-		obs:        make(map[uint64]*observatory),
 		budget:     cfg.WorkerBudget,
 		cAccepted:  reg.Counter("server_sessions_accepted_total"),
 		cRefused:   reg.Counter("server_sessions_refused_total"),
@@ -302,16 +284,14 @@ func (s *Server) handleConn(conn net.Conn) {
 	sess.state.Store(stateDone)
 	s.cCompleted.Inc()
 	s.unregister(sess)
-	if payload != nil { // a watch subscription has streamed its answer already
-		bw := bufio.NewWriterSize(tc, 1<<16)
-		err = writeResponse(bw, statusOK, payload)
-		if err == nil {
-			err = bw.Flush()
-		}
-		if err != nil {
-			s.cfg.Logf("ddprofd: session %d (%s): completed, response not delivered: %v", sess.id, sess.remote, err)
-			return
-		}
+	bw := bufio.NewWriterSize(tc, 1<<16)
+	err = writeResponse(bw, statusOK, payload)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err != nil {
+		s.cfg.Logf("ddprofd: session %d (%s): completed, response not delivered: %v", sess.id, sess.remote, err)
+		return
 	}
 	s.cfg.Logf("ddprofd: session %d (%s): completed, %d events, %d bytes in, %d bytes out",
 		sess.id, sess.remote, sess.events.Load(), sess.bytesIn.Load(), sess.bytesOut.Load())
@@ -405,96 +385,6 @@ func (s *Server) releaseWorkers(n int) {
 	s.budget += n
 	s.gBudget.Set(int64(s.budget))
 	s.mu.Unlock()
-}
-
-// attachObservatory registers a new session's observatory and hands it to
-// every watch subscription waiting for "the next session".
-func (s *Server) attachObservatory(id uint64, workers int, varNames []string) *observatory {
-	o := newObservatory(id, workers, varNames)
-	s.obsMu.Lock()
-	s.obs[id] = o
-	waiters := s.obsWaiters
-	s.obsWaiters = nil
-	s.obsMu.Unlock()
-	for _, w := range waiters {
-		w <- o // buffered, never blocks
-	}
-	return o
-}
-
-// retireObservatory moves a finished session's observatory into the retained
-// ring (ok) or drops it (session evicted), releasing whatever falls out.
-func (s *Server) retireObservatory(o *observatory, ok bool) {
-	var victim *observatory
-	s.obsMu.Lock()
-	if !ok {
-		victim = o
-		delete(s.obs, o.sessionID)
-	} else {
-		s.obsDone = append(s.obsDone, o.sessionID)
-		if len(s.obsDone) > obsRetained {
-			vid := s.obsDone[0]
-			s.obsDone = s.obsDone[1:]
-			victim = s.obs[vid]
-			delete(s.obs, vid)
-		}
-	}
-	s.obsMu.Unlock()
-	if victim != nil {
-		victim.release()
-	}
-}
-
-// observatoryByID returns the observatory of a live or retained session.
-func (s *Server) observatoryByID(id uint64) *observatory {
-	s.obsMu.Lock()
-	defer s.obsMu.Unlock()
-	return s.obs[id]
-}
-
-// findObservatory resolves a watch target: a session by ID (live or
-// retained), or — for ID 0 — the newest active session, waiting up to wait
-// for one to start when none is.
-func (s *Server) findObservatory(id uint64, wait time.Duration) (*observatory, error) {
-	if id != 0 {
-		if o := s.observatoryByID(id); o != nil {
-			return o, nil
-		}
-		return nil, fmt.Errorf("ddprofd: no session %d (live or retained)", id)
-	}
-	s.obsMu.Lock()
-	var best *observatory
-	for _, o := range s.obs {
-		if o.active() && (best == nil || o.sessionID > best.sessionID) {
-			best = o
-		}
-	}
-	if best != nil {
-		s.obsMu.Unlock()
-		return best, nil
-	}
-	ch := make(chan *observatory, 1)
-	s.obsWaiters = append(s.obsWaiters, ch)
-	s.obsMu.Unlock()
-	select {
-	case o := <-ch:
-		return o, nil
-	case <-time.After(wait):
-		s.obsMu.Lock()
-		for i, w := range s.obsWaiters {
-			if w == ch {
-				s.obsWaiters = append(s.obsWaiters[:i], s.obsWaiters[i+1:]...)
-				break
-			}
-		}
-		s.obsMu.Unlock()
-		select {
-		case o := <-ch: // attach raced the timeout; take it
-			return o, nil
-		default:
-		}
-		return nil, errors.New("ddprofd: no active session to watch")
-	}
 }
 
 // sessionSeries is one session's labeled telemetry: the events counter and
@@ -593,10 +483,10 @@ func (t *timedConn) Write(p []byte) (int, error) {
 }
 
 // runSession executes the protocol over one admitted connection up to, but
-// not including, the response: it returns the encoded profile for handleConn
-// to send once the session is torn down (nil for a watch subscription, which
-// streams its own answer). Any error evicts the session; the pipeline is
-// always flushed so no worker goroutine outlives its session.
+// not including, the response: handshake, decode, AccessBatch, Flush, encode.
+// It returns the encoded profile for handleConn to send once the session is
+// torn down. Any error evicts the session; the pipeline is always flushed so
+// no worker goroutine outlives its session.
 func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 	br := bufio.NewReaderSize(tc, 1<<16)
 
@@ -604,35 +494,18 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("handshake: %w", err)
 	}
-	if h.Watch {
-		return nil, s.runWatch(sess, h, tc)
-	}
 
 	workers := s.acquireWorkers(h.Workers)
 	defer s.releaseWorkers(workers)
 	sess.workers.Store(int32(max(workers, 1)))
-
-	// The live observatory: workers deliver epoch-delta extractions here,
-	// watch subscribers and the HTTP query endpoints read from it. Having a
-	// delta sink makes the engines keep the per-variable bounds the
-	// address-range provenance query reads.
-	obs := s.attachObservatory(sess.id, max(workers, 1), h.VarNames)
-	obsOK := false
-	defer func() {
-		if !obsOK {
-			obs.abort()
-		}
-		s.retireObservatory(obs, obsOK)
-	}()
 	series := s.sessionSeries(sess.id)
 	defer series.release()
 
 	ccfg := core.Config{
-		Meta:         h.Meta,
-		RaceCheck:    h.Flags&flagRaceCheck != 0,
-		Metrics:      s.pipe,
-		QueueCap:     max(s.cfg.QueueCap, 0), // 0: core's default
-		OnEpochDelta: obs.offer,
+		Meta:      h.Meta,
+		RaceCheck: h.Flags&flagRaceCheck != 0,
+		Metrics:   s.pipe,
+		QueueCap:  max(s.cfg.QueueCap, 0), // 0: core's default
 	}
 	if workers >= 2 {
 		ccfg.Mode = core.ModeParallel
@@ -654,10 +527,9 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 	}
 	flushed := false
 	var res *core.Result
-	flush := func() *core.Result {
+	flush := func() {
 		flushed = true
 		res = prof.Flush()
-		return res
 	}
 	defer func() {
 		if !flushed {
@@ -675,24 +547,11 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 	sess.state.Store(stateReceiving)
 	// The decode goroutine batch-decodes frames into chunks and this
 	// goroutine feeds validated batches to the pipeline's bulk seam,
-	// overlapping decode and profiling. Epoch marks come from two sources —
-	// explicit EpochMark records and the interval clock — and both advance
-	// one monotone counter, so frame epochs are ordered however the two
-	// interleave. Both are cut here, on the Access-calling goroutine between
-	// records, as the sequential-target producer requires: the decoder
-	// carries explicit marks as chunk slots and feedBatch splits batches
-	// around them; an interval cut lands at the next batch boundary.
-	var epoch uint32
-	lastCut := time.Now()
+	// overlapping decode and profiling.
 	ing := startIngest(tc, br)
 	defer ing.stop()
 	for ib := range ing.out {
-		if s.cfg.EpochInterval > 0 && time.Since(lastCut) >= s.cfg.EpochInterval {
-			lastCut = time.Now()
-			epoch++
-			prof.EpochMark(epoch)
-		}
-		n, err := feedBatch(prof, ib, &epoch)
+		n, err := feedBatch(prof, ib)
 		sess.events.Add(n)
 		series.events.Add(n)
 		series.batch.Observe(int64(len(ib.c.Events)))
@@ -708,28 +567,7 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 	}
 
 	sess.state.Store(stateProfiling)
-	// Cut one last epoch at end-of-stream so every worker ships its tail —
-	// and its bounds snapshot — before the merge; the post-merge remainder
-	// below is then normally empty, but extracting it keeps the "union of
-	// deltas equals the final profile" guarantee unconditional.
-	epoch++
-	prof.EpochMark(epoch)
-	res = flush()
-	fin := &core.EpochDelta{Epoch: epoch + 1, Deps: dep.NewSet()}
-	res.Deps.ExtractDelta(fin.Deps)
-	for id, ks := range res.Carried {
-		out := dep.NewSet()
-		if ks.ExtractDelta(out) == 0 {
-			out.Release()
-			continue
-		}
-		if fin.Loops == nil {
-			fin.Loops = make(map[prog.LoopID]*dep.Set)
-		}
-		fin.Loops[id] = out
-	}
-	obs.finish(fin)
-	obsOK = true
+	flush()
 
 	sess.state.Store(stateResponding)
 	tab := loc.NewTable()
@@ -744,118 +582,36 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 }
 
 // feedBatch validates one decoded batch and feeds it to the pipeline's bulk
-// seam, splitting at EpochMark slots so explicit epoch cuts land at exactly
-// their record position. It returns the number of target events fed (ranges
-// weighted by element count). Pipeline control kinds beyond Remove are
-// daemon-internal; a stream carrying them is corrupt (a Flush would end a
-// worker under its producer).
-func feedBatch(prof core.Profiler, b ingestBatch, epoch *uint32) (uint64, error) {
+// seam. It returns the number of target events fed (ranges weighted by element
+// count). Pipeline control kinds beyond Remove are daemon-internal; a stream
+// carrying them is corrupt (a Flush would end a worker under its producer),
+// and the events ahead of the first one are fed before it is refused.
+func feedBatch(prof core.Profiler, b ingestBatch) (uint64, error) {
 	evs, rngs := b.c.Events, b.c.Ranges
 	if !b.ctl {
-		// Pure data batch: no epoch marks to cut, no control kinds to
-		// reject, and the decoder already counted the events.
+		// Pure data batch: no control kinds to reject, and the decoder
+		// already counted the events.
 		prof.AccessBatch(evs, rngs)
 		return b.events, nil
 	}
-	var events, weight uint64
-	seg := 0
+	var events uint64
 	for i := range evs {
 		a := &evs[i]
 		switch {
 		case a.Kind == event.RangeRef:
-			n := uint64(rngs[a.Addr].Count)
-			events += n
-			weight += n
-		case a.Kind == event.EpochMark:
-			if i > seg {
-				prof.AccessBatch(evs[seg:i], rngs)
-			}
-			seg = i + 1
-			weight++
-			*epoch++
-			prof.EpochMark(*epoch)
+			events += uint64(rngs[a.Addr].Count)
 		case a.Kind > event.Remove:
-			if i > seg {
-				prof.AccessBatch(evs[seg:i], rngs)
+			if i > 0 {
+				prof.AccessBatch(evs[:i], rngs)
 			}
-			return events, fmt.Errorf("trace stream: event %d: control kind %v not allowed", b.base+weight, a.Kind)
+			return events, fmt.Errorf("trace stream: event %d: control kind %v not allowed", b.base+events, a.Kind)
 		default:
 			// A collapsed read slot stands for 1+Rep wire records.
 			events += 1 + uint64(a.Rep)
-			weight += 1 + uint64(a.Rep)
 		}
 	}
-	if seg < len(evs) {
-		prof.AccessBatch(evs[seg:], rngs)
-	}
+	prof.AccessBatch(evs, rngs)
 	return events, nil
-}
-
-// runWatch serves a watch subscription: it resolves the target session's
-// observatory, replies with a bare statusOK byte, then streams epoch-delta
-// frames until the session's final frame (or death). Each frame is flushed
-// to the socket as it is cut, so subscribers see deltas while the session is
-// still ingesting. A subscriber that cannot keep up is evicted rather than
-// allowed to backpressure the profiling session.
-func (s *Server) runWatch(sess *session, h *handshake, tc *timedConn) error {
-	sess.workers.Store(0)
-	if h.WatchSince > uint64(^uint32(0)) {
-		return fmt.Errorf("watch: epoch %d overflows uint32", h.WatchSince)
-	}
-	o, err := s.findObservatory(h.WatchSession, s.cfg.IdleTimeout)
-	if err != nil {
-		return err
-	}
-	catch, sub, done := o.subscribe(uint32(h.WatchSince))
-	defer o.unsubscribe(sub)
-
-	sess.state.Store(stateResponding)
-	bw := bufio.NewWriterSize(tc, 1<<16)
-	if _, err := bw.Write([]byte{statusOK}); err != nil {
-		return fmt.Errorf("watch: %w", err)
-	}
-	dw := trace.NewDeltaWriter(bw)
-	send := func(f obsFrame) error {
-		err := dw.WriteFrame(f.DeltaFrame)
-		// The frame's payload bytes are out of the pooled buffer once the
-		// delta writer has copied them; release this subscriber's reference
-		// whether or not the write stuck.
-		f.pay.release()
-		if err != nil {
-			return fmt.Errorf("watch: writing frame: %w", err)
-		}
-		sess.events.Add(1)
-		return bw.Flush()
-	}
-	sawFinal := false
-	if catch != nil {
-		if err := send(*catch); err != nil {
-			return err
-		}
-		sawFinal = catch.Final
-	}
-	if !done {
-		for f := range sub.ch {
-			if err := send(f); err != nil {
-				return err
-			}
-			if f.Final {
-				sawFinal = true
-			}
-		}
-	}
-	if !sawFinal && !o.isAborted() {
-		// The stream closed without a final frame while the session lives on
-		// (or finished past us): this subscriber fell behind and was evicted
-		// from the fan-out.
-		return errors.New("watch: subscriber fell behind, evicted")
-	}
-	// An aborted session ends the stream with a clean terminator but no
-	// frame marked final; the client knows no exact profile exists.
-	if err := dw.Close(); err != nil {
-		return fmt.Errorf("watch: %w", err)
-	}
-	return bw.Flush()
 }
 
 // Sessions snapshots the live session table, ordered by ID.
@@ -893,19 +649,6 @@ func (s *Server) ActiveSessions() int {
 //	/sessions       — JSON array of live sessions
 //	/debug/timeline — JSON time series of all metrics (flight-recorder ring)
 //	/debug/pprof/   — the standard Go runtime profiles
-//
-// and the live observatory's provenance query API, answered from the
-// session's observatory (live or retained) without pausing ingest:
-//
-//	GET  /sessions/{id}/deps?since=E        — dependences first observed at
-//	                                          epoch E or later (0 = all)
-//	GET  /sessions/{id}/loop/{L}/carried    — what loop L carries right now
-//	GET  /sessions/{id}/addr?lo=&hi=        — dependences on variables whose
-//	                                          observed address interval
-//	                                          intersects [lo, hi]
-//	POST /sessions/{id}/diff                — merge-join a stored DDP1
-//	                                          baseline (request body) against
-//	                                          the live profile
 func (s *Server) HTTPHandler() http.Handler {
 	mux := telemetry.DebugMux(s.cfg.Registry, s.snap)
 	mux.HandleFunc("/sessions", func(w http.ResponseWriter, _ *http.Request) {
@@ -914,93 +657,7 @@ func (s *Server) HTTPHandler() http.Handler {
 		enc.SetIndent("", "  ")
 		enc.Encode(s.Sessions())
 	})
-	mux.HandleFunc("GET /sessions/{id}/deps", func(w http.ResponseWriter, r *http.Request) {
-		o := s.obsForRequest(w, r)
-		if o == nil {
-			return
-		}
-		since, err := queryUint(r, "since", 0)
-		if err != nil || since > uint64(^uint32(0)) {
-			http.Error(w, "bad since= epoch", http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, o.depsSince(uint32(since)))
-	})
-	mux.HandleFunc("GET /sessions/{id}/loop/{loop}/carried", func(w http.ResponseWriter, r *http.Request) {
-		o := s.obsForRequest(w, r)
-		if o == nil {
-			return
-		}
-		l, err := strconv.ParseUint(r.PathValue("loop"), 10, 16)
-		if err != nil {
-			http.Error(w, "bad loop id", http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, o.loopCarried(prog.LoopID(l)))
-	})
-	mux.HandleFunc("GET /sessions/{id}/addr", func(w http.ResponseWriter, r *http.Request) {
-		o := s.obsForRequest(w, r)
-		if o == nil {
-			return
-		}
-		lo, err1 := queryUint(r, "lo", 0)
-		hi, err2 := queryUint(r, "hi", ^uint64(0))
-		if err1 != nil || err2 != nil || lo > hi {
-			http.Error(w, "bad lo=/hi= address bounds", http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, o.addrQuery(lo, hi))
-	})
-	mux.HandleFunc("POST /sessions/{id}/diff", func(w http.ResponseWriter, r *http.Request) {
-		o := s.obsForRequest(w, r)
-		if o == nil {
-			return
-		}
-		baseline, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRespPayload))
-		if err != nil {
-			http.Error(w, "reading baseline: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		page, err := o.diffAgainst(baseline)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, page)
-	})
 	return mux
-}
-
-// obsForRequest resolves the {id} path value to a live or retained
-// observatory, writing the HTTP error itself when it can't.
-func (s *Server) obsForRequest(w http.ResponseWriter, r *http.Request) *observatory {
-	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
-	if err != nil {
-		http.Error(w, "bad session id", http.StatusBadRequest)
-		return nil
-	}
-	o := s.observatoryByID(id)
-	if o == nil {
-		http.Error(w, fmt.Sprintf("no session %d (live or retained)", id), http.StatusNotFound)
-		return nil
-	}
-	return o
-}
-
-// queryUint parses an optional unsigned query parameter (base 10 or 0x hex).
-func queryUint(r *http.Request, name string, def uint64) (uint64, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	return strconv.ParseUint(v, 0, 64)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }
 
 // Shutdown drains the daemon: listeners close immediately (new connects are

@@ -404,6 +404,67 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
+// TestSessionSeriesLifecycle: per-session labeled counters are capped at
+// SessionSeriesMax, overflow sessions share one series, and a session's
+// series leaves /metrics when it closes.
+func TestSessionSeriesLifecycle(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	srv := New(Config{Registry: reg, SessionSeriesMax: 2})
+
+	has := func(name string) bool {
+		_, ok := reg.Snapshot()[name]
+		return ok
+	}
+	name := func(id int) string {
+		return fmt.Sprintf("server_session_events_total{session=\"%d\"}", id)
+	}
+
+	s1, s2 := srv.sessionSeries(1), srv.sessionSeries(2)
+	rel1, rel2 := s1.release, s2.release
+	s1.events.Inc()
+	s2.events.Add(5)
+	if !has(name(1)) || !has(name(2)) {
+		t.Fatal("labeled series missing under the cap")
+	}
+	// The whole instrument bundle shares the one series slot.
+	if !has(`server_session_batch_events{session="1"}_count`) {
+		t.Fatal("batch-size histogram missing for session 1")
+	}
+
+	s3 := srv.sessionSeries(3)
+	rel3 := s3.release
+	s3.events.Add(7)
+	if has(name(3)) {
+		t.Fatal("session 3 got a labeled series past the cap")
+	}
+	overflow := `server_session_events_total{session="overflow"}`
+	if v := reg.Snapshot()[overflow]; v != 7 {
+		t.Fatalf("overflow series = %v, want 7", v)
+	}
+
+	rel1()
+	rel1() // idempotent
+	if has(name(1)) || has(`server_session_batch_events{session="1"}_count`) {
+		t.Fatal("session 1 series survived its release")
+	}
+	// The freed slot goes to the next session.
+	s4 := srv.sessionSeries(4)
+	rel4 := s4.release
+	s4.events.Inc()
+	if !has(name(4)) {
+		t.Fatal("freed series slot not reused")
+	}
+	rel2()
+	rel3()
+	rel4()
+	if has(name(2)) || has(name(4)) {
+		t.Fatal("series survived release")
+	}
+	if !has(overflow) {
+		t.Fatal("overflow series must persist (it is shared, never evicted)")
+	}
+}
+
 // TestHandshakeRoundTrip covers the preamble codec, including the loop
 // metadata tables.
 func TestHandshakeRoundTrip(t *testing.T) {
@@ -461,12 +522,13 @@ func TestHandshakeRejects(t *testing.T) {
 		data []byte
 		want string // in the error text
 	}{
-		"empty":        {nil, ""},
-		"bad magic":    {[]byte("NOPE\x01"), "magic"},
-		"bad version":  {[]byte("DDRP\x09"), "version"},
-		"bad flags":    {[]byte("DDRP\x01\xff"), "unknown handshake flags 0xff"},
-		"retired flag": {[]byte("DDRP\x01\x02\x00\x00\x00"), "unknown handshake flags 0x2"}, // bit 1 once meant an exact store
-		"cut mid-vars": {[]byte{'D', 'D', 'R', 'P', 1, 0, 0, 5}, ""},
+		"empty":              {nil, ""},
+		"bad magic":          {[]byte("NOPE\x01"), "magic"},
+		"bad version":        {[]byte("DDRP\x09"), "version"},
+		"bad flags":          {[]byte("DDRP\x01\xff"), "unknown handshake flags 0xff"},
+		"retired flag":       {[]byte("DDRP\x01\x02\x00\x00\x00"), "unknown handshake flags 0x2"}, // bit 1 once meant an exact store
+		"retired watch flag": {[]byte("DDRP\x01\x08\x00\x00"), "flag bit 3 (watch) is retired"},   // bit 3 once subscribed to a live session
+		"cut mid-vars":       {[]byte{'D', 'D', 'R', 'P', 1, 0, 0, 5}, ""},
 	}
 	for name, c := range cases {
 		_, err := readHandshake(bufio.NewReader(bytes.NewReader(c.data)))

@@ -37,8 +37,8 @@ type ByteScanner interface {
 	Discard(n int) (int, error)
 }
 
-// NextBatch decodes as many whole records as fit into c: point records (and
-// the wire-legal EpochMark control record) become chunk slots, range records
+// NextBatch decodes as many whole records as fit into c: point and control
+// records become chunk slots, range records
 // land in the side table behind a RangeRef slot whose Addr is the side-table
 // index. It returns the number of slots appended.
 //
@@ -108,8 +108,8 @@ func (w *window) ReadByte() (byte, error) {
 }
 
 // BatchControl reports whether the batch decoded by the most recent NextBatch
-// call contained any control record (a kind beyond Remove — in wire traces
-// that means EpochMark or a kind the consumer will reject). Callers feeding
+// call contained any control record (a kind beyond Remove, which a ddprofd
+// session refuses). Callers feeding
 // pure data batches to a bulk-ingest seam can skip per-record inspection
 // when it reports false.
 func (r *Reader) BatchControl() bool { return r.batchCtl }
@@ -211,10 +211,10 @@ func (r *Reader) decodeWindow(win []byte, c *event.Chunk, contd bool) (slots, us
 			// to the chunk's previous slot folds into that slot's repetition
 			// count instead of occupying a slot and an engine dispatch of
 			// its own. The engine replays the multiplicity, so the profile
-			// stays byte-identical to the uncollapsed stream; an EpochMark
-			// or range slot in between blocks the merge, which keeps epoch
-			// attribution and ordering exact. (Two zero deltas are what a
-			// repeat looks like on the wire; the compare decides.)
+			// stays byte-identical to the uncollapsed stream; a control or
+			// range slot in between blocks the merge, which keeps ordering
+			// exact. (Two zero deltas are what a repeat looks like on the
+			// wire; the compare decides.)
 			if last := &evs[lastSlot]; last.Addr == s.last && last.TS == ts && last.IterVec == prevIter &&
 				last.Rep != event.MaxRep && s.holds(last) {
 				last.Rep++

@@ -331,7 +331,7 @@ func sameEnd(a, b error) bool {
 }
 
 // mixedTrace encodes a stream exercising every wire-legal shape: all point
-// kinds, flags, duplicate reads, ranges, and epoch marks.
+// kinds, flags, duplicate reads, ranges, and control records.
 func mixedTrace(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -347,7 +347,7 @@ func mixedTrace(t *testing.T) []byte {
 		}
 		switch i % 61 {
 		case 13:
-			w.Access(event.Access{Kind: event.EpochMark, Addr: uint64(i)})
+			w.Access(event.Access{Kind: event.Flush, Addr: uint64(i)})
 		case 29:
 			w.Access(event.Access{Addr: a.Addr, Kind: event.Remove, TS: a.TS})
 		case 47:
@@ -381,9 +381,9 @@ func TestNextBatchTruncated(t *testing.T) {
 	}
 }
 
-// TestNextBatchEveryOffset takes a short stream holding every record type —
-// defines and stamps ahead of the points that need them, a redefine, a
-// control record, a range — and puts a cut, then a frame edge, at every byte
+// TestNextBatchEveryOffset takes a short stream holding every record type a
+// client writes — defines and stamps ahead of the points that need them, a
+// redefine, a range — and puts a cut, then a frame edge, at every byte
 // offset: between a define or stamp record and its point included. Both
 // decoder gears must agree on events, Count, BatchControl and error text.
 func TestNextBatchEveryOffset(t *testing.T) {
@@ -456,23 +456,21 @@ func TestNextBatchCorrupt(t *testing.T) {
 }
 
 // TestRetiredKindsRefused: kind bytes 3, 4, 6 (the retired redistribution
-// kinds, event.Kind) and 8 (the retired promotion hint) are no site's kind and
-// head no control record: both decoder gears refuse them with the same error,
-// so none can reach a worker as a data access.
+// kinds, event.Kind), 8 (the retired promotion hint) and 9 (the retired epoch
+// mark, refused by name) are no site's kind and head no control record: both
+// decoder gears refuse them with the same error, so none can reach a worker.
 func TestRetiredKindsRefused(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Access(event.Access{Kind: event.EpochMark, Addr: 1})
-	_ = w.Close()
-	for _, k := range []byte{3, 4, 6, 8} {
-		control := bytes.Clone(buf.Bytes())
-		control[len(magic)+1] = k // the control record's kind byte
+	for _, k := range []byte{3, 4, 6, 8, 9} {
+		control := fmt.Sprintf("trace: event 0: invalid kind %d", k)
+		if k == 9 {
+			control = "trace: event 0: kind 9 is the retired EpochMark record: a ddprofd session no longer cuts epochs"
+		}
 		for _, tc := range []struct {
 			data []byte
 			want string
 		}{
 			{retiredKindSeed(k), fmt.Sprintf("trace: event 0: invalid site kind %d", k)},
-			{control, fmt.Sprintf("trace: event 0: invalid kind %d", k)},
+			{retiredControlSeed(k), control},
 		} {
 			if _, _, err := recordAll(tc.data); err == nil || err.Error() != tc.want {
 				t.Errorf("kind %d: NextRecord error %v, want %q", k, err, tc.want)
@@ -526,7 +524,9 @@ func TestNextBatchFrameTooLarge(t *testing.T) {
 	}
 }
 
-func TestNextBatchEpochMarkMidFrame(t *testing.T) {
+// TestNextBatchControlMidFrame: a control record decoded mid-batch sits in
+// stream order between its neighbours, and BatchControl reports it.
+func TestNextBatchControlMidFrame(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
 	if err != nil {
@@ -536,7 +536,7 @@ func TestNextBatchEpochMarkMidFrame(t *testing.T) {
 	for i, a := range evs {
 		w.Access(a)
 		if i == 17 {
-			w.Access(event.Access{Kind: event.EpochMark, Addr: 5})
+			w.Access(event.Access{Kind: event.Flush, Addr: 5})
 		}
 	}
 	if err := w.Close(); err != nil {
@@ -553,15 +553,14 @@ func TestNextBatchEpochMarkMidFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !tr.BatchControl() {
-		t.Fatal("BatchControl false for a batch containing an EpochMark")
+		t.Fatal("BatchControl false for a batch containing a control record")
 	}
-	// The mark must sit in stream order between its neighbours.
-	marks := 0
+	controls := 0
 	for i, a := range c.Events {
-		if a.Kind == event.EpochMark {
-			marks++
+		if a.Kind == event.Flush {
+			controls++
 			if a.Addr != 5 {
-				t.Fatalf("EpochMark payload %d, want 5", a.Addr)
+				t.Fatalf("control record payload %d, want 5", a.Addr)
 			}
 			before := 0
 			for _, b := range c.Events[:i] {
@@ -570,12 +569,12 @@ func TestNextBatchEpochMarkMidFrame(t *testing.T) {
 				}
 			}
 			if before != 18 {
-				t.Fatalf("EpochMark after %d point events, want 18", before)
+				t.Fatalf("control record after %d point events, want 18", before)
 			}
 		}
 	}
-	if marks != 1 {
-		t.Fatalf("batch holds %d EpochMarks, want 1", marks)
+	if controls != 1 {
+		t.Fatalf("batch holds %d control records, want 1", controls)
 	}
 }
 

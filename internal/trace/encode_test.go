@@ -168,7 +168,7 @@ func (c *oracleCompactor) flush() {
 }
 
 // fuzzStream turns fuzz bytes into a record stream that reaches every encoder
-// shape: points of all wire-legal kinds, EpochMarks, Rep-carrying reads,
+// shape: points of all wire-legal kinds, bare control records, Rep-carrying reads,
 // strided runs (forward, backward, zero stride) for the Compactor to fold,
 // explicit ranges, maximal-width varints in every field the decoder takes at
 // full width, threads up to event.MaxThread, and address and timestamp deltas
@@ -218,8 +218,8 @@ func fuzzStream(data []byte) []fuzzRec {
 			addr, ts = u64(), u64()&event.MaxTS
 			a.Addr, a.TS, a.Kind = addr, ts, event.Kind(op>>3&1)
 			out = append(out, fuzzRec{a: a})
-		case 3: // an epoch mark
-			out = append(out, fuzzRec{a: event.Access{Kind: event.EpochMark, Addr: uint64(sel)}})
+		case 3: // a bare control record
+			out = append(out, fuzzRec{a: event.Access{Kind: event.Flush, Addr: uint64(sel)}})
 		case 4: // a collapsed read
 			a.Addr, a.TS, a.Kind, a.Rep = addr, ts, event.Read, uint16(sel)+1
 			out = append(out, fuzzRec{a: a})

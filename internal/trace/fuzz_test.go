@@ -14,8 +14,9 @@ import (
 )
 
 // seedStream is the stream the fuzzers start from and the committed corpora
-// are cut from: every record type, with a define and a stamp ahead of the
-// first point, a duplicate read, a site used twice and a slot redefined.
+// are cut from: every record type a client writes, with a define and a stamp
+// ahead of the first point, a duplicate read, a site used twice and a slot
+// redefined.
 func seedStream() []byte {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf)
@@ -24,7 +25,6 @@ func seedStream() []byte {
 	w.Access(wr)
 	w.Access(rd)
 	w.Access(rd)
-	w.Access(event.Access{Kind: event.EpochMark, Addr: 1})
 	w.Range(event.Range{Base: 0x4000, Stride: 16, Count: 32, TS: 3, Loc: loc.Pack(2, 1), Kind: event.Write, IterDelta: 1})
 	wr.Addr, wr.TS, wr.IterVec = 0x1010, 3, 1<<16
 	w.Access(wr)
@@ -49,6 +49,18 @@ func sameSlot(a event.Access) event.Access {
 func retiredKindSeed(k byte) []byte {
 	data := seedStream()
 	data[len(magic)+3] = k
+	return data
+}
+
+// retiredControlSeed is a stream whose one record is a control record naming
+// kind k.
+func retiredControlSeed(k byte) []byte {
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf)
+	w.Access(event.Access{Kind: event.Flush})
+	_ = w.Close()
+	data := buf.Bytes()
+	data[len(magic)+1] = k // the control record's kind byte
 	return data
 }
 
@@ -89,6 +101,7 @@ func TestSeedCorpus(t *testing.T) {
 		"retired-kind-3": retiredKindSeed(3),
 		"retired-kind-4": retiredKindSeed(4),
 		"retired-kind-6": retiredKindSeed(6),
+		"retired-kind-9": retiredControlSeed(9),
 		"retired-ddt1":   ddt1,
 		"stamp-2to32":    limitSeed(0, event.MaxTS+1),
 		"thread-512":     limitSeed(event.MaxThread+1, 1),

@@ -34,8 +34,8 @@ import (
 //	define   1, slot as 2 bytes little-endian, kind, uvarint Loc, Var, CtxID,
 //	         Thread, flags
 //	stamp    3, zigzag dTS
-//	control  5, kind (Flush or EpochMark), uvarint Addr, TS, Loc, Var, CtxID,
-//	         IterVec, Thread, flags
+//	control  5, kind (Flush), uvarint Addr, TS, Loc, Var, CtxID, IterVec,
+//	         Thread, flags
 //	range    7, see range.go
 //
 // A stamp or range record that moves the stamp past event.MaxTS, and a define
@@ -53,6 +53,9 @@ import (
 const (
 	magic        = "DDT2"
 	retiredMagic = "DDT1"
+	// retiredEpochMark is the kind byte of the retired EpochMark control
+	// record, refused by name (readControl).
+	retiredEpochMark = 9
 
 	recDefine  = 1
 	recStamp   = 3
@@ -509,12 +512,11 @@ func (r *Reader) step(br io.ByteReader) (rec Record, events bool, err error) {
 }
 
 // dataKind reports whether k may be a site's kind; controlKind whether it may
-// head a control record: Flush (decodable; the daemon refuses it, an engine
-// ignores it) and EpochMark, the one control record clients may embed to cut
-// epochs at workload boundaries. 3, 4, 6 and 8 are retired values
-// (event.Kind) that must never reach a worker as data.
+// head a control record: Flush only (decodable; the daemon refuses it, an
+// engine ignores it). 3, 4, 6, 8 and 9 are retired values (event.Kind) that
+// must never reach a worker as data.
 func dataKind(k event.Kind) bool    { return k <= event.Remove }
-func controlKind(k event.Kind) bool { return k == event.Flush || k == event.EpochMark }
+func controlKind(k event.Kind) bool { return k == event.Flush }
 
 // tooWide refuses a stamp or thread v past limit, the widest a store slot keeps
 // of it (event.MaxTS, event.MaxThread).
@@ -638,6 +640,9 @@ func (r *Reader) readControl(br io.ByteReader) (a event.Access, err error) {
 	kb, err := r.getByte(br)
 	if err != nil {
 		return a, err
+	}
+	if kb == retiredEpochMark {
+		return a, fmt.Errorf("trace: event %d: kind 9 is the retired EpochMark record: a ddprofd session no longer cuts epochs", r.n)
 	}
 	if !controlKind(event.Kind(kb)) {
 		return a, fmt.Errorf("trace: event %d: invalid kind %d", r.n, kb)

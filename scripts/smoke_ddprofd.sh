@@ -1,9 +1,9 @@
 #!/bin/sh
 # End-to-end smoke with real binaries: a race-detector build of ddprof on a
 # sample that spawns threads, the -backend and retired ddprofd flag checks,
-# then the ddprofd live observatory — boot the daemon over a unix socket,
-# profile a workload remotely while a -watch subscriber streams its epoch
-# deltas, and hit the HTTP query API with a live diff. Run by `make smoke` (and `make check`).
+# then ddprofd booted over a unix socket: a workload profiled remotely must
+# save the profile its local twin saves (ddiff -binary). Run by `make smoke`
+# (and `make check`).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -48,7 +48,7 @@ fi
 
 # Retired daemon knobs are refused by the flag parser: exit 2, naming the flag.
 # (Both listeners empty: a daemon that accepted the flag exits without serving.)
-for f in readbuf decode-depth track-accuracy; do
+for f in readbuf decode-depth track-accuracy epoch-interval; do
 	code=0
 	"$dir/ddprofd" -listen "" -unix "" "-$f" 1 >"$dir/$f.out" 2>&1 || code=$?
 	if [ "$code" -ne 2 ] || ! grep -q -- "-$f" "$dir/$f.out"; then
@@ -61,7 +61,7 @@ done
 sock="$dir/dd.sock"
 port=$((20000 + $$ % 20000))
 "$dir/ddprofd" -listen "" -unix "$sock" -http "127.0.0.1:$port" \
-	-epoch-interval 2ms -q >"$dir/daemon.log" 2>&1 &
+	-q >"$dir/daemon.log" 2>&1 &
 dpid=$!
 
 i=0
@@ -81,43 +81,17 @@ while [ ! -S "$sock" ]; do
 	sleep 0.1
 done
 
-# Watch subscriber first: session 0 means "newest active, or the next one to
-# arrive", so the watcher parks until the profiling session below begins.
-"$dir/ddprof" -watch -remote "unix:$sock" -format binary -o "$dir/watched.ddp" \
-	>"$dir/watch.out" 2>"$dir/watch.err" &
-wpid=$!
-sleep 0.3
-
-# The profiled session the watcher observes.
-"$dir/ddprof" -workload kmeans -scale 2 -remote "unix:$sock" -format binary \
-	-o "$dir/direct.ddp" >"$dir/direct.out"
-
-if ! wait "$wpid"; then
-	echo "ddprofd smoke: watch failed:"
-	cat "$dir/watch.err"
-	exit 1
-fi
-frames=$(grep -c "^# epoch" "$dir/watch.err" || true)
-[ "$frames" -ge 2 ] || {
-	echo "ddprofd smoke: watcher saw $frames delta frames at -epoch-interval 2ms, want at least 2:"
-	cat "$dir/watch.err"
+# A remote session's profile against its local twin. Both use the exact
+# store, so the daemon's worker count cannot make them differ.
+"$dir/ddprof" -workload kmeans -scale 2 -backend perfect -remote "unix:$sock" \
+	-format binary -o "$dir/remote.ddp" >"$dir/remote.out"
+"$dir/ddprof" -workload kmeans -scale 2 -backend perfect \
+	-format binary -o "$dir/local.ddp" >"$dir/local.out"
+"$dir/ddiff" -binary "$dir/remote.ddp" "$dir/local.ddp" >"$dir/profiles.diff" || {
+	echo "ddprofd smoke: remote profile differs from the local one:"
+	cat "$dir/profiles.diff"
 	exit 1
 }
+grep -q "profiles are identical" "$dir/profiles.diff"
 
-# The folded delta stream must reconstruct the session's exact profile.
-"$dir/ddiff" -binary "$dir/watched.ddp" "$dir/direct.ddp" >"$dir/fold.diff" || {
-	echo "ddprofd smoke: folded watch profile differs from the session profile:"
-	cat "$dir/fold.diff"
-	exit 1
-}
-
-# Live HTTP diff: the session's own saved profile must be identical to the
-# retained live session (watcher was session 1, the profile run session 2).
-"$dir/ddiff" -http "http://127.0.0.1:$port/sessions/2" "$dir/direct.ddp" >"$dir/live.diff" || {
-	echo "ddprofd smoke: live HTTP diff against session 2 not identical:"
-	cat "$dir/live.diff"
-	exit 1
-}
-grep -q "profiles are identical" "$dir/live.diff"
-
-echo "ddprofd smoke: OK ($frames delta frames)"
+echo "ddprofd smoke: OK"
