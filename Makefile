@@ -25,8 +25,9 @@ fmt-check:
 
 # End-to-end smoke over the three binaries it builds (ddprof, ddprofd, ddiff):
 # a -race ddprof on a sample that spawns threads, a retired -backend and the
-# retired ddprofd -readbuf/-decode-depth/-track-accuracy/-epoch-interval
-# refused with exit 2 before any work, then the daemon up on a unix socket and
+# retired ddprofd -readbuf/-decode-depth/-track-accuracy/-epoch-interval/
+# -snapshot-interval/-snapshot-samples/-session-series/-q refused with exit 2
+# before any work, then the daemon up on a unix socket and
 # one remote profiling session whose saved profile ddiff -binary finds
 # identical to the local run's (both -backend perfect).
 # Exercises what the in-process tests cannot: real binaries, sockets.

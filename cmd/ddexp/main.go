@@ -16,17 +16,11 @@
 //	ddexp sweep             # full FPR/FNR-vs-signature-size curve (rotate)
 //	ddexp all               # everything above
 //
-//	ddexp -trace-out run.json all
-//	                        # record the flight-recorder timeline and write a
-//	                        # Chrome trace-event file (load in Perfetto /
-//	                        # chrome://tracing); each experiment is a span
-//
 // Flags: -scale N (problem size multiplier), -paper (paper-scale signature
 // sizes and repetitions), -only a,b,c (restrict to named workloads),
 // -reps N (timing repetitions), -metrics addr (serve live pipeline counters
-// plus /debug/pprof over HTTP while the experiments run), -trace-out path
-// and -trace-interval d (flight-recorder capture), -log-level
-// (debug|info|warn|error).
+// plus /debug/pprof over HTTP while the experiments run; a timeline is
+// /debug/pprof/trace), -log-level (debug|info|warn|error).
 package main
 
 import (
@@ -52,8 +46,6 @@ func main() {
 		only     = flag.String("only", "", "comma-separated workload names to restrict to")
 		reps     = flag.Int("reps", 0, "timing repetitions (0 = default)")
 		metrics  = flag.String("metrics", "", "HTTP address serving live /metrics and /debug/pprof while experiments run (e.g. :7078)")
-		traceOut = flag.String("trace-out", "", "write a Chrome trace-event JSON timeline of the run to this file (Perfetto-loadable)")
-		traceInt = flag.Duration("trace-interval", 50*time.Millisecond, "flight-recorder sampling interval for -trace-out")
 		logLevel = flag.String("log-level", "info", "log level: debug, info, warn or error")
 	)
 	flag.Parse()
@@ -80,20 +72,12 @@ func main() {
 	}
 
 	// Observability for the experiment run: live counters on the shared
-	// default registry, an optional flight-recorder capture, and a metrics
-	// server that is shut down cleanly once the experiments finish instead
-	// of leaking until process exit.
-	var snap *telemetry.Snapshotter
-	if *metrics != "" || *traceOut != "" {
-		exp.Telemetry = telemetry.Default().Pipeline("pipeline")
-	}
-	if *traceOut != "" {
-		snap = telemetry.NewSnapshotter(telemetry.Default(), *traceInt, 1<<14)
-		snap.Start()
-	}
+	// default registry and a metrics server that is shut down cleanly once
+	// the experiments finish instead of leaking until process exit.
 	var metricsSrv *http.Server
 	if *metrics != "" {
-		metricsSrv = &http.Server{Addr: *metrics, Handler: telemetry.DebugMux(telemetry.Default(), snap)}
+		exp.Telemetry = telemetry.Default().Pipeline("pipeline")
+		metricsSrv = &http.Server{Addr: *metrics, Handler: telemetry.DebugMux(telemetry.Default())}
 		go func() {
 			logger.Info("ddexp: metrics server up", "url", "http://"+*metrics+"/metrics")
 			if err := metricsSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
@@ -102,22 +86,8 @@ func main() {
 		}()
 	}
 	// shutdownObservability runs on every exit path (including failures) so
-	// the listener is released and a partial trace still gets written.
+	// the listener is released.
 	shutdownObservability := func() {
-		if snap != nil {
-			snap.Stop()
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				logger.Error("ddexp: trace-out", "err", err)
-			} else {
-				if err := snap.WriteChromeTrace(f); err != nil {
-					logger.Error("ddexp: trace-out", "err", err)
-				}
-				f.Close()
-				logger.Info("ddexp: wrote flight-recorder trace",
-					"path", *traceOut, "samples", snap.Total())
-			}
-		}
 		if metricsSrv != nil {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
@@ -174,13 +144,7 @@ func main() {
 	}
 	order := []string{"table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "eq2", "merge", "stores", "balance", "sweep"}
 
-	// runOne wraps a runner in a flight-recorder span so each experiment
-	// shows up as a named slice on the trace timeline.
 	runOne := func(name string, fn func(exp.Options) error) error {
-		if snap != nil {
-			end := snap.Span("experiment:" + name)
-			defer end()
-		}
 		logger.Debug("ddexp: running experiment", "name", name)
 		return fn(opt)
 	}

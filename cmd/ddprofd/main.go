@@ -12,11 +12,11 @@
 //	ddprofd                                  # TCP on :7077, metrics on :7078
 //	ddprofd -listen :9000 -unix /tmp/dd.sock # both transports
 //	ddprofd -budget 32 -session-workers 8    # bigger worker pool
-//	ddprofd -log-level debug                 # structured logs, debug level
-//	curl localhost:7078/metrics              # live pipeline counters + quantiles
+//	ddprofd -log-level warn                  # no per-session lifecycle lines
+//	curl localhost:7078/metrics              # live pipeline counters and gauges
 //	curl localhost:7078/sessions             # live session table
-//	curl localhost:7078/debug/timeline       # flight-recorder time series
 //	go tool pprof localhost:7078/debug/pprof/profile
+//	curl -o t.out 'localhost:7078/debug/pprof/trace?seconds=5'  # timeline: go tool trace t.out
 //
 // SIGINT/SIGTERM drain gracefully: listeners close, in-flight sessions
 // finish (up to -drain), then the daemon exits.
@@ -58,7 +58,7 @@ func main() {
 	var (
 		listen   = flag.String("listen", ":7077", "TCP listen address (empty to disable)")
 		unixSock = flag.String("unix", "", "Unix socket path (empty to disable)")
-		httpAddr = flag.String("http", ":7078", "HTTP address for /metrics, /sessions, /debug/timeline and /debug/pprof (empty to disable)")
+		httpAddr = flag.String("http", ":7078", "HTTP address for /metrics, /sessions and /debug/pprof (empty to disable)")
 		budget   = flag.Int("budget", 16, "global pipeline worker budget shared by all sessions")
 		perSess  = flag.Int("session-workers", 4, "pipeline workers per session (cap; shrinks when the budget runs low)")
 		maxSess  = flag.Int("max-sessions", 64, "maximum concurrent sessions")
@@ -67,11 +67,7 @@ func main() {
 		storeMax = flag.Uint64("store-budget", 0, "per-session store admission budget in bytes; unbounded or oversized backends are refused (0 = no limit)")
 		idle     = flag.Duration("idle", 30*time.Second, "slow-client deadline: sessions silent this long are evicted")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful drain window on SIGTERM")
-		quiet    = flag.Bool("q", false, "suppress per-session log lines")
-		logLevel = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		snapInt  = flag.Duration("snapshot-interval", 250*time.Millisecond, "flight-recorder sampling interval for /debug/timeline")
-		snapN    = flag.Int("snapshot-samples", 1024, "flight-recorder ring size (most recent samples kept; negative disables)")
-		seriesMx = flag.Int("session-series", 64, "cap on per-session labeled series on /metrics; sessions past it share the overflow series")
+		logLevel = flag.String("log-level", "info", "log level: debug, info (per-session lifecycle lines), warn or error")
 	)
 	flag.Parse()
 
@@ -89,12 +85,9 @@ func main() {
 	}
 
 	// Session lifecycle lines arrive printf-style from the server; they are
-	// info-level events and -q mutes just them.
+	// info-level events, so -log-level warn mutes them.
 	logf := func(format string, args ...any) {
 		logger.Info(fmt.Sprintf(format, args...))
-	}
-	if *quiet {
-		logf = func(string, ...any) {}
 	}
 	srv := server.New(server.Config{
 		WorkerBudget:      *budget,
@@ -104,9 +97,6 @@ func main() {
 		DefaultBackend:    *backend,
 		MaxStoreBytes:     *storeMax,
 		IdleTimeout:       *idle,
-		SnapshotInterval:  *snapInt,
-		SnapshotSamples:   *snapN,
-		SessionSeriesMax:  *seriesMx,
 		Logf:              logf,
 	})
 
@@ -134,7 +124,6 @@ func main() {
 		go func() {
 			logger.Info("ddprofd: observability endpoints up",
 				"metrics", "http://"+*httpAddr+"/metrics",
-				"timeline", "http://"+*httpAddr+"/debug/timeline",
 				"pprof", "http://"+*httpAddr+"/debug/pprof/")
 			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				errc <- err

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"ddprof/internal/dep"
 	"ddprof/internal/event"
@@ -235,10 +234,8 @@ type worker struct {
 	// read stands for 1+Rep of them) — the §IV-A load-balance quantity.
 	events uint64
 
-	// flight-recorder state, all worker-local. m is the telemetry sink (nil
-	// disables everything). One in sampleEvery batches is timed
-	// (StageWorkerNs), as is the wait of one in sampleEvery idle episodes
-	// (StageTransportWaitNs). events_total is counted here on the consumer
+	// telemetry state, all worker-local. m is the telemetry sink (nil
+	// disables everything). events_total is counted here on the consumer
 	// side, one Add per drained batch: the concurrent producers of §V must not
 	// share an atomic counter. The pub* fields are publication watermarks so
 	// periodic in-flight publication and the final merge-time publication add
@@ -249,7 +246,6 @@ type worker struct {
 	// collapse counts with its own.
 	m         *telemetry.Pipeline
 	batches   uint64
-	waits     uint64
 	pubEvents uint64
 	pubHits   uint64
 	pubProbes uint64
@@ -258,14 +254,9 @@ type worker struct {
 	lanes     *[mtLanes]mtLane
 }
 
-// sampleEvery is the stage-latency sampling rate: one in sampleEvery worker
-// batches / idle episodes is timed into the telemetry histograms. Sampling
-// rather than timing every batch keeps clock reads off the throughput path.
-const sampleEvery = 32
-
 // telemetryPublishEvery is the worker-batch cadence of in-flight telemetry
-// publication (dep-cache counters, queue depth): frequent enough that /metrics
-// and the Snapshotter see a moving picture, rare enough to be free.
+// publication (dep-cache counters, queue depth): frequent enough that a
+// /metrics scrape sees a moving picture, rare enough to be free.
 const telemetryPublishEvery = 1024
 
 // publishEvents adds the events processed since the last publication to
@@ -312,42 +303,20 @@ func (w *worker) publishTelemetry() {
 // in thread-local maps", §IV). The batch lies in the ring until the next pop
 // frees it. The wait policy is the pipeline-wide queue.Backoff.
 //
-// Flight recording rides along at sampled granularity: one in sampleEvery
-// idle episodes times the wait for the next batch (transport wait — the
-// consumer-side view of producer/transport backpressure), one in sampleEvery
-// batches times its processing, and every telemetryPublishEvery batches the
-// worker publishes its counter deltas. All of it is skipped when m is nil,
-// and clock reads never land on the per-event path.
+// With a telemetry sink the worker counts its events after every batch and
+// publishes its other counter deltas every telemetryPublishEvery batches; it
+// reads no clock.
 func (w *worker) run() {
-	var waitT0 time.Time
-	waiting := false
 	for idle := 0; ; {
 		evs := w.in.pop()
 		if len(evs) == 0 {
-			if idle == 0 && w.m != nil {
-				if w.waits++; w.waits%sampleEvery == 0 {
-					waiting = true
-					waitT0 = time.Now()
-				}
-			}
 			idle++
 			queue.Backoff(idle)
 			continue
 		}
-		if waiting {
-			w.m.StageTransportWaitNs.Observe(time.Since(waitT0).Nanoseconds())
-			waiting = false
-		}
 		idle = 0
-		var done bool
+		done := w.process(evs)
 		w.batches++
-		if w.m != nil && w.batches%sampleEvery == 0 {
-			t0 := time.Now()
-			done = w.process(evs)
-			w.m.StageWorkerNs.Observe(time.Since(t0).Nanoseconds())
-		} else {
-			done = w.process(evs)
-		}
 		if w.m != nil {
 			// Read only for the gauges: the ring's tail is the producers' line.
 			w.maxDepth = max(w.maxDepth, int64(w.in.q.Len()))
@@ -423,10 +392,6 @@ func (p *pipeline) beginFlush() {
 // same carried key may surface on several workers (same source lines,
 // different addresses) and must not be double-counted.
 func (p *pipeline) merge(stats RunStats) *Result {
-	var mergeT0 time.Time
-	if p.m != nil {
-		mergeT0 = time.Now()
-	}
 	res := &Result{Stats: stats}
 	stores := make([]sig.Store, 0, len(p.workers))
 	// The workers' sets and loop tables are stolen, not copied: the pipeline
@@ -464,9 +429,6 @@ func (p *pipeline) merge(stats RunStats) *Result {
 	}
 	res.Deps = dep.MergeShards(sets)
 	res.Loops = loopDepsOf(aggs)
-	if p.m != nil {
-		p.m.StageMergeNs.Observe(time.Since(mergeT0).Nanoseconds())
-	}
 	return res
 }
 

@@ -141,10 +141,9 @@ type Config struct {
 	// it; it goes with ROADMAP item 1(c).
 	RedistributeEvery int
 	// Metrics, when non-nil, receives live pipeline telemetry (events in,
-	// queue depths, signature occupancy, stage latency histograms). Counters
-	// are bumped at batch granularity and stage latencies sampled (one in 32
-	// worker batches / idle episodes) so the hot path stays cheap; nil costs
-	// nothing.
+	// dep-cache hits, queue depths, signature occupancy, store bytes).
+	// Counters are bumped at batch granularity and no clock is read, so the
+	// hot path stays cheap; nil costs nothing.
 	Metrics *telemetry.Pipeline
 }
 

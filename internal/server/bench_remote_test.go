@@ -117,7 +117,6 @@ func BenchmarkRemoteIngest(b *testing.B) {
 				WorkersPerSession: workers,
 				SessionSlots:      1 << 20,
 				Registry:          telemetry.NewRegistry(),
-				SnapshotSamples:   -1,
 			})
 			go srv.Serve(ln)
 			defer func() {

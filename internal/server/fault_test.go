@@ -46,9 +46,10 @@ func (f *faultConn) Read(p []byte) (int, error) {
 
 // TestSessionFaults drives whole daemon sessions over a fault-injecting
 // connection. A row with its own stall timeout is a client that goes silent
-// at one protocol state: the idle deadline must evict it. Every other row must
-// end well inside IdleTimeout — a stopped session's decoder is never left
-// waiting out a re-armed read deadline. No row leaves a session or a
+// at one protocol state: the idle deadline must evict it, or, for a client
+// that never reads its verdict, end the write. Every other row must end well
+// inside IdleTimeout — a stopped session's decoder is never left waiting out
+// a re-armed read deadline. No row leaves a session, a connection or a
 // goroutine behind.
 func TestSessionFaults(t *testing.T) {
 	p := testProgram("faults", 200)
@@ -72,6 +73,7 @@ func TestSessionFaults(t *testing.T) {
 		lag        time.Duration
 		resetAfter int
 		shutdown   bool          // Shutdown with a short drain window mid-stream
+		deaf       bool          // the client never reads the verdict
 		stall      time.Duration // the row's IdleTimeout, which must evict it
 		wantOK     bool
 	}{
@@ -83,13 +85,17 @@ func TestSessionFaults(t *testing.T) {
 		{name: "stall-mid-handshake", wire: hs.Bytes()[:len(protoMagic)+2], stall: 100 * time.Millisecond},
 		// The first frame's header and a few bytes of its (≥ 107-byte) payload.
 		{name: "stall-mid-payload", wire: good[:hs.Len()+8], stall: 100 * time.Millisecond},
+		// A whole valid stream, then the client stops reading: net.Pipe
+		// buffers nothing, so the DDP1 verdict is larger than the socket
+		// buffer and its write blocks until the idle deadline.
+		{name: "never-reads-verdict", wire: good, deaf: true, stall: 200 * time.Millisecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			timeout := idle
 			if tc.stall > 0 {
 				timeout = tc.stall
 			}
-			srv := New(Config{Registry: telemetry.NewRegistry(), IdleTimeout: timeout, SnapshotSamples: -1})
+			srv := New(Config{Registry: telemetry.NewRegistry(), IdleTimeout: timeout})
 			base := runtime.NumGoroutine()
 			client, server := net.Pipe()
 			defer client.Close()
@@ -110,6 +116,16 @@ func TestSessionFaults(t *testing.T) {
 				start = time.Now()
 				if err := srv.Shutdown(ctx); err == nil {
 					t.Fatal("Shutdown drained a stalled session")
+				}
+			} else if tc.deaf {
+				// The session leaves the table before its verdict is written,
+				// and Shutdown waits out only that write.
+				waitFor(t, func() bool { return srv.cCompleted.Load() == 1 && srv.ActiveSessions() == 0 })
+				const margin = 2 * time.Second
+				ctx, cancel := context.WithTimeout(context.Background(), timeout+margin)
+				defer cancel()
+				if err := srv.Shutdown(ctx); err != nil {
+					t.Fatalf("Shutdown with an unread verdict: %v after %v", err, time.Since(start))
 				}
 			} else {
 				client.SetReadDeadline(time.Now().Add(idle / 2))
@@ -134,6 +150,12 @@ func TestSessionFaults(t *testing.T) {
 			}
 			if n := srv.ActiveSessions(); n != 0 {
 				t.Fatalf("%d sessions active after the session ended", n)
+			}
+			srv.mu.Lock()
+			conns := len(srv.conns)
+			srv.mu.Unlock()
+			if conns != 0 {
+				t.Fatalf("%d connections held after the session ended", conns)
 			}
 			client.Close()
 			waitFor(t, func() bool { return runtime.NumGoroutine() <= base })

@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,18 +58,10 @@ type Config struct {
 	// Registry receives daemon and pipeline telemetry. Default
 	// telemetry.Default().
 	Registry *telemetry.Registry
-	// SnapshotInterval is the flight recorder's sampling period: how often
-	// every Registry metric is copied into the timeline ring served at
-	// /debug/timeline. Default 250ms.
-	SnapshotInterval time.Duration
-	// SnapshotSamples is the timeline ring size (most recent samples kept).
-	// Default 1024; negative disables the background snapshotter entirely.
+	// Ignored: the daemon keeps no timeline (EXPERIMENTS.md decision record).
+	// The field stays only because the frozen bench/ harness sets it; it goes
+	// with ROADMAP item 1(c).
 	SnapshotSamples int
-	// SessionSeriesMax caps the per-session labeled series on /metrics
-	// (server_session_events_total{session="..."}). Sessions beyond the cap
-	// account to the shared session="overflow" series; a session's own series
-	// is evicted from the registry when it closes. Default 64.
-	SessionSeriesMax int
 	// Logf, when set, receives one line per session lifecycle event.
 	Logf func(format string, args ...any)
 }
@@ -93,15 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Registry == nil {
 		c.Registry = telemetry.Default()
-	}
-	if c.SnapshotInterval <= 0 {
-		c.SnapshotInterval = 250 * time.Millisecond
-	}
-	if c.SnapshotSamples == 0 {
-		c.SnapshotSamples = 1024
-	}
-	if c.SessionSeriesMax <= 0 {
-		c.SessionSeriesMax = 64
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -153,7 +135,6 @@ type SessionInfo struct {
 type Server struct {
 	cfg  Config
 	pipe *telemetry.Pipeline
-	snap *telemetry.Snapshotter
 
 	mu       sync.Mutex
 	sessions map[uint64]*session
@@ -166,9 +147,6 @@ type Server struct {
 	budget    int
 	draining  bool
 	sessWG    sync.WaitGroup
-	// sessSeries counts live per-session labeled metric series, enforcing
-	// Config.SessionSeriesMax (guarded by mu like the session table).
-	sessSeries int
 
 	cAccepted  *telemetry.Counter
 	cRefused   *telemetry.Counter
@@ -201,16 +179,8 @@ func New(cfg Config) *Server {
 		gBudget:    reg.Gauge("server_worker_budget_available"),
 	}
 	s.gBudget.Set(int64(s.budget))
-	if cfg.SnapshotSamples > 0 {
-		s.snap = telemetry.NewSnapshotter(reg, cfg.SnapshotInterval, cfg.SnapshotSamples)
-		s.snap.Start()
-	}
 	return s
 }
-
-// Snapshotter returns the daemon's flight recorder, or nil when disabled
-// (Config.SnapshotSamples < 0).
-func (s *Server) Snapshotter() *telemetry.Snapshotter { return s.snap }
 
 // Serve accepts sessions on ln until the listener fails or the server
 // drains. It blocks; run one goroutine per listener.
@@ -248,11 +218,11 @@ func (s *Server) Serve(ln net.Listener) error {
 var errRefused = errors.New("refused")
 
 // handleConn runs one connection to completion. The verdict is the last
-// thing a session does: by the time runSession returns, the pipeline, its
-// store and the session's metric series are released; the session then leaves
-// the table, and only then is the response written — so a client that has
-// its answer never finds its session still listed (ActiveSessions, /sessions,
-// server_sessions_active) or its counters (completed, evicted) not yet bumped.
+// thing a session does: by the time runSession returns, the pipeline and its
+// store are released; the session then leaves the table, and only then is the
+// response written — so a client that has its answer never finds its session
+// still listed (ActiveSessions, /sessions, server_sessions_active) or its
+// counters (completed, evicted) not yet bumped.
 func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	sess, err := s.register(conn)
@@ -387,52 +357,6 @@ func (s *Server) releaseWorkers(n int) {
 	s.mu.Unlock()
 }
 
-// sessionSeries is one session's labeled telemetry: the events counter and
-// the decoded batch-size histogram. They appear on /metrics (and therefore in
-// the flight-recorder timeline, which snapshots every registry metric).
-type sessionSeries struct {
-	events  *telemetry.Counter
-	batch   *telemetry.Histogram
-	release func()
-}
-
-// sessionSeries returns a session's labeled series bundle and arranges its
-// release. Cardinality on /metrics is bounded: one series slot covers all of
-// a session's instruments, at most SessionSeriesMax slots exist at once,
-// sessions past the cap share the session="overflow" series, and a session's
-// own series are removed from the registry when it closes.
-func (s *Server) sessionSeries(id uint64) *sessionSeries {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	label := "overflow"
-	overflow := s.sessSeries >= s.cfg.SessionSeriesMax
-	if !overflow {
-		s.sessSeries++
-		label = strconv.FormatUint(id, 10)
-	}
-	names := [2]string{
-		fmt.Sprintf("server_session_events_total{session=%q}", label),
-		fmt.Sprintf("server_session_batch_events{session=%q}", label),
-	}
-	ss := &sessionSeries{
-		events:  s.cfg.Registry.Counter(names[0]),
-		batch:   s.cfg.Registry.Histogram(names[1]),
-		release: func() {},
-	}
-	if !overflow {
-		var once sync.Once
-		ss.release = func() {
-			once.Do(func() {
-				s.cfg.Registry.Remove(names[0], names[1])
-				s.mu.Lock()
-				s.sessSeries--
-				s.mu.Unlock()
-			})
-		}
-	}
-	return ss
-}
-
 // timedConn enforces the slow-client deadline on every read and write and
 // feeds the per-session and daemon byte counters.
 type timedConn struct {
@@ -498,8 +422,6 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 	workers := s.acquireWorkers(h.Workers)
 	defer s.releaseWorkers(workers)
 	sess.workers.Store(int32(max(workers, 1)))
-	series := s.sessionSeries(sess.id)
-	defer series.release()
 
 	ccfg := core.Config{
 		Meta:      h.Meta,
@@ -553,8 +475,6 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 	for ib := range ing.out {
 		n, err := feedBatch(prof, ib)
 		sess.events.Add(n)
-		series.events.Add(n)
-		series.batch.Observe(int64(len(ib.c.Events)))
 		ing.free <- ib.c
 		if err != nil {
 			return nil, err
@@ -645,12 +565,11 @@ func (s *Server) ActiveSessions() int {
 
 // HTTPHandler serves the observability endpoints:
 //
-//	/metrics        — plain-text metric exposition (telemetry.Registry.WriteText)
-//	/sessions       — JSON array of live sessions
-//	/debug/timeline — JSON time series of all metrics (flight-recorder ring)
-//	/debug/pprof/   — the standard Go runtime profiles
+//	/metrics      — plain-text metric exposition (telemetry.Registry.WriteText)
+//	/sessions     — JSON array of live sessions
+//	/debug/pprof/ — the standard Go runtime profiles and execution trace
 func (s *Server) HTTPHandler() http.Handler {
-	mux := telemetry.DebugMux(s.cfg.Registry, s.snap)
+	mux := telemetry.DebugMux(s.cfg.Registry)
 	mux.HandleFunc("/sessions", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
@@ -665,14 +584,6 @@ func (s *Server) HTTPHandler() http.Handler {
 // remaining connections are force-closed. It returns nil if every session
 // finished in time, ctx.Err() otherwise.
 func (s *Server) Shutdown(ctx context.Context) error {
-	// The flight recorder stops only after the drain below: its final sample
-	// must capture the fully drained end state (completed-session counters,
-	// zero active sessions), not the state at the moment shutdown began.
-	stopSnap := func() {
-		if s.snap != nil {
-			s.snap.Stop()
-		}
-	}
 	s.mu.Lock()
 	s.draining = true
 	lns := make([]net.Listener, 0, len(s.listeners))
@@ -691,7 +602,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		stopSnap()
 		return nil
 	case <-ctx.Done():
 		s.mu.Lock()
@@ -700,7 +610,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 		s.mu.Unlock()
 		<-done
-		stopSnap()
 		return ctx.Err()
 	}
 }

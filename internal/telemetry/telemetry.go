@@ -1,17 +1,15 @@
 // Package telemetry provides the profiler's observability layer: cheap
-// atomic counters, gauges and log-bucketed latency histograms that the hot
-// pipeline paths update at chunk granularity, collected in a Registry that
-// renders a plain-text exposition page (one `name value` pair per line,
-// Prometheus-style) over HTTP.
+// atomic counters and gauges that the hot pipeline paths update at batch
+// granularity, collected in a Registry that renders a plain-text exposition
+// page (one `name value` pair per line, Prometheus-style) over HTTP.
 //
-// The pipeline metrics (events in, queue depth per worker, chunk-pool
-// recycling, signature occupancy, stage latencies, live Eq. (2) accuracy)
-// are grouped in a Pipeline so
-// internal/core can bump typed fields without map lookups on the hot path.
-// The ddprofd daemon serves a Registry per process; `ddexp -metrics addr`
-// serves the same page for local experiment runs. The Snapshotter
-// (snapshot.go) turns the same Registry into a time series: a fixed ring of
-// periodic samples exportable as Chrome trace-event JSON.
+// The pipeline metrics (events in, dep-cache hits, collapsed duplicate reads,
+// queue depth per worker, signature occupancy, store bytes) are grouped in a
+// Pipeline so internal/core can bump typed fields without map lookups on the
+// hot path. The ddprofd daemon serves a Registry per process; `ddexp -metrics
+// addr` serves the same page for local experiment runs. Neither keeps a
+// timeline of its own: Go's /debug/pprof/trace, served by DebugMux, is the
+// time series.
 package telemetry
 
 import (
@@ -62,14 +60,13 @@ func (g *Gauge) SetMax(v int64) {
 
 // Registry is a named collection of metrics. All methods are safe for
 // concurrent use; metric handles are interned, so hot paths should hold the
-// *Counter / *Gauge / *Histogram rather than re-resolving names.
+// *Counter / *Gauge rather than re-resolving names.
 type Registry struct {
-	mu         sync.RWMutex
-	start      time.Time
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
-	pipelines  map[string]*Pipeline
+	mu        sync.RWMutex
+	start     time.Time
+	counters  map[string]*Counter
+	gauges    map[string]*Gauge
+	pipelines map[string]*Pipeline
 
 	// previous scrape snapshot, for windowed per-second rates.
 	scrapeMu   sync.Mutex
@@ -80,12 +77,11 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		start:      time.Now(),
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
-		pipelines:  make(map[string]*Pipeline),
-		lastVals:   make(map[string]uint64),
+		start:     time.Now(),
+		counters:  make(map[string]*Counter),
+		gauges:    make(map[string]*Gauge),
+		pipelines: make(map[string]*Pipeline),
+		lastVals:  make(map[string]uint64),
 	}
 }
 
@@ -128,53 +124,10 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the histogram registered under name, creating it if
-// needed. The exposition page renders it as `<name>_count`, `<name>_sum` and
-// the `<name>_p50/_p90/_p99` quantiles.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.RLock()
-	h := r.histograms[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.histograms[name]; h == nil {
-		h = &Histogram{}
-		r.histograms[name] = h
-	}
-	return h
-}
-
-// Remove deletes the metrics registered under the given names — counters,
-// gauges and histograms alike — so bounded-cardinality labeled series (the
-// daemon's per-session counters) can be evicted when their subject goes away.
-// Holding a removed metric's handle stays safe: updates through it simply no
-// longer reach any exposition. Re-registering the same name later yields a
-// fresh metric starting from zero.
-func (r *Registry) Remove(names ...string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, n := range names {
-		delete(r.counters, n)
-		delete(r.gauges, n)
-		delete(r.histograms, n)
-	}
-}
-
-// histQuantiles are the quantiles the exposition page and Snapshot render
-// for every histogram.
-var histQuantiles = []struct {
-	suffix string
-	q      float64
-}{{"_p50", 0.50}, {"_p90", 0.90}, {"_p99", 0.99}}
-
 // WriteText renders every metric as one `name value` line, sorted by line.
 // Counters whose name ends in `_total` additionally get a `<base>_per_sec`
 // line: the rate over the window since the previous WriteText call (since
-// registry creation on the first call). Histograms render as count, sum and
-// quantile lines. The whole page is rendered to a private buffer before the
+// registry creation on the first call). The whole page is rendered to a private buffer before the
 // first byte reaches w, so a slow reader (a stalled scrape socket) never
 // holds any registry lock, and the output is deterministic for equal metric
 // values: fully sorted, one line per metric.
@@ -196,12 +149,6 @@ func (r *Registry) renderText() []byte {
 	for n, g := range r.gauges {
 		gvals[n] = g.Load()
 	}
-	hsnaps := make(map[string]histSnap, len(r.histograms))
-	hsums := make(map[string]uint64, len(r.histograms))
-	for n, h := range r.histograms {
-		hsnaps[n] = h.snapshot()
-		hsums[n] = h.Sum()
-	}
 	r.mu.RUnlock()
 
 	r.scrapeMu.Lock()
@@ -219,7 +166,7 @@ func (r *Registry) renderText() []byte {
 	r.lastScrape = now
 	r.scrapeMu.Unlock()
 
-	lines := make([]string, 0, len(cvals)+len(gvals)+5*len(hsnaps))
+	lines := make([]string, 0, 2*len(cvals)+len(gvals))
 	for n, v := range cvals {
 		lines = append(lines, fmt.Sprintf("%s %d", n, v))
 		if base, ok := rateBase(n); ok && window > 0 {
@@ -229,13 +176,6 @@ func (r *Registry) renderText() []byte {
 	for n, v := range gvals {
 		lines = append(lines, fmt.Sprintf("%s %d", n, v))
 	}
-	for n, s := range hsnaps {
-		lines = append(lines, fmt.Sprintf("%s_count %d", n, s.count))
-		lines = append(lines, fmt.Sprintf("%s_sum %d", n, hsums[n]))
-		for _, hq := range histQuantiles {
-			lines = append(lines, fmt.Sprintf("%s%s %.0f", n, hq.suffix, s.quantile(hq.q)))
-		}
-	}
 	sort.Strings(lines)
 
 	var buf bytes.Buffer
@@ -244,32 +184,6 @@ func (r *Registry) renderText() []byte {
 		buf.WriteByte('\n')
 	}
 	return buf.Bytes()
-}
-
-// Snapshot returns the current value of every metric, keyed by exposition
-// name: counters and gauges verbatim, histograms as their _count, _sum and
-// quantile entries. Unlike WriteText it computes no rate lines and touches
-// no scrape-window state, so periodic sampling (the Snapshotter) and scrape
-// rates cannot disturb each other.
-func (r *Registry) Snapshot() map[string]float64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]float64, len(r.counters)+len(r.gauges)+5*len(r.histograms))
-	for n, c := range r.counters {
-		out[n] = float64(c.Load())
-	}
-	for n, g := range r.gauges {
-		out[n] = float64(g.Load())
-	}
-	for n, h := range r.histograms {
-		s := h.snapshot()
-		out[n+"_count"] = float64(s.count)
-		out[n+"_sum"] = float64(h.Sum())
-		for _, hq := range histQuantiles {
-			out[n+hq.suffix] = s.quantile(hq.q)
-		}
-	}
-	return out
 }
 
 // rateBase reports whether a counter name should get a derived rate line.
@@ -293,15 +207,11 @@ func (r *Registry) Handler() http.Handler {
 }
 
 // DebugMux returns a mux serving the debug endpoints ddprofd and
-// `ddexp -metrics` share: /metrics (reg's page), /debug/timeline (snap's
-// ring, when snap is non-nil) and the standard /debug/pprof routes. Callers
-// add their own routes to it.
-func DebugMux(reg *Registry, snap *Snapshotter) *http.ServeMux {
+// `ddexp -metrics` share: /metrics (reg's page) and the standard /debug/pprof
+// routes, /debug/pprof/trace included. Callers add their own routes to it.
+func DebugMux(reg *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
-	if snap != nil {
-		mux.Handle("/debug/timeline", snap.TimelineHandler())
-	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -335,8 +245,9 @@ type Pipeline struct {
 	// full at flush; the collapsed reads still count in events_total.
 	DupCollapsed *Counter
 	// Ranges counts ingested wire ranges (trace range records); RangeElements
-	// the accesses they expanded into at the ingest seam. Range elements are already included in Events — these counters
-	// measure what the client compressed, not extra traffic.
+	// the accesses they expanded into at the ingest seam. Range elements are
+	// already included in Events: these counters measure what the client
+	// compressed, not extra traffic.
 	Ranges        *Counter
 	RangeElements *Counter
 	// TraceSiteDefines counts the define records remote sessions decoded
@@ -353,17 +264,6 @@ type Pipeline struct {
 	// SigOccupancyPermille is the mean signature write-slot occupancy of the
 	// last flushed pipeline, in thousandths.
 	SigOccupancyPermille *Gauge
-
-	// Stage latency histograms (nanoseconds), the flight recorder's span
-	// layer. The first two are recorded at sampled batch granularity (one in
-	// 32) so clock reads stay off the hot path:
-	//
-	//	StageTransportWaitNs worker-side wait for the next non-empty batch
-	//	StageWorkerNs        one worker batch through the detection engine
-	//	StageMergeNs         the merge stage, once per flushed run
-	StageTransportWaitNs *Histogram
-	StageWorkerNs        *Histogram
-	StageMergeNs         *Histogram
 
 	// StoreBytes, published at Flush for every backend, is the summed actual
 	// footprint of all worker stores (shadow page accounting, hash-table
@@ -401,9 +301,6 @@ func (r *Registry) Pipeline(prefix string) *Pipeline {
 		TraceSiteRedefines:   r.Counter(prefix + "_trace_site_redefines_total"),
 		QueueDepthMax:        r.Gauge(prefix + "_queue_depth_max"),
 		SigOccupancyPermille: r.Gauge(prefix + "_sig_occupancy_permille"),
-		StageTransportWaitNs: r.Histogram(prefix + "_stage_transport_wait_ns"),
-		StageWorkerNs:        r.Histogram(prefix + "_stage_worker_ns"),
-		StageMergeNs:         r.Histogram(prefix + "_stage_merge_ns"),
 		StoreBytes:           r.Gauge(prefix + "_store_bytes"),
 	}
 	for i := range p.QueueDepth {

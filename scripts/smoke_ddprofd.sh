@@ -48,7 +48,8 @@ fi
 
 # Retired daemon knobs are refused by the flag parser: exit 2, naming the flag.
 # (Both listeners empty: a daemon that accepted the flag exits without serving.)
-for f in readbuf decode-depth track-accuracy epoch-interval; do
+for f in readbuf decode-depth track-accuracy epoch-interval \
+	snapshot-interval snapshot-samples session-series q; do
 	code=0
 	"$dir/ddprofd" -listen "" -unix "" "-$f" 1 >"$dir/$f.out" 2>&1 || code=$?
 	if [ "$code" -ne 2 ] || ! grep -q -- "-$f" "$dir/$f.out"; then
@@ -61,7 +62,7 @@ done
 sock="$dir/dd.sock"
 port=$((20000 + $$ % 20000))
 "$dir/ddprofd" -listen "" -unix "$sock" -http "127.0.0.1:$port" \
-	-q >"$dir/daemon.log" 2>&1 &
+	-log-level warn >"$dir/daemon.log" 2>&1 &
 dpid=$!
 
 i=0
