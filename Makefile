@@ -24,7 +24,8 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; gofmt -d .; exit 1; fi
 
 # End-to-end smoke over the three binaries it builds (ddprof, ddprofd, ddiff):
-# a -race ddprof on a sample that spawns threads, a retired -backend and the
+# a -race ddprof on a sample that spawns threads, -backend hybrid (retired)
+# and shadow (a ddexp stores baseline) on ddprof and ddprofd, and the
 # retired ddprofd -readbuf/-decode-depth/-track-accuracy/-epoch-interval/
 # -snapshot-interval/-snapshot-samples/-session-series/-q refused with exit 2
 # before any work, then the daemon up on a unix socket and
@@ -46,13 +47,15 @@ bench:
 	$(GO) run ./bench/ddbench all
 
 # Non-test Go lines per top-level package (. is the ddprof facade) and in all:
-# the number a simplicity PR reports, before and after.
+# the number a simplicity PR reports, before and after. internal/exp, the
+# experiment code (the paper's tables and figures, the §III-B store
+# baselines), has its own line and is not in internal's.
 loc:
-	@for d in . bench cmd examples internal; do \
-		depth=; [ $$d = . ] && depth='-maxdepth 1'; \
-		printf '%-9s %6d\n' $$d $$(find $$d $$depth -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -1 | awk '{print $$1}'); \
+	@for d in . bench cmd examples internal internal/exp; do \
+		opt=; [ $$d = . ] && opt='-maxdepth 1'; [ $$d = internal ] && opt='-path internal/exp -prune -o'; \
+		printf '%-12s %6d\n' $$d $$(find $$d $$opt -name '*.go' ! -name '*_test.go' -print | xargs wc -l | tail -1 | awk '{print $$1}'); \
 	done
-	@printf '%-9s %6d\n' total $$(find . -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -1 | awk '{print $$1}')
+	@printf '%-12s %6d\n' total $$(find . -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -1 | awk '{print $$1}')
 
 # Short fuzz pass over the hardened decoders (trace, framing, server), the
 # slab trace encoder against its reference, the dependence-set fast-update
@@ -60,7 +63,9 @@ loc:
 # stage runs (FuzzSetMergeEquivalence guards production: core's merge is
 # dep.MergeShards), the engine's two store arms against each other on point
 # streams, the MT pipeline's batch seam against its per-event one, the
-# backend spec parser every -backend flag and session handshake goes through,
+# closed store-spec set (sig.OpenStore: signature, signature:slots=N up to
+# sig.MaxSlots, perfect) every -backend, -slots and session handshake goes
+# through,
 # and a worker's sharded signature against the unsharded one it stands for.
 # Plain `go test` already replays each fuzzer's f.Add seeds and the corpora
 # committed under testdata/fuzz/ (the wire-facing decoders, minilang, vm, the

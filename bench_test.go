@@ -472,20 +472,14 @@ func BenchmarkHotPath(b *testing.B) {
 }
 
 // BenchmarkStore drives the identical dense hot-loop stream through a
-// serial pipeline under each registered access-history backend and reports
-// events/s, so backend implementations are directly comparable at the store
-// layer. The stream is the dense hotPathStream on purpose: sparse random
-// streams measure shadow's page-fill pathology, not store dispatch. Run with
+// serial pipeline under each store a profile can be taken with and reports
+// events/s, so the two are directly comparable at the store layer (the
+// §III-B baselines are BenchmarkStoreAblation's). Run with
 // `go test -run '^$' -bench '^BenchmarkStore$' .`; ddbench's sig.store rows
 // are the numbers of record.
 func BenchmarkStore(b *testing.B) {
 	stream, meta := hotPathStream(1 << 16)
-	for _, backend := range []string{
-		"signature:slots=256k",
-		"perfect",
-		"shadow",
-		"hashtab",
-	} {
+	for _, backend := range []string{"signature:slots=256k", "perfect"} {
 		name := strings.NewReplacer(":", "_", ",", "_", "=", "-").Replace(backend)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()

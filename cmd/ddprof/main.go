@@ -20,6 +20,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -40,6 +41,9 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// backendHelp names sig.OpenStore's three forms.
+const backendHelp = "store spec: signature (sized by -slots) | signature:slots=N (k/m/g suffixes) | perfect"
+
 func run(args []string, stdout, stderr io.Writer) int {
 	// The flag package stops at the first positional, so the report name
 	// comes off the front and anything positional left after parsing is an
@@ -56,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mode    = fs.String("mode", "serial", "profiler mode: serial | parallel | mt (a target that spawns threads always runs under mt)")
 		workers = fs.Int("workers", 8, "profiling worker threads (parallel modes)")
 		slots   = fs.Int("slots", 1<<21, "total signature slots")
-		backend = fs.String("backend", "", "store backend spec: "+strings.Join(sig.BackendNames(), " | ")+", each name[:key=val,...] (default signature sized by -slots)")
+		backend = fs.String("backend", "", backendHelp)
 		scale   = fs.Float64("scale", 1, "workload problem-size multiplier")
 		threads = fs.Int("threads", 4, "target threads of pthread variants (-mode mt, water-spatial) and of the communication report")
 		list    = fs.Bool("list", false, "list available workloads and exit")
@@ -93,6 +97,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, err)
 	}
 	binary := *format == "binary"
+
+	// A session's store is its handshake's spec, so an explicit -slots
+	// travels as the spec that says the same: the total signature.
+	remoteBackend := *backend
+	if *remote != "" && slotsSet(fs) {
+		if *backend != "" {
+			return fail(2, errors.New("-slots and -backend both size the remote session's store: give one"))
+		}
+		if *slots > 0 {
+			remoteBackend = fmt.Sprintf("signature:slots=%d", *slots)
+		}
+	}
 
 	if *list {
 		fmt.Fprintln(stdout, "available workloads:")
@@ -162,7 +178,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	switch {
 	case *remote != "":
-		err = runRemote(prog, w, stdout, *remote, server.ClientOptions{Workers: *workers, Backend: *backend, FrameBytes: *frameKB}, *summary, binary)
+		err = runRemote(prog, w, stdout, *remote, server.ClientOptions{Workers: *workers, Backend: remoteBackend, FrameBytes: *frameKB}, *summary, binary)
 	default:
 		cfg := ddprof.Config{Mode: pmode, Workers: *workers, Slots: *slots, Backend: *backend}
 		err = runLocal(prog, cfg, plugins, w, stdout, stderr, *summary, binary)
@@ -254,11 +270,16 @@ func runRemote(prog *ddprof.Program, w, stdout io.Writer, addr string, opt serve
 	return nil
 }
 
+// slotsSet reports whether -slots was given on the command line.
+func slotsSet(fs *flag.FlagSet) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == "slots" })
+	return set
+}
+
 // checkFlags validates -mode, -format, -backend, -slots and -workers and
-// resolves the mode. The backend spec is resolved the way the run will
-// resolve it — syntax, registered name, the constructor's own parameter
-// check — on a store that is dropped: none commits memory before its first
-// access.
+// resolves the mode. The store is opened the way the run will open it, and
+// dropped: none commits slot memory before its first access.
 func checkFlags(mode, format, backend string, slots, workers int) (ddprof.Mode, error) {
 	if format != "text" && format != "binary" {
 		return 0, fmt.Errorf("unknown format %q (text | binary)", format)
@@ -267,6 +288,9 @@ func checkFlags(mode, format, backend string, slots, workers int) (ddprof.Mode, 
 		return 0, fmt.Errorf("-slots %d, -workers %d: want >= 0 (0 selects the default)", slots, workers)
 	}
 	if _, err := sig.OpenStore(backend, slots); err != nil {
+		if backend == "" {
+			return 0, fmt.Errorf("-slots: %w", err)
+		}
 		return 0, fmt.Errorf("-backend: %w", err)
 	}
 	switch mode {

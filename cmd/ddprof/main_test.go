@@ -2,11 +2,16 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"net"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"ddprof"
+	"ddprof/internal/server"
+	"ddprof/internal/telemetry"
 	"ddprof/internal/workloads"
 )
 
@@ -68,6 +73,7 @@ func TestBuildTargetErrors(t *testing.T) {
 // dump, and the arguments that must be refused before any work is done.
 func TestRun(t *testing.T) {
 	cg := []string{"-workload", "CG", "-scale", "0.2"}
+	daemon, _ := startDaemon(t)
 	for _, tc := range []struct {
 		args   []string
 		code   int
@@ -94,12 +100,19 @@ func TestRun(t *testing.T) {
 		{args: []string{"all", "-remote", "unix:/nonexistent.sock"}, code: 2, stderr: "needs a local run"},
 		{args: []string{"-mode", "lockbased"}, code: 2, stderr: `unknown mode "lockbased"`},
 		{args: []string{"-interp"}, code: 2, stderr: "not defined: -interp"},
-		{args: []string{"-backend", "nosuch"}, code: 2, stderr: `ddprof: -backend: sig: unknown store backend "nosuch"`},
-		{args: []string{"-backend", "hybrid:exact=4096"}, code: 2, stderr: `unknown store backend "hybrid" (registered: hashtab, perfect, shadow, signature)`},
-		{args: []string{"-backend", "signature:bogus=1"}, code: 2, stderr: `does not take parameter "bogus"`},
-		{args: []string{"-backend", "signature:slots=0"}, code: 2, stderr: "slots = 0; want >= 1"},
-		{args: []string{"-backend", "nosuch", "-remote", "unix:/nonexistent.sock"}, code: 2, stderr: `unknown store backend "nosuch"`},
+		{args: []string{"-backend", "nosuch"}, code: 2, stderr: `ddprof: -backend: sig: unknown store spec "nosuch" (want signature, signature:slots=N (k/m/g suffixes) or perfect)`},
+		{args: []string{"-backend", "hybrid:exact=4096"}, code: 2, stderr: `unknown store spec "hybrid:exact=4096" (want signature`},
+		{args: []string{"-backend", "shadow"}, code: 2, stderr: `store "shadow" is a §III-B baseline of ddexp stores`},
+		{args: []string{"-backend", "signature:bogus=1"}, code: 2, stderr: `unknown store spec "signature:bogus=1"`},
+		{args: []string{"-backend", "signature:slots=0"}, code: 2, stderr: "signature of 0 slots; want 1 to 1073741824 (sig.MaxSlots)"},
+		{args: []string{"-backend", "nosuch", "-remote", "unix:/nonexistent.sock"}, code: 2, stderr: `unknown store spec "nosuch"`},
 		{args: []string{"-slots", "-5"}, code: 2, stderr: "-slots -5"},
+		{args: []string{"-slots", "2147483648"}, code: 2, stderr: "ddprof: -slots: sig: signature of 2147483648 slots; want 1 to 1073741824 (sig.MaxSlots)"},
+		// -slots reaches a remote session as the spec that says the same
+		// (TestRunRemoteSlots checks the session's size); beside -backend it
+		// is refused before dialling.
+		{args: append([]string{"-summary", "-slots", "4096", "-remote", daemon}, cg...), stdout: []string{"accesses streamed to " + daemon}},
+		{args: []string{"-slots", "4096", "-backend", "perfect", "-remote", "unix:/nonexistent.sock"}, code: 2, stderr: "-slots and -backend both size the remote session's store"},
 		{args: []string{"-workers", "-2"}, code: 2, stderr: "-workers -2"},
 		// The live watch stream is retired: a session returns one profile.
 		{args: []string{"-watch", "-remote", "unix:/nonexistent.sock"}, code: 2, stderr: "not defined: -watch"},
@@ -178,5 +191,44 @@ func TestRunCommunicationBanded(t *testing.T) {
 	}
 	if neighbours != 2*T {
 		t.Errorf("%d neighbour cells visible, want %d:\n%s", neighbours, 2*T, out)
+	}
+}
+
+// startDaemon serves ddprofd sessions on a unix socket for the test's life and
+// returns its -remote address and telemetry.
+func startDaemon(t *testing.T) (string, *telemetry.Registry) {
+	t.Helper()
+	sock := filepath.Join(t.TempDir(), "d.sock")
+	ln, err := net.Listen("unix", sock)
+	if err != nil {
+		t.Skipf("cannot listen on a unix socket: %v", err)
+	}
+	reg := telemetry.NewRegistry()
+	srv := server.New(server.Config{Registry: reg})
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
+	return "unix:" + sock, reg
+}
+
+// TestRunRemoteSlots: an explicit -slots sizes the remote session's
+// signature. The session's occupancy gauge reads what the same size named as
+// a spec reads, and not what the daemon's default size reads.
+func TestRunRemoteSlots(t *testing.T) {
+	daemon, reg := startDaemon(t)
+	occupancy := func(flags ...string) int64 {
+		t.Helper()
+		args := append([]string{"-workload", "CG", "-scale", "0.2", "-summary", "-remote", daemon}, flags...)
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("ddprof %v: exit %d: %s", args, code, &stderr)
+		}
+		return reg.Gauge("pipeline_sig_occupancy_permille").Load()
+	}
+	spec := occupancy("-backend", "signature:slots=4096")
+	if got := occupancy("-slots", "4096"); got != spec {
+		t.Errorf("-slots 4096: session occupancy %d‰, want %d‰ as with -backend signature:slots=4096", got, spec)
+	}
+	if def := occupancy(); def == spec {
+		t.Errorf("the daemon's default size reads the same %d‰ as 4096 slots: the check cannot tell them apart", def)
 	}
 }

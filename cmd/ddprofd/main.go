@@ -31,7 +31,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -63,7 +62,7 @@ func main() {
 		perSess  = flag.Int("session-workers", 4, "pipeline workers per session (cap; shrinks when the budget runs low)")
 		maxSess  = flag.Int("max-sessions", 64, "maximum concurrent sessions")
 		slots    = flag.Int("slots", 1<<20, "signature slots per session")
-		backend  = flag.String("backend", "", "default store backend spec for sessions that request none: "+strings.Join(sig.BackendNames(), " | ")+", each name[:key=val,...]")
+		backend  = flag.String("backend", "", "default store spec for sessions that request none: signature (sized by -slots) | signature:slots=N (k/m/g suffixes) | perfect")
 		storeMax = flag.Uint64("store-budget", 0, "per-session store admission budget in bytes; unbounded or oversized backends are refused (0 = no limit)")
 		idle     = flag.Duration("idle", 30*time.Second, "slow-client deadline: sessions silent this long are evicted")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful drain window on SIGTERM")
@@ -79,6 +78,12 @@ func main() {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))
 	slog.SetDefault(logger)
 
+	// Every session's store is opened from -backend and -slots unless its
+	// handshake names one, so a store sig.OpenStore refuses is refused here.
+	if _, err := sig.StoreBytes(*backend, *slots, 1, false); err != nil {
+		fmt.Fprintln(os.Stderr, "ddprofd: -backend/-slots:", err)
+		os.Exit(2)
+	}
 	if *listen == "" && *unixSock == "" {
 		fmt.Fprintln(os.Stderr, "ddprofd: nothing to listen on (-listen and -unix both empty)")
 		os.Exit(2)

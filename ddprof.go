@@ -137,11 +137,10 @@ type Config struct {
 	// 0 selects 2^21 total. Backend specs with explicit slot parameters
 	// override it.
 	Slots int
-	// Backend selects the access-history store by spec string, resolved
-	// through the sig backend registry: "signature" (the default when
-	// empty; "signature:slots=1m" sizes it), "perfect", "shadow" or
-	// "hashtab". The exact backends trade unbounded memory for zero false
-	// positives.
+	// Backend selects the access-history store: "signature" (the default
+	// when empty), "signature:slots=N" (k/m/g suffixes) or "perfect", the
+	// exact map that trades unbounded memory for zero false positives. The
+	// §III-B baselines, shadow memory and a hash table, are `ddexp stores`'.
 	Backend string
 	// SchedulerFuzz, when positive, makes the executor yield roughly every
 	// N accesses per target thread (ModeMT only). On machines with fewer

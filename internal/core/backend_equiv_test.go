@@ -6,15 +6,14 @@ import (
 
 	"ddprof/internal/event"
 	"ddprof/internal/loc"
-	"ddprof/internal/prog"
 	"ddprof/internal/sig"
 	"ddprof/internal/telemetry"
 )
 
 // TestStoreTelemetryPublished: Flush publishes the summed actual store
-// footprint for every backend, page-accounted and slot-array alike.
+// footprint for every store, the perfect map's as much as a slot array's.
 func TestStoreTelemetryPublished(t *testing.T) {
-	for _, backend := range []string{"shadow", "signature:slots=1024"} {
+	for _, backend := range []string{"perfect", "signature:slots=1024"} {
 		pipe := telemetry.NewRegistry().Pipeline("t")
 		p := mustNew(t, Config{Mode: ModeParallel, Workers: 2, Backend: backend, Metrics: pipe})
 		for i := 0; i < 20000; i++ {
@@ -31,64 +30,30 @@ func TestStoreTelemetryPublished(t *testing.T) {
 	}
 }
 
-// TestRegisteredBackends pins the store layer to the paper's four, as every
-// binary sees it (core links shadow and hashtab in), and the retired hybrid
-// tier (EXPERIMENTS.md decision record) to the unknown-name error that lists
-// them.
+// TestRegisteredBackends pins the store choice every binary and daemon
+// session has to the three spec forms, and the §III-B baselines and the
+// retired hybrid tier (EXPERIMENTS.md decision record) to their refusals.
 func TestRegisteredBackends(t *testing.T) {
-	if got := fmt.Sprint(sig.BackendNames()); got != "[hashtab perfect shadow signature]" {
-		t.Errorf("registered backends = %s", got)
+	for spec, want := range map[string]string{
+		"":                   "*sig.Signature",
+		"signature":          "*sig.Signature",
+		"signature:slots=4k": "*sig.Signature",
+		"perfect":            "*sig.PerfectSignature",
+	} {
+		if p, err := New(Config{Backend: spec}); err != nil {
+			t.Errorf("%q: %v", spec, err)
+		} else if got := fmt.Sprintf("%T", p.(*Serial).eng.Store()); got != want {
+			t.Errorf("%q opens a %s, want %s", spec, got, want)
+		}
 	}
-	_, err := sig.OpenStore("hybrid:slots=1m,exact=4096", 0)
-	const want = `sig: unknown store backend "hybrid" (registered: hashtab, perfect, shadow, signature)`
-	if err == nil || err.Error() != want {
-		t.Errorf("retired backend: err = %v, want %q", err, want)
-	}
-}
-
-// exactBackends enumerates every registered backend that promises exact
-// results — all of them must produce byte-identical profiles. "perfect" is
-// the reference.
-var exactBackends = []string{"perfect", "shadow", "hashtab"}
-
-// TestBackendEquivalence is the cross-backend golden suite: the same access
-// streams driven through serial and parallel pipelines under each exact
-// backend hash to the same profile digest. The digest covers the full
-// dependence set with per-key stats and the loop aggregates, so a single
-// dropped or spurious dependence in any store implementation fails here.
-func TestBackendEquivalence(t *testing.T) {
-	streams := equivSuite()
-	streams = append(streams,
-		equivStream{"synth", prog.NewMeta(), synthStream(1<<15, 512, 7)},
-		equivStream{"mt-4threads", prog.NewMeta(), mtThreadStream(4, 8000)},
-	)
-	modes := []struct {
-		name string
-		mk   func(backend string, meta *prog.Meta) Profiler
-	}{
-		{"serial", func(b string, meta *prog.Meta) Profiler {
-			return mustNew(t, Config{Backend: b, Meta: meta})
-		}},
-		{"par3", func(b string, meta *prog.Meta) Profiler {
-			return mustNew(t, Config{Mode: ModeParallel, Workers: 3, QueueCap: 64, Backend: b, Meta: meta})
-		}},
-		{"par4", func(b string, meta *prog.Meta) Profiler {
-			return mustNew(t, Config{Mode: ModeParallel, Workers: 4, Backend: b, Meta: meta})
-		}},
-	}
-	for _, s := range streams {
-		for _, m := range modes {
-			want := ""
-			for _, b := range exactBackends {
-				got := digestResult(feed(m.mk(b, s.meta), s.evs))
-				if want == "" {
-					want = got
-					continue
-				}
-				if got != want {
-					t.Errorf("%s/%s: backend %q profile diverged from %q", s.name, m.name, b, exactBackends[0])
-				}
-			}
+	const forms = "(want signature, signature:slots=N (k/m/g suffixes) or perfect)"
+	for spec, want := range map[string]string{
+		"shadow":                     `sig: store "shadow" is a §III-B baseline of ddexp stores, not a profiling store ` + forms,
+		"hashtab:buckets=64k":        `sig: store "hashtab" is a §III-B baseline of ddexp stores, not a profiling store ` + forms,
+		"hybrid:slots=1m,exact=4096": `sig: unknown store spec "hybrid:slots=1m,exact=4096" ` + forms,
+	} {
+		if _, err := sig.OpenStore(spec, 0); err == nil || err.Error() != want {
+			t.Errorf("%q: err = %v, want %q", spec, err, want)
 		}
 	}
 }

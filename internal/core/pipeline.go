@@ -113,7 +113,7 @@ func (c Config) normalize() (Config, error) {
 }
 
 // makeEngines builds the engines of n workers that share the addresses by
-// ownerOf, each over its own store from the backend registry. The stores are
+// ownerOf, each over its own store (sig.OpenStore). The stores are
 // built here (not lazily) so a bad Config.Backend spec fails construction with
 // a descriptive error instead of a nil dereference on the hot path. A
 // signature learns the routing rule (Shard) before its first access; exact

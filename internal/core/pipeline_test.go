@@ -6,6 +6,7 @@ import (
 
 	"ddprof/internal/event"
 	"ddprof/internal/loc"
+	"ddprof/internal/sig"
 	"ddprof/internal/telemetry"
 )
 
@@ -23,6 +24,7 @@ func TestConfigValidation(t *testing.T) {
 		{"negative queue cap", Config{Mode: ModeMT, QueueCap: -3}, "QueueCap"},
 		{"negative slots", Config{Mode: ModeSerial, SlotsPerWorker: -5}, "SlotsPerWorker"},
 		{"bad backend spec", Config{Mode: ModeParallel, Workers: 1, Backend: "no-such-backend"}, "Config.Backend"},
+		{"slots past MaxSlots", Config{Mode: ModeParallel, Workers: 2, SlotsPerWorker: sig.MaxSlots + 1}, "sig.MaxSlots"},
 		{"retired mode", Config{Mode: 3}, "unknown Mode"},
 		{"unknown mode", Config{Mode: Mode(42)}, "unknown Mode"},
 	}

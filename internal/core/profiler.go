@@ -7,11 +7,6 @@ import (
 	"ddprof/internal/telemetry"
 
 	"ddprof/internal/event"
-
-	// Every built-in store backend registers with the sig registry here, so
-	// any Config.Backend spec resolves in any binary or daemon session.
-	_ "ddprof/internal/hashtab"
-	_ "ddprof/internal/shadow"
 )
 
 // Profiler is the uniform surface of all profiler variants. AccessBatch is
@@ -120,11 +115,10 @@ type Config struct {
 	// size reports. The paper's reference configuration is 6.25e6 slots per
 	// worker × 16 workers = 1e8 slots total (§VI-B2).
 	SlotsPerWorker int
-	// Backend selects the access-history store by spec string, resolved
-	// through the sig backend registry: "signature", "perfect", "shadow",
-	// "hashtab:buckets=64k". Empty selects the default signature backend;
-	// SlotsPerWorker sizes slot parameters the spec leaves out. A bad spec
-	// fails construction with a descriptive error.
+	// Backend selects the access-history store (sig.OpenStore): "signature"
+	// or empty, "signature:slots=N" or "perfect". SlotsPerWorker sizes a
+	// signature whose spec leaves slots out. Any other spec, or a signature
+	// past sig.MaxSlots, fails construction with a descriptive error.
 	Backend string
 	// Meta enables loop-carried classification when non-nil.
 	Meta *prog.Meta
@@ -244,8 +238,7 @@ func (s *Serial) Flush() *Result {
 
 // publishStoreTelemetry records the flush-time store gauges: the mean
 // write-slot occupancy of the signatures among stores, and the summed actual
-// footprint of every store regardless of backend (satisfying /metrics for
-// shadow page accounting as much as for slot arrays).
+// footprint of every store, signature or perfect map.
 func publishStoreTelemetry(m *telemetry.Pipeline, stores ...sig.Store) {
 	sum, n := 0.0, 0
 	var bytes uint64

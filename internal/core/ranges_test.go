@@ -8,7 +8,6 @@ import (
 	"ddprof/internal/interp"
 	"ddprof/internal/loc"
 	"ddprof/internal/prog"
-	"ddprof/internal/sig"
 	"ddprof/internal/workloads"
 )
 
@@ -127,15 +126,14 @@ func rangeEdges() (*rangedStream, *prog.Meta) {
 }
 
 // TestAccessRangeEquivalence holds ranges to being their points: over every
-// registered backend (the signature also at a size where the stream's
-// addresses collide) and the serial, parallel and MT profilers, a stream handed
+// store (the signature also at a size where the stream's addresses collide) and the serial, parallel and MT profilers, a stream handed
 // over with its ranges — one one-slot batch each (accessRange), or as RangeRef
 // slots of one AccessBatch — leaves the profile of the expanded stream through
 // Access, and counts every data range it ingested.
 func TestAccessRangeEquivalence(t *testing.T) {
 	s, m := rangeEdges()
 	evs := s.points()
-	backends := append(sig.BackendNames(), "signature:slots=64")
+	backends := []string{"perfect", "signature", "signature:slots=64"}
 	var wantRanges, wantElems uint64
 	for _, r := range s.rngs {
 		if r.Count > 0 && r.Kind <= event.Write {

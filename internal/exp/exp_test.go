@@ -223,8 +223,10 @@ func TestStoreAblation(t *testing.T) {
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	if !strings.HasPrefix(rows[0].Store, "signature") {
-		t.Fatal("first row must be the signature baseline")
+	for i, want := range []string{"signature:", "hashtab:", "shadow", "perfect"} {
+		if !strings.HasPrefix(rows[i].Store, want) {
+			t.Errorf("row %d is %q, want %s…", i, rows[i].Store, want)
+		}
 	}
 	for _, r := range rows[1:] {
 		if r.RelativeToSig <= 0 {
@@ -233,9 +235,10 @@ func TestStoreAblation(t *testing.T) {
 	}
 }
 
-// TestStoreAccuracy is the measured-FPR-vs-ground-truth ablation: exact
-// backends must measure clean and the signature's FPR must stay at or under
-// the Eq. (2) collision bound.
+// TestStoreAccuracy is the measured-FPR-vs-ground-truth ablation: both
+// exact baselines, shadow memory and the hash table, must measure 0/0 against
+// the perfect map on every program, and the signature's FPR must stay at or
+// under the Eq. (2) collision bound.
 func TestStoreAccuracy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays two workload captures per backend")
@@ -248,8 +251,11 @@ func TestStoreAccuracy(t *testing.T) {
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
+	exact := map[string]int{}
 	for _, r := range rows {
 		if r.Slots == 0 {
+			name, _, _ := strings.Cut(r.Backend, ":")
+			exact[name]++
 			if r.Measured.FPR != 0 || r.Measured.FNR != 0 {
 				t.Errorf("%s/%s: exact backend measured FPR=%.2f FNR=%.2f", r.Program, r.Backend, r.Measured.FPR, r.Measured.FNR)
 			}
@@ -258,6 +264,9 @@ func TestStoreAccuracy(t *testing.T) {
 		if r.Measured.FPR > r.Predicted+1e-9 {
 			t.Errorf("%s/%s: measured FPR %.2f%% above Eq2 bound %.2f%%", r.Program, r.Backend, r.Measured.FPR, r.Predicted)
 		}
+	}
+	if exact["shadow"] != 2 || exact["hashtab"] != 2 || len(exact) != 2 {
+		t.Errorf("exact rows per store = %v, want shadow and hashtab on both programs", exact)
 	}
 }
 

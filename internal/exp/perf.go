@@ -294,33 +294,19 @@ func StoreAblation(opt Options) (*report.Table, []StoreRow, error) {
 	// need a gigabyte-scale directory to stay chain-free).
 	buckets := cap.Addresses() / 16
 	slots := opt.Slots[len(opt.Slots)-1]
-	// Every candidate is a registry spec, so the ablation exercises exactly
-	// the construction path the daemon and CLI use.
-	specs := []string{
-		fmt.Sprintf("signature:slots=%d", slots),
-		fmt.Sprintf("hashtab:buckets=%d", buckets),
-		"shadow",
-		"perfect",
-	}
 	var rows []StoreRow
-	for _, spec := range specs {
+	for _, c := range []storeCandidate{
+		{fmt.Sprintf("signature:slots=%d", slots), func() sig.Store { return sig.NewSignature(slots) }},
+		{fmt.Sprintf("hashtab:buckets=%d", buckets), func() sig.Store { return newHashTable(buckets) }},
+		{"shadow", func() sig.Store { return newShadow() }},
+		{"perfect", func() sig.Store { return sig.NewPerfectSignature() }},
+	} {
 		var bytes uint64
-		d, err := timeRun(opt.Reps, func() error {
-			st, err := sig.OpenStore(spec, 0)
-			if err != nil {
-				return err
-			}
-			eng := core.NewEngine(st, nil, false)
-			for _, a := range cap.Events() {
-				eng.Process(a)
-			}
-			bytes = st.Bytes()
+		d, _ := timeRun(opt.Reps, func() error {
+			bytes = drive(c.open(), nil, cap.Events()).Store().Bytes()
 			return nil
 		})
-		if err != nil {
-			return nil, nil, err
-		}
-		rows = append(rows, StoreRow{Store: spec, Elapsed: d, Bytes: bytes})
+		rows = append(rows, StoreRow{Store: c.name, Elapsed: d, Bytes: bytes})
 	}
 	base := rows[0].Elapsed
 	for i := range rows {

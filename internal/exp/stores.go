@@ -3,7 +3,9 @@ package exp
 import (
 	"fmt"
 
+	"ddprof/internal/dep"
 	"ddprof/internal/report"
+	"ddprof/internal/sig"
 	"ddprof/internal/stats"
 	"ddprof/internal/workloads"
 )
@@ -12,7 +14,7 @@ import (
 type StoreAccuracyRow struct {
 	Family    string // workload suite ("nas", "starbench")
 	Program   string
-	Backend   string // registry spec profiled
+	Backend   string // store profiled: a store spec, or a baseline's label
 	Slots     int    // signature slots m (0 for exact backends)
 	Addresses int    // distinct addresses n in the stream
 	// Predicted is Equation (2), Pfp = 1 − (1 − 1/m)^n, in percent — the
@@ -53,33 +55,34 @@ func StoreAccuracy(opt Options) (*report.Table, []StoreAccuracyRow, error) {
 		}
 		n := cap.Addresses()
 
-		measure := func(spec string, slots int) error {
-			got, err := replay(cap, backendSerial(w.Build(opt.wcfg()), spec, 0))
-			if err != nil {
-				return fmt.Errorf("%s %s: %w", name, spec, err)
-			}
+		add := func(spec string, slots int, got *dep.Set) {
 			row := StoreAccuracyRow{
 				Family:    w.Suite,
 				Program:   name,
 				Backend:   spec,
 				Slots:     slots,
 				Addresses: n,
-				Measured:  stats.Compare(truth.Deps, got.Deps),
+				Measured:  stats.Compare(truth.Deps, got),
 			}
 			if slots > 0 {
 				row.Predicted = 100 * stats.PredictedFP(float64(slots), float64(n))
 			}
 			rows = append(rows, row)
-			return nil
 		}
 
-		if err := measure("shadow", 0); err != nil {
-			return nil, nil, err
+		for _, c := range []storeCandidate{
+			{"shadow", func() sig.Store { return newShadow() }},
+			{fmt.Sprintf("hashtab:buckets=%d", n/16), func() sig.Store { return newHashTable(n / 16) }},
+		} {
+			add(c.name, 0, drive(c.open(), p.Meta, cap.Events()).Deps())
 		}
 		for _, m := range opt.Slots {
-			if err := measure(fmt.Sprintf("signature:slots=%d", m), m); err != nil {
-				return nil, nil, err
+			spec := fmt.Sprintf("signature:slots=%d", m)
+			got, err := replay(cap, backendSerial(w.Build(opt.wcfg()), spec, 0))
+			if err != nil {
+				return nil, nil, fmt.Errorf("%s %s: %w", name, spec, err)
 			}
+			add(spec, m, got.Deps)
 		}
 	}
 

@@ -173,9 +173,12 @@ func TestRemoteSigOccupancy(t *testing.T) {
 	}
 }
 
-// TestBackendAdmission: the daemon refuses backends it cannot bound under
+// TestBackendAdmission: the daemon refuses stores it cannot bound under
 // MaxStoreBytes — unbounded stores outright, bounded ones that exceed the
-// budget across the session's stores — and names the budget in the error.
+// budget across the session's stores — and names the budget in the error;
+// it refuses specs outside sig.OpenStore's three forms; and a default daemon
+// (no budget) refuses a signature past sig.MaxSlots at handshake, before its
+// page directory could exhaust the process, and serves the next session.
 func TestBackendAdmission(t *testing.T) {
 	srv := New(Config{
 		WorkersPerSession: 2,
@@ -193,7 +196,8 @@ func TestBackendAdmission(t *testing.T) {
 		{"perfect", "no memory bound"},
 		{"signature:slots=16m", "store budget"},
 		{"no-such-backend", "no-such-backend"},
-		{"hybrid:slots=1m,exact=4096", `unknown store backend "hybrid" (registered: hashtab, perfect, shadow, signature)`},
+		{"hybrid:slots=1m,exact=4096", `unknown store spec "hybrid:slots=1m,exact=4096" (want signature, signature:slots=N (k/m/g suffixes) or perfect)`},
+		{"shadow", `store "shadow" is a §III-B baseline of ddexp stores`},
 	} {
 		conn, err := Dial(ln.Addr().String())
 		if err != nil {
@@ -215,6 +219,30 @@ func TestBackendAdmission(t *testing.T) {
 	if _, err := ProfileRemote(conn, testProgram("fits", 50), ClientOptions{Backend: "signature:slots=4k"}); err != nil {
 		t.Errorf("sized signature refused under budget: %v", err)
 	}
+
+	open := New(Config{Registry: telemetry.NewRegistry()})
+	oln := listenTCP(t)
+	go open.Serve(oln)
+	defer open.Shutdown(context.Background())
+	for _, tc := range []struct {
+		backend string
+		wantErr string
+	}{
+		{"signature:slots=4194304g", "slots past 1073741824 (sig.MaxSlots)"},
+		{"signature:slots=64g", "slots past 1073741824 (sig.MaxSlots)"},
+		{"signature:slots=4k", ""},
+	} {
+		conn, err := Dial(oln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ProfileRemote(conn, testProgram("open", 50), ClientOptions{Backend: tc.backend})
+		conn.Close()
+		if tc.wantErr == "" && err != nil || tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+			t.Errorf("default daemon, backend %q: err = %v, want %q", tc.backend, err, tc.wantErr)
+		}
+	}
+	waitFor(t, func() bool { return open.ActiveSessions() == 0 })
 }
 
 // TestAdmissionEqualsStoreBytes: what admission charges a session is what

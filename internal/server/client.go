@@ -24,9 +24,9 @@ type ClientOptions struct {
 	// Workers is the per-session pipeline worker hint; 0 asks for the
 	// server's default.
 	Workers int
-	// Backend requests a store spec for the session ("perfect",
-	// "signature:slots=1m", ...), resolved against the daemon's backend
-	// registry and memory budget; empty accepts the daemon's default.
+	// Backend requests a store spec for the session: "signature",
+	// "signature:slots=N" or "perfect" (sig.OpenStore), admitted against the
+	// daemon's store budget; empty accepts the daemon's default.
 	Backend string
 	// SchedulerFuzz is passed to the executor (visibility fuzz for targets
 	// that spawn threads).

@@ -119,7 +119,7 @@ func replayTrace(t *testing.T, prof core.Profiler, raw []byte) {
 }
 
 // TestRemoteLocalGoldenMatrix is the batched-ingest acceptance matrix: over
-// {serial, parallel, MT-timestamped} sessions × {signature, shadow} stores
+// {serial, parallel, MT-timestamped} sessions × {signature, perfect} stores
 // (the engine's fused arm and its interface arm),
 // a remote session's dependence set must encode byte-identically to an
 // in-process profiler mirroring the session's exact pipeline config. This
@@ -130,7 +130,7 @@ func TestRemoteLocalGoldenMatrix(t *testing.T) {
 	const slots = 1 << 16
 	backends := []string{
 		fmt.Sprintf("signature:slots=%d", slots),
-		"shadow",
+		"perfect",
 	}
 	modes := []struct {
 		name    string

@@ -16,8 +16,8 @@
 //	          bit 1, the retired exact-store flag, included: send the spec
 //	          "perfect" — as unknown
 //	  backend (only when flags bit 2 is set: a length-prefixed store spec
-//	          string, e.g. "signature:slots=1m", resolved against the
-//	          server's sig backend registry)
+//	          string, "signature", "signature:slots=N" or "perfect":
+//	          sig.OpenStore's three forms)
 //	  workers (uvarint): per-session pipeline worker hint, 0 = server default
 //	  vars    (uvarint n, then n × length-prefixed names, in VarID order)
 //	  meta    (1 byte present flag; when 1, the loop table and loop-context

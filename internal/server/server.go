@@ -38,16 +38,14 @@ type Config struct {
 	// SessionSlots is the total signature slot budget per session, split
 	// over that session's workers. Default 2^20.
 	SessionSlots int
-	// DefaultBackend is the store spec of sessions that request none
-	// (resolved against the sig backend registry); empty selects the
-	// default signature sized from SessionSlots. A handshake backend spec
-	// overrides it.
+	// DefaultBackend is the store spec (sig.OpenStore) of sessions that
+	// request none; empty selects the signature sized from SessionSlots. A
+	// handshake's spec overrides it.
 	DefaultBackend string
 	// MaxStoreBytes, when positive, is the daemon's per-session store
-	// admission budget: a session whose backend's estimated footprint
-	// (per-store bound × stores) exceeds it — or whose backend is
-	// unbounded, like "perfect" or "shadow" — is refused at handshake.
-	// 0 admits everything.
+	// admission budget: a session whose stores' footprint (sig.StoreBytes ×
+	// stores) exceeds it, or whose store is the unbounded "perfect", is
+	// refused at handshake. 0 admits every store sig.OpenStore accepts.
 	MaxStoreBytes uint64
 	// QueueCap is the per-worker ring capacity in accesses; small values make
 	// pipeline backpressure reach the socket sooner. Default: core's.
@@ -311,12 +309,12 @@ func (c Config) resolveBackend(h *handshake, stores, slotsPerStore int) (string,
 	if spec == "" {
 		spec = c.DefaultBackend
 	}
-	bytes, bounded, err := sig.EstimateStoreBytes(spec, slotsPerStore, stores, h.Flags&flagRaceCheck != 0)
+	bytes, err := sig.StoreBytes(spec, slotsPerStore, stores, h.Flags&flagRaceCheck != 0)
 	if err != nil {
 		return "", err
 	}
 	if c.MaxStoreBytes > 0 {
-		if !bounded {
+		if bytes == 0 {
 			return "", fmt.Errorf("backend %q has no memory bound; daemon store budget is %d bytes", spec, c.MaxStoreBytes)
 		}
 		if total := bytes * uint64(stores); total > c.MaxStoreBytes {

@@ -107,8 +107,8 @@ func (s Slot) Ctx() uint32 { return uint32((s.Meta >> ctxShift) & CtxMask) }
 
 // Store abstracts how per-address access history is kept. The profiler's
 // detection engine (Algorithm 1) runs against any Store; implementations are
-// the approximate Signature below, the exact PerfectSignature, shadow memory
-// (internal/shadow) and a bucketed hash table (internal/hashtab).
+// the approximate Signature below and the exact PerfectSignature, and the
+// §III-B baselines (shadow memory, a bucketed hash table) in internal/exp.
 type Store interface {
 	// LookupWrite returns the last-write record for addr, if present.
 	LookupWrite(addr uint64) (Slot, bool)

@@ -35,16 +35,26 @@ grep -q "forcing -mode mt" "$dir/race.err" || {
 	exit 1
 }
 
-# A retired backend is refused by flag validation (exit 2, naming the four
-# registered ones) before any work and without a daemon.
-code=0
-"$dir/ddprof" -workload kmeans -backend hybrid >"$dir/retired.out" 2>"$dir/retired.err" || code=$?
-if [ "$code" -ne 2 ] || [ -s "$dir/retired.out" ] ||
-	! grep -q '(registered: hashtab, perfect, shadow, signature)' "$dir/retired.err"; then
-	echo "ddprof smoke: -backend hybrid: exit $code, want 2 naming the registered backends:"
-	cat "$dir/retired.err"
-	exit 1
-fi
+# A retired store and a §III-B baseline are refused by -backend validation
+# before any work: exit 2, nothing on stdout, the three store forms named.
+# (ddprofd's listeners are empty: one that took the spec would exit 2 too,
+# but without naming the forms.)
+refused() {
+	what=$1
+	shift
+	code=0
+	"$@" >"$dir/retired.out" 2>"$dir/retired.err" || code=$?
+	if [ "$code" -ne 2 ] || [ -s "$dir/retired.out" ] ||
+		! grep -q '(want signature, signature:slots=N (k/m/g suffixes) or perfect)' "$dir/retired.err"; then
+		echo "smoke: $what: exit $code, want 2 naming the three store forms:"
+		cat "$dir/retired.err"
+		exit 1
+	fi
+}
+for b in hybrid shadow; do
+	refused "ddprof -backend $b" "$dir/ddprof" -workload kmeans -backend "$b"
+	refused "ddprofd -backend $b" "$dir/ddprofd" -listen "" -unix "" -backend "$b"
+done
 
 # Retired daemon knobs are refused by the flag parser: exit 2, naming the flag.
 # (Both listeners empty: a daemon that accepted the flag exits without serving.)
