@@ -62,14 +62,15 @@ loc:
 # API the instance cache relies on and the shard merge the pipelines' merge
 # stage runs (FuzzSetMergeEquivalence guards production: core's merge is
 # dep.MergeShards), the engine's two store arms against each other on point
-# streams, the MT pipeline's batch seam against its per-event one, the
+# streams (over a signature and over the perfect table), the MT pipeline's
+# batch seam against its per-event one, the
 # closed store-spec set (sig.OpenStore: signature, signature:slots=N up to
 # sig.MaxSlots, perfect) every -backend, -slots and session handshake goes
-# through,
-# and a worker's sharded signature against the unsharded one it stands for.
+# through, a worker's sharded signature against the unsharded one it stands
+# for, and the perfect table against the two Go maps it replaced.
 # Plain `go test` already replays each fuzzer's f.Add seeds and the corpora
 # committed under testdata/fuzz/ (the wire-facing decoders, minilang, vm, the
-# sharded signature). The
+# sharded signature, the perfect table). The
 # trace corpora are generated: after a wire change,
 # `go test ./internal/trace -run TestSeedCorpus -update` rewrites them.
 fuzz:
@@ -77,6 +78,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzMTBatchEquivalence -fuzztime=10s ./internal/core/
 	$(GO) test -run=^$$ -fuzz=FuzzBackendSpec -fuzztime=10s ./internal/sig/
 	$(GO) test -run=^$$ -fuzz=FuzzShardedSignature -fuzztime=10s ./internal/sig/
+	$(GO) test -run=^$$ -fuzz=FuzzPerfectStore -fuzztime=10s ./internal/sig/
 	$(GO) test -run=^$$ -fuzz=FuzzReplay -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzRangeFrame -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzFrames -fuzztime=10s ./internal/trace/

@@ -237,7 +237,8 @@ func BenchmarkEngineSignature(b *testing.B) {
 	benchEngine(b, func() sig.Store { return sig.NewSignature(1 << 20) })
 }
 
-// BenchmarkEnginePerfect measures Algorithm 1 against the exact map store.
+// BenchmarkEnginePerfect measures Algorithm 1 against the exact per-word
+// table.
 func BenchmarkEnginePerfect(b *testing.B) {
 	benchEngine(b, func() sig.Store { return sig.NewPerfectSignature() })
 }

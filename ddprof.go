@@ -139,7 +139,8 @@ type Config struct {
 	Slots int
 	// Backend selects the access-history store: "signature" (the default
 	// when empty), "signature:slots=N" (k/m/g suffixes) or "perfect", the
-	// exact map that trades unbounded memory for zero false positives. The
+	// exact per-word table that trades unbounded memory for zero false
+	// positives. The
 	// §III-B baselines, shadow memory and a hash table, are `ddexp stores`'.
 	Backend string
 	// SchedulerFuzz, when positive, makes the executor yield roughly every

@@ -11,7 +11,7 @@ import (
 )
 
 // TestStoreTelemetryPublished: Flush publishes the summed actual store
-// footprint for every store, the perfect map's as much as a slot array's.
+// footprint for every store, the perfect table's as much as a signature's.
 func TestStoreTelemetryPublished(t *testing.T) {
 	for _, backend := range []string{"perfect", "signature:slots=1024"} {
 		pipe := telemetry.NewRegistry().Pipeline("t")

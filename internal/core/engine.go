@@ -40,10 +40,11 @@ type LoopDeps struct {
 // its own Engine over a disjoint address subset.
 type Engine struct {
 	store sig.Store
-	// sg is the store itself when it is a *sig.Signature: Process then goes
-	// through its fused pair probe instead of the interface. Fixed at
-	// construction.
+	// sg or pf is the store itself when it is a *sig.Signature or a
+	// *sig.PerfectSignature: Process then goes through its fused record
+	// probe instead of the interface. Fixed at construction.
 	sg    *sig.Signature
+	pf    *sig.PerfectSignature
 	meta  *prog.Meta
 	deps  *dep.Set
 	loops map[prog.LoopID]*loopAgg
@@ -143,14 +144,15 @@ func newLoopAgg() *loopAgg {
 // nil when loop-carried classification is not needed.
 //
 // The engine has two store arms, chosen here once by the store's type alone:
-// a *sig.Signature is driven through its fused pair probe (sig.At: one hash
-// and one pair per access); every other store — the exact ones — through the
-// sig.Store interface. Both arms feed the same Algorithm 1
-// (write, read below), and FuzzEngineArms holds them to each other.
+// a *sig.Signature or a *sig.PerfectSignature is driven through its fused
+// record probe (At: one lookup and one write/read pair per access); every
+// other store — the §III-B baselines of ddexp stores — through the sig.Store
+// interface. Both arms feed the same Algorithm 1 (write, read below), and
+// FuzzEngineArms holds them to each other.
 //
 // Only the race check reads a resident slot's stamp, so only a race-checking
-// engine makes a signature keep them — here, before the first access, whoever
-// built the store.
+// engine makes a fused store keep them — here, before the first access,
+// whoever built the store.
 func NewEngine(store sig.Store, meta *prog.Meta, raceCheck bool) *Engine {
 	e := &Engine{
 		store:     store,
@@ -159,11 +161,17 @@ func NewEngine(store sig.Store, meta *prog.Meta, raceCheck bool) *Engine {
 		loops:     make(map[prog.LoopID]*loopAgg),
 		raceCheck: raceCheck,
 	}
-	if g, ok := store.(*sig.Signature); ok {
+	switch st := store.(type) {
+	case *sig.Signature:
 		if raceCheck {
-			g.KeepStamps()
+			st.KeepStamps()
 		}
-		e.sg = g
+		e.sg = st
+	case *sig.PerfectSignature:
+		if raceCheck {
+			st.KeepStamps()
+		}
+		e.pf = st
 	}
 	return e
 }
@@ -181,25 +189,35 @@ func (e *Engine) Store() sig.Store { return e.store }
 func (e *Engine) Process(a event.Access) {
 	switch a.Kind {
 	case event.Write:
-		if e.sg != nil {
-			c := e.sg.At(a.Addr)
-			c.SetW(e.write(c.W(), c.R(), &a))
+		var c sig.Cell
+		switch {
+		case e.sg != nil:
+			c = e.sg.At(a.Addr)
+		case e.pf != nil:
+			c = e.pf.At(a.Addr)
+		default:
+			w, _ := e.store.LookupWrite(a.Addr)
+			r, _ := e.store.LookupRead(a.Addr)
+			e.store.SetWrite(a.Addr, e.write(w, r, &a))
 			return
 		}
-		w, _ := e.store.LookupWrite(a.Addr)
-		r, _ := e.store.LookupRead(a.Addr)
-		e.store.SetWrite(a.Addr, e.write(w, r, &a))
+		c.SetW(e.write(c.W(), c.R(), &a))
 	case event.Read:
 		// A collapsed event stands for 1+Rep identical reads against the
 		// same (unchanged) write slot: 1+Rep instances of the same RAW.
 		n := 1 + uint64(a.Rep)
-		if e.sg != nil {
-			c := e.sg.At(a.Addr)
-			c.SetR(e.read(c.W(), &a, n))
+		var c sig.Cell
+		switch {
+		case e.sg != nil:
+			c = e.sg.At(a.Addr)
+		case e.pf != nil:
+			c = e.pf.At(a.Addr)
+		default:
+			w, _ := e.store.LookupWrite(a.Addr)
+			e.store.SetRead(a.Addr, e.read(w, &a, n))
 			return
 		}
-		w, _ := e.store.LookupWrite(a.Addr)
-		e.store.SetRead(a.Addr, e.read(w, &a, n))
+		c.SetR(e.read(c.W(), &a, n))
 	case event.Remove:
 		// Variable-lifetime analysis: deallocated storage is forgotten so a
 		// later reuse of the address cannot fabricate a dependence.

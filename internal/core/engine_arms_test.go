@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -89,7 +90,9 @@ func armsOp(b []byte, ts *uint64) event.Access {
 // stream through an Engine over a *sig.Signature (fused pair probe) and over
 // an equal signature behind plainStore (sig.Store calls only) must leave
 // identical profiles, instance-cache traffic and store contents, at slot
-// counts on both sides of the mask/modulo and page-size boundaries.
+// counts on both sides of the mask/modulo and page-size boundaries; and so
+// must a *sig.PerfectSignature (fused record probe) and one behind
+// plainStore, unaligned addresses going to its side map.
 func FuzzEngineArms(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{3, 1, 0, 9, 0x15, 3, 2, 1, 0, 1, 0, 9, 0x15, 3, 2, 1}, 8))
@@ -99,23 +102,31 @@ func FuzzEngineArms(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x14, 7, 0, 1, 0, 0, 0, 0x41, 0x10, 7, 0, 2, 1, 0, 0, 0x01, 0x13, 7, 0, 3, 1, 0, 0, 0x42, 0x14, 7, 0, 1, 0, 0, 0, 0x81}, 3))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, slots := range []int{1, 2, 1000, 4096, 4097, 1 << 14} {
-			checkArms(t, slots, data)
+			checkArms(t, fmt.Sprintf("slots %d", slots), sig.NewSignature(slots), sig.NewSignature(slots), data)
 		}
+		checkArms(t, "perfect", sig.NewPerfectSignature(), sig.NewPerfectSignature(), data)
 	})
 }
 
-func checkArms(t *testing.T, slots int, data []byte) {
+// fusable is a store the engine drives through its fused arm.
+type fusable interface {
+	sig.Store
+	KeepStamps()
+}
+
+// checkArms runs data through an engine over fusedSig and one over plainSig
+// behind plainStore; the two stores must be equal and empty.
+func checkArms(t *testing.T, name string, fusedSig, plainSig fusable, data []byte) {
 	meta := armsMeta()
 	race := len(data) > 0 && data[0]&0x10 != 0
-	fusedSig, plainSig := sig.NewSignature(slots), sig.NewSignature(slots)
 	fused := NewEngine(fusedSig, meta, race)
 	if race {
-		// NewEngine cannot see the signature behind the wrapper to ask.
+		// NewEngine cannot see the store behind the wrapper to ask.
 		plainSig.KeepStamps()
 	}
 	plain := NewEngine(plainStore{plainSig}, meta, race)
-	if fused.sg == nil || plain.sg != nil {
-		t.Fatal("arm selection: want the fused arm over *sig.Signature, the interface arm over the wrapper")
+	if (fused.sg == nil) == (fused.pf == nil) || plain.sg != nil || plain.pf != nil {
+		t.Fatalf("%s: arm selection: want the fused arm over %T, the interface arm over the wrapper", name, fusedSig)
 	}
 
 	touched := make(map[uint64]struct{})
@@ -128,15 +139,15 @@ func checkArms(t *testing.T, slots int, data []byte) {
 	}
 
 	if got, want := encodeSet(t, fused.Deps()), encodeSet(t, plain.Deps()); !bytes.Equal(got, want) {
-		t.Fatalf("slots %d: DDP1 differs between arms\nfused %v\nplain %v", slots, fused.Deps().Keys(), plain.Deps().Keys())
+		t.Fatalf("%s: DDP1 differs between arms\nfused %v\nplain %v", name, fused.Deps().Keys(), plain.Deps().Keys())
 	}
 	if got, want := fused.LoopDeps(), plain.LoopDeps(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("slots %d: LoopDeps differ: fused %v, plain %v", slots, got, want)
+		t.Fatalf("%s: LoopDeps differ: fused %v, plain %v", name, got, want)
 	}
 	fh, fp := fused.CacheStats()
 	ph, pp := plain.CacheStats()
 	if fh != ph || fp != pp {
-		t.Fatalf("slots %d: cache stats differ: fused %d/%d, plain %d/%d", slots, fh, fp, ph, pp)
+		t.Fatalf("%s: cache stats differ: fused %d/%d, plain %d/%d", name, fh, fp, ph, pp)
 	}
 	for addr := range touched {
 		fw, fwok := fusedSig.LookupWrite(addr)
@@ -144,8 +155,8 @@ func checkArms(t *testing.T, slots int, data []byte) {
 		fr, frok := fusedSig.LookupRead(addr)
 		pr, prok := plainSig.LookupRead(addr)
 		if fw != pw || fwok != pwok || fr != pr || frok != prok {
-			t.Fatalf("slots %d: stores differ at %#x: write %v/%v vs %v/%v, read %v/%v vs %v/%v",
-				slots, addr, fw, fwok, pw, pwok, fr, frok, pr, prok)
+			t.Fatalf("%s: stores differ at %#x: write %v/%v vs %v/%v, read %v/%v vs %v/%v",
+				name, addr, fw, fwok, pw, pwok, fr, frok, pr, prok)
 		}
 	}
 }
@@ -202,12 +213,19 @@ func TestPackedKeyRoundTrip(t *testing.T) {
 
 // TestProcessAllocFree pins the fused arm's steady state at zero allocations
 // per access once the address's page is committed and its dependences are in
-// the set (TestMTBatchAllocFree does the same for a batch through a pipeline).
+// the set, over a signature and over the perfect store (TestMTBatchAllocFree
+// does the same for a batch through a pipeline).
 func TestProcessAllocFree(t *testing.T) {
 	w := event.Access{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 1), CtxID: 2}
 	r := event.Access{Addr: 0x1000, Kind: event.Read, Loc: loc.Pack(1, 2), CtxID: 2}
-	for _, race := range []bool{false, true} { // 32-byte records, then 48 with stamps
-		e := NewEngine(sig.NewSignature(1<<21), armsMeta(), race)
+	for _, tc := range []struct {
+		store sig.Store
+		race  bool // 32-byte records, or 40 with stamps
+	}{
+		{sig.NewSignature(1 << 21), false}, {sig.NewSignature(1 << 21), true},
+		{sig.NewPerfectSignature(), false}, {sig.NewPerfectSignature(), true},
+	} {
+		e, race := NewEngine(tc.store, armsMeta(), tc.race), tc.race
 		step := func() {
 			w.IterVec++
 			r.IterVec++
@@ -219,7 +237,7 @@ func TestProcessAllocFree(t *testing.T) {
 		step()
 		step()
 		if n := testing.AllocsPerRun(1000, step); n != 0 {
-			t.Errorf("Engine.Process (race check %v) allocates %.1f times per write+read, want 0", race, n)
+			t.Errorf("Engine.Process over %T (race check %v) allocates %.1f times per write+read, want 0", tc.store, race, n)
 		}
 	}
 }

@@ -10,8 +10,9 @@ import (
 // core.serial_ns_per_event: seq-serial's three programs (MG, BT, kmeans)
 // recorded once, then replayed through a fresh engine per program over a
 // 2^21-slot signature — through the fused arm, and through the interface arm
-// every other store takes. Construction is inside the timed region: a
-// profile pays for its store.
+// the §III-B baselines take — and over the perfect store, ddbench's
+// reference. Construction is inside the timed region: a profile pays for its
+// store.
 func BenchmarkEngineProcess(b *testing.B) {
 	var streams []equivStream
 	events := 0
@@ -22,19 +23,20 @@ func BenchmarkEngineProcess(b *testing.B) {
 	}
 	for _, arm := range []struct {
 		name string
-		wrap func(*sig.Signature) sig.Store
+		open func() sig.Store
 		race bool
 	}{
-		{"fused", func(g *sig.Signature) sig.Store { return g }, false},
-		{"interface", func(g *sig.Signature) sig.Store { return plainStore{g} }, false},
-		// The fused arm over 48-byte records: the signature keeps stamps.
-		{"racecheck", func(g *sig.Signature) sig.Store { return g }, true},
+		{"fused", func() sig.Store { return sig.NewSignature(1 << 21) }, false},
+		{"interface", func() sig.Store { return plainStore{sig.NewSignature(1 << 21)} }, false},
+		// The fused arm over 40-byte records: the signature keeps stamps.
+		{"racecheck", func() sig.Store { return sig.NewSignature(1 << 21) }, true},
+		{"perfect", func() sig.Store { return sig.NewPerfectSignature() }, false},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, s := range streams {
-					e := NewEngine(arm.wrap(sig.NewSignature(1<<21)), s.meta, arm.race)
+					e := NewEngine(arm.open(), s.meta, arm.race)
 					for j := range s.evs {
 						e.Process(s.evs[j])
 					}

@@ -238,7 +238,7 @@ func (s *Serial) Flush() *Result {
 
 // publishStoreTelemetry records the flush-time store gauges: the mean
 // write-slot occupancy of the signatures among stores, and the summed actual
-// footprint of every store, signature or perfect map.
+// footprint of every store, signature or perfect table.
 func publishStoreTelemetry(m *telemetry.Pipeline, stores ...sig.Store) {
 	sum, n := 0.0, 0
 	var bytes uint64

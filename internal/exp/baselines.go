@@ -10,7 +10,7 @@ import (
 // The two exact stores §III-B weighs signatures against. They are the
 // comparison baselines of StoreAblation and StoreAccuracy (`ddexp stores`)
 // and nothing else: a profiler, the CLI and a ddprofd session take a
-// signature or the perfect map (sig.OpenStore), so these are driven through
+// signature or the perfect table (sig.OpenStore), so these are driven through
 // a bare engine here.
 
 // storeCandidate is one store of a §III-B comparison: its row label and a

@@ -237,7 +237,7 @@ func TestStoreAblation(t *testing.T) {
 
 // TestStoreAccuracy is the measured-FPR-vs-ground-truth ablation: both
 // exact baselines, shadow memory and the hash table, must measure 0/0 against
-// the perfect map on every program, and the signature's FPR must stay at or
+// the perfect table on every program, and the signature's FPR must stay at or
 // under the Eq. (2) collision bound.
 func TestStoreAccuracy(t *testing.T) {
 	if testing.Short() {

@@ -30,13 +30,13 @@ import (
 
 // Slot is the access record a Store is handed and hands back. The zero Slot
 // means "empty". A populated slot always has the presence bit set in Meta,
-// so a genuine access can never be mistaken for an empty slot. The exact
-// stores keep all three words; the signature keeps Meta and Iter, and TS only
-// when asked to (KeepStamps).
+// so a genuine access can never be mistaken for an empty slot. The signature
+// and the perfect table keep Meta and Iter, and TS only when asked to
+// (KeepStamps); the §III-B baselines keep all three words.
 type Slot struct {
 	Meta uint64 // present(1) | reduction(1) | induction(1) | unused(4) | thread(9) | ctx(16) | loc(32)
 	Iter uint64 // packed iteration vector of the enclosing loops
-	TS   uint64 // §V sync-epoch stamp: 32 bits in a signature, refused beyond (event.MaxTS); 0 for sequential targets
+	TS   uint64 // §V sync-epoch stamp: 32 bits in a kept record, refused beyond (event.MaxTS); 0 for sequential targets
 }
 
 const (
@@ -107,8 +107,9 @@ func (s Slot) Ctx() uint32 { return uint32((s.Meta >> ctxShift) & CtxMask) }
 
 // Store abstracts how per-address access history is kept. The profiler's
 // detection engine (Algorithm 1) runs against any Store; implementations are
-// the approximate Signature below and the exact PerfectSignature, and the
-// §III-B baselines (shadow memory, a bucketed hash table) in internal/exp.
+// the approximate Signature below and the exact PerfectSignature, one record
+// per word in the same layout, and the §III-B baselines (shadow memory, a
+// bucketed hash table) in internal/exp.
 type Store interface {
 	// LookupWrite returns the last-write record for addr, if present.
 	LookupWrite(addr uint64) (Slot, bool)
@@ -355,14 +356,19 @@ func (g *Signature) page(i uint64) []uint64 {
 	return g.commit(i >> pageShift)
 }
 
-// view is the cell of index i within its committed page. A page holds whole
-// records, so the bounds check on a record's first word covers the rest of
-// it; the casts spare Process the two slice conversions that would check it
-// again.
+// view is the cell of index i within its committed page.
 func (g *Signature) view(pg []uint64, i uint64) Cell {
-	rec := unsafe.Pointer(&pg[(i&pageMask)*g.stride])
+	return cellAt(pg, (i&pageMask)*g.stride, g.stride)
+}
+
+// cellAt is the cell of the record at word o of a page of stride-word
+// records. A page holds whole records, so the bounds check on a record's
+// first word covers the rest of it; the casts spare Process the two slice
+// conversions that would check it again.
+func cellAt(pg []uint64, o, stride uint64) Cell {
+	rec := unsafe.Pointer(&pg[o])
 	c := Cell{p: (*Pair)(rec)}
-	if g.stride == stampedWords {
+	if stride == stampedWords {
 		c.ts = (*Stamps)(unsafe.Add(rec, unsafe.Sizeof(Pair{})))
 	}
 	return c
@@ -485,58 +491,3 @@ func (g *Signature) Intersect(o *Signature) int {
 	}
 	return n
 }
-
-// PerfectSignature is the exact Store the paper uses as ground truth in
-// §VI-A: "a table where each memory address has its own entry, so that false
-// positives are never produced."
-type PerfectSignature struct {
-	writes map[uint64]Slot
-	reads  map[uint64]Slot
-}
-
-// NewPerfectSignature returns an empty exact store.
-func NewPerfectSignature() *PerfectSignature {
-	return &PerfectSignature{
-		writes: make(map[uint64]Slot),
-		reads:  make(map[uint64]Slot),
-	}
-}
-
-// LookupWrite implements Store.
-func (p *PerfectSignature) LookupWrite(addr uint64) (Slot, bool) {
-	s, ok := p.writes[addr]
-	return s, ok
-}
-
-// LookupRead implements Store.
-func (p *PerfectSignature) LookupRead(addr uint64) (Slot, bool) {
-	s, ok := p.reads[addr]
-	return s, ok
-}
-
-// SetWrite implements Store.
-func (p *PerfectSignature) SetWrite(addr uint64, s Slot) { p.writes[addr] = s }
-
-// SetRead implements Store.
-func (p *PerfectSignature) SetRead(addr uint64, s Slot) { p.reads[addr] = s }
-
-// Remove implements Store.
-func (p *PerfectSignature) Remove(addr uint64) {
-	delete(p.writes, addr)
-	delete(p.reads, addr)
-}
-
-// Bytes implements Store: an estimate of the map footprint (key + three-word
-// slot + bucket overhead per entry).
-func (p *PerfectSignature) Bytes() uint64 {
-	const perEntry = 8 + 24 + 16
-	return uint64(len(p.writes)+len(p.reads)) * perEntry
-}
-
-// ModeledBytes implements Store; exact stores have no separate model.
-func (p *PerfectSignature) ModeledBytes() uint64 { return p.Bytes() }
-
-// Addresses returns the number of distinct addresses currently recorded on
-// the write side; used by experiments to report the "# addresses" column of
-// Table I.
-func (p *PerfectSignature) Addresses() int { return len(p.writes) }

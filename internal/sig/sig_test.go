@@ -300,22 +300,6 @@ func TestSignatureIntersect(t *testing.T) {
 	}
 }
 
-func TestPerfectSignatureAddresses(t *testing.T) {
-	p := NewPerfectSignature()
-	s := PackSlot(loc.Pack(1, 1), 0, 0, 0, 0, 0)
-	for i := uint64(0); i < 7; i++ {
-		p.SetWrite(i, s)
-		p.SetWrite(i, s) // duplicates don't double-count
-	}
-	if p.Addresses() != 7 {
-		t.Errorf("Addresses = %d, want 7", p.Addresses())
-	}
-	p.Remove(3)
-	if p.Addresses() != 6 {
-		t.Errorf("Addresses after Remove = %d, want 6", p.Addresses())
-	}
-}
-
 func TestSignatureHashUniformity(t *testing.T) {
 	// Sequential word addresses (the common case: array sweeps) must spread
 	// across slots, not cluster. Chi-squared-ish sanity check.

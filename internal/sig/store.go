@@ -8,7 +8,7 @@ package sig
 //
 //	signature           (or "") sized by the caller's default slot count
 //	signature:slots=N   N with an optional k/m/g binary suffix
-//	perfect             the exact ground-truth map
+//	perfect             the exact ground-truth table
 //
 // Every slot count, a spec's or a caller's default, passes through parseSpec
 // and is refused past MaxSlots, so no size reaches the page directory
@@ -49,7 +49,7 @@ func OpenStore(spec string, slots int) (Store, error) {
 // profiler of that many workers has taken it as one worker's store (a
 // signature holds only the indices its share reaches, Signature.Shard) and,
 // if stamps, a race-checking engine has made it keep them. 0 means unbounded:
-// the perfect map grows with the target's address footprint.
+// the perfect table grows with the target's address footprint.
 func StoreBytes(spec string, slots, workers int, stamps bool) (uint64, error) {
 	n, exact, err := parseSpec(spec, slots)
 	if err != nil || exact {
@@ -59,7 +59,7 @@ func StoreBytes(spec string, slots, workers int, stamps bool) (uint64, error) {
 }
 
 // parseSpec resolves spec to a signature's slot count, or exact for the
-// perfect map.
+// perfect table.
 func parseSpec(spec string, slots int) (n int, exact bool, err error) {
 	switch spec {
 	case "perfect":

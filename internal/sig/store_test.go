@@ -151,7 +151,7 @@ func FuzzBackendSpec(f *testing.F) {
 			switch st := st.(type) {
 			case *PerfectSignature:
 				if s != "perfect" {
-					t.Fatalf("%q opened the perfect map", s)
+					t.Fatalf("%q opened the perfect table", s)
 				}
 			case *Signature:
 				if st.m < 1 || st.m > MaxSlots {
