@@ -61,8 +61,10 @@ loc:
 # slab trace encoder against its reference, the dependence-set fast-update
 # API the instance cache relies on and the shard merge the pipelines' merge
 # stage runs (FuzzSetMergeEquivalence guards production: core's merge is
-# dep.MergeShards), the engine's two store arms against each other on point
-# streams (over a signature and over the perfect table), the MT pipeline's
+# dep.MergeShards), the engine's two store arms against each other and its
+# run kernel (ProcessRun, which folds adjacent duplicate reads) against one
+# Process call per event, on point streams over a signature and over the
+# perfect table, with and without the race check, the MT pipeline's
 # batch seam against its per-event one, the
 # closed store-spec set (sig.OpenStore: signature, signature:slots=N up to
 # sig.MaxSlots, perfect) every -backend, -slots and session handshake goes

@@ -185,44 +185,76 @@ func (e *Engine) Deps() *dep.Set { return e.deps }
 // Store returns the engine's access-history store.
 func (e *Engine) Store() sig.Store { return e.store }
 
-// Process runs one access through Algorithm 1.
-func (e *Engine) Process(a event.Access) {
-	switch a.Kind {
-	case event.Write:
-		var c sig.Cell
-		switch {
-		case e.sg != nil:
-			c = e.sg.At(a.Addr)
-		case e.pf != nil:
-			c = e.pf.At(a.Addr)
-		default:
-			w, _ := e.store.LookupWrite(a.Addr)
-			r, _ := e.store.LookupRead(a.Addr)
-			e.store.SetWrite(a.Addr, e.write(w, r, &a))
-			return
+// Process runs one access through Algorithm 1: the run of one.
+func (e *Engine) Process(a event.Access) { e.ProcessRun([]event.Access{a}) }
+
+// ProcessRun runs evs through Algorithm 1 in order, reading each event where
+// it lies, and returns the data accesses they stand for: a write is one, a
+// read 1+Rep (a collapsed read stands for 1+Rep identical reads against the
+// same, unchanged write slot: 1+Rep instances of the same RAW). Kinds other
+// than the data kinds and Remove are skipped.
+//
+// A stretch of adjacent reads that match in every field Algorithm 1 reads
+// (sameRead) takes one store probe and records its summed multiplicity once.
+// The fold is exact on every store, colliding signatures included: no event
+// lies between the reads, so each would find the slots the one before it
+// left, build the same RAW and install the same read slot. Only the
+// instance-cache counters see it, one probe (and hit) fewer per folded read
+// that found a write.
+func (e *Engine) ProcessRun(evs []event.Access) (accesses uint64) {
+	for i := 0; i < len(evs); i++ {
+		a := &evs[i]
+		switch a.Kind {
+		case event.Write:
+			accesses++
+			var c sig.Cell
+			switch {
+			case e.sg != nil:
+				c = e.sg.At(a.Addr)
+			case e.pf != nil:
+				c = e.pf.At(a.Addr)
+			default:
+				w, _ := e.store.LookupWrite(a.Addr)
+				r, _ := e.store.LookupRead(a.Addr)
+				e.store.SetWrite(a.Addr, e.write(w, r, a))
+				continue
+			}
+			c.SetW(e.write(c.W(), c.R(), a))
+		case event.Read:
+			n := 1 + uint64(a.Rep)
+			for i+1 < len(evs) && sameRead(&evs[i+1], a) {
+				i++
+				n += 1 + uint64(evs[i].Rep)
+			}
+			accesses += n
+			var c sig.Cell
+			switch {
+			case e.sg != nil:
+				c = e.sg.At(a.Addr)
+			case e.pf != nil:
+				c = e.pf.At(a.Addr)
+			default:
+				w, _ := e.store.LookupWrite(a.Addr)
+				e.store.SetRead(a.Addr, e.read(w, a, n))
+				continue
+			}
+			c.SetR(e.read(c.W(), a, n))
+		case event.Remove:
+			// Variable-lifetime analysis: deallocated storage is forgotten so a
+			// later reuse of the address cannot fabricate a dependence.
+			e.store.Remove(a.Addr)
 		}
-		c.SetW(e.write(c.W(), c.R(), &a))
-	case event.Read:
-		// A collapsed event stands for 1+Rep identical reads against the
-		// same (unchanged) write slot: 1+Rep instances of the same RAW.
-		n := 1 + uint64(a.Rep)
-		var c sig.Cell
-		switch {
-		case e.sg != nil:
-			c = e.sg.At(a.Addr)
-		case e.pf != nil:
-			c = e.pf.At(a.Addr)
-		default:
-			w, _ := e.store.LookupWrite(a.Addr)
-			e.store.SetRead(a.Addr, e.read(w, &a, n))
-			return
-		}
-		c.SetR(e.read(c.W(), &a, n))
-	case event.Remove:
-		// Variable-lifetime analysis: deallocated storage is forgotten so a
-		// later reuse of the address cannot fabricate a dependence.
-		e.store.Remove(a.Addr)
 	}
+	return accesses
+}
+
+// sameRead reports whether b is a read that matches read a in every field
+// Algorithm 1 reads; their Reps may differ. Addr leads the comparison because
+// it is what differs between neighbours.
+func sameRead(b, a *event.Access) bool {
+	return b.Addr == a.Addr && b.Kind == event.Read && b.IterVec == a.IterVec &&
+		b.Loc == a.Loc && b.TS == a.TS && b.Var == a.Var &&
+		b.CtxID == a.CtxID && b.Thread == a.Thread && b.Flags == a.Flags
 }
 
 // write is the write half of Algorithm 1: given the slots resident for the
@@ -264,8 +296,8 @@ func initKey(l loc.SourceLoc, v loc.VarID, thread int32) pkey {
 	return packKey(dep.INIT, l, 0, v, int16(thread), 0)
 }
 
-// slotFor packs the access into a store slot. Pointer arg: callers pass the
-// addressable Process copy, sparing a 48-byte stack copy per call.
+// slotFor packs the access into a store slot. Pointer arg: the event where
+// ProcessRun reads it, sparing a 48-byte stack copy per call.
 func (e *Engine) slotFor(a *event.Access) sig.Slot {
 	s := sig.PackSlot(a.Loc, a.Var, a.Thread, a.CtxID, a.IterVec, a.TS)
 	if a.Flags&event.FlagReduction != 0 {

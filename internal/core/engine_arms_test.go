@@ -45,9 +45,36 @@ func armsMeta() *prog.Meta {
 	return m
 }
 
-// armsOp decodes eight fuzz bytes into one engine operation: a point
-// read/write/remove (reads may carry Rep > 0) over a 64 Ki-word window, so
-// every tested slot count sees collisions and several pages.
+// armsOps decodes fuzz bytes, eight per op, into engine operations over a
+// 64 Ki-word window, so every tested slot count sees collisions and several
+// pages: point reads (which may carry Rep > 0), writes and removes, and
+// repeats of the last read, exact or with one field changed, so the run
+// kernel meets both folds and near-misses. An op with b[0]&0x80 set ends a
+// run: runs lists where the kernel's runs end.
+func armsOps(data []byte) (ops []event.Access, runs []int) {
+	var ts uint64
+	var prev event.Access // the last read decoded, once seen
+	seen := false
+	for ; len(data) >= 8; data = data[8:] {
+		b := data[:8]
+		var a event.Access
+		if b[0]&7 == 7 && seen {
+			a = armsRepeat(prev, b)
+		} else {
+			a = armsOp(b, &ts)
+		}
+		ops = append(ops, a)
+		if a.Kind == event.Read {
+			prev, seen = a, true
+		}
+		if b[0]&0x80 != 0 {
+			runs = append(runs, len(ops))
+		}
+	}
+	return ops, append(runs, len(ops))
+}
+
+// armsOp decodes one fresh operation: a point read, write or remove.
 func armsOp(b []byte, ts *uint64) event.Access {
 	word := uint64(b[1]) | uint64(b[2])<<8
 	addr := 0x1000 + 8*word
@@ -68,9 +95,8 @@ func armsOp(b []byte, ts *uint64) event.Access {
 		Thread:  int32(b[4] & 3),
 		Flags:   event.Flags(b[4] >> 2 & 3),
 	}
-	sel := b[0] & 7
-	switch {
-	case sel <= 2:
+	switch sel := b[0] & 7; {
+	case sel <= 2, sel == 7: // 7 with no read to repeat yet
 		a.Kind = event.Read
 		if b[0]&0x40 != 0 {
 			a.Rep = uint16(b[6])
@@ -86,25 +112,94 @@ func armsOp(b []byte, ts *uint64) event.Access {
 	return a
 }
 
-// FuzzEngineArms holds the engine's two store arms to each other: the same
-// stream through an Engine over a *sig.Signature (fused pair probe) and over
-// an equal signature behind plainStore (sig.Store calls only) must leave
-// identical profiles, instance-cache traffic and store contents, at slot
-// counts on both sides of the mask/modulo and page-size boundaries; and so
-// must a *sig.PerfectSignature (fused record probe) and one behind
-// plainStore, unaligned addresses going to its side map.
+// armsRepeat decodes a repeat of read prev: exact, or with one field changed
+// (b[1] % 10 picks which). Its Rep is fresh, so a fold sums repetition counts
+// past what one event holds.
+func armsRepeat(a event.Access, b []byte) event.Access {
+	a.Rep = 0
+	if b[0]&0x40 != 0 {
+		a.Rep = event.MaxRep - uint16(b[6]&3) // near the most one event holds
+	}
+	d := uint64(b[2]&3) + 1
+	switch b[1] % 10 {
+	case 1:
+		a.Addr += 4 * d // the same word unaligned, or the next words
+	case 2:
+		a.TS += d
+	case 3:
+		a.Thread ^= int32(d)
+	case 4:
+		a.Flags ^= event.Flags(d)
+	case 5:
+		a.IterVec += d
+	case 6:
+		a.Loc++
+	case 7:
+		a.Var ^= loc.VarID(d)
+	case 8:
+		a.CtxID = (a.CtxID + 1) % 3
+	case 9:
+		a.Rep = uint16(b[6])
+	}
+	return a
+}
+
+// armsFolds counts the reads of ops the run kernel may fold into the read
+// before them: the same in every field but Rep, within one run. An
+// independent twin of the kernel's test: whole-struct equality.
+func armsFolds(ops []event.Access, runs []int) (folds uint64) {
+	lo := 0
+	for _, hi := range runs {
+		for i := lo + 1; i < hi; i++ {
+			p, q := ops[i-1], ops[i]
+			p.Rep, q.Rep = 0, 0
+			if p == q && q.Kind == event.Read {
+				folds++
+			}
+		}
+		lo = hi
+	}
+	return folds
+}
+
+// FuzzEngineArms holds the engine's store arms and its two ways in to one
+// another. Each fused store — a *sig.Signature at slot counts on both sides
+// of the mask/modulo and page-size boundaries, and a *sig.PerfectSignature,
+// unaligned addresses going to its side map — and an equal store behind
+// plainStore (the interface arm) take the same stream twice: one Process
+// call per event, and fuzz-chosen runs through ProcessRun; with and without
+// the race check. All four engines must leave identical profiles, loop
+// tables and store contents; the kernel must count every access, and its
+// instance-cache traffic may fall short of the per-event path's only by
+// folded reads.
 func FuzzEngineArms(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{3, 1, 0, 9, 0x15, 3, 2, 1, 0, 1, 0, 9, 0x15, 3, 2, 1}, 8))
 	f.Add(bytes.Repeat([]byte{0x83, 0, 0, 1, 0x21, 0x07, 40, 5, 0x80, 0, 0, 2, 0x21, 0x07, 40, 5}, 4))
 	f.Add(bytes.Repeat([]byte{0xA4, 0xFF, 0xFF, 3, 0x2E, 0x21, 47, 0x83, 0x46, 0xFF, 0xFF, 3, 0x2E, 0x21, 200, 0x81, 6, 0xFF, 0xFF, 0, 0, 0, 0, 0}, 4))
-	// Race check on; stamps step across 2^48 both ways between two threads.
+	// Stamps step across 2^48 both ways between two threads.
 	f.Add(bytes.Repeat([]byte{0x14, 7, 0, 1, 0, 0, 0, 0x41, 0x10, 7, 0, 2, 1, 0, 0, 0x01, 0x13, 7, 0, 3, 1, 0, 0, 0x42, 0x14, 7, 0, 1, 0, 0, 0, 0x81}, 3))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, slots := range []int{1, 2, 1000, 4096, 4097, 1 << 14} {
-			checkArms(t, fmt.Sprintf("slots %d", slots), sig.NewSignature(slots), sig.NewSignature(slots), data)
+	// A write, then a read and its exact repeats, some near MaxRep, in one
+	// run; then, per field, a read, its exact repeat, a near-miss in that
+	// field and the near-miss's exact repeat, ending a run.
+	f.Add(append([]byte{3, 9, 0, 1, 0x15, 2, 3, 1, 0x40, 9, 0, 2, 0x15, 2, 3, 1},
+		bytes.Repeat([]byte{7, 0, 0, 0, 0, 0, 0, 0, 0x47, 0, 0, 0, 0, 0, 1, 0}, 4)...))
+	f.Add(func() []byte {
+		d := []byte{3, 9, 0, 1, 0x15, 2, 3, 1}
+		for field := byte(0); field < 10; field++ {
+			d = append(d, 0x40, 9, 0, 2, 0x15, 2, 3, 0, 7, 0, 0, 0, 0, 0, 0, 0,
+				7, field, 1, 0, 0, 0, 9, 0, 0x87, 0, 0, 0, 0, 0, 0, 0)
 		}
-		checkArms(t, "perfect", sig.NewPerfectSignature(), sig.NewPerfectSignature(), data)
+		return d
+	}())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ops, runs := armsOps(data)
+		for _, race := range []bool{false, true} {
+			for _, slots := range []int{1, 2, 1000, 4096, 4097, 1 << 14} {
+				checkArms(t, fmt.Sprintf("slots %d race %v", slots, race), func() fusable { return sig.NewSignature(slots) }, ops, runs, race)
+			}
+			checkArms(t, fmt.Sprintf("perfect race %v", race), func() fusable { return sig.NewPerfectSignature() }, ops, runs, race)
+		}
 	})
 }
 
@@ -114,50 +209,97 @@ type fusable interface {
 	KeepStamps()
 }
 
-// checkArms runs data through an engine over fusedSig and one over plainSig
-// behind plainStore; the two stores must be equal and empty.
-func checkArms(t *testing.T, name string, fusedSig, plainSig fusable, data []byte) {
+// checkArms feeds ops to four engines, each over its own store from open:
+// fused and behind plainStore, per event and in runs (runs lists where each
+// ends). Every engine must match the fused per-event one.
+func checkArms(t *testing.T, name string, open func() fusable, ops []event.Access, runs []int, race bool) {
 	meta := armsMeta()
-	race := len(data) > 0 && data[0]&0x10 != 0
-	fused := NewEngine(fusedSig, meta, race)
-	if race {
-		// NewEngine cannot see the store behind the wrapper to ask.
-		plainSig.KeepStamps()
+	type arm struct {
+		name string
+		st   fusable
+		e    *Engine
+		run  bool
 	}
-	plain := NewEngine(plainStore{plainSig}, meta, race)
-	if (fused.sg == nil) == (fused.pf == nil) || plain.sg != nil || plain.pf != nil {
-		t.Fatalf("%s: arm selection: want the fused arm over %T, the interface arm over the wrapper", name, fusedSig)
+	var arms []*arm
+	for _, plain := range []bool{false, true} {
+		for _, run := range []bool{false, true} {
+			a := &arm{name: fmt.Sprintf("%s plain %v run %v", name, plain, run), st: open(), run: run}
+			var st sig.Store = a.st
+			if plain {
+				if race {
+					a.st.KeepStamps() // NewEngine cannot see behind plainStore to ask
+				}
+				st = plainStore{a.st}
+			}
+			a.e = NewEngine(st, meta, race)
+			if fused := a.e.sg != nil || a.e.pf != nil; fused == plain || a.e.sg != nil && a.e.pf != nil {
+				t.Fatalf("%s: arm selection: want the fused arm over %T, the interface arm over the wrapper", a.name, a.st)
+			}
+			arms = append(arms, a)
+		}
 	}
 
 	touched := make(map[uint64]struct{})
-	var ts uint64
-	for ; len(data) >= 8; data = data[8:] {
-		a := armsOp(data[:8], &ts)
+	want := uint64(0) // the data accesses ops stand for
+	for i := range ops {
+		a := &ops[i]
 		touched[a.Addr] = struct{}{}
-		fused.Process(a)
-		plain.Process(a)
+		switch a.Kind {
+		case event.Read:
+			want += 1 + uint64(a.Rep)
+		case event.Write:
+			want++
+		}
+	}
+	for _, a := range arms {
+		if !a.run {
+			for _, op := range ops {
+				a.e.Process(op)
+			}
+			continue
+		}
+		lo, got := 0, uint64(0)
+		for _, hi := range runs {
+			got += a.e.ProcessRun(ops[lo:hi])
+			lo = hi
+		}
+		if got != want {
+			t.Fatalf("%s: ProcessRun counted %d accesses, want %d", a.name, got, want)
+		}
 	}
 
-	if got, want := encodeSet(t, fused.Deps()), encodeSet(t, plain.Deps()); !bytes.Equal(got, want) {
-		t.Fatalf("%s: DDP1 differs between arms\nfused %v\nplain %v", name, fused.Deps().Keys(), plain.Deps().Keys())
-	}
-	if got, want := fused.LoopDeps(), plain.LoopDeps(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: LoopDeps differ: fused %v, plain %v", name, got, want)
-	}
-	fh, fp := fused.CacheStats()
-	ph, pp := plain.CacheStats()
-	if fh != ph || fp != pp {
-		t.Fatalf("%s: cache stats differ: fused %d/%d, plain %d/%d", name, fh, fp, ph, pp)
-	}
-	for addr := range touched {
-		fw, fwok := fusedSig.LookupWrite(addr)
-		pw, pwok := plainSig.LookupWrite(addr)
-		fr, frok := fusedSig.LookupRead(addr)
-		pr, prok := plainSig.LookupRead(addr)
-		if fw != pw || fwok != pwok || fr != pr || frok != prok {
-			t.Fatalf("%s: stores differ at %#x: write %v/%v vs %v/%v, read %v/%v vs %v/%v",
-				name, addr, fw, fwok, pw, pwok, fr, frok, pr, prok)
+	ref := arms[0]
+	refDDP := encodeSet(t, ref.e.Deps())
+	rh, rp := ref.e.CacheStats()
+	for _, a := range arms[1:] {
+		if got := encodeSet(t, a.e.Deps()); !bytes.Equal(got, refDDP) {
+			t.Fatalf("%s: DDP1 differs from the fused per-event engine\ngot  %v\nwant %v", a.name, a.e.Deps().Keys(), ref.e.Deps().Keys())
 		}
+		if got, want := a.e.LoopDeps(), ref.e.LoopDeps(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: LoopDeps differ: %v, want %v", a.name, got, want)
+		}
+		h, p := a.e.CacheStats()
+		if !a.run && (h != rh || p != rp) {
+			t.Fatalf("%s: cache stats %d/%d, want %d/%d", a.name, h, p, rh, rp)
+		}
+		if a.run && (rp-p != rh-h || rp-p > armsFolds(ops, runs)) {
+			t.Fatalf("%s: cache stats %d/%d against the per-event %d/%d: more than %d folded reads apart",
+				a.name, h, p, rh, rp, armsFolds(ops, runs))
+		}
+		for addr := range touched {
+			fw, fwok := ref.st.LookupWrite(addr)
+			pw, pwok := a.st.LookupWrite(addr)
+			fr, frok := ref.st.LookupRead(addr)
+			pr, prok := a.st.LookupRead(addr)
+			if fw != pw || fwok != pwok || fr != pr || frok != prok {
+				t.Fatalf("%s: stores differ at %#x: write %v/%v vs %v/%v, read %v/%v vs %v/%v",
+					a.name, addr, pw, pwok, fw, fwok, pr, prok, fr, frok)
+			}
+		}
+	}
+	h, p := arms[1].e.CacheStats()
+	if ph, pp := arms[3].e.CacheStats(); h != ph || p != pp {
+		t.Fatalf("%s: the kernel's cache stats differ between arms: fused %d/%d, plain %d/%d", name, h, p, ph, pp)
 	}
 }
 
@@ -213,7 +355,8 @@ func TestPackedKeyRoundTrip(t *testing.T) {
 
 // TestProcessAllocFree pins the fused arm's steady state at zero allocations
 // per access once the address's page is committed and its dependences are in
-// the set, over a signature and over the perfect store (TestMTBatchAllocFree
+// the set, over a signature and over the perfect store, one event at a time
+// and through the run kernel, a folded read included (TestMTBatchAllocFree
 // does the same for a batch through a pipeline).
 func TestProcessAllocFree(t *testing.T) {
 	w := event.Access{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 1), CtxID: 2}
@@ -226,18 +369,61 @@ func TestProcessAllocFree(t *testing.T) {
 		{sig.NewPerfectSignature(), false}, {sig.NewPerfectSignature(), true},
 	} {
 		e, race := NewEngine(tc.store, armsMeta(), tc.race), tc.race
-		step := func() {
-			w.IterVec++
-			r.IterVec++
-			w.TS++
-			r.TS++
-			e.Process(w)
-			e.Process(r)
+		var run [3]event.Access
+		for _, kernel := range []bool{false, true} {
+			step := func() {
+				w.IterVec++
+				r.IterVec++
+				w.TS++
+				r.TS++
+				if kernel {
+					run = [3]event.Access{w, r, r}
+					e.ProcessRun(run[:])
+					return
+				}
+				e.Process(w)
+				e.Process(r)
+			}
+			step()
+			step()
+			if n := testing.AllocsPerRun(1000, step); n != 0 {
+				t.Errorf("engine over %T (race check %v, run kernel %v) allocates %.1f times per step, want 0", tc.store, race, kernel, n)
+			}
 		}
-		step()
-		step()
-		if n := testing.AllocsPerRun(1000, step); n != 0 {
-			t.Errorf("Engine.Process over %T (race check %v) allocates %.1f times per write+read, want 0", tc.store, race, n)
+	}
+}
+
+// TestProcessRunFoldsDuplicateReads: adjacent exact repeats of a read take one
+// instance-cache probe in the run kernel, and record every instance they
+// stand for; a read that differs from its neighbour in one field is not
+// folded.
+func TestProcessRunFoldsDuplicateReads(t *testing.T) {
+	w := wr(0x100, 1)
+	r := rd(0x100, 2)
+	r5 := r
+	r5.Rep = 5
+	other := r
+	other.IterVec++
+	for _, tc := range []struct {
+		name     string
+		run      []event.Access
+		accesses uint64
+		probes   uint64 // every dependence instance recorded
+		raws     uint64 // RAW 2<-1 instances
+	}{
+		{"exact", []event.Access{w, r, r, r5, r}, 10, 2, 9},
+		{"near-miss", []event.Access{w, r, other, r}, 4, 4, 3},
+		{"write between", []event.Access{w, r, w, r}, 4, 5, 2},
+	} {
+		e := NewEngine(sig.NewPerfectSignature(), nil, false)
+		if got := e.ProcessRun(tc.run); got != tc.accesses {
+			t.Errorf("%s: ProcessRun = %d accesses, want %d", tc.name, got, tc.accesses)
+		}
+		if _, probes := e.CacheStats(); probes != tc.probes {
+			t.Errorf("%s: %d instance-cache probes, want %d", tc.name, probes, tc.probes)
+		}
+		if got := lookup(t, e.Deps(), dep.RAW, 2, 1).Count; got != tc.raws {
+			t.Errorf("%s: RAW 2<-1 counted %d times, want %d", tc.name, got, tc.raws)
 		}
 	}
 }

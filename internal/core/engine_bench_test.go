@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 
+	"ddprof/internal/event"
+
 	"ddprof/internal/sig"
 )
 
@@ -11,8 +13,10 @@ import (
 // recorded once, then replayed through a fresh engine per program over a
 // 2^21-slot signature — through the fused arm, and through the interface arm
 // the §III-B baselines take — and over the perfect store, ddbench's
-// reference. Construction is inside the timed region: a profile pays for its
-// store.
+// reference. The run row feeds the fused arm's streams through the run kernel
+// in event.BatchSize runs, as Serial.AccessBatch does; the other rows go one
+// Process call per event. Construction is inside the timed region: a profile
+// pays for its store.
 func BenchmarkEngineProcess(b *testing.B) {
 	var streams []equivStream
 	events := 0
@@ -25,18 +29,28 @@ func BenchmarkEngineProcess(b *testing.B) {
 		name string
 		open func() sig.Store
 		race bool
+		run  bool // ProcessRun over BatchSize runs instead of Process per event
 	}{
-		{"fused", func() sig.Store { return sig.NewSignature(1 << 21) }, false},
-		{"interface", func() sig.Store { return plainStore{sig.NewSignature(1 << 21)} }, false},
+		{"fused", func() sig.Store { return sig.NewSignature(1 << 21) }, false, false},
+		{"run", func() sig.Store { return sig.NewSignature(1 << 21) }, false, true},
+		{"interface", func() sig.Store { return plainStore{sig.NewSignature(1 << 21)} }, false, false},
 		// The fused arm over 40-byte records: the signature keeps stamps.
-		{"racecheck", func() sig.Store { return sig.NewSignature(1 << 21) }, true},
-		{"perfect", func() sig.Store { return sig.NewPerfectSignature() }, false},
+		{"racecheck", func() sig.Store { return sig.NewSignature(1 << 21) }, true, false},
+		{"perfect", func() sig.Store { return sig.NewPerfectSignature() }, false, false},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, s := range streams {
 					e := NewEngine(arm.open(), s.meta, arm.race)
+					if arm.run {
+						for evs := s.evs; len(evs) > 0; {
+							n := min(len(evs), event.BatchSize)
+							e.ProcessRun(evs[:n])
+							evs = evs[n:]
+						}
+						continue
+					}
 					for j := range s.evs {
 						e.Process(s.evs[j])
 					}

@@ -14,8 +14,8 @@ package core
 //	└─────┬──────┘
 //	      │ event batches
 //	┌─────▼──────┐  the flush sentinel, shared backoff policy, one
-//	│   worker   │  Engine each
-//	└─────┬──────┘
+//	│   worker   │  Engine each, one ProcessRun call per batch (exact
+//	└─────┬──────┘  duplicate reads left by spread fold there)
 //	      │ engines, counters
 //	┌─────▼──────┐  dep-set merge, loop-agg union, store/queue/cache
 //	│   merge    │  accounting, occupancy + queue-depth publication
@@ -23,8 +23,9 @@ package core
 //
 // MT is this composition for sequential (ModeParallel) and multi-threaded
 // (ModeMT) targets alike; Serial is the degenerate one, its single engine
-// driven inline and merged. New builds both; the golden fixtures in
-// testdata/goldens.json pin their profiles.
+// driven inline, one ProcessRun call per stretch of a batch, and merged.
+// New builds both; the golden fixtures in testdata/goldens.json pin their
+// profiles.
 
 import (
 	"fmt"
@@ -137,18 +138,17 @@ func makeEngines(cfg *Config, n int) ([]*Engine, error) {
 // stamp past event.MaxTS: a signature keeps 32 bits of one, so the race check
 // would compare the low halves. The executors and the DDT2 decoder refuse such
 // a stamp first; this catches embedders that bypass both. Callers fold the
-// batch's stamps into one OR and check it once, after the loop they already
-// run; MT's is before the first event reaches a ring, Serial's after the
-// batch was processed, so a refused batch leaves a profile that must be
-// dropped.
+// stamps into one OR and check it once: Serial before any event of the batch
+// reaches the engine, MT before any event of a BatchSize segment reaches a
+// ring. A refused batch of up to BatchSize events leaves the profile as it
+// was.
 func refuseStamps() {
 	panic(fmt.Sprintf("core: AccessBatch: a stamp is past %d, the widest a store slot keeps (event.MaxTS)", uint64(event.MaxTS)))
 }
 
-// refuseRangeRef is MT's answer to a RangeRef slot handed over without ranges
-// (Access, or AccessBatch with none): routed, it would reach an engine as a
-// data access at a range-table index. Checked before the first event reaches
-// a ring.
+// refuseRangeRef is the answer to a RangeRef slot handed over without ranges
+// (Access, or AccessBatch with none): it would reach an engine as a data
+// access at a range-table index. Checked where refuseStamps is.
 func refuseRangeRef() {
 	panic("core: AccessBatch: a RangeRef slot without the ranges it indexes")
 }
@@ -225,7 +225,8 @@ func (r *ring) pop() []event.Access {
 // schedule.
 func (r *ring) memBytes() uint64 { return uint64(mpscCellBytes * r.q.Cap()) }
 
-// worker is one consumer of the pipeline: a ring feeding a detection Engine.
+// worker is one consumer of the pipeline: a ring feeding a detection Engine,
+// a batch at a time (process).
 type worker struct {
 	id  int
 	in  *ring // nil for Serial's engine, driven inline
@@ -331,22 +332,12 @@ func (w *worker) run() {
 	}
 }
 
-// process applies one event batch; done reports the flush sentinel.
+// process runs one event batch through the engine in one call; done reports
+// the flush sentinel. The sentinel is the last event ever pushed into a ring,
+// so it can only end a batch; the engine skips it.
 func (w *worker) process(evs []event.Access) (done bool) {
-	for i := range evs {
-		ev := &evs[i]
-		switch ev.Kind {
-		case event.Flush:
-			done = true
-		default:
-			if ev.Kind != event.Remove {
-				// A collapsed read stands for 1+Rep target accesses; count them all.
-				w.events += 1 + uint64(ev.Rep)
-			}
-			w.eng.Process(*ev)
-		}
-	}
-	return done
+	w.events += w.eng.ProcessRun(evs)
+	return evs[len(evs)-1].Kind == event.Flush
 }
 
 // pipeline is the shared chassis of every profiler variant: the worker set,
@@ -432,15 +423,11 @@ func (p *pipeline) merge(stats RunStats) *Result {
 	return res
 }
 
-// dupRead reports whether read a, uncollapsed itself, repeats last exactly and
-// last's repetition count has room for it — the duplicate-read test of
-// ring.put. Addr leads the comparison because it is what differs between
-// neighbours.
+// dupRead reports whether read a, uncollapsed itself, repeats last exactly
+// (sameRead) and last's repetition count has room for it — the duplicate-read
+// test of ring.put.
 func dupRead(last, a *event.Access) bool {
-	return last.Addr == a.Addr && last.IterVec == a.IterVec &&
-		last.Loc == a.Loc && last.TS == a.TS && last.Var == a.Var &&
-		last.CtxID == a.CtxID && last.Thread == a.Thread && last.Flags == a.Flags &&
-		last.Kind == event.Read && a.Rep == 0 && last.Rep != event.MaxRep
+	return sameRead(last, a) && a.Rep == 0 && last.Rep != event.MaxRep
 }
 
 // ownerOf is the modulo rule of Equation 1. The paper uses `address % W` on

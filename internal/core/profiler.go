@@ -72,9 +72,11 @@ type RunStats struct {
 	Chunks        uint64
 	ControlChunks uint64
 	// DupCollapsed is the number of consecutive duplicate reads collapsed
-	// into repetition counts by the target's threads as they copy a batch
-	// into the rings. The collapsed accesses still count in Accesses and in
-	// every dependence count.
+	// into repetition counts by the transport: the target's threads as they
+	// copy a batch into the rings. The collapsed accesses still count in
+	// Accesses and in every dependence count. The engine's own folds of
+	// adjacent exact duplicates (Engine.ProcessRun) are exact and not
+	// counted here; they show only as fewer instance-cache probes.
 	DupCollapsed uint64
 	// DepCacheHits / DepCacheProbes report the engines' instance-cache
 	// performance: a hit records a dependence instance without any map
@@ -143,8 +145,9 @@ type Config struct {
 
 // Serial is the single-threaded profiler of §III: the target program and
 // Algorithm 1 run on the same thread. As a pipeline composition it is the
-// degenerate case — one worker, no transport (Access drives the engine
-// inline), and the shared merge stage producing the Result.
+// degenerate case — one worker, no transport (AccessBatch hands each stretch
+// of a batch to the engine's run kernel inline), and the shared merge stage
+// producing the Result.
 type Serial struct {
 	pl        pipeline
 	eng       *Engine
@@ -181,35 +184,47 @@ func newSerial(cfg Config) (*Serial, error) {
 // Access implements Profiler: the one-event batch.
 func (s *Serial) Access(a event.Access) { s.AccessBatch([]event.Access{a}, nil) }
 
-// AccessBatch implements Profiler: the whole batch drives the engine in one
-// tight loop — no per-event interface dispatch — with access counting and
-// telemetry publication amortized to one update per batch.
+// AccessBatch implements Profiler: the batch is checked whole first
+// (refuseRangeRef, refuseStamps), then each stretch of point events between
+// RangeRef slots goes to the engine's run kernel in one call, and each range
+// in BatchSize runs of its elements (runRange). Access counting and telemetry
+// publication take one update per batch.
 func (s *Serial) AccessBatch(accesses []event.Access, ranges []event.Range) {
-	var data, rngs, relems, stamps uint64
+	stamps := uint64(0)
 	for i := range accesses {
 		a := &accesses[i]
 		stamps |= a.TS
 		if a.Kind == event.RangeRef {
-			r := &ranges[a.Addr]
-			stamps |= r.TS
-			if r.Count > 0 && (r.Kind == event.Read || r.Kind == event.Write) {
-				data += uint64(r.Count)
-				rngs++
-				relems += uint64(r.Count)
+			if len(ranges) == 0 {
+				refuseRangeRef()
 			}
-			for j := uint32(0); j < r.Count; j++ {
-				s.eng.Process(r.At(j))
-			}
-			continue
+			stamps |= ranges[a.Addr].TS
 		}
-		if a.Kind == event.Read || a.Kind == event.Write {
-			// A collapsed read (Rep > 0) stands for 1+Rep accesses.
-			data += 1 + uint64(a.Rep)
-		}
-		s.eng.Process(*a)
 	}
 	if stamps > event.MaxTS && s.eng.raceCheck {
 		refuseStamps()
+	}
+	var data, rngs, relems uint64
+	for len(accesses) > 0 {
+		n := len(accesses)
+		if len(ranges) > 0 {
+			n = 0
+			for n < len(accesses) && accesses[n].Kind != event.RangeRef {
+				n++
+			}
+			if n == 0 {
+				r := &ranges[accesses[0].Addr]
+				if r.Count > 0 && (r.Kind == event.Read || r.Kind == event.Write) {
+					rngs++
+					relems += uint64(r.Count)
+				}
+				data += s.runRange(r)
+				accesses = accesses[1:]
+				continue
+			}
+		}
+		data += s.eng.ProcessRun(accesses[:n])
+		accesses = accesses[n:]
 	}
 	s.stats.Accesses += data
 	s.stats.Ranges += rngs
@@ -224,6 +239,21 @@ func (s *Serial) AccessBatch(accesses []event.Access, ranges []event.Range) {
 			s.published = s.stats.Accesses
 		}
 	}
+}
+
+// runRange expands r's elements, in order, into BatchSize runs through the
+// engine's run kernel, as MT.routeRange does into its rings: a range costs
+// what its points in a batch would. It returns the data accesses they were.
+func (s *Serial) runRange(r *event.Range) (data uint64) {
+	var buf [event.BatchSize]event.Access
+	for j := uint32(0); j < r.Count; {
+		n := 0
+		for ; n < len(buf) && j < r.Count; n, j = n+1, j+1 {
+			buf[n] = r.At(j)
+		}
+		data += s.eng.ProcessRun(buf[:n])
+	}
+	return data
 }
 
 // Flush implements Profiler.

@@ -200,9 +200,10 @@ func TestRangeRefWithoutRanges(t *testing.T) {
 		for _, one := range []bool{false, true} {
 			p := mustNew(t, Config{Mode: mode, Workers: 2, Backend: "perfect"})
 			func() {
+				const want = "core: AccessBatch: a RangeRef slot without the ranges it indexes"
 				defer func() {
-					if recover() == nil {
-						t.Errorf("%v one=%v: a RangeRef slot without ranges was taken", mode, one)
+					if got := recover(); got != want {
+						t.Errorf("%v one=%v: recovered %v, want the refusal %q", mode, one, got, want)
 					}
 				}()
 				if one {
@@ -211,8 +212,8 @@ func TestRangeRefWithoutRanges(t *testing.T) {
 					p.AccessBatch(batch, nil)
 				}
 			}()
-			if res := p.Flush(); mode != ModeSerial && res.Stats.Accesses != 0 {
-				t.Errorf("%v one=%v: %d accesses profiled from a refused batch", mode, one, res.Stats.Accesses)
+			if res := p.Flush(); res.Stats.Accesses != 0 || res.Deps.Unique() != 0 {
+				t.Errorf("%v one=%v: %d accesses, %d dependences profiled from a refused batch", mode, one, res.Stats.Accesses, res.Deps.Unique())
 			}
 		}
 	}

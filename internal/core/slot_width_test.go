@@ -189,8 +189,9 @@ func TestEngineAsksForStamps(t *testing.T) {
 
 // TestAccessBatchRefusesWideStamps: a race-checking profiler of every mode
 // takes event.MaxTS and refuses a batch with a stamp one past it — a point, or
-// a range element — on the caller's goroutine, naming the limit; one that does
-// not check races takes the stamp (it never stores it).
+// a range element — on the caller's goroutine, naming the limit, before any
+// event of the batch is profiled; one that does not check races takes the
+// stamp (it never stores it).
 func TestAccessBatchRefusesWideStamps(t *testing.T) {
 	const want = "core: AccessBatch: a stamp is past 4294967295, the widest a store slot keeps (event.MaxTS)"
 	batch := func(ts uint64) ([]event.Access, []event.Range) {
@@ -219,10 +220,14 @@ func TestAccessBatchRefusesWideStamps(t *testing.T) {
 				p := mustNew(t, cfg)
 				accesses, ranges := mk(ts)
 				got := feed(p, accesses, ranges)
-				p.Flush()
+				res := p.Flush()
 				refuse := ts > event.MaxTS && (cfg.RaceCheck || cfg.Mode == ModeMT)
 				if refuse && got != want || !refuse && got != nil {
 					t.Errorf("%v race=%v, %s at stamp %d: recovered %v, want refusal %v", cfg.Mode, cfg.RaceCheck, name, ts, got, refuse)
+				}
+				if refuse && (res.Stats.Accesses != 0 || res.Deps.Unique() != 0) {
+					t.Errorf("%v race=%v, %s: %d accesses, %d dependences profiled from a refused batch",
+						cfg.Mode, cfg.RaceCheck, name, res.Stats.Accesses, res.Deps.Unique())
 				}
 			}
 		}
