@@ -49,13 +49,16 @@ bench:
 # Non-test Go lines per top-level package (. is the ddprof facade) and in all:
 # the number a simplicity PR reports, before and after. internal/exp, the
 # experiment code (the paper's tables and figures, the §III-B store
-# baselines), has its own line and is not in internal's.
+# baselines), and the oracles (ORACLES: the reference tree-walking
+# interpreter, the test-program generator and the stride detector, which
+# tests and the benchmark's ledger hold production to) have their own lines
+# and are not in internal's.
+ORACLES = internal/interp internal/testgen internal/stride
 loc:
-	@for d in . bench cmd examples internal internal/exp; do \
-		opt=; [ $$d = . ] && opt='-maxdepth 1'; [ $$d = internal ] && opt='-path internal/exp -prune -o'; \
-		printf '%-12s %6d\n' $$d $$(find $$d $$opt -name '*.go' ! -name '*_test.go' -print | xargs wc -l | tail -1 | awk '{print $$1}'); \
-	done
-	@printf '%-12s %6d\n' total $$(find . -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -1 | awk '{print $$1}')
+	@n() { find "$$@" -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l; }; \
+	printf '%-12s %6d\n' . $$(n . -maxdepth 1) bench $$(n bench) cmd $$(n cmd) examples $$(n examples) \
+		internal $$(n internal \( -path internal/exp $(foreach o,$(ORACLES),-o -path $(o)) \) -prune -o) \
+		internal/exp $$(n internal/exp) oracles $$(n $(ORACLES)) total $$(n .)
 
 # Short fuzz pass over the hardened decoders (trace, framing, server), the
 # slab trace encoder against its reference, the dependence-set fast-update

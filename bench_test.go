@@ -401,7 +401,7 @@ func BenchmarkHotPath(b *testing.B) {
 	pipe := telemetry.NewRegistry().Pipeline("pipeline")
 	// batched hands over n events the way both executors do: AccessBatch, in
 	// event.BatchSize segments.
-	batched := func(prof core.Profiler, stream []event.Access, n int) {
+	batched := func(prof *core.Profiler, stream []event.Access, n int) {
 		for i := 0; i < n; {
 			off := i % len(stream)
 			seg := min(event.BatchSize, n-i, len(stream)-off)
@@ -409,12 +409,12 @@ func BenchmarkHotPath(b *testing.B) {
 			i += seg
 		}
 	}
-	perEvent := func(prof core.Profiler, stream []event.Access, n int) {
+	perEvent := func(prof *core.Profiler, stream []event.Access, n int) {
 		for i := 0; i < n; i++ {
 			prof.Access(stream[i%len(stream)])
 		}
 	}
-	run := func(b *testing.B, stream []event.Access, cfg core.Config, feed func(core.Profiler, []event.Access, int)) {
+	run := func(b *testing.B, stream []event.Access, cfg core.Config, feed func(*core.Profiler, []event.Access, int)) {
 		b.ReportAllocs()
 		cfg.Metrics = pipe
 		prof, err := core.New(cfg)

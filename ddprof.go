@@ -287,14 +287,17 @@ func ProfileUnion(builds []func() *Program, cfg Config) (*Result, error) {
 // analyze often. The recording hook is a trace.SyncWriter — a mutex around a
 // trace.Writer, so multi-threaded targets record safely — and w receives
 // whole records, in Writes of at most 64KiB, each time the Writer's slab
-// fills and once more at the end.
+// fills and once more at the end. A target that spawns threads is recorded
+// with its sync-epoch stamps, as Profile runs it under ModeMT, so
+// ProfileTrace can flag its races; a spawn-free target's stamps are all 0.
 func RecordTrace(p *Program, w io.Writer) (events uint64, err error) {
 	tw, err := trace.NewWriter(w)
 	if err != nil {
 		return 0, err
 	}
 	sw := trace.NewSyncWriter(tw)
-	if _, err := vm.Run(p, sw, interp.Options{}); err != nil {
+	iopt := interp.Options{Timestamps: len(minilang.Resolve(p).Spawns) > 0}
+	if _, err := vm.Run(p, sw, iopt); err != nil {
 		return 0, err
 	}
 	if err := sw.Close(); err != nil {
@@ -306,8 +309,9 @@ func RecordTrace(p *Program, w io.Writer) (events uint64, err error) {
 // ProfileTrace replays a recorded DDT2 trace through a serial profiler with
 // the configured store and returns the dependence set. Loop-carried
 // classification needs the original program's loop table and is therefore
-// not available from a bare trace; all dependences, counts, thread IDs and
-// race flags are reproduced exactly. A trace in the older DDT1 format is
+// not available from a bare trace; all dependences, counts and thread IDs
+// are reproduced exactly, and with cfg.Mode ModeMT, which turns the race
+// check on, the race flags too. A trace in the older DDT1 format is
 // refused with trace.ErrDDT1: record it again.
 func ProfileTrace(r io.Reader, cfg Config) (*dep.Set, error) {
 	slots := cfg.Slots

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ddprof"
+	"ddprof/internal/analysis"
 	"ddprof/internal/core"
 	"ddprof/internal/dep"
 	"ddprof/internal/event"
@@ -306,6 +307,49 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestBadMode(t *testing.T) {
 	if _, err := ddprof.Profile(buildDemo(), ddprof.Config{Mode: ddprof.Mode(99)}); err == nil {
 		t.Error("unknown mode accepted")
+	}
+}
+
+// sharedCounter builds the program of examples/racedetect: four threads
+// incrementing one counter, under a mutex or not.
+func sharedCounter(locked bool) *ddprof.Program {
+	p := ddprof.NewProgram("counter")
+	p.MainFunc(func(b *ddprof.Block) {
+		b.Decl("counter", ddprof.Ci(0))
+		b.Spawn(4, func(s *ddprof.Block) {
+			s.For("i", ddprof.Ci(0), ddprof.Ci(500), ddprof.Ci(1),
+				ddprof.LoopOpt{Name: "inc"}, func(l *ddprof.Block) {
+					inc := func(cr *ddprof.Block) {
+						cr.Reduce("counter", ddprof.OpAdd, ddprof.Ci(1))
+					}
+					if locked {
+						l.Lock("m", inc)
+					} else {
+						inc(l)
+					}
+				})
+		})
+	})
+	return p
+}
+
+// TestRecordedTraceKeepsRaces: a recorded trace of a spawning target carries
+// its sync-epoch stamps, so ProfileTrace under ModeMT flags the unlocked
+// counter's races and none of the locked one's, as Profile does.
+func TestRecordedTraceKeepsRaces(t *testing.T) {
+	for _, locked := range []bool{false, true} {
+		var buf bytes.Buffer
+		if _, err := ddprof.RecordTrace(sharedCounter(locked), &buf); err != nil {
+			t.Fatal(err)
+		}
+		set, err := ddprof.ProfileTrace(&buf, ddprof.Config{Mode: ddprof.ModeMT, Backend: "perfect"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		races := analysis.CountRaces(set)
+		if locked && races != 0 || !locked && races == 0 {
+			t.Errorf("locked=%v: %d races through the recorded trace, want %s", locked, races, map[bool]string{false: "> 0", true: "0"}[locked])
+		}
 	}
 }
 

@@ -42,7 +42,7 @@ func TestRegisteredBackends(t *testing.T) {
 	} {
 		if p, err := New(Config{Backend: spec}); err != nil {
 			t.Errorf("%q: %v", spec, err)
-		} else if got := fmt.Sprintf("%T", p.(*Serial).eng.Store()); got != want {
+		} else if got := fmt.Sprintf("%T", p.workers[0].eng.Store()); got != want {
 			t.Errorf("%q opens a %s, want %s", spec, got, want)
 		}
 	}

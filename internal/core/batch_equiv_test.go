@@ -14,7 +14,7 @@ import (
 // pre-folds consecutive duplicate reads into repetition counts first — the
 // shape the trace decoder's duplicate filter hands over — so the engines' Rep
 // replay gets exercised end to end.
-func feedBatched(p Profiler, evs []event.Access, batch int, collapse bool) *Result {
+func feedBatched(p *Profiler, evs []event.Access, batch int, collapse bool) *Result {
 	var pending []event.Access
 	flush := func() {
 		if len(pending) > 0 {
@@ -51,7 +51,7 @@ func TestAccessBatchEquivalence(t *testing.T) {
 	for _, s := range equivSuite() {
 		s := s
 		t.Run(s.name, func(t *testing.T) {
-			mk := func(kind string) Profiler {
+			mk := func(kind string) *Profiler {
 				cfg := Config{Backend: "perfect", Meta: s.meta}
 				switch kind {
 				case "parallel":
@@ -98,7 +98,7 @@ func TestAccessBatchRanges(t *testing.T) {
 	}
 
 	for _, kind := range []string{"serial", "parallel"} {
-		mk := func() Profiler {
+		mk := func() *Profiler {
 			cfg := Config{Backend: "perfect", Meta: m}
 			if kind == "parallel" {
 				cfg.Mode, cfg.Workers, cfg.QueueCap = ModeParallel, 3, 64

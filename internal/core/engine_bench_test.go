@@ -14,7 +14,7 @@ import (
 // 2^21-slot signature — through the fused arm, and through the interface arm
 // the §III-B baselines take — and over the perfect store, ddbench's
 // reference. The run row feeds the fused arm's streams through the run kernel
-// in event.BatchSize runs, as Serial.AccessBatch does; the other rows go one
+// in event.BatchSize runs, as ModeSerial does; the other rows go one
 // Process call per event. Construction is inside the timed region: a profile
 // pays for its store.
 func BenchmarkEngineProcess(b *testing.B) {

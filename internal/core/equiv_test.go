@@ -130,7 +130,7 @@ func equivSuite() []equivStream {
 
 // feed pushes a stream through a profiler and flushes.
 // mustNew is New for tests: a Config New refuses fails the test.
-func mustNew(t testing.TB, cfg Config) Profiler {
+func mustNew(t testing.TB, cfg Config) *Profiler {
 	t.Helper()
 	p, err := New(cfg)
 	if err != nil {
@@ -139,7 +139,7 @@ func mustNew(t testing.TB, cfg Config) Profiler {
 	return p
 }
 
-func feed(p Profiler, evs []event.Access) *Result {
+func feed(p *Profiler, evs []event.Access) *Result {
 	for _, a := range evs {
 		p.Access(a)
 	}

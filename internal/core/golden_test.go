@@ -212,7 +212,7 @@ func computeGoldens(t *testing.T, exec runFunc) (digests, counters map[string]st
 // feedThreadBatches hands evs over one thread's run at a time: a batch ends
 // where the stream changes threads, as a target thread's batch holds its own
 // events only (AccessBatch cuts it into BatchSize segments).
-func feedThreadBatches(p Profiler, evs []event.Access) {
+func feedThreadBatches(p *Profiler, evs []event.Access) {
 	for len(evs) > 0 {
 		n := 1
 		for n < len(evs) && evs[n].Thread == evs[0].Thread {

@@ -81,7 +81,7 @@ type hbAccess struct {
 }
 
 type hbOracle struct {
-	Profiler // the profiler under test: every event is forwarded, Flush is its
+	*Profiler // the profiler under test: every event is forwarded, Flush is its
 
 	mu         sync.Mutex
 	threads    map[int]*hbThread
@@ -92,7 +92,7 @@ type hbOracle struct {
 	seen       map[uint64]map[hbAccess]struct{}
 }
 
-func newHBOracle(p Profiler) *hbOracle {
+func newHBOracle(p *Profiler) *hbOracle {
 	return &hbOracle{Profiler: p, threads: map[int]*hbThread{}, locks: map[any]*vclock{},
 		seen: map[uint64]map[hbAccess]struct{}{}}
 }

@@ -281,7 +281,7 @@ func TestMTRunsLongerThanRing(t *testing.T) {
 	requireSameProfile(t, "mt-long-runs-locked", first, locked)
 }
 
-// TestMTBatchAllocFree: a steady-state executor batch through MT.AccessBatch in
+// TestMTBatchAllocFree: a steady-state executor batch through AccessBatch in
 // either pipelined mode — owner pass, claims, copies into the rings, the
 // workers reading them in place — allocates nothing: the rings are allocated
 // by New, so the warm-up is the stores' alone.
@@ -308,15 +308,16 @@ func TestMTBatchAllocFree(t *testing.T) {
 
 // TestMTFreedAfterFlush: once flushed and dropped, a profiler — rings, stores
 // and all — is garbage at the next collection. Scratch that spread keeps
-// between segments must not hold it longer (a sync.Pool inside MT did, for
+// between segments must not hold it longer (a sync.Pool inside it did, for
 // two collections: the peak heap of back-to-back runs then held two
 // profilers).
 func TestMTFreedAfterFlush(t *testing.T) {
 	freed := make(chan struct{})
 	func() {
-		m := mustNew(t, Config{Mode: ModeParallel, Workers: 4, SlotsPerWorker: 1 << 12}).(*MT)
-		// On a ring, not on MT: MT reaches itself (its first worker points
-		// at its lanes), and such an object's finalizer never runs.
+		m := mustNew(t, Config{Mode: ModeParallel, Workers: 4, SlotsPerWorker: 1 << 12})
+		// On a ring, not on the Profiler: it reaches itself (its first
+		// worker points at its lanes), and such an object's finalizer never
+		// runs.
 		runtime.SetFinalizer(m.rings[0], func(*ring) { close(freed) })
 		batch := make([]event.Access, event.BatchSize)
 		for i := range batch {
@@ -329,6 +330,6 @@ func TestMTFreedAfterFlush(t *testing.T) {
 	select {
 	case <-freed:
 	case <-time.After(10 * time.Second):
-		t.Fatal("a flushed MT is still reachable after a collection")
+		t.Fatal("a flushed profiler is still reachable after a collection")
 	}
 }

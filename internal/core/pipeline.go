@@ -1,14 +1,16 @@
 package core
 
-// The composable pipeline layer. The paper's architecture (§IV–V) is one
-// pipeline with pluggable pieces, and this file is that decomposition:
+// The pipeline of §IV–V, which every mode is. The paper's serial profiler
+// (§III) is this pipeline with the worker run on the target's own thread, and
+// so is ModeSerial: no rings, one worker, its engine driven inline.
 //
 //	target thread(s)
 //	      │ AccessBatch() (Access() is the one-event case)
-//	┌─────▼──────┐  per BatchSize segment, on the target's thread: routing
-//	│   spread   │  (ownerOf), duplicate-read collapse, one claimed run per
-//	└─────┬──────┘  owner
-//	      │ runs copied into the owners' MPSC rings
+//	┌─────▼──────┐  per BatchSize segment, on the target's thread: RangeRef
+//	│   spread   │  expansion, the refusals, then routing (ownerOf),
+//	└─────┬──────┘  duplicate-read collapse, one claimed run per owner
+//	      │ runs copied into the owners' MPSC rings (ModeSerial: the segment
+//	      │ goes straight to its one engine, on the caller's thread)
 //	┌─────▼──────┐  read by its worker in place; Config.LockBased puts a
 //	│    ring    │  mutex around every copy and every read (Figure 5)
 //	└─────┬──────┘
@@ -21,11 +23,7 @@ package core
 //	│   merge    │  accounting, occupancy + queue-depth publication
 //	└────────────┘
 //
-// MT is this composition for sequential (ModeParallel) and multi-threaded
-// (ModeMT) targets alike; Serial is the degenerate one, its single engine
-// driven inline, one ProcessRun call per stretch of a batch, and merged.
-// New builds both; the golden fixtures in testdata/goldens.json pin their
-// profiles.
+// The golden fixtures in testdata/goldens.json pin the profiles of every mode.
 
 import (
 	"fmt"
@@ -39,11 +37,13 @@ import (
 	"ddprof/internal/telemetry"
 )
 
-// Mode selects the profiler variant a Config describes.
+// Mode selects how a Config's pipeline runs its workers.
 type Mode uint8
 
 const (
-	// ModeSerial is the single-threaded profiler of §III.
+	// ModeSerial is the single-threaded profiler of §III: one worker, no
+	// rings, its engine driven on the caller's thread. It ignores Workers,
+	// QueueCap and LockBased.
 	ModeSerial Mode = iota
 	// ModeParallel is the lock-free pipeline of §IV for sequential targets:
 	// ModeMT's pipeline with one producing thread and Config.RaceCheck as
@@ -66,30 +66,19 @@ func (m Mode) String() string {
 	return "invalid"
 }
 
-// New builds the profiler variant selected by cfg.Mode — the one constructor
-// every embedder goes through — and validates the configuration in one place.
-func New(cfg Config) (Profiler, error) {
-	switch cfg.Mode {
-	case ModeSerial:
-		return newSerial(cfg)
-	case ModeParallel, ModeMT:
-		return newMT(cfg)
-	default:
-		return nil, fmt.Errorf("core: unknown Mode %d", cfg.Mode)
-	}
-}
-
 // normalize validates a Config and fills in its mode's defaults.
 func (c Config) normalize() (Config, error) {
-	mode := c.Mode
+	if c.Mode > ModeMT {
+		return c, fmt.Errorf("core: unknown Mode %d", c.Mode)
+	}
 	if c.Workers < 0 {
 		return c, fmt.Errorf("core: Workers = %d; want >= 1, or 0 for the default", c.Workers)
 	}
-	if c.Workers == 0 {
+	switch {
+	case c.Mode == ModeSerial:
 		c.Workers = 1
-		if mode != ModeSerial {
-			c.Workers = runtime.GOMAXPROCS(0)
-		}
+	case c.Workers == 0:
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueCap < 0 {
 		return c, fmt.Errorf("core: QueueCap = %d; want >= 1 ring positions, or 0 for the default", c.QueueCap)
@@ -113,13 +102,14 @@ func (c Config) normalize() (Config, error) {
 	return c, nil
 }
 
-// makeEngines builds the engines of n workers that share the addresses by
-// ownerOf, each over its own store (sig.OpenStore). The stores are
+// makeEngines builds the engines of cfg.Workers workers that share the
+// addresses by ownerOf, each over its own store (sig.OpenStore). The stores are
 // built here (not lazily) so a bad Config.Backend spec fails construction with
 // a descriptive error instead of a nil dereference on the hot path. A
 // signature learns the routing rule (Shard) before its first access; exact
 // stores have no slots to share.
-func makeEngines(cfg *Config, n int) ([]*Engine, error) {
+func makeEngines(cfg Config) ([]*Engine, error) {
+	n := cfg.Workers
 	out := make([]*Engine, n)
 	for i := range out {
 		st, err := sig.OpenStore(cfg.Backend, cfg.SlotsPerWorker)
@@ -138,10 +128,9 @@ func makeEngines(cfg *Config, n int) ([]*Engine, error) {
 // stamp past event.MaxTS: a signature keeps 32 bits of one, so the race check
 // would compare the low halves. The executors and the DDT2 decoder refuse such
 // a stamp first; this catches embedders that bypass both. Callers fold the
-// stamps into one OR and check it once: Serial before any event of the batch
-// reaches the engine, MT before any event of a BatchSize segment reaches a
-// ring. A refused batch of up to BatchSize events leaves the profile as it
-// was.
+// stamps into one OR and check it once per BatchSize segment (spread), before
+// any event of it reaches an engine or a ring. A refused batch of up to
+// BatchSize events leaves the profile as it was.
 func refuseStamps() {
 	panic(fmt.Sprintf("core: AccessBatch: a stamp is past %d, the widest a store slot keeps (event.MaxTS)", uint64(event.MaxTS)))
 }
@@ -229,7 +218,7 @@ func (r *ring) memBytes() uint64 { return uint64(mpscCellBytes * r.q.Cap()) }
 // a batch at a time (process).
 type worker struct {
 	id  int
-	in  *ring // nil for Serial's engine, driven inline
+	in  *ring // nil in ModeSerial: the engine is driven inline
 	eng *Engine
 	// events counts the logical read/write accesses processed (a collapsed
 	// read stands for 1+Rep of them) — the §IV-A load-balance quantity.
@@ -252,7 +241,7 @@ type worker struct {
 	pubProbes uint64
 	pubDups   uint64
 	maxDepth  int64
-	lanes     *[mtLanes]mtLane
+	lanes     *[numLanes]lane
 }
 
 // telemetryPublishEvery is the worker-batch cadence of in-flight telemetry
@@ -340,40 +329,11 @@ func (w *worker) process(evs []event.Access) (done bool) {
 	return evs[len(evs)-1].Kind == event.Flush
 }
 
-// pipeline is the shared chassis of every profiler variant: the worker set,
-// the flush state, and the merge stage.
-type pipeline struct {
-	workers []*worker
-	m       *telemetry.Pipeline
-	wg      sync.WaitGroup
-	flushed bool
-}
-
-// startAll launches one goroutine per worker.
-func (p *pipeline) startAll() {
-	for _, w := range p.workers {
-		w := w
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			w.run()
-		}()
-	}
-}
-
-// beginFlush is the centralized double-flush guard.
-func (p *pipeline) beginFlush() {
-	if p.flushed {
-		panic(errDoubleFlush)
-	}
-	p.flushed = true
-}
-
 // merge assembles the uniform Result of every mode. It must run after the
 // workers have joined (the flush barrier makes all worker-local state safe to
 // read). stats carries the producer-side counters; the accesses the workers
-// processed add to its Accesses (MT's concurrent producers keep no shared
-// counter; Serial's engine is driven inline and counts its own).
+// processed add to its Accesses (concurrent producers keep no shared
+// counter).
 //
 // "This step incurs only minor overhead since the local maps are free of
 // duplicates" (§IV) — true for one process, not for a daemon draining
@@ -382,7 +342,7 @@ func (p *pipeline) beginFlush() {
 // aggregates (tens of keys) fold in a plain loop, at key-set granularity: the
 // same carried key may surface on several workers (same source lines,
 // different addresses) and must not be double-counted.
-func (p *pipeline) merge(stats RunStats) *Result {
+func (p *Profiler) merge(stats RunStats) *Result {
 	res := &Result{Stats: stats}
 	stores := make([]sig.Store, 0, len(p.workers))
 	// The workers' sets and loop tables are stolen, not copied: the pipeline

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -41,17 +42,24 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestNewDispatch drives each mode end-to-end through the unified
-// constructor.
+// TestNewDispatch drives each mode end-to-end through the one constructor.
+// ModeSerial ignores Workers: one worker, no rings, and no goroutine started
+// (its engine runs on the caller's thread).
 func TestNewDispatch(t *testing.T) {
 	for _, mode := range []Mode{ModeSerial, ModeParallel, ModeMT} {
 		t.Run(mode.String(), func(t *testing.T) {
+			before := runtime.NumGoroutine()
 			p, err := New(Config{Mode: mode, Workers: 2, Backend: "perfect"})
 			if err != nil {
 				t.Fatal(err)
 			}
 			p.Access(event.Access{Addr: 0x100, Kind: event.Write, Loc: loc.Pack(1, 1), TS: 1})
 			p.Access(event.Access{Addr: 0x100, Kind: event.Read, Loc: loc.Pack(1, 2), TS: 2})
+			if mode == ModeSerial {
+				if started := runtime.NumGoroutine() - before; started > 0 || len(p.workers) != 1 || p.rings != nil {
+					t.Errorf("%d workers, %d rings, %d goroutines started; want 1, 0, 0", len(p.workers), len(p.rings), started)
+				}
+			}
 			res := p.Flush()
 			if res.Stats.Accesses != 2 {
 				t.Errorf("accesses = %d, want 2", res.Stats.Accesses)
@@ -63,8 +71,8 @@ func TestNewDispatch(t *testing.T) {
 	}
 }
 
-// TestDoubleFlushPanicsEveryMode: the pipeline chassis centralizes the
-// double-flush guard, so all three variants fail identically.
+// TestDoubleFlushPanicsEveryMode: every mode is one Profiler with one Flush,
+// so all three fail identically.
 func TestDoubleFlushPanicsEveryMode(t *testing.T) {
 	expectPanic := func(name string, f func()) {
 		defer func() {

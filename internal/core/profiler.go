@@ -1,32 +1,284 @@
 package core
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"ddprof/internal/dep"
+	"ddprof/internal/event"
 	"ddprof/internal/prog"
+	"ddprof/internal/queue"
 	"ddprof/internal/sig"
 	"ddprof/internal/telemetry"
-
-	"ddprof/internal/event"
 )
 
-// Profiler is the uniform surface of all profiler variants. AccessBatch is
-// the ingest seam: the executors hand over each target thread's private
-// batches, remote sessions their decoded trace batches; Access is its
-// one-event form. Flush drains the pipeline and returns the merged result.
-// The serial profiler's Access and AccessBatch must be called from a single
-// goroutine; the parallel and multi-threaded-target profiler accepts
-// concurrent callers, one per target thread.
-type Profiler interface {
-	Access(a event.Access)
-	// AccessBatch ingests one decoded batch: accesses holds point events plus
-	// RangeRef slots whose Addr indexes into ranges — the event.Chunk layout.
-	// A RangeRef slot expands at its position, element by element in order
-	// (Range.At), into the point path, so on every store a range is its
-	// points. Only data and Remove point kinds (plus RangeRef) may appear;
-	// control kinds are the caller's to refuse. The resulting profile is
-	// byte-identical to the equivalent sequence of Access calls.
-	AccessBatch(accesses []event.Access, ranges []event.Range)
-	Flush() *Result
+// Profiler is the profiler of every mode: the pipeline of §IV–V, and in
+// ModeSerial the §III profiler, which is that pipeline with no rings and its
+// one worker's engine driven on the caller's thread. AccessBatch is the
+// ingest seam: the executors hand over each target thread's private batches,
+// remote sessions their decoded trace batches; Access is its one-event form.
+// Flush drains the pipeline and returns the merged result. In ModeSerial,
+// Access and AccessBatch must be called from a single goroutine; the
+// pipelined modes take concurrent callers, one per target thread.
+//
+// ModeMT profiles multi-threaded targets (§V) and ModeParallel sequential
+// ones (§IV): a sequential target is a one-thread §V target, whose ring
+// claims are then uncontended, with the race check as configured. Every
+// target thread hands its events over concurrently, in thread-private
+// batches (event.Batcher): when its buffer fills and before every release
+// operation of the target — unlock, barrier arrive, spawn, thread exit. A
+// batch goes into the owning workers' lock-free MPSC rings as one run per
+// ring — one claim, one publication (spread) — not the paper's push per
+// access from inside the target's lock region (Figure 4) that made its MT
+// profiling slow (Figure 6). The target's threads route by the fixed ownerOf
+// rule and collapse duplicate reads as they copy a batch in, so they share
+// nothing but the rings; the workers read the runs in place.
+//
+// Ordering invariant: if access a happens-before access b on the same
+// address, a's positions are claimed in the owner's ring before b's — a's
+// thread flushed before the release that orders the two, and ring claims are
+// FIFO — and within one thread claims follow program order. Only unordered
+// pairs can arrive either way; those the sync-epoch stamps expose
+// (Engine.build). A freed address changes threads at a join only
+// (interp.FreeList), an edge too.
+type Profiler struct {
+	workers   []*worker
+	rings     []*ring // rings[i] is worker i's transport; none in ModeSerial
+	wMask     uint64  // len(rings)-1 when that is a power of two, else 0 (see ownerOf)
+	raceCheck bool    // refuse stamps past event.MaxTS (refuseStamps)
+	m         *telemetry.Pipeline
+	wg        sync.WaitGroup
+	flushed   bool
+
+	// lanes stripes the producers' counters by target thread, off each
+	// other's cache lines and the fields above, hence the pad.
+	_     [64]byte
+	lanes [numLanes]lane
+}
+
+// numLanes is the number of producer lanes; a target thread uses lane
+// Thread & (numLanes-1). Threads that share a lane stay correct (the
+// counters are atomic), they just share a line again.
+const numLanes = 16
+
+// lane is one producer lane's counters, alone on their cache lines (128
+// bytes: no two lanes' counters share a line at any 8-byte alignment, and
+// the adjacent-line prefetcher pairs lines).
+type lane struct {
+	// collapsed counts the duplicate reads the lane's producers folded away,
+	// added once per batch; ranges and rangeElems the data ranges they
+	// expanded (RunStats.Ranges, RangeElements).
+	collapsed, ranges, rangeElems atomic.Uint64
+	_                             [104]byte
+}
+
+// spreadRows is spread's scratch: the segment's cnt[w] events for ring w are
+// listed, by index, from idx[w*BatchSize].
+type spreadRows struct {
+	cnt []uint16
+	idx []uint16
+}
+
+// rowsPool holds spreadRows between segments, for every Profiler in the
+// process: a pool inside Profiler would keep the whole profiler reachable
+// after its Flush, as the runtime lists each pool in use until two
+// collections later.
+var rowsPool sync.Pool
+
+// getRows returns zeroed counts and rows for nw rings.
+func getRows(nw int) *spreadRows {
+	r, _ := rowsPool.Get().(*spreadRows)
+	if r == nil || cap(r.cnt) < nw {
+		return &spreadRows{cnt: make([]uint16, nw), idx: make([]uint16, nw*event.BatchSize)}
+	}
+	r.cnt = r.cnt[:nw]
+	clear(r.cnt)
+	return r
+}
+
+// New builds the profiler cfg.Mode selects — the one constructor every
+// embedder goes through — and validates the configuration in one place.
+// ModeSerial builds one worker and starts no goroutine; the pipelined modes
+// build Workers rings and workers and start the workers. ModeMT always checks
+// races: the stamps it needs are already being collected.
+func New(cfg Config) (*Profiler, error) {
+	cfg, err := cfg.normalize()
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Mode == ModeMT {
+		cfg.RaceCheck = true
+	}
+	engs, err := makeEngines(cfg)
+	if err != nil {
+		return nil, err
+	}
+	p := &Profiler{m: cfg.Metrics, raceCheck: cfg.RaceCheck}
+	for i, eng := range engs {
+		w := &worker{id: i, eng: eng, m: cfg.Metrics}
+		if cfg.Mode != ModeSerial {
+			w.in = &ring{q: queue.NewMPSC[event.Access](cfg.QueueCap)}
+			if cfg.LockBased {
+				w.in.mu = new(sync.Mutex)
+			}
+			p.rings = append(p.rings, w.in)
+		}
+		p.workers = append(p.workers, w)
+	}
+	// The first worker publishes the producers' collapse counts with its own
+	// counters, in flight and at the merge (publishTelemetry).
+	p.workers[0].lanes = &p.lanes
+	if p.rings != nil {
+		p.wMask = powerOfTwoMask(len(p.rings))
+		for _, w := range p.workers {
+			p.wg.Add(1)
+			go func() {
+				defer p.wg.Done()
+				w.run()
+			}()
+		}
+	}
+	return p, nil
+}
+
+// Access is the one-event batch. Safe for concurrent use in the pipelined
+// modes, as AccessBatch is.
+func (p *Profiler) Access(a event.Access) { p.AccessBatch([]event.Access{a}, nil) }
+
+// AccessBatch ingests one batch: accesses holds point events plus RangeRef
+// slots whose Addr indexes into ranges — the event.Chunk layout. Only data
+// and Remove point kinds (plus RangeRef) may appear; control kinds are the
+// caller's to refuse. The batch goes on in segments of up to BatchSize point
+// events (spread); with ranges, segments also end at RangeRef slots, which
+// expand there, element by element in order (Range.At), into segments of
+// their own (expandRange), so on every store a range is its points. The
+// resulting profile is byte-identical to the equivalent sequence of Access
+// calls.
+func (p *Profiler) AccessBatch(accesses []event.Access, ranges []event.Range) {
+	for len(accesses) > 0 {
+		n := min(len(accesses), event.BatchSize)
+		if len(ranges) > 0 {
+			n = 0
+			for n < len(accesses) && n < event.BatchSize && accesses[n].Kind != event.RangeRef {
+				n++
+			}
+			if n == 0 {
+				p.expandRange(&ranges[accesses[0].Addr])
+				accesses = accesses[1:]
+				continue
+			}
+		}
+		p.spread(accesses[:n])
+		accesses = accesses[n:]
+	}
+}
+
+// expandRange counts r and expands its elements, in order, into BatchSize
+// segments and spreads those: a range costs what its points in a batch would.
+func (p *Profiler) expandRange(r *event.Range) {
+	if r.Count > 0 && (r.Kind == event.Read || r.Kind == event.Write) {
+		l := &p.lanes[r.Thread&(numLanes-1)]
+		l.ranges.Add(1)
+		l.rangeElems.Add(uint64(r.Count))
+		if p.m != nil {
+			p.m.Ranges.Inc()
+			p.m.RangeElements.Add(uint64(r.Count))
+		}
+	}
+	var buf [event.BatchSize]event.Access
+	for j := uint32(0); j < r.Count; {
+		n := 0
+		for ; n < len(buf) && j < r.Count; n, j = n+1, j+1 {
+			buf[n] = r.At(j)
+		}
+		p.spread(buf[:n])
+	}
+}
+
+// spread hands on up to BatchSize events of one thread, in order. Nothing of
+// the segment is profiled before it is checked whole (refuseRangeRef,
+// refuseStamps). In ModeSerial the segment then goes to the one engine's run
+// kernel on the caller's thread (runInline). Otherwise one pass lists each
+// event under its owner (a row per ring, so the pass costs the same at any
+// worker count), then ring by ring one put copies the ring's events in. One
+// ring at a time: see MPSC.Claim. The rows come from a pool, so a segment
+// zeroes nothing but the counts.
+func (p *Profiler) spread(seg []event.Access) {
+	if p.rings == nil {
+		p.runInline(seg)
+		return
+	}
+	nw := len(p.rings)
+	rows := getRows(nw)
+	cnt, idx := rows.cnt, rows.idx
+	stamps := uint64(0)
+	for i := range seg {
+		a := &seg[i]
+		if a.Kind == event.RangeRef {
+			refuseRangeRef()
+		}
+		o := ownerOf(a.Addr, nw, p.wMask)
+		idx[o*event.BatchSize+int(cnt[o])] = uint16(i)
+		cnt[o]++
+		stamps |= a.TS
+	}
+	if stamps > event.MaxTS && p.raceCheck {
+		refuseStamps()
+	}
+	dups := uint64(0)
+	for w, n := range cnt {
+		if n > 0 {
+			dups += p.rings[w].put(seg, idx[w*event.BatchSize:][:n])
+		}
+	}
+	rowsPool.Put(rows)
+	if dups > 0 {
+		p.lanes[seg[0].Thread&(numLanes-1)].collapsed.Add(dups)
+	}
+}
+
+// runInline is ModeSerial's worker: the checked segment goes to the engine's
+// run kernel in one call, on the caller's thread, where Algorithm 1 runs
+// beside the target in §III.
+func (p *Profiler) runInline(seg []event.Access) {
+	stamps := uint64(0)
+	for i := range seg {
+		if seg[i].Kind == event.RangeRef {
+			refuseRangeRef()
+		}
+		stamps |= seg[i].TS
+	}
+	if stamps > event.MaxTS && p.raceCheck {
+		refuseStamps()
+	}
+	w := p.workers[0]
+	w.process(seg)
+	if w.m != nil {
+		w.publishEvents()
+	}
+}
+
+// Flush drains the pipeline and merges. It must be called after every target
+// thread has finished (the executors join them first), so no AccessBatch call
+// can race with the flush sentinels. A second Flush panics.
+func (p *Profiler) Flush() *Result {
+	if p.flushed {
+		panic(errDoubleFlush)
+	}
+	p.flushed = true
+	for _, r := range p.rings {
+		r.q.Push(event.Access{Kind: event.Flush})
+	}
+	p.wg.Wait()
+
+	var stats RunStats
+	for i := range p.lanes {
+		l := &p.lanes[i]
+		stats.DupCollapsed += l.collapsed.Load()
+		stats.Ranges += l.ranges.Load()
+		stats.RangeElements += l.rangeElems.Load()
+	}
+	return p.merge(stats)
 }
 
 // Result is the merged output of a profiling run.
@@ -107,7 +359,8 @@ type RunStats struct {
 type Config struct {
 	// Mode selects the profiler variant New builds.
 	Mode Mode
-	// Workers is the number of profiling worker threads (parallel modes).
+	// Workers is the number of profiling worker threads. ModeSerial ignores
+	// it: its one worker runs on the caller's thread.
 	Workers int
 	// SlotsPerWorker is the size of the signature the profile is that of:
 	// each worker indexes its words as a signature of this many slots would
@@ -141,129 +394,6 @@ type Config struct {
 	// Counters are bumped at batch granularity and no clock is read, so the
 	// hot path stays cheap; nil costs nothing.
 	Metrics *telemetry.Pipeline
-}
-
-// Serial is the single-threaded profiler of §III: the target program and
-// Algorithm 1 run on the same thread. As a pipeline composition it is the
-// degenerate case — one worker, no transport (AccessBatch hands each stretch
-// of a batch to the engine's run kernel inline), and the shared merge stage
-// producing the Result.
-type Serial struct {
-	pl        pipeline
-	eng       *Engine
-	stats     RunStats
-	m         *telemetry.Pipeline
-	published uint64
-}
-
-// newSerial builds the serial profiler. The whole signature budget
-// (Workers×SlotsPerWorker if both set, else SlotsPerWorker) backs its single
-// store.
-func newSerial(cfg Config) (*Serial, error) {
-	cfg, err := cfg.normalize()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.SlotsPerWorker > 0 && cfg.Workers > 1 {
-		// The whole per-worker slot budget backs the single serial store. A
-		// spec with an explicit slots parameter is unaffected: explicit
-		// parameters win over the SlotsPerWorker default.
-		cfg.SlotsPerWorker *= cfg.Workers
-	}
-	engs, err := makeEngines(&cfg, 1)
-	if err != nil {
-		return nil, err
-	}
-	eng := engs[0]
-	s := &Serial{eng: eng, m: cfg.Metrics}
-	s.pl.m = cfg.Metrics
-	s.pl.workers = []*worker{{eng: eng, m: cfg.Metrics}}
-	return s, nil
-}
-
-// Access implements Profiler: the one-event batch.
-func (s *Serial) Access(a event.Access) { s.AccessBatch([]event.Access{a}, nil) }
-
-// AccessBatch implements Profiler: the batch is checked whole first
-// (refuseRangeRef, refuseStamps), then each stretch of point events between
-// RangeRef slots goes to the engine's run kernel in one call, and each range
-// in BatchSize runs of its elements (runRange). Access counting and telemetry
-// publication take one update per batch.
-func (s *Serial) AccessBatch(accesses []event.Access, ranges []event.Range) {
-	stamps := uint64(0)
-	for i := range accesses {
-		a := &accesses[i]
-		stamps |= a.TS
-		if a.Kind == event.RangeRef {
-			if len(ranges) == 0 {
-				refuseRangeRef()
-			}
-			stamps |= ranges[a.Addr].TS
-		}
-	}
-	if stamps > event.MaxTS && s.eng.raceCheck {
-		refuseStamps()
-	}
-	var data, rngs, relems uint64
-	for len(accesses) > 0 {
-		n := len(accesses)
-		if len(ranges) > 0 {
-			n = 0
-			for n < len(accesses) && accesses[n].Kind != event.RangeRef {
-				n++
-			}
-			if n == 0 {
-				r := &ranges[accesses[0].Addr]
-				if r.Count > 0 && (r.Kind == event.Read || r.Kind == event.Write) {
-					rngs++
-					relems += uint64(r.Count)
-				}
-				data += s.runRange(r)
-				accesses = accesses[1:]
-				continue
-			}
-		}
-		data += s.eng.ProcessRun(accesses[:n])
-		accesses = accesses[n:]
-	}
-	s.stats.Accesses += data
-	s.stats.Ranges += rngs
-	s.stats.RangeElements += relems
-	if s.m != nil {
-		if rngs > 0 {
-			s.m.Ranges.Add(rngs)
-			s.m.RangeElements.Add(relems)
-		}
-		if s.stats.Accesses-s.published >= 1024 {
-			s.m.Events.Add(s.stats.Accesses - s.published)
-			s.published = s.stats.Accesses
-		}
-	}
-}
-
-// runRange expands r's elements, in order, into BatchSize runs through the
-// engine's run kernel, as MT.routeRange does into its rings: a range costs
-// what its points in a batch would. It returns the data accesses they were.
-func (s *Serial) runRange(r *event.Range) (data uint64) {
-	var buf [event.BatchSize]event.Access
-	for j := uint32(0); j < r.Count; {
-		n := 0
-		for ; n < len(buf) && j < r.Count; n, j = n+1, j+1 {
-			buf[n] = r.At(j)
-		}
-		data += s.eng.ProcessRun(buf[:n])
-	}
-	return data
-}
-
-// Flush implements Profiler.
-func (s *Serial) Flush() *Result {
-	s.pl.beginFlush()
-	if s.m != nil {
-		s.m.Events.Add(s.stats.Accesses - s.published)
-		s.published = s.stats.Accesses
-	}
-	return s.pl.merge(s.stats)
 }
 
 // publishStoreTelemetry records the flush-time store gauges: the mean

@@ -34,7 +34,7 @@ func (s *rangedStream) points() []event.Access {
 }
 
 // accessRange hands p one range on its own: the one-slot batch.
-func accessRange(p Profiler, r event.Range) {
+func accessRange(p *Profiler, r event.Range) {
 	p.AccessBatch([]event.Access{{Kind: event.RangeRef}}, []event.Range{r})
 }
 
@@ -141,7 +141,7 @@ func TestAccessRangeEquivalence(t *testing.T) {
 		}
 	}
 
-	run := func(t *testing.T, mk func(backend string) Profiler) {
+	run := func(t *testing.T, mk func(backend string) *Profiler) {
 		for _, backend := range backends {
 			want := digestResult(feed(mk(backend), evs))
 			check := func(how string, got *Result) {
@@ -170,19 +170,19 @@ func TestAccessRangeEquivalence(t *testing.T) {
 		}
 	}
 	t.Run("serial", func(t *testing.T) {
-		run(t, func(b string) Profiler { return mustNew(t, Config{Backend: b, Meta: m}) })
+		run(t, func(b string) *Profiler { return mustNew(t, Config{Backend: b, Meta: m}) })
 	})
 	for _, workers := range []int{1, 2, 4, 8, 3} {
 		workers := workers
 		t.Run(fmt.Sprintf("parallel-%dw", workers), func(t *testing.T) {
-			run(t, func(b string) Profiler {
+			run(t, func(b string) *Profiler {
 				return mustNew(t, Config{Mode: ModeParallel, Workers: workers, QueueCap: 256, Backend: b, Meta: m})
 			})
 		})
 	}
 	// The rings are shorter than a long range's share of a segment.
 	t.Run("mt", func(t *testing.T) {
-		run(t, func(b string) Profiler {
+		run(t, func(b string) *Profiler {
 			return mustNew(t, Config{Mode: ModeMT, Workers: 3, QueueCap: 64, Backend: b, Meta: m})
 		})
 	})
@@ -298,7 +298,7 @@ func TestStrideCompressionEquivalence(t *testing.T) {
 		streams = append(streams, equivStream{"wl-" + w.Name, p.Meta, c.evs})
 	}
 
-	mk := func(kind string, meta *prog.Meta) Profiler {
+	mk := func(kind string, meta *prog.Meta) *Profiler {
 		cfg := Config{Backend: "perfect", Meta: meta}
 		switch kind {
 		case "parallel":

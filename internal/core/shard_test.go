@@ -18,7 +18,7 @@ import (
 // residue class of ownerOf, each over an unsharded m-slot signature and fed
 // its class in stream order, merged by the pipeline's own merge stage.
 func residueReference(s equivStream, m, w int, raceCheck bool) *Result {
-	var pl pipeline
+	pl := new(Profiler)
 	for i := 0; i < w; i++ {
 		pl.workers = append(pl.workers, &worker{id: i, eng: NewEngine(sig.NewSignature(m), s.meta, raceCheck)})
 	}
@@ -37,7 +37,8 @@ func residueReference(s equivStream, m, w int, raceCheck bool) *Result {
 // SlotsPerWorker is m reports byte for byte (DDP1, loop verdicts) what W
 // unsharded m-slot signatures fed the same residue classes report — sharding
 // moved no collision — and, when W divides m, what the serial profiler over
-// one m-slot signature reports, at that signature's size.
+// one m-slot signature reports, at that signature's size, whatever Workers
+// the serial profiler is given.
 func TestTightParallelEqualsSerial(t *testing.T) {
 	// Four threads over 3,000 shared words; stamps repeat across threads, so
 	// the race rule has something to flag.
@@ -77,6 +78,9 @@ func TestTightParallelEqualsSerial(t *testing.T) {
 				refs := map[string]*Result{"unsharded residue classes": residueReference(s, tc.m, tc.w, race)}
 				if tc.tight {
 					refs["serial"] = feed(mustNew(t, Config{SlotsPerWorker: tc.m, Meta: s.meta, RaceCheck: race}), s.evs)
+					// ModeSerial ignores Workers: SlotsPerWorker means the
+					// same signature in every mode.
+					refs["serial at Workers: w"] = feed(mustNew(t, Config{Workers: tc.w, SlotsPerWorker: tc.m, Meta: s.meta, RaceCheck: race}), s.evs)
 					if got.Stats.StoreBytes != refs["serial"].Stats.StoreBytes || got.Stats.StoreModeledBytes != uint64(4*tc.m) {
 						t.Errorf("%s: stores hold %d bytes (%d modeled), the serial signature %d (%d)", name,
 							got.Stats.StoreBytes, got.Stats.StoreModeledBytes, refs["serial"].Stats.StoreBytes, 4*tc.m)

@@ -204,7 +204,7 @@ func TestAccessBatchRefusesWideStamps(t *testing.T) {
 		return []event.Access{{Kind: event.RangeRef}},
 			[]event.Range{{Kind: event.Write, Base: 0x2000, Stride: 8, Count: 3, Loc: loc.Pack(1, 3), TS: ts}}
 	}
-	feed := func(p Profiler, accesses []event.Access, ranges []event.Range) (refused any) {
+	feed := func(p *Profiler, accesses []event.Access, ranges []event.Range) (refused any) {
 		defer func() { refused = recover() }()
 		p.AccessBatch(accesses, ranges)
 		return nil

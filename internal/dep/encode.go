@@ -26,13 +26,38 @@ import (
 //
 // Dependences are written in lessKey order, which makes the encoding
 // canonical (two Sets with equal contents encode byte-identically) and lets
-// readers merge-join streams without materializing either side — the
-// profile-union primitive the sharded-fleet merge and ddiff ride on.
+// readers merge-join streams without materializing either side, as ddiff
+// does (DiffStreams).
 const binaryMagic = "DDP1"
 
-// Encode writes the set, loop records and variable table in binary form.
+// Encode writes the set, loop records and variable table in binary form: the
+// set's entries in canonical (lessKey) order. The entries stay in their
+// slabs; only the permutation of their refs is built.
 func Encode(w io.Writer, s *Set, tab *loc.Table, loops []LoopRecord) error {
-	return EncodeUnion(w, tab, loops, s)
+	e := &encoder{bw: bufio.NewWriter(w)}
+	if err := e.header(tab, loops); err != nil {
+		return err
+	}
+	var refs []int
+	if s != nil {
+		refs = make([]int, s.n)
+	}
+	for i := range refs {
+		refs[i] = i
+	}
+	sort.Slice(refs, func(i, j int) bool {
+		return lessKey(s.at(refs[i]).key, s.at(refs[j]).key)
+	})
+	if err := e.put(uint64(len(refs))); err != nil {
+		return err
+	}
+	for _, r := range refs {
+		en := s.at(r)
+		if err := e.record(en.key, en.stats); err != nil {
+			return err
+		}
+	}
+	return e.bw.Flush()
 }
 
 // encoder wraps the shared varint/byte plumbing of the DDP1 writer.
@@ -112,83 +137,6 @@ func (e *encoder) record(k Key, st Stats) error {
 		return err
 	}
 	return e.put(uint64(st.MaxDist))
-}
-
-// EncodeUnion streams the union of the shards as one binary profile,
-// byte-identical to Encode of the serially merged set, without building that
-// merged set: each shard's entries are walked in canonical (lessKey) order
-// and the shard cursors merge-joined, folding the stats of keys present in
-// several shards on the fly. Shards are read-only; passing a single shard is
-// exactly Encode. This is the wire side of the profile-union primitive: a
-// fleet node unions per-shard profiles straight onto the socket.
-func EncodeUnion(w io.Writer, tab *loc.Table, loops []LoopRecord, shards ...*Set) error {
-	e := &encoder{bw: bufio.NewWriter(w)}
-	if err := e.header(tab, loops); err != nil {
-		return err
-	}
-	// Per-shard cursor over entry refs in canonical key order. The entries
-	// themselves stay in their slabs; only the ref permutations are built.
-	refs := make([][]int, 0, len(shards))
-	live := make([]*Set, 0, len(shards))
-	for _, s := range shards {
-		if s == nil || s.n == 0 {
-			continue
-		}
-		rs := make([]int, s.n)
-		for i := range rs {
-			rs[i] = i
-		}
-		sh := s
-		sort.Slice(rs, func(i, j int) bool {
-			return lessKey(sh.at(rs[i]).key, sh.at(rs[j]).key)
-		})
-		refs = append(refs, rs)
-		live = append(live, s)
-	}
-
-	// The record count precedes the records, so walk the join twice: once
-	// counting distinct keys, once writing. Both passes are cache-linear
-	// over the slabs; nothing per-key is allocated.
-	walk := func(f func(Key, Stats) error) error {
-		pos := make([]int, len(refs))
-		for {
-			mi := -1
-			var mk Key
-			for i, rs := range refs {
-				if pos[i] >= len(rs) {
-					continue
-				}
-				k := live[i].at(rs[pos[i]]).key
-				if mi < 0 || lessKey(k, mk) {
-					mi, mk = i, k
-				}
-			}
-			if mi < 0 {
-				return nil
-			}
-			st := newStats()
-			for i, rs := range refs {
-				if pos[i] < len(rs) && live[i].at(rs[pos[i]]).key == mk {
-					st.fold(&live[i].at(rs[pos[i]]).stats)
-					pos[i]++
-				}
-			}
-			if err := f(mk, st); err != nil {
-				return err
-			}
-		}
-	}
-	distinct := 0
-	if err := walk(func(Key, Stats) error { distinct++; return nil }); err != nil {
-		return err
-	}
-	if err := e.put(uint64(distinct)); err != nil {
-		return err
-	}
-	if err := walk(e.record); err != nil {
-		return err
-	}
-	return e.bw.Flush()
 }
 
 func lessKey(a, b Key) bool {
@@ -359,37 +307,22 @@ func noEOF(err error) error {
 	return err
 }
 
-// DecodeMerge streams a binary profile and folds every record into an
-// existing Set — the decode side of the profile-union primitive: a fleet
-// merger calls it once per shard profile against one accumulator, never
-// holding more than one wire record beyond the accumulator itself. The
-// profile's loop records and variable table are returned for the caller to
-// reconcile.
-func DecodeMerge(r io.Reader, into *Set) ([]LoopRecord, *loc.Table, error) {
-	d, err := NewDecoder(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	for {
-		k, st, err := d.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		into.Ref(k).fold(&st)
-		into.addInstances(st.Count)
-	}
-	return d.loops, d.tab, nil
-}
-
-// Decode reads a binary profile written by Encode.
+// Decode reads a binary profile written by Encode, one record at a time.
 func Decode(r io.Reader) (*Set, []LoopRecord, *loc.Table, error) {
-	set := NewSet()
-	loops, tab, err := DecodeMerge(r, set)
+	d, err := NewDecoder(r)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return set, loops, tab, nil
+	set := NewSet()
+	for {
+		k, st, err := d.Next()
+		if err == io.EOF {
+			return set, d.loops, d.tab, nil
+		}
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		set.Ref(k).fold(&st)
+		set.addInstances(st.Count)
+	}
 }

@@ -193,66 +193,6 @@ func TestGoldenBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeMergeFoldsIntoExisting(t *testing.T) {
-	s, tab, loops := buildRichSet()
-	var buf bytes.Buffer
-	if err := Encode(&buf, s, tab, loops); err != nil {
-		t.Fatal(err)
-	}
-	// Decoding the same profile twice into one accumulator must double every
-	// count and instance but keep the key population fixed.
-	acc := NewSet()
-	for i := 0; i < 2; i++ {
-		if _, _, err := DecodeMerge(bytes.NewReader(buf.Bytes()), acc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if acc.Unique() != s.Unique() {
-		t.Fatalf("unique %d, want %d", acc.Unique(), s.Unique())
-	}
-	if acc.Instances() != 2*s.Instances() {
-		t.Fatalf("instances %d, want %d", acc.Instances(), 2*s.Instances())
-	}
-	s.Range(func(k Key, st Stats) bool {
-		got, ok := acc.Lookup(k)
-		if !ok {
-			t.Fatalf("lost %+v", k)
-		}
-		if got.Count != 2*st.Count || got.MinDist != st.MinDist || got.MaxDist != st.MaxDist {
-			t.Fatalf("fold wrong for %+v: %+v from %+v", k, got, st)
-		}
-		return true
-	})
-}
-
-func TestEncodeUnionMatchesSerialMerge(t *testing.T) {
-	a, tab, loops := buildRichSet()
-	b := NewSet()
-	for i := 0; i < 40; i++ { // half-overlapping second shard
-		k := Key{Type: Type(i % 4), Sink: loc.Pack(1, 1+i%9), Src: loc.Pack(1, 1+i%6),
-			Var: tab.Var([]string{"alpha", "beta", "gamma"}[i%3])}
-		b.AddDist(k, i%2 == 1, i%5 == 0, false, uint32(i%3))
-	}
-	uniqA, uniqB := a.Unique(), b.Unique()
-	merged := NewSet()
-	merged.Merge(a)
-	merged.Merge(b)
-	var want, got bytes.Buffer
-	if err := Encode(&want, merged, tab, loops); err != nil {
-		t.Fatal(err)
-	}
-	if err := EncodeUnion(&got, tab, loops, a, b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Error("EncodeUnion not byte-identical to Encode of the serial merge")
-	}
-	// The inputs must be untouched.
-	if a.Unique() != uniqA || b.Unique() != uniqB {
-		t.Fatalf("EncodeUnion modified its shards: %d/%d, %d/%d", a.Unique(), uniqA, b.Unique(), uniqB)
-	}
-}
-
 func TestDecoderTruncatedMidRecord(t *testing.T) {
 	s, tab, loops := buildRichSet()
 	var buf bytes.Buffer

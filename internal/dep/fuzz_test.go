@@ -90,9 +90,9 @@ func FuzzFastUpdate(f *testing.F) {
 	})
 }
 
-// FuzzSetMergeEquivalence pins the parallel tree merge (MergeShards) and the
-// streaming union encoder (EncodeUnion) byte-identical — via the canonical
-// encoding — to the old serial fold, for arbitrary shard populations:
+// FuzzSetMergeEquivalence pins the parallel tree merge (MergeShards)
+// byte-identical — via the canonical encoding — to the old serial fold, for
+// arbitrary shard populations:
 // empty and singleton shards, keys hitting Reduction/MinDist/MaxDist edge
 // cases, and keys shared across shards in any combination.
 func FuzzSetMergeEquivalence(f *testing.F) {
@@ -153,15 +153,6 @@ func FuzzSetMergeEquivalence(f *testing.F) {
 			serial.Merge(sh)
 		}
 		want := encode(serial)
-
-		// Streaming union over the untouched reference shards.
-		var union bytes.Buffer
-		if err := EncodeUnion(&union, tab, nil, ref...); err != nil {
-			t.Fatalf("EncodeUnion: %v", err)
-		}
-		if !bytes.Equal(union.Bytes(), want) {
-			t.Fatalf("EncodeUnion diverges from serial fold:\n union %x\nserial %x", union.Bytes(), want)
-		}
 
 		// Parallel tree reduction over a second, identical build.
 		tree := MergeShards(build())

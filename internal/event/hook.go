@@ -3,8 +3,8 @@ package event
 // Hook receives one event per instrumented memory access. It is the single
 // contract between the instrumentation producers (the tree-walking
 // interpreter and the bytecode VM) and every consumer: the trace writer and
-// the experiment capture buffers implement it, and core.Serial and core.MT
-// its bulk form, BatchHook, which the producers prefer.
+// the experiment capture buffers implement it, and core.Profiler its bulk
+// form, BatchHook, which the producers prefer.
 type Hook interface {
 	Access(a Access)
 }

@@ -51,7 +51,7 @@ func Fig5(opt Options) (*report.Table, []Fig5Row, error) {
 			return slowdown(d, native), err
 		}
 
-		if row.Serial, err = run(core.Config{Workers: 16, SlotsPerWorker: opt.SlotsPerWorker}); err != nil {
+		if row.Serial, err = run(core.Config{SlotsPerWorker: 16 * opt.SlotsPerWorker}); err != nil {
 			return nil, nil, fmt.Errorf("%s serial: %w", w.Name, err)
 		}
 		if row.LockBased8T, err = run(core.Config{Mode: core.ModeParallel, Workers: 8, SlotsPerWorker: 2 * opt.SlotsPerWorker, LockBased: true}); err != nil {

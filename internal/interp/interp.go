@@ -29,7 +29,7 @@ import (
 )
 
 // Hook receives one event per memory access; it is an alias of the shared
-// event.Hook contract. core.Serial and core.MT both satisfy it.
+// event.Hook contract, which core.Profiler satisfies.
 type Hook = event.Hook
 
 // Options configure a run.

@@ -96,7 +96,7 @@ func rawRemoteProfile(t *testing.T, addr string, h *handshake, raw []byte) *Remo
 // replayTrace feeds captured trace bytes to a profiler record by record —
 // the pre-batching reference semantics the daemon's batched ingest must
 // reproduce.
-func replayTrace(t *testing.T, prof core.Profiler, raw []byte) {
+func replayTrace(t *testing.T, prof *core.Profiler, raw []byte) {
 	t.Helper()
 	tr, err := trace.NewReader(trace.NewFrameReader(bytes.NewReader(raw), 0))
 	if err != nil {

@@ -504,7 +504,7 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 // count). Pipeline control kinds beyond Remove are daemon-internal; a stream
 // carrying them is corrupt (a Flush would end a worker under its producer),
 // and the events ahead of the first one are fed before it is refused.
-func feedBatch(prof core.Profiler, b ingestBatch) (uint64, error) {
+func feedBatch(prof *core.Profiler, b ingestBatch) (uint64, error) {
 	evs, rngs := b.c.Events, b.c.Ranges
 	if !b.ctl {
 		// Pure data batch: no control kinds to reject, and the decoder
