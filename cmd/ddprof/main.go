@@ -59,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		file    = fs.String("file", "", "profile a minilang source file instead of a bundled workload")
 		mode    = fs.String("mode", "serial", "profiler mode: serial | parallel | mt (a target that spawns threads always runs under mt)")
 		workers = fs.Int("workers", 8, "profiling worker threads (parallel modes)")
-		slots   = fs.Int("slots", 1<<21, "total signature slots")
+		slots   = fs.Int("slots", 1<<21, "signature slots: the one signature every mode profiles with")
 		backend = fs.String("backend", "", backendHelp)
 		scale   = fs.Float64("scale", 1, "workload problem-size multiplier")
 		threads = fs.Int("threads", 4, "target threads of pthread variants (-mode mt, water-spatial) and of the communication report")

@@ -133,9 +133,10 @@ type Config struct {
 	// Workers is the number of profiling threads (parallel modes;
 	// default 8).
 	Workers int
-	// Slots is the total signature slot budget, split evenly over workers.
-	// 0 selects 2^21 total. Backend specs with explicit slot parameters
-	// override it.
+	// Slots is the signature's slot count, whatever the mode: a parallel
+	// mode's workers share that one signature's slots between them, so every
+	// mode profiles the same signature. 0 selects 2^21. Backend specs with
+	// explicit slot parameters override it.
 	Slots int
 	// Backend selects the access-history store: "signature" (the default
 	// when empty), "signature:slots=N" (k/m/g suffixes) or "perfect", the
@@ -194,7 +195,7 @@ func Profile(p *Program, cfg Config) (*Result, error) {
 	}
 	ccfg := core.Config{
 		Workers:        workers,
-		SlotsPerWorker: slots / workers,
+		SlotsPerWorker: slots,
 		Backend:        cfg.Backend,
 		Meta:           p.Meta,
 	}
@@ -203,7 +204,6 @@ func Profile(p *Program, cfg Config) (*Result, error) {
 	case ModeSerial:
 		ccfg.Mode = core.ModeSerial
 		ccfg.Workers = 1
-		ccfg.SlotsPerWorker = slots
 	case ModeParallel:
 		ccfg.Mode = core.ModeParallel
 	case ModeMT:

@@ -14,6 +14,7 @@ import (
 	"ddprof/internal/event"
 	"ddprof/internal/loc"
 	"ddprof/internal/trace"
+	"ddprof/internal/workloads"
 )
 
 // buildDemo constructs a program with one clean loop, one reduction and one
@@ -122,6 +123,38 @@ func TestProfileExactMatchesSignature(t *testing.T) {
 	}
 	if exact.Deps.Unique() != sig.Deps.Unique() {
 		t.Errorf("exact %d deps vs signature %d", exact.Deps.Unique(), sig.Deps.Unique())
+	}
+}
+
+// TestSlotsNameOneSignature: Config.Slots sizes the one signature every mode
+// profiles with, so at a signature tight enough to collide, serial, parallel
+// over four workers and the spec spelling of the same size save
+// byte-identical profiles.
+func TestSlotsNameOneSignature(t *testing.T) {
+	wl, ok := workloads.ByName("rotate")
+	if !ok {
+		t.Fatal("no rotate workload")
+	}
+	const slots = 1024
+	var want []byte
+	for _, cfg := range []ddprof.Config{
+		{Slots: slots},
+		{Mode: ddprof.ModeParallel, Workers: 4, Slots: slots},
+		{Workers: 4, Backend: fmt.Sprintf("signature:slots=%d", slots)},
+	} {
+		res, err := ddprof.Profile(wl.Build(workloads.Config{Scale: 0.2}), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := res.SaveBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%+v: %d profile bytes, %d dependences; serial saved %d bytes", cfg, buf.Len(), res.Deps.Unique(), len(want))
+		}
 	}
 }
 

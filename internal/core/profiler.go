@@ -147,13 +147,13 @@ func (p *Profiler) Access(a event.Access) { p.AccessBatch([]event.Access{a}, nil
 
 // AccessBatch ingests one batch: accesses holds point events plus RangeRef
 // slots whose Addr indexes into ranges — the event.Chunk layout. Only data
-// and Remove point kinds (plus RangeRef) may appear; control kinds are the
-// caller's to refuse. The batch goes on in segments of up to BatchSize point
-// events (spread); with ranges, segments also end at RangeRef slots, which
-// expand there, element by element in order (Range.At), into segments of
-// their own (expandRange), so on every store a range is its points. The
-// resulting profile is byte-identical to the equivalent sequence of Access
-// calls.
+// and Remove point kinds (plus RangeRef) may appear: neither the executors
+// nor the DDT2 decoder produce any other. The batch goes on in segments of
+// up to BatchSize point events (spread); with ranges, segments also end at
+// RangeRef slots, which expand there, element by element in order
+// (Range.At), into segments of their own (expandRange), so on every store a
+// range is its points. The resulting profile is byte-identical to the
+// equivalent sequence of Access calls.
 func (p *Profiler) AccessBatch(accesses []event.Access, ranges []event.Range) {
 	for len(accesses) > 0 {
 		n := min(len(accesses), event.BatchSize)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"testing"
 	"unsafe"
 
@@ -138,7 +139,14 @@ func TestSlotNarrowingIsPinned(t *testing.T) {
 		w.Access(read(0, 9))
 		_ = w.Close()
 		p := mustNew(t, Config{Mode: ModeMT, Workers: 2})
-		_, err := trace.Replay(bytes.NewReader(buf.Bytes()), p.Access)
+		tr, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
+		for c := event.NewChunk(); err == nil; c.Reset() {
+			_, err = tr.NextBatch(c)
+			p.AccessBatch(c.Events, c.Ranges)
+		}
+		if err == io.EOF {
+			err = nil
+		}
 		src := fromThread(p.Flush())
 		if thread == event.MaxThread && (err != nil || src != event.MaxThread) {
 			t.Errorf("decoder, thread 511: err %v, RAW from thread %d; want nil, 511", err, src)

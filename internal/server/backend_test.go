@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -280,17 +281,17 @@ func TestAdmissionEqualsStoreBytes(t *testing.T) {
 		return reg.Gauge("pipeline_store_bytes").Load(), err
 	}
 	for _, workers := range []int{2, 4} {
-		// The default is the session's 2^20 slots split W ways, and each
-		// worker's signature holds a W-th of its split; an explicit slots= is
-		// every worker's signature, of which each holds a W-th.
+		// The default is the session's one signature of 2^20 slots, and an
+		// explicit slots= is that signature: each worker's holds a W-th of
+		// it.
 		for _, tc := range []struct {
 			name    string
 			prog    func() *minilang.Program
 			backend string
 			want    uint64
 		}{
-			{"sequential, default slots", sequential, "", (1 << 20) / uint64(workers) * pair},
-			{"race check, default slots", spawning, "", (1 << 20) / uint64(workers) * stamped},
+			{"sequential, default slots", sequential, "", (1 << 20) * pair},
+			{"race check, default slots", spawning, "", (1 << 20) * stamped},
 			{"sequential, slots=64k", sequential, "signature:slots=64k", (64 << 10) * pair},
 			{"race check, slots=64k", spawning, "signature:slots=64k", (64 << 10) * stamped},
 		} {
@@ -322,5 +323,39 @@ func TestAdmissionEqualsStoreBytes(t *testing.T) {
 		(64<<10)*stamped, between)
 	if _, err := session(2, between, spawning(), "signature:slots=64k"); err == nil || !strings.Contains(err.Error(), msg) {
 		t.Errorf("race-checking session at %d bytes: err = %v, want %q", between, err, msg)
+	}
+}
+
+// TestSessionSlotsNameOneSignature: SessionSlots sizes the one signature a
+// session that requests no store profiles with, so the same trace at a tight
+// SessionSlots gets an identical profile from a daemon with workers to lend
+// (a four-worker parallel session) and from one that has none (the serial
+// fallback).
+func TestSessionSlotsNameOneSignature(t *testing.T) {
+	var want []byte
+	for _, budget := range []int{16, 1} {
+		srv := New(Config{WorkerBudget: budget, SessionSlots: 1024, Registry: telemetry.NewRegistry()})
+		ln := listenTCP(t)
+		go srv.Serve(ln)
+		conn, err := Dial(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, err := ProfileRemote(conn, hotProgram(3000), ClientOptions{Workers: 4})
+		conn.Close()
+		srv.Shutdown(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := dep.Encode(&buf, rr.Deps, rr.Tab, nil); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("WorkerBudget %d: %d profile bytes, %d dependences; WorkerBudget 16 answered %d bytes",
+				budget, buf.Len(), rr.Deps.Unique(), len(want))
+		}
 	}
 }

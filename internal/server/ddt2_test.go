@@ -28,7 +28,6 @@ func TestRetiredDDT1Refused(t *testing.T) {
 	}
 	for name, open := range map[string]func() error{
 		"NewReader": func() error { _, err := trace.NewReader(bytes.NewReader(ddt1)); return err },
-		"Replay":    func() error { _, err := trace.Replay(bytes.NewReader(ddt1), func(event.Access) {}); return err },
 		"ProfileTrace": func() error {
 			_, err := ddprof.ProfileTrace(bytes.NewReader(ddt1), ddprof.Config{Backend: "perfect"})
 			return err
@@ -39,6 +38,15 @@ func TestRetiredDDT1Refused(t *testing.T) {
 		}
 	}
 
+	if msg := sessionRefusal(t, ddt1); !strings.Contains(msg, trace.ErrDDT1.Error()) {
+		t.Errorf("daemon session: %q; want the error response to carry %q", msg, trace.ErrDDT1)
+	}
+}
+
+// sessionRefusal sends stream, framed, to a fresh daemon's session and
+// returns the error response it must end with.
+func sessionRefusal(t *testing.T, stream []byte) string {
+	t.Helper()
 	srv := New(Config{Registry: telemetry.NewRegistry()})
 	ln := listenTCP(t)
 	go srv.Serve(ln)
@@ -49,11 +57,11 @@ func TestRetiredDDT1Refused(t *testing.T) {
 	}
 	defer conn.Close()
 	var req bytes.Buffer
-	if err := writeHandshake(&req, clientHandshake(testProgram("ddt1", 4), ClientOptions{})); err != nil {
+	if err := writeHandshake(&req, clientHandshake(testProgram("refused", 4), ClientOptions{})); err != nil {
 		t.Fatal(err)
 	}
 	fw := trace.NewFrameWriter(&req)
-	fw.Write(ddt1)
+	fw.Write(stream)
 	fw.Close()
 	if _, err := conn.Write(req.Bytes()); err != nil {
 		t.Fatal(err)
@@ -62,8 +70,41 @@ func TestRetiredDDT1Refused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status != statusErr || !strings.Contains(string(msg), trace.ErrDDT1.Error()) {
-		t.Errorf("daemon session: status %d, %q; want the error response to carry %q", status, msg, trace.ErrDDT1)
+	if status != statusErr {
+		t.Fatalf("daemon session: status %d, %q; want an error response", status, msg)
+	}
+	return string(msg)
+}
+
+// TestRetiredControlRecordRefused: a DDT2 stream carrying the retired control
+// record (type 5, here a Flush behind a write) gets the decoder's refusal by
+// name wherever it arrives: from a daemon session and from ProfileTrace, with
+// NextRecord's text.
+func TestRetiredControlRecordRefused(t *testing.T) {
+	var buf bytes.Buffer
+	w, _ := trace.NewWriter(&buf)
+	w.Access(event.Access{Addr: 0x1000, Kind: event.Write})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stream := append(buf.Bytes(), 5, byte(event.Flush), 0, 0, 0, 0, 0, 0, 0, 0)
+	const want = "trace: event 1: record type 5 is the retired control record: a stream carries accesses only"
+
+	tr, err := trace.NewReader(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for err == nil {
+		_, err = tr.NextRecord()
+	}
+	if err.Error() != want {
+		t.Fatalf("NextRecord: %v, want %q", err, want)
+	}
+	if _, err := ddprof.ProfileTrace(bytes.NewReader(stream), ddprof.Config{Backend: "perfect"}); err == nil || err.Error() != want {
+		t.Errorf("ProfileTrace: %v, want %q", err, want)
+	}
+	if msg := sessionRefusal(t, stream); !strings.Contains(msg, want) {
+		t.Errorf("daemon session: %q, want the error response to carry %q", msg, want)
 	}
 }
 

@@ -15,9 +15,8 @@ import (
 )
 
 // faultConn is the daemon's end of a net.Pipe with faults injected into its
-// reads: at most one byte per Read, a pause after each Read returns (so a
-// stop lands between reads, not in one), and a connection reset once
-// resetAfter bytes have been read.
+// reads: at most one byte per Read, a pause after each Read returns, and a
+// connection reset once resetAfter bytes have been read.
 type faultConn struct {
 	net.Conn
 	oneByte    bool
@@ -48,8 +47,8 @@ func (f *faultConn) Read(p []byte) (int, error) {
 // connection. A row with its own stall timeout is a client that goes silent
 // at one protocol state: the idle deadline must evict it, or, for a client
 // that never reads its verdict, end the write. Every other row must end well
-// inside IdleTimeout — a stopped session's decoder is never left waiting out
-// a re-armed read deadline. No row leaves a session, a connection or a
+// inside IdleTimeout — a decoder that refuses a record ends the session then,
+// not at the next read deadline. No row leaves a session, a connection or a
 // goroutine behind.
 func TestSessionFaults(t *testing.T) {
 	p := testProgram("faults", 200)
@@ -60,10 +59,10 @@ func TestSessionFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := append(bytes.Clone(hs.Bytes()), stream.Bytes()...)
-	// A Flush control record in its own frame, which the session rejects,
-	// then a frame header the client never finishes.
-	control := append(bytes.Clone(hs.Bytes()), 14, 'D', 'D', 'T', '2', 5, 5, 0, 0, 0, 0, 0, 0, 0, 0)
-	control = append(control, bytes.Repeat([]byte{0x80}, 9)...)
+	// The retired control record (type 5, a Flush) in its own frame, which
+	// the decoder refuses, then a frame header the client never finishes.
+	refused := append(bytes.Clone(hs.Bytes()), 14, 'D', 'D', 'T', '2', 5, 5, 0, 0, 0, 0, 0, 0, 0, 0)
+	refused = append(refused, bytes.Repeat([]byte{0x80}, 9)...)
 
 	const idle = 10 * time.Second
 	for _, tc := range []struct {
@@ -79,7 +78,7 @@ func TestSessionFaults(t *testing.T) {
 	}{
 		{name: "one-byte-reads", wire: good, oneByte: true, wantOK: true},
 		{name: "reset-mid-frame", wire: good, resetAfter: hs.Len() + 5},
-		{name: "stall-after-rejected-control", wire: control, oneByte: true, lag: 2 * time.Millisecond},
+		{name: "stall-after-refused-record", wire: refused, oneByte: true, lag: 2 * time.Millisecond},
 		{name: "shutdown-mid-stream", wire: good[:hs.Len()+stream.Len()/2], shutdown: true},
 		// Magic, version and flags byte, then silence.
 		{name: "stall-mid-handshake", wire: hs.Bytes()[:len(protoMagic)+2], stall: 100 * time.Millisecond},

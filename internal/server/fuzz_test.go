@@ -43,8 +43,8 @@ func FuzzSession(f *testing.F) {
 	writeHandshake(&trunc, clientHandshake(p, ClientOptions{}))
 	trunc.Write([]byte{0x80, 0x02, 'D', 'D', 'T', '2'})
 	f.Add(trunc.Bytes())
-	// Handshake, then a trace carrying a pipeline control kind: a Flush as a
-	// DDT2 control record.
+	// Handshake, then a trace carrying the retired control record (type 5,
+	// a Flush), which the decoder refuses.
 	var ctrl bytes.Buffer
 	writeHandshake(&ctrl, clientHandshake(p, ClientOptions{}))
 	ctrl.Write([]byte{14, 'D', 'D', 'T', '2', 5, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0})

@@ -161,21 +161,18 @@ func TestRemoteLocalGoldenMatrix(t *testing.T) {
 				}
 
 				// The local twin mirrors the session pipeline the daemon
-				// builds from this handshake: mode and worker split from the
-				// worker count, the same store spec, race checking iff the
-				// trace is timestamped.
+				// builds from this handshake: mode from the worker count,
+				// the same store spec, race checking iff the trace is
+				// timestamped.
 				ccfg := core.Config{
-					Meta:      p.Meta,
-					Backend:   backend,
-					RaceCheck: mode.mt,
+					Meta:           p.Meta,
+					Backend:        backend,
+					RaceCheck:      mode.mt,
+					SlotsPerWorker: slots,
 				}
 				if mode.workers >= 2 {
 					ccfg.Mode = core.ModeParallel
 					ccfg.Workers = mode.workers
-					ccfg.SlotsPerWorker = slots / mode.workers
-				} else {
-					ccfg.Mode = core.ModeSerial
-					ccfg.SlotsPerWorker = slots
 				}
 				prof, err := core.New(ccfg)
 				if err != nil {
@@ -297,7 +294,6 @@ func TestRemoteRangesAreTheirPoints(t *testing.T) {
 				ccfg := core.Config{Mode: core.ModeSerial, SlotsPerWorker: slots, Meta: p.Meta, Backend: backend}
 				if workers >= 2 {
 					ccfg.Mode, ccfg.Workers = core.ModeParallel, workers
-					ccfg.SlotsPerWorker = slots / workers
 				}
 				prof, err := core.New(ccfg)
 				if err != nil {

@@ -23,7 +23,9 @@
 //	  meta    (1 byte present flag; when 1, the loop table and loop-context
 //	          registry of the target — see writeMeta)
 //	  frames  (uvarint length + payload, repeated; zero length terminates)
-//	          — the concatenated payloads form one DDT2 trace stream
+//	          — the concatenated payloads form one DDT2 trace stream:
+//	          accesses only (data, define, stamp and range records); the
+//	          retired control record, like a DDT1 stream, is refused by name
 //
 //	server → client:
 //	  status  (1 byte): 0 ok, 1 error

@@ -16,7 +16,6 @@ import (
 
 	"ddprof/internal/core"
 	"ddprof/internal/dep"
-	"ddprof/internal/event"
 	"ddprof/internal/loc"
 	"ddprof/internal/sig"
 	"ddprof/internal/telemetry"
@@ -35,8 +34,9 @@ type Config struct {
 	// WorkersPerSession is how many workers one session asks for when the
 	// client gives no hint. Default 4.
 	WorkersPerSession int
-	// SessionSlots is the total signature slot budget per session, split
-	// over that session's workers. Default 2^20.
+	// SessionSlots is the slot count of the signature a session that
+	// requests no store profiles with, whatever its worker count: a parallel
+	// session's workers share that one signature's slots. Default 2^20.
 	SessionSlots int
 	// DefaultBackend is the store spec (sig.OpenStore) of sessions that
 	// request none; empty selects the signature sized from SessionSlots. A
@@ -302,14 +302,14 @@ func (s *Server) unregister(sess *session) {
 // daemon default — and enforces the daemon's store admission budget over the
 // session's store count. The charge is what the stores core.New builds for
 // this handshake will report: a race-checking session's signatures keep
-// stamps, and each of several workers' signatures holds its share of the
-// slots.
-func (c Config) resolveBackend(h *handshake, stores, slotsPerStore int) (string, error) {
+// stamps, and each of several workers' signatures holds its share of the one
+// signature's slots.
+func (c Config) resolveBackend(h *handshake, stores, slots int) (string, error) {
 	spec := h.Backend
 	if spec == "" {
 		spec = c.DefaultBackend
 	}
-	bytes, err := sig.StoreBytes(spec, slotsPerStore, stores, h.Flags&flagRaceCheck != 0)
+	bytes, err := sig.StoreBytes(spec, slots, stores, h.Flags&flagRaceCheck != 0)
 	if err != nil {
 		return "", err
 	}
@@ -359,23 +359,14 @@ func (s *Server) releaseWorkers(n int) {
 // feeds the per-session and daemon byte counters.
 type timedConn struct {
 	net.Conn
-	idle     time.Duration
-	sess     *session
-	srv      *Server
-	stopping atomic.Bool // set by stop: reads fail from then on
+	idle time.Duration
+	sess *session
+	srv  *Server
 }
-
-// errStopped is what a read returns once its session has stopped ingest.
-var errStopped = errors.New("session stopped")
 
 func (t *timedConn) Read(p []byte) (int, error) {
 	if err := t.Conn.SetReadDeadline(time.Now().Add(t.idle)); err != nil {
 		return 0, err
-	}
-	// Checked after re-arming: a stop that lands after this check moves the
-	// deadline to the past after the re-arm, so the read below fails at once.
-	if t.stopping.Load() {
-		return 0, errStopped
 	}
 	n, err := t.Conn.Read(p)
 	if n > 0 {
@@ -383,13 +374,6 @@ func (t *timedConn) Read(p []byte) (int, error) {
 		t.srv.cBytesIn.Add(uint64(n))
 	}
 	return n, err
-}
-
-// stop kicks a blocked read off its wait and fails every later one, so the
-// session's decoder exits at once whatever it was reading.
-func (t *timedConn) stop() {
-	t.stopping.Store(true)
-	t.Conn.SetReadDeadline(time.Now())
 }
 
 func (t *timedConn) Write(p []byte) (int, error) {
@@ -422,18 +406,15 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 	sess.workers.Store(int32(max(workers, 1)))
 
 	ccfg := core.Config{
-		Meta:      h.Meta,
-		RaceCheck: h.Flags&flagRaceCheck != 0,
-		Metrics:   s.pipe,
-		QueueCap:  max(s.cfg.QueueCap, 0), // 0: core's default
+		Meta:           h.Meta,
+		RaceCheck:      h.Flags&flagRaceCheck != 0,
+		Metrics:        s.pipe,
+		QueueCap:       max(s.cfg.QueueCap, 0), // 0: core's default
+		SlotsPerWorker: s.cfg.SessionSlots,
 	}
 	if workers >= 2 {
 		ccfg.Mode = core.ModeParallel
 		ccfg.Workers = workers
-		ccfg.SlotsPerWorker = s.cfg.SessionSlots / workers
-	} else {
-		ccfg.Mode = core.ModeSerial
-		ccfg.SlotsPerWorker = s.cfg.SessionSlots
 	}
 	ccfg.Backend, err = s.cfg.resolveBackend(h, max(workers, 1), ccfg.SlotsPerWorker)
 	if err != nil {
@@ -466,17 +447,14 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 
 	sess.state.Store(stateReceiving)
 	// The decode goroutine batch-decodes frames into chunks and this
-	// goroutine feeds validated batches to the pipeline's bulk seam,
-	// overlapping decode and profiling.
-	ing := startIngest(tc, br)
-	defer ing.stop()
+	// goroutine feeds them to the pipeline's bulk seam, overlapping decode
+	// and profiling. The decoder closes out as it exits, so draining it is
+	// the join.
+	ing := startIngest(br)
 	for ib := range ing.out {
-		n, err := feedBatch(prof, ib)
-		sess.events.Add(n)
+		prof.AccessBatch(ib.c.Events, ib.c.Ranges)
+		sess.events.Add(ib.events)
 		ing.free <- ib.c
-		if err != nil {
-			return nil, err
-		}
 	}
 	s.pipe.TraceSiteDefines.Add(ing.defines)
 	s.pipe.TraceSiteRedefines.Add(ing.redefines)
@@ -497,39 +475,6 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 		return nil, fmt.Errorf("encoding profile: %w", err)
 	}
 	return buf.Bytes(), nil
-}
-
-// feedBatch validates one decoded batch and feeds it to the pipeline's bulk
-// seam. It returns the number of target events fed (ranges weighted by element
-// count). Pipeline control kinds beyond Remove are daemon-internal; a stream
-// carrying them is corrupt (a Flush would end a worker under its producer),
-// and the events ahead of the first one are fed before it is refused.
-func feedBatch(prof *core.Profiler, b ingestBatch) (uint64, error) {
-	evs, rngs := b.c.Events, b.c.Ranges
-	if !b.ctl {
-		// Pure data batch: no control kinds to reject, and the decoder
-		// already counted the events.
-		prof.AccessBatch(evs, rngs)
-		return b.events, nil
-	}
-	var events uint64
-	for i := range evs {
-		a := &evs[i]
-		switch {
-		case a.Kind == event.RangeRef:
-			events += uint64(rngs[a.Addr].Count)
-		case a.Kind > event.Remove:
-			if i > 0 {
-				prof.AccessBatch(evs[:i], rngs)
-			}
-			return events, fmt.Errorf("trace stream: event %d: control kind %v not allowed", b.base+events, a.Kind)
-		default:
-			// A collapsed read slot stands for 1+Rep wire records.
-			events += 1 + uint64(a.Rep)
-		}
-	}
-	prof.AccessBatch(evs, rngs)
-	return events, nil
 }
 
 // Sessions snapshots the live session table, ordered by ID.

@@ -37,21 +37,18 @@ type ByteScanner interface {
 	Discard(n int) (int, error)
 }
 
-// NextBatch decodes as many whole records as fit into c: point and control
-// records become chunk slots, range records
-// land in the side table behind a RangeRef slot whose Addr is the side-table
-// index. It returns the number of slots appended.
+// NextBatch decodes as many whole records as fit into c: data records become
+// chunk slots, range records land in the side table behind a RangeRef slot
+// whose Addr is the side-table index. It returns the number of slots appended.
 //
 // A batch ends when the chunk runs out of event or range capacity, at a clean
 // end of stream (io.EOF may accompany a nonzero slot count), or — once at
 // least one record has been decoded — when the input has no further bytes
 // buffered, so batch boundaries track the cadence of arriving frames rather
-// than blocking on the network mid-batch. NextBatch must not be mixed with
-// Next on the same Reader (a pending range expansion would be dropped);
-// mixing with NextRecord is fine.
+// than blocking on the network mid-batch. NextBatch may be mixed with
+// NextRecord on the same Reader.
 func (r *Reader) NextBatch(c *event.Chunk) (int, error) {
 	appended := 0
-	r.batchCtl = false
 	for {
 		if c.Full() || c.RangesFull() {
 			return appended, nil
@@ -77,18 +74,17 @@ func (r *Reader) NextBatch(c *event.Chunk) (int, error) {
 		if err != nil {
 			return appended, err
 		}
-		r.emit(c, &rec)
+		emit(c, &rec)
 		appended++
 	}
 }
 
 // emit appends rec to c the way NextBatch lays a chunk out.
-func (r *Reader) emit(c *event.Chunk, rec *Record) {
+func emit(c *event.Chunk, rec *Record) {
 	if rec.IsRange {
 		c.Append(event.Access{Addr: uint64(c.AppendRange(rec.Range)), Kind: event.RangeRef})
 		return
 	}
-	r.batchCtl = r.batchCtl || rec.Access.Kind > event.Remove
 	c.Append(rec.Access)
 }
 
@@ -106,13 +102,6 @@ func (w *window) ReadByte() (byte, error) {
 	w.pos++
 	return w.b[w.pos-1], nil
 }
-
-// BatchControl reports whether the batch decoded by the most recent NextBatch
-// call contained any control record (a kind beyond Remove, which a ddprofd
-// session refuses). Callers feeding
-// pure data batches to a bulk-ingest seam can skip per-record inspection
-// when it reports false.
-func (r *Reader) BatchControl() bool { return r.batchCtl }
 
 // decodeWindow decodes whole records from win into c until the window or the
 // chunk runs out, or a record cannot be decoded from the bytes in hand. It
@@ -165,7 +154,7 @@ func (r *Reader) decodeWindow(win []byte, c *event.Chunk, contd bool) (slots, us
 			used += r.win.pos
 			if events {
 				c.Events = evs[:ne]
-				r.emit(c, &rec)
+				emit(c, &rec)
 				lastSlot = ne
 				ne++
 				slots++
@@ -211,9 +200,8 @@ func (r *Reader) decodeWindow(win []byte, c *event.Chunk, contd bool) (slots, us
 			// to the chunk's previous slot folds into that slot's repetition
 			// count instead of occupying a slot and an engine dispatch of
 			// its own. The engine replays the multiplicity, so the profile
-			// stays byte-identical to the uncollapsed stream; a control or
-			// range slot in between blocks the merge, which keeps ordering
-			// exact. (Two zero deltas are what a repeat looks like on the
+			// stays byte-identical to the uncollapsed stream; a range slot
+			// in between blocks the merge, which keeps ordering exact. (Two zero deltas are what a repeat looks like on the
 			// wire; the compare decides.)
 			if last := &evs[lastSlot]; last.Addr == s.last && last.TS == ts && last.IterVec == prevIter &&
 				last.Rep != event.MaxRep && s.holds(last) {

@@ -38,8 +38,6 @@ func recordsOf(tr *Reader, err error) ([]Record, uint64, error) {
 // flattens the chunks back to records: RangeRef slots pull their range from
 // the side table, and collapsed reads (Rep > 0) expand to 1+Rep identical
 // records, so the result is comparable record-for-record with recordAll.
-// Along the way it holds BatchControl to its contract: true exactly for a
-// batch that holds a control record.
 func batchAll(t *testing.T, tr *Reader, err error) ([]Record, uint64, error) {
 	if err != nil {
 		return nil, 0, err
@@ -49,13 +47,11 @@ func batchAll(t *testing.T, tr *Reader, err error) ([]Record, uint64, error) {
 	for {
 		c.Reset()
 		_, err := tr.NextBatch(c)
-		ctl := false
 		for _, a := range c.Events {
 			if a.Kind == event.RangeRef {
 				recs = append(recs, Record{Range: c.Ranges[a.Addr], IsRange: true})
 				continue
 			}
-			ctl = ctl || a.Kind > event.Remove
 			rep := a.Rep
 			a.Rep = 0
 			for j := uint16(0); ; j++ {
@@ -64,9 +60,6 @@ func batchAll(t *testing.T, tr *Reader, err error) ([]Record, uint64, error) {
 					break
 				}
 			}
-		}
-		if tr.BatchControl() != ctl {
-			t.Fatalf("BatchControl() = %v for a batch whose slots say %v", tr.BatchControl(), ctl)
 		}
 		if err != nil {
 			return recs, tr.Count(), err
@@ -331,7 +324,7 @@ func sameEnd(a, b error) bool {
 }
 
 // mixedTrace encodes a stream exercising every wire-legal shape: all point
-// kinds, flags, duplicate reads, ranges, and control records.
+// kinds, flags, duplicate reads and ranges.
 func mixedTrace(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -346,8 +339,6 @@ func mixedTrace(t *testing.T) []byte {
 			w.Access(a)
 		}
 		switch i % 61 {
-		case 13:
-			w.Access(event.Access{Kind: event.Flush, Addr: uint64(i)})
 		case 29:
 			w.Access(event.Access{Addr: a.Addr, Kind: event.Remove, TS: a.TS})
 		case 47:
@@ -385,7 +376,7 @@ func TestNextBatchTruncated(t *testing.T) {
 // client writes — defines and stamps ahead of the points that need them, a
 // redefine, a range — and puts a cut, then a frame edge, at every byte
 // offset: between a define or stamp record and its point included. Both
-// decoder gears must agree on events, Count, BatchControl and error text.
+// decoder gears must agree on events, Count and error text.
 func TestNextBatchEveryOffset(t *testing.T) {
 	data := seedStream()
 	for off := 0; off <= len(data); off++ {
@@ -435,42 +426,76 @@ func TestInMemoryReaderWindowed(t *testing.T) {
 	}
 }
 
+// retiredRecord is the refusal a type-5 record at stream event n gets from
+// both decoder gears.
+func retiredRecord(n int) string {
+	return fmt.Sprintf("trace: event %d: record type 5 is the retired control record: a stream carries accesses only", n)
+}
+
+// withRetired is a stream of n random events, then a retired control record,
+// then the same records again; it returns the offset of the retired record.
+func withRetired(t *testing.T, n int) ([]byte, int) {
+	t.Helper()
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf)
+	for _, a := range randomEvents(n, 3) {
+		w.Access(a)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	head := buf.Bytes()
+	data := append(bytes.Clone(head), retiredControlSeed(byte(event.Flush))[len(magic):]...)
+	return append(data, head[len(magic):]...), len(head)
+}
+
+// TestNextBatchCorrupt: corrupt bytes and the retired control record — whole
+// in the window, or split by a frame edge after its type byte — end the
+// stream with the same error, at the same event, from both decoder gears.
 func TestNextBatchCorrupt(t *testing.T) {
 	data := mixedTrace(t)
+	mutated := func(mutate func([]byte)) []byte {
+		mut := bytes.Clone(data)
+		mutate(mut)
+		return mut
+	}
+	retired, at := withRetired(t, 40)
 	for _, tc := range []struct {
-		name   string
-		mutate func([]byte)
+		name string
+		data []byte
+		edge int    // the two-frames shape's frame edge
+		want string // NextRecord's error, when the row names it
 	}{
-		{"bad-kind", func(b []byte) { b[len(b)/2] = 0xee }},
-		{"bad-flags", func(b []byte) { b[len(b)/3] = 0x80 }},
-		{"overflow-varint", func(b []byte) {
+		{"bad-kind", mutated(func(b []byte) { b[len(b)/2] = 0xee }), len(data) / 2, ""},
+		{"bad-flags", mutated(func(b []byte) { b[len(b)/3] = 0x80 }), len(data) / 2, ""},
+		{"overflow-varint", mutated(func(b []byte) {
 			copy(b[len(b)/2:], []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
-		}},
+		}), len(data) / 2, ""},
+		{"retired-control-mid-window", retired, len(retired), retiredRecord(40)},
+		{"retired-control-split", retired, at + 1, retiredRecord(40)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			mut := append([]byte(nil), data...)
-			tc.mutate(mut)
-			checkBatchMatchesRecord(t, mut)
+			if _, _, err := recordAll(tc.data); tc.want != "" && (err == nil || err.Error() != tc.want) {
+				t.Fatalf("NextRecord error %v, want %q", err, tc.want)
+			}
+			checkBatchShapes(t, tc.data, scannerShapes(tc.data, tc.edge))
 		})
 	}
 }
 
 // TestRetiredKindsRefused: kind bytes 3, 4, 6 (the retired redistribution
 // kinds, event.Kind), 8 (the retired promotion hint) and 9 (the retired epoch
-// mark, refused by name) are no site's kind and head no control record: both
-// decoder gears refuse them with the same error, so none can reach a worker.
+// mark) are no site's kind, and the control record that carried the last two
+// is retired whatever its kind: both decoder gears refuse them with the same
+// error, so none can reach a worker.
 func TestRetiredKindsRefused(t *testing.T) {
 	for _, k := range []byte{3, 4, 6, 8, 9} {
-		control := fmt.Sprintf("trace: event 0: invalid kind %d", k)
-		if k == 9 {
-			control = "trace: event 0: kind 9 is the retired EpochMark record: a ddprofd session no longer cuts epochs"
-		}
 		for _, tc := range []struct {
 			data []byte
 			want string
 		}{
 			{retiredKindSeed(k), fmt.Sprintf("trace: event 0: invalid site kind %d", k)},
-			{retiredControlSeed(k), control},
+			{retiredControlSeed(k), retiredRecord(0)},
 		} {
 			if _, _, err := recordAll(tc.data); err == nil || err.Error() != tc.want {
 				t.Errorf("kind %d: NextRecord error %v, want %q", k, err, tc.want)
@@ -524,82 +549,36 @@ func TestNextBatchFrameTooLarge(t *testing.T) {
 	}
 }
 
-// TestNextBatchControlMidFrame: a control record decoded mid-batch sits in
-// stream order between its neighbours, and BatchControl reports it.
+// TestNextBatchControlMidFrame: a retired control record mid-frame ends the
+// batch that meets it: the events ahead of it are in the chunk, in stream
+// order, and the call returns the refusal naming it.
 func TestNextBatchControlMidFrame(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs := randomEvents(40, 3)
-	for i, a := range evs {
-		w.Access(a)
-		if i == 17 {
-			w.Access(event.Access{Kind: event.Flush, Addr: 5})
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	checkBatchMatchesRecord(t, buf.Bytes())
-
-	tr, err := NewReader(bufio.NewReader(bytes.NewReader(buf.Bytes())))
+	data, _ := withRetired(t, 18)
+	tr, err := NewReader(bufio.NewReader(bytes.NewReader(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := event.NewChunk()
-	if _, err := tr.NextBatch(c); err != nil && err != io.EOF {
-		t.Fatal(err)
+	if _, err := tr.NextBatch(c); err == nil || err.Error() != retiredRecord(18) {
+		t.Fatalf("NextBatch error %v, want %q", err, retiredRecord(18))
 	}
-	if !tr.BatchControl() {
-		t.Fatal("BatchControl false for a batch containing a control record")
-	}
-	controls := 0
-	for i, a := range c.Events {
-		if a.Kind == event.Flush {
-			controls++
-			if a.Addr != 5 {
-				t.Fatalf("control record payload %d, want 5", a.Addr)
-			}
-			before := 0
-			for _, b := range c.Events[:i] {
-				if b.Kind != event.RangeRef {
-					before += 1 + int(b.Rep)
-				}
-			}
-			if before != 18 {
-				t.Fatalf("control record after %d point events, want 18", before)
+	var got []event.Access
+	for _, a := range c.Events {
+		for rep := a.Rep; ; rep-- {
+			a.Rep = 0
+			got = append(got, a)
+			if rep == 0 {
+				break
 			}
 		}
 	}
-	if controls != 1 {
-		t.Fatalf("batch holds %d control records, want 1", controls)
+	want := randomEvents(18, 3)
+	if len(got) != len(want) {
+		t.Fatalf("the batch holds %d events ahead of the retired record, want %d", len(got), len(want))
 	}
-}
-
-func TestBatchControlDataOnly(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range randomEvents(100, 5) {
-		w.Access(a)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewReader(bufio.NewReader(bytes.NewReader(buf.Bytes())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err := tr.NextBatch(event.NewChunk()); err != nil {
-			break
-		}
-		if tr.BatchControl() {
-			t.Fatal("BatchControl true for a pure read/write batch")
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d: got %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }

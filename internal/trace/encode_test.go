@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ddprof/internal/event"
@@ -54,14 +55,6 @@ func (w *oracleWriter) put16(v uint) {
 }
 
 func (w *oracleWriter) Access(a event.Access) {
-	if a.Kind > event.Remove {
-		w.bw.Write([]byte{recControl, byte(a.Kind)})
-		for _, v := range []uint64{a.Addr, a.TS, uint64(a.Loc), uint64(a.Var), uint64(a.CtxID), a.IterVec, uint64(a.Thread)} {
-			w.put(v)
-		}
-		w.bw.WriteByte(byte(a.Flags))
-		return
-	}
 	slot := siteSlot(&a)
 	tmpl := event.Access{Loc: a.Loc, Var: a.Var, CtxID: a.CtxID, Thread: a.Thread, Kind: a.Kind, Flags: a.Flags}
 	s := w.sites[slot]
@@ -168,7 +161,7 @@ func (c *oracleCompactor) flush() {
 }
 
 // fuzzStream turns fuzz bytes into a record stream that reaches every encoder
-// shape: points of all wire-legal kinds, bare control records, Rep-carrying reads,
+// shape: points of all wire-legal kinds, Rep-carrying reads,
 // strided runs (forward, backward, zero stride) for the Compactor to fold,
 // explicit ranges, maximal-width varints in every field the decoder takes at
 // full width, threads up to event.MaxThread, and address and timestamp deltas
@@ -210,16 +203,14 @@ func fuzzStream(data []byte) []fuzzRec {
 			Flags:   event.Flags(sel & 3),
 		}
 		switch op % 8 {
-		case 0, 1: // a point near the previous one
+		case 0, 1, 3: // a point near the previous one
 			addr += uint64(int64(int8(sel))) * 8
-			a.Addr, a.TS, a.Kind = addr, ts, [...]event.Kind{event.Read, event.Write, event.Remove, event.Flush}[op>>3&3]
+			a.Addr, a.TS, a.Kind = addr, ts, [...]event.Kind{event.Read, event.Write, event.Remove}[op>>3%3]
 			out = append(out, fuzzRec{a: a})
 		case 2: // a point anywhere, time moving either way
 			addr, ts = u64(), u64()&event.MaxTS
 			a.Addr, a.TS, a.Kind = addr, ts, event.Kind(op>>3&1)
 			out = append(out, fuzzRec{a: a})
-		case 3: // a bare control record
-			out = append(out, fuzzRec{a: event.Access{Kind: event.Flush, Addr: uint64(sel)}})
 		case 4: // a collapsed read
 			a.Addr, a.TS, a.Kind, a.Rep = addr, ts, event.Read, uint16(sel)+1
 			out = append(out, fuzzRec{a: a})
@@ -450,7 +441,7 @@ func TestWireLimitsKept(t *testing.T) {
 		w.Access(a)
 	}
 	_ = w.Close()
-	got, err := ReadAll(bytes.NewReader(buf.Bytes()))
+	got, err := readAll(bytes.NewReader(buf.Bytes()))
 	if err != nil || len(got) != len(evs) {
 		t.Fatalf("decoded %d events, %v; want %d", len(got), err, len(evs))
 	}
@@ -482,8 +473,9 @@ func TestHostileDDT2(t *testing.T) {
 		{"stamp-cut", stream(rawDefine(1, 1, 0), data(1), []byte{recStamp, 0x80}), "trace: event 1 truncated: unexpected EOF"},
 		{"stamp-overflow", stream([]byte{recStamp}, bytes.Repeat([]byte{0xff}, 10)), "trace: event 0 truncated: binary: varint overflows a 64-bit integer"},
 		{"record-type", stream([]byte{11}), "trace: event 0: invalid record type 11"},
-		{"control-kind-data", stream([]byte{recControl, byte(event.Write)}), "trace: event 0: invalid kind 1"},
-		{"control-kind-promote", stream([]byte{recControl, 8}), "trace: event 0: invalid kind 8"},
+		// The retired control record, whatever kind it names.
+		{"control-kind-data", stream(rawDefine(1, 1, 0), data(1), []byte{recRetired, byte(event.Write)}), retiredRecord(1)},
+		{"control-kind-promote", stream([]byte{recRetired, 8}), retiredRecord(0)},
 		// What a store slot cannot keep: a stamp past event.MaxTS, however
 		// the delta gets there, and a thread past event.MaxThread, by a
 		// stamp, define or range record.
@@ -529,8 +521,8 @@ func TestHostileDDT2(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, want := range evs {
-			if got, err := tr.Next(); err != nil || got != want {
-				t.Fatalf("event %d: got %+v, %v; want %+v", i, got, err, want)
+			if got, err := tr.NextRecord(); err != nil || got.Access != want {
+				t.Fatalf("event %d: got %+v, %v; want %+v", i, got.Access, err, want)
 			}
 		}
 		if d, rd := tr.SiteDefines(); d != 2*n || rd != 2*n-1 {
@@ -678,12 +670,25 @@ func TestWriterStickyError(t *testing.T) {
 		t.Fatalf("slab grew to %d bytes", cap(w.buf))
 	}
 
-	// An inexpressible range poisons the same way.
-	var buf bytes.Buffer
-	w, _ = NewWriter(&buf)
-	w.Range(event.Range{Base: 8, Stride: 8, Count: 1, Kind: event.Read})
-	if w.Err() == nil || w.Close() == nil || buf.Len() != 0 {
-		t.Fatalf("bad range: Err %v, %d bytes written", w.Err(), buf.Len())
+	// An inexpressible range poisons the same way, and so does a kind that
+	// is no access, by either hook: nothing is written from then on.
+	ok := event.Access{Addr: 8, Kind: event.Write}
+	for name, feed := range map[string]func(*Writer){
+		"bad range":      func(w *Writer) { w.Range(event.Range{Base: 8, Stride: 8, Count: 1, Kind: event.Read}) },
+		"Access(Flush)":  func(w *Writer) { w.Access(event.Access{Kind: event.Flush}) },
+		"batched Flush":  func(w *Writer) { w.AccessBatch([]event.Access{ok, {Kind: event.Flush}, ok}, nil) },
+		"retired kind 9": func(w *Writer) { w.Access(event.Access{Kind: 9}) },
+	} {
+		var buf bytes.Buffer
+		w, _ := NewWriter(&buf)
+		feed(w)
+		w.Access(ok)
+		err := w.Err()
+		if err == nil || w.Close() != err || buf.Len() != 0 {
+			t.Errorf("%s: Err %v, %d bytes written", name, err, buf.Len())
+		} else if name != "bad range" && !strings.Contains(err.Error(), "is not an access") {
+			t.Errorf("%s: Err %v, want the kind refused", name, err)
+		}
 	}
 }
 

@@ -72,8 +72,8 @@ func TestRangeRecordRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Next must expand to exactly the per-element stream.
-	evs, err := ReadAll(bytes.NewReader(buf.Bytes()))
+	// The records must expand to exactly the per-element stream.
+	evs, err := readAll(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +154,8 @@ func TestRangeRecordRejection(t *testing.T) {
 
 func TestCompactorExactReplay(t *testing.T) {
 	// A stream with long strided runs, an interleaved section that must NOT
-	// compress (order preservation), dup reads, a control event, and an
-	// MT-style section with distinct timestamps.
+	// compress (order preservation), dup reads, a remove, and an MT-style
+	// section with distinct timestamps.
 	var evs []event.Access
 	for i := 0; i < 2000; i++ {
 		evs = append(evs, event.Access{Addr: 0x1000 + uint64(i)*8, Kind: event.Write,
@@ -199,7 +199,7 @@ func TestCompactorExactReplay(t *testing.T) {
 	if comp.Len() >= plain.Len()/2 {
 		t.Errorf("compacted trace %d bytes vs plain %d: expected >2x shrink", comp.Len(), plain.Len())
 	}
-	got, err := ReadAll(bytes.NewReader(comp.Bytes()))
+	got, err := readAll(bytes.NewReader(comp.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

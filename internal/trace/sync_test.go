@@ -46,7 +46,7 @@ func TestSyncWriterConcurrent(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	evs, err := ReadAll(&buf)
+	evs, err := readAll(&buf)
 	if err != nil {
 		t.Fatalf("replay of concurrently recorded trace: %v", err)
 	}
@@ -96,7 +96,7 @@ func TestSyncWriterMTWorkload(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	evs, err := ReadAll(&buf)
+	evs, err := readAll(&buf)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -136,7 +136,7 @@ func TestReaderTruncation(t *testing.T) {
 	full := buf.Bytes()
 	sawTruncErr := false
 	for cut := 0; cut < len(full); cut++ {
-		evs, err := ReadAll(bytes.NewReader(full[:cut]))
+		evs, err := readAll(bytes.NewReader(full[:cut]))
 		if cut < len(magic) {
 			if err == nil {
 				t.Fatalf("cut %d: truncated magic accepted", cut)
@@ -161,7 +161,7 @@ func TestReaderTruncation(t *testing.T) {
 func TestReaderRejectsCorruptBytes(t *testing.T) {
 	define := rawDefine(5, byte(event.Write), 0)
 	good := append(append([]byte(magic), define...), 5<<1, 0, 16, 0)
-	if evs, err := ReadAll(bytes.NewReader(good)); err != nil || len(evs) != 1 || evs[0].Addr != 8 {
+	if evs, err := readAll(bytes.NewReader(good)); err != nil || len(evs) != 1 || evs[0].Addr != 8 {
 		t.Fatalf("the uncorrupted stream: %+v, %v", evs, err)
 	}
 	for name, at := range map[string]struct {
@@ -178,7 +178,7 @@ func TestReaderRejectsCorruptBytes(t *testing.T) {
 	} {
 		bad := bytes.Clone(good)
 		bad[at.off] = at.b
-		if _, err := ReadAll(bytes.NewReader(bad)); err == nil {
+		if _, err := readAll(bytes.NewReader(bad)); err == nil {
 			t.Errorf("%s: corrupt byte %#x at %d accepted", name, at.b, at.off)
 		}
 	}
@@ -270,7 +270,7 @@ func TestFramedTrace(t *testing.T) {
 	if err := fw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(NewFrameReader(&buf, 0))
+	got, err := readAll(NewFrameReader(&buf, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

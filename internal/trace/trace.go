@@ -28,16 +28,16 @@ import (
 
 // DDT2, the wire format. A stream is the magic then records. The first byte
 // of a record says what it is: even, a data access (Read, Write, Remove) by a
-// known site; odd, one of four record types.
+// known site; odd, one of three record types.
 //
 //	data     slot<<1 as 2 bytes little-endian, zigzag dAddr, zigzag dIterVec
 //	define   1, slot as 2 bytes little-endian, kind, uvarint Loc, Var, CtxID,
 //	         Thread, flags
 //	stamp    3, zigzag dTS
-//	control  5, kind (Flush), uvarint Addr, TS, Loc, Var, CtxID, IterVec,
-//	         Thread, flags
 //	range    7, see range.go
 //
+// Type 5, the retired control record, is refused by name: a stream carries
+// accesses only, and ending a run is the profiler's Flush, not a record.
 // A stamp or range record that moves the stamp past event.MaxTS, and a define
 // or range record whose thread is past event.MaxThread, are refused: a store
 // slot keeps no more of either.
@@ -49,17 +49,14 @@ import (
 // the site's previous address, which a define sets to the stream's (the final
 // address of the previous data or range record); dIterVec from the stream's
 // previous iteration vector; dTS moves the stamp every later data record
-// carries. A control record is self-contained and leaves all of that alone.
+// carries.
 const (
 	magic        = "DDT2"
 	retiredMagic = "DDT1"
-	// retiredEpochMark is the kind byte of the retired EpochMark control
-	// record, refused by name (readControl).
-	retiredEpochMark = 9
 
 	recDefine  = 1
 	recStamp   = 3
-	recControl = 5
+	recRetired = 5 // the retired control record, refused by name (step)
 	recRange   = byte(event.RangeRef)
 
 	siteBits  = 12
@@ -70,15 +67,14 @@ const (
 var ErrDDT1 = errors.New("trace: DDT1 stream: the format is retired and has no decoder left; re-record the trace (this version writes DDT2)")
 
 // Record size bounds: type and header bytes, every varint field at its
-// maximal width, and the flags byte. A point is a control record, or a data
-// record with the define and stamp records it may need ahead of it.
+// maximal width, and the flags byte. A point is a data record with the define
+// and stamp records it may need ahead of it.
 const (
-	maxDefineLen  = 4 + 4*binary.MaxVarintLen64 + 1
-	maxStampLen   = 1 + binary.MaxVarintLen64
-	maxDataLen    = 2 + 2*binary.MaxVarintLen64
-	maxControlLen = 2 + 7*binary.MaxVarintLen64 + 1
-	maxPointLen   = max(maxDefineLen+maxStampLen+maxDataLen, maxControlLen)
-	maxRangeLen   = 2 + 10*binary.MaxVarintLen64 + 1
+	maxDefineLen = 4 + 4*binary.MaxVarintLen64 + 1
+	maxStampLen  = 1 + binary.MaxVarintLen64
+	maxDataLen   = 2 + 2*binary.MaxVarintLen64
+	maxPointLen  = maxDefineLen + maxStampLen + maxDataLen
+	maxRangeLen  = 2 + 10*binary.MaxVarintLen64 + 1
 	// minSlab is the floor NewWriterSize clamps to: the magic plus one
 	// maximal range record, so every record fits a fresh slab.
 	minSlab = len(magic) + maxRangeLen
@@ -210,13 +206,18 @@ func (w *Writer) flush() {
 // Access implements the hook: serialize one event.
 func (w *Writer) Access(a event.Access) { w.point(&a) }
 
+// point serializes one access. A kind that is no access (event.Flush, a
+// retired kind) has no record: it poisons the Writer, as an inexpressible
+// range does, instead of writing bytes every Reader would refuse.
 func (w *Writer) point(a *event.Access) {
-	b, n := w.room(maxPointLen)
-	w.count++
-	if a.Kind > event.Remove {
-		w.buf = b[:putControl(b, n, a)]
+	if !dataKind(a.Kind) {
+		if w.err == nil {
+			w.err = fmt.Errorf("trace: kind %v is not an access: DDT2 records reads, writes and removes only", a.Kind)
+		}
 		return
 	}
+	b, n := w.room(maxPointLen)
+	w.count++
 	slot := siteSlot(a)
 	s := &w.sites[slot]
 	if !s.holds(a) {
@@ -246,24 +247,11 @@ func (w *Writer) define(b []byte, n int, slot uint, a *event.Access, prevAddr ui
 	return n + 1
 }
 
-// putControl writes a as a control record: every field, as it is.
-func putControl(b []byte, n int, a *event.Access) int {
-	b[n], b[n+1] = recControl, byte(a.Kind)
-	n = putUvarint(b, n+2, a.Addr)
-	n = putUvarint(b, n, a.TS)
-	n = putUvarint(b, n, uint64(a.Loc))
-	n = putUvarint(b, n, uint64(a.Var))
-	n = putUvarint(b, n, uint64(a.CtxID))
-	n = putUvarint(b, n, a.IterVec)
-	n = putUvarint(b, n, uint64(a.Thread))
-	b[n] = byte(a.Flags)
-	return n + 1
-}
-
 // AccessBatch implements event.BatchHook, what the executors hand over: the
 // batch's records in order, slab cursor and stream context held in locals
 // throughout. A collapsed read goes out 1+Rep times (the wire has no
-// repetition count); a RangeRef slot as the range record of ranges[Addr].
+// repetition count); a RangeRef slot as the range record of ranges[Addr]. A
+// slot of any other kind poisons the Writer (point).
 func (w *Writer) AccessBatch(accesses []event.Access, ranges []event.Range) {
 	b, n := w.buf[:cap(w.buf)], len(w.buf)
 	prevAddr, prevIter, ts := w.prevAddr, w.prevIter, w.ts
@@ -370,9 +358,10 @@ func (s *SyncWriter) Err() error {
 	return s.w.Err()
 }
 
-// Reader decodes a trace stream one event at a time — the streaming
-// counterpart of Replay, used by the ddprofd server to feed network sessions
-// into a pipeline without buffering the whole trace.
+// Reader decodes a trace stream as it arrives: NextBatch into event chunks,
+// which is how a ddprofd session and ProfileTrace feed a profiler without
+// buffering the whole trace, or NextRecord one record at a time, the
+// reference NextBatch is held to.
 //
 // Reader is hardened against hostile input: a stream cut mid-record returns
 // an error wrapping io.ErrUnexpectedEOF, and corrupt bytes (unknown record
@@ -384,14 +373,7 @@ type Reader struct {
 	// The stream context, as in Writer.
 	prevAddr, prevIter, ts uint64
 	n                      uint64
-	// Pending expansion of a decoded range record: Next hands out
-	// pendRange.At(pendNext) until the run is drained.
-	pendRange event.Range
-	pendNext  uint32
-	// batchCtl records whether the most recent NextBatch decoded any
-	// control record; see BatchControl.
-	batchCtl bool
-	win      window // decodeWindow's view of the bytes in hand, for step
+	win                    window // decodeWindow's view of the bytes in hand, for step
 	siteTable
 }
 
@@ -431,28 +413,6 @@ func noEOF(err error) error {
 	return err
 }
 
-// Next decodes one event, expanding range records (one compressed strided
-// run on the wire) into their per-element point accesses. It returns io.EOF
-// at a clean end of stream (a record boundary); a stream that ends inside a
-// record returns an error wrapping io.ErrUnexpectedEOF instead.
-func (r *Reader) Next() (event.Access, error) {
-	if r.pendNext < r.pendRange.Count {
-		a := r.pendRange.At(r.pendNext)
-		r.pendNext++
-		return a, nil
-	}
-	rec, err := r.NextRecord()
-	if err != nil {
-		return event.Access{}, err
-	}
-	if rec.IsRange {
-		r.pendRange = rec.Range
-		r.pendNext = 1
-		return rec.Range.At(0), nil
-	}
-	return rec.Access, nil
-}
-
 // Record is one decoded trace record: either a point access or a compressed
 // strided run. Exactly one of the two is meaningful, selected by IsRange.
 type Record struct {
@@ -462,10 +422,11 @@ type Record struct {
 }
 
 // NextRecord decodes up to and including the next record that carries events,
-// without expanding ranges — the bulk-ingest counterpart of Next. Define and
-// stamp records on the way there take effect and are not returned. Count()
-// advances by the element count of each record (a range counts as Count
-// events).
+// without expanding ranges. Define and stamp records on the way there take
+// effect and are not returned. Count() advances by the element count of each
+// record (a range counts as Count events). It returns io.EOF at a clean end of
+// stream (a record boundary); a stream that ends inside a record returns an
+// error wrapping io.ErrUnexpectedEOF instead.
 func (r *Reader) NextRecord() (Record, error) {
 	for {
 		rec, events, err := r.step(r.br)
@@ -500,8 +461,8 @@ func (r *Reader) step(br io.ByteReader) (rec Record, events bool, err error) {
 		}
 		r.ts = ts
 		return rec, false, nil
-	case b0 == recControl:
-		rec.Access, err = r.readControl(br)
+	case b0 == recRetired:
+		err = fmt.Errorf("trace: event %d: record type 5 is the retired control record: a stream carries accesses only", r.n)
 	case b0 == recRange:
 		rec.Range, err = r.readRange(br)
 		rec.IsRange = true
@@ -511,12 +472,10 @@ func (r *Reader) step(br io.ByteReader) (rec Record, events bool, err error) {
 	return rec, err == nil, err
 }
 
-// dataKind reports whether k may be a site's kind; controlKind whether it may
-// head a control record: Flush only (decodable; the daemon refuses it, an
-// engine ignores it). 3, 4, 6, 8 and 9 are retired values (event.Kind) that
-// must never reach a worker as data.
-func dataKind(k event.Kind) bool    { return k <= event.Remove }
-func controlKind(k event.Kind) bool { return k == event.Flush }
+// dataKind reports whether k may be a site's kind. Flush is the pipeline's
+// own, and 3, 4, 6, 8 and 9 are retired values (event.Kind): none may reach a
+// worker as data.
+func dataKind(k event.Kind) bool { return k <= event.Remove }
 
 // tooWide refuses a stamp or thread v past limit, the widest a store slot keeps
 // of it (event.MaxTS, event.MaxThread).
@@ -633,54 +592,4 @@ func (r *Reader) readDefine(br io.ByteReader) error {
 		Kind: event.Kind(hdr[2]), Flags: flags,
 	}, r.prevAddr)
 	return nil
-}
-
-// readControl decodes the body of a control record.
-func (r *Reader) readControl(br io.ByteReader) (a event.Access, err error) {
-	kb, err := r.getByte(br)
-	if err != nil {
-		return a, err
-	}
-	if kb == retiredEpochMark {
-		return a, fmt.Errorf("trace: event %d: kind 9 is the retired EpochMark record: a ddprofd session no longer cuts epochs", r.n)
-	}
-	if !controlKind(event.Kind(kb)) {
-		return a, fmt.Errorf("trace: event %d: invalid kind %d", r.n, kb)
-	}
-	var vals [7]uint64
-	flags, err := r.getFields(br, vals[:])
-	if err != nil {
-		return a, err
-	}
-	r.n++
-	return event.Access{
-		Addr: vals[0], TS: vals[1], Loc: loc.SourceLoc(vals[2]), Var: loc.VarID(vals[3]), CtxID: uint32(vals[4]),
-		IterVec: vals[5], Thread: int32(vals[6]), Kind: event.Kind(kb), Flags: flags,
-	}, nil
-}
-
-// Replay streams a recorded trace into sink, returning the number of events
-// delivered.
-func Replay(r io.Reader, sink func(event.Access)) (uint64, error) {
-	tr, err := NewReader(r)
-	if err != nil {
-		return 0, err
-	}
-	for {
-		a, err := tr.Next()
-		if err == io.EOF {
-			return tr.Count(), nil
-		}
-		if err != nil {
-			return tr.Count(), err
-		}
-		sink(a)
-	}
-}
-
-// ReadAll loads a whole trace into memory.
-func ReadAll(r io.Reader) ([]event.Access, error) {
-	var out []event.Access
-	_, err := Replay(r, func(a event.Access) { out = append(out, a) })
-	return out, err
 }

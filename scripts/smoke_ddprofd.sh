@@ -2,8 +2,10 @@
 # End-to-end smoke with real binaries: a race-detector build of ddprof on a
 # sample that spawns threads, the -backend and retired ddprofd flag checks,
 # then ddprofd booted over a unix socket: a workload profiled remotely must
-# save the profile its local twin saves (ddiff -binary). Run by `make smoke`
-# (and `make check`).
+# save the profile its local twin saves (ddiff -binary), over the exact store
+# and over a signature tight enough to collide, where -slots must name one
+# signature whatever the mode or the daemon's worker count. Run by
+# `make smoke` (and `make check`).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -71,7 +73,7 @@ done
 
 sock="$dir/dd.sock"
 port=$((20000 + $$ % 20000))
-"$dir/ddprofd" -listen "" -unix "$sock" -http "127.0.0.1:$port" \
+"$dir/ddprofd" -listen "" -unix "$sock" -http "127.0.0.1:$port" -slots 1024 \
 	-log-level warn >"$dir/daemon.log" 2>&1 &
 dpid=$!
 
@@ -92,17 +94,34 @@ while [ ! -S "$sock" ]; do
 	sleep 0.1
 done
 
-# A remote session's profile against its local twin. Both use the exact
-# store, so the daemon's worker count cannot make them differ.
+# same NAME A B: profiles A and B must be identical (ddiff -binary).
+same() {
+	"$dir/ddiff" -binary "$2" "$3" >"$dir/$1.diff" && grep -q "profiles are identical" "$dir/$1.diff" || {
+		echo "ddprofd smoke: $1: the profiles differ:"
+		cat "$dir/$1.diff"
+		exit 1
+	}
+}
+
+# A remote session's profile against its local twin over the exact store,
+# which no signature size touches.
 "$dir/ddprof" -workload kmeans -scale 2 -backend perfect -remote "unix:$sock" \
 	-format binary -o "$dir/remote.ddp" >"$dir/remote.out"
 "$dir/ddprof" -workload kmeans -scale 2 -backend perfect \
 	-format binary -o "$dir/local.ddp" >"$dir/local.out"
-"$dir/ddiff" -binary "$dir/remote.ddp" "$dir/local.ddp" >"$dir/profiles.diff" || {
-	echo "ddprofd smoke: remote profile differs from the local one:"
-	cat "$dir/profiles.diff"
-	exit 1
-}
-grep -q "profiles are identical" "$dir/profiles.diff"
+same "remote perfect vs local" "$dir/remote.ddp" "$dir/local.ddp"
+
+# Over a 1024-slot signature, which rotate's addresses overflow: a four-worker
+# session of the daemon's default store, a local four-worker parallel run and
+# a local serial run all profile the one signature -slots names, so the
+# daemon's worker count and the mode cannot make them differ.
+"$dir/ddprof" -workload rotate -scale 0.2 -workers 4 -remote "unix:$sock" \
+	-format binary -o "$dir/remote-sig.ddp" >"$dir/remote-sig.out"
+"$dir/ddprof" -workload rotate -scale 0.2 -slots 1024 \
+	-format binary -o "$dir/serial-sig.ddp" >"$dir/serial-sig.out"
+"$dir/ddprof" -workload rotate -scale 0.2 -mode parallel -workers 4 -slots 1024 \
+	-format binary -o "$dir/parallel-sig.ddp" >"$dir/parallel-sig.out"
+same "remote signature vs local serial" "$dir/remote-sig.ddp" "$dir/serial-sig.ddp"
+same "local parallel vs serial signature" "$dir/parallel-sig.ddp" "$dir/serial-sig.ddp"
 
 echo "ddprofd smoke: OK"
