@@ -12,12 +12,12 @@ package core
 //	      │ runs copied into the owners' MPSC rings (ModeSerial: the segment
 //	      │ goes straight to its one engine, on the caller's thread)
 //	┌─────▼──────┐  read by its worker in place; Config.LockBased puts a
-//	│    ring    │  mutex around every copy and every read (Figure 5)
-//	└─────┬──────┘
+//	│    ring    │  mutex around every copy and every read (Figure 5);
+//	└─────┬──────┘  an empty ring parks its worker, a full one its producers
 //	      │ event batches
-//	┌─────▼──────┐  the flush sentinel, shared backoff policy, one
-//	│   worker   │  Engine each, one ProcessRun call per batch (exact
-//	└─────┬──────┘  duplicate reads left by spread fold there)
+//	┌─────▼──────┐  the flush sentinel, one Engine each, one ProcessRun
+//	│   worker   │  call per batch (exact duplicate reads left by spread
+//	└─────┬──────┘  fold there)
 //	      │ engines, counters
 //	┌─────▼──────┐  dep-set merge, loop-agg union, store/queue/cache
 //	│   merge    │  accounting, occupancy + queue-depth publication
@@ -154,8 +154,9 @@ const mpscCellBytes = 64
 // Figure 5 ablation's queue lock (Config.LockBased), nil on the lock-free
 // path: "the major synchronization overhead comes from locking and unlocking
 // the queues" (§IV). It is held around every part a producer copies in and
-// publishes and around the worker's Peek, never across a wait for space: that
-// wait would starve the Peek that frees the space.
+// publishes and around the worker's Peek, never across a wait: a producer
+// waiting for space would starve the Peek that frees it, and the worker
+// waiting for a run would starve the put that publishes it.
 type ring struct {
 	q  *queue.MPSC[event.Access]
 	mu *sync.Mutex
@@ -202,12 +203,19 @@ func (r *ring) put(seg []event.Access, idx []uint16) (dups uint64) {
 }
 
 // pop hands the worker the runs at the head of the ring where they lie, the
-// worker's until its next pop; empty when nothing is published.
+// worker's until its next pop. While nothing is published the worker waits
+// in MPSC.Wait, outside the lock, as a producer waits for room in Part: both
+// ends of both rings park the same way.
 func (r *ring) pop() []event.Access {
-	r.lock()
-	evs := r.q.Peek()
-	r.unlock()
-	return evs
+	for {
+		r.lock()
+		evs := r.q.Peek()
+		r.unlock()
+		if len(evs) > 0 {
+			return evs
+		}
+		r.q.Wait()
+	}
 }
 
 // memBytes is the ring's fixed memory: a constant of QueueCap, whatever the
@@ -291,20 +299,15 @@ func (w *worker) publishTelemetry() {
 // run is the worker loop: fetch a batch, process it ("worker threads consume
 // chunks from their queues, analyze them, and store detected data dependences
 // in thread-local maps", §IV). The batch lies in the ring until the next pop
-// frees it. The wait policy is the pipeline-wide queue.Backoff.
+// frees it. A worker with nothing to do is parked in pop, holding no core,
+// until a producer publishes to its ring.
 //
 // With a telemetry sink the worker counts its events after every batch and
 // publishes its other counter deltas every telemetryPublishEvery batches; it
 // reads no clock.
 func (w *worker) run() {
-	for idle := 0; ; {
+	for {
 		evs := w.in.pop()
-		if len(evs) == 0 {
-			idle++
-			queue.Backoff(idle)
-			continue
-		}
-		idle = 0
 		done := w.process(evs)
 		w.batches++
 		if w.m != nil {

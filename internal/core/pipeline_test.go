@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"ddprof/internal/event"
 	"ddprof/internal/loc"
@@ -222,5 +223,80 @@ func TestImbalance(t *testing.T) {
 	}
 	if got := Imbalance([]uint64{0, 0}); got != 1 {
 		t.Errorf("all-zero = %v", got)
+	}
+}
+
+// workerStates reads the goroutine dump for the worker goroutines the
+// calling goroutine's New started, and returns each one's state ("chan
+// receive", "runnable", ...).
+func workerStates(t *testing.T) []string {
+	t.Helper()
+	self := make([]byte, 64)
+	self = self[:runtime.Stack(self, false)]
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(self), "goroutine "), " ")
+	creator := "created by ddprof/internal/core.New in goroutine " + id + "\n"
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	var states []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if !strings.Contains(g, creator) {
+			continue
+		}
+		_, state, _ := strings.Cut(g, "[")
+		state, _, _ = strings.Cut(state, "]")
+		state, _, _ = strings.Cut(state, ",") // "chan receive, 2 minutes"
+		states = append(states, state)
+	}
+	return states
+}
+
+// TestIdleWorkersPark: a pipelined profiler's workers with nothing to do are
+// parked on their rings, not runnable — within a second of New and again
+// after a batch — and Flush still joins every one of them.
+func TestIdleWorkersPark(t *testing.T) {
+	const workers = 4
+	for _, mode := range []Mode{ModeParallel, ModeMT} {
+		t.Run(mode.String(), func(t *testing.T) {
+			p := mustNew(t, Config{Mode: mode, Workers: workers})
+			allParked := func(when string) {
+				t.Helper()
+				var states []string
+				for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+					states = workerStates(t)
+					parked := 0
+					for _, s := range states {
+						if s == "chan receive" {
+							parked++
+						}
+					}
+					if len(states) == workers && parked == workers {
+						return
+					}
+				}
+				t.Fatalf("%s: worker states %q, want %d parked (chan receive)", when, states, workers)
+			}
+			allParked("after New")
+
+			batch := make([]event.Access, event.BatchSize)
+			for i := range batch {
+				batch[i] = event.Access{Addr: uint64(i) * 8, Loc: loc.Pack(1, i%7+1), Kind: event.Kind(i & 1), TS: 1}
+			}
+			p.AccessBatch(batch, nil)
+			allParked("after one batch")
+
+			if res := p.Flush(); res.Stats.Accesses != event.BatchSize {
+				t.Errorf("Flush: %d accesses, want %d", res.Stats.Accesses, event.BatchSize)
+			}
+			if states := workerStates(t); len(states) != 0 {
+				t.Errorf("after Flush: worker goroutines %q still there", states)
+			}
+		})
 	}
 }

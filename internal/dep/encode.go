@@ -2,10 +2,11 @@ package dep
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"ddprof/internal/loc"
 )
@@ -38,26 +39,51 @@ func Encode(w io.Writer, s *Set, tab *loc.Table, loops []LoopRecord) error {
 	if err := e.header(tab, loops); err != nil {
 		return err
 	}
-	var refs []int
+	var keys []packedKey
 	if s != nil {
-		refs = make([]int, s.n)
+		keys = make([]packedKey, s.n)
 	}
-	for i := range refs {
-		refs[i] = i
+	for r := range keys {
+		keys[r] = packKey(s.at(r).key, r)
 	}
-	sort.Slice(refs, func(i, j int) bool {
-		return lessKey(s.at(refs[i]).key, s.at(refs[j]).key)
-	})
-	if err := e.put(uint64(len(refs))); err != nil {
+	slices.SortFunc(keys, comparePacked)
+	if err := e.put(uint64(len(keys))); err != nil {
 		return err
 	}
-	for _, r := range refs {
-		en := s.at(r)
+	for _, k := range keys {
+		en := s.at(k.ref())
 		if err := e.record(en.key, en.stats); err != nil {
 			return err
 		}
 	}
 	return e.bw.Flush()
+}
+
+// packedKey is a Key in three words that compare, as unsigned integers in
+// order, the way lessKey orders Keys, with the entry's ref in the low 32 bits
+// of the last: a set holds each key once, so the ref never decides. Sorting
+// these sorts without reaching into the slabs.
+type packedKey struct{ hi, mid, lo uint64 }
+
+func packKey(k Key, ref int) packedKey {
+	return packedKey{
+		hi:  uint64(k.Sink)<<32 | uint64(k.Src),
+		mid: uint64(k.Type)<<32 | uint64(k.Var),
+		// Threads are signed: flipping the sign bit orders them unsigned.
+		lo: uint64(uint16(k.SinkThread)^0x8000)<<48 | uint64(uint16(k.SrcThread)^0x8000)<<32 | uint64(uint32(ref)),
+	}
+}
+
+func (k packedKey) ref() int { return int(uint32(k.lo)) }
+
+func comparePacked(a, b packedKey) int {
+	if c := cmp.Compare(a.hi, b.hi); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.mid, b.mid); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.lo, b.lo)
 }
 
 // encoder wraps the shared varint/byte plumbing of the DDP1 writer.
@@ -108,18 +134,6 @@ func (e *encoder) header(tab *loc.Table, loops []LoopRecord) error {
 }
 
 func (e *encoder) record(k Key, st Stats) error {
-	if err := e.bw.WriteByte(byte(k.Type)); err != nil {
-		return err
-	}
-	for _, v := range []uint64{
-		uint64(k.Sink), uint64(k.Src), uint64(k.Var),
-		uint64(k.SinkThread) + 1, uint64(k.SrcThread) + 1,
-		st.Count,
-	} {
-		if err := e.put(v); err != nil {
-			return err
-		}
-	}
 	var fl byte
 	if st.Carried {
 		fl |= 1
@@ -130,13 +144,21 @@ func (e *encoder) record(k Key, st Stats) error {
 	if st.Reduction {
 		fl |= 4
 	}
-	if err := e.bw.WriteByte(fl); err != nil {
-		return err
+	// The record is built whole and written once: two bytes, eight varints.
+	var rec [2 + 8*binary.MaxVarintLen64]byte
+	b := append(rec[:0], byte(k.Type))
+	for _, v := range [...]uint64{
+		uint64(k.Sink), uint64(k.Src), uint64(k.Var),
+		uint64(k.SinkThread) + 1, uint64(k.SrcThread) + 1,
+		st.Count,
+	} {
+		b = binary.AppendUvarint(b, v)
 	}
-	if err := e.put(uint64(st.MinDist)); err != nil {
-		return err
-	}
-	return e.put(uint64(st.MaxDist))
+	b = append(b, fl)
+	b = binary.AppendUvarint(b, uint64(st.MinDist))
+	b = binary.AppendUvarint(b, uint64(st.MaxDist))
+	_, err := e.bw.Write(b)
+	return err
 }
 
 func lessKey(a, b Key) bool {

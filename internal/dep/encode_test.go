@@ -5,6 +5,9 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -230,5 +233,67 @@ func TestEmptySetRoundTrip(t *testing.T) {
 	}
 	if got.Unique() != 0 || len(loops) != 0 {
 		t.Error("empty round trip not empty")
+	}
+}
+
+// randomKeys returns n distinct keys spread over every field lessKey reads,
+// threads of both signs included; the narrow ranges make keys that tie on
+// every field but the last ones common.
+func randomKeys(n int, seed int64) []Key {
+	rng := rand.New(rand.NewSource(seed))
+	seen := make(map[Key]bool, n)
+	out := make([]Key, 0, n)
+	for len(out) < n {
+		k := Key{
+			Sink:       loc.SourceLoc(rng.Intn(16) << 20),
+			Src:        loc.SourceLoc(rng.Intn(16) << 20),
+			Var:        loc.VarID(rng.Intn(4)),
+			SinkThread: int16(rng.Intn(7) - 3),
+			SrcThread:  int16(rng.Intn(7) - 3),
+			Type:       Type(rng.Intn(3)),
+		}
+		if rng.Intn(8) == 0 {
+			k.Var = loc.VarID(rng.Uint32())
+			k.SinkThread, k.SrcThread = int16(rng.Uint32()), int16(rng.Uint32())
+		}
+		if !seen[k] {
+			seen[k] = true
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// TestPackedKeyOrder holds Encode's packed sort key to lessKey: both sort
+// the same keys into the same sequence.
+func TestPackedKeyOrder(t *testing.T) {
+	keys := randomKeys(5000, 1)
+	packed := make([]packedKey, len(keys))
+	for r, k := range keys {
+		packed[r] = packKey(k, r)
+	}
+	slices.SortFunc(packed, comparePacked)
+	want := slices.Clone(keys)
+	sort.Slice(want, func(i, j int) bool { return lessKey(want[i], want[j]) })
+	for i, p := range packed {
+		if got := keys[p.ref()]; got != want[i] {
+			t.Fatalf("position %d: packed order has %+v, lessKey order %+v", i, got, want[i])
+		}
+	}
+}
+
+// BenchmarkEncode encodes a 20,000-dependence set, the size of a large
+// profile: the canonical sort dominates.
+func BenchmarkEncode(b *testing.B) {
+	s, tab := NewSet(), loc.NewTable()
+	for _, k := range randomKeys(20000, 2) {
+		s.Add(k, false, false, false)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Encode(io.Discard, s, tab, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

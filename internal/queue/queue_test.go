@@ -2,9 +2,13 @@ package queue
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // basicQueue is the common surface all three implementations share.
@@ -375,5 +379,101 @@ func BenchmarkMPSCClaim(b *testing.B) {
 			<-done
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
 		})
+	}
+}
+
+// parkItem is one element of the park stress: seq counts up per producer, -1
+// marks its last.
+type parkItem struct{ producer, seq int }
+
+// TestMPSCParkStress drives both ends of a 16-position ring into parking:
+// eight producers publish runs of 1 to 3x the ring in bursts with pauses
+// between them, so the consumer drains the ring and parks, and the consumer
+// stalls now and then, so the producers fill the ring and park. Every element
+// must arrive once, in its producer's order. A lost wake-up leaves an end
+// asleep with work waiting; the watchdog then fails the test instead of
+// letting it hang.
+func TestMPSCParkStress(t *testing.T) {
+	const producers, capacity = 8, 16
+	q := NewMPSC[parkItem](capacity)
+	stop := time.Now().Add(1200 * time.Millisecond)
+	// Each end checks now and then whether the other is parked.
+	var consumerParked, producerParked atomic.Bool
+	for p := 0; p < producers; p++ {
+		go func(p int) {
+			rng := rand.New(rand.NewSource(int64(p) + 1))
+			seq := 0
+			for time.Now().Before(stop) {
+				for burst := 1 + rng.Intn(2); burst > 0; burst-- {
+					n := 1 + rng.Intn(3*capacity)
+					for pos, left := q.Claim(n), n; left > 0; {
+						part := q.Part(pos, left)
+						for k := range part {
+							part[k] = parkItem{p, seq}
+							seq++
+						}
+						q.Publish(pos, len(part), len(part))
+						pos, left = pos+uint64(len(part)), left-len(part)
+					}
+				}
+				// A pause between bursts, often long enough for the consumer
+				// to drain the ring and park. It yields rather than sleeps,
+				// so that publications land anywhere on the consumer's way
+				// to its park, and in the window a lost wake-up needs.
+				for i := rng.Intn(200); i > 0; i-- {
+					runtime.Gosched()
+				}
+				if q.waiter.Load() != 0 {
+					consumerParked.Store(true)
+				}
+			}
+			q.Push(parkItem{p, -1})
+		}(p)
+	}
+
+	done := make(chan struct{})
+	var bad atomic.Value // the first ordering error; the consumer drains on regardless
+	go func() {
+		defer close(done)
+		next := make([]int, producers)
+		stalled := time.Now()
+		for finished := 0; finished < producers; {
+			b := q.Peek()
+			if len(b) == 0 {
+				q.Wait()
+				continue
+			}
+			for _, it := range b {
+				switch {
+				case it.seq < 0:
+					finished++
+				case it.seq != next[it.producer]:
+					bad.CompareAndSwap(nil, fmt.Sprintf("producer %d: element %d arrived when %d was due", it.producer, it.seq, next[it.producer]))
+					next[it.producer] = it.seq + 1
+				default:
+					next[it.producer]++
+				}
+			}
+			if time.Since(stalled) > 100*time.Millisecond {
+				time.Sleep(20 * time.Millisecond) // a stalled consumer: the producers fill the ring and park
+				stalled = time.Now()
+				if q.wakeAt.Load() != math.MaxUint64 {
+					producerParked.Store(true)
+				}
+			}
+		}
+	}()
+
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("stream stalled with head %d, tail %d, consumer parked for position %d, producers for head %d: a lost wake-up",
+			q.head.Load(), q.tail.Load(), int64(q.waiter.Load())-1, q.wakeAt.Load())
+	}
+	if msg := bad.Load(); msg != nil {
+		t.Fatal(msg)
+	}
+	if !consumerParked.Load() || !producerParked.Load() {
+		t.Errorf("parks seen: consumer %v, producers %v; the stress must park both ends", consumerParked.Load(), producerParked.Load())
 	}
 }

@@ -11,9 +11,9 @@
 # parent first on even pairs and the change first on odd ones. Output: one
 # line per run, then per end-to-end metric of CHANGE_DIR's BENCHMARK.json the
 # median [first–third quartile] of each side (the exclusive method, as
-# ddbench calibrate and the driver compute it) and how many pairs the change
-# won — better in the metric's direction; ties (equal to nine digits) count
-# for neither.
+# ddbench calibrate computes it), the relative change of the medians (delta,
+# in % of the parent's) and how many pairs the change won — better in the
+# metric's direction; ties (equal to nine digits) count for neither.
 # Exits non-zero if any run failed an operation or did not report.
 set -euo pipefail
 
@@ -76,10 +76,11 @@ while read -r name better; do
 		d = i * m - j * 4
 		return (s[j] * (4 - d) + s[j + 1] * d) / 4
 	}
-	function summary(v, n,    s, i, j, t) {
+	function summary(v, n,    s, i, j, t) { # also leaves the median in med
 		for (i = 1; i <= n; i++) s[i] = v[i]
 		for (i = 2; i <= n; i++) for (j = i; j > 1 && s[j] < s[j-1]; j--) { t = s[j]; s[j] = s[j-1]; s[j-1] = t }
-		return sprintf("%.6g [%.6g-%.6g]", cut(s, n, 2), cut(s, n, 1), cut(s, n, 3))
+		med = cut(s, n, 2)
+		return sprintf("%.6g [%.6g-%.6g]", med, cut(s, n, 1), cut(s, n, 3))
 	}
 	$1 == name { if ($2 == "parent") { p[$3] = $4; pv[++np] = $4 } else { c[$3] = $4; cv[++nc] = $4 } }
 	END {
@@ -89,7 +90,10 @@ while read -r name better; do
 			if (d <= 1e-9 * (p[k] < 0 ? -p[k] : p[k])) ties++ # equal but for the last printed digit
 			else if ((better == "higher") == (c[k] > p[k])) wins++
 		}
-		printf "%-20s %s -> %s   change wins %d/%d, ties %d (%s is better)\n", name, summary(pv, np), summary(cv, nc), wins, both, ties, better
+		ps = summary(pv, np); pm = med
+		cs = summary(cv, nc); cm = med
+		delta = pm == 0 ? (cm == 0 ? "0.0" : "n/a") : sprintf("%+.1f", 100 * (cm - pm) / (pm < 0 ? -pm : pm))
+		printf "%-20s %s -> %s   delta %s %%   change wins %d/%d, ties %d (%s is better)\n", name, ps, cs, delta, wins, both, ties, better
 	}' "$runs"
 done <<<"$metrics"
 
