@@ -6,11 +6,8 @@
 package core
 
 import (
-	"math/bits"
-
 	"ddprof/internal/dep"
 	"ddprof/internal/event"
-	"ddprof/internal/loc"
 	"ddprof/internal/prog"
 	"ddprof/internal/sig"
 )
@@ -51,75 +48,65 @@ type Engine struct {
 	// raceCheck enables the epoch race rule of build (MT-target mode).
 	raceCheck bool
 
-	// cache is a direct-mapped instance cache over dependence identity: the
-	// overwhelmingly common case is the same static dependence firing every
-	// iteration (the instance redundancy dependence merging exploits for
-	// space, §III-B), so memoizing the map entries for the last key that
-	// hashed to each slot turns the per-instance map lookups — the dependence
-	// set and, for carried instances, the per-loop aggregate — into pointer
-	// dereferences.
-	cache       [depCacheSize]depCacheEntry
+	// cache is the instance cache: the overwhelmingly common case is the
+	// same static dependence firing every iteration (the instance
+	// redundancy dependence merging exploits for space, §III-B), so each
+	// entry memoizes, per instance template, everything an instance does
+	// not change: the map entries (the dependence set's and, once carried,
+	// the per-loop aggregate's) and the classification's static half.
+	cache       [depCacheSets][depCacheWays]depCacheEntry
 	cacheHits   uint64
 	cacheProbes uint64
 }
 
-// depCacheSize is the number of direct-mapped instance-cache entries. The
-// working set is the static dependence count of the profiled region, which
-// the paper's merging ablation puts orders of magnitude below this.
+// The instance cache holds 512 entries (28 KiB) in sets of four. The
+// working set is the static template count of the profiled region, a few
+// hundred for the bundled workloads. With two ways, whether three hot
+// templates of one loop body share a set is the hash's luck, and when they
+// do they miss on every turn (md5 and rgbyuv did, 4.6-6.6 % of probes);
+// with four, only a template's first instance misses on every bundled
+// workload but the three NAS kernels with more templates than entries.
 const (
-	depCacheSize = 1 << 9
-	depCacheMask = depCacheSize - 1
+	depCacheWays    = 4
+	depCacheSetBits = 7
+	depCacheSets    = 1 << depCacheSetBits
 )
 
-// pkey is a dependence identity packed for the hot path: the five fields of
-// a dep.Key in two words plus the type. A dep.Key built field by field is 17
-// bytes of narrow stores that every later compare, hash and copy re-reads as
-// wide loads; a pkey is built with shifts in registers, compared with three
-// compares and hashed with one multiply. PROMPT keeps its dependence identity
-// in one machine word for the same reason. A dep.Key is materialised (key)
-// only where a dep.Set is consulted: on an instance-cache miss.
-type pkey struct {
-	a uint64 // sink | src<<32
-	b uint64 // var | uint16(sinkThread)<<32 | uint16(srcThread)<<48
-	t dep.Type
-}
+// template is what identifies a dependence instance's static part: the
+// source slot's header word (0 for an INIT, which has no source), the
+// sink's Loc|Var<<32, and its whole CtxID, its thread at the key's width,
+// the two flags Algorithm 1 reads and the type. Everything an entry
+// memoizes is a function of these three words, so equal templates may
+// share it. A zero template is no instance's: an INIT carries its type, any
+// other template a present source.
+type template [3]uint64
 
-func packKey(t dep.Type, sink, src loc.SourceLoc, v loc.VarID, sinkThread, srcThread int16) pkey {
-	return pkey{
-		a: uint64(sink) | uint64(src)<<32,
-		b: uint64(v) | uint64(uint16(sinkThread))<<32 | uint64(uint16(srcThread))<<48,
-		t: t,
+func templateOf(t dep.Type, src sig.Slot, snk *event.Access) template {
+	return template{
+		src.Meta & sig.MetaFields,
+		uint64(snk.Loc) | uint64(snk.Var)<<32,
+		uint64(snk.CtxID) | uint64(uint16(snk.Thread))<<32 |
+			uint64(snk.Flags&(event.FlagReduction|event.FlagInduction))<<48 | uint64(t)<<56,
 	}
 }
 
-// key unpacks the identity into the dependence set's key type.
-func (k pkey) key() dep.Key {
-	return dep.Key{
-		Type: k.t,
-		Sink: loc.SourceLoc(uint32(k.a)), Src: loc.SourceLoc(k.a >> 32),
-		Var:        loc.VarID(uint32(k.b)),
-		SinkThread: int16(k.b >> 32), SrcThread: int16(k.b >> 48),
-	}
-}
-
-// hash mixes the identity into an instance-cache index. One multiply over
-// both words keeps the hit path short; XORing b rotated by 32 puts Var
-// against Src and the thread/type bits against Sink, so keys differing in
-// any single field land on distinct inputs to the multiplier.
-func (k pkey) hash() uint32 {
-	h := (k.a ^ bits.RotateLeft64(k.b|uint64(k.t)<<40, 32)) * 0x9E3779B97F4A7C15
-	return uint32(h >> 32)
-}
-
-// depCacheEntry memoizes the merged-set entry for one dependence key and,
-// when the key's last instance was loop-carried, the per-loop aggregate
-// record, so a repeat instance updates both without any map operation.
+// depCacheEntry is one instance template's memo (56 bytes): the merged-set
+// entry, the static half of build's classification, and, once an instance
+// was loop-carried, the loop, its aggregate record and this key's record
+// within it, so a repeat instance updates all of them without any map
+// operation.
 type depCacheEntry struct {
-	key  pkey
+	tmpl template
 	st   *dep.Stats
-	agg  *loopAgg    // aggregate of `loop` (nil until a carried instance)
-	ck   *dep.Stats  // this key's record within agg.keys (Reduction = allRed)
-	loop prog.LoopID // loop of the last carried instance (NoLoop if none)
+	agg  *loopAgg   // aggregate of `loop` (nil until a carried instance)
+	ck   *dep.Stats // this key's record within agg.keys (Reduction = allRed)
+	// common is prog.CommonDepth of the two contexts, 0 when an instance
+	// cannot be carried (no Meta, an INIT, an induction self-dependence).
+	common int32
+	loop   prog.LoopID // loop of the last carried instance (NoLoop if none)
+	// reduction: both ends are the same reduction statement; cross: the
+	// ends are on different threads at the slot's thread width.
+	reduction, cross bool
 }
 
 // loopAgg tracks distinct carried dependence keys per loop so LoopDeps can
@@ -271,8 +258,8 @@ func sameRead(b, a *event.Access) bool {
 // unchanged.
 func (e *Engine) write(w, r sig.Slot, a *event.Access) sig.Slot {
 	if w.Empty() {
-		// First write to this address: INIT (paper §III-A).
-		e.record(initKey(a.Loc, a.Var, a.Thread), prog.NoLoop, false, false, 0, 1)
+		// First write to this address: INIT (paper §III-A), from no source.
+		e.build(dep.INIT, sig.Slot{}, a, 1)
 	} else {
 		e.build(dep.WAW, w, a, 1)
 	}
@@ -291,11 +278,6 @@ func (e *Engine) read(w sig.Slot, a *event.Access, n uint64) sig.Slot {
 	return e.slotFor(a)
 }
 
-// initKey is the identity of a first write: a sink and nothing else.
-func initKey(l loc.SourceLoc, v loc.VarID, thread int32) pkey {
-	return packKey(dep.INIT, l, 0, v, int16(thread), 0)
-}
-
 // slotFor packs the access into a store slot. Pointer arg: the event where
 // ProcessRun reads it, sparing a 48-byte stack copy per call.
 func (e *Engine) slotFor(a *event.Access) sig.Slot {
@@ -310,65 +292,96 @@ func (e *Engine) slotFor(a *event.Access) sig.Slot {
 }
 
 // build records n instances of a dependence from the stored source slot to
-// the sink access (passed by pointer for the same reason as slotFor): its key
-// plus the carried/reduction/reversed classification.
+// the sink access (passed by pointer for the same reason as slotFor),
+// classified carried, reduction and reversed. Only the per-instance part is
+// computed here, the static part comes from the instance's cache entry.
 func (e *Engine) build(t dep.Type, src sig.Slot, snk *event.Access, n uint64) {
+	ent := e.entry(t, src, snk)
 	carriedAt, dist := prog.NoLoop, uint32(0)
-	if e.meta != nil {
-		carriedAt, dist = e.meta.CarriedLoopDist(src.Ctx(), snk.CtxID, src.Iter, snk.IterVec)
+	if ent.common != 0 {
+		carriedAt, dist = e.meta.CarriedAt(src.Ctx(), snk.CtxID, int(ent.common), src.Iter, snk.IterVec)
 	}
-	// Induction-variable self-dependences (i = i + step feeding the next
-	// iteration's update) are loop control: a parallelizing transformation
-	// replaces the induction entirely, so they are recorded as ordinary
-	// dependences (Figure 1 keeps them) but never as parallelism-preventing
-	// carried dependences.
-	if carriedAt != prog.NoLoop &&
-		src.Induction() && snk.Flags&event.FlagInduction != 0 && src.Loc() == snk.Loc {
-		carriedAt, dist = prog.NoLoop, 0
-	}
-	reduction := src.Reduction() && snk.Flags&event.FlagReduction != 0 &&
-		src.Loc() == snk.Loc
 	// §V-B over sync epochs (event.Batcher): happens-before across threads
 	// implies a larger stamp, so a smaller one, or an equal one from another
-	// thread (compared at the slot's 9-bit width), proves the pair unordered.
-	reversed := e.raceCheck && (snk.TS < src.TS ||
-		snk.TS == src.TS && snk.TS != 0 && snk.Thread&sig.ThreadMask != src.Thread())
-	k := packKey(t, snk.Loc, src.Loc(), snk.Var, int16(snk.Thread), int16(src.Thread()))
-	e.record(k, carriedAt, reduction, reversed, dist, n)
-}
-
-// record merges n identical instances of dependence k into the set and the
-// per-loop aggregates through the instance cache: only a miss consults the
-// maps.
-func (e *Engine) record(k pkey, carriedAt prog.LoopID, reduction, reversed bool, dist uint32, n uint64) {
-	e.cacheProbes++
-	ent := &e.cache[k.hash()&depCacheMask]
-	st := ent.st
-	if st != nil && ent.key == k {
-		e.cacheHits++
-	} else {
-		st = e.deps.Ref(k.key())
-		*ent = depCacheEntry{key: k, st: st, loop: prog.NoLoop}
-	}
-	e.deps.ObserveVia(st, n, carriedAt != prog.NoLoop, reduction, reversed, dist)
+	// thread, proves the pair unordered. An INIT's empty source has stamp 0.
+	reversed := e.raceCheck && (snk.TS < src.TS || snk.TS == src.TS && snk.TS != 0 && ent.cross)
+	e.deps.ObserveVia(ent.st, n, carriedAt != prog.NoLoop, ent.reduction, reversed, dist)
 	if carriedAt == prog.NoLoop {
 		return
 	}
 
 	if ent.loop != carriedAt {
-		// First carried instance since the entry was filled (or the key is
-		// carried by another loop now): memoize the loop's aggregate record.
+		// First carried instance since the entry was filled (or the template
+		// is carried by another loop now): memoize the loop's aggregate
+		// record.
 		agg := e.loops[carriedAt]
 		if agg == nil {
 			agg = newLoopAgg()
 			e.loops[carriedAt] = agg
 		}
 		// Fresh records start Reduction (= allRed) true.
-		ent.loop, ent.agg, ent.ck = carriedAt, agg, agg.keys.Ref(k.key())
+		ent.loop, ent.agg, ent.ck = carriedAt, agg, agg.keys.Ref(depKey(t, src, snk))
 	}
-	ent.ck.Reduction = ent.ck.Reduction && reduction
-	if k.t == dep.RAW && (ent.agg.minRAWDist == 0 || dist < ent.agg.minRAWDist) {
+	ent.ck.Reduction = ent.ck.Reduction && ent.reduction
+	if t == dep.RAW && (ent.agg.minRAWDist == 0 || dist < ent.agg.minRAWDist) {
 		ent.agg.minRAWDist = dist
+	}
+}
+
+// entry returns the instance's cache entry, filling it on a miss. The
+// three template words are mixed (dep.Mix) and the set is the hash's top
+// bits. A hit in a later way swaps it into way 0, where the next repeat
+// finds it at the first compare; a miss shifts the set down a way, evicting
+// the last, and fills way 0.
+func (e *Engine) entry(t dep.Type, src sig.Slot, snk *event.Access) *depCacheEntry {
+	e.cacheProbes++
+	k := templateOf(t, src, snk)
+	set := &e.cache[dep.Mix(k[0], k[1], k[2])>>(64-depCacheSetBits)]
+	if set[0].tmpl == k {
+		e.cacheHits++
+		return &set[0]
+	}
+	for w := 1; w < depCacheWays; w++ {
+		if set[w].tmpl == k {
+			e.cacheHits++
+			set[0], set[w] = set[w], set[0]
+			return &set[0]
+		}
+	}
+	copy(set[1:], set[:depCacheWays-1])
+	e.fill(&set[0], k, t, src, snk)
+	return &set[0]
+}
+
+// fill computes the static part of an instance of template k: the
+// dependence set's entry and the template-fixed half of the classification.
+func (e *Engine) fill(ent *depCacheEntry, k template, t dep.Type, src sig.Slot, snk *event.Access) {
+	common := 0
+	// Induction-variable self-dependences (i = i + step feeding the next
+	// iteration's update) are loop control: a parallelizing transformation
+	// replaces the induction entirely, so they are recorded as ordinary
+	// dependences (Figure 1 keeps them) but never as parallelism-preventing
+	// carried dependences.
+	induction := src.Induction() && snk.Flags&event.FlagInduction != 0 && src.Loc() == snk.Loc
+	if e.meta != nil && t != dep.INIT && !induction {
+		common = e.meta.CommonDepth(src.Ctx(), snk.CtxID)
+	}
+	*ent = depCacheEntry{
+		tmpl:      k,
+		st:        e.deps.Ref(depKey(t, src, snk)),
+		common:    int32(common),
+		loop:      prog.NoLoop,
+		reduction: src.Reduction() && snk.Flags&event.FlagReduction != 0 && src.Loc() == snk.Loc,
+		cross:     snk.Thread&sig.ThreadMask != src.Thread(),
+	}
+}
+
+// depKey is the dependence an instance of type t from src to snk belongs
+// to. An INIT's empty source gives it source location and thread 0.
+func depKey(t dep.Type, src sig.Slot, snk *event.Access) dep.Key {
+	return dep.Key{
+		Type: t, Sink: snk.Loc, Src: src.Loc(), Var: snk.Var,
+		SinkThread: int16(snk.Thread), SrcThread: int16(src.Thread()),
 	}
 }
 

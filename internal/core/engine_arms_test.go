@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"ddprof/internal/dep"
 	"ddprof/internal/event"
@@ -168,8 +169,9 @@ func armsFolds(ops []event.Access, runs []int) (folds uint64) {
 // unaligned addresses going to its side map — and an equal store behind
 // plainStore (the interface arm) take the same stream twice: one Process
 // call per event, and fuzz-chosen runs through ProcessRun; with and without
-// the race check. All four engines must leave identical profiles, loop
-// tables and store contents; the kernel must count every access, and its
+// the race check. All four engines must leave the profile, loop table and
+// store contents of the fused per-event engine with its instance cache
+// emptied before every event; the kernel must count every access, and its
 // instance-cache traffic may fall short of the per-event path's only by
 // folded reads.
 func FuzzEngineArms(f *testing.F) {
@@ -192,6 +194,30 @@ func FuzzEngineArms(f *testing.F) {
 		}
 		return d
 	}())
+	// One sink line reached from two contexts: per outer iteration, a read
+	// at line 2 in the outer loop and two in the inner one, then the write
+	// at line 1 in the outer loop they all read from. One RAW, two
+	// templates, carried at the outer loop from the second iteration on.
+	f.Add(func() []byte {
+		var d []byte
+		for i := byte(0); i < 6; i++ {
+			d = append(d, 0, 5, 0, 1, 0x10, 0, i, 1, 0, 5, 0, 1, 0x20, 1, i, 1,
+				0, 5, 0, 1, 0x20, 2, i, 1, 3, 5, 0, 0, 0x10, 0, i, 1)
+		}
+		return d
+	}())
+	// Two RAWs that collided under the mix Mix replaced, read in turn: sink
+	// line 5 from line 1 through variable 0, and from line 2 through
+	// variable 3 (line 1 ^ variable 0 = line 2 ^ variable 3).
+	f.Add(append([]byte{3, 1, 0, 0, 0, 0, 0, 1, 3, 2, 0, 1, 0, 0, 0, 1},
+		bytes.Repeat([]byte{0, 1, 0, 4, 0, 0, 0, 1, 0, 2, 0, 0x1C, 0, 0, 0, 1}, 8)...))
+	// One line written and read in successive iterations, with and without
+	// the induction flag: a flagged read of an unflagged write, a flagged
+	// read of a flagged write (an induction self-dependence, never carried)
+	// and an unflagged read of a flagged write. All three RAWs share a key;
+	// their templates differ only in the source's or the sink's flag.
+	f.Add([]byte{3, 5, 0, 0, 0x10, 0, 0, 1, 0, 5, 0, 0, 0x18, 1, 0, 1,
+		3, 5, 0, 0, 0x18, 1, 0, 1, 0, 5, 0, 0, 0x18, 2, 0, 1, 0, 5, 0, 0, 0x10, 3, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, runs := armsOps(data)
 		for _, race := range []bool{false, true} {
@@ -211,7 +237,9 @@ type fusable interface {
 
 // checkArms feeds ops to four engines, each over its own store from open:
 // fused and behind plainStore, per event and in runs (runs lists where each
-// ends). Every engine must match the fused per-event one.
+// ends). Every engine's profile, loop table and store must match the fused
+// per-event engine's with its instance cache emptied before every event, and
+// its cache traffic the fused per-event one's, but for folded reads.
 func checkArms(t *testing.T, name string, open func() fusable, ops []event.Access, runs []int, race bool) {
 	meta := armsMeta()
 	type arm struct {
@@ -268,18 +296,28 @@ func checkArms(t *testing.T, name string, open func() fusable, ops []event.Acces
 		}
 	}
 
-	ref := arms[0]
+	// The reference: the fused arm one event at a time with its instance
+	// cache emptied before each, so no instance reuses a memo.
+	ref := &arm{name: name + " emptied", st: open()}
+	ref.e = NewEngine(ref.st, meta, race)
+	for _, op := range ops {
+		clear(ref.e.cache[:])
+		ref.e.Process(op)
+	}
+	if h, _ := ref.e.CacheStats(); h != 0 {
+		t.Fatalf("%s: %d hits in an emptied cache", ref.name, h)
+	}
 	refDDP := encodeSet(t, ref.e.Deps())
-	rh, rp := ref.e.CacheStats()
-	for _, a := range arms[1:] {
+	rh, rp := arms[0].e.CacheStats()
+	for i, a := range arms {
 		if got := encodeSet(t, a.e.Deps()); !bytes.Equal(got, refDDP) {
-			t.Fatalf("%s: DDP1 differs from the fused per-event engine\ngot  %v\nwant %v", a.name, a.e.Deps().Keys(), ref.e.Deps().Keys())
+			t.Fatalf("%s: DDP1 differs from the emptied engine's\ngot  %v\nwant %v", a.name, a.e.Deps().Keys(), ref.e.Deps().Keys())
 		}
 		if got, want := a.e.LoopDeps(), ref.e.LoopDeps(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: LoopDeps differ: %v, want %v", a.name, got, want)
 		}
 		h, p := a.e.CacheStats()
-		if !a.run && (h != rh || p != rp) {
+		if i > 0 && !a.run && (h != rh || p != rp) {
 			t.Fatalf("%s: cache stats %d/%d, want %d/%d", a.name, h, p, rh, rp)
 		}
 		if a.run && (rp-p != rh-h || rp-p > armsFolds(ops, runs)) {
@@ -303,53 +341,61 @@ func checkArms(t *testing.T, name string, open func() fusable, ops []event.Acces
 	}
 }
 
-// TestPackedKeyRoundTrip: packKey(...).key() returns every field at its
-// extremes, and two identities differing in exactly one field never compare
-// equal packed.
-func TestPackedKeyRoundTrip(t *testing.T) {
-	locs := []loc.SourceLoc{0, 1, math.MaxUint32}
-	vars := []loc.VarID{0, 1, math.MaxUint32}
-	threads := []int16{0, 1, -1, math.MinInt16, math.MaxInt16}
-	types := []dep.Type{dep.RAW, dep.WAR, dep.WAW, dep.INIT}
-	var keys []dep.Key
-	for _, ty := range types {
-		for _, sink := range locs {
-			for _, src := range locs {
-				for _, v := range vars {
-					for _, st := range threads {
-						for _, rt := range threads {
-							keys = append(keys, dep.Key{Type: ty, Sink: sink, Src: src, Var: v, SinkThread: st, SrcThread: rt})
-						}
-					}
-				}
-			}
-		}
-	}
-	pack := func(k dep.Key) pkey { return packKey(k.Type, k.Sink, k.Src, k.Var, k.SinkThread, k.SrcThread) }
-	seen := make(map[pkey]dep.Key, len(keys))
-	for _, k := range keys {
-		p := pack(k)
-		if got := p.key(); got != k {
-			t.Fatalf("round trip: %+v -> %+v", k, got)
-		}
-		if prev, dup := seen[p]; dup {
-			t.Fatalf("%+v and %+v pack equal", prev, k)
-		}
-		seen[p] = k
-	}
-	// One-field neighbours, explicitly: each differs from base in one field.
-	base := dep.Key{Type: dep.RAW, Sink: 7, Src: 7, Var: 7, SinkThread: 7, SrcThread: 7}
-	for i, k := range []dep.Key{
-		{Type: dep.WAR, Sink: 7, Src: 7, Var: 7, SinkThread: 7, SrcThread: 7},
-		{Type: dep.RAW, Sink: 8, Src: 7, Var: 7, SinkThread: 7, SrcThread: 7},
-		{Type: dep.RAW, Sink: 7, Src: 8, Var: 7, SinkThread: 7, SrcThread: 7},
-		{Type: dep.RAW, Sink: 7, Src: 7, Var: 8, SinkThread: 7, SrcThread: 7},
-		{Type: dep.RAW, Sink: 7, Src: 7, Var: 7, SinkThread: 8, SrcThread: 7},
-		{Type: dep.RAW, Sink: 7, Src: 7, Var: 7, SinkThread: 7, SrcThread: 8},
+// TestInstanceTemplate: an instance's template changes with every field its
+// cache entry's memo depends on, and with no other, so equal templates may
+// share a memo and repeats of one static dependence share one entry.
+func TestInstanceTemplate(t *testing.T) {
+	src := sig.PackSlot(loc.Pack(1, 5), 0, 3, 2, 0x10002, 7)
+	snk := event.Access{Addr: 0x100, TS: 9, IterVec: 0x10003, Loc: loc.Pack(1, 6), Var: 4, CtxID: 1, Thread: 3, Kind: event.Read}
+	base := templateOf(dep.RAW, src, &snk)
+	for _, tc := range []struct {
+		name string
+		t    dep.Type
+		src  func(sig.Slot) sig.Slot
+		snk  func(*event.Access)
+		same bool
+	}{
+		{name: "type", t: dep.WAR},
+		{name: "source loc", src: func(s sig.Slot) sig.Slot { return sig.PackSlot(loc.Pack(1, 4), 0, 3, 2, s.Iter, s.TS) }},
+		{name: "source thread", src: func(s sig.Slot) sig.Slot { return sig.PackSlot(loc.Pack(1, 5), 0, 2, 2, s.Iter, s.TS) }},
+		{name: "source ctx", src: func(s sig.Slot) sig.Slot { return sig.PackSlot(loc.Pack(1, 5), 0, 3, 1, s.Iter, s.TS) }},
+		{name: "source reduction", src: sig.Slot.WithReduction},
+		{name: "source induction", src: sig.Slot.WithInduction},
+		{name: "INIT's empty source", src: func(sig.Slot) sig.Slot { return sig.Slot{} }},
+		{name: "sink loc", snk: func(a *event.Access) { a.Loc++ }},
+		{name: "sink var", snk: func(a *event.Access) { a.Var = math.MaxUint32 }},
+		{name: "sink ctx", snk: func(a *event.Access) { a.CtxID = 2 }},
+		{name: "sink ctx past a slot's width", snk: func(a *event.Access) { a.CtxID += sig.CtxMask + 1 }},
+		{name: "sink thread", snk: func(a *event.Access) { a.Thread = 2 }},
+		{name: "sink thread past a slot's width", snk: func(a *event.Access) { a.Thread += sig.ThreadMask + 1 }},
+		{name: "sink reduction", snk: func(a *event.Access) { a.Flags |= event.FlagReduction }},
+		{name: "sink induction", snk: func(a *event.Access) { a.Flags |= event.FlagInduction }},
+		{name: "source iteration", src: func(s sig.Slot) sig.Slot { s.Iter++; return s }, same: true},
+		{name: "source stamp", src: func(s sig.Slot) sig.Slot { s.TS++; return s }, same: true},
+		{name: "unused header bits", src: func(s sig.Slot) sig.Slot { s.Meta |= 0xF << 57; return s }, same: true},
+		{name: "sink address", snk: func(a *event.Access) { a.Addr += 8 }, same: true},
+		{name: "sink iteration", snk: func(a *event.Access) { a.IterVec++ }, same: true},
+		{name: "sink stamp", snk: func(a *event.Access) { a.TS++ }, same: true},
+		{name: "sink kind", snk: func(a *event.Access) { a.Kind = event.Write }, same: true},
+		{name: "sink repetitions", snk: func(a *event.Access) { a.Rep = 3 }, same: true},
+		{name: "other flag bits", snk: func(a *event.Access) { a.Flags |= 0xFC }, same: true},
 	} {
-		if pack(k) == pack(base) {
-			t.Errorf("neighbour %d packs equal to base", i)
+		s, a := src, snk
+		if tc.src != nil {
+			s = tc.src(s)
 		}
+		if tc.snk != nil {
+			tc.snk(&a)
+		}
+		if got := templateOf(tc.t, s, &a); (got == base) != tc.same {
+			t.Errorf("%s: template equal to the base's: %v, want %v", tc.name, got == base, tc.same)
+		}
+	}
+	if base == (template{}) || templateOf(dep.INIT, sig.Slot{}, &event.Access{}) == (template{}) {
+		t.Error("a real instance has the zero template, which an empty cache entry holds")
+	}
+	if n := unsafe.Sizeof(depCacheEntry{}); n > 56 {
+		t.Errorf("an instance-cache entry is %d bytes, want at most 56", n)
 	}
 }
 

@@ -195,15 +195,16 @@ func requireSameProfile(t *testing.T, label string, want, got *Result) {
 // bareEngine is the reference every shortcut is held to: the stream through
 // one Engine over an exact store, with nothing in front of it — no producer,
 // so no duplicate-read filter and no collapse. With emptied set, the instance
-// cache is cleared before every event, so every record misses and goes through
-// the dependence set's and the per-loop aggregates' Ref: Algorithm 1 with a
-// map operation per instance.
+// cache is cleared before every event, so every instance misses: its static
+// classification is recomputed and it goes through the dependence set's and
+// the per-loop aggregates' Ref — Algorithm 1 with a map operation per
+// instance and no memo.
 func bareEngine(s equivStream, raceCheck, emptied bool) *Result {
 	eng := NewEngine(sig.NewPerfectSignature(), s.meta, raceCheck)
 	res := &Result{}
 	for _, a := range s.evs {
 		if emptied {
-			eng.cache = [depCacheSize]depCacheEntry{}
+			clear(eng.cache[:])
 		}
 		eng.Process(a)
 		if a.Kind <= event.Write {

@@ -152,10 +152,12 @@ func digestResult(res *Result) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// transportCounters renders a pipelined mode's deterministic counter: the
-// duplicate reads collapsed.
+// transportCounters renders a mode's deterministic counters: the duplicate
+// reads collapsed on the way into the rings and the engines' instance-cache
+// misses. A miss count does not depend on how a worker's stream was cut into
+// runs: a read the run kernel folds would have hit.
 func transportCounters(res *Result) string {
-	return fmt.Sprintf("dup %d", res.Stats.DupCollapsed)
+	return fmt.Sprintf("dup %d miss %d", res.Stats.DupCollapsed, res.Stats.DepCacheProbes-res.Stats.DepCacheHits)
 }
 
 // goldenModes enumerates every pipeline composition the fixtures pin:
@@ -194,9 +196,7 @@ func computeGoldens(t *testing.T, exec runFunc) (digests, counters map[string]st
 			feedThreadBatches(p, s.evs)
 			res := p.Flush()
 			key, d := s.name+"/"+m.name, digestResult(res)
-			if cfg.Mode != ModeSerial {
-				counters[key] = transportCounters(res)
-			}
+			counters[key] = transportCounters(res)
 			if !m.asSerial {
 				digests[key] = d
 				continue

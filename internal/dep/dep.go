@@ -103,8 +103,8 @@ func (st *Stats) fold(o *Stats) {
 // Set storage layout. Entries (key + stats, inline) live in fixed-size slab
 // pages that are never moved or freed while the Set is live, so a *Stats
 // handed out by Ref stays valid across any number of later insertions — the
-// pointer-stability contract the engine's direct-mapped instance cache
-// depends on. The open-addressing index holds one packed word per slot
+// pointer-stability contract the engine's instance cache depends on. The
+// open-addressing index holds one packed word per slot
 // (hash<<32 | entryRef+1, 0 = empty) and can be regrown freely: rehashing
 // moves index words, never entries. Iteration (Range, Keys, Merge, encode)
 // walks the slabs in insertion order — cache-linear, no bucket chasing.
@@ -151,18 +151,28 @@ func NewSet() *Set {
 	return &Set{}
 }
 
-// hashKey mixes a dependence key into an index hash. One multiply over both
-// packed words (the same construction as the engine's instance-cache hash):
-// XORing y rotated by 32 puts Var against Src and the thread/type bits
-// against Sink, so keys differing in any single field land on distinct
-// inputs to the multiplier.
-func hashKey(k Key) uint32 {
-	x := uint64(k.Sink) | uint64(k.Src)<<32
-	y := uint64(k.Var) | uint64(uint16(k.SinkThread))<<32 |
-		uint64(uint16(k.SrcThread))<<48 | uint64(k.Type)<<40
-	h := (x ^ bits.RotateLeft64(y, 32)) * 0x9E3779B97F4A7C15
-	return uint32(h >> 32)
+// Mix hashes three words into one: each is multiplied by its own odd
+// constant and the products are XORed. Every bit of a word reaches the
+// product's top bits, so the hash's top bits are what its users take.
+// The words stay apart until the multiplies: XORing them first would make
+// two keys collide in every bit whenever their differences in two words
+// cancel, as whole families of real keys' do (equal Src^Var, say).
+func Mix(a, b, c uint64) uint64 {
+	return a*0x9E3779B97F4A7C15 ^ b*0xC2B2AE3D27D4EB4F ^ c*0x165667B19E3779F9
 }
+
+// hashKey mixes a dependence key into the 32-bit hash the index keeps: the
+// top half of Mix over the key's sink/source word, its variable/thread word
+// and its type. A probe starts at the hash's top bits (home).
+func hashKey(k Key) uint32 {
+	return uint32(Mix(uint64(k.Sink)|uint64(k.Src)<<32,
+		uint64(k.Var)|uint64(uint16(k.SinkThread))<<32|uint64(uint16(k.SrcThread))<<48,
+		uint64(k.Type)) >> 32)
+}
+
+// home is the index slot a probe for hash h starts at, in an index of
+// mask+1 slots: the hash's top bits.
+func home(h, mask uint32) uint32 { return h >> bits.LeadingZeros32(mask) }
 
 // at returns entry ref r.
 func (s *Set) at(r int) *entry {
@@ -204,7 +214,7 @@ func (s *Set) refHashed(k Key, h uint32) *Stats {
 		s.init()
 	}
 	mask := uint32(len(s.index) - 1)
-	i := h & mask
+	i := home(h, mask)
 	for {
 		v := s.index[i]
 		if v == 0 {
@@ -220,7 +230,7 @@ func (s *Set) refHashed(k Key, h uint32) *Stats {
 	if s.n >= s.growAt {
 		s.grow()
 		mask = uint32(len(s.index) - 1)
-		i = h & mask
+		i = home(h, mask)
 		for s.index[i] != 0 {
 			i = (i + 1) & mask
 		}
@@ -272,7 +282,7 @@ func (s *Set) rebuildIndex(size int) {
 	mask := uint32(size - 1)
 	for r := 0; r < s.n; r++ {
 		e := s.at(r)
-		i := e.hash & mask
+		i := home(e.hash, mask)
 		for ni[i] != 0 {
 			i = (i + 1) & mask
 		}
@@ -289,7 +299,7 @@ func (s *Set) lookup(k Key) *entry {
 	}
 	h := hashKey(k)
 	mask := uint32(len(s.index) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
+	for i := home(h, mask); ; i = (i + 1) & mask {
 		v := s.index[i]
 		if v == 0 {
 			return nil

@@ -133,14 +133,44 @@ func (m *Meta) CarriedLoop(srcCtx, sinkCtx uint32, srcIter, sinkIter uint64) Loo
 // CarriedLoopDist additionally returns the dependence distance: the
 // iteration gap at the carried loop (Alchemist-style dependence-distance
 // profiling). The distance is 0 for loop-independent dependences and is
-// computed modulo 2^16 (the packed counter width).
+// computed modulo 2^16 (the packed counter width). It is its two halves
+// composed: CommonDepth, which depends on the contexts alone, and CarriedAt,
+// the per-instance compare.
 func (m *Meta) CarriedLoopDist(srcCtx, sinkCtx uint32, srcIter, sinkIter uint64) (LoopID, uint32) {
+	return m.CarriedAt(srcCtx, sinkCtx, m.CommonDepth(srcCtx, sinkCtx), srcIter, sinkIter)
+}
+
+// SameCtx is CommonDepth's answer for two accesses in one static context.
+const SameCtx = -1
+
+// CommonDepth is the static half of CarriedLoopDist: the number of loops,
+// outermost first, the loop stacks of the two contexts share, or SameCtx
+// when they are one context. A dependence can be carried only at one of
+// those loops, so a depth of 0 means it never is.
+func (m *Meta) CommonDepth(srcCtx, sinkCtx uint32) int {
 	if srcCtx == sinkCtx {
-		// Fast path for the dominant case: both accesses share a static
-		// context, so the stacks are identical and the whole prefix is
-		// common. The outermost differing counter is the highest differing
-		// 16-bit lane of the packed vectors, found with one XOR instead of a
-		// per-depth extract-and-compare walk.
+		return SameCtx
+	}
+	ss, ks := m.Stack(srcCtx), m.Stack(sinkCtx)
+	common := min(len(ss), len(ks))
+	for i := 0; i < common; i++ {
+		if ss[i] != ks[i] {
+			return i
+		}
+	}
+	return common
+}
+
+// CarriedAt is the per-instance half of CarriedLoopDist: given common =
+// CommonDepth(srcCtx, sinkCtx), the loop and distance at which an instance
+// with these iteration vectors is carried. Neither a depth of 0 nor two equal
+// vectors in one context reads a loop stack.
+func (m *Meta) CarriedAt(srcCtx, sinkCtx uint32, common int, srcIter, sinkIter uint64) (LoopID, uint32) {
+	if common == SameCtx {
+		// Both accesses share a static context, so the stacks are identical
+		// and the whole prefix is common. The outermost differing counter is
+		// the highest differing 16-bit lane of the packed vectors, found
+		// with one XOR instead of a per-depth extract-and-compare walk.
 		x := srcIter ^ sinkIter
 		if x == 0 {
 			return NoLoop, 0
@@ -149,50 +179,36 @@ func (m *Meta) CarriedLoopDist(srcCtx, sinkCtx uint32, srcIter, sinkIter uint64)
 		if len(ss) == 0 {
 			return NoLoop, 0
 		}
-		d := (bits.Len64(x) - 1) >> 4
-		if d > len(ss)-1 {
-			// Differing lanes above the tracked stack depth read as equal
-			// (see iterAt); rescan from the deepest in-range depth.
-			d = len(ss) - 1
-		}
-		for ; d >= 0; d-- {
-			si, ki := iterAt(srcIter, d), iterAt(sinkIter, d)
-			if si != ki {
-				dd := int32(ki) - int32(si)
-				if dd < 0 {
-					dd = -dd
-				}
-				return ss[len(ss)-1-d], uint32(dd)
+		// Differing lanes above the tracked stack depth read as equal (see
+		// iterAt); the scan starts at the deepest in-range depth.
+		for d := min((bits.Len64(x)-1)>>4, len(ss)-1); d >= 0; d-- {
+			if si, ki := iterAt(srcIter, d), iterAt(sinkIter, d); si != ki {
+				return ss[len(ss)-1-d], distance(si, ki)
 			}
 		}
 		return NoLoop, 0
 	}
-	ss := m.Stack(srcCtx)
-	ks := m.Stack(sinkCtx)
-	common := len(ss)
-	if len(ks) < common {
-		common = len(ks)
+	if common <= 0 {
+		return NoLoop, 0
 	}
-	for i := 0; i < common; i++ {
-		if ss[i] != ks[i] {
-			common = i
-			break
-		}
-	}
+	ss, ks := m.Stack(srcCtx), m.Stack(sinkCtx)
 	for i := 0; i < common; i++ {
 		// Depth from innermost within each stack.
-		ds := len(ss) - 1 - i
-		dk := len(ks) - 1 - i
-		si, ki := iterAt(srcIter, ds), iterAt(sinkIter, dk)
+		si, ki := iterAt(srcIter, len(ss)-1-i), iterAt(sinkIter, len(ks)-1-i)
 		if si != ki {
-			d := int32(ki) - int32(si)
-			if d < 0 {
-				d = -d
-			}
-			return ss[i], uint32(d)
+			return ss[i], distance(si, ki)
 		}
 	}
 	return NoLoop, 0
+}
+
+// distance is the gap between two 16-bit iteration counters.
+func distance(si, ki uint16) uint32 {
+	d := int32(ki) - int32(si)
+	if d < 0 {
+		d = -d
+	}
+	return uint32(d)
 }
 
 // iterAt mirrors event.IterAt; duplicated to keep prog free of higher-level

@@ -56,6 +56,12 @@ const (
 	CtxMask    = 0xFFFF
 )
 
+// MetaFields masks a slot's header word to the fields PackSlot and the With
+// methods set. Bits outside it are not part of what a slot says about its
+// access, so a consumer keying on Meta masks with it first.
+const MetaFields = presentBit | reductionBit | inductionBit |
+	ThreadMask<<threadShift | CtxMask<<ctxShift | 0xFFFFFFFF
+
 // PackSlot builds a populated slot. v is unused: Algorithm 1 keys a
 // dependence on the sink's variable and never reads the source's, so a slot
 // does not hold one. The parameter stays because bench/ calls this signature.
