@@ -68,7 +68,7 @@ loc:
 # run kernel (ProcessRun, which folds adjacent duplicate reads) against one
 # Process call per event, on point streams over a signature and over the
 # perfect table, with and without the race check, the MT pipeline's
-# batch seam against its per-event one, the
+# batch seam cut at random against the exact reference, the
 # closed store-spec set (sig.OpenStore: signature, signature:slots=N up to
 # sig.MaxSlots, perfect) every -backend, -slots and session handshake goes
 # through, a worker's sharded signature against the unsharded one it stands

@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 	"unsafe"
 
 	"ddprof/internal/dep"
 	"ddprof/internal/event"
-	"ddprof/internal/interp"
 	"ddprof/internal/loc"
 	"ddprof/internal/prog"
 	"ddprof/internal/sig"
@@ -23,18 +21,18 @@ import (
 type plainStore struct{ sig.Store }
 
 // recordWorkload captures the access stream of one workload program.
-func recordWorkload(tb testing.TB, name string, scale float64) equivStream {
+func recordWorkload(tb testing.TB, name string, scale float64) *equivStream {
 	tb.Helper()
 	w, ok := workloads.ByName(name)
 	if !ok {
 		tb.Fatalf("no workload %s", name)
 	}
 	p := w.Build(workloads.Config{Scale: scale})
-	var c goldenCap
-	if _, err := interp.Run(p, &c, interp.Options{}); err != nil {
+	evs, err := capture(p)
+	if err != nil {
 		tb.Fatal(err)
 	}
-	return equivStream{name, p.Meta, c.evs}
+	return newStream(name, 0, p.Meta, evs)
 }
 
 // armsMeta is a two-level nest: context 1 is the outer loop, 2 the inner.
@@ -307,14 +305,11 @@ func checkArms(t *testing.T, name string, open func() fusable, ops []event.Acces
 	if h, _ := ref.e.CacheStats(); h != 0 {
 		t.Fatalf("%s: %d hits in an emptied cache", ref.name, h)
 	}
-	refDDP := encodeSet(t, ref.e.Deps())
+	emptied := &Result{Deps: ref.e.Deps(), Loops: ref.e.LoopDeps()}
 	rh, rp := arms[0].e.CacheStats()
 	for i, a := range arms {
-		if got := encodeSet(t, a.e.Deps()); !bytes.Equal(got, refDDP) {
-			t.Fatalf("%s: DDP1 differs from the emptied engine's\ngot  %v\nwant %v", a.name, a.e.Deps().Keys(), ref.e.Deps().Keys())
-		}
-		if got, want := a.e.LoopDeps(), ref.e.LoopDeps(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: LoopDeps differ: %v, want %v", a.name, got, want)
+		if d := profileDiff(emptied, &Result{Deps: a.e.Deps(), Loops: a.e.LoopDeps()}); d != "" {
+			t.Fatalf("%s: the profile is not the emptied engine's: %s", a.name, d)
 		}
 		h, p := a.e.CacheStats()
 		if i > 0 && !a.run && (h != rh || p != rp) {

@@ -21,7 +21,7 @@ import (
 // loop body. Each row reports its instance-cache misses in % of probes.
 // Construction is inside the timed region: a profile pays for its store.
 func BenchmarkEngineProcess(b *testing.B) {
-	var serial []equivStream
+	var serial []*equivStream
 	for _, name := range []string{"MG", "BT", "kmeans"} {
 		serial = append(serial, recordWorkload(b, name, 1))
 	}
@@ -33,7 +33,7 @@ func BenchmarkEngineProcess(b *testing.B) {
 	tight := len(addrs) / 4
 	for _, arm := range []struct {
 		name    string
-		streams []equivStream
+		streams []*equivStream
 		open    func() sig.Store
 		race    bool
 		run     bool // ProcessRun over BatchSize runs instead of Process per event
@@ -44,7 +44,7 @@ func BenchmarkEngineProcess(b *testing.B) {
 		// The fused arm over 40-byte records: the signature keeps stamps.
 		{"racecheck", serial, func() sig.Store { return sig.NewSignature(1 << 21) }, true, false},
 		{"perfect", serial, func() sig.Store { return sig.NewPerfectSignature() }, false, false},
-		{"tight", []equivStream{rgbyuv}, func() sig.Store { return sig.NewSignature(tight) }, false, true},
+		{"tight", []*equivStream{rgbyuv}, func() sig.Store { return sig.NewSignature(tight) }, false, true},
 	} {
 		events := 0
 		for _, s := range arm.streams {

@@ -120,39 +120,6 @@ func TestVariableLifetimeRemove(t *testing.T) {
 	}
 }
 
-func TestSignatureEngineMatchesPerfectWhenLarge(t *testing.T) {
-	// With far more slots than addresses, the signature engine must produce
-	// exactly the perfect engine's dependences (Table I at 1e8 slots).
-	mkStream := func() []event.Access {
-		var evs []event.Access
-		for i := 0; i < 200; i++ {
-			a := uint64(0x1000 + 8*i)
-			evs = append(evs, wr(a, 10+i%7), rd(a, 20+i%5), wr(a, 30+i%3))
-		}
-		return evs
-	}
-	pe := NewEngine(sig.NewPerfectSignature(), nil, false)
-	se := NewEngine(sig.NewSignature(1<<16), nil, false)
-	for _, a := range mkStream() {
-		pe.Process(a)
-		se.Process(a)
-	}
-	if pe.Deps().Unique() != se.Deps().Unique() {
-		t.Fatalf("unique: perfect %d vs signature %d", pe.Deps().Unique(), se.Deps().Unique())
-	}
-	pe.Deps().Range(func(k dep.Key, st dep.Stats) bool {
-		sst, ok := se.Deps().Lookup(k)
-		if !ok {
-			t.Errorf("signature missed %+v", k)
-			return false
-		}
-		if sst.Count != st.Count {
-			t.Errorf("count mismatch for %+v: %d vs %d", k, st.Count, sst.Count)
-		}
-		return true
-	})
-}
-
 func TestCarriedClassification(t *testing.T) {
 	m := prog.NewMeta()
 	l := m.AddLoop(prog.Loop{Name: "L"})

@@ -223,11 +223,30 @@ func (o *hbOracle) unordered() map[dep.Key]bool {
 	return out
 }
 
+// runFunc is the signature interp.Run (the reference) and vm.Run (production)
+// share; the tests that hold one to the other take either.
+type runFunc = func(*minilang.Program, event.Hook, interp.Options) (*interp.RunInfo, error)
+
 // executors are the two event producers, named for failure messages.
 var executors = []struct {
 	name string
 	run  runFunc
 }{{"vm", vm.Run}, {"interp", interp.Run}}
+
+// profileMT profiles p, executed by run with sync-epoch stamps, in a 2-worker
+// MT profiler: handed the executor's batches, or one event at a time
+// (perEvent), runs of one in which nothing can collapse.
+func profileMT(t *testing.T, run runFunc, p *minilang.Program, perEvent bool) *Result {
+	m := mustNew(t, Config{Mode: ModeMT, Workers: 2, Backend: "perfect", Meta: p.Meta})
+	var hook event.Hook = m
+	if perEvent {
+		hook = event.HookFunc(m.Access)
+	}
+	if _, err := run(p, hook, interp.Options{Timestamps: true}); err != nil {
+		t.Fatal(err)
+	}
+	return m.Flush()
+}
 
 // hbCheck profiles p under the oracle and requires flagged ⊆ oracle-unordered.
 // racy is how many reported dependences the oracle calls unordered.
@@ -370,24 +389,13 @@ func main() {
 			t.Fatal(err)
 		}
 		for _, ex := range executors {
-			run := func(perEvent bool) *Result {
-				m := mustNew(t, Config{Mode: ModeMT, Workers: 2, Backend: "perfect", Meta: p.Meta})
-				var hook event.Hook = m
-				if perEvent {
-					hook = event.HookFunc(m.Access)
-				}
-				if _, err := ex.run(p, hook, interp.Options{Timestamps: true}); err != nil {
-					t.Fatal(err)
-				}
-				return m.Flush()
-			}
-			want := run(true)
+			want := profileMT(t, ex.run, p, true)
 			if c.unique != 0 && want.Deps.Unique() != c.unique {
 				t.Errorf("%s/%s: %d dependences, want %d", c.name, ex.name, want.Deps.Unique(), c.unique)
 			}
 			for i := 0; i < 5; i++ {
-				got := run(false)
-				requireSameProfile(t, c.name+"/"+ex.name, want, got)
+				got := profileMT(t, ex.run, p, false)
+				sameProfile(t, c.name+"/"+ex.name, want, got)
 				got.Deps.Range(func(k dep.Key, st dep.Stats) bool {
 					if st.Reversed || (k.Type != dep.INIT && k.SinkThread != k.SrcThread) {
 						t.Errorf("%s/%s: %+v (%+v) joins two threads' private storage", c.name, ex.name, k, st)

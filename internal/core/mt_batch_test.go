@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -9,114 +8,10 @@ import (
 
 	"ddprof/internal/dep"
 	"ddprof/internal/event"
-	"ddprof/internal/interp"
 	"ddprof/internal/loc"
 	"ddprof/internal/vm"
 	"ddprof/internal/workloads"
 )
-
-// mtBatchStream is a random 4-thread stream in the shape the executors emit:
-// per-thread non-decreasing epochs that collide across threads (so the race
-// rule's equal-epoch arm fires), half the traffic on four addresses of one
-// owner (so one ring runs hot), reads that repeat (so the
-// consumer-side collapse fires), collapsed reads, removes, and strided runs.
-// It returns the AccessBatch form — points plus RangeRef slots into rngs —
-// and the same stream as points only.
-func mtBatchStream(r *rand.Rand, n int) (slots []event.Access, rngs []event.Range, points []event.Access) {
-	var epoch [4]uint64
-	for len(points) < n {
-		th := int32(r.Intn(4))
-		epoch[th] += uint64(r.Intn(8) / 7)
-		a := event.Access{
-			Addr:    0x40000 + 8*uint64(r.Intn(512)),
-			TS:      1 + epoch[th],
-			IterVec: uint64(r.Intn(3)),
-			Loc:     loc.Pack(2, 1+r.Intn(12)),
-			Var:     loc.VarID(r.Intn(4)),
-			Thread:  th,
-			Kind:    event.Read,
-		}
-		if r.Intn(2) == 0 {
-			a.Addr = 0x8000 + 32*uint64(r.Intn(4)) // words ≡ 0 mod 4: one owner at W = 2 and 4
-		}
-		switch k := r.Intn(20); {
-		case k == 0:
-			a.Kind = event.Remove
-		case k == 1:
-			a.Rep = uint16(r.Intn(5))
-		case k == 2:
-			run := event.Range{Base: a.Addr, Stride: 8 * uint64(r.Intn(3)), Count: uint32(r.Intn(40)),
-				TS: a.TS, IterVec: a.IterVec, IterDelta: 1, Loc: a.Loc, Var: a.Var, Thread: th,
-				Kind: event.Kind(r.Intn(2))}
-			slots = append(slots, event.Access{Addr: uint64(len(rngs)), Kind: event.RangeRef})
-			rngs = append(rngs, run)
-			for j := uint32(0); j < run.Count; j++ {
-				points = append(points, run.At(j))
-			}
-			continue
-		case k < 9:
-			a.Kind = event.Write
-		}
-		for rep := r.Intn(3); rep >= 0; rep-- {
-			slots = append(slots, a)
-			points = append(points, a)
-		}
-	}
-	return slots, rngs, points
-}
-
-// checkMTBatchEquivalence: the stream cut at random batch boundaries through
-// AccessBatch must profile exactly like the same stream through Access.
-func checkMTBatchEquivalence(t *testing.T, seed int64) {
-	t.Helper()
-	r := rand.New(rand.NewSource(seed))
-	slots, rngs, points := mtBatchStream(r, 12000+r.Intn(12000))
-	cfg := Config{Mode: ModeMT, Workers: 2 + r.Intn(3), QueueCap: 64 << r.Intn(4), Backend: "perfect"}
-	if seed%5 == 4 {
-		cfg.Workers = 70 // more rings than spread counts on its stack
-	}
-	want := feed(mustNew(t, cfg), points)
-
-	m := mustNew(t, cfg)
-	for rest := slots; len(rest) > 0; {
-		n := 1 + r.Intn(16)
-		if r.Intn(3) == 0 {
-			n = 1 + r.Intn(3*event.BatchSize) // longer than a claim segment, than a small ring
-		}
-		n = min(n, len(rest))
-		m.AccessBatch(rest[:n], rngs)
-		rest = rest[n:]
-	}
-	got := m.Flush()
-	requireSameProfile(t, "mt-batch", want, got)
-	if flagged := countReversed(got.Deps); flagged == 0 {
-		t.Errorf("seed %d: no dependence flagged; the stream no longer exercises the race rule", seed)
-	}
-}
-
-func countReversed(s *dep.Set) (n int) {
-	s.Range(func(_ dep.Key, st dep.Stats) bool {
-		if st.Reversed {
-			n++
-		}
-		return true
-	})
-	return n
-}
-
-func TestMTBatchEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		checkMTBatchEquivalence(t, seed)
-	}
-}
-
-// FuzzMTBatchEquivalence lets the fuzz engine pick the stream, the cuts and
-// the pipeline shape (in `make fuzz`).
-func FuzzMTBatchEquivalence(f *testing.F) {
-	f.Add(int64(1))
-	f.Add(int64(2))
-	f.Fuzz(checkMTBatchEquivalence)
-}
 
 // TestMTOrderingInvariant holds MT to the invariant its doc states. Four
 // threads take turns, under a real mutex, writing one shared word; every
@@ -195,48 +90,11 @@ func TestMTOrderingInvariant(t *testing.T) {
 func TestMTCollapsesStampedReads(t *testing.T) {
 	w, _ := workloads.ByName("rgbyuv")
 	p := w.Build(workloads.Config{Scale: 0.1})
-	run := func(perEvent bool) *Result {
-		m := mustNew(t, Config{Mode: ModeMT, Workers: 2, Backend: "perfect", Meta: p.Meta})
-		var hook event.Hook = m
-		if perEvent {
-			hook = event.HookFunc(m.Access)
-		}
-		if _, err := vm.Run(p, hook, interp.Options{Timestamps: true}); err != nil {
-			t.Fatal(err)
-		}
-		return m.Flush()
-	}
-	want, got := run(true), run(false)
-	requireSameProfile(t, "mt-stamped-collapse", want, got)
+	want, got := profileMT(t, vm.Run, p, true), profileMT(t, vm.Run, p, false)
+	sameProfile(t, "mt-stamped-collapse", want, got)
 	if want.Stats.DupCollapsed != 0 || got.Stats.DupCollapsed == 0 {
 		t.Errorf("DupCollapsed = %d in batches, %d per event; want > 0 and 0",
 			got.Stats.DupCollapsed, want.Stats.DupCollapsed)
-	}
-}
-
-// TestAccessCountsRep: a collapsed read counts 1+Rep accesses through either
-// seam of every pipeline.
-func TestAccessCountsRep(t *testing.T) {
-	evs := []event.Access{
-		{Addr: 0x10, Kind: event.Write, Loc: loc.Pack(1, 1)},
-		{Addr: 0x10, Kind: event.Read, Loc: loc.Pack(1, 2), Rep: 3},
-	}
-	for _, mode := range []Mode{ModeSerial, ModeParallel, ModeMT} {
-		for _, batch := range []bool{false, true} {
-			p, err := New(Config{Mode: mode, Workers: 2, Backend: "perfect"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if batch {
-				p.AccessBatch(evs, nil)
-			} else {
-				p.Access(evs[0])
-				p.Access(evs[1])
-			}
-			if got := p.Flush().Stats.Accesses; got != 5 {
-				t.Errorf("%v batch=%v: %d accesses, want 5", mode, batch, got)
-			}
-		}
 	}
 }
 
@@ -277,8 +135,8 @@ func TestMTRunsLongerThanRing(t *testing.T) {
 			t.Errorf("QueueBytes = %d, want workers x QueueCap x 64 = %d", res.Stats.QueueBytes, want)
 		}
 	}
-	requireSameProfile(t, "mt-long-runs", first, second)
-	requireSameProfile(t, "mt-long-runs-locked", first, locked)
+	sameProfile(t, "mt-long-runs", first, second)
+	sameProfile(t, "mt-long-runs-locked", first, locked)
 }
 
 // TestMTBatchAllocFree: a steady-state executor batch through AccessBatch in
@@ -331,5 +189,55 @@ func TestMTFreedAfterFlush(t *testing.T) {
 	case <-freed:
 	case <-time.After(10 * time.Second):
 		t.Fatal("a flushed profiler is still reachable after a collection")
+	}
+}
+
+func TestMTConcurrentProducers(t *testing.T) {
+	// 4 target threads hammer disjoint addresses plus one shared (locked)
+	// address; the pipeline must not lose or duplicate per-thread accesses.
+	const perThread = 20000
+	m := mustNew(t, Config{Mode: ModeMT, Workers: 4, Backend: "perfect"})
+	var ts struct {
+		sync.Mutex
+		n uint64
+	}
+	stamp := func() uint64 {
+		ts.Lock()
+		defer ts.Unlock()
+		ts.n++
+		return ts.n
+	}
+	var wg sync.WaitGroup
+	for thr := int32(0); thr < 4; thr++ {
+		wg.Add(1)
+		go func(thr int32) {
+			defer wg.Done()
+			base := uint64(0x100000 * (int(thr) + 1))
+			for i := 0; i < perThread; i++ {
+				a := base + uint64(8*(i%64))
+				m.Access(event.Access{Addr: a, Kind: event.Write, Loc: loc.Pack(1, int(thr)+1), Thread: thr, TS: stamp()})
+				m.Access(event.Access{Addr: a, Kind: event.Read, Loc: loc.Pack(1, 10+int(thr)), Thread: thr, TS: stamp()})
+			}
+		}(thr)
+	}
+	wg.Wait()
+	got := m.Flush()
+	if got.Stats.Accesses != 4*2*perThread {
+		t.Errorf("accesses = %d, want %d", got.Stats.Accesses, 4*2*perThread)
+	}
+	// Each thread's private RAW must exist with full count (per-thread,
+	// per-address order preserved through the MPSC queue).
+	for thr := int32(0); thr < 4; thr++ {
+		k := dep.Key{Type: dep.RAW, Sink: loc.Pack(1, 10+int(thr)), SinkThread: int16(thr), Src: loc.Pack(1, int(thr)+1), SrcThread: int16(thr)}
+		st, ok := got.Deps.Lookup(k)
+		if !ok {
+			t.Fatalf("thread %d RAW missing", thr)
+		}
+		if st.Count != perThread {
+			t.Errorf("thread %d RAW count = %d, want %d", thr, st.Count, perThread)
+		}
+		if st.Reversed {
+			t.Errorf("thread %d private dep flagged as race", thr)
+		}
 	}
 }

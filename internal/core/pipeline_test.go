@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -88,95 +89,33 @@ func TestDoubleFlushPanicsEveryMode(t *testing.T) {
 		}()
 		f()
 	}
-	s := mustNew(t, Config{Backend: "perfect"})
-	s.Flush()
-	expectPanic("serial", func() { s.Flush() })
-	p := mustNew(t, Config{Mode: ModeParallel, Workers: 2, Backend: "perfect"})
-	p.Flush()
-	expectPanic("parallel", func() { p.Flush() })
-	m := mustNew(t, Config{Mode: ModeMT, Workers: 2, Backend: "perfect"})
-	m.Flush()
-	expectPanic("mt", func() { m.Flush() })
-}
-
-// TestMTPublishesTelemetry closes the MT observability gap: before the
-// pipeline unification, MT.Flush published neither signature occupancy nor
-// per-worker queue depths. Both now flow through the shared merge stage.
-func TestMTPublishesTelemetry(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	pipe := reg.Pipeline("t")
-	m := mustNew(t, Config{Mode: ModeMT, Workers: 2, SlotsPerWorker: 1 << 10, Metrics: pipe})
-	var ts uint64
-	for i := 0; i < 4096; i++ {
-		ts++
-		m.Access(event.Access{Addr: uint64(0x1000 + 8*i), Kind: event.Write, Loc: loc.Pack(1, 1), TS: ts})
-	}
-	res := m.Flush()
-	if got := pipe.Events.Load(); got != 4096 {
-		t.Errorf("events_total = %d, want 4096", got)
-	}
-	if pipe.QueueDepthMax.Load() == 0 {
-		t.Error("queue_depth_max gauge not published")
-	}
-	seen := false
-	for i := 0; i < 2; i++ {
-		if pipe.QueueDepth[i].Load() > 0 {
-			seen = true
-		}
-	}
-	if !seen {
-		t.Error("no per-worker queue-depth gauge published")
-	}
-	if pipe.SigOccupancyPermille.Load() == 0 {
-		t.Error("signature occupancy gauge not published")
-	}
-	if len(res.WorkerEvents) != 2 {
-		t.Errorf("WorkerEvents = %v, want per-worker counts", res.WorkerEvents)
+	for _, mode := range []Mode{ModeSerial, ModeParallel, ModeMT} {
+		p := mustNew(t, Config{Mode: mode, Workers: 2, Backend: "perfect"})
+		p.Flush()
+		expectPanic(mode.String(), func() { p.Flush() })
 	}
 }
 
 // TestMTDupCollapse: the target's threads collapse consecutive identical
-// reads as they copy a batch into the rings (spread's filter). The
-// profile is byte-identical — the engine replays the multiplicity — and the
-// per-event adapter, a batch of one with nothing to collapse, gives the same.
+// reads as they copy a batch into the rings (spread's filter): of dupReads'
+// 5,000 reads in one batch, one survives per BatchSize segment, and with
+// distinct stamps none (reads of different sync epochs stay distinct; equal
+// stamps collapse: TestMTCollapsesStampedReads).
 func TestMTDupCollapse(t *testing.T) {
-	const reads = 5000
-	evs := make([]event.Access, 0, reads+1)
-	evs = append(evs, event.Access{Addr: 0x800, Kind: event.Write, Loc: loc.Pack(1, 1)})
-	for i := 0; i < reads; i++ {
-		// Untimestamped identical reads, as a sequential replay would push.
-		evs = append(evs, event.Access{Addr: 0x800, Kind: event.Read, Loc: loc.Pack(1, 2)})
-	}
-	want := runSerial(t, evs)
-
-	m := mustNew(t, Config{Mode: ModeMT, Workers: 2, Backend: "perfect"})
-	m.AccessBatch(evs, nil)
-	got := m.Flush()
-	depsEqual(t, want.Deps, got.Deps, "mt-collapsed")
-	if got.Stats.Accesses != reads+1 {
-		t.Errorf("accesses = %d, want %d (collapse must preserve logical counts)", got.Stats.Accesses, reads+1)
-	}
-	// One read survives per BatchSize segment of the batch.
-	if segs := uint64((len(evs) + event.BatchSize - 1) / event.BatchSize); got.Stats.DupCollapsed != reads-segs {
-		t.Errorf("DupCollapsed = %d on an all-duplicate stream of %d segments, want %d", got.Stats.DupCollapsed, segs, reads-segs)
-	}
-
-	perEvent := feed(mustNew(t, Config{Mode: ModeMT, Workers: 2, Backend: "perfect"}), evs)
-	depsEqual(t, want.Deps, perEvent.Deps, "mt-per-event")
-	if perEvent.Stats.Accesses != reads+1 {
-		t.Errorf("per-event accesses = %d, want %d", perEvent.Stats.Accesses, reads+1)
-	}
-
-	// With distinct stamps nothing may collapse: the equality covers TS, so
-	// reads from different sync epochs stay distinct. (Equal stamps do
-	// collapse: TestMTCollapsesStampedReads.)
-	m2 := mustNew(t, Config{Mode: ModeMT, Workers: 2, Backend: "perfect"})
-	for i := range evs {
-		evs[i].TS = uint64(i + 1)
-	}
-	m2.AccessBatch(evs, nil)
-	if got2 := m2.Flush(); got2.Stats.DupCollapsed != 0 {
-		t.Errorf("collapsed %d timestamped accesses", got2.Stats.DupCollapsed)
+	evs := dupReads().evs
+	want := uint64(len(evs) - 1 - (len(evs)+event.BatchSize-1)/event.BatchSize)
+	for _, stamped := range []bool{false, true} {
+		if stamped {
+			for i := range evs {
+				evs[i].TS = uint64(i + 1)
+			}
+			want = 0
+		}
+		m := mustNew(t, Config{Mode: ModeMT, Workers: 2, Backend: "perfect"})
+		m.AccessBatch(evs, nil)
+		if got := m.Flush().Stats.DupCollapsed; got != want {
+			t.Errorf("stamped %v: DupCollapsed = %d, want %d", stamped, got, want)
+		}
 	}
 }
 
@@ -203,7 +142,7 @@ func TestDupReadAcrossChunks(t *testing.T) {
 		p := mustNew(t, Config{Mode: ModeParallel, Workers: 1, Backend: "perfect"})
 		p.AccessBatch(evs, nil)
 		got := p.Flush()
-		requireSameProfile(t, tc.name, runSerial(t, evs), got)
+		sameProfile(t, tc.name, feed(mustNew(t, Config{Backend: "perfect"}), evs), got)
 		if got.Stats.DupCollapsed != tc.dup || got.Stats.Accesses != tc.accesses {
 			t.Errorf("%s: collapsed %d of %d accesses, want %d of %d",
 				tc.name, got.Stats.DupCollapsed, got.Stats.Accesses, tc.dup, tc.accesses)
@@ -298,5 +237,111 @@ func TestIdleWorkersPark(t *testing.T) {
 				t.Errorf("after Flush: worker goroutines %q still there", states)
 			}
 		})
+	}
+}
+
+// TestRangeRefWithoutRanges: a RangeRef slot handed over without the ranges
+// it indexes is refused on the caller's goroutine, by every mode, and nothing
+// of its batch is profiled.
+func TestRangeRefWithoutRanges(t *testing.T) {
+	batch := []event.Access{
+		{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 1)},
+		{Kind: event.RangeRef},
+	}
+	for _, mode := range []Mode{ModeSerial, ModeParallel, ModeMT} {
+		for _, one := range []bool{false, true} {
+			p := mustNew(t, Config{Mode: mode, Workers: 2, Backend: "perfect"})
+			func() {
+				const want = "core: AccessBatch: a RangeRef slot without the ranges it indexes"
+				defer func() {
+					if got := recover(); got != want {
+						t.Errorf("%v one=%v: recovered %v, want the refusal %q", mode, one, got, want)
+					}
+				}()
+				if one {
+					p.Access(batch[1])
+				} else {
+					p.AccessBatch(batch, nil)
+				}
+			}()
+			if res := p.Flush(); res.Stats.Accesses != 0 || res.Deps.Unique() != 0 {
+				t.Errorf("%v one=%v: %d accesses, %d dependences profiled from a refused batch", mode, one, res.Stats.Accesses, res.Deps.Unique())
+			}
+		}
+	}
+}
+
+// TestShardedOccupancyReproducer is DESIGN.md's reproducer of the reachable-
+// slots defect: two workers, SlotsPerWorker 1024, 100,000 consecutive words
+// written. Each worker's table is full, so the gauge reads 1000 (it read 500
+// when a worker held 1024 indices and reached 512).
+func TestShardedOccupancyReproducer(t *testing.T) {
+	for _, mode := range []Mode{ModeParallel, ModeMT} {
+		pipe := telemetry.NewRegistry().Pipeline("t")
+		p := mustNew(t, Config{Mode: mode, Workers: 2, SlotsPerWorker: 1024, Metrics: pipe})
+		for i := uint64(0); i < 100_000; i++ {
+			p.Access(event.Access{Kind: event.Write, Addr: 0x1000 + 8*i})
+		}
+		p.Flush()
+		if got := pipe.SigOccupancyPermille.Load(); got != 1000 {
+			t.Errorf("%v: sig_occupancy_permille = %d, want 1000", mode, got)
+		}
+	}
+}
+
+// TestDupCollapsedLive: the collapse count the producers keep reaches
+// dup_collapsed_total while the run is live (a daemon session's /metrics),
+// not only at Flush, and the final counter is Stats.DupCollapsed exactly.
+func TestDupCollapsedLive(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	pipe := reg.Pipeline("t")
+	m := mustNew(t, Config{Mode: ModeParallel, Workers: 2, SlotsPerWorker: 1 << 12, Metrics: pipe})
+	batch := make([]event.Access, 0, event.BatchSize)
+	for i := uint64(0); len(batch)+3 <= cap(batch); i++ {
+		w := event.Access{Addr: 0x1000 + 8*i, Kind: event.Write, Loc: loc.Pack(1, 1)}
+		r := event.Access{Addr: 0x1000 + 8*i, Kind: event.Read, Loc: loc.Pack(1, 2)}
+		batch = append(batch, w, r, r) // the second read collapses
+	}
+	// Feed until the first worker's periodic publication has happened.
+	deadline := time.Now().Add(20 * time.Second)
+	for pipe.DupCollapsed.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("dup_collapsed_total is still 0 before Flush")
+		}
+		for i := 0; i < 256; i++ {
+			m.AccessBatch(batch, nil)
+		}
+	}
+	res := m.Flush()
+	if got := pipe.DupCollapsed.Load(); got != res.Stats.DupCollapsed {
+		t.Errorf("dup_collapsed_total = %d after Flush, Stats.DupCollapsed = %d", got, res.Stats.DupCollapsed)
+	}
+}
+
+// TestRegisteredBackends pins the store choice every binary and daemon
+// session has to the three spec forms, and the §III-B baselines and the
+// retired hybrid tier (EXPERIMENTS.md decision record) to their refusals.
+func TestRegisteredBackends(t *testing.T) {
+	for spec, want := range map[string]string{
+		"":                   "*sig.Signature",
+		"signature":          "*sig.Signature",
+		"signature:slots=4k": "*sig.Signature",
+		"perfect":            "*sig.PerfectSignature",
+	} {
+		if p, err := New(Config{Backend: spec}); err != nil {
+			t.Errorf("%q: %v", spec, err)
+		} else if got := fmt.Sprintf("%T", p.workers[0].eng.Store()); got != want {
+			t.Errorf("%q opens a %s, want %s", spec, got, want)
+		}
+	}
+	const forms = "(want signature, signature:slots=N (k/m/g suffixes) or perfect)"
+	for spec, want := range map[string]string{
+		"shadow":                     `sig: store "shadow" is a §III-B baseline of ddexp stores, not a profiling store ` + forms,
+		"hashtab:buckets=64k":        `sig: store "hashtab" is a §III-B baseline of ddexp stores, not a profiling store ` + forms,
+		"hybrid:slots=1m,exact=4096": `sig: unknown store spec "hybrid:slots=1m,exact=4096" ` + forms,
+	} {
+		if _, err := sig.OpenStore(spec, 0); err == nil || err.Error() != want {
+			t.Errorf("%q: err = %v, want %q", spec, err, want)
+		}
 	}
 }

@@ -116,26 +116,19 @@ func (m *Meta) Stack(ctx uint32) []LoopID {
 // NumCtxs returns the number of interned contexts including the empty one.
 func (m *Meta) NumCtxs() int { return len(m.ctxs) }
 
-// CarriedLoop determines at which loop, if any, a dependence between two
-// dynamic accesses is carried. srcCtx/sinkCtx are the accesses' static
-// contexts; srcIter/sinkIter their packed iteration vectors (innermost
-// counter in the low 16 bits — see event.PackIterVec).
+// CarriedLoopDist determines at which loop, if any, a dependence between two
+// dynamic accesses is carried, and at what distance. srcCtx/sinkCtx are the
+// accesses' static contexts; srcIter/sinkIter their packed iteration vectors
+// (innermost counter in the low 16 bits — see event.PackIterVec).
 //
 // The dependence is carried at the *outermost* common enclosing loop whose
 // iteration counters differ (the outermost non-zero entry of the distance
 // vector). If all common counters are equal the dependence is
-// loop-independent and NoLoop is returned.
-func (m *Meta) CarriedLoop(srcCtx, sinkCtx uint32, srcIter, sinkIter uint64) LoopID {
-	l, _ := m.CarriedLoopDist(srcCtx, sinkCtx, srcIter, sinkIter)
-	return l
-}
-
-// CarriedLoopDist additionally returns the dependence distance: the
-// iteration gap at the carried loop (Alchemist-style dependence-distance
-// profiling). The distance is 0 for loop-independent dependences and is
-// computed modulo 2^16 (the packed counter width). It is its two halves
-// composed: CommonDepth, which depends on the contexts alone, and CarriedAt,
-// the per-instance compare.
+// loop-independent and NoLoop is returned. The distance is the iteration gap
+// at the carried loop (Alchemist-style dependence-distance profiling): 0 for
+// loop-independent dependences, computed modulo 2^16 (the packed counter
+// width). It is its two halves composed: CommonDepth, which depends on the
+// contexts alone, and CarriedAt, the per-instance compare.
 func (m *Meta) CarriedLoopDist(srcCtx, sinkCtx uint32, srcIter, sinkIter uint64) (LoopID, uint32) {
 	return m.CarriedAt(srcCtx, sinkCtx, m.CommonDepth(srcCtx, sinkCtx), srcIter, sinkIter)
 }

@@ -67,12 +67,12 @@ func TestCarriedLoopSingle(t *testing.T) {
 
 	// Same iteration: loop-independent.
 	v5 := event.PackIterVec([]uint32{5})
-	if got := m.CarriedLoop(ca, ca, v5, v5); got != NoLoop {
+	if got, _ := m.CarriedLoopDist(ca, ca, v5, v5); got != NoLoop {
 		t.Errorf("same iteration should be independent, got %d", got)
 	}
 	// Different iterations: carried at a.
 	v6 := event.PackIterVec([]uint32{6})
-	if got := m.CarriedLoop(ca, ca, v5, v6); got != a {
+	if got, _ := m.CarriedLoopDist(ca, ca, v5, v6); got != a {
 		t.Errorf("cross-iteration dep should be carried at %d, got %d", a, got)
 	}
 }
@@ -87,17 +87,17 @@ func TestCarriedLoopNest(t *testing.T) {
 	// Same outer iteration, different inner: carried at inner.
 	src := event.PackIterVec([]uint32{3, 7})
 	sink := event.PackIterVec([]uint32{3, 8})
-	if got := m.CarriedLoop(coi, coi, src, sink); got != inner {
+	if got, _ := m.CarriedLoopDist(coi, coi, src, sink); got != inner {
 		t.Errorf("want carried at inner, got %d", got)
 	}
 	// Different outer iteration: carried at outer (outermost differing).
 	sink = event.PackIterVec([]uint32{4, 7})
-	if got := m.CarriedLoop(coi, coi, src, sink); got != outer {
+	if got, _ := m.CarriedLoopDist(coi, coi, src, sink); got != outer {
 		t.Errorf("want carried at outer, got %d", got)
 	}
 	// Both differ: still the outer loop carries it.
 	sink = event.PackIterVec([]uint32{4, 9})
-	if got := m.CarriedLoop(coi, coi, src, sink); got != outer {
+	if got, _ := m.CarriedLoopDist(coi, coi, src, sink); got != outer {
 		t.Errorf("want carried at outer, got %d", got)
 	}
 }
@@ -113,12 +113,12 @@ func TestCarriedLoopMixedDepths(t *testing.T) {
 	// common loop is outer, same iteration -> independent.
 	src := event.PackIterVec([]uint32{3})
 	sink := event.PackIterVec([]uint32{3, 5})
-	if got := m.CarriedLoop(co, coi, src, sink); got != NoLoop {
+	if got, _ := m.CarriedLoopDist(co, coi, src, sink); got != NoLoop {
 		t.Errorf("same outer iteration should be independent, got %d", got)
 	}
 	// Different outer iterations -> carried at outer.
 	sink = event.PackIterVec([]uint32{4, 0})
-	if got := m.CarriedLoop(co, coi, src, sink); got != outer {
+	if got, _ := m.CarriedLoopDist(co, coi, src, sink); got != outer {
 		t.Errorf("want outer, got %d", got)
 	}
 }
@@ -130,11 +130,11 @@ func TestCarriedLoopDisjointContexts(t *testing.T) {
 	ca := m.PushCtx(0, a)
 	cb := m.PushCtx(0, b)
 	// No common enclosing loop: never carried.
-	if got := m.CarriedLoop(ca, cb, event.PackIterVec([]uint32{1}), event.PackIterVec([]uint32{9})); got != NoLoop {
+	if got, _ := m.CarriedLoopDist(ca, cb, event.PackIterVec([]uint32{1}), event.PackIterVec([]uint32{9})); got != NoLoop {
 		t.Errorf("disjoint loops cannot carry, got %d", got)
 	}
 	// Outside any loop at all.
-	if got := m.CarriedLoop(0, 0, 0, 0); got != NoLoop {
+	if got, _ := m.CarriedLoopDist(0, 0, 0, 0); got != NoLoop {
 		t.Errorf("no loops at all, got %d", got)
 	}
 }
@@ -152,11 +152,11 @@ func TestCarriedLoopSiblingInnerLoops(t *testing.T) {
 
 	src := event.PackIterVec([]uint32{2, 5})  // i=2, j1=5
 	sink := event.PackIterVec([]uint32{2, 0}) // i=2, j2=0
-	if got := m.CarriedLoop(cij1, cij2, src, sink); got != NoLoop {
+	if got, _ := m.CarriedLoopDist(cij1, cij2, src, sink); got != NoLoop {
 		t.Errorf("same i iteration across sibling loops should be independent, got %d", got)
 	}
 	sink = event.PackIterVec([]uint32{3, 0}) // i=3
-	if got := m.CarriedLoop(cij1, cij2, src, sink); got != i {
+	if got, _ := m.CarriedLoopDist(cij1, cij2, src, sink); got != i {
 		t.Errorf("want carried at i, got %d", got)
 	}
 }

@@ -28,7 +28,6 @@ func TestSignatureCommitsOnWriteOnly(t *testing.T) {
 	if pages, _ := committed(g); pages != 0 {
 		t.Fatalf("fresh signature has %d committed pages", pages)
 	}
-	other := NewSignature(1 << 21)
 	for i := uint64(0); i < 1<<21; i += 1000 {
 		addr := 0x7000 + 8*i
 		if _, ok := g.LookupWrite(addr); ok {
@@ -39,11 +38,11 @@ func TestSignatureCommitsOnWriteOnly(t *testing.T) {
 		}
 		g.Remove(addr)
 	}
-	if g.Occupancy() != 0 || g.Intersect(other) != 0 {
+	if g.Occupancy() != 0 {
 		t.Fatal("fresh signature is not empty")
 	}
 	if pages, _ := committed(g); pages != 0 {
-		t.Fatalf("Lookup/Remove/Occupancy/Intersect committed %d pages", pages)
+		t.Fatalf("Lookup/Remove/Occupancy committed %d pages", pages)
 	}
 
 	// seq-serial's footprint: 34 k contiguous words, half through the Store
@@ -70,14 +69,11 @@ func TestSignatureCommitsOnWriteOnly(t *testing.T) {
 	}
 	g.Remove(0x7008)
 	g.Remove(0x7008 + 8*(1<<20))
-	if g.Intersect(other) != 0 || g.Occupancy() == 0 {
+	if g.Occupancy() == 0 {
 		t.Fatal("scan results wrong after fill")
 	}
 	if after, _ := committed(g); after != pages {
 		t.Fatalf("probes after the fill moved committed pages %d -> %d", pages, after)
-	}
-	if op, _ := committed(other); op != 0 {
-		t.Fatalf("Intersect committed %d pages in its argument", op)
 	}
 }
 
@@ -162,7 +158,7 @@ type flatSig struct {
 func (f *flatSig) idx(addr uint64) uint64 { return (addr >> 3) % uint64(len(f.w)) }
 
 // TestSignatureMatchesFlatReference: on random fills and removals the paged,
-// masked table answers every probe, Occupancy and Intersect exactly as the
+// masked table answers every probe and Occupancy exactly as the
 // flat modulo-indexed arrays do — at power-of-two counts (mask), others
 // (modulo), and both sides of the page size.
 func TestSignatureMatchesFlatReference(t *testing.T) {
@@ -170,7 +166,7 @@ func TestSignatureMatchesFlatReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(slots)))
 		// The first keeps stamps and the second does not: probes of the one
 		// return them whole (any 32-bit stamp, event.MaxTS), of the other as
-		// 0, and Intersect spans the two layouts.
+		// 0.
 		sigs := [2]*Signature{NewSignature(slots), NewSignature(slots)}
 		sigs[0].KeepStamps()
 		flats := [2]*flatSig{{make([]Slot, slots), make([]Slot, slots)}, {make([]Slot, slots), make([]Slot, slots)}}
@@ -211,16 +207,12 @@ func TestSignatureMatchesFlatReference(t *testing.T) {
 				f.w[f.idx(addr)], f.r[f.idx(addr)] = Slot{}, Slot{}
 			}
 		}
-		both := 0
 		for which, g := range sigs {
 			f := flats[which]
 			used := 0
 			for i := range f.w {
 				if !f.w[i].Empty() {
 					used++
-					if which == 0 && !flats[1].w[i].Empty() {
-						both++
-					}
 				}
 			}
 			if got, want := g.Occupancy(), float64(used)/float64(slots); got != want {
@@ -237,12 +229,6 @@ func TestSignatureMatchesFlatReference(t *testing.T) {
 					t.Fatalf("%d slots: cell of %#x differs from the flat reference", slots, addr)
 				}
 			}
-		}
-		if got := sigs[0].Intersect(sigs[1]); got != both {
-			t.Errorf("%d slots: Intersect = %d, flat reference %d", slots, got, both)
-		}
-		if got := sigs[1].Intersect(sigs[0]); got != both {
-			t.Errorf("%d slots: Intersect (reversed) = %d, flat reference %d", slots, got, both)
 		}
 	}
 }

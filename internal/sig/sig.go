@@ -473,27 +473,3 @@ func (g *Signature) Occupancy() float64 {
 	}
 	return float64(used) / float64(g.m)
 }
-
-// Intersect returns the number of slot indices populated (write side) in both
-// signatures — the "disambiguation" operation of the transactional-memory
-// signature abstraction (§III-B). Both signatures must have equal slot
-// counts and the same shard rule; if an element was inserted into both, its
-// slot is guaranteed to be counted.
-func (g *Signature) Intersect(o *Signature) int {
-	if o == nil || o.m != g.m || o.shift != g.shift || o.div != g.div {
-		return 0
-	}
-	n := 0
-	for pi, pg := range g.pages {
-		opg := o.pages[pi]
-		if opg == nil {
-			continue
-		}
-		for k, end := uint64(0), g.indices(pg); k < end; k++ {
-			if g.written(pg, k) && o.written(opg, k) {
-				n++
-			}
-		}
-	}
-	return n
-}

@@ -276,30 +276,6 @@ func TestMeasuredTracksEq2(t *testing.T) {
 	}
 }
 
-func TestSignatureIntersect(t *testing.T) {
-	a := NewSignature(1 << 12)
-	b := NewSignature(1 << 12)
-	s := PackSlot(loc.Pack(1, 1), 0, 0, 0, 0, 0)
-	// Insert 10 common addresses and some private ones.
-	for i := uint64(0); i < 10; i++ {
-		a.SetWrite(i*8, s)
-		b.SetWrite(i*8, s)
-	}
-	for i := uint64(100); i < 120; i++ {
-		a.SetWrite(i*7919, s)
-	}
-	got := a.Intersect(b)
-	if got < 10 {
-		t.Errorf("Intersect = %d; common elements must always be present (no false negatives)", got)
-	}
-	if a.Intersect(nil) != 0 {
-		t.Error("Intersect(nil) should be 0")
-	}
-	if a.Intersect(NewSignature(8)) != 0 {
-		t.Error("Intersect with mismatched size should be 0")
-	}
-}
-
 func TestSignatureHashUniformity(t *testing.T) {
 	// Sequential word addresses (the common case: array sweeps) must spread
 	// across slots, not cluster. Chi-squared-ish sanity check.

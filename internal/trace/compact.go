@@ -19,8 +19,7 @@ package trace
 // Compactor serializes its callers the way SyncWriter does, so it can be
 // installed directly as the hook of a multi-threaded recording run (where
 // distinct timestamps keep runs from forming, and events simply pass
-// through). A target proven single-threaded takes the Unlocked hook instead
-// and skips the mutex.
+// through).
 
 import (
 	"sync"
@@ -56,15 +55,6 @@ func (c *Compactor) Access(a event.Access) {
 	c.access(&a)
 	c.mu.Unlock()
 }
-
-// Unlocked returns the same Compactor as a hook that does not take the mutex
-// per event — for recording runs whose target provably calls the hook from
-// one thread only. Count, Flush, Close and Err stay on the Compactor.
-func (c *Compactor) Unlocked() event.Hook { return (*unlockedCompactor)(c) }
-
-type unlockedCompactor Compactor
-
-func (u *unlockedCompactor) Access(a event.Access) { (*Compactor)(u).access(&a) }
 
 // access extends the open run or flushes and restarts it.
 func (c *Compactor) access(a *event.Access) {

@@ -245,7 +245,7 @@ func fuzzStream(data []byte) []fuzzRec {
 
 // FuzzWriterEquivalence is the differential fuzzer of the slab encoder: for
 // any record stream Writer must emit the oracle's bytes exactly — directly,
-// through AccessBatch, and through the Compactor, locked and unlocked, at the
+// through AccessBatch, and through the Compactor, at the
 // default slab and at the floor (where every record straddles a flush) — and
 // Reader must decode them back to the stream that went in, counting the
 // define records the oracle wrote.
@@ -371,7 +371,7 @@ func checkWriterEquivalence(t *testing.T, data []byte) {
 		}
 	}
 
-	// Compactor ≡ oracle compactor over the point records, both hooks.
+	// Compactor ≡ oracle compactor over the point records.
 	want.Reset()
 	oc := &oracleCompactor{w: newOracleWriter(&want)}
 	for _, rc := range recs {
@@ -381,18 +381,14 @@ func checkWriterEquivalence(t *testing.T, data []byte) {
 	}
 	oc.flush()
 	oc.w.bw.Flush()
-	for i, unlocked := range []bool{false, true, false, true} {
+	for _, slab := range []int{0, 1} { // the default slab, then the floor
 		var got bytes.Buffer
-		w, _ := NewWriterSize(&got, i/2) // the default slab, then the floor
+		w, _ := NewWriterSize(&got, slab)
 		c := NewCompactor(w)
-		var hook event.Hook = c
-		if unlocked {
-			hook = c.Unlocked()
-		}
 		var n uint64
 		for _, rc := range recs {
 			if !rc.isRange {
-				hook.Access(rc.a)
+				c.Access(rc.a)
 				n++
 			}
 		}
@@ -403,7 +399,7 @@ func checkWriterEquivalence(t *testing.T, data []byte) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("unlocked=%v: Compactor bytes differ from the oracle's (%d vs %d bytes)", unlocked, got.Len(), want.Len())
+			t.Fatalf("slab %d: Compactor bytes differ from the oracle's (%d vs %d bytes)", slab, got.Len(), want.Len())
 		}
 	}
 }
@@ -711,15 +707,14 @@ func TestEncodeAllocs(t *testing.T) {
 	}
 	// A stream that compacts: runs open, extend and flush as ranges.
 	run := event.Access{Addr: 0x4000, Kind: event.Read, Loc: loc.Pack(1, 9)}
-	hook := c.Unlocked()
 	if n := testing.AllocsPerRun(10000, func() {
 		run.Addr += 8
 		if run.Addr&0xff == 0 {
 			run.Loc++
 		}
-		hook.Access(run)
+		c.Access(run)
 	}); n != 0 {
-		t.Errorf("Compactor.Unlocked().Access: %v allocs per event", n)
+		t.Errorf("Compactor.Access on a compacting stream: %v allocs per event", n)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -757,11 +752,7 @@ func BenchmarkEncode(b *testing.B) {
 		{"writer", func(w *Writer) (event.Hook, func() error) { return w, w.Close }},
 		{"writer-batch", func(w *Writer) (event.Hook, func() error) { return batchFeed{w}, w.Close }},
 		{"syncwriter-batch", func(w *Writer) (event.Hook, func() error) { s := NewSyncWriter(w); return batchFeed{s}, s.Close }},
-		{"compactor-locked", func(w *Writer) (event.Hook, func() error) { c := NewCompactor(w); return c, c.Close }},
-		{"compactor-unlocked", func(w *Writer) (event.Hook, func() error) {
-			c := NewCompactor(w)
-			return c.Unlocked(), c.Close
-		}},
+		{"compactor", func(w *Writer) (event.Hook, func() error) { c := NewCompactor(w); return c, c.Close }},
 	}
 	for _, h := range hooks {
 		b.Run(h.name, func(b *testing.B) {

@@ -416,12 +416,16 @@ func TestUserFunctionArityError(t *testing.T) {
 }
 
 // TestWorkloadEquivalence is the broad pin: every sequential workload
-// program's event stream must be byte-identical under both executors.
+// program's event stream must be byte-identical under both executors. Its
+// scale, 0.5, is internal/core's goldenWorkloadScale, at which core's
+// fixtures pin the profiles of the interpreter's streams: this test is what
+// pins the VM's streams, and so every profile production computes from them,
+// to those fixtures.
 func TestWorkloadEquivalence(t *testing.T) {
 	for _, w := range workloads.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			p := w.Build(workloads.Config{Scale: 0.25, Threads: 4})
+			p := w.Build(workloads.Config{Scale: 0.5, Threads: 4})
 			expectSame(t, p, interp.Options{})
 		})
 	}
