@@ -60,36 +60,16 @@ loc:
 		internal $$(n internal \( -path internal/exp $(foreach o,$(ORACLES),-o -path $(o)) \) -prune -o) \
 		internal/exp $$(n internal/exp) oracles $$(n $(ORACLES)) total $$(n .)
 
-# Short fuzz pass over the hardened decoders (trace, framing, server), the
-# slab trace encoder against its reference, the dependence-set fast-update
-# API the instance cache relies on and the shard merge the pipelines' merge
-# stage runs (FuzzSetMergeEquivalence guards production: core's merge is
-# dep.MergeShards), the engine's two store arms against each other and its
-# run kernel (ProcessRun, which folds adjacent duplicate reads) against one
-# Process call per event, on point streams over a signature and over the
-# perfect table, with and without the race check, the MT pipeline's
-# batch seam cut at random against the exact reference, the
-# closed store-spec set (sig.OpenStore: signature, signature:slots=N up to
-# sig.MaxSlots, perfect) every -backend, -slots and session handshake goes
-# through, a worker's sharded signature against the unsharded one it stands
-# for, and the perfect table against the two Go maps it replaced.
+# Short fuzz pass: 10 s of every Fuzz* in the tree, each package's found with
+# `go test -list`, so a new fuzzer is fuzzed without being listed here.
 # Plain `go test` already replays each fuzzer's f.Add seeds and the corpora
-# committed under testdata/fuzz/ (the wire-facing decoders, minilang, vm, the
-# sharded signature, the perfect table). The
-# trace corpora are generated: after a wire change,
-# `go test ./internal/trace -run TestSeedCorpus -update` rewrites them.
+# committed under testdata/fuzz/. The trace corpora are generated: after a
+# wire change, `go test ./internal/trace -run TestSeedCorpus -update`
+# rewrites them.
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzEngineArms -fuzztime=10s ./internal/core/
-	$(GO) test -run=^$$ -fuzz=FuzzMTBatchEquivalence -fuzztime=10s ./internal/core/
-	$(GO) test -run=^$$ -fuzz=FuzzBackendSpec -fuzztime=10s ./internal/sig/
-	$(GO) test -run=^$$ -fuzz=FuzzShardedSignature -fuzztime=10s ./internal/sig/
-	$(GO) test -run=^$$ -fuzz=FuzzPerfectStore -fuzztime=10s ./internal/sig/
-	$(GO) test -run=^$$ -fuzz=FuzzReplay -fuzztime=10s ./internal/trace/
-	$(GO) test -run=^$$ -fuzz=FuzzRangeFrame -fuzztime=10s ./internal/trace/
-	$(GO) test -run=^$$ -fuzz=FuzzFrames -fuzztime=10s ./internal/trace/
-	$(GO) test -run=^$$ -fuzz=FuzzNextBatch -fuzztime=10s ./internal/trace/
-	$(GO) test -run=^$$ -fuzz=FuzzWriterEquivalence -fuzztime=10s ./internal/trace/
-	$(GO) test -run=^$$ -fuzz=FuzzHandshake -fuzztime=10s ./internal/server/
-	$(GO) test -run=^$$ -fuzz=FuzzFastUpdate -fuzztime=10s ./internal/dep/
-	$(GO) test -run=^$$ -fuzz=FuzzSetMergeEquivalence -fuzztime=10s ./internal/dep/
-	$(GO) test -run=^$$ -fuzz=FuzzVMEquivalence -fuzztime=10s ./internal/vm/
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	echo "$$list" | awk '/^Fuzz/ { f = f " " $$1 } /^ok/ { if (f != "") print $$2 f; f = "" }' | \
+	while read pkg fuzzers; do for f in $$fuzzers; do \
+		echo "== $$f ($$pkg)"; \
+		$(GO) test -run='^$$' -fuzz="^$$f\$$" -fuzztime=10s $$pkg || exit 1; \
+	done; done

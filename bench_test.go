@@ -311,7 +311,7 @@ func hotPathStream(events int) ([]event.Access, *prog.Meta) {
 		evs = append(evs,
 			ev(at(it), event.Write, 12, 0),
 			// x = a[i]*a[i]: the same read twice in one iteration — the
-			// consecutive-duplicate shape the producer filter collapses.
+			// consecutive-duplicate shape the engine's run kernel folds.
 			ev(at(it), event.Read, 13, 0),
 			ev(at(it), event.Read, 13, 0),
 			// sum += a[i]: carried reduction RAW.
@@ -390,7 +390,7 @@ func ptrChaseStream(events int) ([]event.Access, *prog.Meta) {
 // the MT pipeline on a dependence-dense stream handed over in executor-sized
 // batches (mt4-access: one event at a time), plus the parallel pipeline on
 // a strided sweep, a mixed sweep and a pointer chase (no duplicate reads to
-// collapse, cold stores). A developer tool: `go test -run '^$' -bench
+// fold, cold stores). A developer tool: `go test -run '^$' -bench
 // BenchmarkHotPath .` on both commits; the numbers of record are ddbench's.
 //
 // All pipelines run with telemetry attached, so the benchmark prices the
@@ -440,7 +440,7 @@ func BenchmarkHotPath(b *testing.B) {
 	mt4 := core.Config{Mode: core.ModeMT, Workers: 4, SlotsPerWorker: 1 << 18, Meta: meta}
 	b.Run("mt4", func(b *testing.B) { run(b, stream, mt4, batched) })
 	// The per-event adapter (tests, library callers): a run of one per event
-	// and nothing collapsed on the way, so its price stays visible.
+	// and nothing folded, so its price stays visible.
 	b.Run("mt4-access", func(b *testing.B) { run(b, stream, mt4, perEvent) })
 	strided, stridedMeta := stridedStream(1 << 16)
 	mixed, mixedMeta := mixedStream(1 << 16)

@@ -164,7 +164,7 @@ type Result struct {
 	// Races is the number of dependences flagged as potential data races
 	// (ModeMT only).
 	Races int
-	// Stats exposes pipeline counters (collapsed reads, store bytes).
+	// Stats exposes pipeline counters (accesses, cache hits, store bytes).
 	Stats core.RunStats
 	// Mode is the mode the run used: Config.Mode, or ModeMT because the
 	// target spawns threads.

@@ -198,7 +198,8 @@ func loopUnionStream() *equivStream {
 }
 
 // dupReads is one write and 5,000 identical untimestamped reads of its word,
-// as a sequential replay pushes them: the duplicate-read filter's whole diet.
+// as a sequential replay pushes them: the engine's duplicate-read fold's whole
+// diet.
 func dupReads() *equivStream {
 	evs := []event.Access{{Addr: 0x800, Kind: event.Write, Loc: loc.Pack(1, 1)}}
 	for i := 0; i < 5000; i++ {
@@ -228,8 +229,8 @@ func producerEdges() *equivStream {
 			evs = append(evs, event.Access{Addr: a - 8, Kind: event.Read, Loc: loc.Pack(1, 12), CtxID: ctx, IterVec: iv(it)})
 		}
 		if it%5 == 0 {
-			// Re-read the current address: the duplicate filter's shape, then
-			// a distinct-location read of the same address (not collapsible).
+			// Re-read the current address: a duplicate read the engine folds,
+			// then a distinct-location read of the same address (not foldable).
 			evs = append(evs,
 				event.Access{Addr: a, Kind: event.Read, Loc: loc.Pack(1, 12), CtxID: ctx, IterVec: iv(it)},
 				event.Access{Addr: a, Kind: event.Read, Loc: loc.Pack(1, 12), CtxID: ctx, IterVec: iv(it)},
@@ -296,7 +297,7 @@ func compressRuns(evs []event.Access) *rangedStream {
 	for i := 0; i < len(evs); {
 		a := evs[i]
 		n := 1
-		if a.Kind <= event.Remove && a.Rep == 0 && i+1 < len(evs) {
+		if a.Kind <= event.Remove && i+1 < len(evs) {
 			r := event.Range{
 				Base: a.Addr, Stride: evs[i+1].Addr - a.Addr, TS: a.TS,
 				IterVec: a.IterVec, IterDelta: evs[i+1].IterVec - a.IterVec,
@@ -336,20 +337,19 @@ func rangeEdges() *equivStream {
 		mkr(0x20000, 64, 333, 73, event.Write, 0),     // stride a multiple of W: one owner
 		mkr(0x33000, -8, 500, 74, event.Write, 9),     // descending
 		mkr(0x44440, 0, 200, 75, event.Write, 0),      // zero stride: repeated address
-		mkr(0x44440, 0, 200, 79, event.Read, 0),       // zero stride reads: the duplicate filter's shape
+		mkr(0x44440, 0, 200, 79, event.Read, 0),       // zero stride reads: duplicate reads
 		mkr(0x51234, 12, 400, 76, event.Write, 0),     // unaligned stride
 		mkr(0x60000, 8, 1, 77, event.Write, 0),        // single element
 		mkr(0x60000, 8, 0, 77, event.Write, 0),        // empty
 		mkr(^uint64(0)-64, 8, 30, 78, event.Write, 0), // wraps 2^64
 	} {
 		s.rng(r)
-		// Points abutting the range: a read of its last element that repeats
-		// (the second arrives pre-collapsed, as the trace decoder hands it
-		// over), then the element's storage is freed.
+		// Points abutting the range: a read of its last element, repeated
+		// four times, then the element's storage is freed.
 		rd := event.Access{Addr: r.Last(), Kind: event.Read, Loc: loc.Pack(7, 80), CtxID: ctx}
-		s.point(rd)
-		rd.Rep = 2
-		s.point(rd)
+		for range 4 {
+			s.point(rd)
+		}
 		s.point(event.Access{Addr: r.Last(), Kind: event.Remove})
 	}
 	// The hot phase: ten addresses with one owner at every tested worker
@@ -369,8 +369,8 @@ func rangeEdges() *equivStream {
 // in its AccessBatch form: per-thread non-decreasing epochs that collide
 // across threads (so the race rule's equal-epoch arm fires), half the
 // traffic on four addresses of one owner (so one ring runs hot), reads that
-// repeat (so the consumer-side collapse fires), collapsed reads, removes,
-// and strided runs.
+// repeat (so the engine's fold fires), runs of up to seven identical reads,
+// removes, and strided runs.
 func mtBatchStream(r *rand.Rand, n int) *rangedStream {
 	s := &rangedStream{}
 	var epoch [4]uint64
@@ -393,7 +393,10 @@ func mtBatchStream(r *rand.Rand, n int) *rangedStream {
 		case k == 0:
 			a.Kind = event.Remove
 		case k == 1:
-			a.Rep = uint16(r.Intn(5))
+			for rep := r.Intn(5); rep > 0; rep-- {
+				s.point(a)
+				events++
+			}
 		case k == 2:
 			run := event.Range{Base: a.Addr, Stride: 8 * uint64(r.Intn(3)), Count: uint32(r.Intn(40)),
 				TS: a.TS, IterVec: a.IterVec, IterDelta: 1, Loc: a.Loc, Var: a.Var, Thread: th,

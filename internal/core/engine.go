@@ -176,13 +176,12 @@ func (e *Engine) Store() sig.Store { return e.store }
 func (e *Engine) Process(a event.Access) { e.ProcessRun([]event.Access{a}) }
 
 // ProcessRun runs evs through Algorithm 1 in order, reading each event where
-// it lies, and returns the data accesses they stand for: a write is one, a
-// read 1+Rep (a collapsed read stands for 1+Rep identical reads against the
-// same, unchanged write slot: 1+Rep instances of the same RAW). Kinds other
-// than the data kinds and Remove are skipped.
+// it lies, and returns the data accesses among them. Kinds other than the
+// data kinds and Remove are skipped.
 //
-// A stretch of adjacent reads that match in every field Algorithm 1 reads
-// (sameRead) takes one store probe and records its summed multiplicity once.
+// A stretch of n adjacent reads that match in every field Algorithm 1 reads
+// (sameRead) takes one store probe and records n instances of its RAW once.
+// This is the pipeline's only duplicate-read fold.
 // The fold is exact on every store, colliding signatures included: no event
 // lies between the reads, so each would find the slots the one before it
 // left, build the same RAW and install the same read slot. Only the
@@ -208,10 +207,10 @@ func (e *Engine) ProcessRun(evs []event.Access) (accesses uint64) {
 			}
 			c.SetW(e.write(c.W(), c.R(), a))
 		case event.Read:
-			n := 1 + uint64(a.Rep)
+			n := uint64(1)
 			for i+1 < len(evs) && sameRead(&evs[i+1], a) {
 				i++
-				n += 1 + uint64(evs[i].Rep)
+				n++
 			}
 			accesses += n
 			var c sig.Cell
@@ -236,8 +235,8 @@ func (e *Engine) ProcessRun(evs []event.Access) (accesses uint64) {
 }
 
 // sameRead reports whether b is a read that matches read a in every field
-// Algorithm 1 reads; their Reps may differ. Addr leads the comparison because
-// it is what differs between neighbours.
+// Algorithm 1 reads. Addr leads the comparison because it is what differs
+// between neighbours.
 func sameRead(b, a *event.Access) bool {
 	return b.Addr == a.Addr && b.Kind == event.Read && b.IterVec == a.IterVec &&
 		b.Loc == a.Loc && b.TS == a.TS && b.Var == a.Var &&

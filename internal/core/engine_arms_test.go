@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -46,7 +47,7 @@ func armsMeta() *prog.Meta {
 
 // armsOps decodes fuzz bytes, eight per op, into engine operations over a
 // 64 Ki-word window, so every tested slot count sees collisions and several
-// pages: point reads (which may carry Rep > 0), writes and removes, and
+// pages: point reads, writes and removes, and
 // repeats of the last read, exact or with one field changed, so the run
 // kernel meets both folds and near-misses. An op with b[0]&0x80 set ends a
 // run: runs lists where the kernel's runs end.
@@ -97,9 +98,6 @@ func armsOp(b []byte, ts *uint64) event.Access {
 	switch sel := b[0] & 7; {
 	case sel <= 2, sel == 7: // 7 with no read to repeat yet
 		a.Kind = event.Read
-		if b[0]&0x40 != 0 {
-			a.Rep = uint16(b[6])
-		}
 	case sel <= 5:
 		a.Kind = event.Write
 	default:
@@ -112,13 +110,8 @@ func armsOp(b []byte, ts *uint64) event.Access {
 }
 
 // armsRepeat decodes a repeat of read prev: exact, or with one field changed
-// (b[1] % 10 picks which). Its Rep is fresh, so a fold sums repetition counts
-// past what one event holds.
+// (b[1] % 10 picks which; 0 and 9 leave it exact).
 func armsRepeat(a event.Access, b []byte) event.Access {
-	a.Rep = 0
-	if b[0]&0x40 != 0 {
-		a.Rep = event.MaxRep - uint16(b[6]&3) // near the most one event holds
-	}
 	d := uint64(b[2]&3) + 1
 	switch b[1] % 10 {
 	case 1:
@@ -137,22 +130,18 @@ func armsRepeat(a event.Access, b []byte) event.Access {
 		a.Var ^= loc.VarID(d)
 	case 8:
 		a.CtxID = (a.CtxID + 1) % 3
-	case 9:
-		a.Rep = uint16(b[6])
 	}
 	return a
 }
 
 // armsFolds counts the reads of ops the run kernel may fold into the read
-// before them: the same in every field but Rep, within one run. An
-// independent twin of the kernel's test: whole-struct equality.
+// before them: the same in every field, within one run. An independent twin
+// of the kernel's test: whole-struct equality.
 func armsFolds(ops []event.Access, runs []int) (folds uint64) {
 	lo := 0
 	for _, hi := range runs {
 		for i := lo + 1; i < hi; i++ {
-			p, q := ops[i-1], ops[i]
-			p.Rep, q.Rep = 0, 0
-			if p == q && q.Kind == event.Read {
+			if ops[i-1] == ops[i] && ops[i].Kind == event.Read {
 				folds++
 			}
 		}
@@ -179,8 +168,7 @@ func FuzzEngineArms(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xA4, 0xFF, 0xFF, 3, 0x2E, 0x21, 47, 0x83, 0x46, 0xFF, 0xFF, 3, 0x2E, 0x21, 200, 0x81, 6, 0xFF, 0xFF, 0, 0, 0, 0, 0}, 4))
 	// Stamps step across 2^48 both ways between two threads.
 	f.Add(bytes.Repeat([]byte{0x14, 7, 0, 1, 0, 0, 0, 0x41, 0x10, 7, 0, 2, 1, 0, 0, 0x01, 0x13, 7, 0, 3, 1, 0, 0, 0x42, 0x14, 7, 0, 1, 0, 0, 0, 0x81}, 3))
-	// A write, then a read and its exact repeats, some near MaxRep, in one
-	// run; then, per field, a read, its exact repeat, a near-miss in that
+	// A write, then a read and its exact repeats, in one run; then, per field, a read, its exact repeat, a near-miss in that
 	// field and the near-miss's exact repeat, ending a run.
 	f.Add(append([]byte{3, 9, 0, 1, 0x15, 2, 3, 1, 0x40, 9, 0, 2, 0x15, 2, 3, 1},
 		bytes.Repeat([]byte{7, 0, 0, 0, 0, 0, 0, 0, 0x47, 0, 0, 0, 0, 0, 1, 0}, 4)...))
@@ -270,10 +258,7 @@ func checkArms(t *testing.T, name string, open func() fusable, ops []event.Acces
 	for i := range ops {
 		a := &ops[i]
 		touched[a.Addr] = struct{}{}
-		switch a.Kind {
-		case event.Read:
-			want += 1 + uint64(a.Rep)
-		case event.Write:
+		if a.Kind <= event.Write {
 			want++
 		}
 	}
@@ -372,7 +357,6 @@ func TestInstanceTemplate(t *testing.T) {
 		{name: "sink iteration", snk: func(a *event.Access) { a.IterVec++ }, same: true},
 		{name: "sink stamp", snk: func(a *event.Access) { a.TS++ }, same: true},
 		{name: "sink kind", snk: func(a *event.Access) { a.Kind = event.Write }, same: true},
-		{name: "sink repetitions", snk: func(a *event.Access) { a.Rep = 3 }, same: true},
 		{name: "other flag bits", snk: func(a *event.Access) { a.Flags |= 0xFC }, same: true},
 	} {
 		s, a := src, snk
@@ -441,8 +425,6 @@ func TestProcessAllocFree(t *testing.T) {
 func TestProcessRunFoldsDuplicateReads(t *testing.T) {
 	w := wr(0x100, 1)
 	r := rd(0x100, 2)
-	r5 := r
-	r5.Rep = 5
 	other := r
 	other.IterVec++
 	for _, tc := range []struct {
@@ -452,7 +434,7 @@ func TestProcessRunFoldsDuplicateReads(t *testing.T) {
 		probes   uint64 // every dependence instance recorded
 		raws     uint64 // RAW 2<-1 instances
 	}{
-		{"exact", []event.Access{w, r, r, r5, r}, 10, 2, 9},
+		{"exact", append([]event.Access{w}, slices.Repeat([]event.Access{r}, 9)...), 10, 2, 9},
 		{"near-miss", []event.Access{w, r, other, r}, 4, 4, 3},
 		{"write between", []event.Access{w, r, w, r}, 4, 5, 2},
 	} {

@@ -17,8 +17,8 @@ package core
 //   - a tight sharded signature: residueReference;
 //   - the pinned rows, besides: the committed fixtures, goldens.json (serial
 //     and mt4 profile digests) and transport_counters.json (each pinned
-//     mode's duplicate-read collapses and instance-cache misses, which move
-//     with the ring geometry while the profile does not).
+//     mode's instance-cache misses, which move with the worker count while
+//     the profile does not).
 //
 // Regenerate the fixtures (only when an intentional change is made) with:
 //
@@ -77,7 +77,7 @@ type equivStream struct {
 	group    uint8
 	meta     *prog.Meta
 	evs      []event.Access
-	accesses uint64     // Σ 1+Rep over the data events: every run's Stats.Accesses
+	accesses uint64     // the data events: every run's Stats.Accesses
 	threaded bool       // two threads, or a stamp going back: pairs for the race rule
 	mu       sync.Mutex // rows run in parallel: guards wire and refs
 	wire     *rangedStream
@@ -88,7 +88,7 @@ func newStream(name string, group uint8, meta *prog.Meta, evs []event.Access) *e
 	s := &equivStream{name: name, group: group, meta: meta, evs: evs, refs: map[string]*Result{}}
 	for i, a := range evs {
 		if a.Kind <= event.Write {
-			s.accesses += 1 + uint64(a.Rep)
+			s.accesses++
 		}
 		s.threaded = s.threaded || a.Thread != evs[0].Thread || i > 0 && a.TS < evs[i-1].TS
 	}
@@ -126,7 +126,7 @@ func (s *equivStream) fed(w int) []uint64 {
 	out := make([]uint64, w)
 	for _, a := range s.evs {
 		if a.Kind <= event.Write {
-			out[ownerOf(a.Addr, w, powerOfTwoMask(w))] += 1 + uint64(a.Rep)
+			out[ownerOf(a.Addr, w, powerOfTwoMask(w))]++
 		}
 	}
 	return out
@@ -171,15 +171,13 @@ func capture(p *minilang.Program) ([]event.Access, error) {
 
 // seam is one way of handing a stream to a profiler.
 type seam struct {
-	name      string
-	perEvent  bool // one Access per event: nothing can collapse
-	collapses bool // batches hold the stream's repeats of reads side by side
-	wire      bool // hands over the wire form: its ranges count
-	feed      func(*Profiler, *equivStream)
+	name string
+	wire bool // hands over the wire form: its ranges count
+	feed func(*Profiler, *equivStream)
 }
 
 var (
-	seamEvent = seam{name: "event", perEvent: true, feed: func(p *Profiler, s *equivStream) {
+	seamEvent = seam{name: "event", feed: func(p *Profiler, s *equivStream) {
 		for _, a := range s.evs {
 			p.Access(a)
 		}
@@ -187,7 +185,7 @@ var (
 	// seamThreads is how the fixtures feed: a batch ends where the stream
 	// changes threads, as a target thread's does (the executors' also end at
 	// release operations, which a recording does not show).
-	seamThreads = seam{name: "threads", collapses: true, feed: func(p *Profiler, s *equivStream) {
+	seamThreads = seam{name: "threads", feed: func(p *Profiler, s *equivStream) {
 		for evs := s.evs; len(evs) > 0; {
 			n := 1
 			for n < len(evs) && evs[n].Thread == evs[0].Thread {
@@ -198,33 +196,20 @@ var (
 		}
 	}}
 	seamUneven = seam{name: "uneven", feed: feedUneven}
-	seamCuts   = seam{name: "cuts", collapses: true, wire: true, feed: feedCuts}
-	seamRanges = seam{name: "ranges", collapses: true, wire: true, feed: func(p *Profiler, s *equivStream) {
+	seamCuts   = seam{name: "cuts", wire: true, feed: feedCuts}
+	seamRanges = seam{name: "ranges", wire: true, feed: func(p *Profiler, s *equivStream) {
 		w := s.wireForm()
 		p.AccessBatch(w.slots, w.rngs)
 	}}
 )
 
-// feedUneven hands s over in batches of 1, 7 and 1024 events in turn, each
-// exact repeat of a read first folded into the read before it as a
-// repetition count: the shape the trace decoder's duplicate filter hands
-// over.
+// feedUneven hands s over in batches of 1, 7 and 1024 events in turn.
 func feedUneven(p *Profiler, s *equivStream) {
-	var batch []event.Access
-	for i, a := range s.evs {
-		if n := len(batch) - 1; n >= 0 && a.Kind == event.Read && a.Rep == 0 && batch[n].Rep < event.MaxRep {
-			if a.Rep = batch[n].Rep; a == batch[n] {
-				batch[n].Rep++
-				continue
-			}
-			a.Rep = 0
-		}
-		if batch = append(batch, a); len(batch) >= [...]int{1, 7, 1024}[i%3] {
-			p.AccessBatch(batch, nil)
-			batch = batch[:0]
-		}
+	for i, evs := 0, s.evs; len(evs) > 0; i++ {
+		n := min(len(evs), [...]int{1, 7, 1024}[i%3])
+		p.AccessBatch(evs[:n], nil)
+		evs = evs[n:]
 	}
-	p.AccessBatch(batch, nil)
 }
 
 // feedCuts hands s's wire form over cut at random points, seeded by the
@@ -361,8 +346,8 @@ func TestEquivalence(t *testing.T) {
 // pass without showing (the serial profile of every stream, held to the
 // emptied cache's, hits the instance cache).
 func runRow(t *testing.T, r row, streams []*equivStream, pin func(*equivStream, *Result)) {
-	var dups, ranges uint64
-	reversed, everyFed, suite, threaded := 0, false, false, false
+	var ranges uint64
+	reversed, everyFed, threaded := 0, false, false
 	for _, s := range streams {
 		if s.group&r.streams == 0 {
 			continue
@@ -382,15 +367,13 @@ func runRow(t *testing.T, r row, streams []*equivStream, pin func(*equivStream, 
 			t.Errorf("%s: the exact store's profile: the signature is not tight", s.name)
 		}
 		pin(s, got)
-		dups, ranges, reversed = dups+got.Stats.DupCollapsed, ranges+got.Stats.Ranges, reversed+countReversed(got.Deps)
+		ranges, reversed = ranges+got.Stats.Ranges, reversed+countReversed(got.Deps)
 		everyFed = everyFed || r.c.cfg.Mode != ModeSerial && !slices.Contains(got.WorkerEvents, 0)
-		suite, threaded = suite || s.group&gSuite != 0, threaded || s.threaded
+		threaded = threaded || s.threaded
 	}
 	switch {
 	case r.c.cfg.Mode != ModeSerial && !everyFed:
 		t.Error("no stream fed every worker")
-	case r.c.cfg.Mode != ModeSerial && r.sm.collapses && suite && dups == 0:
-		t.Error("no duplicate read collapsed on the way into the rings")
 	case r.sm.wire && ranges == 0:
 		t.Error("no range handed over: the ranges are not tested")
 	case r.c.race() && !r.c.tight && threaded && reversed == 0:
@@ -417,10 +400,10 @@ func reference(t *testing.T, c rowConfig, s *equivStream) (string, *Result) {
 }
 
 // exactRef is the reference of every exact store: s through one Engine over
-// the perfect table with nothing in front of it — no routing, no collapse,
-// no run kernel — and its instance cache emptied before every event, so
-// every instance is classified afresh and goes through the dependence set's
-// and the loop aggregates' Ref: Algorithm 1 with a map operation per
+// the perfect table with nothing in front of it — no routing, no run kernel
+// and so no fold — and its instance cache emptied before every event, so every
+// instance is classified afresh and goes through the dependence set's and the
+// loop aggregates' Ref: Algorithm 1 with a map operation per
 // instance and no memo. A race check on a stream with no pairs to judge is
 // the stream's race-free profile.
 func exactRef(t *testing.T, s *equivStream, race bool) *Result {
@@ -475,8 +458,8 @@ func run(t *testing.T, c rowConfig, sm seam, s *equivStream) *Result {
 }
 
 // checkRun holds a run to what every run keeps, whatever its reference: it
-// counts every access, each worker processes what ownerOf routes to it, a
-// per-event seam collapses nothing, the ranges handed over are counted, a
+// counts every access, each worker processes what ownerOf routes to it, the
+// ranges handed over are counted, a
 // signature's W workers hold its slots between them
 // when W divides them, and a telemetry sink's final counters and gauges are
 // the run's and its stores'.
@@ -495,11 +478,9 @@ func checkRun(t *testing.T, c rowConfig, sm seam, s *equivStream, p *Profiler, r
 	}
 	switch {
 	case st.Accesses != s.accesses:
-		t.Errorf("%s: %d accesses, want Σ(1+Rep) = %d", s.name, st.Accesses, s.accesses)
+		t.Errorf("%s: %d accesses, want %d", s.name, st.Accesses, s.accesses)
 	case c.cfg.Mode != ModeSerial && !slices.Equal(res.WorkerEvents, s.fed(w)):
 		t.Errorf("%s: WorkerEvents %v, want what ownerOf routes, %v", s.name, res.WorkerEvents, s.fed(w))
-	case sm.perEvent && st.DupCollapsed != 0:
-		t.Errorf("%s: %d reads collapsed from one-event batches", s.name, st.DupCollapsed)
 	case st.Ranges != ranges || st.RangeElements != elems:
 		t.Errorf("%s: %d ranges of %d elements counted, want %d of %d", s.name, st.Ranges, st.RangeElements, ranges, elems)
 	}
@@ -535,7 +516,6 @@ func checkRun(t *testing.T, c rowConfig, sm seam, s *equivStream, p *Profiler, r
 		got, want uint64
 	}{
 		{"events_total", pipe.Events.Load(), st.Accesses},
-		{"dup_collapsed_total", pipe.DupCollapsed.Load(), st.DupCollapsed},
 		{"dep_cache_hits_total", pipe.DepCacheHits.Load(), st.DepCacheHits},
 		{"dep_cache_probes_total", pipe.DepCacheProbes.Load(), st.DepCacheProbes},
 		{"ranges_total", pipe.Ranges.Load(), st.Ranges},
@@ -613,14 +593,6 @@ func mustNew(t testing.TB, cfg Config) *Profiler {
 	return p
 }
 
-// feed pushes a stream through a profiler one event at a time and flushes.
-func feed(p *Profiler, evs []event.Access) *Result {
-	for _, a := range evs {
-		p.Access(a)
-	}
-	return p.Flush()
-}
-
 // FuzzMTBatchEquivalence is the cuts seam under the fuzz engine (in `make
 // fuzz`): the seed picks an mtBatchStream, an MT configuration — up to 70
 // workers, more rings than a segment has events — and the cuts, and the run
@@ -662,12 +634,11 @@ func digestResult(res *Result) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// transportCounters renders a mode's deterministic counters: the duplicate
-// reads collapsed on the way into the rings and the engines' instance-cache
-// misses. A miss count does not depend on how a worker's stream was cut into
-// runs: a read the run kernel folds would have hit.
+// transportCounters renders a mode's deterministic counter: the engines'
+// instance-cache misses. A miss count does not depend on how a worker's
+// stream was cut into runs: a read the run kernel folds would have hit.
 func transportCounters(res *Result) string {
-	return fmt.Sprintf("dup %d miss %d", res.Stats.DupCollapsed, res.Stats.DepCacheProbes-res.Stats.DepCacheHits)
+	return fmt.Sprintf("miss %d", res.Stats.DepCacheProbes-res.Stats.DepCacheHits)
 }
 
 // fixture holds got to the committed fixture file at path, or with

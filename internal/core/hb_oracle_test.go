@@ -235,7 +235,7 @@ var executors = []struct {
 
 // profileMT profiles p, executed by run with sync-epoch stamps, in a 2-worker
 // MT profiler: handed the executor's batches, or one event at a time
-// (perEvent), runs of one in which nothing can collapse.
+// (perEvent), runs of one in which nothing can fold.
 func profileMT(t *testing.T, run runFunc, p *minilang.Program, perEvent bool) *Result {
 	m := mustNew(t, Config{Mode: ModeMT, Workers: 2, Backend: "perfect", Meta: p.Meta})
 	var hook event.Hook = m

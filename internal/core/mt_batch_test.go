@@ -9,8 +9,6 @@ import (
 	"ddprof/internal/dep"
 	"ddprof/internal/event"
 	"ddprof/internal/loc"
-	"ddprof/internal/vm"
-	"ddprof/internal/workloads"
 )
 
 // TestMTOrderingInvariant holds MT to the invariant its doc states. Four
@@ -83,21 +81,6 @@ func TestMTOrderingInvariant(t *testing.T) {
 	}
 }
 
-// TestMTCollapsesStampedReads: with sync-epoch stamps a thread's identical
-// reads carry identical stamps, so spread collapses them in a real timestamped
-// run — and the profile stays byte-identical to the same run delivered one
-// event at a time, runs of one in which nothing can collapse.
-func TestMTCollapsesStampedReads(t *testing.T) {
-	w, _ := workloads.ByName("rgbyuv")
-	p := w.Build(workloads.Config{Scale: 0.1})
-	want, got := profileMT(t, vm.Run, p, true), profileMT(t, vm.Run, p, false)
-	sameProfile(t, "mt-stamped-collapse", want, got)
-	if want.Stats.DupCollapsed != 0 || got.Stats.DupCollapsed == 0 {
-		t.Errorf("DupCollapsed = %d in batches, %d per event; want > 0 and 0",
-			got.Stats.DupCollapsed, want.Stats.DupCollapsed)
-	}
-}
-
 // TestMTRunsLongerThanRing: three threads hand 512-event batches to three
 // workers whose rings hold 64 events, so every run is published in parts and
 // producers wait on one another's space — with and without the Figure 5
@@ -150,7 +133,7 @@ func TestMTBatchAllocFree(t *testing.T) {
 		for i := uint64(0); len(batch)+3 <= cap(batch); i++ {
 			w := event.Access{Addr: 0x1000 + 8*i, Kind: event.Write, Loc: loc.Pack(1, 1), TS: 1}
 			r := event.Access{Addr: 0x1000 + 8*i, Kind: event.Read, Loc: loc.Pack(1, 2), TS: 1}
-			batch = append(batch, w, r, r) // the second read collapses
+			batch = append(batch, w, r, r) // the engine folds the second read
 		}
 		for i := 0; i < 400; i++ {
 			m.AccessBatch(batch, nil)
@@ -158,9 +141,7 @@ func TestMTBatchAllocFree(t *testing.T) {
 		if n := testing.AllocsPerRun(400, func() { m.AccessBatch(batch, nil) }); n != 0 {
 			t.Errorf("%v: AccessBatch allocates %.1f times per %d-event batch, want 0", mode, n, len(batch))
 		}
-		if res := m.Flush(); res.Stats.DupCollapsed == 0 {
-			t.Errorf("%v: no duplicate read collapsed", mode)
-		}
+		m.Flush()
 	}
 }
 
@@ -173,9 +154,7 @@ func TestMTFreedAfterFlush(t *testing.T) {
 	freed := make(chan struct{})
 	func() {
 		m := mustNew(t, Config{Mode: ModeParallel, Workers: 4, SlotsPerWorker: 1 << 12})
-		// On a ring, not on the Profiler: it reaches itself (its first
-		// worker points at its lanes), and such an object's finalizer never
-		// runs.
+		// On a ring, which only the profiler holds.
 		runtime.SetFinalizer(m.rings[0], func(*ring) { close(freed) })
 		batch := make([]event.Access, event.BatchSize)
 		for i := range batch {

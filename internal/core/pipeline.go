@@ -8,7 +8,7 @@ package core
 //	      │ AccessBatch() (Access() is the one-event case)
 //	┌─────▼──────┐  per BatchSize segment, on the target's thread: RangeRef
 //	│   spread   │  expansion, the refusals, then routing (ownerOf),
-//	└─────┬──────┘  duplicate-read collapse, one claimed run per owner
+//	└─────┬──────┘  one claimed run per owner
 //	      │ runs copied into the owners' MPSC rings (ModeSerial: the segment
 //	      │ goes straight to its one engine, on the caller's thread)
 //	┌─────▼──────┐  read by its worker in place; Config.LockBased puts a
@@ -16,8 +16,8 @@ package core
 //	└─────┬──────┘  an empty ring parks its worker, a full one its producers
 //	      │ event batches
 //	┌─────▼──────┐  the flush sentinel, one Engine each, one ProcessRun
-//	│   worker   │  call per batch (exact duplicate reads left by spread
-//	└─────┬──────┘  fold there)
+//	│   worker   │  call per batch (adjacent exact duplicate reads fold
+//	└─────┬──────┘  there)
 //	      │ engines, counters
 //	┌─────▼──────┐  dep-set merge, loop-agg union, store/queue/cache
 //	│   merge    │  accounting, occupancy + queue-depth publication
@@ -176,30 +176,18 @@ func (r *ring) unlock() {
 
 // put copies the events of seg that idx lists into the ring, in order, as one
 // claimed run, published part by part: one part unless the run wraps or
-// outgrows the ring. An exact duplicate read folds into the copy before it in
-// its part (dupRead); put returns how many did. The collapse is exact: an
-// access to the same word between the two would have been routed here and
-// broken the match, and the engine replays the multiplicity.
-func (r *ring) put(seg []event.Access, idx []uint16) (dups uint64) {
+// outgrows the ring.
+func (r *ring) put(seg []event.Access, idx []uint16) {
 	for pos := r.q.Claim(len(idx)); len(idx) > 0; {
 		part := r.q.Part(pos, len(idx))
 		r.lock()
-		filled := 0
-		for _, i := range idx[:len(part)] {
-			a := &seg[i]
-			if filled > 0 && a.Kind == event.Read && dupRead(&part[filled-1], a) {
-				part[filled-1].Rep++
-				dups++
-				continue
-			}
-			part[filled] = *a
-			filled++
+		for j, i := range idx[:len(part)] {
+			part[j] = seg[i]
 		}
-		r.q.Publish(pos, len(part), filled)
+		r.q.Publish(pos, len(part))
 		r.unlock()
 		pos, idx = pos+uint64(len(part)), idx[len(part):]
 	}
-	return dups
 }
 
 // pop hands the worker the runs at the head of the ring where they lie, the
@@ -228,8 +216,8 @@ type worker struct {
 	id  int
 	in  *ring // nil in ModeSerial: the engine is driven inline
 	eng *Engine
-	// events counts the logical read/write accesses processed (a collapsed
-	// read stands for 1+Rep of them) — the §IV-A load-balance quantity.
+	// events counts the read/write accesses processed — the §IV-A
+	// load-balance quantity.
 	events uint64
 
 	// telemetry state, all worker-local. m is the telemetry sink (nil
@@ -239,17 +227,13 @@ type worker struct {
 	// periodic in-flight publication and the final merge-time publication add
 	// disjoint deltas to the same counters. maxDepth is the deepest the
 	// ring was seen after a batch: the batch in hand (not freed before the
-	// next pop) plus what is queued behind it. lanes, set on an MT's first
-	// worker only, are the producers' counters; that worker publishes their
-	// collapse counts with its own.
+	// next pop) plus what is queued behind it.
 	m         *telemetry.Pipeline
 	batches   uint64
 	pubEvents uint64
 	pubHits   uint64
 	pubProbes uint64
-	pubDups   uint64
 	maxDepth  int64
-	lanes     *[numLanes]lane
 }
 
 // telemetryPublishEvery is the worker-batch cadence of in-flight telemetry
@@ -266,8 +250,8 @@ func (w *worker) publishEvents() {
 	}
 }
 
-// publishTelemetry pushes this worker's counter deltas (and lanes' collapse
-// count) and its ring's depth high-water mark to the telemetry sink. Called
+// publishTelemetry pushes this worker's counter deltas and its ring's depth
+// high-water mark to the telemetry sink. Called
 // from the worker loop periodically and from the merge stage after the flush
 // barrier; the watermarks make the two publication paths add up exactly once.
 func (w *worker) publishTelemetry() {
@@ -283,14 +267,6 @@ func (w *worker) publishTelemetry() {
 		w.m.DepCacheProbes.Add(d)
 	}
 	w.pubHits, w.pubProbes = hits, probes
-	if w.lanes != nil {
-		dups := uint64(0)
-		for l := range w.lanes {
-			dups += w.lanes[l].collapsed.Load()
-		}
-		w.m.DupCollapsed.Add(dups - w.pubDups)
-		w.pubDups = dups
-	}
 	if w.in != nil {
 		w.m.ObserveQueueDepth(w.id, w.maxDepth)
 	}
@@ -384,13 +360,6 @@ func (p *Profiler) merge(stats RunStats) *Result {
 	res.Deps = dep.MergeShards(sets)
 	res.Loops = loopDepsOf(aggs)
 	return res
-}
-
-// dupRead reports whether read a, uncollapsed itself, repeats last exactly
-// (sameRead) and last's repetition count has room for it — the duplicate-read
-// test of ring.put.
-func dupRead(last, a *event.Access) bool {
-	return sameRead(last, a) && a.Rep == 0 && last.Rep != event.MaxRep
 }
 
 // ownerOf is the modulo rule of Equation 1. The paper uses `address % W` on

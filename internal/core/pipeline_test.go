@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -96,60 +97,6 @@ func TestDoubleFlushPanicsEveryMode(t *testing.T) {
 	}
 }
 
-// TestMTDupCollapse: the target's threads collapse consecutive identical
-// reads as they copy a batch into the rings (spread's filter): of dupReads'
-// 5,000 reads in one batch, one survives per BatchSize segment, and with
-// distinct stamps none (reads of different sync epochs stay distinct; equal
-// stamps collapse: TestMTCollapsesStampedReads).
-func TestMTDupCollapse(t *testing.T) {
-	evs := dupReads().evs
-	want := uint64(len(evs) - 1 - (len(evs)+event.BatchSize-1)/event.BatchSize)
-	for _, stamped := range []bool{false, true} {
-		if stamped {
-			for i := range evs {
-				evs[i].TS = uint64(i + 1)
-			}
-			want = 0
-		}
-		m := mustNew(t, Config{Mode: ModeMT, Workers: 2, Backend: "perfect"})
-		m.AccessBatch(evs, nil)
-		if got := m.Flush().Stats.DupCollapsed; got != want {
-			t.Errorf("stamped %v: DupCollapsed = %d, want %d", stamped, got, want)
-		}
-	}
-}
-
-// TestDupReadAcrossChunks: the duplicate-read filter looks back within the
-// BatchSize chunk of the caller's batch that spread is routing. A repeat of
-// the read that ended a chunk opens the next one uncollapsed, and still
-// counts; one event earlier in the stream, both repeats collapse. The profile
-// is serial's either way.
-func TestDupReadAcrossChunks(t *testing.T) {
-	for _, tc := range []struct {
-		name          string
-		fill          int // writes ahead of the three identical reads
-		dup, accesses uint64
-	}{
-		{"straddling", event.BatchSize - 2, 1, event.BatchSize + 1},
-		{"inside", event.BatchSize - 3, 2, event.BatchSize},
-	} {
-		var evs []event.Access
-		for i := 0; i < tc.fill; i++ {
-			evs = append(evs, event.Access{Addr: 0x1000 + 8*uint64(i), Kind: event.Write, Loc: loc.Pack(1, 1)})
-		}
-		rd := event.Access{Addr: 0x1000, Kind: event.Read, Loc: loc.Pack(1, 2)}
-		evs = append(evs, rd, rd, rd)
-		p := mustNew(t, Config{Mode: ModeParallel, Workers: 1, Backend: "perfect"})
-		p.AccessBatch(evs, nil)
-		got := p.Flush()
-		sameProfile(t, tc.name, feed(mustNew(t, Config{Backend: "perfect"}), evs), got)
-		if got.Stats.DupCollapsed != tc.dup || got.Stats.Accesses != tc.accesses {
-			t.Errorf("%s: collapsed %d of %d accesses, want %d of %d",
-				tc.name, got.Stats.DupCollapsed, got.Stats.Accesses, tc.dup, tc.accesses)
-		}
-	}
-}
-
 func TestImbalance(t *testing.T) {
 	if got := Imbalance(nil); got != 1 {
 		t.Errorf("empty = %v", got)
@@ -198,44 +145,40 @@ func workerStates(t *testing.T) []string {
 
 // TestIdleWorkersPark: a pipelined profiler's workers with nothing to do are
 // parked on their rings, not runnable — within a second of New and again
-// after a batch — and Flush still joins every one of them.
+// after a batch — and Flush still joins every one of them: within a second of
+// it no worker goroutine is left (Flush returns once each worker's deferred
+// Done has run, which can be just before its goroutine exits).
 func TestIdleWorkersPark(t *testing.T) {
 	const workers = 4
 	for _, mode := range []Mode{ModeParallel, ModeMT} {
 		t.Run(mode.String(), func(t *testing.T) {
 			p := mustNew(t, Config{Mode: mode, Workers: workers})
-			allParked := func(when string) {
+			await := func(when, want string, ok func(states []string) bool) {
 				t.Helper()
 				var states []string
 				for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
-					states = workerStates(t)
-					parked := 0
-					for _, s := range states {
-						if s == "chan receive" {
-							parked++
-						}
-					}
-					if len(states) == workers && parked == workers {
+					if states = workerStates(t); ok(states) {
 						return
 					}
 				}
-				t.Fatalf("%s: worker states %q, want %d parked (chan receive)", when, states, workers)
+				t.Fatalf("%s: worker states %q, want %s", when, states, want)
 			}
-			allParked("after New")
+			allParked := func(states []string) bool {
+				return len(states) == workers && !slices.ContainsFunc(states, func(s string) bool { return s != "chan receive" })
+			}
+			await("after New", "4 parked (chan receive)", allParked)
 
 			batch := make([]event.Access, event.BatchSize)
 			for i := range batch {
 				batch[i] = event.Access{Addr: uint64(i) * 8, Loc: loc.Pack(1, i%7+1), Kind: event.Kind(i & 1), TS: 1}
 			}
 			p.AccessBatch(batch, nil)
-			allParked("after one batch")
+			await("after one batch", "4 parked (chan receive)", allParked)
 
 			if res := p.Flush(); res.Stats.Accesses != event.BatchSize {
 				t.Errorf("Flush: %d accesses, want %d", res.Stats.Accesses, event.BatchSize)
 			}
-			if states := workerStates(t); len(states) != 0 {
-				t.Errorf("after Flush: worker goroutines %q still there", states)
-			}
+			await("after Flush", "none left", func(states []string) bool { return len(states) == 0 })
 		})
 	}
 }
@@ -286,35 +229,6 @@ func TestShardedOccupancyReproducer(t *testing.T) {
 		if got := pipe.SigOccupancyPermille.Load(); got != 1000 {
 			t.Errorf("%v: sig_occupancy_permille = %d, want 1000", mode, got)
 		}
-	}
-}
-
-// TestDupCollapsedLive: the collapse count the producers keep reaches
-// dup_collapsed_total while the run is live (a daemon session's /metrics),
-// not only at Flush, and the final counter is Stats.DupCollapsed exactly.
-func TestDupCollapsedLive(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	pipe := reg.Pipeline("t")
-	m := mustNew(t, Config{Mode: ModeParallel, Workers: 2, SlotsPerWorker: 1 << 12, Metrics: pipe})
-	batch := make([]event.Access, 0, event.BatchSize)
-	for i := uint64(0); len(batch)+3 <= cap(batch); i++ {
-		w := event.Access{Addr: 0x1000 + 8*i, Kind: event.Write, Loc: loc.Pack(1, 1)}
-		r := event.Access{Addr: 0x1000 + 8*i, Kind: event.Read, Loc: loc.Pack(1, 2)}
-		batch = append(batch, w, r, r) // the second read collapses
-	}
-	// Feed until the first worker's periodic publication has happened.
-	deadline := time.Now().Add(20 * time.Second)
-	for pipe.DupCollapsed.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("dup_collapsed_total is still 0 before Flush")
-		}
-		for i := 0; i < 256; i++ {
-			m.AccessBatch(batch, nil)
-		}
-	}
-	res := m.Flush()
-	if got := pipe.DupCollapsed.Load(); got != res.Stats.DupCollapsed {
-		t.Errorf("dup_collapsed_total = %d after Flush, Stats.DupCollapsed = %d", got, res.Stats.DupCollapsed)
 	}
 }
 

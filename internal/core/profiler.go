@@ -31,8 +31,8 @@ import (
 // ring — one claim, one publication (spread) — not the paper's push per
 // access from inside the target's lock region (Figure 4) that made its MT
 // profiling slow (Figure 6). The target's threads route by the fixed ownerOf
-// rule and collapse duplicate reads as they copy a batch in, so they share
-// nothing but the rings; the workers read the runs in place.
+// rule as they copy a batch in, so they share nothing but the rings; the
+// workers read the runs in place.
 //
 // Ordering invariant: if access a happens-before access b on the same
 // address, a's positions are claimed in the owner's ring before b's — a's
@@ -49,27 +49,10 @@ type Profiler struct {
 	m         *telemetry.Pipeline
 	wg        sync.WaitGroup
 	flushed   bool
-
-	// lanes stripes the producers' counters by target thread, off each
-	// other's cache lines and the fields above, hence the pad.
-	_     [64]byte
-	lanes [numLanes]lane
-}
-
-// numLanes is the number of producer lanes; a target thread uses lane
-// Thread & (numLanes-1). Threads that share a lane stay correct (the
-// counters are atomic), they just share a line again.
-const numLanes = 16
-
-// lane is one producer lane's counters, alone on their cache lines (128
-// bytes: no two lanes' counters share a line at any 8-byte alignment, and
-// the adjacent-line prefetcher pairs lines).
-type lane struct {
-	// collapsed counts the duplicate reads the lane's producers folded away,
-	// added once per batch; ranges and rangeElems the data ranges they
-	// expanded (RunStats.Ranges, RangeElements).
-	collapsed, ranges, rangeElems atomic.Uint64
-	_                             [104]byte
+	// ranges and rangeElems count the data ranges the producers expanded
+	// (RunStats.Ranges, RangeElements): one bump per range, rare enough to
+	// share.
+	ranges, rangeElems atomic.Uint64
 }
 
 // spreadRows is spread's scratch: the segment's cnt[w] events for ring w are
@@ -125,9 +108,6 @@ func New(cfg Config) (*Profiler, error) {
 		}
 		p.workers = append(p.workers, w)
 	}
-	// The first worker publishes the producers' collapse counts with its own
-	// counters, in flight and at the merge (publishTelemetry).
-	p.workers[0].lanes = &p.lanes
 	if p.rings != nil {
 		p.wMask = powerOfTwoMask(len(p.rings))
 		for _, w := range p.workers {
@@ -177,9 +157,8 @@ func (p *Profiler) AccessBatch(accesses []event.Access, ranges []event.Range) {
 // segments and spreads those: a range costs what its points in a batch would.
 func (p *Profiler) expandRange(r *event.Range) {
 	if r.Count > 0 && (r.Kind == event.Read || r.Kind == event.Write) {
-		l := &p.lanes[r.Thread&(numLanes-1)]
-		l.ranges.Add(1)
-		l.rangeElems.Add(uint64(r.Count))
+		p.ranges.Add(1)
+		p.rangeElems.Add(uint64(r.Count))
 		if p.m != nil {
 			p.m.Ranges.Inc()
 			p.m.RangeElements.Add(uint64(r.Count))
@@ -225,16 +204,12 @@ func (p *Profiler) spread(seg []event.Access) {
 	if stamps > event.MaxTS && p.raceCheck {
 		refuseStamps()
 	}
-	dups := uint64(0)
 	for w, n := range cnt {
 		if n > 0 {
-			dups += p.rings[w].put(seg, idx[w*event.BatchSize:][:n])
+			p.rings[w].put(seg, idx[w*event.BatchSize:][:n])
 		}
 	}
 	rowsPool.Put(rows)
-	if dups > 0 {
-		p.lanes[seg[0].Thread&(numLanes-1)].collapsed.Add(dups)
-	}
 }
 
 // runInline is ModeSerial's worker: the checked segment goes to the engine's
@@ -270,15 +245,7 @@ func (p *Profiler) Flush() *Result {
 		r.q.Push(event.Access{Kind: event.Flush})
 	}
 	p.wg.Wait()
-
-	var stats RunStats
-	for i := range p.lanes {
-		l := &p.lanes[i]
-		stats.DupCollapsed += l.collapsed.Load()
-		stats.Ranges += l.ranges.Load()
-		stats.RangeElements += l.rangeElems.Load()
-	}
-	return p.merge(stats)
+	return p.merge(RunStats{Ranges: p.ranges.Load(), RangeElements: p.rangeElems.Load()})
 }
 
 // Result is the merged output of a profiling run.
@@ -323,12 +290,11 @@ type RunStats struct {
 	// bench/ harness reads Chunks; they go with ROADMAP item 1(c).
 	Chunks        uint64
 	ControlChunks uint64
-	// DupCollapsed is the number of consecutive duplicate reads collapsed
-	// into repetition counts by the transport: the target's threads as they
-	// copy a batch into the rings. The collapsed accesses still count in
-	// Accesses and in every dependence count. The engine's own folds of
-	// adjacent exact duplicates (Engine.ProcessRun) are exact and not
-	// counted here; they show only as fewer instance-cache probes.
+	// DupCollapsed is always 0: nothing collapses reads on the way to the
+	// engines, whose own fold of adjacent exact duplicates
+	// (Engine.ProcessRun) shows only as fewer instance-cache probes. The
+	// field stays only because the frozen bench/ harness reads it; it goes
+	// with ROADMAP item 1(c).
 	DupCollapsed uint64
 	// DepCacheHits / DepCacheProbes report the engines' instance-cache
 	// performance: a hit records a dependence instance without any map

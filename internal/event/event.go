@@ -69,17 +69,7 @@ type Access struct {
 	Thread  int32         // target-program thread ID
 	Kind    Kind
 	Flags   Flags
-	// Rep is the number of *additional* identical repetitions this event
-	// stands for. The parallel producer collapses consecutive identical reads
-	// to one event with Rep > 0 instead of occupying chunk slots with copies;
-	// the engine replays the multiplicity into the dependence counts, so the
-	// profile is byte-identical to the uncollapsed stream. Only meaningful on
-	// Read events; the field occupies struct padding, so Access stays 48 bytes.
-	Rep uint16
 }
-
-// MaxRep is the largest repetition count one collapsed event can carry.
-const MaxRep = ^uint16(0)
 
 // Flags carry per-access attributes.
 type Flags uint8
@@ -104,7 +94,7 @@ const (
 //	Addr    = Base + j*Stride      (wrapping uint64 arithmetic)
 //	IterVec = IterVec + j*IterDelta
 //
-// with every other field (TS included) shared by all elements and Rep = 0.
+// with every other field (TS included) shared by all elements.
 // Stride is a wrapping delta, so descending runs are Stride = -8 cast to
 // uint64; Stride = 0 encodes repeated accesses to one address. A range is
 // shorthand for its elements in order at its position in the stream, and the

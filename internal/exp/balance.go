@@ -34,7 +34,7 @@ func dealRoundRobin(evs []event.Access, w int) []uint64 {
 	n := 0
 	for i := range evs {
 		if evs[i].Kind <= event.Write {
-			counts[n/event.ChunkSize%w] += 1 + uint64(evs[i].Rep)
+			counts[n/event.ChunkSize%w]++
 			n++
 		}
 	}
@@ -106,12 +106,10 @@ func dealRedistributed(evs []event.Access, w, every int) (counts []uint64, migra
 		a := &evs[i]
 		to := owner(a.Addr)
 		if a.Kind <= event.Write {
-			n := 1 + uint64(a.Rep)
-			counts[to] += n
-			for k := (sampled+n)>>4 - sampled>>4; k > 0; k-- {
+			counts[to]++
+			if sampled++; sampled%16 == 0 {
 				heavy.Offer(a.Addr)
 			}
-			sampled += n
 		}
 		if fill[to]++; fill[to] < event.ChunkSize {
 			continue

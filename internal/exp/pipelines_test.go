@@ -10,9 +10,9 @@ import (
 
 // TestHotPathByteIdenticalOnSuite holds the pipelines' shortcuts to the
 // profiler without them on every workload in the suite: the parallel pipeline
-// (producer duplicate-read filter, per-worker engines, merge) and the MT
-// pipeline must produce dependence sets and LoopDeps byte-identical to the
-// serial profiler's, which has no producer and so no filter.
+// (routing, per-worker engines, merge) and the MT pipeline must produce
+// dependence sets and LoopDeps byte-identical to the serial profiler's, which
+// has no producer and one engine.
 func TestHotPathByteIdenticalOnSuite(t *testing.T) {
 	opt := small().norm()
 	for _, w := range workloads.All() {

@@ -92,11 +92,10 @@ func (q *SPSC[T]) Cap() int { return len(q.buf) }
 
 // runHdr describes the run published at one ring position: seq is position+1
 // once the run is there (never the value a later lap waits for, so headers need
-// no reset), covered the positions it spans, filled how many of them, from the
-// first, hold elements.
+// no reset), n the positions it spans.
 type runHdr struct {
-	seq             atomic.Uint64
-	covered, filled uint32
+	seq atomic.Uint64
+	n   uint32
 }
 
 // peekMax is how many positions Peek coalesces behind the head run: enough to
@@ -259,14 +258,13 @@ func (q *MPSC[T]) waitRoom(pos, end uint64) uint64 {
 	}
 }
 
-// Publish hands the part at pos to the consumer with one store: it covers
-// len(part) positions, and the first filled >= 1 of them hold elements (fewer
-// than covered when the producer merged elements as it copied). It wakes the
-// consumer if it is parked waiting for this part. Exactly one Publish can
-// claim a park announcement, so the wake channel never holds two tokens.
-func (q *MPSC[T]) Publish(pos uint64, covered, filled int) {
+// Publish hands the part at pos, its n = len(part) elements, to the consumer
+// with one store. It wakes the consumer if it is parked waiting for this part.
+// Exactly one Publish can claim a park announcement, so the wake channel never
+// holds two tokens.
+func (q *MPSC[T]) Publish(pos uint64, n int) {
 	h := &q.hdr[pos&q.mask]
-	h.covered, h.filled = uint32(covered), uint32(filled)
+	h.n = uint32(n)
 	h.seq.Store(pos + 1)
 	if q.waiter.Load() == pos+1 && q.waiter.CompareAndSwap(pos+1, 0) {
 		q.wake <- struct{}{}
@@ -277,7 +275,7 @@ func (q *MPSC[T]) Publish(pos uint64, covered, filled int) {
 func (q *MPSC[T]) Push(v T) {
 	pos := q.Claim(1)
 	q.Part(pos, 1)[0] = v
-	q.Publish(pos, 1, 1)
+	q.Publish(pos, 1)
 }
 
 // release frees everything handed out so far with one head store, and wakes
@@ -310,15 +308,12 @@ func (q *MPSC[T]) Peek() []T {
 	q.release()
 	h := q.next
 	lo := h & q.mask
-	hi := lo
 	for hd := &q.hdr[lo]; hd.seq.Load() == h+1; hd = &q.hdr[h&q.mask] {
-		h += uint64(hd.covered)
-		hi += uint64(hd.filled)
-		if hd.filled != hd.covered || h&q.mask == 0 || h-q.next >= peekMax {
+		if h += uint64(hd.n); h&q.mask == 0 || h-q.next >= peekMax {
 			break
 		}
 	}
-	q.next, q.out = h, q.buf[lo:hi]
+	q.next, q.out = h, q.buf[lo:lo+h-q.next]
 	return q.out
 }
 

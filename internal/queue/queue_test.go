@@ -178,12 +178,12 @@ func TestPointerReleaseForGC(t *testing.T) {
 func TestMPSCPeekClearsOnRelease(t *testing.T) {
 	q := NewMPSC[*int](4)
 	x := new(int)
-	pos := q.Claim(3)
-	part := q.Part(pos, 3)
+	pos := q.Claim(2)
+	part := q.Part(pos, 2)
 	part[0], part[1] = x, x
-	q.Publish(pos, 3, 2)
-	if got := q.Peek(); len(got) != 2 || got[0] != x || q.Len() != 3 {
-		t.Fatalf("Peek = %v with Len %d, want the 2 elements of a 3-position run", got, q.Len())
+	q.Publish(pos, 2)
+	if got := q.Peek(); len(got) != 2 || got[0] != x || q.Len() != 2 {
+		t.Fatalf("Peek = %v with Len %d, want the 2 elements of a 2-position run", got, q.Len())
 	}
 	if got := q.Peek(); len(got) != 0 || q.buf[0] != nil || q.buf[1] != nil || q.Len() != 0 {
 		t.Fatalf("after release: Peek = %v, slots %v, Len %d", got, q.buf[:2], q.Len())
@@ -191,21 +191,20 @@ func TestMPSCPeekClearsOnRelease(t *testing.T) {
 }
 
 // TestMPSCRunLayout walks one producer through the ring's corner cases by hand:
-// a merged run (filled < covered) ends a Peek, a run splits at the end of the
-// array, TryPop drains a run element by element, and gapless runs behind the
-// head coalesce up to peekMax positions.
+// gapless runs behind the head coalesce, a run splits at the end of the array,
+// TryPop drains a run element by element, and coalescing stops at peekMax
+// positions.
 func TestMPSCRunLayout(t *testing.T) {
 	q := NewMPSC[int](8)
-	put := func(n, filled, first int) (parts []int) {
+	put := func(n, first int) (parts []int) {
 		for pos := q.Claim(n); n > 0; {
 			part := q.Part(pos, n)
-			k := min(filled, len(part))
-			for i := range part[:k] {
+			for i := range part {
 				part[i] = first + i
 			}
-			q.Publish(pos, len(part), k)
+			q.Publish(pos, len(part))
 			parts = append(parts, len(part))
-			pos, n, filled, first = pos+uint64(len(part)), n-len(part), filled-k, first+k
+			pos, n, first = pos+uint64(len(part)), n-len(part), first+len(part)
 		}
 		return parts
 	}
@@ -215,11 +214,11 @@ func TestMPSCRunLayout(t *testing.T) {
 			t.Fatalf("%s = %v, want %v", what, got, want)
 		}
 	}
-	expect("parts of 5 at 0", put(5, 3, 10), 5)
-	expect("parts of 2 at 5", put(2, 2, 20), 2)
-	expect("first Peek (merged run: no coalescing)", q.Peek(), 10, 11, 12)
-	expect("second Peek", q.Peek(), 20, 21)
-	expect("parts of 4 at 7", put(4, 4, 30), 1, 3) // into the 5 positions the second Peek freed
+	expect("parts of 5 at 0", put(5, 10), 5)
+	expect("parts of 2 at 5", put(2, 20), 2)
+	expect("first Peek (two runs coalesced)", q.Peek(), 10, 11, 12, 13, 14, 20, 21)
+	expect("second Peek (nothing published)", q.Peek())
+	expect("parts of 4 at 7", put(4, 30), 1, 3) // into the 7 positions the second Peek freed
 	expect("third Peek (to the end of the array)", q.Peek(), 30)
 	for want := 31; want <= 33; want++ {
 		if v, ok := q.TryPop(); !ok || v != want {
@@ -239,7 +238,7 @@ func TestMPSCRunLayout(t *testing.T) {
 	}
 	big = NewMPSC[int](1024)
 	for pos, n := big.Claim(700), 700; n > 0; n = 0 {
-		big.Publish(pos, len(big.Part(pos, n)), n)
+		big.Publish(pos, len(big.Part(pos, n)))
 	}
 	if n := len(big.Peek()); n != 700 {
 		t.Errorf("Peek cut a 700-element run to %d", n)
@@ -290,7 +289,7 @@ func TestMPSCBulkClaimStress(t *testing.T) {
 					for k := range part {
 						part[k] = claimItem{producer: p, run: r, idx: i + k, n: n}
 					}
-					q.Publish(pos, len(part), len(part))
+					q.Publish(pos, len(part))
 					pos, i = pos+uint64(len(part)), i+len(part)
 				}
 			}
@@ -372,7 +371,7 @@ func BenchmarkMPSCClaim(b *testing.B) {
 				for pos := q.Claim(n); n > 0; {
 					part := q.Part(pos, n)
 					copy(part, src)
-					q.Publish(pos, len(part), len(part))
+					q.Publish(pos, len(part))
 					pos, n = pos+uint64(len(part)), n-len(part)
 				}
 			}
@@ -412,7 +411,7 @@ func TestMPSCParkStress(t *testing.T) {
 							part[k] = parkItem{p, seq}
 							seq++
 						}
-						q.Publish(pos, len(part), len(part))
+						q.Publish(pos, len(part))
 						pos, left = pos+uint64(len(part)), left-len(part)
 					}
 				}

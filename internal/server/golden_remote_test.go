@@ -124,7 +124,7 @@ func replayTrace(t *testing.T, prof *core.Profiler, raw []byte) {
 // a remote session's dependence set must encode byte-identically to an
 // in-process profiler mirroring the session's exact pipeline config. This
 // pins the whole ingest path — client compaction, DDT2 framing, the batched
-// decoder with its duplicate collapse, and the bulk-ingest seam — to the
+// decoder, and the bulk-ingest seam — to the
 // local semantics.
 func TestRemoteLocalGoldenMatrix(t *testing.T) {
 	const slots = 1 << 16

@@ -24,7 +24,7 @@ import (
 const ingestDepth = 4
 
 // ingestBatch is one decoded chunk and the decoder's event count for it
-// (ranges weighted by element count, collapsed reads by 1+Rep).
+// (ranges weighted by element count).
 type ingestBatch struct {
 	c      *event.Chunk
 	events uint64

@@ -47,9 +47,6 @@ type Config struct {
 	// stores) exceeds it, or whose store is the unbounded "perfect", is
 	// refused at handshake. 0 admits every store sig.OpenStore accepts.
 	MaxStoreBytes uint64
-	// QueueCap is the per-worker ring capacity in accesses; small values make
-	// pipeline backpressure reach the socket sooner. Default: core's.
-	QueueCap int
 	// IdleTimeout is the slow-client deadline: a session that neither
 	// delivers nor accepts a byte for this long is evicted. Default 30s.
 	IdleTimeout time.Duration
@@ -409,7 +406,6 @@ func (s *Server) runSession(sess *session, tc *timedConn) ([]byte, error) {
 		Meta:           h.Meta,
 		RaceCheck:      h.Flags&flagRaceCheck != 0,
 		Metrics:        s.pipe,
-		QueueCap:       max(s.cfg.QueueCap, 0), // 0: core's default
 		SlotsPerWorker: s.cfg.SessionSlots,
 	}
 	if workers >= 2 {

@@ -109,7 +109,6 @@ func TestE2EConcurrentSessions(t *testing.T) {
 		WorkerBudget:      8,
 		WorkersPerSession: 2,
 		IdleTimeout:       400 * time.Millisecond,
-		QueueCap:          4,
 		Registry:          reg,
 	})
 	tcpLn := listenTCP(t)

@@ -3,13 +3,12 @@
 // granularity, collected in a Registry that renders a plain-text exposition
 // page (one `name value` pair per line, Prometheus-style) over HTTP.
 //
-// The pipeline metrics (events in, dep-cache hits, collapsed duplicate reads,
-// queue depth per worker, signature occupancy, store bytes) are grouped in a
-// Pipeline so internal/core can bump typed fields without map lookups on the
-// hot path. The ddprofd daemon serves a Registry per process; `ddexp -metrics
-// addr` serves the same page for local experiment runs. Neither keeps a
-// timeline of its own: Go's /debug/pprof/trace, served by DebugMux, is the
-// time series.
+// The pipeline metrics (events in, dep-cache hits, queue depth per worker,
+// signature occupancy, store bytes) are grouped in a Pipeline so internal/core
+// can bump typed fields without map lookups on the hot path. The ddprofd
+// daemon serves a Registry per process; `ddexp -metrics addr` serves the same
+// page for local experiment runs. Neither keeps a timeline of its own: Go's
+// /debug/pprof/trace, served by DebugMux, is the time series.
 package telemetry
 
 import (
@@ -239,11 +238,6 @@ type Pipeline struct {
 	// remainder folded in at flush.
 	DepCacheHits   *Counter
 	DepCacheProbes *Counter
-	// DupCollapsed counts consecutive duplicate reads the target's threads
-	// collapsed into repetition counts as they copied their batches into the
-	// rings, published by the first worker while the run is live and in
-	// full at flush; the collapsed reads still count in events_total.
-	DupCollapsed *Counter
 	// Ranges counts ingested wire ranges (trace range records); RangeElements
 	// the accesses they expanded into at the ingest seam. Range elements are
 	// already included in Events: these counters measure what the client
@@ -294,7 +288,6 @@ func (r *Registry) Pipeline(prefix string) *Pipeline {
 		Events:               r.Counter(prefix + "_events_total"),
 		DepCacheHits:         r.Counter(prefix + "_dep_cache_hits_total"),
 		DepCacheProbes:       r.Counter(prefix + "_dep_cache_probes_total"),
-		DupCollapsed:         r.Counter(prefix + "_dup_collapsed_total"),
 		Ranges:               r.Counter(prefix + "_ranges_total"),
 		RangeElements:        r.Counter(prefix + "_range_elements_total"),
 		TraceSiteDefines:     r.Counter(prefix + "_trace_site_defines_total"),

@@ -59,7 +59,7 @@ func (r *Reader) NextBatch(c *event.Chunk) (int, error) {
 		}
 		if k > 0 {
 			win, _ := r.br.Peek(k)
-			m, used := r.decodeWindow(win, c, appended > 0)
+			m, used := r.decodeWindow(win, c)
 			if used > 0 {
 				r.br.Discard(used)
 			}
@@ -114,20 +114,12 @@ func (w *window) ReadByte() (byte, error) {
 // straight into its chunk slot; a stamp record is one varint more. The other
 // record types are rare and go through step, with the context synced around
 // the call; what step cannot finish inside the window is left for NextRecord
-// to finish on the stream.
-//
-// contd reports whether the calling NextBatch has already appended to c: the
-// duplicate filter may then fold a leading duplicate read into the chunk's
-// tail slot. It must be false for slots that predate the call, so a caller
-// can never receive Rep bumps inside a chunk NextBatch claims it left alone.
-func (r *Reader) decodeWindow(win []byte, c *event.Chunk, contd bool) (slots, used int) {
+// to finish on the stream. One data record is one slot: a repeated read
+// reaches the engine as it was sent, and its run kernel folds it there.
+func (r *Reader) decodeWindow(win []byte, c *event.Chunk) (slots, used int) {
 	evs := c.Events[:cap(c.Events)]
 	ne := len(c.Events)
 	prevAddr, prevIter, ts := r.prevAddr, r.prevIter, r.ts
-	lastSlot := -1 // chunk index of the newest slot appended this batch
-	if contd {
-		lastSlot = ne - 1
-	}
 	points := uint64(0) // data records to fold into r.n on exit
 	for used < len(win) && ne < len(evs) {
 		b := win[used:]
@@ -155,7 +147,6 @@ func (r *Reader) decodeWindow(win []byte, c *event.Chunk, contd bool) (slots, us
 			if events {
 				c.Events = evs[:ne]
 				emit(c, &rec)
-				lastSlot = ne
 				ne++
 				slots++
 			}
@@ -195,23 +186,6 @@ func (r *Reader) decodeWindow(win []byte, c *event.Chunk, contd bool) (slots, us
 			}
 			pos += n - 1
 		}
-		if dAddr|dIter == 0 && s.kind == event.Read && lastSlot >= 0 {
-			// Duplicate filter, mirroring the producer's: a read identical
-			// to the chunk's previous slot folds into that slot's repetition
-			// count instead of occupying a slot and an engine dispatch of
-			// its own. The engine replays the multiplicity, so the profile
-			// stays byte-identical to the uncollapsed stream; a range slot
-			// in between blocks the merge, which keeps ordering exact. (Two zero deltas are what a repeat looks like on the
-			// wire; the compare decides.)
-			if last := &evs[lastSlot]; last.Addr == s.last && last.TS == ts && last.IterVec == prevIter &&
-				last.Rep != event.MaxRep && s.holds(last) {
-				last.Rep++
-				prevAddr = s.last
-				points++
-				used += pos
-				continue
-			}
-		}
 		s.last += uint64(unzig(dAddr))
 		prevAddr = s.last
 		prevIter += uint64(unzig(dIter))
@@ -220,8 +194,7 @@ func (r *Reader) decodeWindow(win []byte, c *event.Chunk, contd bool) (slots, us
 		e := &evs[ne]
 		e.Addr, e.TS, e.IterVec = prevAddr, ts, prevIter
 		e.Loc, e.Var, e.CtxID, e.Thread = s.loc, s.vr, s.ctx, s.thread
-		e.Kind, e.Flags, e.Rep = s.kind, s.flags, 0
-		lastSlot = ne
+		e.Kind, e.Flags = s.kind, s.flags
 		ne++
 		points++
 		used += pos

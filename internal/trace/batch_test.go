@@ -36,8 +36,8 @@ func recordsOf(tr *Reader, err error) ([]Record, uint64, error) {
 
 // batchAll decodes data with NextBatch through the given scanner shape and
 // flattens the chunks back to records: RangeRef slots pull their range from
-// the side table, and collapsed reads (Rep > 0) expand to 1+Rep identical
-// records, so the result is comparable record-for-record with recordAll.
+// the side table, so the result is comparable record-for-record with
+// recordAll.
 func batchAll(t *testing.T, tr *Reader, err error) ([]Record, uint64, error) {
 	if err != nil {
 		return nil, 0, err
@@ -52,14 +52,7 @@ func batchAll(t *testing.T, tr *Reader, err error) ([]Record, uint64, error) {
 				recs = append(recs, Record{Range: c.Ranges[a.Addr], IsRange: true})
 				continue
 			}
-			rep := a.Rep
-			a.Rep = 0
-			for j := uint16(0); ; j++ {
-				recs = append(recs, Record{Access: a})
-				if j == rep {
-					break
-				}
-			}
+			recs = append(recs, Record{Access: a})
 		}
 		if err != nil {
 			return recs, tr.Count(), err
@@ -386,10 +379,8 @@ func TestNextBatchEveryOffset(t *testing.T) {
 }
 
 // TestInMemoryReaderWindowed: a trace held in memory (a *bytes.Reader offers
-// bytes one at a time but no window over them) must still batch-decode in the
-// windowed gear — whole-chunk batches with duplicate reads folded into Rep,
-// which only the windowed decoder does — and report truncation exactly like
-// NextRecord.
+// bytes one at a time but no window over them) must still batch-decode in
+// whole-chunk batches and report truncation exactly like NextRecord.
 func TestInMemoryReaderWindowed(t *testing.T) {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf)
@@ -412,14 +403,8 @@ func TestInMemoryReaderWindowed(t *testing.T) {
 	if n != event.ChunkSize {
 		t.Fatalf("first batch holds %d slots, want a full chunk of %d", n, event.ChunkSize)
 	}
-	// (The last slot's twin is still on the wire: the chunk filled first.)
-	for i, a := range c.Events[:n-1] {
-		if a.Rep != 1 {
-			t.Fatalf("slot %d: Rep %d, want the duplicate read folded in (windowed decode)", i, a.Rep)
-		}
-	}
-	if tr.Count() != 2*event.ChunkSize-1 {
-		t.Fatalf("first batch consumed %d records, want %d", tr.Count(), 2*event.ChunkSize-1)
+	if tr.Count() != event.ChunkSize {
+		t.Fatalf("first batch consumed %d records, want %d", tr.Count(), event.ChunkSize)
 	}
 	for cut := buf.Len() - 12; cut < buf.Len(); cut++ {
 		checkBatchMatchesRecord(t, buf.Bytes()[:cut])
@@ -562,16 +547,7 @@ func TestNextBatchControlMidFrame(t *testing.T) {
 	if _, err := tr.NextBatch(c); err == nil || err.Error() != retiredRecord(18) {
 		t.Fatalf("NextBatch error %v, want %q", err, retiredRecord(18))
 	}
-	var got []event.Access
-	for _, a := range c.Events {
-		for rep := a.Rep; ; rep-- {
-			a.Rep = 0
-			got = append(got, a)
-			if rep == 0 {
-				break
-			}
-		}
-	}
+	got := c.Events
 	want := randomEvents(18, 3)
 	if len(got) != len(want) {
 		t.Fatalf("the batch holds %d events ahead of the retired record, want %d", len(got), len(want))
@@ -589,8 +565,8 @@ func TestNextBatchChunkCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Distinct events only, so no collapse: the first batch must fill the
-	// chunk exactly and the remainder must arrive in the next call.
+	// The first batch must fill the chunk exactly and the remainder must
+	// arrive in the next call.
 	n := event.ChunkSize + 100
 	for i := 0; i < n; i++ {
 		w.Access(event.Access{
@@ -657,50 +633,6 @@ func TestNextBatchRangeCapacity(t *testing.T) {
 	c.Reset()
 	if got, _ = tr.NextBatch(c); got != 10 {
 		t.Fatalf("second batch appended %d, want 10", got)
-	}
-	checkBatchMatchesRecord(t, buf.Bytes())
-}
-
-func TestNextBatchDupCollapse(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := event.Access{Addr: 0x2000, TS: 7, Kind: event.Read, Loc: loc.Pack(1, 2), Var: 3}
-	const reps = 50
-	for i := 0; i < reps; i++ {
-		w.Access(a)
-	}
-	b := a
-	b.Addr = 0x2008
-	w.Access(b)
-	for i := 0; i < reps; i++ {
-		w.Access(a)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewReader(bufio.NewReader(bytes.NewReader(buf.Bytes())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := event.NewChunk()
-	if _, err := tr.NextBatch(c); err != nil && err != io.EOF {
-		t.Fatal(err)
-	}
-	if c.Len() != 3 {
-		t.Fatalf("collapsed batch holds %d slots, want 3", c.Len())
-	}
-	total := 0
-	for _, ev := range c.Events {
-		total += 1 + int(ev.Rep)
-	}
-	if total != 2*reps+1 {
-		t.Fatalf("slot multiplicities sum to %d, want %d", total, 2*reps+1)
-	}
-	if tr.Count() != uint64(2*reps+1) {
-		t.Fatalf("Count %d, want %d", tr.Count(), 2*reps+1)
 	}
 	checkBatchMatchesRecord(t, buf.Bytes())
 }

@@ -58,7 +58,7 @@ func (c *Compactor) Access(a event.Access) {
 
 // access extends the open run or flushes and restarts it.
 func (c *Compactor) access(a *event.Access) {
-	if a.Rep != 0 || (a.Kind != event.Read && a.Kind != event.Write) {
+	if a.Kind != event.Read && a.Kind != event.Write {
 		c.flushLocked()
 		c.w.point(a)
 		return

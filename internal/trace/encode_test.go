@@ -113,7 +113,7 @@ func (c *oracleCompactor) sameRunMeta(a *event.Access) bool {
 }
 
 func (c *oracleCompactor) Access(a event.Access) {
-	if a.Rep != 0 || (a.Kind != event.Read && a.Kind != event.Write) {
+	if a.Kind != event.Read && a.Kind != event.Write {
 		c.flush()
 		c.w.Access(a)
 		return
@@ -161,7 +161,7 @@ func (c *oracleCompactor) flush() {
 }
 
 // fuzzStream turns fuzz bytes into a record stream that reaches every encoder
-// shape: points of all wire-legal kinds, Rep-carrying reads,
+// shape: points of all wire-legal kinds, repeated reads,
 // strided runs (forward, backward, zero stride) for the Compactor to fold,
 // explicit ranges, maximal-width varints in every field the decoder takes at
 // full width, threads up to event.MaxThread, and address and timestamp deltas
@@ -211,9 +211,11 @@ func fuzzStream(data []byte) []fuzzRec {
 			addr, ts = u64(), u64()&event.MaxTS
 			a.Addr, a.TS, a.Kind = addr, ts, event.Kind(op>>3&1)
 			out = append(out, fuzzRec{a: a})
-		case 4: // a collapsed read
-			a.Addr, a.TS, a.Kind, a.Rep = addr, ts, event.Read, uint16(sel)+1
-			out = append(out, fuzzRec{a: a})
+		case 4: // a read and its exact repeats
+			a.Addr, a.TS, a.Kind = addr, ts, event.Read
+			for j := 0; j < 2+int(sel&7); j++ {
+				out = append(out, fuzzRec{a: a})
+			}
 		case 5, 6: // a strided run of points, iteration vector advancing
 			stride := uint64(int64(int8(sel>>1))) * 4
 			if op%8 == 6 && sel&1 == 1 {
@@ -303,8 +305,7 @@ func checkWriterEquivalence(t *testing.T, data []byte) {
 		}
 	}
 
-	// Reader round-trips them: records back out as they went in (Rep is
-	// not a wire field).
+	// Reader round-trips them: records back out as they went in.
 	tr, err := NewReader(bytes.NewReader(want.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +315,6 @@ func checkWriterEquivalence(t *testing.T, data []byte) {
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		rc.a.Rep = 0
 		if rec.IsRange != rc.isRange || rec.Range != rc.r || rec.Access != rc.a {
 			t.Fatalf("record %d round trip:\n got %+v\nwant %+v", i, rec, rc)
 		}
@@ -326,8 +326,8 @@ func checkWriterEquivalence(t *testing.T, data []byte) {
 		t.Fatalf("Reader counts %d defines, %d redefines; the oracle wrote %d, %d", d, rd, ow.defines, ow.redefines)
 	}
 
-	// AccessBatch ≡ the oracle fed every collapsed read 1+Rep times, whatever
-	// the cuts, bare and under the SyncWriter's lock.
+	// AccessBatch ≡ the oracle, whatever the cuts, bare and under the
+	// SyncWriter's lock.
 	want.Reset()
 	ow = newOracleWriter(&want)
 	var slots []event.Access
@@ -341,11 +341,9 @@ func checkWriterEquivalence(t *testing.T, data []byte) {
 			events += uint64(rc.r.Count)
 			continue
 		}
-		for k := 0; k <= int(rc.a.Rep); k++ {
-			ow.Access(rc.a)
-		}
+		ow.Access(rc.a)
 		slots = append(slots, rc.a)
-		events += 1 + uint64(rc.a.Rep)
+		events++
 	}
 	ow.bw.Flush()
 	for _, locked := range []bool{false, true} {

@@ -249,8 +249,7 @@ func (w *Writer) define(b []byte, n int, slot uint, a *event.Access, prevAddr ui
 
 // AccessBatch implements event.BatchHook, what the executors hand over: the
 // batch's records in order, slab cursor and stream context held in locals
-// throughout. A collapsed read goes out 1+Rep times (the wire has no
-// repetition count); a RangeRef slot as the range record of ranges[Addr]. A
+// throughout. A RangeRef slot goes out as the range record of ranges[Addr]; a
 // slot of any other kind poisons the Writer (point).
 func (w *Writer) AccessBatch(accesses []event.Access, ranges []event.Range) {
 	b, n := w.buf[:cap(w.buf)], len(w.buf)
@@ -258,16 +257,14 @@ func (w *Writer) AccessBatch(accesses []event.Access, ranges []event.Range) {
 	plain := len(accesses) // slots the loop encodes itself, an event each
 	for i := range accesses {
 		a := &accesses[i]
-		if a.Kind > event.Remove || a.Rep != 0 {
+		if a.Kind > event.Remove {
 			// Not what an executor sends: through the per-record encoders.
 			plain--
 			w.buf, w.prevAddr, w.prevIter, w.ts = b[:n], prevAddr, prevIter, ts
 			if a.Kind == event.RangeRef {
 				w.Range(ranges[a.Addr])
 			} else {
-				for rep := int(a.Rep); rep >= 0; rep-- {
-					w.point(a)
-				}
+				w.point(a)
 			}
 			n, prevAddr, prevIter, ts = len(w.buf), w.prevAddr, w.prevIter, w.ts
 			continue

@@ -264,7 +264,6 @@ func (t *thread) emitHook(kind event.Kind, w uint64, vid loc.VarID, fl event.Fla
 	a.Thread = t.id
 	a.Kind = kind
 	a.Flags = fl
-	a.Rep = 0
 	t.out.Done()
 }
 
