@@ -108,100 +108,118 @@ func (w *window) ReadByte() (byte, error) {
 // returns the slots appended and the bytes consumed; define and stamp records
 // are consumed without a slot.
 //
-// Data records are decoded by the loop body itself: the chunk cursor and the
-// stream context live in locals, the site is one table load, each delta takes
-// one compare on the single-byte-varint fast path, and the event is written
-// straight into its chunk slot; a stamp record is one varint more. The other
-// record types are rare and go through step, with the context synced around
-// the call; what step cannot finish inside the window is left for NextRecord
-// to finish on the stream. One data record is one slot: a repeated read
-// reaches the engine as it was sent, and its run kernel folds it there.
+// The points kernel decodes the data and stamp records; each record it stops
+// at goes through step, reading from the window, before the kernel resumes.
+// What step cannot finish inside the window (a record cut by the window's
+// edge, or one that fails validation) is left for NextRecord to finish on the
+// stream. One data record is one slot: a repeated read reaches the engine as
+// it was sent, and its run kernel folds it there.
 func (r *Reader) decodeWindow(win []byte, c *event.Chunk) (slots, used int) {
-	evs := c.Events[:cap(c.Events)]
-	ne := len(c.Events)
-	prevAddr, prevIter, ts := r.prevAddr, r.prevIter, r.ts
-	points := uint64(0) // data records to fold into r.n on exit
-	for used < len(win) && ne < len(evs) {
+	for {
+		n := len(c.Events)
+		m, u := r.points(win[used:], c.Events[n:cap(c.Events)])
+		c.Events = c.Events[:n+m]
+		slots += m
+		used += u
+		if used == len(win) || c.Full() {
+			return slots, used
+		}
+		// A data or stamp record here is one the kernel could not take:
+		// NextRecord finishes it on the stream.
 		b := win[used:]
-		if b[0]&1 != 0 {
-			if b[0] == recStamp { // as often as a threaded target synchronises
-				d, n := binary.Uvarint(b[1:])
-				if n <= 0 || ts+uint64(unzig(d)) > event.MaxTS {
-					break // step names the error
-				}
-				ts += uint64(unzig(d))
-				used += 1 + n
-				continue
-			}
-			if b[0] == recRange && c.RangesFull() {
+		if b[0]&1 == 0 || b[0] == recStamp || b[0] == recRange && c.RangesFull() {
+			return slots, used
+		}
+		r.win = window{b: b}
+		rec, events, err := r.step(&r.win)
+		if err != nil {
+			return slots, used
+		}
+		used += r.win.pos
+		if events {
+			emit(c, &rec)
+			slots++
+		}
+	}
+}
+
+// points is decodeWindow's kernel: it decodes the leading data and stamp
+// records of win into evs, and returns the events written and the bytes
+// used. It stops at any other record type, at a record not whole in win or
+// failing validation, and when evs is full. It makes no call, so the window
+// and chunk cursors and the stream context stay in registers; a site is one
+// table load, each delta one compare on the single-byte varint path, and the
+// event is written straight into its slot. Deltas are decoded with
+// binary.Uvarint's exact overflow rules, so the kernel never accepts bytes
+// step would refuse.
+func (r *Reader) points(win []byte, evs []event.Access) (ne, used int) {
+	prevIter, ts := r.prevIter, r.ts
+	sites := &r.sites
+	// The multi-byte varints are decoded from slices of win; with its cap cut
+	// to its length, slicing it carries no third word round the loop.
+	win = win[:len(win):len(win)]
+	for used < len(win) && ne < len(evs) {
+		b0 := win[used]
+		if b0&1 != 0 {
+			if b0 != recStamp { // as often as a threaded target synchronises
 				break
 			}
-			r.prevAddr, r.prevIter, r.ts = prevAddr, prevIter, ts
-			r.win = window{b: b}
-			rec, events, err := r.step(&r.win)
-			prevAddr, prevIter, ts = r.prevAddr, r.prevIter, r.ts
-			if err != nil {
+			d, n := binary.Uvarint(win[used+1:])
+			if n <= 0 || ts+uint64(unzig(d)) > event.MaxTS {
 				break
 			}
-			used += r.win.pos
-			if events {
-				c.Events = evs[:ne]
-				emit(c, &rec)
-				ne++
-				slots++
-			}
+			ts += uint64(unzig(d))
+			used += 1 + n
 			continue
 		}
-		// A data record: two header bytes and two zigzag deltas, decoded with
-		// binary.Uvarint's exact overflow rules, so the fast path never
-		// accepts bytes the slow path would reject.
-		if len(b) < 4 {
+		// A data record: two header bytes and two zigzag deltas.
+		if len(win)-used < 4 {
 			break
 		}
-		slot := uint(b[0])>>1 | uint(b[1])<<7
+		slot := uint(b0)>>1 | uint(win[used+1])<<7
 		if slot >= siteSlots {
 			break
 		}
-		s := &r.sites[slot]
-		if !s.live {
+		s := &sites[slot]
+		if s.key.kf == 0 {
 			break
 		}
-		dAddr, pos := uint64(b[2]), 3
+		pos := used + 2
+		dAddr := uint64(win[pos])
+		pos++
 		if dAddr >= 0x80 {
 			var n int
-			if dAddr, n = binary.Uvarint(b[2:]); n <= 0 {
+			if dAddr, n = binary.Uvarint(win[pos-1:]); n <= 0 {
 				break
 			}
-			pos = 2 + n
+			pos += n - 1
 		}
-		if pos >= len(b) {
+		if pos >= len(win) {
 			break
 		}
-		dIter := uint64(b[pos])
+		dIter := uint64(win[pos])
 		pos++
 		if dIter >= 0x80 {
 			var n int
-			if dIter, n = binary.Uvarint(b[pos-1:]); n <= 0 {
+			if dIter, n = binary.Uvarint(win[pos-1:]); n <= 0 {
 				break
 			}
 			pos += n - 1
 		}
 		s.last += uint64(unzig(dAddr))
-		prevAddr = s.last
 		prevIter += uint64(unzig(dIter))
 		// Field by field: a composite literal is built on the stack and
 		// copied out in 16-byte moves that wait on its narrower stores.
 		e := &evs[ne]
-		e.Addr, e.TS, e.IterVec = prevAddr, ts, prevIter
-		e.Loc, e.Var, e.CtxID, e.Thread = s.loc, s.vr, s.ctx, s.thread
-		e.Kind, e.Flags = s.kind, s.flags
+		e.Addr, e.TS, e.IterVec = s.last, ts, prevIter
+		s.key.fill(e)
 		ne++
-		points++
-		used += pos
-		slots++
+		used = pos
 	}
-	r.prevAddr, r.prevIter, r.ts = prevAddr, prevIter, ts
-	r.n += points
-	c.Events = evs[:ne]
-	return slots, used
+	r.prevIter, r.ts = prevIter, ts
+	if ne > 0 {
+		r.prevAddr = evs[ne-1].Addr
+		r.n += uint64(ne)
+	}
+	return ne, used
 }

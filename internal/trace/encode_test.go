@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ import (
 // oracleWriter is the DDT2 reference encoder the slab encoder is held to byte
 // for byte: one event at a time, a Go map for the site table, one
 // binary.PutUvarint per field. Record bytes are defined by it and by the
-// grammar in DESIGN.md; it shares only siteSlot with Writer, since which slot
+// grammar in DESIGN.md; it shares only siteKey.slot with Writer, since which slot
 // a template lands in is the encoder's choice and not part of the format.
 type oracleWriter struct {
 	bw                     *bufio.Writer
@@ -55,7 +56,7 @@ func (w *oracleWriter) put16(v uint) {
 }
 
 func (w *oracleWriter) Access(a event.Access) {
-	slot := siteSlot(&a)
+	slot := keyOf(&a).slot()
 	tmpl := event.Access{Loc: a.Loc, Var: a.Var, CtxID: a.CtxID, Thread: a.Thread, Kind: a.Kind, Flags: a.Flags}
 	s := w.sites[slot]
 	if s == nil || s.tmpl != tmpl {
@@ -260,13 +261,98 @@ func FuzzWriterEquivalence(f *testing.F) {
 }
 
 // TestWriterEquivalence runs the fuzzer's check over seeded random inputs, so
-// plain `go test` covers what the fuzzer explores.
+// plain `go test` covers what the fuzzer explores, then holds AccessBatch to
+// the oracle on a recorded stream and on slot collisions.
 func TestWriterEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
 		data := make([]byte, 1+r.Intn(600))
 		r.Read(data)
 		checkWriterEquivalence(t, data)
+	}
+	// The remote-session programs' stream: long runs of resident-site
+	// records, the encoder kernel's common case, which fuzzStream rarely
+	// produces.
+	t.Run("recorded", func(t *testing.T) { checkBatchEquivalence(t, recordedStream(t)) })
+	// Pairs of templates that differ in one field alone and share a slot:
+	// whichever word the field is in, the kernel must stop for a define.
+	// (Thread and Kind/Flags have too few valid values to make such a pair.)
+	t.Run("collisions", func(t *testing.T) {
+		var evs []event.Access
+		for _, set := range []func(*event.Access, uint32){
+			func(b *event.Access, v uint32) { b.Loc = loc.SourceLoc(v) },
+			func(b *event.Access, v uint32) { b.Var = loc.VarID(v) },
+			func(b *event.Access, v uint32) { b.CtxID = v },
+		} {
+			a, b := twins(set)
+			for i := 0; i < 4; i++ {
+				a.Addr, b.Addr = a.Addr+8, b.Addr+8
+				evs = append(evs, a, a, b, b)
+			}
+		}
+		checkBatchEquivalence(t, evs)
+	})
+}
+
+// twins returns two accesses whose templates differ in the field set writes
+// alone and share a slot.
+func twins(set func(*event.Access, uint32)) (event.Access, event.Access) {
+	for u := uint32(1); ; u++ {
+		a := event.Access{Addr: 0x1000}
+		set(&a, u)
+		for v := u + 1; v < u+1<<16; v++ {
+			b := a
+			set(&b, v)
+			if keyOf(&b).slot() == keyOf(&a).slot() {
+				return a, b
+			}
+		}
+	}
+}
+
+// checkBatchEquivalence feeds evs to AccessBatch as a client does,
+// BatchSize events at a time. The bytes must be the oracle's, cut into
+// Writes where the per-record encoder cuts them, and NextBatch must decode
+// them back to evs.
+func checkBatchEquivalence(t *testing.T, evs []event.Access) {
+	var want bytes.Buffer
+	ow := newOracleWriter(&want)
+	for _, a := range evs {
+		ow.Access(a)
+	}
+	ow.bw.Flush()
+	var got, perRecord frameLog
+	w, _ := NewWriter(&got)
+	for rest := evs; len(rest) > 0; rest = rest[min(event.BatchSize, len(rest)):] {
+		w.AccessBatch(rest[:min(event.BatchSize, len(rest))], nil)
+	}
+	pw, _ := NewWriter(&perRecord)
+	for _, a := range evs {
+		pw.Access(a)
+	}
+	if err := errors.Join(w.Close(), pw.Close()); err != nil {
+		t.Fatal(err)
+	}
+	all := bytes.Join(got.frames, nil)
+	if !bytes.Equal(all, want.Bytes()) {
+		t.Fatalf("AccessBatch bytes differ from the oracle's (%d vs %d bytes)", len(all), want.Len())
+	}
+	sameFrames(t, t.Name(), got.frames, perRecord.frames)
+	tr, err := NewReader(bytes.NewReader(all))
+	c := event.NewChunk()
+	i := 0
+	for err == nil {
+		c.Reset()
+		_, err = tr.NextBatch(c)
+		for _, e := range c.Events {
+			if i >= len(evs) || e != evs[i] {
+				t.Fatalf("event %d decodes as %+v", i, e)
+			}
+			i++
+		}
+	}
+	if err != io.EOF || i != len(evs) || tr.Count() != uint64(len(evs)) {
+		t.Fatalf("decoded %d events (Count %d) of %d: %v", i, tr.Count(), len(evs), err)
 	}
 }
 
@@ -284,9 +370,10 @@ func checkWriterEquivalence(t *testing.T, data []byte) {
 		}
 	}
 	ow.bw.Flush()
-	for _, size := range []int{0, 1} {
-		var got bytes.Buffer
-		w, _ := NewWriterSize(&got, size)
+	var perRecord [2]frameLog // the Writes of each slab, the batch path's reference
+	for size := range perRecord {
+		got := &perRecord[size]
+		w, _ := NewWriterSize(got, size)
 		for _, rc := range recs {
 			if rc.isRange {
 				w.Range(rc.r)
@@ -297,8 +384,8 @@ func checkWriterEquivalence(t *testing.T, data []byte) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("slab %d: Writer bytes differ from the oracle's (%d vs %d bytes)", size, got.Len(), want.Len())
+		if all := bytes.Join(got.frames, nil); !bytes.Equal(all, want.Bytes()) {
+			t.Fatalf("slab %d: Writer bytes differ from the oracle's (%d vs %d bytes)", size, len(all), want.Len())
 		}
 		if d, rd := w.SiteDefines(); d != ow.defines || rd != ow.redefines {
 			t.Fatalf("slab %d: Writer counts %d defines, %d redefines; the oracle wrote %d, %d", size, d, rd, ow.defines, ow.redefines)
@@ -347,7 +434,7 @@ func checkWriterEquivalence(t *testing.T, data []byte) {
 	}
 	ow.bw.Flush()
 	for _, locked := range []bool{false, true} {
-		var got bytes.Buffer
+		var got frameLog
 		w, _ := NewWriterSize(&got, len(data)%2)
 		var hook event.BatchHook = w
 		if locked {
@@ -364,9 +451,10 @@ func checkWriterEquivalence(t *testing.T, data []byte) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("locked=%v: AccessBatch bytes differ from the oracle's (%d vs %d bytes)", locked, got.Len(), want.Len())
+		if all := bytes.Join(got.frames, nil); !bytes.Equal(all, want.Bytes()) {
+			t.Fatalf("locked=%v: AccessBatch bytes differ from the oracle's (%d vs %d bytes)", locked, len(all), want.Len())
 		}
+		sameFrames(t, fmt.Sprintf("locked=%v", locked), got.frames, perRecord[len(data)%2].frames)
 	}
 
 	// Compactor ≡ oracle compactor over the point records.
@@ -398,6 +486,20 @@ func checkWriterEquivalence(t *testing.T, data []byte) {
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("slab %d: Compactor bytes differ from the oracle's (%d vs %d bytes)", slab, got.Len(), want.Len())
+		}
+	}
+}
+
+// sameFrames requires AccessBatch to cut its Writes where the per-record
+// encoder does: on a FrameWriter every Write is a frame on the wire.
+func sameFrames(t *testing.T, name string, got, want [][]byte) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: AccessBatch wrote %d frames, Access %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("%s: AccessBatch frame %d is %d bytes, Access's %d", name, i, len(got[i]), len(want[i]))
 		}
 	}
 }
@@ -686,7 +788,8 @@ func TestWriterStickyError(t *testing.T) {
 	}
 }
 
-// TestEncodeAllocs pins the recording hooks at zero allocations per event.
+// TestEncodeAllocs pins the recording hooks at zero allocations per event,
+// and the wire's batch paths at zero per batch or frame.
 func TestEncodeAllocs(t *testing.T) {
 	evs := randomEvents(4096, 3)
 	w, _ := NewWriter(io.Discard)
@@ -717,7 +820,52 @@ func TestEncodeAllocs(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
+
+	// The wire's batch paths: a client's encoder, the daemon's decoder and
+	// the framing between them.
+	evs = recordedStream(t)
+	batch := evs[:512]
+	if n := testing.AllocsPerRun(1000, func() { w.AccessBatch(batch, nil) }); n != 0 {
+		t.Errorf("Writer.AccessBatch: %v allocs per batch", n)
+	}
+	var stream bytes.Buffer
+	sw, _ := NewWriter(&stream)
+	sw.AccessBatch(evs, nil)
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewReader(bytes.NewReader(stream.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := event.NewChunk()
+	if n := testing.AllocsPerRun(100, func() {
+		ch.Reset()
+		if _, err := tr.NextBatch(ch); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Reader.NextBatch: %v allocs per batch", n)
+	}
+	frame := stream.Bytes()[:4096]
+	for _, dst := range []struct {
+		name string
+		w    io.Writer
+	}{{"plain writer", io.Discard}, {"vectored writer", vectorSink{}}} {
+		fw := NewFrameWriter(dst.w)
+		if n := testing.AllocsPerRun(1000, func() { fw.Write(frame) }); n != 0 {
+			t.Errorf("FrameWriter.Write to a %s: %v allocs per frame", dst.name, n)
+		}
+	}
 }
+
+// vectorSink is a destination that takes a frame as one vectored write, as
+// the ddprofd client's connection does.
+type vectorSink struct{}
+
+func (vectorSink) Write(p []byte) (int, error) { return len(p), nil }
+
+func (vectorSink) WriteBuffers(v *net.Buffers) (int64, error) { return v.WriteTo(io.Discard) }
 
 var encodeStream []event.Access
 
@@ -739,10 +887,13 @@ func recordedStream(tb testing.TB) []event.Access {
 
 // BenchmarkEncode is the in-package twin of the ledger's trace.encode row:
 // the recording hooks over a recorded MG+BT+kmeans stream, into a sink that
-// costs nothing. ns/event is the figure to compare; bytes/event shows what
-// the Compactor saves.
+// costs nothing. The batch arms are fed as a session's encoder is, from
+// event.Batcher's one reused buffer: each batch is copied into the same
+// BatchSize slice, L1-hot, before AccessBatch sees it. ns/event is the figure
+// to compare; bytes/event shows what the Compactor saves.
 func BenchmarkEncode(b *testing.B) {
 	evs := recordedStream(b)
+	batch := make([]event.Access, event.BatchSize)
 	hooks := []struct {
 		name string
 		mk   func(*Writer) (event.Hook, func() error)
@@ -760,8 +911,10 @@ func BenchmarkEncode(b *testing.B) {
 				w, _ := NewWriter(&sink)
 				hook, done := h.mk(w)
 				if bf, ok := hook.(batchFeed); ok {
-					for rest := evs; len(rest) > 0; rest = rest[min(event.BatchSize, len(rest)):] {
-						bf.AccessBatch(rest[:min(event.BatchSize, len(rest))], nil)
+					for rest := evs; len(rest) > 0; {
+						n := copy(batch, rest)
+						bf.AccessBatch(batch[:n], nil)
+						rest = rest[n:]
 					}
 				} else {
 					for j := range evs {

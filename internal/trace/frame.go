@@ -28,10 +28,15 @@ const DefaultMaxFrame = 1 << 20
 var ErrFrameTooLarge = errors.New("frame exceeds size limit")
 
 // FrameWriter chops a byte stream into length-prefixed frames. Each Write
-// becomes exactly one frame; Close emits the zero-length terminator.
+// becomes exactly one frame; Close emits the zero-length terminator. The
+// header bytes and the vector handed to the destination are the
+// FrameWriter's own, reused by every frame, so a Write allocates nothing.
 type FrameWriter struct {
 	w      io.Writer
 	closed bool
+	hdr    [binary.MaxVarintLen64]byte
+	vec    [2][]byte // header, payload
+	bufs   net.Buffers
 }
 
 // NewFrameWriter returns a FrameWriter emitting frames to w.
@@ -56,14 +61,15 @@ func (f *FrameWriter) Write(p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	var hdr [binary.MaxVarintLen64]byte
-	bufs := net.Buffers{hdr[:binary.PutUvarint(hdr[:], uint64(len(p)))], p}
+	f.vec = [2][]byte{f.hdr[:binary.PutUvarint(f.hdr[:], uint64(len(p)))], p}
+	f.bufs = f.vec[:]
 	var err error
 	if bw, ok := f.w.(buffersWriter); ok {
-		_, err = bw.WriteBuffers(&bufs)
+		_, err = bw.WriteBuffers(&f.bufs)
 	} else {
-		_, err = bufs.WriteTo(f.w)
+		_, err = f.bufs.WriteTo(f.w)
 	}
+	f.vec[1] = nil // a partial write leaves p behind; hold no caller bytes
 	if err != nil {
 		return 0, err
 	}

@@ -36,10 +36,10 @@ func seedStream() []byte {
 	return buf.Bytes()
 }
 
-// sameSlot returns an access by another site that siteSlot sends to a's slot.
+// sameSlot returns an access by another site that siteKey.slot sends to a's slot.
 func sameSlot(a event.Access) event.Access {
 	for b := a; ; {
-		if b.Loc++; siteSlot(&b) == siteSlot(&a) {
+		if b.Loc++; keyOf(&b).slot() == keyOf(&a).slot() {
 			return b
 		}
 	}

@@ -83,14 +83,34 @@ const (
 // site is one slot of the table: a template and the address its previous
 // execution touched.
 type site struct {
-	last   uint64
-	loc    loc.SourceLoc
-	vr     loc.VarID
-	ctx    uint32
-	thread int32
-	kind   event.Kind
-	flags  event.Flags
-	live   bool
+	last uint64
+	key  siteKey
+}
+
+// siteKey is a site template packed in the words its slot method hashes:
+// Loc|Var<<32, CtxID|Thread<<32, and Kind|Flags<<8 with bit 16 set, so that
+// the zero key is a slot no define has bound. The fields lie in
+// event.Access's order, so packing and unpacking are wide loads and stores,
+// and comparing two templates is three compares.
+type siteKey struct {
+	lv, ct uint64
+	kf     uint32
+}
+
+// keyOf returns a's template.
+func keyOf(a *event.Access) siteKey {
+	return siteKey{
+		lv: uint64(a.Loc) | uint64(a.Var)<<32,
+		ct: uint64(a.CtxID) | uint64(uint32(a.Thread))<<32,
+		kf: uint32(a.Kind) | uint32(a.Flags)<<8 | 1<<16,
+	}
+}
+
+// fill writes the template's fields into e.
+func (k siteKey) fill(e *event.Access) {
+	e.Loc, e.Var = loc.SourceLoc(k.lv), loc.VarID(k.lv>>32)
+	e.CtxID, e.Thread = uint32(k.ct), int32(k.ct>>32)
+	e.Kind, e.Flags = event.Kind(k.kf), event.Flags(k.kf>>8)
 }
 
 // siteTable is the state a Writer and the Reader of its stream keep in step:
@@ -100,14 +120,14 @@ type siteTable struct {
 	defines, redefines uint64
 }
 
-// bind points slot at a template whose address context starts at last.
-func (t *siteTable) bind(slot uint, a *event.Access, last uint64) {
+// bind points slot at template k, whose address context starts at last.
+func (t *siteTable) bind(slot uint, k siteKey, last uint64) {
 	s := &t.sites[slot]
 	t.defines++
-	if s.live {
+	if s.key.kf != 0 {
 		t.redefines++
 	}
-	*s = site{last: last, loc: a.Loc, vr: a.Var, ctx: a.CtxID, thread: a.Thread, kind: a.Kind, flags: a.Flags, live: true}
+	*s = site{last: last, key: k}
 }
 
 // SiteDefines returns how many define records the stream has carried so far,
@@ -115,19 +135,11 @@ func (t *siteTable) bind(slot uint, a *event.Access, last uint64) {
 // sharing a slot pay a define per access, and this is where it shows.
 func (t *siteTable) SiteDefines() (defines, redefines uint64) { return t.defines, t.redefines }
 
-// holds reports whether s is the template of a.
-func (s *site) holds(a *event.Access) bool {
-	return s.loc == a.Loc && s.vr == a.Var && s.ctx == a.CtxID && s.thread == a.Thread &&
-		s.kind == a.Kind && s.flags == a.Flags && s.live
-}
-
-// siteSlot is the Writer's choice of slot for a's template. The stream names
-// the slot in every record, so no Reader depends on the function.
-func siteSlot(a *event.Access) uint {
-	x := uint64(a.Loc) | uint64(a.Var)<<32
-	y := uint64(a.CtxID) | uint64(uint32(a.Thread))<<32
-	y ^= uint64(a.Kind)<<28 ^ uint64(a.Flags)<<30
-	return uint((x*0x9e3779b97f4a7c15 ^ y*0xc2b2ae3d27d4eb4f) >> (64 - siteBits))
+// slot is the Writer's choice of slot for template k. The stream names the
+// slot in every record, so no Reader depends on the function.
+func (k siteKey) slot() uint {
+	y := k.ct ^ uint64(uint8(k.kf))<<28 ^ uint64(uint8(k.kf>>8))<<30
+	return uint((k.lv*0x9e3779b97f4a7c15 ^ y*0xc2b2ae3d27d4eb4f) >> (64 - siteBits))
 }
 
 // Writer streams accesses to an io.Writer. It implements the executors'
@@ -218,10 +230,11 @@ func (w *Writer) point(a *event.Access) {
 	}
 	b, n := w.room(maxPointLen)
 	w.count++
-	slot := siteSlot(a)
+	k := keyOf(a)
+	slot := k.slot()
 	s := &w.sites[slot]
-	if !s.holds(a) {
-		n = w.define(b, n, slot, a, w.prevAddr)
+	if s.key != k {
+		n = w.define(b, n, slot, a, k)
 	}
 	if a.TS != w.ts {
 		b[n] = recStamp
@@ -234,10 +247,10 @@ func (w *Writer) point(a *event.Access) {
 	s.last, w.prevAddr, w.prevIter = a.Addr, a.Addr, a.IterVec
 }
 
-// define binds slot to a's template on this side and writes the record that
-// does so on the other.
-func (w *Writer) define(b []byte, n int, slot uint, a *event.Access, prevAddr uint64) int {
-	w.bind(slot, a, prevAddr)
+// define binds slot to a's template k on this side and writes the record
+// that does so on the other.
+func (w *Writer) define(b []byte, n int, slot uint, a *event.Access, k siteKey) int {
+	w.bind(slot, k, w.prevAddr)
 	b[n], b[n+1], b[n+2], b[n+3] = recDefine, byte(slot), byte(slot>>8), byte(a.Kind)
 	n = putUvarint(b, n+4, uint64(a.Loc))
 	n = putUvarint(b, n, uint64(a.Var))
@@ -248,49 +261,58 @@ func (w *Writer) define(b []byte, n int, slot uint, a *event.Access, prevAddr ui
 }
 
 // AccessBatch implements event.BatchHook, what the executors hand over: the
-// batch's records in order, slab cursor and stream context held in locals
-// throughout. A RangeRef slot goes out as the range record of ranges[Addr]; a
+// batch's records in order. The run kernel encodes every record it can; each
+// record it stops at goes through the per-record encoders before the kernel
+// resumes. A RangeRef slot goes out as the range record of ranges[Addr]; a
 // slot of any other kind poisons the Writer (point).
 func (w *Writer) AccessBatch(accesses []event.Access, ranges []event.Range) {
+	for i := w.run(accesses); i < len(accesses); i += 1 + w.run(accesses[i+1:]) {
+		if a := &accesses[i]; a.Kind == event.RangeRef {
+			w.Range(ranges[a.Addr])
+		} else {
+			w.point(a) // a full slab, a site to define, or no access at all
+		}
+	}
+}
+
+// run is AccessBatch's kernel: it encodes the leading records of accesses
+// that are data records of resident sites while the slab has room for a
+// point, stamp records inline, and returns how many it encoded. It makes no
+// call, so the slab cursor, the stream context and the record in hand stay in
+// registers; it stops at the first record that needs more (point's room test
+// and define, a range, a kind that is no access), which keeps the slab's
+// flushes, and so every Write, where point puts them.
+func (w *Writer) run(accesses []event.Access) int {
 	b, n := w.buf[:cap(w.buf)], len(w.buf)
-	prevAddr, prevIter, ts := w.prevAddr, w.prevIter, w.ts
-	plain := len(accesses) // slots the loop encodes itself, an event each
-	for i := range accesses {
+	prevIter, ts := w.prevIter, w.ts
+	sites := &w.sites
+	i := 0
+	for ; i < len(accesses); i++ {
 		a := &accesses[i]
-		if a.Kind > event.Remove {
-			// Not what an executor sends: through the per-record encoders.
-			plain--
-			w.buf, w.prevAddr, w.prevIter, w.ts = b[:n], prevAddr, prevIter, ts
-			if a.Kind == event.RangeRef {
-				w.Range(ranges[a.Addr])
-			} else {
-				w.point(a)
-			}
-			n, prevAddr, prevIter, ts = len(w.buf), w.prevAddr, w.prevIter, w.ts
-			continue
+		if a.Kind > event.Remove || len(b)-n < maxPointLen {
+			break
 		}
-		if len(b)-n < maxPointLen {
-			w.buf = b[:n]
-			w.flush()
-			n = 0
-		}
-		slot := siteSlot(a) // point's record, cursor and context in registers
-		s := &w.sites[slot]
-		if !s.holds(a) {
-			n = w.define(b, n, slot, a, prevAddr)
+		k := keyOf(a)
+		slot := k.slot()
+		s := &sites[slot]
+		if s.key != k {
+			break
 		}
 		if a.TS != ts {
 			b[n] = recStamp
 			n = putZigzag(b, n+1, int64(a.TS-ts))
 			ts = a.TS
 		}
-		b[n], b[n+1] = byte(slot<<1), byte(slot>>7)
+		binary.LittleEndian.PutUint16(b[n:], uint16(slot<<1))
 		n = putZigzag(b, n+2, int64(a.Addr-s.last))
 		n = putZigzag(b, n, int64(a.IterVec-prevIter))
-		s.last, prevAddr, prevIter = a.Addr, a.Addr, a.IterVec
+		s.last, prevIter = a.Addr, a.IterVec
 	}
-	w.count += uint64(plain)
-	w.buf, w.prevAddr, w.prevIter, w.ts = b[:n], prevAddr, prevIter, ts
+	if i > 0 {
+		w.buf, w.prevAddr, w.prevIter, w.ts = b[:n], accesses[i-1].Addr, prevIter, ts
+		w.count += uint64(i)
+	}
+	return i
 }
 
 // Count returns the number of events recorded so far.
@@ -538,7 +560,7 @@ func (r *Reader) readData(br io.ByteReader, b0 byte) (a event.Access, err error)
 		return a, fmt.Errorf("trace: event %d: site slot %d out of range", r.n, slot)
 	}
 	s := &r.sites[slot]
-	if !s.live {
+	if s.key.kf == 0 {
 		return a, fmt.Errorf("trace: event %d: undefined site slot %d", r.n, slot)
 	}
 	dAddr, err := r.getZig(br)
@@ -553,10 +575,9 @@ func (r *Reader) readData(br io.ByteReader, b0 byte) (a event.Access, err error)
 	r.prevAddr = s.last
 	r.prevIter += uint64(dIter)
 	r.n++
-	return event.Access{
-		Addr: s.last, TS: r.ts, IterVec: r.prevIter,
-		Loc: s.loc, Var: s.vr, CtxID: s.ctx, Thread: s.thread, Kind: s.kind, Flags: s.flags,
-	}, nil
+	a = event.Access{Addr: s.last, TS: r.ts, IterVec: r.prevIter}
+	s.key.fill(&a)
+	return a, nil
 }
 
 // readDefine decodes the body of a define record and binds its slot.
@@ -584,9 +605,9 @@ func (r *Reader) readDefine(br io.ByteReader) error {
 	if err := r.tooWide("thread", vals[3], event.MaxThread); err != nil {
 		return err
 	}
-	r.bind(slot, &event.Access{
+	r.bind(slot, keyOf(&event.Access{
 		Loc: loc.SourceLoc(vals[0]), Var: loc.VarID(vals[1]), CtxID: uint32(vals[2]), Thread: int32(vals[3]),
 		Kind: event.Kind(hdr[2]), Flags: flags,
-	}, r.prevAddr)
+	}), r.prevAddr)
 	return nil
 }
