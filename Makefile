@@ -29,7 +29,7 @@ fmt-check:
 # retired ddprofd -readbuf/-decode-depth/-track-accuracy/-epoch-interval/
 # -snapshot-interval/-snapshot-samples/-session-series/-q refused with exit 2
 # before any work, then the daemon up on a unix socket and
-# one remote profiling session whose saved profile ddiff -binary finds
+# one remote profiling session whose saved profile ddiff finds
 # identical to the local run's (both -backend perfect).
 # Exercises what the in-process tests cannot: real binaries, sockets.
 smoke:

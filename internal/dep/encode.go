@@ -29,7 +29,10 @@ import (
 // canonical (two Sets with equal contents encode byte-identically) and lets
 // readers merge-join streams without materializing either side, as ddiff
 // does (DiffStreams).
-const binaryMagic = "DDP1"
+//
+// BinaryMagic is the four bytes every DDP1 profile starts with; ddiff tells a
+// binary profile from a text one by them.
+const BinaryMagic = "DDP1"
 
 // Encode writes the set, loop records and variable table in binary form: the
 // set's entries in canonical (lessKey) order. The entries stay in their
@@ -99,7 +102,7 @@ func (e *encoder) put(v uint64) error {
 }
 
 func (e *encoder) header(tab *loc.Table, loops []LoopRecord) error {
-	if _, err := e.bw.WriteString(binaryMagic); err != nil {
+	if _, err := e.bw.WriteString(BinaryMagic); err != nil {
 		return err
 	}
 	// Variable table: IDs are dense, so emit names in ID order.
@@ -201,7 +204,7 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("dep: reading magic: %w", err)
 	}
-	if string(magic) != binaryMagic {
+	if string(magic) != BinaryMagic {
 		return nil, fmt.Errorf("dep: bad magic %q", magic)
 	}
 	get := func() (uint64, error) { return binary.ReadUvarint(br) }

@@ -79,7 +79,7 @@ func sessionRefusal(t *testing.T, stream []byte) string {
 // TestRetiredControlRecordRefused: a DDT2 stream carrying the retired control
 // record (type 5, here a Flush behind a write) gets the decoder's refusal by
 // name wherever it arrives: from a daemon session and from ProfileTrace, with
-// NextRecord's text.
+// NextBatch's text.
 func TestRetiredControlRecordRefused(t *testing.T) {
 	var buf bytes.Buffer
 	w, _ := trace.NewWriter(&buf)
@@ -94,11 +94,11 @@ func TestRetiredControlRecordRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for err == nil {
-		_, err = tr.NextRecord()
+	for c := event.NewChunk(); err == nil; c.Reset() {
+		_, err = tr.NextBatch(c)
 	}
 	if err.Error() != want {
-		t.Fatalf("NextRecord: %v, want %q", err, want)
+		t.Fatalf("NextBatch: %v, want %q", err, want)
 	}
 	if _, err := ddprof.ProfileTrace(bytes.NewReader(stream), ddprof.Config{Backend: "perfect"}); err == nil || err.Error() != want {
 		t.Errorf("ProfileTrace: %v, want %q", err, want)

@@ -93,28 +93,33 @@ func rawRemoteProfile(t *testing.T, addr string, h *handshake, raw []byte) *Remo
 	return &RemoteResult{Deps: set, Tab: tab}
 }
 
-// replayTrace feeds captured trace bytes to a profiler record by record —
-// the pre-batching reference semantics the daemon's batched ingest must
-// reproduce.
+// replayTrace feeds captured trace bytes to a profiler event by event — the
+// pre-batching reference semantics the daemon's batched ingest must
+// reproduce: it decodes with NextBatch, then hands each point to Access and
+// each range record to AccessBatch on its own.
 func replayTrace(t *testing.T, prof *core.Profiler, raw []byte) {
 	t.Helper()
 	tr, err := trace.NewReader(trace.NewFrameReader(bytes.NewReader(raw), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := event.NewChunk()
 	for {
-		rec, err := tr.NextRecord()
-		if err != nil {
-			if err == io.EOF {
-				return
+		c.Reset()
+		_, err := tr.NextBatch(c)
+		for _, a := range c.Events {
+			if a.Kind == event.RangeRef {
+				prof.AccessBatch([]event.Access{{Kind: event.RangeRef}}, []event.Range{c.Ranges[a.Addr]})
+				continue
 			}
+			prof.Access(a)
+		}
+		if err == io.EOF {
+			return
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.IsRange {
-			prof.AccessBatch([]event.Access{{Kind: event.RangeRef}}, []event.Range{rec.Range})
-			continue
-		}
-		prof.Access(rec.Access)
 	}
 }
 

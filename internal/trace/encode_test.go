@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,11 +22,12 @@ import (
 
 // oracleWriter is the DDT2 reference encoder the slab encoder is held to byte
 // for byte: one event at a time, a Go map for the site table, one
-// binary.PutUvarint per field. Record bytes are defined by it and by the
-// grammar in DESIGN.md; it shares only siteKey.slot with Writer, since which slot
-// a template lands in is the encoder's choice and not part of the format.
+// binary.PutUvarint per field, into its own buffer. Record bytes are defined
+// by it and by the grammar in DESIGN.md; it shares only siteKey.slot with
+// Writer, since which slot a template lands in is the encoder's choice and
+// not part of the format.
 type oracleWriter struct {
-	bw                     *bufio.Writer
+	bytes.Buffer
 	sites                  map[uint]*oracleSite
 	prevAddr, prevIter, ts uint64
 	defines, redefines     uint64
@@ -38,21 +40,23 @@ type oracleSite struct {
 	last uint64
 }
 
-func newOracleWriter(w io.Writer) *oracleWriter {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	bw.WriteString(magic)
-	return &oracleWriter{bw: bw, sites: make(map[uint]*oracleSite)}
+func newOracleWriter() *oracleWriter {
+	w := &oracleWriter{sites: make(map[uint]*oracleSite)}
+	w.WriteString(magic)
+	return w
 }
 
 func (w *oracleWriter) put(v uint64) {
 	var buf [binary.MaxVarintLen64]byte
-	w.bw.Write(buf[:binary.PutUvarint(buf[:], v)])
+	w.Write(buf[:binary.PutUvarint(buf[:], v)])
 }
 
 func (w *oracleWriter) putZig(v int64) { w.put(uint64((v << 1) ^ (v >> 63))) }
 
 func (w *oracleWriter) put16(v uint) {
-	w.bw.Write(binary.LittleEndian.AppendUint16(nil, uint16(v)))
+	var buf [2]byte
+	binary.LittleEndian.PutUint16(buf[:], uint16(v))
+	w.Write(buf[:])
 }
 
 func (w *oracleWriter) Access(a event.Access) {
@@ -66,16 +70,16 @@ func (w *oracleWriter) Access(a event.Access) {
 		}
 		s = &oracleSite{tmpl: tmpl, last: w.prevAddr}
 		w.sites[slot] = s
-		w.bw.WriteByte(recDefine)
+		w.WriteByte(recDefine)
 		w.put16(slot)
-		w.bw.WriteByte(byte(a.Kind))
-		for _, v := range []uint64{uint64(a.Loc), uint64(a.Var), uint64(a.CtxID), uint64(a.Thread)} {
+		w.WriteByte(byte(a.Kind))
+		for _, v := range [...]uint64{uint64(a.Loc), uint64(a.Var), uint64(a.CtxID), uint64(a.Thread)} {
 			w.put(v)
 		}
-		w.bw.WriteByte(byte(a.Flags))
+		w.WriteByte(byte(a.Flags))
 	}
 	if a.TS != w.ts {
-		w.bw.WriteByte(recStamp)
+		w.WriteByte(recStamp)
 		w.putZig(int64(a.TS - w.ts))
 		w.ts = a.TS
 	}
@@ -86,15 +90,16 @@ func (w *oracleWriter) Access(a event.Access) {
 }
 
 func (w *oracleWriter) Range(r event.Range) {
-	w.bw.Write([]byte{recRange, byte(r.Kind)})
+	w.WriteByte(recRange)
+	w.WriteByte(byte(r.Kind))
 	w.putZig(int64(r.Base - w.prevAddr))
 	w.putZig(int64(r.Stride))
 	w.put(uint64(r.Count))
 	w.putZig(int64(r.TS - w.ts))
-	for _, v := range []uint64{uint64(r.Loc), uint64(r.Var), uint64(r.CtxID), r.IterVec, r.IterDelta, uint64(r.Thread)} {
+	for _, v := range [...]uint64{uint64(r.Loc), uint64(r.Var), uint64(r.CtxID), r.IterVec, r.IterDelta, uint64(r.Thread)} {
 		w.put(v)
 	}
-	w.bw.WriteByte(byte(r.Flags))
+	w.WriteByte(byte(r.Flags))
 	last := r.At(r.Count - 1)
 	w.prevAddr, w.prevIter, w.ts = last.Addr, last.IterVec, last.TS
 }
@@ -167,13 +172,7 @@ func (c *oracleCompactor) flush() {
 // explicit ranges, maximal-width varints in every field the decoder takes at
 // full width, threads up to event.MaxThread, and address and timestamp deltas
 // of both signs and full magnitude (stamps within event.MaxTS).
-type fuzzRec struct {
-	a       event.Access
-	r       event.Range
-	isRange bool
-}
-
-func fuzzStream(data []byte) []fuzzRec {
+func fuzzStream(data []byte) []wireRec {
 	rd := bytes.NewReader(data)
 	u64 := func() uint64 {
 		var b [8]byte
@@ -190,7 +189,7 @@ func fuzzStream(data []byte) []fuzzRec {
 		}
 		return small
 	}
-	var out []fuzzRec
+	var out []wireRec
 	addr, ts := uint64(0x10000), uint64(0)
 	for rd.Len() > 0 && len(out) < 4096 {
 		op, _ := rd.ReadByte()
@@ -207,15 +206,15 @@ func fuzzStream(data []byte) []fuzzRec {
 		case 0, 1, 3: // a point near the previous one
 			addr += uint64(int64(int8(sel))) * 8
 			a.Addr, a.TS, a.Kind = addr, ts, [...]event.Kind{event.Read, event.Write, event.Remove}[op>>3%3]
-			out = append(out, fuzzRec{a: a})
+			out = append(out, wireRec{a: a})
 		case 2: // a point anywhere, time moving either way
 			addr, ts = u64(), u64()&event.MaxTS
 			a.Addr, a.TS, a.Kind = addr, ts, event.Kind(op>>3&1)
-			out = append(out, fuzzRec{a: a})
+			out = append(out, wireRec{a: a})
 		case 4: // a read and its exact repeats
 			a.Addr, a.TS, a.Kind = addr, ts, event.Read
 			for j := 0; j < 2+int(sel&7); j++ {
-				out = append(out, fuzzRec{a: a})
+				out = append(out, wireRec{a: a})
 			}
 		case 5, 6: // a strided run of points, iteration vector advancing
 			stride := uint64(int64(int8(sel>>1))) * 4
@@ -226,7 +225,7 @@ func fuzzStream(data []byte) []fuzzRec {
 			a.Kind = event.Kind(sel & 1)
 			for j := 0; j < n; j++ {
 				a.Addr, a.TS = addr, ts
-				out = append(out, fuzzRec{a: a})
+				out = append(out, wireRec{a: a})
 				addr += stride
 				a.IterVec += uint64(sel >> 6)
 			}
@@ -238,7 +237,7 @@ func fuzzStream(data []byte) []fuzzRec {
 				Kind: event.Kind(sel & 1), Flags: a.Flags,
 			}
 			if wireRangeOK(&r) {
-				out = append(out, fuzzRec{r: r, isRange: true})
+				out = append(out, wireRec{r: r, isRange: true})
 				addr = r.Last()
 			}
 		}
@@ -315,12 +314,10 @@ func twins(set func(*event.Access, uint32)) (event.Access, event.Access) {
 // Writes where the per-record encoder cuts them, and NextBatch must decode
 // them back to evs.
 func checkBatchEquivalence(t *testing.T, evs []event.Access) {
-	var want bytes.Buffer
-	ow := newOracleWriter(&want)
+	ow := newOracleWriter()
 	for _, a := range evs {
 		ow.Access(a)
 	}
-	ow.bw.Flush()
 	var got, perRecord frameLog
 	w, _ := NewWriter(&got)
 	for rest := evs; len(rest) > 0; rest = rest[min(event.BatchSize, len(rest)):] {
@@ -333,91 +330,28 @@ func checkBatchEquivalence(t *testing.T, evs []event.Access) {
 	if err := errors.Join(w.Close(), pw.Close()); err != nil {
 		t.Fatal(err)
 	}
-	all := bytes.Join(got.frames, nil)
-	if !bytes.Equal(all, want.Bytes()) {
-		t.Fatalf("AccessBatch bytes differ from the oracle's (%d vs %d bytes)", len(all), want.Len())
+	if !bytes.Equal(got.all, ow.Bytes()) {
+		t.Fatalf("AccessBatch bytes differ from the oracle's (%d vs %d bytes)", len(got.all), ow.Len())
 	}
-	sameFrames(t, t.Name(), got.frames, perRecord.frames)
-	tr, err := NewReader(bytes.NewReader(all))
-	c := event.NewChunk()
-	i := 0
-	for err == nil {
-		c.Reset()
-		_, err = tr.NextBatch(c)
-		for _, e := range c.Events {
-			if i >= len(evs) || e != evs[i] {
-				t.Fatalf("event %d decodes as %+v", i, e)
-			}
-			i++
-		}
-	}
-	if err != io.EOF || i != len(evs) || tr.Count() != uint64(len(evs)) {
-		t.Fatalf("decoded %d events (Count %d) of %d: %v", i, tr.Count(), len(evs), err)
-	}
+	sameFrames(t, t.Name(), &got, &perRecord)
+	roundTrip(t, points(evs), ow)
 }
 
+// roundTrip requires NextBatch to decode the oracle's bytes back to recs,
+// with the define counts the oracle wrote.
+func roundTrip(t *testing.T, recs []wireRec, ow *oracleWriter) {
+	t.Helper()
+	sameDecoding(t, "NextBatch", written(recs, ow.defines, ow.redefines), batchDecode(bufio.NewReaderSize(bytes.NewReader(ow.Bytes()), max(ow.Len(), 16))))
+}
+
+// checkWriterEquivalence holds every encoder to its oracle over the record
+// stream fuzzStream makes of data, and NextBatch to the stream.
 func checkWriterEquivalence(t *testing.T, data []byte) {
 	recs := fuzzStream(data)
 
 	// Writer ≡ oracle, byte for byte, whatever the slab size.
-	var want bytes.Buffer
-	ow := newOracleWriter(&want)
-	for _, rc := range recs {
-		if rc.isRange {
-			ow.Range(rc.r)
-		} else {
-			ow.Access(rc.a)
-		}
-	}
-	ow.bw.Flush()
-	var perRecord [2]frameLog // the Writes of each slab, the batch path's reference
-	for size := range perRecord {
-		got := &perRecord[size]
-		w, _ := NewWriterSize(got, size)
-		for _, rc := range recs {
-			if rc.isRange {
-				w.Range(rc.r)
-			} else {
-				w.Access(rc.a)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if all := bytes.Join(got.frames, nil); !bytes.Equal(all, want.Bytes()) {
-			t.Fatalf("slab %d: Writer bytes differ from the oracle's (%d vs %d bytes)", size, len(all), want.Len())
-		}
-		if d, rd := w.SiteDefines(); d != ow.defines || rd != ow.redefines {
-			t.Fatalf("slab %d: Writer counts %d defines, %d redefines; the oracle wrote %d, %d", size, d, rd, ow.defines, ow.redefines)
-		}
-	}
-
-	// Reader round-trips them: records back out as they went in.
-	tr, err := NewReader(bytes.NewReader(want.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rc := range recs {
-		rec, err := tr.NextRecord()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if rec.IsRange != rc.isRange || rec.Range != rc.r || rec.Access != rc.a {
-			t.Fatalf("record %d round trip:\n got %+v\nwant %+v", i, rec, rc)
-		}
-	}
-	if _, err := tr.NextRecord(); err != io.EOF {
-		t.Fatalf("after the last record: %v, want io.EOF", err)
-	}
-	if d, rd := tr.SiteDefines(); d != ow.defines || rd != ow.redefines {
-		t.Fatalf("Reader counts %d defines, %d redefines; the oracle wrote %d, %d", d, rd, ow.defines, ow.redefines)
-	}
-
-	// AccessBatch ≡ the oracle, whatever the cuts, bare and under the
-	// SyncWriter's lock.
-	want.Reset()
-	ow = newOracleWriter(&want)
-	var slots []event.Access
+	ow := newOracleWriter()
+	var slots []event.Access // the records as AccessBatch takes them
 	var rngs []event.Range
 	var events uint64
 	for _, rc := range recs {
@@ -432,43 +366,62 @@ func checkWriterEquivalence(t *testing.T, data []byte) {
 		slots = append(slots, rc.a)
 		events++
 	}
-	ow.bw.Flush()
-	for _, locked := range []bool{false, true} {
-		var got frameLog
-		w, _ := NewWriterSize(&got, len(data)%2)
-		var hook event.BatchHook = w
-		if locked {
-			hook = NewSyncWriter(w)
-		}
-		for rest, cut := slots, 1; len(rest) > 0; cut = cut*3%11 + 1 {
-			n := min(cut, len(rest))
-			hook.AccessBatch(rest[:n], rngs)
-			rest = rest[n:]
-		}
-		if w.Count() != events {
-			t.Fatalf("AccessBatch counts %d events, fed %d", w.Count(), events)
+	var perRecord [2]frameLog // the Writes of each slab, the batch path's reference
+	for size := range perRecord {
+		got := &perRecord[size]
+		w, _ := NewWriterSize(got, size)
+		for _, rc := range recs {
+			if rc.isRange {
+				w.Range(rc.r)
+			} else {
+				w.Access(rc.a)
+			}
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if all := bytes.Join(got.frames, nil); !bytes.Equal(all, want.Bytes()) {
-			t.Fatalf("locked=%v: AccessBatch bytes differ from the oracle's (%d vs %d bytes)", locked, len(all), want.Len())
+		if !bytes.Equal(got.all, ow.Bytes()) {
+			t.Fatalf("slab %d: Writer bytes differ from the oracle's (%d vs %d bytes)", size, len(got.all), ow.Len())
 		}
-		sameFrames(t, fmt.Sprintf("locked=%v", locked), got.frames, perRecord[len(data)%2].frames)
+		if d, rd := w.SiteDefines(); d != ow.defines || rd != ow.redefines {
+			t.Fatalf("slab %d: Writer counts %d defines, %d redefines; the oracle wrote %d, %d", size, d, rd, ow.defines, ow.redefines)
+		}
 	}
 
+	// NextBatch round-trips them: records back out as they went in.
+	roundTrip(t, recs, ow)
+
+	// AccessBatch ≡ the oracle, whatever the cuts, with batches handed to the
+	// Writer bare and under the SyncWriter's lock in turn.
+	var got frameLog
+	w, _ := NewWriterSize(&got, len(data)%2)
+	hooks := [2]event.BatchHook{w, NewSyncWriter(w)}
+	for rest, cut := slots, 1; len(rest) > 0; cut = cut*3%11 + 1 {
+		n := min(cut, len(rest))
+		hooks[cut%2].AccessBatch(rest[:n], rngs)
+		rest = rest[n:]
+	}
+	if w.Count() != events {
+		t.Fatalf("AccessBatch counts %d events, fed %d", w.Count(), events)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.all, ow.Bytes()) {
+		t.Fatalf("AccessBatch bytes differ from the oracle's (%d vs %d bytes)", len(got.all), ow.Len())
+	}
+	sameFrames(t, "AccessBatch", &got, &perRecord[len(data)%2])
+
 	// Compactor ≡ oracle compactor over the point records.
-	want.Reset()
-	oc := &oracleCompactor{w: newOracleWriter(&want)}
+	oc := &oracleCompactor{w: newOracleWriter()}
 	for _, rc := range recs {
 		if !rc.isRange {
 			oc.Access(rc.a)
 		}
 	}
 	oc.flush()
-	oc.w.bw.Flush()
 	for _, slab := range []int{0, 1} { // the default slab, then the floor
-		var got bytes.Buffer
+		var got frameLog
 		w, _ := NewWriterSize(&got, slab)
 		c := NewCompactor(w)
 		var n uint64
@@ -484,23 +437,18 @@ func checkWriterEquivalence(t *testing.T, data []byte) {
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("slab %d: Compactor bytes differ from the oracle's (%d vs %d bytes)", slab, got.Len(), want.Len())
+		if !bytes.Equal(got.all, oc.w.Bytes()) {
+			t.Fatalf("slab %d: Compactor bytes differ from the oracle's (%d vs %d bytes)", slab, len(got.all), oc.w.Len())
 		}
 	}
 }
 
 // sameFrames requires AccessBatch to cut its Writes where the per-record
 // encoder does: on a FrameWriter every Write is a frame on the wire.
-func sameFrames(t *testing.T, name string, got, want [][]byte) {
+func sameFrames(t *testing.T, name string, got, want *frameLog) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: AccessBatch wrote %d frames, Access %d", name, len(got), len(want))
-	}
-	for i := range got {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("%s: AccessBatch frame %d is %d bytes, Access's %d", name, i, len(got[i]), len(want[i]))
-		}
+	if !slices.Equal(got.ends, want.ends) {
+		t.Fatalf("%s: AccessBatch's Writes end at %v, Access's at %v", name, got.ends, want.ends)
 	}
 }
 
@@ -522,73 +470,53 @@ func rawThreadDefine(slot uint, thread int32) []byte {
 	return append(rec, 0)
 }
 
-// TestWireLimitsKept: the widest stamp and thread a store slot keeps cross
-// the wire whole, by both decoder gears; one more is the refusal
-// TestHostileDDT2 names.
-func TestWireLimitsKept(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	evs := []event.Access{
-		{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 1), Thread: event.MaxThread, TS: event.MaxTS},
-		{Addr: 0x1000, Kind: event.Read, Loc: loc.Pack(1, 2), TS: event.MaxTS - 1},
-		{Addr: 0x1000, Kind: event.Read, Loc: loc.Pack(1, 2), Thread: event.MaxThread, TS: event.MaxTS},
-	}
-	for _, a := range evs {
-		w.Access(a)
-	}
-	_ = w.Close()
-	got, err := readAll(bytes.NewReader(buf.Bytes()))
-	if err != nil || len(got) != len(evs) {
-		t.Fatalf("decoded %d events, %v; want %d", len(got), err, len(evs))
-	}
-	for i := range evs {
-		if got[i] != evs[i] {
-			t.Errorf("event %d: got %+v, want %+v", i, got[i], evs[i])
-		}
-	}
-	checkBatchMatchesRecord(t, buf.Bytes())
-}
-
-// TestHostileDDT2: what the grammar forbids is refused by name, identically by
-// both decoder gears; and the one legal stream built to hurt — two hot sites on
-// one slot — round-trips exactly, at a define per event, counted on both ends.
+// TestHostileDDT2: what the grammar forbids is refused by name, by the oracle
+// and by NextBatch through every shape (checkRow); and the one legal stream
+// built to hurt — two hot sites on one slot — round-trips exactly, at a
+// define per event, counted on both ends.
 func TestHostileDDT2(t *testing.T) {
-	stream := func(recs ...[]byte) []byte { return append([]byte(magic), bytes.Join(recs, nil)...) }
+	recs := func(recs ...[]byte) []byte { return append([]byte(magic), bytes.Join(recs, nil)...) }
 	data := func(slot uint) []byte { return []byte{byte(slot << 1), byte(slot >> 7), 0, 0} }
 	for _, tc := range []struct {
 		name string
 		data []byte
 		want string
 	}{
-		{"undefined-slot", stream(rawDefine(4, 0, 0), data(5)), "trace: event 0: undefined site slot 5"},
-		{"data-slot-out-of-range", stream(data(siteSlots)), fmt.Sprintf("trace: event 0: site slot %d out of range", siteSlots)},
-		{"define-slot-out-of-range", stream(rawDefine(0xffff, 0, 0)), "trace: event 0: site slot 65535 out of range"},
-		{"define-kind-flush", stream(rawDefine(1, byte(event.Flush), 0)), "trace: event 0: invalid site kind 5"},
-		{"define-kind-retired", stream(rawDefine(1, 3, 0)), "trace: event 0: invalid site kind 3"},
-		{"define-flags", stream(rawDefine(1, 1, 0x04)), "trace: event 0: undefined flag bits 0x4"},
-		{"stamp-cut", stream(rawDefine(1, 1, 0), data(1), []byte{recStamp, 0x80}), "trace: event 1 truncated: unexpected EOF"},
-		{"stamp-overflow", stream([]byte{recStamp}, bytes.Repeat([]byte{0xff}, 10)), "trace: event 0 truncated: binary: varint overflows a 64-bit integer"},
-		{"record-type", stream([]byte{11}), "trace: event 0: invalid record type 11"},
+		{"undefined-slot", recs(rawDefine(4, 0, 0), data(5)), "trace: event 0: undefined site slot 5"},
+		{"data-slot-out-of-range", recs(data(siteSlots)), fmt.Sprintf("trace: event 0: site slot %d out of range", siteSlots)},
+		{"define-slot-out-of-range", recs(rawDefine(0xffff, 0, 0)), "trace: event 0: site slot 65535 out of range"},
+		{"define-kind-flush", recs(rawDefine(1, byte(event.Flush), 0)), "trace: event 0: invalid site kind 5"},
+		{"define-kind-retired", recs(rawDefine(1, 3, 0)), "trace: event 0: invalid site kind 3"},
+		{"define-flags", recs(rawDefine(1, 1, 0x04)), "trace: event 0: undefined flag bits 0x4"},
+		{"stamp-cut", recs(rawDefine(1, 1, 0), data(1), []byte{recStamp, 0x80}), "trace: event 1 truncated: unexpected EOF"},
+		{"stamp-overflow", recs([]byte{recStamp}, bytes.Repeat([]byte{0xff}, 10)), "trace: event 0 truncated: binary: varint overflows a 64-bit integer"},
+		{"record-type", recs([]byte{11}), "trace: event 0: invalid record type 11"},
 		// The retired control record, whatever kind it names.
-		{"control-kind-data", stream(rawDefine(1, 1, 0), data(1), []byte{recRetired, byte(event.Write)}), retiredRecord(1)},
-		{"control-kind-promote", stream([]byte{recRetired, 8}), retiredRecord(0)},
+		{"control-kind-data", recs(rawDefine(1, 1, 0), data(1), []byte{recRetired, byte(event.Write)}), retiredRecord(1)},
+		{"control-kind-promote", recs([]byte{recRetired, 8}), retiredRecord(0)},
 		// What a store slot cannot keep: a stamp past event.MaxTS, however
 		// the delta gets there, and a thread past event.MaxThread, by a
 		// stamp, define or range record.
-		{"stamp-2^32", stream(rawStamp(1 << 32)), "trace: event 0: stamp 4294967296 is past 4294967295, the widest a store slot keeps"},
-		{"stamp-2^32-in-two", stream(rawStamp(event.MaxTS), rawDefine(1, 1, 0), data(1), rawStamp(1)),
+		{"stamp-2^32", recs(rawStamp(1 << 32)), "trace: event 0: stamp 4294967296 is past 4294967295, the widest a store slot keeps"},
+		{"stamp-2^32-in-two", recs(rawStamp(event.MaxTS), rawDefine(1, 1, 0), data(1), rawStamp(1)),
 			"trace: event 1: stamp 4294967296 is past 4294967295, the widest a store slot keeps"},
-		{"stamp-below-zero", stream(rawStamp(-1)), "trace: event 0: stamp 18446744073709551615 is past 4294967295, the widest a store slot keeps"},
-		{"define-thread-512", stream(rawThreadDefine(1, event.MaxThread+1)), "trace: event 0: thread 512 is past 511, the widest a store slot keeps"},
-		{"define-thread-negative", stream(rawThreadDefine(1, -1)), "trace: event 0: thread 4294967295 is past 511, the widest a store slot keeps"},
-		{"range-stamp-2^32", stream(rawRange(byte(event.Write), 0x1000, 8, 2, 0, 1<<32, 0)), "trace: event 0: stamp 4294967296 is past 4294967295, the widest a store slot keeps"},
-		{"range-thread-512", stream(rawRange(byte(event.Write), 0x1000, 8, 2, 0, 0, event.MaxThread+1)), "trace: event 0: thread 512 is past 511, the widest a store slot keeps"},
+		{"stamp-below-zero", recs(rawStamp(-1)), "trace: event 0: stamp 18446744073709551615 is past 4294967295, the widest a store slot keeps"},
+		{"define-thread-512", recs(rawThreadDefine(1, event.MaxThread+1)), "trace: event 0: thread 512 is past 511, the widest a store slot keeps"},
+		{"define-thread-negative", recs(rawThreadDefine(1, -1)), "trace: event 0: thread 4294967295 is past 511, the widest a store slot keeps"},
+		{"range-stamp-2^32", recs(rawRange(byte(event.Write), 0x1000, 8, 2, 0, 1<<32, 0)), "trace: event 0: stamp 4294967296 is past 4294967295, the widest a store slot keeps"},
+		{"range-thread-512", recs(rawRange(byte(event.Write), 0x1000, 8, 2, 0, 0, event.MaxThread+1)), "trace: event 0: thread 512 is past 511, the widest a store slot keeps"},
+		// Range records the Writer refuses to emit.
+		{"range-count-1", recs(rawRange(byte(event.Write), 0x1000, 8, 1, 0, 0, 0)), "trace: event 0: range count 1 out of bounds"},
+		{"range-count-huge", recs(rawRange(byte(event.Write), 0x1000, 8, 1<<30, 0, 0, 0)), "trace: event 0: range count 1073741824 out of bounds"},
+		{"range-overflow-up", recs(rawRange(byte(event.Write), -8, 1<<62, 16, 0, 0, 0)), "trace: event 0: range 0xfffffffffffffff8 + 4611686018427387904*15 overflows the address space"},
+		{"range-overflow-down", recs(rawRange(byte(event.Write), 0x100, -256, 3, 0, 0, 0)), "trace: event 0: range 0x100 + -256*2 overflows the address space"},
+		{"range-bad-elem-kind", recs(rawRange(byte(event.Remove), 0x1000, 8, 4, 0, 0, 0)), "trace: event 0: invalid range element kind 2"},
+		{"range-bad-flags", recs(rawRange(byte(event.Read), 0x1000, 8, 4, 0x80, 0, 0)), "trace: event 0: undefined flag bits 0x80"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, _, err := recordAll(tc.data); err == nil || err.Error() != tc.want {
-				t.Errorf("NextRecord error %v, want %q", err, tc.want)
-			}
-			checkBatchMatchesRecord(t, tc.data)
+			r := row(tc.name, tc.data)
+			r.want = tc.want
+			checkRow(t, r)
 		})
 	}
 
@@ -609,22 +537,12 @@ func TestHostileDDT2(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if d, rd := w.SiteDefines(); d != 2*n || rd != 2*n-1 {
-			t.Errorf("Writer counts %d defines, %d redefines for %d alternating events on one slot", d, rd, 2*n)
+		r := row("thrash", buf.Bytes())
+		r.input = points(evs)
+		if r.defines, r.redefines = w.SiteDefines(); r.defines != 2*n || r.redefines != 2*n-1 {
+			t.Errorf("Writer counts %d defines, %d redefines for %d alternating events on one slot", r.defines, r.redefines, 2*n)
 		}
-		tr, err := NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, want := range evs {
-			if got, err := tr.NextRecord(); err != nil || got.Access != want {
-				t.Fatalf("event %d: got %+v, %v; want %+v", i, got.Access, err, want)
-			}
-		}
-		if d, rd := tr.SiteDefines(); d != 2*n || rd != 2*n-1 {
-			t.Errorf("Reader counts %d defines, %d redefines", d, rd)
-		}
-		checkBatchMatchesRecord(t, buf.Bytes())
+		checkRow(t, r) // the Reader counts the same
 	})
 }
 
@@ -636,11 +554,16 @@ func maximalRange() event.Range {
 	}
 }
 
-// frameLog is a frame destination that keeps every Write apart.
-type frameLog struct{ frames [][]byte }
+// frameLog is a frame destination that keeps the bytes of every Write and
+// where each ended.
+type frameLog struct {
+	all  []byte
+	ends []int
+}
 
 func (l *frameLog) Write(p []byte) (int, error) {
-	l.frames = append(l.frames, bytes.Clone(p))
+	l.all = append(l.all, p...)
+	l.ends = append(l.ends, len(l.all))
 	return len(p), nil
 }
 
@@ -665,8 +588,8 @@ func TestSlabFrames(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if n := len(widest.frames[0]); len(widest.frames) != 1 || n > tc.limit {
-			t.Fatalf("size %d: the widest range took %d frames, the first %d bytes; want one, limit %d", tc.size, len(widest.frames), n, tc.limit)
+		if n := widest.ends[0]; len(widest.ends) != 1 || n > tc.limit {
+			t.Fatalf("size %d: the widest range took %d frames, the first %d bytes; want one, limit %d", tc.size, len(widest.ends), n, tc.limit)
 		}
 		var log frameLog
 		if w, err = NewWriterSize(&log, tc.size); err != nil {
@@ -681,31 +604,28 @@ func TestSlabFrames(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.HasPrefix(log.frames[0], []byte(magic)) {
+		if !bytes.HasPrefix(log.all[:log.ends[0]], []byte(magic)) {
 			t.Fatalf("size %d: first frame does not carry the magic", tc.size)
 		}
 		// Decode the frames one Reader over their concatenation, and require
 		// the byte offset of every frame end to be a record boundary.
-		all := bytes.Join(log.frames, nil)
+		all := log.all
 		ends := make(map[int]bool)
-		off := 0
-		for i, fr := range log.frames {
-			if len(fr) == 0 || len(fr) > tc.limit {
-				t.Fatalf("size %d: frame %d is %d bytes, limit %d", tc.size, i, len(fr), tc.limit)
+		start := 0
+		for i, end := range log.ends {
+			if n := end - start; n == 0 || n > tc.limit {
+				t.Fatalf("size %d: frame %d is %d bytes, limit %d", tc.size, i, n, tc.limit)
 			}
-			off += len(fr)
-			ends[off] = true
+			ends[end], start = true, end
 		}
 		src := bytes.NewReader(all)
-		br := bufio.NewReaderSize(src, 16) // small, so the read position below is tight
-		tr, err := NewReader(br)
+		or, err := newOracleReader(src) // a byte at a time, so the read position is exact
 		if err != nil {
 			t.Fatal(err)
 		}
 		for {
-			pos := len(all) - src.Len() - br.Buffered()
-			delete(ends, pos)
-			if _, err := tr.NextRecord(); err == io.EOF {
+			delete(ends, len(all)-src.Len())
+			if _, _, err := or.step(); err == io.EOF {
 				break
 			} else if err != nil {
 				t.Fatalf("size %d: %v", tc.size, err)
@@ -714,11 +634,11 @@ func TestSlabFrames(t *testing.T) {
 		if len(ends) != 0 {
 			t.Fatalf("size %d: %d frames end inside a record", tc.size, len(ends))
 		}
-		if want := uint64(len(evs)) + 50*uint64(len(evs)/1000); tr.Count() != want {
-			t.Fatalf("size %d: decoded %d events, want %d", tc.size, tr.Count(), want)
+		if want := uint64(len(evs)) + 50*uint64(len(evs)/1000); or.n != want {
+			t.Fatalf("size %d: decoded %d events, want %d", tc.size, or.n, want)
 		}
-		if tc.size == 0 && len(log.frames) < 10 {
-			t.Fatalf("default slab: %d frames for %d bytes", len(log.frames), len(all))
+		if tc.size == 0 && len(log.ends) < 10 {
+			t.Fatalf("default slab: %d frames for %d bytes", len(log.ends), len(all))
 		}
 	}
 }
@@ -932,30 +852,48 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkDecode is the twin for the ledger's trace.decode row: NextBatch over
-// the same stream as Writer.AccessBatch encodes it, through a window of one
-// default frame, chunks reused.
+// BenchmarkDecode is the twin for the ledger's trace.decode row: NextBatch
+// over the same stream as Writer.AccessBatch encodes it, chunks reused. The
+// window arm reads the bare stream through a bufio layer of one default
+// frame, as the ledger does; the framed arm reads what a ddprofd session
+// does: the stream written through a FrameWriter at the client's default
+// slab, read by NewReader(NewFrameReader(bufio)) with the session's 64 KiB
+// buffer, so records are cut at frame edges and at bufio refills.
 func BenchmarkDecode(b *testing.B) {
 	evs := recordedStream(b)
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.AccessBatch(evs, nil)
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
-	}
-	c := event.NewChunk()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr, err := NewReader(bufio.NewReaderSize(bytes.NewReader(buf.Bytes()), 1<<16))
-		for err == nil {
-			c.Reset()
-			_, err = tr.NextBatch(c)
-		}
-		if err != io.EOF || tr.Count() != uint64(len(evs)) {
-			b.Fatalf("decoded %d of %d events: %v", tr.Count(), len(evs), err)
+	var bare, framed bytes.Buffer
+	for _, dst := range []io.Writer{&bare, NewFrameWriter(&framed)} {
+		w, _ := NewWriter(dst)
+		w.AccessBatch(evs, nil)
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(len(evs))), "ns/event")
+	framed.WriteByte(0) // the terminator frame
+	for _, arm := range []struct {
+		name string
+		src  func() ByteScanner
+	}{
+		{"window", func() ByteScanner { return bufio.NewReaderSize(bytes.NewReader(bare.Bytes()), 1<<16) }},
+		{"framed", func() ByteScanner {
+			return NewFrameReader(bufio.NewReaderSize(bytes.NewReader(framed.Bytes()), 1<<16), 0)
+		}},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			c := event.NewChunk()
+			for i := 0; i < b.N; i++ {
+				tr, err := NewReader(arm.src())
+				for err == nil {
+					c.Reset()
+					_, err = tr.NextBatch(c)
+				}
+				if err != io.EOF || tr.Count() != uint64(len(evs)) {
+					b.Fatalf("decoded %d of %d events: %v", tr.Count(), len(evs), err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(len(evs))), "ns/event")
+		})
+	}
 }
 
 // batchFeed marks a hook the benchmark feeds the way the executors do: through

@@ -13,29 +13,6 @@ import (
 	"ddprof/internal/loc"
 )
 
-// seedStream is the stream the fuzzers start from and the committed corpora
-// are cut from: every record type a client writes, with a define and a stamp
-// ahead of the first point, a duplicate read, a site used twice and a slot
-// redefined.
-func seedStream() []byte {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	wr := event.Access{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 7), TS: 1}
-	rd := event.Access{Addr: 0x1008, Kind: event.Read, Loc: loc.Pack(1, 8), TS: 2, Thread: 3, IterVec: 1}
-	w.Access(wr)
-	w.Access(rd)
-	w.Access(rd)
-	w.Range(event.Range{Base: 0x4000, Stride: 16, Count: 32, TS: 3, Loc: loc.Pack(2, 1), Kind: event.Write, IterDelta: 1})
-	wr.Addr, wr.TS, wr.IterVec = 0x1010, 3, 1<<16
-	w.Access(wr)
-	w.Access(event.Access{Addr: 0x1010, Kind: event.Remove, TS: 4})
-	twin := sameSlot(wr)
-	twin.Addr, twin.TS = 0x2000, 4
-	w.Access(twin) // takes wr's slot
-	_ = w.Close()
-	return buf.Bytes()
-}
-
 // sameSlot returns an access by another site that siteKey.slot sends to a's slot.
 func sameSlot(a event.Access) event.Access {
 	for b := a; ; {
@@ -64,7 +41,7 @@ func limitSeed(thread int32, ts uint64) []byte {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf)
 	w.Access(event.Access{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 7), Thread: thread, TS: ts})
-	_ = w.Close()
+	_ = w.Close() // the Writer writes what the Reader refuses
 	return buf.Bytes()
 }
 
@@ -82,8 +59,8 @@ var update = flag.Bool("update", false, "rewrite the committed seed corpora unde
 // TestSeedCorpus keeps the committed corpora of the wire-facing fuzzers what
 // this generator makes of the current format: a wire change regenerates them
 // with `go test ./internal/trace -run TestSeedCorpus -update`, and until then
-// this test fails rather than let plain `go test` replay seeds the decoders
-// refuse at the magic.
+// this test fails rather than let plain `go test` replay seeds the decoder
+// refuses at the magic.
 func TestSeedCorpus(t *testing.T) {
 	ddt1, err := os.ReadFile("testdata/retired.ddt1")
 	if err != nil {
@@ -112,7 +89,6 @@ func TestSeedCorpus(t *testing.T) {
 		{"FuzzNextBatch", plain, "uint8(1)\n", ""},
 		// FuzzNextBatch's framed arm, over a 16-byte window (checkFramed).
 		{"FuzzNextBatch", plain, fmt.Sprintf("uint8(%d)\n", 5+6*3), "-framed"},
-		{"FuzzRangeFrame", plain, "", ""},
 	} {
 		for name, b := range seeds {
 			if b = fz.wrap(b); name == "cut-mid-record" {
@@ -161,115 +137,6 @@ func FuzzFrames(f *testing.F) {
 		}
 		// And the session path — trace reader over framed bytes — must never
 		// panic.
-		_, _ = readAll(NewFrameReader(bytes.NewReader(data), 1<<16))
-	})
-}
-
-// FuzzReplay hardens the trace reader: arbitrary bytes must either replay
-// or error, never panic, and whatever replays must re-encode.
-func FuzzReplay(f *testing.F) {
-	f.Add(seedStream())
-	f.Add([]byte(magic))
-	f.Add([]byte{})
-	f.Add([]byte(magic + "\x03\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01")) // a stamp delta of the full width: refused
-	f.Add(limitSeed(0, event.MaxTS+1))                                    // refused
-	f.Add(limitSeed(event.MaxThread+1, 1))                                // refused
-	f.Fuzz(func(t *testing.T, data []byte) {
-		evs, err := readAll(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		w2, err := NewWriter(&out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, a := range evs {
-			w2.Access(a)
-		}
-		if err := w2.Close(); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		back, err := readAll(&out)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if len(back) != len(evs) {
-			t.Fatalf("round trip lost events: %d vs %d", len(back), len(evs))
-		}
-	})
-}
-
-// FuzzRangeFrame hardens the range-record decode path: arbitrary bytes must
-// decode or error, never panic; every decoded range must be in-bounds and
-// non-wrapping; and whatever decodes must re-encode losslessly.
-func FuzzRangeFrame(f *testing.F) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Access(event.Access{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 7), TS: 1})
-	w.Range(event.Range{Base: 0x2000, Stride: 8, Count: 64, Kind: event.Read, Loc: loc.Pack(1, 8), IterDelta: 1, TS: 1})
-	w.Range(event.Range{Base: 0x9000, Stride: ^uint64(0) - 15, Count: 32, Kind: event.Write, Loc: loc.Pack(1, 9)})
-	w.Access(event.Access{Addr: 0x2008, Kind: event.Read, Loc: loc.Pack(1, 10)})
-	_ = w.Close()
-	f.Add(buf.Bytes())
-	f.Add([]byte(magic))
-	f.Add(append([]byte(magic), 7, 1, 0, 16, 64, 0, 0, 0, 0, 0, 0, 0, 0))
-	// Claims count 2^30 — must be rejected before distorting accounting.
-	f.Add(append([]byte(magic), 7, 0, 0, 16, 0x80, 0x80, 0x80, 0x80, 0x04, 0))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var recs []Record
-		var total uint64
-		for {
-			rec, err := tr.NextRecord()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return
-			}
-			if rec.IsRange {
-				rg := rec.Range
-				if rg.Count < 2 || rg.Count > maxWireRangeCount {
-					t.Fatalf("decoded range count %d out of bounds", rg.Count)
-				}
-				if rangeWraps(rg.Base, int64(rg.Stride), rg.Count) {
-					t.Fatalf("decoded range wraps: base %#x stride %d count %d", rg.Base, int64(rg.Stride), rg.Count)
-				}
-				total += uint64(rg.Count)
-			} else {
-				total++
-			}
-			recs = append(recs, rec)
-		}
-		if tr.Count() != total {
-			t.Fatalf("reader count %d, want %d", tr.Count(), total)
-		}
-		// Re-encode the records and require a lossless second decode.
-		var out bytes.Buffer
-		w2, err := NewWriter(&out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rec := range recs {
-			if rec.IsRange {
-				w2.Range(rec.Range)
-			} else {
-				w2.Access(rec.Access)
-			}
-		}
-		if err := w2.Close(); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		back, err := readAll(&out)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if want := expand(recs); len(back) != len(want) {
-			t.Fatalf("round trip lost events: %d vs %d", len(back), len(want))
-		}
+		_, _ = replay(NewFrameReader(bytes.NewReader(data), 1<<16))
 	})
 }

@@ -22,7 +22,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 
 	"ddprof/internal/event"
 	"ddprof/internal/loc"
@@ -87,13 +86,14 @@ func (w *Writer) Range(r event.Range) {
 // lastIter returns the iteration vector of r's final element.
 func lastIter(r *event.Range) uint64 { return r.IterVec + uint64(r.Count-1)*r.IterDelta }
 
-// readRange decodes the body of a range record whose type byte has been
-// consumed. It validates every field a hostile stream could abuse — element
-// kind, count bounds, address-space wrap, undefined flag bits — before
-// committing the run to the stream context.
-func (r *Reader) readRange(br io.ByteReader) (event.Range, error) {
+// rangeBody decodes the body of a range record, from the element kind on.
+// It validates every field a hostile stream could abuse — element kind,
+// count bounds, address-space wrap, undefined flag bits, stamp and thread
+// widths — in stream order; the caller commits the run.
+func (f *cursor) rangeBody() (event.Range, error) {
+	r := f.r
 	var rg event.Range
-	kb, err := r.getByte(br)
+	kb, err := f.byte()
 	if err != nil {
 		return rg, err
 	}
@@ -101,17 +101,17 @@ func (r *Reader) readRange(br io.ByteReader) (event.Range, error) {
 		return rg, fmt.Errorf("trace: event %d: invalid range element kind %d", r.n, kb)
 	}
 	rg.Kind = event.Kind(kb)
-	dBase, err := r.getZig(br)
+	dBase, err := f.zigzag()
 	if err != nil {
 		return rg, err
 	}
 	rg.Base = r.prevAddr + uint64(dBase)
-	stride, err := r.getZig(br)
+	stride, err := f.zigzag()
 	if err != nil {
 		return rg, err
 	}
 	rg.Stride = uint64(stride)
-	cnt, err := r.get(br)
+	cnt, err := f.uvarint()
 	if err != nil {
 		return rg, err
 	}
@@ -123,13 +123,13 @@ func (r *Reader) readRange(br io.ByteReader) (event.Range, error) {
 		return rg, fmt.Errorf("trace: event %d: range %#x + %d*%d overflows the address space",
 			r.n, rg.Base, stride, rg.Count-1)
 	}
-	dTS, err := r.getZig(br)
+	dTS, err := f.zigzag()
 	if err != nil {
 		return rg, err
 	}
 	rg.TS = r.ts + uint64(dTS)
 	var vals [6]uint64
-	if rg.Flags, err = r.getFields(br, vals[:]); err != nil {
+	if rg.Flags, err = f.fields(vals[:]); err != nil {
 		return rg, err
 	}
 	rg.Loc = loc.SourceLoc(vals[0])
@@ -144,7 +144,5 @@ func (r *Reader) readRange(br io.ByteReader) (event.Range, error) {
 		return rg, err
 	}
 	rg.Thread = int32(vals[5])
-	r.prevAddr, r.prevIter, r.ts = rg.Last(), lastIter(&rg), rg.TS
-	r.n += uint64(rg.Count)
 	return rg, nil
 }

@@ -56,7 +56,7 @@ const (
 
 	recDefine  = 1
 	recStamp   = 3
-	recRetired = 5 // the retired control record, refused by name (step)
+	recRetired = 5 // the retired control record, refused by name (record)
 	recRange   = byte(event.RangeRef)
 
 	siteBits  = 12
@@ -377,23 +377,22 @@ func (s *SyncWriter) Err() error {
 	return s.w.Err()
 }
 
-// Reader decodes a trace stream as it arrives: NextBatch into event chunks,
-// which is how a ddprofd session and ProfileTrace feed a profiler without
-// buffering the whole trace, or NextRecord one record at a time, the
-// reference NextBatch is held to.
+// Reader decodes a trace stream as it arrives, with NextBatch into event
+// chunks: this is how a ddprofd session and ProfileTrace feed a profiler
+// without buffering the whole trace.
 //
 // Reader is hardened against hostile input: a stream cut mid-record returns
 // an error wrapping io.ErrUnexpectedEOF, and corrupt bytes (unknown record
 // types and kinds, slots out of range or never defined, undefined flag bits,
 // varint overflows) return descriptive errors. It never panics, and its state
-// is the fixed site table: no input grows it.
+// is the fixed site table and a carry of one record: no input grows it.
 type Reader struct {
 	br ByteScanner
 	// The stream context, as in Writer.
 	prevAddr, prevIter, ts uint64
 	n                      uint64
-	win                    window // decodeWindow's view of the bytes in hand, for step
 	siteTable
+	carry [maxRangeLen]byte // a record cut by the window's edge (NextBatch)
 }
 
 // NewReader checks the stream magic and returns a Reader positioned at the
@@ -401,7 +400,7 @@ type Reader struct {
 // implement ByteScanner (a *bufio.Reader, a FrameReader) are decoded from
 // directly; anything else — an in-memory *bytes.Reader included, which offers
 // bytes but no window over them — is wrapped in a 64KiB bufio layer, so every
-// Reader batch-decodes in the windowed gear.
+// Reader decodes from a window.
 func NewReader(r io.Reader) (*Reader, error) {
 	br, ok := r.(ByteScanner)
 	if !ok {
@@ -432,65 +431,6 @@ func noEOF(err error) error {
 	return err
 }
 
-// Record is one decoded trace record: either a point access or a compressed
-// strided run. Exactly one of the two is meaningful, selected by IsRange.
-type Record struct {
-	Access  event.Access
-	Range   event.Range
-	IsRange bool
-}
-
-// NextRecord decodes up to and including the next record that carries events,
-// without expanding ranges. Define and stamp records on the way there take
-// effect and are not returned. Count() advances by the element count of each
-// record (a range counts as Count events). It returns io.EOF at a clean end of
-// stream (a record boundary); a stream that ends inside a record returns an
-// error wrapping io.ErrUnexpectedEOF instead.
-func (r *Reader) NextRecord() (Record, error) {
-	for {
-		rec, events, err := r.step(r.br)
-		if events || err != nil {
-			return rec, err
-		}
-	}
-}
-
-// step decodes one record of any type from br, a byte at a time, and reports
-// whether it carries events. It changes the Reader's state only once the
-// whole record has been read and found valid; io.EOF in place of a record's
-// first byte is a clean end, returned bare.
-func (r *Reader) step(br io.ByteReader) (rec Record, events bool, err error) {
-	b0, err := br.ReadByte()
-	if err != nil {
-		return rec, false, err
-	}
-	switch {
-	case b0&1 == 0:
-		rec.Access, err = r.readData(br, b0)
-	case b0 == recDefine:
-		return rec, false, r.readDefine(br)
-	case b0 == recStamp:
-		d, err := r.getZig(br)
-		if err != nil {
-			return rec, false, err
-		}
-		ts := r.ts + uint64(d)
-		if err := r.tooWide("stamp", ts, event.MaxTS); err != nil {
-			return rec, false, err
-		}
-		r.ts = ts
-		return rec, false, nil
-	case b0 == recRetired:
-		err = fmt.Errorf("trace: event %d: record type 5 is the retired control record: a stream carries accesses only", r.n)
-	case b0 == recRange:
-		rec.Range, err = r.readRange(br)
-		rec.IsRange = true
-	default:
-		err = fmt.Errorf("trace: event %d: invalid record type %d", r.n, b0)
-	}
-	return rec, err == nil, err
-}
-
 // dataKind reports whether k may be a site's kind. Flush is the pipeline's
 // own, and 3, 4, 6, 8 and 9 are retired values (event.Kind): none may reach a
 // worker as data.
@@ -509,105 +449,4 @@ func (r *Reader) truncated(err error) error {
 	return fmt.Errorf("trace: event %d truncated: %w", r.n, noEOF(err))
 }
 
-func (r *Reader) getByte(br io.ByteReader) (byte, error) {
-	b, err := br.ReadByte()
-	if err != nil {
-		return 0, r.truncated(err)
-	}
-	return b, nil
-}
-
-func (r *Reader) get(br io.ByteReader) (uint64, error) {
-	v, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, r.truncated(err)
-	}
-	return v, nil
-}
-
-func (r *Reader) getZig(br io.ByteReader) (int64, error) {
-	u, err := r.get(br)
-	return unzig(u), err
-}
-
 func unzig(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// getFields reads the uvarint fields of a record into vals and the flags byte
-// that follows them, refusing undefined bits.
-func (r *Reader) getFields(br io.ByteReader, vals []uint64) (event.Flags, error) {
-	for i := range vals {
-		v, err := r.get(br)
-		if err != nil {
-			return 0, err
-		}
-		vals[i] = v
-	}
-	fb, err := r.getByte(br)
-	if err == nil && event.Flags(fb)&^(event.FlagReduction|event.FlagInduction) != 0 {
-		err = fmt.Errorf("trace: event %d: undefined flag bits %#x", r.n, fb)
-	}
-	return event.Flags(fb), err
-}
-
-// readData decodes the rest of a data record whose first header byte is b0.
-func (r *Reader) readData(br io.ByteReader, b0 byte) (a event.Access, err error) {
-	b1, err := r.getByte(br)
-	if err != nil {
-		return a, err
-	}
-	slot := uint(b0)>>1 | uint(b1)<<7
-	if slot >= siteSlots {
-		return a, fmt.Errorf("trace: event %d: site slot %d out of range", r.n, slot)
-	}
-	s := &r.sites[slot]
-	if s.key.kf == 0 {
-		return a, fmt.Errorf("trace: event %d: undefined site slot %d", r.n, slot)
-	}
-	dAddr, err := r.getZig(br)
-	if err != nil {
-		return a, err
-	}
-	dIter, err := r.getZig(br)
-	if err != nil {
-		return a, err
-	}
-	s.last += uint64(dAddr)
-	r.prevAddr = s.last
-	r.prevIter += uint64(dIter)
-	r.n++
-	a = event.Access{Addr: s.last, TS: r.ts, IterVec: r.prevIter}
-	s.key.fill(&a)
-	return a, nil
-}
-
-// readDefine decodes the body of a define record and binds its slot.
-func (r *Reader) readDefine(br io.ByteReader) error {
-	var hdr [3]byte
-	for i := range hdr {
-		b, err := r.getByte(br)
-		if err != nil {
-			return err
-		}
-		hdr[i] = b
-	}
-	slot := uint(hdr[0]) | uint(hdr[1])<<8
-	if slot >= siteSlots {
-		return fmt.Errorf("trace: event %d: site slot %d out of range", r.n, slot)
-	}
-	if !dataKind(event.Kind(hdr[2])) {
-		return fmt.Errorf("trace: event %d: invalid site kind %d", r.n, hdr[2])
-	}
-	var vals [4]uint64
-	flags, err := r.getFields(br, vals[:])
-	if err != nil {
-		return err
-	}
-	if err := r.tooWide("thread", vals[3], event.MaxThread); err != nil {
-		return err
-	}
-	r.bind(slot, keyOf(&event.Access{
-		Loc: loc.SourceLoc(vals[0]), Var: loc.VarID(vals[1]), CtxID: uint32(vals[2]), Thread: int32(vals[3]),
-		Kind: event.Kind(hdr[2]), Flags: flags,
-	}), r.prevAddr)
-	return nil
-}

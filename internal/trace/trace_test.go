@@ -2,9 +2,7 @@ package trace
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"ddprof/internal/core"
@@ -14,32 +12,6 @@ import (
 	"ddprof/internal/loc"
 	ml "ddprof/internal/minilang"
 )
-
-// readAll decodes a whole trace with NextRecord and expands every range record
-// into its points: the per-event view a recorded stream is compared with.
-func readAll(r io.Reader) ([]event.Access, error) {
-	recs, _, err := recordsOf(NewReader(r))
-	if err == io.EOF {
-		err = nil
-	}
-	return expand(recs), err
-}
-
-// expand lists recs' events in stream order, a range record's elements in its
-// place.
-func expand(recs []Record) []event.Access {
-	var out []event.Access
-	for _, rec := range recs {
-		if !rec.IsRange {
-			out = append(out, rec.Access)
-			continue
-		}
-		for j := uint32(0); j < rec.Range.Count; j++ {
-			out = append(out, rec.Range.At(j))
-		}
-	}
-	return out
-}
 
 func randomEvents(n int, seed int64) []event.Access {
 	r := rand.New(rand.NewSource(seed))
@@ -58,69 +30,6 @@ func randomEvents(n int, seed int64) []event.Access {
 		}
 	}
 	return out
-}
-
-func TestRoundTrip(t *testing.T) {
-	evs := randomEvents(5000, 42)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range evs {
-		w.Access(a)
-	}
-	if w.Count() != 5000 {
-		t.Fatalf("count = %d", w.Count())
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(evs) {
-		t.Fatalf("replayed %d events, want %d", len(got), len(evs))
-	}
-	for i := range evs {
-		if got[i] != evs[i] {
-			t.Fatalf("event %d mismatch:\n got %+v\nwant %+v", i, got[i], evs[i])
-		}
-	}
-}
-
-func TestEmptyTrace(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readAll(&buf)
-	if err != nil || len(got) != 0 {
-		t.Errorf("empty trace: %v events, err %v", len(got), err)
-	}
-}
-
-func TestReplayErrors(t *testing.T) {
-	if _, err := readAll(strings.NewReader("")); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := readAll(strings.NewReader("XXXX")); err == nil {
-		t.Error("bad magic accepted")
-	}
-	// Truncated event.
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Access(event.Access{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 1)})
-	_ = w.Close()
-	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := readAll(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated trace accepted")
-	}
 }
 
 // TestRecordReplayProfileEquivalence: profiling a replayed trace must yield
@@ -167,7 +76,7 @@ func TestRecordReplayProfileEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs, err := readAll(&buf)
+	evs, err := replay(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 # End-to-end smoke with real binaries: a race-detector build of ddprof on a
 # sample that spawns threads, the -backend and retired ddprofd flag checks,
 # then ddprofd booted over a unix socket: a workload profiled remotely must
-# save the profile its local twin saves (ddiff -binary), over the exact store
+# save the profile its local twin saves (ddiff), over the exact store
 # and over a signature tight enough to collide, where -slots must name one
 # signature whatever the mode or the daemon's worker count. Run by
 # `make smoke` (and `make check`).
@@ -94,9 +94,10 @@ while [ ! -S "$sock" ]; do
 	sleep 0.1
 done
 
-# same NAME A B: profiles A and B must be identical (ddiff -binary).
+# same NAME A B: profiles A and B must be identical (ddiff; both are DDP1, so
+# it merge-joins them as streams).
 same() {
-	"$dir/ddiff" -binary "$2" "$3" >"$dir/$1.diff" && grep -q "profiles are identical" "$dir/$1.diff" || {
+	"$dir/ddiff" "$2" "$3" >"$dir/$1.diff" && grep -q "profiles are identical" "$dir/$1.diff" || {
 		echo "ddprofd smoke: $1: the profiles differ:"
 		cat "$dir/$1.diff"
 		exit 1
