@@ -569,10 +569,13 @@ func shape(i int, data []byte, edge int) (name string, batch, oracle io.Reader, 
 }
 
 // checkInvariants holds what the oracle decoded to the properties every
-// decode has: ranges are in bounds and do not wrap, and the records re-encode
-// and decode back to themselves.
+// decode has: Count is the records' events, ranges are in bounds and do not
+// wrap, and the records re-encode and decode back to themselves.
 func checkInvariants(t *testing.T, name string, d decoding) {
 	t.Helper()
+	if n := written(d.recs, 0, 0).n; d.n != n {
+		t.Fatalf("%s: Count %d, the records hold %d events", name, d.n, n)
+	}
 	for i, rec := range d.recs {
 		if rg := rec.r; rec.isRange && (rg.Count < 2 || rg.Count > maxWireRangeCount || rangeWraps(rg.Base, int64(rg.Stride), rg.Count)) {
 			t.Fatalf("%s: record %d is a range out of bounds: base %#x stride %d count %d", name, i, rg.Base, int64(rg.Stride), rg.Count)
@@ -612,7 +615,8 @@ func row(name string, data []byte) decodeRow {
 	return decodeRow{name: name, data: data, edge: len(data) / 2, shape: 5 + 6}
 }
 
-// input is a row of the Writer's bytes for recs.
+// input is a row of the Writer's bytes for recs; the Writer must count their
+// events.
 func input(tb testing.TB, name string, recs []wireRec) decodeRow {
 	b, w, err := encode(recs)
 	if err != nil {
@@ -621,6 +625,9 @@ func input(tb testing.TB, name string, recs []wireRec) decodeRow {
 	r := row(name, b)
 	r.input = recs
 	r.defines, r.redefines = w.SiteDefines()
+	if n := written(recs, 0, 0).n; w.Count() != n {
+		tb.Fatalf("%s: the Writer counts %d events, its input holds %d", name, w.Count(), n)
+	}
 	return r
 }
 
@@ -702,114 +709,342 @@ func retiredRecord(n int) string {
 	return fmt.Sprintf("trace: event %d: record type 5 is the retired control record: a stream carries accesses only", n)
 }
 
-// decodeRows are the harness's streams.
-func decodeRows(t *testing.T) []decodeRow {
-	seed, mixed := input(t, "seed", seedRecs()), input(t, "mixed", mixedRecs())
-	seed.shape, mixed.shape = 5+43, 5+43 // every reframe seed the fuzzer's shape byte reaches
-	rows := []decodeRow{seed, mixed, input(t, "empty", []wireRec{})}
+// runRows runs each row through the comparator as a subtest and returns how
+// every shape's decode of every row ended.
+func runRows(t *testing.T, rows ...decodeRow) []error {
+	t.Helper()
+	var ends []error
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) { ends = append(ends, checkRow(t, r)...) })
+	}
+	return ends
+}
 
-	// The remote-session programs' stream, over several 64 KiB windows.
-	rows = append(rows, input(t, "recorded", points(recordedStream(t)[:1<<17])))
+// cuts is a cut row of data[:off] for each offset.
+func cuts(data []byte, offs ...int) []decodeRow {
+	var rows []decodeRow
+	for _, off := range offs {
+		r := row(fmt.Sprintf("cut/%d", off), data[:off])
+		r.cut = true
+		rows = append(rows, r)
+	}
+	return rows
+}
 
-	// The chunk's capacity edges, and their whole-window batches.
-	var evs, rngs []wireRec
+// span is the offsets from up to, not including, to by step.
+func span(from, to, step int) []int {
+	var offs []int
+	for off := from; off < to; off += step {
+		offs = append(offs, off)
+	}
+	return offs
+}
+
+// TestRoundTrip: what the Writer writes decodes back to its input through
+// every shape: random accesses, and the remote-session programs' stream over
+// several 64 KiB windows.
+func TestRoundTrip(t *testing.T) {
+	runRows(t, input(t, "random", points(randomEvents(5000, 42))), input(t, "recorded", points(recordedStream(t)[:1<<17])))
+}
+
+// TestEmptyTrace: the Writer's stream of no events is the magic alone, and it
+// decodes to nothing, cleanly.
+func TestEmptyTrace(t *testing.T) {
+	runRows(t, input(t, "empty", []wireRec{}))
+}
+
+// TestReplayErrors: a stream without the magic, with a bad one, with the
+// retired DDT1 one, or cut inside its one record is refused by name.
+func TestReplayErrors(t *testing.T) {
+	ddt1, err := os.ReadFile("testdata/retired.ddt1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := stream(points([]event.Access{{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 1)}}))
+	noMagic, badMagic, retired, cut := row("no-magic", nil), row("bad-magic", []byte("XXXX")), row("ddt1", ddt1), row("truncated", one[:len(one)-3])
+	noMagic.want, badMagic.want, retired.want = "trace: reading magic: unexpected EOF", `trace: bad magic "XXXX"`, ErrDDT1.Error()
+	cut.want = "trace: event 0 truncated: unexpected EOF"
+	runRows(t, noMagic, badMagic, retired, cut)
+}
+
+// TestFramedTrace runs a trace through the framing layer the way a ddprofd
+// session does — the Writer on a FrameWriter, NewReader on a FrameReader —
+// and the same stream through every shape.
+func TestFramedTrace(t *testing.T) {
+	r := input(t, "random", points(randomEvents(3000, 99)))
+	var buf bytes.Buffer
+	fw := NewFrameWriter(&buf)
+	w, _ := NewWriter(fw)
+	for _, rec := range r.input {
+		w.Access(rec.a)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sameDecoding(t, "session", written(r.input, r.defines, r.redefines), batchDecode(NewFrameReader(&buf, 0)))
+	runRows(t, r)
+}
+
+// TestInMemoryReaderWindowed: a trace held in memory (a *bytes.Reader offers
+// no window over its bytes; NewReader supplies one) decodes in whole-chunk
+// batches — the in-memory shape holds every batch but the last to a full
+// chunk — and its cuts near the tail end as the oracle's do.
+func TestInMemoryReaderWindowed(t *testing.T) {
+	var evs []event.Access
+	for i := 0; i < 3*event.ChunkSize; i++ {
+		evs = append(evs, event.Access{Addr: 0x1000 + uint64(i/2)*8, Kind: event.Read, Loc: loc.Pack(1, 5)})
+	}
+	r := input(t, "reads", points(evs))
+	if len(r.data) > 1<<16 {
+		t.Fatalf("the stream is %d bytes, past the one window NewReader supplies", len(r.data))
+	}
+	runRows(t, append([]decodeRow{r}, cuts(r.data, span(len(r.data)-12, len(r.data), 1)...)...)...)
+}
+
+// TestNextBatchChunkCapacity: a window holding more records than a chunk has
+// slots fills the chunk exactly, and the rest arrive in the next call.
+func TestNextBatchChunkCapacity(t *testing.T) {
+	var recs []wireRec
 	for i := 0; i < event.ChunkSize+100; i++ {
-		evs = append(evs, wireRec{a: event.Access{Addr: uint64(0x1000 + 8*i), TS: uint64(i + 1), Kind: event.Kind(i % 2), Loc: loc.Pack(1, 1)}})
+		recs = append(recs, wireRec{a: event.Access{Addr: uint64(0x1000 + 8*i), TS: uint64(i + 1), Kind: event.Kind(i % 2), Loc: loc.Pack(1, 1)}})
 	}
+	runRows(t, input(t, "chunk-edge", recs))
+}
+
+// TestNextBatchRangeCapacity: a window holding more ranges than a chunk's
+// side table fills the table exactly, and the rest arrive in the next call.
+func TestNextBatchRangeCapacity(t *testing.T) {
+	var recs []wireRec
 	for i := 0; i < event.MaxRangesPerChunk+10; i++ {
-		rngs = append(rngs, wireRec{r: event.Range{Base: uint64(0x10000 + 0x1000*i), Stride: 8, Count: 16, TS: uint64(i + 1), Loc: loc.Pack(3, 4), Kind: event.Read}, isRange: true})
+		recs = append(recs, wireRec{r: event.Range{Base: uint64(0x10000 + 0x1000*i), Stride: 8, Count: 16, TS: uint64(i + 1), Loc: loc.Pack(3, 4), Kind: event.Read}, isRange: true})
 	}
-	rows = append(rows, input(t, "chunk-edge", evs), input(t, "range-edge", rngs))
+	runRows(t, input(t, "range-edge", recs))
+}
 
-	// Ranges field for field: forward, backward and zero stride between points.
-	rows = append(rows, input(t, "ranges", []wireRec{
-		{a: event.Access{Addr: 0xff8, Kind: event.Write, Loc: loc.Pack(1, 9), TS: 6}},
-		{r: event.Range{Base: 0x1000, Stride: 8, Count: 1000, TS: 7, IterVec: 3, IterDelta: 1,
-			Loc: loc.Pack(1, 10), Var: 4, CtxID: 2, Thread: 1, Kind: event.Write, Flags: event.FlagReduction}, isRange: true},
-		{r: event.Range{Base: 0x90000, Stride: ^uint64(0) - 7, Count: 500, Kind: event.Read, Loc: loc.Pack(1, 11)}, isRange: true},
-		{r: event.Range{Base: 0x5000, Stride: 0, Count: 2, Kind: event.Read, Loc: loc.Pack(1, 12)}, isRange: true},
-		{a: event.Access{Addr: 0x5008, Kind: event.Read, Loc: loc.Pack(1, 13)}},
-	}))
+// withRetired is a stream of n random events, then a retired control record,
+// then the same records again; it returns the offset of the retired record.
+func withRetired(n int) ([]byte, int) {
+	head := stream(points(randomEvents(n, 3)))
+	data := append(bytes.Clone(head), retiredControlSeed(byte(event.Flush))[len(magic):]...)
+	return append(data, head[len(magic):]...), len(head)
+}
 
-	// The widest stamp and thread a store slot keeps cross whole; one more is
-	// refused.
-	rows = append(rows, input(t, "limits-kept", points([]event.Access{
-		{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 1), Thread: event.MaxThread, TS: event.MaxTS},
-		{Addr: 0x1000, Kind: event.Read, Loc: loc.Pack(1, 2), TS: event.MaxTS - 1},
-		{Addr: 0x1000, Kind: event.Read, Loc: loc.Pack(1, 2), Thread: event.MaxThread, TS: event.MaxTS},
-	})))
-	stamp, thread := row("stamp-2to32", limitSeed(0, event.MaxTS+1)), row("thread-512", limitSeed(event.MaxThread+1, 1))
-	stamp.want = "trace: event 0: stamp 4294967296 is past 4294967295, the widest a store slot keeps"
-	thread.want = "trace: event 0: thread 512 is past 511, the widest a store slot keeps"
-	rows = append(rows, stamp, thread)
-
-	// Every cut of the seed stream, then a frame edge at every offset of it:
-	// between a define or stamp record and its point included.
-	for off := 0; off <= len(seed.data); off++ {
-		cut := row(fmt.Sprintf("cut/%d", off), seed.data[:off])
-		cut.cut = true
-		edge := row(fmt.Sprintf("edge/%d", off), seed.data)
-		edge.edge, edge.shape = off, 5
-		rows = append(rows, cut, edge)
+// TestNextBatchControlMidFrame: a retired control record mid-window ends the
+// batch that meets it: the events ahead of it are in the chunk, in stream
+// order, and the call returns the refusal naming it.
+func TestNextBatchControlMidFrame(t *testing.T) {
+	data, _ := withRetired(18)
+	tr, err := NewReader(bufio.NewReader(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// The mixed stream cut near its tail, where its widest records are clipped.
-	for off := len(mixed.data) - 20; off < len(mixed.data); off++ {
-		cut := row(fmt.Sprintf("mixed-cut/%d", off), mixed.data[:off])
-		cut.cut = true
-		rows = append(rows, cut)
+	c := event.NewChunk()
+	if _, err := tr.NextBatch(c); err == nil || err.Error() != retiredRecord(18) {
+		t.Fatalf("NextBatch error %v, want %q", err, retiredRecord(18))
 	}
+	want := randomEvents(18, 3)
+	if len(c.Events) != len(want) {
+		t.Fatalf("the batch holds %d events ahead of the retired record, want %d", len(c.Events), len(want))
+	}
+	for i := range want {
+		if c.Events[i] != want[i] {
+			t.Fatalf("event %d: got %+v, want %+v", i, c.Events[i], want[i])
+		}
+	}
+	r := row("retired-control", data)
+	r.edge, r.want = len(data), retiredRecord(18)
+	runRows(t, r)
+}
 
-	// Corrupt bytes, and the retired magic, kinds and control record, whole
-	// in the window or split by a frame edge after the type byte.
+// TestNextBatchCorrupt: corrupt bytes and the retired control record — whole
+// in the window, or split by a frame edge after its type byte — end the
+// stream with the oracle's error, at the oracle's event.
+func TestNextBatchCorrupt(t *testing.T) {
+	mixed := stream(mixedRecs())
 	mutated := func(name string, mutate func([]byte)) decodeRow {
-		b := bytes.Clone(mixed.data)
+		b := bytes.Clone(mixed)
 		mutate(b)
 		return row(name, b)
 	}
-	rows = append(rows,
-		mutated("corrupt/bad-kind", func(b []byte) { b[len(b)/2] = 0xee }),
-		mutated("corrupt/bad-flags", func(b []byte) { b[len(b)/3] = 0x80 }),
-		mutated("corrupt/overflow-varint", func(b []byte) {
-			copy(b[len(b)/2:], []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
-		}))
-	head := stream(points(randomEvents(40, 3)))
-	retired := append(bytes.Clone(head), retiredControlSeed(byte(event.Flush))[len(magic):]...)
-	retired = append(retired, head[len(magic):]...)
+	retired, at := withRetired(40)
 	mid, split := row("retired-control-mid-window", retired), row("retired-control-split", retired)
-	mid.edge, split.edge = len(retired), len(head)+1
+	mid.edge, split.edge = len(retired), at+1
 	mid.want, split.want = retiredRecord(40), retiredRecord(40)
-	rows = append(rows, mid, split)
+	runRows(t,
+		mutated("bad-kind", func(b []byte) { b[len(b)/2] = 0xee }),
+		mutated("bad-flags", func(b []byte) { b[len(b)/3] = 0x80 }),
+		mutated("overflow-varint", func(b []byte) {
+			copy(b[len(b)/2:], []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+		}),
+		mid, split)
+}
+
+// TestRetiredKindsRefused: kind bytes 3, 4, 6 (the retired redistribution
+// kinds, event.Kind), 8 (the retired promotion hint) and 9 (the retired epoch
+// mark) are no site's kind, and the control record that carried the last two
+// is retired whatever its kind: each is refused by name, so none can reach a
+// worker.
+func TestRetiredKindsRefused(t *testing.T) {
+	var rows []decodeRow
 	for _, k := range []byte{3, 4, 6, 8, 9} {
 		kind, control := row(fmt.Sprintf("retired-kind-%d", k), retiredKindSeed(k)), row(fmt.Sprintf("retired-control-%d", k), retiredControlSeed(k))
 		kind.want, control.want = fmt.Sprintf("trace: event 0: invalid site kind %d", k), retiredRecord(0)
 		rows = append(rows, kind, control)
 	}
-	ddt1, err := os.ReadFile("testdata/retired.ddt1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	noMagic, badMagic, retiredMagic := row("no-magic", nil), row("bad-magic", []byte("XXXX")), row("ddt1", ddt1)
-	noMagic.want, badMagic.want, retiredMagic.want = "trace: reading magic: unexpected EOF", `trace: bad magic "XXXX"`, ErrDDT1.Error()
-	return append(rows, noMagic, badMagic, retiredMagic)
+	runRows(t, rows...)
 }
 
-// TestDecode is the decode harness: every row through every shape, NextBatch
-// held to the oracle (records, Count, define counts, error text), and the
-// oracle to each row's input, expectations and the decode invariants.
-func TestDecode(t *testing.T) {
-	var clean, truncated, oversized bool
-	for _, r := range decodeRows(t) {
-		t.Run(r.name, func(t *testing.T) {
-			for _, err := range checkRow(t, r) {
-				clean = clean || err == io.EOF
-				truncated = truncated || errors.Is(err, io.ErrUnexpectedEOF)
-				oversized = oversized || errors.Is(err, ErrFrameTooLarge)
-			}
-		})
+// TestNextBatchFrameTooLarge: the Writer on a FrameWriter flushes multi-KB
+// frames; under a 256-byte cap NextBatch refuses the first oversized one as
+// the oracle does. The stream's framed shapes reach frames past their cap too.
+func TestNextBatchFrameTooLarge(t *testing.T) {
+	r := input(t, "random", points(randomEvents(2000, 11)))
+	var framed bytes.Buffer
+	fw := NewFrameWriter(&framed)
+	w, _ := NewWriter(fw)
+	for _, rec := range r.input {
+		w.Access(rec.a)
 	}
-	if !clean || !truncated || !oversized {
-		t.Errorf("the rows ended clean %v, truncated %v, past the frame cap %v: want every end", clean, truncated, oversized)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := oracleDecode(NewFrameReader(bytes.NewReader(framed.Bytes()), 256))
+	got := batchDecode(NewFrameReader(bytes.NewReader(framed.Bytes()), 256))
+	if !errors.Is(got.err, ErrFrameTooLarge) {
+		t.Fatalf("NextBatch ends %v, want ErrFrameTooLarge", got.err)
+	}
+	sameDecoding(t, "cap 256", want, got)
+	oversized := false
+	for _, err := range runRows(t, r) {
+		oversized = oversized || errors.Is(err, ErrFrameTooLarge)
+	}
+	if !oversized {
+		t.Error("no framed shape ended with ErrFrameTooLarge")
+	}
+}
+
+// TestNextBatchFramed runs the framed shapes over the seed and the mixed
+// stream at every reframe seed the fuzzer's shape byte reaches.
+func TestNextBatchFramed(t *testing.T) {
+	seed, mixed := input(t, "seed", seedRecs()), input(t, "mixed", mixedRecs())
+	seed.shape, mixed.shape = 5+43, 5+43
+	runRows(t, seed, mixed)
+}
+
+// TestNextBatchMatchesNextRecord: NextBatch decodes the mixed stream — every
+// point kind, flags, repeated accesses, removes and ranges — as the
+// record-at-a-time oracle does, through every shape.
+func TestNextBatchMatchesNextRecord(t *testing.T) {
+	runRows(t, input(t, "mixed", mixedRecs()))
+}
+
+// TestNextBatchTruncated cuts the mixed stream at a spread of offsets,
+// mid-record and mid-varint among them, and at every offset near its tail,
+// where its widest records are clipped: each cut ends as the oracle's does.
+func TestNextBatchTruncated(t *testing.T) {
+	data := stream(mixedRecs())
+	runRows(t, cuts(data, append(span(4, len(data)-20, 97), span(len(data)-20, len(data), 1)...)...)...)
+}
+
+// TestNextBatchEveryOffset takes the seed stream — defines and stamps ahead
+// of the points that need them, a redefine, a range — and puts a cut, then a
+// frame edge, at every byte offset: between a define or stamp record and its
+// point included.
+func TestNextBatchEveryOffset(t *testing.T) {
+	data := seedStream()
+	rows := cuts(data, span(0, len(data)+1, 1)...)
+	for off := 0; off <= len(data); off++ {
+		edge := row(fmt.Sprintf("edge/%d", off), data)
+		edge.edge, edge.shape = off, 5
+		rows = append(rows, edge)
+	}
+	runRows(t, rows...)
+}
+
+// TestReaderTruncation cuts a trace at every byte offset: each cut replays a
+// clean prefix (a cut on a record boundary) or ends with an error wrapping
+// io.ErrUnexpectedEOF, and a cut inside the magic is refused.
+func TestReaderTruncation(t *testing.T) {
+	data := stream(points(randomEvents(20, 7)))
+	rows := cuts(data, span(0, len(data), 1)...)
+	for i := range rows[:len(magic)] {
+		rows[i].want = "trace: reading magic: unexpected EOF"
+	}
+	truncated := false
+	for _, err := range runRows(t, rows...) {
+		truncated = truncated || errors.Is(err, io.ErrUnexpectedEOF)
+	}
+	if !truncated {
+		t.Fatal("no cut ended with a truncation")
+	}
+}
+
+// TestReaderRejectsCorruptBytes flips one byte at a time in a define record
+// and the data record using it: every check refuses it by name.
+func TestReaderRejectsCorruptBytes(t *testing.T) {
+	define := rawDefine(5, byte(event.Write), 0)
+	good := append(append([]byte(magic), define...), 5<<1, 0, 16, 0)
+	if evs, err := replay(bytes.NewReader(good)); err != nil || len(evs) != 1 || evs[0].Addr != 8 {
+		t.Fatalf("the uncorrupted stream: %+v, %v", evs, err)
+	}
+	var rows []decodeRow
+	for _, tc := range []struct {
+		name string
+		off  int
+		b    byte
+		want string
+	}{
+		{"record-type", len(magic), 0xff, "trace: event 0: invalid record type 255"},
+		{"site-kind", len(magic) + 3, byte(event.Flush), "trace: event 0: invalid site kind 5"},
+		{"undefined-flag-bits", len(magic) + len(define) - 1, 0xf0, "trace: event 0: undefined flag bits 0xf0"},
+		{"undefined-site-slot", len(magic) + len(define), 6 << 1, "trace: event 0: undefined site slot 6"},
+		{"slot-out-of-range", len(magic) + len(define) + 1, 0xff, "trace: event 0: site slot 32645 out of range"},
+		{"address-delta-cut", len(good) - 2, 0x80, "trace: event 0 truncated: unexpected EOF"},
+		{"iteration-vector-cut", len(good) - 1, 0x80, "trace: event 0 truncated: unexpected EOF"},
+	} {
+		bad := bytes.Clone(good)
+		bad[tc.off] = tc.b
+		r := row(tc.name, bad)
+		r.want = tc.want
+		rows = append(rows, r)
+	}
+	runRows(t, rows...)
+}
+
+// TestWireLimitsKept: the widest stamp and thread a store slot keeps cross
+// the wire whole; one more is refused by name.
+func TestWireLimitsKept(t *testing.T) {
+	kept := input(t, "limits-kept", points([]event.Access{
+		{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 1), Thread: event.MaxThread, TS: event.MaxTS},
+		{Addr: 0x1000, Kind: event.Read, Loc: loc.Pack(1, 2), TS: event.MaxTS - 1},
+		{Addr: 0x1000, Kind: event.Read, Loc: loc.Pack(1, 2), Thread: event.MaxThread, TS: event.MaxTS},
+	}))
+	stamp, thread := row("stamp-2to32", limitSeed(0, event.MaxTS+1)), row("thread-512", limitSeed(event.MaxThread+1, 1))
+	stamp.want = "trace: event 0: stamp 4294967296 is past 4294967295, the widest a store slot keeps"
+	thread.want = "trace: event 0: thread 512 is past 511, the widest a store slot keeps"
+	runRows(t, kept, stamp, thread)
+}
+
+// checkFuzzed holds NextBatch, through shape i with a frame edge at edge, to
+// the oracle on data, and what the oracle decodes to the decode invariants.
+func checkFuzzed(t *testing.T, data []byte, i, edge int) {
+	t.Helper()
+	want := oracleDecode(bytes.NewReader(data))
+	checkInvariants(t, "oracle", want)
+	name, batch, oracle, full := shape(i, data, edge)
+	if i >= 5 {
+		want = oracleDecode(oracle)
+	}
+	got := batchDecode(batch)
+	sameDecoding(t, name, want, got)
+	if full && got.short {
+		t.Fatalf("%s: a batch ended short of a full chunk before the stream did", name)
 	}
 }
 
@@ -832,32 +1067,12 @@ func FuzzNextBatch(f *testing.F) {
 	f.Add(corrupt, uint8(5+6*4))
 	f.Add(limitSeed(0, event.MaxTS+1), uint8(0))         // refused
 	f.Add(limitSeed(event.MaxThread+1, 1), uint8(5+6*3)) // refused
-	f.Add([]byte{}, uint8(3))
-	f.Add([]byte(magic+"\x03\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"), uint8(3)) // a stamp delta of the full width: refused
-	f.Add(stream([]wireRec{
-		{a: event.Access{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 7), TS: 1}},
-		{r: event.Range{Base: 0x2000, Stride: 8, Count: 64, Kind: event.Read, Loc: loc.Pack(1, 8), IterDelta: 1, TS: 1}, isRange: true},
-		{r: event.Range{Base: 0x9000, Stride: ^uint64(0) - 15, Count: 32, Kind: event.Write, Loc: loc.Pack(1, 9)}, isRange: true},
-		{a: event.Access{Addr: 0x2008, Kind: event.Read, Loc: loc.Pack(1, 10)}},
-	}), uint8(4+6*20))
-	f.Add(append([]byte(magic), 7, 1, 0, 16, 64, 0, 0, 0, 0, 0, 0, 0, 0), uint8(3))
-	f.Add(append([]byte(magic), 7, 0, 0, 16, 0x80, 0x80, 0x80, 0x80, 0x04, 0), uint8(1)) // count 2^30: refused
 	f.Fuzz(func(t *testing.T, data []byte, sh uint8) {
-		want := oracleDecode(bytes.NewReader(data))
-		checkInvariants(t, "oracle", want)
 		i := int(sh % 6)
 		if i == 5 {
 			i += int(sh / 6)
 		}
-		name, batch, oracle, full := shape(i, data, int(sh/6)*len(data)/43)
-		if i >= 5 {
-			want = oracleDecode(oracle)
-		}
-		got := batchDecode(batch)
-		sameDecoding(t, name, want, got)
-		if full && got.short {
-			t.Fatalf("%s: a batch ended short of a full chunk before the stream did", name)
-		}
+		checkFuzzed(t, data, i, int(sh/6)*len(data)/43)
 	})
 }
 

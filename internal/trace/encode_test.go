@@ -505,13 +505,6 @@ func TestHostileDDT2(t *testing.T) {
 		{"define-thread-negative", recs(rawThreadDefine(1, -1)), "trace: event 0: thread 4294967295 is past 511, the widest a store slot keeps"},
 		{"range-stamp-2^32", recs(rawRange(byte(event.Write), 0x1000, 8, 2, 0, 1<<32, 0)), "trace: event 0: stamp 4294967296 is past 4294967295, the widest a store slot keeps"},
 		{"range-thread-512", recs(rawRange(byte(event.Write), 0x1000, 8, 2, 0, 0, event.MaxThread+1)), "trace: event 0: thread 512 is past 511, the widest a store slot keeps"},
-		// Range records the Writer refuses to emit.
-		{"range-count-1", recs(rawRange(byte(event.Write), 0x1000, 8, 1, 0, 0, 0)), "trace: event 0: range count 1 out of bounds"},
-		{"range-count-huge", recs(rawRange(byte(event.Write), 0x1000, 8, 1<<30, 0, 0, 0)), "trace: event 0: range count 1073741824 out of bounds"},
-		{"range-overflow-up", recs(rawRange(byte(event.Write), -8, 1<<62, 16, 0, 0, 0)), "trace: event 0: range 0xfffffffffffffff8 + 4611686018427387904*15 overflows the address space"},
-		{"range-overflow-down", recs(rawRange(byte(event.Write), 0x100, -256, 3, 0, 0, 0)), "trace: event 0: range 0x100 + -256*2 overflows the address space"},
-		{"range-bad-elem-kind", recs(rawRange(byte(event.Remove), 0x1000, 8, 4, 0, 0, 0)), "trace: event 0: invalid range element kind 2"},
-		{"range-bad-flags", recs(rawRange(byte(event.Read), 0x1000, 8, 4, 0x80, 0, 0)), "trace: event 0: undefined flag bits 0x80"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := row(tc.name, tc.data)

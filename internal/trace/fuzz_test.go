@@ -87,8 +87,9 @@ func TestSeedCorpus(t *testing.T) {
 	}{
 		{"FuzzFrames", framed, "", ""},
 		{"FuzzNextBatch", plain, "uint8(1)\n", ""},
-		// FuzzNextBatch's framed arm, over a 16-byte window (checkFramed).
+		// FuzzNextBatch's framed shape, over a 16-byte window (shape).
 		{"FuzzNextBatch", plain, fmt.Sprintf("uint8(%d)\n", 5+6*3), "-framed"},
+		{"FuzzRangeFrame", plain, "", ""},
 	} {
 		for name, b := range seeds {
 			if b = fz.wrap(b); name == "cut-mid-record" {
@@ -138,5 +139,40 @@ func FuzzFrames(f *testing.F) {
 		// And the session path — trace reader over framed bytes — must never
 		// panic.
 		_, _ = replay(NewFrameReader(bytes.NewReader(data), 1<<16))
+	})
+}
+
+// FuzzReplay hardens the decoder on a trace held in memory, as an offline
+// replay reads it: for arbitrary bytes NextBatch decodes what the oracle does,
+// and whatever decodes re-encodes and decodes back to the same records.
+func FuzzReplay(f *testing.F) {
+	f.Add(seedStream())
+	f.Add([]byte(magic))
+	f.Add([]byte{})
+	f.Add([]byte(magic + "\x03\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01")) // a stamp delta of the full width: refused
+	f.Add(limitSeed(0, event.MaxTS+1))                                    // refused
+	f.Add(limitSeed(event.MaxThread+1, 1))                                // refused
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkFuzzed(t, data, 2, 0) // the in-memory shape
+	})
+}
+
+// FuzzRangeFrame hardens the range-record decode path where every record is
+// cut: for arbitrary bytes delivered one byte per Read, NextBatch decodes what
+// the oracle does, every decoded range is in bounds and does not wrap, Count
+// is the records' events, and whatever decodes re-encodes losslessly.
+func FuzzRangeFrame(f *testing.F) {
+	f.Add(stream([]wireRec{
+		{a: event.Access{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 7), TS: 1}},
+		{r: event.Range{Base: 0x2000, Stride: 8, Count: 64, Kind: event.Read, Loc: loc.Pack(1, 8), IterDelta: 1, TS: 1}, isRange: true},
+		{r: event.Range{Base: 0x9000, Stride: ^uint64(0) - 15, Count: 32, Kind: event.Write, Loc: loc.Pack(1, 9)}, isRange: true},
+		{a: event.Access{Addr: 0x2008, Kind: event.Read, Loc: loc.Pack(1, 10)}},
+	}))
+	f.Add([]byte(magic))
+	f.Add(append([]byte(magic), 7, 1, 0, 16, 64, 0, 0, 0, 0, 0, 0, 0, 0))
+	// Claims count 2^30: refused before it distorts any accounting.
+	f.Add(append([]byte(magic), 7, 0, 0, 16, 0x80, 0x80, 0x80, 0x80, 0x04, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkFuzzed(t, data, 3, 0) // the one-byte shape: every record through the carry
 	})
 }

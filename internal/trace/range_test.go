@@ -29,6 +29,48 @@ func rawRange(elemKind byte, base, stride int64, count uint64, flags byte, ts in
 	return append(out, flags)
 }
 
+// TestRangeRecordRoundTrip: ranges between points — forward, backward and
+// zero stride — decode field for field, counted as their elements.
+func TestRangeRecordRoundTrip(t *testing.T) {
+	runRows(t, input(t, "ranges", []wireRec{
+		{a: event.Access{Addr: 0xff8, Kind: event.Write, Loc: loc.Pack(1, 9), TS: 6}},
+		{r: event.Range{Base: 0x1000, Stride: 8, Count: 1000, TS: 7, IterVec: 3, IterDelta: 1,
+			Loc: loc.Pack(1, 10), Var: 4, CtxID: 2, Thread: 1, Kind: event.Write, Flags: event.FlagReduction}, isRange: true},
+		{r: event.Range{Base: 0x90000, Stride: ^uint64(0) - 7, Count: 500, Kind: event.Read, Loc: loc.Pack(1, 11)}, isRange: true}, // stride -8
+		{r: event.Range{Base: 0x5000, Stride: 0, Count: 2, Kind: event.Read, Loc: loc.Pack(1, 12)}, isRange: true},
+		{a: event.Access{Addr: 0x5008, Kind: event.Read, Loc: loc.Pack(1, 13)}},
+	}))
+}
+
+// TestRangeRecordRejection: range records the Writer refuses to emit are
+// refused by name, and every cut of a valid one inside the record is a
+// truncation.
+func TestRangeRecordRejection(t *testing.T) {
+	var rows []decodeRow
+	for _, tc := range []struct {
+		name string
+		rec  []byte
+		want string
+	}{
+		{"count-1", rawRange(byte(event.Write), 0x1000, 8, 1, 0, 0, 0), "trace: event 0: range count 1 out of bounds"},
+		{"count-huge", rawRange(byte(event.Write), 0x1000, 8, 1<<30, 0, 0, 0), "trace: event 0: range count 1073741824 out of bounds"},
+		{"overflow-up", rawRange(byte(event.Write), -8, 1<<62, 16, 0, 0, 0), "trace: event 0: range 0xfffffffffffffff8 + 4611686018427387904*15 overflows the address space"},
+		{"overflow-down", rawRange(byte(event.Write), 0x100, -256, 3, 0, 0, 0), "trace: event 0: range 0x100 + -256*2 overflows the address space"},
+		{"bad-elem-kind", rawRange(byte(event.Remove), 0x1000, 8, 4, 0, 0, 0), "trace: event 0: invalid range element kind 2"},
+		{"bad-flags", rawRange(byte(event.Read), 0x1000, 8, 4, 0x80, 0, 0), "trace: event 0: undefined flag bits 0x80"},
+	} {
+		r := row(tc.name, append([]byte(magic), tc.rec...))
+		r.want = tc.want
+		rows = append(rows, r)
+	}
+	full := append([]byte(magic), rawRange(byte(event.Write), 0x1000, 8, 64, 0, 0, 0)...)
+	for _, r := range cuts(full, span(len(magic)+1, len(full), 1)...) {
+		r.want = "trace: event 0 truncated: unexpected EOF"
+		rows = append(rows, r)
+	}
+	runRows(t, rows...)
+}
+
 func TestCompactorExactReplay(t *testing.T) {
 	// A stream with long strided runs, an interleaved section that must NOT
 	// compress (order preservation), dup reads, a remove, and an MT-style
