@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check fmt-check fuzz smoke bench loc
+.PHONY: all build vet test race check fmt-check fuzz smoke bench loc kernels
 
 all: build
 
@@ -46,6 +46,12 @@ check: build vet fmt-check test race smoke
 bench:
 	$(GO) run ./bench/ddbench all
 
+# What the per-record kernels (Engine.ProcessRun, Writer.run, Reader.points)
+# call and how many stack-slot loads and stores they make, from the
+# compiler's assembly listing; a report, not a gate.
+kernels:
+	./scripts/kernel_calls.sh
+
 # Non-test Go lines per top-level package (. is the ddprof facade) and in all:
 # the number a simplicity PR reports, before and after. internal/exp, the
 # experiment code (the paper's tables and figures, the §III-B store
@@ -62,6 +68,8 @@ loc:
 
 # Short fuzz pass: 10 s of every Fuzz* in the tree, each package's found with
 # `go test -list`, so a new fuzzer is fuzzed without being listed here.
+# Minimizing a new input is capped at 5 s: the default, 60 s, would let one
+# input take the rest of a 10 s pass once the corpus is warm.
 # Plain `go test` already replays each fuzzer's f.Add seeds and the corpora
 # committed under testdata/fuzz/. The trace corpora are generated: after a
 # wire change, `go test ./internal/trace -run TestSeedCorpus -update`
@@ -71,5 +79,5 @@ fuzz:
 	echo "$$list" | awk '/^Fuzz/ { f = f " " $$1 } /^ok/ { if (f != "") print $$2 f; f = "" }' | \
 	while read pkg fuzzers; do for f in $$fuzzers; do \
 		echo "== $$f ($$pkg)"; \
-		$(GO) test -run='^$$' -fuzz="^$$f\$$" -fuzztime=10s $$pkg || exit 1; \
+		$(GO) test -run='^$$' -fuzz="^$$f\$$" -fuzztime=10s -fuzzminimizetime=5s $$pkg || exit 1; \
 	done; done

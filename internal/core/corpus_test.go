@@ -197,6 +197,42 @@ func loopUnionStream() *equivStream {
 	return newStream("loop-union", gHand, m, evs)
 }
 
+// deepNest runs a five-level nest, one loop deeper than an iteration vector
+// holds. In the innermost context each iteration reads, then writes, the word
+// of its innermost counter, so one RAW template is carried by whichever loop
+// moved last: the fourth at most instances, in turn the third and the second
+// when those move, and none when only the outermost moves, which the vector
+// does not hold. After each innermost loop a read one context out takes its
+// first word's last write: two contexts that share four loops.
+func deepNest() *equivStream {
+	m := prog.NewMeta()
+	var ctxs [5]uint32
+	ctx := uint32(0)
+	for d := range ctxs {
+		ctx = m.PushCtx(ctx, m.AddLoop(prog.Loop{Name: "deep"}))
+		ctxs[d] = ctx
+	}
+	var evs []event.Access
+	for i0 := uint32(0); i0 < 2; i0++ {
+		for i1 := uint32(0); i1 < 2; i1++ {
+			for i2 := uint32(0); i2 < 2; i2++ {
+				for i3 := uint32(0); i3 < 3; i3++ {
+					for i4 := uint32(0); i4 < 4; i4++ {
+						iv := event.PackIterVec([]uint32{i0, i1, i2, i3, i4})
+						a := 0xA000 + uint64(i4)*8
+						evs = append(evs,
+							event.Access{Addr: a, Kind: event.Read, Loc: loc.Pack(7, 71), CtxID: ctxs[4], IterVec: iv},
+							event.Access{Addr: a, Kind: event.Write, Loc: loc.Pack(7, 70), CtxID: ctxs[4], IterVec: iv})
+					}
+					iv := event.PackIterVec([]uint32{i0, i1, i2, i3})
+					evs = append(evs, event.Access{Addr: 0xA000, Kind: event.Read, Loc: loc.Pack(7, 72), CtxID: ctxs[3], IterVec: iv})
+				}
+			}
+		}
+	}
+	return newStream("deep-nest", gHand, m, evs)
+}
+
 // dupReads is one write and 5,000 identical untimestamped reads of its word,
 // as a sequential replay pushes them: the engine's duplicate-read fold's whole
 // diet.

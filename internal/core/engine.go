@@ -6,6 +6,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"ddprof/internal/dep"
 	"ddprof/internal/event"
 	"ddprof/internal/prog"
@@ -36,6 +38,18 @@ type LoopDeps struct {
 // It is not safe for concurrent use; the parallel profiler gives each worker
 // its own Engine over a disjoint address subset.
 type Engine struct {
+	// cache is the instance cache: the overwhelmingly common case is the
+	// same static dependence firing every iteration (the instance
+	// redundancy dependence merging exploits for space, §III-B), so each
+	// entry memoizes, per instance template, everything an instance does
+	// not change: the map entries (the dependence set's and, once carried,
+	// the per-loop aggregate's) and the classification's static half. It
+	// leads the struct, which is large enough to be allocated page-aligned,
+	// so every 64-byte entry is one cache line.
+	cache       [depCacheSets][depCacheWays]depCacheEntry
+	cacheHits   uint64
+	cacheProbes uint64
+
 	store sig.Store
 	// sg or pf is the store itself when it is a *sig.Signature or a
 	// *sig.PerfectSignature: Process then goes through its fused record
@@ -47,16 +61,6 @@ type Engine struct {
 	loops map[prog.LoopID]*loopAgg
 	// raceCheck enables the epoch race rule of build (MT-target mode).
 	raceCheck bool
-
-	// cache is the instance cache: the overwhelmingly common case is the
-	// same static dependence firing every iteration (the instance
-	// redundancy dependence merging exploits for space, §III-B), so each
-	// entry memoizes, per instance template, everything an instance does
-	// not change: the map entries (the dependence set's and, once carried,
-	// the per-loop aggregate's) and the classification's static half.
-	cache       [depCacheSets][depCacheWays]depCacheEntry
-	cacheHits   uint64
-	cacheProbes uint64
 }
 
 // The instance cache holds 512 entries (28 KiB) in sets of four. The
@@ -90,10 +94,10 @@ func templateOf(t dep.Type, src sig.Slot, snk *event.Access) template {
 	}
 }
 
-// depCacheEntry is one instance template's memo (56 bytes): the merged-set
-// entry, the static half of build's classification, and, once an instance
-// was loop-carried, the loop, its aggregate record and this key's record
-// within it, so a repeat instance updates all of them without any map
+// depCacheEntry is one instance template's memo (64 bytes, one cache line):
+// the merged-set entry, the static half of the classification, and, once an
+// instance was loop-carried, the loop, its aggregate record and this key's
+// record within it, so a repeat instance updates all of them without any map
 // operation.
 type depCacheEntry struct {
 	tmpl template
@@ -104,9 +108,30 @@ type depCacheEntry struct {
 	// cannot be carried (no Meta, an INIT, an induction self-dependence).
 	common int32
 	loop   prog.LoopID // loop of the last carried instance (NoLoop if none)
-	// reduction: both ends are the same reduction statement; cross: the
-	// ends are on different threads at the slot's thread width.
-	reduction, cross bool
+	// lanes is the run kernel's classification of a same-context template
+	// (common == prog.SameCtx): lanes[d] is the loop whose counter is lane d
+	// of the iteration vector (0 innermost), for the nlanes lanes the
+	// context's stack reaches, at most four. build never reads it: it
+	// classifies through CarriedAt, the memo's reference.
+	lanes  [4]prog.LoopID
+	nlanes uint8
+	// reduction: both ends are the same reduction statement.
+	reduction bool
+}
+
+// laneCarried is CarriedAt for an instance of a same-context template from
+// its lanes memo, or for any template with no lanes (nlanes 0): the highest
+// lane below nlanes in which the vectors differ names the carrying loop, and
+// the gap of its counters is the distance. A lane at or above nlanes reads as
+// equal, as CarriedAt's scan starts at the deepest in-range depth.
+func (ent *depCacheEntry) laneCarried(srcIter, sinkIter uint64) (prog.LoopID, uint32) {
+	x := (srcIter ^ sinkIter) & (1<<(16*uint(ent.nlanes)) - 1)
+	if x == 0 {
+		return prog.NoLoop, 0
+	}
+	d := uint(bits.Len64(x)-1) >> 4 & 3
+	gap := int32(uint16(sinkIter>>(16*d))) - int32(uint16(srcIter>>(16*d)))
+	return ent.lanes[d], uint32(max(gap, -gap))
 }
 
 // loopAgg tracks distinct carried dependence keys per loop so LoopDeps can
@@ -187,51 +212,113 @@ func (e *Engine) Process(a event.Access) { e.ProcessRun([]event.Access{a}) }
 // left, build the same RAW and install the same read slot. Only the
 // instance-cache counters see it, one probe (and hit) fewer per folded read
 // that found a write.
+//
+// A read over a fused store is the kernel: the committed cell's probe, the
+// template's way-0 compare, the classification from the entry (lanes memo,
+// or CarriedAt for differing contexts), the stamp compare, ObserveVia and a
+// memoized loop's aggregate run here without a call. Everything else takes
+// the out-of-line path: a first touch or a modulo table (At), a way-0 miss
+// (build, which probes the later ways and fills), a template carried by a
+// loop other than its memoized one (carry), a write (write), Remove and the
+// interface arm (plain). The kernel's probes are all hits and are counted
+// once per run.
 func (e *Engine) ProcessRun(evs []event.Access) (accesses uint64) {
+	// The kernel keeps two counters: its hits, and the events that are not
+	// data accesses, so that a data access costs no count of its own.
+	hits, others := uint64(0), 0
 	for i := 0; i < len(evs); i++ {
 		a := &evs[i]
-		switch a.Kind {
-		case event.Write:
-			accesses++
-			var c sig.Cell
-			switch {
-			case e.sg != nil:
-				c = e.sg.At(a.Addr)
-			case e.pf != nil:
-				c = e.pf.At(a.Addr)
-			default:
-				w, _ := e.store.LookupWrite(a.Addr)
-				r, _ := e.store.LookupRead(a.Addr)
-				e.store.SetWrite(a.Addr, e.write(w, r, a))
-				continue
+		if a.Kind != event.Read && a.Kind != event.Write {
+			others++
+			if a.Kind == event.Remove {
+				// Variable-lifetime analysis: deallocated storage is forgotten so
+				// a later reuse of the address cannot fabricate a dependence.
+				e.store.Remove(a.Addr)
 			}
-			c.SetW(e.write(c.W(), c.R(), a))
-		case event.Read:
-			n := uint64(1)
-			for i+1 < len(evs) && sameRead(&evs[i+1], a) {
-				i++
-				n++
-			}
-			accesses += n
-			var c sig.Cell
-			switch {
-			case e.sg != nil:
-				c = e.sg.At(a.Addr)
-			case e.pf != nil:
-				c = e.pf.At(a.Addr)
-			default:
-				w, _ := e.store.LookupWrite(a.Addr)
-				e.store.SetRead(a.Addr, e.read(w, a, n))
-				continue
-			}
-			c.SetR(e.read(c.W(), a, n))
-		case event.Remove:
-			// Variable-lifetime analysis: deallocated storage is forgotten so a
-			// later reuse of the address cannot fabricate a dependence.
-			e.store.Remove(a.Addr)
+			continue
 		}
+		var c sig.Cell
+		ok := false
+		switch {
+		case e.sg != nil:
+			c, ok = e.sg.Committed(a.Addr)
+		case e.pf != nil:
+			c, ok = e.pf.Committed(a.Addr)
+		default:
+			i += e.plain(evs[i:len(evs):len(evs)])
+			continue
+		}
+		if !ok {
+			c = e.at(a.Addr)
+		}
+		if a.Kind == event.Write {
+			c.SetW(e.write(c.W(), c.R(), a))
+			continue
+		}
+		n := uint64(1)
+		for i+1 < len(evs) && sameRead(&evs[i+1], a) {
+			i++
+			n++
+		}
+		if w := c.W(); !w.Empty() {
+			k := templateOf(dep.RAW, w, a)
+			ent := &e.cache[dep.Mix(k[0], k[1], k[2])>>(64-depCacheSetBits)][0]
+			if ent.tmpl != k {
+				e.build(dep.RAW, w, a, n)
+			} else {
+				hits++
+				var carriedAt prog.LoopID
+				var dist uint32
+				if ent.common > 0 {
+					carriedAt, dist = e.meta.CarriedAt(w.Ctx(), a.CtxID, int(ent.common), w.Iter, a.IterVec)
+				} else {
+					carriedAt, dist = ent.laneCarried(w.Iter, a.IterVec)
+				}
+				reversed := e.raceCheck && (a.TS < w.TS || a.TS == w.TS && a.TS != 0 && a.Thread&sig.ThreadMask != w.Thread())
+				e.deps.ObserveVia(ent.st, n, carriedAt != prog.NoLoop, ent.reduction, reversed, dist)
+				if carriedAt != prog.NoLoop {
+					if ent.loop != carriedAt {
+						e.carry(ent, dep.RAW, w, a, carriedAt)
+					}
+					ent.ck.Reduction = ent.ck.Reduction && ent.reduction
+					if ent.agg.minRAWDist == 0 || dist < ent.agg.minRAWDist {
+						ent.agg.minRAWDist = dist
+					}
+				}
+			}
+		}
+		c.SetR(e.slotFor(a))
 	}
-	return accesses
+	e.cacheHits += hits
+	e.cacheProbes += hits
+	return uint64(len(evs) - others)
+}
+
+// at is the fused arms' out-of-line cell: a first touch, or any access to a
+// signature whose slot count is not a power of two.
+func (e *Engine) at(addr uint64) sig.Cell {
+	if e.sg != nil {
+		return e.sg.At(addr)
+	}
+	return e.pf.At(addr)
+}
+
+// plain runs the data access evs[0], with the reads folded into it, through
+// the sig.Store interface, the arm of every store but the two fused ones, and
+// returns how many reads it folded.
+func (e *Engine) plain(evs []event.Access) (folded int) {
+	a := &evs[0]
+	w, _ := e.store.LookupWrite(a.Addr)
+	if a.Kind == event.Write {
+		r, _ := e.store.LookupRead(a.Addr)
+		e.store.SetWrite(a.Addr, e.write(w, r, a))
+		return 0
+	}
+	for folded+1 < len(evs) && sameRead(&evs[folded+1], a) {
+		folded++
+	}
+	e.store.SetRead(a.Addr, e.read(w, a, uint64(folded)+1))
+	return folded
 }
 
 // sameRead reports whether b is a read that matches read a in every field
@@ -303,28 +390,32 @@ func (e *Engine) build(t dep.Type, src sig.Slot, snk *event.Access, n uint64) {
 	// §V-B over sync epochs (event.Batcher): happens-before across threads
 	// implies a larger stamp, so a smaller one, or an equal one from another
 	// thread, proves the pair unordered. An INIT's empty source has stamp 0.
-	reversed := e.raceCheck && (snk.TS < src.TS || snk.TS == src.TS && snk.TS != 0 && ent.cross)
+	reversed := e.raceCheck && (snk.TS < src.TS || snk.TS == src.TS && snk.TS != 0 && snk.Thread&sig.ThreadMask != src.Thread())
 	e.deps.ObserveVia(ent.st, n, carriedAt != prog.NoLoop, ent.reduction, reversed, dist)
 	if carriedAt == prog.NoLoop {
 		return
 	}
-
 	if ent.loop != carriedAt {
-		// First carried instance since the entry was filled (or the template
-		// is carried by another loop now): memoize the loop's aggregate
-		// record.
-		agg := e.loops[carriedAt]
-		if agg == nil {
-			agg = newLoopAgg()
-			e.loops[carriedAt] = agg
-		}
-		// Fresh records start Reduction (= allRed) true.
-		ent.loop, ent.agg, ent.ck = carriedAt, agg, agg.keys.Ref(depKey(t, src, snk))
+		e.carry(ent, t, src, snk, carriedAt)
 	}
 	ent.ck.Reduction = ent.ck.Reduction && ent.reduction
 	if t == dep.RAW && (ent.agg.minRAWDist == 0 || dist < ent.agg.minRAWDist) {
 		ent.agg.minRAWDist = dist
 	}
+}
+
+// carry memoizes in ent the loop that carries its template's instance now —
+// the first carried instance since the entry was filled, or the template is
+// carried by another loop than the last — with that loop's aggregate record
+// and the instance's key within it. A fresh key record starts Reduction
+// (= allRed) true.
+func (e *Engine) carry(ent *depCacheEntry, t dep.Type, src sig.Slot, snk *event.Access, loop prog.LoopID) {
+	agg := e.loops[loop]
+	if agg == nil {
+		agg = newLoopAgg()
+		e.loops[loop] = agg
+	}
+	ent.loop, ent.agg, ent.ck = loop, agg, agg.keys.Ref(depKey(t, src, snk))
 }
 
 // entry returns the instance's cache entry, filling it on a miss. The
@@ -353,9 +444,12 @@ func (e *Engine) entry(t dep.Type, src sig.Slot, snk *event.Access) *depCacheEnt
 }
 
 // fill computes the static part of an instance of template k: the
-// dependence set's entry and the template-fixed half of the classification.
+// dependence set's entry and the template-fixed half of the classification,
+// and for a same-context template the lanes memo of the run kernel.
 func (e *Engine) fill(ent *depCacheEntry, k template, t dep.Type, src sig.Slot, snk *event.Access) {
 	common := 0
+	var lanes [4]prog.LoopID
+	nlanes := 0
 	// Induction-variable self-dependences (i = i + step feeding the next
 	// iteration's update) are loop control: a parallelizing transformation
 	// replaces the induction entirely, so they are recorded as ordinary
@@ -364,14 +458,22 @@ func (e *Engine) fill(ent *depCacheEntry, k template, t dep.Type, src sig.Slot, 
 	induction := src.Induction() && snk.Flags&event.FlagInduction != 0 && src.Loc() == snk.Loc
 	if e.meta != nil && t != dep.INIT && !induction {
 		common = e.meta.CommonDepth(src.Ctx(), snk.CtxID)
+		if common == prog.SameCtx {
+			ss := e.meta.Stack(snk.CtxID)
+			nlanes = min(len(ss), len(lanes))
+			for d := range nlanes {
+				lanes[d] = ss[len(ss)-1-d]
+			}
+		}
 	}
 	*ent = depCacheEntry{
 		tmpl:      k,
 		st:        e.deps.Ref(depKey(t, src, snk)),
 		common:    int32(common),
 		loop:      prog.NoLoop,
+		lanes:     lanes,
+		nlanes:    uint8(nlanes),
 		reduction: src.Reduction() && snk.Flags&event.FlagReduction != 0 && src.Loc() == snk.Loc,
-		cross:     snk.Thread&sig.ThreadMask != src.Thread(),
 	}
 }
 

@@ -36,14 +36,24 @@ func recordWorkload(tb testing.TB, name string, scale float64) *equivStream {
 	return newStream(name, 0, p.Meta, evs)
 }
 
-// armsMeta is a two-level nest: context 1 is the outer loop, 2 the inner.
+// armsMeta is a two-level nest, context 1 its outer loop (loop 0) and 2 its
+// inner (loop 1), and a five-level one, contexts 3 to 7 its loops 2 to 6 from
+// the outermost in: context 7 is one loop deeper than an iteration vector
+// holds.
 func armsMeta() *prog.Meta {
 	m := prog.NewMeta()
 	lo := m.AddLoop(prog.Loop{Name: "outer"})
 	li := m.AddLoop(prog.Loop{Name: "inner"})
 	m.PushCtx(m.PushCtx(0, lo), li)
+	ctx := uint32(0)
+	for d := range 5 {
+		ctx = m.PushCtx(ctx, m.AddLoop(prog.Loop{Name: fmt.Sprintf("deep%d", d)}))
+	}
 	return m
 }
+
+// armsContexts is how many contexts armsMeta has, the empty one included.
+const armsContexts = 8
 
 // armsOps decodes fuzz bytes, eight per op, into engine operations over a
 // 64 Ki-word window, so every tested slot count sees collisions and several
@@ -91,9 +101,13 @@ func armsOp(b []byte, ts *uint64) event.Access {
 		IterVec: event.PackIterVec([]uint32{uint32(b[6] & 7), uint32(b[5] & 15)}),
 		Loc:     loc.Pack(1, int(b[3]&7)+1),
 		Var:     loc.VarID(b[3] >> 3 & 3),
-		CtxID:   uint32(b[4] >> 4 % 3),
+		CtxID:   uint32(b[4] >> 4 % armsContexts),
 		Thread:  int32(b[4] & 3),
 		Flags:   event.Flags(b[4] >> 2 & 3),
+	}
+	if a.CtxID >= 3 {
+		// The five-level nest: four lanes, a nibble each, outermost first.
+		a.IterVec = event.PackIterVec([]uint32{uint32(b[6] >> 4), uint32(b[6] & 15), uint32(b[5] >> 4), uint32(b[5] & 15)})
 	}
 	switch sel := b[0] & 7; {
 	case sel <= 2, sel == 7: // 7 with no read to repeat yet
@@ -129,7 +143,7 @@ func armsRepeat(a event.Access, b []byte) event.Access {
 	case 7:
 		a.Var ^= loc.VarID(d)
 	case 8:
-		a.CtxID = (a.CtxID + 1) % 3
+		a.CtxID = (a.CtxID + 1) % armsContexts
 	}
 	return a
 }
@@ -204,6 +218,35 @@ func FuzzEngineArms(f *testing.F) {
 	// their templates differ only in the source's or the sink's flag.
 	f.Add([]byte{3, 5, 0, 0, 0x10, 0, 0, 1, 0, 5, 0, 0, 0x18, 1, 0, 1,
 		3, 5, 0, 0, 0x18, 1, 0, 1, 0, 5, 0, 0, 0x18, 2, 0, 1, 0, 5, 0, 0, 0x10, 3, 0, 1})
+	// The run kernel's edges. op is one armsOp at word 5, its stamp one past
+	// the last: sel 0 reads and 3 writes; b5 and b6 hold the lanes.
+	op := func(sel, line, v, thread, ctx, b5, b6 byte) []byte {
+		return []byte{sel, 5, 0, line - 1 | v<<3, thread | ctx<<4, b5, b6, 1}
+	}
+	ops := func(ops ...[]byte) []byte { return slices.Concat(ops...) }
+	// Same-context vectors that differ only in lanes above the context's
+	// depth (the outer lane in context 1, lane 3 in context 5, three deep,
+	// any lane in context 0), hit in way 0, loop-independent every time; then
+	// one differing in an in-range lane, carried.
+	f.Add(ops(op(3, 1, 0, 0, 1, 0, 0), op(0, 2, 0, 0, 1, 0, 1), op(0, 2, 0, 0, 1, 0, 2), op(0, 2, 0, 0, 1, 0, 3), op(0, 2, 0, 0, 1, 1, 3),
+		op(3, 3, 0, 0, 5, 0, 0), op(0, 4, 0, 0, 5, 0, 0x10), op(0, 4, 0, 0, 5, 0, 0x20), op(0, 4, 0, 0, 5, 0x10, 0x20),
+		op(3, 5, 0, 0, 0, 0, 0), op(0, 6, 0, 0, 0, 1, 1), op(0, 6, 0, 0, 0, 2, 2)))
+	// The five-level nest: reads in the innermost context carried at lane 3
+	// (the second loop) from the way-0 memo, then reads one context out,
+	// which take CarriedAt: their lane 3 is the outermost loop's.
+	f.Add(ops(op(3, 1, 0, 0, 7, 0, 0), op(0, 2, 0, 0, 7, 0, 0x10), op(0, 2, 0, 0, 7, 0, 0x20), op(0, 2, 0, 0, 7, 1, 0x20),
+		op(0, 3, 0, 0, 6, 0, 0x10), op(0, 3, 0, 0, 6, 0, 0x30), op(0, 3, 0, 0, 6, 0x11, 0x31)))
+	// One template carried in turn by the inner and the outer loop: the
+	// aggregate memo refilled on every instance.
+	f.Add(ops(op(3, 1, 0, 0, 2, 0, 0), op(0, 2, 0, 0, 2, 1, 0), op(3, 1, 0, 0, 2, 0, 0), op(0, 2, 0, 0, 2, 0, 1),
+		op(3, 1, 0, 0, 2, 0, 0), op(0, 2, 0, 0, 2, 2, 0), op(3, 1, 0, 0, 2, 0, 0), op(0, 2, 0, 0, 2, 0, 2)))
+	// Two RAW templates of one write that share a cache set (sink line 1,
+	// variable 0, thread 3 and line 3, variable 2, thread 0): each read
+	// pushes the other's entry out of way 0, so every carried instance but
+	// the first two finds its entry in way 1, refilled by another loop on
+	// the way there.
+	f.Add(ops(op(3, 1, 0, 0, 2, 0, 0), op(0, 1, 0, 3, 2, 1, 0), op(0, 3, 2, 0, 2, 1, 0), op(0, 1, 0, 3, 2, 2, 0),
+		op(0, 1, 0, 3, 2, 0, 1), op(0, 3, 2, 0, 2, 1, 1), op(0, 1, 0, 3, 2, 3, 0), op(0, 3, 2, 0, 2, 2, 0)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, runs := armsOps(data)
 		for _, race := range []bool{false, true} {
@@ -373,8 +416,8 @@ func TestInstanceTemplate(t *testing.T) {
 	if base == (template{}) || templateOf(dep.INIT, sig.Slot{}, &event.Access{}) == (template{}) {
 		t.Error("a real instance has the zero template, which an empty cache entry holds")
 	}
-	if n := unsafe.Sizeof(depCacheEntry{}); n > 56 {
-		t.Errorf("an instance-cache entry is %d bytes, want at most 56", n)
+	if n := unsafe.Sizeof(depCacheEntry{}); n != 64 {
+		t.Errorf("an instance-cache entry is %d bytes, want 64: one cache line, a set offset that is a shift", n)
 	}
 }
 

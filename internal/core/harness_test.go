@@ -140,7 +140,7 @@ func corpus(t *testing.T) []*equivStream {
 	cs := append(equivSuite(),
 		newStream("synth", gSynth, prog.NewMeta(), synthStream(1<<16, 512, 7)),
 		newStream("mt-4threads", gSynth, prog.NewMeta(), mtThreadStream(4, 20000)),
-		producerEdges(), rangeEdges(), loopUnionStream(), tightThreads(), dupReads(),
+		producerEdges(), rangeEdges(), loopUnionStream(), tightThreads(), dupReads(), deepNest(),
 		newWireStream("mt-batch", gHand, prog.NewMeta(), mtBatchStream(rand.New(rand.NewSource(0)), 12000)))
 	for _, w := range workloads.All() {
 		if testing.Short() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"runtime"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"ddprof/internal/dep"
 	"ddprof/internal/event"
 	"ddprof/internal/loc"
+	"ddprof/internal/prog"
 )
 
 // TestMTOrderingInvariant holds MT to the invariant its doc states. Four
@@ -123,26 +125,74 @@ func TestMTRunsLongerThanRing(t *testing.T) {
 }
 
 // TestMTBatchAllocFree: a steady-state executor batch through AccessBatch in
-// either pipelined mode — owner pass, claims, copies into the rings, the
-// workers reading them in place — allocates nothing: the rings are allocated
-// by New, so the warm-up is the stores' alone.
+// every mode allocates nothing — in the pipelined modes the owner pass,
+// claims, copies into the rings and the workers reading them in place, in
+// ModeSerial the checked segment through the inline engine. The rings are
+// allocated by New, so the warm-up is the stores' and the dependence tables'
+// alone. Two batches: accesses with no loop metadata, and a loop nest whose
+// RAWs, WAWs and WARs are carried, in one context (the run kernel's lanes
+// memo) and across two (CarriedAt), one RAW template carried in turn by the
+// inner and the outer loop (the aggregate memo refilled on every instance).
 func TestMTBatchAllocFree(t *testing.T) {
-	for _, mode := range []Mode{ModeParallel, ModeMT} {
-		m := mustNew(t, Config{Mode: mode, Workers: 2, SlotsPerWorker: 1 << 16})
-		batch := make([]event.Access, 0, event.BatchSize)
-		for i := uint64(0); len(batch)+3 <= cap(batch); i++ {
-			w := event.Access{Addr: 0x1000 + 8*i, Kind: event.Write, Loc: loc.Pack(1, 1), TS: 1}
-			r := event.Access{Addr: 0x1000 + 8*i, Kind: event.Read, Loc: loc.Pack(1, 2), TS: 1}
-			batch = append(batch, w, r, r) // the engine folds the second read
-		}
-		for i := 0; i < 400; i++ {
-			m.AccessBatch(batch, nil)
-		}
-		if n := testing.AllocsPerRun(400, func() { m.AccessBatch(batch, nil) }); n != 0 {
-			t.Errorf("%v: AccessBatch allocates %.1f times per %d-event batch, want 0", mode, n, len(batch))
-		}
-		m.Flush()
+	meta := armsMeta() // context 1: the outer loop; 2: outer, inner
+	iv := func(iters ...uint32) uint64 { return event.PackIterVec(iters) }
+	var flat, nest []event.Access
+	for i := uint64(0); len(flat)+3 <= event.BatchSize; i++ {
+		w := event.Access{Addr: 0x1000 + 8*i, Kind: event.Write, Loc: loc.Pack(1, 1), TS: 1}
+		r := event.Access{Addr: 0x1000 + 8*i, Kind: event.Read, Loc: loc.Pack(1, 2), TS: 1}
+		flat = append(flat, w, r, r) // the engine folds the second read
 	}
+	for i := uint32(0); len(nest)+9 <= event.BatchSize; i++ {
+		a := 0x1000 + 8*uint64(i%64)
+		b := 0x9000 + 8*uint64(i%64)
+		at := func(addr uint64, k event.Kind, line int, ctx uint32, iter uint64) event.Access {
+			return event.Access{Addr: addr, Kind: k, Loc: loc.Pack(1, line), CtxID: ctx, IterVec: iter, TS: 1}
+		}
+		nest = append(nest,
+			at(a, event.Write, 1, 2, iv(0, i)),
+			at(a, event.Read, 2, 2, iv(0, i+1)),  // RAW carried by the inner loop, one context
+			at(a, event.Read, 3, 1, iv(1)),       // RAW carried by the outer loop, two contexts
+			at(a, event.Write, 1, 2, iv(0, i+2)), // WAW inner, WAR outer
+			at(b, event.Write, 4, 2, iv(0, 0)),
+			at(b, event.Read, 5, 2, iv(0, 1)), // one template carried by the inner loop,
+			at(b, event.Write, 4, 2, iv(0, 0)),
+			at(b, event.Read, 5, 2, iv(1, 0)), // then by the outer
+			at(b, event.Remove, 0, 0, 0),
+		)
+	}
+	for _, mode := range []Mode{ModeSerial, ModeParallel, ModeMT} {
+		for _, tc := range []struct {
+			name  string
+			meta  *prog.Meta
+			batch []event.Access
+		}{{"flat", nil, flat}, {"nest", meta, nest}} {
+			m := mustNew(t, Config{Mode: mode, Workers: 2, SlotsPerWorker: 1 << 16, Meta: tc.meta})
+			for i := 0; i < 400; i++ {
+				m.AccessBatch(tc.batch, nil)
+			}
+			if n := testing.AllocsPerRun(400, func() { m.AccessBatch(tc.batch, nil) }); n != 0 {
+				t.Errorf("%v %s: AccessBatch allocates %.1f times per %d-event batch, want 0", mode, tc.name, n, len(tc.batch))
+			}
+			res := m.Flush()
+			// Carried RAW, WAW and WAR keys of the outer loop (0) and the inner (1).
+			want := map[prog.LoopID][3]int{0: {2, 0, 1}, 1: {2, 1, 1}}
+			if tc.meta == nil {
+				want = map[prog.LoopID][3]int{}
+			}
+			if got := carriedKeys(res.Loops); !maps.Equal(got, want) {
+				t.Errorf("%v %s: carried RAW/WAW/WAR keys per loop %v, want %v", mode, tc.name, got, want)
+			}
+		}
+	}
+}
+
+// carriedKeys lists each loop's carried RAW, WAW and WAR key counts.
+func carriedKeys(loops map[prog.LoopID]*LoopDeps) map[prog.LoopID][3]int {
+	out := make(map[prog.LoopID][3]int, len(loops))
+	for id, ld := range loops {
+		out[id] = [3]int{ld.CarriedRAW, ld.CarriedWAW, ld.CarriedWAR}
+	}
+	return out
 }
 
 // TestMTFreedAfterFlush: once flushed and dropped, a profiler — rings, stores

@@ -214,17 +214,26 @@ func (p *Profiler) spread(seg []event.Access) {
 
 // runInline is ModeSerial's worker: the checked segment goes to the engine's
 // run kernel in one call, on the caller's thread, where Algorithm 1 runs
-// beside the target in §III.
+// beside the target in §III. The check reads stamps only when they are
+// judged: a profiler that does not race-check never compares them.
 func (p *Profiler) runInline(seg []event.Access) {
-	stamps := uint64(0)
-	for i := range seg {
-		if seg[i].Kind == event.RangeRef {
-			refuseRangeRef()
+	if p.raceCheck {
+		stamps := uint64(0)
+		for i := range seg {
+			if seg[i].Kind == event.RangeRef {
+				refuseRangeRef()
+			}
+			stamps |= seg[i].TS
 		}
-		stamps |= seg[i].TS
-	}
-	if stamps > event.MaxTS && p.raceCheck {
-		refuseStamps()
+		if stamps > event.MaxTS {
+			refuseStamps()
+		}
+	} else {
+		for i := range seg {
+			if seg[i].Kind == event.RangeRef {
+				refuseRangeRef()
+			}
+		}
 	}
 	w := p.workers[0]
 	w.process(seg)

@@ -65,14 +65,22 @@ func (p *PerfectSignature) KeepStamps() {
 // recorded there. Like Signature.At it is the whole store side of one access
 // for the engine's fused arm; probes that must not commit go through Lookup*.
 func (p *PerfectSignature) At(addr uint64) Cell {
-	if addr&7 == 0 {
-		if k := addr>>(3+perfectPageShift) - p.base; k < uint64(len(p.dir)) {
-			if pg := p.dir[k]; pg != nil {
-				return cellAt(pg, (addr>>3&perfectPageMask)*p.stride, p.stride)
-			}
-		}
+	if c, ok := p.Committed(addr); ok {
+		return c
 	}
 	return p.commit(addr)
+}
+
+// Committed is At's inlinable half: addr's record when addr is aligned and
+// its page is committed, else ok is false and the caller takes At (a first
+// touch, a side-map record). It commits nothing.
+func (p *PerfectSignature) Committed(addr uint64) (c Cell, ok bool) {
+	if k := addr>>(3+perfectPageShift) - p.base; addr&7 == 0 && k < uint64(len(p.dir)) {
+		if pg := p.dir[k]; pg != nil {
+			return cellAt(pg, (addr>>3&perfectPageMask)*p.stride, p.stride), true
+		}
+	}
+	return Cell{}, false
 }
 
 // page returns the page of addr's record, or false if the directory cannot

@@ -350,8 +350,24 @@ func (g *Signature) Slots() int { return int(g.m) }
 // a caller that will record the access (the engine's fused arm); probes that
 // must not commit go through Lookup*.
 func (g *Signature) At(addr uint64) Cell {
+	if c, ok := g.Committed(addr); ok {
+		return c
+	}
 	i := g.hash(addr)
 	return g.view(g.page(i), i)
+}
+
+// Committed is At's inlinable half: the cell addr hashes to when the slot
+// count is a power of two and the cell's page is committed, else ok is false
+// and the caller takes At (a modulo or sharded-divide table, a first touch).
+// It commits nothing. When mask is 0 the index is 0, a page every table has,
+// so the probe needs no other guard.
+func (g *Signature) Committed(addr uint64) (c Cell, ok bool) {
+	i := addr >> (g.shift & 63) & g.mask
+	if pg := g.pages[i>>pageShift]; pg != nil && g.mask != 0 {
+		return cellAt(pg, (i&pageMask)*g.stride, g.stride), true
+	}
+	return Cell{}, false
 }
 
 // page returns the page holding index i, committing it on first use.
