@@ -7,6 +7,7 @@ package core
 
 import (
 	"math/bits"
+	"unsafe"
 
 	"ddprof/internal/dep"
 	"ddprof/internal/event"
@@ -49,6 +50,10 @@ type Engine struct {
 	cache       [depCacheSets][depCacheWays]depCacheEntry
 	cacheHits   uint64
 	cacheProbes uint64
+	// carried is carry's memo of the loop records it looked up, so a
+	// template carried in turn by two loops refills its entry without a map
+	// operation.
+	carried [carryMemoSize]carryMemo
 
 	store sig.Store
 	// sg or pf is the store itself when it is a *sig.Signature or a
@@ -59,7 +64,7 @@ type Engine struct {
 	meta  *prog.Meta
 	deps  *dep.Set
 	loops map[prog.LoopID]*loopAgg
-	// raceCheck enables the epoch race rule of build (MT-target mode).
+	// raceCheck enables the epoch race rule, reversed (MT-target mode).
 	raceCheck bool
 }
 
@@ -219,9 +224,9 @@ func (e *Engine) Process(a event.Access) { e.ProcessRun([]event.Access{a}) }
 // memoized loop's aggregate run here without a call. Everything else takes
 // the out-of-line path: a first touch or a modulo table (At), a way-0 miss
 // (build, which probes the later ways and fills), a template carried by a
-// loop other than its memoized one (carry), a write (write), Remove and the
-// interface arm (plain). The kernel's probes are all hits and are counted
-// once per run.
+// loop other than its memoized one (carry), a write (write, whose WAW and WAR
+// hits take the same path in closing), Remove and the interface arm (plain).
+// The kernel's probes are all hits and are counted once per run.
 func (e *Engine) ProcessRun(evs []event.Access) (accesses uint64) {
 	// The kernel keeps two counters: its hits, and the events that are not
 	// data accesses, so that a data access costs no count of its own.
@@ -274,8 +279,7 @@ func (e *Engine) ProcessRun(evs []event.Access) (accesses uint64) {
 				} else {
 					carriedAt, dist = ent.laneCarried(w.Iter, a.IterVec)
 				}
-				reversed := e.raceCheck && (a.TS < w.TS || a.TS == w.TS && a.TS != 0 && a.Thread&sig.ThreadMask != w.Thread())
-				e.deps.ObserveVia(ent.st, n, carriedAt != prog.NoLoop, ent.reduction, reversed, dist)
+				e.deps.ObserveVia(ent.st, n, carriedAt != prog.NoLoop, ent.reduction, e.reversed(w, a), dist)
 				if carriedAt != prog.NoLoop {
 					if ent.loop != carriedAt {
 						e.carry(ent, dep.RAW, w, a, carriedAt)
@@ -347,12 +351,41 @@ func (e *Engine) write(w, r sig.Slot, a *event.Access) sig.Slot {
 		// First write to this address: INIT (paper §III-A), from no source.
 		e.build(dep.INIT, sig.Slot{}, a, 1)
 	} else {
-		e.build(dep.WAW, w, a, 1)
+		e.closing(dep.WAW, w, a)
 	}
 	if !r.Empty() {
-		e.build(dep.WAR, r, a, 1)
+		e.closing(dep.WAR, r, a)
 	}
 	return e.slotFor(a)
+}
+
+// closing records the WAW or WAR instance from src that the write a closes:
+// the run kernel's hit path, out of its loop — the way-0 compare, the
+// classification from the entry, ObserveVia and a memoized loop's record —
+// and build for anything else. Its probe is counted at once.
+func (e *Engine) closing(t dep.Type, src sig.Slot, a *event.Access) {
+	k := templateOf(t, src, a)
+	ent := &e.cache[dep.Mix(k[0], k[1], k[2])>>(64-depCacheSetBits)][0]
+	if ent.tmpl != k {
+		e.build(t, src, a, 1)
+		return
+	}
+	e.cacheHits++
+	e.cacheProbes++
+	var carriedAt prog.LoopID
+	var dist uint32
+	if ent.common > 0 {
+		carriedAt, dist = e.meta.CarriedAt(src.Ctx(), a.CtxID, int(ent.common), src.Iter, a.IterVec)
+	} else {
+		carriedAt, dist = ent.laneCarried(src.Iter, a.IterVec)
+	}
+	e.deps.ObserveVia(ent.st, 1, carriedAt != prog.NoLoop, ent.reduction, e.reversed(src, a), dist)
+	if carriedAt != prog.NoLoop {
+		if ent.loop != carriedAt {
+			e.carry(ent, t, src, a, carriedAt)
+		}
+		ent.ck.Reduction = ent.ck.Reduction && ent.reduction
+	}
 }
 
 // read is the read half: a RAW against the resident write, and the slot to
@@ -387,11 +420,7 @@ func (e *Engine) build(t dep.Type, src sig.Slot, snk *event.Access, n uint64) {
 	if ent.common != 0 {
 		carriedAt, dist = e.meta.CarriedAt(src.Ctx(), snk.CtxID, int(ent.common), src.Iter, snk.IterVec)
 	}
-	// §V-B over sync epochs (event.Batcher): happens-before across threads
-	// implies a larger stamp, so a smaller one, or an equal one from another
-	// thread, proves the pair unordered. An INIT's empty source has stamp 0.
-	reversed := e.raceCheck && (snk.TS < src.TS || snk.TS == src.TS && snk.TS != 0 && snk.Thread&sig.ThreadMask != src.Thread())
-	e.deps.ObserveVia(ent.st, n, carriedAt != prog.NoLoop, ent.reduction, reversed, dist)
+	e.deps.ObserveVia(ent.st, n, carriedAt != prog.NoLoop, ent.reduction, e.reversed(src, snk), dist)
 	if carriedAt == prog.NoLoop {
 		return
 	}
@@ -404,18 +433,50 @@ func (e *Engine) build(t dep.Type, src sig.Slot, snk *event.Access, n uint64) {
 	}
 }
 
+// reversed is the race check of a race-checking engine, §V-B over sync
+// epochs (event.Batcher): happens-before across threads implies a larger
+// stamp, so a smaller one, or an equal one from another thread, proves the
+// pair unordered. An INIT's empty source has stamp 0.
+func (e *Engine) reversed(src sig.Slot, snk *event.Access) bool {
+	return e.raceCheck && (snk.TS < src.TS || snk.TS == src.TS && snk.TS != 0 && snk.Thread&sig.ThreadMask != src.Thread())
+}
+
+// carryMemo is one dependence's record in one loop's aggregate, as carry
+// looked it up: st names the dependence (its record in the engine's set, one
+// per key), agg and ck are the loop's aggregate and the key's record in it.
+type carryMemo struct {
+	st   *dep.Stats
+	agg  *loopAgg
+	ck   *dep.Stats
+	loop prog.LoopID
+}
+
+// carry's memo holds 256 pairs (8 KiB), direct-mapped. A template
+// alternates between loops where an inner loop restarts, so the pairs in use
+// at once are about two per hot template.
+const (
+	carryMemoBits = 8
+	carryMemoSize = 1 << carryMemoBits
+)
+
 // carry memoizes in ent the loop that carries its template's instance now —
 // the first carried instance since the entry was filled, or the template is
 // carried by another loop than the last — with that loop's aggregate record
 // and the instance's key within it. A fresh key record starts Reduction
-// (= allRed) true.
+// (= allRed) true. carried answers first, keyed by the dependence's record
+// and the loop, whose aggregate and key record stay put for the engine's
+// life; the loop map and the key set only on a memo miss.
 func (e *Engine) carry(ent *depCacheEntry, t dep.Type, src sig.Slot, snk *event.Access, loop prog.LoopID) {
-	agg := e.loops[loop]
-	if agg == nil {
-		agg = newLoopAgg()
-		e.loops[loop] = agg
+	m := &e.carried[dep.Mix(uint64(uintptr(unsafe.Pointer(ent.st))), uint64(loop), 0)>>(64-carryMemoBits)]
+	if m.st != ent.st || m.loop != loop {
+		agg := e.loops[loop]
+		if agg == nil {
+			agg = newLoopAgg()
+			e.loops[loop] = agg
+		}
+		*m = carryMemo{st: ent.st, agg: agg, ck: agg.keys.Ref(depKey(t, src, snk)), loop: loop}
 	}
-	ent.loop, ent.agg, ent.ck = loop, agg, agg.keys.Ref(depKey(t, src, snk))
+	ent.loop, ent.agg, ent.ck = loop, m.agg, m.ck
 }
 
 // entry returns the instance's cache entry, filling it on a miss. The

@@ -328,6 +328,7 @@ func checkArms(t *testing.T, name string, open func() fusable, ops []event.Acces
 	ref.e = NewEngine(ref.st, meta, race)
 	for _, op := range ops {
 		clear(ref.e.cache[:])
+		clear(ref.e.carried[:])
 		ref.e.Process(op)
 	}
 	if h, _ := ref.e.CacheStats(); h != 0 {

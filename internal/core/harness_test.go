@@ -412,6 +412,7 @@ func exactRef(t *testing.T, s *equivStream, race bool) *Result {
 		eng := NewEngine(sig.NewPerfectSignature(), s.meta, race)
 		for _, a := range s.evs {
 			clear(eng.cache[:])
+			clear(eng.carried[:])
 			eng.Process(a)
 		}
 		if h, p := eng.CacheStats(); h != 0 || p == 0 {

@@ -217,22 +217,18 @@ func (p *Profiler) spread(seg []event.Access) {
 // beside the target in §III. The check reads stamps only when they are
 // judged: a profiler that does not race-check never compares them.
 func (p *Profiler) runInline(seg []event.Access) {
+	for i := range seg {
+		if seg[i].Kind == event.RangeRef {
+			refuseRangeRef()
+		}
+	}
 	if p.raceCheck {
 		stamps := uint64(0)
 		for i := range seg {
-			if seg[i].Kind == event.RangeRef {
-				refuseRangeRef()
-			}
 			stamps |= seg[i].TS
 		}
 		if stamps > event.MaxTS {
 			refuseStamps()
-		}
-	} else {
-		for i := range seg {
-			if seg[i].Kind == event.RangeRef {
-				refuseRangeRef()
-			}
 		}
 	}
 	w := p.workers[0]
